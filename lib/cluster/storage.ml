@@ -59,18 +59,9 @@ let apply t op ~seq =
   end
   else
     (* [seq] is the object version: never regress. *)
-    let current = match Robinhood.find s.hash k with
-      | Some (_, s') -> s'
-      | None -> -1
-    in
-    if seq > current then
-      match op with
-      | Op.Put (_, v) ->
-          if not (Robinhood.update s.hash k v ~seq) then begin
-            ignore (Robinhood.insert s.hash k v);
-            ignore (Robinhood.update s.hash k v ~seq)
-          end
-      | Op.Delete _ -> ignore (Robinhood.delete s.hash k)
+    match op with
+    | Op.Put (_, v) -> Robinhood.put_newer s.hash k v ~seq
+    | Op.Delete _ -> Robinhood.delete_older s.hash k ~seq
 
 let load t k v =
   let s = shard_store t ~shard:(Keyspace.shard k) in

@@ -39,9 +39,9 @@ let flush t dst =
     t.frames <- t.frames + 1;
     t.messages <- t.messages + p.count;
     let payload_bytes = p.bytes and msgs = List.rev p.msgs in
-    (* Reset the batch before the send: [Fabric.send] suspends, and a
-       message pushed during that suspension must start a fresh batch
-       rather than be wiped by a post-send reset. *)
+    (* Reset the batch before the send, so the frame owns [msgs] and
+       the next push starts a fresh batch. [Fabric.send] does not
+       suspend: it spawns the wire transfer and returns. *)
     p.msgs <- [];
     p.bytes <- 0;
     p.count <- 0;

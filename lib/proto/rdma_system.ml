@@ -202,18 +202,7 @@ let obj_apply t ~node (op, seq) =
         | Op.Delete _ -> ignore (Xenic_store.Hopscotch.delete h k))
     | None -> (
         match op with
-        | Op.Put (_, v) ->
-            let cur_seq =
-              match Xenic_store.Chained.find s.hash k with
-              | Some (_, s') -> s'
-              | None -> -1
-            in
-            if cur_seq < 0 then begin
-              Xenic_store.Chained.insert s.hash k v;
-              ignore (Xenic_store.Chained.update s.hash k v ~seq)
-            end
-            else if cur_seq < seq then
-              ignore (Xenic_store.Chained.update s.hash k v ~seq)
+        | Op.Put (_, v) -> Xenic_store.Chained.put_newer s.hash k v ~seq
         | Op.Delete _ -> ignore (Xenic_store.Chained.delete s.hash k))
 
 let try_lock t ~node k ~owner =

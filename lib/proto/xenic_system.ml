@@ -130,10 +130,6 @@ type t = {
   mutable oracle : Oracle.t option;
   mutable trace : Trace.t option;
   mutable telemetry : Xenic_telemetry.Telemetry.t option;
-  mutable debug_key : int option;
-      (* debugging hook: trace every protocol event touching this key;
-         per-system state, so two systems in one process debug
-         independently *)
 }
 
 (* Timeout/fault machinery armed? *)
@@ -193,13 +189,6 @@ let trace_instant t ~cat ~name ~pid ~tid args =
   match t.trace with
   | None -> ()
   | Some tr -> Trace.instant tr ~cat ~name ~pid ~tid ~args ()
-
-(* Temporary debugging hook: trace every protocol event touching a key. *)
-let set_debug_key t k = t.debug_key <- k
-
-let dbg t key f =
-  if t.debug_key = Some key then
-    Printf.printf "[%10.0f] %s\n%!" (Engine.now t.engine) (f ())
 
 (* ------------------------------------------------------------------ *)
 (* Messaging *)
@@ -372,18 +361,10 @@ let execute_handler t node ~owner ~locks ~reads () =
         | [] -> `Ok (List.rev acc)
         | k :: rest -> (
             match Xenic_store.Nic_index.try_lock idx io k ~owner with
-            | `Acquired seq ->
-                dbg t k (fun () ->
-                    Printf.sprintf "exec-lock n%d owner=%d ver=%d" node.id owner seq);
-                acquire ((k, seq) :: acc) rest
+            | `Acquired seq -> acquire ((k, seq) :: acc) rest
             | `Locked ->
-                dbg t k (fun () ->
-                    Printf.sprintf "exec-lock-CONFLICT n%d owner=%d" node.id owner);
                 List.iter
-                  (fun (k', _) ->
-                    dbg t k' (fun () ->
-                        Printf.sprintf "exec-lockfail-release n%d owner=%d" node.id owner);
-                    Xenic_store.Nic_index.unlock idx k' ~owner)
+                  (fun (k', _) -> Xenic_store.Nic_index.unlock idx k' ~owner)
                   acc;
                 `Fail)
       in
@@ -404,20 +385,13 @@ let execute_handler t node ~owner ~locks ~reads () =
                     let v, seq =
                       match r with Some (v, s) -> (Some v, s) | None -> (None, 0)
                     in
-                    dbg t k (fun () ->
-                        Printf.sprintf "exec-read n%d owner=%d ver=%d val=%Ld"
-                          node.id owner seq
-                          (match v with Some b -> Bytes.get_int64_le b 0 | None -> -1L));
                     read_all ((k, v, seq) :: acc) rest)
           in
           match read_all [] reads with
           | `Ok values -> `Ok (lock_versions, values)
           | `Fail ->
               List.iter
-                (fun (k, _) ->
-                  dbg t k (fun () ->
-                      Printf.sprintf "exec-readfail-release n%d owner=%d" node.id owner);
-                  Xenic_store.Nic_index.unlock idx k ~owner)
+                (fun (k, _) -> Xenic_store.Nic_index.unlock idx k ~owner)
                 lock_versions;
               `Fail))
 
@@ -442,11 +416,7 @@ let validate_handler t node ~owner ~checks () =
             let current =
               Option.value ~default:0 (Xenic_store.Nic_index.version idx io k)
             in
-            let ok = lock_ok && current = expected in
-            if (not ok) && Sys.getenv_opt "XENIC_DEBUG_VALIDATE" <> None then
-              Printf.printf "VALIDATE-FAIL key=%x tbl=%d lock_ok=%b cur=%d exp=%d\n%!"
-                k (Keyspace.table k) lock_ok current expected;
-            ok)
+            lock_ok && current = expected)
           checks
       in
       if not ok then Xenic_stats.Counter.incr (counters t) "validate_conflicts";
@@ -503,20 +473,11 @@ let commit_handler t node ~owner ~shard ~seq_ops ~locked () =
           if not (Keyspace.ordered k) then begin
             Smartnic.mem_access node.nic;
             match op with
-            | Op.Put (_, v) ->
-                let newseq = Xenic_store.Nic_index.apply_commit idx k v in
-                dbg t k (fun () ->
-                    Printf.sprintf "commit-apply n%d owner=%d newver=%d val=%Ld"
-                      node.id owner newseq (Bytes.get_int64_le v 0))
+            | Op.Put (_, v) -> ignore (Xenic_store.Nic_index.apply_commit idx k v)
             | Op.Delete _ -> Xenic_store.Nic_index.apply_delete idx k
           end)
         seq_ops;
-      List.iter
-        (fun k ->
-          dbg t k (fun () ->
-              Printf.sprintf "commit-unlock n%d owner=%d" node.id owner);
-          Xenic_store.Nic_index.unlock idx k ~owner)
-        locked)
+      List.iter (fun k -> Xenic_store.Nic_index.unlock idx k ~owner) locked)
 
 (* ABORT: release locks acquired during EXECUTE. *)
 let abort_handler t node ~owner ~locked () =
@@ -524,10 +485,7 @@ let abort_handler t node ~owner ~locked () =
   with_core node (fun () ->
       Smartnic.core_work_held node.nic ~ops:(List.length locked) ~bytes:0;
       List.iter
-        (fun k ->
-          dbg t k (fun () ->
-              Printf.sprintf "abort-unlock n%d owner=%d" node.id owner);
-          Xenic_store.Nic_index.unlock (idx_for t node k) k ~owner)
+        (fun k -> Xenic_store.Nic_index.unlock (idx_for t node k) k ~owner)
         locked)
 
 (* ------------------------------------------------------------------ *)
@@ -568,11 +526,6 @@ let worker_loop t node source =
               let seq =
                 if Keyspace.ordered (Op.key op) then record.lr_stamp else seq
               in
-              dbg t (Op.key op) (fun () ->
-                  Printf.sprintf "worker-apply n%d kind=%s seq=%d val=%Ld" node.id
-                    (match record.lr_kind with Lrec_log -> "log" | Lrec_commit -> "commit")
-                    seq
-                    (match op with Op.Put (_, v) -> Bytes.get_int64_le v 0 | _ -> -1L));
               Storage.apply node.storage op ~seq)
             record.lr_ops;
           Resource.release node.workers;
@@ -709,7 +662,6 @@ let create engine hw cfg p =
       oracle = None;
       trace = None;
       telemetry = None;
-      debug_key = None;
     }
   in
   Array.iter
@@ -1146,14 +1098,11 @@ let group_by_shard_checks checks =
     checks;
   Hashtbl.fold (fun s cs acc -> (s, List.rev cs) :: acc) tbl [] |> List.sort compare
 
-let profile = Sys.getenv_opt "XENIC_PROFILE" <> None
-
 (* Close one protocol phase: record its latency histogram sample and,
    when tracing, a span on the coordinator's track keyed by the
    transaction's sequence number. Returns the new phase start. *)
 let phase_mark t ~src ~seq name t_prev =
   let now = Engine.now t.engine in
-  if profile then Printf.printf "phase %-10s %7.0fns\n%!" name (now -. t_prev);
   Metrics.record_phase (mx t) ~phase:name (now -. t_prev);
   (match t.trace with
   | None -> ()
@@ -1653,11 +1602,7 @@ let local_txn t node ~shard (txn : Types.t) id :
       (fun k ->
         Process.sleep t.engine t.hw.host_op_ns;
         match Storage.read node.storage k with
-        | Some (v, seq) ->
-            dbg t k (fun () ->
-                Printf.sprintf "local-host-read n%d owner=%d ver=%d val=%Ld"
-                  node.id owner seq (Bytes.get_int64_le v 0));
-            (k, Some v, seq)
+        | Some (v, seq) -> (k, Some v, seq)
         | None -> (k, None, 0))
       txn.read_set
   in
@@ -1713,10 +1658,7 @@ let local_txn t node ~shard (txn : Types.t) id :
             | [] -> `Ok (List.rev acc)
             | k :: rest -> (
                 match Xenic_store.Nic_index.try_lock idx io k ~owner with
-                | `Acquired seq ->
-                    dbg t k (fun () ->
-                        Printf.sprintf "local-lock n%d owner=%d ver=%d" node.id owner seq);
-                    acquire ((k, seq) :: acc) rest
+                | `Acquired seq -> acquire ((k, seq) :: acc) rest
                 | `Locked ->
                     List.iter
                       (fun (k', _) -> Xenic_store.Nic_index.unlock idx k' ~owner)
@@ -1740,12 +1682,6 @@ let local_txn t node ~shard (txn : Types.t) id :
                             Option.value ~default:0
                               (Xenic_store.Nic_index.version idx io k)
                           in
-                          if current <> host_seq
-                             && Sys.getenv_opt "XENIC_DEBUG_VALIDATE" <> None
-                          then
-                            Printf.printf
-                              "LOCAL-VALIDATE-FAIL tbl=%d cur=%d host=%d\n%!"
-                              (Keyspace.table k) current host_seq;
                           current = host_seq)
                   values
               in

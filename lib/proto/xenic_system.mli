@@ -56,12 +56,6 @@ val default_params : params
 
 type t
 
-(** Debug hook: print a trace of every protocol event touching this
-    key (development aid; [None] disables, the initial state). The hook
-    is per-system state: two systems in one process trace
-    independently. *)
-val set_debug_key : t -> int option -> unit
-
 val create :
   Xenic_sim.Engine.t -> Xenic_params.Hw.t -> Config.t -> params -> t
 

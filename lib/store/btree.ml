@@ -1,9 +1,15 @@
 (* Order: max children per internal node / max entries per leaf. *)
 let order = 32
 
+(* Nodes are fixed-capacity arrays with a fill count: [order + 1] slots
+   hold the one extra entry an insertion adds before its node splits,
+   and inserts and deletes shift entries in place. Slots past the fill
+   count may still reference moved or deleted values; nothing reads
+   them. *)
 type 'v leaf = {
-  mutable lkeys : int array;
-  mutable lvals : 'v array;
+  lkeys : int array;
+  mutable lvals : 'v array;  (* [||] in the empty root until the first insert *)
+  mutable n : int;
   mutable next : 'v leaf option;
 }
 
@@ -11,110 +17,116 @@ type 'v node = Leaf of 'v leaf | Internal of 'v internal
 
 and 'v internal = {
   (* seps.(i) is the smallest key reachable under children.(i+1). *)
-  mutable seps : int array;
-  mutable children : 'v node array;
+  seps : int array;
+  children : 'v node array;
+  mutable nc : int;  (* children in use; [nc - 1] separators *)
 }
 
 type 'v t = { mutable root : 'v node; mutable size : int }
 
 let create () =
-  { root = Leaf { lkeys = [||]; lvals = [||]; next = None }; size = 0 }
+  {
+    root = Leaf { lkeys = Array.make (order + 1) 0; lvals = [||]; n = 0; next = None };
+    size = 0;
+  }
 
 let size t = t.size
 
 (* Index of the child covering [k]. *)
-let child_index seps k =
-  let n = Array.length seps in
-  let rec go i = if i < n && k >= seps.(i) then go (i + 1) else i in
+let child_index i k =
+  let ns = i.nc - 1 in
+  let rec go j = if j < ns && k >= i.seps.(j) then go (j + 1) else j in
   go 0
 
-(* Position of k in a sorted key array, or the insertion point. *)
-let search keys k =
-  let n = Array.length keys in
+(* Position of k among a leaf's keys, or the insertion point. *)
+let search l k =
   let rec go lo hi =
     if lo >= hi then (lo, false)
     else
       let mid = (lo + hi) / 2 in
-      if keys.(mid) = k then (mid, true)
-      else if keys.(mid) < k then go (mid + 1) hi
+      if l.lkeys.(mid) = k then (mid, true)
+      else if l.lkeys.(mid) < k then go (mid + 1) hi
       else go lo mid
   in
-  go 0 n
+  go 0 l.n
 
 let rec find_leaf node k =
   match node with
   | Leaf l -> l
-  | Internal i -> find_leaf i.children.(child_index i.seps k) k
+  | Internal i -> find_leaf i.children.(child_index i k) k
 
 let find t k =
   let l = find_leaf t.root k in
-  let i, exact = search l.lkeys k in
+  let i, exact = search l k in
   if exact then Some l.lvals.(i) else None
 
 let mem t k = Option.is_some (find t k)
 
-let array_insert a i x =
-  let n = Array.length a in
-  let b = Array.make (n + 1) x in
-  Array.blit a 0 b 0 i;
-  Array.blit a i b (i + 1) (n - i);
-  b
+(* Open a gap at [i] in the first [n] slots of [a]. *)
+let shift_right a i n = Array.blit a i a (i + 1) (n - i)
 
-let array_remove a i =
-  let n = Array.length a in
-  let b = Array.sub a 0 (n - 1) in
-  Array.blit a (i + 1) b i (n - 1 - i);
-  b
+(* Close the gap at [i] in the first [n] slots of [a]. *)
+let shift_left a i n = Array.blit a (i + 1) a i (n - 1 - i)
 
 (* Insertion returns an optional split: (separator, right sibling). *)
 let rec insert_node node k v =
   match node with
   | Leaf l ->
-      let i, exact = search l.lkeys k in
+      let i, exact = search l k in
       if exact then begin
         l.lvals.(i) <- v;
         `Replaced
       end
       else begin
-        l.lkeys <- array_insert l.lkeys i k;
-        l.lvals <- array_insert l.lvals i v;
-        if Array.length l.lkeys > order then begin
-          let mid = Array.length l.lkeys / 2 in
+        if Array.length l.lvals = 0 then l.lvals <- Array.make (order + 1) v;
+        shift_right l.lkeys i l.n;
+        shift_right l.lvals i l.n;
+        l.lkeys.(i) <- k;
+        l.lvals.(i) <- v;
+        l.n <- l.n + 1;
+        if l.n > order then begin
+          let mid = l.n / 2 in
+          let rn = l.n - mid in
           let right =
             {
-              lkeys = Array.sub l.lkeys mid (Array.length l.lkeys - mid);
-              lvals = Array.sub l.lvals mid (Array.length l.lvals - mid);
+              lkeys = Array.make (order + 1) 0;
+              lvals = Array.make (order + 1) l.lvals.(mid);
+              n = rn;
               next = l.next;
             }
           in
-          l.lkeys <- Array.sub l.lkeys 0 mid;
-          l.lvals <- Array.sub l.lvals 0 mid;
+          Array.blit l.lkeys mid right.lkeys 0 rn;
+          Array.blit l.lvals mid right.lvals 0 rn;
+          l.n <- mid;
           l.next <- Some right;
           `Split (right.lkeys.(0), Leaf right)
         end
         else `Inserted
       end
   | Internal node_i -> (
-      let ci = child_index node_i.seps k in
+      let ci = child_index node_i k in
       match insert_node node_i.children.(ci) k v with
       | (`Inserted | `Replaced) as r -> r
       | `Split (sep, right) ->
-          node_i.seps <- array_insert node_i.seps ci sep;
-          node_i.children <- array_insert node_i.children (ci + 1) right;
-          if Array.length node_i.children > order then begin
-            let midc = Array.length node_i.children / 2 in
-            let sep_up = node_i.seps.(midc - 1) in
+          shift_right node_i.seps ci (node_i.nc - 1);
+          node_i.seps.(ci) <- sep;
+          shift_right node_i.children (ci + 1) node_i.nc;
+          node_i.children.(ci + 1) <- right;
+          node_i.nc <- node_i.nc + 1;
+          if node_i.nc > order then begin
+            let midc = node_i.nc / 2 in
+            let rc = node_i.nc - midc in
             let right_int =
               {
-                seps =
-                  Array.sub node_i.seps midc (Array.length node_i.seps - midc);
-                children =
-                  Array.sub node_i.children midc
-                    (Array.length node_i.children - midc);
+                seps = Array.make order 0;
+                children = Array.make (order + 1) node_i.children.(midc);
+                nc = rc;
               }
             in
-            node_i.seps <- Array.sub node_i.seps 0 (midc - 1);
-            node_i.children <- Array.sub node_i.children 0 midc;
+            Array.blit node_i.seps midc right_int.seps 0 (rc - 1);
+            Array.blit node_i.children midc right_int.children 0 rc;
+            let sep_up = node_i.seps.(midc - 1) in
+            node_i.nc <- midc;
             `Split (sep_up, Internal right_int)
           end
           else `Inserted)
@@ -124,15 +136,21 @@ let insert t k v =
   | `Replaced -> ()
   | `Inserted -> t.size <- t.size + 1
   | `Split (sep, right) ->
-      t.root <- Internal { seps = [| sep |]; children = [| t.root; right |] };
+      let root =
+        { seps = Array.make order 0; children = Array.make (order + 1) right; nc = 2 }
+      in
+      root.seps.(0) <- sep;
+      root.children.(0) <- t.root;
+      t.root <- Internal root;
       t.size <- t.size + 1
 
 let delete t k =
   let l = find_leaf t.root k in
-  let i, exact = search l.lkeys k in
+  let i, exact = search l k in
   if exact then begin
-    l.lkeys <- array_remove l.lkeys i;
-    l.lvals <- array_remove l.lvals i;
+    shift_left l.lkeys i l.n;
+    shift_left l.lvals i l.n;
+    l.n <- l.n - 1;
     t.size <- t.size - 1;
     true
   end
@@ -142,9 +160,8 @@ let iter_range t ~lo ~hi f =
   if lo <= hi then begin
     let l = find_leaf t.root lo in
     let rec walk (l : 'v leaf) =
-      let n = Array.length l.lkeys in
       let stop = ref false in
-      for i = 0 to n - 1 do
+      for i = 0 to l.n - 1 do
         let k = l.lkeys.(i) in
         if k > hi then stop := true
         else if k >= lo then f k l.lvals.(i)
@@ -173,33 +190,31 @@ let max_in_range t ~lo ~hi =
 
 let check_invariants t =
   let fail msg = failwith ("Btree.check_invariants: " ^ msg) in
-  let check_sorted a =
-    for i = 0 to Array.length a - 2 do
+  let check_sorted a n =
+    for i = 0 to n - 2 do
       if a.(i) >= a.(i + 1) then fail "keys not strictly sorted"
     done
   in
-  (* Verify key ranges and collect leaves in tree order. *)
+  (* Verify fill counts and key ranges; collect leaves in tree order. *)
   let leaves = ref [] in
   let rec go node lo hi =
     match node with
     | Leaf l ->
-        check_sorted l.lkeys;
-        Array.iter
-          (fun k -> if k < lo || k > hi then fail "leaf key outside range")
-          l.lkeys;
+        if l.n < 0 || l.n > order then fail "leaf fill out of bounds";
+        check_sorted l.lkeys l.n;
+        for i = 0 to l.n - 1 do
+          let k = l.lkeys.(i) in
+          if k < lo || k > hi then fail "leaf key outside range"
+        done;
         leaves := l :: !leaves
     | Internal i ->
-        check_sorted i.seps;
-        if Array.length i.children <> Array.length i.seps + 1 then
-          fail "child/separator count mismatch";
-        Array.iteri
-          (fun ci child ->
-            let clo = if ci = 0 then lo else i.seps.(ci - 1) in
-            let chi =
-              if ci = Array.length i.seps then hi else i.seps.(ci) - 1
-            in
-            go child clo chi)
-          i.children
+        if i.nc < 2 || i.nc > order then fail "child count out of bounds";
+        check_sorted i.seps (i.nc - 1);
+        for ci = 0 to i.nc - 1 do
+          let clo = if ci = 0 then lo else i.seps.(ci - 1) in
+          let chi = if ci = i.nc - 1 then hi else i.seps.(ci) - 1 in
+          go i.children.(ci) clo chi
+        done
   in
   go t.root min_int max_int;
   (* Leaf chain must visit exactly the leaves in tree order. *)
@@ -214,7 +229,5 @@ let check_invariants t =
     | [] -> ()
   in
   check_chain ordered;
-  let counted =
-    List.fold_left (fun acc l -> acc + Array.length l.lkeys) 0 ordered
-  in
+  let counted = List.fold_left (fun acc l -> acc + l.n) 0 ordered in
   if counted <> t.size then fail "size mismatch"

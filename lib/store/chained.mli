@@ -28,6 +28,11 @@ val mem : 'v t -> Kv.Key.t -> bool
 (** [update t k v ~seq] overwrites value and sequence; [false] if absent. *)
 val update : 'v t -> Kv.Key.t -> 'v -> seq:int -> bool
 
+(** [put_newer t k v ~seq] stores [v] at version [seq] unless [k] is
+    already present at a version [>= seq]; an absent key is inserted.
+    One probe for the key (commit application). *)
+val put_newer : 'v t -> Kv.Key.t -> 'v -> seq:int -> unit
+
 val delete : 'v t -> Kv.Key.t -> bool
 
 (** Remote-lookup cost of a present key: [(objects_read, roundtrips)];

@@ -1,15 +1,15 @@
-type 'v slot = {
-  mutable occupied : bool;
-  mutable key : int;
-  mutable disp : int;
-  mutable seq : int;
-  mutable value : 'v option;
-}
+(* Flat slot layout: one array per slot field, indexed by position, like
+   the fixed-size slots a NIC DMA reads. [disps.(p) < 0] marks an empty
+   slot. A vacated slot keeps its stale key, seq and value, which nothing
+   reads before the slot is filled again. *)
 
 type 'v ovf = { o_key : int; mutable o_seq : int; mutable o_value : 'v }
 
 type 'v t = {
-  slots : 'v slot array;
+  keys : int array;
+  seqs : int array;
+  disps : int array;
+  mutable values : 'v array;  (* [||] until the first insert supplies a filler *)
   capacity : int;
   n_segments : int;
   seg_size : int;
@@ -28,9 +28,10 @@ let create ~segments ~seg_size ~d_max ~vsize =
   | _ -> ());
   let capacity = segments * seg_size in
   {
-    slots =
-      Array.init capacity (fun _ ->
-          { occupied = false; key = 0; disp = 0; seq = 0; value = None });
+    keys = Array.make capacity 0;
+    seqs = Array.make capacity 0;
+    disps = Array.make capacity (-1);
+    values = [||];
     capacity;
     n_segments = segments;
     seg_size;
@@ -64,6 +65,8 @@ let overflow_count t seg = List.length t.overflow.(seg)
 
 let value_bytes t v = t.vsize v
 
+let occupied t pos = t.disps.(pos) >= 0
+
 (* Effective displacement cap used to bound probes. *)
 let disp_cap t = match t.d_max with Some d -> d | None -> t.capacity
 
@@ -71,20 +74,28 @@ let bump_bound t ~home_pos ~disp =
   let seg = segment_of_pos t home_pos in
   if disp > t.seg_bound.(seg) then t.seg_bound.(seg) <- disp
 
+let set_slot t pos ~key ~seq ~value ~disp =
+  if Array.length t.values = 0 then t.values <- Array.make t.capacity value;
+  t.keys.(pos) <- key;
+  t.seqs.(pos) <- seq;
+  t.values.(pos) <- value;
+  t.disps.(pos) <- disp
+
 type insert_outcome = Inserted | Replaced | Overflowed
 
-(* Probe for an existing key. The scan is bounded by the home segment's
-   displacement bound and never stops early at empties or lower
-   displacements: deletion's overflow-swap can break the classic
-   Robinhood ordering invariants, so only the monotone bound is sound. *)
+(* Probe for an existing key; -1 when absent from the table. The scan is
+   bounded by the home segment's displacement bound and never stops
+   early at empties or lower displacements: deletion's overflow-swap can
+   break the classic Robinhood ordering invariants, so only the monotone
+   bound is sound. *)
 let find_slot t k =
   let h = home t k in
   let bound = min (seg_disp_bound t (segment_of_pos t h)) (disp_cap t - 1) in
   let rec go i =
-    if i > bound then None
+    if i > bound then -1
     else
-      let s = t.slots.((h + i) mod t.capacity) in
-      if s.occupied && s.key = k then Some ((h + i) mod t.capacity) else go (i + 1)
+      let pos = (h + i) mod t.capacity in
+      if occupied t pos && t.keys.(pos) = k then pos else go (i + 1)
   in
   go 0
 
@@ -93,34 +104,31 @@ let find_ovf t k =
   List.find_opt (fun o -> o.o_key = k) t.overflow.(seg)
 
 let find t k =
-  match find_slot t k with
-  | Some pos ->
-      let s = t.slots.(pos) in
-      Some ((match s.value with Some v -> v | None -> assert false), s.seq)
-  | None -> (
-      match find_ovf t k with Some o -> Some (o.o_value, o.o_seq) | None -> None)
+  let pos = find_slot t k in
+  if pos >= 0 then Some (t.values.(pos), t.seqs.(pos))
+  else match find_ovf t k with Some o -> Some (o.o_value, o.o_seq) | None -> None
 
 let mem t k = Option.is_some (find t k)
 
 let locate t k =
-  match find_slot t k with
-  | Some pos -> Some (`Table t.slots.(pos).disp)
-  | None -> ( match find_ovf t k with Some _ -> Some `Overflow | None -> None)
+  let pos = find_slot t k in
+  if pos >= 0 then Some (`Table t.disps.(pos))
+  else match find_ovf t k with Some _ -> Some `Overflow | None -> None
 
 let update t k v ~seq =
-  match find_slot t k with
-  | Some pos ->
-      let s = t.slots.(pos) in
-      s.value <- Some v;
-      s.seq <- seq;
-      true
-  | None -> (
-      match find_ovf t k with
-      | Some o ->
-          o.o_value <- v;
-          o.o_seq <- seq;
-          true
-      | None -> false)
+  let pos = find_slot t k in
+  if pos >= 0 then begin
+    t.values.(pos) <- v;
+    t.seqs.(pos) <- seq;
+    true
+  end
+  else
+    match find_ovf t k with
+    | Some o ->
+        o.o_value <- v;
+        o.o_seq <- seq;
+        true
+    | None -> false
 
 (* A pending slot write of the copy-list: place [record] at [pos] with
    displacement [disp]. *)
@@ -133,74 +141,61 @@ let apply_moves ?(on_step = fun () -> ()) t moves =
      observes a missing element. *)
   List.iter
     (fun m ->
-      let s = t.slots.(m.m_pos) in
-      s.occupied <- true;
-      s.key <- m.m_key;
-      s.seq <- m.m_seq;
-      s.value <- Some m.m_value;
-      s.disp <- m.m_disp;
+      set_slot t m.m_pos ~key:m.m_key ~seq:m.m_seq ~value:m.m_value ~disp:m.m_disp;
       let home_pos = (m.m_pos - m.m_disp + t.capacity) mod t.capacity in
       bump_bound t ~home_pos ~disp:m.m_disp;
       on_step ())
     moves
 
+(* Insert a key known to be absent, at version [seq]. *)
+let insert_absent ?on_step t k v ~seq =
+  if t.size >= t.capacity then failwith "Robinhood.insert: table full";
+  let cap = disp_cap t in
+  (* Carry (key, seq, value) along the probe, swapping with better-placed
+     residents; collect writes in reverse order so the head of [moves] is
+     the last write (free slot first). *)
+  let rec probe pos disp ~ck ~cseq ~cv moves =
+    if disp >= cap then begin
+      (* Displacement limit: the carried element overflows to the bucket
+         of the segment holding its home position. *)
+      apply_moves ?on_step t moves;
+      let seg = segment_of_pos t (home t ck) in
+      t.overflow.(seg) <- { o_key = ck; o_seq = cseq; o_value = cv } :: t.overflow.(seg);
+      t.ovf_size <- t.ovf_size + 1;
+      Overflowed
+    end
+    else if not (occupied t pos) then begin
+      apply_moves ?on_step t
+        ({ m_pos = pos; m_key = ck; m_seq = cseq; m_value = cv; m_disp = disp } :: moves);
+      t.size <- t.size + 1;
+      Inserted
+    end
+    else if t.disps.(pos) < disp then
+      (* Steal the slot; continue carrying the displaced resident from
+         here. *)
+      let moves =
+        { m_pos = pos; m_key = ck; m_seq = cseq; m_value = cv; m_disp = disp } :: moves
+      in
+      probe ((pos + 1) mod t.capacity) (t.disps.(pos) + 1) ~ck:t.keys.(pos)
+        ~cseq:t.seqs.(pos) ~cv:t.values.(pos) moves
+    else probe ((pos + 1) mod t.capacity) (disp + 1) ~ck ~cseq ~cv moves
+  in
+  probe (home t k) 0 ~ck:k ~cseq:seq ~cv:v []
+
 let insert ?on_step t k v =
-  match find_slot t k with
-  | Some pos ->
-      let s = t.slots.(pos) in
-      s.value <- Some v;
-      s.seq <- s.seq + 1;
-      Replaced
-  | None -> (
-      match find_ovf t k with
-      | Some o ->
-          o.o_value <- v;
-          o.o_seq <- o.o_seq + 1;
-          Replaced
-      | None ->
-          if t.size >= t.capacity then failwith "Robinhood.insert: table full";
-          let cap = disp_cap t in
-          (* Carry (key, seq, value) along the probe, swapping with
-             better-placed residents; collect writes in reverse order so
-             the head of [moves] is the last write (free slot first). *)
-          let rec probe pos disp ~ck ~cseq ~cv moves =
-            if disp >= cap then begin
-              (* Displacement limit: the carried element overflows to the
-                 bucket of the segment holding its home position. *)
-              apply_moves ?on_step t moves;
-              let seg = segment_of_pos t (home t ck) in
-              t.overflow.(seg) <-
-                { o_key = ck; o_seq = cseq; o_value = cv } :: t.overflow.(seg);
-              t.ovf_size <- t.ovf_size + 1;
-              Overflowed
-            end
-            else
-              let s = t.slots.(pos) in
-              if not s.occupied then begin
-                apply_moves ?on_step t
-                  ({ m_pos = pos; m_key = ck; m_seq = cseq; m_value = cv;
-                     m_disp = disp }
-                  :: moves);
-                t.size <- t.size + 1;
-                Inserted
-              end
-              else if s.disp < disp then begin
-                (* Steal the slot; continue carrying the displaced
-                   resident from here. *)
-                let moves =
-                  { m_pos = pos; m_key = ck; m_seq = cseq; m_value = cv;
-                    m_disp = disp }
-                  :: moves
-                in
-                let nk = s.key
-                and nseq = s.seq
-                and nv = match s.value with Some v -> v | None -> assert false in
-                probe ((pos + 1) mod t.capacity) (s.disp + 1) ~ck:nk ~cseq:nseq
-                  ~cv:nv moves
-              end
-              else probe ((pos + 1) mod t.capacity) (disp + 1) ~ck ~cseq ~cv moves
-          in
-          probe (home t k) 0 ~ck:k ~cseq:1 ~cv:v [])
+  let pos = find_slot t k in
+  if pos >= 0 then begin
+    t.values.(pos) <- v;
+    t.seqs.(pos) <- t.seqs.(pos) + 1;
+    Replaced
+  end
+  else
+    match find_ovf t k with
+    | Some o ->
+        o.o_value <- v;
+        o.o_seq <- o.o_seq + 1;
+        Replaced
+    | None -> insert_absent ?on_step t k v ~seq:1
 
 (* Is every slot in [from, to) occupied (circularly)? Required before an
    overflow element may be swapped over a deleted slot: its probe path
@@ -208,76 +203,89 @@ let insert ?on_step t k v =
 let path_occupied t ~from ~upto =
   let rec go pos =
     if pos = upto then true
-    else if not t.slots.(pos).occupied then false
+    else if not (occupied t pos) then false
     else go ((pos + 1) mod t.capacity)
   in
   from = upto || go from
 
-let delete t k =
-  match find_slot t k with
-  | None -> (
-      let seg = segment_of_pos t (home t k) in
-      match List.partition (fun o -> o.o_key = k) t.overflow.(seg) with
-      | [], _ -> false
-      | _ :: _, rest ->
-          t.overflow.(seg) <- rest;
-          t.ovf_size <- t.ovf_size - 1;
-          true)
-  | Some pos ->
-      let deleted = t.slots.(pos) in
-      let hd = (pos - deleted.disp + t.capacity) mod t.capacity in
-      let seg = segment_of_pos t hd in
-      let cap = disp_cap t in
-      (* Prefer swapping an overflow element of the same segment over the
-         hole (paper §4.1.2); it must fit under the displacement limit,
-         not land before its own home, and keep its probe path
-         contiguous. *)
-      let candidate =
-        List.find_opt
-          (fun o ->
-            let ho = home t o.o_key in
-            let d = (pos - ho + t.capacity) mod t.capacity in
-            d < cap && d <= deleted.disp
-            && path_occupied t ~from:ho ~upto:pos)
-          t.overflow.(seg)
+let remove_ovf t k =
+  let seg = segment_of_pos t (home t k) in
+  t.overflow.(seg) <- List.filter (fun o -> o.o_key <> k) t.overflow.(seg);
+  t.ovf_size <- t.ovf_size - 1
+
+(* Delete the element at table position [pos]. *)
+let remove_at t pos =
+  let disp = t.disps.(pos) in
+  let seg = segment_of_pos t ((pos - disp + t.capacity) mod t.capacity) in
+  let cap = disp_cap t in
+  (* Prefer swapping an overflow element of the same segment over the
+     hole (paper §4.1.2); it must fit under the displacement limit, not
+     land before its own home, and keep its probe path contiguous. *)
+  let candidate =
+    List.find_opt
+      (fun o ->
+        let ho = home t o.o_key in
+        let d = (pos - ho + t.capacity) mod t.capacity in
+        d < cap && d <= disp && path_occupied t ~from:ho ~upto:pos)
+      t.overflow.(seg)
+  in
+  (match candidate with
+  | Some o ->
+      let d = (pos - home t o.o_key + t.capacity) mod t.capacity in
+      set_slot t pos ~key:o.o_key ~seq:o.o_seq ~value:o.o_value ~disp:d;
+      remove_ovf t o.o_key;
+      t.size <- t.size + 1 (* net: table +1, overflow -1; deleted -1 below *)
+  | None ->
+      (* Backward shift: pull successors one slot closer until an empty
+         slot or a perfectly-placed element ends the run. *)
+      let rec shift hole =
+        let next = (hole + 1) mod t.capacity in
+        if t.disps.(next) > 0 then begin
+          set_slot t hole ~key:t.keys.(next) ~seq:t.seqs.(next) ~value:t.values.(next)
+            ~disp:(t.disps.(next) - 1);
+          shift next
+        end
+        else t.disps.(hole) <- -1
       in
-      (match candidate with
-      | Some o ->
-          let ho = home t o.o_key in
-          let d = (pos - ho + t.capacity) mod t.capacity in
-          deleted.key <- o.o_key;
-          deleted.seq <- o.o_seq;
-          deleted.value <- Some o.o_value;
-          deleted.disp <- d;
-          t.overflow.(seg) <- List.filter (fun x -> x != o) t.overflow.(seg);
-          t.ovf_size <- t.ovf_size - 1;
-          t.size <- t.size + 1 (* net: table +1, overflow -1; deleted -1 below *)
-      | None ->
-          (* Backward shift: pull successors one slot closer until an
-             empty slot or a perfectly-placed element ends the run. *)
-          let rec shift hole =
-            let next = (hole + 1) mod t.capacity in
-            let s = t.slots.(next) in
-            if s.occupied && s.disp > 0 then begin
-              let h = t.slots.(hole) in
-              h.occupied <- true;
-              h.key <- s.key;
-              h.seq <- s.seq;
-              h.value <- s.value;
-              h.disp <- s.disp - 1;
-              shift next
-            end
-            else begin
-              let h = t.slots.(hole) in
-              h.occupied <- false;
-              h.value <- None
-            end
-          in
-          deleted.occupied <- false;
-          deleted.value <- None;
-          shift pos);
-      t.size <- t.size - 1;
-      true
+      shift pos);
+  t.size <- t.size - 1
+
+let delete t k =
+  let pos = find_slot t k in
+  if pos >= 0 then begin
+    remove_at t pos;
+    true
+  end
+  else if Option.is_some (find_ovf t k) then begin
+    remove_ovf t k;
+    true
+  end
+  else false
+
+let put_newer t k v ~seq =
+  let pos = find_slot t k in
+  if pos >= 0 then begin
+    if seq > t.seqs.(pos) then begin
+      t.values.(pos) <- v;
+      t.seqs.(pos) <- seq
+    end
+  end
+  else
+    match find_ovf t k with
+    | Some o ->
+        if seq > o.o_seq then begin
+          o.o_value <- v;
+          o.o_seq <- seq
+        end
+    | None -> ignore (insert_absent t k v ~seq)
+
+let delete_older t k ~seq =
+  let pos = find_slot t k in
+  if pos >= 0 then (if seq > t.seqs.(pos) then remove_at t pos)
+  else
+    match find_ovf t k with
+    | Some o when seq > o.o_seq -> remove_ovf t k
+    | Some _ | None -> ()
 
 type scan_result =
   | Hit of { disp : int; seq : int; out_of_line : bool }
@@ -289,34 +297,30 @@ let scan t k ~from_disp ~slots =
   let rec go i read =
     if read >= slots then Miss_exhausted
     else
-      let s = t.slots.((h + i) mod t.capacity) in
-      if not s.occupied then Miss_empty (read + 1)
-      else if s.key = k then
-        let out_of_line =
-          match s.value with
-          | Some v -> t.vsize v > Kv.inline_max
-          | None -> false
-        in
-        Hit { disp = i; seq = s.seq; out_of_line }
+      let pos = (h + i) mod t.capacity in
+      if not (occupied t pos) then Miss_empty (read + 1)
+      else if t.keys.(pos) = k then
+        Hit
+          {
+            disp = i;
+            seq = t.seqs.(pos);
+            out_of_line = t.vsize t.values.(pos) > Kv.inline_max;
+          }
       else go (i + 1) (read + 1)
   in
   go from_disp 0
 
 let value_at t k ~disp =
-  let h = home t k in
-  let s = t.slots.((h + disp) mod t.capacity) in
-  if s.occupied && s.key = k then
-    Some ((match s.value with Some v -> v | None -> assert false), s.seq)
+  let pos = (home t k + disp) mod t.capacity in
+  if occupied t pos && t.keys.(pos) = k then Some (t.values.(pos), t.seqs.(pos))
   else None
 
 let region_bytes t k ~from_disp ~slots =
   let h = home t k in
   let total = ref 0 in
   for i = from_disp to from_disp + slots - 1 do
-    let s = t.slots.((h + i) mod t.capacity) in
-    let value_b =
-      match s.value with Some v when s.occupied -> t.vsize v | _ -> 0
-    in
+    let pos = (h + i) mod t.capacity in
+    let value_b = if occupied t pos then t.vsize t.values.(pos) else 0 in
     total := !total + Kv.slot_bytes ~value_b
   done;
   !total
@@ -336,27 +340,24 @@ let find_overflow t k =
   | None -> (None, n)
 
 let iter t f =
-  Array.iter
-    (fun s ->
-      if s.occupied then
-        f s.key (match s.value with Some v -> v | None -> assert false) s.seq)
-    t.slots;
+  for pos = 0 to t.capacity - 1 do
+    if occupied t pos then f t.keys.(pos) t.values.(pos) t.seqs.(pos)
+  done;
   Array.iter (fun l -> List.iter (fun o -> f o.o_key o.o_value o.o_seq) l) t.overflow
 
 let iter_home_disp t f =
-  Array.iteri
-    (fun pos s ->
-      if s.occupied then
-        f ~home:((pos - s.disp + t.capacity) mod t.capacity) ~disp:s.disp)
-    t.slots
+  for pos = 0 to t.capacity - 1 do
+    let disp = t.disps.(pos) in
+    if disp >= 0 then f ~home:((pos - disp + t.capacity) mod t.capacity) ~disp
+  done
 
 let mean_displacement t =
   let total = ref 0 and n = ref 0 in
   Array.iter
-    (fun s ->
-      if s.occupied then begin
-        total := !total + s.disp;
+    (fun disp ->
+      if disp >= 0 then begin
+        total := !total + disp;
         incr n
       end)
-    t.slots;
+    t.disps;
   if !n = 0 then 0.0 else float_of_int !total /. float_of_int !n

@@ -86,6 +86,19 @@ val update : 'v t -> Kv.Key.t -> 'v -> seq:int -> bool
     if the key was present. *)
 val delete : 'v t -> Kv.Key.t -> bool
 
+(** {2 Version-guarded commit application}
+
+    Both probe for the key once, so a replayed or reordered log record
+    never regresses a newer version. *)
+
+(** [put_newer t k v ~seq] stores [v] at version [seq] unless [k] is
+    already present at a version [>= seq]; an absent key is inserted. *)
+val put_newer : 'v t -> Kv.Key.t -> 'v -> seq:int -> unit
+
+(** [delete_older t k ~seq] deletes [k] if present at a version
+    [< seq]. *)
+val delete_older : 'v t -> Kv.Key.t -> seq:int -> unit
+
 (** Displacement of a present key: [`Table of int] or [`Overflow]. *)
 val locate : 'v t -> Kv.Key.t -> [ `Table of int | `Overflow ] option
 

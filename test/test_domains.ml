@@ -1,12 +1,12 @@
 (* Regression tests for the partitioned multi-domain engine.
 
    Three guarantees that used to be impossible to state (the ambient
-   attribution context, its enable flag, and the protocol debug key
-   were process-global mutable cells):
+   attribution context and its enable flag were process-global mutable
+   cells):
 
    - two engines interleaved in one OS process never observe each
-     other's attribution state — contexts, enable flags and debug keys
-     are engine-owned now;
+     other's attribution state — contexts and enable flags are
+     engine-owned now;
    - partition rng streams are derived ([Rng.derive]), not split off a
      shared parent, so a 2-domain run can never interleave-consume a
      1-domain stream;
@@ -14,11 +14,6 @@
      on a partition-clean model. *)
 
 open Xenic_sim
-open Xenic_cluster
-open Xenic_proto
-open Xenic_workload
-
-let hw = Xenic_params.Hw.testbed
 
 let ctx stack = { Attrib.default with Attrib.stack }
 
@@ -72,51 +67,6 @@ let test_attrib_no_residue () =
     (Attrib.get ()).Attrib.stack;
   Alcotest.(check bool) "run leaves ambient enable flag untouched" false
     (Attrib.enabled ())
-
-(* ------------------------------------------------------------------ *)
-(* Per-system debug key *)
-
-(* [Xenic_system.debug_key] was a process-global [int option ref];
-   the replacement is per-instance. Smoke: two stacks on separate
-   engines with different keys run to completion side by side. *)
-let sb_params = { Smallbank.default_params with accounts_per_node = 100 }
-
-let mk_xenic () =
-  let engine = Engine.create () in
-  let cfg = Config.make ~nodes:3 ~replication:3 in
-  let segments, seg_size, d_max = Smallbank.store_cfg sb_params in
-  let p =
-    {
-      Xenic_system.default_params with
-      segments;
-      seg_size;
-      d_max;
-      cache_capacity = 128;
-    }
-  in
-  (engine, Xenic_system.create engine hw cfg p)
-
-let test_debug_key_per_system () =
-  let _eng_a, xa = mk_xenic () and _eng_b, xb = mk_xenic () in
-  (* max_int matches no transaction key: exercises the plumbing without
-     producing debug output. *)
-  Xenic_system.set_debug_key xa (Some max_int);
-  Xenic_system.set_debug_key xb None;
-  let run x =
-    let sys = System.of_xenic x in
-    Smallbank.load sb_params sys;
-    Driver.run sys
-      (Smallbank.spec sb_params ~nodes:3)
-      ~seed:5L ~concurrency:2 ~target:40
-  in
-  let ra = run xa in
-  let rb = run xb in
-  Alcotest.(check bool) "keyed system progresses" true
-    (ra.Driver.committed > 0);
-  Alcotest.(check bool) "unkeyed system progresses" true
-    (rb.Driver.committed > 0);
-  Alcotest.(check int) "identical runs, key set or not" ra.Driver.committed
-    rb.Driver.committed
 
 (* ------------------------------------------------------------------ *)
 (* Partition rng streams *)
@@ -251,8 +201,6 @@ let () =
             test_attrib_no_bleed;
           Alcotest.test_case "no residue after run" `Quick
             test_attrib_no_residue;
-          Alcotest.test_case "debug key is per-system" `Quick
-            test_debug_key_per_system;
         ] );
       ( "rng streams",
         [

@@ -118,34 +118,49 @@ let test_rh_dma_consistent_swapping () =
   done
 
 let test_rh_model_qcheck =
-  (* Model-based test against Hashtbl over random insert/delete/update. *)
+  (* Model-based test against Hashtbl over random insert/delete/mem and
+     the version-guarded put_newer/delete_older. *)
   QCheck.Test.make ~name:"robinhood matches model" ~count:60
-    QCheck.(list (pair (int_bound 200) (int_bound 2)))
+    QCheck.(list (triple (int_bound 200) (int_bound 4) (int_bound 6)))
     (fun ops ->
       let t = mk_rh ~segments:8 ~seg_size:64 ~d_max:(Some 8) () in
       let model = Hashtbl.create 64 in
       List.iter
-        (fun (k, op) ->
+        (fun (k, op, seq) ->
+          let v = value ((1000 * seq) + k) in
           match op with
           | 0 ->
-              ignore (Robinhood.insert t k (value k));
-              Hashtbl.replace model k (value k)
+              ignore (Robinhood.insert t k v);
+              let s =
+                match Hashtbl.find_opt model k with Some (_, s) -> s + 1 | None -> 1
+              in
+              Hashtbl.replace model k (v, s)
           | 1 ->
               let a = Robinhood.delete t k in
               let b = Hashtbl.mem model k in
               Hashtbl.remove model k;
               if a <> b then failwith "delete mismatch"
-          | _ ->
+          | 2 ->
               let a = Robinhood.mem t k in
               let b = Hashtbl.mem model k in
-              if a <> b then failwith "mem mismatch")
+              if a <> b then failwith "mem mismatch"
+          | 3 -> (
+              Robinhood.put_newer t k v ~seq;
+              match Hashtbl.find_opt model k with
+              | Some (_, s) when s >= seq -> ()
+              | _ -> Hashtbl.replace model k (v, seq))
+          | _ -> (
+              Robinhood.delete_older t k ~seq;
+              match Hashtbl.find_opt model k with
+              | Some (_, s) when s < seq -> Hashtbl.remove model k
+              | _ -> ()))
         ops;
       Hashtbl.fold
-        (fun k v acc ->
+        (fun k (v, s) acc ->
           acc
           &&
           match Robinhood.find t k with
-          | Some (v', _) -> Bytes.equal v v'
+          | Some (v', s') -> Bytes.equal v v' && s = s'
           | None -> false)
         model true
       && Robinhood.size t = Hashtbl.length model)
@@ -389,6 +404,33 @@ let test_idx_matches_host_qcheck =
           | _ -> false)
         (keys @ [ 997; 998; 999 ]))
 
+(* Lock metadata for many keys outgrows the entry table sized for an
+   empty cache; removals in the middle of probe runs must keep every
+   other entry reachable. *)
+let test_idx_metadata_growth () =
+  let host = mk_rh () in
+  let idx = Nic_index.create ~host ~cache_capacity:0 () in
+  let io = Nic_index.free_io in
+  let keys = List.init 500 (fun i -> (i * 7919) + 1) in
+  List.iter
+    (fun k ->
+      match Nic_index.try_lock idx io k ~owner:k with
+      | `Acquired 0 -> ()
+      | _ -> Alcotest.failf "lock %d" k)
+    keys;
+  Alcotest.(check (list (pair int int))) "all locked"
+    (List.map (fun k -> (k, k)) keys)
+    (Nic_index.locked_keys idx);
+  List.iteri (fun i k -> if i mod 2 = 0 then Nic_index.unlock idx k ~owner:k) keys;
+  List.iteri
+    (fun i k ->
+      Alcotest.(check (option int)) (Printf.sprintf "owner of %d" k)
+        (if i mod 2 = 0 then None else Some k)
+        (Nic_index.lock_owner idx k))
+    keys;
+  List.iter (fun k -> Nic_index.unlock idx k ~owner:k) keys;
+  Alcotest.(check (list (pair int int))) "none locked" [] (Nic_index.locked_keys idx)
+
 (* Deletion's overflow-swap: deleting a table-resident element pulls a
    same-segment overflow element back into the table. *)
 let test_rh_delete_overflow_swap () =
@@ -516,6 +558,100 @@ let test_chained_lookup_cost () =
   done;
   Alcotest.(check bool) "some chained lookups" true (!deep > 0)
 
+(* Model: every home bucket is one flat first-fit list of cells, [b] per
+   hop. A key's cell index fixes its remote-lookup cost, so the model
+   also pins where insertions land after deletions open holes. *)
+let test_chained_model_qcheck =
+  QCheck.Test.make ~name:"chained matches model" ~count:80
+    QCheck.(list (pair (int_bound 300) (int_bound 5)))
+    (fun ops ->
+      let buckets = 8 and b = 4 in
+      let t = Chained.create ~buckets ~b in
+      let cells = Array.init buckets (fun _ -> Array.make b None) in
+      let home k = Kv.Key.hash k mod buckets in
+      let index_of k =
+        let c = cells.(home k) in
+        let rec go i =
+          if i = Array.length c then None
+          else match c.(i) with Some (k', _, _) when k' = k -> Some i | _ -> go (i + 1)
+        in
+        go 0
+      in
+      let set k i cell = cells.(home k).(i) <- cell in
+      let place k cell =
+        let c = cells.(home k) in
+        let rec go i =
+          if i = Array.length c then begin
+            let grown = Array.append c (Array.make b None) in
+            grown.(i) <- cell;
+            cells.(home k) <- grown
+          end
+          else if c.(i) = None then c.(i) <- cell
+          else go (i + 1)
+        in
+        go 0
+      in
+      let model_find k =
+        Option.map
+          (fun i ->
+            match cells.(home k).(i) with Some (_, v, s) -> (v, s) | None -> assert false)
+          (index_of k)
+      in
+      List.iteri
+        (fun step (k, op) ->
+          let v = value (k + (1000 * step)) in
+          match op with
+          | 0 -> (
+              Chained.insert t k v;
+              match index_of k with
+              | Some i ->
+                  let _, _, s = Option.get cells.(home k).(i) in
+                  set k i (Some (k, v, s + 1))
+              | None -> place k (Some (k, v, 1)))
+          | 1 ->
+              let a = Chained.update t k v ~seq:step in
+              let b' =
+                match index_of k with
+                | Some i -> set k i (Some (k, v, step)); true
+                | None -> false
+              in
+              if a <> b' then failwith "update mismatch"
+          | 2 ->
+              let a = Chained.delete t k in
+              let b' =
+                match index_of k with Some i -> set k i None; true | None -> false
+              in
+              if a <> b' then failwith "delete mismatch"
+          | 3 ->
+              let same =
+                match (Chained.find t k, model_find k) with
+                | Some (v1, s1), Some (v2, s2) -> Bytes.equal v1 v2 && s1 = s2
+                | None, None -> true
+                | _ -> false
+              in
+              if not same then failwith "find mismatch"
+          | 4 ->
+              let expect =
+                Option.map (fun i -> (((i / b) + 1) * b, (i / b) + 1)) (index_of k)
+              in
+              if Chained.lookup_cost t k <> expect then failwith "lookup_cost mismatch"
+          | _ -> (
+              let seq = step mod 7 in
+              Chained.put_newer t k v ~seq;
+              match index_of k with
+              | Some i ->
+                  let _, _, s = Option.get cells.(home k).(i) in
+                  if seq > s then set k i (Some (k, v, seq))
+              | None -> place k (Some (k, v, seq))))
+        ops;
+      let n_cells = Array.fold_left (fun acc c -> acc + Array.length c) 0 cells in
+      let n_live =
+        Array.fold_left
+          (fun acc c -> Array.fold_left (fun a x -> if x = None then a else a + 1) acc c)
+          0 cells
+      in
+      Chained.size t = n_live && Chained.buckets_allocated t = n_cells / b)
+
 (* ------------------------------------------------------------------ *)
 (* B+ tree *)
 
@@ -558,29 +694,119 @@ let test_btree_delete () =
   done;
   Btree.check_invariants t
 
+(* Up to 4000 ops, 60% inserts over 20k keys: typically over a thousand
+   live keys, past the ~800 (32 leaves of ~24) at which the root's
+   children split, so internal splits and three-level trees are
+   exercised, not just leaf splits. *)
 let test_btree_model_qcheck =
   QCheck.Test.make ~name:"btree matches Map model" ~count:60
-    QCheck.(list (pair (int_bound 500) (int_bound 2)))
+    QCheck.(
+      list_of_size (Gen.int_range 0 4000) (pair (int_bound 20_000) (int_bound 4)))
     (fun ops ->
       let t = Btree.create () in
       let module M = Map.Make (Int) in
       let model = ref M.empty in
+      let model_range lo hi =
+        M.to_seq_from lo !model
+        |> Seq.take_while (fun (k, _) -> k <= hi)
+        |> List.of_seq
+      in
       List.iter
         (fun (k, op) ->
           match op with
-          | 0 ->
-              Btree.insert t k k;
-              model := M.add k k !model
-          | 1 ->
+          | 0 | 1 | 2 ->
+              Btree.insert t k (k + op);
+              model := M.add k (k + op) !model
+          | 3 ->
               let a = Btree.delete t k in
               let b = M.mem k !model in
               model := M.remove k !model;
               if a <> b then failwith "delete mismatch"
-          | _ -> if Btree.find t k <> M.find_opt k !model then failwith "find")
+          | _ ->
+              if Btree.find t k <> M.find_opt k !model then failwith "find";
+              let lo = k - 150 and hi = k + 150 in
+              let expect = model_range lo hi in
+              let got =
+                Btree.fold_range t ~lo ~hi ~init:[] (fun a k v -> (k, v) :: a)
+              in
+              if List.rev got <> expect then failwith "range";
+              let first = function x :: _ -> Some x | [] -> None in
+              if Btree.min_in_range t ~lo ~hi <> first expect then failwith "min";
+              if Btree.max_in_range t ~lo ~hi <> first (List.rev expect) then
+                failwith "max")
         ops;
       Btree.check_invariants t;
-      let keys = Btree.fold_range t ~lo:min_int ~hi:max_int ~init:[] (fun a k _ -> k :: a) in
-      List.rev keys = List.map fst (M.bindings !model))
+      let all =
+        Btree.fold_range t ~lo:min_int ~hi:max_int ~init:[] (fun a k v -> (k, v) :: a)
+      in
+      List.rev all = M.bindings !model && Btree.size t = M.cardinal !model)
+
+(* Sequential loading (how TPC-C fills its order tables) leaves every
+   leaf half full; 20k keys give a three-level tree. *)
+let test_btree_sequential_deep () =
+  let t = Btree.create () in
+  for i = 0 to 19_999 do
+    Btree.insert t (3 * i) i
+  done;
+  Btree.check_invariants t;
+  Alcotest.(check int) "size" 20_000 (Btree.size t);
+  Alcotest.(check (option (pair int int))) "min" (Some (30_000, 10_000))
+    (Btree.min_in_range t ~lo:29_998 ~hi:60_000);
+  Alcotest.(check (option (pair int int))) "max" (Some (59_997, 19_999))
+    (Btree.max_in_range t ~lo:0 ~hi:70_000);
+  Alcotest.(check int) "range count" 1001
+    (Btree.fold_range t ~lo:3000 ~hi:6000 ~init:0 (fun a _ _ -> a + 1));
+  for i = 0 to 19_999 do
+    if i mod 4 <> 0 then ignore (Btree.delete t (3 * i))
+  done;
+  Btree.check_invariants t;
+  Alcotest.(check int) "size after deletes" 5000 (Btree.size t);
+  Alcotest.(check (option (pair int int))) "min skips deleted" (Some (12, 4))
+    (Btree.min_in_range t ~lo:1 ~hi:100)
+
+(* ------------------------------------------------------------------ *)
+(* Footprint ratchet: heap words per stored key, at the sizings the
+   workloads use (Robinhood at 75% occupancy, DrTM+H buckets at keys/6
+   with B = 8, sequentially loaded B+ tree, NIC index prewarmed to hold
+   every key). Values are immediate ints, so only the structure counts.
+   [Obj.reachable_words] is exact and machine-independent on 64-bit. *)
+
+let footprint_keys = Array.init 6000 (fun i -> (i * 7919) + 13)
+
+let words_per_key x =
+  float_of_int (Obj.reachable_words (Obj.repr x))
+  /. float_of_int (Array.length footprint_keys)
+
+let footprint_rh () =
+  let n = Array.length footprint_keys in
+  let seg_size = 64 in
+  let segments = (int_of_float (float_of_int n /. 0.75) + seg_size - 1) / seg_size in
+  let t = Robinhood.create ~segments ~seg_size ~d_max:(Some 8) ~vsize:(fun _ -> 8) in
+  Array.iter (fun k -> ignore (Robinhood.insert t k k)) footprint_keys;
+  t
+
+let check_footprint name ~bound words =
+  Printf.printf "%s: %.2f words/key (bound %.2f)\n" name words bound;
+  if words > bound then
+    Alcotest.failf "%s footprint %.2f words/key exceeds %.2f" name words bound
+
+let test_footprint () =
+  let rh = footprint_rh () in
+  check_footprint "robinhood" ~bound:5.6 (words_per_key rh);
+  let bt = Btree.create () in
+  Array.iter (fun k -> Btree.insert bt k k) footprint_keys;
+  check_footprint "btree" ~bound:5.3 (words_per_key bt);
+  let ch = Chained.create ~buckets:(Array.length footprint_keys / 6) ~b:8 in
+  Array.iter (fun k -> Chained.insert ch k k) footprint_keys;
+  check_footprint "chained" ~bound:5.4 (words_per_key ch);
+  let idx =
+    Nic_index.create ~host:rh ~cache_capacity:(Array.length footprint_keys) ()
+  in
+  Nic_index.sync_hints idx;
+  Nic_index.prewarm idx;
+  Alcotest.(check int) "all cached" (Array.length footprint_keys)
+    (Nic_index.cached_values idx);
+  check_footprint "nic_index" ~bound:12.0 (words_per_key idx -. words_per_key rh)
 
 (* ------------------------------------------------------------------ *)
 (* Host log *)
@@ -655,6 +881,7 @@ let () =
             test_idx_lock_race_during_dma;
           Alcotest.test_case "commit race during DMA" `Quick
             test_idx_commit_race_during_dma;
+          Alcotest.test_case "metadata growth" `Quick test_idx_metadata_growth;
           Alcotest.test_case "overflow-swap delete" `Quick
             test_rh_delete_overflow_swap;
           qt test_idx_matches_host_qcheck;
@@ -669,14 +896,17 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_chained_basics;
           Alcotest.test_case "lookup cost" `Quick test_chained_lookup_cost;
+          qt test_chained_model_qcheck;
         ] );
       ( "btree",
         [
           Alcotest.test_case "insert/find" `Quick test_btree_insert_find;
           Alcotest.test_case "range" `Quick test_btree_range;
           Alcotest.test_case "delete" `Quick test_btree_delete;
+          Alcotest.test_case "sequential deep tree" `Quick test_btree_sequential_deep;
           qt test_btree_model_qcheck;
         ] );
+      ("footprint", [ Alcotest.test_case "words per key" `Quick test_footprint ]);
       ( "hostlog",
         [
           Alcotest.test_case "roundtrip" `Quick test_hostlog_roundtrip;
