@@ -56,7 +56,7 @@ let () =
     (xres.Driver.tput_per_server /. dres.Driver.tput_per_server)
     (100.0
     *. ((xres.Driver.median_latency_us /. dres.Driver.median_latency_us) -. 1.0));
-  let c = Metrics.counters (Xenic_system.metrics xenic) in
+  let c = Metrics.counters (Control.metrics (Xenic_system.control xenic)) in
   Format.printf
     "Xenic internals: %.0f protocol messages, %.0f DMA reads, %.0f DMA writes@."
     (Xenic_stats.Counter.get c "msgs")

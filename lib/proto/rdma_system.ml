@@ -42,13 +42,9 @@ let default_params =
     partitions = 0;
   }
 
-type msg = { bytes : int; deliver : unit -> unit }
+type msg = Control.msg = { bytes : int; deliver : unit -> unit }
 
-(* Commit decision shared between a transaction's log records (same
-   scheme as [Xenic_system]): backups apply only decided-commit
-   records, so a coordinator crash between LOG and COMMIT never
-   diverges replicas. Legacy mode creates records already decided. *)
-type decision = Dpending | Dcommit | Dabort
+type decision = Control.decision = Dpending | Dcommit | Dabort
 
 type log_record = { lr_ops : (Op.t * int) list; lr_decision : decision ref }
 
@@ -67,101 +63,31 @@ type node = {
   host : Resource.t;  (* app threads + RPC handlers *)
   workers : Resource.t;
   log : log_record Xenic_store.Hostlog.t;
-  mutable txn_seq : int;
 }
 
 type t = {
-  engine : Engine.t;
+  ctl : Control.t;  (* routing, fence, recovery, metrics/oracle *)
   hw : Xenic_params.Hw.t;
-  cfg : Config.t;
   flavor : flavor;
   p : params;
-  fabric : msg Xenic_net.Fabric.t;
   rdma : msg Rdma.t;
   nodes : node array;
-  metrics : Metrics.t;
-  part_metrics : Metrics.t array;
-      (* per-partition metrics shards under a windowed topology; empty
-         when [p.partitions = 0] (everything records into [metrics]) *)
-  part_oracle : Oracle.t array;
-      (* per-partition oracle buffers, flushed by [sync]; empty when
-         [p.partitions = 0] *)
-  mutable oracle : Oracle.t option;
-  primaries : int array;  (* shard -> current primary (routing view) *)
-  alive : bool array;  (* routing view: false once declared dead *)
-  crashed : bool array;  (* ground truth: true from the crash instant *)
-  mutable epoch : int;  (* bumped at every declaration *)
-  mutable inflight_commits : int;  (* txns between LOG start and COMMIT *)
-  mutable recovery_waiting : int;  (* pending recoveries gating the fence *)
-  mutable membership : Membership.t option;
-  mutable trace : Trace.t option;
-  mutable telemetry : Xenic_telemetry.Telemetry.t option;
 }
-
-let engine t = t.engine
-
-let cfg t = t.cfg
 
 let flavor t = t.flavor
 
-(* The metrics object protocol events record into: the partition-local
-   shard under a windowed topology, the shared object otherwise. *)
-let mx t =
-  if Array.length t.part_metrics = 0 then t.metrics
-  else t.part_metrics.(Engine.current_partition t.engine)
+let control t = t.ctl
 
-(* Reported metrics: sharded runs merge the partitions into a fresh
-   object in partition-index order (deterministic for a fixed partition
-   count, independent of domain count). *)
-let metrics t =
-  if Array.length t.part_metrics = 0 then t.metrics
-  else begin
-    let m = Metrics.create () in
-    Metrics.merge ~into:m t.metrics;
-    Array.iter (fun pm -> Metrics.merge ~into:m pm) t.part_metrics;
-    m
-  end
-
-let counters t = Metrics.counters (mx t)
-
-let set_trace t tr = t.trace <- tr
-
-let set_telemetry t tel = t.telemetry <- tel
-
-(* Phase/recovery events for the trace (no-ops with tracing off). *)
-let trace_instant t ~cat ~name ~pid ~tid args =
-  match t.trace with
-  | None -> ()
-  | Some tr -> Trace.instant tr ~cat ~name ~pid ~tid ~args ()
-
-(* Close one protocol phase: record its latency sample and, when
-   tracing, a span on the coordinator's track. Returns the new phase
-   start. *)
-let phase_mark t ~src ~seq name t_prev =
-  let now = Engine.now t.engine in
-  Metrics.record_phase (mx t) ~phase:name (now -. t_prev);
-  (match t.trace with
-  | None -> ()
-  | Some tr ->
-      Trace.span tr ~cat:"txn" ~name ~pid:src ~tid:seq ~ts:t_prev
-        ~dur:(now -. t_prev) ());
-  now
+let counters t = Control.counters t.ctl
 
 let store t ~node ~shard =
   match t.nodes.(node).stores.(shard) with
   | Some s -> s
   | None -> invalid_arg "Rdma_system.store: node does not hold shard"
 
-let armed t = Option.is_some t.p.req_timeout_ns
+let armed t = Control.armed t.ctl
 
-let primary_of t ~shard = t.primaries.(shard)
-
-(* Live backups of [shard]: its replicas minus the current primary and
-   any dead nodes. *)
-let backups_of t ~shard =
-  List.filter
-    (fun n -> n <> t.primaries.(shard) && t.alive.(n))
-    (Config.replicas t.cfg ~shard)
+let primary_of t ~shard = Control.current_primary t.ctl ~shard
 
 (* ------------------------------------------------------------------ *)
 (* Host-memory object operations, executed at their linearization point
@@ -243,7 +169,7 @@ let rpc t ~src ~dst ~req_bytes ~resp_bytes ~handler_ns (handler : unit -> 'r) : 
        carries the caller's attribution context into the handler (and the
        handler's context back into the completion). *)
     Process.suspend (fun resume ->
-        Process.spawn t.engine (fun () ->
+        Process.spawn t.ctl.engine (fun () ->
             Rdma.rpc_send t.rdma ~src ~dst ~bytes:req_bytes
               {
                 bytes = req_bytes;
@@ -251,7 +177,7 @@ let rpc t ~src ~dst ~req_bytes ~resp_bytes ~handler_ns (handler : unit -> 'r) : 
                   Attrib.preserve (fun () ->
                       Rdma.rpc_recv_cost t.rdma ~node:dst;
                       Resource.acquire t.nodes.(dst).host;
-                      Process.sleep t.engine handler_ns;
+                      Process.sleep t.ctl.engine handler_ns;
                       let r = handler () in
                       Resource.release t.nodes.(dst).host;
                       Rdma.rpc_send t.rdma ~src:dst ~dst:src
@@ -261,7 +187,7 @@ let rpc t ~src ~dst ~req_bytes ~resp_bytes ~handler_ns (handler : unit -> 'r) : 
                           deliver =
                             Attrib.preserve (fun () ->
                                 (* Completion handling on the caller side. *)
-                                Process.sleep t.engine
+                                Process.sleep t.ctl.engine
                                   t.hw.rdma_completion_poll_ns;
                                 resume r);
                         })
@@ -272,7 +198,7 @@ let rpc t ~src ~dst ~req_bytes ~resp_bytes ~handler_ns (handler : unit -> 'r) : 
    become plain host-memory operations. *)
 let one_sided t ~src ~dst verb ~bytes ~at_target =
   if src = dst then begin
-    Process.sleep t.engine t.hw.host_op_ns;
+    Process.sleep t.ctl.engine t.hw.host_op_ns;
     at_target ()
   end
   else begin
@@ -287,7 +213,7 @@ let one_sided_many t ~src verbs =
   let local_results =
     List.map
       (fun (_, _, _, at_target) ->
-        Process.sleep t.engine t.hw.host_op_ns;
+        Process.sleep t.ctl.engine t.hw.host_op_ns;
         at_target ())
       local
   in
@@ -309,11 +235,11 @@ let rpc_t t ?epoch0 ~src ~dst ~req_bytes ~resp_bytes ~handler_ns
   match t.p.req_timeout_ns with
   | None -> `Ok (rpc t ~src ~dst ~req_bytes ~resp_bytes ~handler_ns handler)
   | Some timeout_ns ->
-      if dst <> src && t.crashed.(dst) then begin
+      if dst <> src && t.ctl.crashed.(dst) then begin
         (* Known-crashed target: the request is on the wire for the
            full deadline before the coordinator gives up. *)
         Xenic_stats.Counter.incr (counters t) "req_timeouts";
-        Process.sleep t.engine timeout_ns;
+        Process.sleep t.ctl.engine timeout_ns;
         `Down
       end
       else if src = dst then begin
@@ -322,12 +248,12 @@ let rpc_t t ?epoch0 ~src ~dst ~req_bytes ~resp_bytes ~handler_ns
       end
       else begin
         Xenic_stats.Counter.incr (counters t) "rpcs";
-        let iv = Ivar.create t.engine in
+        let iv = Ivar.create t.ctl.engine in
         let settle v = if not (Ivar.is_filled iv) then Ivar.fill iv v in
         let stale () =
-          match epoch0 with Some e -> t.epoch <> e | None -> false
+          match epoch0 with Some e -> t.ctl.epoch <> e | None -> false
         in
-        Process.spawn t.engine (fun () ->
+        Process.spawn t.ctl.engine (fun () ->
             Rdma.rpc_send t.rdma ~src ~dst ~bytes:req_bytes
               {
                 bytes = req_bytes;
@@ -341,7 +267,7 @@ let rpc_t t ?epoch0 ~src ~dst ~req_bytes ~resp_bytes ~handler_ns
                       end
                       else begin
                         Resource.acquire t.nodes.(dst).host;
-                        Process.sleep t.engine handler_ns;
+                        Process.sleep t.ctl.engine handler_ns;
                         let r = handler () in
                         Resource.release t.nodes.(dst).host;
                         Rdma.rpc_send t.rdma ~src:dst ~dst:src
@@ -350,7 +276,7 @@ let rpc_t t ?epoch0 ~src ~dst ~req_bytes ~resp_bytes ~handler_ns
                             bytes = resp_bytes r;
                             deliver =
                               Attrib.preserve (fun () ->
-                                  Process.sleep t.engine
+                                  Process.sleep t.ctl.engine
                                     t.hw.rdma_completion_poll_ns;
                                   if stale () then begin
                                     Xenic_stats.Counter.incr (counters t)
@@ -373,11 +299,11 @@ let one_sided_t t ~src ~dst verb ~bytes ~at_target =
   match t.p.req_timeout_ns with
   | None -> `Ok (one_sided t ~src ~dst verb ~bytes ~at_target)
   | Some timeout_ns ->
-      if dst <> src && t.crashed.(dst) then begin
+      if dst <> src && t.ctl.crashed.(dst) then begin
         (* The verb never completes: the target NIC is gone. Nothing
            executes at the target. *)
         Xenic_stats.Counter.incr (counters t) "req_timeouts";
-        Process.sleep t.engine timeout_ns;
+        Process.sleep t.ctl.engine timeout_ns;
         `Down
       end
       else `Ok (one_sided t ~src ~dst verb ~bytes ~at_target)
@@ -390,10 +316,10 @@ let one_sided_many_t t ~src verbs =
   match t.p.req_timeout_ns with
   | None -> `Ok (one_sided_many t ~src verbs)
   | Some timeout_ns ->
-      if List.exists (fun (dst, _, _, _) -> dst <> src && t.crashed.(dst)) verbs
+      if List.exists (fun (dst, _, _, _) -> dst <> src && t.ctl.crashed.(dst)) verbs
       then begin
         Xenic_stats.Counter.incr (counters t) "req_timeouts";
-        Process.sleep t.engine timeout_ns;
+        Process.sleep t.ctl.engine timeout_ns;
         `Down
       end
       else `Ok (one_sided_many t ~src verbs)
@@ -401,37 +327,12 @@ let one_sided_many_t t ~src verbs =
 (* ------------------------------------------------------------------ *)
 (* Construction *)
 
-let dispatch_loop t node =
-  Process.spawn t.engine (fun () ->
-      Attrib.set
-        {
-          Attrib.stack = flavor_name t.flavor;
-          node = node.id;
-          phase = "dispatch";
-          cls = "-";
-        };
-      let rx = Xenic_net.Fabric.rx t.fabric node.id in
-      let rec loop () =
-        let pkt = Mailbox.recv rx in
-        if t.crashed.(node.id) then
-          (* A crashed node receives nothing: inbound frames fall on
-             the floor and senders time out. *)
-          Xenic_stats.Counter.add (counters t) "msgs_dropped"
-            (List.length pkt.Xenic_net.Packet.msgs)
-        else
-          List.iter
-            (fun m -> Process.spawn t.engine m.deliver)
-            pkt.Xenic_net.Packet.msgs;
-        loop ()
-      in
-      loop ())
-
 let apply_cost t (op, _) =
   if Keyspace.ordered (Op.key op) then t.p.btree_op_ns
   else t.hw.host_op_ns +. (float_of_int (Op.bytes op) *. t.hw.host_byte_ns)
 
 let worker_loop t node =
-  Process.spawn t.engine (fun () ->
+  Process.spawn t.ctl.engine (fun () ->
       Attrib.set
         {
           Attrib.stack = flavor_name t.flavor;
@@ -441,19 +342,8 @@ let worker_loop t node =
         };
       let rec loop () =
         let record, bytes = Xenic_store.Hostlog.poll node.log in
-        (* Wait for the coordinator's commit decision; it resolves
-           every record (legacy records are born decided). *)
-        let rec decide () =
-          match !(record.lr_decision) with
-          | Dcommit -> true
-          | Dabort ->
-              Xenic_stats.Counter.incr (counters t) "log_discards";
-              false
-          | Dpending ->
-              Process.sleep t.engine 500.0;
-              decide ()
-        in
-        if not (decide ()) then Xenic_store.Hostlog.ack node.log ~bytes
+        if not (Control.await_decision t.ctl record.lr_decision) then
+          Xenic_store.Hostlog.ack node.log ~bytes
         else begin
           (* Log application competes with RPC handling and coordinator
              work for the same host threads (§5.2: FaSST handles RPCs on
@@ -461,7 +351,7 @@ let worker_loop t node =
           Resource.acquire node.host;
           List.iter
             (fun (op, seq) ->
-              Process.sleep t.engine (apply_cost t (op, seq));
+              Process.sleep t.ctl.engine (apply_cost t (op, seq));
               obj_apply t ~node:node.id (op, seq))
             record.lr_ops;
           Resource.release node.host;
@@ -472,28 +362,14 @@ let worker_loop t node =
       loop ())
 
 let create engine hw cfg flavor p =
-  (* Same node partitioning as Xenic_system.create: windowed mode when
-     [p.partitions > 0] (open-loop runs; lookahead = the wire latency
-     every cross-node message pays), exact-order mode otherwise on a
-     multi-domain engine. Set before any event is scheduled. *)
-  (if p.partitions > 0 then begin
-     if Engine.partitions engine <> 0 then
-       invalid_arg "Rdma_system.create: engine already has a topology";
-     let partitions = min p.partitions cfg.Config.nodes in
-     Engine.set_topology engine ~lookahead:hw.Xenic_params.Hw.wire_latency_ns
-       ~partitions
-       ~node_partition:(fun node ->
-         Config.partition_of_node cfg ~partitions ~node)
-   end
-   else if Engine.domains engine > 1 && Engine.partitions engine = 0 then
-     let partitions = min (Engine.domains engine) cfg.Config.nodes in
-     Engine.set_topology engine ~partitions
-       ~node_partition:(fun node ->
-         Config.partition_of_node cfg ~partitions ~node));
-  let fabric = Xenic_net.Fabric.create engine hw ~nodes:cfg.Config.nodes in
-  Xenic_net.Fabric.set_rate_override fabric
+  let ctl =
+    Control.create engine hw cfg ~stack:(flavor_name flavor)
+      ~partitions:p.partitions ~req_timeout_ns:p.req_timeout_ns
+      ~retry_backoff_ns:p.retry_backoff_ns ~max_retries:p.max_retries
+  in
+  Xenic_net.Fabric.set_rate_override ctl.fabric
     (Some (Xenic_params.Hw.rdma_rate hw));
-  let rdma = Rdma.create fabric in
+  let rdma = Rdma.create ctl.fabric in
   let nodes =
     Array.init cfg.Config.nodes (fun id ->
         {
@@ -526,44 +402,14 @@ let create engine hw cfg flavor p =
               ~name:(Printf.sprintf "rwrk%d" id)
               ~servers:p.worker_threads;
           log = Xenic_store.Hostlog.create engine ~capacity_b:p.log_capacity_b;
-          txn_seq = 0;
         })
   in
-  let t =
-    {
-      engine;
-      hw;
-      cfg;
-      flavor;
-      p;
-      fabric;
-      rdma;
-      nodes;
-      metrics = Metrics.create ();
-      part_metrics =
-        (if p.partitions > 0 then
-           Array.init (Engine.partitions engine) (fun _ -> Metrics.create ())
-         else [||]);
-      part_oracle =
-        (if p.partitions > 0 then
-           Array.init (Engine.partitions engine) (fun _ -> Oracle.create ())
-         else [||]);
-      oracle = None;
-      primaries =
-        Array.init cfg.Config.nodes (fun shard -> Config.primary cfg ~shard);
-      alive = Array.make cfg.Config.nodes true;
-      crashed = Array.make cfg.Config.nodes false;
-      epoch = 0;
-      inflight_commits = 0;
-      recovery_waiting = 0;
-      membership = None;
-      trace = None;
-      telemetry = None;
-    }
-  in
+  let t = { ctl; hw; flavor; p; rdma; nodes } in
   Array.iter
     (fun node ->
-      dispatch_loop t node;
+      (* No SmartNIC: RDMA NIC costs are charged per verb and RPC inside
+         [Rdma], not per dispatched frame. *)
+      Control.dispatch_loop ctl ~node:node.id ~pkt_io:ignore;
       for _ = 1 to p.worker_threads do
         worker_loop t node
       done)
@@ -579,7 +425,7 @@ let load t k v =
         match s.hops with
         | Some h -> Xenic_store.Hopscotch.insert h k (1, v)
         | None -> Xenic_store.Chained.insert s.hash k v)
-    (Config.replicas t.cfg ~shard:(Keyspace.shard k))
+    (Config.replicas t.ctl.cfg ~shard:(Keyspace.shard k))
 
 let seal _t = ()
 
@@ -604,14 +450,8 @@ let host_utilization t =
   Array.fold_left (fun acc n -> acc +. Resource.utilization n.host) 0.0 t.nodes
   /. float_of_int (Array.length t.nodes)
 
-(* Admission-control hooks (open-loop driver): shed = aborted with
-   reason [Shed]; backpressure = the most loaded of the host RPC pool
-   and the (single-server) RDMA NIC processing unit. *)
-let record_shed t ~latency_ns =
-  let m = mx t in
-  Metrics.record m ~latency_ns Types.Aborted;
-  Metrics.record_abort_reason m Metrics.Shed
-
+(* Admission backpressure: the most loaded of the host RPC pool and the
+   (single-server) RDMA NIC processing unit. *)
 let ingress_occupancy t ~node =
   let n = t.nodes.(node) in
   let host_frac =
@@ -628,7 +468,7 @@ let util_sources t =
          [
            ( Printf.sprintf "node%d link" n.id,
              fun () ->
-               float_of_int (Xenic_net.Fabric.link_busy t.fabric ~node:n.id) );
+               float_of_int (Xenic_net.Fabric.link_busy t.ctl.fabric ~node:n.id) );
            ( Printf.sprintf "node%d host pool" n.id,
              fun () -> float_of_int (Resource.in_use n.host) );
            ( Printf.sprintf "node%d worker pool" n.id,
@@ -645,48 +485,20 @@ let resources t =
   in
   let named rs = List.map (fun r -> (Resource.name r, r)) rs in
   pools @ named (Rdma.resources t.rdma)
-  @ named (Xenic_net.Fabric.resources t.fabric)
+  @ named (Xenic_net.Fabric.resources t.ctl.fabric)
 
 let quiesce t =
-  let rec wait () =
-    let pending =
-      Array.exists
-        (fun n ->
-          (not t.crashed.(n.id))
-          && (Xenic_store.Hostlog.used_b n.log > 0
-             || Xenic_store.Hostlog.appended n.log
-                > Xenic_store.Hostlog.applied n.log))
-        t.nodes
-    in
-    if pending then begin
-      Process.sleep t.engine 10_000.0;
-      wait ()
-    end
-  in
-  wait ()
-
-let set_oracle t o = t.oracle <- Some o
-
-(* Flush the partition-local oracle buffers into the attached oracle in
-   partition-index order; call between engine runs only. No-op on
-   unsharded systems. *)
-let sync t =
-  match t.oracle with
-  | None -> ()
-  | Some o -> Array.iter (fun po -> Oracle.absorb ~into:o po) t.part_oracle
+  Control.quiesce t.ctl ~drained:(fun ~node ->
+      Xenic_store.Hostlog.drained t.nodes.(node).log)
 
 (* Report a committed transaction to the serializability oracle.
    Execution reads carry values; locked entries carry values when the
    flavor fetched them (DrTM+R's post-CAS READ, where [None] means the
    key was genuinely absent) and lock-time versions only otherwise. *)
 let oracle_commit t ~id ~read_results ~locked_entries ~seq_ops =
-  match t.oracle with
+  match t.ctl.oracle with
   | None -> ()
-  | Some o ->
-      let o =
-        if Array.length t.part_oracle = 0 then o
-        else t.part_oracle.(Engine.current_partition t.engine)
-      in
+  | Some _ ->
       let read_keys = List.map (fun (k, _, _) -> k) read_results in
       let reads =
         List.map (fun (k, v, seq) -> (k, seq, Oracle.Value v)) read_results
@@ -701,15 +513,7 @@ let oracle_commit t ~id ~read_results ~locked_entries ~seq_ops =
                     else Some (k, seq, Oracle.Version_only))
             locked_entries
       in
-      let writes =
-        List.map
-          (fun (op, seq) ->
-            match op with
-            | Op.Put (k, b) -> (k, seq, Oracle.Put b)
-            | Op.Delete k -> (k, seq, Oracle.Delete))
-          seq_ops
-      in
-      Oracle.record_commit o ~id ~reads ~writes
+      Control.record_commit t.ctl ~id ~reads ~seq_ops
 
 (* Protocol audit: after [quiesce] every per-node lock table must be
    empty and every log drained. Returns human-readable violations. *)
@@ -717,7 +521,7 @@ let audit t =
   let issues = ref [] in
   Array.iter
     (fun n ->
-      if t.crashed.(n.id) then ()
+      if t.ctl.crashed.(n.id) then ()
       else begin
         Hashtbl.fold (fun k owner acc -> (k, owner) :: acc) n.locks []
         |> List.sort compare
@@ -726,11 +530,7 @@ let audit t =
                  Format.asprintf "rdma node %d: key %a still locked by owner %d"
                    n.id Keyspace.pp k owner
                  :: !issues);
-        if
-          Xenic_store.Hostlog.used_b n.log > 0
-          || Xenic_store.Hostlog.appended n.log
-             > Xenic_store.Hostlog.applied n.log
-        then
+        if not (Xenic_store.Hostlog.drained n.log) then
           issues :=
             Printf.sprintf "rdma node %d: log not drained" n.id :: !issues
       end)
@@ -805,9 +605,9 @@ let one_sided_read t ~src k =
 let one_sided_read_t t ~src k =
   let primary = primary_of t ~shard:(Keyspace.shard k) in
   match t.p.req_timeout_ns with
-  | Some timeout_ns when primary <> src && t.crashed.(primary) ->
+  | Some timeout_ns when primary <> src && t.ctl.crashed.(primary) ->
       Xenic_stats.Counter.incr (counters t) "req_timeouts";
-      Process.sleep t.engine timeout_ns;
+      Process.sleep t.ctl.engine timeout_ns;
       `Down
   | _ -> `Ok (one_sided_read t ~src k)
 
@@ -817,6 +617,32 @@ let one_sided_read_t t ~src k =
 (* Lock the write set. DrTM+H and FaSST lock via (consolidated) RPCs;
    DrTM+R CAS-locks each key one-sided. Returns lock versions+values or
    `Fail; on failure all acquired locks are already released. *)
+(* DrTM+R's one-sided unlock: one WRITE per key. *)
+let unlock_verbs t ~primary ~owner keys =
+  List.map
+    (fun k ->
+      (primary, Rdma.Write, 16, fun () -> unlock t ~node:primary k ~owner))
+    keys
+
+(* Release [keys], all of [shard], at its current primary. Locks at a
+   crashed primary died with its memory. No epoch stamp: an abort must
+   land across a bump (unlock is owner-guarded, so it is safe in any
+   configuration). *)
+let release_shard t ~src ~owner (shard, keys) =
+  let primary = primary_of t ~shard in
+  if not t.ctl.crashed.(primary) then
+    match t.flavor with
+    | Drtmr ->
+        ignore (one_sided_many_t t ~src (unlock_verbs t ~primary ~owner keys))
+    | _ ->
+        ignore
+          (rpc_t t ~src ~dst:primary
+             ~req_bytes:(Wire.abort_b ~n_locks:(List.length keys))
+             ~resp_bytes:(fun _ -> Wire.small_resp_b)
+             ~handler_ns:t.hw.host_rpc_ns
+             (fun () ->
+               List.iter (fun k -> unlock t ~node:primary k ~owner) keys))
+
 let lock_phase t ~epoch0 ~src ~owner (write_keys : Keyspace.t list) =
   let by_shard = ref [] in
   List.iter
@@ -826,32 +652,6 @@ let lock_phase t ~epoch0 ~src ~owner (write_keys : Keyspace.t list) =
         (s, k :: (try List.assoc s !by_shard with Not_found -> []))
         :: List.remove_assoc s !by_shard)
     write_keys;
-  let release_shard (shard, keys) =
-    let primary = primary_of t ~shard in
-    (* Locks at a crashed primary died with its memory. *)
-    if not t.crashed.(primary) then
-      match t.flavor with
-      | Drtmr ->
-          ignore
-            (one_sided_many_t t ~src
-               (List.map
-                  (fun k ->
-                    ( primary,
-                      Rdma.Write,
-                      16,
-                      fun () -> unlock t ~node:primary k ~owner ))
-                  keys))
-      | _ ->
-          (* No epoch stamp: an abort must land across a bump (unlock
-             is owner-guarded, so it is safe in any configuration). *)
-          ignore
-            (rpc_t t ~src ~dst:primary
-               ~req_bytes:(Wire.abort_b ~n_locks:(List.length keys))
-               ~resp_bytes:(fun _ -> Wire.small_resp_b)
-               ~handler_ns:t.hw.host_rpc_ns
-               (fun () ->
-                 List.iter (fun k -> unlock t ~node:primary k ~owner) keys))
-  in
   let lock_shard (shard, keys) () =
     let primary = primary_of t ~shard in
     match t.flavor with
@@ -879,13 +679,7 @@ let lock_phase t ~epoch0 ~src ~owner (write_keys : Keyspace.t list) =
               if acquired <> [] then
                 ignore
                   (one_sided_many_t t ~src
-                     (List.map
-                        (fun k ->
-                          ( primary,
-                            Rdma.Write,
-                            16,
-                            fun () -> unlock t ~node:primary k ~owner ))
-                        acquired));
+                     (unlock_verbs t ~primary ~owner acquired));
               (shard, `Fail)
             end
             else
@@ -952,7 +746,7 @@ let lock_phase t ~epoch0 ~src ~owner (write_keys : Keyspace.t list) =
         | `Ok `Fail -> (shard, `Fail)
         | `Ok (`Ok entries) -> (shard, `Ok entries))
   in
-  let results = Process.parallel t.engine (List.map lock_shard !by_shard) in
+  let results = Process.parallel t.ctl.engine (List.map lock_shard !by_shard) in
   let down = List.exists (fun (_, r) -> r = `Down) results in
   if down || List.exists (fun (_, r) -> r = `Fail) results then begin
     if not down then
@@ -961,7 +755,8 @@ let lock_phase t ~epoch0 ~src ~owner (write_keys : Keyspace.t list) =
       (fun (shard, r) ->
         match r with
         | `Ok entries when entries <> [] ->
-            release_shard (shard, List.map (fun (k, _, _) -> k) entries)
+            release_shard t ~src ~owner
+              (shard, List.map (fun (k, _, _) -> k) entries)
         | _ -> ())
       results;
     if down then `Down else `Fail
@@ -974,24 +769,26 @@ let lock_phase t ~epoch0 ~src ~owner (write_keys : Keyspace.t list) =
 
 (* Validation: DrTM+H/NC re-read version words one-sided; FaSST uses a
    per-shard RPC. *)
+(* Group [xs] by the shard of [key x], shards ascending; within a
+   shard the last element grouped comes first. *)
+let group_by_shard key xs =
+  let by_shard = Hashtbl.create 4 in
+  List.iter
+    (fun x ->
+      let s = Keyspace.shard (key x) in
+      Hashtbl.replace by_shard s
+        (x :: Option.value ~default:[] (Hashtbl.find_opt by_shard s)))
+    xs;
+  Hashtbl.fold (fun s l acc -> (s, l) :: acc) by_shard [] |> List.sort compare
+
 let validate_phase t ~epoch0 ~src ~owner checks :
     [ `Valid | `Invalid | `Down ] =
   match t.flavor with
   | Drtmr -> `Valid (* all accesses are locked; no validation phase *)
   | Fasst ->
-      let by_shard = Hashtbl.create 4 in
-      List.iter
-        (fun (k, seq) ->
-          let s = Keyspace.shard k in
-          Hashtbl.replace by_shard s
-            ((k, seq) :: Option.value ~default:[] (Hashtbl.find_opt by_shard s)))
-        checks;
-      let shards =
-        Hashtbl.fold (fun s cs acc -> (s, cs) :: acc) by_shard []
-        |> List.sort compare
-      in
+      let shards = group_by_shard fst checks in
       let results =
-        Process.parallel t.engine
+        Process.parallel t.ctl.engine
           (List.map
              (fun (shard, cs) () ->
                let primary = primary_of t ~shard in
@@ -1047,61 +844,42 @@ let log_phase t ~src ~decision seq_ops_by_shard =
   let targets =
     List.concat_map
       (fun (shard, seq_ops) ->
-        List.map (fun b -> (b, seq_ops)) (backups_of t ~shard))
+        List.map (fun b -> (b, seq_ops)) (Control.backups_of t.ctl ~shard))
       seq_ops_by_shard
   in
   let append backup seq_ops bytes () =
     Xenic_store.Hostlog.append t.nodes.(backup).log ~bytes
       { lr_ops = seq_ops; lr_decision = decision }
   in
-  (* Armed retry rule: a timed-out LOG to a now-known-crashed backup is
-     abandoned (a dead backup is never promoted after its declaration);
-     a resend to a live one is idempotent (sequence-guarded apply). No
-     epoch stamp — a fenced transaction must finish its replication
-     across a bump. *)
-  let rec settle_rpc backup bytes seq_ops n =
-    match
-      rpc_t t ~src ~dst:backup ~req_bytes:bytes
-        ~resp_bytes:(fun _ -> Wire.small_resp_b)
-        ~handler_ns:t.hw.host_rpc_ns (append backup seq_ops bytes)
-    with
-    | `Ok (_ : int) -> ()
-    | `Down ->
-        if t.crashed.(src) then
-          (* The coordinator itself died mid-LOG: responses into it are
-             dropped, so the timeout says nothing about the backup.
-             Stop retrying — the shared decision resolves to abort
-             right after the phase, and backups discard. *)
-          Xenic_stats.Counter.incr (counters t) "log_from_dead_coord"
-        else if t.crashed.(backup) then
-          Xenic_stats.Counter.incr (counters t) "log_to_dead_backup"
-        else if n >= 8 then
-          failwith "rdma: LOG to a live backup timed out repeatedly"
-        else settle_rpc backup bytes seq_ops (n + 1)
+  (* Armed retry rule ({!Control.settle_log}). No epoch stamp — a
+     fenced transaction must finish its replication across a bump. *)
+  let settle_rpc backup bytes seq_ops =
+    Control.settle_log t.ctl ~who:"rdma" ~src ~backup (fun () ->
+        match
+          rpc_t t ~src ~dst:backup ~req_bytes:bytes
+            ~resp_bytes:(fun _ -> Wire.small_resp_b)
+            ~handler_ns:t.hw.host_rpc_ns (append backup seq_ops bytes)
+        with
+        | `Ok (_ : int) -> true
+        | `Down -> false)
   in
-  let rec settle_write backup bytes seq_ops n =
-    match
-      one_sided_t t ~src ~dst:backup Rdma.Write ~bytes
-        ~at_target:(append backup seq_ops bytes)
-    with
-    | `Ok (_ : int) -> ()
-    | `Down ->
-        if t.crashed.(src) then
-          Xenic_stats.Counter.incr (counters t) "log_from_dead_coord"
-        else if t.crashed.(backup) then
-          Xenic_stats.Counter.incr (counters t) "log_to_dead_backup"
-        else if n >= 8 then
-          failwith "rdma: LOG to a live backup timed out repeatedly"
-        else settle_write backup bytes seq_ops (n + 1)
+  let settle_write backup bytes seq_ops =
+    Control.settle_log t.ctl ~who:"rdma" ~src ~backup (fun () ->
+        match
+          one_sided_t t ~src ~dst:backup Rdma.Write ~bytes
+            ~at_target:(append backup seq_ops bytes)
+        with
+        | `Ok (_ : int) -> true
+        | `Down -> false)
   in
   match t.flavor with
   | Fasst ->
       ignore
-        (Process.parallel t.engine
+        (Process.parallel t.ctl.engine
            (List.map
               (fun (backup, seq_ops) () ->
                 let bytes = Wire.log_record_b ~ops:(List.map fst seq_ops) in
-                settle_rpc backup bytes seq_ops 1)
+                settle_rpc backup bytes seq_ops)
               targets))
   | _ ->
       if not (armed t) then
@@ -1114,11 +892,11 @@ let log_phase t ~src ~decision seq_ops_by_shard =
                 targets))
       else
         ignore
-          (Process.parallel t.engine
+          (Process.parallel t.ctl.engine
              (List.map
                 (fun (backup, seq_ops) () ->
                   let bytes = Wire.log_record_b ~ops:(List.map fst seq_ops) in
-                  settle_write backup bytes seq_ops 1)
+                  settle_write backup bytes seq_ops)
                 targets))
 
 (* COMMIT: apply new values at primaries, bump versions, release locks.
@@ -1130,7 +908,7 @@ let commit_phase t ~src ~owner seq_ops_by_shard locked_by_shard =
      shard's survivors through their backup logs before promotion. *)
   let live (shard, _) =
     let primary = primary_of t ~shard in
-    if t.crashed.(primary) then begin
+    if t.ctl.crashed.(primary) then begin
       Xenic_stats.Counter.incr (counters t) "commit_to_dead_primary";
       false
     end
@@ -1158,7 +936,7 @@ let commit_phase t ~src ~owner seq_ops_by_shard locked_by_shard =
               seq_ops_by_shard))
   | _ ->
       ignore
-        (Process.parallel t.engine
+        (Process.parallel t.ctl.engine
            (List.map
               (fun (shard, seq_ops) () ->
                 let primary = primary_of t ~shard in
@@ -1181,20 +959,6 @@ let commit_phase t ~src ~owner seq_ops_by_shard locked_by_shard =
 
 (* ------------------------------------------------------------------ *)
 (* Transaction driver *)
-
-let seq_ops_of ~lock_versions ops =
-  List.map
-    (fun op ->
-      let k = Op.key op in
-      match List.assoc_opt k lock_versions with
-      | Some seq -> (op, seq + 1)
-      | None -> (op, 1))
-    ops
-
-let group_ops_by_shard seq_ops =
-  List.sort_uniq compare (List.map (fun (op, _) -> Keyspace.shard (Op.key op)) seq_ops)
-  |> List.map (fun s ->
-         (s, List.filter (fun (op, _) -> Keyspace.shard (Op.key op) = s) seq_ops))
 
 (* FaSST's consolidated execute: one RPC per shard locks that shard's
    write-set keys AND reads its read-set keys (§2.2.2). *)
@@ -1261,7 +1025,7 @@ let fasst_execute t ~epoch0 ~src ~owner ~reads ~locks =
     | `Ok `Fail -> (shard, `Fail)
     | `Ok (`Ok entries) -> (shard, `Ok entries)
   in
-  let results = Process.parallel t.engine (List.map one shards) in
+  let results = Process.parallel t.ctl.engine (List.map one shards) in
   let down = List.exists (fun (_, r) -> r = `Down) results in
   if down || List.exists (fun (_, r) -> r = `Fail) results then begin
     if not down then
@@ -1271,18 +1035,8 @@ let fasst_execute t ~epoch0 ~src ~owner ~reads ~locks =
       (fun (shard, r) ->
         match r with
         | `Ok (lockv, _) when lockv <> [] ->
-            let primary = primary_of t ~shard in
-            if not t.crashed.(primary) then
-              (* Epoch-free: the abort must land across a bump. *)
-              ignore
-                (rpc_t t ~src ~dst:primary
-                   ~req_bytes:(Wire.abort_b ~n_locks:(List.length lockv))
-                   ~resp_bytes:(fun _ -> Wire.small_resp_b)
-                   ~handler_ns:t.hw.host_rpc_ns
-                   (fun () ->
-                     List.iter
-                       (fun (k, _, _) -> unlock t ~node:primary k ~owner)
-                       lockv))
+            release_shard t ~src ~owner
+              (shard, List.map (fun (k, _, _) -> k) lockv)
         | _ -> ())
       results;
     if down then `Down else `Fail
@@ -1300,35 +1054,16 @@ let fasst_execute t ~epoch0 ~src ~owner ~reads ~locks =
     in
     `Ok (lockv, values)
 
-(* Commit fence (armed mode): recovery waits until every transaction
-   past its LOG has resolved, and refuses to let new ones start
-   replicating while a declaration is being processed. *)
-let fence_acquire t ~src ~epoch0 =
-  let rec wait () =
-    if t.crashed.(src) || t.epoch <> epoch0 then false
-    else if t.recovery_waiting > 0 then begin
-      Process.sleep t.engine 1_000.0;
-      wait ()
-    end
-    else begin
-      t.inflight_commits <- t.inflight_commits + 1;
-      true
-    end
-  in
-  wait ()
-
-let fence_release t = t.inflight_commits <- t.inflight_commits - 1
-
-let rec attempt t ~node ~epoch0 (txn : Types.t) :
-    [ `Committed
-    | `Aborted of Metrics.abort_reason
-    | `Retry of Metrics.abort_reason ] =
-  let n = t.nodes.(node) in
-  n.txn_seq <- n.txn_seq + 1;
-  let owner = (node * 1_000_000_000) + n.txn_seq in
+let rec attempt t ~node ~epoch0 (txn : Types.t) : Control.attempt =
+  let id = Control.next_id t.ctl ~node in
+  let owner = Types.owner_token id in
   let src = node in
-  let t0 = Engine.now t.engine in
-  let mark name t_prev = phase_mark t ~src ~seq:n.txn_seq name t_prev in
+  let t0 = Engine.now t.ctl.engine in
+  (* Phase spans go on the coordinator's latest-attempt track, the tid
+     its outcome span closes on. *)
+  let mark name t_prev =
+    Control.phase_mark t.ctl ~src ~seq:t.ctl.txn_seq.(node) name t_prev
+  in
   Attrib.set_phase "execute";
   (* DrTM+R locks every accessed key; the others lock only writes. *)
   let lock_keys =
@@ -1342,7 +1077,7 @@ let rec attempt t ~node ~epoch0 (txn : Types.t) :
   let exec_reads_r =
     match t.flavor with
     | Drtmh | Drtmh_nc | Farm ->
-        Process.parallel t.engine
+        Process.parallel t.ctl.engine
           (List.map
              (fun k () ->
                match one_sided_read_t t ~src k with
@@ -1371,41 +1106,7 @@ let rec attempt t ~node ~epoch0 (txn : Types.t) :
         | `Ok entries -> `Ok (entries, exec_reads))
   in
   let release_keys keys =
-    let by_shard = Hashtbl.create 4 in
-    List.iter
-      (fun k ->
-        let s = Keyspace.shard k in
-        Hashtbl.replace by_shard s
-          (k :: Option.value ~default:[] (Hashtbl.find_opt by_shard s)))
-      keys;
-    Hashtbl.fold (fun shard keys acc -> (shard, keys) :: acc) by_shard []
-    |> List.sort compare
-    |> List.iter
-      (fun (shard, keys) ->
-        let primary = primary_of t ~shard in
-        if not t.crashed.(primary) then
-          match t.flavor with
-          | Drtmr ->
-              ignore
-                (one_sided_many_t t ~src
-                   (List.map
-                      (fun k ->
-                        ( primary,
-                          Rdma.Write,
-                          16,
-                          fun () -> unlock t ~node:primary k ~owner ))
-                      keys))
-          | _ ->
-              (* Epoch-free: the abort must land across a bump. *)
-              ignore
-                (rpc_t t ~src ~dst:primary
-                   ~req_bytes:(Wire.abort_b ~n_locks:(List.length keys))
-                   ~resp_bytes:(fun _ -> Wire.small_resp_b)
-                   ~handler_ns:t.hw.host_rpc_ns
-                   (fun () ->
-                     List.iter
-                       (fun k -> unlock t ~node:primary k ~owner)
-                       keys)))
+    List.iter (release_shard t ~src ~owner) (group_by_shard Fun.id keys)
   in
   match lock_result with
   | `Fail -> `Aborted Metrics.Lock_conflict
@@ -1440,17 +1141,13 @@ let rec attempt t ~node ~epoch0 (txn : Types.t) :
       end
       else
       let values = read_results @ locked_entries in
-      let view k =
-        match List.find_opt (fun (k', _, _) -> k' = k) values with
-        | Some (_, v, _) -> v
-        | None -> None
-      in
+      let view = Types.view_of values in
       (* Execution at the coordinator host. A multi-shot More releases
          the locks and replays the transaction with the extended
          read/write sets (an extra protocol round, as an RPC system
          would issue). *)
       Attrib.set_phase "exec-fn";
-      Resource.use n.host txn.host_exec_ns;
+      Resource.use t.nodes.(node).host txn.host_exec_ns;
       match txn.exec view with
       | Types.More { read; lock } ->
           abort_all ();
@@ -1516,8 +1213,8 @@ let rec attempt t ~node ~epoch0 (txn : Types.t) :
             let lock_versions =
               List.map (fun (k, _, seq) -> (k, seq)) locked_entries
             in
-            let seq_ops = seq_ops_of ~lock_versions ops in
-            let seq_ops_by_shard = group_ops_by_shard seq_ops in
+            let seq_ops = Types.seq_ops_of ~lock_versions ops in
+            let seq_ops_by_shard = Types.group_ops_by_shard seq_ops in
             let locked_by_shard =
               List.map
                 (fun (shard, _) ->
@@ -1551,10 +1248,9 @@ let rec attempt t ~node ~epoch0 (txn : Types.t) :
               ignore (mark "commit" t4);
               `Committed
             end
-            else if not (fence_acquire t ~src ~epoch0) then begin
+            else if not (Control.fence_acquire t.ctl ~src ~epoch0) then begin
               (* Configuration moved (or we crashed) between validation
                  and commit: abort before the first LOG byte. *)
-              Xenic_stats.Counter.incr (counters t) "fence_refusals";
               abort_all ();
               `Retry Metrics.Stale_epoch
             end
@@ -1563,10 +1259,10 @@ let rec attempt t ~node ~epoch0 (txn : Types.t) :
               Attrib.set_phase "log";
               log_phase t ~src ~decision seq_ops_by_shard;
               let t4 = mark "log" t3 in
-              if t.crashed.(src) then begin
+              if t.ctl.crashed.(src) then begin
                 (* Died mid-LOG: never decide; backups discard. *)
                 decision := Dabort;
-                fence_release t;
+                Control.fence_release t.ctl;
                 `Aborted Metrics.Crashed_owner
               end
               else begin
@@ -1578,7 +1274,7 @@ let rec attempt t ~node ~epoch0 (txn : Types.t) :
                 Attrib.set_phase "commit";
                 commit_phase t ~src ~owner seq_ops_by_shard locked_by_shard;
                 release_residual ();
-                fence_release t;
+                Control.fence_release t.ctl;
                 ignore (mark "commit" t4);
                 `Committed
               end
@@ -1586,171 +1282,33 @@ let rec attempt t ~node ~epoch0 (txn : Types.t) :
           end)
 
 let run_txn t ~node (txn : Types.t) =
-  let t_start = Engine.now t.engine in
-  (* One taxonomy reason per [Types.Aborted] returned to the caller, so
-     reason counts always sum to this metrics object's
-     aborted-transaction count. *)
-  let abort_with reason =
-    let m = mx t in
-    let latency_ns = Engine.now t.engine -. t_start in
-    Metrics.record m ~latency_ns Types.Aborted;
-    Metrics.record_abort_reason m reason;
-    (match t.telemetry with
-    | None -> ()
-    | Some tel ->
-        Xenic_telemetry.Telemetry.record_abort tel
-          ~label:(Attrib.get ()).Attrib.cls ~stack:(flavor_name t.flavor)
-          ~node
-          ~reason:(Metrics.abort_reason_name reason) ~latency_ns);
-    trace_instant t ~cat:"txn" ~name:"abort" ~pid:node
-      ~tid:t.nodes.(node).txn_seq
-      [ ("reason", Metrics.abort_reason_name reason) ];
-    Types.Aborted
-  in
-  let commit () =
-    let now = Engine.now t.engine in
-    (* Outer transaction span for the profiler's critical-path
-       extraction; see the Xenic-side twin in xenic_system.ml. *)
-    (match t.trace with
-    | None -> ()
-    | Some tr ->
-        Trace.span tr ~cat:"txnlat" ~name:"txn" ~pid:node
-          ~tid:t.nodes.(node).txn_seq ~ts:t_start ~dur:(now -. t_start)
-          ~args:[ ("cls", (Attrib.get ()).Attrib.cls) ]
-          ());
-    Metrics.record (mx t) ~latency_ns:(now -. t_start) Types.Committed;
-    (match t.telemetry with
-    | None -> ()
-    | Some tel ->
-        Xenic_telemetry.Telemetry.record_commit tel
-          ~label:(Attrib.get ()).Attrib.cls ~stack:(flavor_name t.flavor)
-          ~node ~latency_ns:(now -. t_start));
-    Types.Committed
-  in
-  if not (armed t) then
-    match attempt t ~node ~epoch0:t.epoch txn with
-    | `Committed -> commit ()
-    | `Aborted reason -> abort_with reason
-    | `Retry _ -> assert false
-  else
-    let rec go att backoff =
-      if t.crashed.(node) then abort_with Metrics.Crashed_owner
-      else
-        match attempt t ~node ~epoch0:t.epoch txn with
-        | `Committed -> commit ()
-        | `Aborted reason -> abort_with reason
-        | `Retry reason ->
-            Xenic_stats.Counter.incr (counters t) "txn_retries";
-            trace_instant t ~cat:"txn" ~name:"retry" ~pid:node
-              ~tid:t.nodes.(node).txn_seq
-              [ ("reason", Metrics.abort_reason_name reason) ];
-            if att >= t.p.max_retries then abort_with reason
-            else begin
-              Process.sleep t.engine backoff;
-              go (att + 1) (backoff *. 2.0)
-            end
-    in
-    go 1 t.p.retry_backoff_ns
+  Control.run_txn t.ctl ~node (fun () ->
+      attempt t ~node ~epoch0:t.ctl.epoch txn)
 
 (* -- Reconfiguration ------------------------------------------------ *)
 
-let node_alive t ~node = t.alive.(node) && not t.crashed.(node)
+(* Dead-owner lock sweep over [node]'s host lock table. *)
+let sweep_locks t ~node ~dead =
+  let locks = t.nodes.(node).locks in
+  Hashtbl.fold (fun k owner acc -> (k, owner) :: acc) locks []
+  |> List.sort compare
+  |> List.fold_left
+       (fun broken (k, owner) ->
+         if dead owner then begin
+           Hashtbl.remove locks k;
+           broken + 1
+         end
+         else broken)
+       0
 
-let current_primary t ~shard = t.primaries.(shard)
-
-(* Break locks held at surviving nodes by coordinators that died
-   between their lock phase and release; the owner token encodes the
-   coordinator id. *)
-let sweep_dead_owner_locks t =
-  Array.iter
-    (fun node ->
-      if not t.crashed.(node.id) then
-        Hashtbl.fold (fun k owner acc -> (k, owner) :: acc) node.locks []
-        |> List.sort compare
-        |> List.iter (fun (k, owner) ->
-               let coord = owner / 1_000_000_000 in
-               if t.crashed.(coord) then begin
-                 Xenic_stats.Counter.incr (counters t) "recovery_lock_sweeps";
-                 Hashtbl.remove node.locks k
-               end))
-    t.nodes
-
-(* Membership-driven recovery: wait out in-flight commits behind the
-   fence, break dead coordinators' locks, drain each successor's backup
-   log (every record is decided, so this terminates), and flip the
-   primary map. Stores are fully replicated, so promotion is just a
-   routing change. *)
-let recover t =
-  let rec wait_fence () =
-    if t.inflight_commits > 0 then begin
-      Process.sleep t.engine 1_000.0;
-      wait_fence ()
-    end
-  in
-  wait_fence ();
-  trace_instant t ~cat:"recovery" ~name:"recovery-start" ~pid:0 ~tid:0
-    [ ("epoch", string_of_int t.epoch) ];
-  sweep_dead_owner_locks t;
-  Array.iteri
-    (fun shard p ->
-      if t.crashed.(p) then begin
-        match
-          List.find_opt
-            (fun n -> t.alive.(n) && not t.crashed.(n))
-            (Config.replicas t.cfg ~shard)
-        with
-        | None -> invalid_arg "recover: no live replica"
-        | Some np ->
-            let log = t.nodes.(np).log in
-            let rec drain () =
-              if
-                Xenic_store.Hostlog.used_b log > 0
-                || Xenic_store.Hostlog.appended log
-                   > Xenic_store.Hostlog.applied log
-              then begin
-                Process.sleep t.engine 1_000.0;
-                drain ()
-              end
-            in
-            drain ();
-            t.primaries.(shard) <- np;
-            trace_instant t ~cat:"recovery" ~name:"promote" ~pid:np ~tid:0
-              [ ("shard", string_of_int shard) ];
-            Xenic_stats.Counter.incr (counters t) "recovery_promotions"
-      end)
-    t.primaries;
-  t.recovery_waiting <- t.recovery_waiting - 1;
-  trace_instant t ~cat:"recovery" ~name:"recovery-done" ~pid:0 ~tid:0
-    [ ("epoch", string_of_int t.epoch) ]
-
+(* Recovery's data plane: the successor drains its backup log, and
+   since stores are fully replicated, promotion is a routing change
+   only. *)
 let attach_membership t m =
-  t.membership <- Some m;
-  Membership.on_reconfigure m (fun ~epoch:_ ~dead ->
-      (* Synchronous with the declaration: freeze routing atomically,
-         then recover in the background. *)
-      t.epoch <- t.epoch + 1;
-      trace_instant t ~cat:"recovery" ~name:"epoch-bump" ~pid:0 ~tid:0
-        [ ("epoch", string_of_int t.epoch) ];
-      List.iter
-        (fun n ->
-          t.alive.(n) <- false;
-          t.crashed.(n) <- true)
-        dead;
-      t.recovery_waiting <- t.recovery_waiting + 1;
-      Process.spawn t.engine (fun () -> recover t))
-
-let crash_node t ~node =
-  if not t.crashed.(node) then begin
-    Xenic_stats.Counter.incr (counters t) "node_crashes";
-    trace_instant t ~cat:"recovery" ~name:"crash" ~pid:node ~tid:0 [];
-    t.crashed.(node) <- true;
-    match t.membership with
-    | Some m -> Membership.fail_node m ~node
-    | None ->
-        (* Nothing would ever declare the node: remove it from routing
-           immediately. *)
-        t.alive.(node) <- false
-  end
+  Control.attach_membership t.ctl m ~sweep_locks:(sweep_locks t)
+    ~successor_drained:(fun ~node ->
+      Xenic_store.Hostlog.drained t.nodes.(node).log)
+    ~promote:(fun ~shard:_ ~successor -> successor)
 
 (* Flap rejoin is not modeled for the RDMA baselines: their lock words
    live in host memory (they survive a NIC reset, unlike Xenic's NIC
@@ -1760,21 +1318,9 @@ let crash_node t ~node =
    stays out under the fail-stop discipline; the scenario validator
    rejects flap scenarios on these stacks. *)
 let recover_node t ~node =
-  if t.crashed.(node) then begin
-    Xenic_stats.Counter.incr (counters t) "rejoin_refused";
-    trace_instant t ~cat:"recovery" ~name:"rejoin-refused" ~pid:node ~tid:0 []
-  end
+  if t.ctl.crashed.(node) then Control.refuse_rejoin t.ctl ~node
 
 (* -- Gray-failure hooks (scenario injection) ------------------------ *)
-
-let net_enable_faults t ~seed ~rto_ns =
-  Xenic_net.Fabric.enable_faults t.fabric ~seed ~rto_ns
-
-let net_set_cut t ~src ~dst cut = Xenic_net.Fabric.set_cut t.fabric ~src ~dst cut
-
-let net_set_loss t ~src ~dst p = Xenic_net.Fabric.set_loss t.fabric ~src ~dst p
-
-let net_set_delay t ~src ~dst f = Xenic_net.Fabric.set_delay t.fabric ~src ~dst f
 
 let set_nic_slowdown t ~node f = Rdma.set_slowdown t.rdma ~node f
 
@@ -1783,6 +1329,3 @@ let degrade_nic_cores t ~node ~n ~dur_ns =
      pool: degrading [n >= 1] "cores" stalls that unit for the
      duration. *)
   if n > 0 then Rdma.degrade_unit t.rdma ~node ~dur_ns
-
-let stop_background t =
-  match t.membership with Some m -> Membership.stop m | None -> ()

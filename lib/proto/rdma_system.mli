@@ -65,29 +65,16 @@ val create :
   params ->
   t
 
-val engine : t -> Xenic_sim.Engine.t
-
-val cfg : t -> Config.t
-
 val flavor : t -> flavor
 
-(** Reported metrics: partitioned systems merge the per-partition
-    shards into a fresh object on every call. *)
-val metrics : t -> Metrics.t
-
-(** Record one admission-control shed as an aborted transaction with
-    reason {!Metrics.Shed}. *)
-val record_shed : t -> latency_ns:float -> unit
+(** The shared control plane: routing, fence, crash injection, metrics,
+    oracle, trace and telemetry attachment. *)
+val control : t -> Control.t
 
 (** Instantaneous ingress occupancy of [node] (most loaded of the host
     RPC pool and the RDMA NIC unit; > 1.0 = backlog) — the admission
     backpressure signal. *)
 val ingress_occupancy : t -> node:int -> float
-
-(** Flush partition-local oracle buffers into the attached oracle, in
-    partition-index order. Call between engine runs; no-op on
-    unpartitioned systems. *)
-val sync : t -> unit
 
 val load : t -> Keyspace.t -> bytes -> unit
 
@@ -108,16 +95,6 @@ val peek_range :
 
 val host_utilization : t -> float
 
-(** Attach (or detach, with [None]) a trace: protocol phases become
-    spans on the coordinator's track, aborts/retries/recovery steps
-    become instant events. *)
-val set_trace : t -> Xenic_sim.Trace.t option -> unit
-
-(** Attach (or detach, with [None]) a telemetry flight recorder:
-    commits and aborts-by-reason, with service latency, stream into its
-    windows. Event-free — attaching never perturbs the run. *)
-val set_telemetry : t -> Xenic_telemetry.Telemetry.t option -> unit
-
 (** Instantaneous-occupancy gauges (links, host pools) for
     {!Xenic_sim.Trace.sampler}. *)
 val util_sources : t -> (string * (unit -> float)) list
@@ -129,20 +106,15 @@ val resources : t -> (string * Xenic_sim.Resource.t) list
 
 (** {2 Reconfiguration}
 
-    Mirrors {!Xenic_system}'s mid-run fault handling: with
-    [req_timeout_ns] armed and a membership attached, a node can crash
-    at an arbitrary instant; coordinators time out against it, LOG
-    records carry a coordinator-resolved commit decision (backups apply
-    only decided commits), and lease expiry drives an epoch bump, a
-    dead-owner lock sweep, successor log drains, and primary-map
-    promotion. Stores are fully replicated, so promotion is a routing
-    change only. *)
+    {!Control}'s mid-run fault handling with this stack's data plane:
+    the dead-owner sweep clears the host lock tables, the promotion
+    successor drains its backup log, and — stores being fully
+    replicated — promotion is a primary-map change only. *)
 
-(** Crash a node at the current instant; routing changes when the
-    membership lease expires (or immediately without a membership). *)
-val crash_node : t -> node:int -> unit
-
-val node_alive : t -> node:int -> bool
+(** Subscribe to a membership service ({!Control.attach_membership}
+    with the data plane above). Raises [Invalid_argument] on a windowed
+    system. *)
+val attach_membership : t -> Membership.t -> unit
 
 (** Flap rejoin is not modeled for the RDMA baselines (their lock words
     live in host memory, so a sound rejoin would need lock
@@ -151,17 +123,9 @@ val node_alive : t -> node:int -> bool
     the node stays out. No-op on a node that never crashed. *)
 val recover_node : t -> node:int -> unit
 
-(** {2 Gray-failure hooks} — pass-throughs to {!Xenic_net.Fabric} and
-    {!Xenic_nicdev.Rdma} injection knobs; mutations must run as engine
-    events at the stated node. *)
-
-val net_enable_faults : t -> seed:int64 -> rto_ns:float -> unit
-
-val net_set_cut : t -> src:int -> dst:int -> bool -> unit
-
-val net_set_loss : t -> src:int -> dst:int -> float -> unit
-
-val net_set_delay : t -> src:int -> dst:int -> float -> unit
+(** {2 Gray-failure hooks} — pass-throughs to the {!Xenic_nicdev.Rdma}
+    injection knobs (link faults are {!Control}'s); mutations must run
+    as engine events at [node]. *)
 
 val set_nic_slowdown : t -> node:int -> float -> unit
 
@@ -169,20 +133,7 @@ val set_nic_slowdown : t -> node:int -> float -> unit
     [n >= 1]. *)
 val degrade_nic_cores : t -> node:int -> n:int -> dur_ns:float -> unit
 
-val current_primary : t -> shard:int -> int
-
-(** Subscribe to a membership service: declared deaths bump the routing
-    epoch and drive recovery automatically. *)
-val attach_membership : t -> Membership.t -> unit
-
-(** Stop background services (the attached membership's loops). *)
-val stop_background : t -> unit
-
 val quiesce : t -> unit
-
-(** Attach a serializability oracle: every committed transaction's read
-    and write set is recorded for an end-of-run {!Oracle.check}. *)
-val set_oracle : t -> Oracle.t -> unit
 
 (** Protocol-invariant audit, meant to run after {!quiesce}: every
     per-node lock table must be empty and every host log drained.

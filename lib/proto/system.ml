@@ -4,8 +4,8 @@ type t = {
   name : string;
   cfg : Config.t;
   engine : Xenic_sim.Engine.t;
+  control : Control.t;
   metrics : unit -> Metrics.t;
-  record_shed : latency_ns:float -> unit;
   ingress_occupancy : node:int -> float;
   sync : unit -> unit;
   load : Keyspace.t -> bytes -> unit;
@@ -20,31 +20,23 @@ type t = {
   audit : unit -> string list;
   nic_util : unit -> float;
   host_util : unit -> float;
-  crash_node : node:int -> unit;
   recover_node : node:int -> unit;
-  node_alive : node:int -> bool;
-  net_enable_faults : seed:int64 -> rto_ns:float -> unit;
-  net_set_cut : src:int -> dst:int -> bool -> unit;
-  net_set_loss : src:int -> dst:int -> float -> unit;
-  net_set_delay : src:int -> dst:int -> float -> unit;
   set_nic_slowdown : node:int -> float -> unit;
   degrade_nic_cores : node:int -> n:int -> dur_ns:float -> unit;
-  stop_background : unit -> unit;
-  set_trace : Xenic_sim.Trace.t option -> unit;
-  set_telemetry : Xenic_telemetry.Telemetry.t option -> unit;
   util_sources : unit -> (string * (unit -> float)) list;
   resources : unit -> (string * Xenic_sim.Resource.t) list;
 }
 
 let of_xenic x =
+  let c = Xenic_system.control x in
   {
-    name = "Xenic";
-    cfg = Xenic_system.config x;
-    engine = Xenic_system.engine x;
-    metrics = (fun () -> Xenic_system.metrics x);
-    record_shed = (fun ~latency_ns -> Xenic_system.record_shed x ~latency_ns);
+    name = c.Control.stack;
+    cfg = c.Control.cfg;
+    engine = c.Control.engine;
+    control = c;
+    metrics = (fun () -> Control.metrics c);
     ingress_occupancy = (fun ~node -> Xenic_system.ingress_occupancy x ~node);
-    sync = (fun () -> Xenic_system.sync x);
+    sync = (fun () -> Control.sync c);
     load = (fun k v -> Xenic_system.load x k v);
     seal = (fun () -> Xenic_system.seal x);
     run_txn = (fun ~node txn -> Xenic_system.run_txn x ~node txn);
@@ -53,7 +45,7 @@ let of_xenic x =
     peek_max = (fun ~node ~lo ~hi -> Xenic_system.peek_max x ~node ~lo ~hi);
     peek_range = (fun ~node ~lo ~hi -> Xenic_system.peek_range x ~node ~lo ~hi);
     quiesce = (fun () -> Xenic_system.quiesce x);
-    set_oracle = (fun o -> Xenic_system.set_oracle x o);
+    set_oracle = (fun o -> Control.set_oracle c o);
     audit = (fun () -> Xenic_system.audit x);
     nic_util = (fun () -> Xenic_system.nic_core_utilization x);
     host_util =
@@ -61,34 +53,24 @@ let of_xenic x =
         (Xenic_system.host_app_utilization x
         +. Xenic_system.host_worker_utilization x)
         /. 2.0);
-    crash_node = (fun ~node -> Xenic_system.crash_node x ~node);
     recover_node = (fun ~node -> Xenic_system.recover_node x ~node);
-    node_alive = (fun ~node -> Xenic_system.node_alive x ~node);
-    net_enable_faults =
-      (fun ~seed ~rto_ns -> Xenic_system.net_enable_faults x ~seed ~rto_ns);
-    net_set_cut = (fun ~src ~dst c -> Xenic_system.net_set_cut x ~src ~dst c);
-    net_set_loss = (fun ~src ~dst p -> Xenic_system.net_set_loss x ~src ~dst p);
-    net_set_delay =
-      (fun ~src ~dst f -> Xenic_system.net_set_delay x ~src ~dst f);
     set_nic_slowdown = (fun ~node f -> Xenic_system.set_nic_slowdown x ~node f);
     degrade_nic_cores =
       (fun ~node ~n ~dur_ns -> Xenic_system.degrade_nic_cores x ~node ~n ~dur_ns);
-    stop_background = (fun () -> Xenic_system.stop_background x);
-    set_trace = (fun tr -> Xenic_system.set_trace x tr);
-    set_telemetry = (fun tel -> Xenic_system.set_telemetry x tel);
     util_sources = (fun () -> Xenic_system.util_sources x);
     resources = (fun () -> Xenic_system.resources x);
   }
 
 let of_rdma r =
+  let c = Rdma_system.control r in
   {
-    name = Rdma_system.flavor_name (Rdma_system.flavor r);
-    cfg = Rdma_system.cfg r;
-    engine = Rdma_system.engine r;
-    metrics = (fun () -> Rdma_system.metrics r);
-    record_shed = (fun ~latency_ns -> Rdma_system.record_shed r ~latency_ns);
+    name = c.Control.stack;
+    cfg = c.Control.cfg;
+    engine = c.Control.engine;
+    control = c;
+    metrics = (fun () -> Control.metrics c);
     ingress_occupancy = (fun ~node -> Rdma_system.ingress_occupancy r ~node);
-    sync = (fun () -> Rdma_system.sync r);
+    sync = (fun () -> Control.sync c);
     load = (fun k v -> Rdma_system.load r k v);
     seal = (fun () -> Rdma_system.seal r);
     run_txn = (fun ~node txn -> Rdma_system.run_txn r ~node txn);
@@ -97,24 +79,14 @@ let of_rdma r =
     peek_max = (fun ~node ~lo ~hi -> Rdma_system.peek_max r ~node ~lo ~hi);
     peek_range = (fun ~node ~lo ~hi -> Rdma_system.peek_range r ~node ~lo ~hi);
     quiesce = (fun () -> Rdma_system.quiesce r);
-    set_oracle = (fun o -> Rdma_system.set_oracle r o);
+    set_oracle = (fun o -> Control.set_oracle c o);
     audit = (fun () -> Rdma_system.audit r);
     nic_util = (fun () -> 0.0);
     host_util = (fun () -> Rdma_system.host_utilization r);
-    crash_node = (fun ~node -> Rdma_system.crash_node r ~node);
     recover_node = (fun ~node -> Rdma_system.recover_node r ~node);
-    node_alive = (fun ~node -> Rdma_system.node_alive r ~node);
-    net_enable_faults =
-      (fun ~seed ~rto_ns -> Rdma_system.net_enable_faults r ~seed ~rto_ns);
-    net_set_cut = (fun ~src ~dst c -> Rdma_system.net_set_cut r ~src ~dst c);
-    net_set_loss = (fun ~src ~dst p -> Rdma_system.net_set_loss r ~src ~dst p);
-    net_set_delay = (fun ~src ~dst f -> Rdma_system.net_set_delay r ~src ~dst f);
     set_nic_slowdown = (fun ~node f -> Rdma_system.set_nic_slowdown r ~node f);
     degrade_nic_cores =
       (fun ~node ~n ~dur_ns -> Rdma_system.degrade_nic_cores r ~node ~n ~dur_ns);
-    stop_background = (fun () -> Rdma_system.stop_background r);
-    set_trace = (fun tr -> Rdma_system.set_trace r tr);
-    set_telemetry = (fun tel -> Rdma_system.set_telemetry r tel);
     util_sources = (fun () -> Rdma_system.util_sources r);
     resources = (fun () -> Rdma_system.resources r);
   }

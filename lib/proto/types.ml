@@ -4,6 +4,10 @@ type txn_id = { coord : int; seq : int }
 
 let pp_txn_id fmt t = Format.fprintf fmt "%d:%d" t.coord t.seq
 
+let owner_token id = (id.coord * 1_000_000_000) + id.seq
+
+let owner_coord owner = owner / 1_000_000_000
+
 type view = Keyspace.t -> bytes option
 
 type exec_result =
@@ -41,3 +45,23 @@ type outcome = Committed | Aborted
 let pp_outcome fmt = function
   | Committed -> Format.pp_print_string fmt "committed"
   | Aborted -> Format.pp_print_string fmt "aborted"
+
+let view_of values k =
+  match List.find_opt (fun (k', _, _) -> k' = k) values with
+  | Some (_, v, _) -> v
+  | None -> None
+
+let seq_ops_of ~lock_versions ops =
+  List.map
+    (fun op ->
+      let k = Op.key op in
+      match List.assoc_opt k lock_versions with
+      | Some seq -> (op, seq + 1)
+      | None -> (op, 1))
+    ops
+
+let group_ops_by_shard seq_ops =
+  List.sort_uniq compare
+    (List.map (fun (op, _) -> Keyspace.shard (Op.key op)) seq_ops)
+  |> List.map (fun s ->
+         (s, List.filter (fun (op, _) -> Keyspace.shard (Op.key op) = s) seq_ops))

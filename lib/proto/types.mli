@@ -6,6 +6,14 @@ type txn_id = { coord : int; seq : int }
 
 val pp_txn_id : Format.formatter -> txn_id -> unit
 
+(** The integer a transaction attempt holds its locks under (and
+    reports to the oracle as its id): [coord * 1_000_000_000 + seq].
+    Recovery decodes the coordinator back out of a held lock with
+    {!owner_coord} to break the locks of dead coordinators. *)
+val owner_token : txn_id -> int
+
+val owner_coord : int -> int
+
 (** The read view passed to a transaction's execution function:
     [None] means the key does not exist. *)
 type view = Keyspace.t -> bytes option
@@ -70,3 +78,16 @@ val single_shard : t -> int option
 type outcome = Committed | Aborted
 
 val pp_outcome : Format.formatter -> outcome -> unit
+
+(** The read view over execution results [(key, value, version)]. *)
+val view_of : (Keyspace.t * bytes option * int) list -> view
+
+(** Version assignment for LOG/COMMIT records: locked keys get their
+    lock-time version + 1; fresh keys (uniqueness guaranteed by a held
+    lock) start at version 1. *)
+val seq_ops_of :
+  lock_versions:(Keyspace.t * int) list -> Op.t list -> (Op.t * int) list
+
+(** Versioned writes by shard: shards ascending, write order kept
+    within a shard. *)
+val group_ops_by_shard : (Op.t * int) list -> (int * (Op.t * int) list) list

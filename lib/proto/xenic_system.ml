@@ -2,7 +2,7 @@ open Xenic_sim
 open Xenic_cluster
 open Xenic_nicdev
 
-type msg = { bytes : int; deliver : unit -> unit }
+type msg = Control.msg = { bytes : int; deliver : unit -> unit }
 
 type params = {
   features : Features.t;
@@ -33,7 +33,8 @@ type params = {
          state. 0 (default): legacy single-heap or exact-order
          multi-domain execution with one shared metrics object.
          Windowed runs must stay un-armed (the fence, epoch and
-         membership machinery is cross-partition by construction). *)
+         membership machinery is cross-partition by construction);
+         [Control] rejects an armed windowed system. *)
 }
 
 let default_params =
@@ -56,15 +57,7 @@ let default_params =
 
 type log_kind = Lrec_log | Lrec_commit
 
-(* Commit decision for a LOG record, shared (one ref per transaction)
-   between the coordinator and every backup that holds a copy. Backups
-   apply only decided-committed records: a worker finding [Dpending]
-   waits for the coordinator to decide, so a crash between partial LOG
-   appends and the commit point cannot diverge the replicas — the
-   coordinator resolves every record it caused to be appended, to
-   [Dabort] if it bails out. Legacy (no-timeout) runs create records
-   already decided, which preserves the original eager-apply behavior. *)
-type decision = Dpending | Dcommit | Dabort
+type decision = Control.decision = Dpending | Dcommit | Dabort
 
 type log_record = {
   lr_kind : log_kind;
@@ -91,59 +84,19 @@ type node = {
          freshness does not queue behind bulky backup records *)
   app : Resource.t;
   workers : Resource.t;
-  mutable txn_seq : int;
 }
 
 type t = {
-  engine : Engine.t;
+  ctl : Control.t;  (* routing, fence, recovery, metrics/oracle *)
   hw : Xenic_params.Hw.t;
-  cfg : Config.t;
   p : params;
-  fabric : msg Xenic_net.Fabric.t;
   nodes : node array;
-  metrics : Metrics.t;
-  part_metrics : Metrics.t array;
-      (* one slot per engine partition, touched only by events running
-         in that partition; empty when [p.partitions = 0] (then all
-         recording goes through the shared [metrics]) *)
-  part_oracle : Oracle.t array;
-      (* per-partition commit buffers feeding the attached oracle;
-         flushed by [sync] after the run (empty when [p.partitions = 0]) *)
-  primaries : int array;  (* shard -> current primary node *)
-  alive : bool array;
-      (* routing view: false once a node is removed from the
-         configuration — immediately by [fail_node], or at lease expiry
-         when membership is attached *)
-  crashed : bool array;
-      (* instantaneous view: true from the crash instant on. A crashed
-         node's inbound messages are dropped at dispatch (its NIC is
-         gone), so its in-flight requests die by timeout even before
-         the failure detector declares it. *)
-  mutable epoch : int;  (* bumped on every reconfiguration *)
-  mutable inflight_commits : int;
-      (* transactions past the commit fence (LOG under way); recovery
-         waits for zero before changing routing *)
-  mutable recovery_waiting : int;
-      (* pending reconfigurations; while nonzero the commit fence
-         admits no new transaction *)
-  mutable membership : Membership.t option;
-  mutable oracle : Oracle.t option;
-  mutable trace : Trace.t option;
-  mutable telemetry : Xenic_telemetry.Telemetry.t option;
 }
 
-(* Timeout/fault machinery armed? *)
-let armed t = Option.is_some t.p.req_timeout_ns
+let armed t = Control.armed t.ctl
 
 (* Current primary routing (reconfiguration-aware, §4.2.1). *)
-let primary_of t ~shard = t.primaries.(shard)
-
-(* Live backups of [shard]: its replicas minus the current primary and
-   any dead nodes. *)
-let backups_of t ~shard =
-  List.filter
-    (fun n -> n <> t.primaries.(shard) && t.alive.(n))
-    (Config.replicas t.cfg ~shard)
+let primary_of t ~shard = Control.current_primary t.ctl ~shard
 
 (* The caching index a node serves for [k]'s shard. *)
 let idx_for _t node k =
@@ -154,41 +107,9 @@ let idx_for _t node k =
         (Printf.sprintf "node %d is not primary of shard %d" node.id
            (Keyspace.shard k))
 
-let engine t = t.engine
+let control t = t.ctl
 
-let config t = t.cfg
-
-(* The metrics object protocol events record into: the partition-local
-   shard under a windowed topology (each partition's events run on one
-   domain at a time, so the shard is never written concurrently), the
-   shared object otherwise. *)
-let mx t =
-  if Array.length t.part_metrics = 0 then t.metrics
-  else t.part_metrics.(Engine.current_partition t.engine)
-
-(* Reported metrics. Sharded runs merge the partitions into a fresh
-   object in partition-index order — deterministic for a fixed
-   partition count, independent of how many domains drained them. *)
-let metrics t =
-  if Array.length t.part_metrics = 0 then t.metrics
-  else begin
-    let m = Metrics.create () in
-    Metrics.merge ~into:m t.metrics;
-    Array.iter (fun pm -> Metrics.merge ~into:m pm) t.part_metrics;
-    m
-  end
-
-let counters t = Metrics.counters (mx t)
-
-let set_trace t tr = t.trace <- tr
-
-let set_telemetry t tel = t.telemetry <- tel
-
-(* Phase/recovery events for the trace (no-ops with tracing off). *)
-let trace_instant t ~cat ~name ~pid ~tid args =
-  match t.trace with
-  | None -> ()
-  | Some tr -> Trace.instant tr ~cat ~name ~pid ~tid ~args ()
+let counters t = Control.counters t.ctl
 
 (* ------------------------------------------------------------------ *)
 (* Messaging *)
@@ -197,7 +118,7 @@ let send t ~src ~dst m =
   (* Delivery runs in a fresh process (local spawn or the destination's
      dispatch loop); carry the sender's attribution context across. *)
   let m = { m with deliver = Attrib.preserve m.deliver } in
-  if src = dst then Process.spawn t.engine m.deliver
+  if src = dst then Process.spawn t.ctl.engine m.deliver
   else begin
     Xenic_stats.Counter.incr (counters t) "msgs";
     Xenic_stats.Counter.add (counters t) "msg_bytes" m.bytes;
@@ -239,20 +160,20 @@ let request_t t ?epoch0 ~src ~dst ~req_bytes ~resp_bytes (handler : unit -> 'r)
   match t.p.req_timeout_ns with
   | None -> `Ok (request t ~src ~dst ~req_bytes ~resp_bytes handler)
   | Some timeout_ns ->
-      if t.crashed.(dst) then begin
+      if t.ctl.crashed.(dst) then begin
         (* The coordinator cannot know the peer is gone; it pays the
            full timeout, exactly as if the request had been dropped. *)
         Xenic_stats.Counter.incr (counters t) "req_timeouts";
-        Process.sleep t.engine timeout_ns;
+        Process.sleep t.ctl.engine timeout_ns;
         `Timeout
       end
       else begin
         let nic = t.nodes.(src).nic in
         Smartnic.core_work nic ~bytes:0;
-        let iv = Ivar.create ~name:"rpc" t.engine in
+        let iv = Ivar.create ~name:"rpc" t.ctl.engine in
         let settle v = if not (Ivar.is_filled iv) then Ivar.fill iv v in
         let stale () =
-          match epoch0 with Some e -> t.epoch <> e | None -> false
+          match epoch0 with Some e -> t.ctl.epoch <> e | None -> false
         in
         send t ~src ~dst
           {
@@ -292,7 +213,7 @@ let request_t t ?epoch0 ~src ~dst ~req_bytes ~resp_bytes (handler : unit -> 'r)
 
 (* One-way message with a handler at the destination NIC. *)
 let notify t ~src ~dst ~bytes (handler : unit -> unit) =
-  if t.crashed.(dst) && dst <> src then
+  if t.ctl.crashed.(dst) && dst <> src then
     Xenic_stats.Counter.incr (counters t) "msgs_dropped"
   else send t ~src ~dst { bytes; deliver = handler }
 
@@ -338,8 +259,6 @@ let index_io t node =
       (fun () -> Smartnic.mem_access node.nic);
     dma_read = (fun ~slots:_ ~bytes -> dma_io t node `Read ~bytes);
   }
-
-let owner_token (id : Types.txn_id) = (id.coord * 1_000_000_000) + id.seq
 
 (* ------------------------------------------------------------------ *)
 (* Server-side handlers (run at the primary's NIC) *)
@@ -496,25 +415,12 @@ let apply_cost t _node (op, _) =
   else t.hw.host_op_ns +. (float_of_int (Op.bytes op) *. t.hw.host_byte_ns)
 
 let worker_loop t node source =
-  Process.spawn t.engine (fun () ->
+  Process.spawn t.ctl.engine (fun () ->
       Attrib.set
         { Attrib.stack = "Xenic"; node = node.id; phase = "log-apply"; cls = "-" };
       let rec loop () =
         let record, bytes = Xenic_store.Hostlog.poll source in
-        (* Wait out an undecided record: the coordinator that caused the
-           append always resolves it (to Dabort if it bails out after a
-           crash), so the wait is bounded by an ack round trip. *)
-        let rec decide () =
-          match !(record.lr_decision) with
-          | Dcommit -> true
-          | Dabort ->
-              Xenic_stats.Counter.incr (counters t) "log_discards";
-              false
-          | Dpending ->
-              Process.sleep t.engine 500.0;
-              decide ()
-        in
-        if not (decide ()) then
+        if not (Control.await_decision t.ctl record.lr_decision) then
           (* Aborted before the commit point: reclaim the space, apply
              nothing — every replica discards the same record. *)
           Xenic_store.Hostlog.ack source ~bytes
@@ -522,7 +428,7 @@ let worker_loop t node source =
           Resource.acquire node.workers;
           List.iter
             (fun (op, seq) ->
-              Process.sleep t.engine (apply_cost t node (op, seq));
+              Process.sleep t.ctl.engine (apply_cost t node (op, seq));
               let seq =
                 if Keyspace.ordered (Op.key op) then record.lr_stamp else seq
               in
@@ -549,57 +455,12 @@ let worker_loop t node source =
 (* ------------------------------------------------------------------ *)
 (* Construction *)
 
-let dispatch_loop t node =
-  Process.spawn t.engine (fun () ->
-      Attrib.set
-        { Attrib.stack = "Xenic"; node = node.id; phase = "dispatch"; cls = "-" };
-      let rx = Xenic_net.Fabric.rx t.fabric node.id in
-      let rec loop () =
-        let pkt = Mailbox.recv rx in
-        (* A crashed node's NIC is gone: every frame addressed to it is
-           lost, including responses to its own in-flight requests. The
-           sender's timeout is what notices. *)
-        if t.crashed.(node.id) then
-          Xenic_stats.Counter.add (counters t) "msgs_dropped"
-            (List.length pkt.Xenic_net.Packet.msgs)
-        else begin
-          Smartnic.pkt_io node.nic;
-          List.iter
-            (fun m -> Process.spawn t.engine m.deliver)
-            pkt.Xenic_net.Packet.msgs
-        end;
-        loop ()
-      in
-      loop ())
-
 let create engine hw cfg p =
-  (* Multi-domain engine: partition by node before any event exists.
-
-     [p.partitions > 0] requests windowed conservative-PDES mode: the
-     open-loop driver has no cross-node shared state, so partitions can
-     drain whole lookahead windows independently (lookahead = the wire
-     latency every cross-node message already pays). Results are
-     bit-identical for a fixed partition count regardless of domains.
-
-     Otherwise, a multi-domain engine gets exact-order mode (no
-     lookahead) — the closed-loop driver's shared counters couple all
-     nodes at zero lookahead, so execution stays in global (time, seq)
-     order with each node's events running on its partition's domain. *)
-  (if p.partitions > 0 then begin
-     if Engine.partitions engine <> 0 then
-       invalid_arg "Xenic_system.create: engine already has a topology";
-     let partitions = min p.partitions cfg.Config.nodes in
-     Engine.set_topology engine ~lookahead:hw.Xenic_params.Hw.wire_latency_ns
-       ~partitions
-       ~node_partition:(fun node ->
-         Config.partition_of_node cfg ~partitions ~node)
-   end
-   else if Engine.domains engine > 1 && Engine.partitions engine = 0 then
-     let partitions = min (Engine.domains engine) cfg.Config.nodes in
-     Engine.set_topology engine ~partitions
-       ~node_partition:(fun node ->
-         Config.partition_of_node cfg ~partitions ~node));
-  let fabric = Xenic_net.Fabric.create engine hw ~nodes:cfg.Config.nodes in
+  let ctl =
+    Control.create engine hw cfg ~stack:"Xenic" ~partitions:p.partitions
+      ~req_timeout_ns:p.req_timeout_ns ~retry_backoff_ns:p.retry_backoff_ns
+      ~max_retries:p.max_retries
+  in
   let nodes =
     Array.init cfg.Config.nodes (fun id ->
         let storage =
@@ -620,7 +481,7 @@ let create engine hw cfg p =
           id;
           nic;
           agg =
-            Xenic_net.Aggregator.create fabric ~src:id
+            Xenic_net.Aggregator.create ctl.fabric ~src:id
               ~enabled:p.features.eth_aggregation;
           storage;
           indexes;
@@ -632,41 +493,13 @@ let create engine hw cfg p =
           workers =
             Resource.create engine ~name:(Printf.sprintf "wrk%d" id)
               ~servers:p.worker_threads;
-          txn_seq = 0;
         })
   in
-  let t =
-    {
-      engine;
-      hw;
-      cfg;
-      p;
-      fabric;
-      nodes;
-      metrics = Metrics.create ();
-      part_metrics =
-        (if p.partitions > 0 then
-           Array.init (Engine.partitions engine) (fun _ -> Metrics.create ())
-         else [||]);
-      part_oracle =
-        (if p.partitions > 0 then
-           Array.init (Engine.partitions engine) (fun _ -> Oracle.create ())
-         else [||]);
-      primaries = Array.init cfg.Config.nodes (fun s -> s);
-      alive = Array.make cfg.Config.nodes true;
-      crashed = Array.make cfg.Config.nodes false;
-      epoch = 0;
-      inflight_commits = 0;
-      recovery_waiting = 0;
-      membership = None;
-      oracle = None;
-      trace = None;
-      telemetry = None;
-    }
-  in
+  let t = { ctl; hw; p; nodes } in
   Array.iter
     (fun node ->
-      dispatch_loop t node;
+      Control.dispatch_loop ctl ~node:node.id ~pkt_io:(fun () ->
+          Smartnic.pkt_io node.nic);
       for _ = 1 to p.worker_threads do
         worker_loop t node node.log;
         worker_loop t node node.commit_log
@@ -677,7 +510,7 @@ let create engine hw cfg p =
 let load t k v =
   List.iter
     (fun n -> Storage.load t.nodes.(n).storage k v)
-    (Config.replicas t.cfg ~shard:(Keyspace.shard k))
+    (Config.replicas t.ctl.cfg ~shard:(Keyspace.shard k))
 
 let seal t =
   Array.iter
@@ -706,45 +539,28 @@ let peek_range t ~node ~lo ~hi =
 (* ------------------------------------------------------------------ *)
 (* Coordinator logic *)
 
-let group_by_shard keys =
+(* Group [xs] by the shard of [key x], keeping their order within a
+   shard; shards ascending. *)
+let group_by_shard_on key xs =
   let tbl = Hashtbl.create 8 in
   List.iter
-    (fun k ->
-      let s = Keyspace.shard k in
-      Hashtbl.replace tbl s (k :: Option.value ~default:[] (Hashtbl.find_opt tbl s)))
-    keys;
-  Hashtbl.fold (fun s ks acc -> (s, List.rev ks) :: acc) tbl []
+    (fun x ->
+      let s = Keyspace.shard (key x) in
+      Hashtbl.replace tbl s
+        (x :: Option.value ~default:[] (Hashtbl.find_opt tbl s)))
+    xs;
+  Hashtbl.fold (fun s l acc -> (s, List.rev l) :: acc) tbl []
   |> List.sort compare
 
-let view_of values : Types.view =
- fun k ->
-  match List.find_opt (fun (k', _, _) -> k' = k) values with
-  | Some (_, v, _) -> v
-  | None -> None
-
-let set_oracle t o = t.oracle <- Some o
-
-(* Flush the partition-local oracle buffers into the attached oracle,
-   in partition-index order (deterministic for a fixed partition
-   count). Call between engine runs — never while partitions may still
-   be recording. No-op on unsharded systems. *)
-let sync t =
-  match t.oracle with
-  | None -> ()
-  | Some o -> Array.iter (fun po -> Oracle.absorb ~into:o po) t.part_oracle
+let group_by_shard keys = group_by_shard_on Fun.id keys
 
 (* Report a committed transaction to the serializability oracle, if one
    is attached: execute-time reads carry values, lock-only keys carry
-   their lock version, writes carry the installed version. Sharded runs
-   buffer into the current partition's oracle ([sync] merges later). *)
+   their lock version. *)
 let oracle_commit t ~id ~values ~lock_versions ~seq_ops =
-  match t.oracle with
+  match t.ctl.oracle with
   | None -> ()
-  | Some o ->
-      let o =
-        if Array.length t.part_oracle = 0 then o
-        else t.part_oracle.(Engine.current_partition t.engine)
-      in
+  | Some _ ->
       let read_keys = List.map (fun (k, _, _) -> k) values in
       let reads =
         List.map (fun (k, v, seq) -> (k, seq, Oracle.Value v)) values
@@ -754,73 +570,32 @@ let oracle_commit t ~id ~values ~lock_versions ~seq_ops =
               else Some (k, seq, Oracle.Version_only))
             lock_versions
       in
-      let writes =
-        List.map
-          (fun (op, seq) ->
-            match op with
-            | Op.Put (k, b) -> (k, seq, Oracle.Put b)
-            | Op.Delete k -> (k, seq, Oracle.Delete))
-          seq_ops
-      in
-      Oracle.record_commit o ~id:(owner_token id) ~reads ~writes
-
-(* Version assignment for LOG/COMMIT records: locked keys get their
-   lock-time version + 1; fresh keys (uniqueness guaranteed by a held
-   lock) start at version 1. *)
-let seq_ops_of ~lock_versions ops =
-  List.map
-    (fun op ->
-      let k = Op.key op in
-      match List.assoc_opt k lock_versions with
-      | Some seq -> (op, seq + 1)
-      | None -> (op, 1))
-    ops
+      Control.record_commit t.ctl ~id:(Types.owner_token id) ~reads ~seq_ops
 
 (* Send LOG to every backup of every written shard; await all
-   responses. [decision] is stamped into every appended record.
-
-   In armed mode a LOG that times out against a backup is retried until
-   the backup is seen crashed (its copy died with it and it can never
-   be promoted past the declaration, so the transaction's durability is
-   unaffected) — LOG must not fail once the commit fence is held, since
-   the decision has effectively been taken. *)
+   responses. [decision] is stamped into every appended record. A
+   timed-out LOG follows the armed retry rule ({!Control.settle_log}). *)
 let log_phase t ~src ~decision ~seq_ops_by_shard =
   let requests =
     List.concat_map
       (fun (shard, seq_ops) ->
         List.map
           (fun backup -> (shard, backup, seq_ops))
-          (backups_of t ~shard))
+          (Control.backups_of t.ctl ~shard))
       seq_ops_by_shard
   in
   let ops_bytes seq_ops = Wire.write_ops_b ~ops:(List.map fst seq_ops) in
   let one (shard, backup, seq_ops) () =
-    let rec attempt n =
-      match
-        request_t t ~src ~dst:backup ~req_bytes:(ops_bytes seq_ops)
-          ~resp_bytes:(fun () -> Wire.small_resp_b)
-          (log_handler t t.nodes.(backup) ~decision ~shard ~seq_ops)
-      with
-      | `Ok () | `Stale -> ()
-      | `Timeout ->
-          if t.crashed.(src) then
-            (* The coordinator itself died mid-LOG: responses into it
-               are dropped, so the timeout says nothing about the
-               backup. Stop retrying — the shared decision resolves to
-               abort right after the phase, and backups discard. *)
-            Xenic_stats.Counter.incr (counters t) "log_from_dead_coord"
-          else if t.crashed.(backup) then
-            Xenic_stats.Counter.incr (counters t) "log_to_dead_backup"
-          else if n >= 8 then
-            (* With req_timeout_ns far above worst-case latency this is
-               unreachable; failing loud beats silently diverging a
-               live replica. *)
-            failwith "xenic: LOG to a live backup timed out repeatedly"
-          else attempt (n + 1)
-    in
-    attempt 1
+    Control.settle_log t.ctl ~who:"xenic" ~src ~backup (fun () ->
+        match
+          request_t t ~src ~dst:backup ~req_bytes:(ops_bytes seq_ops)
+            ~resp_bytes:(fun () -> Wire.small_resp_b)
+            (log_handler t t.nodes.(backup) ~decision ~shard ~seq_ops)
+        with
+        | `Ok () | `Stale -> true
+        | `Timeout -> false)
   in
-  ignore (Process.parallel t.engine (List.map one requests))
+  ignore (Process.parallel t.ctl.engine (List.map one requests))
 
 (* Asynchronous COMMIT to each written shard's primary (fire and
    forget with a small ack frame for wire accounting). [locks_by_shard]
@@ -836,17 +611,16 @@ let log_phase t ~src ~decision ~seq_ops_by_shard =
    so critical-path extraction never counts it inside the synchronous
    transaction span. *)
 let commit_async_mark t ~src ~seq t_send =
-  let now = Engine.now t.engine in
-  Metrics.record_phase (mx t) ~phase:"commit-async" (now -. t_send);
-  match t.trace with
+  let now = Engine.now t.ctl.engine in
+  Metrics.record_phase (Control.mx t.ctl) ~phase:"commit-async" (now -. t_send);
+  match t.ctl.trace with
   | None -> ()
   | Some tr ->
       Trace.span tr ~cat:"txn-async" ~name:"commit-async" ~pid:src ~tid:seq
         ~ts:t_send ~dur:(now -. t_send) ()
 
-let commit_phase t ~src ~owner ~locks_by_shard ~seq_ops_by_shard =
-  let seq = owner mod 1_000_000_000 in
-  let t_send = Engine.now t.engine in
+let commit_phase t ~src ~owner ~seq ~locks_by_shard ~seq_ops_by_shard =
+  let t_send = Engine.now t.ctl.engine in
   List.iter
     (fun (shard, seq_ops) ->
       let primary, locked =
@@ -870,30 +644,27 @@ let commit_phase t ~src ~owner ~locks_by_shard ~seq_ops_by_shard =
 let abort_everywhere t ~src ~owner ~locks_by_shard =
   List.iter
     (fun (_shard, primary, locked) ->
-      if locked <> [] && not t.crashed.(primary) then
+      if locked <> [] && not t.ctl.crashed.(primary) then
         notify t ~src ~dst:primary
           ~bytes:(Wire.abort_b ~n_locks:(List.length locked))
           (abort_handler t t.nodes.(primary) ~owner ~locked))
     locks_by_shard
 
-(* The commit fence: entered before the first LOG byte is sent, so that
-   recovery (which waits for [inflight_commits = 0]) can never change
-   routing or rebuild an index while a transaction is between LOG and
-   COMMIT. Refused — the caller aborts cleanly and retries — when the
-   configuration moved on from [epoch0] or a reconfiguration is
-   waiting. *)
-let rec fence_acquire t ~src ~epoch0 =
-  if t.crashed.(src) || t.epoch <> epoch0 then false
-  else if t.recovery_waiting > 0 then begin
-    Process.sleep t.engine 1_000.0;
-    fence_acquire t ~src ~epoch0
-  end
-  else begin
-    t.inflight_commits <- t.inflight_commits + 1;
-    true
-  end
-
-let fence_release t = t.inflight_commits <- t.inflight_commits - 1
+(* COMMIT every written shard, then release the locked keys that were
+   not written. *)
+let commit_and_release t ~src ~owner ~seq ~acquired ~seq_ops ~seq_ops_by_shard =
+  Attrib.set_phase "commit";
+  commit_phase t ~src ~owner ~seq ~locks_by_shard:acquired ~seq_ops_by_shard;
+  let written = List.map (fun (op, _) -> Op.key op) seq_ops in
+  let residual =
+    List.filter_map
+      (fun (shard, primary, ks) ->
+        match List.filter (fun k -> not (List.mem k written)) ks with
+        | [] -> None
+        | ks -> Some (shard, primary, ks))
+      acquired
+  in
+  if residual <> [] then abort_everywhere t ~src ~owner ~locks_by_shard:residual
 
 (* -- Standard distributed commit (§4.2), coordinator-side NIC ------- *)
 
@@ -902,6 +673,16 @@ let fence_release t = t.inflight_commits <- t.inflight_commits - 1
    routing has moved on. [`Dead]: the primary timed out or the request
    crossed a reconfiguration — the transaction should retry against
    fresh routing rather than count a conflict. *)
+(* Wire size of an EXECUTE response: the values read, or a bare nack. *)
+let execute_resp_b = function
+  | `Fail -> Wire.small_resp_b
+  | `Ok (_, values) ->
+      Wire.execute_resp_b
+        ~value_bytes:
+          (List.map
+             (fun (_, v, _) -> match v with Some b -> Bytes.length b | None -> 0)
+             values)
+
 let execute_phase t ~epoch0 ~src ~owner ~reads_by_shard ~locks_by_shard =
   let shards =
     List.sort_uniq compare (List.map fst reads_by_shard @ List.map fst locks_by_shard)
@@ -916,16 +697,7 @@ let execute_phase t ~epoch0 ~src ~owner ~reads_by_shard ~locks_by_shard =
           ~req_bytes:
             (Wire.execute_req_b ~n_reads:(List.length reads)
                ~n_locks:(List.length locks) ~state_bytes:0)
-          ~resp_bytes:(fun r ->
-            match r with
-            | `Fail -> Wire.small_resp_b
-            | `Ok (_, values) ->
-                Wire.execute_resp_b
-                  ~value_bytes:
-                    (List.map
-                       (fun (_, v, _) ->
-                         match v with Some b -> Bytes.length b | None -> 0)
-                       values))
+          ~resp_bytes:execute_resp_b
           (execute_handler t t.nodes.(primary) ~owner ~locks ~reads)
       in
       match r with
@@ -936,7 +708,7 @@ let execute_phase t ~epoch0 ~src ~owner ~reads_by_shard ~locks_by_shard =
       (* DrTM+H-restricted operation set: one request per lock, one per
          read (§5.7 baseline). *)
       let lock_results =
-        Process.parallel t.engine
+        Process.parallel t.ctl.engine
           (List.map
              (fun k () ->
                request_t t ~epoch0 ~src ~dst:primary ~req_bytes:Wire.lock_req_b
@@ -950,8 +722,10 @@ let execute_phase t ~epoch0 ~src ~owner ~reads_by_shard ~locks_by_shard =
           (function `Ok (`Ok (lv, _)) -> List.map fst lv | _ -> [])
           lock_results
       in
+      (* Releases every lock this shard acquired: after a full lock
+         round, exactly the keys of [lock_versions] below. *)
       let release () =
-        if acquired <> [] && not t.crashed.(primary) then
+        if acquired <> [] && not t.ctl.crashed.(primary) then
           notify t ~src ~dst:primary
             ~bytes:(Wire.abort_b ~n_locks:(List.length acquired))
             (abort_handler t t.nodes.(primary) ~owner ~locked:acquired)
@@ -978,45 +752,27 @@ let execute_phase t ~epoch0 ~src ~owner ~reads_by_shard ~locks_by_shard =
             lock_results
         in
         let read_results =
-          Process.parallel t.engine
+          Process.parallel t.ctl.engine
             (List.map
                (fun k () ->
                  request_t t ~epoch0 ~src ~dst:primary ~req_bytes:Wire.read_req_b
-                   ~resp_bytes:(fun r ->
-                     match r with
-                     | `Fail -> Wire.small_resp_b
-                     | `Ok (_, values) ->
-                         Wire.execute_resp_b
-                           ~value_bytes:
-                             (List.map
-                                (fun (_, v, _) ->
-                                  match v with
-                                  | Some b -> Bytes.length b
-                                  | None -> 0)
-                                values))
+                   ~resp_bytes:execute_resp_b
                    (execute_handler t t.nodes.(primary) ~owner ~locks:[]
                       ~reads:[ k ]))
                reads)
-        in
-        let release_locked () =
-          if lock_versions <> [] && not t.crashed.(primary) then
-            notify t ~src ~dst:primary
-              ~bytes:(Wire.abort_b ~n_locks:(List.length lock_versions))
-              (abort_handler t t.nodes.(primary) ~owner
-                 ~locked:(List.map fst lock_versions))
         in
         if
           List.exists
             (function `Timeout | `Stale -> true | `Ok _ -> false)
             read_results
         then begin
-          release_locked ();
+          release ();
           (shard, primary, `Dead)
         end
         else if
           List.exists (function `Ok `Fail -> true | _ -> false) read_results
         then begin
-          release_locked ();
+          release ();
           (shard, primary, `Fail)
         end
         else
@@ -1029,7 +785,7 @@ let execute_phase t ~epoch0 ~src ~owner ~reads_by_shard ~locks_by_shard =
       end
     end
   in
-  Process.parallel t.engine (List.map one shards)
+  Process.parallel t.ctl.engine (List.map one shards)
 
 let validate_phase t ~epoch0 ~src ~owner ~checks_by_shard =
   let one (shard, checks) () =
@@ -1047,7 +803,7 @@ let validate_phase t ~epoch0 ~src ~owner ~checks_by_shard =
            (validate_handler t t.nodes.(primary) ~owner ~checks))
     else
       let verdicts =
-        Process.parallel t.engine
+        Process.parallel t.ctl.engine
           (List.map
              (fun check () ->
                as_verdict
@@ -1062,7 +818,7 @@ let validate_phase t ~epoch0 ~src ~owner ~checks_by_shard =
       else if List.exists (fun v -> v = `Invalid) verdicts then `Invalid
       else `Valid
   in
-  let verdicts = Process.parallel t.engine (List.map one checks_by_shard) in
+  let verdicts = Process.parallel t.ctl.engine (List.map one checks_by_shard) in
   if List.exists (fun v -> v = `Dead) verdicts then `Dead
   else if List.exists (fun v -> v = `Invalid) verdicts then `Invalid
   else `Valid
@@ -1072,7 +828,7 @@ let validate_phase t ~epoch0 ~src ~owner ~checks_by_shard =
 let run_exec t node (txn : Types.t) view =
   if t.p.features.nic_exec && txn.ship_exec then begin
     Resource.acquire (Smartnic.cores node.nic);
-    Process.sleep t.engine (Smartnic.scaled_exec_ns node.nic txn.host_exec_ns);
+    Process.sleep t.ctl.engine (Smartnic.scaled_exec_ns node.nic txn.host_exec_ns);
     let ops = txn.exec view in
     Resource.release (Smartnic.cores node.nic);
     ops
@@ -1081,50 +837,26 @@ let run_exec t node (txn : Types.t) view =
     (* NIC -> host -> NIC crossing, host-side execution. *)
     Smartnic.host_msg node.nic;
     Resource.acquire node.app;
-    Process.sleep t.engine txn.host_exec_ns;
+    Process.sleep t.ctl.engine txn.host_exec_ns;
     let ops = txn.exec view in
     Resource.release node.app;
     Smartnic.host_msg node.nic;
     ops
   end
 
-let group_by_shard_checks checks =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (k, seq) ->
-      let s = Keyspace.shard k in
-      Hashtbl.replace tbl s
-        ((k, seq) :: Option.value ~default:[] (Hashtbl.find_opt tbl s)))
-    checks;
-  Hashtbl.fold (fun s cs acc -> (s, List.rev cs) :: acc) tbl [] |> List.sort compare
-
-(* Close one protocol phase: record its latency histogram sample and,
-   when tracing, a span on the coordinator's track keyed by the
-   transaction's sequence number. Returns the new phase start. *)
-let phase_mark t ~src ~seq name t_prev =
-  let now = Engine.now t.engine in
-  Metrics.record_phase (mx t) ~phase:name (now -. t_prev);
-  (match t.trace with
-  | None -> ()
-  | Some tr ->
-      Trace.span tr ~cat:"txn" ~name ~pid:src ~tid:seq ~ts:t_prev
-        ~dur:(now -. t_prev) ());
-  now
-
 (* One attempt of the standard distributed commit. [`Retry]: the
    attempt ran into a dead or reconfigured peer — locks on surviving
    primaries have been released; the caller should back off and retry
    against fresh routing (armed mode only). Aborts and retries carry
    their taxonomy reason. *)
-let distributed_txn t node (txn : Types.t) id :
-    [ `Committed
-    | `Aborted of Metrics.abort_reason
-    | `Retry of Metrics.abort_reason ] =
-  let owner = owner_token id in
+let distributed_txn t node (txn : Types.t) id : Control.attempt =
+  let owner = Types.owner_token id in
   let src = node.id in
-  let epoch0 = t.epoch in
-  let t0 = Engine.now t.engine in
-  let mark name t_prev = phase_mark t ~src ~seq:id.Types.seq name t_prev in
+  let epoch0 = t.ctl.epoch in
+  let t0 = Engine.now t.ctl.engine in
+  let mark name t_prev =
+    Control.phase_mark t.ctl ~src ~seq:id.Types.seq name t_prev
+  in
   let reads_by_shard = group_by_shard txn.read_set in
   let locks_by_shard_keys = group_by_shard txn.write_set in
   Attrib.set_phase "execute";
@@ -1168,15 +900,11 @@ let distributed_txn t node (txn : Types.t) id :
     `Aborted Metrics.Lock_conflict
   end
   else begin
-    let lock_versions =
-      List.concat_map
-        (fun (_, _, r) -> match r with `Ok (lv, _) -> lv | _ -> [])
-        results
+    let lock_versions_of =
+      List.concat_map (fun (_, _, r) -> match r with `Ok (lv, _) -> lv | _ -> [])
     in
-    let values =
-      List.concat_map
-        (fun (_, _, r) -> match r with `Ok (_, vs) -> vs | _ -> [])
-        results
+    let values_of =
+      List.concat_map (fun (_, _, r) -> match r with `Ok (_, vs) -> vs | _ -> [])
     in
     let merge_acquired acquired extra =
       List.fold_left
@@ -1193,7 +921,7 @@ let distributed_txn t node (txn : Types.t) id :
     let rec rounds ~values ~lock_versions ~acquired ~locked_keys ~requested
         ~round =
       Attrib.set_phase "exec-fn";
-      match run_exec t node txn (view_of values) with
+      match run_exec t node txn (Types.view_of values) with
       | Types.More _ when round >= max_rounds ->
           Xenic_stats.Counter.incr (counters t) "multishot_overflow";
           abort_everywhere t ~src ~owner ~locks_by_shard:acquired;
@@ -1223,19 +951,9 @@ let distributed_txn t node (txn : Types.t) id :
             `Aborted Metrics.Lock_conflict
           end
           else
-            let extra_lv =
-              List.concat_map
-                (fun (_, _, r) -> match r with `Ok (lv, _) -> lv | _ -> [])
-                extra
-            in
-            let extra_vals =
-              List.concat_map
-                (fun (_, _, r) -> match r with `Ok (_, vs) -> vs | _ -> [])
-                extra
-            in
             rounds
-              ~values:(values @ extra_vals)
-              ~lock_versions:(lock_versions @ extra_lv)
+              ~values:(values @ values_of extra)
+              ~lock_versions:(lock_versions @ lock_versions_of extra)
               ~acquired
               ~locked_keys:(locked_keys @ lock)
               ~requested
@@ -1255,7 +973,7 @@ let distributed_txn t node (txn : Types.t) id :
             else begin
               Attrib.set_phase "validate";
               validate_phase t ~epoch0 ~src ~owner
-                ~checks_by_shard:(group_by_shard_checks checks)
+                ~checks_by_shard:(group_by_shard_on fst checks)
             end
           in
           (* Only record a validate sample when the phase actually ran;
@@ -1281,46 +999,23 @@ let distributed_txn t node (txn : Types.t) id :
                 `Committed
               end
               else begin
-                let seq_ops = seq_ops_of ~lock_versions ops in
-                let seq_ops_by_shard =
-                  group_by_shard (List.map (fun (op, _) -> Op.key op) seq_ops)
-                  |> List.map (fun (shard, keys) ->
-                         ( shard,
-                           List.filter
-                             (fun (op, _) -> List.mem (Op.key op) keys)
-                             seq_ops ))
-                in
+                let seq_ops = Types.seq_ops_of ~lock_versions ops in
+                let seq_ops_by_shard = Types.group_ops_by_shard seq_ops in
                 if not (armed t) then begin
                   (* Legacy fast path: no fence, records born decided. *)
                   Attrib.set_phase "log";
                   log_phase t ~src ~decision:(ref Dcommit) ~seq_ops_by_shard;
                   let t4 = mark "log" t3 in
-                  Attrib.set_phase "commit";
-                  commit_phase t ~src ~owner ~locks_by_shard:acquired
-                    ~seq_ops_by_shard;
-                  (* Release any locked keys that were not written. *)
-                  let written = List.map (fun (op, _) -> Op.key op) seq_ops in
-                  let residual =
-                    List.filter_map
-                      (fun (shard, primary, ks) ->
-                        match
-                          List.filter (fun k -> not (List.mem k written)) ks
-                        with
-                        | [] -> None
-                        | ks -> Some (shard, primary, ks))
-                      acquired
-                  in
-                  if residual <> [] then
-                    abort_everywhere t ~src ~owner ~locks_by_shard:residual;
+                  commit_and_release t ~src ~owner ~seq:id.Types.seq ~acquired
+                    ~seq_ops ~seq_ops_by_shard;
                   oracle_commit t ~id ~values ~lock_versions ~seq_ops;
                   ignore (mark "commit" t4);
                   `Committed
                 end
-                else if not (fence_acquire t ~src ~epoch0) then begin
+                else if not (Control.fence_acquire t.ctl ~src ~epoch0) then begin
                   (* Configuration moved (or we crashed) between
                      validation and commit: abort cleanly before any
                      LOG byte is sent, so no replica diverges. *)
-                  Xenic_stats.Counter.incr (counters t) "fence_refusals";
                   abort_everywhere t ~src ~owner ~locks_by_shard:acquired;
                   `Retry Metrics.Stale_epoch
                 end
@@ -1329,12 +1024,12 @@ let distributed_txn t node (txn : Types.t) id :
                   Attrib.set_phase "log";
                   log_phase t ~src ~decision ~seq_ops_by_shard;
                   let t4 = mark "log" t3 in
-                  if t.crashed.(src) then begin
+                  if t.ctl.crashed.(src) then begin
                     (* We died mid-LOG: never decide. Backups discard
                        the pending records; our locks die with us or
                        are swept at the declaration. *)
                     decision := Dabort;
-                    fence_release t;
+                    Control.fence_release t.ctl;
                     `Aborted Metrics.Crashed_owner
                   end
                   else begin
@@ -1343,31 +1038,18 @@ let distributed_txn t node (txn : Types.t) id :
                        fabric, so a crash cannot split them. *)
                     decision := Dcommit;
                     oracle_commit t ~id ~values ~lock_versions ~seq_ops;
-                    Attrib.set_phase "commit";
-                    commit_phase t ~src ~owner ~locks_by_shard:acquired
-                      ~seq_ops_by_shard;
-                    let written = List.map (fun (op, _) -> Op.key op) seq_ops in
-                    let residual =
-                      List.filter_map
-                        (fun (shard, primary, ks) ->
-                          match
-                            List.filter (fun k -> not (List.mem k written)) ks
-                          with
-                          | [] -> None
-                          | ks -> Some (shard, primary, ks))
-                        acquired
-                    in
-                    if residual <> [] then
-                      abort_everywhere t ~src ~owner ~locks_by_shard:residual;
-                    fence_release t;
+                    commit_and_release t ~src ~owner ~seq:id.Types.seq
+                      ~acquired ~seq_ops ~seq_ops_by_shard;
+                    Control.fence_release t.ctl;
                     ignore (mark "commit" t4);
                     `Committed
                   end
                 end
               end
     in
-    rounds ~values ~lock_versions ~acquired ~locked_keys:txn.write_set
-      ~requested:locks_by_shard_keys ~round:1
+    rounds ~values:(values_of results)
+      ~lock_versions:(lock_versions_of results) ~acquired
+      ~locked_keys:txn.write_set ~requested:locks_by_shard_keys ~round:1
   end
 
 (* -- Multi-hop OCC (§4.2.3) ----------------------------------------- *)
@@ -1402,10 +1084,12 @@ let multihop_eligible t node (txn : Types.t) =
    request/response pattern (Fig 7). *)
 let multihop_txn t node (txn : Types.t) id :
     [ `Committed | `Aborted of Metrics.abort_reason ] =
-  let owner = owner_token id in
+  let owner = Types.owner_token id in
   let src = node.id in
-  let t0 = Engine.now t.engine in
-  let mark name t_prev = phase_mark t ~src ~seq:id.Types.seq name t_prev in
+  let t0 = Engine.now t.ctl.engine in
+  let mark name t_prev =
+    Control.phase_mark t.ctl ~src ~seq:id.Types.seq name t_prev
+  in
   let is_local k = primary_of t ~shard:(Keyspace.shard k) = src in
   let local_keys, remote_keys = List.partition is_local txn.write_set in
   let local_reads, remote_reads = List.partition is_local txn.read_set in
@@ -1460,10 +1144,10 @@ let multihop_txn t node (txn : Types.t) id :
                        limited to single-round execution (§4.2.3), so a
                        More escalates back to the coordinator. *)
                     Resource.acquire (Smartnic.cores p2_node.nic);
-                    Process.sleep t.engine
+                    Process.sleep t.ctl.engine
                       (Smartnic.scaled_exec_ns p2_node.nic txn.host_exec_ns);
                     let exec_result =
-                      txn.exec (view_of (local_values @ remote_values))
+                      txn.exec (Types.view_of (local_values @ remote_values))
                     in
                     Resource.release (Smartnic.cores p2_node.nic);
                     match exec_result with
@@ -1476,22 +1160,14 @@ let multihop_txn t node (txn : Types.t) id :
                           (fun () -> resume `Multishot)
                     | Types.Done ops ->
                     let lock_versions = local_lockv @ remote_lockv in
-                    let seq_ops = seq_ops_of ~lock_versions ops in
-                    let by_shard =
-                      List.sort_uniq compare
-                        (List.map (fun (op, _) -> Keyspace.shard (Op.key op)) seq_ops)
-                      |> List.map (fun s ->
-                             ( s,
-                               List.filter
-                                 (fun (op, _) -> Keyspace.shard (Op.key op) = s)
-                                 seq_ops ))
-                    in
+                    let seq_ops = Types.seq_ops_of ~lock_versions ops in
+                    let by_shard = Types.group_ops_by_shard seq_ops in
                     let backups =
                       List.concat_map
                         (fun (shard, seq_ops) ->
                           List.map
                             (fun b -> (shard, b, seq_ops))
-                            (backups_of t ~shard))
+                            (Control.backups_of t.ctl ~shard))
                         by_shard
                     in
                     let expected = ref (List.length backups) in
@@ -1563,7 +1239,7 @@ let multihop_txn t node (txn : Types.t) id :
               abort_handler t node ~owner ~locked:local_keys ()
           | _ -> ());
           (if p2_seq_ops <> [] then
-             let t_send = Engine.now t.engine in
+             let t_send = Engine.now t.ctl.engine in
              notify t ~src ~dst:p2
                ~bytes:(Wire.write_ops_b ~ops:(List.map fst p2_seq_ops))
                (fun () ->
@@ -1583,31 +1259,39 @@ let multihop_txn t node (txn : Types.t) id :
 
 (* -- Local fast path (§4.2.4) --------------------------------------- *)
 
+(* A committed local transaction applies its commit at the coordinator's
+   own NIC asynchronously. *)
+let commit_local t node ~owner ~shard ~seq_ops ~locked ~seq =
+  let t_send = Engine.now t.ctl.engine in
+  Process.spawn t.ctl.engine (fun () ->
+      Attrib.set_phase "commit-async";
+      commit_handler t node ~owner ~shard ~seq_ops ~locked ();
+      commit_async_mark t ~src:node.id ~seq t_send)
+
 (* Local transactions execute optimistically on the host against the
    host-side structures; write transactions then lock/validate at the
    local NIC index before replicating. *)
-let local_txn t node ~shard (txn : Types.t) id :
-    [ `Committed
-    | `Aborted of Metrics.abort_reason
-    | `Retry of Metrics.abort_reason ] =
-  let owner = owner_token id in
+let local_txn t node ~shard (txn : Types.t) id : Control.attempt =
+  let owner = Types.owner_token id in
   let src = node.id in
-  let epoch0 = t.epoch in
-  let t0 = Engine.now t.engine in
-  let mark name t_prev = phase_mark t ~src ~seq:id.Types.seq name t_prev in
+  let epoch0 = t.ctl.epoch in
+  let t0 = Engine.now t.ctl.engine in
+  let mark name t_prev =
+    Control.phase_mark t.ctl ~src ~seq:id.Types.seq name t_prev
+  in
   Attrib.set_phase "execute";
   Resource.acquire node.app;
   let values =
     List.map
       (fun k ->
-        Process.sleep t.engine t.hw.host_op_ns;
+        Process.sleep t.ctl.engine t.hw.host_op_ns;
         match Storage.read node.storage k with
         | Some (v, seq) -> (k, Some v, seq)
         | None -> (k, None, 0))
       txn.read_set
   in
-  Process.sleep t.engine txn.host_exec_ns;
-  let exec_result = txn.exec (view_of values) in
+  Process.sleep t.ctl.engine txn.host_exec_ns;
+  let exec_result = txn.exec (Types.view_of values) in
   Resource.release node.app;
   let t1 = mark "execute" t0 in
   match exec_result with
@@ -1703,26 +1387,19 @@ let local_txn t node ~shard (txn : Types.t) id :
         `Aborted Metrics.Validation_failure
     | `Ok lock_versions ->
         let t2 = mark "validate" t1 in
-        let seq_ops = seq_ops_of ~lock_versions ops in
+        let seq_ops = Types.seq_ops_of ~lock_versions ops in
         if not (armed t) then begin
           Attrib.set_phase "log";
           log_phase t ~src ~decision:(ref Dcommit)
             ~seq_ops_by_shard:[ (shard, seq_ops) ];
           ignore (mark "log" t2);
-          (* Committed: report to the host; apply the commit at our own
-             NIC asynchronously. *)
-          let t_send = Engine.now t.engine in
-          Process.spawn t.engine (fun () ->
-              Attrib.set_phase "commit-async";
-              commit_handler t node ~owner ~shard ~seq_ops
-                ~locked:txn.write_set ();
-              commit_async_mark t ~src ~seq:id.Types.seq t_send);
+          commit_local t node ~owner ~shard ~seq_ops ~locked:txn.write_set
+            ~seq:id.Types.seq;
           Smartnic.host_msg node.nic;
           oracle_commit t ~id ~values ~lock_versions ~seq_ops;
           `Committed
         end
-        else if not (fence_acquire t ~src ~epoch0) then begin
-          Xenic_stats.Counter.incr (counters t) "fence_refusals";
+        else if not (Control.fence_acquire t.ctl ~src ~epoch0) then begin
           abort_handler t node ~owner ~locked:txn.write_set ();
           Smartnic.host_msg node.nic;
           `Retry Metrics.Stale_epoch
@@ -1732,23 +1409,19 @@ let local_txn t node ~shard (txn : Types.t) id :
           Attrib.set_phase "log";
           log_phase t ~src ~decision ~seq_ops_by_shard:[ (shard, seq_ops) ];
           ignore (mark "log" t2);
-          if t.crashed.(src) then begin
+          if t.ctl.crashed.(src) then begin
             (* Crashed mid-LOG: the pending backup records are
                discarded; our locks die with the NIC. *)
             decision := Dabort;
-            fence_release t;
+            Control.fence_release t.ctl;
             `Aborted Metrics.Crashed_owner
           end
           else begin
             decision := Dcommit;
             oracle_commit t ~id ~values ~lock_versions ~seq_ops;
-            let t_send = Engine.now t.engine in
-            Process.spawn t.engine (fun () ->
-                Attrib.set_phase "commit-async";
-                commit_handler t node ~owner ~shard ~seq_ops
-                  ~locked:txn.write_set ();
-                commit_async_mark t ~src ~seq:id.Types.seq t_send);
-            fence_release t;
+            commit_local t node ~owner ~shard ~seq_ops ~locked:txn.write_set
+              ~seq:id.Types.seq;
+            Control.fence_release t.ctl;
             Smartnic.host_msg node.nic;
             `Committed
           end
@@ -1758,128 +1431,36 @@ let local_txn t node ~shard (txn : Types.t) id :
 (* ------------------------------------------------------------------ *)
 (* Entry point *)
 
-let node_alive t ~node = t.alive.(node) && not t.crashed.(node)
-
 let run_txn t ~node (txn : Types.t) =
   let n = t.nodes.(node) in
-  let t_start = Engine.now t.engine in
-  (* One attempt against current routing. Each attempt gets a fresh id
-     so lock owner tokens never collide across retries. *)
-  let dispatch () =
-    n.txn_seq <- n.txn_seq + 1;
-    let id = { Types.coord = node; seq = n.txn_seq } in
-    match Types.single_shard txn with
-    | Some s when primary_of t ~shard:s = node ->
-        Xenic_stats.Counter.incr (counters t) "txns_local";
-        local_txn t n ~shard:s txn id
-    | _ ->
-        if multihop_eligible t n txn then begin
-          Xenic_stats.Counter.incr (counters t) "txns_multihop";
-          (match multihop_txn t n txn id with
-          | `Committed -> `Committed
-          | `Aborted reason -> `Aborted reason)
-        end
-        else begin
-          Xenic_stats.Counter.incr (counters t) "txns_distributed";
-          (* Host -> coordinator NIC crossing, protocol on the NIC, and
-             the Committed/Aborted report back to the host. *)
-          Smartnic.host_msg n.nic;
-          let result = distributed_txn t n txn id in
-          Smartnic.host_msg n.nic;
-          result
-        end
-  in
-  (* One taxonomy reason is counted per [Types.Aborted] returned to the
-     caller (never per internal attempt), so reason counts always sum
-     to this metrics object's aborted-transaction count. *)
-  let abort_with reason =
-    let m = mx t in
-    let latency_ns = Engine.now t.engine -. t_start in
-    Metrics.record m ~latency_ns Types.Aborted;
-    Metrics.record_abort_reason m reason;
-    (match t.telemetry with
-    | None -> ()
-    | Some tel ->
-        Xenic_telemetry.Telemetry.record_abort tel
-          ~label:(Attrib.get ()).Attrib.cls ~stack:"Xenic" ~node
-          ~reason:(Metrics.abort_reason_name reason) ~latency_ns);
-    trace_instant t ~cat:"txn" ~name:"abort" ~pid:node ~tid:n.txn_seq
-      [ ("reason", Metrics.abort_reason_name reason) ];
-    Types.Aborted
-  in
-  let commit () =
-    let now = Engine.now t.engine in
-    (* Outer transaction span ("txnlat"): the profiler slices it into
-       the committed attempt's phase spans (same pid/tid) plus "other"
-       gaps, so per-txn critical-path sums equal the recorded latency. *)
-    (match t.trace with
-    | None -> ()
-    | Some tr ->
-        Trace.span tr ~cat:"txnlat" ~name:"txn" ~pid:node ~tid:n.txn_seq
-          ~ts:t_start ~dur:(now -. t_start)
-          ~args:[ ("cls", (Attrib.get ()).Attrib.cls) ]
-          ());
-    Metrics.record (mx t) ~latency_ns:(now -. t_start) Types.Committed;
-    (match t.telemetry with
-    | None -> ()
-    | Some tel ->
-        Xenic_telemetry.Telemetry.record_commit tel
-          ~label:(Attrib.get ()).Attrib.cls ~stack:"Xenic" ~node
-          ~latency_ns:(now -. t_start));
-    Types.Committed
-  in
-  if not (armed t) then begin
-    if not t.alive.(node) then invalid_arg "run_txn: coordinator is dead";
-    match dispatch () with
-    | `Committed -> commit ()
-    | `Aborted reason -> abort_with reason
-    | `Retry _ -> assert false
-  end
-  else
-    (* Armed: retry attempts that ran into a dead peer, with
-       exponential backoff so reconfiguration can complete. *)
-    let rec go attempt backoff =
-      if not (node_alive t ~node) then abort_with Metrics.Crashed_owner
-      else
-        match dispatch () with
-        | `Committed -> commit ()
-        | `Aborted reason -> abort_with reason
-        | `Retry reason ->
-            Xenic_stats.Counter.incr (counters t) "txn_retries";
-            trace_instant t ~cat:"txn" ~name:"retry" ~pid:node ~tid:n.txn_seq
-              [ ("reason", Metrics.abort_reason_name reason) ];
-            if attempt >= t.p.max_retries then abort_with reason
-            else begin
-              Process.sleep t.engine backoff;
-              go (attempt + 1) (backoff *. 2.0)
-            end
-    in
-    go 1 t.p.retry_backoff_ns
+  Control.run_txn t.ctl ~node (fun () ->
+      let id = Control.next_id t.ctl ~node in
+      match Types.single_shard txn with
+      | Some s when primary_of t ~shard:s = node ->
+          Xenic_stats.Counter.incr (counters t) "txns_local";
+          local_txn t n ~shard:s txn id
+      | _ ->
+          if multihop_eligible t n txn then begin
+            Xenic_stats.Counter.incr (counters t) "txns_multihop";
+            (multihop_txn t n txn id :> Control.attempt)
+          end
+          else begin
+            Xenic_stats.Counter.incr (counters t) "txns_distributed";
+            (* Host -> coordinator NIC crossing, protocol on the NIC, and
+               the Committed/Aborted report back to the host. *)
+            Smartnic.host_msg n.nic;
+            let result = distributed_txn t n txn id in
+            Smartnic.host_msg n.nic;
+            result
+          end)
 
+(* Wait until all logs are drained and async commits applied. Crashed
+   nodes are excluded: their logs do still drain — coordinators resolve
+   every record's decision — but nothing downstream depends on it. *)
 let quiesce t =
-  (* Wait until all logs are drained and async commits applied. Crashed
-     nodes are excluded: their state died with them (their logs do
-     still drain — coordinators resolve every record's decision — but
-     nothing downstream depends on it). *)
-  let rec wait () =
-    let pending =
-      Array.exists
-        (fun n ->
-          (not t.crashed.(n.id))
-          && (Xenic_store.Hostlog.used_b n.log > 0
-             || Xenic_store.Hostlog.appended n.log
-                > Xenic_store.Hostlog.applied n.log
-             || Xenic_store.Hostlog.used_b n.commit_log > 0
-             || Xenic_store.Hostlog.appended n.commit_log
-                > Xenic_store.Hostlog.applied n.commit_log))
-        t.nodes
-    in
-    if pending then begin
-      Process.sleep t.engine 10_000.0;
-      wait ()
-    end
-  in
-  wait ()
+  Control.quiesce t.ctl ~drained:(fun ~node ->
+      Xenic_store.Hostlog.drained t.nodes.(node).log
+      && Xenic_store.Hostlog.drained t.nodes.(node).commit_log)
 
 (* Protocol audit: after [quiesce] every NIC index must be lock-free and
    every host log drained. Returns human-readable violations ([] = clean). *)
@@ -1887,7 +1468,7 @@ let audit t =
   let issues = ref [] in
   Array.iter
     (fun node ->
-      if t.crashed.(node.id) then ()
+      if t.ctl.crashed.(node.id) then ()
       else begin
       Array.iteri
         (fun shard idx_opt ->
@@ -1904,10 +1485,7 @@ let audit t =
                 (Xenic_store.Nic_index.locked_keys idx))
         node.indexes;
       let drained name log =
-        if
-          Xenic_store.Hostlog.used_b log > 0
-          || Xenic_store.Hostlog.appended log > Xenic_store.Hostlog.applied log
-        then
+        if not (Xenic_store.Hostlog.drained log) then
           issues :=
             Printf.sprintf "xenic node %d: %s not drained" node.id name
             :: !issues
@@ -1920,22 +1498,26 @@ let audit t =
 
 (* -- Reconfiguration (§4.2.1) --------------------------------------- *)
 
-(* Immediate, manual removal (for tests that promote between load
-   phases): the node vanishes from routing and stops responding at
-   once. With a membership service attached, its lease is failed too,
-   so the declared view converges with ours. *)
-let fail_node t ~node =
-  t.alive.(node) <- false;
-  t.crashed.(node) <- true;
-  match t.membership with
-  | Some m -> Membership.fail_node m ~node
-  | None -> ()
+(* A caching index over [node]'s replica of [shard]: lock-free, hints
+   synced from the host table, prewarmed when caching is on. Lock state
+   lives only in a NIC, so every rebuild (promotion, rejoin) starts
+   from here. *)
+let fresh_index t node ~shard =
+  let store = Storage.shard_store node.storage ~shard in
+  let idx =
+    Xenic_store.Nic_index.create ~host:store.Storage.hash
+      ~cache_capacity:(if t.p.features.caching then t.p.cache_capacity else 0)
+      ()
+  in
+  Xenic_store.Nic_index.sync_hints idx;
+  if t.p.features.caching then Xenic_store.Nic_index.prewarm idx;
+  idx
 
 let promote t ~shard =
   match
     List.find_opt
-      (fun n -> t.alive.(n) && not t.crashed.(n))
-      (Config.replicas t.cfg ~shard)
+      (fun n -> Control.node_alive t.ctl ~node:n)
+      (Config.replicas t.ctl.cfg ~shard)
   with
   | None -> invalid_arg "promote: no live replica"
   | Some new_primary ->
@@ -1944,129 +1526,35 @@ let promote t ~shard =
          state lived only at the failed primary's NIC (§4.2.1), so the
          fresh index starts lock-free; hints resync from the replica's
          host table. *)
-      let store = Storage.shard_store node.storage ~shard in
-      let idx =
-        Xenic_store.Nic_index.create ~host:store.Storage.hash
-          ~cache_capacity:
-            (if t.p.features.caching then t.p.cache_capacity else 0)
-          ()
-      in
-      Xenic_store.Nic_index.sync_hints idx;
-      if t.p.features.caching then Xenic_store.Nic_index.prewarm idx;
-      node.indexes.(shard) <- Some idx;
-      t.primaries.(shard) <- new_primary;
+      node.indexes.(shard) <- Some (fresh_index t node ~shard);
+      t.ctl.primaries.(shard) <- new_primary;
       new_primary
 
-(* Locks held at surviving primaries by coordinators that died between
-   EXECUTE and their abort/commit: the owner token encodes the
-   coordinator, so they are identifiable and safe to break once the
-   owner is declared dead. *)
-let sweep_dead_owner_locks t =
-  Array.iter
-    (fun node ->
-      if not t.crashed.(node.id) then
-        Array.iter
-          (fun idx_opt ->
-            match idx_opt with
-            | None -> ()
-            | Some idx ->
-                List.iter
-                  (fun (k, owner) ->
-                    let coord = owner / 1_000_000_000 in
-                    if t.crashed.(coord) then begin
-                      Xenic_stats.Counter.incr (counters t)
-                        "recovery_lock_sweeps";
-                      Xenic_store.Nic_index.unlock idx k ~owner
-                    end)
-                  (Xenic_store.Nic_index.locked_keys idx))
-          node.indexes)
-    t.nodes
-
-(* Membership-driven recovery. Routing was frozen synchronously at the
-   declaration (epoch bump + crashed flags); here we wait for in-flight
-   commits to resolve — the fence refuses new ones while
-   [recovery_waiting > 0] — then break dead coordinators' locks, drain
-   each successor's backup log, and promote. The brief write stall is
-   the throughput dip the fault experiment measures. *)
-let recover t =
-  let rec wait_fence () =
-    if t.inflight_commits > 0 then begin
-      Process.sleep t.engine 1_000.0;
-      wait_fence ()
-    end
-  in
-  wait_fence ();
-  trace_instant t ~cat:"recovery" ~name:"recovery-start" ~pid:0 ~tid:0
-    [ ("epoch", string_of_int t.epoch) ];
-  sweep_dead_owner_locks t;
-  Array.iteri
-    (fun shard p ->
-      if t.crashed.(p) then begin
-        (match
-           List.find_opt
-             (fun n -> t.alive.(n) && not t.crashed.(n))
-             (Config.replicas t.cfg ~shard)
-         with
-        | None -> invalid_arg "recover: no live replica"
-        | Some np ->
-            (* Drain the successor's backup log before the index
-               rebuild snapshots its host table: every record is
-               already decided (fence), so this terminates. *)
-            let log = t.nodes.(np).log in
-            let rec drain () =
-              if
-                Xenic_store.Hostlog.used_b log > 0
-                || Xenic_store.Hostlog.appended log
-                   > Xenic_store.Hostlog.applied log
-              then begin
-                Process.sleep t.engine 1_000.0;
-                drain ()
+(* Dead-owner lock sweep over [node]'s caching indexes. *)
+let sweep_locks t ~node ~dead =
+  Array.fold_left
+    (fun broken idx_opt ->
+      match idx_opt with
+      | None -> broken
+      | Some idx ->
+          List.fold_left
+            (fun broken (k, owner) ->
+              if dead owner then begin
+                Xenic_store.Nic_index.unlock idx k ~owner;
+                broken + 1
               end
-            in
-            drain ());
-        let np = promote t ~shard in
-        trace_instant t ~cat:"recovery" ~name:"promote" ~pid:np ~tid:0
-          [ ("shard", string_of_int shard) ];
-        Xenic_stats.Counter.incr (counters t) "recovery_promotions"
-      end)
-    t.primaries;
-  t.recovery_waiting <- t.recovery_waiting - 1;
-  trace_instant t ~cat:"recovery" ~name:"recovery-done" ~pid:0 ~tid:0
-    [ ("epoch", string_of_int t.epoch) ]
+              else broken)
+            broken
+            (Xenic_store.Nic_index.locked_keys idx))
+    0 t.nodes.(node).indexes
 
+(* Recovery's data plane: the successor drains its backup log before
+   the promotion's index rebuild snapshots its host table. *)
 let attach_membership t m =
-  t.membership <- Some m;
-  Membership.on_reconfigure m (fun ~epoch:_ ~dead ->
-      (* Runs synchronously inside the manager's expiry check: routing
-         freezes in one atomic step — no request started under the old
-         epoch can cross it — then recovery proceeds in the
-         background. *)
-      t.epoch <- t.epoch + 1;
-      trace_instant t ~cat:"recovery" ~name:"epoch-bump" ~pid:0 ~tid:0
-        [ ("epoch", string_of_int t.epoch) ];
-      List.iter
-        (fun n ->
-          t.alive.(n) <- false;
-          t.crashed.(n) <- true)
-        dead;
-      t.recovery_waiting <- t.recovery_waiting + 1;
-      Process.spawn t.engine (fun () -> recover t))
-
-(* Fault injection: the node's NIC and host stop responding at this
-   instant, but nothing is declared yet — requests into it time out
-   until the membership lease expires and drives reconfiguration. *)
-let crash_node t ~node =
-  if not t.crashed.(node) then begin
-    Xenic_stats.Counter.incr (counters t) "node_crashes";
-    trace_instant t ~cat:"recovery" ~name:"crash" ~pid:node ~tid:0 [];
-    t.crashed.(node) <- true;
-    match t.membership with
-    | Some m -> Membership.fail_node m ~node
-    | None ->
-        (* No membership service: nothing would ever declare the node,
-           so remove it from routing immediately. *)
-        t.alive.(node) <- false
-  end
+  Control.attach_membership t.ctl m ~sweep_locks:(sweep_locks t)
+    ~successor_drained:(fun ~node ->
+      Xenic_store.Hostlog.drained t.nodes.(node).log)
+    ~promote:(fun ~shard ~successor:_ -> promote t ~shard)
 
 (* Epoch-fenced rejoin of a node that crashed and returned within its
    lease window (a "flap"). The node is still primary of its shards —
@@ -2087,43 +1575,33 @@ let crash_node t ~node =
      tables, exactly like a promotion's index rebuild;
    - only then does the node start answering again. *)
 let rejoin t ~node =
-  let rec wait_fence () =
-    if t.inflight_commits > 0 then begin
-      Process.sleep t.engine 1_000.0;
-      wait_fence ()
-    end
-  in
-  wait_fence ();
-  trace_instant t ~cat:"recovery" ~name:"rejoin-start" ~pid:node ~tid:0
-    [ ("epoch", string_of_int t.epoch) ];
+  Control.wait_fence t.ctl;
+  Control.trace_instant t.ctl ~cat:"recovery" ~name:"rejoin-start" ~pid:node
+    ~tid:0 [ ("epoch", string_of_int t.ctl.epoch) ];
   (* The node's coordinators died with their in-flight transactions;
      the ones that crashed mid-LOG never run an abort round, so their
      locks at live primaries survive ("swept at the declaration" — but
      a flap never declares). Sweep them here, while [crashed.(node)] is
      still set: the owner token identifies the dead coordinator, and a
      late unlock from a straggler is owner-guarded. *)
-  sweep_dead_owner_locks t;
+  Control.sweep_dead_owner_locks t.ctl ~sweep_locks:(sweep_locks t);
   let n = t.nodes.(node) in
   (* Repair every shard this node replicates from a live holder. The
      fence is quiet, so draining the source's logs first makes its host
      table a complete image of the decided history. *)
-  for shard = 0 to t.cfg.Config.nodes - 1 do
+  for shard = 0 to t.ctl.cfg.Config.nodes - 1 do
     if Storage.holds n.storage ~shard then begin
       match
         List.find_opt
-          (fun r -> r <> node && t.alive.(r) && not t.crashed.(r))
-          (Config.replicas t.cfg ~shard)
+          (fun r -> r <> node && t.ctl.alive.(r) && not t.ctl.crashed.(r))
+          (Config.replicas t.ctl.cfg ~shard)
       with
       | None -> ()  (* no live source (rf = 1): local image stands *)
       | Some src ->
           let src_node = t.nodes.(src) in
           let rec drain log =
-            if
-              Xenic_store.Hostlog.used_b log > 0
-              || Xenic_store.Hostlog.appended log
-                 > Xenic_store.Hostlog.applied log
-            then begin
-              Process.sleep t.engine 1_000.0;
+            if not (Xenic_store.Hostlog.drained log) then begin
+              Process.sleep t.ctl.engine 1_000.0;
               drain log
             end
           in
@@ -2133,39 +1611,28 @@ let rejoin t ~node =
     end
   done;
   (* NIC SRAM died with the crash: rebuild each caching index over the
-     repaired host table, lock-free with fresh hints (promotion's
-     rebuild, applied to the returning node itself). *)
+     repaired host table (promotion's rebuild, applied to the returning
+     node itself). *)
   Array.iteri
     (fun shard idx_opt ->
-      match idx_opt with
-      | None -> ()
-      | Some _ ->
-          let store = Storage.shard_store n.storage ~shard in
-          let idx =
-            Xenic_store.Nic_index.create ~host:store.Storage.hash
-              ~cache_capacity:
-                (if t.p.features.caching then t.p.cache_capacity else 0)
-              ()
-          in
-          Xenic_store.Nic_index.sync_hints idx;
-          if t.p.features.caching then Xenic_store.Nic_index.prewarm idx;
-          n.indexes.(shard) <- Some idx)
+      if Option.is_some idx_opt then
+        n.indexes.(shard) <- Some (fresh_index t n ~shard))
     n.indexes;
   (* Only un-crash if the node is still in the configuration: if the
      lease slipped away mid-rejoin and the node was declared, the
      declaration wins and the node stays out (fail-stop discipline). *)
-  if t.alive.(node) then begin
+  if t.ctl.alive.(node) then begin
     (* The span from the fence wait to here holds [crashed.(node)] true
        deliberately: nothing else can clear it (crash_node only sets
        it, and a declaration would have cleared [alive] instead), so
        the read-modify-write is single-writer despite the suspensions. *)
     (* xenic-lint: atomic rejoin-uncrash *)
-    t.crashed.(node) <- false;
+    t.ctl.crashed.(node) <- false;
     Xenic_stats.Counter.incr (counters t) "node_rejoins"
   end;
-  t.recovery_waiting <- t.recovery_waiting - 1;
-  trace_instant t ~cat:"recovery" ~name:"rejoin-done" ~pid:node ~tid:0
-    [ ("epoch", string_of_int t.epoch) ]
+  t.ctl.recovery_waiting <- t.ctl.recovery_waiting - 1;
+  Control.trace_instant t.ctl ~cat:"recovery" ~name:"rejoin-done" ~pid:node ~tid:0
+    [ ("epoch", string_of_int t.ctl.epoch) ]
 
 (* Recovery of a crashed node. Two regimes:
    - flap (still within its lease, never declared): epoch-fenced rejoin
@@ -2175,50 +1642,30 @@ let rejoin t ~node =
      promotions. The refusal is counted, not raised, so scenario runs
      that race a recovery against a declaration stay well-defined. *)
 let recover_node t ~node =
-  if not t.crashed.(node) then ()
-  else begin
+  if t.ctl.crashed.(node) then begin
     let membership_ok =
-      match t.membership with
+      match t.ctl.membership with
       | Some m -> Membership.recover_node m ~node
       | None -> false  (* no membership: a crash is an immediate removal *)
     in
-    if (not membership_ok) || not t.alive.(node) then begin
-      Xenic_stats.Counter.incr (counters t) "rejoin_refused";
-      trace_instant t ~cat:"recovery" ~name:"rejoin-refused" ~pid:node ~tid:0
-        []
-    end
+    if (not membership_ok) || not t.ctl.alive.(node) then
+      Control.refuse_rejoin t.ctl ~node
     else begin
       (* Freeze commits and invalidate every in-flight transaction's
          view synchronously, before any event of the rejoin runs — the
          same atomic step a declaration performs. *)
-      t.epoch <- t.epoch + 1;
-      t.recovery_waiting <- t.recovery_waiting + 1;
-      trace_instant t ~cat:"recovery" ~name:"recover" ~pid:node ~tid:0
-        [ ("epoch", string_of_int t.epoch) ];
-      Process.spawn t.engine (fun () -> rejoin t ~node)
+      t.ctl.epoch <- t.ctl.epoch + 1;
+      t.ctl.recovery_waiting <- t.ctl.recovery_waiting + 1;
+      Control.trace_instant t.ctl ~cat:"recovery" ~name:"recover" ~pid:node ~tid:0
+        [ ("epoch", string_of_int t.ctl.epoch) ];
+      Process.spawn t.ctl.engine (fun () -> rejoin t ~node)
     end
   end
-
-let stop_background t =
-  match t.membership with Some m -> Membership.stop m | None -> ()
-
-(* -- Gray-failure hooks (scenario injection) ------------------------ *)
-
-let net_enable_faults t ~seed ~rto_ns =
-  Xenic_net.Fabric.enable_faults t.fabric ~seed ~rto_ns
-
-let net_set_cut t ~src ~dst cut = Xenic_net.Fabric.set_cut t.fabric ~src ~dst cut
-
-let net_set_loss t ~src ~dst p = Xenic_net.Fabric.set_loss t.fabric ~src ~dst p
-
-let net_set_delay t ~src ~dst f = Xenic_net.Fabric.set_delay t.fabric ~src ~dst f
 
 let set_nic_slowdown t ~node f = Smartnic.set_slowdown t.nodes.(node).nic f
 
 let degrade_nic_cores t ~node ~n ~dur_ns =
   Smartnic.degrade_cores t.nodes.(node).nic ~n ~dur_ns
-
-let current_primary t ~shard = t.primaries.(shard)
 
 let nic_core_utilization t =
   Array.fold_left (fun acc n -> acc +. Smartnic.core_utilization n.nic) 0.0 t.nodes
@@ -2232,15 +1679,8 @@ let host_worker_utilization t =
   Array.fold_left (fun acc n -> acc +. Resource.utilization n.workers) 0.0 t.nodes
   /. float_of_int (Array.length t.nodes)
 
-(* Admission-control hooks (open-loop driver). A shed request is an
-   aborted transaction in this system's taxonomy (reason [Shed]) so
-   reason counts still sum to the abort count; the backpressure signal
-   is the coordinator NIC's instantaneous ingress occupancy. *)
-let record_shed t ~latency_ns =
-  let m = mx t in
-  Metrics.record m ~latency_ns Types.Aborted;
-  Metrics.record_abort_reason m Metrics.Shed
-
+(* Admission backpressure: the coordinator NIC's instantaneous ingress
+   occupancy. *)
 let ingress_occupancy t ~node = Smartnic.ingress_occupancy t.nodes.(node).nic
 
 (* Instantaneous-occupancy gauges for the trace sampler: one source per
@@ -2256,7 +1696,7 @@ let util_sources t =
                float_of_int (Xenic_pcie.Dma.queues_busy (Smartnic.dma n.nic)) );
            ( Printf.sprintf "node%d link" n.id,
              fun () ->
-               float_of_int (Xenic_net.Fabric.link_busy t.fabric ~node:n.id) );
+               float_of_int (Xenic_net.Fabric.link_busy t.ctl.fabric ~node:n.id) );
            ( Printf.sprintf "node%d app pool" n.id,
              fun () -> float_of_int (Resource.in_use n.app) );
            ( Printf.sprintf "node%d worker pool" n.id,
@@ -2276,6 +1716,8 @@ let resources t =
            @ [ (Resource.name n.app, n.app); (Resource.name n.workers, n.workers) ])
   in
   let fabric =
-    List.map (fun r -> (Resource.name r, r)) (Xenic_net.Fabric.resources t.fabric)
+    List.map
+      (fun r -> (Resource.name r, r))
+      (Xenic_net.Fabric.resources t.ctl.fabric)
   in
   per_node @ fabric

@@ -549,8 +549,9 @@ let expand_endpoint t n = if n = -1 then all_nodes t else [ n ]
    only choose the executing domain, not the order). *)
 let schedule_action t (sys : System.t) ~at action =
   let engine = sys.System.engine in
+  let ctl = sys.System.control in
   match action with
-  | Crash n -> Engine.at engine at (fun () -> sys.System.crash_node ~node:n)
+  | Crash n -> Engine.at engine at (fun () -> Control.crash_node ctl ~node:n)
   | Recover n -> Engine.at engine at (fun () -> sys.System.recover_node ~node:n)
   | Cut { froms; tos } ->
       List.iter
@@ -558,7 +559,7 @@ let schedule_action t (sys : System.t) ~at action =
           Engine.at ~node:src engine at (fun () ->
               List.iter
                 (fun dst ->
-                  if dst <> src then sys.System.net_set_cut ~src ~dst true)
+                  if dst <> src then Control.net_set_cut ctl ~src ~dst true)
                 tos))
         froms
   | Heal ->
@@ -567,7 +568,7 @@ let schedule_action t (sys : System.t) ~at action =
           Engine.at ~node:src engine at (fun () ->
               List.iter
                 (fun dst ->
-                  if dst <> src then sys.System.net_set_cut ~src ~dst false)
+                  if dst <> src then Control.net_set_cut ctl ~src ~dst false)
                 (all_nodes t)))
         (all_nodes t)
   | Loss { src; dst; p } ->
@@ -578,7 +579,7 @@ let schedule_action t (sys : System.t) ~at action =
           in
           Engine.at ~node:src engine at (fun () ->
               List.iter
-                (fun dst -> sys.System.net_set_loss ~src ~dst p)
+                (fun dst -> Control.net_set_loss ctl ~src ~dst p)
                 dsts))
         (expand_endpoint t src)
   | Delay { src; dst; factor } ->
@@ -589,7 +590,7 @@ let schedule_action t (sys : System.t) ~at action =
           in
           Engine.at ~node:src engine at (fun () ->
               List.iter
-                (fun dst -> sys.System.net_set_delay ~src ~dst factor)
+                (fun dst -> Control.net_set_delay ctl ~src ~dst factor)
                 dsts))
         (expand_endpoint t src)
   | Slow_nic { node; factor } ->
@@ -608,7 +609,7 @@ let inject t (sys : System.t) ~seed =
                        has %d"
          t.name t.nodes sys_nodes);
   if has_link_faults t then
-    sys.System.net_enable_faults ~seed ~rto_ns:t.rto_ns;
+    Control.net_enable_faults sys.System.control ~seed ~rto_ns:t.rto_ns;
   let start = Engine.now sys.System.engine in
   List.iter
     (fun e -> schedule_action t sys ~at:(start +. e.at_ns) e.action)

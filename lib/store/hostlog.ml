@@ -59,3 +59,5 @@ let used_b t = t.used_b
 let appended t = t.appended
 
 let applied t = t.applied
+
+let drained t = t.used_b <= 0 && t.appended <= t.applied

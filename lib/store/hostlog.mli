@@ -29,3 +29,7 @@ val used_b : 'r t -> int
 val appended : 'r t -> int
 
 val applied : 'r t -> int
+
+(** Nothing in flight: no bytes occupied and every appended record
+    acknowledged by a worker. *)
+val drained : 'r t -> bool

@@ -152,7 +152,7 @@ let run ?(seed = 1L) ?(warmup_ns = 0.0) ?(admission = Admission.unlimited)
   (* The recorder shares the accounting cutoff: recordings during the
      post-schedule drain — including the system's own commit/abort
      streams — are dropped, exactly like the driver-side counters. *)
-  sys.System.set_telemetry telemetry;
+  Control.set_telemetry sys.System.control telemetry;
   (match telemetry with
   | None -> ()
   | Some tel -> Xenic_telemetry.Telemetry.set_cutoff tel t_end);
@@ -181,7 +181,7 @@ let run ?(seed = 1L) ?(warmup_ns = 0.0) ?(admission = Admission.unlimited)
     let base = Rng.derive root ~index:(0xB000 + coord) in
     let mb = Mailbox.create ~name:(Printf.sprintf "openloop-q%d" coord) engine in
     let record_shed cs idx cause ~now ~latency_ns =
-      sys.System.record_shed ~latency_ns;
+      Control.record_shed sys.System.control ~latency_ns;
       (match telemetry with
       | None -> ()
       | Some tel ->
@@ -323,8 +323,8 @@ let run ?(seed = 1L) ?(warmup_ns = 0.0) ?(admission = Admission.unlimited)
   | None -> ()
   | Some tel ->
       Xenic_telemetry.Telemetry.seal tel;
-      sys.System.set_telemetry None);
-  sys.System.stop_background ();
+      Control.set_telemetry sys.System.control None);
+  Control.stop_background sys.System.control;
   Process.spawn engine (fun () -> sys.System.quiesce ());
   ignore (Engine.run engine);
   sys.System.sync ();

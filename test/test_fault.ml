@@ -114,7 +114,7 @@ let run_once ~mk ~load ~spec_of ~concurrency ~target ~faults seed =
       Alcotest.(check bool)
         (Printf.sprintf "%s seed %Ld: node %d removed" name seed node)
         false
-        (sys.System.node_alive ~node))
+        (Control.node_alive sys.System.control ~node))
     faults;
   Alcotest.(check bool)
     (Printf.sprintf "%s seed %Ld: crash recorded" name seed)

@@ -186,6 +186,61 @@ let test_admission_invalid () =
         (Admission.create
            { Admission.capacity = 1; backpressure = infinity; deadline_ns = 0.0 }))
 
+(* The windowed contract (partitions > 0): epoch, fence, liveness and
+   trace state is shared by every partition, so arming, membership and
+   tracing are refused up front — on both stacks. *)
+let windowed_cfg = Config.make ~nodes:4 ~replication:3
+
+let windowed_xenic req_timeout_ns =
+  Xenic_system.create (Xenic_sim.Engine.create ()) Xenic_params.Hw.testbed
+    windowed_cfg
+    { Xenic_system.default_params with partitions = 2; req_timeout_ns }
+
+let windowed_drtmh req_timeout_ns =
+  Rdma_system.create (Xenic_sim.Engine.create ()) Xenic_params.Hw.testbed
+    windowed_cfg Rdma_system.Drtmh
+    { Rdma_system.default_params with partitions = 2; req_timeout_ns }
+
+let test_windowed_rejects_armed () =
+  let err =
+    Invalid_argument "Control.create: a windowed system cannot arm req_timeout_ns"
+  in
+  Alcotest.check_raises "xenic" err (fun () ->
+      ignore (windowed_xenic (Some 1_000_000.0)));
+  Alcotest.check_raises "drtmh" err (fun () ->
+      ignore (windowed_drtmh (Some 1_000_000.0)))
+
+let test_windowed_rejects_membership () =
+  let err =
+    Invalid_argument
+      "Control.attach_membership: a windowed system cannot attach membership"
+  in
+  let membership ctl =
+    Membership.create ctl.Control.engine windowed_cfg ~lease_ns:100_000.0
+  in
+  let x = windowed_xenic None in
+  Alcotest.check_raises "xenic" err (fun () ->
+      Xenic_system.attach_membership x (membership (Xenic_system.control x)));
+  let r = windowed_drtmh None in
+  Alcotest.check_raises "drtmh" err (fun () ->
+      Rdma_system.attach_membership r (membership (Rdma_system.control r)))
+
+let test_windowed_rejects_trace () =
+  let err =
+    Invalid_argument "Control.set_trace: a windowed system cannot be traced"
+  in
+  List.iter
+    (fun (name, ctl) ->
+      let trace = Xenic_sim.Trace.create ctl.Control.engine in
+      Alcotest.check_raises name err (fun () ->
+          Control.set_trace ctl (Some trace));
+      (* Detaching stays legal. *)
+      Control.set_trace ctl None)
+    [
+      ("xenic", Xenic_system.control (windowed_xenic None));
+      ("drtmh", Rdma_system.control (windowed_drtmh None));
+    ]
+
 let () =
   Alcotest.run "xenic_proto"
     [
@@ -207,5 +262,13 @@ let () =
           Alcotest.test_case "deadline" `Quick test_admission_deadline;
           Alcotest.test_case "unlimited" `Quick test_admission_unlimited;
           Alcotest.test_case "invalid configs" `Quick test_admission_invalid;
+        ] );
+      ( "windowed contract",
+        [
+          Alcotest.test_case "armed create rejected" `Quick
+            test_windowed_rejects_armed;
+          Alcotest.test_case "membership rejected" `Quick
+            test_windowed_rejects_membership;
+          Alcotest.test_case "trace rejected" `Quick test_windowed_rejects_trace;
         ] );
     ]

@@ -815,6 +815,7 @@ let test_hostlog_roundtrip () =
   let eng = Xenic_sim.Engine.create () in
   let log = Hostlog.create eng ~capacity_b:1024 in
   let applied = ref [] in
+  Alcotest.(check bool) "fresh log drained" true (Hostlog.drained log);
   Xenic_sim.Process.spawn eng (fun () ->
       for _ = 1 to 3 do
         let r, bytes = Hostlog.poll log in
@@ -823,7 +824,9 @@ let test_hostlog_roundtrip () =
       done);
   Xenic_sim.Process.spawn eng (fun () ->
       List.iter (fun r -> ignore (Hostlog.append log ~bytes:100 r)) [ "a"; "b"; "c" ]);
+  Alcotest.(check bool) "not drained after append" false (Hostlog.drained log);
   ignore (Xenic_sim.Engine.run eng);
+  Alcotest.(check bool) "drained once all acked" true (Hostlog.drained log);
   Alcotest.(check (list string)) "order" [ "a"; "b"; "c" ] (List.rev !applied);
   Alcotest.(check int) "space reclaimed" 0 (Hostlog.used_b log);
   Alcotest.(check int) "appended" 3 (Hostlog.appended log);

@@ -541,12 +541,12 @@ let test_failover_end_to_end () =
     (Driver.run sys (Smallbank.transfer_spec p ~nodes) ~concurrency:6
        ~target:600);
   (* Node 0 dies; membership would notice, we promote its shard. *)
-  Xenic_system.fail_node x ~node:0;
+  Control.fail_node (Xenic_system.control x) ~node:0;
   let new_primary = Xenic_system.promote x ~shard:0 in
   Alcotest.(check bool) "promoted to a backup" true
     (List.mem new_primary (Config.backups cfg ~shard:0));
   Alcotest.(check int) "routing updated" new_primary
-    (Xenic_system.current_primary x ~shard:0);
+    (Control.current_primary (Xenic_system.control x) ~shard:0);
   (* Phase 2: survivors coordinate traffic that still hits shard 0. *)
   let result =
     Driver.run ~warmup_frac:0.0 sys
@@ -561,7 +561,7 @@ let test_failover_end_to_end () =
     total :=
       Int64.add !total
         (Smallbank.total_money_replica p sys
-           ~node:(Xenic_system.current_primary x ~shard)
+           ~node:(Control.current_primary (Xenic_system.control x) ~shard)
            ~shard)
   done;
   Alcotest.(check int64) "money conserved across failover" before !total;
