@@ -41,7 +41,7 @@ let flush t dst =
     let payload_bytes = p.bytes and msgs = List.rev p.msgs in
     (* Reset the batch before the send, so the frame owns [msgs] and
        the next push starts a fresh batch. [Fabric.send] does not
-       suspend: it spawns the wire transfer and returns. *)
+       suspend: it schedules the wire transfer and returns. *)
     p.msgs <- [];
     p.bytes <- 0;
     p.count <- 0;

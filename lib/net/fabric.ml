@@ -120,8 +120,7 @@ let set_delay t ~src ~dst factor =
    invariants (fire-and-forget COMMIT notifications, lock releases)
    survive arbitrary loss rates. The extra delay is always >= the base
    wire latency, so the hop stays legal as the windowed engine's
-   lookahead. Runs on the source's partition; must be called from
-   process context. *)
+   lookahead. Runs on the source's partition. *)
 let hop_delay t ~src ~dst =
   let base = t.hw.wire_latency_ns in
   match t.faults with
@@ -144,32 +143,47 @@ let hop_delay t ~src ~dst =
    transport keeps retrying; nothing is delivered and nothing is lost).
    Polling keeps the wait on the source's partition; the poll period is
    one base wire latency so heals are noticed promptly. *)
-let wait_reachable t ~src ~dst =
-  match t.faults with
-  | None -> ()
-  | Some f ->
-      let row = f.rows.(src) in
-      while row.f_cut.(dst) do
-        Process.sleep t.engine t.hw.wire_latency_ns
-      done
+let is_cut t ~src ~dst =
+  match t.faults with None -> false | Some f -> f.rows.(src).f_cut.(dst)
 
+let rec when_reachable t ~src ~dst k =
+  if is_cut t ~src ~dst then
+    Engine.after t.engine t.hw.wire_latency_ns (fun () ->
+        when_reachable t ~src ~dst k)
+  else k ()
+
+let wait_reachable t ~src ~dst =
+  if is_cut t ~src ~dst then
+    Process.suspend (fun resume -> when_reachable t ~src ~dst resume)
+
+(* A frame is a chain of engine callbacks, not a process: tx hold, cut
+   poll, wire hop, rx hold, delivery — the same engine events, in the
+   same order, as {!transfer} followed by a mailbox send. The rx hold
+   is attributed to the sender's context, which the hop event
+   reinstalls. *)
 let send t ~src ~dst ~payload_bytes msgs =
   let wire_bytes = payload_bytes + t.hw.eth_frame_overhead_b in
   t.frames_arr.(src) <- t.frames_arr.(src) + 1;
   t.bytes_arr.(src) <- t.bytes_arr.(src) + wire_bytes;
   let packet = { Packet.src; dst; wire_bytes; msgs } in
   let serialization = float_of_int wire_bytes /. rate t in
-  Process.spawn t.engine (fun () ->
-      Resource.use t.node_arr.(src).tx serialization;
-      wait_reachable t ~src ~dst;
-      (* The wire hop is the partition handoff: the wakeup — and the
-         rx/delivery work after it — runs on the destination node's
-         partition. Wire latency is exactly the partitioned engine's
-         lookahead, so the hop is legal in windowed mode by
-         construction (fault delays only ever add to it). *)
-      Process.sleep ~node:dst t.engine (hop_delay t ~src ~dst);
-      Resource.use t.node_arr.(dst).rx_link serialization;
-      Mailbox.send t.node_arr.(dst).inbox packet)
+  let ctx = Attrib.get () in
+  let rx = t.node_arr.(dst) in
+  let deliver () = Mailbox.send rx.inbox packet in
+  let arrive () =
+    let ambient = Attrib.get () in
+    Attrib.set ctx;
+    Resource.use_then rx.rx_link serialization deliver;
+    Attrib.set ambient
+  in
+  Resource.use_then t.node_arr.(src).tx serialization (fun () ->
+      when_reachable t ~src ~dst (fun () ->
+          (* The wire hop is the partition handoff: the rx/delivery
+             work after it runs on the destination node's partition.
+             Wire latency is exactly the partitioned engine's
+             lookahead, so the hop is legal in windowed mode by
+             construction (fault delays only ever add to it). *)
+          Engine.after ~node:dst t.engine (hop_delay t ~src ~dst) arrive))
 
 let transfer t ~src ~dst ~payload_bytes =
   let wire_bytes = payload_bytes + t.hw.eth_frame_overhead_b in

@@ -51,8 +51,7 @@ let set_slowdown t ~node factor =
 let degrade_unit t ~node ~dur_ns =
   if Float.compare dur_ns 0.0 <= 0 then
     invalid_arg "Rdma.degrade_unit: dur_ns must be > 0";
-  Process.spawn (Fabric.engine t.fabric) (fun () ->
-      Resource.use t.units.(node) dur_ns)
+  Resource.use_then t.units.(node) dur_ns ignore
 
 let hw t = t.hw
 

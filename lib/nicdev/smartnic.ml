@@ -40,7 +40,7 @@ let degrade_cores t ~n ~dur_ns =
     invalid_arg "Smartnic.degrade_cores: dur_ns must be > 0";
   let n = min n (Resource.servers t.cores - 1) in
   for _ = 1 to n do
-    Process.spawn t.engine (fun () -> Resource.use t.cores dur_ns)
+    Resource.use_then t.cores dur_ns ignore
   done
 
 let engine t = t.engine

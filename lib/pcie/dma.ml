@@ -9,6 +9,11 @@ type queue = {
   mutable pending : request list;  (* newest first *)
   mutable pending_count : int;
   mutable timer_armed : bool;
+  (* Bumped on every flush. A gather timer captures the generation it
+     was armed in and becomes a no-op if its vector was already flushed
+     by the size limit — otherwise the stale timer would cut the next
+     vector's gather window short. *)
+  mutable gen : int;
 }
 
 type t = {
@@ -40,6 +45,7 @@ let create engine hw =
             pending = [];
             pending_count = 0;
             timer_armed = false;
+            gen = 0;
           });
     bus = Resource.create engine ~name:"pcie-bus" ~servers:1;
     vectored = true;
@@ -54,12 +60,16 @@ let completion_ns t = function
   | Read -> t.hw.dma_read_completion_ns
   | Write -> t.hw.dma_write_completion_ns
 
+(* A vector is a chain of engine callbacks rather than a process: bus
+   hold, queue-engine hold, then every element's completion. *)
 let flush t q =
-  let reqs = List.rev q.pending in
   let n = q.pending_count in
-  q.pending <- [];
-  q.pending_count <- 0;
   if n > 0 then begin
+    let reqs = List.rev q.pending in
+    q.pending <- [];
+    q.pending_count <- 0;
+    q.gen <- q.gen + 1;
+    q.timer_armed <- false;
     t.vectors <- t.vectors + 1;
     t.ops <- t.ops + n;
     let total_bytes = List.fold_left (fun acc r -> acc + r.bytes) 0 reqs in
@@ -69,16 +79,15 @@ let flush t q =
     let bus_time =
       float_of_int total_bytes /. Xenic_params.Hw.pcie_rate t.hw
     in
-    Process.spawn t.engine (fun () ->
-        Resource.use t.bus bus_time;
-        Resource.use q.engine_res service;
-        (* Completion latency overlaps across the vector: all elements
-           become visible one completion delay after engine service
-           (Fig 4b: full vectors do not increase completion latency). *)
-        List.iter
-          (fun r ->
-            Engine.after t.engine (completion_ns t r.kind) (fun () -> r.k ()))
-          reqs)
+    Resource.use_then t.bus bus_time (fun () ->
+        Resource.use_then q.engine_res service (fun () ->
+            (* Completion latency overlaps across the vector: all
+               elements become visible one completion delay after
+               engine service (Fig 4b: full vectors do not increase
+               completion latency). *)
+            List.iter
+              (fun r -> Engine.after t.engine (completion_ns t r.kind) r.k)
+              reqs))
   end
 
 let submit t kind ~bytes ~queue k =
@@ -88,12 +97,11 @@ let submit t kind ~bytes ~queue k =
   if (not t.vectored) || q.pending_count >= t.hw.dma_vector_max then flush t q
   else if not q.timer_armed then begin
     q.timer_armed <- true;
+    let gen = q.gen in
     (* Attribute a gather-timer flush (bus + engine service of the
        whole vector) to the request that armed the timer. *)
     Engine.after t.engine gather_delay_ns
-      (Attrib.preserve (fun () ->
-           q.timer_armed <- false;
-           flush t q))
+      (Attrib.preserve (fun () -> if q.gen = gen then flush t q))
   end
 
 let next_queue t =
@@ -102,8 +110,7 @@ let next_queue t =
 
 let blocking t kind ?queue ~bytes () =
   let queue = match queue with Some q -> q | None -> next_queue t in
-  Process.suspend (fun resume ->
-      submit t kind ~bytes ~queue (fun () -> resume ()))
+  Process.suspend (fun resume -> submit t kind ~bytes ~queue resume)
 
 let read ?queue t ~bytes = blocking t Read ?queue ~bytes ()
 

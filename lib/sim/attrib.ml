@@ -6,7 +6,9 @@
    coordinator at a phase boundary is still in effect when a fabric
    link, DMA queue or NIC core is acquired four layers down — including
    on the server side of an RPC, where message [deliver] closures are
-   wrapped with {!preserve} at send time.
+   wrapped with {!preserve} at send time. Callback chains that run
+   without a process ([Resource.use_then], [Fabric.send]) capture the
+   context when they start and reinstall it in their own events.
 
    The context is NOT a process-global: it lives in an explicit
    {!state} record owned by the engine (one per partition on a

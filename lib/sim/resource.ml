@@ -146,23 +146,28 @@ let close_grant t =
         s.service_ns <- s.service_ns +. (Engine.now t.engine -. g.t_grant);
         s.services <- s.services + 1
 
-let acquire t =
+(* Grant a free unit to [ctx], if there is one. *)
+let try_grant t ctx =
   if t.busy < t.servers then begin
     account t;
     t.busy <- t.busy + 1;
-    let ctx = Attrib.get () in
     record_wait t ctx 0.0;
-    open_grant t ctx
+    open_grant t ctx;
+    true
   end
-  else begin
-    let w_ctx = Attrib.get () in
-    let t_enq = Engine.now t.engine in
+  else false
+
+(* Park [resume] in the FIFO; {!release} hands it the next free unit. *)
+let enqueue t ctx resume =
+  account_queue t;
+  Queue.add { resume; w_ctx = ctx; t_enq = Engine.now t.engine } t.waiters
+
+let acquire t =
+  let ctx = Attrib.get () in
+  if not (try_grant t ctx) then
     (* [resume] is already [unit -> unit]: store it directly, no
        eta-wrapper closure on the blocked-acquire path. *)
-    Process.suspend (fun resume ->
-        account_queue t;
-        Queue.add { resume; w_ctx; t_enq } t.waiters)
-  end
+    Process.suspend (fun resume -> enqueue t ctx resume)
 
 let release t =
   close_grant t;
@@ -191,6 +196,22 @@ let use t duration =
   acquire t;
   Process.sleep t.engine duration;
   release t
+
+(* [use] without a process: the same grant, queue and handoff, with the
+   hold's end as an engine event. That event reinstalls the caller's
+   context around [release] (which matches the grant by context) and
+   [k], then restores the ambient one. *)
+let use_then t duration k =
+  let ctx = Attrib.get () in
+  let finish () =
+    let ambient = Attrib.get () in
+    Attrib.set ctx;
+    release t;
+    k ();
+    Attrib.set ambient
+  in
+  if try_grant t ctx then Engine.after t.engine duration finish
+  else enqueue t ctx (fun () -> Engine.after t.engine duration finish)
 
 let busy_time t =
   account t;

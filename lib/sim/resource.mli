@@ -3,7 +3,9 @@
     units.
 
     A resource has [servers] identical units. {!acquire} grants a unit or
-    parks the caller in FIFO order; {!use} wraps acquire/hold/release.
+    parks the caller in FIFO order; {!use} wraps acquire/hold/release,
+    and {!use_then} is the same hold as a callback chain, for device
+    pipelines that run without a process.
     Busy-time is integrated so experiments can report utilization. *)
 
 type t
@@ -34,6 +36,13 @@ val release : t -> unit
 (** [use t duration] acquires a unit, holds it for [duration] ns of
     simulated service, and releases it. *)
 val use : t -> float -> unit
+
+(** [use_then t duration k] is {!use} in callback form, callable from
+    any context: it takes a unit (or queues for one, FIFO with blocking
+    acquirers), holds it for [duration] ns, releases it, then runs [k].
+    The caller's attribution context is in effect around the release
+    and [k], and the ambient context is restored after them. *)
+val use_then : t -> float -> (unit -> unit) -> unit
 
 (** Fraction of capacity busy since creation (integrated), in [0, 1]. *)
 val utilization : t -> float

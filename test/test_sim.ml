@@ -714,6 +714,278 @@ let test_dma_throughput_cap () =
     true
     (mops > 7.0 && mops < 9.5)
 
+let test_dma_stale_gather_timer () =
+  (* Regression: a gather timer armed for a vector that the size limit
+     then flushed must not fire into the next vector — the stale timer
+     used to cut the successor's gather window short. *)
+  let eng = Engine.create () in
+  let hw = Xenic_params.Hw.testbed in
+  let dma = Xenic_pcie.Dma.create eng hw in
+  let submit () =
+    Xenic_pcie.Dma.submit dma Xenic_pcie.Dma.Write ~bytes:64 ~queue:0 ignore
+  in
+  (* The first request arms the 150 ns gather timer; the size limit
+     flushes the full vector at once, leaving that timer stale. *)
+  for _ = 1 to hw.dma_vector_max do
+    submit ()
+  done;
+  Alcotest.(check int) "full vector flushed by size" 1
+    (Xenic_pcie.Dma.vectors_issued dma);
+  (* The next request arrives mid-window of the stale timer; it must get
+     its own full window (flush at 250), not be flushed at 150. *)
+  Engine.at eng 100.0 submit;
+  ignore (Engine.run ~until:249.0 eng);
+  Alcotest.(check int) "stale timer did not flush at 150" 1
+    (Xenic_pcie.Dma.vectors_issued dma);
+  ignore (Engine.run ~until:250.0 eng);
+  Alcotest.(check int) "flushed when its own window closed" 2
+    (Xenic_pcie.Dma.vectors_issued dma);
+  ignore (Engine.run eng)
+
+(* ------------------------------------------------------------------ *)
+(* Callback pipelines: attribution and contention *)
+
+let ctx_named name = { Attrib.stack = name; node = 0; phase = "p"; cls = "c" }
+
+let ambient = ctx_named "ambient"
+
+(* Per-context (wait, service) of a resource, keyed by the context's
+   stack name. *)
+let stat_rows r =
+  List.map
+    (fun (c, v) -> (c.Attrib.stack, (v.Resource.v_wait_ns, v.Resource.v_service_ns)))
+    (Resource.stats r)
+
+let check_rows name want r =
+  Alcotest.(check (list (pair string (pair (float 1e-9) (float 1e-9)))))
+    name want (stat_rows r)
+
+(* Spawn [f] under context [c] with attribution on. The spawn runs
+   under the engine's ambient state, whose context is [ambient]. *)
+let spawn_in eng c f =
+  Engine.with_attrib eng (fun () ->
+      Attrib.set ambient;
+      Process.spawn eng (fun () ->
+          Attrib.set c;
+          f ()))
+
+(* Probe events every 0.5 ns: each sees the context the previous
+   instant's events left behind, which must be the ambient one. *)
+let probe_ambient eng ~until =
+  let leaks = ref 0 in
+  let rec go t =
+    if t <= until then begin
+      Engine.at eng t (fun () ->
+          if Attrib.compare_ctx (Attrib.get ()) ambient <> 0 then incr leaks);
+      go (t +. 0.5)
+    end
+  in
+  go 0.25;
+  leaks
+
+let test_fabric_attribution () =
+  (* A and C leave node 0, B leaves node 1, all for node 2 at t=0: C
+     queues behind A on tx0, and B behind A on rx2, then C behind B. *)
+  let eng = Engine.create () in
+  Engine.set_attrib_enabled eng true;
+  let hw = Xenic_params.Hw.testbed in
+  let fabric = Xenic_net.Fabric.create eng hw ~nodes:3 in
+  let payload_bytes = 100 in
+  let send name ~src =
+    spawn_in eng (ctx_named name) (fun () ->
+        Xenic_net.Fabric.send fabric ~src ~dst:2 ~payload_bytes [ name ])
+  in
+  send "A" ~src:0;
+  send "B" ~src:1;
+  send "C" ~src:0;
+  let s =
+    float_of_int (payload_bytes + hw.eth_frame_overhead_b)
+    /. Xenic_params.Hw.link_rate hw
+  in
+  let leaks = probe_ambient eng ~until:((4.0 *. s) +. hw.wire_latency_ns +. 1.0) in
+  ignore (Engine.run eng);
+  Alcotest.(check (list string)) "delivery order" [ "A"; "B"; "C" ]
+    (List.concat_map
+       (fun p -> p.Xenic_net.Packet.msgs)
+       (Mailbox.recv_burst (Xenic_net.Fabric.rx fabric 2) ~max:4));
+  let res = Array.of_list (Xenic_net.Fabric.resources fabric) in
+  check_rows "tx0" [ ("A", (0.0, s)); ("C", (s, s)) ] res.(0);
+  check_rows "tx1" [ ("B", (0.0, s)) ] res.(2);
+  check_rows "rx2 (contended)"
+    [ ("A", (0.0, s)); ("B", (s, s)); ("C", (s, s)) ]
+    res.(5);
+  Alcotest.(check int) "callbacks left the ambient context alone" 0 !leaks;
+  Alcotest.(check string) "ambient context after the run"
+    (Attrib.to_string ambient)
+    (Attrib.to_string (Engine.with_attrib eng Attrib.get))
+
+let test_dma_attribution () =
+  let eng = Engine.create () in
+  Engine.set_attrib_enabled eng true;
+  let hw = Xenic_params.Hw.testbed in
+  let dma = Xenic_pcie.Dma.create eng hw in
+  Xenic_pcie.Dma.set_vectored dma false;
+  let bytes = 64 in
+  spawn_in eng (ctx_named "C") (fun () ->
+      Xenic_pcie.Dma.write ~queue:0 dma ~bytes);
+  let bus = float_of_int bytes /. Xenic_params.Hw.pcie_rate hw in
+  let service = hw.dma_submit_ns +. hw.dma_engine_elem_ns in
+  let leaks =
+    probe_ambient eng ~until:(bus +. service +. hw.dma_write_completion_ns +. 1.0)
+  in
+  ignore (Engine.run eng);
+  let res = Xenic_pcie.Dma.resources dma in
+  check_rows "pcie bus" [ ("C", (0.0, bus)) ] (List.nth res hw.dma_queues);
+  check_rows "dma queue 0" [ ("C", (0.0, service)) ] (List.hd res);
+  Alcotest.(check int) "callbacks left the ambient context alone" 0 !leaks
+
+(* The same contended workload through blocking [use] and through
+   [use_then]: identical completion order, times and event count. *)
+let test_use_then_matches_use () =
+  let durations = [ 30.0; 10.0; 20.0; 5.0 ] in
+  let run use =
+    let eng = Engine.create () in
+    let r = Resource.create eng ~name:"cpu" ~servers:2 in
+    let done_ = ref [] in
+    List.iteri
+      (fun i d -> use eng r d (fun () -> done_ := (i, Engine.now eng) :: !done_))
+      durations;
+    ignore (Engine.run eng);
+    (List.rev !done_, Engine.events_run eng, Resource.busy_time r)
+  in
+  let blocking eng r d k =
+    Process.spawn eng (fun () ->
+        Resource.use r d;
+        k ())
+  in
+  let callback _ r d k = Resource.use_then r d k in
+  let order_b, events_b, busy_b = run blocking in
+  let order_c, events_c, busy_c = run callback in
+  Alcotest.(check (list (pair int (float 1e-9))))
+    "completion order and times" [ (1, 10.0); (0, 30.0); (2, 30.0); (3, 35.0) ]
+    order_b;
+  Alcotest.(check (list (pair int (float 1e-9)))) "use_then = use" order_b order_c;
+  Alcotest.(check int) "same event count" events_b events_c;
+  Alcotest.(check (float 1e-9)) "same busy time" busy_b busy_c
+
+let test_use_then_fifo_with_use () =
+  (* Blocking and callback holders queue in one FIFO. *)
+  let eng = Engine.create () in
+  let r = Resource.create eng ~name:"cpu" ~servers:1 in
+  let done_ = ref [] in
+  let finish i () = done_ := (i, Engine.now eng) :: !done_ in
+  for i = 0 to 3 do
+    if i mod 2 = 0 then
+      Process.spawn eng (fun () ->
+          Resource.use r 10.0;
+          finish i ())
+    else Resource.use_then r 10.0 (finish i)
+  done;
+  ignore (Engine.run eng);
+  Alcotest.(check (list (pair int (float 1e-9))))
+    "fifo across both forms"
+    [ (0, 10.0); (1, 20.0); (2, 30.0); (3, 40.0) ]
+    (List.rev !done_)
+
+let test_sanitizer_unfinished_callback_hold () =
+  let eng = Engine.create ~strict:true () in
+  let r = Resource.create eng ~name:"link" ~servers:1 in
+  Resource.use_then r 100.0 ignore;
+  Resource.use_then r 100.0 ignore;
+  ignore (Engine.run ~until:50.0 eng);
+  let v = Engine.sanitize eng in
+  check_violation "held unit" "resource link: 1 unit(s) acquired" v;
+  check_violation "queued callback" "resource link: 1 acquirer(s) still blocked" v
+
+(* ------------------------------------------------------------------ *)
+(* Allocation ratchet: minor-heap words per operation on a non-strict
+   engine, so a change that makes process switching or the device
+   pipelines allocate more fails here rather than only in the
+   benchmark. Each bound is the measured count rounded up (OCaml 5.1,
+   no flambda; DESIGN.md §18 has the table). Lower a bound when an
+   optimisation lands. *)
+
+let ratchet_ops = 10_000
+
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let check_words name ~bound words =
+  let per_op = words /. float_of_int ratchet_ops in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.1f words/op within %.0f" name per_op bound)
+    true (per_op <= bound)
+
+(* Words of one process doing [op] [ratchet_ops] times. *)
+let process_words op =
+  let eng = Engine.create () in
+  let op = op eng in
+  let body () =
+    for _ = 1 to ratchet_ops do
+      op ()
+    done
+  in
+  minor_words_of (fun () ->
+      Process.spawn eng body;
+      ignore (Engine.run eng))
+
+let test_alloc_sleep () =
+  check_words "sleep" ~bound:12.0
+    (process_words (fun eng () -> Process.sleep eng 1.0))
+
+let test_alloc_spawn () =
+  let eng = Engine.create () in
+  let body () = () in
+  check_words "spawn + exit" ~bound:5.0
+    (minor_words_of (fun () ->
+         for _ = 1 to ratchet_ops do
+           Process.spawn eng body
+         done))
+
+let test_alloc_use () =
+  check_words "uncontended Resource.use" ~bound:18.0
+    (process_words (fun eng ->
+         let r = Resource.create eng ~name:"cpu" ~servers:1 in
+         fun () -> Resource.use r 1.0))
+
+(* Words of [ratchet_ops] operations issued one per event, 10 us apart
+   so each runs uncontended, less the cost of the ticking itself. *)
+let ticked_words op =
+  let run op =
+    let eng = Engine.create () in
+    let op = op eng in
+    let left = ref ratchet_ops in
+    let rec tick () =
+      op ();
+      decr left;
+      if !left > 0 then Engine.after eng 10_000.0 tick
+    in
+    minor_words_of (fun () ->
+        tick ();
+        ignore (Engine.run eng))
+  in
+  run op -. run (fun _ () -> ())
+
+let test_alloc_fabric_frame () =
+  let hw = Xenic_params.Hw.testbed in
+  check_words "Fabric.send frame into a mailbox" ~bound:78.0
+    (ticked_words (fun eng ->
+         let fabric = Xenic_net.Fabric.create eng hw ~nodes:2 in
+         fun () ->
+           Xenic_net.Fabric.send fabric ~src:0 ~dst:1 ~payload_bytes:64 []))
+
+let test_alloc_dma_write () =
+  let hw = Xenic_params.Hw.testbed in
+  check_words "single-element DMA write" ~bound:68.0
+    (ticked_words (fun eng ->
+         let dma = Xenic_pcie.Dma.create eng hw in
+         Xenic_pcie.Dma.set_vectored dma false;
+         fun () ->
+           Xenic_pcie.Dma.submit dma Xenic_pcie.Dma.Write ~bytes:64 ~queue:0
+             ignore))
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "xenic_sim"
@@ -789,5 +1061,25 @@ let () =
           Alcotest.test_case "single latency" `Quick test_dma_single_latency;
           Alcotest.test_case "vector amortization" `Quick test_dma_vector_amortization;
           Alcotest.test_case "throughput cap" `Quick test_dma_throughput_cap;
+          Alcotest.test_case "stale gather timer" `Quick
+            test_dma_stale_gather_timer;
+        ] );
+      ( "callbacks",
+        [
+          Alcotest.test_case "fabric attribution" `Quick test_fabric_attribution;
+          Alcotest.test_case "dma attribution" `Quick test_dma_attribution;
+          Alcotest.test_case "use_then = use" `Quick test_use_then_matches_use;
+          Alcotest.test_case "use_then fifo with use" `Quick
+            test_use_then_fifo_with_use;
+          Alcotest.test_case "unfinished callback hold" `Quick
+            test_sanitizer_unfinished_callback_hold;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "sleep" `Quick test_alloc_sleep;
+          Alcotest.test_case "spawn" `Quick test_alloc_spawn;
+          Alcotest.test_case "resource use" `Quick test_alloc_use;
+          Alcotest.test_case "fabric frame" `Quick test_alloc_fabric_frame;
+          Alcotest.test_case "dma write" `Quick test_alloc_dma_write;
         ] );
     ]
