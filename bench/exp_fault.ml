@@ -76,15 +76,18 @@ let one ~name ~mk_sys ~load ~spec ~concurrency ~target =
   sys.System.set_oracle oracle;
   load sys;
   let engine = sys.System.engine in
-  (* Timeline probe: the oracle records every commit as it happens, so
-     its transaction count is the live cluster-wide commit counter.
-     Sample it every probe_step up to a horizon comfortably past the
-     end of the run (flat tail samples are ignored below). *)
+  (* Timeline probe: the oracle's transaction count is the live
+     cluster-wide commit counter once the system's oracle buffer is
+     flushed into it — safe mid-run here, because a closed-loop system
+     runs on one heap. Sample it every probe_step up to a horizon
+     comfortably past the end of the run (flat tail samples are
+     ignored below). *)
   let samples = ref [] in
   let t = ref probe_step_ns in
   while !t <= horizon_ns do
     let at = !t in
     Engine.at engine at (fun () ->
+        sys.System.sync ();
         samples := (at, Oracle.txn_count oracle) :: !samples);
     t := !t +. probe_step_ns
   done;
@@ -103,6 +106,8 @@ let one ~name ~mk_sys ~load ~spec ~concurrency ~target =
      is the instant of the last commit. *)
   let t_end = result.Driver.duration_ns in
   let pre_tput = float_of_int (commits_at samples fault_ns) /. fault_ns in
+  if Float.compare pre_tput 0.0 <= 0 then
+    failwith (name ^ ": the probe saw no commit before the fault");
   (* Windowed rates strictly after the fault and before the run ends. *)
   let rates =
     let rec pair = function

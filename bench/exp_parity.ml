@@ -1,87 +1,47 @@
-(* Domain-parity gate: exact-order 2-domain execution must be
-   bit-identical to single-domain execution on every protocol stack.
+(* Domain-parity gate: windowed conservative-PDES execution must be
+   bit-identical on a 1-domain and a 2-domain engine, on every protocol
+   stack.
 
-   One fixed-seed Smallbank run per stack, once on a 1-domain engine
-   and once on a 2-domain engine, digested losslessly (%h floats,
-   event counts, every metrics counter). Any byte of divergence fails
-   the experiment with a nonzero exit — run_bench.sh runs this before
-   spending cycles on any other experiment. *)
+   The corpus's open-loop tenant-wave scenario (Retwis, a flash crowd
+   at twice the base rate aimed at the hot set) runs per stack through
+   the oracle-checked harness on a [partitions = 2] system, once on a
+   1-domain and once on a 2-domain engine, and the harness's lossless
+   digests (%h floats, every metrics counter) are compared. Any byte of
+   divergence fails the experiment with a nonzero exit — run_bench.sh
+   runs this before spending cycles on any other experiment.
+   Closed-loop systems run the single-heap loop whatever the domain
+   budget, so there is nothing to compare there. *)
 
-open Xenic_proto
-open Xenic_workload
+open Xenic_scenario
 
 let seed = 13L
 
-let sb_params () =
-  { Smallbank.default_params with accounts_per_node = Common.scale 2_000 }
-
-let systems ~domains =
-  let p = sb_params () in
-  let store_cfg = Smallbank.store_cfg p in
-  let buckets = Smallbank.chained_buckets p in
-  let params =
-    {
-      Xenic_system.default_params with
-      cache_capacity = 2 * p.Smallbank.accounts_per_node;
-    }
-  in
-  [
-    ("Xenic", fun () -> Common.mk_xenic ~params ~domains ~store_cfg ());
-    ("DrTM+H", fun () -> Common.mk_rdma ~domains ~buckets Rdma_system.Drtmh ());
-    ( "DrTM+H NC",
-      fun () -> Common.mk_rdma ~domains ~buckets Rdma_system.Drtmh_nc () );
-    ("FaSST", fun () -> Common.mk_rdma ~domains ~buckets Rdma_system.Fasst ());
-    ("DrTM+R", fun () -> Common.mk_rdma ~domains ~buckets Rdma_system.Drtmr ());
-    ("FaRM*", fun () -> Common.mk_rdma ~domains ~buckets Rdma_system.Farm ());
-  ]
-
-(* Lossless: equal strings mean bit-identical runs, down to every
-   counter increment. *)
-let digest sys (r : Driver.result) =
-  let counters =
-    Xenic_stats.Counter.to_list (Metrics.counters (sys.System.metrics ()))
-  in
-  String.concat "\n"
-    (Printf.sprintf "ev=%d now=%h c=%d a=%d tput=%h med=%h p99=%h dur=%h"
-       (Xenic_sim.Engine.events_run sys.System.engine)
-       (Xenic_sim.Engine.now sys.System.engine)
-       r.Driver.committed r.Driver.aborted r.Driver.tput_per_server
-       r.Driver.median_latency_us r.Driver.p99_latency_us r.Driver.duration_ns
-    :: List.map (fun (k, v) -> Printf.sprintf "%s=%h" k v) counters)
-
-let run_once mk =
-  let p = sb_params () in
-  let sys = mk () in
-  Smallbank.load p sys;
-  let result =
-    Driver.run sys
-      (Smallbank.spec p ~nodes:sys.System.cfg.Xenic_cluster.Config.nodes)
-      ~seed ~concurrency:4
-      ~target:(Common.scale 400)
-  in
-  (digest sys result, Xenic_sim.Engine.partitions sys.System.engine)
+let scenario () =
+  let scn = Common.load_scenario "tenant-wave.scn" in
+  if !Common.quick then Scenario.scale_times scn (1.0 /. 3.0) else scn
 
 let run () =
-  Common.section "Domain parity: 1-domain vs 2-domain exact-order digests";
-  let one = systems ~domains:1 and two = systems ~domains:2 in
+  Common.section "Domain parity: 1-domain vs 2-domain windowed digests";
+  let scn = scenario () in
   let mismatched = ref 0 in
-  List.iter2
-    (fun (name, mk1) (_, mk2) ->
-      let d1, _ = run_once mk1 in
-      let d2, parts = run_once mk2 in
-      if parts < 2 then
-        failwith
-          (Printf.sprintf "parity: %s 2-domain engine has %d partitions" name
-             parts);
-      if String.equal d1 d2 then Common.note "%-10s bit-identical" name
+  List.iter
+    (fun stack ->
+      let name = Harness.stack_name stack in
+      let one = Harness.run ~domains:1 ~stack ~seed scn in
+      let two = Harness.run ~domains:2 ~stack ~seed scn in
+      if one.Harness.committed = 0 then
+        failwith (Printf.sprintf "parity: %s committed nothing" name);
+      if String.equal one.Harness.digest two.Harness.digest then
+        Common.note "%-10s bit-identical (%d commits)" name
+          one.Harness.committed
       else begin
         incr mismatched;
         Printf.printf "  %-10s DIVERGED:\n--- 1 domain ---\n%s\n--- 2 domains \
                        ---\n%s\n"
-          name d1 d2
+          name one.Harness.digest two.Harness.digest
       end)
-    one two;
-  Common.json_int "parity stacks" (List.length one);
+    Harness.all_stacks;
+  Common.json_int "parity stacks" (List.length Harness.all_stacks);
   Common.json_int "parity mismatches" !mismatched;
   if !mismatched > 0 then
     failwith

@@ -10,9 +10,9 @@
    BENCH_scale.json byte-for-byte against a checked-in reference
    (wall-clock keys excluded).
 
-   The engine hot-path speedup ("bench sim") is re-measured and
-   recorded here too, so the scale artifact carries both the sweep and
-   the measured events/sec improvement that makes the sweep affordable. *)
+   The engine hot-path events/sec ("bench sim") is re-measured and
+   recorded here too, so the scale artifact carries the simulator speed
+   the sweep ran at. *)
 
 open Xenic_proto
 open Xenic_workload
@@ -26,7 +26,7 @@ let seed = 11L
 let sb_params () =
   { Smallbank.default_params with accounts_per_node = Common.scale 4_000 }
 
-let systems ?domains ~nodes ~replication () =
+let systems ~nodes ~replication () =
   let p = sb_params () in
   let store_cfg = Smallbank.store_cfg p in
   let buckets = Smallbank.chained_buckets p in
@@ -37,12 +37,12 @@ let systems ?domains ~nodes ~replication () =
     }
   in
   [
-    ("Xenic", fun () -> Common.mk_xenic ~nodes ~replication ~params ?domains ~store_cfg ());
-    ("DrTM+H", fun () -> Common.mk_rdma ~nodes ~replication ?domains ~buckets Rdma_system.Drtmh ());
-    ("DrTM+H NC", fun () -> Common.mk_rdma ~nodes ~replication ?domains ~buckets Rdma_system.Drtmh_nc ());
-    ("FaSST", fun () -> Common.mk_rdma ~nodes ~replication ?domains ~buckets Rdma_system.Fasst ());
-    ("DrTM+R", fun () -> Common.mk_rdma ~nodes ~replication ?domains ~buckets Rdma_system.Drtmr ());
-    ("FaRM*", fun () -> Common.mk_rdma ~nodes ~replication ?domains ~buckets Rdma_system.Farm ());
+    ("Xenic", fun () -> Common.mk_xenic ~nodes ~replication ~params ~store_cfg ());
+    ("DrTM+H", fun () -> Common.mk_rdma ~nodes ~replication ~buckets Rdma_system.Drtmh ());
+    ("DrTM+H NC", fun () -> Common.mk_rdma ~nodes ~replication ~buckets Rdma_system.Drtmh_nc ());
+    ("FaSST", fun () -> Common.mk_rdma ~nodes ~replication ~buckets Rdma_system.Fasst ());
+    ("DrTM+R", fun () -> Common.mk_rdma ~nodes ~replication ~buckets Rdma_system.Drtmr ());
+    ("FaRM*", fun () -> Common.mk_rdma ~nodes ~replication ~buckets Rdma_system.Farm ());
   ]
 
 let stack_names = List.map fst (systems ~nodes:3 ~replication:1 ())
@@ -139,15 +139,12 @@ let run () =
             (cell name nodes 3).tput)
         nodes_grid)
     stack_names;
-  (* Same-seed rerun: one grid point per stack must be bit-identical —
-     on a second 1-domain run AND on a 2-domain run of the same point
-     (the sweep's domain-parity column: n >= 12 is where parallelism is
-     supposed to pay, so parity is checked exactly there). No JSON keys:
-     a divergence aborts the experiment, so the checked-in
-     BENCH_scale.json reference is unaffected. *)
-  Printf.printf "\n    %-10s %8s %12s\n" "stack" "rerun" "2-dom parity";
-  List.iter2
-    (fun (name, mk) (_, mk2) ->
+  (* Same-seed rerun: one grid point per stack must be bit-identical on
+     a second run. No JSON keys: a divergence aborts the experiment, so
+     the checked-in BENCH_scale.json reference is unaffected. *)
+  Printf.printf "\n    %-10s %8s\n" "stack" "rerun";
+  List.iter
+    (fun (name, mk) ->
       let sys, result = run_point ~nodes:rerun_nodes mk in
       let again = fingerprint sys result in
       let first = (cell name rerun_nodes rerun_replication).digest in
@@ -156,20 +153,9 @@ let run () =
           (Printf.sprintf
              "scale: %s n%d r%d same-seed rerun diverged:\n  %s\n  %s" name
              rerun_nodes rerun_replication first again);
-      let sys2, result2 = run_point ~nodes:rerun_nodes mk2 in
-      let two_dom = fingerprint sys2 result2 in
-      if not (String.equal first two_dom) then
-        failwith
-          (Printf.sprintf
-             "scale: %s n%d r%d 2-domain run diverged from 1-domain:\n  \
-              %s\n  %s"
-             name rerun_nodes rerun_replication first two_dom);
-      Printf.printf "    %-10s %8s %12s\n" name "ok" "identical")
-    (systems ~nodes:rerun_nodes ~replication:rerun_replication ())
-    (systems ~domains:2 ~nodes:rerun_nodes ~replication:rerun_replication ());
-  Common.note
-    "same-seed rerun at n%d r%d: bit-identical for all %d stacks, 1 and 2 \
-     domains"
+      Printf.printf "    %-10s %8s\n" name "ok")
+    (systems ~nodes:rerun_nodes ~replication:rerun_replication ());
+  Common.note "same-seed rerun at n%d r%d: bit-identical for all %d stacks"
     rerun_nodes rerun_replication (List.length stack_names);
   (* Scale-out health: per-node throughput at 24 nodes must stay within
      2x of the 6-node value (no pathological collapse as fan-out grows). *)
@@ -182,11 +168,9 @@ let run () =
     (if Float.compare ratio 2.0 <= 0 && Float.compare ratio 0.5 >= 0 then
        "within 2x"
      else "OUTSIDE 2x");
-  (* Engine hot-path speedup, measured (wall clock; excluded from the
-     byte-identity gate via the "wallclock" key prefix). *)
+  (* Engine hot-path events/sec, measured (wall clock; excluded from
+     the byte-identity gate via the "wallclock" key prefix). *)
   let m = Exp_sim.measure () in
   Common.json_int "sim storm events" m.Exp_sim.events;
   Common.json_num "wallclock sim events/sec" m.Exp_sim.current_eps;
-  Common.json_num "wallclock sim speedup" m.Exp_sim.speedup;
-  Common.note "engine hot path: %.2fx events/sec vs legacy (%.2e vs %.2e)"
-    m.Exp_sim.speedup m.Exp_sim.current_eps m.Exp_sim.legacy_eps
+  Common.note "engine hot path: %.2e events/sec" m.Exp_sim.current_eps

@@ -22,10 +22,10 @@ let experiments =
     ("micro", "wall-clock data structure microbenches", Exp_micro.run);
     ("trace", "deterministic phase/utilization tracing", Exp_trace.run);
     ("profile", "time attribution and bottleneck report", Exp_profile.run);
-    ("sim", "engine hot-path events/sec vs legacy", Exp_sim.run);
+    ("sim", "engine hot-path events/sec, 1 vs 2 windowed domains", Exp_sim.run);
     ("scale", "nodes x replication scale-out sweep", Exp_scale.run);
     ("load", "open-loop offered load vs goodput under admission control", Exp_load.run);
-    ("parity", "1-domain vs 2-domain bit-identity gate", Exp_parity.run);
+    ("parity", "windowed 1-domain vs 2-domain bit-identity gate", Exp_parity.run);
     ("scenario", "declarative fault/load scenario corpus", Exp_scenario.run);
   ]
 

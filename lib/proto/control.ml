@@ -26,14 +26,12 @@ type t = {
   req_timeout_ns : float option;
   retry_backoff_ns : float;
   max_retries : int;
-  metrics : Metrics.t;
   part_metrics : Metrics.t array;
-      (* one slot per engine partition, touched only by events running
-         in that partition; empty when un-windowed (then all recording
-         goes through the shared [metrics]) *)
+      (* one shard per engine partition (one when unpartitioned),
+         touched only by events running in that partition *)
   part_oracle : Oracle.t array;
       (* per-partition commit buffers feeding the attached oracle;
-         flushed by [sync] after the run (empty when un-windowed) *)
+         flushed by [sync] *)
   primaries : int array;  (* shard -> current primary node *)
   alive : bool array;
       (* routing view: false once a node is removed from the
@@ -64,36 +62,25 @@ let create engine hw cfg ~stack ~partitions ~req_timeout_ns ~retry_backoff_ns
      cross-partition, so a windowed system must stay un-armed. *)
   if partitions > 0 && Option.is_some req_timeout_ns then
     invalid_arg "Control.create: a windowed system cannot arm req_timeout_ns";
-  (* Multi-domain engine: partition by node before any event exists.
-
-     [partitions > 0] requests windowed conservative-PDES mode: the
-     open-loop driver has no cross-node shared state, so partitions can
-     drain whole lookahead windows independently (lookahead = the wire
-     latency every cross-node message already pays). Results are
-     bit-identical for a fixed partition count regardless of domains.
-
-     Otherwise, a multi-domain engine gets exact-order mode (no
-     lookahead) — the closed-loop driver's shared counters couple all
-     nodes at zero lookahead, so execution stays in global (time, seq)
-     order with each node's events running on its partition's domain. *)
+  (* [partitions > 0] requests windowed conservative-PDES mode,
+     partitioned by node before any event exists: the open-loop driver
+     has no cross-node shared state, so partitions can drain whole
+     lookahead windows independently (lookahead = the wire latency
+     every cross-node message already pays). Results are bit-identical
+     for a fixed partition count regardless of domains. Otherwise the
+     engine stays single-heap whatever its domain budget. *)
   let nodes = cfg.Config.nodes in
-  (if partitions > 0 then begin
-     if Engine.partitions engine <> 0 then
-       invalid_arg "Control.create: engine already has a topology";
-     let partitions = min partitions nodes in
-     Engine.set_topology engine ~lookahead:hw.Xenic_params.Hw.wire_latency_ns
-       ~partitions
-       ~node_partition:(fun node ->
-         Config.partition_of_node cfg ~partitions ~node)
-   end
-   else if Engine.domains engine > 1 && Engine.partitions engine = 0 then
-     let partitions = min (Engine.domains engine) nodes in
-     Engine.set_topology engine ~partitions
-       ~node_partition:(fun node ->
-         Config.partition_of_node cfg ~partitions ~node));
+  if partitions > 0 then begin
+    if Engine.partitions engine <> 0 then
+      invalid_arg "Control.create: engine already has a topology";
+    let partitions = min partitions nodes in
+    Engine.set_topology engine ~lookahead:hw.Xenic_params.Hw.wire_latency_ns
+      ~partitions
+      ~node_partition:(fun node ->
+        Config.partition_of_node cfg ~partitions ~node)
+  end;
   let per_partition f =
-    if partitions > 0 then Array.init (Engine.partitions engine) (fun _ -> f ())
-    else [||]
+    Array.init (max 1 (Engine.partitions engine)) (fun _ -> f ())
   in
   {
     engine;
@@ -103,7 +90,6 @@ let create engine hw cfg ~stack ~partitions ~req_timeout_ns ~retry_backoff_ns
     req_timeout_ns;
     retry_backoff_ns;
     max_retries;
-    metrics = Metrics.create ();
     part_metrics = per_partition Metrics.create;
     part_oracle = per_partition Oracle.create;
     primaries = Array.init nodes (fun shard -> Config.primary cfg ~shard);
@@ -121,7 +107,7 @@ let create engine hw cfg ~stack ~partitions ~req_timeout_ns ~retry_backoff_ns
 
 let armed t = Option.is_some t.req_timeout_ns
 
-let windowed t = Array.length t.part_metrics > 0
+let windowed t = Option.is_some (Engine.current_lookahead t.engine)
 
 (* ------------------------------------------------------------------ *)
 (* Routing *)
@@ -147,25 +133,18 @@ let next_id t ~node =
 (* ------------------------------------------------------------------ *)
 (* Metrics, trace, telemetry, oracle *)
 
-(* The metrics object protocol events record into: the partition-local
-   shard under a windowed topology (each partition's events run on one
-   domain at a time, so the shard is never written concurrently), the
-   shared object otherwise. *)
-let mx t =
-  if Array.length t.part_metrics = 0 then t.metrics
-  else t.part_metrics.(Engine.current_partition t.engine)
+(* The metrics shard protocol events record into: the executing
+   partition's (each partition's events run on one domain at a time, so
+   a shard is never written concurrently). *)
+let mx t = t.part_metrics.(Engine.current_partition t.engine)
 
-(* Reported metrics. Sharded runs merge the partitions into a fresh
-   object in partition-index order — deterministic for a fixed
-   partition count, independent of how many domains drained them. *)
+(* Reported metrics: the shards merged into a fresh object in
+   partition-index order — deterministic for a fixed partition count,
+   independent of how many domains drained them. *)
 let metrics t =
-  if Array.length t.part_metrics = 0 then t.metrics
-  else begin
-    let m = Metrics.create () in
-    Metrics.merge ~into:m t.metrics;
-    Array.iter (fun pm -> Metrics.merge ~into:m pm) t.part_metrics;
-    m
-  end
+  let m = Metrics.create () in
+  Array.iter (fun pm -> Metrics.merge ~into:m pm) t.part_metrics;
+  m
 
 let counters t = Metrics.counters (mx t)
 
@@ -199,24 +178,22 @@ let set_oracle t o = t.oracle <- Some o
 
 (* Flush the partition-local oracle buffers into the attached oracle,
    in partition-index order (deterministic for a fixed partition
-   count). Call between engine runs — never while partitions may still
-   be recording. No-op on unsharded systems. *)
+   count). On a windowed engine, call between runs only — never while
+   partitions may still be recording. An unpartitioned system runs on
+   one heap, so there it may also be called from an event mid-run. *)
 let sync t =
   match t.oracle with
   | None -> ()
   | Some o -> Array.iter (fun po -> Oracle.absorb ~into:o po) t.part_oracle
 
-(* Report a committed transaction to the attached oracle (sharded runs
-   buffer into the current partition's; [sync] merges later). Writes
-   carry their installed version. *)
+(* Report a committed transaction to the attached oracle, buffered in
+   the current partition's shard until [sync]. Writes carry their
+   installed version. *)
 let record_commit t ~id ~reads ~seq_ops =
   match t.oracle with
   | None -> ()
-  | Some o ->
-      let o =
-        if Array.length t.part_oracle = 0 then o
-        else t.part_oracle.(Engine.current_partition t.engine)
-      in
+  | Some _ ->
+      let o = t.part_oracle.(Engine.current_partition t.engine) in
       let writes =
         List.map
           (fun (op, seq) ->

@@ -9,8 +9,10 @@
     given to {!attach_membership}), the per-packet NIC charge of
     {!dispatch_loop}, and the per-attempt body of {!run_txn}.
 
-    {b Windowed contract.} With [partitions > 0] metrics and the oracle
-    feed are sharded per engine partition, but the epoch, fence and
+    {b Shards.} Metrics and the oracle feed are sharded per engine
+    partition — one shard on an unpartitioned (single-heap) engine.
+
+    {b Windowed contract.} With [partitions > 0] the epoch, fence and
     liveness state is cross-partition: such a system must stay
     un-armed and attach no membership and no trace. {!create},
     {!attach_membership} and {!set_trace} raise [Invalid_argument]
@@ -43,9 +45,11 @@ type t = {
   req_timeout_ns : float option;  (** [Some _]: armed. *)
   retry_backoff_ns : float;
   max_retries : int;
-  metrics : Metrics.t;
-  part_metrics : Metrics.t array;  (** Per-partition shards; empty un-windowed. *)
-  part_oracle : Oracle.t array;  (** Per-partition buffers; empty un-windowed. *)
+  part_metrics : Metrics.t array;
+      (** Per-partition shards; one when unpartitioned. *)
+  part_oracle : Oracle.t array;
+      (** Per-partition buffers, flushed by {!sync}; one when
+          unpartitioned. *)
   primaries : int array;  (** Shard -> current primary. *)
   alive : bool array;  (** Routing view: false once removed. *)
   crashed : bool array;  (** Ground truth: true from the crash instant. *)
@@ -59,10 +63,10 @@ type t = {
   mutable telemetry : Xenic_telemetry.Telemetry.t option;
 }
 
-(** Install the engine's partition topology (windowed when
-    [partitions > 0], exact-order on a multi-domain engine otherwise),
-    then create the fabric and the control state. Must run before any
-    event is scheduled. *)
+(** With [partitions > 0], install a windowed partition topology on the
+    engine (lookahead = wire latency); otherwise the engine stays
+    single-heap whatever its domain budget. Then create the fabric and
+    the control state. Must run before any event is scheduled. *)
 val create :
   Xenic_sim.Engine.t ->
   Xenic_params.Hw.t ->
@@ -91,12 +95,13 @@ val next_id : t -> node:int -> Types.txn_id
 
 (** {2 Metrics, trace, telemetry, oracle} *)
 
-(** The metrics the current event records into: its partition's shard
-    when windowed, the shared object otherwise. *)
+(** The metrics shard the current event records into: its
+    partition's. *)
 val mx : t -> Metrics.t
 
-(** Reported metrics: windowed systems merge their shards into a fresh
-    object in partition-index order on every call. *)
+(** Reported metrics: a snapshot, the shards merged into a fresh object
+    in partition-index order on every call. Later recording does not
+    show in an earlier snapshot. *)
 val metrics : t -> Metrics.t
 
 val counters : t -> Xenic_stats.Counter.t
@@ -123,7 +128,10 @@ val phase_mark : t -> src:int -> seq:int -> string -> float -> float
 val set_oracle : t -> Oracle.t -> unit
 
 (** Flush partition oracle buffers into the attached oracle, in
-    partition-index order. Call between engine runs only. *)
+    partition-index order; commits reach the attached oracle only
+    through it. On a windowed engine, call between runs only. An
+    unpartitioned system runs on one heap, so there it may also be
+    called from an event mid-run. *)
 val sync : t -> unit
 
 (** Record a commit's observed [reads] and its writes [seq_ops] (with

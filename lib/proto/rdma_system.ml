@@ -25,7 +25,7 @@ type params = {
       (* > 0: windowed conservative-PDES topology over this many node
          partitions, with metrics and the oracle feed sharded per
          partition (same contract as [Xenic_system.params.partitions]:
-         un-armed runs only, no membership/trace). 0: legacy. *)
+         un-armed runs only, no membership/trace). 0: single-heap. *)
 }
 
 let default_params =

@@ -49,7 +49,7 @@ type params = {
       (** [> 0]: windowed conservative-PDES topology over this many
           node partitions with per-partition metrics/oracle shards (the
           open-loop configuration; un-armed runs only, no
-          membership/trace). [0] (default): legacy. Same contract as
+          membership/trace). [0] (default): single-heap. Same contract as
           {!Xenic_system.params}[.partitions]. *)
 }
 

@@ -12,15 +12,17 @@ type t = {
           faults, shed accounting, trace/telemetry attachment and
           background-service shutdown are {!Control} calls on it. *)
   metrics : unit -> Metrics.t;
-      (** Reported metrics. A call, not a field: partitioned (windowed)
-          systems merge their per-partition shards into a fresh object
-          each time; unpartitioned systems return the live object. *)
+      (** Reported metrics. A call, not a field: each call merges the
+          per-partition shards (one when unpartitioned) into a fresh
+          snapshot. *)
   ingress_occupancy : node:int -> float;
       (** Instantaneous coordinator-NIC ingress occupancy (> 1.0 =
           backlog) — the admission backpressure signal. *)
   sync : unit -> unit;
-      (** Flush partition-local oracle buffers into the attached oracle
-          (between engine runs only); no-op on unpartitioned systems. *)
+      (** Flush partition-local oracle buffers (one when unpartitioned)
+          into the attached oracle: between runs on a windowed engine,
+          at any time on an unpartitioned one. Both drivers call it
+          after their final run. *)
   load : Keyspace.t -> bytes -> unit;
   seal : unit -> unit;
   run_txn : node:int -> Types.t -> Types.outcome;

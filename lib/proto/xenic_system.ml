@@ -30,8 +30,8 @@ type params = {
          many node partitions (lookahead = the fabric wire latency) and
          shard metrics and the oracle feed per partition, so open-loop
          generators on different partitions never touch shared mutable
-         state. 0 (default): legacy single-heap or exact-order
-         multi-domain execution with one shared metrics object.
+         state. 0 (default): the single-heap engine, whatever its domain
+         budget, with one metrics shard and one oracle buffer.
          Windowed runs must stay un-armed (the fence, epoch and
          membership machinery is cross-partition by construction);
          [Control] rejects an armed windowed system. *)

@@ -49,8 +49,8 @@ type params = {
           count. Windowed systems must stay un-armed and must not
           attach membership, traces or profiles (that state is
           cross-partition; {!Control} rejects the first three). [0]
-          (default): legacy single-heap or exact-order multi-domain
-          execution. *)
+          (default): the single-heap engine, whatever its domain
+          budget, with one metrics shard and one oracle buffer. *)
 }
 
 val default_params : params

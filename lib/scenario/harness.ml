@@ -65,8 +65,8 @@ let check_oracle ~what oracle =
   | Oracle.Violation msg ->
       failwith (Printf.sprintf "%s: not serializable: %s" what msg)
 
-let mk_closed stack ?domains ~nodes ~replication ~armed () =
-  let engine = Engine.create ~strict:true ?domains () in
+let mk_closed stack ~nodes ~replication ~armed () =
+  let engine = Engine.create ~strict:true () in
   let cfg = Config.make ~nodes ~replication in
   let req_timeout_ns = if armed then Some req_timeout_ns else None in
   match stack with
@@ -186,7 +186,6 @@ let run ?domains ?(concurrency = 8) ?(target = 300) ~stack ~seed scn =
         (Retwis.openloop_spec retwis_params)
         ~phases:(Scenario.openloop_phases scn)
     in
-    sys.System.sync ();
     check_oracle ~what oracle;
     {
       committed = r.Openloop.committed;
@@ -198,7 +197,7 @@ let run ?domains ?(concurrency = 8) ?(target = 300) ~stack ~seed scn =
   end
   else begin
     let armed = Scenario.has_crashes scn in
-    let sys = mk_closed stack ?domains ~nodes ~replication ~armed () in
+    let sys = mk_closed stack ~nodes ~replication ~armed () in
     let oracle = Oracle.create () in
     sys.System.set_oracle oracle;
     Smallbank.load sb_params sys;

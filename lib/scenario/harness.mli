@@ -33,9 +33,10 @@ val counter : outcome -> string -> float
 
 (** [run ~stack ~seed scn] validates, injects and drives [scn],
     raising [Failure] on a serializability violation. [domains] is the
-    engine's domain budget (default: [XENIC_DOMAINS], or 1);
-    closed-loop digests are domain-count-invariant (exact-order
-    engine), open-loop ones likewise (windowed engine, 2 partitions).
+    open-loop engine's domain budget (default: [XENIC_DOMAINS], or 1):
+    those runs are windowed on 2 partitions, and their digests are
+    domain-count-invariant. Closed-loop runs ignore it and use the
+    single-heap engine.
     [concurrency]/[target] shape the closed-loop run only. Requires
     [max_concurrent_crashes < replication] (= 3, or [nodes] if
     smaller). *)

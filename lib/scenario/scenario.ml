@@ -544,9 +544,9 @@ let expand_endpoint t n = if n = -1 then all_nodes t else [ n ]
    source node, so a directive touching several sources becomes one
    event per source, tagged [~node:src] — each runs on the partition
    that owns the row it mutates. NIC directives run at their node.
-   Crash/recover are untagged, exactly like the legacy [Driver.run
-   ~faults] path (closed-loop runs use exact-order engines, where tags
-   only choose the executing domain, not the order). *)
+   Crash/recover are untagged, exactly like the [Driver.run ~faults]
+   path (closed-loop runs use the single-heap engine, where tags are
+   ignored). *)
 let schedule_action t (sys : System.t) ~at action =
   let engine = sys.System.engine in
   let ctl = sys.System.control in

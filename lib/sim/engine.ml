@@ -1,38 +1,24 @@
-(* Discrete-event engine, in three execution modes sharing one API:
+(* Discrete-event engine, in two execution modes sharing one API:
 
-   - {e legacy} (no topology, or a topology on a 1-domain engine
-     without lookahead): the original single-heap loop, untouched on
-     the hot path;
+   - {e single-heap} (no topology): one heap in strict (time, seq)
+     order — the hot path;
 
-   - {e exact-order multi-domain} (topology without lookahead,
-     domains > 1): one heap per partition, a coordinator that dispatches
-     the globally minimal (time, seq) event to its owner partition's
-     domain through a baton handshake. Exactly one event executes at
-     any instant, so the event order — and every digest, trace byte and
-     oracle verdict derived from it — is identical to the legacy loop
-     by construction, while each partition's events really run on its
-     domain (per-domain caches, per-partition ambient Attrib state).
-     This is the parity mode the golden stacks run under
-     XENIC_DOMAINS=2: their closed-loop driver shares commit counters
-     across all nodes at zero lookahead, which rules out windowed
-     parallelism without changing observable behavior;
-
-   - {e windowed conservative} (topology with a positive lookahead):
-     classic conservative PDES. Each window executes every event with
-     time < T + lookahead (T = global minimum) concurrently across
-     partitions; events an event schedules onto its own partition draw
-     sequence numbers from a per-partition block carved out of the
-     global counter at window start, and cross-partition events — legal
-     only at or beyond the window horizon, the lookahead discipline —
-     travel through bounded channels and are merged at the barrier in
-     the order (parent time, parent seq, schedule index), which equals
-     the order a sequential execution would have scheduled them in.
-     Partition count, blocks, and the merge are all independent of the
-     domain count, so a 1-domain and an n-domain run of the same
-     partitioned model are bit-identical. Requires the model to keep
-     partitions independent below the lookahead (no shared mutable
-     state, cross-partition delays >= lookahead) — violations of the
-     time bound fail deterministically. *)
+   - {e windowed conservative} ({!set_topology}): classic conservative
+     PDES. Each window executes every event with time < T + lookahead
+     (T = global minimum) concurrently across partitions; events an
+     event schedules onto its own partition draw sequence numbers from
+     a per-partition block carved out of the global counter at window
+     start, and cross-partition events — legal only at or beyond the
+     window horizon, the lookahead discipline — travel through bounded
+     channels and are merged at the barrier in the order (parent time,
+     parent seq, schedule index), which equals the order a sequential
+     execution would have scheduled them in. Partition count, blocks,
+     and the merge are all independent of the domain count, so a
+     1-domain and an n-domain run of the same partitioned model are
+     bit-identical. Requires the model to keep partitions independent
+     below the lookahead (no shared mutable state, cross-partition
+     delays >= lookahead) — violations of the time bound fail
+     deterministically. *)
 
 type xev = {
   x_time : float;
@@ -53,14 +39,12 @@ type t = {
   mu : Mutex.t;  (* orders checks/violations when partitions share them *)
   domains : int;
   attrib : Attrib.state;
-      (* ambient attribution state installed for legacy runs and for
-         engine-scoped setup code ({!with_attrib}) *)
+      (* ambient attribution state installed for single-heap runs and
+         for engine-scoped setup code ({!with_attrib}) *)
   mutable parts : part array;  (* [||] until {!set_topology} *)
   mutable node_part : int -> int;
   mutable lookahead : float;
-  mutable windowed : bool;
-  mutable horizon : float;  (* windowed: the running window's bound *)
-  mutable cur_part : int;  (* exact mode: partition of the executing event *)
+  mutable horizon : float;  (* the running window's bound *)
 }
 
 and part = {
@@ -70,7 +54,7 @@ and part = {
   p_attrib : Attrib.state;
   mutable p_now : float;
   mutable p_events : int;
-  mutable p_seq_next : int;  (* windowed: next seq in this window's block *)
+  mutable p_seq_next : int;  (* next seq in this window's block *)
   mutable p_seq_limit : int;
   mutable p_cur_time : float;  (* identity of the executing event ... *)
   mutable p_cur_seq : int;
@@ -86,7 +70,8 @@ let cur_slot : part option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 (* Default domain count, read once per process: `XENIC_DOMAINS=n` makes
    every engine (whose creator does not pass ~domains) an n-domain one.
-   The test suite uses it to run identical binaries in both modes. *)
+   Only windowed runs use it; the test suite uses it to run identical
+   binaries on one domain or several. *)
 let env_domains =
   match Sys.getenv_opt "XENIC_DOMAINS" with
   | None -> 1
@@ -115,31 +100,30 @@ let create ?(strict = false) ?domains () =
     parts = [||];
     node_part = (fun _ -> 0);
     lookahead = 0.0;
-    windowed = false;
     horizon = infinity;
-    cur_part = 0;
   }
 
 let domains t = t.domains
 
 let partitions t = Array.length t.parts
 
+let windowed t = Array.length t.parts > 0
+
 let now t =
-  if t.windowed then
+  if windowed t then
     match Domain.DLS.get cur_slot with
     | Some p when p.p_eng == t -> p.p_now
     | _ -> t.now
   else t.now
 
 let current_partition t =
-  if t.windowed then
+  if windowed t then
     match Domain.DLS.get cur_slot with
     | Some p when p.p_eng == t -> p.p_id
     | _ -> 0
-  else if Array.length t.parts = 0 then 0
-  else t.cur_part
+  else 0
 
-let current_lookahead t = if t.windowed then Some t.lookahead else None
+let current_lookahead t = if windowed t then Some t.lookahead else None
 
 let strict t = t.strict
 
@@ -166,141 +150,118 @@ let sanitize t =
    must stay disjoint without cross-domain coordination. *)
 let seq_block = 1 lsl 20
 
-let set_topology ?lookahead ?(channel_capacity = 8192) t ~partitions
+let set_topology ?(channel_capacity = 8192) t ~lookahead ~partitions
     ~node_partition =
   if partitions <= 0 then
     invalid_arg "Engine.set_topology: partitions must be positive";
   if channel_capacity <= 0 then
     invalid_arg "Engine.set_topology: channel_capacity must be positive";
-  (match lookahead with
-  | Some l when Float.compare l 0.0 <= 0 ->
-      invalid_arg "Engine.set_topology: lookahead must be positive"
-  | _ -> ());
-  if Array.length t.parts > 0 then
-    invalid_arg "Engine.set_topology: topology already set";
+  if Float.compare lookahead 0.0 <= 0 then
+    invalid_arg "Engine.set_topology: lookahead must be positive";
+  if windowed t then invalid_arg "Engine.set_topology: topology already set";
   if (not (Heap.is_empty t.heap)) || t.events_run > 0 then
     invalid_arg "Engine.set_topology: engine already has events";
-  match lookahead with
-  | None when t.domains = 1 ->
-      (* Single domain, exact order: the legacy single-heap loop IS that
-         semantics, and it is the baseline the multi-domain modes are
-         byte-compared against — leave it untouched. *)
-      ()
-  | _ ->
-      let dummy_x =
-        { x_time = 0.0; x_ptime = 0.0; x_pseq = 0; x_k = 0; x_fn = ignore }
-      in
-      t.parts <-
-        Array.init partitions (fun i ->
-            {
-              p_id = i;
-              p_eng = t;
-              p_heap = Heap.create ~dummy:(fun () -> ());
-              p_attrib =
-                (let st = Attrib.fresh () in
-                 Attrib.set_state_enabled st (Attrib.state_enabled t.attrib);
-                 st);
-              p_now = t.now;
-              p_events = 0;
-              p_seq_next = 0;
-              p_seq_limit = 0;
-              p_cur_time = 0.0;
-              p_cur_seq = 0;
-              p_cur_k = 0;
-              p_out =
-                Array.init partitions (fun _ ->
-                    Xchan.create ~capacity:channel_capacity ~dummy:dummy_x);
-            });
-      t.node_part <-
-        (fun n ->
-          let p = node_partition n in
-          if p < 0 || p >= partitions then
-            invalid_arg
-              (Printf.sprintf
-                 "Engine: node %d mapped to partition %d outside [0, %d)" n p
-                 partitions);
-          p);
-      (match lookahead with
-      | Some l ->
-          t.lookahead <- l;
-          t.windowed <- true
-      | None -> ())
+  let dummy_x =
+    { x_time = 0.0; x_ptime = 0.0; x_pseq = 0; x_k = 0; x_fn = ignore }
+  in
+  t.parts <-
+    Array.init partitions (fun i ->
+        {
+          p_id = i;
+          p_eng = t;
+          p_heap = Heap.create ~dummy:(fun () -> ());
+          p_attrib =
+            (let st = Attrib.fresh () in
+             Attrib.set_state_enabled st (Attrib.state_enabled t.attrib);
+             st);
+          p_now = t.now;
+          p_events = 0;
+          p_seq_next = 0;
+          p_seq_limit = 0;
+          p_cur_time = 0.0;
+          p_cur_seq = 0;
+          p_cur_k = 0;
+          p_out =
+            Array.init partitions (fun _ ->
+                Xchan.create ~capacity:channel_capacity ~dummy:dummy_x);
+        });
+  t.node_part <-
+    (fun n ->
+      let p = node_partition n in
+      if p < 0 || p >= partitions then
+        invalid_arg
+          (Printf.sprintf
+             "Engine: node %d mapped to partition %d outside [0, %d)" n p
+             partitions);
+      p);
+  t.lookahead <- lookahead
 
-(* Partitioned scheduling. Exact mode: the global counter assigns seqs
-   in scheduling order exactly like the legacy path — the partition only
-   chooses which domain will execute the event. Windowed mode: local
-   schedules draw from the partition's window block; cross-partition
-   schedules must respect the lookahead bound and are deferred to the
-   barrier with their parent's identity as the merge key. *)
+(* Partitioned scheduling. Local schedules draw from the partition's
+   window block; cross-partition schedules must respect the lookahead
+   bound and are deferred to the barrier with their parent's identity
+   as the merge key. *)
 let schedule_part t node time f =
-  let parts = t.parts in
-  if not t.windowed then begin
-    let dst = match node with Some n -> t.node_part n | None -> t.cur_part in
-    t.seq <- t.seq + 1;
-    Heap.push parts.(dst).p_heap ~time ~seq:t.seq f
-  end
-  else
-    match Domain.DLS.get cur_slot with
-    | Some p when p.p_eng == t ->
-        let dst = match node with Some n -> t.node_part n | None -> p.p_id in
-        if dst = p.p_id then begin
-          if p.p_seq_next >= p.p_seq_limit then
-            invalid_arg
-              (Printf.sprintf
-                 "Engine: partition %d exhausted its %d-event window block"
-                 p.p_id seq_block);
-          let s = p.p_seq_next in
-          p.p_seq_next <- s + 1;
-          Heap.push p.p_heap ~time ~seq:s f
-        end
-        else begin
-          if time < t.horizon then
-            invalid_arg
-              (Printf.sprintf
-                 "Engine: cross-partition event at %.1f violates the \
-                  lookahead bound (window horizon %.1f)"
-                 time t.horizon);
-          let k = p.p_cur_k in
-          p.p_cur_k <- k + 1;
-          let x =
-            {
-              x_time = time;
-              x_ptime = p.p_cur_time;
-              x_pseq = p.p_cur_seq;
-              x_k = k;
-              x_fn = f;
-            }
-          in
-          if not (Xchan.push p.p_out.(dst) x) then
-            invalid_arg
-              (Printf.sprintf
-                 "Engine: cross-partition channel %d->%d full (capacity %d); \
-                  raise ?channel_capacity"
-                 p.p_id dst
-                 (Xchan.capacity p.p_out.(dst)))
-        end
-    | _ ->
-        (* Outside any window (setup code, between runs): the global
-           counter is free and the heaps are quiescent. *)
-        let dst = match node with Some n -> t.node_part n | None -> 0 in
-        t.seq <- t.seq + 1;
-        Heap.push parts.(dst).p_heap ~time ~seq:t.seq f
+  match Domain.DLS.get cur_slot with
+  | Some p when p.p_eng == t ->
+      let dst = match node with Some n -> t.node_part n | None -> p.p_id in
+      if dst = p.p_id then begin
+        if p.p_seq_next >= p.p_seq_limit then
+          invalid_arg
+            (Printf.sprintf
+               "Engine: partition %d exhausted its %d-event window block"
+               p.p_id seq_block);
+        let s = p.p_seq_next in
+        p.p_seq_next <- s + 1;
+        Heap.push p.p_heap ~time ~seq:s f
+      end
+      else begin
+        if time < t.horizon then
+          invalid_arg
+            (Printf.sprintf
+               "Engine: cross-partition event at %.1f violates the \
+                lookahead bound (window horizon %.1f)"
+               time t.horizon);
+        let k = p.p_cur_k in
+        p.p_cur_k <- k + 1;
+        let x =
+          {
+            x_time = time;
+            x_ptime = p.p_cur_time;
+            x_pseq = p.p_cur_seq;
+            x_k = k;
+            x_fn = f;
+          }
+        in
+        if not (Xchan.push p.p_out.(dst) x) then
+          invalid_arg
+            (Printf.sprintf
+               "Engine: cross-partition channel %d->%d full (capacity %d); \
+                raise ?channel_capacity"
+               p.p_id dst
+               (Xchan.capacity p.p_out.(dst)))
+      end
+  | _ ->
+      (* Outside any window (setup code, between runs): the global
+         counter is free and the heaps are quiescent. *)
+      let dst = match node with Some n -> t.node_part n | None -> 0 in
+      t.seq <- t.seq + 1;
+      Heap.push t.parts.(dst).p_heap ~time ~seq:t.seq f
 
 let at ?node t time f =
   let cur = now t in
   if time < cur then
     invalid_arg
       (Printf.sprintf "Engine.at: time %.1f is before now %.1f" time cur);
-  if Array.length t.parts = 0 then begin
+  if windowed t then schedule_part t node time f
+  else begin
     t.seq <- t.seq + 1;
     Heap.push t.heap ~time ~seq:t.seq f
   end
-  else schedule_part t node time f
 
 let after ?node t delay f = at ?node t (now t +. delay) f
 
 (* ------------------------------------------------------------------ *)
-(* Legacy single-heap loop — the simulator's single hot path; see the
+(* Single-heap loop — the simulator's single hot path; see the
    heap comments. Allocates nothing per event: [Heap.min_time] reads
    the key in place and [Heap.pop] returns the stored closure. Events
    dispatch in strict (time, seq) order; same-timestamp events —
@@ -342,7 +303,7 @@ let run_legacy ~until t =
   t.events_run - start
 
 (* ------------------------------------------------------------------ *)
-(* Exact-order multi-domain mode. *)
+(* Windowed conservative mode. *)
 
 (* Index of the partition holding the globally minimal (time, seq)
    event; -1 when every heap is empty. *)
@@ -362,128 +323,6 @@ let global_min parts =
       end)
     parts;
   !best
-
-(* Baton handshake: the coordinator hands one event at a time to a
-   worker domain and blocks until it completes, so at most one event
-   executes at any instant and every mutation it makes is ordered
-   before the next event by the mutex pair. *)
-type job = { j_part : part; j_fn : unit -> unit }
-
-type baton = {
-  b_mu : Mutex.t;
-  b_cv : Condition.t;
-  mutable b_job : job option;
-  mutable b_done : bool;
-  mutable b_quit : bool;
-  mutable b_exn : (exn * Printexc.raw_backtrace) option;
-}
-
-let make_baton () =
-  {
-    b_mu = Mutex.create ();
-    b_cv = Condition.create ();
-    b_job = None;
-    b_done = false;
-    b_quit = false;
-    b_exn = None;
-  }
-
-let worker_loop b =
-  let rec loop () =
-    Mutex.lock b.b_mu;
-    while (match b.b_job with None -> not b.b_quit | Some _ -> false) do
-      Condition.wait b.b_cv b.b_mu
-    done;
-    match b.b_job with
-    | None -> Mutex.unlock b.b_mu  (* quit requested *)
-    | Some job ->
-        b.b_job <- None;
-        Mutex.unlock b.b_mu;
-        let prev = Attrib.install job.j_part.p_attrib in
-        (try job.j_fn ()
-         with e -> b.b_exn <- Some (e, Printexc.get_raw_backtrace ()));
-        ignore (Attrib.install prev);
-        Mutex.lock b.b_mu;
-        b.b_done <- true;
-        Condition.signal b.b_cv;
-        Mutex.unlock b.b_mu;
-        loop ()
-  in
-  loop ()
-
-let dispatch b job =
-  Mutex.lock b.b_mu;
-  b.b_job <- Some job;
-  b.b_done <- false;
-  Condition.signal b.b_cv;
-  while not b.b_done do
-    Condition.wait b.b_cv b.b_mu
-  done;
-  Mutex.unlock b.b_mu
-
-let run_exact ~until t =
-  let start = t.events_run in
-  let parts = t.parts in
-  let nslots = min t.domains (Array.length parts) in
-  let batons = Array.init (nslots - 1) (fun _ -> make_baton ()) in
-  let workers =
-    Array.map (fun b -> Domain.spawn (fun () -> worker_loop b)) batons
-  in
-  let stop () =
-    Array.iter
-      (fun b ->
-        Mutex.lock b.b_mu;
-        b.b_quit <- true;
-        Condition.signal b.b_cv;
-        Mutex.unlock b.b_mu)
-      batons;
-    Array.iter Domain.join workers
-  in
-  Fun.protect ~finally:stop @@ fun () ->
-  let continue = ref true in
-  while !continue do
-    let i = global_min parts in
-    if i < 0 then continue := false
-    else begin
-      let p = parts.(i) in
-      let time = Heap.min_time p.p_heap in
-      if time > until then continue := false
-      else begin
-        if t.strict && time < t.now then
-          report_violation t
-            (Printf.sprintf
-               "engine: non-monotonic time (event at %.1f dispatched after \
-                clock reached %.1f)"
-               time t.now);
-        t.now <- time;
-        p.p_now <- time;
-        t.events_run <- t.events_run + 1;
-        p.p_events <- p.p_events + 1;
-        t.cur_part <- i;
-        let fn = Heap.pop p.p_heap in
-        let slot = i mod nslots in
-        if slot = 0 then begin
-          let prev = Attrib.install p.p_attrib in
-          Fun.protect ~finally:(fun () -> ignore (Attrib.install prev)) fn
-        end
-        else begin
-          let b = batons.(slot - 1) in
-          dispatch b { j_part = p; j_fn = fn };
-          match b.b_exn with
-          | Some (e, bt) ->
-              b.b_exn <- None;
-              Printexc.raise_with_backtrace e bt
-          | None -> ()
-        end
-      end
-    end
-  done;
-  (* xenic-lint: allow FLOAT-CMP *)
-  if until <> infinity && until > t.now then t.now <- until;
-  t.events_run - start
-
-(* ------------------------------------------------------------------ *)
-(* Windowed conservative mode. *)
 
 (* Drain one partition for the window: every event strictly below the
    horizon (and within [until]), in the partition heap's (time, seq)
@@ -752,7 +591,8 @@ let run_windowed ~until t =
   t.events_run - start
 
 let run ?(until = infinity) t =
-  if Array.length t.parts = 0 then begin
+  if windowed t then run_windowed ~until t
+  else begin
     (* The engine's ambient Attrib state is live for the span of the
        run: two engines interleaved in one process each see their own
        attribution context (and enabled flag), never each other's. *)
@@ -760,14 +600,12 @@ let run ?(until = infinity) t =
     Fun.protect ~finally:(fun () -> ignore (Attrib.install prev)) @@ fun () ->
     run_legacy ~until t
   end
-  else if t.windowed then run_windowed ~until t
-  else run_exact ~until t
 
 let events_run t = t.events_run
 
 let idle t =
-  if Array.length t.parts = 0 then Heap.is_empty t.heap
-  else Array.for_all (fun p -> Heap.is_empty p.p_heap) t.parts
+  if windowed t then Array.for_all (fun p -> Heap.is_empty p.p_heap) t.parts
+  else Heap.is_empty t.heap
 
 (* ------------------------------------------------------------------ *)
 (* Ambient attribution state, owned by the engine. *)

@@ -5,25 +5,21 @@
     Determinism follows from the total (time, seq) event order and from
     components drawing randomness from their own {!Rng.t} streams.
 
-    The engine runs in one of three modes:
+    The engine runs in one of two modes:
 
-    - {b single-domain} (the default): the original single-heap loop.
-    - {b exact-order multi-domain} ({!set_topology} without lookahead on
-      an engine created with [domains > 1]): per-partition heaps whose
-      events execute on separate domains, one event at a time in global
-      (time, seq) order — behavior, digests and traces are bit-identical
-      to the single-domain run by construction.
-    - {b windowed conservative} ({!set_topology} with [~lookahead]):
-      partitions execute windows of [lookahead] ns concurrently;
-      cross-partition events must land at or beyond the window horizon
-      and are merged deterministically at the barrier. Requires a
-      partition-clean model (no mutable state shared across partitions,
-      cross-partition delays >= lookahead); results are bit-identical
-      across domain counts for a fixed partition count.
+    - {b single-heap} (the default): one heap, one domain, events in
+      global (time, seq) order.
+    - {b windowed conservative} (after {!set_topology}): partitions
+      execute windows of [lookahead] ns concurrently; cross-partition
+      events must land at or beyond the window horizon and are merged
+      deterministically at the barrier. Requires a partition-clean
+      model (no mutable state shared across partitions, cross-partition
+      delays >= lookahead); results are bit-identical across domain
+      counts for a fixed partition count.
 
     The default domain count is the [XENIC_DOMAINS] environment
-    variable (1 when unset), so a test binary can run both modes
-    unmodified. *)
+    variable (1 when unset), so a test binary can run windowed models
+    on one or several domains unmodified. *)
 
 type t
 
@@ -36,7 +32,7 @@ type t
     is intended for tests, not for large benchmark runs.
 
     [domains] (default: [XENIC_DOMAINS], or 1) is the number of OCaml
-    domains partitioned runs may use; it has no effect until
+    domains windowed runs may use; it has no effect until
     {!set_topology} installs a partitioning. *)
 val create : ?strict:bool -> ?domains:int -> unit -> t
 
@@ -46,32 +42,24 @@ val strict : t -> bool
 (** The engine's domain budget (1 = single-domain). *)
 val domains : t -> int
 
-(** Number of partitions installed by {!set_topology}; 0 before (or
-    when the 1-domain exact-order request collapsed to the legacy
-    single-heap path). *)
+(** Number of partitions installed by {!set_topology}; 0 before. *)
 val partitions : t -> int
 
-(** [set_topology t ~partitions ~node_partition] partitions the engine:
-    events tagged with [~node:n] (see {!at}) belong to partition
-    [node_partition n]; untagged events inherit the partition of the
-    event that scheduled them. Must be called before any event is
-    scheduled, at most once.
+(** [set_topology t ~lookahead ~partitions ~node_partition] puts the
+    engine in windowed conservative mode: events tagged with [~node:n]
+    (see {!at}) belong to partition [node_partition n]; untagged events
+    inherit the partition of the event that scheduled them. Must be
+    called before any event is scheduled, at most once.
 
-    Without [?lookahead]: exact-order mode — on a 1-domain engine this
-    is a no-op (the legacy loop already is that semantics), on a
-    multi-domain engine each partition's events execute on its domain,
-    one at a time, in the exact global order.
-
-    With [?lookahead] (> 0, ns): windowed conservative mode — an event
-    may schedule onto another partition only at [>= lookahead] past the
-    current window's start; violations raise deterministically. Cross-
-    partition handoffs travel through bounded channels of
-    [?channel_capacity] (default 8192) entries; overflow raises
-    deterministically. *)
+    An event may schedule onto another partition only at
+    [>= lookahead] (> 0, ns) past the current window's start;
+    violations raise deterministically. Cross-partition handoffs travel
+    through bounded channels of [?channel_capacity] (default 8192)
+    entries; overflow raises deterministically. *)
 val set_topology :
-  ?lookahead:float ->
   ?channel_capacity:int ->
   t ->
+  lookahead:float ->
   partitions:int ->
   node_partition:(int -> int) ->
   unit
@@ -80,16 +68,16 @@ val set_topology :
     window, this is the executing partition's clock. *)
 val now : t -> float
 
-(** Partition id of the executing event's context: in exact-order mode
-    the partition the current event was dispatched from, in windowed
-    mode the partition whose window drain is running on this domain.
-    0 on an unpartitioned engine and outside any run — so a model can
-    always use it to index per-partition state. *)
+(** Partition id of the executing event's context: inside a window,
+    the partition whose drain is running on this domain; 0 everywhere
+    else (unpartitioned engines, setup code, between runs) — so a model
+    can always use it to index per-partition state. *)
 val current_partition : t -> int
 
-(** [Some lookahead] iff the engine is in windowed conservative mode —
-    the mode in which partitions execute concurrently and a model must
-    keep its mutable state partition-local. *)
+(** [Some lookahead] iff {!set_topology} put the engine in windowed
+    conservative mode — the mode in which partitions execute
+    concurrently and a model must keep its mutable state
+    partition-local. *)
 val current_lookahead : t -> float option
 
 (** [at t time f] schedules [f] to run at absolute [time]. Scheduling

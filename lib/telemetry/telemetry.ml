@@ -34,7 +34,6 @@ type key = { k_win : int; k_stack : string; k_node : int; k_label : string }
 type t = {
   engine : Engine.t;
   clock : Wclock.t;
-  sharded : bool;
   shards : (key, cell) Hashtbl.t array;
   mutable cutoff : float option;
   mutable sealed_end : float option;
@@ -42,23 +41,17 @@ type t = {
 
 let default_window_ns = 100_000.0
 
-(* Shard per partition only in windowed conservative mode, where
-   partitions execute concurrently (so recording must stay
-   partition-local) and the partition ids are fixed by the topology,
-   independent of the domain count. Exact-order mode runs one event at
-   a time globally, so a single shard is race-free there — and keeps
-   the [part] dimension at 0 whether the baton is held by one domain
-   or several, preserving byte-identical exports across
-   [XENIC_DOMAINS] for unpartitioned systems too. *)
+(* One shard per engine partition (one when unpartitioned): windowed
+   partitions execute concurrently, so recording must stay
+   partition-local, and the partition ids are fixed by the topology,
+   independent of the domain count. *)
 let create ?(window_ns = default_window_ns) engine =
-  let sharded = Option.is_some (Engine.current_lookahead engine) in
   {
     engine;
     clock = Wclock.make ~t0:(Engine.now engine) ~width_ns:window_ns;
-    sharded;
     shards =
       Array.init
-        (if sharded then max 1 (Engine.partitions engine) else 1)
+        (max 1 (Engine.partitions engine))
         (fun _ -> Hashtbl.create 64);
     cutoff = None;
     sealed_end = None;
@@ -95,9 +88,7 @@ let new_cell () =
   }
 
 let get_cell t ~win ~stack ~node ~label =
-  let shard =
-    t.shards.(if t.sharded then Engine.current_partition t.engine else 0)
-  in
+  let shard = t.shards.(Engine.current_partition t.engine) in
   let k = { k_win = win; k_stack = stack; k_node = node; k_label = label } in
   match Hashtbl.find_opt shard k with
   | Some c -> c

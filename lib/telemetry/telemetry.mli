@@ -19,16 +19,15 @@
     a recorder to a run cannot perturb it — a traced run and an
     untraced run of the same seed execute identically.
 
-    On a windowed conservative engine — the one mode in which
-    partitions execute concurrently — recording is sharded per engine
-    partition (the writer's {!Xenic_sim.Engine.current_partition}
-    selects the shard, and is also the [part] dimension of every
-    series the shard produces), and shards are merged in
-    partition-index order. Exact-order and untopologized engines run
-    one event at a time globally, so they record into a single shard
-    with [part = 0]. Both ways the shard choice depends only on the
-    installed topology, never on the domain count, so exported series
-    are byte-identical across [XENIC_DOMAINS=1] and [2].
+    Recording is sharded per engine partition, because windowed
+    partitions execute concurrently: the writer's
+    {!Xenic_sim.Engine.current_partition} selects the shard, and is
+    also the [part] dimension of every series the shard produces.
+    Shards are merged in partition-index order. A single-heap engine
+    records into one shard with [part = 0]. The shard choice depends
+    only on the installed topology, never on the domain count, so
+    exported series are byte-identical across [XENIC_DOMAINS=1] and
+    [2].
 
     Lifecycle: [create] anchors [t0] at the engine's current time;
     recorders accumulate during the run; [seal] fixes [t_end] and

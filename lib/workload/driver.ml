@@ -27,8 +27,11 @@ type state = {
   target : int;
 }
 
-let run ?(seed = 1L) ?(warmup_frac = 0.15) ?(abort_backoff_ns = 3_000.0)
-    ?coordinators ?(faults = []) ?trace ?(sample_period_ns = 10_000.0)
+(* Backoff after an abort, so a retry does not land in the same
+   conflict/staleness window. *)
+let abort_backoff_ns = 3_000.0
+
+let run ?(seed = 1L) ?(warmup_frac = 0.15) ?coordinators ?(faults = []) ?trace ?(sample_period_ns = 10_000.0)
     ?(profile = false) ?telemetry (sys : System.t) spec ~concurrency ~target =
   let engine = sys.System.engine in
   let metrics = Metrics.create () in
@@ -38,9 +41,7 @@ let run ?(seed = 1L) ?(warmup_frac = 0.15) ?(abort_backoff_ns = 3_000.0)
      current gauge readings are integrated backward over the span since
      the previous completion. Gauge state is shared across slots, so
      this stays off in windowed conservative mode, where slots run
-     concurrently on different domains; exact-order mode serializes
-     every event through the baton, so the shared ref is race-free and
-     the integrals are bit-identical to a single-domain run. *)
+     concurrently on different domains. *)
   let occ_state =
     match telemetry with
     | Some tel when Option.is_none (Engine.current_lookahead engine) ->
@@ -182,10 +183,7 @@ let run ?(seed = 1L) ?(warmup_frac = 0.15) ?(abort_backoff_ns = 3_000.0)
                   if st.warmup = 0 || st.committed > st.warmup then
                     Metrics.record_class metrics ~cls ~latency_ns:latency
                       Types.Aborted;
-                  (* Brief backoff so a retry does not land in the same
-                     conflict/staleness window. *)
-                  if Float.compare abort_backoff_ns 0.0 > 0 then
-                    Process.sleep engine abort_backoff_ns);
+                  Process.sleep engine abort_backoff_ns);
               loop ()
             end
           in
@@ -201,6 +199,7 @@ let run ?(seed = 1L) ?(warmup_frac = 0.15) ?(abort_backoff_ns = 3_000.0)
       Control.set_telemetry sys.System.control None);
   Process.spawn engine (fun () -> sys.System.quiesce ());
   ignore (Engine.run engine);
+  sys.System.sync ();
   (* Sanitizer mode: a strict engine fails the run on any protocol-audit
      or sim-primitive violation left after quiesce. *)
   if Engine.strict engine then begin

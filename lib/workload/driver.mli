@@ -28,8 +28,9 @@ type result = {
 
 (** [run sys spec ~concurrency ~target] drives the system until
     [target] transactions have committed. [seed] defaults to 1;
-    aborted attempts back off [abort_backoff_ns] (default 3us) before
-    retrying.
+    aborted attempts back off 3us before retrying. After the engine
+    drains, the system's oracle buffers are flushed ([sys.System.sync]), so
+    an attached oracle holds every commit of the run.
 
     [faults] schedules mid-run crashes: each [(t_ns, node)] crashes
     [node] at [t_ns] simulated nanoseconds after the run starts (via
@@ -61,7 +62,6 @@ type result = {
 val run :
   ?seed:int64 ->
   ?warmup_frac:float ->
-  ?abort_backoff_ns:float ->
   ?coordinators:int list ->
   ?faults:(float * int) list ->
   ?trace:Xenic_sim.Trace.t ->

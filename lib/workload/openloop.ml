@@ -93,9 +93,15 @@ let mk_cstate nphases =
     ph_shed = Array.make nphases 0;
   }
 
+(* Session churn: [active_frac] of the users are active at a time, and
+   the active window slides every [churn_period_ns]. *)
+let active_frac = 0.05
+
+let churn_period_ns = 2e6
+
 let run ?(seed = 1L) ?(warmup_ns = 0.0) ?(admission = Admission.unlimited)
     ?(service_slots = 8) ?(retries = 0) ?(users = 2_000_000)
-    ?(active_frac = 0.05) ?(churn_period_ns = 2e6) ?coordinators ?telemetry
+    ?telemetry
     (sys : System.t) (wl : workload) ~phases =
   if phases = [] then invalid_arg "Openloop.run: empty phase list";
   List.iter
@@ -115,14 +121,6 @@ let run ?(seed = 1L) ?(warmup_ns = 0.0) ?(admission = Admission.unlimited)
     invalid_arg "Openloop.run: warmup_ns must be >= 0";
   let engine = sys.System.engine in
   let nodes = sys.System.cfg.Config.nodes in
-  let coords =
-    match coordinators with
-    | Some c ->
-        if c < 1 || c > nodes then
-          invalid_arg "Openloop.run: coordinators out of range";
-        c
-    | None -> nodes
-  in
   let phases_a = Array.of_list phases in
   let nphases = Array.length phases_a in
   let ends = Array.make nphases 0.0 in
@@ -166,9 +164,9 @@ let run ?(seed = 1L) ?(warmup_ns = 0.0) ?(admission = Admission.unlimited)
     max 1 (min users (int_of_float (active_frac *. float_of_int users)))
   in
   let stride = max 1 (active / 4) in
-  let states = Array.init coords (fun _ -> mk_cstate nphases) in
-  let adms = Array.init coords (fun _ -> Admission.create admission) in
-  for coord = 0 to coords - 1 do
+  let states = Array.init nodes (fun _ -> mk_cstate nphases) in
+  let adms = Array.init nodes (fun _ -> Admission.create admission) in
+  for coord = 0 to nodes - 1 do
     let cs = states.(coord) in
     let adm = adms.(coord) in
     let gen = wl.make ~nodes ~node:coord in
@@ -304,7 +302,7 @@ let run ?(seed = 1L) ?(warmup_ns = 0.0) ?(admission = Admission.unlimited)
         | Error cause -> record_shed cs idx cause ~now ~latency_ns:0.0);
         let gap =
           Rng.exponential arr
-            ~mean:(1e9 *. float_of_int coords /. ph.rate_tps)
+            ~mean:(1e9 *. float_of_int nodes /. ph.rate_tps)
         in
         Process.sleep ~node:coord engine gap;
         arrive (seq + 1)

@@ -107,9 +107,9 @@ type result = {
     every coordinator's queue ({!Admission.unlimited} by default).
     [service_slots] is the number of request-serving processes per
     coordinator; [retries] the client-side re-submissions per aborted
-    transaction (0 by default). [users], [active_frac] and
-    [churn_period_ns] shape the logical population and its session
-    churn. [coordinators] defaults to every node.
+    transaction (0 by default). [users] sizes the logical population;
+    5% of it is active at a time, and the active window slides every
+    2 ms of simulated time. Every node coordinates.
 
     [telemetry] attaches a windowed flight recorder sharing the run's
     accounting cutoff (the end of the arrival schedule): offered /
@@ -125,9 +125,6 @@ val run :
   ?service_slots:int ->
   ?retries:int ->
   ?users:int ->
-  ?active_frac:float ->
-  ?churn_period_ns:float ->
-  ?coordinators:int ->
   ?telemetry:Xenic_telemetry.Telemetry.t ->
   System.t ->
   workload ->

@@ -18,10 +18,12 @@ fi
 : > /root/repo/bench_output.txt
 rm -f /root/repo/BENCH_*.json /root/repo/PROFILE_*.txt /root/repo/PROFILE_*.folded \
   /root/repo/TELEMETRY_*.json /root/repo/TELEMETRY_*.prom
-# Domain-parity gate: every stack must produce bit-identical digests on
-# 1-domain and 2-domain engines before any experiment spends cycles —
-# a divergence means the partitioned engine is broken and every number
-# below it would be suspect.
+# Domain-parity gate: a short open-loop run of every stack on a windowed
+# (partitions = 2) engine must produce bit-identical digests on 1 and 2
+# domains before any experiment spends cycles — a divergence means the
+# windowed engine is broken and every open-loop number below it would be
+# suspect. Closed-loop runs use the single-heap engine on any domain
+# budget, so they have no parity to check.
 if ! timeout 2400 dune exec bench/main.exe -- parity \
     >> /root/repo/bench_output.txt 2>&1; then
   echo "run_bench.sh: domain-parity gate failed (bench/main.exe parity)" >&2

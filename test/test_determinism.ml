@@ -25,8 +25,8 @@ let tpcc_params =
     items = 200;
   }
 
-let mk_xenic_sb ?domains () =
-  let engine = Engine.create ~strict:true ?domains () in
+let mk_xenic_sb () =
+  let engine = Engine.create ~strict:true () in
   let cfg = Config.make ~nodes:4 ~replication:3 in
   let segments, seg_size, d_max = Smallbank.store_cfg sb_params in
   let p =
@@ -55,8 +55,8 @@ let mk_xenic_tpcc () =
   in
   System.of_xenic (Xenic_system.create engine hw cfg p)
 
-let mk_rdma_sb flavor ?domains () =
-  let engine = Engine.create ~strict:true ?domains () in
+let mk_rdma_sb flavor () =
+  let engine = Engine.create ~strict:true () in
   let cfg = Config.make ~nodes:4 ~replication:3 in
   let p =
     {
@@ -219,47 +219,6 @@ let test_rdma_scale_sweep flavor nodes () =
        ~target:(50 * nodes)
        [ 1L ])
 
-(* Two-domain parity sweep: the same seeds run on a 1-domain and a
-   2-domain strict engine must pass the serializability oracle AND
-   produce bit-identical digests — exact-order partitioned execution
-   has to be observationally invisible, seed by seed, not just on the
-   golden snapshots. *)
-let two_domain_seeds = [ 1L; 2L; 3L ]
-
-let test_xenic_two_domain_parity () =
-  List.iter
-    (fun seed ->
-      let one =
-        run_once ~mk:mk_xenic_sb ~load:(Smallbank.load sb_params)
-          ~spec_of:sb_spec ~concurrency:8 ~target:300 seed
-      in
-      let two =
-        run_once ~mk:(mk_xenic_sb ~domains:2) ~load:(Smallbank.load sb_params)
-          ~spec_of:sb_spec ~concurrency:8 ~target:300 seed
-      in
-      Alcotest.(check string)
-        (Printf.sprintf "seed %Ld: 1-domain and 2-domain digests agree" seed)
-        one two)
-    two_domain_seeds
-
-let test_rdma_two_domain_parity flavor () =
-  List.iter
-    (fun seed ->
-      let one =
-        run_once ~mk:(mk_rdma_sb flavor) ~load:(Smallbank.load sb_params)
-          ~spec_of:sb_spec ~concurrency:8 ~target:300 seed
-      in
-      let two =
-        run_once
-          ~mk:(mk_rdma_sb flavor ~domains:2)
-          ~load:(Smallbank.load sb_params) ~spec_of:sb_spec ~concurrency:8
-          ~target:300 seed
-      in
-      Alcotest.(check string)
-        (Printf.sprintf "seed %Ld: 1-domain and 2-domain digests agree" seed)
-        one two)
-    two_domain_seeds
-
 (* The oracle itself must reject a non-serializable history: two txns
    that each read the version the other overwrote (classic write
    skew on a single key cannot happen under versioned writes, so build
@@ -332,13 +291,6 @@ let () =
             (test_rdma_smallbank_sweep Rdma_system.Fasst);
           Alcotest.test_case "drtmr smallbank" `Quick
             (test_rdma_smallbank_sweep Rdma_system.Drtmr);
-        ] );
-      ( "two-domain parity (oracle + bit-identity)",
-        [
-          Alcotest.test_case "xenic smallbank (3 seeds)" `Quick
-            test_xenic_two_domain_parity;
-          Alcotest.test_case "fasst smallbank (3 seeds)" `Quick
-            (test_rdma_two_domain_parity Rdma_system.Fasst);
         ] );
       ( "scale sweep (crash mid-run, replication 3)",
         List.concat_map

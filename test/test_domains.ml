@@ -11,7 +11,10 @@
      shared parent, so a 2-domain run can never interleave-consume a
      1-domain stream;
    - windowed conservative mode is bit-identical across domain counts
-     on a partition-clean model. *)
+     on a partition-clean model.
+
+   It also pins the two-mode contract: a closed-loop system on a
+   multi-domain engine runs the single-heap loop. *)
 
 open Xenic_sim
 
@@ -192,6 +195,77 @@ let test_windowed_horizon_enforced () =
   Alcotest.(check bool) "sub-lookahead cross-partition schedule raises" true
     !raised
 
+(* ------------------------------------------------------------------ *)
+(* Closed-loop systems stay single-heap *)
+
+(* The closed-loop driver's shared [committed] counter couples every
+   node at zero lookahead, so a closed-loop system never partitions the
+   engine, whatever its domain budget. Its metrics come from one shard,
+   and [metrics ()] is a snapshot: two calls agree. *)
+let closed_loop_sb =
+  { Xenic_workload.Smallbank.default_params with accounts_per_node = 200 }
+
+let closed_loop_stacks =
+  let open Xenic_cluster in
+  let open Xenic_proto in
+  let open Xenic_workload in
+  let hw = Xenic_params.Hw.testbed in
+  let cfg = Config.make ~nodes:4 ~replication:3 in
+  let xenic () =
+    let segments, seg_size, d_max = Smallbank.store_cfg closed_loop_sb in
+    System.of_xenic
+      (Xenic_system.create (Engine.create ~domains:2 ()) hw cfg
+         {
+           Xenic_system.default_params with
+           segments;
+           seg_size;
+           d_max;
+           cache_capacity = 256;
+         })
+  in
+  let drtmh () =
+    System.of_rdma
+      (Rdma_system.create (Engine.create ~domains:2 ()) hw cfg
+         Rdma_system.Drtmh
+         {
+           Rdma_system.default_params with
+           buckets = Smallbank.chained_buckets closed_loop_sb;
+         })
+  in
+  [ ("xenic", xenic); ("drtmh", drtmh) ]
+
+let test_closed_loop_single_heap mk () =
+  let open Xenic_proto in
+  let open Xenic_workload in
+  let sys = mk () in
+  let eng = sys.System.engine in
+  let name = sys.System.name in
+  Alcotest.(check int) (name ^ ": 2-domain budget") 2 (Engine.domains eng);
+  Alcotest.(check int) (name ^ ": no partitions") 0 (Engine.partitions eng);
+  Alcotest.(check bool)
+    (name ^ ": not windowed")
+    true
+    (Option.is_none (Engine.current_lookahead eng));
+  Smallbank.load closed_loop_sb sys;
+  let r =
+    Driver.run sys
+      (Smallbank.spec closed_loop_sb ~nodes:4)
+      ~seed:3L ~concurrency:4 ~target:200
+  in
+  Alcotest.(check bool) (name ^ ": progress") true (r.Driver.committed > 0);
+  let snapshot () =
+    let m = sys.System.metrics () in
+    ( Metrics.committed m,
+      Metrics.aborted m,
+      Xenic_stats.Counter.to_list (Metrics.counters m) )
+  in
+  let c1, a1, k1 = snapshot () in
+  let c2, a2, k2 = snapshot () in
+  Alcotest.(check int) (name ^ ": committed stable") c1 c2;
+  Alcotest.(check int) (name ^ ": aborted stable") a1 a2;
+  Alcotest.(check bool) (name ^ ": counters stable") true (k1 = k2);
+  Alcotest.(check bool) (name ^ ": counters recorded") true (k1 <> [])
+
 let () =
   Alcotest.run "xenic_domains"
     [
@@ -214,4 +288,12 @@ let () =
           Alcotest.test_case "horizon enforced" `Quick
             test_windowed_horizon_enforced;
         ] );
+      ( "closed loop",
+        List.map
+          (fun (name, mk) ->
+            Alcotest.test_case
+              (name ^ " single-heap on a 2-domain engine")
+              `Quick
+              (test_closed_loop_single_heap mk))
+          closed_loop_stacks );
     ]

@@ -25,8 +25,8 @@ let seed = 7L
 
 let sb_params = { Smallbank.default_params with accounts_per_node = 400 }
 
-let mk_xenic ?domains () =
-  let engine = Engine.create ?domains () in
+let mk_xenic () =
+  let engine = Engine.create () in
   let cfg = Config.make ~nodes:4 ~replication:3 in
   let segments, seg_size, d_max = Smallbank.store_cfg sb_params in
   let p =
@@ -40,8 +40,8 @@ let mk_xenic ?domains () =
   in
   System.of_xenic (Xenic_system.create engine hw cfg p)
 
-let mk_rdma flavor ?domains () =
-  let engine = Engine.create ?domains () in
+let mk_rdma flavor () =
+  let engine = Engine.create () in
   let cfg = Config.make ~nodes:4 ~replication:3 in
   let p =
     {
@@ -141,8 +141,8 @@ let check_golden name got =
         path line w g (List.length want_lines) (List.length got_lines)
     end
 
-let run_stack ?domains mk =
-  let sys = mk ?domains () in
+let run_stack mk =
+  let sys = mk () in
   Smallbank.load sb_params sys;
   let trace = Trace.create sys.System.engine in
   let result =
@@ -164,22 +164,6 @@ let test_stack (name, mk) () =
   check_golden (name ^ ".metrics.golden") (digest sys result);
   check_golden (name ^ ".trace.golden") (Trace.to_chrome_json trace)
 
-(* The same run on a two-domain engine (exact-order partitioned mode)
-   must byte-match the single-domain golden snapshots — digests AND
-   trace bytes — with no re-bless: multi-domain execution is only
-   acceptable if it is observationally invisible. Skipped in bless mode
-   (the single-domain group owns the snapshots). *)
-let test_stack_domains (name, mk) () =
-  let sys, result, trace = run_stack ~domains:2 mk in
-  Alcotest.(check int)
-    (Printf.sprintf "%s runs on 2 partitions" name)
-    2
-    (Engine.partitions sys.System.engine);
-  if not bless then begin
-    check_golden (name ^ ".metrics.golden") (digest sys result);
-    check_golden (name ^ ".trace.golden") (Trace.to_chrome_json trace)
-  end
-
 (* The digest itself must be reproducible within a process, otherwise
    a golden mismatch could be mistaken for cross-run nondeterminism. *)
 let test_digest_reproducible () =
@@ -198,11 +182,6 @@ let () =
         List.map
           (fun (name, mk) ->
             Alcotest.test_case name `Quick (test_stack (name, mk)))
-          stacks );
-      ( "six stacks (2 domains)",
-        List.map
-          (fun (name, mk) ->
-            Alcotest.test_case name `Quick (test_stack_domains (name, mk)))
           stacks );
       ( "self-check",
         [

@@ -270,15 +270,29 @@ let mk_xenic_open ?(domains = 1) ?(partitions = 0) () =
          partitions;
        })
 
-let mk_rdma_open flavor =
-  let engine = Engine.create () in
+let mk_rdma_open ?(domains = 1) ?(partitions = 0) flavor () =
+  let engine = Engine.create ~domains () in
   let cfg = Config.make ~nodes:4 ~replication:3 in
   System.of_rdma
     (Rdma_system.create engine hw cfg flavor
        {
          Rdma_system.default_params with
          buckets = Retwis.chained_buckets retwis_small;
+         partitions;
        })
+
+let open_stacks =
+  let rdma flavor ~domains ~partitions =
+    mk_rdma_open ~domains ~partitions flavor ()
+  in
+  [
+    ("xenic", fun ~domains ~partitions -> mk_xenic_open ~domains ~partitions ());
+    ("drtmh", rdma Rdma_system.Drtmh);
+    ("drtmh-nc", rdma Rdma_system.Drtmh_nc);
+    ("fasst", rdma Rdma_system.Fasst);
+    ("drtmr", rdma Rdma_system.Drtmr);
+    ("farm", rdma Rdma_system.Farm);
+  ]
 
 let open_phases =
   [
@@ -311,23 +325,13 @@ let openloop_fingerprint ?(seed = 11L) sys =
 let test_openloop_determinism_stacks () =
   (* Same seed, same stack => bit-identical open-loop results, on all
      six stacks. *)
-  let stacks =
-    [
-      ("xenic", fun () -> mk_xenic_open ());
-      ("drtmh", fun () -> mk_rdma_open Rdma_system.Drtmh);
-      ("drtmh-nc", fun () -> mk_rdma_open Rdma_system.Drtmh_nc);
-      ("fasst", fun () -> mk_rdma_open Rdma_system.Fasst);
-      ("drtmr", fun () -> mk_rdma_open Rdma_system.Drtmr);
-      ("farm", fun () -> mk_rdma_open Rdma_system.Farm);
-    ]
-  in
   List.iter
     (fun (name, mk) ->
-      let a, ra = openloop_fingerprint (mk ()) in
-      let b, _ = openloop_fingerprint (mk ()) in
+      let a, ra = openloop_fingerprint (mk ~domains:1 ~partitions:0) in
+      let b, _ = openloop_fingerprint (mk ~domains:1 ~partitions:0) in
       Alcotest.(check string) name a b;
       Alcotest.(check bool) (name ^ " made progress") true (ra.Openloop.committed > 0))
-    stacks
+    open_stacks
 
 let test_openloop_shed_taxonomy () =
   (* Overload a small service pool so all three shed causes can fire,
@@ -376,11 +380,11 @@ let test_openloop_shed_taxonomy () =
     r.Openloop.offered
     (r.Openloop.admitted + arrival_sheds)
 
-let test_openloop_windowed_parity () =
+let test_openloop_windowed_parity mk () =
   (* The open-loop driver on a partitioned (windowed) system must be
      bit-identical across domain counts, serializable, and audit-clean. *)
   let run domains =
-    let sys = mk_xenic_open ~domains ~partitions:2 () in
+    let sys = mk ~domains ~partitions:2 in
     Retwis.load retwis_small sys;
     let o = Oracle.create () in
     sys.System.set_oracle o;
@@ -401,11 +405,22 @@ let test_openloop_windowed_parity () =
     Alcotest.(check bool)
       (Printf.sprintf "domains=%d progress" domains)
       true (r.Openloop.committed > 0);
-    Printf.sprintf "o=%d a=%d c=%d ab=%d sh=%d now=%h med=%h p99=%h"
-      r.Openloop.offered r.Openloop.admitted r.Openloop.committed
-      r.Openloop.aborted r.Openloop.shed_total
-      (Engine.now sys.System.engine)
-      r.Openloop.median_latency_us r.Openloop.p99_latency_us
+    Alcotest.(check int)
+      (Printf.sprintf "domains=%d windowed on 2 partitions" domains)
+      2
+      (Engine.partitions sys.System.engine);
+    let counters =
+      Xenic_stats.Counter.to_list (Metrics.counters (sys.System.metrics ()))
+    in
+    String.concat "\n"
+      (Printf.sprintf
+         "ev=%d o=%d a=%d c=%d ab=%d sh=%d oracle=%d now=%h med=%h p99=%h"
+         (Engine.events_run sys.System.engine)
+         r.Openloop.offered r.Openloop.admitted r.Openloop.committed
+         r.Openloop.aborted r.Openloop.shed_total (Oracle.txn_count o)
+         (Engine.now sys.System.engine)
+         r.Openloop.median_latency_us r.Openloop.p99_latency_us
+      :: List.map (fun (k, v) -> Printf.sprintf "%s=%h" k v) counters)
   in
   Alcotest.(check string) "1 vs 2 domains" (run 1) (run 2)
 
@@ -615,11 +630,19 @@ let () =
           Alcotest.test_case "determinism on six stacks" `Quick
             test_openloop_determinism_stacks;
           Alcotest.test_case "shed taxonomy" `Quick test_openloop_shed_taxonomy;
-          Alcotest.test_case "windowed 1v2-domain parity" `Quick
-            test_openloop_windowed_parity;
-          Alcotest.test_case "retry metastability mitigated" `Quick
-            test_openloop_retry_metastability;
-        ] );
+        ]
+        @ List.map
+            (fun (name, mk) ->
+              let suffix = if name = "xenic" then "" else " (" ^ name ^ ")" in
+              Alcotest.test_case
+                ("windowed 1v2-domain parity" ^ suffix)
+                `Quick
+                (test_openloop_windowed_parity mk))
+            open_stacks
+        @ [
+            Alcotest.test_case "retry metastability mitigated" `Quick
+              test_openloop_retry_metastability;
+          ] );
       ( "recovery",
         [
           Alcotest.test_case "backup promotion" `Quick test_backup_promotion;
