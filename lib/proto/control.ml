@@ -187,13 +187,23 @@ let sync t =
   | Some o -> Array.iter (fun po -> Oracle.absorb ~into:o po) t.part_oracle
 
 (* Report a committed transaction to the attached oracle, buffered in
-   the current partition's shard until [sync]. Writes carry their
-   installed version. *)
-let record_commit t ~id ~reads ~seq_ops =
+   the current partition's shard until [sync]. Keys read carry the
+   value read; keys only locked carry their lock version; writes carry
+   their installed version. *)
+let record_commit t ~id ~values ~lock_versions ~seq_ops =
   match t.oracle with
   | None -> ()
   | Some _ ->
       let o = t.part_oracle.(Engine.current_partition t.engine) in
+      let read_keys = List.map (fun (k, _, _) -> k) values in
+      let reads =
+        List.map (fun (k, v, seq) -> (k, seq, Oracle.Value v)) values
+        @ List.filter_map
+            (fun (k, seq) ->
+              if List.mem k read_keys then None
+              else Some (k, seq, Oracle.Version_only))
+            lock_versions
+      in
       let writes =
         List.map
           (fun (op, seq) ->
@@ -259,22 +269,13 @@ let rec await_decision t decision =
       Process.sleep t.engine 500.0;
       await_decision t decision
 
-(* Wait until every live node's logs are drained ([drained ~node]);
-   crashed nodes' state died with them. *)
-let rec quiesce t ~drained =
-  let busy node crashed = not (crashed || drained ~node) in
-  if Array.exists Fun.id (Array.mapi busy t.crashed) then begin
-    Process.sleep t.engine 10_000.0;
-    quiesce t ~drained
-  end
-
 (* Armed LOG retry rule. LOG must not fail once the commit fence is
    held — the decision has effectively been taken — so a LOG that times
    out against a backup is resent (idempotent: sequence-guarded apply)
    until the backup is seen crashed: its copy died with it and it can
    never be promoted past the declaration, so the transaction's
    durability is unaffected. *)
-let rec settle_log_from t ~who ~src ~backup send n =
+let rec settle_log t ~src ~backup send n =
   if not (send ()) then
     if t.crashed.(src) then
       (* The coordinator itself died mid-LOG: responses into it are
@@ -288,11 +289,140 @@ let rec settle_log_from t ~who ~src ~backup send n =
       (* With req_timeout_ns far above worst-case latency this is
          unreachable; failing loud beats silently diverging a live
          replica. *)
-      failwith (who ^ ": LOG to a live backup timed out repeatedly")
-    else settle_log_from t ~who ~src ~backup send (n + 1)
+      failwith (t.stack ^ ": LOG to a live backup timed out repeatedly")
+    else settle_log t ~src ~backup send (n + 1)
 
-let settle_log t ~who ~src ~backup send =
-  settle_log_from t ~who ~src ~backup send 1
+(* ------------------------------------------------------------------ *)
+(* The commit protocol over any transport *)
+
+(* The LOG fan-out: one [(shard, backup, writes)] per live backup of
+   each written shard, shards in the order given. *)
+let log_targets t seq_ops_by_shard =
+  List.concat_map
+    (fun (shard, seq_ops) ->
+      List.map (fun backup -> (shard, backup, seq_ops)) (backups_of t ~shard))
+    seq_ops_by_shard
+
+(* Send every LOG in parallel and wait for all of them; a LOG whose
+   [send] times out follows the armed retry rule. *)
+let replicate t ~src ~send targets =
+  ignore
+    (Process.parallel t.engine
+       (List.map
+          (fun ((_, backup, _) as target) () ->
+            settle_log t ~src ~backup (fun () -> send target) 1)
+          targets))
+
+(* The commit point. Un-armed, LOG records are born decided and COMMIT
+   follows the LOG phase. Armed, the attempt first enters the commit
+   fence (refused: release locks via [abort], retry), LOGs a pending
+   decision, and then decides in one atomic step — no suspension
+   between deciding and handing COMMIT to the transport, so a crash
+   cannot split them. A coordinator that died mid-LOG never decides
+   commit: backups discard its records, and its locks die with it or
+   are swept at the declaration. *)
+let commit_point t ~src ~epoch0 ~mark ~t_prev ~log ~commit ~abort : attempt =
+  if not (armed t) then begin
+    Attrib.set_phase "log";
+    log (ref Dcommit);
+    commit (mark "log" t_prev);
+    `Committed
+  end
+  else if not (fence_acquire t ~src ~epoch0) then begin
+    abort ();
+    `Retry Metrics.Stale_epoch
+  end
+  else begin
+    let decision = ref Dpending in
+    Attrib.set_phase "log";
+    log decision;
+    let t_log = mark "log" t_prev in
+    if t.crashed.(src) then begin
+      decision := Dabort;
+      fence_release t;
+      `Aborted Metrics.Crashed_owner
+    end
+    else begin
+      decision := Dcommit;
+      commit t_log;
+      fence_release t;
+      `Committed
+    end
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Host-memory logs and the log-apply workers *)
+
+type log_record = {
+  lr_shard : int;
+  lr_ops : (Op.t * int) list;
+  lr_decision : decision ref;
+  mutable lr_stamp : int;
+}
+
+let append_log log ~bytes ~shard ~ops decision =
+  let record =
+    { lr_shard = shard; lr_ops = ops; lr_decision = decision; lr_stamp = 0 }
+  in
+  record.lr_stamp <- Xenic_store.Hostlog.append log ~bytes record
+
+let apply_cost (hw : Xenic_params.Hw.t) ~btree_op_ns op =
+  if Keyspace.ordered (Op.key op) then btree_op_ns
+  else hw.host_op_ns +. (float_of_int (Op.bytes op) *. hw.host_byte_ns)
+
+let log_worker t ~node ~log ~pool ~op_ns ~apply ~applied =
+  Process.spawn t.engine (fun () ->
+      Attrib.set { Attrib.stack = t.stack; node; phase = "log-apply"; cls = "-" };
+      let rec loop () =
+        let record, bytes = Xenic_store.Hostlog.poll log in
+        if not (await_decision t record.lr_decision) then
+          (* Aborted before the commit point: reclaim the space, apply
+             nothing — every replica discards the same record. *)
+          Xenic_store.Hostlog.ack log ~bytes
+        else begin
+          Resource.acquire pool;
+          List.iter
+            (fun (op, seq) ->
+              Process.sleep t.engine (op_ns op);
+              apply record op seq)
+            record.lr_ops;
+          Resource.release pool;
+          Xenic_store.Hostlog.ack log ~bytes;
+          applied record
+        end;
+        loop ()
+      in
+      loop ())
+
+let drained logs = List.for_all (fun (_, l) -> Xenic_store.Hostlog.drained l) logs
+
+(* Wait until every live node's logs are drained; crashed nodes' state
+   died with them. *)
+let rec quiesce t ~logs =
+  let busy node crashed = not (crashed || drained (logs ~node)) in
+  if Array.exists Fun.id (Array.mapi busy t.crashed) then begin
+    Process.sleep t.engine 10_000.0;
+    quiesce t ~logs
+  end
+
+(* Post-quiesce audit of every live node: no lock held, no log left
+   undrained. *)
+let audit t ~locked ~logs =
+  List.concat
+    (List.init (Array.length t.crashed) (fun node ->
+         if t.crashed.(node) then []
+         else
+           List.map
+             (fun (k, owner) ->
+               Format.asprintf "%s node %d: key %a still locked by owner %d"
+                 t.stack node Keyspace.pp k owner)
+             (locked ~node)
+           @ List.filter_map
+               (fun (name, log) ->
+                 if Xenic_store.Hostlog.drained log then None
+                 else
+                   Some (Printf.sprintf "%s node %d: %s not drained" t.stack node name))
+               (logs ~node)))
 
 (* ------------------------------------------------------------------ *)
 (* Transaction outcome accounting *)

@@ -1,12 +1,17 @@
-(** The control plane both protocol stacks share (§4.2.1): routing,
-    epoch and commit fence, failover recovery, transaction outcome
-    accounting, and the metrics/oracle sharding of windowed runs.
+(** The protocol core both stacks share (§4.2, §4.2.1): routing, epoch
+    and commit fence, the commit point, LOG fan-out and its retry rule,
+    the host-memory log records and their apply workers, failover
+    recovery, transaction outcome accounting, the oracle report, the
+    post-run audit, and the metrics/oracle sharding of windowed runs.
 
     {!Xenic_system} and {!Rdma_system} each embed one [t] and keep only
-    their data plane. Control calls back into them, as plain function
-    arguments, where the stacks differ: the dead-owner lock sweep,
-    which log a promotion successor drains, promotion itself (all three
-    given to {!attach_membership}), the per-packet NIC charge of
+    their transports — NIC requests versus RPCs and one-sided verbs —
+    with their handlers and stores. Control calls back into them, as
+    plain function arguments, wherever the transport or store differs:
+    how a LOG is sent and COMMIT applied ({!commit_point},
+    {!replicate}), how a log record is applied ({!log_worker}), which
+    locks and logs a node holds ({!audit}, {!quiesce}), the recovery
+    hooks given to {!attach_membership}, the per-packet NIC charge of
     {!dispatch_loop}, and the per-attempt body of {!run_txn}.
 
     {b Shards.} Metrics and the oracle feed are sharded per engine
@@ -84,9 +89,6 @@ val armed : t -> bool
 
 val current_primary : t -> shard:int -> int
 
-(** Live replicas of [shard] other than its primary. *)
-val backups_of : t -> shard:int -> int list
-
 (** Neither declared dead nor crashed. *)
 val node_alive : t -> node:int -> bool
 
@@ -134,12 +136,16 @@ val set_oracle : t -> Oracle.t -> unit
     called from an event mid-run. *)
 val sync : t -> unit
 
-(** Record a commit's observed [reads] and its writes [seq_ops] (with
-    installed versions) in the attached oracle, if any. *)
+(** Record a commit in the attached oracle, if any: [values] are the
+    keys read with the value and version seen, [lock_versions] the keys
+    locked (those not also in [values] are recorded version-only), and
+    [seq_ops] the writes with their installed versions. [id] is the
+    attempt's owner token. *)
 val record_commit :
   t ->
   id:int ->
-  reads:(Keyspace.t * int * Oracle.observed) list ->
+  values:(Keyspace.t * bytes option * int) list ->
+  lock_versions:(Keyspace.t * int) list ->
   seq_ops:(Op.t * int) list ->
   unit
 
@@ -147,32 +153,112 @@ val record_commit :
     {!Metrics.Shed}; [latency_ns] is its time queued. *)
 val record_shed : t -> latency_ns:float -> unit
 
-(** {2 Commit fence and LOG} *)
-
-(** Enter the commit fence before the first LOG byte. Refused (counted
-    [fence_refusals]) if [src] crashed or the epoch moved on from
-    [epoch0]; waits while a recovery is pending. *)
-val fence_acquire : t -> src:int -> epoch0:int -> bool
-
-val fence_release : t -> unit
+(** {2 The commit protocol} *)
 
 (** Block until no attempt holds the commit fence. *)
 val wait_fence : t -> unit
 
-(** [settle_log t ~who ~src ~backup send] delivers one LOG, [send ()]
-    returning [false] on a timeout. It then stops if [src] crashed
-    ([log_from_dead_coord]) or [backup] did ([log_to_dead_backup]),
-    resends otherwise, and fails with ["<who>: LOG to a live backup
-    timed out repeatedly"] after 8 attempts. *)
-val settle_log :
-  t -> who:string -> src:int -> backup:int -> (unit -> bool) -> unit
+(** [commit_point t ~src ~epoch0 ~mark ~t_prev ~log ~commit ~abort]
+    runs one attempt from the end of validation to its outcome:
+    [log d] sends the LOG records carrying decision [d], [commit t_log]
+    sends COMMIT and releases locks ([t_log]: the time the LOG phase
+    closed), [abort ()] releases locks. [mark name t_prev] closes a
+    phase (see {!phase_mark}); the phase attribution is set to ["log"]
+    before [log].
 
-(** Backup side: wait until a record is decided; [true] to apply it,
-    [false] to discard (counted [log_discards]). *)
-val await_decision : t -> decision ref -> bool
+    Un-armed, the records are born [Dcommit] and the result is
+    [`Committed]. Armed, the attempt first enters the commit fence:
+    refused (counted [fence_refusals]) when [src] crashed or the epoch
+    moved on from [epoch0], it calls [abort] and returns
+    [`Retry Stale_epoch]; it waits while a recovery is pending. The
+    records then start [Dpending]. If [src] crashed during [log], the
+    decision becomes [Dabort] and the result is
+    [`Aborted Crashed_owner]; otherwise it becomes [Dcommit] and
+    [commit] runs with no suspension in between. The fence is released
+    before returning. *)
+val commit_point :
+  t ->
+  src:int ->
+  epoch0:int ->
+  mark:(string -> float -> float) ->
+  t_prev:float ->
+  log:(decision ref -> unit) ->
+  commit:(float -> unit) ->
+  abort:(unit -> unit) ->
+  attempt
 
-(** Block until [drained ~node] holds at every live node. *)
-val quiesce : t -> drained:(node:int -> bool) -> unit
+(** The LOG fan-out of [(shard, writes)]: one [(shard, backup, writes)]
+    per live backup of each shard other than its primary, in shard
+    order. *)
+val log_targets : t -> (int * 'w) list -> (int * int * 'w) list
+
+(** Send every target's LOG in parallel and wait for all. [send target]
+    delivers one, returning [false] on a timeout; it is then resent
+    until it succeeds, the coordinator [src] is seen crashed
+    ([log_from_dead_coord]) or the backup is ([log_to_dead_backup]).
+    Fails with ["<stack>: LOG to a live backup timed out repeatedly"]
+    after 8 attempts. *)
+val replicate :
+  t -> src:int -> send:(int * int * 'w -> bool) -> (int * int * 'w) list -> unit
+
+(** {2 Host-memory logs} *)
+
+(** A LOG or COMMIT record in a host-memory log. Which log it sits in
+    tells its kind. *)
+type log_record = {
+  lr_shard : int;
+  lr_ops : (Op.t * int) list;  (** Writes with their new versions. *)
+  lr_decision : decision ref;
+      (** Shared by every copy of one transaction's records. *)
+  mutable lr_stamp : int;
+      (** Append order in its log, for ordered-table write ordering.
+          Set by {!append_log}; delivery to workers is deferred, so it
+          is set before any worker reads it. *)
+}
+
+(** Append a record of [ops] (blocking while the log is full) and stamp
+    it with its append index. The caller charges the DMA or WRITE. *)
+val append_log :
+  log_record Xenic_store.Hostlog.t ->
+  bytes:int ->
+  shard:int ->
+  ops:(Op.t * int) list ->
+  decision ref ->
+  unit
+
+(** Host cost of applying one write: [btree_op_ns] for ordered keys,
+    per-op plus per-byte host cost otherwise. *)
+val apply_cost : Xenic_params.Hw.t -> btree_op_ns:float -> Op.t -> float
+
+(** Spawn one log-apply worker for [node]'s [log]. It polls a record
+    and waits for its decision: a [Dabort] record is acknowledged
+    unapplied (counted [log_discards]). A [Dcommit] record is applied
+    holding one server of [pool]: per write, sleep [op_ns op], then
+    [apply record op seq]. The worker then acknowledges the record and
+    calls [applied record]. *)
+val log_worker :
+  t ->
+  node:int ->
+  log:log_record Xenic_store.Hostlog.t ->
+  pool:Xenic_sim.Resource.t ->
+  op_ns:(Op.t -> float) ->
+  apply:(log_record -> Op.t -> int -> unit) ->
+  applied:(log_record -> unit) ->
+  unit
+
+(** Block until every live node's [logs ~node] are drained. *)
+val quiesce :
+  t -> logs:(node:int -> (string * log_record Xenic_store.Hostlog.t) list) -> unit
+
+(** Protocol audit, meant to run after {!quiesce}: at every live node,
+    each lock in [locked ~node] ([(key, owner)]) and each named log in
+    [logs ~node] not drained is a violation. Returns them in node
+    order, human-readable; [[]] = clean. *)
+val audit :
+  t ->
+  locked:(node:int -> (Keyspace.t * int) list) ->
+  logs:(node:int -> (string * log_record Xenic_store.Hostlog.t) list) ->
+  string list
 
 (** {2 Transactions} *)
 

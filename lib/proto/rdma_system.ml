@@ -44,10 +44,6 @@ let default_params =
 
 type msg = Control.msg = { bytes : int; deliver : unit -> unit }
 
-type decision = Control.decision = Dpending | Dcommit | Dabort
-
-type log_record = { lr_ops : (Op.t * int) list; lr_decision : decision ref }
-
 type shard_store = {
   hash : bytes Xenic_store.Chained.t;  (* DrTM+H / FaSST / DrTM+R objects *)
   hops : (int * bytes) Xenic_store.Hopscotch.t option;
@@ -62,7 +58,7 @@ type node = {
   locks : (Keyspace.t, int) Hashtbl.t;  (* key -> owner token *)
   host : Resource.t;  (* app threads + RPC handlers *)
   workers : Resource.t;
-  log : log_record Xenic_store.Hostlog.t;
+  log : Control.log_record Xenic_store.Hostlog.t;
 }
 
 type t = {
@@ -107,7 +103,7 @@ let obj_read t ~node k =
         | None -> None)
     | None -> Xenic_store.Chained.find s.hash k
 
-let obj_apply t ~node (op, seq) =
+let obj_apply t ~node op ~seq =
   let k = Op.key op in
   let s = store t ~node ~shard:(Keyspace.shard k) in
   if Keyspace.ordered k then
@@ -327,40 +323,6 @@ let one_sided_many_t t ~src verbs =
 (* ------------------------------------------------------------------ *)
 (* Construction *)
 
-let apply_cost t (op, _) =
-  if Keyspace.ordered (Op.key op) then t.p.btree_op_ns
-  else t.hw.host_op_ns +. (float_of_int (Op.bytes op) *. t.hw.host_byte_ns)
-
-let worker_loop t node =
-  Process.spawn t.ctl.engine (fun () ->
-      Attrib.set
-        {
-          Attrib.stack = flavor_name t.flavor;
-          node = node.id;
-          phase = "log-apply";
-          cls = "-";
-        };
-      let rec loop () =
-        let record, bytes = Xenic_store.Hostlog.poll node.log in
-        if not (Control.await_decision t.ctl record.lr_decision) then
-          Xenic_store.Hostlog.ack node.log ~bytes
-        else begin
-          (* Log application competes with RPC handling and coordinator
-             work for the same host threads (§5.2: FaSST handles RPCs on
-             the threads performing compute-intensive B+ tree work). *)
-          Resource.acquire node.host;
-          List.iter
-            (fun (op, seq) ->
-              Process.sleep t.ctl.engine (apply_cost t (op, seq));
-              obj_apply t ~node:node.id (op, seq))
-            record.lr_ops;
-          Resource.release node.host;
-          Xenic_store.Hostlog.ack node.log ~bytes
-        end;
-        loop ()
-      in
-      loop ())
-
 let create engine hw cfg flavor p =
   let ctl =
     Control.create engine hw cfg ~stack:(flavor_name flavor)
@@ -405,13 +367,20 @@ let create engine hw cfg flavor p =
         })
   in
   let t = { ctl; hw; flavor; p; rdma; nodes } in
+  let op_ns = Control.apply_cost hw ~btree_op_ns:p.btree_op_ns in
   Array.iter
     (fun node ->
       (* No SmartNIC: RDMA NIC costs are charged per verb and RPC inside
          [Rdma], not per dispatched frame. *)
       Control.dispatch_loop ctl ~node:node.id ~pkt_io:ignore;
       for _ = 1 to p.worker_threads do
-        worker_loop t node
+        (* Log application competes with RPC handling and coordinator
+           work for the same host threads (§5.2: FaSST handles RPCs on
+           the threads performing compute-intensive B+ tree work). *)
+        Control.log_worker ctl ~node:node.id ~log:node.log ~pool:node.host
+          ~op_ns
+          ~apply:(fun _ op seq -> obj_apply t ~node:node.id op ~seq)
+          ~applied:ignore
       done)
     nodes;
   t
@@ -487,55 +456,18 @@ let resources t =
   pools @ named (Rdma.resources t.rdma)
   @ named (Xenic_net.Fabric.resources t.ctl.fabric)
 
-let quiesce t =
-  Control.quiesce t.ctl ~drained:(fun ~node ->
-      Xenic_store.Hostlog.drained t.nodes.(node).log)
+let logs t ~node = [ ("log", t.nodes.(node).log) ]
 
-(* Report a committed transaction to the serializability oracle.
-   Execution reads carry values; locked entries carry values when the
-   flavor fetched them (DrTM+R's post-CAS READ, where [None] means the
-   key was genuinely absent) and lock-time versions only otherwise. *)
-let oracle_commit t ~id ~read_results ~locked_entries ~seq_ops =
-  match t.ctl.oracle with
-  | None -> ()
-  | Some _ ->
-      let read_keys = List.map (fun (k, _, _) -> k) read_results in
-      let reads =
-        List.map (fun (k, v, seq) -> (k, seq, Oracle.Value v)) read_results
-        @ List.filter_map
-            (fun (k, v, seq) ->
-              if List.mem k read_keys then None
-              else
-                match v with
-                | Some bv -> Some (k, seq, Oracle.Value (Some bv))
-                | None ->
-                    if t.flavor = Drtmr then Some (k, seq, Oracle.Value None)
-                    else Some (k, seq, Oracle.Version_only))
-            locked_entries
-      in
-      Control.record_commit t.ctl ~id ~reads ~seq_ops
+let quiesce t = Control.quiesce t.ctl ~logs:(logs t)
 
-(* Protocol audit: after [quiesce] every per-node lock table must be
-   empty and every log drained. Returns human-readable violations. *)
-let audit t =
-  let issues = ref [] in
-  Array.iter
-    (fun n ->
-      if t.ctl.crashed.(n.id) then ()
-      else begin
-        Hashtbl.fold (fun k owner acc -> (k, owner) :: acc) n.locks []
-        |> List.sort compare
-        |> List.iter (fun (k, owner) ->
-               issues :=
-                 Format.asprintf "rdma node %d: key %a still locked by owner %d"
-                   n.id Keyspace.pp k owner
-                 :: !issues);
-        if not (Xenic_store.Hostlog.drained n.log) then
-          issues :=
-            Printf.sprintf "rdma node %d: log not drained" n.id :: !issues
-      end)
-    t.nodes;
-  List.rev !issues
+(* [node]'s host lock table, sorted. *)
+let held_locks t ~node =
+  Hashtbl.fold (fun k owner acc -> (k, owner) :: acc) t.nodes.(node).locks []
+  |> List.sort compare
+
+(* After [quiesce] every per-node lock table must be empty and every log
+   drained. *)
+let audit t = Control.audit t.ctl ~locked:(held_locks t) ~logs:(logs t)
 
 (* ------------------------------------------------------------------ *)
 (* Object wire sizes *)
@@ -552,44 +484,27 @@ let one_sided_read t ~src k =
   let primary = primary_of t ~shard in
   let slot v = value_slot_b v in
   match t.flavor with
-  | Farm ->
-      (* One READ of the H-slot neighborhood; overflow keys need a
-         second roundtrip for the chain (§2.2.2, Table 2). *)
+  | Farm | Drtmh_nc ->
+      (* FaRM: one READ of the H-slot neighborhood; overflow keys need a
+         second roundtrip for the chain (§2.2.2, Table 2). NC: one READ
+         of B slots per chained bucket walked. *)
       let s = store t ~node:primary ~shard in
-      let h = Option.get s.hops in
-      let reads =
-        match Xenic_store.Hopscotch.lookup_cost h k with
-        | Some (_, rts) -> rts
-        | None -> 1
+      let cost, slots =
+        match s.hops with
+        | Some h -> (Xenic_store.Hopscotch.lookup_cost h k, 8)
+        | None -> (Xenic_store.Chained.lookup_cost s.hash k, t.p.bucket_b)
       in
+      let reads = match cost with Some (_, rts) -> rts | None -> 1 in
       let result = ref None in
       for hop = 1 to reads do
         let at_target () =
           if hop = reads then result := obj_read t ~node:primary k
         in
         one_sided t ~src ~dst:primary Rdma.Read
-          ~bytes:(8 * Xenic_store.Kv.slot_bytes ~value_b:64)
+          ~bytes:(slots * Xenic_store.Kv.slot_bytes ~value_b:64)
           ~at_target
       done;
       Xenic_stats.Counter.add (counters t) "read_roundtrips" reads;
-      !result
-  | Drtmh_nc ->
-      let s = store t ~node:primary ~shard in
-      let depth =
-        match Xenic_store.Chained.lookup_cost s.hash k with
-        | Some (_, rts) -> rts
-        | None -> 1
-      in
-      let result = ref None in
-      for hop = 1 to depth do
-        let at_target () =
-          if hop = depth then result := obj_read t ~node:primary k
-        in
-        one_sided t ~src ~dst:primary Rdma.Read
-          ~bytes:(t.p.bucket_b * Xenic_store.Kv.slot_bytes ~value_b:64)
-          ~at_target
-      done;
-      Xenic_stats.Counter.add (counters t) "read_roundtrips" depth;
       !result
   | _ ->
       let r =
@@ -614,9 +529,6 @@ let one_sided_read_t t ~src k =
 (* ------------------------------------------------------------------ *)
 (* Phase implementations *)
 
-(* Lock the write set. DrTM+H and FaSST lock via (consolidated) RPCs;
-   DrTM+R CAS-locks each key one-sided. Returns lock versions+values or
-   `Fail; on failure all acquired locks are already released. *)
 (* DrTM+R's one-sided unlock: one WRITE per key. *)
 let unlock_verbs t ~primary ~owner keys =
   List.map
@@ -643,6 +555,56 @@ let release_shard t ~src ~owner (shard, keys) =
              (fun () ->
                List.iter (fun k -> unlock t ~node:primary k ~owner) keys))
 
+(* Lock-acquire RPC handler at [primary]: lock [keys] in order, with
+   each key's version at lock time; on a conflict release the locks
+   already taken and return [None]. *)
+let lock_at t ~primary ~owner keys =
+  let rec go acc = function
+    | [] -> Some (List.rev acc)
+    | k :: rest ->
+        if try_lock t ~node:primary k ~owner then
+          let seq =
+            match obj_read t ~node:primary k with Some (_, s) -> s | None -> 0
+          in
+          go ((k, seq) :: acc) rest
+        else begin
+          List.iter (fun (k', _) -> unlock t ~node:primary k' ~owner) acc;
+          None
+        end
+  in
+  go [] keys
+
+(* Gather per-shard lock results [(shard, `Down | `Fail | `Ok (lock
+   versions, values))]. Any `Down or `Fail releases the locks taken at
+   the other shards; otherwise the lock versions and values of every
+   shard, in result order. *)
+let gather_locks t ~src ~owner results =
+  let down = List.exists (fun (_, r) -> r = `Down) results in
+  if down || List.exists (fun (_, r) -> r = `Fail) results then begin
+    if not down then
+      Xenic_stats.Counter.incr (counters t) "exec_lock_conflicts";
+    List.iter
+      (fun (shard, r) ->
+        match r with
+        | `Ok (lockv, _) when lockv <> [] ->
+            release_shard t ~src ~owner (shard, List.map fst lockv)
+        | _ -> ())
+      results;
+    if down then `Down else `Fail
+  end
+  else
+    `Ok
+      ( List.concat_map
+          (fun (_, r) -> match r with `Ok (lv, _) -> lv | _ -> [])
+          results,
+        List.concat_map
+          (fun (_, r) -> match r with `Ok (_, vs) -> vs | _ -> [])
+          results )
+
+(* Lock the write set. DrTM+H, DrTM+H (NC) and FaRM lock via one RPC
+   per shard; DrTM+R CAS-locks each key one-sided and then READs the
+   locked values. Returns the lock versions and DrTM+R's values read,
+   or `Fail / `Down with every acquired lock already released. *)
 let lock_phase t ~epoch0 ~src ~owner (write_keys : Keyspace.t list) =
   let by_shard = ref [] in
   List.iter
@@ -704,7 +666,8 @@ let lock_phase t ~epoch0 ~src ~owner (write_keys : Keyspace.t list) =
                         | None -> (k, None, 0))
                       reads
                   in
-                  (shard, `Ok entries)))
+                  let lockv = List.map (fun (k, _, seq) -> (k, seq)) entries in
+                  (shard, `Ok (lockv, entries))))
     | _ -> (
         (* Lock RPC: acquires the shard's locks and returns versions
            only — in DrTM+H the object values were already retrieved by
@@ -716,77 +679,29 @@ let lock_phase t ~epoch0 ~src ~owner (write_keys : Keyspace.t list) =
                  ~state_bytes:0)
             ~resp_bytes:(fun r ->
               match r with
-              | `Fail -> Wire.small_resp_b
-              | `Ok entries -> Wire.small_resp_b + (8 * List.length entries))
+              | None -> Wire.small_resp_b
+              | Some lockv -> Wire.small_resp_b + (8 * List.length lockv))
             ~handler_ns:
               (t.hw.host_rpc_ns
               +. (float_of_int (List.length keys) *. t.hw.host_op_ns))
-            (fun () ->
-              let rec go acc = function
-                | [] -> `Ok (List.rev acc)
-                | k :: rest ->
-                    if try_lock t ~node:primary k ~owner then
-                      let seq =
-                        match obj_read t ~node:primary k with
-                        | Some (_, s) -> s
-                        | None -> 0
-                      in
-                      go ((k, None, seq) :: acc) rest
-                    else begin
-                      List.iter
-                        (fun (k', _, _) -> unlock t ~node:primary k' ~owner)
-                        acc;
-                      `Fail
-                    end
-              in
-              go [] keys)
+            (fun () -> lock_at t ~primary ~owner keys)
         in
         match r with
         | `Down -> (shard, `Down)
-        | `Ok `Fail -> (shard, `Fail)
-        | `Ok (`Ok entries) -> (shard, `Ok entries))
+        | `Ok None -> (shard, `Fail)
+        | `Ok (Some lockv) -> (shard, `Ok (lockv, [])))
   in
-  let results = Process.parallel t.ctl.engine (List.map lock_shard !by_shard) in
-  let down = List.exists (fun (_, r) -> r = `Down) results in
-  if down || List.exists (fun (_, r) -> r = `Fail) results then begin
-    if not down then
-      Xenic_stats.Counter.incr (counters t) "exec_lock_conflicts";
-    List.iter
-      (fun (shard, r) ->
-        match r with
-        | `Ok entries when entries <> [] ->
-            release_shard t ~src ~owner
-              (shard, List.map (fun (k, _, _) -> k) entries)
-        | _ -> ())
-      results;
-    if down then `Down else `Fail
-  end
-  else
-    `Ok
-      (List.concat_map
-         (fun (_, r) -> match r with `Ok entries -> entries | _ -> [])
-         results)
+  gather_locks t ~src ~owner
+    (Process.parallel t.ctl.engine (List.map lock_shard !by_shard))
 
-(* Validation: DrTM+H/NC re-read version words one-sided; FaSST uses a
-   per-shard RPC. *)
-(* Group [xs] by the shard of [key x], shards ascending; within a
-   shard the last element grouped comes first. *)
-let group_by_shard key xs =
-  let by_shard = Hashtbl.create 4 in
-  List.iter
-    (fun x ->
-      let s = Keyspace.shard (key x) in
-      Hashtbl.replace by_shard s
-        (x :: Option.value ~default:[] (Hashtbl.find_opt by_shard s)))
-    xs;
-  Hashtbl.fold (fun s l acc -> (s, l) :: acc) by_shard [] |> List.sort compare
-
+(* Validation: DrTM+H/NC and FaRM re-read version words one-sided;
+   FaSST uses a per-shard RPC. *)
 let validate_phase t ~epoch0 ~src ~owner checks :
     [ `Valid | `Invalid | `Down ] =
   match t.flavor with
   | Drtmr -> `Valid (* all accesses are locked; no validation phase *)
   | Fasst ->
-      let shards = group_by_shard fst checks in
+      let shards = Types.group_by_shard fst checks in
       let results =
         Process.parallel t.ctl.engine
           (List.map
@@ -838,66 +753,47 @@ let validate_phase t ~epoch0 ~src ~owner checks :
       | `Down -> `Down
       | `Ok results -> if List.for_all Fun.id results then `Valid else `Invalid)
 
-(* LOG: replicate the write set to every backup. DrTM+H/NC/DrTM+R use
-   one-sided WRITEs into the backups' log regions; FaSST uses RPCs. *)
-let log_phase t ~src ~decision seq_ops_by_shard =
-  let targets =
-    List.concat_map
-      (fun (shard, seq_ops) ->
-        List.map (fun b -> (b, seq_ops)) (Control.backups_of t.ctl ~shard))
-      seq_ops_by_shard
+(* LOG: replicate the write set to every backup, each record carrying
+   [decision]. DrTM+H/NC, DrTM+R and FaRM use one-sided WRITEs into the
+   backups' log regions — un-armed, as one doorbell batch — and FaSST
+   uses RPCs. No epoch stamp: a fenced transaction must finish its
+   replication across a bump. *)
+let log_phase t ~src seq_ops_by_shard decision =
+  let record_b (_, _, seq_ops) = Wire.log_record_b ~ops:(List.map fst seq_ops) in
+  let append (shard, backup, seq_ops) ~bytes () =
+    Control.append_log t.nodes.(backup).log ~bytes ~shard ~ops:seq_ops decision
   in
-  let append backup seq_ops bytes () =
-    Xenic_store.Hostlog.append t.nodes.(backup).log ~bytes
-      { lr_ops = seq_ops; lr_decision = decision }
-  in
-  (* Armed retry rule ({!Control.settle_log}). No epoch stamp — a
-     fenced transaction must finish its replication across a bump. *)
-  let settle_rpc backup bytes seq_ops =
-    Control.settle_log t.ctl ~who:"rdma" ~src ~backup (fun () ->
-        match
-          rpc_t t ~src ~dst:backup ~req_bytes:bytes
-            ~resp_bytes:(fun _ -> Wire.small_resp_b)
-            ~handler_ns:t.hw.host_rpc_ns (append backup seq_ops bytes)
-        with
-        | `Ok (_ : int) -> true
-        | `Down -> false)
-  in
-  let settle_write backup bytes seq_ops =
-    Control.settle_log t.ctl ~who:"rdma" ~src ~backup (fun () ->
-        match
-          one_sided_t t ~src ~dst:backup Rdma.Write ~bytes
-            ~at_target:(append backup seq_ops bytes)
-        with
-        | `Ok (_ : int) -> true
-        | `Down -> false)
-  in
+  let targets = Control.log_targets t.ctl seq_ops_by_shard in
   match t.flavor with
   | Fasst ->
-      ignore
-        (Process.parallel t.ctl.engine
-           (List.map
-              (fun (backup, seq_ops) () ->
-                let bytes = Wire.log_record_b ~ops:(List.map fst seq_ops) in
-                settle_rpc backup bytes seq_ops)
-              targets))
+      Control.replicate t.ctl ~src targets
+        ~send:(fun ((_, backup, _) as target) ->
+          let bytes = record_b target in
+          match
+            rpc_t t ~src ~dst:backup ~req_bytes:bytes
+              ~resp_bytes:(fun _ -> Wire.small_resp_b)
+              ~handler_ns:t.hw.host_rpc_ns (append target ~bytes)
+          with
+          | `Ok () -> true
+          | `Down -> false)
+  | _ when armed t ->
+      Control.replicate t.ctl ~src targets
+        ~send:(fun ((_, backup, _) as target) ->
+          let bytes = record_b target in
+          match
+            one_sided_t t ~src ~dst:backup Rdma.Write ~bytes
+              ~at_target:(append target ~bytes)
+          with
+          | `Ok () -> true
+          | `Down -> false)
   | _ ->
-      if not (armed t) then
-        ignore
-          (one_sided_many t ~src
-             (List.map
-                (fun (backup, seq_ops) ->
-                  let bytes = Wire.log_record_b ~ops:(List.map fst seq_ops) in
-                  (backup, Rdma.Write, bytes, append backup seq_ops bytes))
-                targets))
-      else
-        ignore
-          (Process.parallel t.ctl.engine
-             (List.map
-                (fun (backup, seq_ops) () ->
-                  let bytes = Wire.log_record_b ~ops:(List.map fst seq_ops) in
-                  settle_write backup bytes seq_ops)
-                targets))
+      ignore
+        (one_sided_many t ~src
+           (List.map
+              (fun ((_, backup, _) as target) ->
+                let bytes = record_b target in
+                (backup, Rdma.Write, bytes, append target ~bytes))
+              targets))
 
 (* COMMIT: apply new values at primaries, bump versions, release locks.
    DrTM+R writes value+version+lock in a single WRITE per key; the
@@ -930,7 +826,7 @@ let commit_phase t ~src ~owner seq_ops_by_shard locked_by_shard =
                       Rdma.Write,
                       Op.bytes op + 16,
                       fun () ->
-                        obj_apply t ~node:primary (op, seq);
+                        obj_apply t ~node:primary op ~seq;
                         unlock t ~node:primary (Op.key op) ~owner ))
                   seq_ops)
               seq_ops_by_shard))
@@ -952,7 +848,7 @@ let commit_phase t ~src ~owner seq_ops_by_shard locked_by_shard =
                        +. float_of_int (List.length seq_ops) *. t.hw.host_op_ns)
                      (fun () ->
                        List.iter
-                         (fun (op, seq) -> obj_apply t ~node:primary (op, seq))
+                         (fun (op, seq) -> obj_apply t ~node:primary op ~seq)
                          seq_ops;
                        List.iter (fun k -> unlock t ~node:primary k ~owner) locked)))
               seq_ops_by_shard))
@@ -990,24 +886,7 @@ let fasst_execute t ~epoch0 ~src ~owner ~reads ~locks =
           +. float_of_int (List.length s_reads + List.length s_locks)
              *. t.hw.host_op_ns)
         (fun () ->
-          let rec acquire acc = function
-            | [] -> Some (List.rev acc)
-            | k :: rest ->
-                if try_lock t ~node:primary k ~owner then
-                  let seq =
-                    match obj_read t ~node:primary k with
-                    | Some (_, s) -> s
-                    | None -> 0
-                  in
-                  acquire ((k, None, seq) :: acc) rest
-                else begin
-                  List.iter
-                    (fun (k', _, _) -> unlock t ~node:primary k' ~owner)
-                    acc;
-                  None
-                end
-          in
-          match acquire [] s_locks with
+          match lock_at t ~primary ~owner s_locks with
           | None -> `Fail
           | Some lockv ->
               let values =
@@ -1025,34 +904,8 @@ let fasst_execute t ~epoch0 ~src ~owner ~reads ~locks =
     | `Ok `Fail -> (shard, `Fail)
     | `Ok (`Ok entries) -> (shard, `Ok entries)
   in
-  let results = Process.parallel t.ctl.engine (List.map one shards) in
-  let down = List.exists (fun (_, r) -> r = `Down) results in
-  if down || List.exists (fun (_, r) -> r = `Fail) results then begin
-    if not down then
-      Xenic_stats.Counter.incr (counters t) "exec_lock_conflicts";
-    (* Release locks acquired at other shards. *)
-    List.iter
-      (fun (shard, r) ->
-        match r with
-        | `Ok (lockv, _) when lockv <> [] ->
-            release_shard t ~src ~owner
-              (shard, List.map (fun (k, _, _) -> k) lockv)
-        | _ -> ())
-      results;
-    if down then `Down else `Fail
-  end
-  else
-    let lockv =
-      List.concat_map
-        (fun (_, r) -> match r with `Ok (lv, _) -> lv | _ -> [])
-        results
-    in
-    let values =
-      List.concat_map
-        (fun (_, r) -> match r with `Ok (_, vs) -> vs | _ -> [])
-        results
-    in
-    `Ok (lockv, values)
+  gather_locks t ~src ~owner
+    (Process.parallel t.ctl.engine (List.map one shards))
 
 let rec attempt t ~node ~epoch0 (txn : Types.t) : Control.attempt =
   let id = Control.next_id t.ctl ~node in
@@ -1094,19 +947,26 @@ let rec attempt t ~node ~epoch0 (txn : Types.t) : Control.attempt =
   let exec_reads =
     List.filter_map (function `Ok e -> Some e | `Down -> None) exec_reads_r
   in
+  (* Lock versions, the execution reads, and the values DrTM+R READs
+     after locking. *)
   let lock_result =
     match t.flavor with
-    | Fasst ->
-        fasst_execute t ~epoch0 ~src ~owner ~reads:txn.read_set
-          ~locks:txn.write_set
+    | Fasst -> (
+        match
+          fasst_execute t ~epoch0 ~src ~owner ~reads:txn.read_set
+            ~locks:txn.write_set
+        with
+        | `Ok (lockv, reads) -> `Ok (lockv, reads, [])
+        | (`Fail | `Down) as r -> r)
     | _ -> (
         match lock_phase t ~epoch0 ~src ~owner lock_keys with
-        | `Fail -> `Fail
-        | `Down -> `Down
-        | `Ok entries -> `Ok (entries, exec_reads))
+        | `Ok (lockv, fetched) -> `Ok (lockv, exec_reads, fetched)
+        | (`Fail | `Down) as r -> r)
   in
+  (* Within a shard, unlocks go out in reverse order. *)
   let release_keys keys =
-    List.iter (release_shard t ~src ~owner) (group_by_shard Fun.id keys)
+    List.iter (release_shard t ~src ~owner)
+      (Types.group_by_shard Fun.id (List.rev keys))
   in
   match lock_result with
   | `Fail -> `Aborted Metrics.Lock_conflict
@@ -1118,21 +978,18 @@ let rec attempt t ~node ~epoch0 (txn : Types.t) : Control.attempt =
          lock never taken is a no-op. *)
       release_keys lock_keys;
       `Retry Metrics.Timeout
-  | `Ok (locked_entries, read_results_pre) -> (
+  | `Ok (lock_versions, read_results, fetched) -> (
       let t1 = mark "execute" t0 in
-      let abort_all () =
-        release_keys (List.map (fun (k, _, _) -> k) locked_entries)
-      in
-      let read_results = read_results_pre in
+      let abort_all () = release_keys (List.map fst lock_versions) in
       (* Lock-time versions must match the execution-read versions for
          keys both read and written, or the value in hand is stale. *)
       let lock_matches_read =
         List.for_all
-          (fun (k, _, lock_seq) ->
+          (fun (k, lock_seq) ->
             match List.find_opt (fun (k', _, _) -> k' = k) read_results with
             | Some (_, _, read_seq) -> read_seq = lock_seq
             | None -> true)
-          locked_entries
+          lock_versions
       in
       if not lock_matches_read then begin
         Xenic_stats.Counter.incr (counters t) "lock_version_conflicts";
@@ -1140,15 +997,15 @@ let rec attempt t ~node ~epoch0 (txn : Types.t) : Control.attempt =
         `Aborted Metrics.Validation_failure
       end
       else
-      let values = read_results @ locked_entries in
-      let view = Types.view_of values in
+      (* DrTM+R's post-lock READs are its reads. *)
+      let values = read_results @ fetched in
       (* Execution at the coordinator host. A multi-shot More releases
          the locks and replays the transaction with the extended
          read/write sets (an extra protocol round, as an RPC system
          would issue). *)
       Attrib.set_phase "exec-fn";
       Resource.use t.nodes.(node).host txn.host_exec_ns;
-      match txn.exec view with
+      match txn.exec (Types.view_of values) with
       | Types.More { read; lock } ->
           abort_all ();
           if List.length txn.read_set > 256 then
@@ -1196,23 +1053,15 @@ let rec attempt t ~node ~epoch0 (txn : Types.t) : Control.attempt =
           abort_all ();
           `Aborted Metrics.Validation_failure
       | `Valid ->
-          if ops = [] && lock_keys = [] then begin
-            oracle_commit t ~id:owner ~read_results ~locked_entries
-              ~seq_ops:[];
-            `Committed
-          end
-          else if ops = [] then begin
-            (* Locked but nothing to write (e.g. DrTM+R read-only):
-               release. *)
+          if ops = [] then begin
+            (* Nothing written (e.g. DrTM+R read-only): release any
+               locks and commit. *)
             abort_all ();
-            oracle_commit t ~id:owner ~read_results ~locked_entries
+            Control.record_commit t.ctl ~id:owner ~values ~lock_versions
               ~seq_ops:[];
             `Committed
           end
-          else begin
-            let lock_versions =
-              List.map (fun (k, _, seq) -> (k, seq)) locked_entries
-            in
+          else
             let seq_ops = Types.seq_ops_of ~lock_versions ops in
             let seq_ops_by_shard = Types.group_ops_by_shard seq_ops in
             let locked_by_shard =
@@ -1220,9 +1069,9 @@ let rec attempt t ~node ~epoch0 (txn : Types.t) : Control.attempt =
                 (fun (shard, _) ->
                   ( shard,
                     List.filter_map
-                      (fun (k, _, _) ->
+                      (fun (k, _) ->
                         if Keyspace.shard k = shard then Some k else None)
-                      locked_entries ))
+                      lock_versions ))
                 seq_ops_by_shard
             in
             (* Release locks on keys that were locked but not written
@@ -1231,55 +1080,21 @@ let rec attempt t ~node ~epoch0 (txn : Types.t) : Control.attempt =
               let written = List.map (fun (op, _) -> Op.key op) seq_ops in
               let residual =
                 List.filter_map
-                  (fun (k, _, _) ->
-                    if List.mem k written then None else Some k)
-                  locked_entries
+                  (fun (k, _) -> if List.mem k written then None else Some k)
+                  lock_versions
               in
               if residual <> [] then release_keys residual
             in
-            if not (armed t) then begin
-              Attrib.set_phase "log";
-              log_phase t ~src ~decision:(ref Dcommit) seq_ops_by_shard;
-              let t4 = mark "log" t3 in
-              Attrib.set_phase "commit";
-              commit_phase t ~src ~owner seq_ops_by_shard locked_by_shard;
-              release_residual ();
-              oracle_commit t ~id:owner ~read_results ~locked_entries ~seq_ops;
-              ignore (mark "commit" t4);
-              `Committed
-            end
-            else if not (Control.fence_acquire t.ctl ~src ~epoch0) then begin
-              (* Configuration moved (or we crashed) between validation
-                 and commit: abort before the first LOG byte. *)
-              abort_all ();
-              `Retry Metrics.Stale_epoch
-            end
-            else begin
-              let decision = ref Dpending in
-              Attrib.set_phase "log";
-              log_phase t ~src ~decision seq_ops_by_shard;
-              let t4 = mark "log" t3 in
-              if t.ctl.crashed.(src) then begin
-                (* Died mid-LOG: never decide; backups discard. *)
-                decision := Dabort;
-                Control.fence_release t.ctl;
-                `Aborted Metrics.Crashed_owner
-              end
-              else begin
-                (* Commit point: decide and hand COMMIT to the fabric
-                   in one atomic step. *)
-                decision := Dcommit;
-                oracle_commit t ~id:owner ~read_results ~locked_entries
+            Control.commit_point t.ctl ~src ~epoch0 ~mark ~t_prev:t3
+              ~log:(log_phase t ~src seq_ops_by_shard)
+              ~commit:(fun t4 ->
+                Control.record_commit t.ctl ~id:owner ~values ~lock_versions
                   ~seq_ops;
                 Attrib.set_phase "commit";
                 commit_phase t ~src ~owner seq_ops_by_shard locked_by_shard;
                 release_residual ();
-                Control.fence_release t.ctl;
-                ignore (mark "commit" t4);
-                `Committed
-              end
-            end
-          end)
+                ignore (mark "commit" t4))
+              ~abort:abort_all)
 
 let run_txn t ~node (txn : Types.t) =
   Control.run_txn t.ctl ~node (fun () ->
@@ -1289,17 +1104,14 @@ let run_txn t ~node (txn : Types.t) =
 
 (* Dead-owner lock sweep over [node]'s host lock table. *)
 let sweep_locks t ~node ~dead =
-  let locks = t.nodes.(node).locks in
-  Hashtbl.fold (fun k owner acc -> (k, owner) :: acc) locks []
-  |> List.sort compare
-  |> List.fold_left
-       (fun broken (k, owner) ->
-         if dead owner then begin
-           Hashtbl.remove locks k;
-           broken + 1
-         end
-         else broken)
-       0
+  List.fold_left
+    (fun broken (k, owner) ->
+      if dead owner then begin
+        Hashtbl.remove t.nodes.(node).locks k;
+        broken + 1
+      end
+      else broken)
+    0 (held_locks t ~node)
 
 (* Recovery's data plane: the successor drains its backup log, and
    since stores are fully replicated, promotion is a routing change

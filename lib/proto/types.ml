@@ -60,8 +60,9 @@ let seq_ops_of ~lock_versions ops =
       | None -> (op, 1))
     ops
 
-let group_ops_by_shard seq_ops =
-  List.sort_uniq compare
-    (List.map (fun (op, _) -> Keyspace.shard (Op.key op)) seq_ops)
+let group_by_shard key xs =
+  List.sort_uniq Int.compare (List.map (fun x -> Keyspace.shard (key x)) xs)
   |> List.map (fun s ->
-         (s, List.filter (fun (op, _) -> Keyspace.shard (Op.key op) = s) seq_ops))
+         (s, List.filter (fun x -> Keyspace.shard (key x) = s) xs))
+
+let group_ops_by_shard seq_ops = group_by_shard (fun (op, _) -> Op.key op) seq_ops

@@ -88,6 +88,9 @@ val view_of : (Keyspace.t * bytes option * int) list -> view
 val seq_ops_of :
   lock_versions:(Keyspace.t * int) list -> Op.t list -> (Op.t * int) list
 
-(** Versioned writes by shard: shards ascending, write order kept
-    within a shard. *)
+(** [group_by_shard key xs] groups [xs] by the shard of [key x]:
+    shards ascending, input order kept within a shard. *)
+val group_by_shard : ('a -> Keyspace.t) -> 'a list -> (int * 'a list) list
+
+(** Versioned writes by shard ({!group_by_shard} on the written key). *)
 val group_ops_by_shard : (Op.t * int) list -> (int * (Op.t * int) list) list

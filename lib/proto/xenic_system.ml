@@ -55,21 +55,6 @@ let default_params =
     partitions = 0;
   }
 
-type log_kind = Lrec_log | Lrec_commit
-
-type decision = Control.decision = Dpending | Dcommit | Dabort
-
-type log_record = {
-  lr_kind : log_kind;
-  lr_shard : int;
-  lr_ops : (Op.t * int) list;  (* op, new version *)
-  lr_decision : decision ref;
-  mutable lr_stamp : int;
-      (* log-append order, for ordered-table write ordering; assigned
-         by the append (delivery to workers is deferred, so the stamp
-         is always set before a worker reads it) *)
-}
-
 type node = {
   id : int;
   nic : Smartnic.t;
@@ -78,8 +63,8 @@ type node = {
   indexes : bytes Xenic_store.Nic_index.t option array;
       (* caching index per shard this node is CURRENTLY primary of;
          initially just its own shard, extended by promotion *)
-  log : log_record Xenic_store.Hostlog.t;  (* backup LOG records *)
-  commit_log : log_record Xenic_store.Hostlog.t;
+  log : Control.log_record Xenic_store.Hostlog.t;  (* backup LOG records *)
+  commit_log : Control.log_record Xenic_store.Hostlog.t;
       (* primary COMMIT records, drained separately so hot-row
          freshness does not queue behind bulky backup records *)
   app : Resource.t;
@@ -99,7 +84,7 @@ let armed t = Control.armed t.ctl
 let primary_of t ~shard = Control.current_primary t.ctl ~shard
 
 (* The caching index a node serves for [k]'s shard. *)
-let idx_for _t node k =
+let idx_for node k =
   match node.indexes.(Keyspace.shard k) with
   | Some idx -> idx
   | None ->
@@ -263,6 +248,22 @@ let index_io t node =
 (* ------------------------------------------------------------------ *)
 (* Server-side handlers (run at the primary's NIC) *)
 
+(* Lock [keys] in order, returning their lock versions; on a conflict,
+   release the locks already taken and return [None]. *)
+let lock_all idx io ~owner keys =
+  let rec acquire acc = function
+    | [] -> Some (List.rev acc)
+    | k :: rest -> (
+        match Xenic_store.Nic_index.try_lock idx io k ~owner with
+        | `Acquired seq -> acquire ((k, seq) :: acc) rest
+        | `Locked ->
+            List.iter
+              (fun (k', _) -> Xenic_store.Nic_index.unlock idx k' ~owner)
+              acc;
+            None)
+  in
+  acquire [] keys
+
 (* EXECUTE: lock the shard's write-set keys, read its read-set keys.
    Returns lock versions and read results, or `Fail on any conflict. *)
 let execute_handler t node ~owner ~locks ~reads () =
@@ -273,25 +274,14 @@ let execute_handler t node ~owner ~locks ~reads () =
       let idx =
         match locks @ reads with
         | [] -> invalid_arg "execute_handler: empty request"
-        | k :: _ -> idx_for t node k
+        | k :: _ -> idx_for node k
       in
       let io = index_io t node in
-      let rec acquire acc = function
-        | [] -> `Ok (List.rev acc)
-        | k :: rest -> (
-            match Xenic_store.Nic_index.try_lock idx io k ~owner with
-            | `Acquired seq -> acquire ((k, seq) :: acc) rest
-            | `Locked ->
-                List.iter
-                  (fun (k', _) -> Xenic_store.Nic_index.unlock idx k' ~owner)
-                  acc;
-                `Fail)
-      in
-      match acquire [] locks with
-      | `Fail ->
+      match lock_all idx io ~owner locks with
+      | None ->
           Xenic_stats.Counter.incr (counters t) "exec_lock_conflicts";
           `Fail
-      | `Ok lock_versions -> (
+      | Some lock_versions -> (
           let rec read_all acc = function
             | [] -> `Ok (List.rev acc)
             | k :: rest -> (
@@ -321,7 +311,7 @@ let validate_handler t node ~owner ~checks () =
       let idx =
         match checks with
         | [] -> invalid_arg "validate_handler: empty request"
-        | (k, _) :: _ -> idx_for t node k
+        | (k, _) :: _ -> idx_for node k
       in
       let io = index_io t node in
       let ok =
@@ -348,43 +338,24 @@ let validate_handler t node ~owner ~checks () =
 let log_handler t node ~decision ~shard ~seq_ops () =
   with_core node (fun () ->
       Smartnic.core_work_held node.nic ~ops:1 ~bytes:0;
-      let ops = List.map fst seq_ops in
-      let bytes = Wire.log_record_b ~ops in
+      let bytes = Wire.log_record_b ~ops:(List.map fst seq_ops) in
       dma_io t node `Write ~bytes;
-      let record =
-        {
-          lr_kind = Lrec_log;
-          lr_shard = shard;
-          lr_ops = seq_ops;
-          lr_decision = decision;
-          lr_stamp = 0;
-        }
-      in
-      record.lr_stamp <- Xenic_store.Hostlog.append node.log ~bytes record)
+      Control.append_log node.log ~bytes ~shard ~ops:seq_ops decision)
 
 (* COMMIT: append the commit record, install new values and versions in
    the caching index (pinned until the host applies), release locks. *)
 let commit_handler t node ~owner ~shard ~seq_ops ~locked () =
   with_core node (fun () ->
       Smartnic.core_work_held node.nic ~ops:(List.length seq_ops) ~bytes:0;
-      let ops = List.map fst seq_ops in
-      let bytes = Wire.log_record_b ~ops in
+      let bytes = Wire.log_record_b ~ops:(List.map fst seq_ops) in
       dma_io t node `Write ~bytes;
-      let record =
-        {
-          lr_kind = Lrec_commit;
-          lr_shard = shard;
-          lr_ops = seq_ops;
-          lr_decision = ref Dcommit;  (* a COMMIT record is the decision *)
-          lr_stamp = 0;
-        }
-      in
-      record.lr_stamp <-
-        Xenic_store.Hostlog.append node.commit_log ~bytes record;
+      (* A COMMIT record is the decision. *)
+      Control.append_log node.commit_log ~bytes ~shard ~ops:seq_ops
+        (ref Control.Dcommit);
       let idx =
         match seq_ops with
         | [] -> invalid_arg "commit_handler: empty request"
-        | (op, _) :: _ -> idx_for t node (Op.key op)
+        | (op, _) :: _ -> idx_for node (Op.key op)
       in
       List.iter
         (fun (op, _seq) ->
@@ -399,58 +370,33 @@ let commit_handler t node ~owner ~shard ~seq_ops ~locked () =
       List.iter (fun k -> Xenic_store.Nic_index.unlock idx k ~owner) locked)
 
 (* ABORT: release locks acquired during EXECUTE. *)
-let abort_handler t node ~owner ~locked () =
-  ignore t;
+let abort_handler node ~owner ~locked () =
   with_core node (fun () ->
       Smartnic.core_work_held node.nic ~ops:(List.length locked) ~bytes:0;
       List.iter
-        (fun k -> Xenic_store.Nic_index.unlock (idx_for t node k) k ~owner)
+        (fun k -> Xenic_store.Nic_index.unlock (idx_for node k) k ~owner)
         locked)
 
 (* ------------------------------------------------------------------ *)
 (* Host-side Robinhood workers (§4.2 step 7) *)
 
-let apply_cost t _node (op, _) =
-  if Keyspace.ordered (Op.key op) then t.p.btree_op_ns
-  else t.hw.host_op_ns +. (float_of_int (Op.bytes op) *. t.hw.host_byte_ns)
+(* Ordered-table writes take their record's log stamp as version. *)
+let apply_write node (record : Control.log_record) op seq =
+  let seq = if Keyspace.ordered (Op.key op) then record.lr_stamp else seq in
+  Storage.apply node.storage op ~seq
 
-let worker_loop t node source =
-  Process.spawn t.ctl.engine (fun () ->
-      Attrib.set
-        { Attrib.stack = "Xenic"; node = node.id; phase = "log-apply"; cls = "-" };
-      let rec loop () =
-        let record, bytes = Xenic_store.Hostlog.poll source in
-        if not (Control.await_decision t.ctl record.lr_decision) then
-          (* Aborted before the commit point: reclaim the space, apply
-             nothing — every replica discards the same record. *)
-          Xenic_store.Hostlog.ack source ~bytes
-        else begin
-          Resource.acquire node.workers;
-          List.iter
-            (fun (op, seq) ->
-              Process.sleep t.ctl.engine (apply_cost t node (op, seq));
-              let seq =
-                if Keyspace.ordered (Op.key op) then record.lr_stamp else seq
-              in
-              Storage.apply node.storage op ~seq)
-            record.lr_ops;
-          Resource.release node.workers;
-          Xenic_store.Hostlog.ack source ~bytes;
-          (* The host piggybacks a log ack to the NIC so it can unpin
-             committed cache entries (§4.2 step 7). *)
-          match node.indexes.(record.lr_shard) with
-          | Some idx when record.lr_kind = Lrec_commit ->
-              List.iter
-                (fun (op, _) ->
-                  let k = Op.key op in
-                  if not (Keyspace.ordered k) then
-                    Xenic_store.Nic_index.host_applied idx k)
-                record.lr_ops
-          | Some _ | None -> ()
-        end;
-        loop ()
-      in
-      loop ())
+(* After applying a COMMIT record the host piggybacks a log ack to the
+   NIC so it can unpin the committed cache entries (§4.2 step 7). *)
+let unpin_applied node (record : Control.log_record) =
+  match node.indexes.(record.lr_shard) with
+  | Some idx ->
+      List.iter
+        (fun (op, _) ->
+          let k = Op.key op in
+          if not (Keyspace.ordered k) then
+            Xenic_store.Nic_index.host_applied idx k)
+        record.lr_ops
+  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Construction *)
@@ -495,17 +441,21 @@ let create engine hw cfg p =
               ~servers:p.worker_threads;
         })
   in
-  let t = { ctl; hw; p; nodes } in
+  let op_ns = Control.apply_cost hw ~btree_op_ns:p.btree_op_ns in
   Array.iter
     (fun node ->
       Control.dispatch_loop ctl ~node:node.id ~pkt_io:(fun () ->
           Smartnic.pkt_io node.nic);
+      let worker log ~applied =
+        Control.log_worker ctl ~node:node.id ~log ~pool:node.workers ~op_ns
+          ~apply:(apply_write node) ~applied
+      in
       for _ = 1 to p.worker_threads do
-        worker_loop t node node.log;
-        worker_loop t node node.commit_log
+        worker node.log ~applied:ignore;
+        worker node.commit_log ~applied:(unpin_applied node)
       done)
     nodes;
-  t
+  { ctl; hw; p; nodes }
 
 let load t k v =
   List.iter
@@ -539,70 +489,21 @@ let peek_range t ~node ~lo ~hi =
 (* ------------------------------------------------------------------ *)
 (* Coordinator logic *)
 
-(* Group [xs] by the shard of [key x], keeping their order within a
-   shard; shards ascending. *)
-let group_by_shard_on key xs =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun x ->
-      let s = Keyspace.shard (key x) in
-      Hashtbl.replace tbl s
-        (x :: Option.value ~default:[] (Hashtbl.find_opt tbl s)))
-    xs;
-  Hashtbl.fold (fun s l acc -> (s, List.rev l) :: acc) tbl []
-  |> List.sort compare
+(* Send LOG to every backup of every written shard as a NIC request;
+   await all responses. [decision] is stamped into every appended
+   record. *)
+let log_phase t ~src ~seq_ops_by_shard decision =
+  Control.replicate t.ctl ~src (Control.log_targets t.ctl seq_ops_by_shard)
+    ~send:(fun (shard, backup, seq_ops) ->
+      match
+        request_t t ~src ~dst:backup
+          ~req_bytes:(Wire.write_ops_b ~ops:(List.map fst seq_ops))
+          ~resp_bytes:(fun () -> Wire.small_resp_b)
+          (log_handler t t.nodes.(backup) ~decision ~shard ~seq_ops)
+      with
+      | `Ok () | `Stale -> true
+      | `Timeout -> false)
 
-let group_by_shard keys = group_by_shard_on Fun.id keys
-
-(* Report a committed transaction to the serializability oracle, if one
-   is attached: execute-time reads carry values, lock-only keys carry
-   their lock version. *)
-let oracle_commit t ~id ~values ~lock_versions ~seq_ops =
-  match t.ctl.oracle with
-  | None -> ()
-  | Some _ ->
-      let read_keys = List.map (fun (k, _, _) -> k) values in
-      let reads =
-        List.map (fun (k, v, seq) -> (k, seq, Oracle.Value v)) values
-        @ List.filter_map
-            (fun (k, seq) ->
-              if List.mem k read_keys then None
-              else Some (k, seq, Oracle.Version_only))
-            lock_versions
-      in
-      Control.record_commit t.ctl ~id:(Types.owner_token id) ~reads ~seq_ops
-
-(* Send LOG to every backup of every written shard; await all
-   responses. [decision] is stamped into every appended record. A
-   timed-out LOG follows the armed retry rule ({!Control.settle_log}). *)
-let log_phase t ~src ~decision ~seq_ops_by_shard =
-  let requests =
-    List.concat_map
-      (fun (shard, seq_ops) ->
-        List.map
-          (fun backup -> (shard, backup, seq_ops))
-          (Control.backups_of t.ctl ~shard))
-      seq_ops_by_shard
-  in
-  let ops_bytes seq_ops = Wire.write_ops_b ~ops:(List.map fst seq_ops) in
-  let one (shard, backup, seq_ops) () =
-    Control.settle_log t.ctl ~who:"xenic" ~src ~backup (fun () ->
-        match
-          request_t t ~src ~dst:backup ~req_bytes:(ops_bytes seq_ops)
-            ~resp_bytes:(fun () -> Wire.small_resp_b)
-            (log_handler t t.nodes.(backup) ~decision ~shard ~seq_ops)
-        with
-        | `Ok () | `Stale -> true
-        | `Timeout -> false)
-  in
-  ignore (Process.parallel t.ctl.engine (List.map one requests))
-
-(* Asynchronous COMMIT to each written shard's primary (fire and
-   forget with a small ack frame for wire accounting). [locks_by_shard]
-   records where each shard's locks were acquired; the commit fence
-   guarantees routing has not changed since, so the acquisition node is
-   still the primary (or has crashed, in which case the notify is
-   dropped and the new values survive via the decided backup records). *)
 (* Xenic's commit apply is asynchronous (fire-and-forget notify), so
    the coordinator's "commit" phase closes at the send and Fig 8/9
    reported a zero commit mean. Record the apply-side latency — notify
@@ -619,6 +520,12 @@ let commit_async_mark t ~src ~seq t_send =
       Trace.span tr ~cat:"txn-async" ~name:"commit-async" ~pid:src ~tid:seq
         ~ts:t_send ~dur:(now -. t_send) ()
 
+(* Asynchronous COMMIT to each written shard's primary (fire and
+   forget with a small ack frame for wire accounting). [locks_by_shard]
+   records where each shard's locks were acquired; the commit fence
+   guarantees routing has not changed since, so the acquisition node is
+   still the primary (or has crashed, in which case the notify is
+   dropped and the new values survive via the decided backup records). *)
 let commit_phase t ~src ~owner ~seq ~locks_by_shard ~seq_ops_by_shard =
   let t_send = Engine.now t.ctl.engine in
   List.iter
@@ -647,7 +554,7 @@ let abort_everywhere t ~src ~owner ~locks_by_shard =
       if locked <> [] && not t.ctl.crashed.(primary) then
         notify t ~src ~dst:primary
           ~bytes:(Wire.abort_b ~n_locks:(List.length locked))
-          (abort_handler t t.nodes.(primary) ~owner ~locked))
+          (abort_handler t.nodes.(primary) ~owner ~locked))
     locks_by_shard
 
 (* COMMIT every written shard, then release the locked keys that were
@@ -668,11 +575,6 @@ let commit_and_release t ~src ~owner ~seq ~acquired ~seq_ops ~seq_ops_by_shard =
 
 (* -- Standard distributed commit (§4.2), coordinator-side NIC ------- *)
 
-(* Per-shard EXECUTE. Results carry the primary the request targeted,
-   so a later abort can release locks where they were acquired even if
-   routing has moved on. [`Dead]: the primary timed out or the request
-   crossed a reconfiguration — the transaction should retry against
-   fresh routing rather than count a conflict. *)
 (* Wire size of an EXECUTE response: the values read, or a bare nack. *)
 let execute_resp_b = function
   | `Fail -> Wire.small_resp_b
@@ -683,6 +585,11 @@ let execute_resp_b = function
              (fun (_, v, _) -> match v with Some b -> Bytes.length b | None -> 0)
              values)
 
+(* Per-shard EXECUTE. Results carry the primary the request targeted,
+   so a later abort can release locks where they were acquired even if
+   routing has moved on. [`Dead]: the primary timed out or the request
+   crossed a reconfiguration — the transaction should retry against
+   fresh routing rather than count a conflict. *)
 let execute_phase t ~epoch0 ~src ~owner ~reads_by_shard ~locks_by_shard =
   let shards =
     List.sort_uniq compare (List.map fst reads_by_shard @ List.map fst locks_by_shard)
@@ -728,7 +635,7 @@ let execute_phase t ~epoch0 ~src ~owner ~reads_by_shard ~locks_by_shard =
         if acquired <> [] && not t.ctl.crashed.(primary) then
           notify t ~src ~dst:primary
             ~bytes:(Wire.abort_b ~n_locks:(List.length acquired))
-            (abort_handler t t.nodes.(primary) ~owner ~locked:acquired)
+            (abort_handler t.nodes.(primary) ~owner ~locked:acquired)
       in
       if
         List.exists
@@ -857,8 +764,8 @@ let distributed_txn t node (txn : Types.t) id : Control.attempt =
   let mark name t_prev =
     Control.phase_mark t.ctl ~src ~seq:id.Types.seq name t_prev
   in
-  let reads_by_shard = group_by_shard txn.read_set in
-  let locks_by_shard_keys = group_by_shard txn.write_set in
+  let reads_by_shard = Types.group_by_shard Fun.id txn.read_set in
+  let locks_by_shard_keys = Types.group_by_shard Fun.id txn.write_set in
   Attrib.set_phase "execute";
   let results =
     execute_phase t ~epoch0 ~src ~owner ~reads_by_shard
@@ -936,11 +843,11 @@ let distributed_txn t node (txn : Types.t) id : Control.attempt =
           Attrib.set_phase "execute";
           let extra =
             execute_phase t ~epoch0 ~src ~owner
-              ~reads_by_shard:(group_by_shard read)
-              ~locks_by_shard:(group_by_shard lock)
+              ~reads_by_shard:(Types.group_by_shard Fun.id read)
+              ~locks_by_shard:(Types.group_by_shard Fun.id lock)
           in
           let acquired = merge_acquired acquired (acquired_of extra) in
-          let requested = group_by_shard lock @ requested in
+          let requested = Types.group_by_shard Fun.id lock @ requested in
           if List.exists (fun (_, _, r) -> r = `Dead) extra then begin
             abort_everywhere t ~src ~owner
               ~locks_by_shard:(broaden acquired requested);
@@ -973,7 +880,7 @@ let distributed_txn t node (txn : Types.t) id : Control.attempt =
             else begin
               Attrib.set_phase "validate";
               validate_phase t ~epoch0 ~src ~owner
-                ~checks_by_shard:(group_by_shard_on fst checks)
+                ~checks_by_shard:(Types.group_by_shard fst checks)
             end
           in
           (* Only record a validate sample when the phase actually ran;
@@ -988,64 +895,26 @@ let distributed_txn t node (txn : Types.t) id : Control.attempt =
               abort_everywhere t ~src ~owner ~locks_by_shard:acquired;
               `Aborted Metrics.Validation_failure
           | `Valid ->
-              if ops = [] && locked_keys = [] then begin
-                oracle_commit t ~id ~values ~lock_versions ~seq_ops:[];
-                `Committed
-              end
-              else if ops = [] then begin
-                (* Locked but nothing written: release and commit. *)
+              if ops = [] then begin
+                (* Nothing written: release any locks and commit. *)
                 abort_everywhere t ~src ~owner ~locks_by_shard:acquired;
-                oracle_commit t ~id ~values ~lock_versions ~seq_ops:[];
+                Control.record_commit t.ctl ~id:owner ~values ~lock_versions
+                  ~seq_ops:[];
                 `Committed
               end
-              else begin
+              else
                 let seq_ops = Types.seq_ops_of ~lock_versions ops in
                 let seq_ops_by_shard = Types.group_ops_by_shard seq_ops in
-                if not (armed t) then begin
-                  (* Legacy fast path: no fence, records born decided. *)
-                  Attrib.set_phase "log";
-                  log_phase t ~src ~decision:(ref Dcommit) ~seq_ops_by_shard;
-                  let t4 = mark "log" t3 in
-                  commit_and_release t ~src ~owner ~seq:id.Types.seq ~acquired
-                    ~seq_ops ~seq_ops_by_shard;
-                  oracle_commit t ~id ~values ~lock_versions ~seq_ops;
-                  ignore (mark "commit" t4);
-                  `Committed
-                end
-                else if not (Control.fence_acquire t.ctl ~src ~epoch0) then begin
-                  (* Configuration moved (or we crashed) between
-                     validation and commit: abort cleanly before any
-                     LOG byte is sent, so no replica diverges. *)
-                  abort_everywhere t ~src ~owner ~locks_by_shard:acquired;
-                  `Retry Metrics.Stale_epoch
-                end
-                else begin
-                  let decision = ref Dpending in
-                  Attrib.set_phase "log";
-                  log_phase t ~src ~decision ~seq_ops_by_shard;
-                  let t4 = mark "log" t3 in
-                  if t.ctl.crashed.(src) then begin
-                    (* We died mid-LOG: never decide. Backups discard
-                       the pending records; our locks die with us or
-                       are swept at the declaration. *)
-                    decision := Dabort;
-                    Control.fence_release t.ctl;
-                    `Aborted Metrics.Crashed_owner
-                  end
-                  else begin
-                    (* Commit point: one atomic step — no suspension
-                       between deciding and handing COMMIT to the
-                       fabric, so a crash cannot split them. *)
-                    decision := Dcommit;
-                    oracle_commit t ~id ~values ~lock_versions ~seq_ops;
+                Control.commit_point t.ctl ~src ~epoch0 ~mark ~t_prev:t3
+                  ~log:(log_phase t ~src ~seq_ops_by_shard)
+                  ~commit:(fun t4 ->
+                    Control.record_commit t.ctl ~id:owner ~values
+                      ~lock_versions ~seq_ops;
                     commit_and_release t ~src ~owner ~seq:id.Types.seq
                       ~acquired ~seq_ops ~seq_ops_by_shard;
-                    Control.fence_release t.ctl;
-                    ignore (mark "commit" t4);
-                    `Committed
-                  end
-                end
-              end
+                    ignore (mark "commit" t4))
+                  ~abort:(fun () ->
+                    abort_everywhere t ~src ~owner ~locks_by_shard:acquired)
     in
     rounds ~values:(values_of results)
       ~lock_versions:(lock_versions_of results) ~acquired
@@ -1154,7 +1023,7 @@ let multihop_txn t node (txn : Types.t) id :
                     | Types.More _ ->
                         List.iter
                           (fun (k, _) ->
-                            Xenic_store.Nic_index.unlock (idx_for t p2_node k) k ~owner)
+                            Xenic_store.Nic_index.unlock (idx_for p2_node k) k ~owner)
                           remote_lockv;
                         notify t ~src:p2 ~dst:src ~bytes:Wire.small_resp_b
                           (fun () -> resume `Multishot)
@@ -1162,14 +1031,7 @@ let multihop_txn t node (txn : Types.t) id :
                     let lock_versions = local_lockv @ remote_lockv in
                     let seq_ops = Types.seq_ops_of ~lock_versions ops in
                     let by_shard = Types.group_ops_by_shard seq_ops in
-                    let backups =
-                      List.concat_map
-                        (fun (shard, seq_ops) ->
-                          List.map
-                            (fun b -> (shard, b, seq_ops))
-                            (Control.backups_of t.ctl ~shard))
-                        by_shard
-                    in
+                    let backups = Control.log_targets t.ctl by_shard in
                     let expected = ref (List.length backups) in
                     let p1_seq_ops =
                       List.filter
@@ -1196,7 +1058,7 @@ let multihop_txn t node (txn : Types.t) id :
                         in
                         notify t ~src:p2 ~dst:backup ~bytes (fun () ->
                             log_handler t t.nodes.(backup)
-                              ~decision:(ref Dcommit) ~shard ~seq_ops ();
+                              ~decision:(ref Control.Dcommit) ~shard ~seq_ops ();
                             notify t ~src:backup ~dst:src
                               ~bytes:Wire.small_resp_b (fun () ->
                                 Smartnic.core_work node.nic ~bytes:0;
@@ -1215,7 +1077,7 @@ let multihop_txn t node (txn : Types.t) id :
       match result with
       | `Fail | `Multishot -> (
           if local_lockv <> [] then
-            abort_handler t node ~owner ~locked:(List.map fst local_lockv) ();
+            abort_handler node ~owner ~locked:(List.map fst local_lockv) ();
           if result = `Multishot then begin
             (* Single-round restriction: replay through the standard
                distributed path, which supports multi-shot execution.
@@ -1236,7 +1098,7 @@ let multihop_txn t node (txn : Types.t) id :
           | (_ :: _ as seq_ops), Some shard ->
               commit_handler t node ~owner ~shard ~seq_ops ~locked:local_keys ()
           | [], _ when local_keys <> [] ->
-              abort_handler t node ~owner ~locked:local_keys ()
+              abort_handler node ~owner ~locked:local_keys ()
           | _ -> ());
           (if p2_seq_ops <> [] then
              let t_send = Engine.now t.ctl.engine in
@@ -1249,8 +1111,8 @@ let multihop_txn t node (txn : Types.t) id :
            else if remote_keys <> [] then
              notify t ~src ~dst:p2
                ~bytes:(Wire.abort_b ~n_locks:(List.length remote_keys))
-               (abort_handler t t.nodes.(p2) ~owner ~locked:remote_keys));
-          oracle_commit t ~id
+               (abort_handler t.nodes.(p2) ~owner ~locked:remote_keys));
+          Control.record_commit t.ctl ~id:owner
             ~values:(local_values @ remote_values)
             ~lock_versions:(local_lockv @ remote_lockv)
             ~seq_ops:(p1_seq_ops @ p2_seq_ops);
@@ -1317,7 +1179,8 @@ let local_txn t node ~shard (txn : Types.t) id : Control.attempt =
     in
     ignore (mark "validate" t1);
     if ok then begin
-      oracle_commit t ~id ~values ~lock_versions:[] ~seq_ops:[];
+      Control.record_commit t.ctl ~id:owner ~values ~lock_versions:[]
+        ~seq_ops:[];
       `Committed
     end
     else begin
@@ -1335,23 +1198,12 @@ let local_txn t node ~shard (txn : Types.t) id : Control.attempt =
           let idx =
             match txn.write_set with
             | [] -> invalid_arg "local_txn: no writes"
-            | k :: _ -> idx_for t node k
+            | k :: _ -> idx_for node k
           in
           let io = index_io t node in
-          let rec acquire acc = function
-            | [] -> `Ok (List.rev acc)
-            | k :: rest -> (
-                match Xenic_store.Nic_index.try_lock idx io k ~owner with
-                | `Acquired seq -> acquire ((k, seq) :: acc) rest
-                | `Locked ->
-                    List.iter
-                      (fun (k', _) -> Xenic_store.Nic_index.unlock idx k' ~owner)
-                      acc;
-                    `Lock_fail)
-          in
-          match acquire [] txn.write_set with
-          | `Lock_fail -> `Lock_fail
-          | `Ok lockv ->
+          match lock_all idx io ~owner txn.write_set with
+          | None -> `Lock_fail
+          | Some lockv ->
               (* Validate the host-read versions against the NIC's
                  authoritative metadata. *)
               let ok =
@@ -1388,44 +1240,22 @@ let local_txn t node ~shard (txn : Types.t) id : Control.attempt =
     | `Ok lock_versions ->
         let t2 = mark "validate" t1 in
         let seq_ops = Types.seq_ops_of ~lock_versions ops in
-        if not (armed t) then begin
-          Attrib.set_phase "log";
-          log_phase t ~src ~decision:(ref Dcommit)
-            ~seq_ops_by_shard:[ (shard, seq_ops) ];
-          ignore (mark "log" t2);
-          commit_local t node ~owner ~shard ~seq_ops ~locked:txn.write_set
-            ~seq:id.Types.seq;
-          Smartnic.host_msg node.nic;
-          oracle_commit t ~id ~values ~lock_versions ~seq_ops;
-          `Committed
-        end
-        else if not (Control.fence_acquire t.ctl ~src ~epoch0) then begin
-          abort_handler t node ~owner ~locked:txn.write_set ();
-          Smartnic.host_msg node.nic;
-          `Retry Metrics.Stale_epoch
-        end
-        else begin
-          let decision = ref Dpending in
-          Attrib.set_phase "log";
-          log_phase t ~src ~decision ~seq_ops_by_shard:[ (shard, seq_ops) ];
-          ignore (mark "log" t2);
-          if t.ctl.crashed.(src) then begin
-            (* Crashed mid-LOG: the pending backup records are
-               discarded; our locks die with the NIC. *)
-            decision := Dabort;
-            Control.fence_release t.ctl;
-            `Aborted Metrics.Crashed_owner
-          end
-          else begin
-            decision := Dcommit;
-            oracle_commit t ~id ~values ~lock_versions ~seq_ops;
-            commit_local t node ~owner ~shard ~seq_ops ~locked:txn.write_set
-              ~seq:id.Types.seq;
-            Control.fence_release t.ctl;
-            Smartnic.host_msg node.nic;
-            `Committed
-          end
-        end
+        let result =
+          Control.commit_point t.ctl ~src ~epoch0 ~mark ~t_prev:t2
+            ~log:(log_phase t ~src ~seq_ops_by_shard:[ (shard, seq_ops) ])
+            ~commit:(fun _ ->
+              Control.record_commit t.ctl ~id:owner ~values ~lock_versions
+                ~seq_ops;
+              commit_local t node ~owner ~shard ~seq_ops ~locked:txn.write_set
+                ~seq:id.Types.seq)
+            ~abort:(abort_handler node ~owner ~locked:txn.write_set)
+        in
+        (* The outcome crosses back to the host — unless the coordinator
+           crashed mid-LOG, taking its NIC with it. *)
+        (match result with
+        | `Aborted Metrics.Crashed_owner -> ()
+        | _ -> Smartnic.host_msg node.nic);
+        result
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1454,47 +1284,26 @@ let run_txn t ~node (txn : Types.t) =
             result
           end)
 
+(* A node's host logs, named for the audit. *)
+let logs t ~node =
+  let n = t.nodes.(node) in
+  [ ("backup log", n.log); ("commit log", n.commit_log) ]
+
 (* Wait until all logs are drained and async commits applied. Crashed
    nodes are excluded: their logs do still drain — coordinators resolve
    every record's decision — but nothing downstream depends on it. *)
-let quiesce t =
-  Control.quiesce t.ctl ~drained:(fun ~node ->
-      Xenic_store.Hostlog.drained t.nodes.(node).log
-      && Xenic_store.Hostlog.drained t.nodes.(node).commit_log)
+let quiesce t = Control.quiesce t.ctl ~logs:(logs t)
 
-(* Protocol audit: after [quiesce] every NIC index must be lock-free and
-   every host log drained. Returns human-readable violations ([] = clean). *)
+(* After [quiesce] every NIC index must be lock-free and every host log
+   drained. *)
 let audit t =
-  let issues = ref [] in
-  Array.iter
-    (fun node ->
-      if t.ctl.crashed.(node.id) then ()
-      else begin
-      Array.iteri
-        (fun shard idx_opt ->
+  Control.audit t.ctl ~logs:(logs t) ~locked:(fun ~node ->
+      Array.fold_right
+        (fun idx_opt acc ->
           match idx_opt with
-          | None -> ()
-          | Some idx ->
-              List.iter
-                (fun (k, owner) ->
-                  issues :=
-                    Format.asprintf
-                      "xenic node %d shard %d: key %a still locked by owner %d"
-                      node.id shard Keyspace.pp k owner
-                    :: !issues)
-                (Xenic_store.Nic_index.locked_keys idx))
-        node.indexes;
-      let drained name log =
-        if not (Xenic_store.Hostlog.drained log) then
-          issues :=
-            Printf.sprintf "xenic node %d: %s not drained" node.id name
-            :: !issues
-      in
-      drained "backup log" node.log;
-      drained "commit log" node.commit_log
-      end)
-    t.nodes;
-  List.rev !issues
+          | Some idx -> Xenic_store.Nic_index.locked_keys idx @ acc
+          | None -> acc)
+        t.nodes.(node).indexes [])
 
 (* -- Reconfiguration (§4.2.1) --------------------------------------- *)
 

@@ -118,6 +118,25 @@ if [ -z "$XENIC_QUICK" ] && [ -f /root/repo/bench/ref/TELEMETRY_load.ref.json ];
     echo "run_bench.sh: telemetry diff gate failed (exit $status)" >&2
   fi
 fi
+# Fault gate: the mid-run crash experiment is deterministic (fixed
+# seed, single-heap engine), and nothing else catches it reporting
+# zeros or a shifted recovery, so its BENCH_fault.json must byte-match
+# the reference too. It holds simulated-time metrics only. The
+# reference is a full-mode run, so the gate is skipped under
+# XENIC_QUICK. Paths are relative to the repository root, where this
+# script runs.
+if [ -z "$XENIC_QUICK" ] && [ -f bench/ref/BENCH_fault.ref.json ]; then
+  dune exec bin/xenicctl.exe -- bench diff \
+    bench/ref/BENCH_fault.ref.json BENCH_fault.json \
+    --tol 0 >> bench_output.txt 2>&1
+  status=$?
+  if [ "$status" -ne 0 ]; then
+    failed="$failed fault-diff-gate"
+    echo "FAILED: BENCH_fault.json diverged from bench/ref reference" \
+      >> bench_output.txt
+    echo "run_bench.sh: fault diff gate failed (exit $status)" >&2
+  fi
+fi
 touch /root/repo/.bench_done
 if [ -n "$failed" ]; then
   echo "run_bench.sh: failed experiments:$failed" >&2

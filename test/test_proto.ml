@@ -1,5 +1,5 @@
 (* Unit tests for protocol building blocks: types, wire sizes, metrics,
-   features. *)
+   features, and the shared protocol core's commit point and audit. *)
 
 open Xenic_cluster
 open Xenic_proto
@@ -15,6 +15,18 @@ let test_txn_sets () =
   Alcotest.(check (option int)) "not single shard" None (Types.single_shard txn);
   let local = Types.make ~read_set:[ a ] ~write_set:[ c ] (fun _ -> []) in
   Alcotest.(check (option int)) "single shard" (Some 0) (Types.single_shard local)
+
+let test_group_by_shard () =
+  let a = k ~shard:2 ~id:1 and b = k ~shard:0 ~id:2 and c = k ~shard:2 ~id:3 in
+  let d = k ~shard:0 ~id:4 in
+  Alcotest.(check (list (pair int (list int))))
+    "shards ascending, input order kept"
+    [ (0, [ b; d ]); (2, [ a; c ]) ]
+    (Types.group_by_shard Fun.id [ a; b; c; d ]);
+  Alcotest.(check (list (pair int (list (pair int string)))))
+    "by key"
+    [ (0, [ (d, "d") ]); (2, [ (c, "c"); (a, "a") ]) ]
+    (Types.group_by_shard fst [ (c, "c"); (d, "d"); (a, "a") ])
 
 let test_wire_sizes () =
   Alcotest.(check bool) "execute grows with keys" true
@@ -241,11 +253,147 @@ let test_windowed_rejects_trace () =
       ("drtmh", Rdma_system.control (windowed_drtmh None));
     ]
 
+(* {2 The shared commit point and audit, with fake transports} *)
+
+let mk_control ?req_timeout_ns () =
+  let engine = Xenic_sim.Engine.create () in
+  let ctl =
+    Control.create engine Xenic_params.Hw.testbed windowed_cfg ~stack:"T"
+      ~partitions:0 ~req_timeout_ns ~retry_backoff_ns:1_000.0 ~max_retries:3
+  in
+  (engine, ctl)
+
+(* Run [f] as a process to completion; return its result. *)
+let in_process engine f =
+  let r = ref None in
+  Xenic_sim.Process.spawn engine (fun () -> r := Some (f ()));
+  ignore (Xenic_sim.Engine.run engine);
+  Option.get !r
+
+let counter ctl name =
+  Option.value ~default:0.0
+    (List.assoc_opt name
+       (Xenic_stats.Counter.to_list (Metrics.counters (Control.metrics ctl))))
+
+let attempt_t =
+  Alcotest.testable
+    (fun fmt (a : Control.attempt) ->
+      Format.pp_print_string fmt
+        (match a with
+        | `Committed -> "committed"
+        | `Aborted r -> "aborted " ^ Metrics.abort_reason_name r
+        | `Retry r -> "retry " ^ Metrics.abort_reason_name r))
+    ( = )
+
+(* Fake transport: records which closures ran and the decision [log]
+   was handed; [on_log] runs inside [log]. *)
+let fake_commit_point ?(on_log = ignore) engine ctl =
+  let decision = ref None and committed = ref false and aborted = ref false in
+  let result =
+    in_process engine (fun () ->
+        Control.commit_point ctl ~src:0 ~epoch0:0
+          ~mark:(fun _ t -> t)
+          ~t_prev:0.0
+          ~log:(fun d ->
+            decision := Some d;
+            on_log ())
+          ~commit:(fun _ -> committed := true)
+          ~abort:(fun () -> aborted := true))
+  in
+  (result, Option.map ( ! ) !decision, !committed, !aborted)
+
+let decision_t =
+  Alcotest.testable
+    (fun fmt (d : Control.decision) ->
+      Format.pp_print_string fmt
+        (match d with Dpending -> "pending" | Dcommit -> "commit" | Dabort -> "abort"))
+    ( = )
+
+let test_commit_point_unarmed () =
+  let engine, ctl = mk_control () in
+  let result, decision, committed, aborted = fake_commit_point engine ctl in
+  Alcotest.check attempt_t "committed" `Committed result;
+  Alcotest.(check (option decision_t)) "record born decided"
+    (Some Control.Dcommit) decision;
+  Alcotest.(check bool) "commit ran" true committed;
+  Alcotest.(check bool) "abort did not run" false aborted
+
+let test_commit_point_fence_refused () =
+  let engine, ctl = mk_control ~req_timeout_ns:40_000.0 () in
+  ctl.Control.epoch <- 1;
+  let result, decision, committed, aborted = fake_commit_point engine ctl in
+  Alcotest.check attempt_t "retry on a stale epoch"
+    (`Retry Metrics.Stale_epoch) result;
+  Alcotest.(check bool) "abort ran" true aborted;
+  Alcotest.(check bool) "log did not run" true (decision = None);
+  Alcotest.(check bool) "commit did not run" false committed;
+  Alcotest.(check (float 0.0)) "one fence refusal" 1.0
+    (counter ctl "fence_refusals");
+  Alcotest.(check int) "fence not held" 0 ctl.Control.inflight_commits
+
+let test_commit_point_crash_mid_log () =
+  let engine, ctl = mk_control ~req_timeout_ns:40_000.0 () in
+  let result, decision, committed, aborted =
+    fake_commit_point engine ctl ~on_log:(fun () ->
+        Alcotest.(check int) "fence held during LOG" 1
+          ctl.Control.inflight_commits;
+        Control.crash_node ctl ~node:0)
+  in
+  Alcotest.check attempt_t "crashed owner"
+    (`Aborted Metrics.Crashed_owner) result;
+  Alcotest.(check (option decision_t)) "decision aborted"
+    (Some Control.Dabort) decision;
+  Alcotest.(check bool) "commit did not run" false committed;
+  Alcotest.(check bool) "abort did not run" false aborted;
+  Alcotest.(check int) "fence released" 0 ctl.Control.inflight_commits
+
+let test_commit_point_armed_commit () =
+  let engine, ctl = mk_control ~req_timeout_ns:40_000.0 () in
+  let result, decision, committed, _ = fake_commit_point engine ctl in
+  Alcotest.check attempt_t "committed" `Committed result;
+  Alcotest.(check (option decision_t)) "decision committed"
+    (Some Control.Dcommit) decision;
+  Alcotest.(check bool) "commit ran" true committed;
+  Alcotest.(check int) "fence released" 0 ctl.Control.inflight_commits
+
+let test_audit () =
+  let engine, ctl = mk_control () in
+  let logs =
+    Array.init 4 (fun _ -> Xenic_store.Hostlog.create engine ~capacity_b:4096)
+  in
+  (* An undrained record at nodes 0 and 1; node 1 then crashes. *)
+  in_process engine (fun () ->
+      List.iter
+        (fun n ->
+          Control.append_log logs.(n) ~bytes:64 ~shard:n ~ops:[]
+            (ref Control.Dcommit))
+        [ 0; 1 ]);
+  Control.crash_node ctl ~node:1;
+  let held = k ~shard:0 ~id:7 in
+  let issues =
+    Control.audit ctl
+      ~locked:(fun ~node -> if node <= 1 then [ (held, 42) ] else [])
+      ~logs:(fun ~node -> [ ("log", logs.(node)) ])
+  in
+  Alcotest.(check (list string))
+    "node 0's lock and log; crashed node 1 skipped"
+    [
+      Format.asprintf "T node 0: key %a still locked by owner 42" Keyspace.pp
+        held;
+      "T node 0: log not drained";
+    ]
+    issues;
+  Alcotest.(check (list string)) "clean when nothing is held" []
+    (Control.audit ctl ~locked:(fun ~node:_ -> []) ~logs:(fun ~node:_ -> []))
+
 let () =
   Alcotest.run "xenic_proto"
     [
       ( "types",
-        [ Alcotest.test_case "sets" `Quick test_txn_sets ] );
+        [
+          Alcotest.test_case "sets" `Quick test_txn_sets;
+          Alcotest.test_case "group_by_shard" `Quick test_group_by_shard;
+        ] );
       ("wire", [ Alcotest.test_case "sizes" `Quick test_wire_sizes ]);
       ( "metrics",
         [
@@ -270,5 +418,17 @@ let () =
           Alcotest.test_case "membership rejected" `Quick
             test_windowed_rejects_membership;
           Alcotest.test_case "trace rejected" `Quick test_windowed_rejects_trace;
+        ] );
+      ( "control",
+        [
+          Alcotest.test_case "commit point: un-armed" `Quick
+            test_commit_point_unarmed;
+          Alcotest.test_case "commit point: fence refused" `Quick
+            test_commit_point_fence_refused;
+          Alcotest.test_case "commit point: crash mid-LOG" `Quick
+            test_commit_point_crash_mid_log;
+          Alcotest.test_case "commit point: armed commit" `Quick
+            test_commit_point_armed_commit;
+          Alcotest.test_case "audit" `Quick test_audit;
         ] );
     ]
