@@ -38,13 +38,14 @@ let arm engine cfg ~armed attach_membership =
     Membership.start m
   end
 
-let mk_xenic ~armed =
+let mk_xenic_with features ~armed =
   let engine = Engine.create ~strict:armed () in
   let cfg = Config.make ~nodes:4 ~replication:3 in
   let segments, seg_size, d_max = Smallbank.store_cfg sb_params in
   let p =
     {
       Xenic_system.default_params with
+      features;
       segments;
       seg_size;
       d_max;
@@ -55,6 +56,8 @@ let mk_xenic ~armed =
   let xs = Xenic_system.create engine hw cfg p in
   arm engine cfg ~armed (Xenic_system.attach_membership xs);
   System.of_xenic xs
+
+let mk_xenic = mk_xenic_with Features.full
 
 let mk_rdma flavor ~armed =
   let engine = Engine.create ~strict:armed () in
@@ -215,6 +218,22 @@ let test_armed (name, run) () =
     (result.Driver.committed > 0);
   check_golden (name ^ ".armed.golden") (digest sys result)
 
+(* Xenic's restricted operation set ([Features.baseline]: per-key
+   EXECUTE and VALIDATE requests, no batching, blocking DMA, host
+   execution, no cache), which none of the six stacks above runs:
+   un-armed, and armed with the mid-run crash. *)
+let test_xenic_baseline () =
+  let sys, result, _ = run_stack (mk_xenic_with Features.baseline) in
+  Alcotest.(check bool) "baseline made progress" true
+    (result.Driver.committed > 0);
+  check_golden "xenic_baseline.metrics.golden" (digest sys result)
+
+let test_xenic_baseline_armed () =
+  let sys, result = run_armed (mk_xenic_with Features.baseline) in
+  Alcotest.(check bool) "armed baseline made progress" true
+    (result.Driver.committed > 0);
+  check_golden "xenic_baseline.armed.golden" (digest sys result)
+
 (* Between them the six armed runs must reach every armed exit of the
    commit point, or the goldens above stop guarding it. *)
 let test_armed_coverage () =
@@ -261,14 +280,18 @@ let () =
         List.map
           (fun (name, mk) ->
             Alcotest.test_case name `Quick (test_stack (name, mk)))
-          stacks );
+          stacks
+        @ [ Alcotest.test_case "xenic_baseline" `Quick test_xenic_baseline ] );
       ( "six stacks (armed, mid-run crash)",
         List.map
           (fun (name, run) ->
             Alcotest.test_case name `Quick (test_armed (name, run)))
           armed_stacks
-        @ [ Alcotest.test_case "every armed exit reached" `Quick
-              test_armed_coverage ] );
+        @ [
+            Alcotest.test_case "xenic_baseline" `Quick test_xenic_baseline_armed;
+            Alcotest.test_case "every armed exit reached" `Quick
+              test_armed_coverage;
+          ] );
       ( "self-check",
         [
           Alcotest.test_case "same-seed reproducibility" `Quick
