@@ -496,6 +496,71 @@ let run_txn t ~node attempt =
     go 1 t.retry_backoff_ns
 
 (* ------------------------------------------------------------------ *)
+(* Requests *)
+
+type transport = {
+  depart : src:int -> dst:int -> bytes:int -> unit;
+  send : src:int -> dst:int -> bytes:int -> (unit -> unit) -> unit;
+  back : src:int -> dst:int -> bytes:int -> (unit -> unit) -> unit;
+  reject : src:int -> dst:int -> bytes:int -> (unit -> unit) -> unit;
+}
+
+(* The crashed-target shortcut: the requester cannot know the peer is
+   gone, so it pays the full deadline, exactly as if the request had
+   been dropped. *)
+let give_up t =
+  Xenic_stats.Counter.incr (counters t) "req_timeouts";
+  Process.sleep t.engine (Option.get t.req_timeout_ns);
+  `Down
+
+(* One request/response round trip over [tr]. Un-armed, the caller
+   blocks until the response is back. Armed, it waits on an ivar with a
+   cancellable deadline, and the timer resumes it exactly once with
+   [`Down] if the response never arrives (dead destination, or a
+   crashed [src] dropping it). With [epoch0] the request is
+   epoch-fenced: a destination that sees a newer configuration rejects
+   it, and a response landing after a reconfiguration is dropped; both
+   are [`Down]. *)
+let call t tr ?epoch0 ~src ~dst ~req_bytes ~resp_bytes handler =
+  match t.req_timeout_ns with
+  | None ->
+      tr.depart ~src ~dst ~bytes:req_bytes;
+      `Ok
+        (Process.suspend (fun resume ->
+             tr.send ~src ~dst ~bytes:req_bytes (fun () ->
+                 let r = handler () in
+                 tr.back ~src ~dst ~bytes:(resp_bytes r) (fun () -> resume r))))
+  | Some timeout_ns ->
+      if t.crashed.(dst) then give_up t
+      else begin
+        tr.depart ~src ~dst ~bytes:req_bytes;
+        let iv = Ivar.create ~name:"request" t.engine in
+        let settle v = if not (Ivar.is_filled iv) then Ivar.fill iv v in
+        let stale () =
+          match epoch0 with Some e -> t.epoch <> e | None -> false
+        in
+        tr.send ~src ~dst ~bytes:req_bytes (fun () ->
+            if stale () then begin
+              Xenic_stats.Counter.incr (counters t) "stale_epoch_rejects";
+              tr.reject ~src ~dst ~bytes:Wire.small_resp_b (fun () ->
+                  settle `Down)
+            end
+            else
+              let r = handler () in
+              tr.back ~src ~dst ~bytes:(resp_bytes r) (fun () ->
+                  if stale () then begin
+                    Xenic_stats.Counter.incr (counters t) "stale_epoch_drops";
+                    settle `Down
+                  end
+                  else settle (`Ok r)));
+        match Ivar.read_timeout iv ~timeout_ns with
+        | Some r -> r
+        | None ->
+            Xenic_stats.Counter.incr (counters t) "req_timeouts";
+            `Down
+      end
+
+(* ------------------------------------------------------------------ *)
 (* Dispatch *)
 
 let dispatch_loop t ~node ~pkt_io =

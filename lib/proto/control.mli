@@ -270,6 +270,59 @@ val audit :
     coordinator raises [Invalid_argument]. *)
 val run_txn : t -> node:int -> (unit -> attempt) -> Types.outcome
 
+(** {2 Requests}
+
+    One request/response round trip, with its deadline and epoch fence,
+    over a stack's transport. *)
+
+(** How a stack moves one request and its response. In every field
+    [src] is the requester and [dst] the responder. Each stack builds
+    one in [create]. *)
+type transport = {
+  depart : src:int -> dst:int -> bytes:int -> unit;
+      (** Charged in the requester's process before the request leaves. *)
+  send : src:int -> dst:int -> bytes:int -> (unit -> unit) -> unit;
+      (** Send the request without blocking; the thunk runs at [dst]
+          once it is delivered there. *)
+  back : src:int -> dst:int -> bytes:int -> (unit -> unit) -> unit;
+      (** Send the response from the handler at [dst]; the thunk runs
+          at [src] after its receive charge. *)
+  reject : src:int -> dst:int -> bytes:int -> (unit -> unit) -> unit;
+      (** Answer a request [dst] refused as stale; the thunk tells the
+          requester. *)
+}
+
+(** The crashed-target shortcut of an armed system: count one
+    [req_timeouts], sleep the full timeout and return [`Down], exactly
+    as if the request had been dropped. Raises [Invalid_argument] when
+    un-armed. *)
+val give_up : t -> [> `Down ]
+
+(** [call t tr ?epoch0 ~src ~dst ~req_bytes ~resp_bytes handler] sends
+    a request of [req_bytes] from [src] to [dst], runs [handler] at
+    [dst] and returns its result in a response of [resp_bytes r] bytes.
+
+    Un-armed: [depart], [send], [handler], [back], and the caller
+    blocks until the response is back; always [`Ok].
+
+    Armed: a crashed [dst] is {!give_up}. Otherwise the caller waits
+    at most [req_timeout_ns] and then returns [`Down], counted
+    [req_timeouts]; a response arriving later is ignored. With
+    [epoch0], a request delivered after the epoch moved on is answered
+    by [reject] instead of [handler] ([stale_epoch_rejects]), and a
+    response arriving after it moved on is dropped
+    ([stale_epoch_drops]); both return [`Down]. *)
+val call :
+  t ->
+  transport ->
+  ?epoch0:int ->
+  src:int ->
+  dst:int ->
+  req_bytes:int ->
+  resp_bytes:('r -> int) ->
+  (unit -> 'r) ->
+  [ `Ok of 'r | `Down ]
+
 (** Spawn [node]'s dispatch loop: frames to a crashed node are dropped;
     otherwise [pkt_io ()] is charged per frame and each message is
     delivered in a fresh process. *)

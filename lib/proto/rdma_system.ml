@@ -68,6 +68,7 @@ type t = {
   p : params;
   rdma : msg Rdma.t;
   nodes : node array;
+  tr : Control.transport;  (* RPC transport, built once *)
 }
 
 let flavor t = t.flavor
@@ -149,46 +150,58 @@ let locked_by_other t ~node k ~owner =
 (* ------------------------------------------------------------------ *)
 (* Two-sided RPC path *)
 
-(* Blocking RPC from a coordinator host thread. The handler runs on a
-   host thread at the target (after the NIC delivers the receive
-   buffer); the response comes back the same way. Local calls
-   short-circuit the network but still pay handler compute. *)
-let rpc t ~src ~dst ~req_bytes ~resp_bytes ~handler_ns (handler : unit -> 'r) : 'r
-    =
-  if src = dst then begin
-    Resource.use t.nodes.(dst).host handler_ns;
-    handler ()
-  end
-  else begin
-    Xenic_stats.Counter.incr (counters t) "rpcs";
-    (* Delivery runs in the destination's dispatch loop; [Attrib.preserve]
-       carries the caller's attribution context into the handler (and the
-       handler's context back into the completion). *)
-    Process.suspend (fun resume ->
-        Process.spawn t.ctl.engine (fun () ->
-            Rdma.rpc_send t.rdma ~src ~dst ~bytes:req_bytes
+(* Two-sided RPCs: the request is counted as it leaves, the receive
+   buffer is charged at the target's NIC on delivery, and the caller
+   polls for the completion. [Attrib.preserve] carries the caller's
+   attribution context into the handler (and the handler's context back
+   into the completion). A stale request is refused in place, with no
+   wire hop. *)
+let transport ctl (hw : Xenic_params.Hw.t) rdma =
+  {
+    Control.depart =
+      (fun ~src:_ ~dst:_ ~bytes:_ ->
+        Xenic_stats.Counter.incr (Control.counters ctl) "rpcs");
+    send =
+      (fun ~src ~dst ~bytes deliver ->
+        Process.spawn ctl.Control.engine (fun () ->
+            Rdma.rpc_send rdma ~src ~dst ~bytes
               {
-                bytes = req_bytes;
+                bytes;
                 deliver =
                   Attrib.preserve (fun () ->
-                      Rdma.rpc_recv_cost t.rdma ~node:dst;
-                      Resource.acquire t.nodes.(dst).host;
-                      Process.sleep t.ctl.engine handler_ns;
-                      let r = handler () in
-                      Resource.release t.nodes.(dst).host;
-                      Rdma.rpc_send t.rdma ~src:dst ~dst:src
-                        ~bytes:(resp_bytes r)
-                        {
-                          bytes = resp_bytes r;
-                          deliver =
-                            Attrib.preserve (fun () ->
-                                (* Completion handling on the caller side. *)
-                                Process.sleep t.ctl.engine
-                                  t.hw.rdma_completion_poll_ns;
-                                resume r);
-                        })
-              }))
+                      Rdma.rpc_recv_cost rdma ~node:dst;
+                      deliver ());
+              }));
+    back =
+      (fun ~src ~dst ~bytes k ->
+        Rdma.rpc_send rdma ~src:dst ~dst:src ~bytes
+          {
+            bytes;
+            deliver =
+              Attrib.preserve (fun () ->
+                  Process.sleep ctl.Control.engine hw.rdma_completion_poll_ns;
+                  k ());
+          });
+    reject = (fun ~src:_ ~dst:_ ~bytes:_ k -> k ());
+  }
+
+(* RPC from a coordinator host thread ({!Control.call}). The handler
+   runs on a host thread at the target for [handler_ns]. Local calls
+   short-circuit the network but still pay handler compute. *)
+let rpc t ?epoch0 ~src ~dst ~req_bytes ~resp_bytes ~handler_ns (handler : unit -> 'r)
+    : [ `Ok of 'r | `Down ] =
+  let host = t.nodes.(dst).host in
+  if src = dst then begin
+    Resource.use host handler_ns;
+    `Ok (handler ())
   end
+  else
+    Control.call t.ctl t.tr ?epoch0 ~src ~dst ~req_bytes ~resp_bytes (fun () ->
+        Resource.acquire host;
+        Process.sleep t.ctl.engine handler_ns;
+        let r = handler () in
+        Resource.release host;
+        r)
 
 (* One-sided verb against a remote node's host memory. Local accesses
    become plain host-memory operations. *)
@@ -219,106 +232,22 @@ let one_sided_many t ~src verbs =
   in
   local_results @ remote_results
 
-(* ------------------------------------------------------------------ *)
-(* Timeout-aware request wrappers (armed mode only; with
-   [req_timeout_ns = None] these are the plain operations above).
-   [`Down] means the peer did not answer within the deadline or the
-   routing epoch moved mid-flight — the caller must treat the peer as
-   dead and fail its transaction attempt. *)
-
-let rpc_t t ?epoch0 ~src ~dst ~req_bytes ~resp_bytes ~handler_ns
-    (handler : unit -> 'r) : [ `Ok of 'r | `Down ] =
-  match t.p.req_timeout_ns with
-  | None -> `Ok (rpc t ~src ~dst ~req_bytes ~resp_bytes ~handler_ns handler)
-  | Some timeout_ns ->
-      if dst <> src && t.ctl.crashed.(dst) then begin
-        (* Known-crashed target: the request is on the wire for the
-           full deadline before the coordinator gives up. *)
-        Xenic_stats.Counter.incr (counters t) "req_timeouts";
-        Process.sleep t.ctl.engine timeout_ns;
-        `Down
-      end
-      else if src = dst then begin
-        Resource.use t.nodes.(dst).host handler_ns;
-        `Ok (handler ())
-      end
-      else begin
-        Xenic_stats.Counter.incr (counters t) "rpcs";
-        let iv = Ivar.create t.ctl.engine in
-        let settle v = if not (Ivar.is_filled iv) then Ivar.fill iv v in
-        let stale () =
-          match epoch0 with Some e -> t.ctl.epoch <> e | None -> false
-        in
-        Process.spawn t.ctl.engine (fun () ->
-            Rdma.rpc_send t.rdma ~src ~dst ~bytes:req_bytes
-              {
-                bytes = req_bytes;
-                deliver =
-                  Attrib.preserve (fun () ->
-                      Rdma.rpc_recv_cost t.rdma ~node:dst;
-                      if stale () then begin
-                        Xenic_stats.Counter.incr (counters t)
-                          "stale_epoch_rejects";
-                        settle `Stale
-                      end
-                      else begin
-                        Resource.acquire t.nodes.(dst).host;
-                        Process.sleep t.ctl.engine handler_ns;
-                        let r = handler () in
-                        Resource.release t.nodes.(dst).host;
-                        Rdma.rpc_send t.rdma ~src:dst ~dst:src
-                          ~bytes:(resp_bytes r)
-                          {
-                            bytes = resp_bytes r;
-                            deliver =
-                              Attrib.preserve (fun () ->
-                                  Process.sleep t.ctl.engine
-                                    t.hw.rdma_completion_poll_ns;
-                                  if stale () then begin
-                                    Xenic_stats.Counter.incr (counters t)
-                                      "stale_epoch_drops";
-                                    settle `Stale
-                                  end
-                                  else settle (`Resp r));
-                          }
-                      end);
-              });
-        match Ivar.read_timeout iv ~timeout_ns with
-        | Some (`Resp r) -> `Ok r
-        | Some `Stale -> `Down
-        | None ->
-            Xenic_stats.Counter.incr (counters t) "req_timeouts";
-            `Down
-      end
+(* Armed entry guards for one-sided verbs: a verb against a crashed
+   target never completes, and nothing executes there. *)
+let down t ~src ~dst = armed t && dst <> src && t.ctl.crashed.(dst)
 
 let one_sided_t t ~src ~dst verb ~bytes ~at_target =
-  match t.p.req_timeout_ns with
-  | None -> `Ok (one_sided t ~src ~dst verb ~bytes ~at_target)
-  | Some timeout_ns ->
-      if dst <> src && t.ctl.crashed.(dst) then begin
-        (* The verb never completes: the target NIC is gone. Nothing
-           executes at the target. *)
-        Xenic_stats.Counter.incr (counters t) "req_timeouts";
-        Process.sleep t.ctl.engine timeout_ns;
-        `Down
-      end
-      else `Ok (one_sided t ~src ~dst verb ~bytes ~at_target)
+  if down t ~src ~dst then Control.give_up t.ctl
+  else `Ok (one_sided t ~src ~dst verb ~bytes ~at_target)
 
 (* All-or-nothing doorbell batch: if any target of the batch is
    crashed, the batch fails without executing anywhere — the
    coordinator sees the missing completion and gives up on the whole
    attempt, so no partial remote state is installed. *)
 let one_sided_many_t t ~src verbs =
-  match t.p.req_timeout_ns with
-  | None -> `Ok (one_sided_many t ~src verbs)
-  | Some timeout_ns ->
-      if List.exists (fun (dst, _, _, _) -> dst <> src && t.ctl.crashed.(dst)) verbs
-      then begin
-        Xenic_stats.Counter.incr (counters t) "req_timeouts";
-        Process.sleep t.ctl.engine timeout_ns;
-        `Down
-      end
-      else `Ok (one_sided_many t ~src verbs)
+  if List.exists (fun (dst, _, _, _) -> down t ~src ~dst) verbs then
+    Control.give_up t.ctl
+  else `Ok (one_sided_many t ~src verbs)
 
 (* ------------------------------------------------------------------ *)
 (* Construction *)
@@ -366,7 +295,7 @@ let create engine hw cfg flavor p =
           log = Xenic_store.Hostlog.create engine ~capacity_b:p.log_capacity_b;
         })
   in
-  let t = { ctl; hw; flavor; p; rdma; nodes } in
+  let t = { ctl; hw; flavor; p; rdma; nodes; tr = transport ctl hw rdma } in
   let op_ns = Control.apply_cost hw ~btree_op_ns:p.btree_op_ns in
   Array.iter
     (fun node ->
@@ -401,19 +330,7 @@ let seal _t = ()
 let peek t ~node k =
   match obj_read t ~node k with Some (v, _) -> Some v | None -> None
 
-let peek_min t ~node ~lo ~hi =
-  let s = store t ~node ~shard:(Keyspace.shard lo) in
-  Xenic_store.Btree.min_in_range s.ordered ~lo ~hi
-
-let peek_max t ~node ~lo ~hi =
-  let s = store t ~node ~shard:(Keyspace.shard lo) in
-  Xenic_store.Btree.max_in_range s.ordered ~lo ~hi
-
-let peek_range t ~node ~lo ~hi =
-  let s = store t ~node ~shard:(Keyspace.shard lo) in
-  List.rev
-    (Xenic_store.Btree.fold_range s.ordered ~lo ~hi ~init:[] (fun acc k v ->
-         (k, v) :: acc))
+let ordered t ~node ~shard = (store t ~node ~shard).ordered
 
 let host_utilization t =
   Array.fold_left (fun acc n -> acc +. Resource.utilization n.host) 0.0 t.nodes
@@ -515,16 +432,10 @@ let one_sided_read t ~src k =
       Xenic_stats.Counter.incr (counters t) "read_roundtrips";
       r
 
-(* Armed entry guard for the execution read: a crashed primary never
-   completes the READ. *)
 let one_sided_read_t t ~src k =
-  let primary = primary_of t ~shard:(Keyspace.shard k) in
-  match t.p.req_timeout_ns with
-  | Some timeout_ns when primary <> src && t.ctl.crashed.(primary) ->
-      Xenic_stats.Counter.incr (counters t) "req_timeouts";
-      Process.sleep t.ctl.engine timeout_ns;
-      `Down
-  | _ -> `Ok (one_sided_read t ~src k)
+  if down t ~src ~dst:(primary_of t ~shard:(Keyspace.shard k)) then
+    Control.give_up t.ctl
+  else `Ok (one_sided_read t ~src k)
 
 (* ------------------------------------------------------------------ *)
 (* Phase implementations *)
@@ -548,7 +459,7 @@ let release_shard t ~src ~owner (shard, keys) =
         ignore (one_sided_many_t t ~src (unlock_verbs t ~primary ~owner keys))
     | _ ->
         ignore
-          (rpc_t t ~src ~dst:primary
+          (rpc t ~src ~dst:primary
              ~req_bytes:(Wire.abort_b ~n_locks:(List.length keys))
              ~resp_bytes:(fun _ -> Wire.small_resp_b)
              ~handler_ns:t.hw.host_rpc_ns
@@ -673,7 +584,7 @@ let lock_phase t ~epoch0 ~src ~owner (write_keys : Keyspace.t list) =
            only — in DrTM+H the object values were already retrieved by
            one-sided execution reads ("retrieve the value, then lock"). *)
         let r =
-          rpc_t t ~epoch0 ~src ~dst:primary
+          rpc t ~epoch0 ~src ~dst:primary
             ~req_bytes:
               (Wire.execute_req_b ~n_reads:0 ~n_locks:(List.length keys)
                  ~state_bytes:0)
@@ -707,7 +618,7 @@ let validate_phase t ~epoch0 ~src ~owner checks :
           (List.map
              (fun (shard, cs) () ->
                let primary = primary_of t ~shard in
-               rpc_t t ~epoch0 ~src ~dst:primary
+               rpc t ~epoch0 ~src ~dst:primary
                  ~req_bytes:(Wire.validate_req_b ~n_checks:(List.length cs))
                  ~resp_bytes:(fun _ -> Wire.small_resp_b)
                  ~handler_ns:
@@ -770,7 +681,7 @@ let log_phase t ~src seq_ops_by_shard decision =
         ~send:(fun ((_, backup, _) as target) ->
           let bytes = record_b target in
           match
-            rpc_t t ~src ~dst:backup ~req_bytes:bytes
+            rpc t ~src ~dst:backup ~req_bytes:bytes
               ~resp_bytes:(fun _ -> Wire.small_resp_b)
               ~handler_ns:t.hw.host_rpc_ns (append target ~bytes)
           with
@@ -841,7 +752,7 @@ let commit_phase t ~src ~owner seq_ops_by_shard locked_by_shard =
                 in
                 let bytes = Wire.write_ops_b ~ops:(List.map fst seq_ops) in
                 ignore
-                  (rpc_t t ~src ~dst:primary ~req_bytes:bytes
+                  (rpc t ~src ~dst:primary ~req_bytes:bytes
                      ~resp_bytes:(fun _ -> Wire.small_resp_b)
                      ~handler_ns:
                        (t.hw.host_rpc_ns
@@ -867,7 +778,7 @@ let fasst_execute t ~epoch0 ~src ~owner ~reads ~locks =
     let s_reads = List.filter (fun k -> Keyspace.shard k = shard) reads in
     let s_locks = List.filter (fun k -> Keyspace.shard k = shard) locks in
     let r =
-      rpc_t t ~epoch0 ~src ~dst:primary
+      rpc t ~epoch0 ~src ~dst:primary
         ~req_bytes:
           (Wire.execute_req_b ~n_reads:(List.length s_reads)
              ~n_locks:(List.length s_locks) ~state_bytes:0)

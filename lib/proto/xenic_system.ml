@@ -76,6 +76,7 @@ type t = {
   hw : Xenic_params.Hw.t;
   p : params;
   nodes : node array;
+  tr : Control.transport;  (* NIC request transport, built once *)
 }
 
 let armed t = Control.armed t.ctl
@@ -99,108 +100,43 @@ let counters t = Control.counters t.ctl
 (* ------------------------------------------------------------------ *)
 (* Messaging *)
 
-let send t ~src ~dst m =
+let send ctl nodes ~src ~dst ~bytes deliver =
   (* Delivery runs in a fresh process (local spawn or the destination's
      dispatch loop); carry the sender's attribution context across. *)
-  let m = { m with deliver = Attrib.preserve m.deliver } in
-  if src = dst then Process.spawn t.ctl.engine m.deliver
+  let deliver = Attrib.preserve deliver in
+  if src = dst then Process.spawn ctl.Control.engine deliver
   else begin
-    Xenic_stats.Counter.incr (counters t) "msgs";
-    Xenic_stats.Counter.add (counters t) "msg_bytes" m.bytes;
-    Xenic_net.Aggregator.push t.nodes.(src).agg ~dst ~bytes:m.bytes m
+    Xenic_stats.Counter.incr (Control.counters ctl) "msgs";
+    Xenic_stats.Counter.add (Control.counters ctl) "msg_bytes" bytes;
+    Xenic_net.Aggregator.push nodes.(src).agg ~dst ~bytes { bytes; deliver }
   end
 
-(* Request/response between NICs: the caller (a coordinator process)
-   blocks until the response message arrives back and is dispatched. *)
-let request t ~src ~dst ~req_bytes ~resp_bytes (handler : unit -> 'r) : 'r =
-  let nic = t.nodes.(src).nic in
-  Smartnic.core_work nic ~bytes:0;
-  Process.suspend (fun resume ->
-      send t ~src ~dst
-        {
-          bytes = req_bytes;
-          deliver =
-            (fun () ->
-              let r = handler () in
-              send t ~src:dst ~dst:src
-                {
-                  bytes = resp_bytes r;
-                  deliver =
-                    (fun () ->
-                      Smartnic.core_work nic ~bytes:0;
-                      resume r);
-                });
-        })
+(* Requests between NICs: a core charge at the requester's NIC as the
+   request leaves and again as the response arrives. A stale request is
+   answered with a small reject frame. *)
+let transport ctl nodes =
+  let core_work ~src = Smartnic.core_work nodes.(src).nic ~bytes:0 in
+  {
+    Control.depart = (fun ~src ~dst:_ ~bytes:_ -> core_work ~src);
+    send = send ctl nodes;
+    back =
+      (fun ~src ~dst ~bytes k ->
+        send ctl nodes ~src:dst ~dst:src ~bytes (fun () ->
+            core_work ~src;
+            k ()));
+    reject = (fun ~src ~dst ~bytes k -> send ctl nodes ~src:dst ~dst:src ~bytes k);
+  }
 
-(* Request with a response deadline (armed mode only; legacy params
-   fall through to the blocking [request]). The caller waits on an ivar
-   with a cancellable timeout: if the response never arrives — dead
-   destination, or crashed self dropping the response — the timer
-   resumes the caller exactly once with [`Timeout]. When [epoch0] is
-   given the request is epoch-fenced: a destination seeing a newer
-   configuration rejects it, and a response landing after a
-   reconfiguration is dropped, both reported as [`Stale]. *)
-let request_t t ?epoch0 ~src ~dst ~req_bytes ~resp_bytes (handler : unit -> 'r)
-    : [ `Ok of 'r | `Timeout | `Stale ] =
-  match t.p.req_timeout_ns with
-  | None -> `Ok (request t ~src ~dst ~req_bytes ~resp_bytes handler)
-  | Some timeout_ns ->
-      if t.ctl.crashed.(dst) then begin
-        (* The coordinator cannot know the peer is gone; it pays the
-           full timeout, exactly as if the request had been dropped. *)
-        Xenic_stats.Counter.incr (counters t) "req_timeouts";
-        Process.sleep t.ctl.engine timeout_ns;
-        `Timeout
-      end
-      else begin
-        let nic = t.nodes.(src).nic in
-        Smartnic.core_work nic ~bytes:0;
-        let iv = Ivar.create ~name:"rpc" t.ctl.engine in
-        let settle v = if not (Ivar.is_filled iv) then Ivar.fill iv v in
-        let stale () =
-          match epoch0 with Some e -> t.ctl.epoch <> e | None -> false
-        in
-        send t ~src ~dst
-          {
-            bytes = req_bytes;
-            deliver =
-              (fun () ->
-                if stale () then begin
-                  Xenic_stats.Counter.incr (counters t) "stale_epoch_rejects";
-                  send t ~src:dst ~dst:src
-                    {
-                      bytes = Wire.small_resp_b;
-                      deliver = (fun () -> settle `Stale);
-                    }
-                end
-                else
-                  let r = handler () in
-                  send t ~src:dst ~dst:src
-                    {
-                      bytes = resp_bytes r;
-                      deliver =
-                        (fun () ->
-                          Smartnic.core_work nic ~bytes:0;
-                          if stale () then begin
-                            Xenic_stats.Counter.incr (counters t)
-                              "stale_epoch_drops";
-                            settle `Stale
-                          end
-                          else settle (`Ok r));
-                    });
-          };
-        match Ivar.read_timeout iv ~timeout_ns with
-        | Some r -> r
-        | None ->
-            Xenic_stats.Counter.incr (counters t) "req_timeouts";
-            `Timeout
-      end
+(* Request/response between NICs from a coordinator process
+   ({!Control.call}). *)
+let request t ?epoch0 ~src ~dst ~req_bytes ~resp_bytes handler =
+  Control.call t.ctl t.tr ?epoch0 ~src ~dst ~req_bytes ~resp_bytes handler
 
 (* One-way message with a handler at the destination NIC. *)
 let notify t ~src ~dst ~bytes (handler : unit -> unit) =
   if t.ctl.crashed.(dst) && dst <> src then
     Xenic_stats.Counter.incr (counters t) "msgs_dropped"
-  else send t ~src ~dst { bytes; deliver = handler }
+  else send t.ctl t.nodes ~src ~dst ~bytes handler
 
 (* ------------------------------------------------------------------ *)
 (* NIC-side helpers *)
@@ -455,7 +391,7 @@ let create engine hw cfg p =
         worker node.commit_log ~applied:(unpin_applied node)
       done)
     nodes;
-  { ctl; hw; p; nodes }
+  { ctl; hw; p; nodes; tr = transport ctl nodes }
 
 let load t k v =
   List.iter
@@ -479,12 +415,8 @@ let peek t ~node k =
   | Some (v, _) -> Some v
   | None -> None
 
-let peek_min t ~node ~lo ~hi = Storage.ordered_min t.nodes.(node).storage ~lo ~hi
-
-let peek_max t ~node ~lo ~hi = Storage.ordered_max t.nodes.(node).storage ~lo ~hi
-
-let peek_range t ~node ~lo ~hi =
-  Storage.ordered_range t.nodes.(node).storage ~lo ~hi
+let ordered t ~node ~shard =
+  (Storage.shard_store t.nodes.(node).storage ~shard).Storage.ordered
 
 (* ------------------------------------------------------------------ *)
 (* Coordinator logic *)
@@ -496,13 +428,13 @@ let log_phase t ~src ~seq_ops_by_shard decision =
   Control.replicate t.ctl ~src (Control.log_targets t.ctl seq_ops_by_shard)
     ~send:(fun (shard, backup, seq_ops) ->
       match
-        request_t t ~src ~dst:backup
+        request t ~src ~dst:backup
           ~req_bytes:(Wire.write_ops_b ~ops:(List.map fst seq_ops))
           ~resp_bytes:(fun () -> Wire.small_resp_b)
           (log_handler t t.nodes.(backup) ~decision ~shard ~seq_ops)
       with
-      | `Ok () | `Stale -> true
-      | `Timeout -> false)
+      | `Ok () -> true
+      | `Down -> false)
 
 (* Xenic's commit apply is asynchronous (fire-and-forget notify), so
    the coordinator's "commit" phase closes at the send and Fig 8/9
@@ -598,98 +530,71 @@ let execute_phase t ~epoch0 ~src ~owner ~reads_by_shard ~locks_by_shard =
     let reads = Option.value ~default:[] (List.assoc_opt shard reads_by_shard) in
     let locks = Option.value ~default:[] (List.assoc_opt shard locks_by_shard) in
     let primary = primary_of t ~shard in
+    let execute ~req_bytes ~resp_bytes ~locks ~reads =
+      request t ~epoch0 ~src ~dst:primary ~req_bytes ~resp_bytes
+        (execute_handler t t.nodes.(primary) ~owner ~locks ~reads)
+    in
     if t.p.features.smart_ops then
       let r =
-        request_t t ~epoch0 ~src ~dst:primary
+        execute
           ~req_bytes:
             (Wire.execute_req_b ~n_reads:(List.length reads)
                ~n_locks:(List.length locks) ~state_bytes:0)
-          ~resp_bytes:execute_resp_b
-          (execute_handler t t.nodes.(primary) ~owner ~locks ~reads)
+          ~resp_bytes:execute_resp_b ~locks ~reads
       in
       match r with
       | `Ok `Fail -> (shard, primary, `Fail)
       | `Ok (`Ok x) -> (shard, primary, `Ok x)
-      | `Timeout | `Stale -> (shard, primary, `Dead)
+      | `Down -> (shard, primary, `Dead)
     else begin
-      (* DrTM+H-restricted operation set: one request per lock, one per
-         read (§5.7 baseline). *)
-      let lock_results =
-        Process.parallel t.ctl.engine
-          (List.map
-             (fun k () ->
-               request_t t ~epoch0 ~src ~dst:primary ~req_bytes:Wire.lock_req_b
-                 ~resp_bytes:(fun _ -> Wire.small_resp_b)
-                 (execute_handler t t.nodes.(primary) ~owner ~locks:[ k ]
-                    ~reads:[]))
-             locks)
+      (* DrTM+H-restricted operation set: one request per lock, then
+         one per read (§5.7 baseline). A round with any `Down or `Fail
+         releases [release]'s locks and ends the shard; otherwise [k]
+         gets the per-key (lock versions, values). *)
+      let round ~req_bytes ~resp_bytes ~lock keys ~release k =
+        let results =
+          Process.parallel t.ctl.engine
+            (List.map
+               (fun key () ->
+                 execute ~req_bytes ~resp_bytes
+                   ~locks:(if lock then [ key ] else [])
+                   ~reads:(if lock then [] else [ key ]))
+               keys)
+        in
+        let ok =
+          List.filter_map (function `Ok (`Ok x) -> Some x | _ -> None) results
+        in
+        if List.exists (function `Down -> true | `Ok _ -> false) results
+        then begin
+          release ok;
+          (shard, primary, `Dead)
+        end
+        else if List.length ok < List.length results then begin
+          release ok;
+          (shard, primary, `Fail)
+        end
+        else k ok
       in
-      let acquired =
-        List.concat_map
-          (function `Ok (`Ok (lv, _)) -> List.map fst lv | _ -> [])
-          lock_results
-      in
-      (* Releases every lock this shard acquired: after a full lock
-         round, exactly the keys of [lock_versions] below. *)
-      let release () =
+      (* Releases the locks a lock round acquired. *)
+      let release lock_results =
+        let acquired = List.concat_map (fun (lv, _) -> List.map fst lv) lock_results in
         if acquired <> [] && not t.ctl.crashed.(primary) then
           notify t ~src ~dst:primary
             ~bytes:(Wire.abort_b ~n_locks:(List.length acquired))
             (abort_handler t.nodes.(primary) ~owner ~locked:acquired)
       in
-      if
-        List.exists
-          (function `Timeout | `Stale -> true | `Ok _ -> false)
-          lock_results
-      then begin
-        release ();
-        (shard, primary, `Dead)
-      end
-      else if
-        List.exists (function `Ok `Fail -> true | _ -> false) lock_results
-      then begin
-        (* Release the locks this shard did acquire. *)
-        release ();
-        (shard, primary, `Fail)
-      end
-      else begin
-        let lock_versions =
-          List.concat_map
-            (function `Ok (`Ok (lv, _)) -> lv | _ -> [])
-            lock_results
-        in
-        let read_results =
-          Process.parallel t.ctl.engine
-            (List.map
-               (fun k () ->
-                 request_t t ~epoch0 ~src ~dst:primary ~req_bytes:Wire.read_req_b
-                   ~resp_bytes:execute_resp_b
-                   (execute_handler t t.nodes.(primary) ~owner ~locks:[]
-                      ~reads:[ k ]))
-               reads)
-        in
-        if
-          List.exists
-            (function `Timeout | `Stale -> true | `Ok _ -> false)
-            read_results
-        then begin
-          release ();
-          (shard, primary, `Dead)
-        end
-        else if
-          List.exists (function `Ok `Fail -> true | _ -> false) read_results
-        then begin
-          release ();
-          (shard, primary, `Fail)
-        end
-        else
-          let values =
-            List.concat_map
-              (function `Ok (`Ok (_, vs)) -> vs | _ -> [])
-              read_results
-          in
-          (shard, primary, `Ok (lock_versions, values))
-      end
+      round ~req_bytes:Wire.lock_req_b
+        ~resp_bytes:(fun _ -> Wire.small_resp_b)
+        ~lock:true locks ~release (fun lock_results ->
+          round ~req_bytes:Wire.read_req_b ~resp_bytes:execute_resp_b ~lock:false
+            reads
+            ~release:(fun _ -> release lock_results)
+            (fun read_results ->
+              ( shard,
+                primary,
+                `Ok
+                  ( List.concat_map fst lock_results,
+                    List.concat_map snd read_results ) )))
     end
   in
   Process.parallel t.ctl.engine (List.map one shards)
@@ -700,11 +605,11 @@ let validate_phase t ~epoch0 ~src ~owner ~checks_by_shard =
     let as_verdict = function
       | `Ok true -> `Valid
       | `Ok false -> `Invalid
-      | `Timeout | `Stale -> `Dead
+      | `Down -> `Dead
     in
     if t.p.features.smart_ops then
       as_verdict
-        (request_t t ~epoch0 ~src ~dst:primary
+        (request t ~epoch0 ~src ~dst:primary
            ~req_bytes:(Wire.validate_req_b ~n_checks:(List.length checks))
            ~resp_bytes:(fun _ -> Wire.small_resp_b)
            (validate_handler t t.nodes.(primary) ~owner ~checks))
@@ -714,7 +619,7 @@ let validate_phase t ~epoch0 ~src ~owner ~checks_by_shard =
           (List.map
              (fun check () ->
                as_verdict
-                 (request_t t ~epoch0 ~src ~dst:primary
+                 (request t ~epoch0 ~src ~dst:primary
                     ~req_bytes:(Wire.validate_req_b ~n_checks:1)
                     ~resp_bytes:(fun _ -> Wire.small_resp_b)
                     (validate_handler t t.nodes.(primary) ~owner
