@@ -124,15 +124,3 @@ let sync_shard ~from t ~shard =
 let iter_hash t ~shard f =
   let s = shard_store t ~shard in
   Robinhood.iter s.hash f
-
-let ordered_min t ~lo ~hi =
-  let s = shard_store t ~shard:(Keyspace.shard lo) in
-  Btree.min_in_range s.ordered ~lo ~hi
-
-let ordered_max t ~lo ~hi =
-  let s = shard_store t ~shard:(Keyspace.shard lo) in
-  Btree.max_in_range s.ordered ~lo ~hi
-
-let ordered_range t ~lo ~hi =
-  let s = shard_store t ~shard:(Keyspace.shard lo) in
-  List.rev (Btree.fold_range s.ordered ~lo ~hi ~init:[] (fun acc k v -> (k, v) :: acc))

@@ -44,14 +44,3 @@ val iter_hash : t -> shard:int -> (Keyspace.t -> bytes -> int -> unit) -> unit
     source's logs have drained). Deterministic: entries are applied in
     sorted key order. Both nodes must hold [shard]. *)
 val sync_shard : from:t -> t -> shard:int -> unit
-
-(** Ordered-table range reads over this node's replicas (used by local
-    transactions whose scans are serialized by companion hash locks). *)
-val ordered_min :
-  t -> lo:Keyspace.t -> hi:Keyspace.t -> (Keyspace.t * bytes) option
-
-val ordered_max :
-  t -> lo:Keyspace.t -> hi:Keyspace.t -> (Keyspace.t * bytes) option
-
-val ordered_range :
-  t -> lo:Keyspace.t -> hi:Keyspace.t -> (Keyspace.t * bytes) list

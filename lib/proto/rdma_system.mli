@@ -84,14 +84,8 @@ val run_txn : t -> node:int -> Types.t -> Types.outcome
 
 val peek : t -> node:int -> Keyspace.t -> bytes option
 
-val peek_min :
-  t -> node:int -> lo:Keyspace.t -> hi:Keyspace.t -> (Keyspace.t * bytes) option
-
-val peek_max :
-  t -> node:int -> lo:Keyspace.t -> hi:Keyspace.t -> (Keyspace.t * bytes) option
-
-val peek_range :
-  t -> node:int -> lo:Keyspace.t -> hi:Keyspace.t -> (Keyspace.t * bytes) list
+(** [node]'s host B+ tree for [shard]'s ordered tables. *)
+val ordered : t -> node:int -> shard:int -> bytes Xenic_store.Btree.t
 
 val host_utilization : t -> float
 

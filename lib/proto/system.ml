@@ -12,9 +12,7 @@ type t = {
   seal : unit -> unit;
   run_txn : node:int -> Types.t -> Types.outcome;
   peek : node:int -> Keyspace.t -> bytes option;
-  peek_min : node:int -> lo:Keyspace.t -> hi:Keyspace.t -> (Keyspace.t * bytes) option;
-  peek_max : node:int -> lo:Keyspace.t -> hi:Keyspace.t -> (Keyspace.t * bytes) option;
-  peek_range : node:int -> lo:Keyspace.t -> hi:Keyspace.t -> (Keyspace.t * bytes) list;
+  ordered : node:int -> shard:int -> bytes Xenic_store.Btree.t;
   quiesce : unit -> unit;
   set_oracle : Oracle.t -> unit;
   audit : unit -> string list;
@@ -41,9 +39,7 @@ let of_xenic x =
     seal = (fun () -> Xenic_system.seal x);
     run_txn = (fun ~node txn -> Xenic_system.run_txn x ~node txn);
     peek = (fun ~node k -> Xenic_system.peek x ~node k);
-    peek_min = (fun ~node ~lo ~hi -> Xenic_system.peek_min x ~node ~lo ~hi);
-    peek_max = (fun ~node ~lo ~hi -> Xenic_system.peek_max x ~node ~lo ~hi);
-    peek_range = (fun ~node ~lo ~hi -> Xenic_system.peek_range x ~node ~lo ~hi);
+    ordered = (fun ~node ~shard -> Xenic_system.ordered x ~node ~shard);
     quiesce = (fun () -> Xenic_system.quiesce x);
     set_oracle = (fun o -> Control.set_oracle c o);
     audit = (fun () -> Xenic_system.audit x);
@@ -75,9 +71,7 @@ let of_rdma r =
     seal = (fun () -> Rdma_system.seal r);
     run_txn = (fun ~node txn -> Rdma_system.run_txn r ~node txn);
     peek = (fun ~node k -> Rdma_system.peek r ~node k);
-    peek_min = (fun ~node ~lo ~hi -> Rdma_system.peek_min r ~node ~lo ~hi);
-    peek_max = (fun ~node ~lo ~hi -> Rdma_system.peek_max r ~node ~lo ~hi);
-    peek_range = (fun ~node ~lo ~hi -> Rdma_system.peek_range r ~node ~lo ~hi);
+    ordered = (fun ~node ~shard -> Rdma_system.ordered r ~node ~shard);
     quiesce = (fun () -> Rdma_system.quiesce r);
     set_oracle = (fun o -> Control.set_oracle c o);
     audit = (fun () -> Rdma_system.audit r);
@@ -90,3 +84,18 @@ let of_rdma r =
     util_sources = (fun () -> Rdma_system.util_sources r);
     resources = (fun () -> Rdma_system.resources r);
   }
+
+(* Ordered-table reads of [node]'s replica over [lo, hi], both keys of
+   one shard. *)
+let btree t ~node lo = t.ordered ~node ~shard:(Keyspace.shard lo)
+
+let peek_min t ~node ~lo ~hi =
+  Xenic_store.Btree.min_in_range (btree t ~node lo) ~lo ~hi
+
+let peek_max t ~node ~lo ~hi =
+  Xenic_store.Btree.max_in_range (btree t ~node lo) ~lo ~hi
+
+let peek_range t ~node ~lo ~hi =
+  List.rev
+    (Xenic_store.Btree.fold_range (btree t ~node lo) ~lo ~hi ~init:[]
+       (fun acc k v -> (k, v) :: acc))

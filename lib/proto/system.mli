@@ -27,9 +27,9 @@ type t = {
   seal : unit -> unit;
   run_txn : node:int -> Types.t -> Types.outcome;
   peek : node:int -> Keyspace.t -> bytes option;
-  peek_min : node:int -> lo:Keyspace.t -> hi:Keyspace.t -> (Keyspace.t * bytes) option;
-  peek_max : node:int -> lo:Keyspace.t -> hi:Keyspace.t -> (Keyspace.t * bytes) option;
-  peek_range : node:int -> lo:Keyspace.t -> hi:Keyspace.t -> (Keyspace.t * bytes) list;
+  ordered : node:int -> shard:int -> bytes Xenic_store.Btree.t;
+      (** [node]'s replica of [shard]'s ordered tables (see
+          {!peek_min}). *)
   quiesce : unit -> unit;
   set_oracle : Oracle.t -> unit;
       (** Attach a serializability oracle recording committed txns. *)
@@ -58,3 +58,20 @@ type t = {
 val of_xenic : Xenic_system.t -> t
 
 val of_rdma : Rdma_system.t -> t
+
+(** {2 Ordered-table reads}
+
+    Range reads of [node]'s replica over [\[lo, hi\]], two keys of one
+    shard: the local-scan primitive of TPC-C's local transactions
+    (serialized by their companion hash-row locks) and of tests. Not
+    protocol operations. *)
+
+val peek_min :
+  t -> node:int -> lo:Keyspace.t -> hi:Keyspace.t -> (Keyspace.t * bytes) option
+
+val peek_max :
+  t -> node:int -> lo:Keyspace.t -> hi:Keyspace.t -> (Keyspace.t * bytes) option
+
+(** Every entry in the range, in key order. *)
+val peek_range :
+  t -> node:int -> lo:Keyspace.t -> hi:Keyspace.t -> (Keyspace.t * bytes) list

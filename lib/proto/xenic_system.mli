@@ -84,20 +84,9 @@ val run_txn : t -> node:int -> Types.t -> Types.outcome
     run; not a protocol operation). *)
 val peek : t -> node:int -> Keyspace.t -> bytes option
 
-(** Ordered-table range reads against a node's replica: the local-scan
-    primitive used by TPC-C's local transactions (serialized by their
-    companion hash-row locks) and by tests. *)
-val peek_min :
-  t -> node:int -> lo:Xenic_cluster.Keyspace.t -> hi:Xenic_cluster.Keyspace.t ->
-  (Xenic_cluster.Keyspace.t * bytes) option
-
-val peek_max :
-  t -> node:int -> lo:Xenic_cluster.Keyspace.t -> hi:Xenic_cluster.Keyspace.t ->
-  (Xenic_cluster.Keyspace.t * bytes) option
-
-val peek_range :
-  t -> node:int -> lo:Xenic_cluster.Keyspace.t -> hi:Xenic_cluster.Keyspace.t ->
-  (Xenic_cluster.Keyspace.t * bytes) list
+(** [node]'s host B+ tree for [shard]'s ordered tables (for
+    {!System.peek_min} and friends; not a protocol operation). *)
+val ordered : t -> node:int -> shard:int -> bytes Xenic_store.Btree.t
 
 (** {2 Reconfiguration (§4.2.1)}
 

@@ -390,14 +390,14 @@ let txn_order_status p (sys : System.t) rng ~node =
   let exec view =
     ignore (view kc);
     (match
-       sys.System.peek_max ~node
+       System.peek_max sys ~node
          ~lo:(k_order_by_cust p ~node ~wl ~d ~c ~o:0)
          ~hi:(k_order_by_cust p ~node ~wl ~d ~c ~o:((1 lsl 24) - 1))
      with
     | Some (k, _) ->
         let o = Keyspace.id k land ((1 lsl 24) - 1) in
         ignore
-          (sys.System.peek_range ~node
+          (System.peek_range sys ~node
              ~lo:(k_order_line p ~node ~wl ~d ~o ~line:0)
              ~hi:(k_order_line p ~node ~wl ~d ~o ~line:15))
     | None -> ());
@@ -420,7 +420,7 @@ let txn_delivery p (sys : System.t) rng ~node =
      at generation time; if the order was taken meanwhile, validation
      on the district row aborts and the driver retries. *)
   let oldest =
-    sys.System.peek_min ~node
+    System.peek_min sys ~node
       ~lo:(k_new_order p ~node ~wl ~d ~o:0)
       ~hi:(k_new_order p ~node ~wl ~d ~o:((1 lsl 24) - 1))
   in
@@ -456,7 +456,7 @@ let txn_delivery p (sys : System.t) rng ~node =
                 (fun acc (_, b) ->
                   acc +. (Order_line.decode b).Order_line.ol_amount)
                 0.0
-                (sys.System.peek_range ~node
+                (System.peek_range sys ~node
                    ~lo:(k_order_line p ~node ~wl ~d ~o ~line:0)
                    ~hi:(k_order_line p ~node ~wl ~d ~o ~line:15))
             in
@@ -500,7 +500,7 @@ let txn_stock_level p (sys : System.t) rng ~node =
     let next_o = dist.District.d_next_o_id in
     let lo_o = max 1 (next_o - 20) in
     let lines =
-      sys.System.peek_range ~node
+      System.peek_range sys ~node
         ~lo:(k_order_line p ~node ~wl ~d ~o:lo_o ~line:0)
         ~hi:(k_order_line p ~node ~wl ~d ~o:(next_o - 1) ~line:15)
     in
@@ -580,7 +580,7 @@ let check_consistency p (sys : System.t) =
         let next_o = dist.District.d_next_o_id in
         let max_o =
           match
-            sys.System.peek_max ~node
+            System.peek_max sys ~node
               ~lo:(k_order p ~node ~wl ~d ~o:0)
               ~hi:(k_order p ~node ~wl ~d ~o:((1 lsl 24) - 1))
           with
@@ -593,7 +593,7 @@ let check_consistency p (sys : System.t) =
         (* Condition 3/4: each order has o_ol_cnt lines; NEW-ORDER rows
            correspond to undelivered orders. *)
         let orders =
-          sys.System.peek_range ~node
+          System.peek_range sys ~node
             ~lo:(k_order p ~node ~wl ~d ~o:0)
             ~hi:(k_order p ~node ~wl ~d ~o:((1 lsl 24) - 1))
         in
@@ -603,7 +603,7 @@ let check_consistency p (sys : System.t) =
             let o = order.Order.o_id in
             let n_lines =
               List.length
-                (sys.System.peek_range ~node
+                (System.peek_range sys ~node
                    ~lo:(k_order_line p ~node ~wl ~d ~o ~line:0)
                    ~hi:(k_order_line p ~node ~wl ~d ~o ~line:15))
             in
