@@ -137,6 +137,39 @@ if [ -z "$XENIC_QUICK" ] && [ -f bench/ref/BENCH_fault.ref.json ]; then
     echo "run_bench.sh: fault diff gate failed (exit $status)" >&2
   fi
 fi
+# sim_digest gate: bench/cost's simulated results (throughput, latency
+# percentiles, failure share, grid points) at a fixed --seconds 1 must
+# match the reference bit for bit on all four workloads, so a refactor
+# that claims "simulated behaviour unchanged" is checked, not assumed.
+# Each 128-bit sim_digest is written as four 32-bit integers, the
+# numeric shape `xenicctl bench diff --tol 0` compares exactly. The size
+# is fixed, so the gate runs with and without XENIC_QUICK.
+cost_digests() {
+  for w in smallbank tpcc retwis-open smallbank-drtmh; do
+    d=$(dune exec bench/cost/cost.exe -- --workload "$w" --seconds 1 --trace 0 \
+      | sed -n 's/^  sim_digest //p')
+    [ "${#d}" -eq 32 ] || return 1
+    for i in 0 1 2 3; do
+      echo "$w $i $((0x$(echo "$d" | cut -c$((i * 8 + 1))-$((i * 8 + 8)))))"
+    done
+  done | awk 'BEGIN { printf "{\n  \"experiment\": \"cost_digest\",\n  \"metrics\": {\n" }
+    { printf "%s    \"%s sim_digest.%s\": %s", (NR > 1 ? ",\n" : ""), $1, $2, $3 }
+    END { printf "\n  }\n}\n"; if (NR != 16) exit 1 }'
+}
+if cost_digests > COST_digest.json; then
+  dune exec bin/xenicctl.exe -- bench diff \
+    bench/ref/COST_digest.ref.json COST_digest.json \
+    --tol 0 >> bench_output.txt 2>&1
+  status=$?
+else
+  status=1
+fi
+if [ "$status" -ne 0 ]; then
+  failed="$failed cost-digest-gate"
+  echo "FAILED: bench/cost sim_digest diverged from bench/ref reference" \
+    >> bench_output.txt
+  echo "run_bench.sh: cost digest gate failed (exit $status)" >&2
+fi
 touch /root/repo/.bench_done
 if [ -n "$failed" ]; then
   echo "run_bench.sh: failed experiments:$failed" >&2

@@ -235,7 +235,8 @@ let test_xenic_baseline_armed () =
   check_golden "xenic_baseline.armed.golden" (digest sys result)
 
 (* Between them the six armed runs must reach every armed exit of the
-   commit point, or the goldens above stop guarding it. *)
+   commit point and of the request shell, or the goldens above stop
+   guarding them. *)
 let test_armed_coverage () =
   let total f =
     List.fold_left
@@ -254,7 +255,15 @@ let test_armed_coverage () =
         (Printf.sprintf "some stack counts %s" name)
         true
         (total (counter name) > 0.0))
-    [ "fence_refusals"; "log_discards"; "log_from_dead_coord" ];
+    [
+      "fence_refusals";
+      "log_discards";
+      "log_from_dead_coord";
+      (* the request shell's three armed exits (Control.call) *)
+      "req_timeouts";
+      "stale_epoch_rejects";
+      "stale_epoch_drops";
+    ];
   Alcotest.(check bool) "some stack aborts with crashed-owner" true
     (total (fun m ->
          float_of_int

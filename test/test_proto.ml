@@ -1,5 +1,6 @@
 (* Unit tests for protocol building blocks: types, wire sizes, metrics,
-   features, and the shared protocol core's commit point and audit. *)
+   features, and the shared protocol core's commit point, audit and
+   request shell. *)
 
 open Xenic_cluster
 open Xenic_proto
@@ -255,8 +256,8 @@ let test_windowed_rejects_trace () =
 
 (* {2 The shared commit point and audit, with fake transports} *)
 
-let mk_control ?req_timeout_ns () =
-  let engine = Xenic_sim.Engine.create () in
+let mk_control ?strict ?req_timeout_ns () =
+  let engine = Xenic_sim.Engine.create ?strict () in
   let ctl =
     Control.create engine Xenic_params.Hw.testbed windowed_cfg ~stack:"T"
       ~partitions:0 ~req_timeout_ns ~retry_backoff_ns:1_000.0 ~max_retries:3
@@ -386,6 +387,137 @@ let test_audit () =
   Alcotest.(check (list string)) "clean when nothing is held" []
     (Control.audit ctl ~locked:(fun ~node:_ -> []) ~logs:(fun ~node:_ -> []))
 
+(* {2 The request shell, with a fake transport} *)
+
+let timeout_ns = 40_000.0
+
+(* A transport whose every hop takes [hop_ns] in a fresh process. It
+   logs which of its fields ran, and [on_send] runs as the request
+   leaves. *)
+let fake_transport ?(on_send = ignore) engine ~hop_ns =
+  let log = ref [] in
+  let hop name k =
+    log := name :: !log;
+    Xenic_sim.Process.spawn engine (fun () ->
+        Xenic_sim.Process.sleep engine hop_ns;
+        k ())
+  in
+  let tr =
+    {
+      Control.depart = (fun ~src:_ ~dst:_ ~bytes:_ -> log := "depart" :: !log);
+      send =
+        (fun ~src:_ ~dst:_ ~bytes:_ k ->
+          on_send ();
+          hop "send" k);
+      back = (fun ~src:_ ~dst:_ ~bytes:_ k -> hop "back" k);
+      reject = (fun ~src:_ ~dst:_ ~bytes:_ k -> hop "reject" k);
+    }
+  in
+  (tr, fun () -> List.rev !log)
+
+let call_result =
+  Alcotest.testable
+    (fun fmt r ->
+      Format.pp_print_string fmt
+        (match r with `Ok n -> "ok " ^ string_of_int n | `Down -> "down"))
+    ( = )
+
+(* One [Control.call] from node 0 to node 1 in a process; returns its
+   result, the simulated time it returned at, and how often the caller
+   resumed. [handler] logs into the transport's log. *)
+let run_call ?epoch0 ?(handler = fun () -> 42) engine ctl tr =
+  let resumed = ref 0 and at = ref nan in
+  let result =
+    in_process engine (fun () ->
+        let r =
+          Control.call ctl tr ?epoch0 ~src:0 ~dst:1 ~req_bytes:64
+            ~resp_bytes:(fun _ -> 16)
+            handler
+        in
+        incr resumed;
+        at := Xenic_sim.Engine.now engine;
+        r)
+  in
+  (result, !at, !resumed)
+
+let test_call_unarmed () =
+  let engine, ctl = mk_control () in
+  let tr, log = fake_transport engine ~hop_ns:1_000.0 in
+  let ran = ref [] in
+  let result, at, _ =
+    run_call engine ctl tr ~handler:(fun () ->
+        ran := log ();
+        42)
+  in
+  Alcotest.check call_result "ok" (`Ok 42) result;
+  Alcotest.(check (list string)) "handler after send" [ "depart"; "send" ] !ran;
+  Alcotest.(check (list string)) "back after the handler"
+    [ "depart"; "send"; "back" ] (log ());
+  Alcotest.(check (float 0.0)) "one round trip" 2_000.0 at
+
+let test_call_crashed_dst () =
+  let engine, ctl = mk_control ~req_timeout_ns:timeout_ns () in
+  let tr, log = fake_transport engine ~hop_ns:1_000.0 in
+  Control.crash_node ctl ~node:1;
+  let result, at, _ = run_call engine ctl tr in
+  Alcotest.check call_result "down" `Down result;
+  Alcotest.(check (float 0.0)) "after exactly the timeout" timeout_ns at;
+  Alcotest.(check (float 0.0)) "one req_timeouts" 1.0
+    (counter ctl "req_timeouts");
+  Alcotest.(check (list string)) "nothing sent" [] (log ())
+
+let test_call_stale_reject () =
+  let engine, ctl = mk_control ~req_timeout_ns:timeout_ns () in
+  let tr, log =
+    fake_transport engine ~hop_ns:1_000.0 ~on_send:(fun () ->
+        ctl.Control.epoch <- 1)
+  in
+  let handled = ref false in
+  let result, at, _ =
+    run_call ~epoch0:0 engine ctl tr ~handler:(fun () ->
+        handled := true;
+        42)
+  in
+  Alcotest.check call_result "down" `Down result;
+  Alcotest.(check bool) "handler did not run" false !handled;
+  Alcotest.(check (list string)) "rejected" [ "depart"; "send"; "reject" ]
+    (log ());
+  Alcotest.(check (float 0.0)) "one stale_epoch_rejects" 1.0
+    (counter ctl "stale_epoch_rejects");
+  Alcotest.(check (float 0.0)) "no timeout" 0.0 (counter ctl "req_timeouts");
+  Alcotest.(check (float 0.0)) "answered, not timed out" 2_000.0 at
+
+let test_call_stale_drop () =
+  let engine, ctl = mk_control ~req_timeout_ns:timeout_ns () in
+  let tr, log = fake_transport engine ~hop_ns:1_000.0 in
+  let result, _, _ =
+    run_call ~epoch0:0 engine ctl tr ~handler:(fun () ->
+        ctl.Control.epoch <- 1;
+        42)
+  in
+  Alcotest.check call_result "down" `Down result;
+  Alcotest.(check (list string)) "response sent" [ "depart"; "send"; "back" ]
+    (log ());
+  Alcotest.(check (float 0.0)) "one stale_epoch_drops" 1.0
+    (counter ctl "stale_epoch_drops");
+  Alcotest.(check (float 0.0)) "no reject" 0.0
+    (counter ctl "stale_epoch_rejects")
+
+let test_call_late_response () =
+  let engine, ctl = mk_control ~strict:true ~req_timeout_ns:timeout_ns () in
+  (* A 60 us round trip against a 40 us deadline. *)
+  let tr, log = fake_transport engine ~hop_ns:30_000.0 in
+  let result, at, resumed = run_call engine ctl tr in
+  Alcotest.check call_result "down" `Down result;
+  Alcotest.(check (float 0.0)) "at the deadline" timeout_ns at;
+  Alcotest.(check (list string)) "the response did arrive"
+    [ "depart"; "send"; "back" ] (log ());
+  Alcotest.(check int) "caller resumed once" 1 resumed;
+  Alcotest.(check (float 0.0)) "one req_timeouts" 1.0
+    (counter ctl "req_timeouts");
+  Alcotest.(check (list string)) "sanitizer clean" []
+    (Xenic_sim.Engine.sanitize engine)
+
 let () =
   Alcotest.run "xenic_proto"
     [
@@ -430,5 +562,15 @@ let () =
           Alcotest.test_case "commit point: armed commit" `Quick
             test_commit_point_armed_commit;
           Alcotest.test_case "audit" `Quick test_audit;
+          Alcotest.test_case "call: un-armed round trip" `Quick
+            test_call_unarmed;
+          Alcotest.test_case "call: crashed destination" `Quick
+            test_call_crashed_dst;
+          Alcotest.test_case "call: stale request rejected" `Quick
+            test_call_stale_reject;
+          Alcotest.test_case "call: stale response dropped" `Quick
+            test_call_stale_drop;
+          Alcotest.test_case "call: late response ignored" `Quick
+            test_call_late_response;
         ] );
     ]
