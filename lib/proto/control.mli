@@ -1,14 +1,16 @@
 (** The protocol core both stacks share (§4.2, §4.2.1): routing, epoch
-    and commit fence, the commit point, LOG fan-out and its retry rule,
-    the host-memory log records and their apply workers, failover
-    recovery, transaction outcome accounting, the oracle report, the
-    post-run audit, and the metrics/oracle sharding of windowed runs.
+    and commit fence, the request round trip with its deadline and
+    epoch fence, the commit point, LOG fan-out and its retry rule, the
+    host-memory log records and their apply workers, failover recovery,
+    transaction outcome accounting, the oracle report, the post-run
+    audit, and the metrics/oracle sharding of windowed runs.
 
     {!Xenic_system} and {!Rdma_system} each embed one [t] and keep only
     their transports — NIC requests versus RPCs and one-sided verbs —
-    with their handlers and stores. Control calls back into them, as
-    plain function arguments, wherever the transport or store differs:
-    how a LOG is sent and COMMIT applied ({!commit_point},
+    with their handlers and stores. Control calls back into them, as a
+    {!transport} record or as plain function arguments, wherever the
+    transport or store differs: how a request and its response move
+    ({!call}), how a LOG is sent and COMMIT applied ({!commit_point},
     {!replicate}), how a log record is applied ({!log_worker}), which
     locks and logs a node holds ({!audit}, {!quiesce}), the recovery
     hooks given to {!attach_membership}, the per-packet NIC charge of

@@ -188,8 +188,7 @@ let transport ctl (hw : Xenic_params.Hw.t) rdma =
 (* RPC from a coordinator host thread ({!Control.call}). The handler
    runs on a host thread at the target for [handler_ns]. Local calls
    short-circuit the network but still pay handler compute. *)
-let rpc t ?epoch0 ~src ~dst ~req_bytes ~resp_bytes ~handler_ns (handler : unit -> 'r)
-    : [ `Ok of 'r | `Down ] =
+let rpc t ?epoch0 ~src ~dst ~req_bytes ~resp_bytes ~handler_ns handler =
   let host = t.nodes.(dst).host in
   if src = dst then begin
     Resource.use host handler_ns;

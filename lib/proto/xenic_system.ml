@@ -124,7 +124,8 @@ let transport ctl nodes =
         send ctl nodes ~src:dst ~dst:src ~bytes (fun () ->
             core_work ~src;
             k ()));
-    reject = (fun ~src ~dst ~bytes k -> send ctl nodes ~src:dst ~dst:src ~bytes k);
+    reject =
+      (fun ~src ~dst ~bytes k -> send ctl nodes ~src:dst ~dst:src ~bytes k);
   }
 
 (* Request/response between NICs from a coordinator process
@@ -549,17 +550,12 @@ let execute_phase t ~epoch0 ~src ~owner ~reads_by_shard ~locks_by_shard =
     else begin
       (* DrTM+H-restricted operation set: one request per lock, then
          one per read (§5.7 baseline). A round with any `Down or `Fail
-         releases [release]'s locks and ends the shard; otherwise [k]
-         gets the per-key (lock versions, values). *)
-      let round ~req_bytes ~resp_bytes ~lock keys ~release k =
+         calls [release] with the results it did get and ends the
+         shard; otherwise [k] gets every key's (lock versions, values). *)
+      let round keys request_of ~release k =
         let results =
           Process.parallel t.ctl.engine
-            (List.map
-               (fun key () ->
-                 execute ~req_bytes ~resp_bytes
-                   ~locks:(if lock then [ key ] else [])
-                   ~reads:(if lock then [] else [ key ]))
-               keys)
+            (List.map (fun key () -> request_of key) keys)
         in
         let ok =
           List.filter_map (function `Ok (`Ok x) -> Some x | _ -> None) results
@@ -577,17 +573,25 @@ let execute_phase t ~epoch0 ~src ~owner ~reads_by_shard ~locks_by_shard =
       in
       (* Releases the locks a lock round acquired. *)
       let release lock_results =
-        let acquired = List.concat_map (fun (lv, _) -> List.map fst lv) lock_results in
+        let acquired =
+          List.concat_map (fun (lv, _) -> List.map fst lv) lock_results
+        in
         if acquired <> [] && not t.ctl.crashed.(primary) then
           notify t ~src ~dst:primary
             ~bytes:(Wire.abort_b ~n_locks:(List.length acquired))
             (abort_handler t.nodes.(primary) ~owner ~locked:acquired)
       in
-      round ~req_bytes:Wire.lock_req_b
-        ~resp_bytes:(fun _ -> Wire.small_resp_b)
-        ~lock:true locks ~release (fun lock_results ->
-          round ~req_bytes:Wire.read_req_b ~resp_bytes:execute_resp_b ~lock:false
-            reads
+      round locks
+        (fun key ->
+          execute ~req_bytes:Wire.lock_req_b
+            ~resp_bytes:(fun _ -> Wire.small_resp_b)
+            ~locks:[ key ] ~reads:[])
+        ~release
+        (fun lock_results ->
+          round reads
+            (fun key ->
+              execute ~req_bytes:Wire.read_req_b ~resp_bytes:execute_resp_b
+                ~locks:[] ~reads:[ key ])
             ~release:(fun _ -> release lock_results)
             (fun read_results ->
               ( shard,
