@@ -70,4 +70,4 @@ let () =
   Format.printf "wire: %d messages, NIC cores %.1f%% busy@."
     (int_of_float
        (Xenic_stats.Counter.get (Metrics.counters (sys.System.metrics ())) "msgs"))
-    (100.0 *. sys.System.nic_util ())
+    (100.0 *. Xenic_system.nic_core_utilization xenic)

@@ -24,8 +24,6 @@ type t = {
   stack : string;
   fabric : msg Xenic_net.Fabric.t;
   req_timeout_ns : float option;
-  retry_backoff_ns : float;
-  max_retries : int;
   part_metrics : Metrics.t array;
       (* one shard per engine partition (one when unpartitioned),
          touched only by events running in that partition *)
@@ -56,8 +54,16 @@ type t = {
   mutable telemetry : Xenic_telemetry.Telemetry.t option;
 }
 
-let create engine hw cfg ~stack ~partitions ~req_timeout_ns ~retry_backoff_ns
-    ~max_retries =
+(* Knobs both stacks share. No configuration varies them. *)
+let retry_backoff_ns = 30_000.0  (* first armed retry backoff; doubles *)
+
+let max_retries = 10  (* armed attempts before reporting Aborted *)
+
+let log_capacity_b = 4 * 1024 * 1024  (* each host-memory log *)
+
+let btree_op_ns = 300.0  (* host cost of one ordered-table write *)
+
+let create engine hw cfg ~stack ~partitions ~req_timeout_ns =
   (* The windowed contract: fence, epoch and membership state is
      cross-partition, so a windowed system must stay un-armed. *)
   if partitions > 0 && Option.is_some req_timeout_ns then
@@ -88,8 +94,6 @@ let create engine hw cfg ~stack ~partitions ~req_timeout_ns ~retry_backoff_ns
     stack;
     fabric = Xenic_net.Fabric.create engine hw ~nodes;
     req_timeout_ns;
-    retry_backoff_ns;
-    max_retries;
     part_metrics = per_partition Metrics.create;
     part_oracle = per_partition Oracle.create;
     primaries = Array.init nodes (fun shard -> Config.primary cfg ~shard);
@@ -163,14 +167,15 @@ let trace_instant t ~cat ~name ~pid ~tid args =
 
 (* Close one protocol phase: record its latency histogram sample and,
    when tracing, a span on the coordinator's track keyed by the
-   transaction's sequence number. Returns the new phase start. *)
-let phase_mark t ~src ~seq name t_prev =
+   transaction's sequence number, in trace category [cat]. Returns the
+   new phase start. *)
+let phase_mark ?(cat = "txn") t ~src ~seq name t_prev =
   let now = Engine.now t.engine in
   Metrics.record_phase (mx t) ~phase:name (now -. t_prev);
   (match t.trace with
   | None -> ()
   | Some tr ->
-      Trace.span tr ~cat:"txn" ~name ~pid:src ~tid:seq ~ts:t_prev
+      Trace.span tr ~cat ~name ~pid:src ~tid:seq ~ts:t_prev
         ~dur:(now -. t_prev) ());
   now
 
@@ -350,6 +355,41 @@ let commit_point t ~src ~epoch0 ~mark ~t_prev ~log ~commit ~abort : attempt =
     end
   end
 
+(* The attempt tail after execution (§4.2). A check-free attempt
+   records no validate sample: zero-length marks would drag the
+   reported mean to ~0 (the Fig 8/9 "validate: 0" bug). *)
+let finish t ~src ~epoch0 ~mark ~t_prev ~id ~values ~lock_versions ~checks
+    ~validate ~release ~log ~commit ops : attempt =
+  let valid =
+    if checks = [] then `Valid
+    else begin
+      Attrib.set_phase "validate";
+      validate checks
+    end
+  in
+  let t_prev = if checks = [] then t_prev else mark "validate" t_prev in
+  match valid with
+  | `Down ->
+      release ();
+      `Retry Metrics.Timeout
+  | `Invalid ->
+      release ();
+      `Aborted Metrics.Validation_failure
+  | `Valid when ops = [] ->
+      release ();
+      record_commit t ~id ~values ~lock_versions ~seq_ops:[];
+      `Committed
+  | `Valid ->
+      let seq_ops = Types.seq_ops_of ~lock_versions ops in
+      let by_shard = Types.group_ops_by_shard seq_ops in
+      commit_point t ~src ~epoch0 ~mark ~t_prev ~log:(log by_shard)
+        ~commit:(fun t_log ->
+          record_commit t ~id ~values ~lock_versions ~seq_ops;
+          Attrib.set_phase "commit";
+          commit seq_ops by_shard;
+          ignore (mark "commit" t_log))
+        ~abort:release
+
 (* ------------------------------------------------------------------ *)
 (* Host-memory logs and the log-apply workers *)
 
@@ -360,13 +400,15 @@ type log_record = {
   mutable lr_stamp : int;
 }
 
+let host_log t = Xenic_store.Hostlog.create t.engine ~capacity_b:log_capacity_b
+
 let append_log log ~bytes ~shard ~ops decision =
   let record =
     { lr_shard = shard; lr_ops = ops; lr_decision = decision; lr_stamp = 0 }
   in
   record.lr_stamp <- Xenic_store.Hostlog.append log ~bytes record
 
-let apply_cost (hw : Xenic_params.Hw.t) ~btree_op_ns op =
+let apply_cost (hw : Xenic_params.Hw.t) op =
   if Keyspace.ordered (Op.key op) then btree_op_ns
   else hw.host_op_ns +. (float_of_int (Op.bytes op) *. hw.host_byte_ns)
 
@@ -487,13 +529,13 @@ let run_txn t ~node attempt =
             trace_instant t ~cat:"txn" ~name:"retry" ~pid:node
               ~tid:t.txn_seq.(node)
               [ ("reason", Metrics.abort_reason_name reason) ];
-            if n >= t.max_retries then abort_with reason
+            if n >= max_retries then abort_with reason
             else begin
               Process.sleep t.engine backoff;
               go (n + 1) (backoff *. 2.0)
             end
     in
-    go 1 t.retry_backoff_ns
+    go 1 retry_backoff_ns
 
 (* ------------------------------------------------------------------ *)
 (* Requests *)

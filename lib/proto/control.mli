@@ -1,6 +1,7 @@
 (** The protocol core both stacks share (§4.2, §4.2.1): routing, epoch
     and commit fence, the request round trip with its deadline and
-    epoch fence, the commit point, LOG fan-out and its retry rule, the
+    epoch fence, the attempt tail after execution (validate, commit
+    point, COMMIT), LOG fan-out and its retry rule, the
     host-memory log records and their apply workers, failover recovery,
     transaction outcome accounting, the oracle report, the post-run
     audit, and the metrics/oracle sharding of windowed runs.
@@ -10,8 +11,8 @@
     with their handlers and stores. Control calls back into them, as a
     {!transport} record or as plain function arguments, wherever the
     transport or store differs: how a request and its response move
-    ({!call}), how a LOG is sent and COMMIT applied ({!commit_point},
-    {!replicate}), how a log record is applied ({!log_worker}), which
+    ({!call}), how reads are validated, a LOG sent and COMMIT applied
+    ({!finish}, {!commit_point}, {!replicate}), how a log record is applied ({!log_worker}), which
     locks and logs a node holds ({!audit}, {!quiesce}), the recovery
     hooks given to {!attach_membership}, the per-packet NIC charge of
     {!dispatch_loop}, and the per-attempt body of {!run_txn}.
@@ -50,8 +51,6 @@ type t = {
   stack : string;  (** Telemetry and attribution label. *)
   fabric : msg Xenic_net.Fabric.t;
   req_timeout_ns : float option;  (** [Some _]: armed. *)
-  retry_backoff_ns : float;
-  max_retries : int;
   part_metrics : Metrics.t array;
       (** Per-partition shards; one when unpartitioned. *)
   part_oracle : Oracle.t array;
@@ -81,8 +80,6 @@ val create :
   stack:string ->
   partitions:int ->
   req_timeout_ns:float option ->
-  retry_backoff_ns:float ->
-  max_retries:int ->
   t
 
 val armed : t -> bool
@@ -124,9 +121,10 @@ val trace_instant :
   (string * string) list -> unit
 
 (** [phase_mark t ~src ~seq name t_prev] closes the phase begun at
-    [t_prev] (latency sample, and a trace span on [src]'s track);
-    returns the current time. *)
-val phase_mark : t -> src:int -> seq:int -> string -> float -> float
+    [t_prev] (latency sample, and a trace span in category [cat],
+    default ["txn"], on [src]'s track); returns the current time. *)
+val phase_mark :
+  ?cat:string -> t -> src:int -> seq:int -> string -> float -> float
 
 (** Attach a serializability oracle fed by every commit. *)
 val set_oracle : t -> Oracle.t -> unit
@@ -189,6 +187,37 @@ val commit_point :
   abort:(unit -> unit) ->
   attempt
 
+(** [finish t ~src ~epoch0 ~mark ~t_prev ~id ~values ~lock_versions
+    ~checks ~validate ~release ~log ~commit ops] ends an attempt whose
+    execution read [values], locked [lock_versions] and produced [ops];
+    [checks] are the keys read but not locked, with the versions read.
+
+    With [checks <> []] it sets the phase to ["validate"], runs
+    [validate checks] and marks ["validate"]. [`Down] and [`Invalid]
+    call [release ()] and return [`Retry Timeout] and
+    [`Aborted Validation_failure]. With [ops = []], [release ()] runs
+    and the commit is recorded read-only. Otherwise the versioned
+    writes and their by-shard grouping go through {!commit_point} with
+    [log by_shard]; its commit step records the commit, sets the phase
+    to ["commit"], runs [commit seq_ops by_shard] and marks
+    ["commit"]. *)
+val finish :
+  t ->
+  src:int ->
+  epoch0:int ->
+  mark:(string -> float -> float) ->
+  t_prev:float ->
+  id:int ->
+  values:(Keyspace.t * bytes option * int) list ->
+  lock_versions:(Keyspace.t * int) list ->
+  checks:(Keyspace.t * int) list ->
+  validate:((Keyspace.t * int) list -> [ `Valid | `Invalid | `Down ]) ->
+  release:(unit -> unit) ->
+  log:((int * (Op.t * int) list) list -> decision ref -> unit) ->
+  commit:((Op.t * int) list -> (int * (Op.t * int) list) list -> unit) ->
+  Op.t list ->
+  attempt
+
 (** The LOG fan-out of [(shard, writes)]: one [(shard, backup, writes)]
     per live backup of each shard other than its primary, in shard
     order. *)
@@ -218,6 +247,9 @@ type log_record = {
           is set before any worker reads it. *)
 }
 
+(** A fresh host-memory log of 4 MiB. *)
+val host_log : t -> log_record Xenic_store.Hostlog.t
+
 (** Append a record of [ops] (blocking while the log is full) and stamp
     it with its append index. The caller charges the DMA or WRITE. *)
 val append_log :
@@ -228,9 +260,9 @@ val append_log :
   decision ref ->
   unit
 
-(** Host cost of applying one write: [btree_op_ns] for ordered keys,
-    per-op plus per-byte host cost otherwise. *)
-val apply_cost : Xenic_params.Hw.t -> btree_op_ns:float -> Op.t -> float
+(** Host cost of applying one write: 300 ns for ordered keys, per-op
+    plus per-byte host cost otherwise. *)
+val apply_cost : Xenic_params.Hw.t -> Op.t -> float
 
 (** Spawn one log-apply worker for [node]'s [log]. It polls a record
     and waits for its decision: a [Dabort] record is acknowledged
@@ -267,9 +299,9 @@ val audit :
 (** [run_txn t ~node attempt] runs one transaction coordinated at
     [node], one [attempt ()] per try, and accounts its outcome
     (metrics, abort reason, telemetry, outer trace span). Armed:
-    retries back off exponentially up to [max_retries], and a dead
-    coordinator aborts with {!Metrics.Crashed_owner}. Un-armed: a dead
-    coordinator raises [Invalid_argument]. *)
+    retries back off exponentially from 30 µs, up to 10 attempts, and
+    a dead coordinator aborts with {!Metrics.Crashed_owner}. Un-armed:
+    a dead coordinator raises [Invalid_argument]. *)
 val run_txn : t -> node:int -> (unit -> attempt) -> Types.outcome
 
 (** {2 Requests}

@@ -16,11 +16,7 @@ type params = {
   worker_threads : int;
   buckets : int;
   bucket_b : int;
-  log_capacity_b : int;
-  btree_op_ns : float;
   req_timeout_ns : float option;
-  retry_backoff_ns : float;
-  max_retries : int;
   partitions : int;
       (* > 0: windowed conservative-PDES topology over this many node
          partitions, with metrics and the oracle feed sharded per
@@ -34,11 +30,7 @@ let default_params =
     worker_threads = 4;
     buckets = 4096;
     bucket_b = 8;
-    log_capacity_b = 4 * 1024 * 1024;
-    btree_op_ns = 300.0;
     req_timeout_ns = None;
-    retry_backoff_ns = 30_000.0;
-    max_retries = 10;
     partitions = 0;
   }
 
@@ -255,7 +247,6 @@ let create engine hw cfg flavor p =
   let ctl =
     Control.create engine hw cfg ~stack:(flavor_name flavor)
       ~partitions:p.partitions ~req_timeout_ns:p.req_timeout_ns
-      ~retry_backoff_ns:p.retry_backoff_ns ~max_retries:p.max_retries
   in
   Xenic_net.Fabric.set_rate_override ctl.fabric
     (Some (Xenic_params.Hw.rdma_rate hw));
@@ -291,11 +282,11 @@ let create engine hw cfg flavor p =
             Resource.create engine
               ~name:(Printf.sprintf "rwrk%d" id)
               ~servers:p.worker_threads;
-          log = Xenic_store.Hostlog.create engine ~capacity_b:p.log_capacity_b;
+          log = Control.host_log ctl;
         })
   in
   let t = { ctl; hw; flavor; p; rdma; nodes; tr = transport ctl hw rdma } in
-  let op_ns = Control.apply_cost hw ~btree_op_ns:p.btree_op_ns in
+  let op_ns = Control.apply_cost hw in
   Array.iter
     (fun node ->
       (* No SmartNIC: RDMA NIC costs are charged per verb and RPC inside
@@ -330,10 +321,6 @@ let peek t ~node k =
   match obj_read t ~node k with Some (v, _) -> Some v | None -> None
 
 let ordered t ~node ~shard = (store t ~node ~shard).ordered
-
-let host_utilization t =
-  Array.fold_left (fun acc n -> acc +. Resource.utilization n.host) 0.0 t.nodes
-  /. float_of_int (Array.length t.nodes)
 
 (* Admission backpressure: the most loaded of the host RPC pool and the
    (single-server) RDMA NIC processing unit. *)
@@ -605,11 +592,18 @@ let lock_phase t ~epoch0 ~src ~owner (write_keys : Keyspace.t list) =
     (Process.parallel t.ctl.engine (List.map lock_shard !by_shard))
 
 (* Validation: DrTM+H/NC and FaRM re-read version words one-sided;
-   FaSST uses a per-shard RPC. *)
-let validate_phase t ~epoch0 ~src ~owner checks :
-    [ `Valid | `Invalid | `Down ] =
+   FaSST uses a per-shard RPC. DrTM+R locks every key it reads, so it
+   never has checks to validate. An [`Invalid] verdict counts
+   [validate_conflicts]. *)
+let validate_phase t ~epoch0 ~src ~owner checks =
+  let verdict ok =
+    if ok then `Valid
+    else begin
+      Xenic_stats.Counter.incr (counters t) "validate_conflicts";
+      `Invalid
+    end
+  in
   match t.flavor with
-  | Drtmr -> `Valid (* all accesses are locked; no validation phase *)
   | Fasst ->
       let shards = Types.group_by_shard fst checks in
       let results =
@@ -638,9 +632,8 @@ let validate_phase t ~epoch0 ~src ~owner checks :
              shards)
       in
       if List.exists (fun r -> r = `Down) results then `Down
-      else if List.for_all (fun r -> r = `Ok true) results then `Valid
-      else `Invalid
-  | Drtmh | Drtmh_nc | Farm -> (
+      else verdict (List.for_all (fun r -> r = `Ok true) results)
+  | Drtmh | Drtmh_nc | Drtmr | Farm -> (
       match
         one_sided_many_t t ~src
           (List.map
@@ -661,7 +654,7 @@ let validate_phase t ~epoch0 ~src ~owner checks :
              checks)
       with
       | `Down -> `Down
-      | `Ok results -> if List.for_all Fun.id results then `Valid else `Invalid)
+      | `Ok results -> verdict (List.for_all Fun.id results))
 
 (* LOG: replicate the write set to every backup, each record carrying
    [decision]. DrTM+H/NC, DrTM+R and FaRM use one-sided WRITEs into the
@@ -940,71 +933,32 @@ let rec attempt t ~node ~epoch0 (txn : Types.t) : Control.attempt =
             | None -> None)
           (Types.validate_set txn)
       in
-      let valid =
-        if checks = [] then `Valid
-        else begin
-          Attrib.set_phase "validate";
-          validate_phase t ~epoch0 ~src ~owner checks
-        end
-      in
-      (* Only record a validate sample when the phase did work: DrTM+R
-         validates by locking its read set during EXECUTE, so its
-         validate_phase is a constant-time `Valid — marking it would
-         report a misleading "validate: 0" mean (the Fig 8/9 audit). *)
-      let t3 =
-        if checks = [] || t.flavor = Drtmr then t2 else mark "validate" t2
-      in
-      match valid with
-      | `Down ->
-          abort_all ();
-          `Retry Metrics.Timeout
-      | `Invalid ->
-          Xenic_stats.Counter.incr (counters t) "validate_conflicts";
-          abort_all ();
-          `Aborted Metrics.Validation_failure
-      | `Valid ->
-          if ops = [] then begin
-            (* Nothing written (e.g. DrTM+R read-only): release any
-               locks and commit. *)
-            abort_all ();
-            Control.record_commit t.ctl ~id:owner ~values ~lock_versions
-              ~seq_ops:[];
-            `Committed
-          end
-          else
-            let seq_ops = Types.seq_ops_of ~lock_versions ops in
-            let seq_ops_by_shard = Types.group_ops_by_shard seq_ops in
-            let locked_by_shard =
-              List.map
-                (fun (shard, _) ->
-                  ( shard,
-                    List.filter_map
-                      (fun (k, _) ->
-                        if Keyspace.shard k = shard then Some k else None)
-                      lock_versions ))
-                seq_ops_by_shard
-            in
-            (* Release locks on keys that were locked but not written
-               (DrTM+R read-set locks). *)
-            let release_residual () =
-              let written = List.map (fun (op, _) -> Op.key op) seq_ops in
-              let residual =
-                List.filter_map
-                  (fun (k, _) -> if List.mem k written then None else Some k)
-                  lock_versions
-              in
-              if residual <> [] then release_keys residual
-            in
-            Control.commit_point t.ctl ~src ~epoch0 ~mark ~t_prev:t3
-              ~log:(log_phase t ~src seq_ops_by_shard)
-              ~commit:(fun t4 ->
-                Control.record_commit t.ctl ~id:owner ~values ~lock_versions
-                  ~seq_ops;
-                Attrib.set_phase "commit";
-                commit_phase t ~src ~owner seq_ops_by_shard locked_by_shard;
-                release_residual ();
-                ignore (mark "commit" t4))
-              ~abort:abort_all)
+      Control.finish t.ctl ~src ~epoch0 ~mark ~t_prev:t2 ~id:owner ~values
+        ~lock_versions ~checks
+        ~validate:(validate_phase t ~epoch0 ~src ~owner)
+        ~release:abort_all ~log:(log_phase t ~src)
+        ~commit:(fun seq_ops seq_ops_by_shard ->
+          let locked_by_shard =
+            List.map
+              (fun (shard, _) ->
+                ( shard,
+                  List.filter_map
+                    (fun (k, _) ->
+                      if Keyspace.shard k = shard then Some k else None)
+                    lock_versions ))
+              seq_ops_by_shard
+          in
+          commit_phase t ~src ~owner seq_ops_by_shard locked_by_shard;
+          (* Release locks on keys that were locked but not written
+             (DrTM+R read-set locks). *)
+          let written = List.map (fun (op, _) -> Op.key op) seq_ops in
+          let residual =
+            List.filter_map
+              (fun (k, _) -> if List.mem k written then None else Some k)
+              lock_versions
+          in
+          if residual <> [] then release_keys residual)
+        ops)
 
 let run_txn t ~node (txn : Types.t) =
   Control.run_txn t.ctl ~node (fun () ->

@@ -33,18 +33,12 @@ type params = {
   worker_threads : int;  (** Background log-apply threads. *)
   buckets : int;  (** Chained-table main buckets per shard copy. *)
   bucket_b : int;  (** Slots per bucket (B in Table 2). *)
-  log_capacity_b : int;
-  btree_op_ns : float;
   req_timeout_ns : float option;
       (** [Some d]: arm per-request deadlines — a coordinator whose
           RPC or verb to a dead node times out fails the attempt,
           releases its locks on surviving primaries, and retries
           against post-promotion routing. [None] (default): legacy
           behavior. Must sit well above the worst-case round-trip. *)
-  retry_backoff_ns : float;
-      (** Initial coordinator backoff after a dead-peer retry; doubles
-          per attempt. *)
-  max_retries : int;  (** Attempts before reporting Aborted. *)
   partitions : int;
       (** [> 0]: windowed conservative-PDES topology over this many
           node partitions with per-partition metrics/oracle shards (the
@@ -86,8 +80,6 @@ val peek : t -> node:int -> Keyspace.t -> bytes option
 
 (** [node]'s host B+ tree for [shard]'s ordered tables. *)
 val ordered : t -> node:int -> shard:int -> bytes Xenic_store.Btree.t
-
-val host_utilization : t -> float
 
 (** Instantaneous-occupancy gauges (links, host pools) for
     {!Xenic_sim.Trace.sampler}. *)

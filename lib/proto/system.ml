@@ -16,8 +16,6 @@ type t = {
   quiesce : unit -> unit;
   set_oracle : Oracle.t -> unit;
   audit : unit -> string list;
-  nic_util : unit -> float;
-  host_util : unit -> float;
   recover_node : node:int -> unit;
   set_nic_slowdown : node:int -> float -> unit;
   degrade_nic_cores : node:int -> n:int -> dur_ns:float -> unit;
@@ -43,12 +41,6 @@ let of_xenic x =
     quiesce = (fun () -> Xenic_system.quiesce x);
     set_oracle = (fun o -> Control.set_oracle c o);
     audit = (fun () -> Xenic_system.audit x);
-    nic_util = (fun () -> Xenic_system.nic_core_utilization x);
-    host_util =
-      (fun () ->
-        (Xenic_system.host_app_utilization x
-        +. Xenic_system.host_worker_utilization x)
-        /. 2.0);
     recover_node = (fun ~node -> Xenic_system.recover_node x ~node);
     set_nic_slowdown = (fun ~node f -> Xenic_system.set_nic_slowdown x ~node f);
     degrade_nic_cores =
@@ -75,8 +67,6 @@ let of_rdma r =
     quiesce = (fun () -> Rdma_system.quiesce r);
     set_oracle = (fun o -> Control.set_oracle c o);
     audit = (fun () -> Rdma_system.audit r);
-    nic_util = (fun () -> 0.0);
-    host_util = (fun () -> Rdma_system.host_utilization r);
     recover_node = (fun ~node -> Rdma_system.recover_node r ~node);
     set_nic_slowdown = (fun ~node f -> Rdma_system.set_nic_slowdown r ~node f);
     degrade_nic_cores =
@@ -84,6 +74,21 @@ let of_rdma r =
     util_sources = (fun () -> Rdma_system.util_sources r);
     resources = (fun () -> Rdma_system.resources r);
   }
+
+(* The end of a run: drain in-flight work, flush the oracle buffers,
+   and on a strict engine fail on any protocol-audit or sim-primitive
+   violation left. *)
+let drain t ~who =
+  Xenic_sim.Process.spawn t.engine (fun () -> t.quiesce ());
+  ignore (Xenic_sim.Engine.run t.engine);
+  t.sync ();
+  if Xenic_sim.Engine.strict t.engine then begin
+    let issues = t.audit () @ Xenic_sim.Engine.sanitize t.engine in
+    if issues <> [] then
+      failwith
+        (Printf.sprintf "%s: %d sanitizer violation(s):\n%s" who
+           (List.length issues) (String.concat "\n" issues))
+  end
 
 (* Ordered-table reads of [node]'s replica over [lo, hi], both keys of
    one shard. *)

@@ -35,8 +35,6 @@ type t = {
       (** Attach a serializability oracle recording committed txns. *)
   audit : unit -> string list;
       (** Post-[quiesce] protocol-invariant audit; [] = clean. *)
-  nic_util : unit -> float;  (** SmartNIC core utilization (0 for RDMA). *)
-  host_util : unit -> float;
   recover_node : node:int -> unit;
       (** Recover a crashed node: epoch-fenced rejoin with replica
           repair on Xenic (see {!Xenic_system.recover_node}); always
@@ -58,6 +56,12 @@ type t = {
 val of_xenic : Xenic_system.t -> t
 
 val of_rdma : Rdma_system.t -> t
+
+(** End a run: spawn [quiesce], run the engine until it drains, then
+    [sync]. On a strict engine, fail with ["<who>: N sanitizer
+    violation(s):"] followed by each {!audit} and
+    {!Xenic_sim.Engine.sanitize} violation, one per line. *)
+val drain : t -> who:string -> unit
 
 (** {2 Ordered-table reads}
 

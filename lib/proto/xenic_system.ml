@@ -13,8 +13,6 @@ type params = {
   segments : int;
   seg_size : int;
   d_max : int option;
-  log_capacity_b : int;
-  btree_op_ns : float;
   req_timeout_ns : float option;
       (* [Some t]: arm per-request timeouts of [t] ns and the fault-
          tolerant commit path (epoch fencing, retry with backoff).
@@ -23,8 +21,6 @@ type params = {
          timeout implies a dead peer, never a slow one — a timeout
          against a live primary would leak its acquired locks until the
          next reconfiguration sweep. *)
-  retry_backoff_ns : float;  (* initial backoff after a crash-abort *)
-  max_retries : int;  (* crash-retry attempts before giving up *)
   partitions : int;
       (* > 0: install a windowed conservative-PDES topology over this
          many node partitions (lookahead = the fabric wire latency) and
@@ -47,11 +43,7 @@ let default_params =
     segments = 256;
     seg_size = 64;
     d_max = Some 8;
-    log_capacity_b = 4 * 1024 * 1024;
-    btree_op_ns = 300.0;
     req_timeout_ns = None;
-    retry_backoff_ns = 30_000.0;
-    max_retries = 10;
     partitions = 0;
   }
 
@@ -341,8 +333,7 @@ let unpin_applied node (record : Control.log_record) =
 let create engine hw cfg p =
   let ctl =
     Control.create engine hw cfg ~stack:"Xenic" ~partitions:p.partitions
-      ~req_timeout_ns:p.req_timeout_ns ~retry_backoff_ns:p.retry_backoff_ns
-      ~max_retries:p.max_retries
+      ~req_timeout_ns:p.req_timeout_ns
   in
   let nodes =
     Array.init cfg.Config.nodes (fun id ->
@@ -368,9 +359,8 @@ let create engine hw cfg p =
               ~enabled:p.features.eth_aggregation;
           storage;
           indexes;
-          log = Xenic_store.Hostlog.create engine ~capacity_b:p.log_capacity_b;
-          commit_log =
-            Xenic_store.Hostlog.create engine ~capacity_b:p.log_capacity_b;
+          log = Control.host_log ctl;
+          commit_log = Control.host_log ctl;
           app = Resource.create engine ~name:(Printf.sprintf "app%d" id)
               ~servers:p.app_threads;
           workers =
@@ -378,7 +368,7 @@ let create engine hw cfg p =
               ~servers:p.worker_threads;
         })
   in
-  let op_ns = Control.apply_cost hw ~btree_op_ns:p.btree_op_ns in
+  let op_ns = Control.apply_cost hw in
   Array.iter
     (fun node ->
       Control.dispatch_loop ctl ~node:node.id ~pkt_io:(fun () ->
@@ -425,7 +415,7 @@ let ordered t ~node ~shard =
 (* Send LOG to every backup of every written shard as a NIC request;
    await all responses. [decision] is stamped into every appended
    record. *)
-let log_phase t ~src ~seq_ops_by_shard decision =
+let log_phase t ~src seq_ops_by_shard decision =
   Control.replicate t.ctl ~src (Control.log_targets t.ctl seq_ops_by_shard)
     ~send:(fun (shard, backup, seq_ops) ->
       match
@@ -437,28 +427,19 @@ let log_phase t ~src ~seq_ops_by_shard decision =
       | `Ok () -> true
       | `Down -> false)
 
-(* Xenic's commit apply is asynchronous (fire-and-forget notify), so
-   the coordinator's "commit" phase closes at the send and Fig 8/9
-   reported a zero commit mean. Record the apply-side latency — notify
-   send to commit-handler completion at the primary — as its own
-   "commit-async" phase, with a distinct trace category ("txn-async")
-   so critical-path extraction never counts it inside the synchronous
-   transaction span. *)
-let commit_async_mark t ~src ~seq t_send =
-  let now = Engine.now t.ctl.engine in
-  Metrics.record_phase (Control.mx t.ctl) ~phase:"commit-async" (now -. t_send);
-  match t.ctl.trace with
-  | None -> ()
-  | Some tr ->
-      Trace.span tr ~cat:"txn-async" ~name:"commit-async" ~pid:src ~tid:seq
-        ~ts:t_send ~dur:(now -. t_send) ()
-
 (* Asynchronous COMMIT to each written shard's primary (fire and
    forget with a small ack frame for wire accounting). [locks_by_shard]
    records where each shard's locks were acquired; the commit fence
    guarantees routing has not changed since, so the acquisition node is
    still the primary (or has crashed, in which case the notify is
-   dropped and the new values survive via the decided backup records). *)
+   dropped and the new values survive via the decided backup records).
+
+   The coordinator's "commit" phase closes at the send, so Fig 8/9
+   reported a zero commit mean. The apply-side latency — notify send to
+   commit-handler completion at the primary — is its own "commit-async"
+   phase, with a distinct trace category ("txn-async") so
+   critical-path extraction never counts it inside the synchronous
+   transaction span. *)
 let commit_phase t ~src ~owner ~seq ~locks_by_shard ~seq_ops_by_shard =
   let t_send = Engine.now t.ctl.engine in
   List.iter
@@ -472,7 +453,9 @@ let commit_phase t ~src ~owner ~seq ~locks_by_shard ~seq_ops_by_shard =
       notify t ~src ~dst:primary ~bytes (fun () ->
           Attrib.set_phase "commit-async";
           commit_handler t t.nodes.(primary) ~owner ~shard ~seq_ops ~locked ();
-          commit_async_mark t ~src ~seq t_send;
+          ignore
+            (Control.phase_mark t.ctl ~cat:"txn-async" ~src ~seq "commit-async"
+               t_send);
           notify t ~src:primary ~dst:src ~bytes:Wire.small_resp_b (fun () ->
               Smartnic.core_work t.nodes.(src).nic ~bytes:0)))
     seq_ops_by_shard
@@ -492,8 +475,7 @@ let abort_everywhere t ~src ~owner ~locks_by_shard =
 
 (* COMMIT every written shard, then release the locked keys that were
    not written. *)
-let commit_and_release t ~src ~owner ~seq ~acquired ~seq_ops ~seq_ops_by_shard =
-  Attrib.set_phase "commit";
+let commit_and_release t ~src ~owner ~seq ~acquired seq_ops seq_ops_by_shard =
   commit_phase t ~src ~owner ~seq ~locks_by_shard:acquired ~seq_ops_by_shard;
   let written = List.map (fun (op, _) -> Op.key op) seq_ops in
   let residual =
@@ -520,7 +502,7 @@ let execute_resp_b = function
 
 (* Per-shard EXECUTE. Results carry the primary the request targeted,
    so a later abort can release locks where they were acquired even if
-   routing has moved on. [`Dead]: the primary timed out or the request
+   routing has moved on. [`Down]: the primary timed out or the request
    crossed a reconfiguration — the transaction should retry against
    fresh routing rather than count a conflict. *)
 let execute_phase t ~epoch0 ~src ~owner ~reads_by_shard ~locks_by_shard =
@@ -546,7 +528,7 @@ let execute_phase t ~epoch0 ~src ~owner ~reads_by_shard ~locks_by_shard =
       match r with
       | `Ok `Fail -> (shard, primary, `Fail)
       | `Ok (`Ok x) -> (shard, primary, `Ok x)
-      | `Down -> (shard, primary, `Dead)
+      | `Down -> (shard, primary, `Down)
     else begin
       (* DrTM+H-restricted operation set: one request per lock, then
          one per read (§5.7 baseline). A round with any `Down or `Fail
@@ -563,7 +545,7 @@ let execute_phase t ~epoch0 ~src ~owner ~reads_by_shard ~locks_by_shard =
         if List.exists (function `Down -> true | `Ok _ -> false) results
         then begin
           release ok;
-          (shard, primary, `Dead)
+          (shard, primary, `Down)
         end
         else if List.length ok < List.length results then begin
           release ok;
@@ -603,13 +585,13 @@ let execute_phase t ~epoch0 ~src ~owner ~reads_by_shard ~locks_by_shard =
   in
   Process.parallel t.ctl.engine (List.map one shards)
 
-let validate_phase t ~epoch0 ~src ~owner ~checks_by_shard =
+let validate_phase t ~epoch0 ~src ~owner checks =
   let one (shard, checks) () =
     let primary = primary_of t ~shard in
     let as_verdict = function
       | `Ok true -> `Valid
       | `Ok false -> `Invalid
-      | `Down -> `Dead
+      | `Down -> `Down
     in
     if t.p.features.smart_ops then
       as_verdict
@@ -630,12 +612,15 @@ let validate_phase t ~epoch0 ~src ~owner ~checks_by_shard =
                        ~checks:[ check ])))
              checks)
       in
-      if List.exists (fun v -> v = `Dead) verdicts then `Dead
+      if List.exists (fun v -> v = `Down) verdicts then `Down
       else if List.exists (fun v -> v = `Invalid) verdicts then `Invalid
       else `Valid
   in
-  let verdicts = Process.parallel t.ctl.engine (List.map one checks_by_shard) in
-  if List.exists (fun v -> v = `Dead) verdicts then `Dead
+  let verdicts =
+    Process.parallel t.ctl.engine
+      (List.map one (Types.group_by_shard fst checks))
+  in
+  if List.exists (fun v -> v = `Down) verdicts then `Down
   else if List.exists (fun v -> v = `Invalid) verdicts then `Invalid
   else `Valid
 
@@ -690,7 +675,7 @@ let distributed_txn t node (txn : Types.t) id : Control.attempt =
       results
   in
   let acquired = acquired_of results in
-  (* A `Dead shard's EXECUTE may still have locked its keys at a live
+  (* A `Down shard's EXECUTE may still have locked its keys at a live
      primary after the coordinator stopped listening (the response was
      dropped at an epoch bump). Broaden the abort to the whole
      requested footprint at current routing — unlock is owner-guarded,
@@ -706,16 +691,24 @@ let distributed_txn t node (txn : Types.t) id : Control.attempt =
             if keys = [] then acc else (shard, primary_of t ~shard, keys) :: rest)
       acquired requested
   in
-  if List.exists (fun (_, _, r) -> r = `Dead) results then begin
-    abort_everywhere t ~src ~owner
-      ~locks_by_shard:(broaden acquired locks_by_shard_keys);
-    `Retry Metrics.Timeout
-  end
-  else if List.exists (fun (_, _, r) -> r = `Fail) results then begin
-    abort_everywhere t ~src ~owner ~locks_by_shard:acquired;
-    `Aborted Metrics.Lock_conflict
-  end
-  else begin
+  (* How an EXECUTE round ends the attempt, if it does: any [`Down]
+     aborts the broadened footprint and retries, any [`Fail] aborts
+     what was acquired. *)
+  let settle results ~acquired ~requested =
+    if List.exists (fun (_, _, r) -> r = `Down) results then begin
+      abort_everywhere t ~src ~owner
+        ~locks_by_shard:(broaden acquired requested);
+      Some (`Retry Metrics.Timeout)
+    end
+    else if List.exists (fun (_, _, r) -> r = `Fail) results then begin
+      abort_everywhere t ~src ~owner ~locks_by_shard:acquired;
+      Some (`Aborted Metrics.Lock_conflict)
+    end
+    else None
+  in
+  match settle results ~acquired ~requested:locks_by_shard_keys with
+  | Some outcome -> outcome
+  | None ->
     let lock_versions_of =
       List.concat_map (fun (_, _, r) -> match r with `Ok (lv, _) -> lv | _ -> [])
     in
@@ -757,23 +750,16 @@ let distributed_txn t node (txn : Types.t) id : Control.attempt =
           in
           let acquired = merge_acquired acquired (acquired_of extra) in
           let requested = Types.group_by_shard Fun.id lock @ requested in
-          if List.exists (fun (_, _, r) -> r = `Dead) extra then begin
-            abort_everywhere t ~src ~owner
-              ~locks_by_shard:(broaden acquired requested);
-            `Retry Metrics.Timeout
-          end
-          else if List.exists (fun (_, _, r) -> r = `Fail) extra then begin
-            abort_everywhere t ~src ~owner ~locks_by_shard:acquired;
-            `Aborted Metrics.Lock_conflict
-          end
-          else
-            rounds
-              ~values:(values @ values_of extra)
-              ~lock_versions:(lock_versions @ lock_versions_of extra)
-              ~acquired
-              ~locked_keys:(locked_keys @ lock)
-              ~requested
-              ~round:(round + 1))
+          match settle extra ~acquired ~requested with
+          | Some outcome -> outcome
+          | None ->
+              rounds
+                ~values:(values @ values_of extra)
+                ~lock_versions:(lock_versions @ lock_versions_of extra)
+                ~acquired
+                ~locked_keys:(locked_keys @ lock)
+                ~requested
+                ~round:(round + 1))
       | Types.Done ops ->
           let t2 = mark "exec-fn" t1 in
           (* Validate keys read but never locked, against their
@@ -784,51 +770,18 @@ let distributed_txn t node (txn : Types.t) id : Control.attempt =
                 if List.mem k locked_keys then None else Some (k, seq))
               values
           in
-          let valid =
-            if checks = [] then `Valid
-            else begin
-              Attrib.set_phase "validate";
-              validate_phase t ~epoch0 ~src ~owner
-                ~checks_by_shard:(Types.group_by_shard fst checks)
-            end
-          in
-          (* Only record a validate sample when the phase actually ran;
-             zero-length marks for check-free transactions would drag
-             the reported mean to ~0 (the Fig 8/9 "validate: 0" bug). *)
-          let t3 = if checks = [] then t2 else mark "validate" t2 in
-          match valid with
-          | `Dead ->
-              abort_everywhere t ~src ~owner ~locks_by_shard:acquired;
-              `Retry Metrics.Timeout
-          | `Invalid ->
-              abort_everywhere t ~src ~owner ~locks_by_shard:acquired;
-              `Aborted Metrics.Validation_failure
-          | `Valid ->
-              if ops = [] then begin
-                (* Nothing written: release any locks and commit. *)
-                abort_everywhere t ~src ~owner ~locks_by_shard:acquired;
-                Control.record_commit t.ctl ~id:owner ~values ~lock_versions
-                  ~seq_ops:[];
-                `Committed
-              end
-              else
-                let seq_ops = Types.seq_ops_of ~lock_versions ops in
-                let seq_ops_by_shard = Types.group_ops_by_shard seq_ops in
-                Control.commit_point t.ctl ~src ~epoch0 ~mark ~t_prev:t3
-                  ~log:(log_phase t ~src ~seq_ops_by_shard)
-                  ~commit:(fun t4 ->
-                    Control.record_commit t.ctl ~id:owner ~values
-                      ~lock_versions ~seq_ops;
-                    commit_and_release t ~src ~owner ~seq:id.Types.seq
-                      ~acquired ~seq_ops ~seq_ops_by_shard;
-                    ignore (mark "commit" t4))
-                  ~abort:(fun () ->
-                    abort_everywhere t ~src ~owner ~locks_by_shard:acquired)
+          Control.finish t.ctl ~src ~epoch0 ~mark ~t_prev:t2 ~id:owner ~values
+            ~lock_versions ~checks
+            ~validate:(validate_phase t ~epoch0 ~src ~owner)
+            ~release:(fun () ->
+              abort_everywhere t ~src ~owner ~locks_by_shard:acquired)
+            ~log:(log_phase t ~src)
+            ~commit:(commit_and_release t ~src ~owner ~seq:id.Types.seq ~acquired)
+            ops
     in
     rounds ~values:(values_of results)
       ~lock_versions:(lock_versions_of results) ~acquired
       ~locked_keys:txn.write_set ~requested:locks_by_shard_keys ~round:1
-  end
 
 (* -- Multi-hop OCC (§4.2.3) ----------------------------------------- *)
 
@@ -1016,7 +969,9 @@ let multihop_txn t node (txn : Types.t) id :
                (fun () ->
                  commit_handler t t.nodes.(p2) ~owner ~shard:remote_shard
                    ~seq_ops:p2_seq_ops ~locked:remote_keys ();
-                 commit_async_mark t ~src ~seq:id.Types.seq t_send)
+                 ignore
+                   (Control.phase_mark t.ctl ~cat:"txn-async" ~src
+                      ~seq:id.Types.seq "commit-async" t_send))
            else if remote_keys <> [] then
              notify t ~src ~dst:p2
                ~bytes:(Wire.abort_b ~n_locks:(List.length remote_keys))
@@ -1037,7 +992,9 @@ let commit_local t node ~owner ~shard ~seq_ops ~locked ~seq =
   Process.spawn t.ctl.engine (fun () ->
       Attrib.set_phase "commit-async";
       commit_handler t node ~owner ~shard ~seq_ops ~locked ();
-      commit_async_mark t ~src:node.id ~seq t_send)
+      ignore
+        (Control.phase_mark t.ctl ~cat:"txn-async" ~src:node.id ~seq
+           "commit-async" t_send))
 
 (* Local transactions execute optimistically on the host against the
    host-side structures; write transactions then lock/validate at the
@@ -1151,7 +1108,7 @@ let local_txn t node ~shard (txn : Types.t) id : Control.attempt =
         let seq_ops = Types.seq_ops_of ~lock_versions ops in
         let result =
           Control.commit_point t.ctl ~src ~epoch0 ~mark ~t_prev:t2
-            ~log:(log_phase t ~src ~seq_ops_by_shard:[ (shard, seq_ops) ])
+            ~log:(log_phase t ~src [ (shard, seq_ops) ])
             ~commit:(fun _ ->
               Control.record_commit t.ctl ~id:owner ~values ~lock_versions
                 ~seq_ops;
@@ -1387,14 +1344,6 @@ let degrade_nic_cores t ~node ~n ~dur_ns =
 
 let nic_core_utilization t =
   Array.fold_left (fun acc n -> acc +. Smartnic.core_utilization n.nic) 0.0 t.nodes
-  /. float_of_int (Array.length t.nodes)
-
-let host_app_utilization t =
-  Array.fold_left (fun acc n -> acc +. Resource.utilization n.app) 0.0 t.nodes
-  /. float_of_int (Array.length t.nodes)
-
-let host_worker_utilization t =
-  Array.fold_left (fun acc n -> acc +. Resource.utilization n.workers) 0.0 t.nodes
   /. float_of_int (Array.length t.nodes)
 
 (* Admission backpressure: the coordinator NIC's instantaneous ingress

@@ -26,8 +26,6 @@ type params = {
   segments : int;  (** Host Robinhood table segments per shard copy. *)
   seg_size : int;
   d_max : int option;
-  log_capacity_b : int;
-  btree_op_ns : float;  (** Host cost of one ordered-table operation. *)
   req_timeout_ns : float option;
       (** [Some d]: arm per-request response deadlines — a coordinator
           whose EXECUTE/VALIDATE/LOG times out treats the peer as dead,
@@ -36,10 +34,6 @@ type params = {
           worst-case round-trip so a firing timeout implies a dead
           peer, not a slow one. [None] (default): legacy behavior —
           requests block forever, faults only between load phases. *)
-  retry_backoff_ns : float;
-      (** Initial coordinator backoff after a dead-peer retry; doubles
-          per attempt. *)
-  max_retries : int;  (** Attempts before reporting Aborted. *)
   partitions : int;
       (** [> 0]: install a windowed conservative-PDES topology over
           this many node partitions (lookahead = the wire latency) and
@@ -137,12 +131,8 @@ val set_nic_slowdown : t -> node:int -> float -> unit
 
 val degrade_nic_cores : t -> node:int -> n:int -> dur_ns:float -> unit
 
-(** Resource-accounting views for Table 3 / §5.6. *)
+(** Mean SmartNIC core utilization across nodes. *)
 val nic_core_utilization : t -> float
-
-val host_app_utilization : t -> float
-
-val host_worker_utilization : t -> float
 
 (** Instantaneous-occupancy gauges — one per node per resource class
     (NIC cores, DMA queues, links, host pools) — for

@@ -197,19 +197,7 @@ let run ?(seed = 1L) ?(warmup_frac = 0.15) ?coordinators ?(faults = []) ?trace ?
       integrate_occ ();
       Xenic_telemetry.Telemetry.seal tel;
       Control.set_telemetry sys.System.control None);
-  Process.spawn engine (fun () -> sys.System.quiesce ());
-  ignore (Engine.run engine);
-  sys.System.sync ();
-  (* Sanitizer mode: a strict engine fails the run on any protocol-audit
-     or sim-primitive violation left after quiesce. *)
-  if Engine.strict engine then begin
-    let issues = sys.System.audit () @ Engine.sanitize engine in
-    if issues <> [] then
-      failwith
-        (Printf.sprintf "Driver.run (%s): %d sanitizer violation(s):\n%s"
-           spec.name (List.length issues)
-           (String.concat "\n" issues))
-  end;
+  System.drain sys ~who:(Printf.sprintf "Driver.run (%s)" spec.name);
   let prof =
     if not profile then None
     else begin

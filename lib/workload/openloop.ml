@@ -323,17 +323,7 @@ let run ?(seed = 1L) ?(warmup_ns = 0.0) ?(admission = Admission.unlimited)
       Xenic_telemetry.Telemetry.seal tel;
       Control.set_telemetry sys.System.control None);
   Control.stop_background sys.System.control;
-  Process.spawn engine (fun () -> sys.System.quiesce ());
-  ignore (Engine.run engine);
-  sys.System.sync ();
-  if Engine.strict engine then begin
-    let issues = sys.System.audit () @ Engine.sanitize engine in
-    if issues <> [] then
-      failwith
-        (Printf.sprintf "Openloop.run (%s): %d sanitizer violation(s):\n%s"
-           wl.name (List.length issues)
-           (String.concat "\n" issues))
-  end;
+  System.drain sys ~who:(Printf.sprintf "Openloop.run (%s)" wl.name);
   (* Merge per-coordinator shards in coordinator order — deterministic
      regardless of how many domains serviced the run. *)
   let metrics = Metrics.create () in

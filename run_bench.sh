@@ -30,6 +30,25 @@ if ! timeout 2400 dune exec bench/main.exe -- parity \
   exit 1
 fi
 failed=""
+# Byte gate: `ref_gate NAME REF OUT [FLAGS]` diffs OUT against its
+# bench/ref reference REF with `xenicctl bench diff --tol 0 [FLAGS]`
+# and adds NAME-diff-gate to $failed on any divergence. References are
+# full-mode runs, so the gate is skipped under XENIC_QUICK (quick mode
+# shrinks every metric) and when REF is missing. Paths are relative to
+# the repository root, where this script runs.
+ref_gate() {
+  name=$1 ref=$2 out=$3
+  shift 3
+  [ -z "$XENIC_QUICK" ] && [ -f "$ref" ] || return 0
+  dune exec bin/xenicctl.exe -- bench diff "$ref" "$out" --tol 0 "$@" \
+    >> bench_output.txt 2>&1
+  status=$?
+  if [ "$status" -ne 0 ]; then
+    failed="$failed $name-diff-gate"
+    echo "FAILED: $out diverged from bench/ref reference" >> bench_output.txt
+    echo "run_bench.sh: $name diff gate failed (exit $status)" >&2
+  fi
+}
 # Scenario-corpus gate, ahead of the other experiments: replay the
 # checked-in fault/load scenario files (crash, flap, churn, partition,
 # gray failure, open-loop skew/wave) through the oracle-checked
@@ -46,18 +65,7 @@ if [ "$status" -ne 0 ]; then
     >> /root/repo/bench_output.txt
   echo "run_bench.sh: experiment scenario failed (exit $status)" >&2
 fi
-if [ -z "$XENIC_QUICK" ] && [ -f /root/repo/bench/ref/BENCH_scenario.ref.json ]; then
-  dune exec bin/xenicctl.exe -- bench diff \
-    /root/repo/bench/ref/BENCH_scenario.ref.json /root/repo/BENCH_scenario.json \
-    --tol 0 >> /root/repo/bench_output.txt 2>&1
-  status=$?
-  if [ "$status" -ne 0 ]; then
-    failed="$failed scenario-diff-gate"
-    echo "FAILED: BENCH_scenario.json diverged from bench/ref reference" \
-      >> /root/repo/bench_output.txt
-    echo "run_bench.sh: scenario diff gate failed (exit $status)" >&2
-  fi
-fi
+ref_gate scenario bench/ref/BENCH_scenario.ref.json BENCH_scenario.json
 for exp in fig2 fig3 fig4 tab1 tab2 fig8 tab3 fig9 fault micro trace profile sim scale load; do
   timeout 2400 dune exec bench/main.exe -- "$exp" >> /root/repo/bench_output.txt 2>&1
   status=$?
@@ -73,70 +81,25 @@ done
 # machine-dependent wall-clock metrics are dropped. The reference was
 # produced by a full-mode run, so skip the gate under XENIC_QUICK
 # (quick mode shrinks the workload and changes every metric).
-if [ -z "$XENIC_QUICK" ] && [ -f /root/repo/bench/ref/BENCH_scale.ref.json ]; then
-  dune exec bin/xenicctl.exe -- bench diff \
-    /root/repo/bench/ref/BENCH_scale.ref.json /root/repo/BENCH_scale.json \
-    --tol 0 --ignore-prefix wallclock >> /root/repo/bench_output.txt 2>&1
-  status=$?
-  if [ "$status" -ne 0 ]; then
-    failed="$failed scale-diff-gate"
-    echo "FAILED: BENCH_scale.json diverged from bench/ref reference" \
-      >> /root/repo/bench_output.txt
-    echo "run_bench.sh: scale diff gate failed (exit $status)" >&2
-  fi
-fi
+ref_gate scale bench/ref/BENCH_scale.ref.json BENCH_scale.json \
+  --ignore-prefix wallclock
 # Same gate for the open-loop load sweep: deterministic by
 # construction (the experiment itself aborts on any same-seed rerun or
 # 2-domain divergence), so the emitted JSON must byte-match the
 # reference.
-if [ -z "$XENIC_QUICK" ] && [ -f /root/repo/bench/ref/BENCH_load.ref.json ]; then
-  dune exec bin/xenicctl.exe -- bench diff \
-    /root/repo/bench/ref/BENCH_load.ref.json /root/repo/BENCH_load.json \
-    --tol 0 --ignore-prefix wallclock >> /root/repo/bench_output.txt 2>&1
-  status=$?
-  if [ "$status" -ne 0 ]; then
-    failed="$failed load-diff-gate"
-    echo "FAILED: BENCH_load.json diverged from bench/ref reference" \
-      >> /root/repo/bench_output.txt
-    echo "run_bench.sh: load diff gate failed (exit $status)" >&2
-  fi
-fi
+ref_gate load bench/ref/BENCH_load.ref.json BENCH_load.json \
+  --ignore-prefix wallclock
 # Telemetry gate: the load experiment's flight-recorder series share
 # the sweep's determinism (byte-identical across same-seed reruns and
 # domain counts, enforced inside the experiment), so the exported
 # TELEMETRY_load.json must byte-match its reference too. The telemetry
 # JSON holds simulated-time series only — no wall-clock keys to drop.
-if [ -z "$XENIC_QUICK" ] && [ -f /root/repo/bench/ref/TELEMETRY_load.ref.json ]; then
-  dune exec bin/xenicctl.exe -- bench diff \
-    /root/repo/bench/ref/TELEMETRY_load.ref.json /root/repo/TELEMETRY_load.json \
-    --tol 0 >> /root/repo/bench_output.txt 2>&1
-  status=$?
-  if [ "$status" -ne 0 ]; then
-    failed="$failed telemetry-diff-gate"
-    echo "FAILED: TELEMETRY_load.json diverged from bench/ref reference" \
-      >> /root/repo/bench_output.txt
-    echo "run_bench.sh: telemetry diff gate failed (exit $status)" >&2
-  fi
-fi
+ref_gate telemetry bench/ref/TELEMETRY_load.ref.json TELEMETRY_load.json
 # Fault gate: the mid-run crash experiment is deterministic (fixed
 # seed, single-heap engine), and nothing else catches it reporting
 # zeros or a shifted recovery, so its BENCH_fault.json must byte-match
-# the reference too. It holds simulated-time metrics only. The
-# reference is a full-mode run, so the gate is skipped under
-# XENIC_QUICK. Paths are relative to the repository root, where this
-# script runs.
-if [ -z "$XENIC_QUICK" ] && [ -f bench/ref/BENCH_fault.ref.json ]; then
-  dune exec bin/xenicctl.exe -- bench diff \
-    bench/ref/BENCH_fault.ref.json BENCH_fault.json \
-    --tol 0 >> bench_output.txt 2>&1
-  status=$?
-  if [ "$status" -ne 0 ]; then
-    failed="$failed fault-diff-gate"
-    echo "FAILED: BENCH_fault.json diverged from bench/ref reference" \
-      >> bench_output.txt
-    echo "run_bench.sh: fault diff gate failed (exit $status)" >&2
-  fi
-fi
+# the reference too. It holds simulated-time metrics only.
+ref_gate fault bench/ref/BENCH_fault.ref.json BENCH_fault.json
 # sim_digest gate: bench/cost's simulated results (throughput, latency
 # percentiles, failure share, grid points) at a fixed --seconds 1 must
 # match the reference bit for bit on all four workloads, so a refactor

@@ -260,7 +260,7 @@ let mk_control ?strict ?req_timeout_ns () =
   let engine = Xenic_sim.Engine.create ?strict () in
   let ctl =
     Control.create engine Xenic_params.Hw.testbed windowed_cfg ~stack:"T"
-      ~partitions:0 ~req_timeout_ns ~retry_backoff_ns:1_000.0 ~max_retries:3
+      ~partitions:0 ~req_timeout_ns
   in
   (engine, ctl)
 
@@ -386,6 +386,124 @@ let test_audit () =
     issues;
   Alcotest.(check (list string)) "clean when nothing is held" []
     (Control.audit ctl ~locked:(fun ~node:_ -> []) ~logs:(fun ~node:_ -> []))
+
+(* [System.drain] on a system whose audit reports a leak: a strict
+   engine fails naming the caller and every violation, a lax one does
+   not check. *)
+let test_drain () =
+  let sys ~strict =
+    let engine = Xenic_sim.Engine.create ~strict () in
+    let s =
+      System.of_xenic
+        (Xenic_system.create engine Xenic_params.Hw.testbed windowed_cfg
+           Xenic_system.default_params)
+    in
+    { s with System.audit = (fun () -> [ "leak" ]) }
+  in
+  Alcotest.check_raises "strict: fails naming the caller"
+    (Failure "Driver.run (w): 1 sanitizer violation(s):\nleak") (fun () ->
+      System.drain (sys ~strict:true) ~who:"Driver.run (w)");
+  System.drain (sys ~strict:false) ~who:"Driver.run (w)"
+
+(* {2 The attempt tail, with fake closures} *)
+
+(* Run [Control.finish] un-armed with fakes that log every closure call
+   and mark in order; [validate] answers [verdict]. Returns the result,
+   the calls, what [log] and [commit] were handed, and the control. *)
+let fake_finish ?(verdict = `Valid) ?oracle ~checks ~lock_versions ops =
+  let engine, ctl = mk_control () in
+  Option.iter (Control.set_oracle ctl) oracle;
+  let calls = ref [] and logged = ref None and committed = ref None in
+  let call c = calls := c :: !calls in
+  let result =
+    in_process engine (fun () ->
+        Control.finish ctl ~src:0 ~epoch0:0
+          ~mark:(fun name t ->
+            call ("mark " ^ name);
+            t)
+          ~t_prev:0.0 ~id:7 ~values:[] ~lock_versions ~checks
+          ~validate:(fun _ ->
+            call "validate";
+            verdict)
+          ~release:(fun () -> call "release")
+          ~log:(fun by_shard _ ->
+            call "log";
+            logged := Some by_shard)
+          ~commit:(fun seq_ops by_shard ->
+            call "commit";
+            committed := Some (seq_ops, by_shard))
+          ops)
+  in
+  (result, List.rev !calls, !logged, !committed, ctl)
+
+let put key = Op.Put (key, Bytes.of_string "v")
+
+let calls_t = Alcotest.(list string)
+
+let test_finish_no_checks () =
+  let a = k ~shard:0 ~id:1 in
+  let result, calls, _, _, _ =
+    fake_finish ~checks:[] ~lock_versions:[ (a, 0) ] [ put a ]
+  in
+  Alcotest.check attempt_t "committed" `Committed result;
+  Alcotest.check calls_t "no validate call, no validate mark"
+    [ "log"; "mark log"; "commit"; "mark commit" ]
+    calls
+
+let test_finish_down () =
+  let a = k ~shard:0 ~id:1 and b = k ~shard:1 ~id:2 in
+  let result, calls, logged, _, _ =
+    fake_finish ~verdict:`Down ~checks:[ (b, 3) ] ~lock_versions:[ (a, 0) ]
+      [ put a ]
+  in
+  Alcotest.check attempt_t "retry on a timeout" (`Retry Metrics.Timeout) result;
+  Alcotest.check calls_t "validated, then one release"
+    [ "validate"; "mark validate"; "release" ]
+    calls;
+  Alcotest.(check bool) "log did not run" true (logged = None)
+
+let test_finish_invalid () =
+  let a = k ~shard:0 ~id:1 and b = k ~shard:1 ~id:2 in
+  let result, calls, _, _, _ =
+    fake_finish ~verdict:`Invalid ~checks:[ (b, 3) ] ~lock_versions:[ (a, 0) ]
+      [ put a ]
+  in
+  Alcotest.check attempt_t "validation failure"
+    (`Aborted Metrics.Validation_failure) result;
+  Alcotest.check calls_t "validated, then one release"
+    [ "validate"; "mark validate"; "release" ]
+    calls
+
+let test_finish_read_only () =
+  let a = k ~shard:0 ~id:1 and b = k ~shard:1 ~id:2 in
+  let oracle = Oracle.create () in
+  let result, calls, logged, _, ctl =
+    fake_finish ~oracle ~checks:[ (b, 3) ] ~lock_versions:[ (a, 2) ] []
+  in
+  Alcotest.check attempt_t "committed" `Committed result;
+  Alcotest.check calls_t "validated, then one release and no log"
+    [ "validate"; "mark validate"; "release" ]
+    calls;
+  Alcotest.(check bool) "log did not run" true (logged = None);
+  Control.sync ctl;
+  Alcotest.(check int) "oracle recorded one transaction" 1
+    (Oracle.txn_count oracle)
+
+let test_finish_writes () =
+  let a = k ~shard:0 ~id:1 and b = k ~shard:1 ~id:2 and c = k ~shard:2 ~id:3 in
+  let result, calls, logged, committed, _ =
+    fake_finish ~checks:[ (c, 0) ] ~lock_versions:[ (b, 0); (a, 4) ]
+      [ put b; put a ]
+  in
+  Alcotest.check attempt_t "committed" `Committed result;
+  Alcotest.check calls_t "marks in order: validate, log, commit"
+    [ "validate"; "mark validate"; "log"; "mark log"; "commit"; "mark commit" ]
+    calls;
+  let by_shard = [ (0, [ (put a, 5) ]); (1, [ (put b, 1) ]) ] in
+  Alcotest.(check bool) "log got the writes by shard" true
+    (logged = Some by_shard);
+  Alcotest.(check bool) "commit got the versioned writes" true
+    (committed = Some ([ (put b, 1); (put a, 5) ], by_shard))
 
 (* {2 The request shell, with a fake transport} *)
 
@@ -562,6 +680,14 @@ let () =
           Alcotest.test_case "commit point: armed commit" `Quick
             test_commit_point_armed_commit;
           Alcotest.test_case "audit" `Quick test_audit;
+          Alcotest.test_case "system drain" `Quick test_drain;
+          Alcotest.test_case "finish: no checks" `Quick test_finish_no_checks;
+          Alcotest.test_case "finish: validate down" `Quick test_finish_down;
+          Alcotest.test_case "finish: validate invalid" `Quick
+            test_finish_invalid;
+          Alcotest.test_case "finish: read-only" `Quick test_finish_read_only;
+          Alcotest.test_case "finish: writes, un-armed" `Quick
+            test_finish_writes;
           Alcotest.test_case "call: un-armed round trip" `Quick
             test_call_unarmed;
           Alcotest.test_case "call: crashed destination" `Quick
