@@ -12,9 +12,10 @@
     {!transport} record or as plain function arguments, wherever the
     transport or store differs: how a request and its response move
     ({!call}), how reads are validated, a LOG sent and COMMIT applied
-    ({!finish}, {!commit_point}, {!replicate}), how a log record is applied ({!log_worker}), which
-    locks and logs a node holds ({!audit}, {!quiesce}), the recovery
-    hooks given to {!attach_membership}, the per-packet NIC charge of
+    ({!finish}, {!commit_point}, {!replicate}), how a log record is
+    applied ({!log_worker}), which locks and logs a node holds
+    ({!audit}, {!quiesce}), the recovery hooks given to
+    {!attach_membership}, the per-packet NIC charge of
     {!dispatch_loop}, and the per-attempt body of {!run_txn}.
 
     {b Shards.} Metrics and the oracle feed are sharded per engine
