@@ -121,6 +121,10 @@ let sync_shard ~from t ~shard =
       | Some stamp -> Hashtbl.replace t.ordered_stamps k stamp
       | None -> ())
 
+let clone_hash ~from t ~shard =
+  Robinhood.clone_into ~src:(shard_store from ~shard).hash
+    ~dst:(shard_store t ~shard).hash
+
 let iter_hash t ~shard f =
   let s = shard_store t ~shard in
   Robinhood.iter s.hash f

@@ -30,9 +30,15 @@ val read : t -> Keyspace.t -> (bytes * int) option
     Used by the host Robinhood workers when draining the log. *)
 val apply : t -> Op.t -> seq:int -> unit
 
-(** [loader t] applies initial data during workload loading (sets
+(** [load t k v] applies initial data during workload loading (sets
     version 1, bypassing the log). *)
 val load : t -> Keyspace.t -> bytes -> unit
+
+(** [clone_hash ~from t ~shard] makes [t]'s hash table of [shard] an
+    exact, independent copy of [from]'s ({!Xenic_store.Robinhood.clone_into}):
+    the bulk-load seal from a shard's primary to a backup. Ordered
+    tables are untouched. Both nodes must hold [shard]. *)
+val clone_hash : from:t -> t -> shard:int -> unit
 
 (** Iterate every (key, value, seq) of one shard's hash store. *)
 val iter_hash : t -> shard:int -> (Keyspace.t -> bytes -> int -> unit) -> unit

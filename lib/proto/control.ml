@@ -41,6 +41,7 @@ type t = {
          gone), so its in-flight requests die by timeout even before
          the failure detector declares it. *)
   txn_seq : int array;  (* per-coordinator attempt counter *)
+  unsealed : bool array;  (* shard -> bulk-loaded since the last [seal] *)
   mutable epoch : int;  (* bumped on every reconfiguration *)
   mutable inflight_commits : int;
       (* transactions past the commit fence (LOG under way); recovery
@@ -100,6 +101,7 @@ let create engine hw cfg ~stack ~partitions ~req_timeout_ns =
     alive = Array.make nodes true;
     crashed = Array.make nodes false;
     txn_seq = Array.make nodes 0;
+    unsealed = Array.make nodes false;
     epoch = 0;
     inflight_commits = 0;
     recovery_waiting = 0;
@@ -133,6 +135,37 @@ let next_id t ~node =
   let seq = t.txn_seq.(node) + 1 in
   t.txn_seq.(node) <- seq;
   { Types.coord = node; seq }
+
+(* ------------------------------------------------------------------ *)
+(* Bulk load *)
+
+(* A shard's replicas share one geometry and would see one insert
+   sequence, so their hash tables would come out identical: the primary
+   alone takes hash keys, and [seal] clones its tables to the backups. *)
+let load t k ~insert =
+  let shard = Keyspace.shard k in
+  t.unsealed.(shard) <- true;
+  if Keyspace.ordered k then List.iter insert (Config.replicas t.cfg ~shard)
+  else insert (Config.primary t.cfg ~shard)
+
+let seal t ~clone =
+  Array.iteri
+    (fun shard unsealed ->
+      if unsealed then begin
+        let primary = Config.primary t.cfg ~shard in
+        List.iter
+          (fun backup -> clone ~shard ~primary ~backup)
+          (Config.backups t.cfg ~shard);
+        t.unsealed.(shard) <- false
+      end)
+    t.unsealed
+
+(* A plain loop: [run_txn] checks on every transaction, and must not
+   allocate. *)
+let check_sealed t =
+  for shard = 0 to Array.length t.unsealed - 1 do
+    if t.unsealed.(shard) then invalid_arg (t.stack ^ ": load without seal")
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Metrics, trace, telemetry, oracle *)
@@ -470,6 +503,7 @@ let audit t ~locked ~logs =
 (* Transaction outcome accounting *)
 
 let run_txn t ~node attempt =
+  check_sealed t;
   let t_start = Engine.now t.engine in
   (* One taxonomy reason is counted per [Types.Aborted] returned to the
      caller (never per internal attempt), so reason counts always sum

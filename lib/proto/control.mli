@@ -61,6 +61,7 @@ type t = {
   alive : bool array;  (** Routing view: false once removed. *)
   crashed : bool array;  (** Ground truth: true from the crash instant. *)
   txn_seq : int array;  (** Per-coordinator attempt counter. *)
+  unsealed : bool array;  (** Shard -> bulk-loaded since the last {!seal}. *)
   mutable epoch : int;  (** Bumped on every reconfiguration. *)
   mutable inflight_commits : int;  (** Attempts holding the commit fence. *)
   mutable recovery_waiting : int;  (** Pending recoveries; close the fence. *)
@@ -94,6 +95,27 @@ val node_alive : t -> node:int -> bool
 
 (** Bump [node]'s attempt counter and return the new attempt's id. *)
 val next_id : t -> node:int -> Types.txn_id
+
+(** {2 Bulk load}
+
+    Loading bypasses the protocol and writes one copy per shard: a
+    shard's hash tables are built once, on its primary, and {!seal}
+    clones them to the backups. *)
+
+(** [load t k ~insert] marks [k]'s shard unsealed and runs [insert] on
+    each node that stores [k] now: the shard's primary ({!Config.primary})
+    for a hash key, every replica for an ordered key. *)
+val load : t -> Keyspace.t -> insert:(int -> unit) -> unit
+
+(** [seal t ~clone] calls [clone ~shard ~primary ~backup] for every
+    backup of every shard loaded since the last seal, in shard order,
+    then marks those shards sealed. *)
+val seal : t -> clone:(shard:int -> primary:int -> backup:int -> unit) -> unit
+
+(** Raise [Invalid_argument "<stack>: load without seal"] while a shard
+    loaded since the last {!seal} awaits its clone. {!run_txn} checks
+    it; each stack's [peek] does too. *)
+val check_sealed : t -> unit
 
 (** {2 Metrics, trace, telemetry, oracle} *)
 
@@ -302,7 +324,9 @@ val audit :
     (metrics, abort reason, telemetry, outer trace span). Armed:
     retries back off exponentially from 30 µs, up to 10 attempts, and
     a dead coordinator aborts with {!Metrics.Crashed_owner}. Un-armed:
-    a dead coordinator raises [Invalid_argument]. *)
+    a dead coordinator raises [Invalid_argument]. Raises
+    [Invalid_argument] before any attempt while a load awaits its
+    {!seal} ({!check_sealed}). *)
 val run_txn : t -> node:int -> (unit -> attempt) -> Types.outcome
 
 (** {2 Requests}

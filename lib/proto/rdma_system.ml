@@ -305,19 +305,24 @@ let create engine hw cfg flavor p =
   t
 
 let load t k v =
-  List.iter
-    (fun n ->
+  Control.load t.ctl k ~insert:(fun n ->
       let s = store t ~node:n ~shard:(Keyspace.shard k) in
       if Keyspace.ordered k then Xenic_store.Btree.insert s.ordered k v
       else
         match s.hops with
         | Some h -> Xenic_store.Hopscotch.insert h k (1, v)
         | None -> Xenic_store.Chained.insert s.hash k v)
-    (Config.replicas t.ctl.cfg ~shard:(Keyspace.shard k))
 
-let seal _t = ()
+let seal t =
+  Control.seal t.ctl ~clone:(fun ~shard ~primary ~backup ->
+      let src = store t ~node:primary ~shard
+      and dst = store t ~node:backup ~shard in
+      match (src.hops, dst.hops) with
+      | Some hs, Some hd -> Xenic_store.Hopscotch.clone_into ~src:hs ~dst:hd
+      | _ -> Xenic_store.Chained.clone_into ~src:src.hash ~dst:dst.hash)
 
 let peek t ~node k =
+  Control.check_sealed t.ctl;
   match obj_read t ~node k with Some (v, _) -> Some v | None -> None
 
 let ordered t ~node ~shard = (store t ~node ~shard).ordered

@@ -24,7 +24,13 @@ type t = {
           at any time on an unpartitioned one. Both drivers call it
           after their final run. *)
   load : Keyspace.t -> bytes -> unit;
+      (** Bulk-load one object, bypassing the protocol: hash keys into
+          the shard's primary copy, ordered keys into every replica. *)
   seal : unit -> unit;
+      (** End a load phase: clone the loaded shards to their backups
+          and, on Xenic, sync NIC index hints. Required on every stack:
+          until it runs, [run_txn] and [peek] raise
+          [Invalid_argument "<stack>: load without seal"]. *)
   run_txn : node:int -> Types.t -> Types.outcome;
   peek : node:int -> Keyspace.t -> bytes option;
   ordered : node:int -> shard:int -> bytes Xenic_store.Btree.t;

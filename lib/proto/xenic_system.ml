@@ -385,11 +385,12 @@ let create engine hw cfg p =
   { ctl; hw; p; nodes; tr = transport ctl nodes }
 
 let load t k v =
-  List.iter
-    (fun n -> Storage.load t.nodes.(n).storage k v)
-    (Config.replicas t.ctl.cfg ~shard:(Keyspace.shard k))
+  Control.load t.ctl k ~insert:(fun n -> Storage.load t.nodes.(n).storage k v)
 
 let seal t =
+  Control.seal t.ctl ~clone:(fun ~shard ~primary ~backup ->
+      Storage.clone_hash ~from:t.nodes.(primary).storage
+        t.nodes.(backup).storage ~shard);
   Array.iter
     (fun node ->
       Array.iter
@@ -402,9 +403,12 @@ let seal t =
     t.nodes
 
 let peek t ~node k =
+  Control.check_sealed t.ctl;
   match Storage.read t.nodes.(node).storage k with
   | Some (v, _) -> Some v
   | None -> None
+
+let storage t ~node = t.nodes.(node).storage
 
 let ordered t ~node ~shard =
   (Storage.shard_store t.nodes.(node).storage ~shard).Storage.ordered

@@ -150,12 +150,12 @@ let sanitize t =
    must stay disjoint without cross-domain coordination. *)
 let seq_block = 1 lsl 20
 
-let set_topology ?(channel_capacity = 8192) t ~lookahead ~partitions
-    ~node_partition =
+(* Entries per cross-partition channel. *)
+let channel_capacity = 8192
+
+let set_topology t ~lookahead ~partitions ~node_partition =
   if partitions <= 0 then
     invalid_arg "Engine.set_topology: partitions must be positive";
-  if channel_capacity <= 0 then
-    invalid_arg "Engine.set_topology: channel_capacity must be positive";
   if Float.compare lookahead 0.0 <= 0 then
     invalid_arg "Engine.set_topology: lookahead must be positive";
   if windowed t then invalid_arg "Engine.set_topology: topology already set";
@@ -235,8 +235,8 @@ let schedule_part t node time f =
         if not (Xchan.push p.p_out.(dst) x) then
           invalid_arg
             (Printf.sprintf
-               "Engine: cross-partition channel %d->%d full (capacity %d); \
-                raise ?channel_capacity"
+               "Engine: cross-partition channel %d->%d full: more than %d \
+                events crossed it in one window"
                p.p_id dst
                (Xchan.capacity p.p_out.(dst)))
       end

@@ -54,10 +54,9 @@ val partitions : t -> int
     An event may schedule onto another partition only at
     [>= lookahead] (> 0, ns) past the current window's start;
     violations raise deterministically. Cross-partition handoffs travel
-    through bounded channels of [?channel_capacity] (default 8192)
-    entries; overflow raises deterministically. *)
+    through bounded channels of 8192 entries; overflow raises
+    deterministically. *)
 val set_topology :
-  ?channel_capacity:int ->
   t ->
   lookahead:float ->
   partitions:int ->

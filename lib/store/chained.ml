@@ -165,3 +165,26 @@ let lookup_cost t k =
     Some (d * t.b, d)
 
 let buckets_allocated t = t.allocated
+
+(* Copy [src]'s cells and chain links over [dst], a block of the same
+   size; [dst] gets its own [values] array. *)
+let blit_block ~src ~dst =
+  Array.blit src.keys 0 dst.keys 0 (Array.length src.keys);
+  Array.blit src.seqs 0 dst.seqs 0 (Array.length src.seqs);
+  Bytes.blit src.live 0 dst.live 0 (Bytes.length src.live);
+  Array.blit src.next 0 dst.next 0 (Array.length src.next);
+  dst.values <- Array.copy src.values
+
+let clone_into ~src ~dst =
+  if src.n_main <> dst.n_main || src.b <> dst.b then
+    invalid_arg "Chained.clone_into: geometry mismatch";
+  blit_block ~src:src.main ~dst:dst.main;
+  dst.chunks <-
+    Array.map
+      (fun blk ->
+        let copy = new_block ~buckets:chunk_buckets ~b:src.b in
+        blit_block ~src:blk ~dst:copy;
+        copy)
+      src.chunks;
+  dst.size <- src.size;
+  dst.allocated <- src.allocated

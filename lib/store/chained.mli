@@ -41,3 +41,11 @@ val lookup_cost : 'v t -> Kv.Key.t -> (int * int) option
 
 (** Total buckets allocated including chains (memory accounting). *)
 val buckets_allocated : 'v t -> int
+
+(** [clone_into ~src ~dst] makes [dst] an exact copy of [src]: every
+    cell, chain link and chained bucket, so lookup costs and later
+    insertions match. [dst]'s previous contents are discarded. The two
+    share no mutable state afterwards; the values themselves are shared,
+    not copied. Raises [Invalid_argument] unless both tables have the
+    same [buckets] and [b]. *)
+val clone_into : src:'v t -> dst:'v t -> unit

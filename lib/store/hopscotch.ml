@@ -8,7 +8,7 @@ type 'v t = {
   slots : 'v slot array;
   capacity : int;
   h : int;
-  overflow : (int, (int * 'v) list) Hashtbl.t;  (* home bucket -> chain *)
+  mutable overflow : (int, (int * 'v) list) Hashtbl.t;  (* home bucket -> chain *)
   mutable size : int;
   mutable ovf_size : int;
 }
@@ -147,3 +147,19 @@ let lookup_cost t k =
 
 let overflow_fraction t =
   if size t = 0 then 0.0 else float_of_int t.ovf_size /. float_of_int (size t)
+
+(* Slot records are [dst]'s own, overwritten field by field; the
+   overflow chains are immutable lists, so copying the table suffices. *)
+let clone_into ~src ~dst =
+  if src.capacity <> dst.capacity || src.h <> dst.h then
+    invalid_arg "Hopscotch.clone_into: geometry mismatch";
+  Array.iteri
+    (fun i s ->
+      let d = dst.slots.(i) in
+      d.occupied <- s.occupied;
+      d.key <- s.key;
+      d.value <- s.value)
+    src.slots;
+  dst.overflow <- Hashtbl.copy src.overflow;
+  dst.size <- src.size;
+  dst.ovf_size <- src.ovf_size

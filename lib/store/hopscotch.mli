@@ -31,3 +31,11 @@ val lookup_cost : 'v t -> Kv.Key.t -> (int * int) option
 
 (** Fraction of elements living in overflow chains. *)
 val overflow_fraction : 'v t -> float
+
+(** [clone_into ~src ~dst] makes [dst] an exact copy of [src]: every
+    slot and overflow chain, so lookup costs and later insertions match.
+    [dst]'s previous contents are discarded. The two share no mutable
+    state afterwards; the values themselves are shared, not copied.
+    Raises [Invalid_argument] unless both tables have the same
+    [capacity] and [h]. *)
+val clone_into : src:'v t -> dst:'v t -> unit

@@ -351,6 +351,30 @@ let iter_home_disp t f =
     if disp >= 0 then f ~home:((pos - disp + t.capacity) mod t.capacity) ~disp
   done
 
+(* Slot arrays, bounds and counts are blitted into [dst]'s own arrays;
+   overflow records and the [values] array are fresh, so no mutable cell
+   is shared. The values themselves are. *)
+let clone_into ~src ~dst =
+  if
+    src.n_segments <> dst.n_segments
+    || src.seg_size <> dst.seg_size
+    || src.d_max <> dst.d_max
+  then invalid_arg "Robinhood.clone_into: geometry mismatch";
+  Array.blit src.keys 0 dst.keys 0 src.capacity;
+  Array.blit src.seqs 0 dst.seqs 0 src.capacity;
+  Array.blit src.disps 0 dst.disps 0 src.capacity;
+  dst.values <- Array.copy src.values;
+  Array.blit src.seg_bound 0 dst.seg_bound 0 src.n_segments;
+  Array.iteri
+    (fun seg bucket ->
+      dst.overflow.(seg) <-
+        List.map
+          (fun o -> { o_key = o.o_key; o_seq = o.o_seq; o_value = o.o_value })
+          bucket)
+    src.overflow;
+  dst.size <- src.size;
+  dst.ovf_size <- src.ovf_size
+
 let mean_displacement t =
   let total = ref 0 and n = ref 0 in
   Array.iter

@@ -141,5 +141,13 @@ val iter : 'v t -> (Kv.Key.t -> 'v -> int -> unit) -> unit
     the source for fine-grained NIC hints. *)
 val iter_home_disp : 'v t -> (home:int -> disp:int -> unit) -> unit
 
+(** [clone_into ~src ~dst] makes [dst] an exact copy of [src]: every
+    slot, displacement bound, overflow bucket and count, so it behaves
+    as [src] would under any later operation. [dst]'s previous contents
+    are discarded. The two share no mutable state afterwards; the values
+    themselves are shared, not copied. Raises [Invalid_argument] unless
+    both tables have the same [segments], [seg_size] and [d_max]. *)
+val clone_into : src:'v t -> dst:'v t -> unit
+
 (** Mean displacement of table-resident elements (diagnostics). *)
 val mean_displacement : 'v t -> float

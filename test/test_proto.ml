@@ -636,6 +636,255 @@ let test_call_late_response () =
   Alcotest.(check (list string)) "sanitizer clean" []
     (Xenic_sim.Engine.sanitize engine)
 
+(* {2 Bulk load: one insert pass per shard, cloned at seal} *)
+
+let mk_xenic ?(params = Xenic_system.default_params) () =
+  Xenic_system.create (Xenic_sim.Engine.create ()) Xenic_params.Hw.testbed
+    windowed_cfg params
+
+let mk_rdma ?(params = Rdma_system.default_params) flavor =
+  Rdma_system.create (Xenic_sim.Engine.create ()) Xenic_params.Hw.testbed
+    windowed_cfg flavor params
+
+(* Skipping [seal] would leave the backups empty, so both entry points
+   refuse to run until it has; after it, a write commits and reaches
+   every replica. *)
+let test_load_without_seal () =
+  List.iter
+    (fun (stack, (sys : System.t)) ->
+      let key = k ~shard:1 ~id:7 in
+      sys.load key (Bytes.of_string "v");
+      let txn =
+        Types.make ~read_set:[ key ] ~write_set:[ key ] (fun _ ->
+            [ Op.Put (key, Bytes.of_string "w") ])
+      in
+      let err = Invalid_argument (stack ^ ": load without seal") in
+      Alcotest.check_raises (stack ^ ": run_txn") err (fun () ->
+          ignore (sys.run_txn ~node:0 txn));
+      Alcotest.check_raises (stack ^ ": peek") err (fun () ->
+          ignore (sys.peek ~node:1 key));
+      sys.seal ();
+      Alcotest.(check bool)
+        (stack ^ ": commits once sealed")
+        true
+        (in_process sys.engine (fun () -> sys.run_txn ~node:0 txn)
+        = Types.Committed);
+      System.drain sys ~who:stack;
+      List.iter
+        (fun node ->
+          Alcotest.(check (option string))
+            (Printf.sprintf "%s: node %d holds the write" stack node)
+            (Some "w")
+            (Option.map Bytes.to_string (sys.peek ~node key)))
+        (Config.replicas windowed_cfg ~shard:1))
+    [
+      ("Xenic", System.of_xenic (mk_xenic ()));
+      ("DrTM+H", System.of_rdma (mk_rdma Rdma_system.Drtmh));
+    ]
+
+(* A small Smallbank load, dense enough that Robinhood overflows and
+   chains grow: 2000 keys per shard in 36 x 64 Robinhood slots with
+   d_max 4, 150 x 8 chained cells, 2400 Hopscotch slots. *)
+let sb = { Xenic_workload.Smallbank.default_params with accounts_per_node = 1_000 }
+
+let rh_segments, rh_seg_size, rh_d_max = (36, 64, Some 4)
+
+let rdma_params = { Rdma_system.default_params with buckets = 150; bucket_b = 8 }
+
+(* Run [Smallbank.load] (which seals) and return its loads in order. *)
+let recorded_load (sys : System.t) =
+  let loads = ref [] in
+  Xenic_workload.Smallbank.load sb
+    {
+      sys with
+      load =
+        (fun key v ->
+          loads := (key, v) :: !loads;
+          sys.load key v);
+    };
+  List.rev !loads
+
+let shard_loads loads ~shard =
+  List.filter
+    (fun (key, _) -> Keyspace.shard key = shard && not (Keyspace.ordered key))
+    loads
+
+let at_most_one = function [] -> [] | x :: _ -> [ x ]
+
+let value_seq = Option.map (fun (v, seq) -> (Bytes.to_string v, seq))
+
+(* Everything a Robinhood table shows: slots in order, homes and
+   displacements, per-segment bounds and overflow counts, and where
+   each key sits. *)
+let rh_dump t keys =
+  let slots = ref [] and homes = ref [] in
+  Xenic_store.Robinhood.iter t (fun key v seq ->
+      slots := (key, Bytes.to_string v, seq) :: !slots);
+  Xenic_store.Robinhood.iter_home_disp t (fun ~home ~disp ->
+      homes := (home, disp) :: !homes);
+  ( !slots,
+    !homes,
+    List.init (Xenic_store.Robinhood.segments t) (fun seg ->
+        ( Xenic_store.Robinhood.seg_disp_bound t seg,
+          Xenic_store.Robinhood.overflow_count t seg )),
+    List.map (Xenic_store.Robinhood.locate t) keys )
+
+let chained_dump t keys =
+  ( Xenic_store.Chained.size t,
+    Xenic_store.Chained.buckets_allocated t,
+    List.map
+      (fun key ->
+        ( value_seq (Xenic_store.Chained.find t key),
+          Xenic_store.Chained.lookup_cost t key ))
+      keys )
+
+let hopscotch_dump t keys =
+  ( Xenic_store.Hopscotch.size t,
+    Xenic_store.Hopscotch.overflow_fraction t,
+    List.map
+      (fun key ->
+        ( Option.map
+            (fun (seq, v) -> (seq, Bytes.to_string v))
+            (Xenic_store.Hopscotch.find t key),
+          Xenic_store.Hopscotch.lookup_cost t key ))
+      keys )
+
+(* Check every replica of every shard against [reference ~shard], built
+   by per-replica inserts in load order; then [write ~shard ~primary] on
+   the primary only, and check every backup still matches. *)
+let check_replicas stack ~nodes ~reference ~dump ~write =
+  for shard = 0 to nodes - 1 do
+    let expect = reference ~shard in
+    let check what =
+      List.iter
+        (fun node ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: shard %d, node %d %s" stack shard node what)
+            true
+            (dump ~node ~shard = expect))
+    in
+    check "matches the per-replica build" (Config.replicas windowed_cfg ~shard);
+    let primary = Config.primary windowed_cfg ~shard in
+    write ~shard ~primary;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: shard %d primary changed" stack shard)
+      false
+      (dump ~node:primary ~shard = expect);
+    check "unchanged by a primary write" (Config.backups windowed_cfg ~shard)
+  done
+
+let test_replica_equivalence_xenic () =
+  let x =
+    mk_xenic
+      ~params:
+        {
+          Xenic_system.default_params with
+          segments = rh_segments;
+          seg_size = rh_seg_size;
+          d_max = rh_d_max;
+        }
+      ()
+  in
+  let loads = recorded_load (System.of_xenic x) in
+  let keys ~shard = List.map fst (shard_loads loads ~shard) in
+  let table ~node ~shard =
+    (Storage.shard_store (Xenic_system.storage x ~node) ~shard).Storage.hash
+  in
+  let overflowed = ref 0 in
+  check_replicas "Xenic" ~nodes:windowed_cfg.Config.nodes
+    ~reference:(fun ~shard ->
+      let t =
+        Xenic_store.Robinhood.create ~segments:rh_segments ~seg_size:rh_seg_size
+          ~d_max:rh_d_max ~vsize:Bytes.length
+      in
+      List.iter
+        (fun (key, v) -> ignore (Xenic_store.Robinhood.insert t key v))
+        (shard_loads loads ~shard);
+      rh_dump t (keys ~shard))
+    ~dump:(fun ~node ~shard -> rh_dump (table ~node ~shard) (keys ~shard))
+    ~write:(fun ~shard ~primary ->
+      (* Both a slot-resident key and an overflow record, so neither the
+         values array nor an overflow record may be shared. *)
+      let t = table ~node:primary ~shard in
+      let in_table, in_overflow =
+        List.partition
+          (fun key -> Xenic_store.Robinhood.locate t key <> Some `Overflow)
+          (keys ~shard)
+      in
+      overflowed := !overflowed + List.length in_overflow;
+      List.iter
+        (fun key ->
+          Storage.apply (Xenic_system.storage x ~node:primary)
+            (Op.Put (key, Bytes.of_string "changed"))
+            ~seq:100)
+        (List.hd in_table :: at_most_one in_overflow));
+  Alcotest.(check bool) "some keys overflowed" true (!overflowed > 0)
+
+let test_replica_equivalence_rdma () =
+  List.iter
+    (fun flavor ->
+      let r = mk_rdma ~params:rdma_params flavor in
+      let stack = Rdma_system.flavor_name flavor in
+      let loads = recorded_load (System.of_rdma r) in
+      let keys ~shard = List.map fst (shard_loads loads ~shard) in
+      let store ~node ~shard = Rdma_system.store r ~node ~shard in
+      let nodes = windowed_cfg.Config.nodes in
+      match flavor with
+      | Rdma_system.Farm ->
+          let table ~node ~shard = Option.get (store ~node ~shard).hops in
+          check_replicas stack ~nodes
+            ~reference:(fun ~shard ->
+              let t =
+                Xenic_store.Hopscotch.create
+                  ~capacity:(rdma_params.buckets * rdma_params.bucket_b * 2)
+                  ~h:8
+              in
+              List.iter
+                (fun (key, v) -> Xenic_store.Hopscotch.insert t key (1, v))
+                (shard_loads loads ~shard);
+              hopscotch_dump t (keys ~shard))
+            ~dump:(fun ~node ~shard ->
+              hopscotch_dump (table ~node ~shard) (keys ~shard))
+            ~write:(fun ~shard ~primary ->
+              let t = table ~node:primary ~shard in
+              (* A neighborhood key and, if any, an overflow-chain key. *)
+              let in_overflow =
+                List.filter
+                  (fun key ->
+                    match Xenic_store.Hopscotch.lookup_cost t key with
+                    | Some (_, 2) -> true
+                    | _ -> false)
+                  (keys ~shard)
+              in
+              List.iter
+                (fun key ->
+                  Xenic_store.Hopscotch.insert t key
+                    (100, Bytes.of_string "changed"))
+                (List.hd (keys ~shard) :: at_most_one in_overflow))
+      | _ ->
+          let table ~node ~shard = (store ~node ~shard).hash in
+          check_replicas stack ~nodes
+            ~reference:(fun ~shard ->
+              let t =
+                Xenic_store.Chained.create ~buckets:rdma_params.buckets
+                  ~b:rdma_params.bucket_b
+              in
+              List.iter
+                (fun (key, v) -> Xenic_store.Chained.insert t key v)
+                (shard_loads loads ~shard);
+              chained_dump t (keys ~shard))
+            ~dump:(fun ~node ~shard ->
+              chained_dump (table ~node ~shard) (keys ~shard))
+            ~write:(fun ~shard ~primary ->
+              let t = table ~node:primary ~shard in
+              (* An existing key, and a new one. *)
+              Xenic_store.Chained.put_newer t
+                (List.hd (keys ~shard))
+                (Bytes.of_string "changed") ~seq:100;
+              Xenic_store.Chained.put_newer t (k ~shard ~id:999_999)
+                (Bytes.of_string "new") ~seq:1))
+    Rdma_system.[ Drtmh; Drtmh_nc; Fasst; Drtmr; Farm ]
+
 let () =
   Alcotest.run "xenic_proto"
     [
@@ -698,5 +947,13 @@ let () =
             test_call_stale_drop;
           Alcotest.test_case "call: late response ignored" `Quick
             test_call_late_response;
+        ] );
+      ( "bulk load",
+        [
+          Alcotest.test_case "load without seal" `Quick test_load_without_seal;
+          Alcotest.test_case "replica equivalence: Xenic" `Quick
+            test_replica_equivalence_xenic;
+          Alcotest.test_case "replica equivalence: RDMA stacks" `Quick
+            test_replica_equivalence_rdma;
         ] );
     ]

@@ -117,6 +117,60 @@ let test_rh_dma_consistent_swapping () =
     inserted := i :: !inserted
   done
 
+(* Clone checks shared by the model tests. [mk ()] makes an empty
+   table of [t]'s geometry, [dump] observes a table completely, and
+   [churn t base] rewrites, deletes and inserts keys. The clone must
+   equal its source, each must then change without moving the other,
+   and every table of another geometry ([mismatched]) must be refused. *)
+let clone_checks ~clone ~mk ~dump ~churn ~mismatched t =
+  let c = mk () in
+  clone ~src:t ~dst:c;
+  let src_before = dump t in
+  let equal = dump c = src_before in
+  churn c 1000;
+  let src_kept = dump t = src_before in
+  let clone_before = dump c in
+  churn t 2000;
+  let clone_kept = dump c = clone_before in
+  let refused =
+    List.for_all
+      (fun dst ->
+        match clone ~src:t ~dst with
+        | () -> false
+        | exception Invalid_argument _ -> true)
+      mismatched
+  in
+  equal && src_kept && clone_kept && refused
+
+(* Keys the model tests use, including those [churn] adds. *)
+let clone_keys =
+  List.init 301 Fun.id @ List.init 41 (( + ) 1000) @ List.init 41 (( + ) 2000)
+
+let rh_dump t =
+  let slots = ref [] and homes = ref [] in
+  Robinhood.iter t (fun k v seq -> slots := (k, v, seq) :: !slots);
+  Robinhood.iter_home_disp t (fun ~home ~disp -> homes := (home, disp) :: !homes);
+  ( !slots,
+    !homes,
+    List.init (Robinhood.segments t) (fun seg ->
+        (Robinhood.seg_disp_bound t seg, Robinhood.overflow_count t seg)),
+    List.map (Robinhood.locate t) clone_keys,
+    Robinhood.size t )
+
+(* Rewrite every present key in place (slot values and overflow
+   records alike), delete every other one, insert 41 new keys. *)
+let rh_churn t base =
+  let present = ref [] in
+  Robinhood.iter t (fun k _ _ -> present := k :: !present);
+  List.iteri
+    (fun i k ->
+      ignore (Robinhood.update t k (value (base + k)) ~seq:(base + i));
+      if i mod 2 = 0 then ignore (Robinhood.delete t k))
+    !present;
+  for k = base to base + 40 do
+    ignore (Robinhood.insert t k (value k))
+  done
+
 let test_rh_model_qcheck =
   (* Model-based test against Hashtbl over random insert/delete/mem and
      the version-guarded put_newer/delete_older. *)
@@ -163,7 +217,32 @@ let test_rh_model_qcheck =
           | Some (v', s') -> Bytes.equal v v' && s = s'
           | None -> false)
         model true
-      && Robinhood.size t = Hashtbl.length model)
+      && Robinhood.size t = Hashtbl.length model
+      && clone_checks ~clone:Robinhood.clone_into
+           ~mk:(fun () -> mk_rh ~segments:8 ~seg_size:64 ~d_max:(Some 8) ())
+           ~dump:rh_dump ~churn:rh_churn
+           ~mismatched:
+             [
+               mk_rh ~segments:4 ~seg_size:64 ~d_max:(Some 8) ();
+               mk_rh ~segments:16 ~seg_size:32 ~d_max:(Some 8) ();
+               mk_rh ~segments:8 ~seg_size:64 ~d_max:(Some 4) ();
+               mk_rh ~segments:8 ~seg_size:64 ~d_max:None ();
+             ]
+           t)
+
+(* The model test's tables rarely overflow; this one does, so the clone
+   checks also cover overflow records. *)
+let test_rh_clone_dense () =
+  let mk () = mk_rh ~segments:4 ~seg_size:32 ~d_max:(Some 2) () in
+  let t = mk () in
+  for k = 0 to 99 do
+    ignore (Robinhood.insert t k (value k))
+  done;
+  Alcotest.(check bool) "some keys overflowed" true
+    (List.exists (fun seg -> Robinhood.overflow_count t seg > 0) [ 0; 1; 2; 3 ]);
+  Alcotest.(check bool) "clone checks" true
+    (clone_checks ~clone:Robinhood.clone_into ~mk ~dump:rh_dump ~churn:rh_churn
+       ~mismatched:[] t)
 
 let test_rh_region_bytes () =
   let t = mk_rh () in
@@ -494,6 +573,39 @@ let test_hopscotch_lookup_cost () =
     | None -> Alcotest.failf "key %d missing" i
   done
 
+let hopscotch_dump t =
+  ( Hopscotch.size t,
+    Hopscotch.overflow_fraction t,
+    List.map (fun k -> (Hopscotch.find t k, Hopscotch.lookup_cost t k)) clone_keys )
+
+(* Rewrite every present model key, delete every other one, insert 41
+   new keys. *)
+let hopscotch_churn t base =
+  List.iteri
+    (fun i k ->
+      if Hopscotch.mem t k then begin
+        Hopscotch.insert t k (value (base + k));
+        if i mod 2 = 0 then ignore (Hopscotch.delete t k)
+      end)
+    clone_keys;
+  for k = base to base + 40 do
+    Hopscotch.insert t k (value k)
+  done
+
+(* As [test_rh_clone_dense]: a table dense enough to fill overflow
+   chains. *)
+let test_hopscotch_clone_dense () =
+  let mk () = Hopscotch.create ~capacity:128 ~h:2 in
+  let t = mk () in
+  for k = 0 to 109 do
+    Hopscotch.insert t k (value k)
+  done;
+  Alcotest.(check bool) "some keys overflowed" true
+    (Hopscotch.overflow_fraction t > 0.0);
+  Alcotest.(check bool) "clone checks" true
+    (clone_checks ~clone:Hopscotch.clone_into ~mk ~dump:hopscotch_dump
+       ~churn:hopscotch_churn ~mismatched:[] t)
+
 let test_hopscotch_model_qcheck =
   QCheck.Test.make ~name:"hopscotch matches model" ~count:50
     QCheck.(list (pair (int_bound 300) bool))
@@ -519,7 +631,16 @@ let test_hopscotch_model_qcheck =
           && match Hopscotch.find t k with
              | Some v' -> Bytes.equal v v'
              | None -> false)
-        model true)
+        model true
+      && clone_checks ~clone:Hopscotch.clone_into
+           ~mk:(fun () -> Hopscotch.create ~capacity:1024 ~h:8)
+           ~dump:hopscotch_dump ~churn:hopscotch_churn
+           ~mismatched:
+             [
+               Hopscotch.create ~capacity:512 ~h:8;
+               Hopscotch.create ~capacity:1024 ~h:4;
+             ]
+           t)
 
 (* ------------------------------------------------------------------ *)
 (* Chained *)
@@ -561,6 +682,23 @@ let test_chained_lookup_cost () =
 (* Model: every home bucket is one flat first-fit list of cells, [b] per
    hop. A key's cell index fixes its remote-lookup cost, so the model
    also pins where insertions land after deletions open holes. *)
+let chained_dump t =
+  ( Chained.size t,
+    Chained.buckets_allocated t,
+    List.map (fun k -> (Chained.find t k, Chained.lookup_cost t k)) clone_keys )
+
+(* Rewrite every present model key, delete every other one, insert 41
+   new keys. *)
+let chained_churn t base =
+  List.iteri
+    (fun i k ->
+      if Chained.update t k (value (base + k)) ~seq:(base + i) && i mod 2 = 0 then
+        ignore (Chained.delete t k))
+    clone_keys;
+  for k = base to base + 40 do
+    Chained.insert t k (value k)
+  done
+
 let test_chained_model_qcheck =
   QCheck.Test.make ~name:"chained matches model" ~count:80
     QCheck.(list (pair (int_bound 300) (int_bound 5)))
@@ -650,7 +788,13 @@ let test_chained_model_qcheck =
           (fun acc c -> Array.fold_left (fun a x -> if x = None then a else a + 1) acc c)
           0 cells
       in
-      Chained.size t = n_live && Chained.buckets_allocated t = n_cells / b)
+      Chained.size t = n_live
+      && Chained.buckets_allocated t = n_cells / b
+      && clone_checks ~clone:Chained.clone_into
+           ~mk:(fun () -> Chained.create ~buckets ~b)
+           ~dump:chained_dump ~churn:chained_churn
+           ~mismatched:[ Chained.create ~buckets:16 ~b; Chained.create ~buckets ~b:8 ]
+           t)
 
 (* ------------------------------------------------------------------ *)
 (* B+ tree *)
@@ -870,6 +1014,7 @@ let () =
             test_rh_dma_consistent_swapping;
           Alcotest.test_case "region bytes" `Quick test_rh_region_bytes;
           Alcotest.test_case "out-of-line objects" `Quick test_rh_out_of_line;
+          Alcotest.test_case "clone with overflow" `Quick test_rh_clone_dense;
           qt test_rh_model_qcheck;
         ] );
       ( "nic_index",
@@ -893,6 +1038,8 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_hopscotch_basics;
           Alcotest.test_case "lookup cost" `Quick test_hopscotch_lookup_cost;
+          Alcotest.test_case "clone with overflow" `Quick
+            test_hopscotch_clone_dense;
           qt test_hopscotch_model_qcheck;
         ] );
       ( "chained",
