@@ -1,12 +1,12 @@
 (* Mid-run fault tolerance: crash one node at a fixed simulated instant
-   while the driver is running, with per-request timeouts armed and a
-   lease-based membership attached. A probe samples the cluster-wide
-   committed count every 10us; from the timeline we report the
-   steady-state throughput before the fault, the depth of the dip while
-   coordinators time out and recovery promotes, the time until the
-   windowed rate is back above half the pre-fault rate, and the
-   post-recovery throughput (acceptance: within 2x of pre-fault, i.e.
-   post/pre >= 0.5 with one of six servers gone). *)
+   while the driver is running, on an armed Xenic (request deadlines,
+   the fenced commit point and a lease-based membership). A probe
+   samples the cluster-wide committed count every 10us; from the
+   timeline we report the steady-state throughput before the fault, the
+   depth of the dip while coordinators time out and recovery promotes,
+   the time until the windowed rate is back above half the pre-fault
+   rate, and the post-recovery throughput (acceptance: within 2x of
+   pre-fault, i.e. post/pre >= 0.5 with one of six servers gone). *)
 
 open Xenic_sim
 open Xenic_cluster
@@ -14,18 +14,13 @@ open Xenic_proto
 open Xenic_workload
 open Common
 
-let lease_ns = 25_000.0
-
-let req_timeout_ns = 40_000.0
-
 let probe_step_ns = 10_000.0
 
 let horizon_ns = 3_000_000.0
 
-(* The crash schedule comes from the scenario corpus; quick mode
-   scales every time by 1/3 (150us -> exactly 50us, the historical
-   hardcoded value). The legacy [Driver.run ~faults] path is kept —
-   [crash_schedule] is its bit-identical scenario-text spelling. *)
+(* The crash comes from the scenario corpus and is injected like every
+   other scenario; quick mode scales every time by 1/3 (150us -> exactly
+   50us, the historical hardcoded value). *)
 let fault_scenario () =
   let scn = load_scenario "crash-bench.scn" in
   if !quick then Xenic_scenario.Scenario.scale_times scn (1.0 /. 3.0) else scn
@@ -55,20 +50,16 @@ let mk_armed ~store_cfg ~cache_capacity () =
       seg_size;
       d_max;
       cache_capacity;
-      req_timeout_ns = Some req_timeout_ns;
+      armed = true;
     }
   in
-  let xs = Xenic_system.create engine hw cfg p in
-  let m = Membership.create engine cfg ~lease_ns in
-  Xenic_system.attach_membership xs m;
-  Membership.start m;
-  System.of_xenic xs
+  System.of_xenic (Xenic_system.create engine hw cfg p)
 
 let one ~name ~mk_sys ~load ~spec ~concurrency ~target =
-  let faults = Xenic_scenario.Scenario.crash_schedule (fault_scenario ()) in
+  let scn = fault_scenario () in
   let fault_ns, crashed_node =
-    match faults with
-    | [ (t, n) ] -> (t, n)
+    match scn.Xenic_scenario.Scenario.events with
+    | [ { at_ns; action = Crash n } ] -> (at_ns, n)
     | _ -> failwith "fault: crash-bench.scn must hold exactly one crash"
   in
   let sys = mk_sys () in
@@ -97,9 +88,12 @@ let one ~name ~mk_sys ~load ~spec ~concurrency ~target =
   let tel =
     Xenic_telemetry.Telemetry.create ~window_ns:probe_step_ns engine
   in
+  (* The crash is scheduled after the probes, as the last event before
+     the run. *)
+  Xenic_scenario.Scenario.inject scn sys ~seed:0L;
   let result =
     Driver.run sys (spec sys) ~warmup_frac:0.0 ~concurrency ~target
-      ~telemetry:tel ~faults
+      ~telemetry:tel
   in
   let samples = List.rev !samples in
   (* With warmup 0 the measurement window opens at t=0, so duration_ns
@@ -134,7 +128,7 @@ let one ~name ~mk_sys ~load ~spec ~concurrency ~target =
   in
   (* Post-recovery window: from declaration + promotion slack to the
      last commit. *)
-  let t_rec = fault_ns +. (2.0 *. lease_ns) in
+  let t_rec = fault_ns +. (2.0 *. Control.lease_ns) in
   let post_tput =
     if Float.compare (t_end -. t_rec) 0.0 > 0 then
       float_of_int (commits_at samples t_end - commits_at samples t_rec)

@@ -1,4 +1,4 @@
-(* xenicctl: run a transaction benchmark on any of the five systems
+(* xenicctl: run a transaction benchmark on any of the six systems
    with custom cluster/load parameters.
 
      dune exec bin/xenicctl.exe -- run --system xenic --workload smallbank \
@@ -9,18 +9,10 @@ open Xenic_cluster
 open Xenic_proto
 open Xenic_workload
 
-type system_kind = Xenic | Drtmh | Drtmh_nc | Fasst | Drtmr | Farm
+module Harness = Xenic_scenario.Harness
 
 let system_conv =
-  Arg.enum
-    [
-      ("xenic", Xenic);
-      ("drtmh", Drtmh);
-      ("farm", Farm);
-      ("drtmh-nc", Drtmh_nc);
-      ("fasst", Fasst);
-      ("drtmr", Drtmr);
-    ]
+  Arg.enum (List.map (fun s -> (Harness.stack_name s, s)) Harness.all_stacks)
 
 type workload_kind = Smallbank | Retwis | Tpcc | Tpcc_no
 
@@ -33,12 +25,12 @@ let workload_conv =
       ("tpcc-neworder", Tpcc_no);
     ]
 
-let build_system kind ~nodes ~replication ~store_cfg ~buckets ~cache =
+let build_system stack ~nodes ~replication ~store_cfg ~buckets ~cache =
   let engine = Xenic_sim.Engine.create () in
   let cfg = Config.make ~nodes ~replication in
   let hw = Xenic_params.Hw.testbed in
-  match kind with
-  | Xenic ->
+  match stack with
+  | Harness.Xenic ->
       let segments, seg_size, d_max = store_cfg in
       System.of_xenic
         (Xenic_system.create engine hw cfg
@@ -51,17 +43,9 @@ let build_system kind ~nodes ~replication ~store_cfg ~buckets ~cache =
              app_threads = 8;
              worker_threads = 8;
            })
-  | (Drtmh | Drtmh_nc | Fasst | Drtmr | Farm) as k ->
-      let flavor =
-        match k with
-        | Drtmh -> Rdma_system.Drtmh
-        | Drtmh_nc -> Rdma_system.Drtmh_nc
-        | Fasst -> Rdma_system.Fasst
-        | Farm -> Rdma_system.Farm
-        | _ -> Rdma_system.Drtmr
-      in
+  | rdma ->
       System.of_rdma
-        (Rdma_system.create engine hw cfg flavor
+        (Rdma_system.create engine hw cfg (Harness.flavor rdma)
            { Rdma_system.default_params with buckets })
 
 let write_file path contents =
@@ -313,7 +297,6 @@ let bench_diff_cmd a b tol ignore_prefixes =
    engine + serializability oracle), then print the outcome. *)
 let scenario_run_cmd file stack seed target concurrency verbose =
   let module Scenario = Xenic_scenario.Scenario in
-  let module Harness = Xenic_scenario.Harness in
   let stack =
     match Harness.stack_of_string stack with
     | Some s -> s
@@ -358,7 +341,9 @@ let scenario_run_cmd file stack seed target concurrency verbose =
 
 let cmd =
   let system =
-    Arg.(value & opt system_conv Xenic & info [ "system"; "s" ] ~doc:"System to run: xenic, drtmh, drtmh-nc, fasst, drtmr.")
+    let names = List.map Harness.stack_name Harness.all_stacks in
+    Arg.(value & opt system_conv Harness.Xenic & info [ "system"; "s" ]
+           ~doc:("System to run: " ^ String.concat ", " names ^ "."))
   in
   let workload =
     Arg.(value & opt workload_conv Smallbank & info [ "workload"; "w" ] ~doc:"Workload: smallbank, retwis, tpcc, tpcc-neworder.")

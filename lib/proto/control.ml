@@ -9,8 +9,8 @@ type msg = { bytes : int; deliver : unit -> unit }
    waits for the coordinator to decide, so a crash between partial LOG
    appends and the commit point cannot diverge the replicas — the
    coordinator resolves every record it caused to be appended, to
-   [Dabort] if it bails out. Legacy (no-timeout) runs create records
-   already decided, which preserves the original eager-apply behavior. *)
+   [Dabort] if it bails out. Un-armed runs create records already
+   decided, which preserves the original eager-apply behavior. *)
 type decision = Dpending | Dcommit | Dabort
 
 type attempt =
@@ -23,7 +23,7 @@ type t = {
   cfg : Config.t;
   stack : string;
   fabric : msg Xenic_net.Fabric.t;
-  req_timeout_ns : float option;
+  armed : bool;
   part_metrics : Metrics.t array;
       (* one shard per engine partition (one when unpartitioned),
          touched only by events running in that partition *)
@@ -64,11 +64,21 @@ let log_capacity_b = 4 * 1024 * 1024  (* each host-memory log *)
 
 let btree_op_ns = 300.0  (* host cost of one ordered-table write *)
 
-let create engine hw cfg ~stack ~partitions ~req_timeout_ns =
+(* Whole-transaction p99 is ~20us in the fault runs, so 40us per
+   request sits above the worst-case round trip even with the scenario
+   validator's bounded gray delay: a firing timeout implies a dead peer,
+   never a slow one — a timeout against a live primary would leak its
+   acquired locks until the next reconfiguration sweep. The lease is
+   shorter, so promotion lands while coordinators back off. *)
+let req_timeout_ns = 40_000.0
+
+let lease_ns = 25_000.0
+
+let create engine hw cfg ~stack ~partitions ~armed =
   (* The windowed contract: fence, epoch and membership state is
      cross-partition, so a windowed system must stay un-armed. *)
-  if partitions > 0 && Option.is_some req_timeout_ns then
-    invalid_arg "Control.create: a windowed system cannot arm req_timeout_ns";
+  if partitions > 0 && armed then
+    invalid_arg "Control.create: a windowed system cannot be armed";
   (* [partitions > 0] requests windowed conservative-PDES mode,
      partitioned by node before any event exists: the open-loop driver
      has no cross-node shared state, so partitions can drain whole
@@ -94,7 +104,7 @@ let create engine hw cfg ~stack ~partitions ~req_timeout_ns =
     cfg;
     stack;
     fabric = Xenic_net.Fabric.create engine hw ~nodes;
-    req_timeout_ns;
+    armed;
     part_metrics = per_partition Metrics.create;
     part_oracle = per_partition Oracle.create;
     primaries = Array.init nodes (fun shard -> Config.primary cfg ~shard);
@@ -110,8 +120,6 @@ let create engine hw cfg ~stack ~partitions ~req_timeout_ns =
     trace = None;
     telemetry = None;
   }
-
-let armed t = Option.is_some t.req_timeout_ns
 
 let windowed t = Option.is_some (Engine.current_lookahead t.engine)
 
@@ -360,7 +368,7 @@ let replicate t ~src ~send targets =
    commit: backups discard its records, and its locks die with it or
    are swept at the declaration. *)
 let commit_point t ~src ~epoch0 ~mark ~t_prev ~log ~commit ~abort : attempt =
-  if not (armed t) then begin
+  if not t.armed then begin
     Attrib.set_phase "log";
     log (ref Dcommit);
     commit (mark "log" t_prev);
@@ -542,7 +550,7 @@ let run_txn t ~node attempt =
           ~latency_ns:(now -. t_start));
     Types.Committed
   in
-  if not (armed t) then begin
+  if not t.armed then begin
     if not t.alive.(node) then invalid_arg "run_txn: coordinator is dead";
     match attempt () with
     | `Committed -> commit ()
@@ -586,7 +594,7 @@ type transport = {
    been dropped. *)
 let give_up t =
   Xenic_stats.Counter.incr (counters t) "req_timeouts";
-  Process.sleep t.engine (Option.get t.req_timeout_ns);
+  Process.sleep t.engine req_timeout_ns;
   `Down
 
 (* One request/response round trip over [tr]. Un-armed, the caller
@@ -598,43 +606,42 @@ let give_up t =
    it, and a response landing after a reconfiguration is dropped; both
    are [`Down]. *)
 let call t tr ?epoch0 ~src ~dst ~req_bytes ~resp_bytes handler =
-  match t.req_timeout_ns with
-  | None ->
-      tr.depart ~src ~dst ~bytes:req_bytes;
-      `Ok
-        (Process.suspend (fun resume ->
-             tr.send ~src ~dst ~bytes:req_bytes (fun () ->
-                 let r = handler () in
-                 tr.back ~src ~dst ~bytes:(resp_bytes r) (fun () -> resume r))))
-  | Some timeout_ns ->
-      if t.crashed.(dst) then give_up t
-      else begin
-        tr.depart ~src ~dst ~bytes:req_bytes;
-        let iv = Ivar.create ~name:"request" t.engine in
-        let settle v = if not (Ivar.is_filled iv) then Ivar.fill iv v in
-        let stale () =
-          match epoch0 with Some e -> t.epoch <> e | None -> false
-        in
-        tr.send ~src ~dst ~bytes:req_bytes (fun () ->
-            if stale () then begin
-              Xenic_stats.Counter.incr (counters t) "stale_epoch_rejects";
-              tr.reject ~src ~dst ~bytes:Wire.small_resp_b (fun () ->
-                  settle `Down)
-            end
-            else
-              let r = handler () in
-              tr.back ~src ~dst ~bytes:(resp_bytes r) (fun () ->
-                  if stale () then begin
-                    Xenic_stats.Counter.incr (counters t) "stale_epoch_drops";
-                    settle `Down
-                  end
-                  else settle (`Ok r)));
-        match Ivar.read_timeout iv ~timeout_ns with
-        | Some r -> r
-        | None ->
-            Xenic_stats.Counter.incr (counters t) "req_timeouts";
-            `Down
-      end
+  if not t.armed then begin
+    tr.depart ~src ~dst ~bytes:req_bytes;
+    `Ok
+      (Process.suspend (fun resume ->
+           tr.send ~src ~dst ~bytes:req_bytes (fun () ->
+               let r = handler () in
+               tr.back ~src ~dst ~bytes:(resp_bytes r) (fun () -> resume r))))
+  end
+  else if t.crashed.(dst) then give_up t
+  else begin
+    tr.depart ~src ~dst ~bytes:req_bytes;
+    let iv = Ivar.create ~name:"request" t.engine in
+    let settle v = if not (Ivar.is_filled iv) then Ivar.fill iv v in
+    let stale () =
+      match epoch0 with Some e -> t.epoch <> e | None -> false
+    in
+    tr.send ~src ~dst ~bytes:req_bytes (fun () ->
+        if stale () then begin
+          Xenic_stats.Counter.incr (counters t) "stale_epoch_rejects";
+          tr.reject ~src ~dst ~bytes:Wire.small_resp_b (fun () ->
+              settle `Down)
+        end
+        else
+          let r = handler () in
+          tr.back ~src ~dst ~bytes:(resp_bytes r) (fun () ->
+              if stale () then begin
+                Xenic_stats.Counter.incr (counters t) "stale_epoch_drops";
+                settle `Down
+              end
+              else settle (`Ok r)));
+    match Ivar.read_timeout iv ~timeout_ns:req_timeout_ns with
+    | Some r -> r
+    | None ->
+        Xenic_stats.Counter.incr (counters t) "req_timeouts";
+        `Down
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch *)
@@ -719,10 +726,10 @@ let recover t ~sweep_locks ~successor_drained ~promote =
   trace_instant t ~cat:"recovery" ~name:"recovery-done" ~pid:0 ~tid:0
     [ ("epoch", string_of_int t.epoch) ]
 
-let attach_membership t m ~sweep_locks ~successor_drained ~promote =
-  if windowed t then
-    invalid_arg
-      "Control.attach_membership: a windowed system cannot attach membership";
+(* An armed stack's last construction step: every process of [create]
+   is spawned before the membership's renewal and expiry loops. *)
+let attach_membership t ~sweep_locks ~successor_drained ~promote =
+  let m = Membership.create t.engine t.cfg ~lease_ns in
   t.membership <- Some m;
   Membership.on_reconfigure m (fun ~epoch:_ ~dead ->
       (* Runs synchronously inside the manager's expiry check: routing
@@ -739,7 +746,8 @@ let attach_membership t m ~sweep_locks ~successor_drained ~promote =
         dead;
       t.recovery_waiting <- t.recovery_waiting + 1;
       Process.spawn t.engine (fun () ->
-          recover t ~sweep_locks ~successor_drained ~promote))
+          recover t ~sweep_locks ~successor_drained ~promote));
+  Membership.start m
 
 (* Immediate, manual removal (for tests that promote between load
    phases): the node vanishes from routing and stops responding at

@@ -21,11 +21,16 @@
     {b Shards.} Metrics and the oracle feed are sharded per engine
     partition — one shard on an unpartitioned (single-heap) engine.
 
+    {b Armed.} An armed system has request deadlines
+    ({!req_timeout_ns}), the epoch-fenced commit point and a lease-based
+    membership ({!lease_ns}) driving recovery. An un-armed one has none
+    of them: requests block until answered and a crash removes the node
+    from routing at once.
+
     {b Windowed contract.} With [partitions > 0] the epoch, fence and
     liveness state is cross-partition: such a system must stay
-    un-armed and attach no membership and no trace. {!create},
-    {!attach_membership} and {!set_trace} raise [Invalid_argument]
-    otherwise. *)
+    un-armed, so it has no membership, and attach no trace. {!create}
+    and {!set_trace} raise [Invalid_argument] otherwise. *)
 
 open Xenic_cluster
 
@@ -51,7 +56,7 @@ type t = {
   cfg : Config.t;
   stack : string;  (** Telemetry and attribution label. *)
   fabric : msg Xenic_net.Fabric.t;
-  req_timeout_ns : float option;  (** [Some _]: armed. *)
+  armed : bool;  (** Deadlines, commit fence and membership on. *)
   part_metrics : Metrics.t array;
       (** Per-partition shards; one when unpartitioned. *)
   part_oracle : Oracle.t array;
@@ -65,26 +70,36 @@ type t = {
   mutable epoch : int;  (** Bumped on every reconfiguration. *)
   mutable inflight_commits : int;  (** Attempts holding the commit fence. *)
   mutable recovery_waiting : int;  (** Pending recoveries; close the fence. *)
-  mutable membership : Membership.t option;
+  mutable membership : Membership.t option;  (** [Some _] iff armed. *)
   mutable oracle : Oracle.t option;
   mutable trace : Xenic_sim.Trace.t option;
   mutable telemetry : Xenic_telemetry.Telemetry.t option;
 }
 
+(** Every armed request's deadline: 40 µs, above the worst-case round
+    trip, so a firing timeout implies a dead peer. *)
+val req_timeout_ns : float
+
+(** The membership lease of an armed system: 25 µs, shorter than
+    {!req_timeout_ns}, so promotion lands while coordinators back
+    off. *)
+val lease_ns : float
+
 (** With [partitions > 0], install a windowed partition topology on the
     engine (lookahead = wire latency); otherwise the engine stays
     single-heap whatever its domain budget. Then create the fabric and
-    the control state. Must run before any event is scheduled. *)
+    the control state, with no membership yet: an armed stack ends its
+    own [create] with {!attach_membership}. Must run before any event
+    is scheduled. Raises [Invalid_argument] when [armed] and
+    [partitions > 0]. *)
 val create :
   Xenic_sim.Engine.t ->
   Xenic_params.Hw.t ->
   Config.t ->
   stack:string ->
   partitions:int ->
-  req_timeout_ns:float option ->
+  armed:bool ->
   t
-
-val armed : t -> bool
 
 (** {2 Routing} *)
 
@@ -365,7 +380,7 @@ val give_up : t -> [> `Down ]
     blocks until the response is back; always [`Ok].
 
     Armed: a crashed [dst] is {!give_up}. Otherwise the caller waits
-    at most [req_timeout_ns] and then returns [`Down], counted
+    at most {!req_timeout_ns} and then returns [`Down], counted
     [req_timeouts]; a response arriving later is ignored. With
     [epoch0], a request delivered after the epoch moved on is answered
     by [reject] instead of [handler] ([stale_epoch_rejects]), and a
@@ -389,9 +404,8 @@ val dispatch_loop : t -> node:int -> pkt_io:(unit -> unit) -> unit
 
 (** {2 Reconfiguration (§4.2.1)}
 
-    Armed, with a membership attached: a crash ({!crash_node}) makes
-    requests into the node time out; their coordinators release locks
-    and retry. At lease expiry the epoch bumps at once, and a
+    Armed: a crash ({!crash_node}) makes requests into the node time
+    out; their coordinators release locks and retry. At lease expiry the epoch bumps at once, and a
     background recovery waits out the commit fence, breaks dead
     coordinators' locks, drains each successor's backup log and
     promotes it. *)
@@ -402,31 +416,33 @@ val dispatch_loop : t -> node:int -> pkt_io:(unit -> unit) -> unit
 val sweep_dead_owner_locks :
   t -> sweep_locks:(node:int -> dead:(int -> bool) -> int) -> unit
 
-(** Drive recovery from a membership service's declarations, calling
-    back [sweep_locks], [successor_drained ~node] and
+(** Build a membership of {!lease_ns} over the cluster, subscribe
+    recovery to its declarations and start it. Recovery calls back
+    [sweep_locks], [successor_drained ~node] and
     [promote ~shard ~successor] (returns the node now serving
-    [shard]). *)
+    [shard]). Each armed stack calls it as the last step of its
+    [create], after spawning its dispatch loops and log-apply
+    workers. *)
 val attach_membership :
   t ->
-  Membership.t ->
   sweep_locks:(node:int -> dead:(int -> bool) -> int) ->
   successor_drained:(node:int -> bool) ->
   promote:(shard:int -> successor:int -> int) ->
   unit
 
 (** Remove a node at once, bypassing lease expiry (its lease is failed
-    too, with a membership attached). For tests that promote between
-    load phases. *)
+    too, when armed). For tests that promote between load phases. *)
 val fail_node : t -> node:int -> unit
 
 (** Crash a node now without declaring it: routing changes at lease
-    expiry, or immediately without a membership. *)
+    expiry when armed, immediately otherwise. *)
 val crash_node : t -> node:int -> unit
 
 (** Count and trace a refused recovery ([rejoin_refused]). *)
 val refuse_rejoin : t -> node:int -> unit
 
-(** Stop the attached membership's loops so the engine can drain. *)
+(** Stop an armed system's membership loops so the engine can
+    drain. *)
 val stop_background : t -> unit
 
 (** {2 Link faults} — pass-throughs to {!Xenic_net.Fabric}; mutations

@@ -11,12 +11,16 @@ let flavor_name = function
   | Drtmr -> "DrTM+R"
   | Farm -> "FaRM"
 
+let bucket_b = 8
+
 type params = {
   host_threads : int;
   worker_threads : int;
   buckets : int;
-  bucket_b : int;
-  req_timeout_ns : float option;
+  armed : bool;
+      (* request deadlines, the epoch-fenced commit point and a started
+         lease-based membership (see [Control]); false (default): the
+         fault-free fast path *)
   partitions : int;
       (* > 0: windowed conservative-PDES topology over this many node
          partitions, with metrics and the oracle feed sharded per
@@ -29,8 +33,7 @@ let default_params =
     host_threads = 24;
     worker_threads = 4;
     buckets = 4096;
-    bucket_b = 8;
-    req_timeout_ns = None;
+    armed = false;
     partitions = 0;
   }
 
@@ -73,8 +76,6 @@ let store t ~node ~shard =
   match t.nodes.(node).stores.(shard) with
   | Some s -> s
   | None -> invalid_arg "Rdma_system.store: node does not hold shard"
-
-let armed t = Control.armed t.ctl
 
 let primary_of t ~shard = Control.current_primary t.ctl ~shard
 
@@ -138,6 +139,22 @@ let locked_by_other t ~node k ~owner =
   match Hashtbl.find_opt t.nodes.(node).locks k with
   | Some o -> o <> owner
   | None -> false
+
+(* [node]'s host lock table, sorted. *)
+let held_locks t ~node =
+  Hashtbl.fold (fun k owner acc -> (k, owner) :: acc) t.nodes.(node).locks []
+  |> List.sort compare
+
+(* Dead-owner lock sweep over [node]'s host lock table. *)
+let sweep_locks t ~node ~dead =
+  List.fold_left
+    (fun broken (k, owner) ->
+      if dead owner then begin
+        Hashtbl.remove t.nodes.(node).locks k;
+        broken + 1
+      end
+      else broken)
+    0 (held_locks t ~node)
 
 (* ------------------------------------------------------------------ *)
 (* Two-sided RPC path *)
@@ -225,7 +242,7 @@ let one_sided_many t ~src verbs =
 
 (* Armed entry guards for one-sided verbs: a verb against a crashed
    target never completes, and nothing executes there. *)
-let down t ~src ~dst = armed t && dst <> src && t.ctl.crashed.(dst)
+let down t ~src ~dst = t.p.armed && dst <> src && t.ctl.crashed.(dst)
 
 let one_sided_t t ~src ~dst verb ~bytes ~at_target =
   if down t ~src ~dst then Control.give_up t.ctl
@@ -246,7 +263,7 @@ let one_sided_many_t t ~src verbs =
 let create engine hw cfg flavor p =
   let ctl =
     Control.create engine hw cfg ~stack:(flavor_name flavor)
-      ~partitions:p.partitions ~req_timeout_ns:p.req_timeout_ns
+      ~partitions:p.partitions ~armed:p.armed
   in
   Xenic_net.Fabric.set_rate_override ctl.fabric
     (Some (Xenic_params.Hw.rdma_rate hw));
@@ -262,12 +279,12 @@ let create engine hw cfg flavor p =
                     {
                       hash =
                         Xenic_store.Chained.create ~buckets:p.buckets
-                          ~b:p.bucket_b;
+                          ~b:bucket_b;
                       hops =
                         (if flavor = Farm then
                            Some
                              (Xenic_store.Hopscotch.create
-                                ~capacity:(p.buckets * p.bucket_b * 2)
+                                ~capacity:(p.buckets * bucket_b * 2)
                                 ~h:8)
                          else None);
                       ordered = Xenic_store.Btree.create ();
@@ -302,6 +319,14 @@ let create engine hw cfg flavor p =
           ~applied:ignore
       done)
     nodes;
+  (* Recovery's data plane: the successor drains its backup log, and
+     since stores are fully replicated, promotion is a routing change
+     only. *)
+  if p.armed then
+    Control.attach_membership ctl ~sweep_locks:(sweep_locks t)
+      ~successor_drained:(fun ~node ->
+        Xenic_store.Hostlog.drained t.nodes.(node).log)
+      ~promote:(fun ~shard:_ ~successor -> successor);
   t
 
 let load t k v =
@@ -368,11 +393,6 @@ let logs t ~node = [ ("log", t.nodes.(node).log) ]
 
 let quiesce t = Control.quiesce t.ctl ~logs:(logs t)
 
-(* [node]'s host lock table, sorted. *)
-let held_locks t ~node =
-  Hashtbl.fold (fun k owner acc -> (k, owner) :: acc) t.nodes.(node).locks []
-  |> List.sort compare
-
 (* After [quiesce] every per-node lock table must be empty and every log
    drained. *)
 let audit t = Control.audit t.ctl ~locked:(held_locks t) ~logs:(logs t)
@@ -400,7 +420,7 @@ let one_sided_read t ~src k =
       let cost, slots =
         match s.hops with
         | Some h -> (Xenic_store.Hopscotch.lookup_cost h k, 8)
-        | None -> (Xenic_store.Chained.lookup_cost s.hash k, t.p.bucket_b)
+        | None -> (Xenic_store.Chained.lookup_cost s.hash k, bucket_b)
       in
       let reads = match cost with Some (_, rts) -> rts | None -> 1 in
       let result = ref None in
@@ -684,7 +704,7 @@ let log_phase t ~src seq_ops_by_shard decision =
           with
           | `Ok () -> true
           | `Down -> false)
-  | _ when armed t ->
+  | _ when t.p.armed ->
       Control.replicate t.ctl ~src targets
         ~send:(fun ((_, backup, _) as target) ->
           let bytes = record_b target in
@@ -719,7 +739,7 @@ let commit_phase t ~src ~owner seq_ops_by_shard locked_by_shard =
     else true
   in
   let seq_ops_by_shard =
-    if armed t then List.filter live seq_ops_by_shard else seq_ops_by_shard
+    if t.p.armed then List.filter live seq_ops_by_shard else seq_ops_by_shard
   in
   match t.flavor with
   | Drtmr ->
@@ -970,26 +990,6 @@ let run_txn t ~node (txn : Types.t) =
       attempt t ~node ~epoch0:t.ctl.epoch txn)
 
 (* -- Reconfiguration ------------------------------------------------ *)
-
-(* Dead-owner lock sweep over [node]'s host lock table. *)
-let sweep_locks t ~node ~dead =
-  List.fold_left
-    (fun broken (k, owner) ->
-      if dead owner then begin
-        Hashtbl.remove t.nodes.(node).locks k;
-        broken + 1
-      end
-      else broken)
-    0 (held_locks t ~node)
-
-(* Recovery's data plane: the successor drains its backup log, and
-   since stores are fully replicated, promotion is a routing change
-   only. *)
-let attach_membership t m =
-  Control.attach_membership t.ctl m ~sweep_locks:(sweep_locks t)
-    ~successor_drained:(fun ~node ->
-      Xenic_store.Hostlog.drained t.nodes.(node).log)
-    ~promote:(fun ~shard:_ ~successor -> successor)
 
 (* Flap rejoin is not modeled for the RDMA baselines: their lock words
    live in host memory (they survive a NIC reset, unlike Xenic's NIC

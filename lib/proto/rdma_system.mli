@@ -28,17 +28,21 @@ type flavor = Drtmh | Drtmh_nc | Fasst | Drtmr | Farm
 
 val flavor_name : flavor -> string
 
+(** Slots per chained-table bucket (B in Table 2): 8. *)
+val bucket_b : int
+
 type params = {
   host_threads : int;  (** Host threads per node (app + RPC handling). *)
   worker_threads : int;  (** Background log-apply threads. *)
   buckets : int;  (** Chained-table main buckets per shard copy. *)
-  bucket_b : int;  (** Slots per bucket (B in Table 2). *)
-  req_timeout_ns : float option;
-      (** [Some d]: arm per-request deadlines — a coordinator whose
+  armed : bool;
+      (** [true]: {!create} arms the fault-tolerant path —
+          {!Control.req_timeout_ns} deadlines, so a coordinator whose
           RPC or verb to a dead node times out fails the attempt,
-          releases its locks on surviving primaries, and retries
-          against post-promotion routing. [None] (default): legacy
-          behavior. Must sit well above the worst-case round-trip. *)
+          releases its locks on surviving primaries and retries
+          against post-promotion routing; the epoch-fenced commit
+          point; and a started membership driving recovery (below).
+          [false] (default): the fault-free fast path. *)
   partitions : int;
       (** [> 0]: windowed conservative-PDES topology over this many
           node partitions with per-partition metrics/oracle shards (the
@@ -51,6 +55,9 @@ val default_params : params
 
 type t
 
+(** Build the stack. An armed one ends by starting its membership
+    ({!Control.attach_membership}); an armed windowed one raises
+    [Invalid_argument]. *)
 val create :
   Xenic_sim.Engine.t ->
   Xenic_params.Hw.t ->
@@ -114,15 +121,11 @@ val resources : t -> (string * Xenic_sim.Resource.t) list
 
 (** {2 Reconfiguration}
 
-    {!Control}'s mid-run fault handling with this stack's data plane:
+    An armed system's mid-run fault handling ({!Control}) with this
+    stack's data plane:
     the dead-owner sweep clears the host lock tables, the promotion
     successor drains its backup log, and — stores being fully
     replicated — promotion is a primary-map change only. *)
-
-(** Subscribe to a membership service ({!Control.attach_membership}
-    with the data plane above). Raises [Invalid_argument] on a windowed
-    system. *)
-val attach_membership : t -> Membership.t -> unit
 
 (** Flap rejoin is not modeled for the RDMA baselines (their lock words
     live in host memory, so a sound rejoin would need lock

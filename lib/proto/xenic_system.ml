@@ -13,14 +13,11 @@ type params = {
   segments : int;
   seg_size : int;
   d_max : int option;
-  req_timeout_ns : float option;
-      (* [Some t]: arm per-request timeouts of [t] ns and the fault-
-         tolerant commit path (epoch fencing, retry with backoff).
-         [None] (default): the legacy no-failure fast path. The timeout
-         must sit well above the worst-case request latency so a firing
-         timeout implies a dead peer, never a slow one — a timeout
-         against a live primary would leak its acquired locks until the
-         next reconfiguration sweep. *)
+  armed : bool;
+      (* request deadlines ([Control.req_timeout_ns]), the fault-
+         tolerant commit path (epoch fencing, retry with backoff) and a
+         started lease-based membership. false (default): the
+         no-failure fast path. *)
   partitions : int;
       (* > 0: install a windowed conservative-PDES topology over this
          many node partitions (lookahead = the fabric wire latency) and
@@ -43,7 +40,7 @@ let default_params =
     segments = 256;
     seg_size = 64;
     d_max = Some 8;
-    req_timeout_ns = None;
+    armed = false;
     partitions = 0;
   }
 
@@ -70,8 +67,6 @@ type t = {
   nodes : node array;
   tr : Control.transport;  (* NIC request transport, built once *)
 }
-
-let armed t = Control.armed t.ctl
 
 (* Current primary routing (reconfiguration-aware, §4.2.1). *)
 let primary_of t ~shard = Control.current_primary t.ctl ~shard
@@ -328,12 +323,65 @@ let unpin_applied node (record : Control.log_record) =
   | None -> ()
 
 (* ------------------------------------------------------------------ *)
+(* Recovery hooks (§4.2.1) *)
+
+(* A caching index over [node]'s replica of [shard]: lock-free, hints
+   synced from the host table, prewarmed when caching is on. Lock state
+   lives only in a NIC, so every rebuild (promotion, rejoin) starts
+   from here. *)
+let fresh_index t node ~shard =
+  let store = Storage.shard_store node.storage ~shard in
+  let idx =
+    Xenic_store.Nic_index.create ~host:store.Storage.hash
+      ~cache_capacity:(if t.p.features.caching then t.p.cache_capacity else 0)
+      ()
+  in
+  Xenic_store.Nic_index.sync_hints idx;
+  if t.p.features.caching then Xenic_store.Nic_index.prewarm idx;
+  idx
+
+let promote t ~shard =
+  match
+    List.find_opt
+      (fun n -> Control.node_alive t.ctl ~node:n)
+      (Config.replicas t.ctl.cfg ~shard)
+  with
+  | None -> invalid_arg "promote: no live replica"
+  | Some new_primary ->
+      let node = t.nodes.(new_primary) in
+      (* Rebuild the caching index over the promoted replica. Lock
+         state lived only at the failed primary's NIC (§4.2.1), so the
+         fresh index starts lock-free; hints resync from the replica's
+         host table. *)
+      node.indexes.(shard) <- Some (fresh_index t node ~shard);
+      t.ctl.primaries.(shard) <- new_primary;
+      new_primary
+
+(* Dead-owner lock sweep over [node]'s caching indexes. *)
+let sweep_locks t ~node ~dead =
+  Array.fold_left
+    (fun broken idx_opt ->
+      match idx_opt with
+      | None -> broken
+      | Some idx ->
+          List.fold_left
+            (fun broken (k, owner) ->
+              if dead owner then begin
+                Xenic_store.Nic_index.unlock idx k ~owner;
+                broken + 1
+              end
+              else broken)
+            broken
+            (Xenic_store.Nic_index.locked_keys idx))
+    0 t.nodes.(node).indexes
+
+(* ------------------------------------------------------------------ *)
 (* Construction *)
 
 let create engine hw cfg p =
   let ctl =
     Control.create engine hw cfg ~stack:"Xenic" ~partitions:p.partitions
-      ~req_timeout_ns:p.req_timeout_ns
+      ~armed:p.armed
   in
   let nodes =
     Array.init cfg.Config.nodes (fun id ->
@@ -382,7 +430,15 @@ let create engine hw cfg p =
         worker node.commit_log ~applied:(unpin_applied node)
       done)
     nodes;
-  { ctl; hw; p; nodes; tr = transport ctl nodes }
+  let t = { ctl; hw; p; nodes; tr = transport ctl nodes } in
+  (* Recovery's data plane: the successor drains its backup log before
+     the promotion's index rebuild snapshots its host table. *)
+  if p.armed then
+    Control.attach_membership ctl ~sweep_locks:(sweep_locks t)
+      ~successor_drained:(fun ~node ->
+        Xenic_store.Hostlog.drained t.nodes.(node).log)
+      ~promote:(fun ~shard ~successor:_ -> promote t ~shard);
+  t
 
 let load t k v =
   Control.load t.ctl k ~insert:(fun n -> Storage.load t.nodes.(n).storage k v)
@@ -798,7 +854,7 @@ let multihop_eligible t node (txn : Types.t) =
   (* The multi-hop ack fan-in (LOG responses routed to P1) is not
      crash-safe; when timeouts are armed, everything takes the standard
      distributed path, whose phases are individually retryable. *)
-  && not (armed t)
+  && not t.p.armed
   && List.for_all (fun k -> List.mem k txn.write_set) txn.read_set
   && txn.write_set <> []
   &&
@@ -1176,64 +1232,6 @@ let audit t =
         t.nodes.(node).indexes [])
 
 (* -- Reconfiguration (§4.2.1) --------------------------------------- *)
-
-(* A caching index over [node]'s replica of [shard]: lock-free, hints
-   synced from the host table, prewarmed when caching is on. Lock state
-   lives only in a NIC, so every rebuild (promotion, rejoin) starts
-   from here. *)
-let fresh_index t node ~shard =
-  let store = Storage.shard_store node.storage ~shard in
-  let idx =
-    Xenic_store.Nic_index.create ~host:store.Storage.hash
-      ~cache_capacity:(if t.p.features.caching then t.p.cache_capacity else 0)
-      ()
-  in
-  Xenic_store.Nic_index.sync_hints idx;
-  if t.p.features.caching then Xenic_store.Nic_index.prewarm idx;
-  idx
-
-let promote t ~shard =
-  match
-    List.find_opt
-      (fun n -> Control.node_alive t.ctl ~node:n)
-      (Config.replicas t.ctl.cfg ~shard)
-  with
-  | None -> invalid_arg "promote: no live replica"
-  | Some new_primary ->
-      let node = t.nodes.(new_primary) in
-      (* Rebuild the caching index over the promoted replica. Lock
-         state lived only at the failed primary's NIC (§4.2.1), so the
-         fresh index starts lock-free; hints resync from the replica's
-         host table. *)
-      node.indexes.(shard) <- Some (fresh_index t node ~shard);
-      t.ctl.primaries.(shard) <- new_primary;
-      new_primary
-
-(* Dead-owner lock sweep over [node]'s caching indexes. *)
-let sweep_locks t ~node ~dead =
-  Array.fold_left
-    (fun broken idx_opt ->
-      match idx_opt with
-      | None -> broken
-      | Some idx ->
-          List.fold_left
-            (fun broken (k, owner) ->
-              if dead owner then begin
-                Xenic_store.Nic_index.unlock idx k ~owner;
-                broken + 1
-              end
-              else broken)
-            broken
-            (Xenic_store.Nic_index.locked_keys idx))
-    0 t.nodes.(node).indexes
-
-(* Recovery's data plane: the successor drains its backup log before
-   the promotion's index rebuild snapshots its host table. *)
-let attach_membership t m =
-  Control.attach_membership t.ctl m ~sweep_locks:(sweep_locks t)
-    ~successor_drained:(fun ~node ->
-      Xenic_store.Hostlog.drained t.nodes.(node).log)
-    ~promote:(fun ~shard ~successor:_ -> promote t ~shard)
 
 (* Epoch-fenced rejoin of a node that crashed and returned within its
    lease window (a "flap"). The node is still primary of its shards —

@@ -26,14 +26,16 @@ type params = {
   segments : int;  (** Host Robinhood table segments per shard copy. *)
   seg_size : int;
   d_max : int option;
-  req_timeout_ns : float option;
-      (** [Some d]: arm per-request response deadlines — a coordinator
-          whose EXECUTE/VALIDATE/LOG times out treats the peer as dead,
-          releases its locks on surviving primaries, and retries
-          against post-promotion routing. Must sit well above the
-          worst-case round-trip so a firing timeout implies a dead
-          peer, not a slow one. [None] (default): legacy behavior —
-          requests block forever, faults only between load phases. *)
+  armed : bool;
+      (** [true]: {!create} arms the fault-tolerant path —
+          {!Control.req_timeout_ns} response deadlines, so a
+          coordinator whose EXECUTE/VALIDATE/LOG times out treats the
+          peer as dead, releases its locks on surviving primaries and
+          retries against post-promotion routing; the epoch-fenced
+          commit point; and a started membership driving recovery
+          (below). [false] (default): the fault-free fast path —
+          requests block until answered, and a crash removes the node
+          from routing at once. *)
   partitions : int;
       (** [> 0]: install a windowed conservative-PDES topology over
           this many node partitions (lookahead = the wire latency) and
@@ -41,8 +43,8 @@ type params = {
           open-loop configuration; results are bit-identical for a
           fixed partition count regardless of the engine's domain
           count. Windowed systems must stay un-armed and must not
-          attach membership, traces or profiles (that state is
-          cross-partition; {!Control} rejects the first three). [0]
+          attach traces or profiles (that state is cross-partition;
+          {!Control} rejects the first two). [0]
           (default): the single-heap engine, whatever its domain
           budget, with one metrics shard and one oracle buffer. *)
 }
@@ -51,6 +53,9 @@ val default_params : params
 
 type t
 
+(** Build the stack. An armed one ends by starting its membership
+    ({!Control.attach_membership}); an armed windowed one raises
+    [Invalid_argument]. *)
 val create :
   Xenic_sim.Engine.t -> Xenic_params.Hw.t -> Config.t -> params -> t
 
@@ -95,7 +100,9 @@ val ordered : t -> node:int -> shard:int -> bytes Xenic_store.Btree.t
 (** {2 Reconfiguration (§4.2.1)}
 
     Crash injection, the epoch, the commit fence and recovery order
-    are {!Control}'s; this stack supplies the data plane. On failover
+    are {!Control}'s; this stack supplies the data plane, which an
+    armed system hands to its membership: Xenic's lock sweep,
+    successor drain and index-rebuilding promotion. On failover
     each shard the dead node was primary of is promoted onto a live
     backup, which first drains its backup log and then rebuilds its
     caching index over its replica — lock state lives only in the
@@ -104,13 +111,6 @@ val ordered : t -> node:int -> shard:int -> bytes Xenic_store.Btree.t
     per-transaction commit decision resolved by the coordinator;
     backups apply only decided-commit records, so a coordinator crash
     mid-replication never diverges replicas. *)
-
-(** Subscribe this system to a membership service
-    ({!Control.attach_membership} with Xenic's lock sweep, successor
-    drain and index-rebuilding promotion). The membership must cover
-    the same node ids. Raises [Invalid_argument] on a windowed
-    system. *)
-val attach_membership : t -> Membership.t -> unit
 
 (** Recover a crashed node. If it returned within its lease window
     (never declared dead), this starts an epoch-fenced rejoin: the

@@ -39,14 +39,6 @@ let counter o name =
 
 let hw = Xenic_params.Hw.testbed
 
-(* Same armed-timeout constants as the fault tests: 40us per request
-   sits above the worst-case round trip even with the validator's
-   bounded gray delay, and the lease is shorter so promotion lands
-   while coordinators back off. *)
-let req_timeout_ns = 40_000.0
-
-let lease_ns = 25_000.0
-
 let sb_params = { Smallbank.default_params with accounts_per_node = 500 }
 
 let retwis_params = { Retwis.default_params with keys_per_node = 1_000 }
@@ -68,7 +60,6 @@ let check_oracle ~what oracle =
 let mk_closed stack ~nodes ~replication ~armed () =
   let engine = Engine.create ~strict:true () in
   let cfg = Config.make ~nodes ~replication in
-  let req_timeout_ns = if armed then Some req_timeout_ns else None in
   match stack with
   | Xenic ->
       let segments, seg_size, d_max = Smallbank.store_cfg sb_params in
@@ -79,31 +70,19 @@ let mk_closed stack ~nodes ~replication ~armed () =
           seg_size;
           d_max;
           cache_capacity = 256;
-          req_timeout_ns;
+          armed;
         }
       in
-      let xs = Xenic_system.create engine hw cfg p in
-      if armed then begin
-        let m = Membership.create engine cfg ~lease_ns in
-        Xenic_system.attach_membership xs m;
-        Membership.start m
-      end;
-      System.of_xenic xs
+      System.of_xenic (Xenic_system.create engine hw cfg p)
   | _ ->
       let p =
         {
           Rdma_system.default_params with
           buckets = Smallbank.chained_buckets sb_params;
-          req_timeout_ns;
+          armed;
         }
       in
-      let rs = Rdma_system.create engine hw cfg (flavor stack) p in
-      if armed then begin
-        let m = Membership.create engine cfg ~lease_ns in
-        Rdma_system.attach_membership rs m;
-        Membership.start m
-      end;
-      System.of_rdma rs
+      System.of_rdma (Rdma_system.create engine hw cfg (flavor stack) p)
 
 let mk_open stack ?domains ~nodes ~replication () =
   let engine = Engine.create ~strict:true ?domains () in

@@ -5,8 +5,9 @@
     on), load a workload, attach a serializability oracle, inject the
     scenario, drive it, and check the oracle before reporting. A
     closed-loop scenario ([phases = []]) runs Smallbank under
-    [Driver.run]; crash scenarios arm per-request timeouts and a
-    lease-based membership exactly like the fault tests. An open-loop
+    [Driver.run]; crash scenarios build the stack armed
+    ([armed = true] in its params: request deadlines, the fenced commit
+    point and a lease-based membership). An open-loop
     scenario runs Retwis through [Openloop.run] on a partitioned
     system ([partitions = 2]), so [XENIC_DOMAINS] exercises the
     windowed parallel engine. *)
@@ -18,6 +19,10 @@ val all_stacks : stack list
 val stack_name : stack -> string
 
 val stack_of_string : string -> stack option
+
+(** The {!Xenic_proto.Rdma_system} flavor of an RDMA stack. Raises
+    [Invalid_argument] on [Xenic]. *)
+val flavor : stack -> Xenic_proto.Rdma_system.flavor
 
 type outcome = {
   committed : int;

@@ -544,9 +544,8 @@ let expand_endpoint t n = if n = -1 then all_nodes t else [ n ]
    source node, so a directive touching several sources becomes one
    event per source, tagged [~node:src] — each runs on the partition
    that owns the row it mutates. NIC directives run at their node.
-   Crash/recover are untagged, exactly like the [Driver.run ~faults]
-   path (closed-loop runs use the single-heap engine, where tags are
-   ignored). *)
+   Crash/recover are untagged: they only run in closed-loop scenarios,
+   on the single-heap engine, where tags are ignored. *)
 let schedule_action t (sys : System.t) ~at action =
   let engine = sys.System.engine in
   let ctl = sys.System.control in
@@ -613,19 +612,6 @@ let inject t (sys : System.t) ~seed =
   let start = Engine.now sys.System.engine in
   List.iter
     (fun e -> schedule_action t sys ~at:(start +. e.at_ns) e.action)
-    t.events
-
-let crash_schedule t =
-  List.map
-    (fun e ->
-      match e.action with
-      | Crash n -> (e.at_ns, n)
-      | _ ->
-          invalid_arg
-            (Printf.sprintf
-               "Scenario.crash_schedule %s: scenario contains non-crash \
-                events"
-               t.name))
     t.events
 
 let openloop_phases t =

@@ -76,8 +76,8 @@ val make :
 
 (** {2 Shape predicates} *)
 
-(** Scenario contains crash/recover events — the harness must arm
-    request timeouts and attach a membership service. *)
+(** Scenario contains crash/recover events — it must run on a system
+    built with [armed = true]. *)
 val has_crashes : t -> bool
 
 val has_recovers : t -> bool
@@ -132,11 +132,6 @@ val save_file : string -> t -> unit
     Raises [Invalid_argument] if the scenario fails {!validate} or its
     [nodes] differs from the system's. *)
 val inject : t -> Xenic_proto.System.t -> seed:int64 -> unit
-
-(** The crash events as a [Driver.run ~faults] schedule — the legacy
-    injection path, kept bit-identical for existing callers. Raises
-    [Invalid_argument] if the scenario contains anything but crashes. *)
-val crash_schedule : t -> (float * int) list
 
 (** Open-loop phases in [Openloop.run] form. *)
 val openloop_phases : t -> Xenic_workload.Openloop.phase list

@@ -31,7 +31,7 @@ type state = {
    conflict/staleness window. *)
 let abort_backoff_ns = 3_000.0
 
-let run ?(seed = 1L) ?(warmup_frac = 0.15) ?coordinators ?(faults = []) ?trace ?(sample_period_ns = 10_000.0)
+let run ?(seed = 1L) ?(warmup_frac = 0.15) ?coordinators ?trace ?(sample_period_ns = 10_000.0)
     ?(profile = false) ?telemetry (sys : System.t) spec ~concurrency ~target =
   let engine = sys.System.engine in
   let metrics = Metrics.create () in
@@ -108,13 +108,6 @@ let run ?(seed = 1L) ?(warmup_frac = 0.15) ?coordinators ?(faults = []) ?trace ?
     | Some cs -> cs
     | None -> List.init nodes (fun n -> n)
   in
-  List.iter
-    (fun (t_ns, node) ->
-      if Float.compare t_ns 0.0 < 0 then
-        invalid_arg "Driver.run: negative fault time";
-      Engine.at engine (start +. t_ns) (fun () ->
-          Control.crash_node sys.System.control ~node))
-    faults;
   (* Once every slot has exited, stop background services (membership
      lease loops) so the engine can drain and [Engine.run] returns. *)
   let active_slots = ref (concurrency * List.length coordinators) in

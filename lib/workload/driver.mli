@@ -32,11 +32,10 @@ type result = {
     drains, the system's oracle buffers are flushed ([sys.System.sync]), so
     an attached oracle holds every commit of the run.
 
-    [faults] schedules mid-run crashes: each [(t_ns, node)] crashes
-    [node] at [t_ns] simulated nanoseconds after the run starts (via
-    the system's [crash_node]). Slots coordinated at a crashed or
-    declared-dead node retire; surviving nodes finish the run. Raises
-    [Invalid_argument] on a negative fault time.
+    Mid-run crashes are ordinary engine events scheduled before the
+    run, e.g. by [Xenic_scenario.Scenario.inject]. Slots coordinated at
+    a crashed or declared-dead node retire; surviving nodes finish the
+    run.
 
     [trace] attaches a deterministic trace for the run: protocol
     phases become spans, aborts/retries/recovery become instants, and
@@ -63,7 +62,6 @@ val run :
   ?seed:int64 ->
   ?warmup_frac:float ->
   ?coordinators:int list ->
-  ?faults:(float * int) list ->
   ?trace:Xenic_sim.Trace.t ->
   ?sample_period_ns:float ->
   ?profile:bool ->

@@ -66,15 +66,11 @@ let mk_rdma_sb flavor () =
   in
   System.of_rdma (Rdma_system.create engine hw cfg flavor p)
 
-(* Scale-sweep variants: arbitrary node count, replication 3, with the
-   fault/membership machinery from test_fault.ml armed (per-request
-   timeouts + lease-based membership) so each sweep point can take one
-   mid-run crash and still satisfy the oracle and reproduce bit for
+(* Scale-sweep variants: arbitrary node count, replication 3, built
+   armed like test_fault.ml's stacks (request deadlines, the fenced
+   commit point, a lease-based membership) so each sweep point can take
+   one mid-run crash and still satisfy the oracle and reproduce bit for
    bit. *)
-
-let req_timeout_ns = 40_000.0
-
-let lease_ns = 25_000.0
 
 let mk_xenic_sb_at ~nodes () =
   let engine = Engine.create ~strict:true () in
@@ -87,14 +83,10 @@ let mk_xenic_sb_at ~nodes () =
       seg_size;
       d_max;
       cache_capacity = 256;
-      req_timeout_ns = Some req_timeout_ns;
+      armed = true;
     }
   in
-  let xs = Xenic_system.create engine hw cfg p in
-  let m = Membership.create engine cfg ~lease_ns in
-  Xenic_system.attach_membership xs m;
-  Membership.start m;
-  System.of_xenic xs
+  System.of_xenic (Xenic_system.create engine hw cfg p)
 
 let mk_rdma_sb_at flavor ~nodes () =
   let engine = Engine.create ~strict:true () in
@@ -103,14 +95,10 @@ let mk_rdma_sb_at flavor ~nodes () =
     {
       Rdma_system.default_params with
       buckets = Smallbank.chained_buckets sb_params;
-      req_timeout_ns = Some req_timeout_ns;
+      armed = true;
     }
   in
-  let rs = Rdma_system.create engine hw cfg flavor p in
-  let m = Membership.create engine cfg ~lease_ns in
-  Rdma_system.attach_membership rs m;
-  Membership.start m;
-  System.of_rdma rs
+  System.of_rdma (Rdma_system.create engine hw cfg flavor p)
 
 (* A textual digest of everything the run produced. Floats are printed
    with %h (hex, lossless), so equal digests mean bit-identical stats. *)
@@ -126,14 +114,23 @@ let fingerprint sys (result : Driver.result) oracle =
          result.Driver.abort_rate result.Driver.duration_ns
     :: List.map (fun (k, v) -> Printf.sprintf "%s=%h" k v) counters)
 
-(* One full run: load, drive, oracle check. Returns the digest. *)
-let run_once ?(faults = []) ~mk ~load ~spec_of ~concurrency ~target seed =
+(* One full run: load, inject [crash] (a one-event scenario, if any),
+   drive, oracle check. Returns the digest. *)
+let run_once ?crash ~mk ~load ~spec_of ~concurrency ~target seed =
   let sys = mk () in
   let oracle = Oracle.create () in
   sys.System.set_oracle oracle;
   load sys;
   let spec = spec_of sys in
-  let result = Driver.run sys spec ~seed ~faults ~concurrency ~target in
+  Option.iter
+    (fun (at_ns, node) ->
+      Xenic_scenario.Scenario.(
+        inject
+          (make ~name:"crash" ~nodes:sys.System.cfg.Config.nodes
+             [ { at_ns; action = Crash node } ])
+          sys ~seed:0L))
+    crash;
+  let result = Driver.run sys spec ~seed ~concurrency ~target in
   Alcotest.(check bool)
     (Printf.sprintf "%s seed %Ld: made progress" sys.System.name seed)
     true
@@ -148,13 +145,13 @@ let run_once ?(faults = []) ~mk ~load ~spec_of ~concurrency ~target seed =
       Alcotest.failf "%s seed %Ld: not serializable: %s" sys.System.name seed msg);
   fingerprint sys result oracle
 
-let sweep ?(faults = []) ~mk ~load ~spec_of ~concurrency ~target seeds =
+let sweep ?crash ~mk ~load ~spec_of ~concurrency ~target seeds =
   let digests =
-    List.map (run_once ~faults ~mk ~load ~spec_of ~concurrency ~target) seeds
+    List.map (run_once ?crash ~mk ~load ~spec_of ~concurrency ~target) seeds
   in
   (* Repeat the first seed: bit-identical digest required. *)
   let again =
-    run_once ~faults ~mk ~load ~spec_of ~concurrency ~target (List.hd seeds)
+    run_once ?crash ~mk ~load ~spec_of ~concurrency ~target (List.hd seeds)
   in
   Alcotest.(check string)
     (Printf.sprintf "seed %Ld reproduces bit-identically" (List.hd seeds))
@@ -196,11 +193,11 @@ let test_rdma_smallbank_sweep flavor () =
    (replication is 3). *)
 let scale_nodes = [ 3; 12; 24 ]
 
-let scale_faults = [ (100_000.0, 1) ]
+let scale_crash = (100_000.0, 1)
 
 let test_xenic_scale_sweep nodes () =
   let digests =
-    sweep ~faults:scale_faults
+    sweep ~crash:scale_crash
       ~mk:(mk_xenic_sb_at ~nodes)
       ~load:(Smallbank.load sb_params) ~spec_of:sb_spec ~concurrency:4
       ~target:(50 * nodes)
@@ -213,7 +210,7 @@ let test_xenic_scale_sweep nodes () =
 
 let test_rdma_scale_sweep flavor nodes () =
   ignore
-    (sweep ~faults:scale_faults
+    (sweep ~crash:scale_crash
        ~mk:(mk_rdma_sb_at flavor ~nodes)
        ~load:(Smallbank.load sb_params) ~spec_of:sb_spec ~concurrency:4
        ~target:(50 * nodes)

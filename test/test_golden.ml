@@ -25,19 +25,8 @@ let seed = 7L
 
 let sb_params = { Smallbank.default_params with accounts_per_node = 400 }
 
-(* Armed runs (see below) use test_fault's setup: per-request
-   timeouts of 40 us, a 25 us membership lease, and a strict engine. *)
-let req_timeout_ns = 40_000.0
-
-let lease_ns = 25_000.0
-
-let arm engine cfg ~armed attach_membership =
-  if armed then begin
-    let m = Membership.create engine cfg ~lease_ns in
-    attach_membership m;
-    Membership.start m
-  end
-
+(* Armed runs (see below) use test_fault's setup: an armed stack on a
+   strict engine. *)
 let mk_xenic_with features ~armed =
   let engine = Engine.create ~strict:armed () in
   let cfg = Config.make ~nodes:4 ~replication:3 in
@@ -50,12 +39,10 @@ let mk_xenic_with features ~armed =
       seg_size;
       d_max;
       cache_capacity = 256;
-      req_timeout_ns = (if armed then Some req_timeout_ns else None);
+      armed;
     }
   in
-  let xs = Xenic_system.create engine hw cfg p in
-  arm engine cfg ~armed (Xenic_system.attach_membership xs);
-  System.of_xenic xs
+  System.of_xenic (Xenic_system.create engine hw cfg p)
 
 let mk_xenic = mk_xenic_with Features.full
 
@@ -66,12 +53,10 @@ let mk_rdma flavor ~armed =
     {
       Rdma_system.default_params with
       buckets = Smallbank.chained_buckets sb_params;
-      req_timeout_ns = (if armed then Some req_timeout_ns else None);
+      armed;
     }
   in
-  let rs = Rdma_system.create engine hw cfg flavor p in
-  arm engine cfg ~armed (Rdma_system.attach_membership rs);
-  System.of_rdma rs
+  System.of_rdma (Rdma_system.create engine hw cfg flavor p)
 
 let stacks =
   [
@@ -189,20 +174,23 @@ let test_stack (name, mk) () =
 (* {2 Armed runs: the fault-tolerant commit path}
 
    The un-armed snapshots above never take the commit fence or leave a
-   LOG record pending. These runs arm per-request timeouts, attach a
-   lease-based membership and crash node 2 mid-run (test_fault's
-   setup), so every exit of the armed commit point — fence refused,
+   LOG record pending. These runs build the stacks armed (request
+   deadlines, the fenced commit point, a lease-based membership) and
+   crash node 2 mid-run (test_fault's setup), so every exit of the armed commit point — fence refused,
    coordinator dead mid-LOG, backups discarding an aborted record — is
    pinned by a metrics digest. *)
 
 let run_armed mk =
   let sys = mk ~armed:true in
   Smallbank.load sb_params sys;
+  let nodes = sys.System.cfg.Config.nodes in
+  Xenic_scenario.Scenario.(
+    inject
+      (make ~name:"crash" ~nodes [ { at_ns = 80_000.0; action = Crash 2 } ])
+      sys ~seed:0L);
   let result =
-    Driver.run sys
-      (Smallbank.spec sb_params ~nodes:sys.System.cfg.Config.nodes)
-      ~seed ~concurrency:8 ~target:400
-      ~faults:[ (80_000.0, 2) ]
+    Driver.run sys (Smallbank.spec sb_params ~nodes) ~seed ~concurrency:8
+      ~target:400
   in
   (sys, result)
 

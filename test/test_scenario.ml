@@ -162,6 +162,7 @@ let test_validate_rules () =
        (List.init 4 (fun n -> ev (float_of_int (n + 1)) (Scenario.Crash n))));
   rejected "node out of range" (mk ~name:"x" [ ev 1.0 (Scenario.Crash 7) ]);
   rejected "bad name" (mk ~name:"no spaces" [ ev 1.0 (Scenario.Crash 1) ]);
+  rejected "negative event time" (mk ~name:"x" [ ev (-1.0) (Scenario.Crash 1) ]);
   accepted "armed loss within rto bound"
     (Scenario.make ~name:"x" ~nodes:4 ~rto_ns:1_000.0
        [
@@ -331,83 +332,6 @@ let test_system_flap_refused_on_rdma () =
     (Harness.counter o "node_rejoins")
 
 (* ------------------------------------------------------------------ *)
-(* Legacy-faults regression: Driver.run ~faults must stay bit-identical
-   to the same schedule expressed as a scenario. *)
-
-let test_legacy_faults_parity () =
-  let scn = load "crash-single" in
-  let hw = Xenic_params.Hw.testbed in
-  let sb = { Xenic_workload.Smallbank.default_params with accounts_per_node = 500 } in
-  let mk () =
-    let engine = Engine.create ~strict:true () in
-    let cfg = Config.make ~nodes:4 ~replication:3 in
-    let segments, seg_size, d_max = Xenic_workload.Smallbank.store_cfg sb in
-    let p =
-      {
-        Xenic_proto.Xenic_system.default_params with
-        segments;
-        seg_size;
-        d_max;
-        cache_capacity = 256;
-        req_timeout_ns = Some 40_000.0;
-      }
-    in
-    let xs = Xenic_proto.Xenic_system.create engine hw cfg p in
-    let m = Membership.create engine cfg ~lease_ns in
-    Xenic_proto.Xenic_system.attach_membership xs m;
-    Membership.start m;
-    let sys = Xenic_proto.System.of_xenic xs in
-    let oracle = Xenic_proto.Oracle.create () in
-    sys.Xenic_proto.System.set_oracle oracle;
-    Xenic_workload.Smallbank.load sb sys;
-    (sys, oracle)
-  in
-  let fingerprint sys (r : Xenic_workload.Driver.result) oracle =
-    let counters =
-      Xenic_stats.Counter.to_list
-        (Xenic_proto.Metrics.counters (sys.Xenic_proto.System.metrics ()))
-    in
-    String.concat "\n"
-      (Printf.sprintf "committed=%d aborted=%d oracle=%d"
-         r.Xenic_workload.Driver.committed r.Xenic_workload.Driver.aborted
-         (Xenic_proto.Oracle.txn_count oracle)
-      :: Printf.sprintf "median=%h p99=%h duration=%h"
-           r.Xenic_workload.Driver.median_latency_us
-           r.Xenic_workload.Driver.p99_latency_us
-           r.Xenic_workload.Driver.duration_ns
-      :: List.map (fun (k, v) -> Printf.sprintf "%s=%h" k v) counters)
-  in
-  let spec sys =
-    Xenic_workload.Smallbank.spec sb
-      ~nodes:sys.Xenic_proto.System.cfg.Config.nodes
-  in
-  (* Legacy path: the crash schedule extracted from the scenario, fed
-     to Driver.run ~faults. *)
-  let sys_a, oracle_a = mk () in
-  let r_a =
-    Xenic_workload.Driver.run sys_a (spec sys_a) ~seed:1L ~concurrency:8
-      ~target:400
-      ~faults:(Scenario.crash_schedule scn)
-  in
-  (* Scenario path: same schedule injected as scenario events. *)
-  let sys_b, oracle_b = mk () in
-  Scenario.inject scn sys_b ~seed:99L;
-  let r_b =
-    Xenic_workload.Driver.run sys_b (spec sys_b) ~seed:1L ~concurrency:8
-      ~target:400
-  in
-  Alcotest.(check string) "scenario injection is bit-identical to ~faults"
-    (fingerprint sys_a r_a oracle_a)
-    (fingerprint sys_b r_b oracle_b)
-
-let test_crash_schedule_guard () =
-  let scn = load "gray-mix" in
-  Alcotest.check_raises "crash_schedule rejects non-crash scenarios"
-    (Invalid_argument
-       "Scenario.crash_schedule gray-mix: scenario contains non-crash events")
-    (fun () -> ignore (Scenario.crash_schedule scn))
-
-(* ------------------------------------------------------------------ *)
 (* Fuzzer *)
 
 let test_fuzz_generate_valid () =
@@ -530,13 +454,6 @@ let () =
             test_system_flap_rejoin;
           Alcotest.test_case "system: rdma flap refused" `Quick
             test_system_flap_refused_on_rdma;
-        ] );
-      ( "legacy",
-        [
-          Alcotest.test_case "scenario vs ~faults bit-parity" `Quick
-            test_legacy_faults_parity;
-          Alcotest.test_case "crash_schedule guard" `Quick
-            test_crash_schedule_guard;
         ] );
       ( "fuzz",
         [
