@@ -37,7 +37,7 @@ let lio_rtt hw ~from_host op =
   Process.spawn engine (fun () ->
       let start = Engine.now engine in
       if from_host then Smartnic.host_msg nics.(0);
-      Smartnic.core_work nics.(0) ~bytes:payload_b;
+      Smartnic.core_work nics.(0) ~ops:1 ~bytes:payload_b;
       Process.suspend (fun resume ->
           Xenic_net.Fabric.send fabric ~src:0 ~dst:1
             ~payload_bytes:(payload_b + hw.agg_msg_header_b)
@@ -46,7 +46,7 @@ let lio_rtt hw ~from_host op =
                 bytes = payload_b;
                 deliver =
                   (fun () ->
-                    Smartnic.core_work nics.(1) ~bytes:payload_b;
+                    Smartnic.core_work nics.(1) ~ops:1 ~bytes:payload_b;
                     (match op with
                     | `Nic_rpc -> ()
                     | `Read -> Xenic_pcie.Dma.read (Smartnic.dma nics.(1)) ~bytes:payload_b
@@ -55,7 +55,7 @@ let lio_rtt hw ~from_host op =
                         Smartnic.host_msg nics.(1);
                         Resource.use host_threads hw.host_rpc_ns;
                         Smartnic.host_msg nics.(1));
-                    Smartnic.core_work nics.(1) ~bytes:0;
+                    Smartnic.core_work nics.(1) ~ops:1 ~bytes:0;
                     Xenic_net.Fabric.send fabric ~src:1 ~dst:0
                       ~payload_bytes:(payload_b + hw.agg_msg_header_b)
                       [
@@ -63,7 +63,7 @@ let lio_rtt hw ~from_host op =
                           bytes = payload_b;
                           deliver =
                             (fun () ->
-                              Smartnic.core_work nics.(0) ~bytes:0;
+                              Smartnic.core_work nics.(0) ~ops:1 ~bytes:0;
                               resume ());
                         };
                       ]);

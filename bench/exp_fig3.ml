@@ -61,7 +61,7 @@ let lio_write_tput hw ~to_host ~batched ~size =
                       bytes = size;
                       deliver =
                         (fun () ->
-                          Smartnic.core_work nic ~bytes:size;
+                          Smartnic.core_work nic ~ops:1 ~bytes:size;
                           if to_host then
                             Xenic_pcie.Dma.write (Smartnic.dma nic) ~bytes:size;
                           incr completed;

@@ -1,6 +1,7 @@
 open Xenic_sim
 
 type 'm node = {
+  node_id : int option;  (* [Some i], built once: the wire hop's [~node] *)
   tx : Resource.t;
   rx_link : Resource.t;
   inbox : 'm Packet.t Mailbox.t;
@@ -42,6 +43,7 @@ let max_retransmits = 4
 let create engine hw ~nodes =
   let make i =
     {
+      node_id = Some i;
       tx = Resource.create engine ~name:(Printf.sprintf "tx%d" i) ~servers:1;
       rx_link = Resource.create engine ~name:(Printf.sprintf "rx%d" i) ~servers:1;
       inbox = Mailbox.create engine;
@@ -160,7 +162,8 @@ let wait_reachable t ~src ~dst =
    poll, wire hop, rx hold, delivery — the same engine events, in the
    same order, as {!transfer} followed by a mailbox send. The rx hold
    is attributed to the sender's context, which the hop event
-   reinstalls. *)
+   reinstalls. The three steps are one [let rec], so they share a
+   single closure block and its environment. *)
 let send t ~src ~dst ~payload_bytes msgs =
   let wire_bytes = payload_bytes + t.hw.eth_frame_overhead_b in
   t.frames_arr.(src) <- t.frames_arr.(src) + 1;
@@ -169,21 +172,22 @@ let send t ~src ~dst ~payload_bytes msgs =
   let serialization = float_of_int wire_bytes /. rate t in
   let ctx = Attrib.get () in
   let rx = t.node_arr.(dst) in
-  let deliver () = Mailbox.send rx.inbox packet in
-  let arrive () =
+  let rec hop () =
+    (* A cut link polls here once per base wire latency (see
+       {!when_reachable}). Otherwise the wire hop is the partition
+       handoff: the rx/delivery work after it runs on the destination
+       node's partition. Wire latency is exactly the partitioned
+       engine's lookahead, so the hop is legal in windowed mode by
+       construction (fault delays only ever add to it). *)
+    if is_cut t ~src ~dst then Engine.after t.engine t.hw.wire_latency_ns hop
+    else Engine.after ?node:rx.node_id t.engine (hop_delay t ~src ~dst) arrive
+  and arrive () =
     let ambient = Attrib.get () in
     Attrib.set ctx;
     Resource.use_then rx.rx_link serialization deliver;
     Attrib.set ambient
-  in
-  Resource.use_then t.node_arr.(src).tx serialization (fun () ->
-      when_reachable t ~src ~dst (fun () ->
-          (* The wire hop is the partition handoff: the rx/delivery
-             work after it runs on the destination node's partition.
-             Wire latency is exactly the partitioned engine's
-             lookahead, so the hop is legal in windowed mode by
-             construction (fault delays only ever add to it). *)
-          Engine.after ~node:dst t.engine (hop_delay t ~src ~dst) arrive))
+  and deliver () = Mailbox.send rx.inbox packet in
+  Resource.use_then t.node_arr.(src).tx serialization hop
 
 let transfer t ~src ~dst ~payload_bytes =
   let wire_bytes = payload_bytes + t.hw.eth_frame_overhead_b in

@@ -51,16 +51,20 @@ let cores t = t.cores
 
 let dma t = t.dma
 
-let pkt_io t = Resource.use t.pkt_io_path (t.hw.nic_pkt_io_ns *. t.slowdown)
+let pkt_io_ns t = t.hw.nic_pkt_io_ns *. t.slowdown
 
-let op_cost ?(ops = 1) t ~bytes =
+let pkt_io t = Resource.use t.pkt_io_path (pkt_io_ns t)
+
+let pkt_io_then t k = Resource.use_then t.pkt_io_path (pkt_io_ns t) k
+
+let op_cost t ~ops ~bytes =
   ((float_of_int ops *. t.hw.nic_core_op_ns)
   +. (float_of_int bytes *. t.hw.nic_core_byte_ns))
   *. t.slowdown
 
-let core_work ?ops t ~bytes = Resource.use t.cores (op_cost ?ops t ~bytes)
+let core_work t ~ops ~bytes = Resource.use t.cores (op_cost t ~ops ~bytes)
 
-let core_work_held ?ops t ~bytes = Process.sleep t.engine (op_cost ?ops t ~bytes)
+let core_work_held t ~ops ~bytes = Process.sleep t.engine (op_cost t ~ops ~bytes)
 
 let mem_access t = Process.sleep t.engine (t.hw.nic_mem_access_ns *. t.slowdown)
 

@@ -23,13 +23,20 @@ val dma : t -> Xenic_pcie.Dma.t
 (** Blocking: pay the serialized packet RX/TX path cost for one frame. *)
 val pkt_io : t -> unit
 
-(** Blocking: occupy a core for a protocol operation touching [bytes]
-    of payload. [ops] scales the base per-op cost (default 1). *)
-val core_work : ?ops:int -> t -> bytes:int -> unit
+(** [pkt_io_then t k] is {!pkt_io} in callback form
+    ({!Xenic_sim.Resource.use_then}): it pays the same cost, then runs
+    [k]. For the dispatch loop, which runs without a process. *)
+val pkt_io_then : t -> (unit -> unit) -> unit
+
+(** Blocking: occupy a core for [ops] protocol operations touching
+    [bytes] of payload. [ops] scales the base per-op cost. A plain
+    labelled argument rather than an optional one, so a call allocates
+    no option. *)
+val core_work : t -> ops:int -> bytes:int -> unit
 
 (** Blocking: hold an already-acquired core for the same duration; for
     handlers that manage core acquisition themselves. *)
-val core_work_held : ?ops:int -> t -> bytes:int -> unit
+val core_work_held : t -> ops:int -> bytes:int -> unit
 
 (** NIC-local DRAM access cost (caching-index hit). *)
 val mem_access : t -> unit

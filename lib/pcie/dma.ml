@@ -60,8 +60,18 @@ let completion_ns t = function
   | Read -> t.hw.dma_read_completion_ns
   | Write -> t.hw.dma_write_completion_ns
 
+(* All elements of a vector become visible one completion delay after
+   engine service (Fig 4b: full vectors do not increase completion
+   latency). *)
+let rec complete t = function
+  | [] -> ()
+  | r :: rest ->
+      Engine.after t.engine (completion_ns t r.kind) r.k;
+      complete t rest
+
 (* A vector is a chain of engine callbacks rather than a process: bus
-   hold, queue-engine hold, then every element's completion. *)
+   hold, queue-engine hold, then every element's completion. The two
+   steps are one [let rec], so they share a single closure block. *)
 let flush t q =
   let n = q.pending_count in
   if n > 0 then begin
@@ -79,15 +89,9 @@ let flush t q =
     let bus_time =
       float_of_int total_bytes /. Xenic_params.Hw.pcie_rate t.hw
     in
-    Resource.use_then t.bus bus_time (fun () ->
-        Resource.use_then q.engine_res service (fun () ->
-            (* Completion latency overlaps across the vector: all
-               elements become visible one completion delay after
-               engine service (Fig 4b: full vectors do not increase
-               completion latency). *)
-            List.iter
-              (fun r -> Engine.after t.engine (completion_ns t r.kind) r.k)
-              reqs))
+    let rec on_bus () = Resource.use_then q.engine_res service on_engine
+    and on_engine () = complete t reqs in
+    Resource.use_then t.bus bus_time on_bus
   end
 
 let submit t kind ~bytes ~queue k =

@@ -646,27 +646,39 @@ let call t tr ?epoch0 ~src ~dst ~req_bytes ~resp_bytes handler =
 (* ------------------------------------------------------------------ *)
 (* Dispatch *)
 
+(* A callback chain, not a process: a frame's arrival, its packet-I/O
+   hold and the spawn of its handlers are the same engine events a
+   blocking loop would run, at the same (time, seq). [pump] takes
+   queued frames until one waits on [pkt_io] or the mailbox is empty,
+   then parks [on_frame]; every call in the chain is a tail call, so a
+   burst of frames handled at once does not grow the stack. *)
 let dispatch_loop t ~node ~pkt_io =
-  Process.spawn t.engine (fun () ->
-      Attrib.set { Attrib.stack = t.stack; node; phase = "dispatch"; cls = "-" };
-      let rx = Xenic_net.Fabric.rx t.fabric node in
-      let rec loop () =
-        let pkt = Mailbox.recv rx in
-        (* A crashed node's NIC is gone: every frame addressed to it is
-           lost, including responses to its own in-flight requests. The
-           sender's timeout is what notices. *)
-        if t.crashed.(node) then
-          Xenic_stats.Counter.add (counters t) "msgs_dropped"
-            (List.length pkt.Xenic_net.Packet.msgs)
-        else begin
-          pkt_io ();
-          List.iter
-            (fun m -> Process.spawn t.engine m.deliver)
-            pkt.Xenic_net.Packet.msgs
-        end;
-        loop ()
-      in
-      loop ())
+  let ctx = { Attrib.stack = t.stack; node; phase = "dispatch"; cls = "-" } in
+  let rx = Xenic_net.Fabric.rx t.fabric node in
+  let rec pump () =
+    match Mailbox.recv_opt rx with
+    | None -> Mailbox.recv_then rx on_frame
+    | Some pkt -> frame pkt
+  and frame (pkt : msg Xenic_net.Packet.t) =
+    (* A crashed node's NIC is gone: every frame addressed to it is
+       lost, including responses to its own in-flight requests. The
+       sender's timeout is what notices. *)
+    if t.crashed.(node) then begin
+      Xenic_stats.Counter.add (counters t) "msgs_dropped"
+        (List.length pkt.msgs);
+      pump ()
+    end
+    else
+      pkt_io (fun () ->
+          List.iter (fun m -> Process.spawn t.engine m.deliver) pkt.msgs;
+          pump ())
+  and on_frame pkt =
+    let ambient = Attrib.get () in
+    Attrib.set ctx;
+    frame pkt;
+    Attrib.set ambient
+  in
+  Mailbox.recv_then rx on_frame
 
 (* ------------------------------------------------------------------ *)
 (* Reconfiguration (§4.2.1) *)

@@ -397,10 +397,13 @@ val call :
   (unit -> 'r) ->
   [ `Ok of 'r | `Down ]
 
-(** Spawn [node]'s dispatch loop: frames to a crashed node are dropped;
-    otherwise [pkt_io ()] is charged per frame and each message is
-    delivered in a fresh process. *)
-val dispatch_loop : t -> node:int -> pkt_io:(unit -> unit) -> unit
+(** Start [node]'s dispatch loop, a callback chain on the node's
+    receive mailbox (no process): frames to a crashed node are dropped;
+    otherwise [pkt_io k] charges the frame's packet I/O and then runs
+    [k], which delivers each message in a fresh process. Frames are
+    handled one at a time, in arrival order, under the node's
+    ["dispatch"] attribution context. *)
+val dispatch_loop : t -> node:int -> pkt_io:((unit -> unit) -> unit) -> unit
 
 (** {2 Reconfiguration (§4.2.1)}
 

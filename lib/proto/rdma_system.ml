@@ -308,7 +308,7 @@ let create engine hw cfg flavor p =
     (fun node ->
       (* No SmartNIC: RDMA NIC costs are charged per verb and RPC inside
          [Rdma], not per dispatched frame. *)
-      Control.dispatch_loop ctl ~node:node.id ~pkt_io:ignore;
+      Control.dispatch_loop ctl ~node:node.id ~pkt_io:(fun k -> k ());
       for _ = 1 to p.worker_threads do
         (* Log application competes with RPC handling and coordinator
            work for the same host threads (§5.2: FaSST handles RPCs on

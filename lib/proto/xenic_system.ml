@@ -58,6 +58,7 @@ type node = {
          freshness does not queue behind bulky backup records *)
   app : Resource.t;
   workers : Resource.t;
+  io : Xenic_store.Nic_index.io;  (* caching-index I/O on [nic] *)
 }
 
 type t = {
@@ -102,7 +103,7 @@ let send ctl nodes ~src ~dst ~bytes deliver =
    request leaves and again as the response arrives. A stale request is
    answered with a small reject frame. *)
 let transport ctl nodes =
-  let core_work ~src = Smartnic.core_work nodes.(src).nic ~bytes:0 in
+  let core_work ~src = Smartnic.core_work nodes.(src).nic ~ops:1 ~bytes:0 in
   {
     Control.depart = (fun ~src ~dst:_ ~bytes:_ -> core_work ~src);
     send = send ctl nodes;
@@ -143,13 +144,13 @@ let with_core node f =
 (* DMA access from a handler holding a NIC core. With async DMA the
    core is released while the transfer is in flight (§4.3.1); without
    it the core blocks for the whole unvectored transfer. *)
-let dma_io t node kind ~bytes =
-  let dma = Smartnic.dma node.nic in
-  let cores = Smartnic.cores node.nic in
+let dma_io ctl (features : Features.t) nic kind ~bytes =
+  let dma = Smartnic.dma nic in
+  let cores = Smartnic.cores nic in
   (match kind with
-  | `Read -> Xenic_stats.Counter.incr (counters t) "dma_reads"
-  | `Write -> Xenic_stats.Counter.incr (counters t) "dma_writes");
-  if t.p.features.async_dma then begin
+  | `Read -> Xenic_stats.Counter.incr (Control.counters ctl) "dma_reads"
+  | `Write -> Xenic_stats.Counter.incr (Control.counters ctl) "dma_writes");
+  if features.async_dma then begin
     Resource.release cores;
     (match kind with
     | `Read -> Xenic_pcie.Dma.read dma ~bytes
@@ -161,12 +162,12 @@ let dma_io t node kind ~bytes =
     | `Read -> Xenic_pcie.Dma.read dma ~bytes
     | `Write -> Xenic_pcie.Dma.write dma ~bytes
 
-(* Caching-index I/O charged to this node's NIC (core held by caller). *)
-let index_io t node =
+(* Caching-index I/O charged to [nic] (core held by caller). Built once
+   per node, into [node.io]. *)
+let index_io ctl features nic =
   {
-    Xenic_store.Nic_index.nic_mem =
-      (fun () -> Smartnic.mem_access node.nic);
-    dma_read = (fun ~slots:_ ~bytes -> dma_io t node `Read ~bytes);
+    Xenic_store.Nic_index.nic_mem = (fun () -> Smartnic.mem_access nic);
+    dma_read = (fun ~slots:_ ~bytes -> dma_io ctl features nic `Read ~bytes);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -200,8 +201,7 @@ let execute_handler t node ~owner ~locks ~reads () =
         | [] -> invalid_arg "execute_handler: empty request"
         | k :: _ -> idx_for node k
       in
-      let io = index_io t node in
-      match lock_all idx io ~owner locks with
+      match lock_all idx node.io ~owner locks with
       | None ->
           Xenic_stats.Counter.incr (counters t) "exec_lock_conflicts";
           `Fail
@@ -214,7 +214,7 @@ let execute_handler t node ~owner ~locks ~reads () =
                     Xenic_stats.Counter.incr (counters t) "exec_read_locked";
                     `Fail
                 | _ ->
-                    let r = Xenic_store.Nic_index.read idx io k in
+                    let r = Xenic_store.Nic_index.read idx node.io k in
                     let v, seq =
                       match r with Some (v, s) -> (Some v, s) | None -> (None, 0)
                     in
@@ -237,7 +237,6 @@ let validate_handler t node ~owner ~checks () =
         | [] -> invalid_arg "validate_handler: empty request"
         | (k, _) :: _ -> idx_for node k
       in
-      let io = index_io t node in
       let ok =
         List.for_all
           (fun (k, expected) ->
@@ -247,7 +246,8 @@ let validate_handler t node ~owner ~checks () =
               | _ -> true
             in
             let current =
-              Option.value ~default:0 (Xenic_store.Nic_index.version idx io k)
+              Option.value ~default:0
+                (Xenic_store.Nic_index.version idx node.io k)
             in
             lock_ok && current = expected)
           checks
@@ -263,7 +263,7 @@ let log_handler t node ~decision ~shard ~seq_ops () =
   with_core node (fun () ->
       Smartnic.core_work_held node.nic ~ops:1 ~bytes:0;
       let bytes = Wire.log_record_b ~ops:(List.map fst seq_ops) in
-      dma_io t node `Write ~bytes;
+      dma_io t.ctl t.p.features node.nic `Write ~bytes;
       Control.append_log node.log ~bytes ~shard ~ops:seq_ops decision)
 
 (* COMMIT: append the commit record, install new values and versions in
@@ -272,7 +272,7 @@ let commit_handler t node ~owner ~shard ~seq_ops ~locked () =
   with_core node (fun () ->
       Smartnic.core_work_held node.nic ~ops:(List.length seq_ops) ~bytes:0;
       let bytes = Wire.log_record_b ~ops:(List.map fst seq_ops) in
-      dma_io t node `Write ~bytes;
+      dma_io t.ctl t.p.features node.nic `Write ~bytes;
       (* A COMMIT record is the decision. *)
       Control.append_log node.commit_log ~bytes ~shard ~ops:seq_ops
         (ref Control.Dcommit);
@@ -414,13 +414,14 @@ let create engine hw cfg p =
           workers =
             Resource.create engine ~name:(Printf.sprintf "wrk%d" id)
               ~servers:p.worker_threads;
+          io = index_io ctl p.features nic;
         })
   in
   let op_ns = Control.apply_cost hw in
   Array.iter
     (fun node ->
-      Control.dispatch_loop ctl ~node:node.id ~pkt_io:(fun () ->
-          Smartnic.pkt_io node.nic);
+      Control.dispatch_loop ctl ~node:node.id
+        ~pkt_io:(Smartnic.pkt_io_then node.nic);
       let worker log ~applied =
         Control.log_worker ctl ~node:node.id ~log ~pool:node.workers ~op_ns
           ~apply:(apply_write node) ~applied
@@ -517,7 +518,7 @@ let commit_phase t ~src ~owner ~seq ~locks_by_shard ~seq_ops_by_shard =
             (Control.phase_mark t.ctl ~cat:"txn-async" ~src ~seq "commit-async"
                t_send);
           notify t ~src:primary ~dst:src ~bytes:Wire.small_resp_b (fun () ->
-              Smartnic.core_work t.nodes.(src).nic ~bytes:0)))
+              Smartnic.core_work t.nodes.(src).nic ~ops:1 ~bytes:0)))
     seq_ops_by_shard
 
 (* Release locks at the node they were acquired at (which may no longer
@@ -983,7 +984,7 @@ let multihop_txn t node (txn : Types.t) id :
                               ~decision:(ref Control.Dcommit) ~shard ~seq_ops ();
                             notify t ~src:backup ~dst:src
                               ~bytes:Wire.small_resp_b (fun () ->
-                                Smartnic.core_work node.nic ~bytes:0;
+                                Smartnic.core_work node.nic ~ops:1 ~bytes:0;
                                 decr expected;
                                 maybe_finish ())))
                       backups;
@@ -992,7 +993,7 @@ let multihop_txn t node (txn : Types.t) id :
                       Wire.write_ops_b ~ops:(List.map fst p1_seq_ops)
                     in
                     notify t ~src:p2 ~dst:src ~bytes:done_bytes (fun () ->
-                        Smartnic.core_work node.nic ~bytes:0;
+                        Smartnic.core_work node.nic ~ops:1 ~bytes:0;
                         done_msg := true;
                         maybe_finish ())))
       in
@@ -1126,8 +1127,7 @@ let local_txn t node ~shard (txn : Types.t) id : Control.attempt =
             | [] -> invalid_arg "local_txn: no writes"
             | k :: _ -> idx_for node k
           in
-          let io = index_io t node in
-          match lock_all idx io ~owner txn.write_set with
+          match lock_all idx node.io ~owner txn.write_set with
           | None -> `Lock_fail
           | Some lockv ->
               (* Validate the host-read versions against the NIC's
@@ -1142,7 +1142,7 @@ let local_txn t node ~shard (txn : Types.t) id : Control.attempt =
                       | _ ->
                           let current =
                             Option.value ~default:0
-                              (Xenic_store.Nic_index.version idx io k)
+                              (Xenic_store.Nic_index.version idx node.io k)
                           in
                           current = host_seq)
                   values

@@ -41,8 +41,10 @@ let is_empty h = h.size = 0
 
 let length h = h.size
 
-(* Cold paths live out of line so the accessors stay small enough for
-   cross-module inlining. *)
+(* Cold paths live out of line to keep the hot accessors short. Nothing
+   here is inlined into other modules: dune's dev profile, which the
+   tests and bench/cost build with, compiles with [-opaque], so every
+   call from Engine is a real call and a float result is boxed. *)
 let fail_empty op = invalid_arg ("Heap." ^ op ^ ": empty heap")
 
 let grow h =

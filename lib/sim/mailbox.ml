@@ -68,6 +68,10 @@ let recv t =
   | None ->
       Process.suspend (fun resume -> Queue.add (make_waiter resume) t.waiters)
 
+let recv_then t k =
+  if Queue.is_empty t.items then Queue.add (make_waiter k) t.waiters
+  else k (Queue.take t.items)
+
 let recv_timeout t ~timeout_ns =
   match Queue.take_opt t.items with
   | Some v -> Some v

@@ -21,6 +21,13 @@ val send : 'a t -> 'a -> unit
 (** Dequeue the oldest message, blocking until one is available. *)
 val recv : 'a t -> 'a
 
+(** [recv_then t k] is {!recv} in callback form, callable from any
+    context. If a message is queued, [k] runs on the oldest one at once.
+    Otherwise [k] is parked as a waiter, FIFO with blocked receivers,
+    and the {!send} that reaches it hands the message over through the
+    same zero-delay event that wakes a blocked {!recv}. *)
+val recv_then : 'a t -> ('a -> unit) -> unit
+
 (** [recv_timeout t ~timeout_ns] blocks like {!recv} but gives up after
     [timeout_ns] simulated nanoseconds, returning [None]. A message
     arriving after the timeout goes to the next receiver (or queues)

@@ -11,13 +11,19 @@
      waits exactly, since each waiter contributes its wait interval.
 
    Per-context map updates run only while [Attrib.enabled]; the queue
-   integral is a couple of float ops and stays always-on. *)
+   integral is a couple of float ops and stays always-on.
+
+   The mutable float state lives in all-float records, which OCaml
+   stores flat: an update writes the float in place, where a float field
+   of a mixed record would get a freshly allocated box on every acquire
+   and release. The profiler's counts are floats for the same reason
+   (exact up to 2^53). *)
 
 type stat = {
   mutable wait_ns : float;
-  mutable waits : int;
+  mutable waits : float;
   mutable service_ns : float;
-  mutable services : int;
+  mutable services : float;
 }
 
 type stat_view = {
@@ -31,16 +37,20 @@ type grant = { g_ctx : Attrib.ctx; t_grant : float }
 
 type waiter = { resume : unit -> unit; w_ctx : Attrib.ctx; t_enq : float }
 
+type acct = {
+  mutable busy_time : float;
+  mutable last_change : float;
+  mutable queue_area : float;  (* integral of queue length over time *)
+  mutable last_qchange : float;
+}
+
 type t = {
   engine : Engine.t;
   name : string;
   servers : int;
   mutable busy : int;
   waiters : waiter Queue.t;
-  mutable busy_time : float;
-  mutable last_change : float;
-  mutable queue_area : float;  (* integral of queue length over time *)
-  mutable last_qchange : float;
+  acct : acct;
   mutable grants : grant list;  (* open grants, oldest first *)
   mutable stats : stat Attrib.Ctx_map.t;
 }
@@ -54,10 +64,13 @@ let create engine ~name ~servers =
       servers;
       busy = 0;
       waiters = Queue.create ();
-      busy_time = 0.0;
-      last_change = 0.0;
-      queue_area = 0.0;
-      last_qchange = 0.0;
+      acct =
+        {
+          busy_time = 0.0;
+          last_change = 0.0;
+          queue_area = 0.0;
+          last_qchange = 0.0;
+        };
       grants = [];
       stats = Attrib.Ctx_map.empty;
     }
@@ -93,21 +106,25 @@ let in_use t = t.busy
 
 let account t =
   let now = Engine.now t.engine in
-  t.busy_time <- t.busy_time +. (float_of_int t.busy *. (now -. t.last_change));
-  t.last_change <- now
+  let a = t.acct in
+  a.busy_time <- a.busy_time +. (float_of_int t.busy *. (now -. a.last_change));
+  a.last_change <- now
 
 let account_queue t =
   let now = Engine.now t.engine in
-  t.queue_area <-
-    t.queue_area
-    +. (float_of_int (Queue.length t.waiters) *. (now -. t.last_qchange));
-  t.last_qchange <- now
+  let a = t.acct in
+  a.queue_area <-
+    a.queue_area
+    +. (float_of_int (Queue.length t.waiters) *. (now -. a.last_qchange));
+  a.last_qchange <- now
 
 let stat_for t ctx =
   match Attrib.Ctx_map.find_opt ctx t.stats with
   | Some s -> s
   | None ->
-      let s = { wait_ns = 0.0; waits = 0; service_ns = 0.0; services = 0 } in
+      let s =
+        { wait_ns = 0.0; waits = 0.0; service_ns = 0.0; services = 0.0 }
+      in
       t.stats <- Attrib.Ctx_map.add ctx s t.stats;
       s
 
@@ -115,7 +132,7 @@ let record_wait t ctx dt =
   if Attrib.enabled () then begin
     let s = stat_for t ctx in
     s.wait_ns <- s.wait_ns +. dt;
-    s.waits <- s.waits + 1
+    s.waits <- s.waits +. 1.0
   end
 
 let open_grant t ctx =
@@ -144,7 +161,7 @@ let close_grant t =
         t.grants <- rest;
         let s = stat_for t g.g_ctx in
         s.service_ns <- s.service_ns +. (Engine.now t.engine -. g.t_grant);
-        s.services <- s.services + 1
+        s.services <- s.services +. 1.0
 
 (* Grant a free unit to [ctx], if there is one. *)
 let try_grant t ctx =
@@ -215,7 +232,7 @@ let use_then t duration k =
 
 let busy_time t =
   account t;
-  t.busy_time
+  t.acct.busy_time
 
 let utilization t =
   let now = Engine.now t.engine in
@@ -224,7 +241,7 @@ let utilization t =
 
 let queue_area t =
   account_queue t;
-  t.queue_area
+  t.acct.queue_area
 
 let stats t =
   Attrib.Ctx_map.fold
@@ -232,9 +249,9 @@ let stats t =
       ( ctx,
         {
           v_wait_ns = s.wait_ns;
-          v_waits = s.waits;
+          v_waits = int_of_float s.waits;
           v_service_ns = s.service_ns;
-          v_services = s.services;
+          v_services = int_of_float s.services;
         } )
       :: acc)
     t.stats []

@@ -9,12 +9,18 @@ let sub_buckets = 1 lsl sub_bits
 
 let octaves = 57
 
-type t = {
-  counts : int array;
-  mutable count : int;
+(* The float state is an all-float record, which OCaml stores flat, so
+   [record] updates it in place instead of boxing a new total. *)
+type moments = {
   mutable total : float;
   mutable min_v : float;
   mutable max_v : float;
+}
+
+type t = {
+  counts : int array;
+  mutable count : int;
+  m : moments;
 }
 
 let n_buckets = sub_buckets * (octaves + 1)
@@ -23,9 +29,7 @@ let create () =
   {
     counts = Array.make n_buckets 0;
     count = 0;
-    total = 0.0;
-    min_v = infinity;
-    max_v = neg_infinity;
+    m = { total = 0.0; min_v = infinity; max_v = neg_infinity };
   }
 
 let bucket_of_value v =
@@ -62,22 +66,22 @@ let record_n t v n =
     let i = bucket_of_value v in
     t.counts.(i) <- t.counts.(i) + n;
     t.count <- t.count + n;
-    t.total <- t.total +. (v *. float_of_int n);
-    if v < t.min_v then t.min_v <- v;
-    if v > t.max_v then t.max_v <- v
+    t.m.total <- t.m.total +. (v *. float_of_int n);
+    if v < t.m.min_v then t.m.min_v <- v;
+    if v > t.m.max_v then t.m.max_v <- v
   end
 
 let record t v = record_n t v 1
 
 let count t = t.count
 
-let total t = t.total
+let total t = t.m.total
 
-let mean t = if t.count = 0 then nan else t.total /. float_of_int t.count
+let mean t = if t.count = 0 then nan else t.m.total /. float_of_int t.count
 
-let min_value t = if t.count = 0 then nan else t.min_v
+let min_value t = if t.count = 0 then nan else t.m.min_v
 
-let max_value t = if t.count = 0 then nan else t.max_v
+let max_value t = if t.count = 0 then nan else t.m.max_v
 
 let quantile t q =
   if t.count = 0 then nan
@@ -85,7 +89,7 @@ let quantile t q =
     let rank = q *. float_of_int t.count in
     let rank = if Float.compare rank 1.0 < 0 then 1.0 else rank in
     let seen = ref 0 in
-    let result = ref t.max_v in
+    let result = ref t.m.max_v in
     (try
        for i = 0 to n_buckets - 1 do
          seen := !seen + t.counts.(i);
@@ -96,8 +100,8 @@ let quantile t q =
        done
      with Exit -> ());
     (* Clamp to observed extrema: bucket midpoints can overshoot. *)
-    if !result < t.min_v then t.min_v
-    else if !result > t.max_v then t.max_v
+    if !result < t.m.min_v then t.m.min_v
+    else if !result > t.m.max_v then t.m.max_v
     else !result
   end
 
@@ -108,15 +112,15 @@ let p99 t = quantile t 0.99
 let clear t =
   Array.fill t.counts 0 n_buckets 0;
   t.count <- 0;
-  t.total <- 0.0;
-  t.min_v <- infinity;
-  t.max_v <- neg_infinity
+  t.m.total <- 0.0;
+  t.m.min_v <- infinity;
+  t.m.max_v <- neg_infinity
 
 let merge ~into src =
   for i = 0 to n_buckets - 1 do
     into.counts.(i) <- into.counts.(i) + src.counts.(i)
   done;
   into.count <- into.count + src.count;
-  into.total <- into.total +. src.total;
-  if src.min_v < into.min_v then into.min_v <- src.min_v;
-  if src.max_v > into.max_v then into.max_v <- src.max_v
+  into.m.total <- into.m.total +. src.m.total;
+  if src.m.min_v < into.m.min_v then into.m.min_v <- src.m.min_v;
+  if src.m.max_v > into.m.max_v then into.m.max_v <- src.m.max_v

@@ -3,21 +3,24 @@
    per telemetry window per series). Bucket geometry is shared with
    Histogram so the two merge and compare losslessly. *)
 
-type t = {
-  counts : (int, int) Hashtbl.t;
-  mutable count : int;
+(* Flat float state, as in Histogram. *)
+type moments = {
   mutable total : float;
   mutable min_v : float;
   mutable max_v : float;
+}
+
+type t = {
+  counts : (int, int) Hashtbl.t;
+  mutable count : int;
+  m : moments;
 }
 
 let create () =
   {
     counts = Hashtbl.create 8;
     count = 0;
-    total = 0.0;
-    min_v = infinity;
-    max_v = neg_infinity;
+    m = { total = 0.0; min_v = infinity; max_v = neg_infinity };
   }
 
 let record_n t v n =
@@ -26,18 +29,18 @@ let record_n t v n =
     Hashtbl.replace t.counts i
       (n + Option.value ~default:0 (Hashtbl.find_opt t.counts i));
     t.count <- t.count + n;
-    t.total <- t.total +. (v *. float_of_int n);
-    if Float.compare v t.min_v < 0 then t.min_v <- v;
-    if Float.compare v t.max_v > 0 then t.max_v <- v
+    t.m.total <- t.m.total +. (v *. float_of_int n);
+    if Float.compare v t.m.min_v < 0 then t.m.min_v <- v;
+    if Float.compare v t.m.max_v > 0 then t.m.max_v <- v
   end
 
 let record t v = record_n t v 1
 
 let count t = t.count
 
-let total t = t.total
+let total t = t.m.total
 
-let mean t = if t.count = 0 then nan else t.total /. float_of_int t.count
+let mean t = if t.count = 0 then nan else t.m.total /. float_of_int t.count
 
 (* Nonzero buckets in index order: the only traversal, so every query
    below is deterministic regardless of hash-table history. *)
@@ -51,7 +54,7 @@ let quantile t q =
     let rank = q *. float_of_int t.count in
     let rank = if Float.compare rank 1.0 < 0 then 1.0 else rank in
     let seen = ref 0 in
-    let result = ref t.max_v in
+    let result = ref t.m.max_v in
     (try
        List.iter
          (fun (i, n) ->
@@ -63,8 +66,8 @@ let quantile t q =
          (buckets t)
      with Exit -> ());
     (* Clamp to observed extrema: bucket midpoints can overshoot. *)
-    if Float.compare !result t.min_v < 0 then t.min_v
-    else if Float.compare !result t.max_v > 0 then t.max_v
+    if Float.compare !result t.m.min_v < 0 then t.m.min_v
+    else if Float.compare !result t.m.max_v > 0 then t.m.max_v
     else !result
   end
 
@@ -84,6 +87,6 @@ let merge ~into src =
         (n + Option.value ~default:0 (Hashtbl.find_opt into.counts i)))
     (buckets src);
   into.count <- into.count + src.count;
-  into.total <- into.total +. src.total;
-  if Float.compare src.min_v into.min_v < 0 then into.min_v <- src.min_v;
-  if Float.compare src.max_v into.max_v > 0 then into.max_v <- src.max_v
+  into.m.total <- into.m.total +. src.m.total;
+  if Float.compare src.m.min_v into.m.min_v < 0 then into.m.min_v <- src.m.min_v;
+  if Float.compare src.m.max_v into.m.max_v > 0 then into.m.max_v <- src.m.max_v

@@ -109,7 +109,7 @@ let test_smartnic_core_contention () =
   let finished = ref [] in
   for i = 1 to 4 do
     Process.spawn engine (fun () ->
-        Smartnic.core_work nic ~bytes:0;
+        Smartnic.core_work nic ~ops:1 ~bytes:0;
         finished := (i, Engine.now engine) :: !finished)
   done;
   ignore (Engine.run engine);

@@ -319,6 +319,37 @@ let test_mailbox_burst () =
   Alcotest.(check (list int)) "rest" [ 4; 5 ] (Mailbox.recv_burst mb ~max:10);
   Alcotest.(check (list int)) "empty" [] (Mailbox.recv_burst mb ~max:10)
 
+(* [recv_then] parks a callback where [recv] parks a process: a later
+   [send] hands the value over through one zero-delay event, at the
+   send's instant, and not inside the sender. *)
+let test_mailbox_recv_then_parked () =
+  let eng = Engine.create () in
+  let mb = Mailbox.create eng in
+  let got = ref [] in
+  Mailbox.recv_then mb (fun v -> got := (v, Engine.now eng) :: !got);
+  let during_send = ref [] in
+  Engine.at eng 5.0 (fun () ->
+      Mailbox.send mb 42;
+      during_send := !got);
+  let events = Engine.run eng in
+  Alcotest.(check (list (pair int (float 0.0)))) "not inside send" [] !during_send;
+  Alcotest.(check (list (pair int (float 0.0))))
+    "delivered at the send's instant" [ (42, 5.0) ] !got;
+  Alcotest.(check int) "send event + one hand-off event" 2 events;
+  Alcotest.(check int) "nothing queued" 0 (Mailbox.length mb)
+
+let test_mailbox_recv_then_queued () =
+  let eng = Engine.create () in
+  let mb = Mailbox.create eng in
+  List.iter (Mailbox.send mb) [ 1; 2; 3 ];
+  let got = ref [] in
+  for _ = 1 to 3 do
+    Mailbox.recv_then mb (fun v -> got := v :: !got)
+  done;
+  Alcotest.(check (list int)) "taken at once, fifo" [ 1; 2; 3 ] (List.rev !got);
+  Alcotest.(check int) "no event scheduled" 0 (Engine.run eng);
+  Alcotest.(check int) "drained" 0 (Mailbox.length mb)
+
 (* ------------------------------------------------------------------ *)
 (* Ivar *)
 
@@ -446,6 +477,20 @@ let test_sanitizer_undelivered_mailbox () =
   Mailbox.send mb "lost";
   ignore (Engine.run eng);
   check_violation "undelivered message" "mailbox rx0: 1 undelivered"
+    (Engine.sanitize eng)
+
+let test_sanitizer_recv_then_undelivered () =
+  let eng = Engine.create ~strict:true () in
+  let mb = Mailbox.create ~name:"rx1" eng in
+  let got = ref [] in
+  (* One parked callback takes one item and does not park again. *)
+  Mailbox.recv_then mb (fun v -> got := v :: !got);
+  Engine.at eng 1.0 (fun () ->
+      Mailbox.send mb "first";
+      Mailbox.send mb "second");
+  ignore (Engine.run eng);
+  Alcotest.(check (list string)) "one delivered" [ "first" ] !got;
+  check_violation "undelivered message" "mailbox rx1: 1 undelivered"
     (Engine.sanitize eng)
 
 let test_sanitizer_double_resume () =
@@ -945,10 +990,20 @@ let test_alloc_spawn () =
          done))
 
 let test_alloc_use () =
-  check_words "uncontended Resource.use" ~bound:18.0
+  check_words "uncontended Resource.use" ~bound:12.0
     (process_words (fun eng ->
          let r = Resource.create eng ~name:"cpu" ~servers:1 in
          fun () -> Resource.use r 1.0))
+
+(* A bump of an existing counter writes its flat cell in place. *)
+let test_alloc_counter_incr () =
+  let c = Xenic_stats.Counter.create () in
+  Xenic_stats.Counter.incr c "msgs";
+  check_words "Counter.incr on an existing name" ~bound:0.0
+    (minor_words_of (fun () ->
+         for _ = 1 to ratchet_ops do
+           Xenic_stats.Counter.incr c "msgs"
+         done))
 
 (* Words of [ratchet_ops] operations issued one per event, 10 us apart
    so each runs uncontended, less the cost of the ticking itself. *)
@@ -968,9 +1023,15 @@ let ticked_words op =
   in
   run op -. run (fun _ () -> ())
 
+let test_alloc_use_then () =
+  check_words "uncontended Resource.use_then" ~bound:10.0
+    (ticked_words (fun eng ->
+         let r = Resource.create eng ~name:"cpu" ~servers:1 in
+         fun () -> Resource.use_then r 1.0 ignore))
+
 let test_alloc_fabric_frame () =
   let hw = Xenic_params.Hw.testbed in
-  check_words "Fabric.send frame into a mailbox" ~bound:78.0
+  check_words "Fabric.send frame into a mailbox" ~bound:54.0
     (ticked_words (fun eng ->
          let fabric = Xenic_net.Fabric.create eng hw ~nodes:2 in
          fun () ->
@@ -978,7 +1039,7 @@ let test_alloc_fabric_frame () =
 
 let test_alloc_dma_write () =
   let hw = Xenic_params.Hw.testbed in
-  check_words "single-element DMA write" ~bound:68.0
+  check_words "single-element DMA write" ~bound:50.0
     (ticked_words (fun eng ->
          let dma = Xenic_pcie.Dma.create eng hw in
          Xenic_pcie.Dma.set_vectored dma false;
@@ -1016,6 +1077,10 @@ let () =
         [
           Alcotest.test_case "fifo" `Quick test_mailbox_fifo;
           Alcotest.test_case "burst" `Quick test_mailbox_burst;
+          Alcotest.test_case "recv_then parked" `Quick
+            test_mailbox_recv_then_parked;
+          Alcotest.test_case "recv_then queued" `Quick
+            test_mailbox_recv_then_queued;
         ] );
       ("ivar", [ Alcotest.test_case "broadcast" `Quick test_ivar ]);
       ( "resource",
@@ -1034,6 +1099,8 @@ let () =
             test_sanitizer_unreleased_resource;
           Alcotest.test_case "undelivered mailbox" `Quick
             test_sanitizer_undelivered_mailbox;
+          Alcotest.test_case "recv_then undelivered" `Quick
+            test_sanitizer_recv_then_undelivered;
           Alcotest.test_case "double resume" `Quick test_sanitizer_double_resume;
           Alcotest.test_case "off by default" `Quick
             test_sanitizer_off_by_default;
@@ -1079,6 +1146,8 @@ let () =
           Alcotest.test_case "sleep" `Quick test_alloc_sleep;
           Alcotest.test_case "spawn" `Quick test_alloc_spawn;
           Alcotest.test_case "resource use" `Quick test_alloc_use;
+          Alcotest.test_case "counter incr" `Quick test_alloc_counter_incr;
+          Alcotest.test_case "resource use_then" `Quick test_alloc_use_then;
           Alcotest.test_case "fabric frame" `Quick test_alloc_fabric_frame;
           Alcotest.test_case "dma write" `Quick test_alloc_dma_write;
         ] );
