@@ -168,9 +168,9 @@ let execute ?trace_out ?profile_out ?telemetry_out
               string_of_int a.Telemetry.a_shed;
               Xenic_stats.Table.cellf ~decimals:1 a.Telemetry.a_q_mean;
               Xenic_stats.Table.cellf ~decimals:1
-                (Xenic_stats.Whist.median a.Telemetry.a_lat /. 1e3);
+                (Xenic_stats.Histogram.median a.Telemetry.a_lat /. 1e3);
               Xenic_stats.Table.cellf ~decimals:1
-                (Xenic_stats.Whist.p99 a.Telemetry.a_lat /. 1e3);
+                (Xenic_stats.Histogram.p99 a.Telemetry.a_lat /. 1e3);
             ])
         roll;
       Xenic_stats.Table.print t;

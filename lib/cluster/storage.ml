@@ -2,13 +2,29 @@ open Xenic_store
 
 type shard_store = { hash : bytes Robinhood.t; ordered : bytes Btree.t }
 
+(* Last-applied stamp per ordered key: ordered tables carry no
+   per-object version, so concurrent log-apply workers order their
+   writes by the log-append stamp instead. *)
+type stamps = (Keyspace.t, int) Hashtbl.t
+
+let stamps () : stamps = Hashtbl.create 1024
+
+(* [stamp] is the log-append stamp: apply only in stamp order so
+   concurrent workers cannot regress a newer write. *)
+let apply_ordered stamps tree op ~stamp =
+  let k = Op.key op in
+  let last = Option.value ~default:(-1) (Hashtbl.find_opt stamps k) in
+  if stamp > last then begin
+    Hashtbl.replace stamps k stamp;
+    match op with
+    | Op.Put (_, v) -> Btree.insert tree k v
+    | Op.Delete _ -> ignore (Btree.delete tree k)
+  end
+
 type t = {
   node : int;
   stores : shard_store option array;
-  (* Last-applied stamp per ordered key: ordered tables carry no
-     per-object version, so concurrent log-apply workers order their
-     writes by the log-append stamp instead. *)
-  ordered_stamps : (Keyspace.t, int) Hashtbl.t;
+  ordered_stamps : stamps;
 }
 
 let create cfg ~node ~segments ~seg_size ~d_max =
@@ -23,7 +39,7 @@ let create cfg ~node ~segments ~seg_size ~d_max =
             }
         else None)
   in
-  { node; stores; ordered_stamps = Hashtbl.create 1024 }
+  { node; stores; ordered_stamps = stamps () }
 
 let node t = t.node
 
@@ -46,17 +62,8 @@ let read t k =
 let apply t op ~seq =
   let k = Op.key op in
   let s = shard_store t ~shard:(Keyspace.shard k) in
-  if Keyspace.ordered k then begin
-    (* [seq] is the log-append stamp: apply only in stamp order so
-       concurrent workers cannot regress a newer write. *)
-    let last = Option.value ~default:(-1) (Hashtbl.find_opt t.ordered_stamps k) in
-    if seq > last then begin
-      Hashtbl.replace t.ordered_stamps k seq;
-      match op with
-      | Op.Put (_, v) -> Btree.insert s.ordered k v
-      | Op.Delete _ -> ignore (Btree.delete s.ordered k)
-    end
-  end
+  if Keyspace.ordered k then
+    apply_ordered t.ordered_stamps s.ordered op ~stamp:seq
   else
     (* [seq] is the object version: never regress. *)
     match op with

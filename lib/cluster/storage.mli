@@ -26,8 +26,24 @@ val holds : t -> shard:int -> bool
     and version (ordered-table objects report version 0). *)
 val read : t -> Keyspace.t -> (bytes * int) option
 
+(** Last-applied log stamp per ordered key, for one node's copies. *)
+type stamps
+
+val stamps : unit -> stamps
+
+(** [apply_ordered stamps tree op ~stamp] applies an ordered-table write
+    only if [stamp] (its record's log-append stamp) is newer than the
+    last one applied to the key. Ordered tables carry no object
+    version, and concurrent log-apply workers can finish a long record
+    after a shorter, later one, so every stack's log application orders
+    ordered-table writes through this one rule. *)
+val apply_ordered :
+  stamps -> bytes Xenic_store.Btree.t -> Op.t -> stamp:int -> unit
+
 (** [apply t op ~seq] applies a committed write to this node's copy.
-    Used by the host Robinhood workers when draining the log. *)
+    Used by the host Robinhood workers when draining the log. An
+    ordered-table write takes its record's log stamp as [seq] and goes
+    through {!apply_ordered}. *)
 val apply : t -> Op.t -> seq:int -> unit
 
 (** [load t k v] applies initial data during workload loading (sets

@@ -39,13 +39,13 @@ let default_params =
 
 type msg = Control.msg = { bytes : int; deliver : unit -> unit }
 
-type shard_store = {
-  hash : bytes Xenic_store.Chained.t;  (* DrTM+H / FaSST / DrTM+R objects *)
-  hops : (int * bytes) Xenic_store.Hopscotch.t option;
-      (* FaRM objects, stored as (version, value) in an H=8 Hopscotch
-         table (§2.2.2) *)
-  ordered : bytes Xenic_store.Btree.t;
-}
+type objects =
+  | Chained of bytes Xenic_store.Chained.t  (* DrTM+H / FaSST / DrTM+R *)
+  | Hopscotch of (int * bytes) Xenic_store.Hopscotch.t
+      (* FaRM, stored as (version, value) in an H=8 Hopscotch table
+         (§2.2.2) *)
+
+type shard_store = { objects : objects; ordered : bytes Xenic_store.Btree.t }
 
 type node = {
   id : int;
@@ -54,6 +54,7 @@ type node = {
   host : Resource.t;  (* app threads + RPC handlers *)
   workers : Resource.t;
   log : Control.log_record Xenic_store.Hostlog.t;
+  stamps : Storage.stamps;  (* ordered-table apply order of [log] *)
 }
 
 type t = {
@@ -90,12 +91,12 @@ let obj_read t ~node k =
     | Some v -> Some (v, 0)
     | None -> None
   else
-    match s.hops with
-    | Some h -> (
+    match s.objects with
+    | Hopscotch h -> (
         match Xenic_store.Hopscotch.find h k with
         | Some (seq, v) -> Some (v, seq)
         | None -> None)
-    | None -> Xenic_store.Chained.find s.hash k
+    | Chained c -> Xenic_store.Chained.find c k
 
 let obj_apply t ~node op ~seq =
   let k = Op.key op in
@@ -105,21 +106,29 @@ let obj_apply t ~node op ~seq =
     | Op.Put (_, v) -> Xenic_store.Btree.insert s.ordered k v
     | Op.Delete _ -> ignore (Xenic_store.Btree.delete s.ordered k)
   else
-    match s.hops with
-    | Some h -> (
-        match op with
-        | Op.Put (_, v) ->
-            let cur_seq =
-              match Xenic_store.Hopscotch.find h k with
-              | Some (s', _) -> s'
-              | None -> -1
-            in
-            if cur_seq < seq then Xenic_store.Hopscotch.insert h k (seq, v)
-        | Op.Delete _ -> ignore (Xenic_store.Hopscotch.delete h k))
-    | None -> (
-        match op with
-        | Op.Put (_, v) -> Xenic_store.Chained.put_newer s.hash k v ~seq
-        | Op.Delete _ -> ignore (Xenic_store.Chained.delete s.hash k))
+    match (s.objects, op) with
+    | Hopscotch h, Op.Put (_, v) ->
+        let cur_seq =
+          match Xenic_store.Hopscotch.find h k with
+          | Some (s', _) -> s'
+          | None -> -1
+        in
+        if cur_seq < seq then Xenic_store.Hopscotch.insert h k (seq, v)
+    | Hopscotch h, Op.Delete _ -> ignore (Xenic_store.Hopscotch.delete h k)
+    | Chained c, Op.Put (_, v) -> Xenic_store.Chained.put_newer c k v ~seq
+    | Chained c, Op.Delete _ -> ignore (Xenic_store.Chained.delete c k)
+
+(* Backup log application. The node's workers finish records out of log
+   order, so an ordered-table write (no object version) takes its
+   record's log stamp through the shared stamp-order rule; a hash write
+   is version-guarded by [obj_apply]. *)
+let log_apply t node (record : Control.log_record) op seq =
+  let k = Op.key op in
+  if Keyspace.ordered k then
+    Storage.apply_ordered node.stamps
+      (store t ~node:node.id ~shard:(Keyspace.shard k)).ordered op
+      ~stamp:record.lr_stamp
+  else obj_apply t ~node:node.id op ~seq
 
 let try_lock t ~node k ~owner =
   let locks = t.nodes.(node).locks in
@@ -277,16 +286,16 @@ let create engine hw cfg flavor p =
                 if Config.holds cfg ~shard ~node:id then
                   Some
                     {
-                      hash =
-                        Xenic_store.Chained.create ~buckets:p.buckets
-                          ~b:bucket_b;
-                      hops =
+                      objects =
                         (if flavor = Farm then
-                           Some
+                           Hopscotch
                              (Xenic_store.Hopscotch.create
                                 ~capacity:(p.buckets * bucket_b * 2)
                                 ~h:8)
-                         else None);
+                         else
+                           Chained
+                             (Xenic_store.Chained.create ~buckets:p.buckets
+                                ~b:bucket_b));
                       ordered = Xenic_store.Btree.create ();
                     }
                 else None);
@@ -300,6 +309,7 @@ let create engine hw cfg flavor p =
               ~name:(Printf.sprintf "rwrk%d" id)
               ~servers:p.worker_threads;
           log = Control.host_log ctl;
+          stamps = Storage.stamps ();
         })
   in
   let t = { ctl; hw; flavor; p; rdma; nodes; tr = transport ctl hw rdma } in
@@ -315,7 +325,7 @@ let create engine hw cfg flavor p =
            the threads performing compute-intensive B+ tree work). *)
         Control.log_worker ctl ~node:node.id ~log:node.log ~pool:node.host
           ~op_ns
-          ~apply:(fun _ op seq -> obj_apply t ~node:node.id op ~seq)
+          ~apply:(log_apply t node)
           ~applied:ignore
       done)
     nodes;
@@ -334,17 +344,19 @@ let load t k v =
       let s = store t ~node:n ~shard:(Keyspace.shard k) in
       if Keyspace.ordered k then Xenic_store.Btree.insert s.ordered k v
       else
-        match s.hops with
-        | Some h -> Xenic_store.Hopscotch.insert h k (1, v)
-        | None -> Xenic_store.Chained.insert s.hash k v)
+        match s.objects with
+        | Hopscotch h -> Xenic_store.Hopscotch.insert h k (1, v)
+        | Chained c -> Xenic_store.Chained.insert c k v)
 
 let seal t =
   Control.seal t.ctl ~clone:(fun ~shard ~primary ~backup ->
       let src = store t ~node:primary ~shard
       and dst = store t ~node:backup ~shard in
-      match (src.hops, dst.hops) with
-      | Some hs, Some hd -> Xenic_store.Hopscotch.clone_into ~src:hs ~dst:hd
-      | _ -> Xenic_store.Chained.clone_into ~src:src.hash ~dst:dst.hash)
+      match (src.objects, dst.objects) with
+      | Hopscotch hs, Hopscotch hd ->
+          Xenic_store.Hopscotch.clone_into ~src:hs ~dst:hd
+      | Chained cs, Chained cd -> Xenic_store.Chained.clone_into ~src:cs ~dst:cd
+      | _ -> invalid_arg "Rdma_system.seal: mixed shard stores")
 
 let peek t ~node k =
   Control.check_sealed t.ctl;
@@ -418,9 +430,9 @@ let one_sided_read t ~src k =
          of B slots per chained bucket walked. *)
       let s = store t ~node:primary ~shard in
       let cost, slots =
-        match s.hops with
-        | Some h -> (Xenic_store.Hopscotch.lookup_cost h k, 8)
-        | None -> (Xenic_store.Chained.lookup_cost s.hash k, bucket_b)
+        match s.objects with
+        | Hopscotch h -> (Xenic_store.Hopscotch.lookup_cost h k, 8)
+        | Chained c -> (Xenic_store.Chained.lookup_cost c k, bucket_b)
       in
       let reads = match cost with Some (_, rts) -> rts | None -> 1 in
       let result = ref None in

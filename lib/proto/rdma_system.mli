@@ -92,15 +92,15 @@ val run_txn : t -> node:int -> Types.t -> Types.outcome
 
 val peek : t -> node:int -> Keyspace.t -> bytes option
 
-(** One node's copy of one shard. *)
-type shard_store = {
-  hash : bytes Xenic_store.Chained.t;
+(** A shard copy's object table: one per flavor. *)
+type objects =
+  | Chained of bytes Xenic_store.Chained.t
       (** DrTM+H, DrTM+H (NC), FaSST and DrTM+R objects. *)
-  hops : (int * bytes) Xenic_store.Hopscotch.t option;
-      (** FaRM objects as (version, value); [None] on the other
-          flavours. *)
-  ordered : bytes Xenic_store.Btree.t;
-}
+  | Hopscotch of (int * bytes) Xenic_store.Hopscotch.t
+      (** FaRM objects as (version, value). *)
+
+(** One node's copy of one shard. *)
+type shard_store = { objects : objects; ordered : bytes Xenic_store.Btree.t }
 
 (** [node]'s copy of [shard] (for checking replicas in tests; not a
     protocol operation). Raises [Invalid_argument] if [node] does not

@@ -34,15 +34,19 @@ let width_at t ~t_end i =
   let w = hi -. start_of t i in
   if Float.compare w 0.0 < 0 then 0.0 else w
 
-let integrate t ~t_end ~from ~until ~value f =
+let integrate t ?t_end ~from ~until ~value f =
   let from = Float.max from t.t0 in
-  let until = Float.min until t_end in
+  let until = match t_end with Some te -> Float.min until te | None -> until in
   if Float.compare until from > 0 then begin
-    let lo = clamped_index t ~t_end from in
-    let hi = clamped_index t ~t_end until in
-    for i = lo to hi do
+    let idx time =
+      match t_end with
+      | Some te -> clamped_index t ~t_end:te time
+      | None -> index t time
+    in
+    for i = idx from to idx until do
+      (* [until <= t_end], so window [i]'s end needs no extra clip. *)
       let w_lo = Float.max from (start_of t i) in
-      let w_hi = Float.min until (Float.min t_end (start_of t (i + 1))) in
+      let w_hi = Float.min until (start_of t (i + 1)) in
       let overlap = w_hi -. w_lo in
       if Float.compare overlap 0.0 > 0 then f i (value *. overlap)
     done

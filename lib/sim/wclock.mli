@@ -43,16 +43,18 @@ val clamped_index : t -> t_end:float -> float -> int
     partial). *)
 val width_at : t -> t_end:float -> int -> float
 
-(** [integrate t ~t_end ~from ~until ~value f] integrates a
+(** [integrate t ?t_end ~from ~until ~value f] integrates a
     piecewise-constant gauge holding [value] over [[from, until]],
     calling [f win area_ns] once per overlapped window in ascending
     window order with [area_ns = value * overlap]. The span is clipped
     to [[t0, t_end]]; an empty or inverted span integrates nothing.
-    This is how occupancy integrals split across window boundaries
-    without any sampling events. *)
+    Without [t_end] the span is open-ended: it is clipped at [t0] only
+    and split over uncut windows (window indices may run past a cutoff
+    set later). This is how occupancy integrals split across window
+    boundaries without any sampling events. *)
 val integrate :
   t ->
-  t_end:float ->
+  ?t_end:float ->
   from:float ->
   until:float ->
   value:float ->

@@ -2,12 +2,17 @@
 
     Records non-negative values (latencies in nanoseconds, sizes in
     bytes) with bounded relative error per bucket, supporting quantile
-    queries over millions of samples in constant memory. *)
+    queries over millions of samples in constant memory. Counts are
+    kept only for the occupied bucket range, so an empty histogram
+    holds no bucket array and a typical latency histogram holds a few
+    dozen buckets: one representation serves the protocol metrics and
+    every telemetry window cell. *)
 
 type t
 
 (** [create ()] covers values in [0, 2^62) with ~2.7% relative bucket
-    width (32 sub-buckets per octave). *)
+    width (32 sub-buckets per octave). It allocates no buckets until the
+    first {!record}. *)
 val create : unit -> t
 
 val record : t -> float -> unit
@@ -38,17 +43,9 @@ val clear : t -> unit
 (** [merge ~into src] adds all of [src]'s samples into [into]. *)
 val merge : into:t -> t -> unit
 
-(** {2 Bucket geometry}
+(** Samples with value at most [v] (bucket resolution: everything in
+    [v]'s bucket and below counts) — the SLO-attainment query. *)
+val count_at_or_below : t -> float -> int
 
-    The log-bucket mapping, exposed so sibling histogram
-    representations (the sparse per-window {!Whist}) share exactly the
-    same buckets and therefore merge and compare losslessly. *)
-
-(** Total number of buckets. *)
-val n_buckets : int
-
-(** Bucket index covering value [v] (clamped to [0, n_buckets)). *)
-val bucket_of_value : float -> int
-
-(** Representative (midpoint) value of bucket [i]. *)
-val value_of_bucket : int -> float
+(** Nonzero [(bucket, count)] pairs sorted by bucket index. *)
+val buckets : t -> (int * int) list

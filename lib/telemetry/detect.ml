@@ -154,7 +154,7 @@ let littles_law ?(min_residual = 32.0) ?(sustain = 3)
         else 0.0
       in
       let w =
-        let m = Xenic_stats.Whist.mean a.Telemetry.a_lat in
+        let m = Xenic_stats.Histogram.mean a.Telemetry.a_lat in
         if Float.is_finite m then m else 0.0
       in
       a.Telemetry.a_q_mean -. (lam_per_ns *. w)
@@ -188,7 +188,7 @@ let slo_burn ?(max_burn = 1.0) slo (aggs : Telemetry.agg array) =
   Array.iter
     (fun (a : Telemetry.agg) ->
       let within =
-        Xenic_stats.Whist.count_at_or_below a.Telemetry.a_lat slo.latency_ns
+        Xenic_stats.Histogram.count_at_or_below a.Telemetry.a_lat slo.latency_ns
       in
       (* The latency shard mixes commit and abort service times; a
          request is "good" only if it both committed and fit the

@@ -21,7 +21,7 @@ type cell = {
   mutable committed : int;
   aborted : (string, int) Hashtbl.t; (* reason -> count *)
   sheds : (string, int) Hashtbl.t; (* cause -> count *)
-  lat : Whist.t;
+  lat : Histogram.t;
   mutable q_sum : int;
   mutable q_n : int;
   mutable q_max : int;
@@ -80,22 +80,25 @@ let new_cell () =
     committed = 0;
     aborted = Hashtbl.create 4;
     sheds = Hashtbl.create 4;
-    lat = Whist.create ();
+    lat = Histogram.create ();
     q_sum = 0;
     q_n = 0;
     q_max = 0;
     occ = Hashtbl.create 4;
   }
 
-let get_cell t ~win ~stack ~node ~label =
-  let shard = t.shards.(Engine.current_partition t.engine) in
-  let k = { k_win = win; k_stack = stack; k_node = node; k_label = label } in
+let find_or_add shard k =
   match Hashtbl.find_opt shard k with
   | Some c -> c
   | None ->
       let c = new_cell () in
       Hashtbl.replace shard k c;
       c
+
+let get_cell t ~win ~stack ~node ~label =
+  find_or_add
+    t.shards.(Engine.current_partition t.engine)
+    { k_win = win; k_stack = stack; k_node = node; k_label = label }
 
 (* The common instantaneous-recorder prologue: drop once sealed, drop
    strictly past the cutoff (the open-loop drain guard), else resolve
@@ -119,14 +122,14 @@ let record_commit ?(label = "-") t ~stack ~node ~latency_ns =
   | None -> ()
   | Some c ->
       c.committed <- c.committed + 1;
-      Whist.record c.lat latency_ns
+      Histogram.record c.lat latency_ns
 
 let record_abort ?(label = "-") t ~stack ~node ~reason ~latency_ns =
   match live_cell t ~stack ~node ~label with
   | None -> ()
   | Some c ->
       bump c.aborted reason 1;
-      Whist.record c.lat latency_ns
+      Histogram.record c.lat latency_ns
 
 let record_offered ?(label = "-") t ~stack ~node =
   match live_cell t ~stack ~node ~label with
@@ -155,31 +158,15 @@ let add_occ c resource area =
   Hashtbl.replace c.occ resource
     (area +. Option.value ~default:0.0 (Hashtbl.find_opt c.occ resource))
 
+(* Before a cutoff is set the span splits over uncut windows; seal-time
+   folding clips whatever lands past the eventual t_end. *)
 let add_occupancy t ~stack ~node ~resource ~from ~until ~value =
   match t.sealed_end with
   | Some _ -> ()
-  | None -> (
-      let per_window win area =
-        add_occ (get_cell t ~win ~stack ~node ~label:"-") resource area
-      in
-      match t.cutoff with
-      | Some te ->
-          Wclock.integrate t.clock ~t_end:te ~from ~until ~value per_window
-      | None ->
-          (* No cutoff yet: integrate over uncut windows; seal-time
-             folding clips whatever lands past the eventual t_end. *)
-          let from = Float.max from (Wclock.t0 t.clock) in
-          if Float.compare until from > 0 then begin
-            let lo = Wclock.index t.clock from in
-            let hi = Wclock.index t.clock until in
-            for i = lo to hi do
-              let w_lo = Float.max from (Wclock.start_of t.clock i) in
-              let w_hi = Float.min until (Wclock.start_of t.clock (i + 1)) in
-              let overlap = w_hi -. w_lo in
-              if Float.compare overlap 0.0 > 0 then
-                per_window i (value *. overlap)
-            done
-          end)
+  | None ->
+      Wclock.integrate t.clock ?t_end:t.cutoff ~from ~until ~value
+        (fun win area ->
+          add_occ (get_cell t ~win ~stack ~node ~label:"-") resource area)
 
 (* --- Seal ----------------------------------------------------------- *)
 
@@ -207,21 +194,13 @@ let merge_cell ~into src =
   List.iter
     (fun (c, n) -> bump into.sheds c n)
     (sorted_pairs src.sheds String.compare);
-  Whist.merge ~into:into.lat src.lat;
+  Histogram.merge ~into:into.lat src.lat;
   into.q_sum <- into.q_sum + src.q_sum;
   into.q_n <- into.q_n + src.q_n;
   if src.q_max > into.q_max then into.q_max <- src.q_max;
   List.iter
     (fun (r, a) -> add_occ into r a)
     (sorted_pairs src.occ String.compare)
-
-let get_cell_in shard k =
-  match Hashtbl.find_opt shard k with
-  | Some c -> c
-  | None ->
-      let c = new_cell () in
-      Hashtbl.replace shard k c;
-      c
 
 let seal t =
   match t.sealed_end with
@@ -247,7 +226,7 @@ let seal t =
             (fun (k, c) ->
               Hashtbl.remove shard k;
               if last >= 0 then
-                merge_cell ~into:(get_cell_in shard { k with k_win = last }) c)
+                merge_cell ~into:(find_or_add shard { k with k_win = last }) c)
             overflow)
         t.shards;
       t.sealed_end <- Some te
@@ -265,7 +244,7 @@ type series = {
   s_committed : int;
   s_aborted : (string * int) list;
   s_shed : (string * int) list;
-  s_lat : Whist.t;
+  s_lat : Histogram.t;
   s_q_samples : int;
   s_q_mean : float;
   s_q_max : int;
@@ -299,6 +278,9 @@ let all_cells t =
   in
   List.sort cell_order (List.concat (Array.to_list per_shard))
 
+let q_mean c =
+  if c.q_n = 0 then 0.0 else float_of_int c.q_sum /. float_of_int c.q_n
+
 let series t =
   List.map
     (fun (k, part, c) ->
@@ -315,9 +297,7 @@ let series t =
         s_shed = sorted_pairs c.sheds String.compare;
         s_lat = c.lat;
         s_q_samples = c.q_n;
-        s_q_mean =
-          (if c.q_n = 0 then 0.0
-           else float_of_int c.q_sum /. float_of_int c.q_n);
+        s_q_mean = q_mean c;
         s_q_max = c.q_max;
         s_occ = sorted_pairs c.occ String.compare;
       })
@@ -332,64 +312,38 @@ type agg = {
   a_committed : int;
   a_aborted : int;
   a_shed : int;
-  a_lat : Whist.t;
-  a_q_samples : int;
+  a_lat : Histogram.t;
   a_q_mean : float;
-  a_q_max : int;
-  a_occ_ns : float;
 }
 
+(* Each window's cells, in [all_cells] order, fold into one fresh cell. *)
 let rollup t =
   let te = t_end t in
-  let n = n_windows t in
-  let offered = Array.make n 0
-  and admitted = Array.make n 0
-  and committed = Array.make n 0
-  and aborted = Array.make n 0
-  and shed = Array.make n 0
-  and lat = Array.init n (fun _ -> Whist.create ())
-  and q_sum = Array.make n 0
-  and q_n = Array.make n 0
-  and q_max = Array.make n 0
-  and occ = Array.make n 0.0 in
+  let cells = Array.init (n_windows t) (fun _ -> new_cell ()) in
   List.iter
-    (fun (k, _part, c) ->
-      let w = k.k_win in
-      offered.(w) <- offered.(w) + c.offered;
-      admitted.(w) <- admitted.(w) + c.admitted;
-      committed.(w) <- committed.(w) + c.committed;
-      List.iter
-        (fun (_, cnt) -> aborted.(w) <- aborted.(w) + cnt)
-        (sorted_pairs c.aborted String.compare);
-      List.iter
-        (fun (_, cnt) -> shed.(w) <- shed.(w) + cnt)
-        (sorted_pairs c.sheds String.compare);
-      Whist.merge ~into:lat.(w) c.lat;
-      q_sum.(w) <- q_sum.(w) + c.q_sum;
-      q_n.(w) <- q_n.(w) + c.q_n;
-      if c.q_max > q_max.(w) then q_max.(w) <- c.q_max;
-      List.iter
-        (fun (_, a) -> occ.(w) <- occ.(w) +. a)
-        (sorted_pairs c.occ String.compare))
+    (fun (k, _part, c) -> merge_cell ~into:cells.(k.k_win) c)
     (all_cells t);
-  Array.init n (fun w ->
+  let total tbl =
+    List.fold_left
+      (fun acc (_, n) -> acc + n)
+      0
+      (sorted_pairs tbl String.compare)
+  in
+  Array.mapi
+    (fun w c ->
       {
         a_win = w;
         a_start_ns = Wclock.start_of t.clock w;
         a_width_ns = Wclock.width_at t.clock ~t_end:te w;
-        a_offered = offered.(w);
-        a_admitted = admitted.(w);
-        a_committed = committed.(w);
-        a_aborted = aborted.(w);
-        a_shed = shed.(w);
-        a_lat = lat.(w);
-        a_q_samples = q_n.(w);
-        a_q_mean =
-          (if q_n.(w) = 0 then 0.0
-           else float_of_int q_sum.(w) /. float_of_int q_n.(w));
-        a_q_max = q_max.(w);
-        a_occ_ns = occ.(w);
+        a_offered = c.offered;
+        a_admitted = c.admitted;
+        a_committed = c.committed;
+        a_aborted = total c.aborted;
+        a_shed = total c.sheds;
+        a_lat = c.lat;
+        a_q_mean = q_mean c;
       })
+    cells
 
 (* --- Export ----------------------------------------------------------- *)
 
@@ -429,11 +383,11 @@ let to_json t ~id ~description =
         (fun (r, n) -> puti ("aborted." ^ sanitize r) n)
         s.s_aborted;
       List.iter (fun (c, n) -> puti ("shed." ^ sanitize c) n) s.s_shed;
-      if Whist.count s.s_lat > 0 then begin
-        puti "lat_n" (Whist.count s.s_lat);
-        put (base ^ ".lat_mean_ns") (fnum (Whist.mean s.s_lat));
-        put (base ^ ".lat_p50_ns") (fnum (Whist.median s.s_lat));
-        put (base ^ ".lat_p99_ns") (fnum (Whist.p99 s.s_lat))
+      if Histogram.count s.s_lat > 0 then begin
+        puti "lat_n" (Histogram.count s.s_lat);
+        put (base ^ ".lat_mean_ns") (fnum (Histogram.mean s.s_lat));
+        put (base ^ ".lat_p50_ns") (fnum (Histogram.median s.s_lat));
+        put (base ^ ".lat_p99_ns") (fnum (Histogram.p99 s.s_lat))
       end;
       if s.s_q_samples > 0 then begin
         puti "q_n" s.s_q_samples;
@@ -539,20 +493,23 @@ let to_openmetrics t =
         s.s_occ);
   family ~name:"xenic_latency_ns" ~kind:"summary"
     ~help:"Service latency per window" (fun b s ->
-      if Whist.count s.s_lat > 0 then begin
+      if Histogram.count s.s_lat > 0 then begin
         List.iter
           (fun (q, v) ->
             Buffer.add_string b
               (Printf.sprintf "xenic_latency_ns{%s} %s\n"
                  (om_labels s [ ("quantile", q) ])
                  (fnum v)))
-          [ ("0.5", Whist.median s.s_lat); ("0.99", Whist.p99 s.s_lat) ];
+          [
+            ("0.5", Histogram.median s.s_lat);
+            ("0.99", Histogram.p99 s.s_lat);
+          ];
         Buffer.add_string b
           (Printf.sprintf "xenic_latency_ns_sum{%s} %s\n" (om_labels s [])
-             (fnum (Whist.total s.s_lat)));
+             (fnum (Histogram.total s.s_lat)));
         Buffer.add_string b
           (Printf.sprintf "xenic_latency_ns_count{%s} %d\n" (om_labels s [])
-             (Whist.count s.s_lat))
+             (Histogram.count s.s_lat))
       end);
   Buffer.add_string buf "# EOF\n";
   Buffer.contents buf

@@ -12,7 +12,7 @@
     - resource occupancy integrals (busy-ns per window, computed by
       splitting piecewise-constant gauge spans across window
       boundaries — no sampling events),
-    - service-latency histogram shards ({!Xenic_stats.Whist}).
+    - service-latency histogram shards ({!Xenic_stats.Histogram}).
 
     Observation is {e event-free}: recording happens inside existing
     simulation events and never schedules any of its own, so attaching
@@ -123,7 +123,7 @@ type series = {
   s_committed : int;
   s_aborted : (string * int) list;
   s_shed : (string * int) list;
-  s_lat : Xenic_stats.Whist.t;
+  s_lat : Xenic_stats.Histogram.t;
   s_q_samples : int;
   s_q_mean : float;
   s_q_max : int;
@@ -135,7 +135,7 @@ type series = {
 val series : t -> series list
 
 (** Cluster-wide per-window rollup (all dimensions folded), the
-    detector input. *)
+    detector input: each window's cells merged in {!series} order. *)
 type agg = {
   a_win : int;
   a_start_ns : float;
@@ -145,11 +145,8 @@ type agg = {
   a_committed : int;
   a_aborted : int;
   a_shed : int;
-  a_lat : Xenic_stats.Whist.t;
-  a_q_samples : int;
+  a_lat : Xenic_stats.Histogram.t;
   a_q_mean : float;
-  a_q_max : int;
-  a_occ_ns : float;
 }
 
 (** One agg per window, index = window. Requires [seal]. *)

@@ -866,7 +866,12 @@ let test_replica_equivalence_rdma () =
       let nodes = windowed_cfg.Config.nodes in
       match flavor with
       | Rdma_system.Farm ->
-          let table ~node ~shard = Option.get (store ~node ~shard).hops in
+          let table ~node ~shard =
+            match (store ~node ~shard).objects with
+            | Rdma_system.Hopscotch h -> h
+            | Rdma_system.Chained _ ->
+                Alcotest.fail "FaRM shard without Hopscotch"
+          in
           check_replicas stack ~nodes
             ~reference:(fun ~shard ->
               let t =
@@ -897,7 +902,12 @@ let test_replica_equivalence_rdma () =
                     (100, Bytes.of_string "changed"))
                 (List.hd (keys ~shard) :: at_most_one in_overflow))
       | _ ->
-          let table ~node ~shard = (store ~node ~shard).hash in
+          let table ~node ~shard =
+            match (store ~node ~shard).objects with
+            | Rdma_system.Chained c -> c
+            | Rdma_system.Hopscotch _ ->
+                Alcotest.failf "%s shard with a Hopscotch table" stack
+          in
           check_replicas stack ~nodes
             ~reference:(fun ~shard ->
               let t =
@@ -919,6 +929,57 @@ let test_replica_equivalence_rdma () =
               Xenic_store.Chained.put_newer t (k ~shard ~id:999_999)
                 (Bytes.of_string "new") ~seq:1))
     Rdma_system.[ Drtmh; Drtmh_nc; Fasst; Drtmr; Farm ]
+
+(* Backup log workers apply records concurrently, so a long record can
+   finish after a shorter, later one. Ordered tables carry no object
+   version: on every RDMA flavor, the later of two decided writes to an
+   ordered key must still be the one every replica keeps. *)
+let test_rdma_backup_ordered_stamp_order () =
+  List.iter
+    (fun flavor ->
+      let sys = System.of_rdma (mk_rdma flavor) in
+      let stack = Rdma_system.flavor_name flavor in
+      let ok id = Keyspace.make ~shard:1 ~table:1 ~ordered:true ~id in
+      let target = ok 0 in
+      sys.load target (Bytes.of_string "loaded");
+      sys.seal ();
+      let put key v = Op.Put (key, Bytes.of_string v) in
+      (* 200 fresh rows first, so the earlier record reaches [target]
+         only after ~60 us of B+ tree work at each backup. *)
+      let long =
+        Types.make ~read_set:[] ~write_set:[ target ] (fun _ ->
+            List.init 200 (fun i -> put (ok (i + 1)) "row")
+            @ [ put target "early" ])
+      in
+      let short =
+        Types.make ~read_set:[] ~write_set:[ target ] (fun _ ->
+            [ put target "late" ])
+      in
+      let outcomes =
+        in_process sys.engine (fun () ->
+            let a = sys.run_txn ~node:0 long in
+            let b = sys.run_txn ~node:0 short in
+            [ a; b ])
+      in
+      Alcotest.(check bool)
+        (stack ^ ": both commit")
+        true
+        (outcomes = [ Types.Committed; Types.Committed ]);
+      System.drain sys ~who:stack;
+      List.iter
+        (fun node ->
+          Alcotest.(check (option string))
+            (Printf.sprintf "%s: node %d keeps the later write" stack node)
+            (Some "late")
+            (Option.map Bytes.to_string (sys.peek ~node target)))
+        (Config.replicas windowed_cfg ~shard:1))
+    [
+      Rdma_system.Drtmh;
+      Rdma_system.Drtmh_nc;
+      Rdma_system.Fasst;
+      Rdma_system.Drtmr;
+      Rdma_system.Farm;
+    ]
 
 let () =
   Alcotest.run "xenic_proto"
@@ -997,5 +1058,10 @@ let () =
             test_replica_equivalence_xenic;
           Alcotest.test_case "replica equivalence: RDMA stacks" `Quick
             test_replica_equivalence_rdma;
+        ] );
+      ( "log apply",
+        [
+          Alcotest.test_case "RDMA backups apply ordered writes in log order"
+            `Quick test_rdma_backup_ordered_stamp_order;
         ] );
     ]

@@ -123,46 +123,193 @@ let test_histogram_large_values_qcheck =
          let hi = List.nth sorted (min (n - 1) ((n / 2) + 2)) in
          approx >= lo *. 0.96 && approx <= hi *. 1.04))
 
-(* The sparse Whist shares Histogram's bucket geometry, so every
-   derived statistic must agree exactly with the dense histogram over
-   the same samples. *)
-let test_whist_matches_histogram () =
-  let w = Whist.create () and h = Histogram.create () in
-  let vals = [ 0.0; 1.0; 3.5; 90.0; 1_500.0; 1_500.0; 2.0e6; 5.0e9 ] in
-  List.iter
-    (fun v ->
-      Whist.record w v;
-      Histogram.record h v)
-    vals;
-  Alcotest.(check int) "count" (Histogram.count h) (Whist.count w);
-  Alcotest.(check (float 1e-9)) "total" (Histogram.total h) (Whist.total w);
+(* A dense reference: one count per bucket over the whole value range,
+   with the bucket geometry restated from its definition (unit buckets
+   below 32, then 32 linear sub-buckets per octave) and looked up by
+   binary search over bucket lower bounds. *)
+module Dense = struct
+  let n_buckets = 32 * 58
+
+  let lower i = if i < 32 then i else (32 + (i mod 32)) lsl ((i / 32) - 1)
+
+  let bucket v =
+    let v = if v < 0.0 then 0 else int_of_float v in
+    let lo = ref 0 and hi = ref (n_buckets - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi + 1) / 2 in
+      if lower mid <= v then lo := mid else hi := mid - 1
+    done;
+    !lo
+
+  let midpoint i =
+    if i < 32 then float_of_int i
+    else float_of_int (lower i) +. (float_of_int (1 lsl ((i / 32) - 1)) /. 2.0)
+
+  type t = {
+    counts : int array;
+    mutable n : int;
+    mutable total : float;
+    mutable min_v : float;
+    mutable max_v : float;
+  }
+
+  let create () =
+    {
+      counts = Array.make n_buckets 0;
+      n = 0;
+      total = 0.0;
+      min_v = infinity;
+      max_v = neg_infinity;
+    }
+
+  let record_n t v k =
+    let i = bucket v in
+    t.counts.(i) <- t.counts.(i) + k;
+    t.n <- t.n + k;
+    t.total <- t.total +. (v *. float_of_int k);
+    t.min_v <- Float.min t.min_v v;
+    t.max_v <- Float.max t.max_v v
+
+  let quantile t q =
+    if t.n = 0 then nan
+    else begin
+      let rank = Float.max 1.0 (q *. float_of_int t.n) in
+      let i = ref 0 and seen = ref t.counts.(0) in
+      while float_of_int !seen < rank do
+        incr i;
+        seen := !seen + t.counts.(!i)
+      done;
+      Float.min t.max_v (Float.max t.min_v (midpoint !i))
+    end
+
+  let buckets t =
+    List.filter
+      (fun (_, n) -> n > 0)
+      (List.init n_buckets (fun i -> (i, t.counts.(i))))
+
+  let count_at_or_below t v =
+    let b = bucket v in
+    let n = ref 0 in
+    for i = 0 to b do
+      n := !n + t.counts.(i)
+    done;
+    !n
+
+  let merge ~into src =
+    Array.iteri (fun i n -> into.counts.(i) <- into.counts.(i) + n) src.counts;
+    into.n <- into.n + src.n;
+    into.total <- into.total +. src.total;
+    into.min_v <- Float.min into.min_v src.min_v;
+    into.max_v <- Float.max into.max_v src.max_v
+
+  let clear t =
+    Array.fill t.counts 0 n_buckets 0;
+    t.n <- 0;
+    t.total <- 0.0;
+    t.min_v <- infinity;
+    t.max_v <- neg_infinity
+end
+
+let probes = [ 0.0; 1.0; 31.0; 32.0; 1_000.0; 7.5e4; 2.0e6; 1e9; 1e15 ]
+
+let check_matches name h d =
+  let tag s = name ^ ": " ^ s in
+  Alcotest.(check int) (tag "count") d.Dense.n (Histogram.count h);
+  Alcotest.(check (float 0.0)) (tag "total") d.Dense.total (Histogram.total h);
   List.iter
     (fun q ->
-      Alcotest.(check (float 1e-9))
-        (Printf.sprintf "quantile %.2f" q)
-        (Histogram.quantile h q) (Whist.quantile w q))
-    [ 0.0; 0.25; 0.5; 0.9; 0.99; 1.0 ]
+      let want = Dense.quantile d q and got = Histogram.quantile h q in
+      if not (Float.is_nan want && Float.is_nan got) then
+        Alcotest.(check (float 0.0))
+          (tag (Printf.sprintf "quantile %g" q))
+          want got)
+    [ 0.0; 0.5; 0.99; 1.0 ];
+  Alcotest.(check (list (pair int int))) (tag "buckets") (Dense.buckets d)
+    (Histogram.buckets h);
+  List.iter
+    (fun v ->
+      Alcotest.(check int)
+        (tag (Printf.sprintf "count_at_or_below %g" v))
+        (Dense.count_at_or_below d v)
+        (Histogram.count_at_or_below h v))
+    probes
 
-let test_whist_merge () =
-  let a = Whist.create () and b = Whist.create () in
-  Whist.record_n a 10.0 3;
-  Whist.record a 500.0;
-  Whist.record b 10.0;
-  Whist.record_n b 40_000.0 2;
-  Whist.merge ~into:a b;
-  Alcotest.(check int) "count" 7 (Whist.count a);
-  Alcotest.(check (float 1e-9)) "mean"
-    ((3.0 *. 10.0) +. 500.0 +. 10.0 +. (2.0 *. 40_000.0))
-    (Whist.mean a *. 7.0);
-  let buckets = Whist.buckets a in
-  Alcotest.(check int) "three distinct buckets" 3 (List.length buckets);
-  Alcotest.(check int) "merged bucket count" 4
-    (List.assoc (Histogram.bucket_of_value 10.0) buckets);
-  Alcotest.(check bool) "buckets sorted" true
-    (List.sort compare (List.map fst buckets) = List.map fst buckets);
-  Alcotest.(check int) "at-or-below 10" 4 (Whist.count_at_or_below a 10.0);
-  Alcotest.(check int) "at-or-below 500" 5 (Whist.count_at_or_below a 500.0);
-  Alcotest.(check int) "at-or-below max" 7 (Whist.count_at_or_below a 1e9)
+(* Values spread over many octaves, small integers included. *)
+let sample st =
+  match Random.State.int st 4 with
+  | 0 -> float_of_int (Random.State.int st 40)
+  | 1 -> Random.State.float st 5_000.0
+  | 2 -> 1e4 +. Random.State.float st 1e6
+  | _ -> Random.State.float st (10.0 ** float_of_int (Random.State.int st 16))
+
+let fill st h d ~n =
+  for _ = 1 to n do
+    let v = sample st in
+    if Random.State.int st 5 = 0 then begin
+      let k = 1 + Random.State.int st 4 in
+      Histogram.record_n h v k;
+      Dense.record_n d v k
+    end
+    else begin
+      Histogram.record h v;
+      Dense.record_n d v 1
+    end
+  done
+
+let test_histogram_matches_dense () =
+  for seed = 1 to 20 do
+    let st = Random.State.make [| seed |] in
+    let h = Histogram.create () and d = Dense.create () in
+    fill st h d ~n:(1 + Random.State.int st 300);
+    check_matches (Printf.sprintf "seed %d" seed) h d;
+    (* A cleared histogram is empty, then records afresh. *)
+    Histogram.clear h;
+    Dense.clear d;
+    check_matches (Printf.sprintf "seed %d cleared" seed) h d;
+    fill st h d ~n:(1 + Random.State.int st 50);
+    check_matches (Printf.sprintf "seed %d reused" seed) h d
+  done
+
+let test_histogram_merge_ranges () =
+  let build values =
+    let h = Histogram.create () and d = Dense.create () in
+    List.iter
+      (fun v ->
+        Histogram.record h v;
+        Dense.record_n d v 1)
+      values;
+    (h, d)
+  in
+  let cleared values =
+    let h, d = build values in
+    Histogram.clear h;
+    Dense.clear d;
+    (h, d)
+  in
+  let low = [ 3.0; 12.0; 40.0 ]
+  and mid = [ 30.0; 900.0; 5_000.0 ]
+  and high = [ 2.0e8; 7.0e9 ] in
+  let cases =
+    [
+      ("disjoint", (fun () -> build low), fun () -> build high);
+      ("overlapping", (fun () -> build low), fun () -> build mid);
+      ("empty", (fun () -> build mid), fun () -> build []);
+      ("cleared", (fun () -> build mid), fun () -> cleared high);
+      ("both empty", (fun () -> build []), fun () -> build []);
+    ]
+  in
+  List.iter
+    (fun (name, mk_a, mk_b) ->
+      (* Both directions: each side must end up covering the union. *)
+      List.iter
+        (fun (dir, (into_h, into_d), (src_h, src_d)) ->
+          Histogram.merge ~into:into_h src_h;
+          Dense.merge ~into:into_d src_d;
+          check_matches (name ^ " " ^ dir) into_h into_d;
+          (* The source is left untouched. *)
+          check_matches (name ^ " " ^ dir ^ " source") src_h src_d)
+        [ ("a<-b", mk_a (), mk_b ()); ("b<-a", mk_b (), mk_a ()) ])
+    cases
 
 let test_counter () =
   let c = Counter.create () in
@@ -213,11 +360,11 @@ let () =
           Alcotest.test_case "merge" `Quick test_histogram_merge;
           qt test_histogram_large_values_qcheck;
         ] );
-      ( "whist",
+      ( "histogram reference",
         [
-          Alcotest.test_case "matches dense histogram" `Quick
-            test_whist_matches_histogram;
-          Alcotest.test_case "merge" `Quick test_whist_merge;
+          Alcotest.test_case "matches dense counts" `Quick
+            test_histogram_matches_dense;
+          Alcotest.test_case "merge ranges" `Quick test_histogram_merge_ranges;
         ] );
       ("counter", [ Alcotest.test_case "basics" `Quick test_counter ]);
       ( "table",

@@ -11,7 +11,7 @@ open Xenic_proto
 open Xenic_workload
 module Telemetry = Xenic_telemetry.Telemetry
 module Detect = Xenic_telemetry.Detect
-module Whist = Xenic_stats.Whist
+module Histogram = Xenic_stats.Histogram
 
 let hw = Xenic_params.Hw.testbed
 
@@ -60,7 +60,44 @@ let test_wclock_integrate () =
   got := [];
   Wclock.integrate c ~t_end:100.0 ~from:80.0 ~until:20.0 ~value:1.0 collect;
   Alcotest.(check int) "inverted span integrates nothing" 0
-    (List.length !got)
+    (List.length !got);
+  (* Open end (no t_end): the span splits over uncut windows exactly as
+     a recorder without a cutoff used to split it by hand. *)
+  let by_hand ~from ~until ~value =
+    let from = Float.max from (Wclock.t0 c) in
+    let acc = ref [] in
+    if Float.compare until from > 0 then
+      for i = Wclock.index c from to Wclock.index c until do
+        let w_lo = Float.max from (Wclock.start_of c i) in
+        let w_hi = Float.min until (Wclock.start_of c (i + 1)) in
+        let overlap = w_hi -. w_lo in
+        if Float.compare overlap 0.0 > 0 then
+          acc := (i, value *. overlap) :: !acc
+      done;
+    List.rev !acc
+  in
+  let open_areas ~from ~until ~value =
+    got := [];
+    Wclock.integrate c ~from ~until ~value collect;
+    List.rev !got
+  in
+  Alcotest.(check (list (pair int (float 0.0))))
+    "open span over five windows"
+    [ (0, 105.0); (1, 150.0); (2, 150.0); (3, 150.0); (4, 112.5) ]
+    (open_areas ~from:30.0 ~until:475.0 ~value:1.5);
+  List.iter
+    (fun (from, until, value) ->
+      Alcotest.(check (list (pair int (float 0.0))))
+        (Printf.sprintf "open [%g, %g) matches the hand split" from until)
+        (by_hand ~from ~until ~value)
+        (open_areas ~from ~until ~value))
+    [
+      (30.0, 475.0, 1.5);
+      (-20.0, 300.0, 0.25);
+      (100.0, 200.0, 3.0);
+      (0.1, 1_000.3, 7.0);
+      (250.0, 250.0, 1.0);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Hand-computed recording *)
@@ -96,7 +133,7 @@ let test_windows_hand_computed () =
   Alcotest.(check (float 1e-9)) "w1 queue mean" 4.0
     roll.(1).Telemetry.a_q_mean;
   Alcotest.(check int) "w1 latency samples" 2
-    (Whist.count roll.(1).Telemetry.a_lat);
+    (Histogram.count roll.(1).Telemetry.a_lat);
   (* Cells stay per-dimension and come out in export order. *)
   match Telemetry.series tel with
   | [ c0; c1; c2 ] ->
@@ -160,7 +197,51 @@ let test_shard_merge () =
   Alcotest.(check int) "rollup folds shards" 2
     roll.(0).Telemetry.a_committed;
   Alcotest.(check int) "latency shards merged" 2
-    (Whist.count roll.(0).Telemetry.a_lat)
+    (Histogram.count roll.(0).Telemetry.a_lat)
+
+let test_rollup_merges_cells () =
+  (* One window, cells from two partitions and two labels: the rollup
+     merges all four into one aggregate. *)
+  let eng = Engine.create ~domains:1 () in
+  Engine.set_topology ~lookahead:50.0 eng ~partitions:2
+    ~node_partition:(fun n -> n mod 2);
+  let tel = Telemetry.create ~window_ns:100.0 eng in
+  Engine.at ~node:0 eng 10.0 (fun () ->
+      Telemetry.record_commit ~label:"a" tel ~stack:"S" ~node:0 ~latency_ns:5.0;
+      Telemetry.record_abort ~label:"b" tel ~stack:"S" ~node:0
+        ~reason:"conflict" ~latency_ns:9.0;
+      Telemetry.sample_queue ~label:"a" tel ~stack:"S" ~node:0 ~depth:2);
+  Engine.at ~node:1 eng 20.0 (fun () ->
+      Telemetry.record_commit ~label:"a" tel ~stack:"S" ~node:1
+        ~latency_ns:40.0;
+      Telemetry.record_abort ~label:"a" tel ~stack:"S" ~node:1
+        ~reason:"timeout" ~latency_ns:7.0;
+      Telemetry.record_abort ~label:"b" tel ~stack:"S" ~node:1
+        ~reason:"conflict" ~latency_ns:1000.0;
+      Telemetry.sample_queue ~label:"b" tel ~stack:"S" ~node:1 ~depth:6;
+      Telemetry.sample_queue ~label:"b" tel ~stack:"S" ~node:1 ~depth:1);
+  ignore (Engine.run eng);
+  Telemetry.seal tel;
+  Alcotest.(check (list (pair int string)))
+    "four cells: two partitions x two labels"
+    [ (0, "a"); (0, "b"); (1, "a"); (1, "b") ]
+    (List.map
+       (fun s -> (s.Telemetry.part, s.Telemetry.label))
+       (Telemetry.series tel));
+  let roll = Telemetry.rollup tel in
+  Alcotest.(check int) "one window" 1 (Array.length roll);
+  let a = roll.(0) in
+  Alcotest.(check int) "committed" 2 a.Telemetry.a_committed;
+  Alcotest.(check int) "aborted: conflict x2 + timeout" 3 a.Telemetry.a_aborted;
+  (* Queue samples 2, 6, 1. *)
+  Alcotest.(check (float 0.0)) "queue mean" 3.0 a.Telemetry.a_q_mean;
+  (* Latencies 5, 7, 9, 40, 1000: all exact bucket midpoints. *)
+  let lat = a.Telemetry.a_lat in
+  Alcotest.(check int) "latency samples" 5 (Histogram.count lat);
+  Alcotest.(check (float 0.0)) "latency total" 1061.0 (Histogram.total lat);
+  Alcotest.(check (float 0.0)) "latency median" 9.0 (Histogram.median lat);
+  Alcotest.(check (float 0.0)) "latency p99" 1000.0 (Histogram.p99 lat);
+  Alcotest.(check (float 0.0)) "latency q0" 5.0 (Histogram.quantile lat 0.0)
 
 (* ------------------------------------------------------------------ *)
 (* Full-stack byte parity *)
@@ -346,9 +427,9 @@ let test_openmetrics_valid () =
 (* Detectors on synthetic rollups *)
 
 let mk_agg ?(offered = 0) ?(admitted = 0) ?(committed = 0) ?(aborted = 0)
-    ?(shed = 0) ?(q_mean = 0.0) ?(q_samples = 0) ?(q_max = 0) ?(lat = []) i =
-  let h = Whist.create () in
-  List.iter (fun (v, n) -> Whist.record_n h v n) lat;
+    ?(shed = 0) ?(q_mean = 0.0) ?(lat = []) i =
+  let h = Histogram.create () in
+  List.iter (fun (v, n) -> Histogram.record_n h v n) lat;
   {
     Telemetry.a_win = i;
     a_start_ns = float_of_int i *. 1_000.0;
@@ -359,10 +440,7 @@ let mk_agg ?(offered = 0) ?(admitted = 0) ?(committed = 0) ?(aborted = 0)
     a_aborted = aborted;
     a_shed = shed;
     a_lat = h;
-    a_q_samples = q_samples;
     a_q_mean = q_mean;
-    a_q_max = q_max;
-    a_occ_ns = 0.0;
   }
 
 let synth spec = Array.of_list (List.mapi (fun i f -> f i) spec)
@@ -494,6 +572,8 @@ let () =
           Alcotest.test_case "cutoff drops drain" `Quick
             test_cutoff_drops_drain;
           Alcotest.test_case "shard merge" `Quick test_shard_merge;
+          Alcotest.test_case "rollup merges cells" `Quick
+            test_rollup_merges_cells;
         ] );
       ( "parity",
         [
