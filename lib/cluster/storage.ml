@@ -9,8 +9,9 @@ type stamps = (Keyspace.t, int) Hashtbl.t
 
 let stamps () : stamps = Hashtbl.create 1024
 
-(* [stamp] is the log-append stamp: apply only in stamp order so
-   concurrent workers cannot regress a newer write. *)
+(* [stamp] is the log record's stamp (epoch at append, then the node's
+   append count): apply only in stamp order so concurrent workers, or a
+   promoted primary's second log, cannot regress a newer write. *)
 let apply_ordered stamps tree op ~stamp =
   let k = Op.key op in
   let last = Option.value ~default:(-1) (Hashtbl.find_opt stamps k) in

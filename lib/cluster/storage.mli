@@ -32,11 +32,12 @@ type stamps
 val stamps : unit -> stamps
 
 (** [apply_ordered stamps tree op ~stamp] applies an ordered-table write
-    only if [stamp] (its record's log-append stamp) is newer than the
-    last one applied to the key. Ordered tables carry no object
-    version, and concurrent log-apply workers can finish a long record
-    after a shorter, later one, so every stack's log application orders
-    ordered-table writes through this one rule. *)
+    only if [stamp] (its log record's stamp: the configuration epoch at
+    append, then the node's append count across its logs) is newer
+    than the last one applied to the key. Ordered tables carry no
+    object version, and concurrent log-apply workers can finish a long
+    record after a shorter, later one, so every stack's log application
+    orders ordered-table writes through this one rule. *)
 val apply_ordered :
   stamps -> bytes Xenic_store.Btree.t -> Op.t -> stamp:int -> unit
 

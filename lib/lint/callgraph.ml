@@ -8,7 +8,9 @@
                         Invoking a function stored in a record field
                         ([io.nic_mem ()]) edges to [field:nic_mem]; every
                         expression ever assigned to a field named [f]
-                        (record literal or [<-]) edges out of it. This is
+                        (record literal or [<-]) edges out of it, except
+                        the head of a full application of a known
+                        definition, whose result the field holds. This is
                         the closure channel that carries suspension
                         through [Nic_index.io]-style callback records.
    - ["extern:M.fn"]    a qualified reference that resolves to no file in
@@ -37,6 +39,7 @@ type def = {
   d_name : string;
   d_file : string;
   d_line : int;
+  d_arity : int;  (* syntactic parameters of the bound function; 0 if none *)
 }
 
 type t = {
@@ -89,6 +92,14 @@ let rec pat_vars p =
 (* ------------------------------------------------------------------ *)
 (* Pass 1: definitions.                                                *)
 
+(* Parameters of a binding's leading [fun]s ([function] counts one). *)
+let rec arity e =
+  match e.pexp_desc with
+  | Pexp_fun (_, _, _, body) -> 1 + arity body
+  | Pexp_function _ -> 1
+  | Pexp_constraint (inner, _) | Pexp_newtype (_, inner) -> arity inner
+  | _ -> 0
+
 let collect_defs acc ~file ast =
   let rec structure ~mpath items acc =
     List.fold_left
@@ -108,6 +119,7 @@ let collect_defs acc ~file ast =
                       d_name = name;
                       d_file = file;
                       d_line = loc.Location.loc_start.Lexing.pos_lnum;
+                      d_arity = arity vb.pvb_expr;
                     }
                     :: acc)
                   acc (pat_vars vb.pvb_pat))
@@ -161,6 +173,18 @@ let add_edge t src dst =
   if src <> dst then
     Hashtbl.replace t.edges src (StrSet.add dst (callees t src))
 
+(* [lid] applied to [n] arguments is a full application of a known
+   definition. A definition that computes a closure after a [let] has a
+   smaller syntactic arity than its result's, so this can miss a
+   suspending closure returned that way. *)
+let saturated t ~scopes lid n =
+  match resolve t ~scopes lid with
+  | Some key -> (
+      match find_def t key with
+      | Some d -> d.d_arity > 0 && n >= d.d_arity
+      | None -> false)
+  | None -> false
+
 (* Add [src -> target] for every identifier referenced inside [e],
    resolved in [scopes]; also record the field-channel edges found in
    [e] (record literals and [<-]), and field-invocation edges. *)
@@ -187,7 +211,13 @@ let walk_expr t ~scopes ~src e =
                   Ast_iterator.default_iterator.expr it' e'
                 in
                 let sub_it = { Ast_iterator.default_iterator with expr = sub } in
-                sub_it.expr sub_it fexpr
+                (match fexpr.pexp_desc with
+                | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args)
+                  when saturated t ~scopes txt (List.length args) ->
+                    (* The field holds the call's result, not the
+                       function: only the arguments can flow into it. *)
+                    List.iter (fun (_, a) -> sub_it.expr sub_it a) args
+                | _ -> sub_it.expr sub_it fexpr)
             | None -> ())
           fields
     | Pexp_setfield (_, { txt = flid; _ }, v) -> (

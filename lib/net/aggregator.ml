@@ -1,15 +1,23 @@
 open Xenic_sim
 
+(* Each destination gathers its batch in a reusable array, slots
+   [0, count), cleared after every flush so no message is retained. A
+   partial batch waits behind a window timer. Every timer has the same
+   delay ([agg_window_ns]), so timers fire in the order they were
+   armed: [timers_fired] numbers each firing, and a timer is live only
+   if its ordinal is [live_timer], the one guarding the current batch.
+   A batch the size trigger flushed first leaves its timer stale, and a
+   stale timer must not cut the next batch's aggregation window
+   short. *)
 type 'm pending = {
-  mutable msgs : 'm list;  (* newest first *)
+  msgs : 'm option array;  (* [agg_max_msgs] slots: a full batch flushes *)
   mutable bytes : int;
   mutable count : int;
-  mutable timer_armed : bool;
-  (* Bumped on every flush. A window timer captures the generation it
-     was armed in and becomes a no-op if the batch it was guarding was
-     already flushed (e.g. by the size trigger) — otherwise the stale
-     timer would cut the next batch's aggregation window short. *)
-  mutable gen : int;
+  mutable arm_ctx : Attrib.ctx;  (* context of the message that armed the window *)
+  mutable timers_set : int;
+  mutable timers_fired : int;
+  mutable live_timer : int;  (* 0: no timer guards the pending batch *)
+  mutable window : unit -> unit;  (* the destination's timer, built once *)
 }
 
 type 'm t = {
@@ -21,34 +29,69 @@ type 'm t = {
   mutable messages : int;
 }
 
-let create fabric ~src ~enabled =
-  {
-    fabric;
-    src;
-    enabled;
-    dests =
-      Array.init (Fabric.nodes fabric) (fun _ ->
-          { msgs = []; bytes = 0; count = 0; timer_armed = false; gen = 0 });
-    frames = 0;
-    messages = 0;
-  }
+(* The frame's message list, oldest first, built from the gather
+   array. *)
+let rec gathered msgs i acc =
+  if i < 0 then acc
+  else
+    match msgs.(i) with
+    | Some m -> gathered msgs (i - 1) (m :: acc)
+    | None -> assert false
 
 let flush t dst =
   let p = t.dests.(dst) in
-  if p.count > 0 then begin
+  let n = p.count in
+  if n > 0 then begin
     t.frames <- t.frames + 1;
-    t.messages <- t.messages + p.count;
-    let payload_bytes = p.bytes and msgs = List.rev p.msgs in
-    (* Reset the batch before the send, so the frame owns [msgs] and
-       the next push starts a fresh batch. [Fabric.send] does not
-       suspend: it schedules the wire transfer and returns. *)
-    p.msgs <- [];
+    t.messages <- t.messages + n;
+    let payload_bytes = p.bytes and msgs = gathered p.msgs (n - 1) [] in
+    (* Reset the batch before the send, so the next push starts a fresh
+       batch. [Fabric.send] does not suspend: it schedules the wire
+       transfer and returns. *)
+    Array.fill p.msgs 0 n None;
     p.bytes <- 0;
     p.count <- 0;
-    p.gen <- p.gen + 1;
-    p.timer_armed <- false;
+    p.live_timer <- 0;
     Fabric.send t.fabric ~src:t.src ~dst ~payload_bytes msgs
   end
+
+(* A window-timer flush (and the frame's link time) is attributed to
+   the message that armed the window. *)
+let on_window t dst =
+  let p = t.dests.(dst) in
+  p.timers_fired <- p.timers_fired + 1;
+  if p.timers_fired = p.live_timer then begin
+    let ambient = Attrib.get () in
+    Attrib.set p.arm_ctx;
+    flush t dst;
+    Attrib.set ambient
+  end
+
+let create fabric ~src ~enabled =
+  let hw = Fabric.hw fabric in
+  let t =
+    {
+      fabric;
+      src;
+      enabled;
+      dests =
+        Array.init (Fabric.nodes fabric) (fun _ ->
+            {
+              msgs = Array.make (max 1 hw.agg_max_msgs) None;
+              bytes = 0;
+              count = 0;
+              arm_ctx = Attrib.default;
+              timers_set = 0;
+              timers_fired = 0;
+              live_timer = 0;
+              window = ignore;
+            });
+      frames = 0;
+      messages = 0;
+    }
+  in
+  Array.iteri (fun dst p -> p.window <- (fun () -> on_window t dst)) t.dests;
+  t
 
 let push t ~dst ~bytes msg =
   if dst = t.src then Fabric.loopback t.fabric ~node:t.src [ msg ]
@@ -62,21 +105,15 @@ let push t ~dst ~bytes msg =
     end
     else begin
       let p = t.dests.(dst) in
-      p.msgs <- msg :: p.msgs;
+      p.msgs.(p.count) <- Some msg;
       p.bytes <- p.bytes + framed;
       p.count <- p.count + 1;
       if p.bytes >= hw.mtu_b || p.count >= hw.agg_max_msgs then flush t dst
-      else if not p.timer_armed then begin
-        p.timer_armed <- true;
-        let gen = p.gen in
-        (* Attribute a window-timer flush (and the frame's link time) to
-           the message that armed the window. *)
-        Engine.after (Fabric.engine t.fabric) hw.agg_window_ns
-          (Attrib.preserve (fun () ->
-               if p.gen = gen then begin
-                 p.timer_armed <- false;
-                 flush t dst
-               end))
+      else if p.live_timer = 0 then begin
+        p.timers_set <- p.timers_set + 1;
+        p.live_timer <- p.timers_set;
+        p.arm_ctx <- Attrib.get ();
+        Engine.after (Fabric.engine t.fabric) hw.agg_window_ns p.window
       end
     end
   end

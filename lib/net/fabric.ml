@@ -158,36 +158,72 @@ let wait_reachable t ~src ~dst =
   if is_cut t ~src ~dst then
     Process.suspend (fun resume -> when_reachable t ~src ~dst resume)
 
-(* A frame is a chain of engine callbacks, not a process: tx hold, cut
-   poll, wire hop, rx hold, delivery — the same engine events, in the
-   same order, as {!transfer} followed by a mailbox send. The rx hold
-   is attributed to the sender's context, which the hop event
-   reinstalls. The three steps are one [let rec], so they share a
-   single closure block and its environment. *)
+(* A frame is one record and one step closure, not a process: the step
+   is scheduled for the tx hold's end, each cut poll, the wire hop's
+   arrival and the rx hold's end — the same engine events, in the same
+   order, as {!transfer} followed by a mailbox send. Both link holds
+   are attributed to the sender's context, captured at [send]. *)
+type 'm frame = {
+  fabric : 'm t;
+  f_src : int;
+  f_dst : int;
+  f_ctx : Attrib.ctx;
+  f_serialization : float;
+  packet : 'm Packet.t;
+  mutable f_stage : int;
+      (* 0: holding tx; 1: polling a cut link; 2: crossing the wire;
+         3: holding rx *)
+  mutable f_step : unit -> unit;
+}
+
+let step fr =
+  let t = fr.fabric and src = fr.f_src and dst = fr.f_dst in
+  match fr.f_stage with
+  | 0 | 1 ->
+      if fr.f_stage = 0 then begin
+        Resource.release_as t.node_arr.(src).tx fr.f_ctx;
+        fr.f_stage <- 1
+      end;
+      (* A cut link polls here once per base wire latency (see
+         {!when_reachable}). Otherwise the wire hop is the partition
+         handoff: the rx/delivery work after it runs on the destination
+         node's partition. Wire latency is exactly the partitioned
+         engine's lookahead, so the hop is legal in windowed mode by
+         construction (fault delays only ever add to it). *)
+      if is_cut t ~src ~dst then
+        Engine.after t.engine t.hw.wire_latency_ns fr.f_step
+      else begin
+        fr.f_stage <- 2;
+        Engine.after ?node:t.node_arr.(dst).node_id t.engine
+          (hop_delay t ~src ~dst) fr.f_step
+      end
+  | 2 ->
+      fr.f_stage <- 3;
+      Resource.hold_then t.node_arr.(dst).rx_link fr.f_ctx fr.f_serialization
+        fr.f_step
+  | _ ->
+      let rx = t.node_arr.(dst) in
+      Resource.release_as rx.rx_link fr.f_ctx;
+      Mailbox.send rx.inbox fr.packet
+
 let send t ~src ~dst ~payload_bytes msgs =
   let wire_bytes = payload_bytes + t.hw.eth_frame_overhead_b in
   t.frames_arr.(src) <- t.frames_arr.(src) + 1;
   t.bytes_arr.(src) <- t.bytes_arr.(src) + wire_bytes;
-  let packet = { Packet.src; dst; wire_bytes; msgs } in
-  let serialization = float_of_int wire_bytes /. rate t in
-  let ctx = Attrib.get () in
-  let rx = t.node_arr.(dst) in
-  let rec hop () =
-    (* A cut link polls here once per base wire latency (see
-       {!when_reachable}). Otherwise the wire hop is the partition
-       handoff: the rx/delivery work after it runs on the destination
-       node's partition. Wire latency is exactly the partitioned
-       engine's lookahead, so the hop is legal in windowed mode by
-       construction (fault delays only ever add to it). *)
-    if is_cut t ~src ~dst then Engine.after t.engine t.hw.wire_latency_ns hop
-    else Engine.after ?node:rx.node_id t.engine (hop_delay t ~src ~dst) arrive
-  and arrive () =
-    let ambient = Attrib.get () in
-    Attrib.set ctx;
-    Resource.use_then rx.rx_link serialization deliver;
-    Attrib.set ambient
-  and deliver () = Mailbox.send rx.inbox packet in
-  Resource.use_then t.node_arr.(src).tx serialization hop
+  let fr =
+    {
+      fabric = t;
+      f_src = src;
+      f_dst = dst;
+      f_ctx = Attrib.get ();
+      f_serialization = float_of_int wire_bytes /. rate t;
+      packet = { Packet.src; dst; wire_bytes; msgs };
+      f_stage = 0;
+      f_step = ignore;
+    }
+  in
+  fr.f_step <- (fun () -> step fr);
+  Resource.hold_then t.node_arr.(src).tx fr.f_ctx fr.f_serialization fr.f_step
 
 let transfer t ~src ~dst ~payload_bytes =
   let wire_bytes = payload_bytes + t.hw.eth_frame_overhead_b in

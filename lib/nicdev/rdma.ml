@@ -108,11 +108,53 @@ let one_sided_many t ~src verbs =
       in
       Process.parallel (engine t) (first :: others)
 
-let rpc_send ?(pay_submit = true) t ~src ~dst ~bytes msg =
+(* A SEND is one record and one step closure, not a process: the step
+   is scheduled for the doorbell's end and the NIC unit hold's end —
+   the events a process sleeping, then using the unit, would run — and
+   the last step puts the frame on the fabric. Both are attributed to
+   the sender's context, captured at [rpc_send]. *)
+type 'm send = {
+  rdma : 'm t;
+  s_src : int;
+  s_dst : int;
+  s_bytes : int;
+  s_msg : 'm;
+  s_ctx : Attrib.ctx;
+  mutable on_unit : bool;
+  mutable s_step : unit -> unit;
+}
+
+let send_step s =
+  let t = s.rdma and src = s.s_src in
+  if not s.on_unit then begin
+    s.on_unit <- true;
+    Resource.hold_then t.units.(src) s.s_ctx (unit_ns t ~node:src) s.s_step
+  end
+  else begin
+    Resource.release_as t.units.(src) s.s_ctx;
+    let ambient = Attrib.get () in
+    Attrib.set s.s_ctx;
+    Fabric.send t.fabric ~src ~dst:s.s_dst
+      ~payload_bytes:(req_header_b + s.s_bytes) [ s.s_msg ];
+    Attrib.set ambient
+  end
+
+let rpc_send t ~src ~dst ~bytes msg =
   t.verbs_arr.(src) <- t.verbs_arr.(src) + 1;
-  if pay_submit then Process.sleep (engine t) t.hw.rdma_submit_ns;
-  Resource.use t.units.(src) (unit_ns t ~node:src);
-  Fabric.send t.fabric ~src ~dst ~payload_bytes:(req_header_b + bytes) [ msg ]
+  let s =
+    {
+      rdma = t;
+      s_src = src;
+      s_dst = dst;
+      s_bytes = bytes;
+      s_msg = msg;
+      s_ctx = Attrib.get ();
+      on_unit = false;
+      s_step = ignore;
+    }
+  in
+  s.s_step <- (fun () -> send_step s);
+  Engine.after (engine t) t.hw.rdma_submit_ns s.s_step
 
 let rpc_recv_cost t ~node =
   (* Target NIC DMA-writes the receive buffer, then the polling host

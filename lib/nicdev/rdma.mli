@@ -40,10 +40,13 @@ val one_sided_many :
   (int * verb * int * (unit -> 'a)) list ->
   'a list
 
-(** [rpc_send t ~src ~dst ~bytes msg] transmits a two-sided SEND caring
-    [msg]; the target's dispatch loop must call {!rpc_recv_cost} before
-    handling it (receive-buffer DMA + completion handling). *)
-val rpc_send : ?pay_submit:bool -> 'm t -> src:int -> dst:int -> bytes:int -> 'm -> unit
+(** [rpc_send t ~src ~dst ~bytes msg] transmits a two-sided SEND
+    carrying [msg]: the doorbell, a hold of [src]'s NIC unit, then the
+    frame, as a callback chain under the caller's attribution context.
+    Callable from any context; it returns at once. The target's
+    dispatch loop must call {!rpc_recv_cost} before handling [msg]
+    (receive-buffer DMA + completion handling). *)
+val rpc_send : 'm t -> src:int -> dst:int -> bytes:int -> 'm -> unit
 
 (** Blocking: target-side receive cost for one two-sided message. *)
 val rpc_recv_cost : 'm t -> node:int -> unit

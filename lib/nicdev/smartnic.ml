@@ -55,7 +55,7 @@ let pkt_io_ns t = t.hw.nic_pkt_io_ns *. t.slowdown
 
 let pkt_io t = Resource.use t.pkt_io_path (pkt_io_ns t)
 
-let pkt_io_then t k = Resource.use_then t.pkt_io_path (pkt_io_ns t) k
+let pkt_io_path t = t.pkt_io_path
 
 let op_cost t ~ops ~bytes =
   ((float_of_int ops *. t.hw.nic_core_op_ns)
@@ -63,6 +63,9 @@ let op_cost t ~ops ~bytes =
   *. t.slowdown
 
 let core_work t ~ops ~bytes = Resource.use t.cores (op_cost t ~ops ~bytes)
+
+let core_work_then t ~ops ~bytes k =
+  Resource.use_then t.cores (op_cost t ~ops ~bytes) k
 
 let core_work_held t ~ops ~bytes = Process.sleep t.engine (op_cost t ~ops ~bytes)
 

@@ -23,16 +23,23 @@ val dma : t -> Xenic_pcie.Dma.t
 (** Blocking: pay the serialized packet RX/TX path cost for one frame. *)
 val pkt_io : t -> unit
 
-(** [pkt_io_then t k] is {!pkt_io} in callback form
-    ({!Xenic_sim.Resource.use_then}): it pays the same cost, then runs
-    [k]. For the dispatch loop, which runs without a process. *)
-val pkt_io_then : t -> (unit -> unit) -> unit
+(** The packet-I/O path {!pkt_io} holds, and the cost of one frame on
+    it now (slowdown included): for the dispatch loop, which holds the
+    path from a callback chain. *)
+val pkt_io_path : t -> Xenic_sim.Resource.t
+
+val pkt_io_ns : t -> float
 
 (** Blocking: occupy a core for [ops] protocol operations touching
     [bytes] of payload. [ops] scales the base per-op cost. A plain
     labelled argument rather than an optional one, so a call allocates
     no option. *)
 val core_work : t -> ops:int -> bytes:int -> unit
+
+(** [core_work_then t ~ops ~bytes k] is {!core_work} in callback form
+    ({!Xenic_sim.Resource.use_then}), callable from any context: it
+    pays the same cost, then runs [k]. *)
+val core_work_then : t -> ops:int -> bytes:int -> (unit -> unit) -> unit
 
 (** Blocking: hold an already-acquired core for the same duration; for
     handlers that manage core acquisition themselves. *)

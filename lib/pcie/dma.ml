@@ -2,18 +2,26 @@ open Xenic_sim
 
 type kind = Read | Write
 
-type request = { kind : kind; bytes : int; k : unit -> unit }
-
+(* Each queue gathers its pending requests in reusable arrays, slots
+   [0, pending_count), cleared after every flush so no completion is
+   retained. A partial vector waits for companions behind a gather
+   timer. Every timer has the same delay, so timers fire in the order
+   they were armed: [timers_fired] numbers each firing, and a timer is
+   live only if its ordinal is [live_timer], the one guarding the
+   current vector. A vector the size limit flushed first leaves its
+   timer stale, and a stale timer must not cut the next vector's gather
+   window short. *)
 type queue = {
   engine_res : Resource.t;
-  mutable pending : request list;  (* newest first *)
+  ks : (unit -> unit) array;
+  kinds : kind array;
   mutable pending_count : int;
-  mutable timer_armed : bool;
-  (* Bumped on every flush. A gather timer captures the generation it
-     was armed in and becomes a no-op if its vector was already flushed
-     by the size limit — otherwise the stale timer would cut the next
-     vector's gather window short. *)
-  mutable gen : int;
+  mutable pending_bytes : int;
+  mutable arm_ctx : Attrib.ctx;  (* context of the request that armed the timer *)
+  mutable timers_set : int;
+  mutable timers_fired : int;
+  mutable live_timer : int;  (* 0: no timer guards the pending vector *)
+  mutable gather : unit -> unit;  (* the queue's timer, built once *)
 }
 
 type t = {
@@ -27,32 +35,24 @@ type t = {
   mutable vectors : int;
 }
 
+(* A vector in flight is one record and one step closure, not a
+   process: the step is scheduled for the bus hold's end and the queue
+   engine hold's end, then every element's completion is scheduled.
+   Both holds are attributed to the context the vector was flushed
+   under. *)
+type vector = {
+  dma : t;
+  v_queue : queue;
+  v_ctx : Attrib.ctx;
+  v_ks : (unit -> unit) array;
+  v_kinds : kind array;
+  mutable on_engine : bool;
+  mutable v_step : unit -> unit;
+}
+
 (* How long a partially-filled vector waits for companions before being
    submitted; models "submitted when the core is idle" (§4.3.1). *)
 let gather_delay_ns = 150.0
-
-let create engine hw =
-  {
-    engine;
-    hw;
-    queues =
-      Array.init hw.dma_queues (fun i ->
-          {
-            engine_res =
-              Resource.create engine
-                ~name:(Printf.sprintf "dmaq%d" i)
-                ~servers:1;
-            pending = [];
-            pending_count = 0;
-            timer_armed = false;
-            gen = 0;
-          });
-    bus = Resource.create engine ~name:"pcie-bus" ~servers:1;
-    vectored = true;
-    rr = 0;
-    ops = 0;
-    vectors = 0;
-  }
 
 let set_vectored t v = t.vectored <- v
 
@@ -60,52 +60,107 @@ let completion_ns t = function
   | Read -> t.hw.dma_read_completion_ns
   | Write -> t.hw.dma_write_completion_ns
 
-(* All elements of a vector become visible one completion delay after
-   engine service (Fig 4b: full vectors do not increase completion
-   latency). *)
-let rec complete t = function
-  | [] -> ()
-  | r :: rest ->
-      Engine.after t.engine (completion_ns t r.kind) r.k;
-      complete t rest
-
-(* A vector is a chain of engine callbacks rather than a process: bus
-   hold, queue-engine hold, then every element's completion. The two
-   steps are one [let rec], so they share a single closure block. *)
-let flush t q =
-  let n = q.pending_count in
-  if n > 0 then begin
-    let reqs = List.rev q.pending in
-    q.pending <- [];
-    q.pending_count <- 0;
-    q.gen <- q.gen + 1;
-    q.timer_armed <- false;
-    t.vectors <- t.vectors + 1;
-    t.ops <- t.ops + n;
-    let total_bytes = List.fold_left (fun acc r -> acc + r.bytes) 0 reqs in
+let vector_step v =
+  let t = v.dma in
+  if not v.on_engine then begin
+    Resource.release_as t.bus v.v_ctx;
+    v.on_engine <- true;
+    let n = Array.length v.v_ks in
     let service =
       t.hw.dma_submit_ns +. (float_of_int n *. t.hw.dma_engine_elem_ns)
     in
+    Resource.hold_then v.v_queue.engine_res v.v_ctx service v.v_step
+  end
+  else begin
+    Resource.release_as v.v_queue.engine_res v.v_ctx;
+    (* All elements of a vector become visible one completion delay
+       after engine service (Fig 4b: full vectors do not increase
+       completion latency). *)
+    for i = 0 to Array.length v.v_ks - 1 do
+      Engine.after t.engine (completion_ns t v.v_kinds.(i)) v.v_ks.(i)
+    done
+  end
+
+let flush t q ctx =
+  let n = q.pending_count in
+  if n > 0 then begin
+    let v =
+      {
+        dma = t;
+        v_queue = q;
+        v_ctx = ctx;
+        v_ks = Array.sub q.ks 0 n;
+        v_kinds = Array.sub q.kinds 0 n;
+        on_engine = false;
+        v_step = ignore;
+      }
+    in
+    v.v_step <- (fun () -> vector_step v);
+    let total_bytes = q.pending_bytes in
+    Array.fill q.ks 0 n ignore;
+    q.pending_count <- 0;
+    q.pending_bytes <- 0;
+    q.live_timer <- 0;
+    t.vectors <- t.vectors + 1;
+    t.ops <- t.ops + n;
     let bus_time =
       float_of_int total_bytes /. Xenic_params.Hw.pcie_rate t.hw
     in
-    let rec on_bus () = Resource.use_then q.engine_res service on_engine
-    and on_engine () = complete t reqs in
-    Resource.use_then t.bus bus_time on_bus
+    Resource.hold_then t.bus ctx bus_time v.v_step
   end
+
+let on_gather_timer t q =
+  q.timers_fired <- q.timers_fired + 1;
+  (* Attribute a gather-timer flush (bus + engine service of the whole
+     vector) to the request that armed the timer. *)
+  if q.timers_fired = q.live_timer then flush t q q.arm_ctx
+
+let create engine hw =
+  let t =
+    {
+      engine;
+      hw;
+      queues =
+        Array.init hw.dma_queues (fun i ->
+            {
+              engine_res =
+                Resource.create engine
+                  ~name:(Printf.sprintf "dmaq%d" i)
+                  ~servers:1;
+              ks = Array.make (max 1 hw.dma_vector_max) ignore;
+              kinds = Array.make (max 1 hw.dma_vector_max) Read;
+              pending_count = 0;
+              pending_bytes = 0;
+              arm_ctx = Attrib.default;
+              timers_set = 0;
+              timers_fired = 0;
+              live_timer = 0;
+              gather = ignore;
+            });
+      bus = Resource.create engine ~name:"pcie-bus" ~servers:1;
+      vectored = true;
+      rr = 0;
+      ops = 0;
+      vectors = 0;
+    }
+  in
+  Array.iter (fun q -> q.gather <- (fun () -> on_gather_timer t q)) t.queues;
+  t
 
 let submit t kind ~bytes ~queue k =
   let q = t.queues.(queue mod Array.length t.queues) in
-  q.pending <- { kind; bytes; k } :: q.pending;
-  q.pending_count <- q.pending_count + 1;
-  if (not t.vectored) || q.pending_count >= t.hw.dma_vector_max then flush t q
-  else if not q.timer_armed then begin
-    q.timer_armed <- true;
-    let gen = q.gen in
-    (* Attribute a gather-timer flush (bus + engine service of the
-       whole vector) to the request that armed the timer. *)
-    Engine.after t.engine gather_delay_ns
-      (Attrib.preserve (fun () -> if q.gen = gen then flush t q))
+  let i = q.pending_count in
+  q.ks.(i) <- k;
+  q.kinds.(i) <- kind;
+  q.pending_count <- i + 1;
+  q.pending_bytes <- q.pending_bytes + bytes;
+  if (not t.vectored) || q.pending_count >= t.hw.dma_vector_max then
+    flush t q (Attrib.get ())
+  else if q.live_timer = 0 then begin
+    q.timers_set <- q.timers_set + 1;
+    q.live_timer <- q.timers_set;
+    q.arm_ctx <- Attrib.get ();
+    Engine.after t.engine gather_delay_ns q.gather
   end
 
 let next_queue t =

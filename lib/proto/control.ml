@@ -1,7 +1,18 @@
 open Xenic_sim
 open Xenic_cluster
 
-type msg = { bytes : int; deliver : unit -> unit }
+type msg = {
+  bytes : int;
+  ctx : Attrib.ctx;
+  deliver : unit -> unit;
+  in_process : bool;
+}
+
+let request ~bytes deliver =
+  { bytes; ctx = Attrib.get (); deliver; in_process = true }
+
+let reply ~bytes deliver =
+  { bytes; ctx = Attrib.get (); deliver; in_process = false }
 
 (* Commit decision for a LOG record, shared (one ref per transaction)
    between the coordinator and every backup that holds a copy. Backups
@@ -41,6 +52,9 @@ type t = {
          gone), so its in-flight requests die by timeout even before
          the failure detector declares it. *)
   txn_seq : int array;  (* per-coordinator attempt counter *)
+  log_appends : int array;
+      (* per-node host-log appends, across all of the node's logs: the
+         count half of {!append_log}'s stamp *)
   unsealed : bool array;  (* shard -> bulk-loaded since the last [seal] *)
   mutable epoch : int;  (* bumped on every reconfiguration *)
   mutable inflight_commits : int;
@@ -111,6 +125,7 @@ let create engine hw cfg ~stack ~partitions ~armed =
     alive = Array.make nodes true;
     crashed = Array.make nodes false;
     txn_seq = Array.make nodes 0;
+    log_appends = Array.make nodes 0;
     unsealed = Array.make nodes false;
     epoch = 0;
     inflight_commits = 0;
@@ -443,11 +458,27 @@ type log_record = {
 
 let host_log t = Xenic_store.Hostlog.create t.engine ~capacity_b:log_capacity_b
 
-let append_log log ~bytes ~shard ~ops decision =
+(* The apply order of ordered-table writes, packed into one int so the
+   per-key comparison allocates nothing: the configuration epoch at
+   append, then the node's append count. The epoch puts a promoted
+   primary's COMMIT records after the backup-log records of every
+   earlier configuration. The count runs across all of a node's logs,
+   not per log, so it also orders a LOG appended after an epoch bump
+   (by a transaction that passed the commit fence before it) against
+   the COMMIT records that follow the promotion in the same epoch. Un-armed
+   runs stay at epoch 0, and each key reaches a node through one log
+   only, so their apply order is the per-log append order it always
+   was. *)
+let stamp_bits = 40
+
+let append_log t ~node log ~bytes ~shard ~ops decision =
   let record =
     { lr_shard = shard; lr_ops = ops; lr_decision = decision; lr_stamp = 0 }
   in
-  record.lr_stamp <- Xenic_store.Hostlog.append log ~bytes record
+  Xenic_store.Hostlog.append log ~bytes record;
+  let n = t.log_appends.(node) + 1 in
+  t.log_appends.(node) <- n;
+  record.lr_stamp <- (t.epoch lsl stamp_bits) lor n
 
 let apply_cost (hw : Xenic_params.Hw.t) op =
   if Keyspace.ordered (Op.key op) then btree_op_ns
@@ -647,14 +678,18 @@ let call t tr ?epoch0 ~src ~dst ~req_bytes ~resp_bytes handler =
 (* Dispatch *)
 
 (* A callback chain, not a process: a frame's arrival, its packet-I/O
-   hold and the spawn of its handlers are the same engine events a
-   blocking loop would run, at the same (time, seq). [pump] takes
-   queued frames until one waits on [pkt_io] or the mailbox is empty,
-   then parks [on_frame]; every call in the chain is a tail call, so a
-   burst of frames handled at once does not grow the stack. *)
+   hold and its deliveries are the same engine events a blocking loop
+   would run, at the same (time, seq). Frames are handled one at a
+   time, so the frame holding the packet-I/O path waits in the node's
+   one [current] slot and the hold's end is [io_done], built once with
+   the loop. [pump] takes queued frames until one waits on the path or
+   the mailbox is empty, then parks [on_frame]. Each message is
+   delivered under the context it carries: a request handler in a fresh
+   process, a reply in place. *)
 let dispatch_loop t ~node ~pkt_io =
   let ctx = { Attrib.stack = t.stack; node; phase = "dispatch"; cls = "-" } in
   let rx = Xenic_net.Fabric.rx t.fabric node in
+  let current = ref [] in
   let rec pump () =
     match Mailbox.recv_opt rx with
     | None -> Mailbox.recv_then rx on_frame
@@ -669,9 +704,29 @@ let dispatch_loop t ~node ~pkt_io =
       pump ()
     end
     else
-      pkt_io (fun () ->
-          List.iter (fun m -> Process.spawn t.engine m.deliver) pkt.msgs;
-          pump ())
+      match pkt_io with
+      | None -> deliver pkt.msgs
+      | Some (path, cost_ns) ->
+          current := pkt.msgs;
+          Resource.hold_then path ctx (cost_ns ()) io_done
+  and io_done () =
+    let ambient = Attrib.get () in
+    (match pkt_io with
+    | Some (path, _) -> Resource.release_as path ctx
+    | None -> ());
+    let msgs = !current in
+    current := [];
+    deliver msgs;
+    Attrib.set ambient
+  and deliver = function
+    | [] ->
+        Attrib.set ctx;
+        pump ()
+    | m :: rest ->
+        Attrib.set m.ctx;
+        if m.in_process then Process.spawn t.engine m.deliver
+        else m.deliver ();
+        deliver rest
   and on_frame pkt =
     let ambient = Attrib.get () in
     Attrib.set ctx;

@@ -34,9 +34,28 @@
 
 open Xenic_cluster
 
-(** A message between nodes: its wire size and the handler run at the
-    destination. *)
-type msg = { bytes : int; deliver : unit -> unit }
+(** A message between nodes: its wire size, the sender's attribution
+    context, and what runs at the destination. The dispatch loop
+    installs [ctx] around the delivery. A request's [deliver] is a
+    handler that blocks on NIC cores, NIC memory, DMA or host threads,
+    so it runs in a fresh process ([in_process]); a reply's never
+    blocks and runs in the dispatch event itself. Build one with
+    {!request} or {!reply}. *)
+type msg = {
+  bytes : int;
+  ctx : Xenic_sim.Attrib.ctx;
+  deliver : unit -> unit;
+  in_process : bool;
+}
+
+(** [request ~bytes handler]: a message whose handler runs in a fresh
+    process at the destination, under the caller's current context. *)
+val request : bytes:int -> (unit -> unit) -> msg
+
+(** [reply ~bytes k]: a message whose [k] runs in the destination's
+    dispatch event, outside any process, under the caller's current
+    context. [k] must not block. *)
+val reply : bytes:int -> (unit -> unit) -> msg
 
 (** Commit decision shared by every LOG record of one transaction.
     Backups apply only [Dcommit] records; the coordinator resolves
@@ -66,6 +85,9 @@ type t = {
   alive : bool array;  (** Routing view: false once removed. *)
   crashed : bool array;  (** Ground truth: true from the crash instant. *)
   txn_seq : int array;  (** Per-coordinator attempt counter. *)
+  log_appends : int array;
+      (** Per-node host-log appends across all the node's logs, the
+          count half of a record's stamp ({!append_log}). *)
   unsealed : bool array;  (** Shard -> bulk-loaded since the last {!seal}. *)
   mutable epoch : int;  (** Bumped on every reconfiguration. *)
   mutable inflight_commits : int;  (** Attempts holding the commit fence. *)
@@ -280,17 +302,25 @@ type log_record = {
   lr_decision : decision ref;
       (** Shared by every copy of one transaction's records. *)
   mutable lr_stamp : int;
-      (** Append order in its log, for ordered-table write ordering.
-          Set by {!append_log}; delivery to workers is deferred, so it
-          is set before any worker reads it. *)
+      (** Apply order of the record's ordered-table writes: the
+          configuration epoch at append, then the node's append count
+          across all its logs ({!append_log}). Set by {!append_log};
+          delivery to workers is deferred, so it is set before any
+          worker reads it. *)
 }
 
 (** A fresh host-memory log of 4 MiB. *)
 val host_log : t -> log_record Xenic_store.Hostlog.t
 
-(** Append a record of [ops] (blocking while the log is full) and stamp
-    it with its append index. The caller charges the DMA or WRITE. *)
+(** [append_log t ~node log ...] appends a record of [ops] to [log], one
+    of [node]'s logs (blocking while the log is full), and stamps it:
+    the epoch now, then [node]'s count of appends across all its logs,
+    so a stamp orders the record after every record [node] appended
+    before it, in any log, and after every record of an earlier
+    configuration. The caller charges the DMA or WRITE. *)
 val append_log :
+  t ->
+  node:int ->
   log_record Xenic_store.Hostlog.t ->
   bytes:int ->
   shard:int ->
@@ -399,11 +429,17 @@ val call :
 
 (** Start [node]'s dispatch loop, a callback chain on the node's
     receive mailbox (no process): frames to a crashed node are dropped;
-    otherwise [pkt_io k] charges the frame's packet I/O and then runs
-    [k], which delivers each message in a fresh process. Frames are
+    otherwise, with [pkt_io = Some (path, cost_ns)], each frame holds
+    [path] for [cost_ns ()] (the NIC's packet-I/O charge), then its
+    messages are delivered in order, each under its own [ctx]: a
+    request's handler in a fresh process, a reply in place. Frames are
     handled one at a time, in arrival order, under the node's
     ["dispatch"] attribution context. *)
-val dispatch_loop : t -> node:int -> pkt_io:((unit -> unit) -> unit) -> unit
+val dispatch_loop :
+  t ->
+  node:int ->
+  pkt_io:(Xenic_sim.Resource.t * (unit -> float)) option ->
+  unit
 
 (** {2 Reconfiguration (§4.2.1)}
 

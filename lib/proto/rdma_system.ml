@@ -37,7 +37,7 @@ let default_params =
     partitions = 0;
   }
 
-type msg = Control.msg = { bytes : int; deliver : unit -> unit }
+type msg = Control.msg
 
 type objects =
   | Chained of bytes Xenic_store.Chained.t  (* DrTM+H / FaSST / DrTM+R *)
@@ -169,37 +169,26 @@ let sweep_locks t ~node ~dead =
 (* Two-sided RPC path *)
 
 (* Two-sided RPCs: the request is counted as it leaves, the receive
-   buffer is charged at the target's NIC on delivery, and the caller
-   polls for the completion. [Attrib.preserve] carries the caller's
-   attribution context into the handler (and the handler's context back
-   into the completion). A stale request is refused in place, with no
-   wire hop. *)
+   buffer is charged at the target's NIC in the handler's process, and
+   the caller polls for the completion, a callback after the reply's
+   delivery. Each message carries its sender's attribution context. A
+   stale request is refused in place, with no wire hop. *)
 let transport ctl (hw : Xenic_params.Hw.t) rdma =
   {
     Control.depart =
       (fun ~src:_ ~dst:_ ~bytes:_ ->
         Xenic_stats.Counter.incr (Control.counters ctl) "rpcs");
     send =
-      (fun ~src ~dst ~bytes deliver ->
-        Process.spawn ctl.Control.engine (fun () ->
-            Rdma.rpc_send rdma ~src ~dst ~bytes
-              {
-                bytes;
-                deliver =
-                  Attrib.preserve (fun () ->
-                      Rdma.rpc_recv_cost rdma ~node:dst;
-                      deliver ());
-              }));
+      (fun ~src ~dst ~bytes handler ->
+        Rdma.rpc_send rdma ~src ~dst ~bytes
+          (Control.request ~bytes (fun () ->
+               Rdma.rpc_recv_cost rdma ~node:dst;
+               handler ())));
     back =
       (fun ~src ~dst ~bytes k ->
         Rdma.rpc_send rdma ~src:dst ~dst:src ~bytes
-          {
-            bytes;
-            deliver =
-              Attrib.preserve (fun () ->
-                  Process.sleep ctl.Control.engine hw.rdma_completion_poll_ns;
-                  k ());
-          });
+          (Control.reply ~bytes (fun () ->
+               Engine.after ctl.Control.engine hw.rdma_completion_poll_ns k)));
     reject = (fun ~src:_ ~dst:_ ~bytes:_ k -> k ());
   }
 
@@ -318,7 +307,7 @@ let create engine hw cfg flavor p =
     (fun node ->
       (* No SmartNIC: RDMA NIC costs are charged per verb and RPC inside
          [Rdma], not per dispatched frame. *)
-      Control.dispatch_loop ctl ~node:node.id ~pkt_io:(fun k -> k ());
+      Control.dispatch_loop ctl ~node:node.id ~pkt_io:None;
       for _ = 1 to p.worker_threads do
         (* Log application competes with RPC handling and coordinator
            work for the same host threads (§5.2: FaSST handles RPCs on
@@ -701,7 +690,8 @@ let validate_phase t ~epoch0 ~src ~owner checks =
 let log_phase t ~src seq_ops_by_shard decision =
   let record_b (_, _, seq_ops) = Wire.log_record_b ~ops:(List.map fst seq_ops) in
   let append (shard, backup, seq_ops) ~bytes () =
-    Control.append_log t.nodes.(backup).log ~bytes ~shard ~ops:seq_ops decision
+    Control.append_log t.ctl ~node:backup t.nodes.(backup).log ~bytes ~shard
+      ~ops:seq_ops decision
   in
   let targets = Control.log_targets t.ctl seq_ops_by_shard in
   match t.flavor with

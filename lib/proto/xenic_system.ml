@@ -2,7 +2,7 @@ open Xenic_sim
 open Xenic_cluster
 open Xenic_nicdev
 
-type msg = Control.msg = { bytes : int; deliver : unit -> unit }
+type msg = Control.msg
 
 type params = {
   features : Features.t;
@@ -88,16 +88,22 @@ let counters t = Control.counters t.ctl
 (* ------------------------------------------------------------------ *)
 (* Messaging *)
 
-let send ctl nodes ~src ~dst ~bytes deliver =
-  (* Delivery runs in a fresh process (local spawn or the destination's
-     dispatch loop); carry the sender's attribution context across. *)
-  let deliver = Attrib.preserve deliver in
-  if src = dst then Process.spawn ctl.Control.engine deliver
-  else begin
-    Xenic_stats.Counter.incr (Control.counters ctl) "msgs";
-    Xenic_stats.Counter.add (Control.counters ctl) "msg_bytes" bytes;
-    Xenic_net.Aggregator.push nodes.(src).agg ~dst ~bytes { bytes; deliver }
-  end
+let post ctl nodes ~src ~dst ~bytes msg =
+  Xenic_stats.Counter.incr (Control.counters ctl) "msgs";
+  Xenic_stats.Counter.add (Control.counters ctl) "msg_bytes" bytes;
+  Xenic_net.Aggregator.push nodes.(src).agg ~dst ~bytes msg
+
+(* A request: its handler runs in a fresh process at [dst] (in place
+   when [src = dst]), under the sender's attribution context. *)
+let send ctl nodes ~src ~dst ~bytes handler =
+  if src = dst then Process.spawn ctl.Control.engine handler
+  else post ctl nodes ~src ~dst ~bytes (Control.request ~bytes handler)
+
+(* A reply: [k] never blocks, so it runs in the dispatch event at [dst]
+   (in place when [src = dst]), outside any process. *)
+let reply ctl nodes ~src ~dst ~bytes k =
+  if src = dst then k ()
+  else post ctl nodes ~src ~dst ~bytes (Control.reply ~bytes k)
 
 (* Requests between NICs: a core charge at the requester's NIC as the
    request leaves and again as the response arrives. A stale request is
@@ -109,11 +115,10 @@ let transport ctl nodes =
     send = send ctl nodes;
     back =
       (fun ~src ~dst ~bytes k ->
-        send ctl nodes ~src:dst ~dst:src ~bytes (fun () ->
-            core_work ~src;
-            k ()));
+        reply ctl nodes ~src:dst ~dst:src ~bytes (fun () ->
+            Smartnic.core_work_then nodes.(src).nic ~ops:1 ~bytes:0 k));
     reject =
-      (fun ~src ~dst ~bytes k -> send ctl nodes ~src:dst ~dst:src ~bytes k);
+      (fun ~src ~dst ~bytes k -> reply ctl nodes ~src:dst ~dst:src ~bytes k);
   }
 
 (* Request/response between NICs from a coordinator process
@@ -121,11 +126,16 @@ let transport ctl nodes =
 let request t ?epoch0 ~src ~dst ~req_bytes ~resp_bytes handler =
   Control.call t.ctl t.tr ?epoch0 ~src ~dst ~req_bytes ~resp_bytes handler
 
-(* One-way message with a handler at the destination NIC. *)
-let notify t ~src ~dst ~bytes (handler : unit -> unit) =
+(* One-way message to a live destination NIC, through [send] (a
+   handler) or [reply] (an acknowledgement that never blocks). *)
+let one_way via t ~src ~dst ~bytes (f : unit -> unit) =
   if t.ctl.crashed.(dst) && dst <> src then
     Xenic_stats.Counter.incr (counters t) "msgs_dropped"
-  else send t.ctl t.nodes ~src ~dst ~bytes handler
+  else via t.ctl t.nodes ~src ~dst ~bytes f
+
+let notify t ~src ~dst ~bytes f = one_way send t ~src ~dst ~bytes f
+
+let notify_reply t ~src ~dst ~bytes k = one_way reply t ~src ~dst ~bytes k
 
 (* ------------------------------------------------------------------ *)
 (* NIC-side helpers *)
@@ -264,7 +274,8 @@ let log_handler t node ~decision ~shard ~seq_ops () =
       Smartnic.core_work_held node.nic ~ops:1 ~bytes:0;
       let bytes = Wire.log_record_b ~ops:(List.map fst seq_ops) in
       dma_io t.ctl t.p.features node.nic `Write ~bytes;
-      Control.append_log node.log ~bytes ~shard ~ops:seq_ops decision)
+      Control.append_log t.ctl ~node:node.id node.log ~bytes ~shard ~ops:seq_ops
+        decision)
 
 (* COMMIT: append the commit record, install new values and versions in
    the caching index (pinned until the host applies), release locks. *)
@@ -274,8 +285,8 @@ let commit_handler t node ~owner ~shard ~seq_ops ~locked () =
       let bytes = Wire.log_record_b ~ops:(List.map fst seq_ops) in
       dma_io t.ctl t.p.features node.nic `Write ~bytes;
       (* A COMMIT record is the decision. *)
-      Control.append_log node.commit_log ~bytes ~shard ~ops:seq_ops
-        (ref Control.Dcommit);
+      Control.append_log t.ctl ~node:node.id node.commit_log ~bytes ~shard
+        ~ops:seq_ops (ref Control.Dcommit);
       let idx =
         match seq_ops with
         | [] -> invalid_arg "commit_handler: empty request"
@@ -421,7 +432,8 @@ let create engine hw cfg p =
   Array.iter
     (fun node ->
       Control.dispatch_loop ctl ~node:node.id
-        ~pkt_io:(Smartnic.pkt_io_then node.nic);
+        ~pkt_io:
+          (Some (Smartnic.pkt_io_path node.nic, fun () -> Smartnic.pkt_io_ns node.nic));
       let worker log ~applied =
         Control.log_worker ctl ~node:node.id ~log ~pool:node.workers ~op_ns
           ~apply:(apply_write node) ~applied
@@ -517,8 +529,10 @@ let commit_phase t ~src ~owner ~seq ~locks_by_shard ~seq_ops_by_shard =
           ignore
             (Control.phase_mark t.ctl ~cat:"txn-async" ~src ~seq "commit-async"
                t_send);
-          notify t ~src:primary ~dst:src ~bytes:Wire.small_resp_b (fun () ->
-              Smartnic.core_work t.nodes.(src).nic ~ops:1 ~bytes:0)))
+          notify_reply t ~src:primary ~dst:src ~bytes:Wire.small_resp_b
+            (fun () ->
+              Smartnic.core_work_then t.nodes.(src).nic ~ops:1 ~bytes:0
+                ignore)))
     seq_ops_by_shard
 
 (* Release locks at the node they were acquired at (which may no longer
@@ -929,7 +943,7 @@ let multihop_txn t node (txn : Types.t) id :
                     ~reads:remote_reads ()
                 with
                 | `Fail ->
-                    notify t ~src:p2 ~dst:src ~bytes:Wire.small_resp_b
+                    notify_reply t ~src:p2 ~dst:src ~bytes:Wire.small_resp_b
                       (fun () -> resume `Fail)
                 | `Ok (remote_lockv, remote_values) ->
                     (* Execute at the remote primary NIC; multi-hop is
@@ -948,8 +962,8 @@ let multihop_txn t node (txn : Types.t) id :
                           (fun (k, _) ->
                             Xenic_store.Nic_index.unlock (idx_for p2_node k) k ~owner)
                           remote_lockv;
-                        notify t ~src:p2 ~dst:src ~bytes:Wire.small_resp_b
-                          (fun () -> resume `Multishot)
+                        notify_reply t ~src:p2 ~dst:src
+                          ~bytes:Wire.small_resp_b (fun () -> resume `Multishot)
                     | Types.Done ops ->
                     let lock_versions = local_lockv @ remote_lockv in
                     let seq_ops = Types.seq_ops_of ~lock_versions ops in
@@ -982,20 +996,23 @@ let multihop_txn t node (txn : Types.t) id :
                         notify t ~src:p2 ~dst:backup ~bytes (fun () ->
                             log_handler t t.nodes.(backup)
                               ~decision:(ref Control.Dcommit) ~shard ~seq_ops ();
-                            notify t ~src:backup ~dst:src
+                            notify_reply t ~src:backup ~dst:src
                               ~bytes:Wire.small_resp_b (fun () ->
-                                Smartnic.core_work node.nic ~ops:1 ~bytes:0;
-                                decr expected;
-                                maybe_finish ())))
+                                Smartnic.core_work_then node.nic ~ops:1
+                                  ~bytes:0 (fun () ->
+                                    decr expected;
+                                    maybe_finish ()))))
                       backups;
                     (* ExecDone to P1 with the local shard's writes. *)
                     let done_bytes =
                       Wire.write_ops_b ~ops:(List.map fst p1_seq_ops)
                     in
-                    notify t ~src:p2 ~dst:src ~bytes:done_bytes (fun () ->
-                        Smartnic.core_work node.nic ~ops:1 ~bytes:0;
-                        done_msg := true;
-                        maybe_finish ())))
+                    notify_reply t ~src:p2 ~dst:src ~bytes:done_bytes
+                      (fun () ->
+                        Smartnic.core_work_then node.nic ~ops:1 ~bytes:0
+                          (fun () ->
+                            done_msg := true;
+                            maybe_finish ()))))
       in
       match result with
       | `Fail | `Multishot -> (

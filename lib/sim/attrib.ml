@@ -5,10 +5,11 @@
    across every spawn and suspend/resume, so a value installed by a
    coordinator at a phase boundary is still in effect when a fabric
    link, DMA queue or NIC core is acquired four layers down — including
-   on the server side of an RPC, where message [deliver] closures are
-   wrapped with {!preserve} at send time. Callback chains that run
-   without a process ([Resource.use_then], [Fabric.send]) capture the
-   context when they start and reinstall it in their own events.
+   on the server side of an RPC, where each message carries its
+   sender's context and the dispatch loop installs it around the
+   delivery. Callback chains that run without a process
+   ([Resource.use_then], [Fabric.send], [Dma.submit]) capture the
+   context when they start and hand it to each hold explicitly.
 
    The context is NOT a process-global: it lives in an explicit
    {!state} record owned by the engine (one per partition on a
@@ -73,22 +74,6 @@ let set_phase phase =
   st.cur <- { st.cur with phase }
 
 let reset () = (installed ()).cur <- default
-
-let with_ctx c f =
-  let st = installed () in
-  let saved = st.cur in
-  st.cur <- c;
-  match f () with
-  | r ->
-      st.cur <- saved;
-      r
-  | exception e ->
-      st.cur <- saved;
-      raise e
-
-let preserve f =
-  let c = get () in
-  fun () -> with_ctx c f
 
 module Ctx_map = Map.Make (struct
   type t = ctx

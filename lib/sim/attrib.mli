@@ -76,16 +76,5 @@ val set_phase : string -> unit
 (** Restore {!default}. *)
 val reset : unit -> unit
 
-(** [with_ctx c f] runs [f] with [c] installed and restores the
-    previous context when [f] returns or raises. Suspensions inside [f]
-    are handled by {!Process}'s save/restore, so the scoping holds
-    across blocking calls. *)
-val with_ctx : ctx -> (unit -> 'a) -> 'a
-
-(** [preserve f] captures the current context now and returns a thunk
-    running [f] under it — for message-delivery closures that execute
-    later on another node's dispatch loop. *)
-val preserve : (unit -> 'a) -> unit -> 'a
-
 (** Deterministically ordered maps keyed by context. *)
 module Ctx_map : Map.S with type key = ctx

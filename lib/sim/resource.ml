@@ -148,13 +148,13 @@ let rec detach ctx = function
       | Some (g', rest') -> Some (g', g :: rest')
       | None -> None)
 
-let close_grant t =
+let close_grant t ctx =
   if Attrib.enabled () then
     match t.grants with
     | [] -> ()  (* profiling was enabled mid-hold: nothing to attribute *)
     | g0 :: rest0 ->
         let g, rest =
-          match detach (Attrib.get ()) t.grants with
+          match detach ctx t.grants with
           | Some (g, rest) -> (g, rest)
           | None -> (g0, rest0)
         in
@@ -186,8 +186,12 @@ let acquire t =
        eta-wrapper closure on the blocked-acquire path. *)
     Process.suspend (fun resume -> enqueue t ctx resume)
 
-let release t =
-  close_grant t;
+(* Return a unit held under [ctx], waking the oldest waiter if any. The
+   grant is matched by [ctx] (see [close_grant]); nothing else reads the
+   ambient context, so a callback can release under its own context
+   without installing it. *)
+let release_as t ctx =
+  close_grant t ctx;
   (* Integrate the queue BEFORE dequeuing: the departing waiter must
      contribute its full interval to the area, or Little's law breaks. *)
   account_queue t;
@@ -209,26 +213,31 @@ let release t =
       account t;
       t.busy <- t.busy - 1
 
+let release t = release_as t (Attrib.get ())
+
 let use t duration =
   acquire t;
   Process.sleep t.engine duration;
   release t
 
-(* [use] without a process: the same grant, queue and handoff, with the
-   hold's end as an engine event. That event reinstalls the caller's
-   context around [release] (which matches the grant by context) and
-   [k], then restores the ambient one. *)
+(* [use] without a process, and without a closure of its own: the same
+   grant, queue and handoff, with the hold's end as an engine event
+   that runs the caller's [k]. A queued hold starts with the handoff's
+   zero-delay event, exactly as a blocked acquirer resumes. *)
+let hold_then t ctx duration k =
+  if try_grant t ctx then Engine.after t.engine duration k
+  else enqueue t ctx (fun () -> Engine.after t.engine duration k)
+
+(* The hold's end reinstalls the caller's context around [release]
+   and [k], then restores the ambient one. *)
 let use_then t duration k =
   let ctx = Attrib.get () in
-  let finish () =
-    let ambient = Attrib.get () in
-    Attrib.set ctx;
-    release t;
-    k ();
-    Attrib.set ambient
-  in
-  if try_grant t ctx then Engine.after t.engine duration finish
-  else enqueue t ctx (fun () -> Engine.after t.engine duration finish)
+  hold_then t ctx duration (fun () ->
+      let ambient = Attrib.get () in
+      Attrib.set ctx;
+      release_as t ctx;
+      k ();
+      Attrib.set ambient)
 
 let busy_time t =
   account t;

@@ -5,7 +5,9 @@
     A resource has [servers] identical units. {!acquire} grants a unit or
     parks the caller in FIFO order; {!use} wraps acquire/hold/release,
     and {!use_then} is the same hold as a callback chain, for device
-    pipelines that run without a process.
+    pipelines that run without a process. {!hold_then} and
+    {!release_as} are that chain's two halves, for pipelines that bring
+    their own continuation and context.
     Busy-time is integrated so experiments can report utilization. *)
 
 type t
@@ -33,6 +35,10 @@ val acquire : t -> unit
     [Invalid_argument] if released more times than acquired. *)
 val release : t -> unit
 
+(** [release_as t ctx] is {!release} of a unit held under [ctx]: the
+    grant is closed against [ctx], not the ambient context. *)
+val release_as : t -> Attrib.ctx -> unit
+
 (** [use t duration] acquires a unit, holds it for [duration] ns of
     simulated service, and releases it. *)
 val use : t -> float -> unit
@@ -43,6 +49,14 @@ val use : t -> float -> unit
     The caller's attribution context is in effect around the release
     and [k], and the ambient context is restored after them. *)
 val use_then : t -> float -> (unit -> unit) -> unit
+
+(** [hold_then t ctx duration k] is {!use_then} without the release and
+    without a closure of its own: it takes a unit for [ctx] (or queues
+    for one, FIFO with blocking acquirers, accounted to [ctx]) and runs
+    [k] as an engine event [duration] ns after the grant. [k] must end
+    the hold with [release_as t ctx]. It neither reads nor changes the
+    ambient context; [k] runs under whatever context is ambient then. *)
+val hold_then : t -> Attrib.ctx -> float -> (unit -> unit) -> unit
 
 (** Fraction of capacity busy since creation (integrated), in [0, 1]. *)
 val utilization : t -> float

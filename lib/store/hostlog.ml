@@ -38,8 +38,7 @@ let rec append t ~bytes r =
     t.appended <- t.appended + 1;
     (match Queue.take_opt t.readers with
     | Some resume -> Engine.after t.engine 0.0 (fun () -> resume (r, bytes))
-    | None -> Queue.add (r, bytes) t.records);
-    t.appended
+    | None -> Queue.add (r, bytes) t.records)
   end
 
 let poll t =

@@ -13,9 +13,8 @@ type 'r t
 val create : Xenic_sim.Engine.t -> capacity_b:int -> 'r t
 
 (** Blocking: reserve [bytes] and append a record (the caller models
-    the DMA-write cost itself). Returns the record's append index —
-    strictly increasing, usable as an ordering stamp. *)
-val append : 'r t -> bytes:int -> 'r -> int
+    the DMA-write cost itself). *)
+val append : 'r t -> bytes:int -> 'r -> unit
 
 (** Blocking: worker side — dequeue the oldest record. *)
 val poll : 'r t -> 'r * int

@@ -295,6 +295,27 @@ let test_suspend_field_channel () =
   Alcotest.(check bool) "caller through the field marked" true
     (Suspend.may_suspend s "Chan.user")
 
+let test_suspend_field_result () =
+  (* A field initialised with the result of a full application holds
+     that result, not the function: it is no suspending channel. A
+     partial application still is, since calling the field finishes
+     the call. *)
+  let files =
+    [
+      parsed "lib/x/chan.ml"
+        "let index_io eng = { nic_mem = (fun () -> Process.sleep eng 5.0) }\n\
+         let send eng ~dst = ignore dst; Process.sleep eng 1.0\n\
+         let make eng = { io = index_io eng; post = send eng }\n";
+    ]
+  in
+  let s = Suspend.infer (graph_of files) in
+  Alcotest.(check bool) "suspending constructor marked" true
+    (Suspend.may_suspend s "Chan.index_io");
+  Alcotest.(check bool) "field holding a call's result not marked" false
+    (Suspend.may_suspend s "field:io");
+  Alcotest.(check bool) "field holding a partial application marked" true
+    (Suspend.may_suspend s "field:post")
+
 (* ---- ATOMICITY: the PR 2 NIC-index double-grant shape -------------- *)
 
 (* The bug class this pass exists for: lock checked, NIC-memory latency
@@ -486,6 +507,8 @@ let () =
           Alcotest.test_case "suspend fixpoint" `Quick test_suspend_fixpoint;
           Alcotest.test_case "suspend field channel" `Quick
             test_suspend_field_channel;
+          Alcotest.test_case "suspend field holds a result" `Quick
+            test_suspend_field_result;
           Alcotest.test_case "atomicity double grant" `Quick
             test_atomicity_double_grant;
           Alcotest.test_case "atomicity annotated" `Quick

@@ -401,7 +401,7 @@ let test_audit () =
   in_process engine (fun () ->
       List.iter
         (fun n ->
-          Control.append_log logs.(n) ~bytes:64 ~shard:n ~ops:[]
+          Control.append_log ctl ~node:n logs.(n) ~bytes:64 ~shard:n ~ops:[]
             (ref Control.Dcommit))
         [ 0; 1 ]);
   Control.crash_node ctl ~node:1;
@@ -981,6 +981,85 @@ let test_rdma_backup_ordered_stamp_order () =
       Rdma_system.Farm;
     ]
 
+(* The dispatch loop delivers each message under the context it
+   carries: a request's handler in a process of its own, a reply in the
+   dispatch event itself, where blocking is an error. *)
+let test_dispatch_reply_outside_process () =
+  let engine, ctl = mk_control () in
+  Control.dispatch_loop ctl ~node:1 ~pkt_io:None;
+  let sender =
+    { Xenic_sim.Attrib.default with stack = "T"; node = 0; phase = "sender" }
+  in
+  let reply_phase = ref "" and reply_blocked = ref None in
+  let request_woke = ref false in
+  let msgs =
+    Xenic_sim.Engine.with_attrib engine (fun () ->
+        Xenic_sim.Attrib.set sender;
+        [
+          Control.reply ~bytes:8 (fun () ->
+              reply_phase := (Xenic_sim.Attrib.get ()).phase;
+              reply_blocked :=
+                Some
+                  (match Xenic_sim.Process.suspend (fun _ -> ()) with
+                  | () -> false
+                  | exception Xenic_sim.Process.Not_in_process -> true));
+          Control.request ~bytes:8 (fun () ->
+              Xenic_sim.Process.sleep engine 10.0;
+              request_woke := true);
+        ])
+  in
+  Xenic_net.Fabric.send ctl.fabric ~src:0 ~dst:1 ~payload_bytes:16 msgs;
+  ignore (Xenic_sim.Engine.run engine);
+  Alcotest.(check string) "reply runs under the sender's context" "sender"
+    !reply_phase;
+  Alcotest.(check (option bool)) "suspend in a reply raises Not_in_process"
+    (Some true) !reply_blocked;
+  Alcotest.(check bool) "a request's handler may block" true !request_woke
+
+(* A promoted primary applies its shard's ordered writes from its COMMIT
+   log after the backup-log records it drained at promotion. Both logs
+   count their own appends, so the record stamps alone would rank the
+   new primary's first COMMIT below its 61st backup-log record and drop
+   it, while the remaining backup applies it. *)
+let test_promoted_primary_ordered_write () =
+  let x =
+    mk_xenic ~params:{ Xenic_system.default_params with armed = true } ()
+  in
+  let sys = System.of_xenic x in
+  let engine = sys.engine in
+  let target = Keyspace.make ~shard:1 ~table:1 ~ordered:true ~id:0 in
+  sys.load target (Bytes.of_string "loaded");
+  sys.seal ();
+  let write v =
+    Types.make ~read_set:[] ~write_set:[ target ] (fun _ ->
+        [ Op.Put (target, Bytes.of_string v) ])
+  in
+  let outcomes = ref [] in
+  Xenic_sim.Process.spawn engine (fun () ->
+      for _ = 1 to 61 do
+        outcomes := sys.run_txn ~node:0 (write "before-crash") :: !outcomes
+      done;
+      Control.crash_node sys.control ~node:1;
+      (* Lease expiry, recovery and the promotion of node 2. *)
+      Xenic_sim.Process.sleep engine 500_000.0;
+      outcomes := sys.run_txn ~node:0 (write "after-promotion") :: !outcomes;
+      Control.stop_background sys.control);
+  ignore (Xenic_sim.Engine.run engine);
+  Alcotest.(check int) "62 transactions ran" 62 (List.length !outcomes);
+  Alcotest.(check bool) "all committed" true
+    (List.for_all (fun o -> o = Types.Committed) !outcomes);
+  System.drain sys ~who:"xenic";
+  Alcotest.(check int) "shard 1 promoted to node 2" 2
+    (Control.current_primary sys.control ~shard:1);
+  List.iter
+    (fun node ->
+      if node <> 1 then
+        Alcotest.(check (option string))
+          (Printf.sprintf "node %d keeps the last write" node)
+          (Some "after-promotion")
+          (Option.map Bytes.to_string (sys.peek ~node target)))
+    (Config.replicas windowed_cfg ~shard:1)
+
 let () =
   Alcotest.run "xenic_proto"
     [
@@ -1044,6 +1123,8 @@ let () =
             test_call_unarmed;
           Alcotest.test_case "call: crashed destination" `Quick
             test_call_crashed_dst;
+          Alcotest.test_case "dispatch: reply outside any process" `Quick
+            test_dispatch_reply_outside_process;
           Alcotest.test_case "call: stale request rejected" `Quick
             test_call_stale_reject;
           Alcotest.test_case "call: stale response dropped" `Quick
@@ -1063,5 +1144,7 @@ let () =
         [
           Alcotest.test_case "RDMA backups apply ordered writes in log order"
             `Quick test_rdma_backup_ordered_stamp_order;
+          Alcotest.test_case "promoted primary applies ordered writes" `Quick
+            test_promoted_primary_ordered_write;
         ] );
     ]

@@ -1031,7 +1031,7 @@ let test_alloc_use_then () =
 
 let test_alloc_fabric_frame () =
   let hw = Xenic_params.Hw.testbed in
-  check_words "Fabric.send frame into a mailbox" ~bound:54.0
+  check_words "Fabric.send frame into a mailbox" ~bound:37.0
     (ticked_words (fun eng ->
          let fabric = Xenic_net.Fabric.create eng hw ~nodes:2 in
          fun () ->
@@ -1039,13 +1039,61 @@ let test_alloc_fabric_frame () =
 
 let test_alloc_dma_write () =
   let hw = Xenic_params.Hw.testbed in
-  check_words "single-element DMA write" ~bound:50.0
+  check_words "single-element DMA write" ~bound:34.0
     (ticked_words (fun eng ->
          let dma = Xenic_pcie.Dma.create eng hw in
          Xenic_pcie.Dma.set_vectored dma false;
          fun () ->
            Xenic_pcie.Dma.submit dma Xenic_pcie.Dma.Write ~bytes:64 ~queue:0
              ignore))
+
+(* One message through the aggregator, flushed by its window timer into
+   a frame of its own. *)
+let test_alloc_aggregated_message () =
+  let hw = Xenic_params.Hw.testbed in
+  check_words "Aggregator.push flushed by its window" ~bound:46.0
+    (ticked_words (fun eng ->
+         let fabric = Xenic_net.Fabric.create eng hw ~nodes:2 in
+         let agg = Xenic_net.Aggregator.create fabric ~src:0 ~enabled:true in
+         fun () -> Xenic_net.Aggregator.push agg ~dst:1 ~bytes:16 ()))
+
+(* A one-reply frame into node 1's dispatch loop: the frame, the NIC's
+   packet-I/O hold and the reply's delivery in the dispatch event. *)
+let test_alloc_reply_dispatch () =
+  let hw = Xenic_params.Hw.testbed in
+  check_words "reply frame through a dispatch loop" ~bound:68.0
+    (ticked_words (fun eng ->
+         let cfg = Xenic_cluster.Config.make ~nodes:2 ~replication:1 in
+         let ctl =
+           Xenic_proto.Control.create eng hw cfg ~stack:"T" ~partitions:0
+             ~armed:false
+         in
+         let nic = Xenic_nicdev.Smartnic.create eng hw in
+         Xenic_proto.Control.dispatch_loop ctl ~node:1
+           ~pkt_io:
+             (Some
+                ( Xenic_nicdev.Smartnic.pkt_io_path nic,
+                  fun () -> Xenic_nicdev.Smartnic.pkt_io_ns nic ));
+         fun () ->
+           Xenic_net.Fabric.send ctl.fabric ~src:0 ~dst:1 ~payload_bytes:64
+             [ Xenic_proto.Control.reply ~bytes:16 ignore ]))
+
+(* The event heap moves int slot indices, never the stored closures:
+   a push and a pop allocate nothing. *)
+let test_alloc_heap () =
+  let h = Heap.create ~dummy:0 in
+  for i = 1 to 1000 do
+    Heap.push h ~time:(float_of_int (i mod 7)) ~seq:i i
+  done;
+  (* Constant times, so the loop boxes no float argument of its own. *)
+  let early = 2.0 and late = 9.0 in
+  check_words "Heap.push + Heap.pop" ~bound:0.0
+    (minor_words_of (fun () ->
+         for i = 1 to ratchet_ops do
+           let time = if i land 1 = 0 then early else late in
+           Heap.push h ~time ~seq:(1000 + i) i;
+           ignore (Heap.pop h : int)
+         done))
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -1150,5 +1198,9 @@ let () =
           Alcotest.test_case "resource use_then" `Quick test_alloc_use_then;
           Alcotest.test_case "fabric frame" `Quick test_alloc_fabric_frame;
           Alcotest.test_case "dma write" `Quick test_alloc_dma_write;
+          Alcotest.test_case "aggregated message" `Quick
+            test_alloc_aggregated_message;
+          Alcotest.test_case "reply dispatch" `Quick test_alloc_reply_dispatch;
+          Alcotest.test_case "heap push pop" `Quick test_alloc_heap;
         ] );
     ]
