@@ -100,7 +100,8 @@ let peek_min t ~node ~lo ~hi =
 let peek_max t ~node ~lo ~hi =
   Xenic_store.Btree.max_in_range (btree t ~node lo) ~lo ~hi
 
+let fold_range t ~node ~lo ~hi ~init f =
+  Xenic_store.Btree.fold_range (btree t ~node lo) ~lo ~hi ~init f
+
 let peek_range t ~node ~lo ~hi =
-  List.rev
-    (Xenic_store.Btree.fold_range (btree t ~node lo) ~lo ~hi ~init:[]
-       (fun acc k v -> (k, v) :: acc))
+  List.rev (fold_range t ~node ~lo ~hi ~init:[] (fun acc k v -> (k, v) :: acc))

@@ -82,6 +82,17 @@ val peek_min :
 val peek_max :
   t -> node:int -> lo:Keyspace.t -> hi:Keyspace.t -> (Keyspace.t * bytes) option
 
+(** Fold over the entries in the range, in key order, without building
+    a list. *)
+val fold_range :
+  t ->
+  node:int ->
+  lo:Keyspace.t ->
+  hi:Keyspace.t ->
+  init:'a ->
+  ('a -> Keyspace.t -> bytes -> 'a) ->
+  'a
+
 (** Every entry in the range, in key order. *)
 val peek_range :
   t -> node:int -> lo:Keyspace.t -> hi:Keyspace.t -> (Keyspace.t * bytes) list

@@ -113,6 +113,10 @@ let make_items p =
 let load p (sys : System.t) =
   let nodes = sys.System.cfg.Config.nodes in
   let rng = Rng.create ~seed:11L in
+  (* Strings every row of a kind shares, built once. *)
+  let firsts = Array.init p.customers_per_district (Printf.sprintf "First%d") in
+  let lasts = Array.init 10 (Printf.sprintf "Last%d") in
+  let dists = Array.make 10 "dist-info" in
   for node = 0 to nodes - 1 do
     for wl = 0 to p.warehouses_per_node - 1 do
       sys.System.load (k_warehouse ~node ~wl)
@@ -151,9 +155,9 @@ let load p (sys : System.t) =
                  Customer.c_id = c;
                  c_d_id = d;
                  c_w_id = (node * p.warehouses_per_node) + wl;
-                 c_first = Printf.sprintf "First%d" c;
+                 c_first = firsts.(c);
                  c_middle = "OE";
-                 c_last = Printf.sprintf "Last%d" (c mod 10);
+                 c_last = lasts.(c mod 10);
                  c_street_1 = "3 Back St";
                  c_street_2 = "";
                  c_city = "Springfield";
@@ -179,7 +183,7 @@ let load p (sys : System.t) =
                Stock.s_i_id = i;
                s_w_id = (node * p.warehouses_per_node) + wl;
                s_quantity = 10 + Rng.int rng 91;
-               s_dist = Array.make 10 "dist-info";
+               s_dist = dists;
                s_ytd = 0;
                s_order_cnt = 0;
                s_remote_cnt = 0;
@@ -192,11 +196,28 @@ let load p (sys : System.t) =
 
 (* -- Transactions ---------------------------------------------------- *)
 
-let dec_district view k =
-  match view k with Some b -> District.decode b | None -> failwith "no district"
+(* The transactions read and update rows through their fields' offsets
+   ([Codec.get] and the rows' [with_*] patches), never decoding a whole
+   row. A patch writes a fresh copy: a view's bytes are the stored
+   value, shared by the replicas, the NIC cache and the logs. *)
+let row view k what = match view k with Some b -> b | None -> failwith what
 
-let dec_stock view k =
-  match view k with Some b -> Stock.decode b | None -> failwith "no stock"
+let get = Codec.get
+
+(* [keys] sorted in place, without repeats. *)
+let sorted_uniq keys =
+  Array.sort Int.compare keys;
+  let n = ref 0 in
+  for i = 0 to Array.length keys - 1 do
+    if !n = 0 || keys.(i) <> keys.(!n - 1) then begin
+      keys.(!n) <- keys.(i);
+      incr n
+    end
+  done;
+  Array.sub keys 0 !n
+
+(* The index of [k] in [keys] at or after [j]; [keys] holds it. *)
+let rec index_of keys k j = if keys.(j) = k then j else index_of keys k (j + 1)
 
 (* New Order (§5.2): read warehouse/district/customer, read+update the
    stock of 5-15 items, insert the order, its index entries, and one
@@ -223,80 +244,74 @@ let txn_new_order p items ~nodes rng ~node =
   let kw = k_warehouse ~node ~wl in
   let kd = k_district p ~node ~wl ~d in
   let kc = k_customer p ~node ~wl ~d ~c in
-  let stock_keys =
-    Array.to_list
-      (Array.map
-         (fun (i, sn, swl, _) -> k_stock ~node:sn ~wl:swl ~i)
-         lines)
-  in
-  let stock_keys = List.sort_uniq compare stock_keys in
+  let stock_key (i, sn, swl, _) = k_stock ~node:sn ~wl:swl ~i in
+  let stocks = sorted_uniq (Array.map stock_key lines) in
+  (* Per distinct stock row, in key order: the quantity its lines order
+     and whether any of them is supplied remotely. One pass. *)
+  let total_qty = Array.make (Array.length stocks) 0 in
+  let remote = Array.make (Array.length stocks) false in
+  let all_local = ref true in
+  for l = 0 to ol_cnt - 1 do
+    let ((_, sn, swl, qty) as line) = lines.(l) in
+    let j = index_of stocks (stock_key line) 0 in
+    total_qty.(j) <- total_qty.(j) + qty;
+    if sn <> node || swl <> wl then begin
+      remote.(j) <- true;
+      all_local := false
+    end
+  done;
+  let all_local = !all_local in
+  let stock_keys = Array.to_list stocks in
   let read_set = kw :: kd :: kc :: stock_keys in
   let write_set = kd :: stock_keys in
   let exec view =
-    let dist = dec_district view kd in
-    let o = dist.District.d_next_o_id in
-    let all_local =
-      Array.for_all (fun (_, sn, swl, _) -> sn = node && swl = wl) lines
-    in
-    let stock_ops =
-      List.map
-        (fun sk ->
-          let s = dec_stock view sk in
-          let used =
-            Array.to_list lines
-            |> List.filter (fun (i, sn, swl, _) ->
-                   k_stock ~node:sn ~wl:swl ~i = sk)
-          in
-          let total_qty =
-            List.fold_left (fun acc (_, _, _, q) -> acc + q) 0 used
-          in
-          let remote =
-            List.exists (fun (_, sn, swl, _) -> sn <> node || swl <> wl) used
-          in
-          let quantity =
-            if s.Stock.s_quantity >= total_qty + 10 then
-              s.Stock.s_quantity - total_qty
-            else s.Stock.s_quantity - total_qty + 91
-          in
-          Op.Put
-            ( sk,
-              Stock.encode
-                {
-                  s with
-                  Stock.s_quantity = quantity;
-                  s_ytd = s.Stock.s_ytd + total_qty;
-                  s_order_cnt = s.Stock.s_order_cnt + 1;
-                  s_remote_cnt =
-                    (s.Stock.s_remote_cnt + if remote then 1 else 0);
-                } ))
-        stock_keys
-    in
-    let order_lines =
-      Array.to_list
-        (Array.mapi
-           (fun line (i, sn, swl, qty) ->
-             let item : Item.t = items.(i) in
-             Op.Put
-               ( k_order_line p ~node ~wl ~d ~o ~line,
-                 Order_line.encode
-                   {
-                     Order_line.ol_o_id = o;
-                     ol_d_id = d;
-                     ol_w_id = (node * p.warehouses_per_node) + wl;
-                     ol_number = line;
-                     ol_i_id = i;
-                     ol_supply_w_id = (sn * p.warehouses_per_node) + swl;
-                     ol_delivery_d = -1;
-                     ol_quantity = qty;
-                     ol_amount = float_of_int qty *. item.Item.i_price;
-                     ol_dist_info = "dist-info";
-                   } ))
-           lines)
-    in
+    let db = row view kd "no district" in
+    let o = get District.next_o_id db in
     (* Op order matters for observers of partially-applied records:
        the order and its lines are applied before the NEW-ORDER row
        that makes them deliverable, and the district row (whose version
-       serializes the schedule) comes last. *)
+       serializes the schedule) comes last. The list is built back to
+       front. *)
+    let ops = ref [ Op.Put (kd, District.with_next_o_id db (o + 1)) ] in
+    for j = Array.length stocks - 1 downto 0 do
+      let sb = row view stocks.(j) "no stock" in
+      let q = get Stock.quantity sb and total = total_qty.(j) in
+      let quantity = if q >= total + 10 then q - total else q - total + 91 in
+      ops :=
+        Op.Put
+          ( stocks.(j),
+            Stock.with_order sb ~quantity
+              ~ytd:(get Stock.ytd sb + total)
+              ~order_cnt:(get Stock.order_cnt sb + 1)
+              ~remote_cnt:
+                (get Stock.remote_cnt sb + if remote.(j) then 1 else 0) )
+        :: !ops
+    done;
+    ops :=
+      Op.Put
+        ( k_new_order p ~node ~wl ~d ~o,
+          New_order.encode { New_order.no_o_id = o; no_d_id = d; no_w_id = 0 } )
+      :: !ops;
+    for line = ol_cnt - 1 downto 0 do
+      let i, sn, swl, qty = lines.(line) in
+      ops :=
+        Op.Put
+          ( k_order_line p ~node ~wl ~d ~o ~line,
+            Order_line.encode
+              {
+                Order_line.ol_o_id = o;
+                ol_d_id = d;
+                ol_w_id = (node * p.warehouses_per_node) + wl;
+                ol_number = line;
+                ol_i_id = i;
+                ol_supply_w_id = (sn * p.warehouses_per_node) + swl;
+                ol_delivery_d = -1;
+                ol_quantity = qty;
+                ol_amount = float_of_int qty *. items.(i).Item.i_price;
+                ol_dist_info = "dist-info";
+              } )
+        :: !ops
+    done;
     Op.Put
       ( k_order p ~node ~wl ~d ~o,
         Order.encode
@@ -311,13 +326,7 @@ let txn_new_order p items ~nodes rng ~node =
             o_all_local = all_local;
           } )
     :: Op.Put (k_order_by_cust p ~node ~wl ~d ~c ~o, Bytes.make 8 '\000')
-    :: (order_lines
-       @ Op.Put
-           ( k_new_order p ~node ~wl ~d ~o,
-             New_order.encode
-               { New_order.no_o_id = o; no_d_id = d; no_w_id = 0 } )
-         :: stock_ops
-       @ [ Op.Put (kd, District.encode { dist with District.d_next_o_id = o + 1 }) ])
+    :: !ops
   in
   Types.make ~host_exec_ns:900.0 ~state_bytes:(16 * ol_cnt) ~ship_exec:true
     ~read_set ~write_set exec
@@ -343,25 +352,18 @@ let txn_payment p ~nodes rng ~node ~hseq =
   let read_set = [ kw; kd; kc ] in
   let write_set = [ kw; kd; kc ] in
   let exec view =
-    let w =
-      match view kw with Some b -> Warehouse.decode b | None -> failwith "no w"
-    in
-    let dist = dec_district view kd in
-    let cust =
-      match view kc with Some b -> Customer.decode b | None -> failwith "no c"
-    in
+    let wb = row view kw "no w" in
+    let db = row view kd "no district" in
+    let cb = row view kc "no c" in
     [
-      Op.Put (kw, Warehouse.encode { w with Warehouse.w_ytd = w.Warehouse.w_ytd +. amount });
-      Op.Put (kd, District.encode { dist with District.d_ytd = dist.District.d_ytd +. amount });
+      Op.Put (kw, Warehouse.with_ytd wb (get Warehouse.ytd wb +. amount));
+      Op.Put (kd, District.with_ytd db (get District.ytd db +. amount));
       Op.Put
         ( kc,
-          Customer.encode
-            {
-              cust with
-              Customer.c_balance = cust.Customer.c_balance -. amount;
-              c_ytd_payment = cust.Customer.c_ytd_payment +. amount;
-              c_payment_cnt = cust.Customer.c_payment_cnt + 1;
-            } );
+          Customer.with_payment cb
+            ~balance:(get Customer.balance cb -. amount)
+            ~ytd_payment:(get Customer.ytd_payment cb +. amount)
+            ~payment_cnt:(get Customer.payment_cnt cb + 1) );
       Op.Put
         ( kh,
           History.encode
@@ -434,12 +436,12 @@ let txn_delivery p (sys : System.t) rng ~node =
       let korder = k_order p ~node ~wl ~d ~o in
       let c =
         match sys.System.peek ~node korder with
-        | Some b -> (Order.decode b).Order.o_c_id
+        | Some b -> get Order.c_id b
         | None -> 0
       in
       let kc = k_customer p ~node ~wl ~d ~c in
       let exec view =
-        let dist = dec_district view kd in
+        let db = row view kd "no district" in
         match
           ( sys.System.peek ~node korder,
             sys.System.peek ~node (k_new_order p ~node ~wl ~d ~o) )
@@ -447,41 +449,31 @@ let txn_delivery p (sys : System.t) rng ~node =
         | None, _ | _, None ->
             (* The order vanished or was already delivered between
                generation and execution: commit a no-op that still
-               bumps the district version. *)
-            [ Op.Put (kd, District.encode dist) ]
+               bumps the district version. The district row is written
+               unchanged, as a fresh copy. *)
+            [ Op.Put (kd, Bytes.copy db) ]
         | Some ob, Some _ ->
-            let order = Order.decode ob in
             let amount =
-              List.fold_left
-                (fun acc (_, b) ->
-                  acc +. (Order_line.decode b).Order_line.ol_amount)
-                0.0
-                (System.peek_range sys ~node
-                   ~lo:(k_order_line p ~node ~wl ~d ~o ~line:0)
-                   ~hi:(k_order_line p ~node ~wl ~d ~o ~line:15))
+              System.fold_range sys ~node
+                ~lo:(k_order_line p ~node ~wl ~d ~o ~line:0)
+                ~hi:(k_order_line p ~node ~wl ~d ~o ~line:15)
+                ~init:0.0
+                (fun acc _ b -> acc +. get Order_line.amount b)
             in
-            let cust =
-              match view kc with
-              | Some b -> Customer.decode b
-              | None -> failwith "no customer"
-            in
+            let cb = row view kc "no customer" in
             [
               Op.Delete (k_new_order p ~node ~wl ~d ~o);
-              Op.Put
-                (korder, Order.encode { order with Order.o_carrier_id = 1 });
+              Op.Put (korder, Order.with_carrier ob 1);
               Op.Put
                 ( kc,
-                  Customer.encode
-                    {
-                      cust with
-                      Customer.c_balance = cust.Customer.c_balance +. amount;
-                      c_delivery_cnt = cust.Customer.c_delivery_cnt + 1;
-                    } );
+                  Customer.with_delivery cb
+                    ~balance:(get Customer.balance cb +. amount)
+                    ~delivery_cnt:(get Customer.delivery_cnt cb + 1) );
               (* The district version-bump serializes deliveries; it is
                  deliberately LAST so any reader that observes the new
                  district version also observes the NEW-ORDER delete —
                  workers apply a record's ops in order. *)
-              Op.Put (kd, District.encode dist);
+              Op.Put (kd, Bytes.copy db);
             ]
       in
       Types.make ~host_exec_ns:1200.0 ~ship_exec:false ~read_set:[ kd; kc ]
@@ -496,28 +488,23 @@ let txn_stock_level p (sys : System.t) rng ~node =
   let threshold = 10 + Rng.int rng 11 in
   let kd = k_district p ~node ~wl ~d in
   let exec view =
-    let dist = dec_district view kd in
-    let next_o = dist.District.d_next_o_id in
+    let next_o = get District.next_o_id (row view kd "no district") in
     let lo_o = max 1 (next_o - 20) in
-    let lines =
-      System.peek_range sys ~node
-        ~lo:(k_order_line p ~node ~wl ~d ~o:lo_o ~line:0)
-        ~hi:(k_order_line p ~node ~wl ~d ~o:(next_o - 1) ~line:15)
-    in
-    let distinct = Hashtbl.create 32 in
-    List.iter
-      (fun (_, b) ->
-        let ol = Order_line.decode b in
-        Hashtbl.replace distinct ol.Order_line.ol_i_id ())
-      lines;
+    (* The distinct items of the recent order lines, one flag byte per
+       item, then their stock rows in item order. *)
+    let seen = Bytes.make p.items '\000' in
+    System.fold_range sys ~node
+      ~lo:(k_order_line p ~node ~wl ~d ~o:lo_o ~line:0)
+      ~hi:(k_order_line p ~node ~wl ~d ~o:(next_o - 1) ~line:15)
+      ~init:()
+      (fun () _ b -> Bytes.set seen (get Order_line.i_id b) '\001');
     let low = ref 0 in
-    Hashtbl.fold (fun i () acc -> i :: acc) distinct []
-    |> List.sort compare
-    |> List.iter (fun i ->
-           match sys.System.peek ~node (k_stock ~node ~wl ~i) with
-           | Some sb ->
-               if (Stock.decode sb).Stock.s_quantity < threshold then incr low
-           | None -> ());
+    for i = 0 to p.items - 1 do
+      if Bytes.get seen i <> '\000' then
+        match sys.System.peek ~node (k_stock ~node ~wl ~i) with
+        | Some sb -> if get Stock.quantity sb < threshold then incr low
+        | None -> ()
+    done;
     []
   in
   Types.make ~host_exec_ns:1800.0 ~ship_exec:false ~read_set:[ kd ] ~write_set:[]
