@@ -259,6 +259,30 @@ let test_armed_coverage () =
               (List.assoc_opt "crashed-owner" (Metrics.abort_reason_counts m))))
     > 0.0)
 
+(* The closed loop's observability output: one fixed-seed Xenic run
+   with a flight recorder (windowed commit/abort counts plus the
+   occupancy integrals the driver takes at completions) and the
+   time-attribution profile (report and flamegraph), pinned byte for
+   byte. *)
+let test_closed_loop_observe () =
+  let sys = mk_xenic ~armed:false in
+  Smallbank.load sb_params sys;
+  let telemetry =
+    Xenic_telemetry.Telemetry.create ~window_ns:10_000.0 sys.System.engine
+  in
+  let result =
+    Driver.run sys
+      (Smallbank.spec sb_params ~nodes:sys.System.cfg.Config.nodes)
+      ~seed ~telemetry ~profile:true ~concurrency:4 ~target:120
+  in
+  let profile = Option.get result.Driver.profile in
+  check_golden "xenic.observe.golden"
+    (Xenic_telemetry.Telemetry.to_json telemetry ~id:"closed-loop"
+       ~description:"xenic smallbank, seed 7"
+    ^ "\n"
+    ^ Xenic_profile.Profile.report profile
+    ^ Xenic_profile.Profile.folded profile)
+
 (* The digest itself must be reproducible within a process, otherwise
    a golden mismatch could be mistaken for cross-run nondeterminism. *)
 let test_digest_reproducible () =
@@ -289,6 +313,8 @@ let () =
             Alcotest.test_case "every armed exit reached" `Quick
               test_armed_coverage;
           ] );
+      ( "closed-loop observability",
+        [ Alcotest.test_case "xenic" `Quick test_closed_loop_observe ] );
       ( "self-check",
         [
           Alcotest.test_case "same-seed reproducibility" `Quick
