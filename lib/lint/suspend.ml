@@ -29,7 +29,6 @@ let seeds =
     ("Ivar", "read");
     ("Ivar", "read_timeout");
     ("Mailbox", "recv");
-    ("Mailbox", "recv_timeout");
     ("Resource", "acquire");
     ("Resource", "use");
   ]

@@ -62,4 +62,3 @@ let read_timeout t ~timeout_ns =
                 resume None
               end))
 
-let peek t = match t.state with Filled v -> Some v | Empty _ -> None

@@ -29,5 +29,3 @@ val read : 'a t -> 'a
     resumed exactly once either way. *)
 val read_timeout : 'a t -> timeout_ns:float -> 'a option
 
-(** The value if filled. *)
-val peek : 'a t -> 'a option

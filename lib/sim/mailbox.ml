@@ -1,22 +1,17 @@
-(* Receivers park as cells rather than bare continuations so a blocked
-   receive can be cancelled by a timeout without double-resuming: the
-   first of {send, timer} to run flips [live] and wins.
-
-   Delivery goes through the engine (so the sender keeps running to
-   completion first) via [deliver], a closure built once when the
-   waiter parks; the value crosses over in [pending]. [send] therefore
-   schedules a pre-existing closure instead of allocating a fresh
-   [fun () -> w.k v] per message — this is on the simulator's per-event
-   hot path. *)
+(* Delivery to a parked receiver goes through the engine (so the
+   sender keeps running to completion first) via [deliver], a closure
+   built once when the waiter parks; the value crosses over in
+   [pending]. [send] therefore schedules a pre-existing closure instead
+   of allocating a fresh [fun () -> w.k v] per message — this is on the
+   simulator's per-event hot path. *)
 type 'a waiter = {
-  mutable live : bool;
   k : 'a -> unit;
   mutable pending : 'a option;
   mutable deliver : unit -> unit;
 }
 
 let make_waiter k =
-  let w = { live = true; k; pending = None; deliver = ignore } in
+  let w = { k; pending = None; deliver = ignore } in
   w.deliver <-
     (fun () ->
       match w.pending with
@@ -48,16 +43,9 @@ let create ?(name = "<mailbox>") engine =
 
 let length t = Queue.length t.items
 
-(* Oldest still-live waiter, discarding timed-out cells. *)
-let rec take_waiter t =
-  match Queue.take_opt t.waiters with
-  | None -> None
-  | Some w -> if w.live then Some w else take_waiter t
-
 let send t v =
-  match take_waiter t with
+  match Queue.take_opt t.waiters with
   | Some w ->
-      w.live <- false;
       w.pending <- Some v;
       Engine.after t.engine 0.0 w.deliver
   | None -> Queue.add v t.items
@@ -71,19 +59,6 @@ let recv t =
 let recv_then t k =
   if Queue.is_empty t.items then Queue.add (make_waiter k) t.waiters
   else k (Queue.take t.items)
-
-let recv_timeout t ~timeout_ns =
-  match Queue.take_opt t.items with
-  | Some v -> Some v
-  | None ->
-      Process.suspend (fun resume ->
-          let w = make_waiter (fun v -> resume (Some v)) in
-          Queue.add w t.waiters;
-          Engine.after t.engine timeout_ns (fun () ->
-              if w.live then begin
-                w.live <- false;
-                resume None
-              end))
 
 let recv_opt t = Queue.take_opt t.items
 

@@ -28,12 +28,6 @@ val recv : 'a t -> 'a
     same zero-delay event that wakes a blocked {!recv}. *)
 val recv_then : 'a t -> ('a -> unit) -> unit
 
-(** [recv_timeout t ~timeout_ns] blocks like {!recv} but gives up after
-    [timeout_ns] simulated nanoseconds, returning [None]. A message
-    arriving after the timeout goes to the next receiver (or queues)
-    instead of the timed-out one; the caller is resumed exactly once. *)
-val recv_timeout : 'a t -> timeout_ns:float -> 'a option
-
 (** Dequeue without blocking. *)
 val recv_opt : 'a t -> 'a option
 
