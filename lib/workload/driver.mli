@@ -5,7 +5,11 @@
     the cluster-wide committed-transaction target is reached. The first
     [warmup_frac] of commits are excluded from the measurement window.
     Per-server throughput is committed transactions divided by window
-    duration and node count — the y/x axes of Fig 8. *)
+    duration and node count — the y/x axes of Fig 8.
+
+    The slots are the closed loop's front end on the load core it
+    shares with {!Openloop}: observers are attached, outcomes counted
+    per coordinator and the run drained by the same code. *)
 
 type spec = {
   name : string;

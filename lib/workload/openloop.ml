@@ -59,15 +59,13 @@ let cause_index c =
   in
   go 0 Admission.all_causes
 
-(* Per-coordinator accounting. Each instance is written only by events
-   running on its coordinator's node (hence partition); the main thread
-   merges them in coordinator order after the engine has drained. *)
+(* Per-coordinator counts beside the core's window metrics. Each
+   instance is written only by events running on its coordinator's node
+   (hence partition); the main thread sums them in coordinator order
+   after the engine has drained. *)
 type cstate = {
-  cmetrics : Metrics.t;
   mutable w_offered : int;
   mutable w_admitted : int;
-  mutable w_committed : int;
-  mutable w_aborted : int;
   mutable w_retried : int;
   w_shed : int array;  (* per Admission.cause *)
   ph_offered : int array;
@@ -79,11 +77,8 @@ type cstate = {
 
 let mk_cstate nphases =
   {
-    cmetrics = Metrics.create ();
     w_offered = 0;
     w_admitted = 0;
-    w_committed = 0;
-    w_aborted = 0;
     w_retried = 0;
     w_shed = Array.make n_causes 0;
     ph_offered = Array.make nphases 0;
@@ -150,10 +145,7 @@ let run ?(seed = 1L) ?(warmup_ns = 0.0) ?(admission = Admission.unlimited)
   (* The recorder shares the accounting cutoff: recordings during the
      post-schedule drain — including the system's own commit/abort
      streams — are dropped, exactly like the driver-side counters. *)
-  Control.set_telemetry sys.System.control telemetry;
-  (match telemetry with
-  | None -> ()
-  | Some tel -> Xenic_telemetry.Telemetry.set_cutoff tel t_end);
+  let load = Load.attach ?telemetry ~cutoff:t_end sys ~coordinators:nodes in
   let stack = sys.System.name in
   let root = Rng.create ~seed in
   (* Active-session churn: a window of [active] users slides over the
@@ -165,10 +157,9 @@ let run ?(seed = 1L) ?(warmup_ns = 0.0) ?(admission = Admission.unlimited)
   in
   let stride = max 1 (active / 4) in
   let states = Array.init nodes (fun _ -> mk_cstate nphases) in
-  let adms = Array.init nodes (fun _ -> Admission.create admission) in
   for coord = 0 to nodes - 1 do
     let cs = states.(coord) in
-    let adm = adms.(coord) in
+    let adm = Admission.create admission in
     let gen = wl.make ~nodes ~node:coord in
     (* [arr] is this coordinator's sequential arrival stream (gaps, user
        picks, hot coin); [base] is never advanced — per-arrival streams
@@ -178,7 +169,7 @@ let run ?(seed = 1L) ?(warmup_ns = 0.0) ?(admission = Admission.unlimited)
     let arr = Rng.derive root ~index:(0xA000 + coord) in
     let base = Rng.derive root ~index:(0xB000 + coord) in
     let mb = Mailbox.create ~name:(Printf.sprintf "openloop-q%d" coord) engine in
-    let record_shed cs idx cause ~now ~latency_ns =
+    let record_shed idx cause ~now ~latency_ns =
       Control.record_shed sys.System.control ~latency_ns;
       (match telemetry with
       | None -> ()
@@ -197,7 +188,7 @@ let run ?(seed = 1L) ?(warmup_ns = 0.0) ?(admission = Admission.unlimited)
       | Some r ->
           let waited = Engine.now engine -. r.t_arr in
           (if Admission.drop_expired adm ~waited_ns:waited then
-             record_shed cs r.phase Admission.Deadline
+             record_shed r.phase Admission.Deadline
                ~now:(Engine.now engine) ~latency_ns:waited
            else begin
              let outcome = sys.System.run_txn ~node:coord r.txn in
@@ -213,44 +204,44 @@ let run ?(seed = 1L) ?(warmup_ns = 0.0) ?(admission = Admission.unlimited)
              let in_window =
                counted && Float.compare done_t wstart >= 0
              in
-             match outcome with
-             | Types.Committed ->
-                 if counted then
-                   cs.ph_committed.(r.phase) <- cs.ph_committed.(r.phase) + 1;
-                 if in_window then begin
-                   cs.w_committed <- cs.w_committed + 1;
-                   Metrics.record_class cs.cmetrics ~cls:r.cls
-                     ~latency_ns:latency Types.Committed
-                 end
-             | Types.Aborted ->
-                 if r.attempt < retries then begin
-                   (* Client-side retry: back through admission, so a
-                      deadline/depth-bounded queue sheds the storm
-                      instead of feeding it. *)
-                   if in_window then cs.w_retried <- cs.w_retried + 1;
-                   match
-                     Admission.offer adm
-                       ~occupancy:(sys.System.ingress_occupancy ~node:coord)
-                   with
-                   | Ok () ->
-                       Mailbox.send mb (Some { r with attempt = r.attempt + 1 })
-                   | Error cause ->
-                       record_shed cs r.phase cause ~now:done_t
-                         ~latency_ns:latency
-                 end
-                 else begin
-                   if counted then
-                     cs.ph_aborted.(r.phase) <- cs.ph_aborted.(r.phase) + 1;
-                   if in_window then begin
-                     cs.w_aborted <- cs.w_aborted + 1;
-                     Metrics.record_class cs.cmetrics ~cls:r.cls
-                       ~latency_ns:latency Types.Aborted
-                   end
-                 end
+             let retry =
+               match outcome with
+               | Types.Aborted -> r.attempt < retries
+               | Types.Committed -> false
+             in
+             if retry then begin
+               (* Client-side retry: back through admission, so a
+                  deadline/depth-bounded queue sheds the storm instead
+                  of feeding it. *)
+               if in_window then cs.w_retried <- cs.w_retried + 1;
+               match
+                 Admission.offer adm
+                   ~occupancy:(sys.System.ingress_occupancy ~node:coord)
+               with
+               | Ok () ->
+                   Mailbox.send mb (Some { r with attempt = r.attempt + 1 })
+               | Error cause ->
+                   record_shed r.phase cause ~now:done_t ~latency_ns:latency
+             end
+             else begin
+               let ph =
+                 match outcome with
+                 | Types.Committed -> cs.ph_committed
+                 | Types.Aborted -> cs.ph_aborted
+               in
+               if counted then ph.(r.phase) <- ph.(r.phase) + 1;
+               if in_window then
+                 Load.record load coord ~cls:r.cls ~latency_ns:latency outcome
+             end
            end);
           serve ()
     in
-    let occ_last = ref t0 in
+    (* Coordinator-ingress occupancy, integrated at arrivals
+       (coordinator-local state, so partition-safe). *)
+    let occ =
+      Load.gauge load ~node:coord (fun () ->
+          [ ("ingress", fun () -> sys.System.ingress_occupancy ~node:coord) ])
+    in
     let rec arrive seq =
       let now = Engine.now engine in
       let rel = now -. t0 in
@@ -275,17 +266,8 @@ let run ?(seed = 1L) ?(warmup_ns = 0.0) ?(admission = Admission.unlimited)
         (match telemetry with
         | None -> ()
         | Some tel ->
-            Xenic_telemetry.Telemetry.record_offered tel ~stack ~node:coord;
-            (* Coordinator-ingress occupancy integral, event-free: the
-               gauge read at this arrival is integrated backward over
-               the span since the previous one (coordinator-local
-               state, so partition-safe). *)
-            if Float.compare now !occ_last > 0 then begin
-              Xenic_telemetry.Telemetry.add_occupancy tel ~stack ~node:coord
-                ~resource:"ingress" ~from:!occ_last ~until:now
-                ~value:occupancy;
-              occ_last := now
-            end);
+            Xenic_telemetry.Telemetry.record_offered tel ~stack ~node:coord);
+        Load.integrate occ;
         (match Admission.offer adm ~occupancy with
         | Ok () ->
             cs.ph_admitted.(idx) <- cs.ph_admitted.(idx) + 1;
@@ -299,7 +281,7 @@ let run ?(seed = 1L) ?(warmup_ns = 0.0) ?(admission = Admission.unlimited)
                 Xenic_telemetry.Telemetry.sample_queue tel ~stack ~node:coord
                   ~depth:(Admission.depth adm));
             Mailbox.send mb (Some { txn; cls; t_arr = now; phase = idx; attempt = 0 })
-        | Error cause -> record_shed cs idx cause ~now ~latency_ns:0.0);
+        | Error cause -> record_shed idx cause ~now ~latency_ns:0.0);
         let gap =
           Rng.exponential arr
             ~mean:(1e9 *. float_of_int nodes /. ph.rate_tps)
@@ -317,35 +299,13 @@ let run ?(seed = 1L) ?(warmup_ns = 0.0) ?(admission = Admission.unlimited)
         Process.spawn engine (fun () -> arrive 0))
   done;
   ignore (Engine.run engine);
-  (match telemetry with
-  | None -> ()
-  | Some tel ->
-      Xenic_telemetry.Telemetry.seal tel;
-      Control.set_telemetry sys.System.control None);
-  Control.stop_background sys.System.control;
-  System.drain sys ~who:(Printf.sprintf "Openloop.run (%s)" wl.name);
-  (* Merge per-coordinator shards in coordinator order — deterministic
-     regardless of how many domains serviced the run. *)
-  let metrics = Metrics.create () in
-  let offered = ref 0
-  and admitted = ref 0
-  and committed = ref 0
-  and aborted = ref 0
-  and retried = ref 0 in
-  let shed_by_cause = Array.make n_causes 0 in
-  Array.iter
-    (fun cs ->
-      Metrics.merge ~into:metrics cs.cmetrics;
-      offered := !offered + cs.w_offered;
-      admitted := !admitted + cs.w_admitted;
-      committed := !committed + cs.w_committed;
-      aborted := !aborted + cs.w_aborted;
-      retried := !retried + cs.w_retried;
-      Array.iteri (fun i n -> shed_by_cause.(i) <- shed_by_cause.(i) + n) cs.w_shed)
-    states;
+  let metrics, _ =
+    Load.finish load ~who:(Printf.sprintf "Openloop.run (%s)" wl.name)
+  in
+  let sum f = Array.fold_left (fun a cs -> a + f cs) 0 states in
   let per_phase =
     Array.init nphases (fun i ->
-        let sum f = Array.fold_left (fun a cs -> a + (f cs).(i)) 0 states in
+        let sum f = sum (fun cs -> (f cs).(i)) in
         {
           p_offered = sum (fun cs -> cs.ph_offered);
           p_admitted = sum (fun cs -> cs.ph_admitted);
@@ -356,19 +316,20 @@ let run ?(seed = 1L) ?(warmup_ns = 0.0) ?(admission = Admission.unlimited)
   in
   let shed =
     List.mapi
-      (fun i c -> (Admission.cause_name c, shed_by_cause.(i)))
+      (fun i c -> (Admission.cause_name c, sum (fun cs -> cs.w_shed.(i))))
       Admission.all_causes
   in
+  let committed = Metrics.committed metrics in
   let duration = total -. warmup_ns in
   {
-    offered = !offered;
-    admitted = !admitted;
-    committed = !committed;
-    aborted = !aborted;
-    retried = !retried;
+    offered = sum (fun cs -> cs.w_offered);
+    admitted = sum (fun cs -> cs.w_admitted);
+    committed;
+    aborted = Metrics.aborted metrics;
+    retried = sum (fun cs -> cs.w_retried);
     shed;
-    shed_total = Array.fold_left ( + ) 0 shed_by_cause;
-    goodput_tps = float_of_int !committed /. (duration /. 1e9);
+    shed_total = List.fold_left (fun a (_, n) -> a + n) 0 shed;
+    goodput_tps = float_of_int committed /. (duration /. 1e9);
     median_latency_us = Metrics.median_latency metrics /. 1_000.0;
     p99_latency_us = Metrics.p99_latency metrics /. 1_000.0;
     duration_ns = duration;

@@ -28,6 +28,10 @@
     re-offer aborted transactions to admission — the retry-storm
     ingredient that makes un-bounded queues metastable.
 
+    Arrivals and admission are the open loop's front end on the load
+    core it shares with {!Driver}: observers are attached, outcomes
+    counted per coordinator and the run drained by the same code.
+
     All mutable driver state is per-coordinator and the per-coordinator
     processes are pinned to their node's partition, so the driver runs
     unchanged on windowed multi-domain engines ([partitions > 0] system
