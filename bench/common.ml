@@ -1,7 +1,5 @@
 (* Shared plumbing for the experiment harness. *)
 
-open Xenic_sim
-open Xenic_cluster
 open Xenic_proto
 
 let quick =
@@ -84,23 +82,26 @@ let cluster_nodes = 6
 
 let replication = 3
 
-let mk_xenic ?(features = Features.full) ?(hw = hw) ?(nodes = cluster_nodes)
-    ?(replication = replication) ?(params = Xenic_system.default_params)
-    ?domains ~store_cfg () =
-  let engine = Engine.create ?domains () in
-  let cfg = Config.make ~nodes ~replication in
-  let segments, seg_size, d_max = store_cfg in
-  let p =
-    { params with Xenic_system.features; segments; seg_size; d_max }
-  in
-  System.of_xenic (Xenic_system.create engine hw cfg p)
+(* A stack's name in the experiment tables and BENCH_*.json keys. *)
+let label = function
+  | System.Xenic -> "Xenic"
+  | Drtmh -> "DrTM+H"
+  | Drtmh_nc -> "DrTM+H NC"
+  | Fasst -> "FaSST"
+  | Drtmr -> "DrTM+R"
+  | Farm -> "FaRM*"
 
-let mk_rdma ?(hw = hw) ?(nodes = cluster_nodes) ?(replication = replication)
-    ?(params = Rdma_system.default_params) ?domains ~buckets flavor () =
-  let engine = Engine.create ?domains () in
-  let cfg = Config.make ~nodes ~replication in
-  let p = { params with Rdma_system.buckets } in
-  System.of_rdma (Rdma_system.create engine hw cfg flavor p)
+(* Every stack, labelled, as a thunk building it sized for one workload
+   on the testbed cluster (or [nodes] x [replication]). *)
+let systems ?(nodes = cluster_nodes) ?(replication = replication) ?xenic
+    ?domains ?partitions ~store_cfg ~buckets () =
+  List.map
+    (fun stack ->
+      ( label stack,
+        fun () ->
+          System.create ?domains ?xenic ?partitions ~nodes ~replication
+            ~store_cfg ~buckets stack ))
+    System.stacks
 
 (* A latency/throughput sweep over closed-loop concurrency. *)
 type point = {

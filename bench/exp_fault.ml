@@ -9,7 +9,6 @@
    pre-fault, i.e. post/pre >= 0.5 with one of six servers gone). *)
 
 open Xenic_sim
-open Xenic_cluster
 open Xenic_proto
 open Xenic_workload
 open Common
@@ -39,30 +38,19 @@ let tpcc_params =
 let commits_at samples t =
   List.fold_left (fun acc (st, c) -> if st <= t then c else acc) 0 samples
 
-let mk_armed ~store_cfg ~cache_capacity () =
-  let engine = Engine.create ~strict:true () in
-  let cfg = Config.make ~nodes:cluster_nodes ~replication in
-  let segments, seg_size, d_max = store_cfg in
-  let p =
-    {
-      Xenic_system.default_params with
-      segments;
-      seg_size;
-      d_max;
-      cache_capacity;
-      armed = true;
-    }
-  in
-  System.of_xenic (Xenic_system.create engine hw cfg p)
-
-let one ~name ~mk_sys ~load ~spec ~concurrency ~target =
+let one ~name ~store_cfg ~buckets ~cache_capacity ~load ~spec ~concurrency
+    ~target =
   let scn = fault_scenario () in
   let fault_ns, crashed_node =
     match scn.Xenic_scenario.Scenario.events with
     | [ { at_ns; action = Crash n } ] -> (at_ns, n)
     | _ -> failwith "fault: crash-bench.scn must hold exactly one crash"
   in
-  let sys = mk_sys () in
+  let sys =
+    System.create ~strict:true ~armed:true ~nodes:cluster_nodes ~replication
+      ~xenic:{ Xenic_system.default_params with cache_capacity }
+      ~store_cfg ~buckets System.Xenic
+  in
   let oracle = Oracle.create () in
   sys.System.set_oracle oracle;
   load sys;
@@ -183,14 +171,14 @@ let one ~name ~mk_sys ~load ~spec ~concurrency ~target =
 let run () =
   section "Mid-run node crash: throughput dip and recovery";
   one ~name:"smallbank"
-    ~mk_sys:
-      (mk_armed ~store_cfg:(Smallbank.store_cfg sb_params) ~cache_capacity:256)
+    ~store_cfg:(Smallbank.store_cfg sb_params)
+    ~buckets:(Smallbank.chained_buckets sb_params) ~cache_capacity:256
     ~load:(Smallbank.load sb_params)
     ~spec:(fun _ -> Smallbank.spec sb_params ~nodes:cluster_nodes)
     ~concurrency:8 ~target:(scale 3000);
   one ~name:"tpcc"
-    ~mk_sys:
-      (mk_armed ~store_cfg:(Tpcc.store_cfg tpcc_params) ~cache_capacity:8192)
+    ~store_cfg:(Tpcc.store_cfg tpcc_params)
+    ~buckets:(Tpcc.chained_buckets tpcc_params) ~cache_capacity:8192
     ~load:(Tpcc.load tpcc_params)
     ~spec:(fun sys -> Tpcc.spec tpcc_params sys)
     ~concurrency:6 ~target:(scale 2000)

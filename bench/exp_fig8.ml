@@ -8,25 +8,18 @@ open Xenic_workload
 
 let concurrencies () = if !Common.quick then [ 1; 4; 16 ] else [ 1; 2; 4; 8; 16; 32 ]
 
+(* FaRM is described in §2.2.2 but not plotted in the paper's Fig 8;
+   it runs here as an extra reference point. *)
 let systems ?(app_threads = 4) ?(worker_threads = 3) ~store_cfg ~buckets ~cache () =
-  let params =
-    {
-      Xenic_system.default_params with
-      cache_capacity = cache;
-      app_threads;
-      worker_threads;
-    }
-  in
-  [
-    ("Xenic", fun () -> Common.mk_xenic ~params ~store_cfg ());
-    ("DrTM+H", fun () -> Common.mk_rdma ~buckets Rdma_system.Drtmh ());
-    ("DrTM+H NC", fun () -> Common.mk_rdma ~buckets Rdma_system.Drtmh_nc ());
-    ("FaSST", fun () -> Common.mk_rdma ~buckets Rdma_system.Fasst ());
-    ("DrTM+R", fun () -> Common.mk_rdma ~buckets Rdma_system.Drtmr ());
-    (* FaRM is described in §2.2.2 but not plotted in the paper's
-       Fig 8; included here as an extra reference point. *)
-    ("FaRM*", fun () -> Common.mk_rdma ~buckets Rdma_system.Farm ());
-  ]
+  Common.systems
+    ~xenic:
+      {
+        Xenic_system.default_params with
+        cache_capacity = cache;
+        app_threads;
+        worker_threads;
+      }
+    ~store_cfg ~buckets ()
 
 let run_benchmark ?app_threads ?worker_threads ~title ~load ~spec ~store_cfg
     ~buckets ~cache ~target () =
@@ -142,15 +135,16 @@ let run_tpcc_full () =
      150k new orders/s/server result. *)
   let hw50 = Xenic_params.Hw.testbed_50g in
   let sys =
-    Common.mk_xenic ~hw:hw50
-      ~params:
+    System.create ~hw:hw50 ~nodes:Common.cluster_nodes
+      ~replication:Common.replication
+      ~xenic:
         {
           Xenic_system.default_params with
           cache_capacity = Tpcc.hash_keys_per_shard p;
           app_threads = 8;
           worker_threads = 10;
         }
-      ~store_cfg:(Tpcc.store_cfg p) ()
+      ~store_cfg:(Tpcc.store_cfg p) ~buckets:(Tpcc.chained_buckets p) System.Xenic
   in
   Tpcc.load p sys;
   let result =

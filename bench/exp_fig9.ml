@@ -7,18 +7,23 @@ open Xenic_workload
 
 let run_retwis_tput () =
   let p = { Retwis.default_params with keys_per_node = Common.scale 40_000 } in
+  let mk =
+    System.create ~nodes:Common.cluster_nodes ~replication:Common.replication
+      ~store_cfg:(Retwis.store_cfg p) ~buckets:(Retwis.chained_buckets p)
+  in
   (* (configuration, protocol metrics) pairs collected along the way
      for the per-phase breakdown and abort-reason tables. *)
   let collected = ref [] in
   let measure ~tag ~features =
     let sys =
-      Common.mk_xenic ~features
-        ~params:
+      mk
+        ~xenic:
           {
             Xenic_system.default_params with
+            features;
             cache_capacity = p.Retwis.keys_per_node;
           }
-        ~store_cfg:(Retwis.store_cfg p) ()
+        System.Xenic
     in
     Retwis.load p sys;
     let spec =
@@ -33,7 +38,7 @@ let run_retwis_tput () =
     tput
   in
   let drtmh =
-    let sys = Common.mk_rdma ~buckets:(Retwis.chained_buckets p) Rdma_system.Drtmh () in
+    let sys = mk System.Drtmh in
     Retwis.load p sys;
     let spec =
       Retwis.spec p ~nodes:sys.System.cfg.Xenic_cluster.Config.nodes
@@ -76,16 +81,21 @@ let run_smallbank_latency () =
   let p =
     { Smallbank.default_params with accounts_per_node = Common.scale 40_000 }
   in
+  let mk =
+    System.create ~nodes:Common.cluster_nodes ~replication:Common.replication
+      ~store_cfg:(Smallbank.store_cfg p) ~buckets:(Smallbank.chained_buckets p)
+  in
   let collected = ref [] in
   let measure ~tag ~features =
     let sys =
-      Common.mk_xenic ~features
-        ~params:
+      mk
+        ~xenic:
           {
             Xenic_system.default_params with
+            features;
             cache_capacity = 2 * p.Smallbank.accounts_per_node;
           }
-        ~store_cfg:(Smallbank.store_cfg p) ()
+        System.Xenic
     in
     Smallbank.load p sys;
     let spec =
@@ -100,9 +110,7 @@ let run_smallbank_latency () =
     med
   in
   let drtmh =
-    let sys =
-      Common.mk_rdma ~buckets:(Smallbank.chained_buckets p) Rdma_system.Drtmh ()
-    in
+    let sys = mk System.Drtmh in
     Smallbank.load p sys;
     let spec =
       Smallbank.spec p ~nodes:sys.System.cfg.Xenic_cluster.Config.nodes

@@ -50,24 +50,14 @@ let sweep_admission =
    many, so the JSON reference is stable across machines. *)
 let systems ?domains () =
   let p = retwis_params () in
-  let store_cfg = Retwis.store_cfg p in
-  let buckets = Retwis.chained_buckets p in
-  let xparams =
-    {
-      Xenic_system.default_params with
-      cache_capacity = 2 * p.Retwis.keys_per_node;
-      partitions = 2;
-    }
-  in
-  let rparams = { Rdma_system.default_params with partitions = 2 } in
-  [
-    ("Xenic", fun () -> Common.mk_xenic ~params:xparams ?domains ~store_cfg ());
-    ("DrTM+H", fun () -> Common.mk_rdma ~params:rparams ?domains ~buckets Rdma_system.Drtmh ());
-    ("DrTM+H NC", fun () -> Common.mk_rdma ~params:rparams ?domains ~buckets Rdma_system.Drtmh_nc ());
-    ("FaSST", fun () -> Common.mk_rdma ~params:rparams ?domains ~buckets Rdma_system.Fasst ());
-    ("DrTM+R", fun () -> Common.mk_rdma ~params:rparams ?domains ~buckets Rdma_system.Drtmr ());
-    ("FaRM*", fun () -> Common.mk_rdma ~params:rparams ?domains ~buckets Rdma_system.Farm ());
-  ]
+  Common.systems ?domains
+    ~xenic:
+      {
+        Xenic_system.default_params with
+        cache_capacity = 2 * p.Retwis.keys_per_node;
+      }
+    ~partitions:2 ~store_cfg:(Retwis.store_cfg p)
+    ~buckets:(Retwis.chained_buckets p) ()
 
 let fingerprint sys (r : Openloop.result) =
   Printf.sprintf "o=%d a=%d c=%d ab=%d rt=%d sh=%d now=%h good=%h med=%h p99=%h"
@@ -212,13 +202,14 @@ let run () =
   in
   let scenario label admission =
     let sys =
-      Common.mk_xenic
-        ~params:
+      System.create ~nodes:Common.cluster_nodes ~replication:Common.replication
+        ~xenic:
           {
             Xenic_system.default_params with
             cache_capacity = 2 * p.Retwis.keys_per_node;
           }
-        ~store_cfg:(Retwis.store_cfg p) ()
+        ~store_cfg:(Retwis.store_cfg p) ~buckets:(Retwis.chained_buckets p)
+        System.Xenic
     in
     Retwis.load p sys;
     (* 10 windows per phase segment: enough resolution for the online

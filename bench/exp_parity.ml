@@ -12,6 +12,7 @@
    Closed-loop systems run the single-heap loop whatever the domain
    budget, so there is nothing to compare there. *)
 
+open Xenic_proto
 open Xenic_scenario
 
 let seed = 13L
@@ -26,7 +27,7 @@ let run () =
   let mismatched = ref 0 in
   List.iter
     (fun stack ->
-      let name = Harness.stack_name stack in
+      let name = System.stack_name stack in
       let one = Harness.run ~domains:1 ~stack ~seed scn in
       let two = Harness.run ~domains:2 ~stack ~seed scn in
       if one.Harness.committed = 0 then
@@ -40,8 +41,8 @@ let run () =
                        ---\n%s\n"
           name one.Harness.digest two.Harness.digest
       end)
-    Harness.all_stacks;
-  Common.json_int "parity stacks" (List.length Harness.all_stacks);
+    System.stacks;
+  Common.json_int "parity stacks" (List.length System.stacks);
   Common.json_int "parity mismatches" !mismatched;
   if !mismatched > 0 then
     failwith

@@ -95,25 +95,20 @@ let run () =
   Common.section
     "Profile: per-resource time attribution and bottlenecks (Smallbank)";
   let p = params () in
-  let xenic () =
-    Common.mk_xenic
-      ~params:
-        {
-          Xenic_system.default_params with
-          cache_capacity = 2 * p.Smallbank.accounts_per_node;
-        }
-      ~store_cfg:(Smallbank.store_cfg p) ()
-  in
-  let rdma flavor () =
-    Common.mk_rdma ~buckets:(Smallbank.chained_buckets p) flavor ()
-  in
   List.iter
-    (fun (label, mk) -> run_system ~label mk)
-    [
-      ("xenic", xenic);
-      ("drtmh", rdma Rdma_system.Drtmh);
-      ("drtmh_nc", rdma Rdma_system.Drtmh_nc);
-      ("fasst", rdma Rdma_system.Fasst);
-      ("drtmr", rdma Rdma_system.Drtmr);
-      ("farm", rdma Rdma_system.Farm);
-    ]
+    (fun stack ->
+      (* BENCH_profile.json keys spell drtmh-nc as drtmh_nc. *)
+      let label =
+        String.map (function '-' -> '_' | c -> c) (System.stack_name stack)
+      in
+      run_system ~label (fun () ->
+          System.create ~nodes:Common.cluster_nodes
+            ~replication:Common.replication
+            ~xenic:
+              {
+                Xenic_system.default_params with
+                cache_capacity = 2 * p.Smallbank.accounts_per_node;
+              }
+            ~store_cfg:(Smallbank.store_cfg p)
+            ~buckets:(Smallbank.chained_buckets p) stack))
+    System.stacks

@@ -28,24 +28,16 @@ let sb_params () =
 
 let systems ~nodes ~replication () =
   let p = sb_params () in
-  let store_cfg = Smallbank.store_cfg p in
-  let buckets = Smallbank.chained_buckets p in
-  let params =
-    {
-      Xenic_system.default_params with
-      cache_capacity = 2 * p.Smallbank.accounts_per_node;
-    }
-  in
-  [
-    ("Xenic", fun () -> Common.mk_xenic ~nodes ~replication ~params ~store_cfg ());
-    ("DrTM+H", fun () -> Common.mk_rdma ~nodes ~replication ~buckets Rdma_system.Drtmh ());
-    ("DrTM+H NC", fun () -> Common.mk_rdma ~nodes ~replication ~buckets Rdma_system.Drtmh_nc ());
-    ("FaSST", fun () -> Common.mk_rdma ~nodes ~replication ~buckets Rdma_system.Fasst ());
-    ("DrTM+R", fun () -> Common.mk_rdma ~nodes ~replication ~buckets Rdma_system.Drtmr ());
-    ("FaRM*", fun () -> Common.mk_rdma ~nodes ~replication ~buckets Rdma_system.Farm ());
-  ]
+  Common.systems ~nodes ~replication
+    ~xenic:
+      {
+        Xenic_system.default_params with
+        cache_capacity = 2 * p.Smallbank.accounts_per_node;
+      }
+    ~store_cfg:(Smallbank.store_cfg p)
+    ~buckets:(Smallbank.chained_buckets p) ()
 
-let stack_names = List.map fst (systems ~nodes:3 ~replication:1 ())
+let stack_names = List.map Common.label System.stacks
 
 type cell = {
   tput : float;  (* committed txn/s per node *)

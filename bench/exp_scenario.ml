@@ -10,21 +10,22 @@
 open Common
 module Scenario = Xenic_scenario.Scenario
 module Harness = Xenic_scenario.Harness
+module System = Xenic_proto.System
 
 let seed = 41L
 
 (* (corpus file, stacks, closed-loop target; ignored for open-loop) *)
 let corpus =
   [
-    ("crash-single", [ Harness.Xenic; Harness.Fasst ], 600);
-    ("crash-flap", [ Harness.Xenic ], 600);
-    ("churn", [ Harness.Xenic ], 800);
-    ("partition-heal", [ Harness.Xenic ], 400);
-    ("lossy-links", [ Harness.Xenic; Harness.Drtmh; Harness.Farm ], 400);
-    ("slow-nic", [ Harness.Xenic; Harness.Drtmr ], 400);
-    ("gray-mix", [ Harness.Xenic ], 400);
-    ("skew-shift", [ Harness.Xenic ], 0);
-    ("tenant-wave", [ Harness.Xenic ], 0);
+    ("crash-single", [ System.Xenic; System.Fasst ], 600);
+    ("crash-flap", [ System.Xenic ], 600);
+    ("churn", [ System.Xenic ], 800);
+    ("partition-heal", [ System.Xenic ], 400);
+    ("lossy-links", [ System.Xenic; System.Drtmh; System.Farm ], 400);
+    ("slow-nic", [ System.Xenic; System.Drtmr ], 400);
+    ("gray-mix", [ System.Xenic ], 400);
+    ("skew-shift", [ System.Xenic ], 0);
+    ("tenant-wave", [ System.Xenic ], 0);
   ]
 
 let run () =
@@ -43,12 +44,12 @@ let run () =
             failwith
               (Printf.sprintf
                  "scenario %s/%s: same-seed rerun diverged" name
-                 (Harness.stack_name stack));
+                 (System.stack_name stack));
           Printf.printf "    %-16s %-8s %9d %9d %9d\n" name
-            (Harness.stack_name stack) o.Harness.committed o.Harness.aborted
+            (System.stack_name stack) o.Harness.committed o.Harness.aborted
             o.Harness.oracle_txns;
           let k suffix =
-            Printf.sprintf "%s / %s %s" name (Harness.stack_name stack) suffix
+            Printf.sprintf "%s / %s %s" name (System.stack_name stack) suffix
           in
           json_int (k "committed") o.Harness.committed;
           json_int (k "aborted") o.Harness.aborted;

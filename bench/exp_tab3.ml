@@ -92,10 +92,15 @@ let run () =
   in
   List.iter
     (fun b ->
+      let mk =
+        System.create ~nodes:Common.cluster_nodes
+          ~replication:Common.replication ~store_cfg:b.store_cfg
+          ~buckets:b.buckets
+      in
       (* Xenic: descend host app+worker threads, then NIC threads. *)
       let xen ~host ~nic () =
-        Common.mk_xenic
-          ~params:
+        mk
+          ~xenic:
             {
               Xenic_system.default_params with
               app_threads = max 1 (host / 2);
@@ -103,7 +108,7 @@ let run () =
               nic_threads = nic;
               cache_capacity = b.cache;
             }
-          ~store_cfg:b.store_cfg ()
+          System.Xenic
       in
       let xen_peak = tput (xen ~host:8 ~nic:20) b in
       let host_needed =
@@ -119,18 +124,18 @@ let run () =
         +. (float_of_int nic_needed
            *. Common.hw.Xenic_params.Hw.nic_core_speed_ratio)
       in
-      let rdma_threads flavor =
-        let mk threads () =
-          Common.mk_rdma
-            ~params:{ Rdma_system.default_params with host_threads = threads }
-            ~buckets:b.buckets flavor ()
+      let rdma_threads stack =
+        let rdma threads () =
+          mk
+            ~rdma:{ Rdma_system.default_params with host_threads = threads }
+            stack
         in
-        let peak = tput (mk 24) b in
+        let peak = tput (rdma 24) b in
         descend ~peak [ 24; 20; 16; 12; 8; 6; 4 ] (fun threads ->
-            tput (mk threads) b)
+            tput (rdma threads) b)
       in
-      let drtmh = rdma_threads Rdma_system.Drtmh in
-      let fasst = rdma_threads Rdma_system.Fasst in
+      let drtmh = rdma_threads System.Drtmh in
+      let fasst = rdma_threads System.Fasst in
       Xenic_stats.Table.add_row t
         [
           b.b_name;

@@ -83,20 +83,21 @@ let run_system ~label mk_sys =
 let run () =
   Common.section "Trace: deterministic phase/utilization tracing (Smallbank)";
   let p = params () in
-  let xenic () =
-    Common.mk_xenic
-      ~params:
+  let mk stack () =
+    System.create ~nodes:Common.cluster_nodes ~replication:Common.replication
+      ~xenic:
         {
           Xenic_system.default_params with
           cache_capacity = 2 * p.Smallbank.accounts_per_node;
         }
-      ~store_cfg:(Smallbank.store_cfg p) ()
-  in
-  let drtmh () =
-    Common.mk_rdma ~buckets:(Smallbank.chained_buckets p) Rdma_system.Drtmh ()
+      ~store_cfg:(Smallbank.store_cfg p)
+      ~buckets:(Smallbank.chained_buckets p) stack
   in
   let series =
-    [ run_system ~label:"xenic" xenic; run_system ~label:"drtmh" drtmh ]
+    [
+      run_system ~label:"xenic" (mk System.Xenic);
+      run_system ~label:"drtmh" (mk System.Drtmh);
+    ]
   in
   Common.print_phase_breakdown ~title:"Trace: Smallbank" series;
   Common.print_abort_reasons ~title:"Trace: Smallbank" series

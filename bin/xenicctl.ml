@@ -12,7 +12,11 @@ open Xenic_workload
 module Harness = Xenic_scenario.Harness
 
 let system_conv =
-  Arg.enum (List.map (fun s -> (Harness.stack_name s, s)) Harness.all_stacks)
+  Arg.enum (List.map (fun s -> (System.stack_name s, s)) System.stacks)
+
+let system_doc what =
+  Printf.sprintf "%s to run: %s." what
+    (String.concat ", " (List.map System.stack_name System.stacks))
 
 type workload_kind = Smallbank | Retwis | Tpcc | Tpcc_no
 
@@ -24,29 +28,6 @@ let workload_conv =
       ("tpcc", Tpcc);
       ("tpcc-neworder", Tpcc_no);
     ]
-
-let build_system stack ~nodes ~replication ~store_cfg ~buckets ~cache =
-  let engine = Xenic_sim.Engine.create () in
-  let cfg = Config.make ~nodes ~replication in
-  let hw = Xenic_params.Hw.testbed in
-  match stack with
-  | Harness.Xenic ->
-      let segments, seg_size, d_max = store_cfg in
-      System.of_xenic
-        (Xenic_system.create engine hw cfg
-           {
-             Xenic_system.default_params with
-             segments;
-             seg_size;
-             d_max;
-             cache_capacity = cache;
-             app_threads = 8;
-             worker_threads = 8;
-           })
-  | rdma ->
-      System.of_rdma
-        (Rdma_system.create engine hw cfg (Harness.flavor rdma)
-           { Rdma_system.default_params with buckets })
 
 let write_file path contents =
   let oc = open_out path in
@@ -103,7 +84,15 @@ let execute ?trace_out ?profile_out ?telemetry_out
           fun sys -> Tpcc.new_order_spec tp sys )
   in
   let sys =
-    build_system system ~nodes ~replication ~store_cfg ~buckets ~cache
+    System.create ~nodes ~replication
+      ~xenic:
+        {
+          Xenic_system.default_params with
+          cache_capacity = cache;
+          app_threads = 8;
+          worker_threads = 8;
+        }
+      ~store_cfg ~buckets system
   in
   let wl_name =
     match workload with
@@ -297,15 +286,6 @@ let bench_diff_cmd a b tol ignore_prefixes =
    engine + serializability oracle), then print the outcome. *)
 let scenario_run_cmd file stack seed target concurrency verbose =
   let module Scenario = Xenic_scenario.Scenario in
-  let stack =
-    match Harness.stack_of_string stack with
-    | Some s -> s
-    | None ->
-        Printf.eprintf
-          "scenario run: unknown stack %S (expected one of: %s)\n" stack
-          (String.concat ", " (List.map Harness.stack_name Harness.all_stacks));
-        exit 2
-  in
   match Scenario.load_file file with
   | Error msg ->
       Printf.eprintf "scenario run: %s: %s\n" file msg;
@@ -330,7 +310,7 @@ let scenario_run_cmd file stack seed target concurrency verbose =
           Printf.printf
             "stack %s seed %d: committed=%d aborted=%d oracle_txns=%d \
              (serializable)\n"
-            (Harness.stack_name stack) seed o.Harness.committed
+            (System.stack_name stack) seed o.Harness.committed
             o.Harness.aborted o.Harness.oracle_txns;
           List.iter
             (fun (k, v) ->
@@ -341,9 +321,8 @@ let scenario_run_cmd file stack seed target concurrency verbose =
 
 let cmd =
   let system =
-    let names = List.map Harness.stack_name Harness.all_stacks in
-    Arg.(value & opt system_conv Harness.Xenic & info [ "system"; "s" ]
-           ~doc:("System to run: " ^ String.concat ", " names ^ "."))
+    Arg.(value & opt system_conv System.Xenic & info [ "system"; "s" ]
+           ~doc:(system_doc "System"))
   in
   let workload =
     Arg.(value & opt workload_conv Smallbank & info [ "workload"; "w" ] ~doc:"Workload: smallbank, retwis, tpcc, tpcc-neworder.")
@@ -466,9 +445,8 @@ let cmd =
   in
   let scn_stack =
     Arg.(
-      value & opt string "xenic"
-      & info [ "stack"; "s" ]
-          ~doc:"Stack to run: xenic, drtmh, drtmh-nc, fasst, drtmr, farm.")
+      value & opt system_conv System.Xenic
+      & info [ "stack"; "s" ] ~doc:(system_doc "Stack"))
   in
   let scn_seed =
     Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Run seed.")

@@ -11,19 +11,15 @@ open Xenic_workload
 
 let () =
   let p = { Smallbank.default_params with accounts_per_node = 2_000 } in
-  let engine = Xenic_sim.Engine.create () in
-  let cfg = Config.make ~nodes:4 ~replication:3 in
-  let segments, seg_size, d_max = Smallbank.store_cfg p in
   let sys =
-    System.of_xenic
-      (Xenic_system.create engine Xenic_params.Hw.testbed cfg
-         {
-           Xenic_system.default_params with
-           segments;
-           seg_size;
-           d_max;
-           cache_capacity = 2 * p.Smallbank.accounts_per_node;
-         })
+    System.create ~nodes:4 ~replication:3
+      ~xenic:
+        {
+          Xenic_system.default_params with
+          cache_capacity = 2 * p.Smallbank.accounts_per_node;
+        }
+      ~store_cfg:(Smallbank.store_cfg p)
+      ~buckets:(Smallbank.chained_buckets p) System.Xenic
   in
   Smallbank.load p sys;
   let before = Smallbank.total_money p sys in
@@ -56,7 +52,7 @@ let () =
       (fun node ->
         if Smallbank.total_money_replica p sys ~node ~shard <> primary then
           incr disagreements)
-      (Config.backups cfg ~shard)
+      (Config.backups sys.System.cfg ~shard)
   done;
   Format.printf "replica audit: %d disagreements across all backups@."
     !disagreements;

@@ -4,7 +4,6 @@
 
      dune exec examples/retwis_feed.exe *)
 
-open Xenic_cluster
 open Xenic_proto
 open Xenic_workload
 
@@ -25,38 +24,26 @@ let measure name (sys : System.t) =
   result
 
 let () =
-  let cfg = Config.make ~nodes ~replication:3 in
-  let segments, seg_size, d_max = Retwis.store_cfg p in
-
-  let xenic_engine = Xenic_sim.Engine.create () in
-  let xenic =
-    Xenic_system.create xenic_engine Xenic_params.Hw.testbed cfg
-      {
-        Xenic_system.default_params with
-        segments;
-        seg_size;
-        d_max;
-        cache_capacity = p.Retwis.keys_per_node;
-      }
+  (* One builder for both stacks, each sized for the same Retwis data. *)
+  let build stack =
+    System.create ~nodes ~replication:3
+      ~xenic:
+        {
+          Xenic_system.default_params with
+          cache_capacity = p.Retwis.keys_per_node;
+        }
+      ~store_cfg:(Retwis.store_cfg p) ~buckets:(Retwis.chained_buckets p)
+      stack
   in
-  let xres = measure "Xenic" (System.of_xenic xenic) in
-
-  let rdma_engine = Xenic_sim.Engine.create () in
-  let drtmh =
-    Rdma_system.create rdma_engine Xenic_params.Hw.testbed cfg
-      Rdma_system.Drtmh
-      {
-        Rdma_system.default_params with
-        buckets = Retwis.chained_buckets p;
-      }
-  in
-  let dres = measure "DrTM+H" (System.of_rdma drtmh) in
+  let xenic = build System.Xenic in
+  let xres = measure "Xenic" xenic in
+  let dres = measure "DrTM+H" (build System.Drtmh) in
 
   Format.printf "@.speedup: %.2fx throughput, %.0f%% latency change@."
     (xres.Driver.tput_per_server /. dres.Driver.tput_per_server)
     (100.0
     *. ((xres.Driver.median_latency_us /. dres.Driver.median_latency_us) -. 1.0));
-  let c = Metrics.counters (Control.metrics (Xenic_system.control xenic)) in
+  let c = Metrics.counters (xenic.System.metrics ()) in
   Format.printf
     "Xenic internals: %.0f protocol messages, %.0f DMA reads, %.0f DMA writes@."
     (Xenic_stats.Counter.get c "msgs")

@@ -17,21 +17,17 @@ let () =
       items = 400;
     }
   in
-  let engine = Xenic_sim.Engine.create () in
-  let cfg = Config.make ~nodes:4 ~replication:3 in
-  let segments, seg_size, d_max = Tpcc.store_cfg p in
   let sys =
-    System.of_xenic
-      (Xenic_system.create engine Xenic_params.Hw.testbed cfg
-         {
-           Xenic_system.default_params with
-           segments;
-           seg_size;
-           d_max;
-           app_threads = 8;
-           worker_threads = 8;
-           cache_capacity = Tpcc.hash_keys_per_shard p;
-         })
+    System.create ~nodes:4 ~replication:3
+      ~xenic:
+        {
+          Xenic_system.default_params with
+          app_threads = 8;
+          worker_threads = 8;
+          cache_capacity = Tpcc.hash_keys_per_shard p;
+        }
+      ~store_cfg:(Tpcc.store_cfg p) ~buckets:(Tpcc.chained_buckets p)
+      System.Xenic
   in
   Tpcc.load p sys;
   Format.printf "running the TPC-C mix (%d warehouses across 4 nodes)...@."

@@ -24,8 +24,6 @@ val epoch : t -> int
 
 val is_alive : t -> int -> bool
 
-val alive_nodes : t -> int list
-
 (** Stop a node's renewals; its lease will expire and trigger
     reconfiguration (fault injection). *)
 val fail_node : t -> node:int -> unit

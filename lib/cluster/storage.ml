@@ -60,6 +60,11 @@ let read t k =
     match Btree.find s.ordered k with Some v -> Some (v, 0) | None -> None
   else Robinhood.find s.hash k
 
+let read_value t k =
+  let s = shard_store t ~shard:(Keyspace.shard k) in
+  if Keyspace.ordered k then Btree.find s.ordered k
+  else Robinhood.find_value s.hash k
+
 let apply t op ~seq =
   let k = Op.key op in
   let s = shard_store t ~shard:(Keyspace.shard k) in

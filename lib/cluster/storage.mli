@@ -26,6 +26,9 @@ val holds : t -> shard:int -> bool
     and version (ordered-table objects report version 0). *)
 val read : t -> Keyspace.t -> (bytes * int) option
 
+(** {!read} without the version. *)
+val read_value : t -> Keyspace.t -> bytes option
+
 (** Last-applied log stamp per ordered key, for one node's copies. *)
 type stamps
 

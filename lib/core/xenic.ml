@@ -2,17 +2,20 @@
 
     {1 Quick tour}
 
-    Build an engine and a cluster, pick a system, load data, and run
-    transactions (see [examples/quickstart.ml]):
+    Pick a stack and a cluster shape, size the store for a workload,
+    load data, and run transactions (see [examples/quickstart.ml]).
+    {!Proto.System.create} builds any of the six stacks (Xenic or an
+    RDMA baseline) on a fresh engine:
 
     {[
-      let engine = Xenic.Sim.Engine.create () in
-      let cfg = Xenic.Cluster.Config.make ~nodes:6 ~replication:3 in
+      let p = Xenic.Workload.Smallbank.default_params in
       let sys =
-        Xenic.Proto.System.of_xenic
-          (Xenic.Proto.Xenic_system.create engine Xenic.Params.Hw.testbed cfg
-             Xenic.Proto.Xenic_system.default_params)
+        Xenic.Proto.System.create ~nodes:6 ~replication:3
+          ~store_cfg:(Xenic.Workload.Smallbank.store_cfg p)
+          ~buckets:(Xenic.Workload.Smallbank.chained_buckets p)
+          Xenic.Proto.System.Xenic
       in
+      Xenic.Workload.Smallbank.load p sys;
       ...
     ]}
 

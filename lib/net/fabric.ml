@@ -96,8 +96,6 @@ let enable_faults t ~seed ~rto_ns =
                   });
           }
 
-let faults_enabled t = Option.is_some t.faults
-
 let require_faults t op =
   match t.faults with
   | Some f -> f

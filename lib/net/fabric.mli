@@ -75,8 +75,6 @@ val max_retransmits : int
     transmissions pay. Raises [Invalid_argument] on [rto_ns <= 0]. *)
 val enable_faults : 'm t -> seed:int64 -> rto_ns:float -> unit
 
-val faults_enabled : 'm t -> bool
-
 (** [set_cut t ~src ~dst cut] stalls (or releases) frames src->dst.
     Direction matters: cut one way models an asymmetric partition.
     Requires {!enable_faults} first. *)

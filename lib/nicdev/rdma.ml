@@ -162,8 +162,6 @@ let rpc_recv_cost t ~node =
   Resource.use t.units.(node) (unit_ns t ~node);
   Process.sleep (engine t) t.hw.rdma_target_write_pcie_ns
 
-let verbs_issued t = Array.fold_left ( + ) 0 t.verbs_arr
-
 let unit_busy t ~node =
   Resource.in_use t.units.(node) + Resource.queue_length t.units.(node)
 

@@ -51,9 +51,6 @@ val rpc_send : 'm t -> src:int -> dst:int -> bytes:int -> 'm -> unit
 (** Blocking: target-side receive cost for one two-sided message. *)
 val rpc_recv_cost : 'm t -> node:int -> unit
 
-(** Verbs issued, by kind, for accounting. *)
-val verbs_issued : 'm t -> int
-
 (** Instantaneous load on [node]'s NIC processing unit: slots held plus
     waiters queued behind the (single-server) unit, so 0 = idle, 1 =
     busy, > 1 = backlog. The ingress-occupancy signal admission control

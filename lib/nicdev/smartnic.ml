@@ -28,8 +28,6 @@ let set_slowdown t factor =
     invalid_arg "Smartnic.set_slowdown: factor must be >= 1";
   t.slowdown <- factor
 
-let slowdown t = t.slowdown
-
 (* Take [n] SoC cores out of service for [dur_ns]: each holder occupies
    one core like any unit of work, so queueing, utilization gauges and
    the ingress-occupancy backpressure signal all see the degradation
@@ -74,8 +72,6 @@ let mem_access t = Process.sleep t.engine (t.hw.nic_mem_access_ns *. t.slowdown)
 let host_msg t = Process.sleep t.engine t.hw.host_nic_msg_ns
 
 let scaled_exec_ns t host_ns = host_ns /. t.hw.nic_core_speed_ratio
-
-let core_utilization t = Resource.utilization t.cores
 
 (* Instantaneous ingress pressure: the most loaded of the SoC core
    pool, the packet-I/O path and the DMA queues, where 1.0 means every

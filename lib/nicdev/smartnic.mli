@@ -57,9 +57,6 @@ val host_msg : t -> unit
     core, scaled by the Table 1 per-thread speed ratio. *)
 val scaled_exec_ns : t -> float -> float
 
-(** Aggregate core utilization in [0, 1]. *)
-val core_utilization : t -> float
-
 (** Instantaneous ingress pressure: the most loaded of the core pool,
     packet-I/O path and DMA queues ((busy + queued) / servers, so
     > 1.0 means a backlog). The signal admission control samples. *)
@@ -79,8 +76,6 @@ val resources : t -> Xenic_sim.Resource.t list
     packet I/O, NIC DRAM) by [f >= 1]; [1.0] restores nominal speed.
     Raises [Invalid_argument] on [f < 1]. *)
 val set_slowdown : t -> float -> unit
-
-val slowdown : t -> float
 
 (** [degrade_cores t ~n ~dur_ns] takes [min n (cores-1)] SoC cores out
     of service for [dur_ns] by occupying them through the ordinary

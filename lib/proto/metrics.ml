@@ -117,8 +117,6 @@ let committed_class t ~cls =
 let aborted_class t ~cls =
   Option.value ~default:0 (Hashtbl.find_opt t.by_class_aborts cls)
 
-let latency_quantile t q = Histogram.quantile t.latencies q
-
 let median_latency t = Histogram.median t.latencies
 
 let p99_latency t = Histogram.p99 t.latencies

@@ -57,9 +57,6 @@ val committed_class : t -> cls:string -> int
 
 val aborted_class : t -> cls:string -> int
 
-(** Latency quantile over committed transactions, ns. *)
-val latency_quantile : t -> float -> float
-
 val median_latency : t -> float
 
 val p99_latency : t -> float

@@ -75,6 +75,58 @@ let of_rdma r =
     resources = (fun () -> Rdma_system.resources r);
   }
 
+type stack = Xenic | Drtmh | Drtmh_nc | Fasst | Drtmr | Farm
+
+let stacks = [ Xenic; Drtmh; Drtmh_nc; Fasst; Drtmr; Farm ]
+
+let stack_name = function
+  | Xenic -> "xenic"
+  | Drtmh -> "drtmh"
+  | Drtmh_nc -> "drtmh-nc"
+  | Fasst -> "fasst"
+  | Drtmr -> "drtmr"
+  | Farm -> "farm"
+
+let stack_of_string s =
+  List.find_opt (fun st -> String.equal (stack_name st) s) stacks
+
+let create ?strict ?domains ?(hw = Xenic_params.Hw.testbed)
+    ?(xenic = Xenic_system.default_params) ?(rdma = Rdma_system.default_params)
+    ?armed ?partitions ~nodes ~replication ~store_cfg ~buckets stack =
+  let engine = Xenic_sim.Engine.create ?strict ?domains () in
+  let cfg = Config.make ~nodes ~replication in
+  let flavor f =
+    let p =
+      {
+        rdma with
+        Rdma_system.buckets;
+        armed = Option.value armed ~default:rdma.Rdma_system.armed;
+        partitions = Option.value partitions ~default:rdma.Rdma_system.partitions;
+      }
+    in
+    of_rdma (Rdma_system.create engine hw cfg f p)
+  in
+  match stack with
+  | Xenic ->
+      let segments, seg_size, d_max = store_cfg in
+      let p =
+        {
+          xenic with
+          Xenic_system.segments;
+          seg_size;
+          d_max;
+          armed = Option.value armed ~default:xenic.Xenic_system.armed;
+          partitions =
+            Option.value partitions ~default:xenic.Xenic_system.partitions;
+        }
+      in
+      of_xenic (Xenic_system.create engine hw cfg p)
+  | Drtmh -> flavor Rdma_system.Drtmh
+  | Drtmh_nc -> flavor Rdma_system.Drtmh_nc
+  | Fasst -> flavor Rdma_system.Fasst
+  | Drtmr -> flavor Rdma_system.Drtmr
+  | Farm -> flavor Rdma_system.Farm
+
 (* The end of a run: drain in-flight work, flush the oracle buffers,
    and on a strict engine fail on any protocol-audit or sim-primitive
    violation left. *)

@@ -63,6 +63,45 @@ val of_xenic : Xenic_system.t -> t
 
 val of_rdma : Rdma_system.t -> t
 
+(** {2 The six stacks} *)
+
+type stack = Xenic | Drtmh | Drtmh_nc | Fasst | Drtmr | Farm
+
+(** Every stack, Xenic first. *)
+val stacks : stack list
+
+(** The command-line name: ["xenic"], ["drtmh"], ["drtmh-nc"],
+    ["fasst"], ["drtmr"], ["farm"]. *)
+val stack_name : stack -> string
+
+val stack_of_string : string -> stack option
+
+(** [create ~nodes ~replication ~store_cfg ~buckets stack] builds
+    [stack] on a fresh engine ([strict], [domains]: {!Xenic_sim.Engine.create})
+    over [nodes] nodes with [replication] copies of each shard, sized
+    for one workload: Xenic takes its Robinhood shape from [store_cfg]
+    ([(segments, seg_size, d_max)], a workload's [store_cfg]), the
+    baselines their chained-table size from [buckets] (its
+    [chained_buckets]). The other parameters come from [xenic] or [rdma]
+    (default [default_params]), with [armed] and [partitions]
+    overriding theirs when given. [hw] defaults to
+    {!Xenic_params.Hw.testbed}. An armed windowed stack raises
+    [Invalid_argument], as its [create] does. *)
+val create :
+  ?strict:bool ->
+  ?domains:int ->
+  ?hw:Xenic_params.Hw.t ->
+  ?xenic:Xenic_system.params ->
+  ?rdma:Rdma_system.params ->
+  ?armed:bool ->
+  ?partitions:int ->
+  nodes:int ->
+  replication:int ->
+  store_cfg:int * int * int option ->
+  buckets:int ->
+  stack ->
+  t
+
 (** End a run: spawn [quiesce], run the engine until it drains, then
     [sync]. On a strict engine, fail with ["<who>: N sanitizer
     violation(s):"] followed by each {!audit} and

@@ -2,8 +2,6 @@ open Xenic_cluster
 
 type txn_id = { coord : int; seq : int }
 
-let pp_txn_id fmt t = Format.fprintf fmt "%d:%d" t.coord t.seq
-
 let owner_token id = (id.coord * 1_000_000_000) + id.seq
 
 let owner_coord owner = owner / 1_000_000_000

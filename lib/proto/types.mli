@@ -4,8 +4,6 @@ open Xenic_cluster
 
 type txn_id = { coord : int; seq : int }
 
-val pp_txn_id : Format.formatter -> txn_id -> unit
-
 (** The integer a transaction attempt holds its locks under (and
     reports to the oracle as its id): [coord * 1_000_000_000 + seq].
     Recovery decodes the coordinator back out of a held lock with

@@ -19,8 +19,4 @@ let log_record_b ~ops = 24 + write_ops_b ~ops
 
 let read_req_b = msg_header_b + 8
 
-let read_resp_b ~value_bytes = msg_header_b + 8 + 8 + value_bytes
-
 let lock_req_b = msg_header_b + 8
-
-let unlock_req_b = msg_header_b + 8

@@ -2,8 +2,6 @@
     computes its payload bytes here, so bandwidth effects (the dominant
     term in the paper's throughput results) flow from one place. *)
 
-val msg_header_b : int
-
 (** EXECUTE: header + 8B per key (reads and locks). *)
 val execute_req_b : n_reads:int -> n_locks:int -> state_bytes:int -> int
 
@@ -28,8 +26,4 @@ val log_record_b : ops:Xenic_cluster.Op.t list -> int
     and the RDMA systems. *)
 val read_req_b : int
 
-val read_resp_b : value_bytes:int -> int
-
 val lock_req_b : int
-
-val unlock_req_b : int

@@ -473,9 +473,7 @@ let seal t =
 
 let peek t ~node k =
   Control.check_sealed t.ctl;
-  match Storage.read t.nodes.(node).storage k with
-  | Some (v, _) -> Some v
-  | None -> None
+  Storage.read_value t.nodes.(node).storage k
 
 let storage t ~node = t.nodes.(node).storage
 
@@ -1360,10 +1358,6 @@ let set_nic_slowdown t ~node f = Smartnic.set_slowdown t.nodes.(node).nic f
 
 let degrade_nic_cores t ~node ~n ~dur_ns =
   Smartnic.degrade_cores t.nodes.(node).nic ~n ~dur_ns
-
-let nic_core_utilization t =
-  Array.fold_left (fun acc n -> acc +. Smartnic.core_utilization n.nic) 0.0 t.nodes
-  /. float_of_int (Array.length t.nodes)
 
 (* Admission backpressure: the coordinator NIC's instantaneous ingress
    occupancy. *)

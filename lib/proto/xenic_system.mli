@@ -141,9 +141,6 @@ val set_nic_slowdown : t -> node:int -> float -> unit
 
 val degrade_nic_cores : t -> node:int -> n:int -> dur_ns:float -> unit
 
-(** Mean SmartNIC core utilization across nodes. *)
-val nic_core_utilization : t -> float
-
 (** Instantaneous-occupancy gauges — one per node per resource class
     (NIC cores, DMA queues, links, host pools) — for
     {!Xenic_sim.Trace.sampler}. *)

@@ -1,30 +1,6 @@
 open Xenic_sim
-open Xenic_cluster
 open Xenic_proto
 open Xenic_workload
-
-type stack = Xenic | Drtmh | Drtmh_nc | Fasst | Drtmr | Farm
-
-let all_stacks = [ Xenic; Drtmh; Drtmh_nc; Fasst; Drtmr; Farm ]
-
-let stack_name = function
-  | Xenic -> "xenic"
-  | Drtmh -> "drtmh"
-  | Drtmh_nc -> "drtmh-nc"
-  | Fasst -> "fasst"
-  | Drtmr -> "drtmr"
-  | Farm -> "farm"
-
-let stack_of_string s =
-  List.find_opt (fun st -> String.equal (stack_name st) s) all_stacks
-
-let flavor = function
-  | Xenic -> invalid_arg "Harness.flavor: xenic is not an RDMA flavor"
-  | Drtmh -> Rdma_system.Drtmh
-  | Drtmh_nc -> Rdma_system.Drtmh_nc
-  | Fasst -> Rdma_system.Fasst
-  | Drtmr -> Rdma_system.Drtmr
-  | Farm -> Rdma_system.Farm
 
 type outcome = {
   committed : int;
@@ -36,8 +12,6 @@ type outcome = {
 
 let counter o name =
   match List.assoc_opt name o.counters with Some v -> v | None -> 0.0
-
-let hw = Xenic_params.Hw.testbed
 
 let sb_params = { Smallbank.default_params with accounts_per_node = 500 }
 
@@ -56,60 +30,6 @@ let check_oracle ~what oracle =
   | Oracle.Serializable -> ()
   | Oracle.Violation msg ->
       failwith (Printf.sprintf "%s: not serializable: %s" what msg)
-
-let mk_closed stack ~nodes ~replication ~armed () =
-  let engine = Engine.create ~strict:true () in
-  let cfg = Config.make ~nodes ~replication in
-  match stack with
-  | Xenic ->
-      let segments, seg_size, d_max = Smallbank.store_cfg sb_params in
-      let p =
-        {
-          Xenic_system.default_params with
-          segments;
-          seg_size;
-          d_max;
-          cache_capacity = 256;
-          armed;
-        }
-      in
-      System.of_xenic (Xenic_system.create engine hw cfg p)
-  | _ ->
-      let p =
-        {
-          Rdma_system.default_params with
-          buckets = Smallbank.chained_buckets sb_params;
-          armed;
-        }
-      in
-      System.of_rdma (Rdma_system.create engine hw cfg (flavor stack) p)
-
-let mk_open stack ?domains ~nodes ~replication () =
-  let engine = Engine.create ~strict:true ?domains () in
-  let cfg = Config.make ~nodes ~replication in
-  match stack with
-  | Xenic ->
-      let segments, seg_size, d_max = Retwis.store_cfg retwis_params in
-      let p =
-        {
-          Xenic_system.default_params with
-          segments;
-          seg_size;
-          d_max;
-          cache_capacity = 2 * retwis_params.Retwis.keys_per_node;
-          partitions = 2;
-        }
-      in
-      System.of_xenic (Xenic_system.create engine hw cfg p)
-  | _ ->
-      let p =
-        {
-          Rdma_system.default_params with
-          buckets = Retwis.chained_buckets retwis_params;
-          partitions = 2;
-        }
-      in
-      System.of_rdma (Rdma_system.create engine hw cfg (flavor stack) p)
 
 let closed_digest sys (result : Driver.result) oracle =
   let counters = sys_counters sys in
@@ -151,10 +71,21 @@ let run ?domains ?(concurrency = 8) ?(target = 300) ~stack ~seed scn =
          (Scenario.max_concurrent_crashes scn)
          replication);
   let what = Printf.sprintf "%s/%s seed %Ld" scn.Scenario.name
-      (stack_name stack) seed
+      (System.stack_name stack) seed
   in
   if Scenario.has_phases scn then begin
-    let sys = mk_open stack ?domains ~nodes ~replication () in
+    let sys =
+      System.create ~strict:true ?domains ~nodes ~replication
+        ~xenic:
+          {
+            Xenic_system.default_params with
+            cache_capacity = 2 * retwis_params.Retwis.keys_per_node;
+          }
+        ~partitions:2
+        ~store_cfg:(Retwis.store_cfg retwis_params)
+        ~buckets:(Retwis.chained_buckets retwis_params)
+        stack
+    in
     let oracle = Oracle.create () in
     sys.System.set_oracle oracle;
     Retwis.load retwis_params sys;
@@ -175,8 +106,14 @@ let run ?domains ?(concurrency = 8) ?(target = 300) ~stack ~seed scn =
     }
   end
   else begin
-    let armed = Scenario.has_crashes scn in
-    let sys = mk_closed stack ~nodes ~replication ~armed () in
+    let sys =
+      System.create ~strict:true ~nodes ~replication
+        ~xenic:{ Xenic_system.default_params with cache_capacity = 256 }
+        ~armed:(Scenario.has_crashes scn)
+        ~store_cfg:(Smallbank.store_cfg sb_params)
+        ~buckets:(Smallbank.chained_buckets sb_params)
+        stack
+    in
     let oracle = Oracle.create () in
     sys.System.set_oracle oracle;
     Smallbank.load sb_params sys;

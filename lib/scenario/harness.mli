@@ -12,18 +12,6 @@
     system ([partitions = 2]), so [XENIC_DOMAINS] exercises the
     windowed parallel engine. *)
 
-type stack = Xenic | Drtmh | Drtmh_nc | Fasst | Drtmr | Farm
-
-val all_stacks : stack list
-
-val stack_name : stack -> string
-
-val stack_of_string : string -> stack option
-
-(** The {!Xenic_proto.Rdma_system} flavor of an RDMA stack. Raises
-    [Invalid_argument] on [Xenic]. *)
-val flavor : stack -> Xenic_proto.Rdma_system.flavor
-
 type outcome = {
   committed : int;
   aborted : int;
@@ -49,7 +37,7 @@ val run :
   ?domains:int ->
   ?concurrency:int ->
   ?target:int ->
-  stack:stack ->
+  stack:Xenic_proto.System.stack ->
   seed:int64 ->
   Scenario.t ->
   outcome

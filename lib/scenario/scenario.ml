@@ -41,10 +41,6 @@ let has_crashes t =
   List.exists (fun e -> match e.action with Crash _ -> true | _ -> false)
     t.events
 
-let has_recovers t =
-  List.exists (fun e -> match e.action with Recover _ -> true | _ -> false)
-    t.events
-
 let has_link_faults t =
   List.exists
     (fun e ->

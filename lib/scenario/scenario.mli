@@ -80,12 +80,6 @@ val make :
     built with [armed = true]. *)
 val has_crashes : t -> bool
 
-val has_recovers : t -> bool
-
-(** Scenario touches link state (loss/delay/cut) — injection calls
-    [net_enable_faults] before the run. *)
-val has_link_faults : t -> bool
-
 (** Open-loop scenario (nonempty phase list). *)
 val has_phases : t -> bool
 

@@ -57,8 +57,6 @@ let install st =
 
 let enabled () = (installed ()).on
 
-let set_enabled v = (installed ()).on <- v
-
 let state_enabled st = st.on
 
 let set_state_enabled st v = st.on <- v

@@ -64,8 +64,6 @@ val reset_state : state -> unit
     is always maintained. *)
 val enabled : unit -> bool
 
-val set_enabled : bool -> unit
-
 val get : unit -> ctx
 
 val set : ctx -> unit

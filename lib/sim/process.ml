@@ -124,9 +124,6 @@ let with_timeout engine ~timeout_ns f =
 
 let yield engine = sleep engine 0.0
 
-let spawn_at engine ~delay f =
-  Engine.after engine delay (fun () -> spawn engine f)
-
 let parallel engine thunks =
   match thunks with
   | [] -> []

@@ -12,9 +12,6 @@ exception Not_in_process
     error), carrying its backtrace. *)
 val spawn : Engine.t -> (unit -> unit) -> unit
 
-(** [spawn_at engine ~delay f] starts [f] after [delay] ns. *)
-val spawn_at : Engine.t -> delay:float -> (unit -> unit) -> unit
-
 (** Block the calling process for [delay] simulated nanoseconds. On a
     partitioned engine, [~node] makes the wakeup — and everything the
     process does after it, until its next tagged hop — belong to that

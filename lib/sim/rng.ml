@@ -60,11 +60,3 @@ let exponential t ~mean =
   let u = ref (float t) in
   if Float.equal !u 0.0 then u := 1e-12;
   -.mean *. log !u
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

@@ -37,6 +37,3 @@ val range : t -> int -> int -> int
 
 (** Exponentially distributed value with the given mean. *)
 val exponential : t -> mean:float -> float
-
-(** [shuffle t a] permutes [a] in place (Fisher-Yates). *)
-val shuffle : t -> 'a array -> unit

@@ -11,13 +11,3 @@ let gbps bw = bw /. 8.0 (* Gbit/s = bits per ns; /8 gives bytes per ns *)
 let mops_to_ns_per_op rate =
   if Float.compare rate 0.0 <= 0 then invalid_arg "Units.mops_to_ns_per_op";
   1_000.0 /. rate
-
-let pp_time fmt t =
-  if Float.compare t 1_000.0 < 0 then Format.fprintf fmt "%.0fns" t
-  else if Float.compare t 1_000_000.0 < 0 then
-    Format.fprintf fmt "%.2fus" (t /. 1_000.0)
-  else if Float.compare t 1_000_000_000.0 < 0 then
-    Format.fprintf fmt "%.2fms" (t /. 1_000_000.0)
-  else Format.fprintf fmt "%.3fs" (t /. 1_000_000_000.0)
-
-let pp_rate_mops fmt r = Format.fprintf fmt "%.2fMops/s" r

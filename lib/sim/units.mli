@@ -16,8 +16,3 @@ val gbps : float -> float
 (** [mops rate] converts millions of operations per second to a per-op
     service time in nanoseconds. *)
 val mops_to_ns_per_op : float -> float
-
-(** Pretty-printers for reports. *)
-val pp_time : Format.formatter -> float -> unit
-
-val pp_rate_mops : Format.formatter -> float -> unit

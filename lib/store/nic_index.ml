@@ -169,8 +169,6 @@ let cached_values t = t.n_cached
 
 let cache_hits t = t.hits
 
-let cache_misses t = t.misses
-
 let seg_of_key t k = Robinhood.home t.host k / t.hint_slots
 
 (* Remove cache values until under capacity, skipping entries that are

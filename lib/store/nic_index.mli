@@ -90,8 +90,6 @@ val hint : 'v t -> seg:int -> int
 
 val cache_hits : 'v t -> int
 
-val cache_misses : 'v t -> int
-
 (** Re-synchronize all hints with the host's bounds (bulk load). *)
 val sync_hints : 'v t -> unit
 

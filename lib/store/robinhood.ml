@@ -108,6 +108,11 @@ let find t k =
   if pos >= 0 then Some (t.values.(pos), t.seqs.(pos))
   else match find_ovf t k with Some o -> Some (o.o_value, o.o_seq) | None -> None
 
+let find_value t k =
+  let pos = find_slot t k in
+  if pos >= 0 then Some t.values.(pos)
+  else match find_ovf t k with Some o -> Some o.o_value | None -> None
+
 let mem t k = Option.is_some (find t k)
 
 let locate t k =
@@ -374,14 +379,3 @@ let clone_into ~src ~dst =
     src.overflow;
   dst.size <- src.size;
   dst.ovf_size <- src.ovf_size
-
-let mean_displacement t =
-  let total = ref 0 and n = ref 0 in
-  Array.iter
-    (fun disp ->
-      if disp >= 0 then begin
-        total := !total + disp;
-        incr n
-      end)
-    t.disps;
-  if !n = 0 then 0.0 else float_of_int !total /. float_of_int !n

@@ -75,6 +75,9 @@ val insert : ?on_step:(unit -> unit) -> 'v t -> Kv.Key.t -> 'v -> insert_outcome
 (** Local lookup: value and sequence number. *)
 val find : 'v t -> Kv.Key.t -> ('v * int) option
 
+(** {!find} without the sequence number: one [Some], no pair. *)
+val find_value : 'v t -> Kv.Key.t -> 'v option
+
 val mem : 'v t -> Kv.Key.t -> bool
 
 (** [update t k v ~seq] overwrites an existing object's value and sets
@@ -148,6 +151,3 @@ val iter_home_disp : 'v t -> (home:int -> disp:int -> unit) -> unit
     themselves are shared, not copied. Raises [Invalid_argument] unless
     both tables have the same [segments], [seg_size] and [d_max]. *)
 val clone_into : src:'v t -> dst:'v t -> unit
-
-(** Mean displacement of table-resident elements (diagnostics). *)
-val mean_displacement : 'v t -> float

@@ -21,14 +21,10 @@ val load : params -> Xenic_proto.System.t -> unit
 
 val spec : params -> nodes:int -> Driver.spec
 
-(** Number of top Zipf ranks treated as "celebrity" accounts by the
-    open-loop flash-crowd arrivals. *)
-val celebrity_ranks : int
-
 (** Theta-parameterized open-loop workload: the closed-loop {!spec} mix
     sampled at each phase's skew, plus a celebrity flash-crowd class
     for hot arrivals (timeline reads and interaction RMWs against the
-    top [celebrity_ranks] accounts). *)
+    accounts at the top 16 Zipf ranks). *)
 val openloop_spec : params -> Openloop.workload
 
 (** Read-modify-write counter spec over the same keyspace for

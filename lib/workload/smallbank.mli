@@ -34,5 +34,3 @@ val total_money : params -> Xenic_proto.System.t -> int64
 
 (** Sum of all balances on a specific node's replica of [shard]. *)
 val total_money_replica : params -> Xenic_proto.System.t -> node:int -> shard:int -> int64
-
-val initial_balance : int64

@@ -24,8 +24,6 @@ let default_params =
     uniform_item_partitions = false;
   }
 
-let new_order_params = { default_params with uniform_item_partitions = true }
-
 (* -- Tables and key encoding ---------------------------------------- *)
 
 let t_warehouse = 1

@@ -28,9 +28,6 @@ type params = {
 
 val default_params : params
 
-(** The §5.2 New-Order benchmark configuration. *)
-val new_order_params : params
-
 val store_cfg : params -> int * int * int option
 
 val chained_buckets : params -> int

@@ -8,12 +8,9 @@
    latency quantiles (compared as hex-exact floats) and every perf
    counter. *)
 
-open Xenic_sim
 open Xenic_cluster
 open Xenic_proto
 open Xenic_workload
-
-let hw = Xenic_params.Hw.testbed
 
 let sb_params = { Smallbank.default_params with accounts_per_node = 500 }
 
@@ -25,80 +22,16 @@ let tpcc_params =
     items = 200;
   }
 
-let mk_xenic_sb () =
-  let engine = Engine.create ~strict:true () in
-  let cfg = Config.make ~nodes:4 ~replication:3 in
-  let segments, seg_size, d_max = Smallbank.store_cfg sb_params in
-  let p =
-    {
-      Xenic_system.default_params with
-      segments;
-      seg_size;
-      d_max;
-      cache_capacity = 256;
-    }
-  in
-  System.of_xenic (Xenic_system.create engine hw cfg p)
+(* A stack on a strict engine over [nodes] (default 4) with 3-way
+   replication. *)
+let mk ?(nodes = 4) ?armed ~store_cfg ~buckets ~cache_capacity stack () =
+  System.create ~strict:true ?armed ~nodes ~replication:3
+    ~xenic:{ Xenic_system.default_params with cache_capacity }
+    ~store_cfg ~buckets stack
 
-let mk_xenic_tpcc () =
-  let engine = Engine.create ~strict:true () in
-  let cfg = Config.make ~nodes:4 ~replication:3 in
-  let segments, seg_size, d_max = Tpcc.store_cfg tpcc_params in
-  let p =
-    {
-      Xenic_system.default_params with
-      segments;
-      seg_size;
-      d_max;
-      cache_capacity = 8192;
-    }
-  in
-  System.of_xenic (Xenic_system.create engine hw cfg p)
-
-let mk_rdma_sb flavor () =
-  let engine = Engine.create ~strict:true () in
-  let cfg = Config.make ~nodes:4 ~replication:3 in
-  let p =
-    {
-      Rdma_system.default_params with
-      buckets = Smallbank.chained_buckets sb_params;
-    }
-  in
-  System.of_rdma (Rdma_system.create engine hw cfg flavor p)
-
-(* Scale-sweep variants: arbitrary node count, replication 3, built
-   armed like test_fault.ml's stacks (request deadlines, the fenced
-   commit point, a lease-based membership) so each sweep point can take
-   one mid-run crash and still satisfy the oracle and reproduce bit for
-   bit. *)
-
-let mk_xenic_sb_at ~nodes () =
-  let engine = Engine.create ~strict:true () in
-  let cfg = Config.make ~nodes ~replication:3 in
-  let segments, seg_size, d_max = Smallbank.store_cfg sb_params in
-  let p =
-    {
-      Xenic_system.default_params with
-      segments;
-      seg_size;
-      d_max;
-      cache_capacity = 256;
-      armed = true;
-    }
-  in
-  System.of_xenic (Xenic_system.create engine hw cfg p)
-
-let mk_rdma_sb_at flavor ~nodes () =
-  let engine = Engine.create ~strict:true () in
-  let cfg = Config.make ~nodes ~replication:3 in
-  let p =
-    {
-      Rdma_system.default_params with
-      buckets = Smallbank.chained_buckets sb_params;
-      armed = true;
-    }
-  in
-  System.of_rdma (Rdma_system.create engine hw cfg flavor p)
+let mk_sb =
+  mk ~store_cfg:(Smallbank.store_cfg sb_params)
+    ~buckets:(Smallbank.chained_buckets sb_params) ~cache_capacity:256
 
 (* A textual digest of everything the run produced. Floats are printed
    with %h (hex, lossless), so equal digests mean bit-identical stats. *)
@@ -162,7 +95,7 @@ let sb_spec sys = Smallbank.spec sb_params ~nodes:sys.System.cfg.Config.nodes
 
 let test_xenic_smallbank_sweep () =
   let digests =
-    sweep ~mk:mk_xenic_sb ~load:(Smallbank.load sb_params) ~spec_of:sb_spec
+    sweep ~mk:(mk_sb System.Xenic) ~load:(Smallbank.load sb_params) ~spec_of:sb_spec
       ~concurrency:8 ~target:600
       [ 1L; 2L; 3L; 4L; 5L; 6L ]
   in
@@ -174,21 +107,27 @@ let test_xenic_smallbank_sweep () =
 
 let test_xenic_tpcc_sweep () =
   ignore
-    (sweep ~mk:mk_xenic_tpcc
+    (sweep
+       ~mk:
+         (mk ~store_cfg:(Tpcc.store_cfg tpcc_params)
+            ~buckets:(Tpcc.chained_buckets tpcc_params) ~cache_capacity:8192
+            System.Xenic)
        ~load:(Tpcc.load tpcc_params)
        ~spec_of:(fun sys -> Tpcc.spec tpcc_params sys)
        ~concurrency:6 ~target:400
        [ 1L; 2L; 3L; 4L; 5L ])
 
-let test_rdma_smallbank_sweep flavor () =
+let test_rdma_smallbank_sweep stack () =
   ignore
-    (sweep ~mk:(mk_rdma_sb flavor) ~load:(Smallbank.load sb_params)
+    (sweep ~mk:(mk_sb stack) ~load:(Smallbank.load sb_params)
        ~spec_of:sb_spec ~concurrency:8 ~target:400 [ 1L; 2L ])
 
 (* Scale sweep: the oracle + bit-identity guarantees must hold at
    every cluster size the scale experiment sweeps, not just the
    paper's testbed — with one mid-run crash per sweep point exercising
-   declaration, promotion and dead-owner sweeps at that fan-out. Node
+   declaration, promotion and dead-owner sweeps at that fan-out, on
+   stacks built armed like test_fault.ml's (request deadlines, the
+   fenced commit point, a lease-based membership). Node
    1 is crashed 100us in: always a valid id, never the only replica
    (replication is 3). *)
 let scale_nodes = [ 3; 12; 24 ]
@@ -198,7 +137,7 @@ let scale_crash = (100_000.0, 1)
 let test_xenic_scale_sweep nodes () =
   let digests =
     sweep ~crash:scale_crash
-      ~mk:(mk_xenic_sb_at ~nodes)
+      ~mk:(mk_sb ~nodes ~armed:true System.Xenic)
       ~load:(Smallbank.load sb_params) ~spec_of:sb_spec ~concurrency:4
       ~target:(50 * nodes)
       [ 1L; 2L ]
@@ -208,10 +147,10 @@ let test_xenic_scale_sweep nodes () =
     true
     (List.length (List.sort_uniq String.compare digests) > 1)
 
-let test_rdma_scale_sweep flavor nodes () =
+let test_rdma_scale_sweep stack nodes () =
   ignore
     (sweep ~crash:scale_crash
-       ~mk:(mk_rdma_sb_at flavor ~nodes)
+       ~mk:(mk_sb ~nodes ~armed:true stack)
        ~load:(Smallbank.load sb_params) ~spec_of:sb_spec ~concurrency:4
        ~target:(50 * nodes)
        [ 1L ])
@@ -285,9 +224,9 @@ let () =
           Alcotest.test_case "xenic tpcc (5 seeds)" `Quick
             test_xenic_tpcc_sweep;
           Alcotest.test_case "fasst smallbank" `Quick
-            (test_rdma_smallbank_sweep Rdma_system.Fasst);
+            (test_rdma_smallbank_sweep System.Fasst);
           Alcotest.test_case "drtmr smallbank" `Quick
-            (test_rdma_smallbank_sweep Rdma_system.Drtmr);
+            (test_rdma_smallbank_sweep System.Drtmr);
         ] );
       ( "scale sweep (crash mid-run, replication 3)",
         List.concat_map
@@ -300,7 +239,7 @@ let () =
               Alcotest.test_case
                 (Printf.sprintf "fasst smallbank %d nodes" nodes)
                 `Quick
-                (test_rdma_scale_sweep Rdma_system.Fasst nodes);
+                (test_rdma_scale_sweep System.Fasst nodes);
             ])
           scale_nodes );
     ]

@@ -205,39 +205,15 @@ let test_windowed_horizon_enforced () =
 let closed_loop_sb =
   { Xenic_workload.Smallbank.default_params with accounts_per_node = 200 }
 
-let closed_loop_stacks =
-  let open Xenic_cluster in
+let test_closed_loop_single_heap stack () =
   let open Xenic_proto in
   let open Xenic_workload in
-  let hw = Xenic_params.Hw.testbed in
-  let cfg = Config.make ~nodes:4 ~replication:3 in
-  let xenic () =
-    let segments, seg_size, d_max = Smallbank.store_cfg closed_loop_sb in
-    System.of_xenic
-      (Xenic_system.create (Engine.create ~domains:2 ()) hw cfg
-         {
-           Xenic_system.default_params with
-           segments;
-           seg_size;
-           d_max;
-           cache_capacity = 256;
-         })
+  let sys =
+    System.create ~domains:2 ~nodes:4 ~replication:3
+      ~xenic:{ Xenic_system.default_params with cache_capacity = 256 }
+      ~store_cfg:(Smallbank.store_cfg closed_loop_sb)
+      ~buckets:(Smallbank.chained_buckets closed_loop_sb) stack
   in
-  let drtmh () =
-    System.of_rdma
-      (Rdma_system.create (Engine.create ~domains:2 ()) hw cfg
-         Rdma_system.Drtmh
-         {
-           Rdma_system.default_params with
-           buckets = Smallbank.chained_buckets closed_loop_sb;
-         })
-  in
-  [ ("xenic", xenic); ("drtmh", drtmh) ]
-
-let test_closed_loop_single_heap mk () =
-  let open Xenic_proto in
-  let open Xenic_workload in
-  let sys = mk () in
   let eng = sys.System.engine in
   let name = sys.System.name in
   Alcotest.(check int) (name ^ ": 2-domain budget") 2 (Engine.domains eng);
@@ -290,10 +266,11 @@ let () =
         ] );
       ( "closed loop",
         List.map
-          (fun (name, mk) ->
+          (fun stack ->
             Alcotest.test_case
-              (name ^ " single-heap on a 2-domain engine")
+              (Xenic_proto.System.stack_name stack
+              ^ " single-heap on a 2-domain engine")
               `Quick
-              (test_closed_loop_single_heap mk))
-          closed_loop_stacks );
+              (test_closed_loop_single_heap stack))
+          Xenic_proto.System.[ Xenic; Drtmh ] );
     ]

@@ -7,33 +7,22 @@ open Xenic_cluster
 open Xenic_proto
 open Xenic_workload
 
-let hw = Xenic_params.Hw.testbed
-
 let sb_params = { Smallbank.default_params with accounts_per_node = 500 }
 
 let rw_params = { Retwis.default_params with keys_per_node = 500 }
 
-let mk_xenic ?(features = Features.full) ?(nodes = 4) ?(replication = 3) store_cfg =
-  let engine = Engine.create () in
-  let cfg = Config.make ~nodes ~replication in
-  let segments, seg_size, d_max = store_cfg in
-  let p =
-    {
-      Xenic_system.default_params with
-      features;
-      segments;
-      seg_size;
-      d_max;
-      cache_capacity = 256;
-    }
-  in
-  System.of_xenic (Xenic_system.create engine hw cfg p)
+let mk ?(features = Features.full) ~store_cfg ~buckets stack =
+  System.create ~nodes:4 ~replication:3
+    ~xenic:{ Xenic_system.default_params with features; cache_capacity = 256 }
+    ~store_cfg ~buckets stack
 
-let mk_rdma ?(nodes = 4) ?(replication = 3) flavor buckets =
-  let engine = Engine.create () in
-  let cfg = Config.make ~nodes ~replication in
-  let p = { Rdma_system.default_params with buckets } in
-  System.of_rdma (Rdma_system.create engine hw cfg flavor p)
+let mk_sb =
+  mk ~store_cfg:(Smallbank.store_cfg sb_params)
+    ~buckets:(Smallbank.chained_buckets sb_params)
+
+let mk_rw =
+  mk ~store_cfg:(Retwis.store_cfg rw_params)
+    ~buckets:(Retwis.chained_buckets rw_params)
 
 (* Money conservation: concurrent transfers must preserve the total. *)
 let test_conservation sys () =
@@ -51,7 +40,7 @@ let test_conservation sys () =
 (* Replication consistency: after quiesce, every replica of every shard
    holds the same account totals. *)
 let test_replica_consistency () =
-  let sys = mk_xenic (Smallbank.store_cfg sb_params) in
+  let sys = mk_sb System.Xenic in
   Smallbank.load sb_params sys;
   let nodes = sys.System.cfg.Config.nodes in
   let spec = Smallbank.spec sb_params ~nodes in
@@ -103,7 +92,7 @@ let test_mix_progress sys () =
 
 (* Retwis mix on Xenic: read-only transactions commit, counters move. *)
 let test_retwis_mix () =
-  let sys = mk_xenic (Retwis.store_cfg rw_params) in
+  let sys = mk_rw System.Xenic in
   Retwis.load rw_params sys;
   let nodes = sys.System.cfg.Config.nodes in
   let spec = Retwis.spec rw_params ~nodes in
@@ -115,7 +104,7 @@ let test_retwis_mix () =
    must be exercised by the transfer workload — and all of them must
    conserve money (checked by test_conservation). *)
 let test_all_paths_taken () =
-  let sys = mk_xenic (Smallbank.store_cfg sb_params) in
+  let sys = mk_sb System.Xenic in
   Smallbank.load sb_params sys;
   let spec = Smallbank.transfer_spec sb_params ~nodes:sys.System.cfg.Config.nodes in
   ignore (Driver.run sys spec ~concurrency:8 ~target:800);
@@ -189,7 +178,7 @@ let test_multishot sys () =
 let test_ablation_safety () =
   List.iter
     (fun (name, features) ->
-      let sys = mk_xenic ~features (Smallbank.store_cfg sb_params) in
+      let sys = mk_sb ~features System.Xenic in
       Smallbank.load sb_params sys;
       let before = Smallbank.total_money sb_params sys in
       let spec =
@@ -213,9 +202,9 @@ let test_xenic_wins () =
     let spec = Smallbank.spec sb_params ~nodes:sys.System.cfg.Config.nodes in
     (Driver.run sys spec ~concurrency:16 ~target:1200).Driver.tput_per_server
   in
-  let xenic = run (mk_xenic (Smallbank.store_cfg sb_params)) in
+  let xenic = run (mk_sb System.Xenic) in
   let drtmh =
-    run (mk_rdma Rdma_system.Drtmh (Smallbank.chained_buckets sb_params))
+    run (mk_sb System.Drtmh)
   in
   Alcotest.(check bool)
     (Printf.sprintf "Xenic (%.0f) > DrTM+H (%.0f)" xenic drtmh)
@@ -234,32 +223,25 @@ let system_cases name ~mk_sb ~mk_rw =
   ]
 
 let () =
-  let sb_store = Smallbank.store_cfg sb_params in
-  let sb_buckets = Smallbank.chained_buckets sb_params in
-  let rw_buckets = Retwis.chained_buckets rw_params in
-  let rdma_cases name flavor =
-    ( name,
-      system_cases name
-        ~mk_sb:(fun () -> mk_rdma flavor sb_buckets)
-        ~mk_rw:(fun () -> mk_rdma flavor rw_buckets) )
+  let xenic_only =
+    [
+      Alcotest.test_case "replica consistency" `Quick test_replica_consistency;
+      Alcotest.test_case "retwis mix" `Quick test_retwis_mix;
+      Alcotest.test_case "all commit paths" `Quick test_all_paths_taken;
+      Alcotest.test_case "ablation safety" `Quick test_ablation_safety;
+      Alcotest.test_case "beats DrTM+H" `Quick test_xenic_wins;
+    ]
   in
   Alcotest.run "xenic_e2e"
-    [
-      ( "xenic",
-        system_cases "xenic"
-          ~mk_sb:(fun () -> mk_xenic sb_store)
-          ~mk_rw:(fun () -> mk_xenic (Retwis.store_cfg rw_params))
-        @ [
-            Alcotest.test_case "replica consistency" `Quick
-              test_replica_consistency;
-            Alcotest.test_case "retwis mix" `Quick test_retwis_mix;
-            Alcotest.test_case "all commit paths" `Quick test_all_paths_taken;
-            Alcotest.test_case "ablation safety" `Quick test_ablation_safety;
-            Alcotest.test_case "beats DrTM+H" `Quick test_xenic_wins;
-          ] );
-      rdma_cases "farm" Rdma_system.Farm;
-      rdma_cases "drtmh" Rdma_system.Drtmh;
-      rdma_cases "drtmh_nc" Rdma_system.Drtmh_nc;
-      rdma_cases "fasst" Rdma_system.Fasst;
-      rdma_cases "drtmr" Rdma_system.Drtmr;
-    ]
+    (List.map
+       (fun stack ->
+         (* Test names spell drtmh-nc as drtmh_nc. *)
+         let name =
+           String.map (function '-' -> '_' | c -> c) (System.stack_name stack)
+         in
+         ( name,
+           system_cases name
+             ~mk_sb:(fun () -> mk_sb stack)
+             ~mk_rw:(fun () -> mk_rw stack)
+           @ if stack = System.Xenic then xenic_only else [] ))
+       System.stacks)

@@ -14,12 +14,9 @@
    require the whole history to be serializable under [Oracle.check]
    and every seed to reproduce bit for bit. *)
 
-open Xenic_sim
 open Xenic_cluster
 open Xenic_proto
 open Xenic_workload
-
-let hw = Xenic_params.Hw.testbed
 
 let sb_params = { Smallbank.default_params with accounts_per_node = 500 }
 
@@ -31,33 +28,15 @@ let tpcc_params =
     items = 200;
   }
 
-let mk_xenic ~store_cfg ~cache_capacity () =
-  let engine = Engine.create ~strict:true () in
-  let cfg = Config.make ~nodes:4 ~replication:3 in
-  let segments, seg_size, d_max = store_cfg in
-  let p =
-    {
-      Xenic_system.default_params with
-      segments;
-      seg_size;
-      d_max;
-      cache_capacity;
-      armed = true;
-    }
-  in
-  System.of_xenic (Xenic_system.create engine hw cfg p)
+(* A stack on a strict engine, armed unless [armed = false]. *)
+let mk ?(armed = true) ~store_cfg ~buckets ~cache_capacity stack () =
+  System.create ~strict:true ~armed ~nodes:4 ~replication:3
+    ~xenic:{ Xenic_system.default_params with cache_capacity }
+    ~store_cfg ~buckets stack
 
-let mk_rdma flavor () =
-  let engine = Engine.create ~strict:true () in
-  let cfg = Config.make ~nodes:4 ~replication:3 in
-  let p =
-    {
-      Rdma_system.default_params with
-      buckets = Smallbank.chained_buckets sb_params;
-      armed = true;
-    }
-  in
-  System.of_rdma (Rdma_system.create engine hw cfg flavor p)
+let mk_smallbank =
+  mk ~store_cfg:(Smallbank.store_cfg sb_params)
+    ~buckets:(Smallbank.chained_buckets sb_params) ~cache_capacity:256
 
 let counter sys name =
   match
@@ -140,8 +119,7 @@ let sb_spec sys = Smallbank.spec sb_params ~nodes:sys.System.cfg.Config.nodes
 let test_xenic_smallbank_fault () =
   let digests =
     sweep
-      ~mk:(mk_xenic ~store_cfg:(Smallbank.store_cfg sb_params)
-             ~cache_capacity:256)
+      ~mk:(mk_smallbank System.Xenic)
       ~load:(Smallbank.load sb_params) ~spec_of:sb_spec ~concurrency:8
       ~target:600
       ~crash:(100_000.0, 2)
@@ -153,37 +131,24 @@ let test_xenic_smallbank_fault () =
 let test_xenic_tpcc_fault () =
   ignore
     (sweep
-       ~mk:(mk_xenic ~store_cfg:(Tpcc.store_cfg tpcc_params)
-              ~cache_capacity:8192)
+       ~mk:
+         (mk ~store_cfg:(Tpcc.store_cfg tpcc_params)
+            ~buckets:(Tpcc.chained_buckets tpcc_params) ~cache_capacity:8192
+            System.Xenic)
        ~load:(Tpcc.load tpcc_params)
        ~spec_of:(fun sys -> Tpcc.spec tpcc_params sys)
        ~concurrency:6 ~target:400
        ~crash:(150_000.0, 1)
        [ 1L; 2L ])
 
-let test_rdma_fault flavor () =
+let test_rdma_fault stack () =
   ignore
-    (sweep ~mk:(mk_rdma flavor) ~load:(Smallbank.load sb_params)
+    (sweep ~mk:(mk_smallbank stack) ~load:(Smallbank.load sb_params)
        ~spec_of:sb_spec ~concurrency:8 ~target:400
        ~crash:(80_000.0, 2)
        [ 1L; 2L ])
 
 (* {2 Driver measurement-window fixes (no faults involved)} *)
-
-let mk_plain () =
-  let engine = Engine.create ~strict:true () in
-  let cfg = Config.make ~nodes:4 ~replication:3 in
-  let segments, seg_size, d_max = Smallbank.store_cfg sb_params in
-  let p =
-    {
-      Xenic_system.default_params with
-      segments;
-      seg_size;
-      d_max;
-      cache_capacity = 256;
-    }
-  in
-  System.of_xenic (Xenic_system.create engine hw cfg p)
 
 (* warmup >= every commit the run makes (warmup_frac 2.0 outruns even
    the closed loop's in-flight overshoot past [target]): the
@@ -191,7 +156,7 @@ let mk_plain () =
    zero throughput over a zero-length window — instead of the old
    behavior of dividing by a fabricated 1ns. *)
 let test_driver_empty_window () =
-  let sys = mk_plain () in
+  let sys = mk_smallbank ~armed:false System.Xenic () in
   Smallbank.load sb_params sys;
   let result =
     Driver.run ~warmup_frac:2.0 sys (sb_spec sys) ~concurrency:4 ~target:50
@@ -205,7 +170,7 @@ let test_driver_empty_window () =
 (* A crash scheduled before the run starts is refused by the injection
    path itself, before any event is scheduled. *)
 let test_driver_negative_fault_time () =
-  let sys = mk_plain () in
+  let sys = mk_smallbank ~armed:false System.Xenic () in
   Smallbank.load sb_params sys;
   Alcotest.check_raises "negative fault time rejected"
     (Invalid_argument "scenario crash: event time -1: must be >= 0")
@@ -221,9 +186,9 @@ let () =
           Alcotest.test_case "xenic tpcc (2 seeds)" `Quick
             test_xenic_tpcc_fault;
           Alcotest.test_case "fasst smallbank" `Quick
-            (test_rdma_fault Rdma_system.Fasst);
+            (test_rdma_fault System.Fasst);
           Alcotest.test_case "drtmr smallbank" `Quick
-            (test_rdma_fault Rdma_system.Drtmr);
+            (test_rdma_fault System.Drtmr);
         ] );
       ( "driver window",
         [

@@ -5,13 +5,10 @@
    Smallbank and TPC-C, and the BENCH json diff regression gate. *)
 
 open Xenic_sim
-open Xenic_cluster
 open Xenic_proto
 open Xenic_workload
 module Profile = Xenic_profile.Profile
 module Bench_diff = Xenic_profile.Bench_diff
-
-let hw = Xenic_params.Hw.testbed
 
 (* ------------------------------------------------------------------ *)
 (* Resource accounting: hand-computed FIFO contention. *)
@@ -75,37 +72,19 @@ let test_accounting_gated () =
 (* ------------------------------------------------------------------ *)
 (* Full-driver profiled runs. *)
 
-let mk_xenic () =
-  let engine = Engine.create () in
-  let cfg = Config.make ~nodes:4 ~replication:3 in
-  let p = { Smallbank.default_params with accounts_per_node = 50 } in
-  let segments, seg_size, d_max = Smallbank.store_cfg p in
-  ( System.of_xenic
-      (Xenic_system.create engine hw cfg
-         {
-           Xenic_system.default_params with
-           segments;
-           seg_size;
-           d_max;
-           cache_capacity = 512;
-         }),
-    p )
+let sb_params = { Smallbank.default_params with accounts_per_node = 50 }
 
-let mk_rdma flavor () =
-  let engine = Engine.create () in
-  let cfg = Config.make ~nodes:4 ~replication:3 in
-  let p = { Smallbank.default_params with accounts_per_node = 50 } in
-  ( System.of_rdma
-      (Rdma_system.create engine hw cfg flavor
-         { Rdma_system.default_params with buckets = Smallbank.chained_buckets p }),
-    p )
-
-let profiled_run mk =
-  let sys, p = mk () in
-  Smallbank.load p sys;
+let profiled_run stack =
+  let sys =
+    System.create ~nodes:4 ~replication:3
+      ~xenic:{ Xenic_system.default_params with cache_capacity = 512 }
+      ~store_cfg:(Smallbank.store_cfg sb_params)
+      ~buckets:(Smallbank.chained_buckets sb_params) stack
+  in
+  Smallbank.load sb_params sys;
   let result =
     Driver.run ~seed:11L ~profile:true sys
-      (Smallbank.spec p ~nodes:4)
+      (Smallbank.spec sb_params ~nodes:4)
       ~concurrency:8 ~target:300
   in
   match result.Driver.profile with
@@ -121,19 +100,9 @@ let profiled_tpcc_run () =
       items = 200;
     }
   in
-  let engine = Engine.create () in
-  let cfg = Config.make ~nodes:4 ~replication:3 in
-  let segments, seg_size, d_max = Tpcc.store_cfg tp in
   let sys =
-    System.of_xenic
-      (Xenic_system.create engine hw cfg
-         {
-           Xenic_system.default_params with
-           segments;
-           seg_size;
-           d_max;
-           cache_capacity = 4096;
-         })
+    System.create ~nodes:4 ~replication:3 ~store_cfg:(Tpcc.store_cfg tp)
+      ~buckets:(Tpcc.chained_buckets tp) System.Xenic
   in
   Tpcc.load tp sys;
   let result =
@@ -144,9 +113,9 @@ let profiled_tpcc_run () =
   | Some prof -> prof
   | None -> Alcotest.fail "profiled run returned no profile"
 
-let test_profile_deterministic mk () =
-  let p1 = profiled_run mk in
-  let p2 = profiled_run mk in
+let test_profile_deterministic stack () =
+  let p1 = profiled_run stack in
+  let p2 = profiled_run stack in
   Alcotest.(check bool) "rows nonempty" true (p1.Profile.rows <> []);
   Alcotest.(check bool) "paths nonempty" true (p1.Profile.paths <> []);
   Alcotest.(check string) "report byte-identical" (Profile.report p1)
@@ -173,7 +142,8 @@ let check_accounting prof =
         true (rel <= 1e-6))
     (Profile.little_check prof)
 
-let test_accounting_agreement mk () = check_accounting (profiled_run mk)
+let test_accounting_agreement stack () =
+  check_accounting (profiled_run stack)
 
 (* Critical-path segments partition the outer span by construction;
    the 0.5ns bar only allows float summation noise. *)
@@ -192,14 +162,14 @@ let check_path_closure prof =
     (Printf.sprintf "max |dur - seg sum| = %gns within 0.5ns" residual)
     true (residual <= 0.5)
 
-let test_path_closure mk () = check_path_closure (profiled_run mk)
+let test_path_closure stack () = check_path_closure (profiled_run stack)
 
 let test_path_closure_tpcc () = check_path_closure (profiled_tpcc_run ())
 
 (* Folded output: sorted lines of exactly six ;-frames plus a positive
    integer weight — the contract flamegraph renderers rely on. *)
 let test_folded_format () =
-  let prof = profiled_run mk_xenic in
+  let prof = profiled_run System.Xenic in
   let lines =
     List.filter
       (fun l -> l <> "")
@@ -349,16 +319,6 @@ let test_diff_parse_bad_type () =
         true
         (contains e "xenic tput")
 
-let all_stacks =
-  [
-    ("xenic", mk_xenic);
-    ("drtmh", mk_rdma Rdma_system.Drtmh);
-    ("drtmh-nc", mk_rdma Rdma_system.Drtmh_nc);
-    ("fasst", mk_rdma Rdma_system.Fasst);
-    ("drtmr", mk_rdma Rdma_system.Drtmr);
-    ("farm", mk_rdma Rdma_system.Farm);
-  ]
-
 let () =
   Alcotest.run "xenic_profile"
     [
@@ -369,20 +329,23 @@ let () =
         ] );
       ( "determinism",
         List.map
-          (fun (name, mk) ->
-            Alcotest.test_case name `Quick (test_profile_deterministic mk))
-          all_stacks );
+          (fun stack ->
+            Alcotest.test_case (System.stack_name stack) `Quick
+              (test_profile_deterministic stack))
+          System.stacks );
       ( "accounting",
         [
-          Alcotest.test_case "xenic" `Quick (test_accounting_agreement mk_xenic);
+          Alcotest.test_case "xenic" `Quick
+            (test_accounting_agreement System.Xenic);
           Alcotest.test_case "drtmh" `Quick
-            (test_accounting_agreement (mk_rdma Rdma_system.Drtmh));
+            (test_accounting_agreement System.Drtmh);
         ] );
       ( "critical-path",
         [
-          Alcotest.test_case "smallbank xenic" `Quick (test_path_closure mk_xenic);
+          Alcotest.test_case "smallbank xenic" `Quick
+            (test_path_closure System.Xenic);
           Alcotest.test_case "smallbank drtmh" `Quick
-            (test_path_closure (mk_rdma Rdma_system.Drtmh));
+            (test_path_closure System.Drtmh);
           Alcotest.test_case "tpcc xenic" `Quick test_path_closure_tpcc;
         ] );
       ( "folded",

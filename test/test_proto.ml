@@ -204,20 +204,82 @@ let test_admission_invalid () =
    membership) and tracing are refused up front — on both stacks. *)
 let windowed_cfg = Config.make ~nodes:4 ~replication:3
 
-let windowed_xenic armed =
-  Xenic_system.create (Xenic_sim.Engine.create ()) Xenic_params.Hw.testbed
-    windowed_cfg
-    { Xenic_system.default_params with partitions = 2; armed }
+(* Any stack through the builder, on [windowed_cfg], at the default
+   store sizes. *)
+let build ?strict ?armed ?partitions stack =
+  let d = Xenic_system.default_params in
+  System.create ?strict ?armed ?partitions ~nodes:windowed_cfg.nodes
+    ~replication:windowed_cfg.replication
+    ~store_cfg:(d.segments, d.seg_size, d.d_max)
+    ~buckets:Rdma_system.default_params.buckets stack
 
-let windowed_drtmh armed =
-  Rdma_system.create (Xenic_sim.Engine.create ()) Xenic_params.Hw.testbed
-    windowed_cfg Rdma_system.Drtmh
-    { Rdma_system.default_params with partitions = 2; armed }
+(* Each stack's command-line name parses back to it; nothing else
+   parses. *)
+let test_stack_names () =
+  let stack_t = Alcotest.testable (Fmt.of_to_string System.stack_name) ( = ) in
+  List.iter
+    (fun stack ->
+      Alcotest.(check (option stack_t))
+        (System.stack_name stack) (Some stack)
+        (System.stack_of_string (System.stack_name stack)))
+    System.stacks;
+  Alcotest.(check int) "six distinct names" 6
+    (List.length
+       (List.sort_uniq String.compare (List.map System.stack_name System.stacks)));
+  List.iter
+    (fun name ->
+      Alcotest.(check (option stack_t)) name None (System.stack_of_string name))
+    [ ""; "Xenic"; "drtmh_nc"; "DrTM+H"; "rdma"; "farm " ]
+
+(* [System.create] builds the named stack over the requested cluster,
+   passes [armed] and [partitions] through to its params, and keeps
+   the base params' values when they are not given. *)
+let test_create_stacks () =
+  List.iter2
+    (fun stack name ->
+      let sys = build stack in
+      Alcotest.(check string) (name ^ ": name") name sys.System.name;
+      Alcotest.(check int) (name ^ ": nodes") 4 sys.System.cfg.Config.nodes;
+      Alcotest.(check bool) (name ^ ": un-armed by default") true
+        (Option.is_none sys.System.control.Control.membership);
+      Alcotest.(check int) (name ^ ": single-heap by default") 0
+        (Xenic_sim.Engine.partitions sys.System.engine);
+      let small =
+        System.create ~nodes:5 ~replication:2 ~armed:true ~store_cfg:(8, 64, None)
+          ~buckets:64 stack
+      in
+      Alcotest.(check int) (name ^ ": 5 nodes") 5 small.System.cfg.Config.nodes;
+      Alcotest.(check int) (name ^ ": replication 2") 2
+        small.System.cfg.Config.replication;
+      Alcotest.(check bool) (name ^ ": armed") true
+        (Option.is_some small.System.control.Control.membership);
+      Control.stop_background small.System.control;
+      Alcotest.(check int) (name ^ ": 2 partitions") 2
+        (Xenic_sim.Engine.partitions (build ~partitions:2 stack).System.engine);
+      let base_armed =
+        match stack with
+        | System.Xenic ->
+            System.create ~nodes:4 ~replication:3
+              ~xenic:{ Xenic_system.default_params with armed = true }
+              ~store_cfg:(8, 64, None) ~buckets:64 stack
+        | _ ->
+            System.create ~nodes:4 ~replication:3
+              ~rdma:{ Rdma_system.default_params with armed = true }
+              ~store_cfg:(8, 64, None) ~buckets:64 stack
+      in
+      Alcotest.(check bool) (name ^ ": armed base params") true
+        (Option.is_some base_armed.System.control.Control.membership);
+      Control.stop_background base_armed.System.control)
+    System.stacks
+    [ "Xenic"; "DrTM+H"; "DrTM+H (NC)"; "FaSST"; "DrTM+R"; "FaRM" ]
 
 let test_windowed_rejects_armed () =
   let err = Invalid_argument "Control.create: a windowed system cannot be armed" in
-  Alcotest.check_raises "xenic" err (fun () -> ignore (windowed_xenic true));
-  Alcotest.check_raises "drtmh" err (fun () -> ignore (windowed_drtmh true))
+  List.iter
+    (fun stack ->
+      Alcotest.check_raises (System.stack_name stack) err (fun () ->
+          ignore (build ~armed:true ~partitions:2 stack)))
+    System.stacks
 
 let test_windowed_rejects_trace () =
   let err =
@@ -230,10 +292,10 @@ let test_windowed_rejects_trace () =
           Control.set_trace ctl (Some trace));
       (* Detaching stays legal. *)
       Control.set_trace ctl None)
-    [
-      ("xenic", Xenic_system.control (windowed_xenic false));
-      ("drtmh", Rdma_system.control (windowed_drtmh false));
-    ]
+    (List.map
+       (fun stack ->
+         (System.stack_name stack, (build ~partitions:2 stack).System.control))
+       System.stacks)
 
 (* {2 The shared commit point and audit, with fake transports} *)
 
@@ -356,41 +418,17 @@ let check_armed_membership name ~armed:ctl ~unarmed =
   Alcotest.(check bool) (name ^ ": un-armed has no membership") true
     (Option.is_none unarmed.Control.membership)
 
-let test_armed_xenic () =
-  let mk armed =
-    Xenic_system.control
-      (Xenic_system.create (Xenic_sim.Engine.create ()) Xenic_params.Hw.testbed
-         windowed_cfg { Xenic_system.default_params with armed })
-  in
-  check_armed_membership "xenic" ~armed:(mk true) ~unarmed:(mk false)
-
-let test_armed_drtmh () =
-  let mk armed =
-    Rdma_system.control
-      (Rdma_system.create (Xenic_sim.Engine.create ()) Xenic_params.Hw.testbed
-         windowed_cfg Rdma_system.Drtmh
-         { Rdma_system.default_params with armed })
-  in
-  check_armed_membership "drtmh" ~armed:(mk true) ~unarmed:(mk false)
+let test_armed stack () =
+  let mk armed = (build ~armed stack).System.control in
+  check_armed_membership (System.stack_name stack) ~armed:(mk true)
+    ~unarmed:(mk false)
 
 (* The remaining RDMA flavors share DrTM+H's create, but each must
    still arm on its own switch. *)
 let test_armed_other_flavors () =
   List.iter
-    (fun (name, flavor) ->
-      let mk armed =
-        Rdma_system.control
-          (Rdma_system.create (Xenic_sim.Engine.create ())
-             Xenic_params.Hw.testbed windowed_cfg flavor
-             { Rdma_system.default_params with armed })
-      in
-      check_armed_membership name ~armed:(mk true) ~unarmed:(mk false))
-    [
-      ("drtmh-nc", Rdma_system.Drtmh_nc);
-      ("fasst", Rdma_system.Fasst);
-      ("drtmr", Rdma_system.Drtmr);
-      ("farm", Rdma_system.Farm);
-    ]
+    (fun stack -> test_armed stack ())
+    System.[ Drtmh_nc; Fasst; Drtmr; Farm ]
 
 let test_audit () =
   let engine, ctl = mk_control () in
@@ -427,13 +465,7 @@ let test_audit () =
    not check. *)
 let test_drain () =
   let sys ~strict =
-    let engine = Xenic_sim.Engine.create ~strict () in
-    let s =
-      System.of_xenic
-        (Xenic_system.create engine Xenic_params.Hw.testbed windowed_cfg
-           Xenic_system.default_params)
-    in
-    { s with System.audit = (fun () -> [ "leak" ]) }
+    { (build ~strict System.Xenic) with System.audit = (fun () -> [ "leak" ]) }
   in
   Alcotest.check_raises "strict: fails naming the caller"
     (Failure "Driver.run (w): 1 sanitizer violation(s):\nleak") (fun () ->
@@ -673,20 +705,14 @@ let test_call_late_response () =
 
 (* {2 Bulk load: one insert pass per shard, cloned at seal} *)
 
-let mk_xenic ?(params = Xenic_system.default_params) () =
-  Xenic_system.create (Xenic_sim.Engine.create ()) Xenic_params.Hw.testbed
-    windowed_cfg params
-
-let mk_rdma ?(params = Rdma_system.default_params) flavor =
-  Rdma_system.create (Xenic_sim.Engine.create ()) Xenic_params.Hw.testbed
-    windowed_cfg flavor params
-
 (* Skipping [seal] would leave the backups empty, so both entry points
    refuse to run until it has; after it, a write commits and reaches
    every replica. *)
 let test_load_without_seal () =
   List.iter
-    (fun (stack, (sys : System.t)) ->
+    (fun stack ->
+      let sys = build stack in
+      let stack = sys.name in
       let key = k ~shard:1 ~id:7 in
       sys.load key (Bytes.of_string "v");
       let txn =
@@ -712,10 +738,7 @@ let test_load_without_seal () =
             (Some "w")
             (Option.map Bytes.to_string (sys.peek ~node key)))
         (Config.replicas windowed_cfg ~shard:1))
-    [
-      ("Xenic", System.of_xenic (mk_xenic ()));
-      ("DrTM+H", System.of_rdma (mk_rdma Rdma_system.Drtmh));
-    ]
+    System.[ Xenic; Drtmh ]
 
 (* A small Smallbank load, dense enough that Robinhood overflows and
    chains grow: 2000 keys per shard in 36 x 64 Robinhood slots with
@@ -810,15 +833,14 @@ let check_replicas stack ~nodes ~reference ~dump ~write =
 
 let test_replica_equivalence_xenic () =
   let x =
-    mk_xenic
-      ~params:
-        {
-          Xenic_system.default_params with
-          segments = rh_segments;
-          seg_size = rh_seg_size;
-          d_max = rh_d_max;
-        }
-      ()
+    Xenic_system.create (Xenic_sim.Engine.create ()) Xenic_params.Hw.testbed
+      windowed_cfg
+      {
+        Xenic_system.default_params with
+        segments = rh_segments;
+        seg_size = rh_seg_size;
+        d_max = rh_d_max;
+      }
   in
   let loads = recorded_load (System.of_xenic x) in
   let keys ~shard = List.map fst (shard_loads loads ~shard) in
@@ -858,7 +880,10 @@ let test_replica_equivalence_xenic () =
 let test_replica_equivalence_rdma () =
   List.iter
     (fun flavor ->
-      let r = mk_rdma ~params:rdma_params flavor in
+      let r =
+        Rdma_system.create (Xenic_sim.Engine.create ()) Xenic_params.Hw.testbed
+          windowed_cfg flavor rdma_params
+      in
       let stack = Rdma_system.flavor_name flavor in
       let loads = recorded_load (System.of_rdma r) in
       let keys ~shard = List.map fst (shard_loads loads ~shard) in
@@ -936,9 +961,9 @@ let test_replica_equivalence_rdma () =
    ordered key must still be the one every replica keeps. *)
 let test_rdma_backup_ordered_stamp_order () =
   List.iter
-    (fun flavor ->
-      let sys = System.of_rdma (mk_rdma flavor) in
-      let stack = Rdma_system.flavor_name flavor in
+    (fun stack ->
+      let sys = build stack in
+      let stack = sys.name in
       let ok id = Keyspace.make ~shard:1 ~table:1 ~ordered:true ~id in
       let target = ok 0 in
       sys.load target (Bytes.of_string "loaded");
@@ -973,13 +998,7 @@ let test_rdma_backup_ordered_stamp_order () =
             (Some "late")
             (Option.map Bytes.to_string (sys.peek ~node target)))
         (Config.replicas windowed_cfg ~shard:1))
-    [
-      Rdma_system.Drtmh;
-      Rdma_system.Drtmh_nc;
-      Rdma_system.Fasst;
-      Rdma_system.Drtmr;
-      Rdma_system.Farm;
-    ]
+    System.[ Drtmh; Drtmh_nc; Fasst; Drtmr; Farm ]
 
 (* The dispatch loop delivers each message under the context it
    carries: a request's handler in a process of its own, a reply in the
@@ -1022,10 +1041,7 @@ let test_dispatch_reply_outside_process () =
    new primary's first COMMIT below its 61st backup-log record and drop
    it, while the remaining backup applies it. *)
 let test_promoted_primary_ordered_write () =
-  let x =
-    mk_xenic ~params:{ Xenic_system.default_params with armed = true } ()
-  in
-  let sys = System.of_xenic x in
+  let sys = build ~armed:true System.Xenic in
   let engine = sys.engine in
   let target = Keyspace.make ~shard:1 ~table:1 ~ordered:true ~id:0 in
   sys.load target (Bytes.of_string "loaded");
@@ -1085,6 +1101,13 @@ let () =
           Alcotest.test_case "unlimited" `Quick test_admission_unlimited;
           Alcotest.test_case "invalid configs" `Quick test_admission_invalid;
         ] );
+      ( "builder",
+        [
+          Alcotest.test_case "stack names round-trip" `Quick
+            test_stack_names;
+          Alcotest.test_case "create on every stack" `Quick
+            test_create_stacks;
+        ] );
       ( "windowed contract",
         [
           Alcotest.test_case "armed create rejected" `Quick
@@ -1094,9 +1117,9 @@ let () =
       ( "armed",
         [
           Alcotest.test_case "xenic starts its membership" `Quick
-            test_armed_xenic;
+            (test_armed System.Xenic);
           Alcotest.test_case "drtmh starts its membership" `Quick
-            test_armed_drtmh;
+            (test_armed System.Drtmh);
           Alcotest.test_case "other rdma flavors start their membership"
             `Quick test_armed_other_flavors;
         ] );

@@ -13,6 +13,7 @@
 
 open Xenic_sim
 open Xenic_cluster
+open Xenic_proto
 open Xenic_scenario
 
 let scenario_path name = Filename.concat "scenarios" (name ^ ".scn")
@@ -185,7 +186,7 @@ let run_corpus ?concurrency ?target ~stacks ~seeds name =
             let o = Harness.run ?concurrency ?target ~stack ~seed scn in
             Alcotest.(check bool)
               (Printf.sprintf "%s/%s seed %Ld: progress" name
-                 (Harness.stack_name stack) seed)
+                 (System.stack_name stack) seed)
               true (o.Harness.committed > 0);
             o.Harness.digest)
           seeds
@@ -196,41 +197,41 @@ let run_corpus ?concurrency ?target ~stacks ~seeds name =
       in
       Alcotest.(check string)
         (Printf.sprintf "%s/%s seed %Ld reproduces bit-identically" name
-           (Harness.stack_name stack) (List.hd seeds))
+           (System.stack_name stack) (List.hd seeds))
         (List.hd digests) again)
     stacks
 
 let test_crash_corpus () =
-  run_corpus ~stacks:[ Harness.Xenic ] ~seeds:[ 1L; 2L ] "crash-single";
-  run_corpus ~stacks:[ Harness.Fasst ] ~seeds:[ 1L ] ~target:400 "crash-single";
-  run_corpus ~stacks:[ Harness.Xenic ] ~seeds:[ 1L; 2L ] "crash-gray"
+  run_corpus ~stacks:[ System.Xenic ] ~seeds:[ 1L; 2L ] "crash-single";
+  run_corpus ~stacks:[ System.Fasst ] ~seeds:[ 1L ] ~target:400 "crash-single";
+  run_corpus ~stacks:[ System.Xenic ] ~seeds:[ 1L; 2L ] "crash-gray"
 
 let test_churn_corpus () =
-  run_corpus ~stacks:[ Harness.Xenic ] ~seeds:[ 1L; 2L ] ~target:500 "churn"
+  run_corpus ~stacks:[ System.Xenic ] ~seeds:[ 1L; 2L ] ~target:500 "churn"
 
 let test_partition_corpus () =
-  run_corpus ~stacks:[ Harness.Xenic ] ~seeds:[ 1L; 2L ] "partition-heal";
-  run_corpus ~stacks:[ Harness.Xenic; Harness.Drtmh ] ~seeds:[ 1L ]
+  run_corpus ~stacks:[ System.Xenic ] ~seeds:[ 1L; 2L ] "partition-heal";
+  run_corpus ~stacks:[ System.Xenic; System.Drtmh ] ~seeds:[ 1L ]
     "partition-asym"
 
 let test_gray_sweep_all_stacks () =
   (* Satellite: lossy links and slow NICs on all six stacks, two seeds
      each, oracle + sanitizer + same-seed reproducibility (inside
      run_corpus). *)
-  run_corpus ~stacks:Harness.all_stacks ~seeds:[ 3L; 4L ] ~target:200
+  run_corpus ~stacks:System.stacks ~seeds:[ 3L; 4L ] ~target:200
     "lossy-links";
-  run_corpus ~stacks:Harness.all_stacks ~seeds:[ 3L; 4L ] ~target:200
+  run_corpus ~stacks:System.stacks ~seeds:[ 3L; 4L ] ~target:200
     "slow-nic"
 
 let test_gray_mix_corpus () =
-  run_corpus ~stacks:[ Harness.Xenic; Harness.Farm ] ~seeds:[ 1L; 2L ]
+  run_corpus ~stacks:[ System.Xenic; System.Farm ] ~seeds:[ 1L; 2L ]
     ~target:250 "gray-mix";
-  run_corpus ~stacks:[ Harness.Xenic ] ~seeds:[ 1L ] "degraded-cores"
+  run_corpus ~stacks:[ System.Xenic ] ~seeds:[ 1L ] "degraded-cores"
 
 let test_openloop_corpus () =
-  run_corpus ~stacks:[ Harness.Xenic; Harness.Fasst ] ~seeds:[ 11L ]
+  run_corpus ~stacks:[ System.Xenic; System.Fasst ] ~seeds:[ 11L ]
     "skew-shift";
-  run_corpus ~stacks:[ Harness.Xenic ] ~seeds:[ 11L; 12L ] "tenant-wave"
+  run_corpus ~stacks:[ System.Xenic ] ~seeds:[ 11L; 12L ] "tenant-wave"
 
 let test_domain_parity ~stack ~seed name () =
   (* An open-loop scenario digests identically on a 1-domain and a
@@ -310,13 +311,13 @@ let test_system_flap_rejoin () =
      replica repair) and the run stays serializable — plus the
      bit-reproducibility run_corpus already adds. *)
   let scn = load "crash-flap" in
-  let o = Harness.run ~stack:Harness.Xenic ~seed:1L ~target:400 scn in
+  let o = Harness.run ~stack:System.Xenic ~seed:1L ~target:400 scn in
   Alcotest.(check bool) "progress" true (o.Harness.committed > 0);
   Alcotest.(check bool) "crash recorded" true
     (Harness.counter o "node_crashes" >= 1.0);
   Alcotest.(check bool) "rejoin ran" true
     (Harness.counter o "node_rejoins" >= 1.0);
-  run_corpus ~stacks:[ Harness.Xenic ] ~seeds:[ 1L; 2L ] ~target:400
+  run_corpus ~stacks:[ System.Xenic ] ~seeds:[ 1L; 2L ] ~target:400
     "crash-flap"
 
 let test_system_flap_refused_on_rdma () =
@@ -324,7 +325,7 @@ let test_system_flap_refused_on_rdma () =
      node's locks cannot be reconciled, so rejoin is always refused
      (counted) and declaration takes its course. *)
   let scn = load "crash-flap" in
-  let o = Harness.run ~stack:Harness.Fasst ~seed:1L ~target:400 scn in
+  let o = Harness.run ~stack:System.Fasst ~seed:1L ~target:400 scn in
   Alcotest.(check bool) "progress" true (o.Harness.committed > 0);
   Alcotest.(check bool) "rejoin refused" true
     (Harness.counter o "rejoin_refused" >= 1.0);
@@ -356,7 +357,7 @@ let test_fuzz_runs_clean () =
   List.iter
     (fun seed ->
       let scn = Fuzz.generate ~seed bounds in
-      let o = Harness.run ~stack:Harness.Xenic ~seed ~target:200 scn in
+      let o = Harness.run ~stack:System.Xenic ~seed ~target:200 scn in
       Alcotest.(check bool)
         (Printf.sprintf "fuzz %Ld progressed" seed)
         true (o.Harness.committed > 0))
@@ -437,10 +438,10 @@ let () =
             test_gray_mix_corpus;
           Alcotest.test_case "open-loop scenarios" `Quick test_openloop_corpus;
           Alcotest.test_case "1-vs-2-domain digest parity" `Quick
-            (test_domain_parity ~stack:Harness.Xenic ~seed:11L "skew-shift");
+            (test_domain_parity ~stack:System.Xenic ~seed:11L "skew-shift");
           Alcotest.test_case "1-vs-2-domain digest parity, farm tenant-wave"
             `Quick
-            (test_domain_parity ~stack:Harness.Farm ~seed:12L "tenant-wave");
+            (test_domain_parity ~stack:System.Farm ~seed:12L "tenant-wave");
         ] );
       ( "flap",
         [

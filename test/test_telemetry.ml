@@ -6,14 +6,11 @@
    synthetic rollups. *)
 
 open Xenic_sim
-open Xenic_cluster
 open Xenic_proto
 open Xenic_workload
 module Telemetry = Xenic_telemetry.Telemetry
 module Detect = Xenic_telemetry.Detect
 module Histogram = Xenic_stats.Histogram
-
-let hw = Xenic_params.Hw.testbed
 
 (* ------------------------------------------------------------------ *)
 (* Window clock *)
@@ -248,47 +245,18 @@ let test_rollup_merges_cells () =
 
 let retwis_small = { Retwis.default_params with keys_per_node = 500 }
 
-let mk_xenic_open ~domains () =
-  let engine = Engine.create ~domains () in
-  let cfg = Config.make ~nodes:4 ~replication:3 in
-  let segments, seg_size, d_max = Retwis.store_cfg retwis_small in
-  System.of_xenic
-    (Xenic_system.create engine hw cfg
-       {
-         Xenic_system.default_params with
-         segments;
-         seg_size;
-         d_max;
-         cache_capacity = 1024;
-         partitions = 2;
-       })
-
-let mk_rdma_open flavor ~domains () =
-  let engine = Engine.create ~domains () in
-  let cfg = Config.make ~nodes:4 ~replication:3 in
-  System.of_rdma
-    (Rdma_system.create engine hw cfg flavor
-       {
-         Rdma_system.default_params with
-         buckets = Retwis.chained_buckets retwis_small;
-         partitions = 2;
-       })
-
-let all_stacks =
-  [
-    ("xenic", mk_xenic_open);
-    ("drtmh", mk_rdma_open Rdma_system.Drtmh);
-    ("drtmh-nc", mk_rdma_open Rdma_system.Drtmh_nc);
-    ("fasst", mk_rdma_open Rdma_system.Fasst);
-    ("drtmr", mk_rdma_open Rdma_system.Drtmr);
-    ("farm", mk_rdma_open Rdma_system.Farm);
-  ]
+let mk_open ~domains stack =
+  System.create ~domains ~nodes:4 ~replication:3
+    ~xenic:{ Xenic_system.default_params with cache_capacity = 1024 }
+    ~partitions:2
+    ~store_cfg:(Retwis.store_cfg retwis_small)
+    ~buckets:(Retwis.chained_buckets retwis_small) stack
 
 let open_admission =
   { Admission.capacity = 64; backpressure = 8.0; deadline_ns = 500_000.0 }
 
-let tel_json ~domains mk =
-  let sys = mk ~domains () in
+let tel_json ~domains stack =
+  let sys = mk_open ~domains stack in
   Retwis.load retwis_small sys;
   let tel = Telemetry.create ~window_ns:100_000.0 sys.System.engine in
   ignore
@@ -308,19 +276,20 @@ let tel_json ~domains mk =
 
 let test_parity_stacks () =
   List.iter
-    (fun (name, mk) ->
-      let a = tel_json ~domains:1 mk in
-      let a' = tel_json ~domains:1 mk in
-      let b = tel_json ~domains:2 mk in
+    (fun stack ->
+      let name = System.stack_name stack in
+      let a = tel_json ~domains:1 stack in
+      let a' = tel_json ~domains:1 stack in
+      let b = tel_json ~domains:2 stack in
       Alcotest.(check string) (name ^ ": same-seed rerun byte-stable") a a';
       Alcotest.(check string) (name ^ ": 1 vs 2 domains byte-identical") a b)
-    all_stacks
+    System.stacks
 
 let test_openloop_drain_cutoff () =
   (* Regression for the drain leak: an unbounded queue with one service
      slot leaves a backlog the engine drains long after the arrival
      schedule ends; none of those completions may reach the windows. *)
-  let sys = mk_xenic_open ~domains:1 () in
+  let sys = mk_open ~domains:1 System.Xenic in
   Retwis.load retwis_small sys;
   let tel = Telemetry.create ~window_ns:100_000.0 sys.System.engine in
   let r =
@@ -350,20 +319,12 @@ let test_openloop_drain_cutoff () =
     r.Openloop.committed commits
 
 let test_driver_telemetry_and_ttr () =
-  let engine = Engine.create () in
-  let cfg = Config.make ~nodes:4 ~replication:3 in
   let p = { Smallbank.default_params with accounts_per_node = 50 } in
-  let segments, seg_size, d_max = Smallbank.store_cfg p in
   let sys =
-    System.of_xenic
-      (Xenic_system.create engine hw cfg
-         {
-           Xenic_system.default_params with
-           segments;
-           seg_size;
-           d_max;
-           cache_capacity = 512;
-         })
+    System.create ~nodes:4 ~replication:3
+      ~xenic:{ Xenic_system.default_params with cache_capacity = 512 }
+      ~store_cfg:(Smallbank.store_cfg p) ~buckets:(Smallbank.chained_buckets p)
+      System.Xenic
   in
   Smallbank.load p sys;
   let tel = Telemetry.create ~window_ns:20_000.0 sys.System.engine in

@@ -294,11 +294,11 @@ let qcheck_order_line =
 (* ------------------------------------------------------------------ *)
 (* End-to-end *)
 
-let mk_xenic_stack ?(p = params) () =
-  let engine = Engine.create () in
-  let cfg = Config.make ~nodes:4 ~replication:3 in
-  let segments, seg_size, d_max = Tpcc.store_cfg p in
-  let xp =
+(* The concrete Xenic handle, for the store-content digest below. *)
+let mk_xenic_stack () =
+  let segments, seg_size, d_max = Tpcc.store_cfg params in
+  Xenic_system.create (Engine.create ()) hw
+    (Config.make ~nodes:4 ~replication:3)
     {
       Xenic_system.default_params with
       segments;
@@ -306,21 +306,14 @@ let mk_xenic_stack ?(p = params) () =
       d_max;
       cache_capacity = 8192;
     }
-  in
-  Xenic_system.create engine hw cfg xp
 
-let mk_xenic ?p () = System.of_xenic (mk_xenic_stack ?p ())
-
-let mk_rdma ?(p = params) flavor =
-  let engine = Engine.create () in
-  let cfg = Config.make ~nodes:4 ~replication:3 in
-  let rp =
-    { Rdma_system.default_params with buckets = Tpcc.chained_buckets p }
-  in
-  System.of_rdma (Rdma_system.create engine hw cfg flavor rp)
+let mk ?(p = params) stack =
+  System.create ~nodes:4 ~replication:3
+    ~xenic:{ Xenic_system.default_params with cache_capacity = 8192 }
+    ~store_cfg:(Tpcc.store_cfg p) ~buckets:(Tpcc.chained_buckets p) stack
 
 let test_load_populates () =
-  let sys = mk_xenic () in
+  let sys = mk System.Xenic in
   Tpcc.load params sys;
   (* Spot-check a few rows on their primary. *)
   for node = 0 to 3 do
@@ -338,7 +331,7 @@ let run_mix sys =
   Driver.run sys spec ~concurrency:6 ~target:600
 
 let test_full_mix_xenic () =
-  let sys = mk_xenic () in
+  let sys = mk System.Xenic in
   let result = run_mix sys in
   Alcotest.(check bool) "progress" true (result.Driver.committed > 0);
   Alcotest.(check bool) "new orders committed" true
@@ -348,13 +341,13 @@ let test_full_mix_xenic () =
   Tpcc.check_consistency params sys
 
 let test_full_mix_baseline () =
-  let sys = mk_rdma Rdma_system.Fasst in
+  let sys = mk System.Fasst in
   let result = run_mix sys in
   Alcotest.(check bool) "progress" true (result.Driver.committed > 0);
   Tpcc.check_consistency params sys
 
 let test_new_order_only () =
-  let sys = mk_xenic () in
+  let sys = mk System.Xenic in
   let p = { params with uniform_item_partitions = true } in
   Tpcc.load p sys;
   let spec = Tpcc.new_order_spec p sys in
@@ -371,8 +364,8 @@ let test_new_order_faster_on_xenic () =
     let spec = Tpcc.new_order_spec p sys in
     (Driver.run sys spec ~concurrency:8 ~target:800).Driver.tput_per_server
   in
-  let xenic = run (mk_xenic ~p ()) in
-  let drtmh = run (mk_rdma ~p Rdma_system.Drtmh) in
+  let xenic = run (mk ~p System.Xenic) in
+  let drtmh = run (mk ~p System.Drtmh) in
   Alcotest.(check bool)
     (Printf.sprintf "Xenic (%.0f) > DrTM+H (%.0f) on New Order" xenic drtmh)
     true (xenic > drtmh)
@@ -440,7 +433,9 @@ let test_content_golden () =
    (OCaml 5.1, no flambda, the dev profile's -opaque). Before the
    transactions patched encoded rows in place of decoding and
    re-encoding them, the counts were New-Order 1,609, Payment 506,
-   Delivery 737 and Stock-Level 1,383. *)
+   Delivery 737 and Stock-Level 1,383; before Xenic's [peek] returned
+   the stored value under one [Some] (it built a (value, version) pair
+   and a second option), Delivery 235 and Stock-Level 138. *)
 
 let mixed =
   lazy
@@ -491,9 +486,9 @@ let test_alloc_new_order () = check_exec_words "new_order" ~bound:490.0
 
 let test_alloc_payment () = check_exec_words "payment" ~bound:180.0
 
-let test_alloc_delivery () = check_exec_words "delivery" ~bound:240.0
+let test_alloc_delivery () = check_exec_words "delivery" ~bound:230.0
 
-let test_alloc_stock_level () = check_exec_words "stock_level" ~bound:140.0
+let test_alloc_stock_level () = check_exec_words "stock_level" ~bound:110.0
 
 (* ------------------------------------------------------------------ *)
 (* Field accessors and patches against the records. Every accessor

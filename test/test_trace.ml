@@ -4,11 +4,8 @@
    all protocol stacks. *)
 
 open Xenic_sim
-open Xenic_cluster
 open Xenic_proto
 open Xenic_workload
-
-let hw = Xenic_params.Hw.testbed
 
 (* ------------------------------------------------------------------ *)
 (* Trace buffer + export *)
@@ -102,38 +99,21 @@ let test_trace_sampler_cutoff () =
 (* ------------------------------------------------------------------ *)
 (* Full-stack determinism + taxonomy *)
 
-let mk_xenic () =
-  let engine = Engine.create () in
-  let cfg = Config.make ~nodes:4 ~replication:3 in
-  let p = { Smallbank.default_params with accounts_per_node = 50 } in
-  let segments, seg_size, d_max = Smallbank.store_cfg p in
-  ( System.of_xenic
-      (Xenic_system.create engine hw cfg
-         {
-           Xenic_system.default_params with
-           segments;
-           seg_size;
-           d_max;
-           cache_capacity = 512;
-         }),
-    p )
+let sb_params = { Smallbank.default_params with accounts_per_node = 50 }
 
-let mk_rdma flavor () =
-  let engine = Engine.create () in
-  let cfg = Config.make ~nodes:4 ~replication:3 in
-  let p = { Smallbank.default_params with accounts_per_node = 50 } in
-  ( System.of_rdma
-      (Rdma_system.create engine hw cfg flavor
-         { Rdma_system.default_params with buckets = Smallbank.chained_buckets p }),
-    p )
+let mk stack =
+  System.create ~nodes:4 ~replication:3
+    ~xenic:{ Xenic_system.default_params with cache_capacity = 512 }
+    ~store_cfg:(Smallbank.store_cfg sb_params)
+    ~buckets:(Smallbank.chained_buckets sb_params) stack
 
-let traced_run mk =
-  let sys, p = mk () in
-  Smallbank.load p sys;
+let traced_run stack =
+  let sys = mk stack in
+  Smallbank.load sb_params sys;
   let tr = Trace.create sys.System.engine in
   ignore
     (Driver.run ~seed:11L sys
-       (Smallbank.spec p ~nodes:4)
+       (Smallbank.spec sb_params ~nodes:4)
        ~trace:tr ~concurrency:8 ~target:300);
   (tr, sys)
 
@@ -141,27 +121,27 @@ let traced_run mk =
    and surface the overflow through [Trace.dropped] — the signal the
    CLI and the trace experiment warn on. *)
 let test_trace_driver_overflow () =
-  let sys, p = mk_xenic () in
-  Smallbank.load p sys;
+  let sys = mk System.Xenic in
+  Smallbank.load sb_params sys;
   let tr = Trace.create ~limit:64 sys.System.engine in
   ignore
     (Driver.run ~seed:11L sys
-       (Smallbank.spec p ~nodes:4)
+       (Smallbank.spec sb_params ~nodes:4)
        ~trace:tr ~concurrency:8 ~target:300);
   Alcotest.(check int) "kept exactly the limit" 64 (Trace.count tr);
   Alcotest.(check bool) "overflow counted" true (Trace.dropped tr > 0)
 
-let test_trace_deterministic mk () =
-  let tr1, _ = traced_run mk in
-  let tr2, _ = traced_run mk in
+let test_trace_deterministic stack () =
+  let tr1, _ = traced_run stack in
+  let tr2, _ = traced_run stack in
   Alcotest.(check bool) "trace nonempty" true (Trace.count tr1 > 0);
   Alcotest.(check bool) "same-seed traces byte-identical" true
     (String.equal (Trace.to_chrome_json tr1) (Trace.to_chrome_json tr2))
 
 (* Every abort the driver observes must carry exactly one taxonomy
    reason — no "unknown" bucket exists, and counts must balance. *)
-let test_taxonomy_covers mk () =
-  let _, sys = traced_run mk in
+let test_taxonomy_covers stack () =
+  let _, sys = traced_run stack in
   let m = sys.System.metrics () in
   let reasons =
     List.fold_left (fun acc (_, n) -> acc + n) 0 (Metrics.abort_reason_counts m)
@@ -175,16 +155,6 @@ let test_taxonomy_covers mk () =
     (fun ph ->
       Alcotest.(check bool) (ph ^ " phase recorded") true (List.mem ph phases))
     [ "execute"; "log"; "commit" ]
-
-let all_stacks =
-  [
-    ("xenic", mk_xenic);
-    ("drtmh", mk_rdma Rdma_system.Drtmh);
-    ("drtmh-nc", mk_rdma Rdma_system.Drtmh_nc);
-    ("fasst", mk_rdma Rdma_system.Fasst);
-    ("drtmr", mk_rdma Rdma_system.Drtmr);
-    ("farm", mk_rdma Rdma_system.Farm);
-  ]
 
 let () =
   Alcotest.run "xenic_trace"
@@ -201,13 +171,15 @@ let () =
         ] );
       ( "determinism",
         [
-          Alcotest.test_case "xenic" `Quick (test_trace_deterministic mk_xenic);
+          Alcotest.test_case "xenic" `Quick
+            (test_trace_deterministic System.Xenic);
           Alcotest.test_case "drtmh" `Quick
-            (test_trace_deterministic (mk_rdma Rdma_system.Drtmh));
+            (test_trace_deterministic System.Drtmh);
         ] );
       ( "taxonomy",
         List.map
-          (fun (name, mk) ->
-            Alcotest.test_case name `Quick (test_taxonomy_covers mk))
-          all_stacks );
+          (fun stack ->
+            Alcotest.test_case (System.stack_name stack) `Quick
+              (test_taxonomy_covers stack))
+          System.stacks );
     ]

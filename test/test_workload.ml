@@ -104,23 +104,15 @@ let test_tpcc_order_line_key_order () =
 (* ------------------------------------------------------------------ *)
 (* Smallbank / Retwis generators *)
 
-let mk_xenic store_cfg cache =
-  let engine = Engine.create () in
-  let cfg = Config.make ~nodes:4 ~replication:3 in
-  let segments, seg_size, d_max = store_cfg in
-  System.of_xenic
-    (Xenic_system.create engine hw cfg
-       {
-         Xenic_system.default_params with
-         segments;
-         seg_size;
-         d_max;
-         cache_capacity = cache;
-       })
+let mk_smallbank p =
+  System.create ~nodes:4 ~replication:3
+    ~xenic:{ Xenic_system.default_params with cache_capacity = 512 }
+    ~store_cfg:(Smallbank.store_cfg p) ~buckets:(Smallbank.chained_buckets p)
+    System.Xenic
 
 let test_smallbank_initial_money () =
   let p = { Smallbank.default_params with accounts_per_node = 100 } in
-  let sys = mk_xenic (Smallbank.store_cfg p) 512 in
+  let sys = mk_smallbank p in
   Smallbank.load p sys;
   (* 2 balances per account per node. *)
   let expect = Int64.of_int (4 * 100 * 2 * 1000) in
@@ -166,7 +158,7 @@ let test_retwis_spec_shape () =
 let test_driver_determinism () =
   let p = { Smallbank.default_params with accounts_per_node = 200 } in
   let run () =
-    let sys = mk_xenic (Smallbank.store_cfg p) 512 in
+    let sys = mk_smallbank p in
     Smallbank.load p sys;
     let r = Driver.run ~seed:7L sys (Smallbank.spec p ~nodes:4) ~concurrency:4 ~target:300 in
     (r.Driver.committed, r.Driver.aborted, Smallbank.total_money p sys)
@@ -176,7 +168,7 @@ let test_driver_determinism () =
 
 let test_driver_warmup_excluded () =
   let p = { Smallbank.default_params with accounts_per_node = 200 } in
-  let sys = mk_xenic (Smallbank.store_cfg p) 512 in
+  let sys = mk_smallbank p in
   Smallbank.load p sys;
   let r =
     Driver.run ~warmup_frac:0.5 sys (Smallbank.spec p ~nodes:4) ~concurrency:4
@@ -192,7 +184,7 @@ let test_driver_zero_warmup_window () =
      engine the old anchor inflated the window (and deflated
      throughput) by all previously elapsed simulated time. *)
   let p = { Smallbank.default_params with accounts_per_node = 200 } in
-  let sys = mk_xenic (Smallbank.store_cfg p) 512 in
+  let sys = mk_smallbank p in
   Smallbank.load p sys;
   let spec = Smallbank.spec p ~nodes:4 in
   ignore (Driver.run sys spec ~concurrency:4 ~target:300);
@@ -214,7 +206,12 @@ let test_driver_zero_warmup_aborts () =
      is the whole run, so the driver's abort count must match the
      system's own attempt-level accounting exactly. *)
   let p = { Retwis.default_params with keys_per_node = 50 } in
-  let sys = mk_xenic (Retwis.store_cfg p) 256 in
+  let sys =
+    System.create ~nodes:4 ~replication:3
+      ~xenic:{ Xenic_system.default_params with cache_capacity = 256 }
+      ~store_cfg:(Retwis.store_cfg p) ~buckets:(Retwis.chained_buckets p)
+      System.Xenic
+  in
   Retwis.load p sys;
   let r =
     Driver.run ~seed:21L ~warmup_frac:0.0 sys
@@ -234,7 +231,7 @@ let test_driver_target_overshoot () =
      can still land one more commit — overshoot is bounded by
      concurrency x coordinators - 1 and never negative. *)
   let p = { Smallbank.default_params with accounts_per_node = 200 } in
-  let sys = mk_xenic (Smallbank.store_cfg p) 512 in
+  let sys = mk_smallbank p in
   Smallbank.load p sys;
   let concurrency = 16 and target = 60 and coordinators = 4 in
   let r =
@@ -255,44 +252,11 @@ let test_driver_target_overshoot () =
 
 let retwis_small = { Retwis.default_params with keys_per_node = 1_000 }
 
-let mk_xenic_open ?(domains = 1) ?(partitions = 0) () =
-  let engine = Engine.create ~domains () in
-  let cfg = Config.make ~nodes:4 ~replication:3 in
-  let segments, seg_size, d_max = Retwis.store_cfg retwis_small in
-  System.of_xenic
-    (Xenic_system.create engine hw cfg
-       {
-         Xenic_system.default_params with
-         segments;
-         seg_size;
-         d_max;
-         cache_capacity = 2048;
-         partitions;
-       })
-
-let mk_rdma_open ?(domains = 1) ?(partitions = 0) flavor () =
-  let engine = Engine.create ~domains () in
-  let cfg = Config.make ~nodes:4 ~replication:3 in
-  System.of_rdma
-    (Rdma_system.create engine hw cfg flavor
-       {
-         Rdma_system.default_params with
-         buckets = Retwis.chained_buckets retwis_small;
-         partitions;
-       })
-
-let open_stacks =
-  let rdma flavor ~domains ~partitions =
-    mk_rdma_open ~domains ~partitions flavor ()
-  in
-  [
-    ("xenic", fun ~domains ~partitions -> mk_xenic_open ~domains ~partitions ());
-    ("drtmh", rdma Rdma_system.Drtmh);
-    ("drtmh-nc", rdma Rdma_system.Drtmh_nc);
-    ("fasst", rdma Rdma_system.Fasst);
-    ("drtmr", rdma Rdma_system.Drtmr);
-    ("farm", rdma Rdma_system.Farm);
-  ]
+let mk_open ?(domains = 1) ?partitions stack =
+  System.create ~domains ?partitions ~nodes:4 ~replication:3
+    ~xenic:{ Xenic_system.default_params with cache_capacity = 2048 }
+    ~store_cfg:(Retwis.store_cfg retwis_small)
+    ~buckets:(Retwis.chained_buckets retwis_small) stack
 
 let open_phases =
   [
@@ -326,19 +290,20 @@ let test_openloop_determinism_stacks () =
   (* Same seed, same stack => bit-identical open-loop results, on all
      six stacks. *)
   List.iter
-    (fun (name, mk) ->
-      let a, ra = openloop_fingerprint (mk ~domains:1 ~partitions:0) in
-      let b, _ = openloop_fingerprint (mk ~domains:1 ~partitions:0) in
+    (fun stack ->
+      let name = System.stack_name stack in
+      let a, ra = openloop_fingerprint (mk_open stack) in
+      let b, _ = openloop_fingerprint (mk_open stack) in
       Alcotest.(check string) name a b;
       Alcotest.(check bool) (name ^ " made progress") true (ra.Openloop.committed > 0))
-    open_stacks
+    System.stacks
 
 let test_openloop_shed_taxonomy () =
   (* Overload a small service pool so all three shed causes can fire,
      then check the books: every shed the driver reports is an abort
      with reason Shed in the system's metrics, and the abort-reason
      taxonomy still sums to the abort count. *)
-  let sys = mk_xenic_open () in
+  let sys = mk_open System.Xenic in
   Retwis.load retwis_small sys;
   let r =
     Openloop.run ~seed:17L
@@ -380,11 +345,11 @@ let test_openloop_shed_taxonomy () =
     r.Openloop.offered
     (r.Openloop.admitted + arrival_sheds)
 
-let test_openloop_windowed_parity mk () =
+let test_openloop_windowed_parity stack () =
   (* The open-loop driver on a partitioned (windowed) system must be
      bit-identical across domain counts, serializable, and audit-clean. *)
   let run domains =
-    let sys = mk ~domains ~partitions:2 in
+    let sys = mk_open ~domains ~partitions:2 stack in
     Retwis.load retwis_small sys;
     let o = Oracle.create () in
     sys.System.set_oracle o;
@@ -452,7 +417,7 @@ let test_openloop_retry_metastability () =
     ]
   in
   let run admission =
-    let sys = mk_xenic_open () in
+    let sys = mk_open System.Xenic in
     Retwis.load retwis_small sys;
     Openloop.run ~seed:19L ~admission ~service_slots:2 ~retries:3
       ~users:10_000 sys
@@ -479,20 +444,13 @@ let test_openloop_retry_metastability () =
 
 let test_backup_promotion () =
   let p = { Smallbank.default_params with accounts_per_node = 300 } in
-  let engine = Engine.create () in
-  let cfg = Config.make ~nodes:4 ~replication:3 in
-  let segments, seg_size, d_max = Smallbank.store_cfg p in
-  let x =
-    Xenic_system.create engine hw cfg
-      {
-        Xenic_system.default_params with
-        segments;
-        seg_size;
-        d_max;
-        cache_capacity = 1024;
-      }
+  let sys =
+    System.create ~nodes:4 ~replication:3
+      ~xenic:{ Xenic_system.default_params with cache_capacity = 1024 }
+      ~store_cfg:(Smallbank.store_cfg p) ~buckets:(Smallbank.chained_buckets p)
+      System.Xenic
   in
-  let sys = System.of_xenic x in
+  let engine = sys.System.engine and cfg = sys.System.cfg in
   Smallbank.load p sys;
   ignore
     (Driver.run sys (Smallbank.transfer_spec p ~nodes:4) ~concurrency:6
@@ -632,13 +590,16 @@ let () =
           Alcotest.test_case "shed taxonomy" `Quick test_openloop_shed_taxonomy;
         ]
         @ List.map
-            (fun (name, mk) ->
-              let suffix = if name = "xenic" then "" else " (" ^ name ^ ")" in
+            (fun stack ->
+              let suffix =
+                if stack = System.Xenic then ""
+                else " (" ^ System.stack_name stack ^ ")"
+              in
               Alcotest.test_case
                 ("windowed 1v2-domain parity" ^ suffix)
                 `Quick
-                (test_openloop_windowed_parity mk))
-            open_stacks
+                (test_openloop_windowed_parity stack))
+            System.stacks
         @ [
             Alcotest.test_case "retry metastability mitigated" `Quick
               test_openloop_retry_metastability;
