@@ -62,7 +62,7 @@ let () =
       Format.printf "t=%7.0fns  %a@." t Types.pp_outcome outcome)
     (List.rev !outcomes);
   let show k =
-    match sys.System.peek ~node:(Keyspace.shard k) k with
+    match System.peek sys ~node:(Keyspace.shard k) k with
     | Some v -> Bytes.to_string v
     | None -> "<absent>"
   in

@@ -52,7 +52,7 @@ let () =
   let open Tpcc_schema in
   for d = 0 to 2 do
     match
-      sys.System.peek ~node:0
+      System.peek sys ~node:0
         (Keyspace.make ~shard:0 ~table:2 ~ordered:false ~id:d)
     with
     | Some b ->

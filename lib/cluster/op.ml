@@ -5,7 +5,3 @@ let key = function Put (k, _) -> k | Delete k -> k
 let bytes = function
   | Put (_, v) -> 8 + 8 + Bytes.length v  (* key + seq + payload *)
   | Delete _ -> 8 + 8
-
-let pp fmt = function
-  | Put (k, v) -> Format.fprintf fmt "put %a (%dB)" Keyspace.pp k (Bytes.length v)
-  | Delete k -> Format.fprintf fmt "del %a" Keyspace.pp k

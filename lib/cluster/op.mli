@@ -9,5 +9,3 @@ val key : t -> Keyspace.t
 
 (** Payload bytes carried on the wire / in log records. *)
 val bytes : t -> int
-
-val pp : Format.formatter -> t -> unit

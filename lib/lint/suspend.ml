@@ -23,8 +23,6 @@ let seeds =
   [
     ("Process", "suspend");
     ("Process", "sleep");
-    ("Process", "yield");
-    ("Process", "with_timeout");
     ("Process", "parallel");
     ("Ivar", "read");
     ("Ivar", "read_timeout");

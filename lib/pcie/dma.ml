@@ -179,14 +179,6 @@ let ops_completed t = t.ops
 
 let vectors_issued t = t.vectors
 
-let utilization t =
-  let total =
-    Array.fold_left
-      (fun acc q -> acc +. Resource.utilization q.engine_res)
-      0.0 t.queues
-  in
-  total /. float_of_int (Array.length t.queues)
-
 let queues_busy t =
   Array.fold_left
     (fun acc q -> acc + Resource.in_use q.engine_res)

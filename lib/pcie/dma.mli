@@ -38,9 +38,6 @@ val ops_completed : t -> int
 
 val vectors_issued : t -> int
 
-(** Aggregate utilization of the queue engines, in [0, 1]. *)
-val utilization : t -> float
-
 (** Queue engines busy right now, in [0, hw.dma_queues]; for
     utilization-timeline sampling. *)
 val queues_busy : t -> int

@@ -55,6 +55,7 @@ type t = {
   log_appends : int array;
       (* per-node host-log appends, across all of the node's logs: the
          count half of {!append_log}'s stamp *)
+  storage : Storage.t array;  (* node -> its replica store *)
   unsealed : bool array;  (* shard -> bulk-loaded since the last [seal] *)
   mutable epoch : int;  (* bumped on every reconfiguration *)
   mutable inflight_commits : int;
@@ -88,7 +89,7 @@ let req_timeout_ns = 40_000.0
 
 let lease_ns = 25_000.0
 
-let create engine hw cfg ~stack ~partitions ~armed =
+let create engine hw cfg ~stack ~partitions ~armed ~table =
   (* The windowed contract: fence, epoch and membership state is
      cross-partition, so a windowed system must stay un-armed. *)
   if partitions > 0 && armed then
@@ -126,6 +127,7 @@ let create engine hw cfg ~stack ~partitions ~armed =
     crashed = Array.make nodes false;
     txn_seq = Array.make nodes 0;
     log_appends = Array.make nodes 0;
+    storage = Array.init nodes (fun node -> Storage.create cfg ~node ~table);
     unsealed = Array.make nodes false;
     epoch = 0;
     inflight_commits = 0;
@@ -165,19 +167,22 @@ let next_id t ~node =
 (* A shard's replicas share one geometry and would see one insert
    sequence, so their hash tables would come out identical: the primary
    alone takes hash keys, and [seal] clones its tables to the backups. *)
-let load t k ~insert =
+let load t k v =
   let shard = Keyspace.shard k in
   t.unsealed.(shard) <- true;
-  if Keyspace.ordered k then List.iter insert (Config.replicas t.cfg ~shard)
-  else insert (Config.primary t.cfg ~shard)
+  if Keyspace.ordered k then
+    List.iter
+      (fun node -> Storage.load t.storage.(node) k v)
+      (Config.replicas t.cfg ~shard)
+  else Storage.load t.storage.(Config.primary t.cfg ~shard) k v
 
-let seal t ~clone =
+let seal t =
   Array.iteri
     (fun shard unsealed ->
       if unsealed then begin
-        let primary = Config.primary t.cfg ~shard in
+        let from = t.storage.(Config.primary t.cfg ~shard) in
         List.iter
-          (fun backup -> clone ~shard ~primary ~backup)
+          (fun backup -> Storage.clone_hash ~from t.storage.(backup) ~shard)
           (Config.backups t.cfg ~shard);
         t.unsealed.(shard) <- false
       end)
@@ -484,7 +489,8 @@ let apply_cost (hw : Xenic_params.Hw.t) op =
   if Keyspace.ordered (Op.key op) then btree_op_ns
   else hw.host_op_ns +. (float_of_int (Op.bytes op) *. hw.host_byte_ns)
 
-let log_worker t ~node ~log ~pool ~op_ns ~apply ~applied =
+let log_worker t ~node ~log ~pool ~op_ns ~applied =
+  let storage = t.storage.(node) in
   Process.spawn t.engine (fun () ->
       Attrib.set { Attrib.stack = t.stack; node; phase = "log-apply"; cls = "-" };
       let rec loop () =
@@ -498,7 +504,7 @@ let log_worker t ~node ~log ~pool ~op_ns ~apply ~applied =
           List.iter
             (fun (op, seq) ->
               Process.sleep t.engine (op_ns op);
-              apply record op seq)
+              Storage.apply storage op ~seq ~stamp:record.lr_stamp)
             record.lr_ops;
           Resource.release pool;
           Xenic_store.Hostlog.ack log ~bytes;

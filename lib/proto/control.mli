@@ -8,12 +8,14 @@
 
     {!Xenic_system} and {!Rdma_system} each embed one [t] and keep only
     their transports — NIC requests versus RPCs and one-sided verbs —
-    with their handlers and stores. Control calls back into them, as a
-    {!transport} record or as plain function arguments, wherever the
-    transport or store differs: how a request and its response move
-    ({!call}), how reads are validated, a LOG sent and COMMIT applied
-    ({!finish}, {!commit_point}, {!replicate}), how a log record is
-    applied ({!log_worker}), which locks and logs a node holds
+    with their handlers. The replica stores are [t]'s own: one
+    {!Storage.t} per node, whose hash layout the stack picks at
+    {!create}. Control calls back into the stacks, as a {!transport}
+    record or as plain function arguments, wherever the transport
+    differs: how a request and its response move ({!call}), how reads
+    are validated, a LOG sent and COMMIT applied ({!finish},
+    {!commit_point}, {!replicate}), what follows a record's apply
+    ({!log_worker}), which locks and logs a node holds
     ({!audit}, {!quiesce}), the recovery hooks given to
     {!attach_membership}, the per-packet NIC charge of
     {!dispatch_loop}, and the per-attempt body of {!run_txn}.
@@ -88,6 +90,7 @@ type t = {
   log_appends : int array;
       (** Per-node host-log appends across all the node's logs, the
           count half of a record's stamp ({!append_log}). *)
+  storage : Storage.t array;  (** Node -> its replica store. *)
   unsealed : bool array;  (** Shard -> bulk-loaded since the last {!seal}. *)
   mutable epoch : int;  (** Bumped on every reconfiguration. *)
   mutable inflight_commits : int;  (** Attempts holding the commit fence. *)
@@ -109,11 +112,12 @@ val lease_ns : float
 
 (** With [partitions > 0], install a windowed partition topology on the
     engine (lookahead = wire latency); otherwise the engine stays
-    single-heap whatever its domain budget. Then create the fabric and
-    the control state, with no membership yet: an armed stack ends its
-    own [create] with {!attach_membership}. Must run before any event
-    is scheduled. Raises [Invalid_argument] when [armed] and
-    [partitions > 0]. *)
+    single-heap whatever its domain budget. Then create the fabric, one
+    replica store per node (each shard copy's hash table a fresh
+    [table ()]) and the control state, with no membership yet: an armed
+    stack ends its own [create] with {!attach_membership}. Must run
+    before any event is scheduled. Raises [Invalid_argument] when
+    [armed] and [partitions > 0]. *)
 val create :
   Xenic_sim.Engine.t ->
   Xenic_params.Hw.t ->
@@ -121,6 +125,7 @@ val create :
   stack:string ->
   partitions:int ->
   armed:bool ->
+  table:(unit -> Storage.hash) ->
   t
 
 (** {2 Routing} *)
@@ -139,19 +144,20 @@ val next_id : t -> node:int -> Types.txn_id
     shard's hash tables are built once, on its primary, and {!seal}
     clones them to the backups. *)
 
-(** [load t k ~insert] marks [k]'s shard unsealed and runs [insert] on
-    each node that stores [k] now: the shard's primary ({!Config.primary})
-    for a hash key, every replica for an ordered key. *)
-val load : t -> Keyspace.t -> insert:(int -> unit) -> unit
+(** [load t k v] marks [k]'s shard unsealed and loads [v] into each
+    store that holds [k] now ({!Storage.load}): the shard's primary's
+    ({!Config.primary}) for a hash key, every replica's for an ordered
+    key. *)
+val load : t -> Keyspace.t -> bytes -> unit
 
-(** [seal t ~clone] calls [clone ~shard ~primary ~backup] for every
-    backup of every shard loaded since the last seal, in shard order,
-    then marks those shards sealed. *)
-val seal : t -> clone:(shard:int -> primary:int -> backup:int -> unit) -> unit
+(** [seal t] clones the primary's hash table of every shard loaded
+    since the last seal to each of its backups ({!Storage.clone_hash}),
+    in shard order, then marks those shards sealed. *)
+val seal : t -> unit
 
 (** Raise [Invalid_argument "<stack>: load without seal"] while a shard
     loaded since the last {!seal} awaits its clone. {!run_txn} checks
-    it; each stack's [peek] does too. *)
+    it; {!System.peek} does too. *)
 val check_sealed : t -> unit
 
 (** {2 Metrics, trace, telemetry, oracle} *)
@@ -335,16 +341,16 @@ val apply_cost : Xenic_params.Hw.t -> Op.t -> float
 (** Spawn one log-apply worker for [node]'s [log]. It polls a record
     and waits for its decision: a [Dabort] record is acknowledged
     unapplied (counted [log_discards]). A [Dcommit] record is applied
-    holding one server of [pool]: per write, sleep [op_ns op], then
-    [apply record op seq]. The worker then acknowledges the record and
-    calls [applied record]. *)
+    to [node]'s store holding one server of [pool]: per write [(op,
+    seq)], sleep [op_ns op], then {!Storage.apply} with the record's
+    stamp — the same rule on every stack. The worker then acknowledges
+    the record and calls [applied record]. *)
 val log_worker :
   t ->
   node:int ->
   log:log_record Xenic_store.Hostlog.t ->
   pool:Xenic_sim.Resource.t ->
   op_ns:(Op.t -> float) ->
-  apply:(log_record -> Op.t -> int -> unit) ->
   applied:(log_record -> unit) ->
   unit
 

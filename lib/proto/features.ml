@@ -62,9 +62,3 @@ let fig9b_steps =
         async_dma = true;
       } );
   ]
-
-let pp fmt t =
-  Format.fprintf fmt
-    "{smart_ops=%b; eth_agg=%b; async_dma=%b; nic_exec=%b; multihop=%b; \
-     caching=%b}"
-    t.smart_ops t.eth_aggregation t.async_dma t.nic_exec t.multihop t.caching

@@ -30,5 +30,3 @@ val baseline : t
 val fig9a_steps : (string * t) list
 
 val fig9b_steps : (string * t) list
-
-val pp : Format.formatter -> t -> unit

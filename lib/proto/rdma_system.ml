@@ -39,22 +39,12 @@ let default_params =
 
 type msg = Control.msg
 
-type objects =
-  | Chained of bytes Xenic_store.Chained.t  (* DrTM+H / FaSST / DrTM+R *)
-  | Hopscotch of (int * bytes) Xenic_store.Hopscotch.t
-      (* FaRM, stored as (version, value) in an H=8 Hopscotch table
-         (§2.2.2) *)
-
-type shard_store = { objects : objects; ordered : bytes Xenic_store.Btree.t }
-
 type node = {
   id : int;
-  stores : shard_store option array;
   locks : (Keyspace.t, int) Hashtbl.t;  (* key -> owner token *)
   host : Resource.t;  (* app threads + RPC handlers *)
   workers : Resource.t;
   log : Control.log_record Xenic_store.Hostlog.t;
-  stamps : Storage.stamps;  (* ordered-table apply order of [log] *)
 }
 
 type t = {
@@ -73,62 +63,14 @@ let control t = t.ctl
 
 let counters t = Control.counters t.ctl
 
-let store t ~node ~shard =
-  match t.nodes.(node).stores.(shard) with
-  | Some s -> s
-  | None -> invalid_arg "Rdma_system.store: node does not hold shard"
-
 let primary_of t ~shard = Control.current_primary t.ctl ~shard
 
 (* ------------------------------------------------------------------ *)
 (* Host-memory object operations, executed at their linearization point
-   (inside RPC handlers or one-sided at_target closures). *)
+   (inside RPC handlers or one-sided at_target closures) on the node's
+   replica store. *)
 
-let obj_read t ~node k =
-  let s = store t ~node ~shard:(Keyspace.shard k) in
-  if Keyspace.ordered k then
-    match Xenic_store.Btree.find s.ordered k with
-    | Some v -> Some (v, 0)
-    | None -> None
-  else
-    match s.objects with
-    | Hopscotch h -> (
-        match Xenic_store.Hopscotch.find h k with
-        | Some (seq, v) -> Some (v, seq)
-        | None -> None)
-    | Chained c -> Xenic_store.Chained.find c k
-
-let obj_apply t ~node op ~seq =
-  let k = Op.key op in
-  let s = store t ~node ~shard:(Keyspace.shard k) in
-  if Keyspace.ordered k then
-    match op with
-    | Op.Put (_, v) -> Xenic_store.Btree.insert s.ordered k v
-    | Op.Delete _ -> ignore (Xenic_store.Btree.delete s.ordered k)
-  else
-    match (s.objects, op) with
-    | Hopscotch h, Op.Put (_, v) ->
-        let cur_seq =
-          match Xenic_store.Hopscotch.find h k with
-          | Some (s', _) -> s'
-          | None -> -1
-        in
-        if cur_seq < seq then Xenic_store.Hopscotch.insert h k (seq, v)
-    | Hopscotch h, Op.Delete _ -> ignore (Xenic_store.Hopscotch.delete h k)
-    | Chained c, Op.Put (_, v) -> Xenic_store.Chained.put_newer c k v ~seq
-    | Chained c, Op.Delete _ -> ignore (Xenic_store.Chained.delete c k)
-
-(* Backup log application. The node's workers finish records out of log
-   order, so an ordered-table write (no object version) takes its
-   record's log stamp through the shared stamp-order rule; a hash write
-   is version-guarded by [obj_apply]. *)
-let log_apply t node (record : Control.log_record) op seq =
-  let k = Op.key op in
-  if Keyspace.ordered k then
-    Storage.apply_ordered node.stamps
-      (store t ~node:node.id ~shard:(Keyspace.shard k)).ordered op
-      ~stamp:record.lr_stamp
-  else obj_apply t ~node:node.id op ~seq
+let obj_read t ~node k = Storage.read t.ctl.storage.(node) k
 
 let try_lock t ~node k ~owner =
   let locks = t.nodes.(node).locks in
@@ -261,7 +203,15 @@ let one_sided_many_t t ~src verbs =
 let create engine hw cfg flavor p =
   let ctl =
     Control.create engine hw cfg ~stack:(flavor_name flavor)
-      ~partitions:p.partitions ~armed:p.armed
+      ~partitions:p.partitions ~armed:p.armed ~table:(fun () ->
+        (* FaRM: (version, value) in an H=8 Hopscotch table (§2.2.2). *)
+        if flavor = Farm then
+          Storage.Hopscotch
+            (Xenic_store.Hopscotch.create ~capacity:(p.buckets * bucket_b * 2)
+               ~h:8)
+        else
+          Storage.Chained
+            (Xenic_store.Chained.create ~buckets:p.buckets ~b:bucket_b))
   in
   Xenic_net.Fabric.set_rate_override ctl.fabric
     (Some (Xenic_params.Hw.rdma_rate hw));
@@ -270,24 +220,6 @@ let create engine hw cfg flavor p =
     Array.init cfg.Config.nodes (fun id ->
         {
           id;
-          stores =
-            Array.init cfg.Config.nodes (fun shard ->
-                if Config.holds cfg ~shard ~node:id then
-                  Some
-                    {
-                      objects =
-                        (if flavor = Farm then
-                           Hopscotch
-                             (Xenic_store.Hopscotch.create
-                                ~capacity:(p.buckets * bucket_b * 2)
-                                ~h:8)
-                         else
-                           Chained
-                             (Xenic_store.Chained.create ~buckets:p.buckets
-                                ~b:bucket_b));
-                      ordered = Xenic_store.Btree.create ();
-                    }
-                else None);
           locks = Hashtbl.create 1024;
           host =
             Resource.create engine
@@ -298,7 +230,6 @@ let create engine hw cfg flavor p =
               ~name:(Printf.sprintf "rwrk%d" id)
               ~servers:p.worker_threads;
           log = Control.host_log ctl;
-          stamps = Storage.stamps ();
         })
   in
   let t = { ctl; hw; flavor; p; rdma; nodes; tr = transport ctl hw rdma } in
@@ -313,9 +244,7 @@ let create engine hw cfg flavor p =
            work for the same host threads (§5.2: FaSST handles RPCs on
            the threads performing compute-intensive B+ tree work). *)
         Control.log_worker ctl ~node:node.id ~log:node.log ~pool:node.host
-          ~op_ns
-          ~apply:(log_apply t node)
-          ~applied:ignore
+          ~op_ns ~applied:ignore
       done)
     nodes;
   (* Recovery's data plane: the successor drains its backup log, and
@@ -327,31 +256,6 @@ let create engine hw cfg flavor p =
         Xenic_store.Hostlog.drained t.nodes.(node).log)
       ~promote:(fun ~shard:_ ~successor -> successor);
   t
-
-let load t k v =
-  Control.load t.ctl k ~insert:(fun n ->
-      let s = store t ~node:n ~shard:(Keyspace.shard k) in
-      if Keyspace.ordered k then Xenic_store.Btree.insert s.ordered k v
-      else
-        match s.objects with
-        | Hopscotch h -> Xenic_store.Hopscotch.insert h k (1, v)
-        | Chained c -> Xenic_store.Chained.insert c k v)
-
-let seal t =
-  Control.seal t.ctl ~clone:(fun ~shard ~primary ~backup ->
-      let src = store t ~node:primary ~shard
-      and dst = store t ~node:backup ~shard in
-      match (src.objects, dst.objects) with
-      | Hopscotch hs, Hopscotch hd ->
-          Xenic_store.Hopscotch.clone_into ~src:hs ~dst:hd
-      | Chained cs, Chained cd -> Xenic_store.Chained.clone_into ~src:cs ~dst:cd
-      | _ -> invalid_arg "Rdma_system.seal: mixed shard stores")
-
-let peek t ~node k =
-  Control.check_sealed t.ctl;
-  match obj_read t ~node k with Some (v, _) -> Some v | None -> None
-
-let ordered t ~node ~shard = (store t ~node ~shard).ordered
 
 (* Admission backpressure: the most loaded of the host RPC pool and the
    (single-server) RDMA NIC processing unit. *)
@@ -417,11 +321,11 @@ let one_sided_read t ~src k =
       (* FaRM: one READ of the H-slot neighborhood; overflow keys need a
          second roundtrip for the chain (§2.2.2, Table 2). NC: one READ
          of B slots per chained bucket walked. *)
-      let s = store t ~node:primary ~shard in
       let cost, slots =
-        match s.objects with
-        | Hopscotch h -> (Xenic_store.Hopscotch.lookup_cost h k, 8)
-        | Chained c -> (Xenic_store.Chained.lookup_cost c k, bucket_b)
+        match (Storage.shard_store t.ctl.storage.(primary) ~shard).hash with
+        | Storage.Hopscotch h -> (Xenic_store.Hopscotch.lookup_cost h k, 8)
+        | Storage.Chained c -> (Xenic_store.Chained.lookup_cost c k, bucket_b)
+        | Storage.Robinhood _ -> invalid_arg "Rdma_system: Robinhood store"
       in
       let reads = match cost with Some (_, rts) -> rts | None -> 1 in
       let result = ref None in
@@ -756,7 +660,7 @@ let commit_phase t ~src ~owner seq_ops_by_shard locked_by_shard =
                       Rdma.Write,
                       Op.bytes op + 16,
                       fun () ->
-                        obj_apply t ~node:primary op ~seq;
+                        Storage.write t.ctl.storage.(primary) op ~seq;
                         unlock t ~node:primary (Op.key op) ~owner ))
                   seq_ops)
               seq_ops_by_shard))
@@ -778,7 +682,8 @@ let commit_phase t ~src ~owner seq_ops_by_shard locked_by_shard =
                        +. float_of_int (List.length seq_ops) *. t.hw.host_op_ns)
                      (fun () ->
                        List.iter
-                         (fun (op, seq) -> obj_apply t ~node:primary op ~seq)
+                         (fun (op, seq) ->
+                           Storage.write t.ctl.storage.(primary) op ~seq)
                          seq_ops;
                        List.iter (fun k -> unlock t ~node:primary k ~owner) locked)))
               seq_ops_by_shard))

@@ -1,5 +1,6 @@
 (** The RDMA-based comparison systems of §5.1, reimplemented on the CX5
-    model over a DrTM+H-style chained hash store:
+    model over a DrTM+H-style chained hash store (Hopscotch on FaRM),
+    kept in the shared replica stores ({!Control.t}[.storage]):
 
     - {b DrTM+H}: the hybrid. One-sided READs for execution and
       validation (exact-address reads via the coordinator's remote
@@ -77,38 +78,7 @@ val control : t -> Control.t
     backpressure signal. *)
 val ingress_occupancy : t -> node:int -> float
 
-(** Bulk-load one object, bypassing the protocol. A hash key goes into
-    its shard's primary copy only; an ordered key into every replica.
-    Call {!seal} after the last load: until then {!run_txn} and {!peek}
-    raise [Invalid_argument "<flavor>: load without seal"]. *)
-val load : t -> Keyspace.t -> bytes -> unit
-
-(** End a load phase: clone each loaded shard's primary hash table
-    (Hopscotch on FaRM, chained otherwise) to its backups
-    ({!Control.seal}). Required after {!load}. *)
-val seal : t -> unit
-
 val run_txn : t -> node:int -> Types.t -> Types.outcome
-
-val peek : t -> node:int -> Keyspace.t -> bytes option
-
-(** A shard copy's object table: one per flavor. *)
-type objects =
-  | Chained of bytes Xenic_store.Chained.t
-      (** DrTM+H, DrTM+H (NC), FaSST and DrTM+R objects. *)
-  | Hopscotch of (int * bytes) Xenic_store.Hopscotch.t
-      (** FaRM objects as (version, value). *)
-
-(** One node's copy of one shard. *)
-type shard_store = { objects : objects; ordered : bytes Xenic_store.Btree.t }
-
-(** [node]'s copy of [shard] (for checking replicas in tests; not a
-    protocol operation). Raises [Invalid_argument] if [node] does not
-    hold [shard]. *)
-val store : t -> node:int -> shard:int -> shard_store
-
-(** [node]'s host B+ tree for [shard]'s ordered tables. *)
-val ordered : t -> node:int -> shard:int -> bytes Xenic_store.Btree.t
 
 (** Instantaneous-occupancy gauges (links, host pools) for
     {!Xenic_sim.Trace.sampler}. *)

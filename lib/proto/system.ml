@@ -11,8 +11,6 @@ type t = {
   load : Keyspace.t -> bytes -> unit;
   seal : unit -> unit;
   run_txn : node:int -> Types.t -> Types.outcome;
-  peek : node:int -> Keyspace.t -> bytes option;
-  ordered : node:int -> shard:int -> bytes Xenic_store.Btree.t;
   quiesce : unit -> unit;
   set_oracle : Oracle.t -> unit;
   audit : unit -> string list;
@@ -33,11 +31,9 @@ let of_xenic x =
     metrics = (fun () -> Control.metrics c);
     ingress_occupancy = (fun ~node -> Xenic_system.ingress_occupancy x ~node);
     sync = (fun () -> Control.sync c);
-    load = (fun k v -> Xenic_system.load x k v);
+    load = (fun k v -> Control.load c k v);
     seal = (fun () -> Xenic_system.seal x);
     run_txn = (fun ~node txn -> Xenic_system.run_txn x ~node txn);
-    peek = (fun ~node k -> Xenic_system.peek x ~node k);
-    ordered = (fun ~node ~shard -> Xenic_system.ordered x ~node ~shard);
     quiesce = (fun () -> Xenic_system.quiesce x);
     set_oracle = (fun o -> Control.set_oracle c o);
     audit = (fun () -> Xenic_system.audit x);
@@ -59,11 +55,9 @@ let of_rdma r =
     metrics = (fun () -> Control.metrics c);
     ingress_occupancy = (fun ~node -> Rdma_system.ingress_occupancy r ~node);
     sync = (fun () -> Control.sync c);
-    load = (fun k v -> Rdma_system.load r k v);
-    seal = (fun () -> Rdma_system.seal r);
+    load = (fun k v -> Control.load c k v);
+    seal = (fun () -> Control.seal c);
     run_txn = (fun ~node txn -> Rdma_system.run_txn r ~node txn);
-    peek = (fun ~node k -> Rdma_system.peek r ~node k);
-    ordered = (fun ~node ~shard -> Rdma_system.ordered r ~node ~shard);
     quiesce = (fun () -> Rdma_system.quiesce r);
     set_oracle = (fun o -> Control.set_oracle c o);
     audit = (fun () -> Rdma_system.audit r);
@@ -142,9 +136,18 @@ let drain t ~who =
            (List.length issues) (String.concat "\n" issues))
   end
 
+let storage t ~node = t.control.Control.storage.(node)
+
+let peek t ~node k =
+  Control.check_sealed t.control;
+  Storage.read_value (storage t ~node) k
+
+let ordered t ~node ~shard =
+  (Storage.shard_store (storage t ~node) ~shard).Storage.ordered
+
 (* Ordered-table reads of [node]'s replica over [lo, hi], both keys of
    one shard. *)
-let btree t ~node lo = t.ordered ~node ~shard:(Keyspace.shard lo)
+let btree t ~node lo = ordered t ~node ~shard:(Keyspace.shard lo)
 
 let peek_min t ~node ~lo ~hi =
   Xenic_store.Btree.min_in_range (btree t ~node lo) ~lo ~hi

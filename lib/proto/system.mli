@@ -29,13 +29,9 @@ type t = {
   seal : unit -> unit;
       (** End a load phase: clone the loaded shards to their backups
           and, on Xenic, sync NIC index hints. Required on every stack:
-          until it runs, [run_txn] and [peek] raise
+          until it runs, [run_txn] and {!peek} raise
           [Invalid_argument "<stack>: load without seal"]. *)
   run_txn : node:int -> Types.t -> Types.outcome;
-  peek : node:int -> Keyspace.t -> bytes option;
-  ordered : node:int -> shard:int -> bytes Xenic_store.Btree.t;
-      (** [node]'s replica of [shard]'s ordered tables (see
-          {!peek_min}). *)
   quiesce : unit -> unit;
   set_oracle : Oracle.t -> unit;
       (** Attach a serializability oracle recording committed txns. *)
@@ -107,6 +103,22 @@ val create :
     violation(s):"] followed by each {!audit} and
     {!Xenic_sim.Engine.sanitize} violation, one per line. *)
 val drain : t -> who:string -> unit
+
+(** {2 Replica reads}
+
+    Direct reads of [node]'s replica store ({!Control.t}[.storage]),
+    the same on every stack. Not protocol operations. *)
+
+(** [node]'s replica store. *)
+val storage : t -> node:int -> Storage.t
+
+(** [node]'s copy of [k]'s value ({!Storage.read_value}). Raises
+    [Invalid_argument] while a load awaits its {!seal}
+    ({!Control.check_sealed}). *)
+val peek : t -> node:int -> Keyspace.t -> bytes option
+
+(** [node]'s replica of [shard]'s ordered tables (see {!peek_min}). *)
+val ordered : t -> node:int -> shard:int -> bytes Xenic_store.Btree.t
 
 (** {2 Ordered-table reads}
 

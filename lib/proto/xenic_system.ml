@@ -48,7 +48,7 @@ type node = {
   id : int;
   nic : Smartnic.t;
   agg : msg Xenic_net.Aggregator.t;
-  storage : Storage.t;
+  storage : Storage.t;  (* this node's store in [Control.storage] *)
   indexes : bytes Xenic_store.Nic_index.t option array;
       (* caching index per shard this node is CURRENTLY primary of;
          initially just its own shard, extended by promotion *)
@@ -315,11 +315,6 @@ let abort_handler node ~owner ~locked () =
 (* ------------------------------------------------------------------ *)
 (* Host-side Robinhood workers (§4.2 step 7) *)
 
-(* Ordered-table writes take their record's log stamp as version. *)
-let apply_write node (record : Control.log_record) op seq =
-  let seq = if Keyspace.ordered (Op.key op) then record.lr_stamp else seq in
-  Storage.apply node.storage op ~seq
-
 (* After applying a COMMIT record the host piggybacks a log ack to the
    NIC so it can unpin the committed cache entries (§4.2 step 7). *)
 let unpin_applied node (record : Control.log_record) =
@@ -341,9 +336,8 @@ let unpin_applied node (record : Control.log_record) =
    lives only in a NIC, so every rebuild (promotion, rejoin) starts
    from here. *)
 let fresh_index t node ~shard =
-  let store = Storage.shard_store node.storage ~shard in
   let idx =
-    Xenic_store.Nic_index.create ~host:store.Storage.hash
+    Xenic_store.Nic_index.create ~host:(Storage.robinhood node.storage ~shard)
       ~cache_capacity:(if t.p.features.caching then t.p.cache_capacity else 0)
       ()
   in
@@ -392,21 +386,21 @@ let sweep_locks t ~node ~dead =
 let create engine hw cfg p =
   let ctl =
     Control.create engine hw cfg ~stack:"Xenic" ~partitions:p.partitions
-      ~armed:p.armed
+      ~armed:p.armed ~table:(fun () ->
+        Storage.Robinhood
+          (Xenic_store.Robinhood.create ~segments:p.segments
+             ~seg_size:p.seg_size ~d_max:p.d_max ~vsize:Bytes.length))
   in
   let nodes =
     Array.init cfg.Config.nodes (fun id ->
-        let storage =
-          Storage.create cfg ~node:id ~segments:p.segments ~seg_size:p.seg_size
-            ~d_max:p.d_max
-        in
-        let own = Storage.shard_store storage ~shard:id in
+        let storage = ctl.storage.(id) in
         let nic = Smartnic.create ~cores:p.nic_threads engine hw in
         Xenic_pcie.Dma.set_vectored (Smartnic.dma nic) p.features.async_dma;
         let indexes = Array.make cfg.Config.nodes None in
         indexes.(id) <-
           Some
-            (Xenic_store.Nic_index.create ~host:own.Storage.hash
+            (Xenic_store.Nic_index.create
+               ~host:(Storage.robinhood storage ~shard:id)
                ~cache_capacity:
                  (if p.features.caching then p.cache_capacity else 0)
                ());
@@ -436,7 +430,7 @@ let create engine hw cfg p =
           (Some (Smartnic.pkt_io_path node.nic, fun () -> Smartnic.pkt_io_ns node.nic));
       let worker log ~applied =
         Control.log_worker ctl ~node:node.id ~log ~pool:node.workers ~op_ns
-          ~apply:(apply_write node) ~applied
+          ~applied
       in
       for _ = 1 to p.worker_threads do
         worker node.log ~applied:ignore;
@@ -453,13 +447,10 @@ let create engine hw cfg p =
       ~promote:(fun ~shard ~successor:_ -> promote t ~shard);
   t
 
-let load t k v =
-  Control.load t.ctl k ~insert:(fun n -> Storage.load t.nodes.(n).storage k v)
-
+(* After the clone, every caching index syncs its hints from its host
+   table and, with caching on, prewarms. *)
 let seal t =
-  Control.seal t.ctl ~clone:(fun ~shard ~primary ~backup ->
-      Storage.clone_hash ~from:t.nodes.(primary).storage
-        t.nodes.(backup).storage ~shard);
+  Control.seal t.ctl;
   Array.iter
     (fun node ->
       Array.iter
@@ -470,15 +461,6 @@ let seal t =
           | None -> ())
         node.indexes)
     t.nodes
-
-let peek t ~node k =
-  Control.check_sealed t.ctl;
-  Storage.read_value t.nodes.(node).storage k
-
-let storage t ~node = t.nodes.(node).storage
-
-let ordered t ~node ~shard =
-  (Storage.shard_store t.nodes.(node).storage ~shard).Storage.ordered
 
 (* ------------------------------------------------------------------ *)
 (* Coordinator logic *)

@@ -68,34 +68,17 @@ val control : t -> Control.t
     backpressure signal. *)
 val ingress_occupancy : t -> node:int -> float
 
-(** Bulk-load one object, bypassing the protocol. A hash key goes into
-    its shard's primary copy only; an ordered key into every replica.
-    Call {!seal} after the last load: until then {!run_txn} and {!peek}
+(** End a load phase ({!Control.load} loads): clone each loaded shard's
+    primary hash table to its backups ({!Control.seal}), then sync every
+    NIC index's location hints and, with caching on, prewarm its cache.
+    Required after a load: until then {!run_txn} and {!System.peek}
     raise [Invalid_argument "Xenic: load without seal"]. *)
-val load : t -> Keyspace.t -> bytes -> unit
-
-(** End a load phase: clone each loaded shard's primary hash table to
-    its backups ({!Control.seal}), then sync every NIC index's location
-    hints and, with caching on, prewarm its cache. Required after
-    {!load}. *)
 val seal : t -> unit
 
 (** [run_txn t ~node txn] executes one transaction coordinated at
     [node]. Blocking process call; returns at the Committed/Aborted
     report to the host application. *)
 val run_txn : t -> node:int -> Types.t -> Types.outcome
-
-(** Direct read of a node's replica (for checking invariants after a
-    run; not a protocol operation). *)
-val peek : t -> node:int -> Keyspace.t -> bytes option
-
-(** [node]'s host storage: its copy of every shard it replicates (for
-    checking replicas in tests; not a protocol operation). *)
-val storage : t -> node:int -> Storage.t
-
-(** [node]'s host B+ tree for [shard]'s ordered tables (for
-    {!System.peek_min} and friends; not a protocol operation). *)
-val ordered : t -> node:int -> shard:int -> bytes Xenic_store.Btree.t
 
 (** {2 Reconfiguration (§4.2.1)}
 

@@ -71,8 +71,6 @@ let set_phase phase =
   let st = installed () in
   st.cur <- { st.cur with phase }
 
-let reset () = (installed ()).cur <- default
-
 module Ctx_map = Map.Make (struct
   type t = ctx
 

@@ -71,8 +71,5 @@ val set : ctx -> unit
 (** Replace only the phase of the current context. *)
 val set_phase : string -> unit
 
-(** Restore {!default}. *)
-val reset : unit -> unit
-
 (** Deterministically ordered maps keyed by context. *)
 module Ctx_map : Map.S with type key = ctx

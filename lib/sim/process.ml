@@ -105,25 +105,6 @@ let sleep ?node engine delay =
   s.s_delay <- delay;
   try perform Sleep with Effect.Unhandled _ -> raise Not_in_process
 
-let with_timeout engine ~timeout_ns f =
-  suspend (fun resume ->
-      (* Whichever of {timer, body} settles first wins; the loser's
-         settle is a no-op, so the one-shot continuation is resumed
-         exactly once even on a strict engine. *)
-      let settled = ref false in
-      let settle r =
-        if not !settled then begin
-          settled := true;
-          resume r
-        end
-      in
-      Engine.after engine timeout_ns (fun () -> settle None);
-      spawn engine (fun () ->
-          let r = f () in
-          settle (Some r)))
-
-let yield engine = sleep engine 0.0
-
 let parallel engine thunks =
   match thunks with
   | [] -> []

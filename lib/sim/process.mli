@@ -20,22 +20,10 @@ val spawn : Engine.t -> (unit -> unit) -> unit
     partition. Ignored on an unpartitioned engine. *)
 val sleep : ?node:int -> Engine.t -> float -> unit
 
-(** [with_timeout engine ~timeout_ns f] runs [f] as a child process and
-    blocks like {!sleep} until it finishes — returning [Some result] —
-    or until [timeout_ns] simulated nanoseconds elapse, returning
-    [None]. On timeout the child keeps running (cooperative processes
-    cannot be killed); its eventual completion is discarded. The caller
-    is resumed exactly once either way. *)
-val with_timeout : Engine.t -> timeout_ns:float -> (unit -> 'a) -> 'a option
-
 (** [suspend register] parks the calling process. [register] receives a
     one-shot [resume] function; calling [resume v] (typically from an
     event or another process) makes [suspend] return [v]. *)
 val suspend : (('a -> unit) -> unit) -> 'a
-
-(** Reschedule the calling process at the same instant, letting other
-    pending events at this time run first. *)
-val yield : Engine.t -> unit
 
 (** [parallel engine thunks] runs each thunk as its own process and
     blocks the caller until all have finished, returning their results

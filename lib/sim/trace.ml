@@ -46,8 +46,6 @@ let create ?(limit = 200_000) engine =
   if limit <= 0 then invalid_arg "Trace.create: limit must be positive";
   { engine; limit; events = []; count = 0; dropped = 0 }
 
-let engine t = t.engine
-
 let count t = t.count
 
 let dropped t = t.dropped

@@ -40,8 +40,6 @@ type event =
     {!dropped} instead of recorded. *)
 val create : ?limit:int -> Engine.t -> t
 
-val engine : t -> Engine.t
-
 (** Events recorded so far. *)
 val count : t -> int
 

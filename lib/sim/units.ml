@@ -1,10 +1,4 @@
-let ns x = x
-
 let us x = x *. 1_000.0
-
-let ms x = x *. 1_000_000.0
-
-let sec x = x *. 1_000_000_000.0
 
 let gbps bw = bw /. 8.0 (* Gbit/s = bits per ns; /8 gives bytes per ns *)
 

@@ -1,13 +1,7 @@
 (** Time and rate units. The simulator's base time unit is the
     nanosecond; these helpers keep calibration constants readable. *)
 
-val ns : float -> float
-
 val us : float -> float
-
-val ms : float -> float
-
-val sec : float -> float
 
 (** [gbps bw] converts a bandwidth in gigabits per second to bytes per
     nanosecond, the fabric's native rate unit. *)

@@ -21,10 +21,6 @@ let create ~capacity ~dummy =
 
 let capacity t = Array.length t.buf
 
-let length t = t.len
-
-let is_empty t = t.len = 0
-
 let push t v =
   let cap = Array.length t.buf in
   if t.len = cap then false

@@ -16,10 +16,6 @@ val create : capacity:int -> dummy:'a -> 'a t
 
 val capacity : 'a t -> int
 
-val length : 'a t -> int
-
-val is_empty : 'a t -> bool
-
 (** [push t v] appends [v]; [false] if the channel is full (the caller
     reports the deterministic overflow — a full channel must be a
     configuration error, never silent loss). *)

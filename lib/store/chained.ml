@@ -98,6 +98,10 @@ let find t k =
     let blk = cell_block t c and i = cell_index t c in
     Some (blk.values.(i), blk.seqs.(i))
 
+let find_value t k =
+  let c = find_cell t k in
+  if c < 0 then None else Some (cell_block t c).values.(cell_index t c)
+
 let mem t k = find_cell t k >= 0
 
 let update t k v ~seq =
@@ -147,13 +151,18 @@ let put_newer t k v ~seq =
   if c < 0 then insert_absent t k v ~seq
   else if seq > (cell_block t c).seqs.(cell_index t c) then write t c k v ~seq
 
+let clear t c =
+  Bytes.set (cell_block t c).live (cell_index t c) '\000';
+  t.size <- t.size - 1
+
 let delete t k =
   let c = find_cell t k in
-  if c >= 0 then begin
-    Bytes.set (cell_block t c).live (cell_index t c) '\000';
-    t.size <- t.size - 1
-  end;
+  if c >= 0 then clear t c;
   c >= 0
+
+let delete_older t k ~seq =
+  let c = find_cell t k in
+  if c >= 0 && seq > (cell_block t c).seqs.(cell_index t c) then clear t c
 
 let lookup_cost t k =
   let c = find_cell t k in

@@ -23,6 +23,9 @@ val insert : 'v t -> Kv.Key.t -> 'v -> unit
 (** Value and sequence number. *)
 val find : 'v t -> Kv.Key.t -> ('v * int) option
 
+(** {!find} without the sequence number. *)
+val find_value : 'v t -> Kv.Key.t -> 'v option
+
 val mem : 'v t -> Kv.Key.t -> bool
 
 (** [update t k v ~seq] overwrites value and sequence; [false] if absent. *)
@@ -34,6 +37,10 @@ val update : 'v t -> Kv.Key.t -> 'v -> seq:int -> bool
 val put_newer : 'v t -> Kv.Key.t -> 'v -> seq:int -> unit
 
 val delete : 'v t -> Kv.Key.t -> bool
+
+(** [delete_older t k ~seq] deletes [k] only if it is stored at a
+    version older than [seq] (commit application). *)
+val delete_older : 'v t -> Kv.Key.t -> seq:int -> unit
 
 (** Remote-lookup cost of a present key: [(objects_read, roundtrips)];
     each chained bucket adds [b] objects and one roundtrip. *)

@@ -177,7 +177,7 @@ let total_count p (sys : System.t) =
   for shard = 0 to nodes - 1 do
     for id = 0 to p.keys_per_node - 1 do
       match
-        sys.System.peek ~node:shard
+        System.peek sys ~node:shard
           (Keyspace.make ~shard ~table ~ordered:false ~id)
       with
       | Some v -> total := Int64.add !total (decode v)

@@ -179,7 +179,7 @@ let total_money_replica p (sys : System.t) ~node ~shard =
   for account = 0 to p.accounts_per_node - 1 do
     List.iter
       (fun table ->
-        match sys.System.peek ~node (key ~table ~shard ~account) with
+        match System.peek sys ~node (key ~table ~shard ~account) with
         | Some v -> total := Int64.add !total (decode v)
         | None -> ())
       [ checking_table; savings_table ]

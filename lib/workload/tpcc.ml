@@ -433,7 +433,7 @@ let txn_delivery p (sys : System.t) rng ~node =
       let o = Keyspace.id kno land ((1 lsl 24) - 1) in
       let korder = k_order p ~node ~wl ~d ~o in
       let c =
-        match sys.System.peek ~node korder with
+        match System.peek sys ~node korder with
         | Some b -> get Order.c_id b
         | None -> 0
       in
@@ -441,8 +441,8 @@ let txn_delivery p (sys : System.t) rng ~node =
       let exec view =
         let db = row view kd "no district" in
         match
-          ( sys.System.peek ~node korder,
-            sys.System.peek ~node (k_new_order p ~node ~wl ~d ~o) )
+          ( System.peek sys ~node korder,
+            System.peek sys ~node (k_new_order p ~node ~wl ~d ~o) )
         with
         | None, _ | _, None ->
             (* The order vanished or was already delivered between
@@ -499,7 +499,7 @@ let txn_stock_level p (sys : System.t) rng ~node =
     let low = ref 0 in
     for i = 0 to p.items - 1 do
       if Bytes.get seen i <> '\000' then
-        match sys.System.peek ~node (k_stock ~node ~wl ~i) with
+        match System.peek sys ~node (k_stock ~node ~wl ~i) with
         | Some sb -> if get Stock.quantity sb < threshold then incr low
         | None -> ()
     done;
@@ -549,14 +549,14 @@ let check_consistency p (sys : System.t) =
   for node = 0 to nodes - 1 do
     for wl = 0 to p.warehouses_per_node - 1 do
       let w =
-        match sys.System.peek ~node (k_warehouse ~node ~wl) with
+        match System.peek sys ~node (k_warehouse ~node ~wl) with
         | Some b -> Warehouse.decode b
         | None -> fail "missing warehouse %d.%d" node wl
       in
       let d_ytd_sum = ref 0.0 in
       for d = 0 to p.districts - 1 do
         let dist =
-          match sys.System.peek ~node (k_district p ~node ~wl ~d) with
+          match System.peek sys ~node (k_district p ~node ~wl ~d) with
           | Some b -> District.decode b
           | None -> fail "missing district %d.%d.%d" node wl d
         in
@@ -596,7 +596,7 @@ let check_consistency p (sys : System.t) =
               fail "order %d.%d.%d.%d: %d lines, expected %d" node wl d o
                 n_lines order.Order.o_ol_cnt;
             let has_new_order =
-              sys.System.peek ~node (k_new_order p ~node ~wl ~d ~o) <> None
+              System.peek sys ~node (k_new_order p ~node ~wl ~d ~o) <> None
             in
             let undelivered = order.Order.o_carrier_id < 0 in
             if has_new_order <> undelivered then

@@ -7,7 +7,11 @@
 # A crashing or timed-out experiment must not be silent: its exit code
 # is checked, the failure is reported in both the log and stderr, and
 # the script exits nonzero listing every experiment that died.
+#
+# Every path below is relative to the directory holding this script,
+# so a copy of the repository run elsewhere writes only into itself.
 set -x
+cd "$(dirname "$0")" || exit 1
 # Lint gate: refuse to spend bench cycles on a tree with new findings —
 # classic determinism rules plus the suspend/atomicity/domain-shared
 # ratchets (any drift from the checked-in lint/ inventories fails).
@@ -15,9 +19,9 @@ if ! dune build @lint; then
   echo "run_bench.sh: lint gate failed (dune build @lint)" >&2
   exit 1
 fi
-: > /root/repo/bench_output.txt
-rm -f /root/repo/BENCH_*.json /root/repo/PROFILE_*.txt /root/repo/PROFILE_*.folded \
-  /root/repo/TELEMETRY_*.json /root/repo/TELEMETRY_*.prom
+: > bench_output.txt
+rm -f BENCH_*.json PROFILE_*.txt PROFILE_*.folded \
+  TELEMETRY_*.json TELEMETRY_*.prom
 # Domain-parity gate: a short open-loop run of every stack on a windowed
 # (partitions = 2) engine must produce bit-identical digests on 1 and 2
 # domains before any experiment spends cycles — a divergence means the
@@ -25,7 +29,7 @@ rm -f /root/repo/BENCH_*.json /root/repo/PROFILE_*.txt /root/repo/PROFILE_*.fold
 # suspect. Closed-loop runs use the single-heap engine on any domain
 # budget, so they have no parity to check.
 if ! timeout 2400 dune exec bench/main.exe -- parity \
-    >> /root/repo/bench_output.txt 2>&1; then
+    >> bench_output.txt 2>&1; then
   echo "run_bench.sh: domain-parity gate failed (bench/main.exe parity)" >&2
   exit 1
 fi
@@ -34,8 +38,7 @@ failed=""
 # bench/ref reference REF with `xenicctl bench diff --tol 0 [FLAGS]`
 # and adds NAME-diff-gate to $failed on any divergence. References are
 # full-mode runs, so the gate is skipped under XENIC_QUICK (quick mode
-# shrinks every metric) and when REF is missing. Paths are relative to
-# the repository root, where this script runs.
+# shrinks every metric) and when REF is missing.
 ref_gate() {
   name=$1 ref=$2 out=$3
   shift 3
@@ -57,22 +60,22 @@ ref_gate() {
 # byte-match the reference — if the scenario semantics drifted, every
 # fault number below would be suspect.
 timeout 2400 dune exec bench/main.exe -- scenario \
-  >> /root/repo/bench_output.txt 2>&1
+  >> bench_output.txt 2>&1
 status=$?
 if [ "$status" -ne 0 ]; then
   failed="$failed scenario"
   echo "FAILED: experiment scenario exited with status $status" \
-    >> /root/repo/bench_output.txt
+    >> bench_output.txt
   echo "run_bench.sh: experiment scenario failed (exit $status)" >&2
 fi
 ref_gate scenario bench/ref/BENCH_scenario.ref.json BENCH_scenario.json
 for exp in fig2 fig3 fig4 tab1 tab2 fig8 tab3 fig9 fault micro trace profile sim scale load; do
-  timeout 2400 dune exec bench/main.exe -- "$exp" >> /root/repo/bench_output.txt 2>&1
+  timeout 2400 dune exec bench/main.exe -- "$exp" >> bench_output.txt 2>&1
   status=$?
   if [ "$status" -ne 0 ]; then
     failed="$failed $exp"
     echo "FAILED: experiment $exp exited with status $status" \
-      >> /root/repo/bench_output.txt
+      >> bench_output.txt
     echo "run_bench.sh: experiment $exp failed (exit $status)" >&2
   fi
 done
@@ -133,7 +136,7 @@ if [ "$status" -ne 0 ]; then
     >> bench_output.txt
   echo "run_bench.sh: cost digest gate failed (exit $status)" >&2
 fi
-touch /root/repo/.bench_done
+touch .bench_done
 if [ -n "$failed" ]; then
   echo "run_bench.sh: failed experiments:$failed" >&2
   exit 1

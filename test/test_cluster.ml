@@ -57,35 +57,71 @@ let test_keyspace_ordering_preserved () =
   let k i = Keyspace.make ~shard:3 ~table:6 ~ordered:true ~id:i in
   Alcotest.(check bool) "monotone" true (k 1 < k 2 && k 2 < k 100_000)
 
+(* The three hash-table layouts the stacks build. *)
+let layouts =
+  [
+    ( "Robinhood",
+      fun () ->
+        Storage.Robinhood
+          (Xenic_store.Robinhood.create ~segments:8 ~seg_size:64
+             ~d_max:(Some 8) ~vsize:Bytes.length) );
+    ( "chained",
+      fun () -> Storage.Chained (Xenic_store.Chained.create ~buckets:16 ~b:8) );
+    ( "Hopscotch",
+      fun () ->
+        Storage.Hopscotch (Xenic_store.Hopscotch.create ~capacity:256 ~h:8) );
+  ]
+
+(* Log-record apply on every layout: hash writes and deletes are
+   version-guarded. *)
 let test_storage_apply_read () =
   let cfg = Config.make ~nodes:3 ~replication:2 in
-  let st = Storage.create cfg ~node:0 ~segments:8 ~seg_size:64 ~d_max:(Some 8) in
-  Alcotest.(check bool) "holds own shard" true (Storage.holds st ~shard:0);
-  Alcotest.(check bool) "holds backup shard" true (Storage.holds st ~shard:2);
-  Alcotest.(check bool) "not shard 1" false (Storage.holds st ~shard:1);
-  let k = Keyspace.make ~shard:0 ~table:0 ~ordered:false ~id:7 in
-  Storage.apply st (Op.Put (k, Bytes.of_string "hello")) ~seq:3;
-  (match Storage.read st k with
-  | Some (v, 3) -> Alcotest.(check bytes) "value" (Bytes.of_string "hello") v
-  | _ -> Alcotest.fail "read failed");
-  (* Idempotent replay with an older version must not regress. *)
-  Storage.apply st (Op.Put (k, Bytes.of_string "stale")) ~seq:2;
-  (match Storage.read st k with
-  | Some (v, 3) -> Alcotest.(check bytes) "not regressed" (Bytes.of_string "hello") v
-  | _ -> Alcotest.fail "read failed");
-  Storage.apply st (Op.Delete k) ~seq:4;
-  Alcotest.(check (option (pair bytes int))) "deleted" None (Storage.read st k)
+  List.iter
+    (fun (name, table) ->
+      let st = Storage.create cfg ~node:0 ~table in
+      let k = Keyspace.make ~shard:0 ~table:0 ~ordered:false ~id:7 in
+      let check what expect =
+        Alcotest.(check (option (pair bytes int)))
+          (name ^ ": " ^ what) expect (Storage.read st k)
+      in
+      Alcotest.(check bool) "holds own shard" true (Storage.holds st ~shard:0);
+      Alcotest.(check bool) "holds backup shard" true
+        (Storage.holds st ~shard:2);
+      Alcotest.(check bool) "not shard 1" false (Storage.holds st ~shard:1);
+      Storage.apply st (Op.Put (k, Bytes.of_string "hello")) ~seq:3 ~stamp:0;
+      check "value" (Some (Bytes.of_string "hello", 3));
+      (* Idempotent replay with an older version must not regress. *)
+      Storage.apply st (Op.Put (k, Bytes.of_string "stale")) ~seq:2 ~stamp:0;
+      check "not regressed" (Some (Bytes.of_string "hello", 3));
+      Storage.apply st (Op.Delete k) ~seq:3 ~stamp:0;
+      check "stale delete ignored" (Some (Bytes.of_string "hello", 3));
+      Alcotest.(check (option bytes))
+        (name ^ ": value only") (Some (Bytes.of_string "hello"))
+        (Storage.read_value st k);
+      Storage.apply st (Op.Delete k) ~seq:4 ~stamp:0;
+      check "deleted" None)
+    layouts
 
+(* Ordered writes apply in stamp order on log apply, and unconditionally
+   on a primary's COMMIT write. *)
 let test_storage_ordered () =
   let cfg = Config.make ~nodes:2 ~replication:1 in
-  let st = Storage.create cfg ~node:0 ~segments:8 ~seg_size:64 ~d_max:(Some 8) in
+  let _, table = List.hd layouts in
+  let st = Storage.create cfg ~node:0 ~table in
   let k i = Keyspace.make ~shard:0 ~table:5 ~ordered:true ~id:i in
   List.iter
-    (fun i -> Storage.apply st (Op.Put (k i, Bytes.make 4 'x')) ~seq:1)
+    (fun i -> Storage.apply st (Op.Put (k i, Bytes.make 4 'x')) ~seq:1 ~stamp:i)
     [ 3; 1; 2 ];
-  match Storage.read st (k 2) with
+  (match Storage.read st (k 2) with
   | Some (_, 0) -> ()
-  | _ -> Alcotest.fail "ordered read"
+  | _ -> Alcotest.fail "ordered read");
+  Storage.apply st (Op.Put (k 2, Bytes.make 4 'y')) ~seq:1 ~stamp:5;
+  Storage.apply st (Op.Put (k 2, Bytes.make 4 'z')) ~seq:1 ~stamp:4;
+  Alcotest.(check (option bytes)) "stamp order" (Some (Bytes.make 4 'y'))
+    (Storage.read_value st (k 2));
+  Storage.write st (Op.Put (k 2, Bytes.make 4 'w')) ~seq:1;
+  Alcotest.(check (option bytes)) "commit write" (Some (Bytes.make 4 'w'))
+    (Storage.read_value st (k 2))
 
 let test_membership_failure_detection () =
   let engine = Xenic_sim.Engine.create () in

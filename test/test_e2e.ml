@@ -164,7 +164,7 @@ let test_multishot sys () =
   let total = ref 0L in
   for shard = 0 to nodes - 1 do
     for id = 100 to 149 do
-      match sys.System.peek ~node:shard (key ~shard ~id) with
+      match System.peek sys ~node:shard (key ~shard ~id) with
       | Some v -> total := Int64.add !total (decode v)
       | None -> ()
     done

@@ -303,7 +303,8 @@ let mk_control ?strict ?(armed = false) () =
   let engine = Xenic_sim.Engine.create ?strict () in
   let ctl =
     Control.create engine Xenic_params.Hw.testbed windowed_cfg ~stack:"T"
-      ~partitions:0 ~armed
+      ~partitions:0 ~armed ~table:(fun () ->
+        Storage.Chained (Xenic_store.Chained.create ~buckets:1 ~b:1))
   in
   (engine, ctl)
 
@@ -723,7 +724,7 @@ let test_load_without_seal () =
       Alcotest.check_raises (stack ^ ": run_txn") err (fun () ->
           ignore (sys.run_txn ~node:0 txn));
       Alcotest.check_raises (stack ^ ": peek") err (fun () ->
-          ignore (sys.peek ~node:1 key));
+          ignore (System.peek sys ~node:1 key));
       sys.seal ();
       Alcotest.(check bool)
         (stack ^ ": commits once sealed")
@@ -736,7 +737,7 @@ let test_load_without_seal () =
           Alcotest.(check (option string))
             (Printf.sprintf "%s: node %d holds the write" stack node)
             (Some "w")
-            (Option.map Bytes.to_string (sys.peek ~node key)))
+            (Option.map Bytes.to_string (System.peek sys ~node key)))
         (Config.replicas windowed_cfg ~shard:1))
     System.[ Xenic; Drtmh ]
 
@@ -844,9 +845,8 @@ let test_replica_equivalence_xenic () =
   in
   let loads = recorded_load (System.of_xenic x) in
   let keys ~shard = List.map fst (shard_loads loads ~shard) in
-  let table ~node ~shard =
-    (Storage.shard_store (Xenic_system.storage x ~node) ~shard).Storage.hash
-  in
+  let storage ~node = (Xenic_system.control x).Control.storage.(node) in
+  let table ~node ~shard = Storage.robinhood (storage ~node) ~shard in
   let overflowed = ref 0 in
   check_replicas "Xenic" ~nodes:windowed_cfg.Config.nodes
     ~reference:(fun ~shard ->
@@ -871,9 +871,9 @@ let test_replica_equivalence_xenic () =
       overflowed := !overflowed + List.length in_overflow;
       List.iter
         (fun key ->
-          Storage.apply (Xenic_system.storage x ~node:primary)
+          Storage.apply (storage ~node:primary)
             (Op.Put (key, Bytes.of_string "changed"))
-            ~seq:100)
+            ~seq:100 ~stamp:0)
         (List.hd in_table :: at_most_one in_overflow));
   Alcotest.(check bool) "some keys overflowed" true (!overflowed > 0)
 
@@ -887,14 +887,18 @@ let test_replica_equivalence_rdma () =
       let stack = Rdma_system.flavor_name flavor in
       let loads = recorded_load (System.of_rdma r) in
       let keys ~shard = List.map fst (shard_loads loads ~shard) in
-      let store ~node ~shard = Rdma_system.store r ~node ~shard in
+      let hash ~node ~shard =
+        (Storage.shard_store (Rdma_system.control r).Control.storage.(node)
+           ~shard)
+          .Storage.hash
+      in
       let nodes = windowed_cfg.Config.nodes in
       match flavor with
       | Rdma_system.Farm ->
           let table ~node ~shard =
-            match (store ~node ~shard).objects with
-            | Rdma_system.Hopscotch h -> h
-            | Rdma_system.Chained _ ->
+            match hash ~node ~shard with
+            | Storage.Hopscotch h -> h
+            | Storage.Chained _ | Storage.Robinhood _ ->
                 Alcotest.fail "FaRM shard without Hopscotch"
           in
           check_replicas stack ~nodes
@@ -928,10 +932,10 @@ let test_replica_equivalence_rdma () =
                 (List.hd (keys ~shard) :: at_most_one in_overflow))
       | _ ->
           let table ~node ~shard =
-            match (store ~node ~shard).objects with
-            | Rdma_system.Chained c -> c
-            | Rdma_system.Hopscotch _ ->
-                Alcotest.failf "%s shard with a Hopscotch table" stack
+            match hash ~node ~shard with
+            | Storage.Chained c -> c
+            | Storage.Hopscotch _ | Storage.Robinhood _ ->
+                Alcotest.failf "%s shard without a chained table" stack
           in
           check_replicas stack ~nodes
             ~reference:(fun ~shard ->
@@ -996,7 +1000,7 @@ let test_rdma_backup_ordered_stamp_order () =
           Alcotest.(check (option string))
             (Printf.sprintf "%s: node %d keeps the later write" stack node)
             (Some "late")
-            (Option.map Bytes.to_string (sys.peek ~node target)))
+            (Option.map Bytes.to_string (System.peek sys ~node target)))
         (Config.replicas windowed_cfg ~shard:1))
     System.[ Drtmh; Drtmh_nc; Fasst; Drtmr; Farm ]
 
@@ -1073,7 +1077,7 @@ let test_promoted_primary_ordered_write () =
         Alcotest.(check (option string))
           (Printf.sprintf "node %d keeps the last write" node)
           (Some "after-promotion")
-          (Option.map Bytes.to_string (sys.peek ~node target)))
+          (Option.map Bytes.to_string (System.peek sys ~node target)))
     (Config.replicas windowed_cfg ~shard:1)
 
 let () =

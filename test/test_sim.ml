@@ -1066,7 +1066,9 @@ let test_alloc_reply_dispatch () =
          let cfg = Xenic_cluster.Config.make ~nodes:2 ~replication:1 in
          let ctl =
            Xenic_proto.Control.create eng hw cfg ~stack:"T" ~partitions:0
-             ~armed:false
+             ~armed:false ~table:(fun () ->
+               Xenic_cluster.Storage.Chained
+                 (Xenic_store.Chained.create ~buckets:1 ~b:1))
          in
          let nic = Xenic_nicdev.Smartnic.create eng hw in
          Xenic_proto.Control.dispatch_loop ctl ~node:1

@@ -438,6 +438,65 @@ let test_openloop_retry_metastability () =
     > (post unmitigated).Openloop.p_committed)
 
 (* ------------------------------------------------------------------ *)
+(* Replica convergence: after a fault-free strict run drains, every
+   replica of every shard holds the same hash rows (value and version)
+   and the same ordered rows, on every stack. *)
+
+let converge_workloads =
+  let sb = { Smallbank.default_params with accounts_per_node = 200 } in
+  let tp =
+    {
+      Tpcc.default_params with
+      warehouses_per_node = 1;
+      customers_per_district = 20;
+      items = 200;
+    }
+  in
+  [
+    ( "smallbank",
+      Smallbank.store_cfg sb,
+      Smallbank.chained_buckets sb,
+      (fun sys -> Smallbank.load sb sys),
+      fun _ -> Smallbank.spec sb ~nodes:4 );
+    ( "tpcc",
+      Tpcc.store_cfg tp,
+      Tpcc.chained_buckets tp,
+      (fun sys -> Tpcc.load tp sys),
+      fun sys -> Tpcc.spec tp sys );
+  ]
+
+let test_replicas_converge stack () =
+  List.iter
+    (fun (name, store_cfg, buckets, load, spec) ->
+      List.iter
+        (fun seed ->
+          let sys, keys =
+            Replicas.noting_keys
+              (System.create ~strict:true ~nodes:4 ~replication:3 ~store_cfg
+                 ~buckets stack)
+          in
+          load sys;
+          let r =
+            Driver.run ~seed sys (spec sys) ~concurrency:6 ~target:400
+          in
+          Alcotest.(check bool) (name ^ " progress") true
+            (r.Driver.committed > 0);
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s seed %Ld converged" name seed)
+            [] (Replicas.divergences sys keys);
+          (* The check sees a backup that drifted. *)
+          let k = List.hd (Replicas.sorted keys) in
+          let backup =
+            List.hd (Config.backups sys.System.cfg ~shard:(Keyspace.shard k))
+          in
+          Storage.write (System.storage sys ~node:backup)
+            (Op.Put (k, Bytes.of_string "drifted")) ~seq:max_int;
+          Alcotest.(check bool) (name ^ " drift seen") true
+            (Replicas.divergences sys keys <> []))
+        [ 1L; 5L; 7L ])
+    converge_workloads
+
+(* ------------------------------------------------------------------ *)
 (* §4.2.1-style recovery: after the primary dies, a backup's replica
    plus a freshly built caching index serve the shard with identical
    contents. *)
@@ -475,8 +534,8 @@ let test_backup_promotion () =
     List.iter
       (fun table ->
         let k = Keyspace.make ~shard:0 ~table ~ordered:false ~id:account in
-        let dead = sys.System.peek ~node:0 k in
-        let promoted = sys.System.peek ~node:backup k in
+        let dead = System.peek sys ~node:0 k in
+        let promoted = System.peek sys ~node:backup k in
         if dead <> promoted then
           Alcotest.failf "account %d diverged after promotion" account;
         incr checked)
@@ -604,6 +663,12 @@ let () =
             Alcotest.test_case "retry metastability mitigated" `Quick
               test_openloop_retry_metastability;
           ] );
+      ( "convergence",
+        List.map
+          (fun stack ->
+            Alcotest.test_case (System.stack_name stack) `Quick
+              (test_replicas_converge stack))
+          System.stacks );
       ( "recovery",
         [
           Alcotest.test_case "backup promotion" `Quick test_backup_promotion;
