@@ -8,7 +8,11 @@
    - accounting agreement: per-resource attributed service time equals
      the resource's integrated busy time (within float rounding);
    - critical-path closure: each committed transaction's path segments
-     sum to its outer span duration. *)
+     sum to its outer span duration.
+
+   It also reports the share of committed path time no phase names
+   ("other"), and fails when a committed path is "other" alone: its
+   attempt's phase spans went to another transaction's track. *)
 
 open Xenic_proto
 open Xenic_workload
@@ -89,7 +93,15 @@ let run_system ~label mk_sys =
       Common.json_num
         (label ^ " top utilization")
         top.Profile.r_utilization
-  | [] -> ())
+  | [] -> ());
+  let other_frac, blind = Profile.other_share prof1 in
+  Common.json_num (label ^ " path other frac") other_frac;
+  Common.note "%s: %.3f of committed path time is other; %d paths all other"
+    label other_frac blind;
+  if blind > 0 then
+    failwith
+      (Printf.sprintf "profile: %s: %d committed paths are all other" label
+         blind)
 
 let run () =
   Common.section

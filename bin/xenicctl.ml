@@ -1,8 +1,9 @@
 (* xenicctl: run a transaction benchmark on any of the six systems
-   with custom cluster/load parameters.
+   with custom cluster/load parameters, optionally writing its trace,
+   profile and telemetry.
 
      dune exec bin/xenicctl.exe -- run --system xenic --workload smallbank \
-       --nodes 6 --concurrency 16 --target 20000 *)
+       --nodes 6 --concurrency 16 --target 20000 --trace trace.json *)
 
 open Cmdliner
 open Xenic_cluster
@@ -34,16 +35,15 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
-(* Shared driver for the [run], [trace], [profile] and [telemetry]
-   subcommands; [trace_out] attaches an execution trace and writes it as
-   Chrome trace JSON; [profile_out] enables time attribution and writes
-   the bottleneck report plus the collapsed-stack flamegraph;
-   [telemetry_out] attaches the windowed flight recorder and writes the
-   series as BENCH-style JSON and OpenMetrics text. *)
-let execute ?trace_out ?profile_out ?telemetry_out
-    ?(telemetry_window_us = 100.0) ?(slo_latency_us = 100.0)
-    ?(slo_target = 0.99) system workload nodes replication
-    concurrency target scale seed =
+(* The [run] subcommand. [trace_out] attaches an execution trace and
+   writes it as Chrome trace JSON; [profile_out] enables time
+   attribution and writes the bottleneck report plus the
+   collapsed-stack flamegraph; [telemetry_out] attaches the windowed
+   flight recorder and writes the series as BENCH-style JSON and
+   OpenMetrics text. *)
+let run_cmd trace_out profile_out telemetry_out telemetry_window_us
+    slo_latency_us slo_target system workload nodes replication concurrency
+    target scale seed =
   let sb = { Smallbank.default_params with accounts_per_node = scale } in
   let rw = { Retwis.default_params with keys_per_node = scale } in
   let tp =
@@ -244,25 +244,6 @@ let execute ?trace_out ?profile_out ?telemetry_out
       Xenic_stats.Table.print ar
   | _ -> ()
 
-let run_cmd system workload nodes replication concurrency target scale seed =
-  execute system workload nodes replication concurrency target scale seed
-
-let trace_cmd out system workload nodes replication concurrency target scale
-    seed =
-  execute ~trace_out:out system workload nodes replication concurrency target
-    scale seed
-
-let profile_cmd out system workload nodes replication concurrency target
-    scale seed =
-  execute ~profile_out:out system workload nodes replication concurrency
-    target scale seed
-
-let telemetry_cmd out window_us slo_latency_us slo_target system workload
-    nodes replication concurrency target scale seed =
-  execute ~telemetry_out:out ~telemetry_window_us:window_us ~slo_latency_us
-    ~slo_target system workload nodes replication concurrency target scale
-    seed
-
 (* [bench diff]: compare two BENCH_*.json metric files with a relative
    tolerance; exit nonzero when any metric is out of tolerance. *)
 let bench_diff_cmd a b tol ignore_prefixes =
@@ -341,51 +322,44 @@ let cmd =
     Arg.(value & opt int 20_000 & info [ "scale" ] ~doc:"Keys/accounts per node (drives TPC-C warehouses).")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Workload RNG seed.") in
-  let out =
+  let trace_out =
     Arg.(
       value
-      & opt string "xenic_trace.json"
-      & info [ "out"; "o" ]
-          ~doc:"Trace output path (Chrome trace_event JSON).")
-  in
-  let run_term =
-    Term.(
-      const run_cmd $ system $ workload $ nodes $ replication $ concurrency
-      $ target $ scale $ seed)
-  in
-  let trace_term =
-    Term.(
-      const trace_cmd $ out $ system $ workload $ nodes $ replication
-      $ concurrency $ target $ scale $ seed)
+      & opt (some string) None
+      & info [ "trace" ] ~docv:"PATH"
+          ~doc:
+            "Attach the execution trace and write it to $(docv) as Chrome \
+             trace_event JSON; print the per-phase latency breakdown and \
+             the abort-reason taxonomy.")
   in
   let profile_out =
     Arg.(
       value
-      & opt string "xenic_profile"
-      & info [ "out"; "o" ]
+      & opt (some string) None
+      & info [ "profile" ] ~docv:"PREFIX"
           ~doc:
-            "Output path prefix: writes $(i,PREFIX).txt (bottleneck \
-             report) and $(i,PREFIX).folded (collapsed-stack flamegraph).")
-  in
-  let profile_term =
-    Term.(
-      const profile_cmd $ profile_out $ system $ workload $ nodes
-      $ replication $ concurrency $ target $ scale $ seed)
+            "Enable time attribution; write $(docv).txt (bottleneck \
+             report) and $(docv).folded (collapsed-stack flamegraph), and \
+             print the report.")
   in
   let telemetry_out =
     Arg.(
       value
-      & opt string "xenic_telemetry"
-      & info [ "out"; "o" ]
+      & opt (some string) None
+      & info [ "telemetry" ] ~docv:"PREFIX"
           ~doc:
-            "Output path prefix: writes $(i,PREFIX).json (BENCH-style \
-             flat metrics, byte-gateable with $(b,xenicctl bench diff)) \
-             and $(i,PREFIX).prom (OpenMetrics text exposition).")
+            "Attach the windowed flight recorder; print the per-window \
+             rollup table and the online detector verdicts (retry-storm, \
+             queue-growth, Little's-law residual, SLO burn rate), and \
+             write $(docv).json (BENCH-style flat metrics, byte-gateable \
+             with $(b,xenicctl bench diff)) and $(docv).prom (OpenMetrics \
+             text exposition).")
   in
   let telemetry_window =
     Arg.(
       value & opt float 100.0
-      & info [ "window-us" ] ~doc:"Telemetry window width in microseconds.")
+      & info [ "window-us" ]
+          ~doc:"Telemetry window width in microseconds ($(b,--telemetry)).")
   in
   let slo_latency =
     Arg.(
@@ -401,11 +375,11 @@ let cmd =
             "Fraction of offered requests that should commit within the \
              latency objective (in (0, 1)).")
   in
-  let telemetry_term =
+  let run_term =
     Term.(
-      const telemetry_cmd $ telemetry_out $ telemetry_window $ slo_latency
-      $ slo_target $ system $ workload $ nodes $ replication $ concurrency
-      $ target $ scale $ seed)
+      const run_cmd $ trace_out $ profile_out $ telemetry_out
+      $ telemetry_window $ slo_latency $ slo_target $ system $ workload
+      $ nodes $ replication $ concurrency $ target $ scale $ seed)
   in
   let diff_a =
     Arg.(
@@ -480,31 +454,11 @@ let cmd =
     (Cmd.info "xenicctl" ~doc:"Run Xenic-reproduction benchmarks")
     [
       Cmd.v
-        (Cmd.info "run" ~doc:"Run a benchmark and print summary metrics.")
+        (Cmd.info "run"
+           ~doc:
+             "Run a benchmark and print summary metrics; optionally write \
+              its trace, profile and telemetry.")
         run_term;
-      Cmd.v
-        (Cmd.info "trace"
-           ~doc:
-             "Run a benchmark with the execution trace attached; write \
-              Chrome trace JSON and print the per-phase latency breakdown \
-              and abort-reason taxonomy.")
-        trace_term;
-      Cmd.v
-        (Cmd.info "profile"
-           ~doc:
-             "Run a benchmark with time attribution enabled; write the \
-              per-resource bottleneck report and the collapsed-stack \
-              flamegraph, and print the report.")
-        profile_term;
-      Cmd.v
-        (Cmd.info "telemetry"
-           ~doc:
-             "Run a benchmark with the windowed flight recorder attached; \
-              print the per-window rollup table and online detector \
-              verdicts (retry-storm, queue-growth, Little's-law residual, \
-              SLO burn rate), and write the series as BENCH-style JSON \
-              and OpenMetrics text.")
-        telemetry_term;
       Cmd.group
         (Cmd.info "bench" ~doc:"Benchmark artifact utilities.")
         [

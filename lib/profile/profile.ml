@@ -348,3 +348,13 @@ let busy_agreement t =
 
 let little_check t =
   List.map (fun r -> (r.r_label, r.r_queue_area, r.r_wait_ns)) t.rows
+
+let other_share t =
+  let is_other s = String.equal s.s_name "other" in
+  let sum f xs = List.fold_left (fun acc x -> acc +. f x) 0.0 xs in
+  let other_ns s = if is_other s then s.s_dur_ns else 0.0 in
+  let other = sum (fun p -> sum other_ns p.p_segs) t.paths in
+  let total = sum (fun p -> p.p_dur_ns) t.paths in
+  let blind = List.filter (fun p -> List.for_all is_other p.p_segs) t.paths in
+  ( (if Float.compare total 0.0 > 0 then other /. total else 0.0),
+    List.length blind )

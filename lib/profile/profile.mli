@@ -96,3 +96,9 @@ val busy_agreement : t -> (string * float * float) list
     Little's-law cross-check: with the queue drained and all waits
     recorded inside the window, the two are equal. *)
 val little_check : t -> (string * float * float) list
+
+(** [(frac, blind)]: the share of committed critical-path time that no
+    phase span names (["other"] segments), and how many paths are
+    ["other"] alone. A path whose attempt's phase spans went to
+    another track shows up in both. *)
+val other_share : t -> float * int

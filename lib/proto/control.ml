@@ -24,10 +24,22 @@ let reply ~bytes deliver =
    decided, which preserves the original eager-apply behavior. *)
 type decision = Dpending | Dcommit | Dabort
 
-type attempt =
+type outcome =
   [ `Committed
   | `Aborted of Metrics.abort_reason
   | `Retry of Metrics.abort_reason ]
+
+(* One transaction as its coordinator runs it: [run_txn] draws each
+   try's id into it, and every emission keyed on the attempt — phase
+   samples and spans, the outer span, abort and retry instants — reads
+   it, so one transaction's marks share one key whatever else the
+   coordinator runs meanwhile. *)
+type attempt = {
+  coord : int;
+  mutable seq : int;  (* 0 until the first draw *)
+  mutable owner : int;
+  mutable start : float;  (* start of the open phase *)
+}
 
 type t = {
   engine : Engine.t;
@@ -154,12 +166,15 @@ let backups_of t ~shard =
 
 let node_alive t ~node = t.alive.(node) && not t.crashed.(node)
 
-(* A fresh id for one attempt coordinated at [node]: each attempt gets
-   its own, so lock owner tokens never collide across retries. *)
-let next_id t ~node =
-  let seq = t.txn_seq.(node) + 1 in
-  t.txn_seq.(node) <- seq;
-  { Types.coord = node; seq }
+(* A fresh id for [a] at its coordinator, opening its first phase:
+   each try gets its own, so lock owner tokens never collide across
+   retries. *)
+let draw t a =
+  let seq = t.txn_seq.(a.coord) + 1 in
+  t.txn_seq.(a.coord) <- seq;
+  a.seq <- seq;
+  a.owner <- Types.owner_token ~coord:a.coord ~seq;
+  a.start <- Engine.now t.engine
 
 (* ------------------------------------------------------------------ *)
 (* Bulk load *)
@@ -226,19 +241,24 @@ let trace_instant t ~cat ~name ~pid ~tid args =
   | None -> ()
   | Some tr -> Trace.instant tr ~cat ~name ~pid ~tid ~args ()
 
-(* Close one protocol phase: record its latency histogram sample and,
-   when tracing, a span on the coordinator's track keyed by the
-   transaction's sequence number, in trace category [cat]. Returns the
-   new phase start. *)
-let phase_mark ?(cat = "txn") t ~src ~seq name t_prev =
+(* A phase of [a] that began at [since] ends now: its latency histogram
+   sample and, when tracing, a span in category [cat] on the
+   coordinator's track keyed by the attempt's seq. Returns now. *)
+let phase t a ~cat name since =
   let now = Engine.now t.engine in
-  Metrics.record_phase (mx t) ~phase:name (now -. t_prev);
+  Metrics.record_phase (mx t) ~phase:name (now -. since);
   (match t.trace with
   | None -> ()
   | Some tr ->
-      Trace.span tr ~cat ~name ~pid:src ~tid:seq ~ts:t_prev
-        ~dur:(now -. t_prev) ());
+      Trace.span tr ~cat ~name ~pid:a.coord ~tid:a.seq ~ts:since
+        ~dur:(now -. since) ());
   now
+
+let mark t a name = a.start <- phase t a ~cat:"txn" name a.start
+
+(* Off the critical path: category "txn-async", so critical-path
+   extraction never counts it inside the transaction span. *)
+let mark_async t a name ~since = ignore (phase t a ~cat:"txn-async" name since)
 
 let set_oracle t o = t.oracle <- Some o
 
@@ -387,14 +407,15 @@ let replicate t ~src ~send targets =
    cannot split them. A coordinator that died mid-LOG never decides
    commit: backups discard its records, and its locks die with it or
    are swept at the declaration. *)
-let commit_point t ~src ~epoch0 ~mark ~t_prev ~log ~commit ~abort : attempt =
+let commit_point t a ~epoch0 ~log ~commit ~abort : outcome =
   if not t.armed then begin
     Attrib.set_phase "log";
     log (ref Dcommit);
-    commit (mark "log" t_prev);
+    mark t a "log";
+    commit ();
     `Committed
   end
-  else if not (fence_acquire t ~src ~epoch0) then begin
+  else if not (fence_acquire t ~src:a.coord ~epoch0) then begin
     abort ();
     `Retry Metrics.Stale_epoch
   end
@@ -402,15 +423,15 @@ let commit_point t ~src ~epoch0 ~mark ~t_prev ~log ~commit ~abort : attempt =
     let decision = ref Dpending in
     Attrib.set_phase "log";
     log decision;
-    let t_log = mark "log" t_prev in
-    if t.crashed.(src) then begin
+    mark t a "log";
+    if t.crashed.(a.coord) then begin
       decision := Dabort;
       fence_release t;
       `Aborted Metrics.Crashed_owner
     end
     else begin
       decision := Dcommit;
-      commit t_log;
+      commit ();
       fence_release t;
       `Committed
     end
@@ -419,8 +440,8 @@ let commit_point t ~src ~epoch0 ~mark ~t_prev ~log ~commit ~abort : attempt =
 (* The attempt tail after execution (§4.2). A check-free attempt
    records no validate sample: zero-length marks would drag the
    reported mean to ~0 (the Fig 8/9 "validate: 0" bug). *)
-let finish t ~src ~epoch0 ~mark ~t_prev ~id ~values ~lock_versions ~checks
-    ~validate ~release ~log ~commit ops : attempt =
+let finish t a ~epoch0 ~values ~lock_versions ~checks ~validate ~release
+    ~log ~commit ops : outcome =
   let valid =
     if checks = [] then `Valid
     else begin
@@ -428,7 +449,7 @@ let finish t ~src ~epoch0 ~mark ~t_prev ~id ~values ~lock_versions ~checks
       validate checks
     end
   in
-  let t_prev = if checks = [] then t_prev else mark "validate" t_prev in
+  if checks <> [] then mark t a "validate";
   match valid with
   | `Down ->
       release ();
@@ -438,17 +459,17 @@ let finish t ~src ~epoch0 ~mark ~t_prev ~id ~values ~lock_versions ~checks
       `Aborted Metrics.Validation_failure
   | `Valid when ops = [] ->
       release ();
-      record_commit t ~id ~values ~lock_versions ~seq_ops:[];
+      record_commit t ~id:a.owner ~values ~lock_versions ~seq_ops:[];
       `Committed
   | `Valid ->
       let seq_ops = Types.seq_ops_of ~lock_versions ops in
       let by_shard = Types.group_ops_by_shard seq_ops in
-      commit_point t ~src ~epoch0 ~mark ~t_prev ~log:(log by_shard)
-        ~commit:(fun t_log ->
-          record_commit t ~id ~values ~lock_versions ~seq_ops;
+      commit_point t a ~epoch0 ~log:(log by_shard)
+        ~commit:(fun () ->
+          record_commit t ~id:a.owner ~values ~lock_versions ~seq_ops;
           Attrib.set_phase "commit";
           commit seq_ops by_shard;
-          ignore (mark "commit" t_log))
+          mark t a "commit")
         ~abort:release
 
 (* ------------------------------------------------------------------ *)
@@ -547,9 +568,10 @@ let audit t ~locked ~logs =
 (* ------------------------------------------------------------------ *)
 (* Transaction outcome accounting *)
 
-let run_txn t ~node attempt =
+let run_txn t ~node body =
   check_sealed t;
   let t_start = Engine.now t.engine in
+  let a = { coord = node; seq = 0; owner = 0; start = t_start } in
   (* One taxonomy reason is counted per [Types.Aborted] returned to the
      caller (never per internal attempt), so reason counts always sum
      to this metrics object's aborted-transaction count. *)
@@ -562,7 +584,7 @@ let run_txn t ~node attempt =
         Xenic_telemetry.Telemetry.record_abort tel
           ~label:(Attrib.get ()).Attrib.cls ~stack:t.stack ~node
           ~reason:(Metrics.abort_reason_name reason) ~latency_ns);
-    trace_instant t ~cat:"txn" ~name:"abort" ~pid:node ~tid:t.txn_seq.(node)
+    trace_instant t ~cat:"txn" ~name:"abort" ~pid:node ~tid:a.seq
       [ ("reason", Metrics.abort_reason_name reason) ];
     Types.Aborted
   in
@@ -574,8 +596,8 @@ let run_txn t ~node attempt =
     (match t.trace with
     | None -> ()
     | Some tr ->
-        Trace.span tr ~cat:"txnlat" ~name:"txn" ~pid:node
-          ~tid:t.txn_seq.(node) ~ts:t_start ~dur:(now -. t_start)
+        Trace.span tr ~cat:"txnlat" ~name:"txn" ~pid:node ~tid:a.seq
+          ~ts:t_start ~dur:(now -. t_start)
           ~args:[ ("cls", (Attrib.get ()).Attrib.cls) ]
           ());
     Metrics.record (mx t) ~latency_ns:(now -. t_start) Types.Committed;
@@ -589,7 +611,8 @@ let run_txn t ~node attempt =
   in
   if not t.armed then begin
     if not t.alive.(node) then invalid_arg "run_txn: coordinator is dead";
-    match attempt () with
+    draw t a;
+    match body a with
     | `Committed -> commit ()
     | `Aborted reason -> abort_with reason
     | `Retry _ -> assert false
@@ -599,20 +622,21 @@ let run_txn t ~node attempt =
        exponential backoff so reconfiguration can complete. *)
     let rec go n backoff =
       if not (node_alive t ~node) then abort_with Metrics.Crashed_owner
-      else
-        match attempt () with
+      else begin
+        draw t a;
+        match body a with
         | `Committed -> commit ()
         | `Aborted reason -> abort_with reason
         | `Retry reason ->
             Xenic_stats.Counter.incr (counters t) "txn_retries";
-            trace_instant t ~cat:"txn" ~name:"retry" ~pid:node
-              ~tid:t.txn_seq.(node)
+            trace_instant t ~cat:"txn" ~name:"retry" ~pid:node ~tid:a.seq
               [ ("reason", Metrics.abort_reason_name reason) ];
             if n >= max_retries then abort_with reason
             else begin
               Process.sleep t.engine backoff;
               go (n + 1) (backoff *. 2.0)
             end
+      end
     in
     go 1 retry_backoff_ns
 

@@ -67,10 +67,24 @@ type decision = Dpending | Dcommit | Dabort
 (** One transaction attempt's result. [`Retry]: it ran into a dead or
     reconfigured peer, released its locks, and should run again against
     fresh routing (armed mode only). *)
-type attempt =
+type outcome =
   [ `Committed
   | `Aborted of Metrics.abort_reason
   | `Retry of Metrics.abort_reason ]
+
+(** One transaction at its coordinator, built by {!run_txn}, which
+    {!draw}s each try's id into it. Every emission keyed on the attempt
+    reads it: the phase samples and spans of {!mark} and {!mark_async},
+    the outer ["txnlat"] span and the abort and retry instants, all on
+    track ([coord], [seq]). *)
+type attempt = {
+  coord : int;  (** The coordinator node. *)
+  mutable seq : int;  (** This try's id at [coord]; 0 before the first draw. *)
+  mutable owner : int;
+      (** Lock owner token and oracle id: {!Types.owner_token} of
+          ([coord], [seq]). *)
+  mutable start : float;  (** When the open phase began, simulated ns. *)
+}
 
 type t = {
   engine : Xenic_sim.Engine.t;
@@ -86,7 +100,8 @@ type t = {
   primaries : int array;  (** Shard -> current primary. *)
   alive : bool array;  (** Routing view: false once removed. *)
   crashed : bool array;  (** Ground truth: true from the crash instant. *)
-  txn_seq : int array;  (** Per-coordinator attempt counter. *)
+  txn_seq : int array;
+      (** Per-coordinator attempt counter; only {!draw} reads it. *)
   log_appends : int array;
       (** Per-node host-log appends across all the node's logs, the
           count half of a record's stamp ({!append_log}). *)
@@ -135,8 +150,9 @@ val current_primary : t -> shard:int -> int
 (** Neither declared dead nor crashed. *)
 val node_alive : t -> node:int -> bool
 
-(** Bump [node]'s attempt counter and return the new attempt's id. *)
-val next_id : t -> node:int -> Types.txn_id
+(** [draw t a] bumps [a.coord]'s attempt counter and makes the new
+    value [a]'s [seq] and [owner], and opens its first phase now. *)
+val draw : t -> attempt -> unit
 
 (** {2 Bulk load}
 
@@ -186,11 +202,15 @@ val trace_instant :
   t -> cat:string -> name:string -> pid:int -> tid:int ->
   (string * string) list -> unit
 
-(** [phase_mark t ~src ~seq name t_prev] closes the phase begun at
-    [t_prev] (latency sample, and a trace span in category [cat],
-    default ["txn"], on [src]'s track); returns the current time. *)
-val phase_mark :
-  ?cat:string -> t -> src:int -> seq:int -> string -> float -> float
+(** [mark t a name] closes [a]'s open phase as [name] (a latency sample
+    and, when tracing, a ["txn"] span from [a.start] to now on [a]'s
+    track) and opens the next one now. *)
+val mark : t -> attempt -> string -> unit
+
+(** [mark_async t a name ~since]: the same sample and span for a phase
+    of [a] that ran from [since] to now off its critical path, in trace
+    category ["txn-async"]; [a]'s open phase is left as it is. *)
+val mark_async : t -> attempt -> string -> since:float -> unit
 
 (** Attach a serializability oracle fed by every commit. *)
 val set_oracle : t -> Oracle.t -> unit
@@ -224,39 +244,36 @@ val record_shed : t -> latency_ns:float -> unit
 (** Block until no attempt holds the commit fence. *)
 val wait_fence : t -> unit
 
-(** [commit_point t ~src ~epoch0 ~mark ~t_prev ~log ~commit ~abort]
-    runs one attempt from the end of validation to its outcome:
-    [log d] sends the LOG records carrying decision [d], [commit t_log]
-    sends COMMIT and releases locks ([t_log]: the time the LOG phase
-    closed), [abort ()] releases locks. [mark name t_prev] closes a
-    phase (see {!phase_mark}); the phase attribution is set to ["log"]
-    before [log].
+(** [commit_point t a ~epoch0 ~log ~commit ~abort] runs attempt [a]
+    from the end of validation to its outcome: [log d] sends the LOG
+    records carrying decision [d], [commit ()] sends COMMIT and
+    releases locks, [abort ()] releases locks. The phase attribution is
+    set to ["log"] before [log], and {!mark} closes ["log"] after it.
 
     Un-armed, the records are born [Dcommit] and the result is
     [`Committed]. Armed, the attempt first enters the commit fence:
-    refused (counted [fence_refusals]) when [src] crashed or the epoch
-    moved on from [epoch0], it calls [abort] and returns
+    refused (counted [fence_refusals]) when [a.coord] crashed or the
+    epoch moved on from [epoch0], it calls [abort] and returns
     [`Retry Stale_epoch]; it waits while a recovery is pending. The
-    records then start [Dpending]. If [src] crashed during [log], the
+    records then start [Dpending]. If [a.coord] crashed during [log], the
     decision becomes [Dabort] and the result is
     [`Aborted Crashed_owner]; otherwise it becomes [Dcommit] and
     [commit] runs with no suspension in between. The fence is released
     before returning. *)
 val commit_point :
   t ->
-  src:int ->
+  attempt ->
   epoch0:int ->
-  mark:(string -> float -> float) ->
-  t_prev:float ->
   log:(decision ref -> unit) ->
-  commit:(float -> unit) ->
+  commit:(unit -> unit) ->
   abort:(unit -> unit) ->
-  attempt
+  outcome
 
-(** [finish t ~src ~epoch0 ~mark ~t_prev ~id ~values ~lock_versions
-    ~checks ~validate ~release ~log ~commit ops] ends an attempt whose
-    execution read [values], locked [lock_versions] and produced [ops];
-    [checks] are the keys read but not locked, with the versions read.
+(** [finish t a ~epoch0 ~values ~lock_versions ~checks ~validate
+    ~release ~log ~commit ops] ends attempt [a], whose execution read
+    [values], locked [lock_versions] and produced [ops]; [checks] are
+    the keys read but not locked, with the versions read. The oracle
+    records the commit under [a.owner].
 
     With [checks <> []] it sets the phase to ["validate"], runs
     [validate checks] and marks ["validate"]. [`Down] and [`Invalid]
@@ -269,11 +286,8 @@ val commit_point :
     ["commit"]. *)
 val finish :
   t ->
-  src:int ->
+  attempt ->
   epoch0:int ->
-  mark:(string -> float -> float) ->
-  t_prev:float ->
-  id:int ->
   values:(Keyspace.t * bytes option * int) list ->
   lock_versions:(Keyspace.t * int) list ->
   checks:(Keyspace.t * int) list ->
@@ -282,7 +296,7 @@ val finish :
   log:((int * (Op.t * int) list) list -> decision ref -> unit) ->
   commit:((Op.t * int) list -> (int * (Op.t * int) list) list -> unit) ->
   Op.t list ->
-  attempt
+  outcome
 
 (** The LOG fan-out of [(shard, writes)]: one [(shard, backup, writes)]
     per live backup of each shard other than its primary, in shard
@@ -370,15 +384,18 @@ val audit :
 
 (** {2 Transactions} *)
 
-(** [run_txn t ~node attempt] runs one transaction coordinated at
-    [node], one [attempt ()] per try, and accounts its outcome
-    (metrics, abort reason, telemetry, outer trace span). Armed:
+(** [run_txn t ~node body] runs one transaction coordinated at [node]:
+    it builds the transaction's {!attempt}, and per try {!draw}s its id
+    and runs [body a]. It accounts the outcome (metrics, abort reason,
+    telemetry, outer trace span, abort and retry instants), keyed on
+    [a.seq]: the last try's id, or 0 when a dead coordinator aborts
+    before its first try. Armed:
     retries back off exponentially from 30 µs, up to 10 attempts, and
     a dead coordinator aborts with {!Metrics.Crashed_owner}. Un-armed:
     a dead coordinator raises [Invalid_argument]. Raises
     [Invalid_argument] before any attempt while a load awaits its
     {!seal} ({!check_sealed}). *)
-val run_txn : t -> node:int -> (unit -> attempt) -> Types.outcome
+val run_txn : t -> node:int -> (attempt -> outcome) -> Types.outcome
 
 (** {2 Requests}
 

@@ -305,9 +305,11 @@ let audit t = Control.audit t.ctl ~locked:(held_locks t) ~logs:(logs t)
 (* ------------------------------------------------------------------ *)
 (* Object wire sizes *)
 
-let value_slot_b v =
-  Xenic_store.Kv.slot_bytes
-    ~value_b:(match v with Some b -> Bytes.length b | None -> 0)
+(* The slot holding [k] at [node] now: what a one-sided READ of [k]
+   transfers. *)
+let value_slot_b t ~node k =
+  let v = Storage.read_value t.ctl.storage.(node) k in
+  Xenic_store.Kv.slot_bytes ~value_b:(Option.fold ~none:0 ~some:Bytes.length v)
 
 (* One-sided execution read: with the address cache the coordinator
    reads the object's exact location; without it (NC) it walks the
@@ -315,7 +317,6 @@ let value_slot_b v =
 let one_sided_read t ~src k =
   let shard = Keyspace.shard k in
   let primary = primary_of t ~shard in
-  let slot v = value_slot_b v in
   match t.flavor with
   | Farm | Drtmh_nc ->
       (* FaRM: one READ of the H-slot neighborhood; overflow keys need a
@@ -342,7 +343,7 @@ let one_sided_read t ~src k =
   | _ ->
       let r =
         one_sided t ~src ~dst:primary Rdma.Read
-          ~bytes:(slot (Option.map fst (obj_read t ~node:primary k)))
+          ~bytes:(value_slot_b t ~node:primary k)
           ~at_target:(fun () -> obj_read t ~node:primary k)
       in
       Xenic_stats.Counter.incr (counters t) "read_roundtrips";
@@ -367,7 +368,8 @@ let unlock_verbs t ~primary ~owner keys =
    crashed primary died with its memory. No epoch stamp: an abort must
    land across a bump (unlock is owner-guarded, so it is safe in any
    configuration). *)
-let release_shard t ~src ~owner (shard, keys) =
+let release_shard t a (shard, keys) =
+  let src = a.Control.coord and owner = a.owner in
   let primary = primary_of t ~shard in
   if not t.ctl.crashed.(primary) then
     match t.flavor with
@@ -405,7 +407,7 @@ let lock_at t ~primary ~owner keys =
    versions, values))]. Any `Down or `Fail releases the locks taken at
    the other shards; otherwise the lock versions and values of every
    shard, in result order. *)
-let gather_locks t ~src ~owner results =
+let gather_locks t a results =
   let down = List.exists (fun (_, r) -> r = `Down) results in
   if down || List.exists (fun (_, r) -> r = `Fail) results then begin
     if not down then
@@ -414,7 +416,7 @@ let gather_locks t ~src ~owner results =
       (fun (shard, r) ->
         match r with
         | `Ok (lockv, _) when lockv <> [] ->
-            release_shard t ~src ~owner (shard, List.map fst lockv)
+            release_shard t a (shard, List.map fst lockv)
         | _ -> ())
       results;
     if down then `Down else `Fail
@@ -432,7 +434,8 @@ let gather_locks t ~src ~owner results =
    per shard; DrTM+R CAS-locks each key one-sided and then READs the
    locked values. Returns the lock versions and DrTM+R's values read,
    or `Fail / `Down with every acquired lock already released. *)
-let lock_phase t ~epoch0 ~src ~owner (write_keys : Keyspace.t list) =
+let lock_phase t a ~epoch0 (write_keys : Keyspace.t list) =
+  let src = a.Control.coord and owner = a.owner in
   let by_shard = ref [] in
   List.iter
     (fun k ->
@@ -478,8 +481,7 @@ let lock_phase t ~epoch0 ~src ~owner (write_keys : Keyspace.t list) =
                      (fun k ->
                        ( primary,
                          Rdma.Read,
-                         value_slot_b
-                           (Option.map fst (obj_read t ~node:primary k)),
+                         value_slot_b t ~node:primary k,
                          fun () -> (k, obj_read t ~node:primary k) ))
                      keys)
               with
@@ -518,14 +520,15 @@ let lock_phase t ~epoch0 ~src ~owner (write_keys : Keyspace.t list) =
         | `Ok None -> (shard, `Fail)
         | `Ok (Some lockv) -> (shard, `Ok (lockv, [])))
   in
-  gather_locks t ~src ~owner
+  gather_locks t a
     (Process.parallel t.ctl.engine (List.map lock_shard !by_shard))
 
 (* Validation: DrTM+H/NC and FaRM re-read version words one-sided;
    FaSST uses a per-shard RPC. DrTM+R locks every key it reads, so it
    never has checks to validate. An [`Invalid] verdict counts
    [validate_conflicts]. *)
-let validate_phase t ~epoch0 ~src ~owner checks =
+let validate_phase t a ~epoch0 checks =
+  let src = a.Control.coord and owner = a.owner in
   let verdict ok =
     if ok then `Valid
     else begin
@@ -632,7 +635,8 @@ let log_phase t ~src seq_ops_by_shard decision =
 (* COMMIT: apply new values at primaries, bump versions, release locks.
    DrTM+R writes value+version+lock in a single WRITE per key; the
    others use a per-shard RPC. *)
-let commit_phase t ~src ~owner seq_ops_by_shard locked_by_shard =
+let commit_phase t a seq_ops_by_shard locked_by_shard =
+  let src = a.Control.coord and owner = a.owner in
   (* A primary that crashed after the (decided) LOG is skipped: its
      locks and memory died with it, and the committed values reach the
      shard's survivors through their backup logs before promotion. *)
@@ -693,7 +697,8 @@ let commit_phase t ~src ~owner seq_ops_by_shard locked_by_shard =
 
 (* FaSST's consolidated execute: one RPC per shard locks that shard's
    write-set keys AND reads its read-set keys (§2.2.2). *)
-let fasst_execute t ~epoch0 ~src ~owner ~reads ~locks =
+let fasst_execute t a ~epoch0 ~reads ~locks =
+  let src = a.Control.coord and owner = a.owner in
   let shards =
     List.sort_uniq compare (List.map Keyspace.shard (reads @ locks))
   in
@@ -739,19 +744,10 @@ let fasst_execute t ~epoch0 ~src ~owner ~reads ~locks =
     | `Ok `Fail -> (shard, `Fail)
     | `Ok (`Ok entries) -> (shard, `Ok entries)
   in
-  gather_locks t ~src ~owner
-    (Process.parallel t.ctl.engine (List.map one shards))
+  gather_locks t a (Process.parallel t.ctl.engine (List.map one shards))
 
-let rec attempt t ~node ~epoch0 (txn : Types.t) : Control.attempt =
-  let id = Control.next_id t.ctl ~node in
-  let owner = Types.owner_token id in
-  let src = node in
-  let t0 = Engine.now t.ctl.engine in
-  (* Phase spans go on the coordinator's latest-attempt track, the tid
-     its outcome span closes on. *)
-  let mark name t_prev =
-    Control.phase_mark t.ctl ~src ~seq:t.ctl.txn_seq.(node) name t_prev
-  in
+let rec attempt t a ~epoch0 (txn : Types.t) : Control.outcome =
+  let src = a.Control.coord in
   Attrib.set_phase "execute";
   (* DrTM+R locks every accessed key; the others lock only writes. *)
   let lock_keys =
@@ -788,20 +784,18 @@ let rec attempt t ~node ~epoch0 (txn : Types.t) : Control.attempt =
     match t.flavor with
     | Fasst -> (
         match
-          fasst_execute t ~epoch0 ~src ~owner ~reads:txn.read_set
-            ~locks:txn.write_set
+          fasst_execute t a ~epoch0 ~reads:txn.read_set ~locks:txn.write_set
         with
         | `Ok (lockv, reads) -> `Ok (lockv, reads, [])
         | (`Fail | `Down) as r -> r)
     | _ -> (
-        match lock_phase t ~epoch0 ~src ~owner lock_keys with
+        match lock_phase t a ~epoch0 lock_keys with
         | `Ok (lockv, fetched) -> `Ok (lockv, exec_reads, fetched)
         | (`Fail | `Down) as r -> r)
   in
   (* Within a shard, unlocks go out in reverse order. *)
   let release_keys keys =
-    List.iter (release_shard t ~src ~owner)
-      (Types.group_by_shard Fun.id (List.rev keys))
+    List.iter (release_shard t a) (Types.group_by_shard Fun.id (List.rev keys))
   in
   match lock_result with
   | `Fail -> `Aborted Metrics.Lock_conflict
@@ -814,7 +808,7 @@ let rec attempt t ~node ~epoch0 (txn : Types.t) : Control.attempt =
       release_keys lock_keys;
       `Retry Metrics.Timeout
   | `Ok (lock_versions, read_results, fetched) -> (
-      let t1 = mark "execute" t0 in
+      Control.mark t.ctl a "execute";
       let abort_all () = release_keys (List.map fst lock_versions) in
       (* Lock-time versions must match the execution-read versions for
          keys both read and written, or the value in hand is stale. *)
@@ -839,7 +833,7 @@ let rec attempt t ~node ~epoch0 (txn : Types.t) : Control.attempt =
          read/write sets (an extra protocol round, as an RPC system
          would issue). *)
       Attrib.set_phase "exec-fn";
-      Resource.use t.nodes.(node).host txn.host_exec_ns;
+      Resource.use t.nodes.(src).host txn.host_exec_ns;
       match txn.exec (Types.view_of values) with
       | Types.More { read; lock } ->
           abort_all ();
@@ -847,15 +841,18 @@ let rec attempt t ~node ~epoch0 (txn : Types.t) : Control.attempt =
             (* Footprint growth the lock acquisition could not keep up
                with (same taxonomy as Xenic's round-budget overflow). *)
             `Aborted Metrics.Lock_conflict
-          else
-            attempt t ~node ~epoch0
+          else begin
+            (* The replay is a fresh attempt of the same transaction. *)
+            Control.draw t.ctl a;
+            attempt t a ~epoch0
               {
                 txn with
                 Types.read_set = List.sort_uniq compare (txn.read_set @ read);
                 write_set = List.sort_uniq compare (txn.write_set @ lock);
               }
+          end
       | Types.Done ops ->
-      let t2 = mark "exec-fn" t1 in
+      Control.mark t.ctl a "exec-fn";
       (* Validate read-only keys. *)
       let checks =
         List.filter_map
@@ -865,9 +862,8 @@ let rec attempt t ~node ~epoch0 (txn : Types.t) : Control.attempt =
             | None -> None)
           (Types.validate_set txn)
       in
-      Control.finish t.ctl ~src ~epoch0 ~mark ~t_prev:t2 ~id:owner ~values
-        ~lock_versions ~checks
-        ~validate:(validate_phase t ~epoch0 ~src ~owner)
+      Control.finish t.ctl a ~epoch0 ~values ~lock_versions ~checks
+        ~validate:(validate_phase t a ~epoch0)
         ~release:abort_all ~log:(log_phase t ~src)
         ~commit:(fun seq_ops seq_ops_by_shard ->
           let locked_by_shard =
@@ -880,7 +876,7 @@ let rec attempt t ~node ~epoch0 (txn : Types.t) : Control.attempt =
                     lock_versions ))
               seq_ops_by_shard
           in
-          commit_phase t ~src ~owner seq_ops_by_shard locked_by_shard;
+          commit_phase t a seq_ops_by_shard locked_by_shard;
           (* Release locks on keys that were locked but not written
              (DrTM+R read-set locks). *)
           let written = List.map (fun (op, _) -> Op.key op) seq_ops in
@@ -893,8 +889,7 @@ let rec attempt t ~node ~epoch0 (txn : Types.t) : Control.attempt =
         ops)
 
 let run_txn t ~node (txn : Types.t) =
-  Control.run_txn t.ctl ~node (fun () ->
-      attempt t ~node ~epoch0:t.ctl.epoch txn)
+  Control.run_txn t.ctl ~node (fun a -> attempt t a ~epoch0:t.ctl.epoch txn)
 
 (* -- Reconfiguration ------------------------------------------------ *)
 

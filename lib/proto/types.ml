@@ -1,8 +1,6 @@
 open Xenic_cluster
 
-type txn_id = { coord : int; seq : int }
-
-let owner_token id = (id.coord * 1_000_000_000) + id.seq
+let owner_token ~coord ~seq = (coord * 1_000_000_000) + seq
 
 let owner_coord owner = owner / 1_000_000_000
 

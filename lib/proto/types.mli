@@ -2,13 +2,12 @@
 
 open Xenic_cluster
 
-type txn_id = { coord : int; seq : int }
-
 (** The integer a transaction attempt holds its locks under (and
-    reports to the oracle as its id): [coord * 1_000_000_000 + seq].
-    Recovery decodes the coordinator back out of a held lock with
-    {!owner_coord} to break the locks of dead coordinators. *)
-val owner_token : txn_id -> int
+    reports to the oracle as its id): [coord * 1_000_000_000 + seq],
+    for attempt [seq] of coordinator [coord]. Recovery decodes the
+    coordinator back out of a held lock with {!owner_coord} to break
+    the locks of dead coordinators. *)
+val owner_token : coord:int -> seq:int -> int
 
 val owner_coord : int -> int
 

@@ -493,7 +493,8 @@ let log_phase t ~src seq_ops_by_shard decision =
    phase, with a distinct trace category ("txn-async") so
    critical-path extraction never counts it inside the synchronous
    transaction span. *)
-let commit_phase t ~src ~owner ~seq ~locks_by_shard ~seq_ops_by_shard =
+let commit_phase t a ~locks_by_shard ~seq_ops_by_shard =
+  let src = a.Control.coord and owner = a.owner in
   let t_send = Engine.now t.ctl.engine in
   List.iter
     (fun (shard, seq_ops) ->
@@ -506,9 +507,7 @@ let commit_phase t ~src ~owner ~seq ~locks_by_shard ~seq_ops_by_shard =
       notify t ~src ~dst:primary ~bytes (fun () ->
           Attrib.set_phase "commit-async";
           commit_handler t t.nodes.(primary) ~owner ~shard ~seq_ops ~locked ();
-          ignore
-            (Control.phase_mark t.ctl ~cat:"txn-async" ~src ~seq "commit-async"
-               t_send);
+          Control.mark_async t.ctl a "commit-async" ~since:t_send;
           notify_reply t ~src:primary ~dst:src ~bytes:Wire.small_resp_b
             (fun () ->
               Smartnic.core_work_then t.nodes.(src).nic ~ops:1 ~bytes:0
@@ -519,19 +518,19 @@ let commit_phase t ~src ~owner ~seq ~locks_by_shard ~seq_ops_by_shard =
    be the shard's primary after a promotion; a fresh primary's index
    never saw these locks). Releases to crashed nodes are skipped — the
    lock state died with the NIC. *)
-let abort_everywhere t ~src ~owner ~locks_by_shard =
+let abort_everywhere t a ~locks_by_shard =
   List.iter
     (fun (_shard, primary, locked) ->
       if locked <> [] && not t.ctl.crashed.(primary) then
-        notify t ~src ~dst:primary
+        notify t ~src:a.Control.coord ~dst:primary
           ~bytes:(Wire.abort_b ~n_locks:(List.length locked))
-          (abort_handler t.nodes.(primary) ~owner ~locked))
+          (abort_handler t.nodes.(primary) ~owner:a.owner ~locked))
     locks_by_shard
 
 (* COMMIT every written shard, then release the locked keys that were
    not written. *)
-let commit_and_release t ~src ~owner ~seq ~acquired seq_ops seq_ops_by_shard =
-  commit_phase t ~src ~owner ~seq ~locks_by_shard:acquired ~seq_ops_by_shard;
+let commit_and_release t a ~acquired seq_ops seq_ops_by_shard =
+  commit_phase t a ~locks_by_shard:acquired ~seq_ops_by_shard;
   let written = List.map (fun (op, _) -> Op.key op) seq_ops in
   let residual =
     List.filter_map
@@ -541,7 +540,7 @@ let commit_and_release t ~src ~owner ~seq ~acquired seq_ops seq_ops_by_shard =
         | ks -> Some (shard, primary, ks))
       acquired
   in
-  if residual <> [] then abort_everywhere t ~src ~owner ~locks_by_shard:residual
+  if residual <> [] then abort_everywhere t a ~locks_by_shard:residual
 
 (* -- Standard distributed commit (§4.2), coordinator-side NIC ------- *)
 
@@ -560,7 +559,8 @@ let execute_resp_b = function
    routing has moved on. [`Down]: the primary timed out or the request
    crossed a reconfiguration — the transaction should retry against
    fresh routing rather than count a conflict. *)
-let execute_phase t ~epoch0 ~src ~owner ~reads_by_shard ~locks_by_shard =
+let execute_phase t a ~epoch0 ~reads_by_shard ~locks_by_shard =
+  let src = a.Control.coord and owner = a.owner in
   let shards =
     List.sort_uniq compare (List.map fst reads_by_shard @ List.map fst locks_by_shard)
   in
@@ -640,7 +640,8 @@ let execute_phase t ~epoch0 ~src ~owner ~reads_by_shard ~locks_by_shard =
   in
   Process.parallel t.ctl.engine (List.map one shards)
 
-let validate_phase t ~epoch0 ~src ~owner checks =
+let validate_phase t a ~epoch0 checks =
+  let src = a.Control.coord and owner = a.owner in
   let one (shard, checks) () =
     let primary = primary_of t ~shard in
     let as_verdict = function
@@ -705,22 +706,18 @@ let run_exec t node (txn : Types.t) view =
    primaries have been released; the caller should back off and retry
    against fresh routing (armed mode only). Aborts and retries carry
    their taxonomy reason. *)
-let distributed_txn t node (txn : Types.t) id : Control.attempt =
-  let owner = Types.owner_token id in
-  let src = node.id in
+let distributed_txn t node (txn : Types.t) a : Control.outcome =
   let epoch0 = t.ctl.epoch in
-  let t0 = Engine.now t.ctl.engine in
-  let mark name t_prev =
-    Control.phase_mark t.ctl ~src ~seq:id.Types.seq name t_prev
-  in
+  (* The execute phase opens here, after any host-NIC crossing. *)
+  a.Control.start <- Engine.now t.ctl.engine;
   let reads_by_shard = Types.group_by_shard Fun.id txn.read_set in
   let locks_by_shard_keys = Types.group_by_shard Fun.id txn.write_set in
   Attrib.set_phase "execute";
   let results =
-    execute_phase t ~epoch0 ~src ~owner ~reads_by_shard
+    execute_phase t a ~epoch0 ~reads_by_shard
       ~locks_by_shard:locks_by_shard_keys
   in
-  let t1 = mark "execute" t0 in
+  Control.mark t.ctl a "execute";
   let acquired_of results =
     List.filter_map
       (fun (shard, primary, r) ->
@@ -751,12 +748,11 @@ let distributed_txn t node (txn : Types.t) id : Control.attempt =
      what was acquired. *)
   let settle results ~acquired ~requested =
     if List.exists (fun (_, _, r) -> r = `Down) results then begin
-      abort_everywhere t ~src ~owner
-        ~locks_by_shard:(broaden acquired requested);
+      abort_everywhere t a ~locks_by_shard:(broaden acquired requested);
       Some (`Retry Metrics.Timeout)
     end
     else if List.exists (fun (_, _, r) -> r = `Fail) results then begin
-      abort_everywhere t ~src ~owner ~locks_by_shard:acquired;
+      abort_everywhere t a ~locks_by_shard:acquired;
       Some (`Aborted Metrics.Lock_conflict)
     end
     else None
@@ -788,7 +784,7 @@ let distributed_txn t node (txn : Types.t) id : Control.attempt =
       match run_exec t node txn (Types.view_of values) with
       | Types.More _ when round >= max_rounds ->
           Xenic_stats.Counter.incr (counters t) "multishot_overflow";
-          abort_everywhere t ~src ~owner ~locks_by_shard:acquired;
+          abort_everywhere t a ~locks_by_shard:acquired;
           (* A round-budget overflow is footprint growth the lock
              acquisition could not keep up with; taxonomy-wise it is a
              lock-conflict abort (see DESIGN.md §8). *)
@@ -799,7 +795,7 @@ let distributed_txn t node (txn : Types.t) id : Control.attempt =
           let lock = List.filter (fun k -> not (List.mem k locked_keys)) lock in
           Attrib.set_phase "execute";
           let extra =
-            execute_phase t ~epoch0 ~src ~owner
+            execute_phase t a ~epoch0
               ~reads_by_shard:(Types.group_by_shard Fun.id read)
               ~locks_by_shard:(Types.group_by_shard Fun.id lock)
           in
@@ -816,7 +812,7 @@ let distributed_txn t node (txn : Types.t) id : Control.attempt =
                 ~requested
                 ~round:(round + 1))
       | Types.Done ops ->
-          let t2 = mark "exec-fn" t1 in
+          Control.mark t.ctl a "exec-fn";
           (* Validate keys read but never locked, against their
              execute-time versions. *)
           let checks =
@@ -825,13 +821,11 @@ let distributed_txn t node (txn : Types.t) id : Control.attempt =
                 if List.mem k locked_keys then None else Some (k, seq))
               values
           in
-          Control.finish t.ctl ~src ~epoch0 ~mark ~t_prev:t2 ~id:owner ~values
-            ~lock_versions ~checks
-            ~validate:(validate_phase t ~epoch0 ~src ~owner)
-            ~release:(fun () ->
-              abort_everywhere t ~src ~owner ~locks_by_shard:acquired)
-            ~log:(log_phase t ~src)
-            ~commit:(commit_and_release t ~src ~owner ~seq:id.Types.seq ~acquired)
+          Control.finish t.ctl a ~epoch0 ~values ~lock_versions ~checks
+            ~validate:(validate_phase t a ~epoch0)
+            ~release:(fun () -> abort_everywhere t a ~locks_by_shard:acquired)
+            ~log:(log_phase t ~src:a.coord)
+            ~commit:(commit_and_release t a ~acquired)
             ops
     in
     rounds ~values:(values_of results)
@@ -868,14 +862,9 @@ let multihop_eligible t node (txn : Types.t) =
    sends P1 the local shard's new values. P1 commits locally and sends
    P2 its COMMIT. One network message delay shorter than the
    request/response pattern (Fig 7). *)
-let multihop_txn t node (txn : Types.t) id :
-    [ `Committed | `Aborted of Metrics.abort_reason ] =
-  let owner = Types.owner_token id in
+let multihop_txn t node (txn : Types.t) a : Control.outcome =
+  let owner = a.Control.owner in
   let src = node.id in
-  let t0 = Engine.now t.ctl.engine in
-  let mark name t_prev =
-    Control.phase_mark t.ctl ~src ~seq:id.Types.seq name t_prev
-  in
   let is_local k = primary_of t ~shard:(Keyspace.shard k) = src in
   let local_keys, remote_keys = List.partition is_local txn.write_set in
   let local_reads, remote_reads = List.partition is_local txn.read_set in
@@ -900,7 +889,7 @@ let multihop_txn t node (txn : Types.t) id :
   match local_result with
   | `Fail -> `Aborted Metrics.Lock_conflict
   | `Ok (local_lockv, local_values) -> (
-      let t1 = mark "execute" t0 in
+      Control.mark t.ctl a "execute";
       Attrib.set_phase "log";
       (* Expected completions at P1: one LOG response per backup of
          each written shard, plus P2's ExecDone. *)
@@ -1004,13 +993,11 @@ let multihop_txn t node (txn : Types.t) id :
                The replay only runs un-armed (multi-hop eligibility
                requires it), so [`Retry] cannot occur. *)
             Xenic_stats.Counter.incr (counters t) "multihop_escalations";
-            match distributed_txn t node txn id with
-            | `Retry _ -> assert false
-            | (`Committed | `Aborted _) as r -> r
+            distributed_txn t node txn a
           end
           else `Aborted Metrics.Lock_conflict)
       | `Ok (p1_seq_ops, p2_seq_ops, remote_lockv, remote_values) ->
-          let t2 = mark "log" t1 in
+          Control.mark t.ctl a "log";
           Attrib.set_phase "commit";
           (* Committed. Apply the local commit at our own NIC and send
              COMMIT to P2 asynchronously. *)
@@ -1027,9 +1014,7 @@ let multihop_txn t node (txn : Types.t) id :
                (fun () ->
                  commit_handler t t.nodes.(p2) ~owner ~shard:remote_shard
                    ~seq_ops:p2_seq_ops ~locked:remote_keys ();
-                 ignore
-                   (Control.phase_mark t.ctl ~cat:"txn-async" ~src
-                      ~seq:id.Types.seq "commit-async" t_send))
+                 Control.mark_async t.ctl a "commit-async" ~since:t_send)
            else if remote_keys <> [] then
              notify t ~src ~dst:p2
                ~bytes:(Wire.abort_b ~n_locks:(List.length remote_keys))
@@ -1038,33 +1023,27 @@ let multihop_txn t node (txn : Types.t) id :
             ~values:(local_values @ remote_values)
             ~lock_versions:(local_lockv @ remote_lockv)
             ~seq_ops:(p1_seq_ops @ p2_seq_ops);
-          ignore (mark "commit" t2);
+          Control.mark t.ctl a "commit";
           `Committed)
 
 (* -- Local fast path (§4.2.4) --------------------------------------- *)
 
 (* A committed local transaction applies its commit at the coordinator's
    own NIC asynchronously. *)
-let commit_local t node ~owner ~shard ~seq_ops ~locked ~seq =
-  let t_send = Engine.now t.ctl.engine in
+let commit_local t node a ~shard ~seq_ops ~locked =
+  let t_send = Engine.now t.ctl.engine and owner = a.Control.owner in
   Process.spawn t.ctl.engine (fun () ->
       Attrib.set_phase "commit-async";
       commit_handler t node ~owner ~shard ~seq_ops ~locked ();
-      ignore
-        (Control.phase_mark t.ctl ~cat:"txn-async" ~src:node.id ~seq
-           "commit-async" t_send))
+      Control.mark_async t.ctl a "commit-async" ~since:t_send)
 
 (* Local transactions execute optimistically on the host against the
    host-side structures; write transactions then lock/validate at the
    local NIC index before replicating. *)
-let local_txn t node ~shard (txn : Types.t) id : Control.attempt =
-  let owner = Types.owner_token id in
+let local_txn t node ~shard (txn : Types.t) a : Control.outcome =
+  let owner = a.Control.owner in
   let src = node.id in
   let epoch0 = t.ctl.epoch in
-  let t0 = Engine.now t.ctl.engine in
-  let mark name t_prev =
-    Control.phase_mark t.ctl ~src ~seq:id.Types.seq name t_prev
-  in
   Attrib.set_phase "execute";
   Resource.acquire node.app;
   let values =
@@ -1079,14 +1058,14 @@ let local_txn t node ~shard (txn : Types.t) id : Control.attempt =
   Process.sleep t.ctl.engine txn.host_exec_ns;
   let exec_result = txn.exec (Types.view_of values) in
   Resource.release node.app;
-  let t1 = mark "execute" t0 in
+  Control.mark t.ctl a "execute";
   match exec_result with
   | Types.More _ ->
       (* Multi-shot transactions leave the fast path; no locks are held
          yet, so simply replay through the distributed protocol. *)
       Xenic_stats.Counter.incr (counters t) "multihop_escalations";
       Smartnic.host_msg node.nic;
-      let result = distributed_txn t node txn id in
+      let result = distributed_txn t node txn a in
       Smartnic.host_msg node.nic;
       result
   | Types.Done ops ->
@@ -1101,7 +1080,7 @@ let local_txn t node ~shard (txn : Types.t) id : Control.attempt =
           | None -> seq = 0)
         values
     in
-    ignore (mark "validate" t1);
+    Control.mark t.ctl a "validate";
     if ok then begin
       Control.record_commit t.ctl ~id:owner ~values ~lock_versions:[]
         ~seq_ops:[];
@@ -1161,16 +1140,15 @@ let local_txn t node ~shard (txn : Types.t) id : Control.attempt =
         Smartnic.host_msg node.nic;
         `Aborted Metrics.Validation_failure
     | `Ok lock_versions ->
-        let t2 = mark "validate" t1 in
+        Control.mark t.ctl a "validate";
         let seq_ops = Types.seq_ops_of ~lock_versions ops in
         let result =
-          Control.commit_point t.ctl ~src ~epoch0 ~mark ~t_prev:t2
+          Control.commit_point t.ctl a ~epoch0
             ~log:(log_phase t ~src [ (shard, seq_ops) ])
-            ~commit:(fun _ ->
+            ~commit:(fun () ->
               Control.record_commit t.ctl ~id:owner ~values ~lock_versions
                 ~seq_ops;
-              commit_local t node ~owner ~shard ~seq_ops ~locked:txn.write_set
-                ~seq:id.Types.seq)
+              commit_local t node a ~shard ~seq_ops ~locked:txn.write_set)
             ~abort:(abort_handler node ~owner ~locked:txn.write_set)
         in
         (* The outcome crosses back to the host — unless the coordinator
@@ -1186,23 +1164,22 @@ let local_txn t node ~shard (txn : Types.t) id : Control.attempt =
 
 let run_txn t ~node (txn : Types.t) =
   let n = t.nodes.(node) in
-  Control.run_txn t.ctl ~node (fun () ->
-      let id = Control.next_id t.ctl ~node in
+  Control.run_txn t.ctl ~node (fun a ->
       match Types.single_shard txn with
       | Some s when primary_of t ~shard:s = node ->
           Xenic_stats.Counter.incr (counters t) "txns_local";
-          local_txn t n ~shard:s txn id
+          local_txn t n ~shard:s txn a
       | _ ->
           if multihop_eligible t n txn then begin
             Xenic_stats.Counter.incr (counters t) "txns_multihop";
-            (multihop_txn t n txn id :> Control.attempt)
+            multihop_txn t n txn a
           end
           else begin
             Xenic_stats.Counter.incr (counters t) "txns_distributed";
             (* Host -> coordinator NIC crossing, protocol on the NIC, and
                the Committed/Aborted report back to the host. *)
             Smartnic.host_msg n.nic;
-            let result = distributed_txn t n txn id in
+            let result = distributed_txn t n txn a in
             Smartnic.host_msg n.nic;
             result
           end)

@@ -74,7 +74,9 @@ let test_accounting_gated () =
 
 let sb_params = { Smallbank.default_params with accounts_per_node = 50 }
 
-let profiled_run stack =
+(* A profiled run with its trace: the spans the profile's critical paths
+   were extracted from. *)
+let traced_profiled_run stack =
   let sys =
     System.create ~nodes:4 ~replication:3
       ~xenic:{ Xenic_system.default_params with cache_capacity = 512 }
@@ -82,14 +84,17 @@ let profiled_run stack =
       ~buckets:(Smallbank.chained_buckets sb_params) stack
   in
   Smallbank.load sb_params sys;
+  let trace = Trace.create sys.System.engine in
   let result =
-    Driver.run ~seed:11L ~profile:true sys
+    Driver.run ~seed:11L ~trace ~profile:true sys
       (Smallbank.spec sb_params ~nodes:4)
       ~concurrency:8 ~target:300
   in
   match result.Driver.profile with
-  | Some prof -> prof
+  | Some prof -> (prof, trace)
   | None -> Alcotest.fail "profiled run returned no profile"
+
+let profiled_run stack = fst (traced_profiled_run stack)
 
 let profiled_tpcc_run () =
   let tp =
@@ -165,6 +170,37 @@ let check_path_closure prof =
 let test_path_closure stack () = check_path_closure (profiled_run stack)
 
 let test_path_closure_tpcc () = check_path_closure (profiled_tpcc_run ())
+
+(* Eight transactions in flight per coordinator: each committed path
+   must be sliced by its own attempt's phase spans. A span keyed on
+   anything but the attempt's own seq lands on another transaction's
+   track, and the path reads as "other". *)
+let test_path_keys stack () =
+  let prof, trace = traced_profiled_run stack in
+  Alcotest.(check bool) "paths extracted" true (prof.Profile.paths <> []);
+  let frac, blind = Profile.other_share prof in
+  Alcotest.(check int) "no committed path is all other" 0 blind;
+  Alcotest.(check bool)
+    (Printf.sprintf "other is %.3f of committed path time, at most 0.15" frac)
+    true
+    (Float.compare frac 0.15 <= 0);
+  let phase_tracks = Hashtbl.create 1024 in
+  let outers = ref [] in
+  List.iter
+    (function
+      | Trace.Span { cat = "txn"; pid; tid; _ } ->
+          Hashtbl.replace phase_tracks (pid, tid) ()
+      | Trace.Span { cat = "txnlat"; pid; tid; _ } ->
+          outers := (pid, tid) :: !outers
+      | _ -> ())
+    (Trace.events trace);
+  let unmatched =
+    List.filter (fun key -> not (Hashtbl.mem phase_tracks key)) !outers
+  in
+  Alcotest.(check int)
+    (Printf.sprintf "txnlat spans without a txn span on their track (of %d)"
+       (List.length !outers))
+    0 (List.length unmatched)
 
 (* Folded output: sorted lines of exactly six ;-frames plus a positive
    integer weight — the contract flamegraph renderers rely on. *)
@@ -348,6 +384,12 @@ let () =
             (test_path_closure System.Drtmh);
           Alcotest.test_case "tpcc xenic" `Quick test_path_closure_tpcc;
         ] );
+      ( "path keys",
+        List.map
+          (fun stack ->
+            Alcotest.test_case (System.stack_name stack) `Quick
+              (test_path_keys stack))
+          System.stacks );
       ( "folded",
         [ Alcotest.test_case "format" `Quick test_folded_format ] );
       ( "bench-diff",

@@ -322,7 +322,7 @@ let counter ctl name =
 
 let attempt_t =
   Alcotest.testable
-    (fun fmt (a : Control.attempt) ->
+    (fun fmt (a : Control.outcome) ->
       Format.pp_print_string fmt
         (match a with
         | `Committed -> "committed"
@@ -330,19 +330,20 @@ let attempt_t =
         | `Retry r -> "retry " ^ Metrics.abort_reason_name r))
     ( = )
 
+(* Attempt 7 of coordinator 0. *)
+let fake_attempt () = { Control.coord = 0; seq = 7; owner = 7; start = 0.0 }
+
 (* Fake transport: records which closures ran and the decision [log]
    was handed; [on_log] runs inside [log]. *)
 let fake_commit_point ?(on_log = ignore) engine ctl =
   let decision = ref None and committed = ref false and aborted = ref false in
   let result =
     in_process engine (fun () ->
-        Control.commit_point ctl ~src:0 ~epoch0:0
-          ~mark:(fun _ t -> t)
-          ~t_prev:0.0
+        Control.commit_point ctl (fake_attempt ()) ~epoch0:0
           ~log:(fun d ->
             decision := Some d;
             on_log ())
-          ~commit:(fun _ -> committed := true)
+          ~commit:(fun () -> committed := true)
           ~abort:(fun () -> aborted := true))
   in
   (result, Option.map ( ! ) !decision, !committed, !aborted)
@@ -476,20 +477,22 @@ let test_drain () =
 (* {2 The attempt tail, with fake closures} *)
 
 (* Run [Control.finish] un-armed with fakes that log every closure call
-   and mark in order; [validate] answers [verdict]. Returns the result,
-   the calls, what [log] and [commit] were handed, and the control. *)
+   as an instant in a trace attached to the control; [validate]
+   answers [verdict]. The calls are read back in order, each ["txn"]
+   span on the attempt's own track (coordinator 0, seq 7) as
+   ["mark <phase>"]. Returns the result, the calls, what [log] and
+   [commit] were handed, and the control. *)
 let fake_finish ?(verdict = `Valid) ?oracle ~checks ~lock_versions ops =
   let engine, ctl = mk_control () in
   Option.iter (Control.set_oracle ctl) oracle;
-  let calls = ref [] and logged = ref None and committed = ref None in
-  let call c = calls := c :: !calls in
+  let trace = Xenic_sim.Trace.create engine in
+  Control.set_trace ctl (Some trace);
+  let logged = ref None and committed = ref None in
+  let call c = Control.trace_instant ctl ~cat:"call" ~name:c ~pid:0 ~tid:0 [] in
   let result =
     in_process engine (fun () ->
-        Control.finish ctl ~src:0 ~epoch0:0
-          ~mark:(fun name t ->
-            call ("mark " ^ name);
-            t)
-          ~t_prev:0.0 ~id:7 ~values:[] ~lock_versions ~checks
+        Control.finish ctl (fake_attempt ()) ~epoch0:0 ~values:[]
+          ~lock_versions ~checks
           ~validate:(fun _ ->
             call "validate";
             verdict)
@@ -502,7 +505,16 @@ let fake_finish ?(verdict = `Valid) ?oracle ~checks ~lock_versions ops =
             committed := Some (seq_ops, by_shard))
           ops)
   in
-  (result, List.rev !calls, !logged, !committed, ctl)
+  let calls =
+    List.filter_map
+      (function
+        | Xenic_sim.Trace.Instant { cat = "call"; name; _ } -> Some name
+        | Xenic_sim.Trace.Span { cat = "txn"; name; pid = 0; tid = 7; _ } ->
+            Some ("mark " ^ name)
+        | _ -> None)
+      (Xenic_sim.Trace.events trace)
+  in
+  (result, calls, !logged, !committed, ctl)
 
 let put key = Op.Put (key, Bytes.of_string "v")
 
@@ -1080,6 +1092,44 @@ let test_promoted_primary_ordered_write () =
           (Option.map Bytes.to_string (System.peek sys ~node target)))
     (Config.replicas windowed_cfg ~shard:1)
 
+(* {2 Allocation ratchets} *)
+
+(* Minor words per read-only transaction of eight keys of shard 1,
+   coordinated at node 0 (not shard 1's primary), on a warm [stack]:
+   eight one-sided READs on DrTM+H, eight CAS locks and then eight
+   READs on DrTM+R. A READ's size is its slot's, looked up when it is
+   issued; that lookup allocates the value's option only. *)
+let read_txn_words stack =
+  let sys = build stack in
+  let keys = List.init 8 (fun id -> k ~shard:1 ~id) in
+  List.iter (fun key -> sys.System.load key (Bytes.make 64 'v')) keys;
+  sys.System.seal ();
+  let txn = Types.make ~read_set:keys ~write_set:[] (fun _ -> []) in
+  let run n =
+    in_process sys.System.engine (fun () ->
+        for _ = 1 to n do
+          ignore (sys.System.run_txn ~node:0 txn)
+        done)
+  in
+  run 10;
+  let txns = 50 in
+  let w0 = Gc.minor_words () in
+  run txns;
+  (Gc.minor_words () -. w0) /. float_of_int txns
+
+let check_read_txn_words stack ~bound =
+  let words = read_txn_words stack in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s read-only txn: %.1f words within %.0f"
+       (System.stack_name stack) words bound)
+    true (words <= bound)
+
+let test_alloc_one_sided_reads () =
+  check_read_txn_words System.Drtmh ~bound:4478.0
+
+let test_alloc_locked_reads () =
+  check_read_txn_words System.Drtmr ~bound:6693.0
+
 let () =
   Alcotest.run "xenic_proto"
     [
@@ -1173,5 +1223,12 @@ let () =
             `Quick test_rdma_backup_ordered_stamp_order;
           Alcotest.test_case "promoted primary applies ordered writes" `Quick
             test_promoted_primary_ordered_write;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "drtmh one-sided reads" `Quick
+            test_alloc_one_sided_reads;
+          Alcotest.test_case "drtmr locked reads" `Quick
+            test_alloc_locked_reads;
         ] );
     ]
