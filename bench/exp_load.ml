@@ -234,15 +234,7 @@ let run () =
     (* Online detectors over the per-window rollup. *)
     let roll = Telemetry.rollup tel in
     let verdicts =
-      [
-        ("retry-storm", Detect.retry_storm roll);
-        ("queue-growth", Detect.queue_growth roll);
-        ("littles-law", Detect.littles_law roll);
-        ( "slo-burn",
-          Detect.slo_burn
-            { Detect.latency_ns = 100_000.0; target = 0.99 }
-            roll );
-      ]
+      Detect.all { Detect.latency_ns = 100_000.0; target = 0.99 } roll
     in
     List.iter
       (fun (dname, (v : Detect.verdict)) ->

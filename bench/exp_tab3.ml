@@ -18,8 +18,7 @@ type bench = {
 let benchmarks () =
   let tp =
     {
-      Tpcc.default_params with
-      warehouses_per_node = 4;
+      Tpcc.warehouses_per_node = 4;
       customers_per_district = 40;
       items = 1_000;
       uniform_item_partitions = true;

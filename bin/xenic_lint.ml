@@ -8,6 +8,8 @@
                                        annotated-finding inventory (stdout);
                                        fails if unannotated findings exist
      xenic_lint report ROOT...         DOMAIN-SHARED mutable-state report
+     xenic_lint options ROOT...        optional-argument and [params]-field
+                                       inventory of every .mli (stdout)
 
    [--format json] switches any subcommand to machine-readable output.
    A first argument that is an existing path keeps the legacy
@@ -16,7 +18,8 @@
 
 let usage () =
   prerr_endline "usage: xenic_lint [SUBCOMMAND] [--format json] DIR-OR-FILE...";
-  prerr_endline "  subcommands: lint (default) | suspend | atomicity | report";
+  prerr_endline
+    "  subcommands: lint (default) | suspend | atomicity | report | options";
   prerr_endline "  atomicity also takes --inventory";
   exit 2
 
@@ -204,13 +207,26 @@ let run_report fmt roots =
     1
   end
 
+(* ---- options ------------------------------------------------------ *)
+
+let run_options fmt roots =
+  let mlis = Lint.collect_files ~suffix:".mli" roots in
+  let inv = Options.inventory (List.map (fun f -> (f, Lint.read_file f)) mlis) in
+  (match fmt with
+  | Json ->
+      let l = Ljson.L (List.map (fun s -> Ljson.S s) inv) in
+      print_endline (Ljson.to_string (Ljson.O [ ("options", l) ]))
+  | Text -> print_lines inv);
+  0
+
 (* -------------------------------------------------------------------- *)
 
 let () =
   let args = match Array.to_list Sys.argv with [] -> [] | _ :: r -> r in
   let sub, rest =
     match args with
-    | ("lint" | "suspend" | "atomicity" | "report") :: r -> (List.hd args, r)
+    | ("lint" | "suspend" | "atomicity" | "report" | "options") :: r ->
+        (List.hd args, r)
     | _ -> ("lint", args)  (* legacy: xenic_lint DIR-OR-FILE... *)
   in
   let roots, fmt, inventory = parse_opts rest in
@@ -224,4 +240,5 @@ let () =
     | "suspend" -> run_suspend fmt roots
     | "atomicity" -> run_atomicity fmt ~inventory roots
     | "report" -> run_report fmt roots
+    | "options" -> run_options fmt roots
     | _ -> run_lint fmt roots)

@@ -171,12 +171,7 @@ let run_cmd trace_out profile_out telemetry_out telemetry_window_us
           Printf.printf "  detect %-12s %s (%s)\n" dname
             (if v.Detect.flagged then "FLAGGED" else "clean")
             v.Detect.detail)
-        [
-          ("retry-storm", Detect.retry_storm roll);
-          ("queue-growth", Detect.queue_growth roll);
-          ("littles-law", Detect.littles_law roll);
-          ("slo-burn", Detect.slo_burn slo roll);
-        ];
+        (Detect.all slo roll);
       write_file (base ^ ".json")
         (Telemetry.to_json tel ~id:"telemetry"
            ~description:(sys.System.name ^ " " ^ wl_name));

@@ -54,7 +54,7 @@ let () =
         outcomes := (Engine.now engine, outcome) :: !outcomes
       done);
   ignore (Engine.run engine);
-  Process.spawn engine (fun () -> sys.System.quiesce ());
+  Process.spawn engine (fun () -> Control.quiesce sys.System.control);
   ignore (Engine.run engine);
 
   List.iter

@@ -402,20 +402,24 @@ let lint_file path = lint_source ~filename:path (read_file path)
 
 let lint_string ~filename src = fst (lint_source ~filename src)
 
-let rec collect_ml acc path =
+let rec collect ~suffix acc path =
   if Sys.file_exists path && Sys.is_directory path then begin
     let base = Filename.basename path in
     if String.length base > 0 && (base.[0] = '.' || base.[0] = '_') then acc
     else
       Array.to_list (Sys.readdir path)
       |> List.sort String.compare
-      |> List.fold_left (fun acc name -> collect_ml acc (Filename.concat path name)) acc
+      |> List.fold_left
+           (fun acc name -> collect ~suffix acc (Filename.concat path name))
+           acc
   end
-  else if Filename.check_suffix path ".ml" then path :: acc
+  else if Filename.check_suffix path suffix then path :: acc
   else acc
 
-let collect_ml_files roots =
-  List.fold_left collect_ml [] roots |> List.sort String.compare
+let collect_files ~suffix roots =
+  List.fold_left (collect ~suffix) [] roots |> List.sort String.compare
+
+let collect_ml_files = collect_files ~suffix:".ml"
 
 let lint_roots roots =
   List.concat_map (fun f -> fst (lint_file f)) (collect_ml_files roots)

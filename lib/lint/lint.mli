@@ -102,6 +102,9 @@ val lint_roots : string list -> finding list
     Skips [_build] and dotted directories. *)
 val collect_ml_files : string list -> string list
 
+(** {!collect_ml_files} for any file name suffix (e.g. [".mli"]). *)
+val collect_files : suffix:string -> string list -> string list
+
 (** Parse one implementation with compiler-libs; [None] if the parser
     rejects it (the analyzer passes skip such files, the classic lint
     falls back to the lexical scan). *)

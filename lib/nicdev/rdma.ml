@@ -78,7 +78,8 @@ let target_pcie_ns t = function
       (* CAS is a PCIe read-modify-write on host memory. *)
       t.hw.rdma_target_read_pcie_ns +. (0.5 *. t.hw.rdma_target_write_pcie_ns)
 
-let one_sided ?(pay_submit = true) t ~src ~dst verb ~bytes ~at_target =
+(* [pay_submit] charges the initiator doorbell; a batch pays it once. *)
+let post ~pay_submit t ~src ~dst verb ~bytes ~at_target =
   t.verbs_arr.(src) <- t.verbs_arr.(src) + 1;
   if pay_submit then Process.sleep (engine t) t.hw.rdma_submit_ns;
   Resource.use t.units.(src) (unit_ns t ~node:src);
@@ -93,17 +94,20 @@ let one_sided ?(pay_submit = true) t ~src ~dst verb ~bytes ~at_target =
   Process.sleep (engine t) t.hw.rdma_completion_poll_ns;
   result
 
+let one_sided t ~src ~dst verb ~bytes ~at_target =
+  post ~pay_submit:true t ~src ~dst verb ~bytes ~at_target
+
 let one_sided_many t ~src verbs =
   match verbs with
   | [] -> []
   | (dst, verb, bytes, at_target) :: rest ->
       let first () =
-        one_sided t ~src ~dst verb ~bytes ~at_target ~pay_submit:true
+        post ~pay_submit:true t ~src ~dst verb ~bytes ~at_target
       in
       let others =
         List.map
           (fun (dst, verb, bytes, at_target) () ->
-            one_sided t ~src ~dst verb ~bytes ~at_target ~pay_submit:false)
+            post ~pay_submit:false t ~src ~dst verb ~bytes ~at_target)
           rest
       in
       Process.parallel (engine t) (first :: others)

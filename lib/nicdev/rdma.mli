@@ -19,11 +19,10 @@ val create : 'm Xenic_net.Fabric.t -> 'm t
 val hw : 'm t -> Xenic_params.Hw.t
 
 (** [one_sided t ~src ~dst verb ~bytes ~at_target] issues one verb and
-    blocks until completion, returning [at_target]'s result.
-    [pay_submit] (default true) charges the initiator doorbell cost;
-    doorbell batching amortizes it across a batch. *)
+    blocks until completion, returning [at_target]'s result. It pays
+    the initiator doorbell cost; {!one_sided_many} amortizes it across
+    a batch. *)
 val one_sided :
-  ?pay_submit:bool ->
   'm t ->
   src:int ->
   dst:int ->

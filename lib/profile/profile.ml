@@ -278,7 +278,10 @@ let path_groups t =
            let c = String.compare cls1 cls2 in
            if c <> 0 then c else List.compare String.compare sig1 sig2)
 
-let critical_paths ?(top_k = 5) t =
+(* Critical-path shapes the report lists; the rest are counted. *)
+let top_k = 5
+
+let critical_paths t =
   if t.paths = [] then "  (no critical paths: run without a trace)\n"
   else begin
     let buf = Buffer.create 1024 in
@@ -313,14 +316,14 @@ let critical_paths ?(top_k = 5) t =
     Buffer.contents buf
   end
 
-let report ?top_k t =
+let report t =
   String.concat "\n"
     [
       Printf.sprintf "== Profile: %s (%.3f ms measured) ==" t.stack
         (ms t.elapsed_ns);
       bottleneck_table t;
       phase_matrix t;
-      critical_paths ?top_k t;
+      critical_paths t;
     ]
 
 let folded t =

@@ -77,9 +77,9 @@ val collect :
 
 (** Bottleneck report: per-resource utilization/wait/service table (with
     the Little's-law queue length), a resource × phase service-time
-    matrix, and the top-[top_k] (default 5) critical-path shapes by
-    total time. Deterministic text. *)
-val report : ?top_k:int -> t -> string
+    matrix, and the top 5 critical-path shapes by total time.
+    Deterministic text. *)
+val report : t -> string
 
 (** Collapsed-stack flamegraph ("folded" format, one
     [frame;frame;... weight] line per non-zero cell, weights in integer

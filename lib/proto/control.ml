@@ -41,8 +41,16 @@ type attempt = {
   mutable start : float;  (* start of the open phase *)
 }
 
+type log_record = {
+  lr_shard : int;
+  lr_ops : (Op.t * int) list;
+  lr_decision : decision ref;
+  mutable lr_stamp : int;
+}
+
 type t = {
   engine : Engine.t;
+  hw : Xenic_params.Hw.t;  (* prices the log workers' applies *)
   cfg : Config.t;
   stack : string;
   fabric : msg Xenic_net.Fabric.t;
@@ -68,6 +76,8 @@ type t = {
       (* per-node host-log appends, across all of the node's logs: the
          count half of {!append_log}'s stamp *)
   storage : Storage.t array;  (* node -> its replica store *)
+  logs : (string * log_record Xenic_store.Hostlog.t) list array;
+      (* node -> its host logs, named, in [host_log] order *)
   unsealed : bool array;  (* shard -> bulk-loaded since the last [seal] *)
   mutable epoch : int;  (* bumped on every reconfiguration *)
   mutable inflight_commits : int;
@@ -128,6 +138,7 @@ let create engine hw cfg ~stack ~partitions ~armed ~table =
   in
   {
     engine;
+    hw;
     cfg;
     stack;
     fabric = Xenic_net.Fabric.create engine hw ~nodes;
@@ -140,6 +151,7 @@ let create engine hw cfg ~stack ~partitions ~armed ~table =
     txn_seq = Array.make nodes 0;
     log_appends = Array.make nodes 0;
     storage = Array.init nodes (fun node -> Storage.create cfg ~node ~table);
+    logs = Array.make nodes [];
     unsealed = Array.make nodes false;
     epoch = 0;
     inflight_commits = 0;
@@ -475,14 +487,10 @@ let finish t a ~epoch0 ~values ~lock_versions ~checks ~validate ~release
 (* ------------------------------------------------------------------ *)
 (* Host-memory logs and the log-apply workers *)
 
-type log_record = {
-  lr_shard : int;
-  lr_ops : (Op.t * int) list;
-  lr_decision : decision ref;
-  mutable lr_stamp : int;
-}
-
-let host_log t = Xenic_store.Hostlog.create t.engine ~capacity_b:log_capacity_b
+let host_log t ~node ~name =
+  let log = Xenic_store.Hostlog.create t.engine ~capacity_b:log_capacity_b in
+  t.logs.(node) <- t.logs.(node) @ [ (name, log) ];
+  log
 
 (* The apply order of ordered-table writes, packed into one int so the
    per-key comparison allocates nothing: the configuration epoch at
@@ -506,11 +514,12 @@ let append_log t ~node log ~bytes ~shard ~ops decision =
   t.log_appends.(node) <- n;
   record.lr_stamp <- (t.epoch lsl stamp_bits) lor n
 
+(* Host cost of applying one write. *)
 let apply_cost (hw : Xenic_params.Hw.t) op =
   if Keyspace.ordered (Op.key op) then btree_op_ns
   else hw.host_op_ns +. (float_of_int (Op.bytes op) *. hw.host_byte_ns)
 
-let log_worker t ~node ~log ~pool ~op_ns ~applied =
+let log_worker t ~node ~log ~pool ~applied =
   let storage = t.storage.(node) in
   Process.spawn t.engine (fun () ->
       Attrib.set { Attrib.stack = t.stack; node; phase = "log-apply"; cls = "-" };
@@ -524,7 +533,7 @@ let log_worker t ~node ~log ~pool ~op_ns ~applied =
           Resource.acquire pool;
           List.iter
             (fun (op, seq) ->
-              Process.sleep t.engine (op_ns op);
+              Process.sleep t.engine (apply_cost t.hw op);
               Storage.apply storage op ~seq ~stamp:record.lr_stamp)
             record.lr_ops;
           Resource.release pool;
@@ -539,16 +548,16 @@ let drained logs = List.for_all (fun (_, l) -> Xenic_store.Hostlog.drained l) lo
 
 (* Wait until every live node's logs are drained; crashed nodes' state
    died with them. *)
-let rec quiesce t ~logs =
-  let busy node crashed = not (crashed || drained (logs ~node)) in
+let rec quiesce t =
+  let busy node crashed = not (crashed || drained t.logs.(node)) in
   if Array.exists Fun.id (Array.mapi busy t.crashed) then begin
     Process.sleep t.engine 10_000.0;
-    quiesce t ~logs
+    quiesce t
   end
 
 (* Post-quiesce audit of every live node: no lock held, no log left
    undrained. *)
-let audit t ~locked ~logs =
+let audit t ~locked =
   List.concat
     (List.init (Array.length t.crashed) (fun node ->
          if t.crashed.(node) then []
@@ -563,7 +572,7 @@ let audit t ~locked ~logs =
                  if Xenic_store.Hostlog.drained log then None
                  else
                    Some (Printf.sprintf "%s node %d: %s not drained" t.stack node name))
-               (logs ~node)))
+               t.logs.(node)))
 
 (* ------------------------------------------------------------------ *)
 (* Transaction outcome accounting *)

@@ -15,8 +15,8 @@
     differs: how a request and its response move ({!call}), how reads
     are validated, a LOG sent and COMMIT applied ({!finish},
     {!commit_point}, {!replicate}), what follows a record's apply
-    ({!log_worker}), which locks and logs a node holds
-    ({!audit}, {!quiesce}), the recovery hooks given to
+    ({!log_worker}), which locks a node holds ({!audit}), the recovery
+    hooks given to
     {!attach_membership}, the per-packet NIC charge of
     {!dispatch_loop}, and the per-attempt body of {!run_txn}.
 
@@ -86,8 +86,24 @@ type attempt = {
   mutable start : float;  (** When the open phase began, simulated ns. *)
 }
 
+(** A LOG or COMMIT record in a host-memory log. Which log it sits in
+    tells its kind. *)
+type log_record = {
+  lr_shard : int;
+  lr_ops : (Op.t * int) list;  (** Writes with their new versions. *)
+  lr_decision : decision ref;
+      (** Shared by every copy of one transaction's records. *)
+  mutable lr_stamp : int;
+      (** Apply order of the record's ordered-table writes: the
+          configuration epoch at append, then the node's append count
+          across all its logs ({!append_log}). Set by {!append_log};
+          delivery to workers is deferred, so it is set before any
+          worker reads it. *)
+}
+
 type t = {
   engine : Xenic_sim.Engine.t;
+  hw : Xenic_params.Hw.t;  (** Prices {!log_worker}'s applies. *)
   cfg : Config.t;
   stack : string;  (** Telemetry and attribution label. *)
   fabric : msg Xenic_net.Fabric.t;
@@ -106,6 +122,8 @@ type t = {
       (** Per-node host-log appends across all the node's logs, the
           count half of a record's stamp ({!append_log}). *)
   storage : Storage.t array;  (** Node -> its replica store. *)
+  logs : (string * log_record Xenic_store.Hostlog.t) list array;
+      (** Node -> its host logs, named, in {!host_log} order. *)
   unsealed : bool array;  (** Shard -> bulk-loaded since the last {!seal}. *)
   mutable epoch : int;  (** Bumped on every reconfiguration. *)
   mutable inflight_commits : int;  (** Attempts holding the commit fence. *)
@@ -314,23 +332,10 @@ val replicate :
 
 (** {2 Host-memory logs} *)
 
-(** A LOG or COMMIT record in a host-memory log. Which log it sits in
-    tells its kind. *)
-type log_record = {
-  lr_shard : int;
-  lr_ops : (Op.t * int) list;  (** Writes with their new versions. *)
-  lr_decision : decision ref;
-      (** Shared by every copy of one transaction's records. *)
-  mutable lr_stamp : int;
-      (** Apply order of the record's ordered-table writes: the
-          configuration epoch at append, then the node's append count
-          across all its logs ({!append_log}). Set by {!append_log};
-          delivery to workers is deferred, so it is set before any
-          worker reads it. *)
-}
-
-(** A fresh host-memory log of 4 MiB. *)
-val host_log : t -> log_record Xenic_store.Hostlog.t
+(** [host_log t ~node ~name]: a fresh host-memory log of 4 MiB for
+    [node], recorded under [name] after [node]'s earlier logs, so
+    {!quiesce} waits for it and {!audit} names it. *)
+val host_log : t -> node:int -> name:string -> log_record Xenic_store.Hostlog.t
 
 (** [append_log t ~node log ...] appends a record of [ops] to [log], one
     of [node]'s logs (blocking while the log is full), and stamps it:
@@ -348,39 +353,31 @@ val append_log :
   decision ref ->
   unit
 
-(** Host cost of applying one write: 300 ns for ordered keys, per-op
-    plus per-byte host cost otherwise. *)
-val apply_cost : Xenic_params.Hw.t -> Op.t -> float
-
 (** Spawn one log-apply worker for [node]'s [log]. It polls a record
     and waits for its decision: a [Dabort] record is acknowledged
     unapplied (counted [log_discards]). A [Dcommit] record is applied
     to [node]'s store holding one server of [pool]: per write [(op,
-    seq)], sleep [op_ns op], then {!Storage.apply} with the record's
-    stamp — the same rule on every stack. The worker then acknowledges
+    seq)], sleep the host cost of applying [op] (300 ns for an ordered
+    key; per-op plus per-byte host cost otherwise), then
+    {!Storage.apply} with the record's stamp — the same rule on every
+    stack. The worker then acknowledges
     the record and calls [applied record]. *)
 val log_worker :
   t ->
   node:int ->
   log:log_record Xenic_store.Hostlog.t ->
   pool:Xenic_sim.Resource.t ->
-  op_ns:(Op.t -> float) ->
   applied:(log_record -> unit) ->
   unit
 
-(** Block until every live node's [logs ~node] are drained. *)
-val quiesce :
-  t -> logs:(node:int -> (string * log_record Xenic_store.Hostlog.t) list) -> unit
+(** Block until every live node's host logs are drained. *)
+val quiesce : t -> unit
 
 (** Protocol audit, meant to run after {!quiesce}: at every live node,
-    each lock in [locked ~node] ([(key, owner)]) and each named log in
-    [logs ~node] not drained is a violation. Returns them in node
-    order, human-readable; [[]] = clean. *)
-val audit :
-  t ->
-  locked:(node:int -> (Keyspace.t * int) list) ->
-  logs:(node:int -> (string * log_record Xenic_store.Hostlog.t) list) ->
-  string list
+    each lock in [locked ~node] ([(key, owner)]) and each of its host
+    logs not drained, by name in {!host_log} order, is a violation.
+    Returns them in node order, human-readable; [[]] = clean. *)
+val audit : t -> locked:(node:int -> (Keyspace.t * int) list) -> string list
 
 (** {2 Transactions} *)
 

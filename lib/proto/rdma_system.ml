@@ -229,11 +229,10 @@ let create engine hw cfg flavor p =
             Resource.create engine
               ~name:(Printf.sprintf "rwrk%d" id)
               ~servers:p.worker_threads;
-          log = Control.host_log ctl;
+          log = Control.host_log ctl ~node:id ~name:"log";
         })
   in
   let t = { ctl; hw; flavor; p; rdma; nodes; tr = transport ctl hw rdma } in
-  let op_ns = Control.apply_cost hw in
   Array.iter
     (fun node ->
       (* No SmartNIC: RDMA NIC costs are charged per verb and RPC inside
@@ -244,7 +243,7 @@ let create engine hw cfg flavor p =
            work for the same host threads (§5.2: FaSST handles RPCs on
            the threads performing compute-intensive B+ tree work). *)
         Control.log_worker ctl ~node:node.id ~log:node.log ~pool:node.host
-          ~op_ns ~applied:ignore
+          ~applied:ignore
       done)
     nodes;
   (* Recovery's data plane: the successor drains its backup log, and
@@ -294,13 +293,9 @@ let resources t =
   pools @ named (Rdma.resources t.rdma)
   @ named (Xenic_net.Fabric.resources t.ctl.fabric)
 
-let logs t ~node = [ ("log", t.nodes.(node).log) ]
-
-let quiesce t = Control.quiesce t.ctl ~logs:(logs t)
-
-(* After [quiesce] every per-node lock table must be empty and every log
-   drained. *)
-let audit t = Control.audit t.ctl ~locked:(held_locks t) ~logs:(logs t)
+(* After [Control.quiesce] every per-node lock table must be empty and
+   every log drained. *)
+let audit t = Control.audit t.ctl ~locked:(held_locks t)
 
 (* ------------------------------------------------------------------ *)
 (* Object wire sizes *)

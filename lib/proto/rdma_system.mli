@@ -114,9 +114,7 @@ val set_nic_slowdown : t -> node:int -> float -> unit
     [n >= 1]. *)
 val degrade_nic_cores : t -> node:int -> n:int -> dur_ns:float -> unit
 
-val quiesce : t -> unit
-
-(** Protocol-invariant audit, meant to run after {!quiesce}: every
+(** Protocol-invariant audit, meant to run after {!Control.quiesce}: every
     per-node lock table must be empty and every host log drained.
     Returns human-readable violations (empty = clean). *)
 val audit : t -> string list

@@ -11,7 +11,6 @@ type t = {
   load : Keyspace.t -> bytes -> unit;
   seal : unit -> unit;
   run_txn : node:int -> Types.t -> Types.outcome;
-  quiesce : unit -> unit;
   set_oracle : Oracle.t -> unit;
   audit : unit -> string list;
   recover_node : node:int -> unit;
@@ -34,7 +33,6 @@ let of_xenic x =
     load = (fun k v -> Control.load c k v);
     seal = (fun () -> Xenic_system.seal x);
     run_txn = (fun ~node txn -> Xenic_system.run_txn x ~node txn);
-    quiesce = (fun () -> Xenic_system.quiesce x);
     set_oracle = (fun o -> Control.set_oracle c o);
     audit = (fun () -> Xenic_system.audit x);
     recover_node = (fun ~node -> Xenic_system.recover_node x ~node);
@@ -58,7 +56,6 @@ let of_rdma r =
     load = (fun k v -> Control.load c k v);
     seal = (fun () -> Control.seal c);
     run_txn = (fun ~node txn -> Rdma_system.run_txn r ~node txn);
-    quiesce = (fun () -> Rdma_system.quiesce r);
     set_oracle = (fun o -> Control.set_oracle c o);
     audit = (fun () -> Rdma_system.audit r);
     recover_node = (fun ~node -> Rdma_system.recover_node r ~node);
@@ -125,7 +122,7 @@ let create ?strict ?domains ?(hw = Xenic_params.Hw.testbed)
    and on a strict engine fail on any protocol-audit or sim-primitive
    violation left. *)
 let drain t ~who =
-  Xenic_sim.Process.spawn t.engine (fun () -> t.quiesce ());
+  Xenic_sim.Process.spawn t.engine (fun () -> Control.quiesce t.control);
   ignore (Xenic_sim.Engine.run t.engine);
   t.sync ();
   if Xenic_sim.Engine.strict t.engine then begin

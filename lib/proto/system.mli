@@ -32,11 +32,11 @@ type t = {
           until it runs, [run_txn] and {!peek} raise
           [Invalid_argument "<stack>: load without seal"]. *)
   run_txn : node:int -> Types.t -> Types.outcome;
-  quiesce : unit -> unit;
   set_oracle : Oracle.t -> unit;
       (** Attach a serializability oracle recording committed txns. *)
   audit : unit -> string list;
-      (** Post-[quiesce] protocol-invariant audit; [] = clean. *)
+      (** Protocol-invariant audit after {!Control.quiesce}; [] =
+          clean. *)
   recover_node : node:int -> unit;
       (** Recover a crashed node: epoch-fenced rejoin with replica
           repair on Xenic (see {!Xenic_system.recover_node}); always
@@ -98,7 +98,7 @@ val create :
   stack ->
   t
 
-(** End a run: spawn [quiesce], run the engine until it drains, then
+(** End a run: spawn {!Control.quiesce}, run the engine until it drains, then
     [sync]. On a strict engine, fail with ["<who>: N sanitizer
     violation(s):"] followed by each {!audit} and
     {!Xenic_sim.Engine.sanitize} violation, one per line. *)

@@ -397,6 +397,9 @@ let create engine hw cfg p =
         let nic = Smartnic.create ~cores:p.nic_threads engine hw in
         Xenic_pcie.Dma.set_vectored (Smartnic.dma nic) p.features.async_dma;
         let indexes = Array.make cfg.Config.nodes None in
+        (* Bound in this order, the audit names the backup log first. *)
+        let log = Control.host_log ctl ~node:id ~name:"backup log" in
+        let commit_log = Control.host_log ctl ~node:id ~name:"commit log" in
         indexes.(id) <-
           Some
             (Xenic_store.Nic_index.create
@@ -412,8 +415,8 @@ let create engine hw cfg p =
               ~enabled:p.features.eth_aggregation;
           storage;
           indexes;
-          log = Control.host_log ctl;
-          commit_log = Control.host_log ctl;
+          log;
+          commit_log;
           app = Resource.create engine ~name:(Printf.sprintf "app%d" id)
               ~servers:p.app_threads;
           workers =
@@ -422,15 +425,13 @@ let create engine hw cfg p =
           io = index_io ctl p.features nic;
         })
   in
-  let op_ns = Control.apply_cost hw in
   Array.iter
     (fun node ->
       Control.dispatch_loop ctl ~node:node.id
         ~pkt_io:
           (Some (Smartnic.pkt_io_path node.nic, fun () -> Smartnic.pkt_io_ns node.nic));
       let worker log ~applied =
-        Control.log_worker ctl ~node:node.id ~log ~pool:node.workers ~op_ns
-          ~applied
+        Control.log_worker ctl ~node:node.id ~log ~pool:node.workers ~applied
       in
       for _ = 1 to p.worker_threads do
         worker node.log ~applied:ignore;
@@ -1184,20 +1185,10 @@ let run_txn t ~node (txn : Types.t) =
             result
           end)
 
-(* A node's host logs, named for the audit. *)
-let logs t ~node =
-  let n = t.nodes.(node) in
-  [ ("backup log", n.log); ("commit log", n.commit_log) ]
-
-(* Wait until all logs are drained and async commits applied. Crashed
-   nodes are excluded: their logs do still drain — coordinators resolve
-   every record's decision — but nothing downstream depends on it. *)
-let quiesce t = Control.quiesce t.ctl ~logs:(logs t)
-
-(* After [quiesce] every NIC index must be lock-free and every host log
-   drained. *)
+(* After [Control.quiesce] every NIC index must be lock-free and every
+   host log drained. *)
 let audit t =
-  Control.audit t.ctl ~logs:(logs t) ~locked:(fun ~node ->
+  Control.audit t.ctl ~locked:(fun ~node ->
       Array.fold_right
         (fun idx_opt acc ->
           match idx_opt with

@@ -134,11 +134,8 @@ val util_sources : t -> (string * (unit -> float)) list
     the profiler's bottleneck accounting. *)
 val resources : t -> (string * Xenic_sim.Resource.t) list
 
-(** Drain in-flight asynchronous work (commit application). Call after
-    load generation stops, before checking invariants. *)
-val quiesce : t -> unit
-
-(** Protocol-invariant audit, meant to run after {!quiesce}: every NIC
+(** Protocol-invariant audit, meant to run after {!Control.quiesce}
+    has drained the host logs (commit application included): every NIC
     index must be lock-free and every host log drained. Returns
     human-readable violations (empty = clean). *)
 val audit : t -> string list

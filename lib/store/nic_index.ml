@@ -28,8 +28,6 @@ type 'v t = {
   mutable n_entries : int;
   vacant : 'v entry;
   hints : int array;  (* max displacement per hint group of home slots *)
-  hint_slots : int;  (* home slots covered by one hint *)
-  slack : int;
   cache_capacity : int;
   (* Eviction FIFO of keys: [ring_len] keys from [ring_head], circular. *)
   mutable ring : int array;
@@ -42,7 +40,15 @@ type 'v t = {
 
 let rec pow2_at_least n = if n <= 1 then 1 else 2 * pow2_at_least ((n + 1) / 2)
 
-let create ?(slack = 1) ?(hint_slots = 4) ~host ~cache_capacity () =
+(* The k of §4.1.3: a first read covers displacements [0, hint + k),
+   so k = 1 reaches exactly the furthest displacement the hint knows. *)
+let slack = 1
+
+(* Home slots covered by one dᵢ hint: finer hints read fewer slots per
+   lookup at a NIC-memory cost. *)
+let hint_slots = 4
+
+let create ~host ~cache_capacity () =
   let groups = ((Robinhood.capacity host + hint_slots - 1) / hint_slots) + 1 in
   let vacant =
     { key = 0; lock = unlocked; seq = 0; value = None; pins = 0; present = false }
@@ -54,8 +60,6 @@ let create ?(slack = 1) ?(hint_slots = 4) ~host ~cache_capacity () =
     n_entries = 0;
     vacant;
     hints = Array.make groups 0;
-    hint_slots;
-    slack;
     cache_capacity;
     ring = Array.make (max 16 cache_capacity) 0;
     ring_head = 0;
@@ -148,7 +152,7 @@ let ring_pop t =
 let sync_hints t =
   Array.fill t.hints 0 (Array.length t.hints) 0;
   Robinhood.iter_home_disp t.host (fun ~home ~disp ->
-      let g = home / t.hint_slots in
+      let g = home / hint_slots in
       if disp > t.hints.(g) then t.hints.(g) <- disp)
 
 let hint t ~seg = t.hints.(seg)
@@ -169,7 +173,7 @@ let cached_values t = t.n_cached
 
 let cache_hits t = t.hits
 
-let seg_of_key t k = Robinhood.home t.host k / t.hint_slots
+let seg_of_key t k = Robinhood.home t.host k / hint_slots
 
 (* Remove cache values until under capacity, skipping entries that are
    pinned (committed but not yet applied by the host) or locked. *)
@@ -206,8 +210,9 @@ let get_or_make_entry t k ~seq ~present =
   if e != t.vacant then e else add t k ~seq ~present
 
 (* Hint-guided DMA lookup against the host table (§4.1.3): one region
-   read of hint+1+slack slots, then a second adjacent read up to the
-   displacement limit, then the overflow page. *)
+   read of dᵢ + k slots (hint + slack, at least 1, at most the
+   displacement limit), then a second adjacent read up to the limit,
+   then the overflow page. *)
 let lookup_dma t io k =
   let seg = seg_of_key t k in
   let host_seg =
@@ -235,10 +240,11 @@ let lookup_dma t io k =
         Some (v, seq)
     | None -> None
   in
-  (* Read d_i + k slots from the home position (§4.1.3); the hint is
-     inclusive of the furthest known displacement, so hint + slack
-     covers it with k = slack slots of staleness headroom. *)
-  let read1 = max 1 (min (t.hints.(seg) + t.slack) limit) in
+  (* Read d_i + k slots from the home position (§4.1.3). The hint is
+     the furthest known displacement itself, so hint + slack slots
+     (k = 1) end exactly on it; a key the hint has not caught up with
+     yet is found by the second read. *)
+  let read1 = max 1 (min (t.hints.(seg) + slack) limit) in
   io.dma_read ~slots:read1
     ~bytes:(Robinhood.region_bytes t.host k ~from_disp:0 ~slots:read1);
   match Robinhood.scan t.host k ~from_disp:0 ~slots:read1 with

@@ -12,9 +12,13 @@
     Hardware costs are reported through an {!io} record so the protocol
     layer can charge the simulated DMA engine / NIC memory while Table 2
     simply counts (objects read, roundtrips). Hints trail the host's
-    true displacement bounds when the host inserts concurrently; lookups
-    read [hint + 1 + slack] slots and fall back to a second adjacent
-    read, or the segment's overflow page, exactly as in the paper. *)
+    true displacement bounds when the host inserts concurrently; a
+    lookup reads the paper's dᵢ + k slots from the key's home, where
+    the hint dᵢ is inclusive of the furthest known displacement and
+    k = 1 ([max 1 (min (hint + 1) limit)] slots, [limit] the table's
+    displacement bound), and falls back to a second adjacent read, or
+    the segment's overflow page, exactly as in the paper. One hint
+    covers 4 home slots. *)
 
 type 'v t
 
@@ -27,14 +31,10 @@ type io = {
 (** Zero-cost [io] for pure accounting contexts. *)
 val free_io : io
 
-(** [create ~host ~cache_capacity ~slack ~hint_slots] builds the index
-    (call {!sync_hints} after bulk loading). [cache_capacity] bounds
-    cached {e values} (metadata is small and unbounded); [slack] is the
-    k of §4.1.3 (default 1); [hint_slots] is the number of home slots
-    one dᵢ hint covers (finer hints read fewer slots per lookup at a
-    metadata cost; default 4). *)
-val create :
-  ?slack:int -> ?hint_slots:int -> host:'v Robinhood.t -> cache_capacity:int -> unit -> 'v t
+(** [create ~host ~cache_capacity ()] builds the index (call
+    {!sync_hints} after bulk loading). [cache_capacity] bounds cached
+    {e values} (metadata is small and unbounded). *)
+val create : host:'v Robinhood.t -> cache_capacity:int -> unit -> 'v t
 
 val host : 'v t -> 'v Robinhood.t
 

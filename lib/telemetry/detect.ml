@@ -5,6 +5,47 @@
 
 type verdict = { flagged : bool; detail : string }
 
+(* Thresholds. Each detector reads one fixed setting; the unit tests
+   and the [bench load] storm gates are calibrated against these. *)
+
+(* retry_storm: a burst is offered > [storm_burst_factor] x the median;
+   a post-burst window is degraded below [storm_collapse_frac] x the
+   pre-burst goodput or above max [storm_min_backlog]
+   ([storm_backlog_factor] x the pre-burst depth); [storm_sustain]
+   degraded windows in a row flag. *)
+let storm_burst_factor = 2.0
+
+let storm_collapse_frac = 0.5
+
+let storm_sustain = 3
+
+let storm_backlog_factor = 4.0
+
+let storm_min_backlog = 64.0
+
+(* queue_growth: [growth_sustain]+ non-decreasing windows ending at
+   least [growth_min_depth] deep and [growth_factor] x the start. *)
+let growth_min_depth = 64.0
+
+let growth_factor = 4.0
+
+let growth_sustain = 4
+
+(* littles_law: [littles_sustain]+ windows with residual above
+   [littles_min_residual] and non-decreasing. *)
+let littles_min_residual = 32.0
+
+let littles_sustain = 3
+
+(* slo_burn: flags a whole-run burn rate above [max_burn]. *)
+let max_burn = 1.0
+
+(* time_to_recovery: recovered once [recovery_sustain] windows in a row
+   regain [recovery_frac] of the pre-fault committed rate. *)
+let recovery_frac = 0.5
+
+let recovery_sustain = 3
+
 let clean detail = { flagged = false; detail }
 
 let flag detail = { flagged = true; detail }
@@ -43,17 +84,15 @@ let longest_run p lo hi =
   done;
   !best
 
-let retry_storm ?(burst_factor = 2.0) ?(collapse_frac = 0.5) ?(sustain = 3)
-    ?(backlog_factor = 4.0) ?(min_backlog = 64.0)
-    (aggs : Telemetry.agg array) =
+let retry_storm (aggs : Telemetry.agg array) =
   let n = Array.length aggs in
-  if n < sustain + 2 then clean "too few windows"
+  if n < storm_sustain + 2 then clean "too few windows"
   else begin
     let off = Array.map offered_rate aggs in
     let med = median_of (Array.to_list off) in
     if Float.compare med 0.0 <= 0 then clean "no offered load"
     else begin
-      let is_burst i = Float.compare off.(i) (burst_factor *. med) > 0 in
+      let is_burst i = Float.compare off.(i) (storm_burst_factor *. med) > 0 in
       let first_burst = ref (-1) and last_burst = ref (-1) in
       Array.iteri
         (fun i _ ->
@@ -79,35 +118,37 @@ let retry_storm ?(burst_factor = 2.0) ?(collapse_frac = 0.5) ?(sustain = 3)
              pre-burst level — an unbounded queue can serve stale work
              at full rate, which looks like healthy goodput while fresh
              arrivals wait behind the storm's leftovers. *)
-          let q_bad = Float.max min_backlog (backlog_factor *. pre_q) in
+          let q_bad =
+            Float.max storm_min_backlog (storm_backlog_factor *. pre_q)
+          in
+          let collapsed = storm_collapse_frac *. pre in
           let degraded i =
-            Float.compare (committed_rate aggs.(i)) (collapse_frac *. pre) < 0
+            Float.compare (committed_rate aggs.(i)) collapsed < 0
             || Float.compare aggs.(i).Telemetry.a_q_mean q_bad > 0
           in
           let start, len = longest_run degraded (!last_burst + 1) (n - 1) in
-          if len >= sustain then
+          if len >= storm_sustain then
             flag
               (Printf.sprintf
                  "degraded state outlives burst: %d consecutive windows from \
                   w%d (goodput < %.3g tps or backlog > %.3g; pre-burst %.3g \
                   tps, depth %.3g); burst windows w%d..w%d"
-                 len start (collapse_frac *. pre) q_bad pre pre_q !first_burst
+                 len start collapsed q_bad pre pre_q !first_burst
                  !last_burst)
           else
             clean
               (Printf.sprintf
                  "recovered after burst w%d..w%d (longest degraded run %d < \
                   %d)"
-                 !first_burst !last_burst len sustain)
+                 !first_burst !last_burst len storm_sustain)
         end
       end
     end
   end
 
-let queue_growth ?(min_depth = 64.0) ?(growth_factor = 4.0) ?(sustain = 4)
-    (aggs : Telemetry.agg array) =
+let queue_growth (aggs : Telemetry.agg array) =
   let n = Array.length aggs in
-  if n < sustain then clean "too few windows"
+  if n < growth_sustain then clean "too few windows"
   else begin
     let q = Array.map (fun a -> a.Telemetry.a_q_mean) aggs in
     (* Longest non-decreasing run, tracked directly: [longest_run]'s
@@ -124,8 +165,8 @@ let queue_growth ?(min_depth = 64.0) ?(growth_factor = 4.0) ?(sustain = 4)
     let len = !best_e - !best_s + 1 in
     let q0 = Float.max q.(!best_s) 1.0 and q1 = q.(!best_e) in
     if
-      len >= sustain
-      && Float.compare q1 min_depth >= 0
+      len >= growth_sustain
+      && Float.compare q1 growth_min_depth >= 0
       && Float.compare q1 (growth_factor *. q0) >= 0
     then
       flag
@@ -139,10 +180,9 @@ let queue_growth ?(min_depth = 64.0) ?(growth_factor = 4.0) ?(sustain = 4)
            len)
   end
 
-let littles_law ?(min_residual = 32.0) ?(sustain = 3)
-    (aggs : Telemetry.agg array) =
+let littles_law (aggs : Telemetry.agg array) =
   let n = Array.length aggs in
-  if n < sustain then clean "too few windows"
+  if n < littles_sustain then clean "too few windows"
   else begin
     (* L - lambda * W: mean depth minus (arrival rate x mean sojourn),
        both measured on the window. Near zero when the system keeps up;
@@ -161,11 +201,11 @@ let littles_law ?(min_residual = 32.0) ?(sustain = 3)
     in
     let r = Array.map residual aggs in
     let high_and_rising i =
-      Float.compare r.(i) min_residual > 0
+      Float.compare r.(i) littles_min_residual > 0
       && (i = 0 || Float.compare r.(i) r.(i - 1) >= 0)
     in
     let start, len = longest_run high_and_rising 0 (n - 1) in
-    if len >= sustain then
+    if len >= littles_sustain then
       flag
         (Printf.sprintf
            "Little's-law residual diverging: %d windows from w%d, residual \
@@ -181,7 +221,7 @@ let littles_law ?(min_residual = 32.0) ?(sustain = 3)
 
 type slo = { latency_ns : float; target : float }
 
-let slo_burn ?(max_burn = 1.0) slo (aggs : Telemetry.agg array) =
+let slo_burn slo (aggs : Telemetry.agg array) =
   if Float.compare slo.target 0.0 <= 0 || Float.compare slo.target 1.0 >= 0
   then invalid_arg "Detect.slo_burn: target must be in (0, 1)";
   let offered = ref 0 and bad = ref 0 in
@@ -210,8 +250,8 @@ let slo_burn ?(max_burn = 1.0) slo (aggs : Telemetry.agg array) =
     if Float.compare burn max_burn > 0 then flag detail else clean detail
   end
 
-let time_to_recovery ~after_ns ?(until_ns = infinity) ?(frac = 0.5)
-    ?(sustain = 3) (aggs : Telemetry.agg array) =
+let time_to_recovery ~after_ns ?(until_ns = infinity)
+    (aggs : Telemetry.agg array) =
   let pre =
     Array.to_list aggs
     |> List.filter (fun (a : Telemetry.agg) ->
@@ -228,12 +268,12 @@ let time_to_recovery ~after_ns ?(until_ns = infinity) ?(frac = 0.5)
     (* MTTR semantics: the window right after the fault is often still
        healthy (failure surfaces only once timeouts fire), so "first
        healthy window" would report an instant, meaningless recovery.
-       Instead: recovery is the start of the first [sustain]-window
+       Instead: recovery is the start of the first [recovery_sustain]-window
        healthy streak after the first degraded window — sustained
        health, tolerant of late single-window rate noise. Only full
        windows inside [after_ns, until_ns] are eligible: a partial tail
        window reads as a rate collapse that is really the run ending. *)
-    let thr = frac *. baseline in
+    let thr = recovery_frac *. baseline in
     let eligible =
       Array.of_list
         (Array.to_list aggs
@@ -261,10 +301,10 @@ let time_to_recovery ~after_ns ?(until_ns = infinity) ?(frac = 0.5)
           if bad i then streak := 0
           else begin
             incr streak;
-            if !streak = sustain && Option.is_none !recovery then
+            if !streak = recovery_sustain && Option.is_none !recovery then
               recovery :=
                 Some
-                  (eligible.(i - sustain + 1).Telemetry.a_start_ns
+                  (eligible.(i - recovery_sustain + 1).Telemetry.a_start_ns
                  -. after_ns)
           end
         done;
@@ -272,3 +312,11 @@ let time_to_recovery ~after_ns ?(until_ns = infinity) ?(frac = 0.5)
       end
     end
   end
+
+let all slo aggs =
+  [
+    ("retry-storm", retry_storm aggs);
+    ("queue-growth", queue_growth aggs);
+    ("littles-law", littles_law aggs);
+    ("slo-burn", slo_burn slo aggs);
+  ]

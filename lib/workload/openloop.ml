@@ -64,10 +64,8 @@ let cause_index c =
    (hence partition); the main thread sums them in coordinator order
    after the engine has drained. *)
 type cstate = {
-  mutable w_offered : int;
-  mutable w_admitted : int;
-  mutable w_retried : int;
-  w_shed : int array;  (* per Admission.cause *)
+  mutable n_retried : int;
+  shed_by_cause : int array;  (* per Admission.cause *)
   ph_offered : int array;
   ph_admitted : int array;
   ph_committed : int array;
@@ -77,10 +75,8 @@ type cstate = {
 
 let mk_cstate nphases =
   {
-    w_offered = 0;
-    w_admitted = 0;
-    w_retried = 0;
-    w_shed = Array.make n_causes 0;
+    n_retried = 0;
+    shed_by_cause = Array.make n_causes 0;
     ph_offered = Array.make nphases 0;
     ph_admitted = Array.make nphases 0;
     ph_committed = Array.make nphases 0;
@@ -94,7 +90,7 @@ let active_frac = 0.05
 
 let churn_period_ns = 2e6
 
-let run ?(seed = 1L) ?(warmup_ns = 0.0) ?(admission = Admission.unlimited)
+let run ?(seed = 1L) ?(admission = Admission.unlimited)
     ?(service_slots = 8) ?(retries = 0) ?(users = 2_000_000)
     ?telemetry
     (sys : System.t) (wl : workload) ~phases =
@@ -112,8 +108,6 @@ let run ?(seed = 1L) ?(warmup_ns = 0.0) ?(admission = Admission.unlimited)
   if service_slots < 1 then
     invalid_arg "Openloop.run: service_slots must be >= 1";
   if retries < 0 then invalid_arg "Openloop.run: retries must be >= 0";
-  if Float.compare warmup_ns 0.0 < 0 then
-    invalid_arg "Openloop.run: warmup_ns must be >= 0";
   let engine = sys.System.engine in
   let nodes = sys.System.cfg.Config.nodes in
   let phases_a = Array.of_list phases in
@@ -128,14 +122,11 @@ let run ?(seed = 1L) ?(warmup_ns = 0.0) ?(admission = Admission.unlimited)
       phases_a;
     !acc
   in
-  if Float.compare warmup_ns total >= 0 then
-    invalid_arg "Openloop.run: warmup_ns must be < total phase duration";
   let phase_at rel =
     let rec go i = if i >= nphases - 1 || rel < ends.(i) then i else go (i + 1) in
     go 0
   in
   let t0 = Engine.now engine in
-  let wstart = t0 +. warmup_ns in
   (* Driver-side accounting stops when the arrival schedule ends: a
      commit (or deadline drop) landing after [t_end] belongs to backlog
      the system failed to serve in time, and counting it would make an
@@ -178,8 +169,8 @@ let run ?(seed = 1L) ?(warmup_ns = 0.0) ?(admission = Admission.unlimited)
             ~cause:(Admission.cause_name cause));
       if Float.compare now t_end <= 0 then begin
         cs.ph_shed.(idx) <- cs.ph_shed.(idx) + 1;
-        if Float.compare now wstart >= 0 then
-          cs.w_shed.(cause_index cause) <- cs.w_shed.(cause_index cause) + 1
+        let c = cause_index cause in
+        cs.shed_by_cause.(c) <- cs.shed_by_cause.(c) + 1
       end
     in
     let rec serve () =
@@ -201,9 +192,6 @@ let run ?(seed = 1L) ?(warmup_ns = 0.0) ?(admission = Admission.unlimited)
              let done_t = Engine.now engine in
              let latency = done_t -. r.t_arr in
              let counted = Float.compare done_t t_end <= 0 in
-             let in_window =
-               counted && Float.compare done_t wstart >= 0
-             in
              let retry =
                match outcome with
                | Types.Aborted -> r.attempt < retries
@@ -213,7 +201,7 @@ let run ?(seed = 1L) ?(warmup_ns = 0.0) ?(admission = Admission.unlimited)
                (* Client-side retry: back through admission, so a
                   deadline/depth-bounded queue sheds the storm instead
                   of feeding it. *)
-               if in_window then cs.w_retried <- cs.w_retried + 1;
+               if counted then cs.n_retried <- cs.n_retried + 1;
                match
                  Admission.offer adm
                    ~occupancy:(sys.System.ingress_occupancy ~node:coord)
@@ -229,9 +217,10 @@ let run ?(seed = 1L) ?(warmup_ns = 0.0) ?(admission = Admission.unlimited)
                  | Types.Committed -> cs.ph_committed
                  | Types.Aborted -> cs.ph_aborted
                in
-               if counted then ph.(r.phase) <- ph.(r.phase) + 1;
-               if in_window then
+               if counted then begin
+                 ph.(r.phase) <- ph.(r.phase) + 1;
                  Load.record load coord ~cls:r.cls ~latency_ns:latency outcome
+               end
              end
            end);
           serve ()
@@ -261,7 +250,6 @@ let run ?(seed = 1L) ?(warmup_ns = 0.0) ?(admission = Admission.unlimited)
         let txn_rng = Rng.derive (Rng.derive base ~index:user) ~index:seq in
         let cls, txn = gen txn_rng ~theta:ph.theta ~hot in
         cs.ph_offered.(idx) <- cs.ph_offered.(idx) + 1;
-        if Float.compare now wstart >= 0 then cs.w_offered <- cs.w_offered + 1;
         let occupancy = sys.System.ingress_occupancy ~node:coord in
         (match telemetry with
         | None -> ()
@@ -271,8 +259,6 @@ let run ?(seed = 1L) ?(warmup_ns = 0.0) ?(admission = Admission.unlimited)
         (match Admission.offer adm ~occupancy with
         | Ok () ->
             cs.ph_admitted.(idx) <- cs.ph_admitted.(idx) + 1;
-            if Float.compare now wstart >= 0 then
-              cs.w_admitted <- cs.w_admitted + 1;
             (match telemetry with
             | None -> ()
             | Some tel ->
@@ -316,23 +302,24 @@ let run ?(seed = 1L) ?(warmup_ns = 0.0) ?(admission = Admission.unlimited)
   in
   let shed =
     List.mapi
-      (fun i c -> (Admission.cause_name c, sum (fun cs -> cs.w_shed.(i))))
+      (fun i c ->
+        (Admission.cause_name c, sum (fun cs -> cs.shed_by_cause.(i))))
       Admission.all_causes
   in
   let committed = Metrics.committed metrics in
-  let duration = total -. warmup_ns in
+  let phase_sum f = Array.fold_left (fun a p -> a + f p) 0 per_phase in
   {
-    offered = sum (fun cs -> cs.w_offered);
-    admitted = sum (fun cs -> cs.w_admitted);
+    offered = phase_sum (fun p -> p.p_offered);
+    admitted = phase_sum (fun p -> p.p_admitted);
     committed;
     aborted = Metrics.aborted metrics;
-    retried = sum (fun cs -> cs.w_retried);
+    retried = sum (fun cs -> cs.n_retried);
     shed;
     shed_total = List.fold_left (fun a (_, n) -> a + n) 0 shed;
-    goodput_tps = float_of_int committed /. (duration /. 1e9);
+    goodput_tps = float_of_int committed /. (total /. 1e9);
     median_latency_us = Metrics.median_latency metrics /. 1_000.0;
     p99_latency_us = Metrics.p99_latency metrics /. 1_000.0;
-    duration_ns = duration;
+    duration_ns = total;
     per_phase;
     metrics;
   }

@@ -65,16 +65,15 @@ type workload = {
     (Xenic_sim.Rng.t -> theta:float -> hot:bool -> string * Types.t);
 }
 
-(** Per-phase arrival accounting (whole run, warmup included; outcomes
-    are attributed to the phase the request {e arrived} in, which is
-    what makes recovery — or metastable non-recovery — after a burst
-    visible in the post-burst phase's numbers). Completions landing
-    after the arrival schedule ends are NOT counted anywhere in the
-    driver's statistics: backlog the system only manages to serve
-    during the post-run drain is lost goodput, not goodput — without
-    this cutoff an unbounded queue would look as good as a bounded one
-    once the run drains. (The system's own metrics still record every
-    outcome.) *)
+(** Per-phase arrival accounting (outcomes are attributed to the
+    phase the request {e arrived} in, which is what makes recovery — or
+    metastable non-recovery — after a burst visible in the post-burst
+    phase's numbers). Completions landing after the arrival schedule
+    ends are NOT counted anywhere in the driver's statistics: backlog
+    the system only manages to serve during the post-run drain is lost
+    goodput, not goodput — without this cutoff an unbounded queue would
+    look as good as a bounded one once the run drains. (The system's
+    own metrics still record every outcome.) *)
 type phase_stat = {
   p_offered : int;
   p_admitted : int;
@@ -83,31 +82,35 @@ type phase_stat = {
   p_shed : int;  (** all causes, arrival sheds + deadline drops *)
 }
 
+(** Whole-schedule totals. There is no warmup: the measurement window
+    is the arrival schedule itself, so [offered], [admitted],
+    [committed], [aborted] and [shed_total] each equal the sum of the
+    matching {!phase_stat} field over [per_phase]. *)
 type result = {
-  offered : int;  (** arrivals inside the measurement window *)
+  offered : int;  (** arrivals over the whole schedule *)
   admitted : int;
   committed : int;
   aborted : int;  (** protocol aborts (non-shed, after retries) *)
   retried : int;  (** client-side retry re-submissions *)
   shed : (string * int) list;
-      (** window shed count per {!Admission.cause}, in
-          {!Admission.all_causes} order *)
+      (** shed count per {!Admission.cause}, in {!Admission.all_causes}
+          order *)
   shed_total : int;
-  goodput_tps : float;  (** cluster-wide committed/s over the window *)
+  goodput_tps : float;  (** cluster-wide committed/s over the schedule *)
   median_latency_us : float;
       (** arrival-to-commit (queue wait included) *)
   p99_latency_us : float;
-  duration_ns : float;  (** measurement window length *)
+  duration_ns : float;  (** total length of the phase schedule *)
   per_phase : phase_stat array;
   metrics : Metrics.t;
-      (** window-only driver metrics (commit/abort classes + arrival
-          latencies); sheds are not recorded here — read them from the
-          [shed] fields or the system's own metrics *)
+      (** driver metrics up to the end of the schedule (commit/abort
+          classes + arrival latencies); sheds are not recorded here —
+          read them from the [shed] fields or the system's own
+          metrics *)
 }
 
 (** [run sys wl ~phases] drives [wl] through the phase schedule and
-    returns window statistics. [warmup_ns] excludes the run prefix from
-    the window (phase stats still count it). [admission] configures
+    returns its statistics. [admission] configures
     every coordinator's queue ({!Admission.unlimited} by default).
     [service_slots] is the number of request-serving processes per
     coordinator; [retries] the client-side re-submissions per aborted
@@ -124,7 +127,6 @@ type result = {
     detached before [run] returns. *)
 val run :
   ?seed:int64 ->
-  ?warmup_ns:float ->
   ?admission:Admission.config ->
   ?service_slots:int ->
   ?retries:int ->

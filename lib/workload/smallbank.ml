@@ -2,14 +2,12 @@ open Xenic_sim
 open Xenic_cluster
 open Xenic_proto
 
-type params = {
-  accounts_per_node : int;
-  hotspot_frac : float;
-  hotspot_prob : float;
-}
+type params = { accounts_per_node : int; hotspot_frac : float }
 
-let default_params =
-  { accounts_per_node = 20_000; hotspot_frac = 0.04; hotspot_prob = 0.9 }
+let default_params = { accounts_per_node = 20_000; hotspot_frac = 0.04 }
+
+(* Share of accesses aimed at the hot accounts (§5.5). *)
+let hotspot_prob = 0.9
 
 let checking_table = 0
 
@@ -57,7 +55,7 @@ let pick_account p rng =
   let hot_n =
     max 1 (int_of_float (float_of_int p.accounts_per_node *. p.hotspot_frac))
   in
-  if Rng.float rng < p.hotspot_prob then Rng.int rng hot_n
+  if Rng.float rng < hotspot_prob then Rng.int rng hot_n
   else Rng.int rng p.accounts_per_node
 
 let pick_shard rng ~nodes = Rng.int rng nodes

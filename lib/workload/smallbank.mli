@@ -4,10 +4,10 @@
     annotated for NIC offload (the paper ships all Smallbank execution
     to the SmartNIC). *)
 
+(** 90% of accesses go to the hot accounts, a fixed share. *)
 type params = {
   accounts_per_node : int;
   hotspot_frac : float;  (** Fraction of accounts that are hot (0.04). *)
-  hotspot_prob : float;  (** Probability an access is hot (0.9). *)
 }
 
 val default_params : params

@@ -5,24 +5,27 @@ open Tpcc_schema
 
 type params = {
   warehouses_per_node : int;
-  districts : int;
   customers_per_district : int;
   items : int;
-  remote_item_prob : float;
-  remote_payment_prob : float;
   uniform_item_partitions : bool;
 }
 
 let default_params =
   {
     warehouses_per_node = 8;
-    districts = 10;
     customers_per_district = 60;
     items = 2_000;
-    remote_item_prob = 0.01;
-    remote_payment_prob = 0.15;
     uniform_item_partitions = false;
   }
+
+(* The spec's fixed shape: districts per warehouse, the chance a
+   New-Order line's supply warehouse is remote, and the chance a
+   Payment's customer is remote. *)
+let districts = 10
+
+let remote_item_prob = 0.01
+
+let remote_payment_prob = 0.15
 
 (* -- Tables and key encoding ---------------------------------------- *)
 
@@ -45,47 +48,47 @@ let t_order_by_cust = 8
 let t_history = 9
 
 (* District index within a node: wl * districts + d. *)
-let dix p ~wl ~d = (wl * p.districts) + d
+let dix ~wl ~d = (wl * districts) + d
 
 let k_warehouse ~node ~wl =
   Keyspace.make ~shard:node ~table:t_warehouse ~ordered:false ~id:wl
 
-let k_district p ~node ~wl ~d =
-  Keyspace.make ~shard:node ~table:t_district ~ordered:false ~id:(dix p ~wl ~d)
+let k_district ~node ~wl ~d =
+  Keyspace.make ~shard:node ~table:t_district ~ordered:false ~id:(dix ~wl ~d)
 
-let k_customer p ~node ~wl ~d ~c =
+let k_customer ~node ~wl ~d ~c =
   Keyspace.make ~shard:node ~table:t_customer ~ordered:false
-    ~id:((dix p ~wl ~d * 4096) + c)
+    ~id:((dix ~wl ~d * 4096) + c)
 
 let k_stock ~node ~wl ~i =
   Keyspace.make ~shard:node ~table:t_stock ~ordered:false
     ~id:((wl * 65536) + i)
 
-let k_order p ~node ~wl ~d ~o =
+let k_order ~node ~wl ~d ~o =
   Keyspace.make ~shard:node ~table:t_order ~ordered:true
-    ~id:((dix p ~wl ~d lsl 24) lor o)
+    ~id:((dix ~wl ~d lsl 24) lor o)
 
-let k_new_order p ~node ~wl ~d ~o =
+let k_new_order ~node ~wl ~d ~o =
   Keyspace.make ~shard:node ~table:t_new_order ~ordered:true
-    ~id:((dix p ~wl ~d lsl 24) lor o)
+    ~id:((dix ~wl ~d lsl 24) lor o)
 
-let k_order_line p ~node ~wl ~d ~o ~line =
+let k_order_line ~node ~wl ~d ~o ~line =
   Keyspace.make ~shard:node ~table:t_order_line ~ordered:true
-    ~id:((((dix p ~wl ~d lsl 24) lor o) lsl 4) lor line)
+    ~id:((((dix ~wl ~d lsl 24) lor o) lsl 4) lor line)
 
-let k_order_by_cust p ~node ~wl ~d ~c ~o =
+let k_order_by_cust ~node ~wl ~d ~c ~o =
   Keyspace.make ~shard:node ~table:t_order_by_cust ~ordered:true
-    ~id:((((dix p ~wl ~d * 4096) + c) lsl 24) lor o)
+    ~id:((((dix ~wl ~d * 4096) + c) lsl 24) lor o)
 
-let k_history p ~node ~wl ~d ~seq =
+let k_history ~node ~wl ~d ~seq =
   Keyspace.make ~shard:node ~table:t_history ~ordered:true
-    ~id:((dix p ~wl ~d lsl 30) lor seq)
+    ~id:((dix ~wl ~d lsl 30) lor seq)
 
 (* -- Store sizing ---------------------------------------------------- *)
 
 let hash_keys_per_shard p =
   p.warehouses_per_node
-  * (1 + p.districts + (p.districts * p.customers_per_district) + p.items)
+  * (1 + districts + (districts * p.customers_per_district) + p.items)
 
 let store_cfg p =
   let seg_size = 64 in
@@ -130,8 +133,8 @@ let load p (sys : System.t) =
              w_tax = float_of_int (Rng.int rng 20) /. 100.0;
              w_ytd = 0.0;
            });
-      for d = 0 to p.districts - 1 do
-        sys.System.load (k_district p ~node ~wl ~d)
+      for d = 0 to districts - 1 do
+        sys.System.load (k_district ~node ~wl ~d)
           (District.encode
              {
                District.d_id = d;
@@ -147,7 +150,7 @@ let load p (sys : System.t) =
                d_next_o_id = 1;
              });
         for c = 0 to p.customers_per_district - 1 do
-          sys.System.load (k_customer p ~node ~wl ~d ~c)
+          sys.System.load (k_customer ~node ~wl ~d ~c)
             (Customer.encode
                {
                  Customer.c_id = c;
@@ -222,7 +225,7 @@ let rec index_of keys k j = if keys.(j) = k then j else index_of keys k (j + 1)
    order line per item. *)
 let txn_new_order p items ~nodes rng ~node =
   let wl = Rng.int rng p.warehouses_per_node in
-  let d = Rng.int rng p.districts in
+  let d = Rng.int rng districts in
   let c = Rng.int rng p.customers_per_district in
   let ol_cnt = 5 + Rng.int rng 11 in
   let lines =
@@ -231,7 +234,7 @@ let txn_new_order p items ~nodes rng ~node =
         let supply_node, supply_wl =
           if p.uniform_item_partitions then
             (Rng.int rng nodes, Rng.int rng p.warehouses_per_node)
-          else if Rng.float rng < p.remote_item_prob then
+          else if Rng.float rng < remote_item_prob then
             ((node + 1 + Rng.int rng (max 1 (nodes - 1))) mod nodes,
              Rng.int rng p.warehouses_per_node)
           else (node, wl)
@@ -240,8 +243,8 @@ let txn_new_order p items ~nodes rng ~node =
         (i, supply_node, supply_wl, qty))
   in
   let kw = k_warehouse ~node ~wl in
-  let kd = k_district p ~node ~wl ~d in
-  let kc = k_customer p ~node ~wl ~d ~c in
+  let kd = k_district ~node ~wl ~d in
+  let kc = k_customer ~node ~wl ~d ~c in
   let stock_key (i, sn, swl, _) = k_stock ~node:sn ~wl:swl ~i in
   let stocks = sorted_uniq (Array.map stock_key lines) in
   (* Per distinct stock row, in key order: the quantity its lines order
@@ -287,14 +290,14 @@ let txn_new_order p items ~nodes rng ~node =
     done;
     ops :=
       Op.Put
-        ( k_new_order p ~node ~wl ~d ~o,
+        ( k_new_order ~node ~wl ~d ~o,
           New_order.encode { New_order.no_o_id = o; no_d_id = d; no_w_id = 0 } )
       :: !ops;
     for line = ol_cnt - 1 downto 0 do
       let i, sn, swl, qty = lines.(line) in
       ops :=
         Op.Put
-          ( k_order_line p ~node ~wl ~d ~o ~line,
+          ( k_order_line ~node ~wl ~d ~o ~line,
             Order_line.encode
               {
                 Order_line.ol_o_id = o;
@@ -311,7 +314,7 @@ let txn_new_order p items ~nodes rng ~node =
         :: !ops
     done;
     Op.Put
-      ( k_order p ~node ~wl ~d ~o,
+      ( k_order ~node ~wl ~d ~o,
         Order.encode
           {
             Order.o_id = o;
@@ -323,7 +326,7 @@ let txn_new_order p items ~nodes rng ~node =
             o_ol_cnt = ol_cnt;
             o_all_local = all_local;
           } )
-    :: Op.Put (k_order_by_cust p ~node ~wl ~d ~c ~o, Bytes.make 8 '\000')
+    :: Op.Put (k_order_by_cust ~node ~wl ~d ~c ~o, Bytes.make 8 '\000')
     :: !ops
   in
   Types.make ~host_exec_ns:900.0 ~state_bytes:(16 * ol_cnt) ~ship_exec:true
@@ -333,20 +336,20 @@ let txn_new_order p items ~nodes rng ~node =
    (15% of customers belong to a remote warehouse), insert history. *)
 let txn_payment p ~nodes rng ~node ~hseq =
   let wl = Rng.int rng p.warehouses_per_node in
-  let d = Rng.int rng p.districts in
+  let d = Rng.int rng districts in
   let amount = 1.0 +. (float_of_int (Rng.int rng 499_900) /. 100.0) in
   let c_node, c_wl =
-    if Rng.float rng < p.remote_payment_prob && nodes > 1 then
+    if Rng.float rng < remote_payment_prob && nodes > 1 then
       ((node + 1 + Rng.int rng (nodes - 1)) mod nodes,
        Rng.int rng p.warehouses_per_node)
     else (node, wl)
   in
-  let c_d = Rng.int rng p.districts in
+  let c_d = Rng.int rng districts in
   let c = Rng.int rng p.customers_per_district in
   let kw = k_warehouse ~node ~wl in
-  let kd = k_district p ~node ~wl ~d in
-  let kc = k_customer p ~node:c_node ~wl:c_wl ~d:c_d ~c in
-  let kh = k_history p ~node ~wl ~d ~seq:hseq in
+  let kd = k_district ~node ~wl ~d in
+  let kc = k_customer ~node:c_node ~wl:c_wl ~d:c_d ~c in
+  let kh = k_history ~node ~wl ~d ~seq:hseq in
   let read_set = [ kw; kd; kc ] in
   let write_set = [ kw; kd; kc ] in
   let exec view =
@@ -384,22 +387,22 @@ let txn_payment p ~nodes rng ~node ~hseq =
    lines, scanned from the local B+ trees. *)
 let txn_order_status p (sys : System.t) rng ~node =
   let wl = Rng.int rng p.warehouses_per_node in
-  let d = Rng.int rng p.districts in
+  let d = Rng.int rng districts in
   let c = Rng.int rng p.customers_per_district in
-  let kc = k_customer p ~node ~wl ~d ~c in
+  let kc = k_customer ~node ~wl ~d ~c in
   let exec view =
     ignore (view kc);
     (match
        System.peek_max sys ~node
-         ~lo:(k_order_by_cust p ~node ~wl ~d ~c ~o:0)
-         ~hi:(k_order_by_cust p ~node ~wl ~d ~c ~o:((1 lsl 24) - 1))
+         ~lo:(k_order_by_cust ~node ~wl ~d ~c ~o:0)
+         ~hi:(k_order_by_cust ~node ~wl ~d ~c ~o:((1 lsl 24) - 1))
      with
     | Some (k, _) ->
         let o = Keyspace.id k land ((1 lsl 24) - 1) in
         ignore
           (System.peek_range sys ~node
-             ~lo:(k_order_line p ~node ~wl ~d ~o ~line:0)
-             ~hi:(k_order_line p ~node ~wl ~d ~o ~line:15))
+             ~lo:(k_order_line ~node ~wl ~d ~o ~line:0)
+             ~hi:(k_order_line ~node ~wl ~d ~o ~line:15))
     | None -> ());
     []
   in
@@ -411,8 +414,8 @@ let txn_order_status p (sys : System.t) rng ~node =
    district row is written to serialize concurrent deliveries. *)
 let txn_delivery p (sys : System.t) rng ~node =
   let wl = Rng.int rng p.warehouses_per_node in
-  let d = Rng.int rng p.districts in
-  let kd = k_district p ~node ~wl ~d in
+  let d = Rng.int rng districts in
+  let kd = k_district ~node ~wl ~d in
   (* The customer cannot be known until execution; lock the district
      and read the oldest undelivered order during execution, emitting
      ops on local ordered tables plus one customer update discovered by
@@ -421,8 +424,8 @@ let txn_delivery p (sys : System.t) rng ~node =
      on the district row aborts and the driver retries. *)
   let oldest =
     System.peek_min sys ~node
-      ~lo:(k_new_order p ~node ~wl ~d ~o:0)
-      ~hi:(k_new_order p ~node ~wl ~d ~o:((1 lsl 24) - 1))
+      ~lo:(k_new_order ~node ~wl ~d ~o:0)
+      ~hi:(k_new_order ~node ~wl ~d ~o:((1 lsl 24) - 1))
   in
   match oldest with
   | None ->
@@ -431,18 +434,18 @@ let txn_delivery p (sys : System.t) rng ~node =
         ~write_set:[] (fun _ -> [])
   | Some (kno, _) ->
       let o = Keyspace.id kno land ((1 lsl 24) - 1) in
-      let korder = k_order p ~node ~wl ~d ~o in
+      let korder = k_order ~node ~wl ~d ~o in
       let c =
         match System.peek sys ~node korder with
         | Some b -> get Order.c_id b
         | None -> 0
       in
-      let kc = k_customer p ~node ~wl ~d ~c in
+      let kc = k_customer ~node ~wl ~d ~c in
       let exec view =
         let db = row view kd "no district" in
         match
           ( System.peek sys ~node korder,
-            System.peek sys ~node (k_new_order p ~node ~wl ~d ~o) )
+            System.peek sys ~node (k_new_order ~node ~wl ~d ~o) )
         with
         | None, _ | _, None ->
             (* The order vanished or was already delivered between
@@ -453,14 +456,14 @@ let txn_delivery p (sys : System.t) rng ~node =
         | Some ob, Some _ ->
             let amount =
               System.fold_range sys ~node
-                ~lo:(k_order_line p ~node ~wl ~d ~o ~line:0)
-                ~hi:(k_order_line p ~node ~wl ~d ~o ~line:15)
+                ~lo:(k_order_line ~node ~wl ~d ~o ~line:0)
+                ~hi:(k_order_line ~node ~wl ~d ~o ~line:15)
                 ~init:0.0
                 (fun acc _ b -> acc +. get Order_line.amount b)
             in
             let cb = row view kc "no customer" in
             [
-              Op.Delete (k_new_order p ~node ~wl ~d ~o);
+              Op.Delete (k_new_order ~node ~wl ~d ~o);
               Op.Put (korder, Order.with_carrier ob 1);
               Op.Put
                 ( kc,
@@ -482,9 +485,9 @@ let txn_delivery p (sys : System.t) rng ~node =
    serializability; it reads local structures directly. *)
 let txn_stock_level p (sys : System.t) rng ~node =
   let wl = Rng.int rng p.warehouses_per_node in
-  let d = Rng.int rng p.districts in
+  let d = Rng.int rng districts in
   let threshold = 10 + Rng.int rng 11 in
-  let kd = k_district p ~node ~wl ~d in
+  let kd = k_district ~node ~wl ~d in
   let exec view =
     let next_o = get District.next_o_id (row view kd "no district") in
     let lo_o = max 1 (next_o - 20) in
@@ -492,8 +495,8 @@ let txn_stock_level p (sys : System.t) rng ~node =
        item, then their stock rows in item order. *)
     let seen = Bytes.make p.items '\000' in
     System.fold_range sys ~node
-      ~lo:(k_order_line p ~node ~wl ~d ~o:lo_o ~line:0)
-      ~hi:(k_order_line p ~node ~wl ~d ~o:(next_o - 1) ~line:15)
+      ~lo:(k_order_line ~node ~wl ~d ~o:lo_o ~line:0)
+      ~hi:(k_order_line ~node ~wl ~d ~o:(next_o - 1) ~line:15)
       ~init:()
       (fun () _ b -> Bytes.set seen (get Order_line.i_id b) '\001');
     let low = ref 0 in
@@ -554,9 +557,9 @@ let check_consistency p (sys : System.t) =
         | None -> fail "missing warehouse %d.%d" node wl
       in
       let d_ytd_sum = ref 0.0 in
-      for d = 0 to p.districts - 1 do
+      for d = 0 to districts - 1 do
         let dist =
-          match System.peek sys ~node (k_district p ~node ~wl ~d) with
+          match System.peek sys ~node (k_district ~node ~wl ~d) with
           | Some b -> District.decode b
           | None -> fail "missing district %d.%d.%d" node wl d
         in
@@ -566,8 +569,8 @@ let check_consistency p (sys : System.t) =
         let max_o =
           match
             System.peek_max sys ~node
-              ~lo:(k_order p ~node ~wl ~d ~o:0)
-              ~hi:(k_order p ~node ~wl ~d ~o:((1 lsl 24) - 1))
+              ~lo:(k_order ~node ~wl ~d ~o:0)
+              ~hi:(k_order ~node ~wl ~d ~o:((1 lsl 24) - 1))
           with
           | Some (_, b) -> (Order.decode b).Order.o_id
           | None -> 0
@@ -579,8 +582,8 @@ let check_consistency p (sys : System.t) =
            correspond to undelivered orders. *)
         let orders =
           System.peek_range sys ~node
-            ~lo:(k_order p ~node ~wl ~d ~o:0)
-            ~hi:(k_order p ~node ~wl ~d ~o:((1 lsl 24) - 1))
+            ~lo:(k_order ~node ~wl ~d ~o:0)
+            ~hi:(k_order ~node ~wl ~d ~o:((1 lsl 24) - 1))
         in
         List.iter
           (fun (_, b) ->
@@ -589,14 +592,14 @@ let check_consistency p (sys : System.t) =
             let n_lines =
               List.length
                 (System.peek_range sys ~node
-                   ~lo:(k_order_line p ~node ~wl ~d ~o ~line:0)
-                   ~hi:(k_order_line p ~node ~wl ~d ~o ~line:15))
+                   ~lo:(k_order_line ~node ~wl ~d ~o ~line:0)
+                   ~hi:(k_order_line ~node ~wl ~d ~o ~line:15))
             in
             if n_lines <> order.Order.o_ol_cnt then
               fail "order %d.%d.%d.%d: %d lines, expected %d" node wl d o
                 n_lines order.Order.o_ol_cnt;
             let has_new_order =
-              System.peek sys ~node (k_new_order p ~node ~wl ~d ~o) <> None
+              System.peek sys ~node (k_new_order ~node ~wl ~d ~o) <> None
             in
             let undelivered = order.Order.o_carrier_id < 0 in
             if has_new_order <> undelivered then

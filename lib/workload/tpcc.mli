@@ -10,17 +10,16 @@
     at every node. Long-running Delivery transactions are chopped into
     per-district database transactions, like prior implementations. New
     Order and Payment ship execution to the NIC; the other types
-    execute on the host (§5.3). *)
+    execute on the host (§5.3).
+
+    The spec's shape is fixed: 10 districts per warehouse, a 1% chance
+    that a New-Order line's supply warehouse is remote, and a 15%
+    chance that a Payment's customer is remote. *)
 
 type params = {
   warehouses_per_node : int;
-  districts : int;  (** Districts per warehouse (10 in the spec). *)
   customers_per_district : int;  (** 3000 in the spec; scaled here. *)
   items : int;  (** 100k in the spec; scaled here. *)
-  remote_item_prob : float;
-      (** Probability a New-Order line's supply warehouse is remote
-          (~1% under the spec). *)
-  remote_payment_prob : float;  (** Remote customer probability (15%). *)
   uniform_item_partitions : bool;
       (** Fig 8a variant: stock partitions chosen uniformly at random
           (the DrTM+H authors' strenuous access pattern). *)

@@ -445,6 +445,31 @@ let test_ratchet () =
       Alcotest.(check bool) "the new entry is listed" true
         (List.exists (fun l -> l = "  + z") rest)
 
+(* ---- options inventory ---------------------------------------------- *)
+
+let test_options () =
+  let sig_src extra =
+    "type params = { a : int; b : float }\n\
+     type other = { c : int }\n\
+     val f : ?x:int -> ?y:bool -> int -> int\n\
+     val g : " ^ extra ^ "int -> int\n\
+     module M : sig val h : ?z:int -> unit -> unit end\n"
+  in
+  let inv extra = Options.inventory [ ("lib/x/s.mli", sig_src extra) ] in
+  Alcotest.(check (list string))
+    "optional arguments and params fields, sorted"
+    [
+      "lib/x/s.mli type params.a";
+      "lib/x/s.mli type params.b";
+      "lib/x/s.mli val M.h ?z";
+      "lib/x/s.mli val f ?x";
+      "lib/x/s.mli val f ?y";
+    ]
+    (inv "");
+  Alcotest.(check (list string)) "a new knob is an added ratchet line"
+    [ "lib/x/s.mli val g ?w" ]
+    (Ratchet.diff ~baseline:(inv "") ~current:(inv "?w:int -> ")).Ratchet.added
+
 (* ---- JSON rendering ------------------------------------------------- *)
 
 let test_json () =
@@ -517,5 +542,6 @@ let () =
             test_atomicity_fresh_local;
           Alcotest.test_case "domain shared report" `Quick test_domain_shared;
           Alcotest.test_case "ratchet" `Quick test_ratchet;
+          Alcotest.test_case "options inventory" `Quick test_options;
         ] );
     ]

@@ -434,33 +434,40 @@ let test_armed_other_flavors () =
 
 let test_audit () =
   let engine, ctl = mk_control () in
-  let logs =
-    Array.init 4 (fun _ -> Xenic_store.Hostlog.create engine ~capacity_b:4096)
+  let logs name =
+    Array.init 4 (fun node -> Control.host_log ctl ~node ~name)
   in
-  (* An undrained record at nodes 0 and 1; node 1 then crashes. *)
+  let backup = logs "backup log" in
+  let commit = logs "commit log" in
+  (* Undrained records in both logs at nodes 0 and 1 (commit log
+     first); node 1 then crashes. *)
   in_process engine (fun () ->
       List.iter
         (fun n ->
-          Control.append_log ctl ~node:n logs.(n) ~bytes:64 ~shard:n ~ops:[]
-            (ref Control.Dcommit))
+          List.iter
+            (fun log ->
+              Control.append_log ctl ~node:n log.(n) ~bytes:64 ~shard:n
+                ~ops:[] (ref Control.Dcommit))
+            [ commit; backup ])
         [ 0; 1 ]);
   Control.crash_node ctl ~node:1;
   let held = k ~shard:0 ~id:7 in
   let issues =
     Control.audit ctl
       ~locked:(fun ~node -> if node <= 1 then [ (held, 42) ] else [])
-      ~logs:(fun ~node -> [ ("log", logs.(node)) ])
   in
   Alcotest.(check (list string))
-    "node 0's lock and log; crashed node 1 skipped"
+    "node 0's lock and logs in host_log order; crashed node 1 skipped"
     [
       Format.asprintf "T node 0: key %a still locked by owner 42" Keyspace.pp
         held;
-      "T node 0: log not drained";
+      "T node 0: backup log not drained";
+      "T node 0: commit log not drained";
     ]
     issues;
+  let _, fresh = mk_control () in
   Alcotest.(check (list string)) "clean when nothing is held" []
-    (Control.audit ctl ~locked:(fun ~node:_ -> []) ~logs:(fun ~node:_ -> []))
+    (Control.audit fresh ~locked:(fun ~node:_ -> []))
 
 (* [System.drain] on a system whose audit reports a leak: a strict
    engine fails naming the caller and every violation, a lax one does

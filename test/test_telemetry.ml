@@ -293,7 +293,7 @@ let test_openloop_drain_cutoff () =
   Retwis.load retwis_small sys;
   let tel = Telemetry.create ~window_ns:100_000.0 sys.System.engine in
   let r =
-    Openloop.run ~seed:7L ~warmup_ns:0.0 ~service_slots:1 ~users:2_000
+    Openloop.run ~seed:7L ~service_slots:1 ~users:2_000
       ~telemetry:tel sys
       (Retwis.openloop_spec retwis_small)
       ~phases:

@@ -428,6 +428,24 @@ let test_openloop_retry_metastability () =
   let mitigated =
     run { Admission.capacity = 16; backpressure = 6.0; deadline_ns = 200_000.0 }
   in
+  (* The open loop has no warmup: each total is its per-phase sum. *)
+  List.iter
+    (fun (label, r) ->
+      let phase_sum f =
+        Array.fold_left (fun a p -> a + f p) 0 r.Openloop.per_phase
+      in
+      List.iter
+        (fun (name, total, f) ->
+          Alcotest.(check int) (label ^ " " ^ name ^ " = per-phase sum")
+            (phase_sum f) total)
+        [
+          ("offered", r.Openloop.offered, fun p -> p.Openloop.p_offered);
+          ("admitted", r.Openloop.admitted, fun p -> p.Openloop.p_admitted);
+          ("committed", r.Openloop.committed, fun p -> p.Openloop.p_committed);
+          ("aborted", r.Openloop.aborted, fun p -> p.Openloop.p_aborted);
+          ("shed_total", r.Openloop.shed_total, fun p -> p.Openloop.p_shed);
+        ])
+    [ ("unmitigated", unmitigated); ("mitigated", mitigated) ];
   let post r = r.Openloop.per_phase.(2) in
   Alcotest.(check bool)
     (Printf.sprintf "post-burst recovery (%d unmitigated vs %d mitigated)"
