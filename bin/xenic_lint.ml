@@ -10,6 +10,8 @@
      xenic_lint report ROOT...         DOMAIN-SHARED mutable-state report
      xenic_lint options ROOT...        optional-argument and [params]-field
                                        inventory of every .mli (stdout)
+     xenic_lint closures ROOT...       [let rec] nested in a top-level
+                                       definition, per .ml (stdout)
 
    [--format json] switches any subcommand to machine-readable output.
    A first argument that is an existing path keeps the legacy
@@ -19,7 +21,8 @@
 let usage () =
   prerr_endline "usage: xenic_lint [SUBCOMMAND] [--format json] DIR-OR-FILE...";
   prerr_endline
-    "  subcommands: lint (default) | suspend | atomicity | report | options";
+    "  subcommands: lint (default) | suspend | atomicity | report | options \
+     | closures";
   prerr_endline "  atomicity also takes --inventory";
   exit 2
 
@@ -219,13 +222,27 @@ let run_options fmt roots =
   | Text -> print_lines inv);
   0
 
+(* ---- closures ----------------------------------------------------- *)
+
+let run_closures fmt roots =
+  let inv =
+    Closures.inventory (List.map (fun (f, _, ast) -> (f, ast)) (load roots))
+  in
+  (match fmt with
+  | Json ->
+      let l = Ljson.L (List.map (fun s -> Ljson.S s) inv) in
+      print_endline (Ljson.to_string (Ljson.O [ ("closures", l) ]))
+  | Text -> print_lines inv);
+  0
+
 (* -------------------------------------------------------------------- *)
 
 let () =
   let args = match Array.to_list Sys.argv with [] -> [] | _ :: r -> r in
   let sub, rest =
     match args with
-    | ("lint" | "suspend" | "atomicity" | "report" | "options") :: r ->
+    | ("lint" | "suspend" | "atomicity" | "report" | "options" | "closures")
+      :: r ->
         (List.hd args, r)
     | _ -> ("lint", args)  (* legacy: xenic_lint DIR-OR-FILE... *)
   in
@@ -241,4 +258,5 @@ let () =
     | "atomicity" -> run_atomicity fmt ~inventory roots
     | "report" -> run_report fmt roots
     | "options" -> run_options fmt roots
+    | "closures" -> run_closures fmt roots
     | _ -> run_lint fmt roots)

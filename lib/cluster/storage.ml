@@ -10,7 +10,7 @@ type shard_store = { hash : hash; ordered : bytes Btree.t }
 (* Last-applied stamp per ordered key: ordered tables carry no
    per-object version, so concurrent log-apply workers order their
    writes by the log-append stamp instead. *)
-type stamps = (Keyspace.t, int) Hashtbl.t
+type stamps = int Kv.Key_tbl.t
 
 let write_ordered tree = function
   | Op.Put (k, v) -> Btree.insert tree k v
@@ -21,9 +21,9 @@ let write_ordered tree = function
    promoted primary's second log, cannot regress a newer write. *)
 let apply_ordered stamps tree op ~stamp =
   let k = Op.key op in
-  let last = Option.value ~default:(-1) (Hashtbl.find_opt stamps k) in
+  let last = Option.value ~default:(-1) (Kv.Key_tbl.find_opt stamps k) in
   if stamp > last then begin
-    Hashtbl.replace stamps k stamp;
+    Kv.Key_tbl.replace stamps k stamp;
     write_ordered tree op
   end
 
@@ -40,7 +40,7 @@ let create cfg ~node ~table =
           Some { hash = table (); ordered = Btree.create () }
         else None)
   in
-  { node; stores; ordered_stamps = Hashtbl.create 1024 }
+  { node; stores; ordered_stamps = Kv.Key_tbl.create 1024 }
 
 let shard_store t ~shard =
   match t.stores.(shard) with
@@ -174,7 +174,7 @@ let sync_shard ~from t ~shard =
   List.iter (fun k -> ignore (Btree.delete d.ordered k)) (List.rev stale_ordered);
   Btree.iter_range s.ordered ~lo ~hi (fun k v ->
       Btree.insert d.ordered k v;
-      match Hashtbl.find_opt from.ordered_stamps k with
-      | Some stamp -> Hashtbl.replace t.ordered_stamps k stamp
+      match Kv.Key_tbl.find_opt from.ordered_stamps k with
+      | Some stamp -> Kv.Key_tbl.replace t.ordered_stamps k stamp
       | None -> ())
 

@@ -353,20 +353,6 @@ let rec wait_fence t =
     wait_fence t
   end
 
-(* Backup side of the decision protocol: wait out an undecided LOG
-   record. The coordinator that caused the append always resolves it
-   (to [Dabort] if it bails out after a crash), so the wait is bounded
-   by an ack round trip. *)
-let rec await_decision t decision =
-  match !decision with
-  | Dcommit -> true
-  | Dabort ->
-      Xenic_stats.Counter.incr (counters t) "log_discards";
-      false
-  | Dpending ->
-      Process.sleep t.engine 500.0;
-      await_decision t decision
-
 (* Armed LOG retry rule. LOG must not fail once the commit fence is
    held — the decision has effectively been taken — so a LOG that times
    out against a backup is resent (idempotent: sequence-guarded apply)
@@ -519,30 +505,78 @@ let apply_cost (hw : Xenic_params.Hw.t) op =
   if Keyspace.ordered (Op.key op) then btree_op_ns
   else hw.host_op_ns +. (float_of_int (Op.bytes op) *. hw.host_byte_ns)
 
+(* What one log-apply worker is working on: the record, its log bytes
+   and the writes not yet applied. *)
+type cursor = {
+  mutable record : log_record;
+  mutable bytes : int;
+  mutable remaining : (Op.t * int) list;
+}
+
+(* A callback chain, not a process: each step is the engine event a
+   blocking worker would resume in, scheduled at the same point (a
+   write's [Engine.after] where its sleep scheduled the wake-up), so the
+   order of events is unchanged. The steps are built once with the
+   worker and share its one [cursor]; each step the engine enters
+   installs the worker's context and restores the ambient one.
+
+   Backup side of the decision protocol: an undecided record is
+   re-checked every 500 ns. The coordinator that caused the append
+   always resolves it (to [Dabort] if it bails out after a crash), so
+   the wait is bounded by an ack round trip. *)
 let log_worker t ~node ~log ~pool ~applied =
   let storage = t.storage.(node) in
-  Process.spawn t.engine (fun () ->
-      Attrib.set { Attrib.stack = t.stack; node; phase = "log-apply"; cls = "-" };
-      let rec loop () =
-        let record, bytes = Xenic_store.Hostlog.poll log in
-        if not (await_decision t record.lr_decision) then
-          (* Aborted before the commit point: reclaim the space, apply
-             nothing — every replica discards the same record. *)
-          Xenic_store.Hostlog.ack log ~bytes
-        else begin
-          Resource.acquire pool;
-          List.iter
-            (fun (op, seq) ->
-              Process.sleep t.engine (apply_cost t.hw op);
-              Storage.apply storage op ~seq ~stamp:record.lr_stamp)
-            record.lr_ops;
-          Resource.release pool;
-          Xenic_store.Hostlog.ack log ~bytes;
-          applied record
-        end;
-        loop ()
-      in
-      loop ())
+  let ctx = { Attrib.stack = t.stack; node; phase = "log-apply"; cls = "-" } in
+  let cur =
+    {
+      record = { lr_shard = -1; lr_ops = []; lr_decision = ref Dabort; lr_stamp = 0 };
+      bytes = 0;
+      remaining = [];
+    }
+  in
+  let in_ctx step =
+    let ambient = Attrib.get () in
+    Attrib.set ctx;
+    step ();
+    Attrib.set ambient
+  in
+  let rec next () = Xenic_store.Hostlog.poll_then log on_record
+  and on_record r bytes =
+    cur.record <- r;
+    cur.bytes <- bytes;
+    in_ctx decide
+  and decide () =
+    match !(cur.record.lr_decision) with
+    | Dcommit -> Resource.acquire_then pool granted
+    | Dabort ->
+        (* Aborted before the commit point: reclaim the space, apply
+           nothing — every replica discards the same record. *)
+        Xenic_stats.Counter.incr (counters t) "log_discards";
+        Xenic_store.Hostlog.ack log ~bytes:cur.bytes;
+        next ()
+    | Dpending -> Engine.after t.engine 500.0 recheck
+  and recheck () = in_ctx decide
+  and granted () =
+    cur.remaining <- cur.record.lr_ops;
+    in_ctx apply_next
+  and apply_next () =
+    match cur.remaining with
+    | (op, _) :: _ -> Engine.after t.engine (apply_cost t.hw op) wrote
+    | [] ->
+        Resource.release_as pool ctx;
+        Xenic_store.Hostlog.ack log ~bytes:cur.bytes;
+        applied cur.record;
+        next ()
+  and wrote () = in_ctx apply_head
+  and apply_head () =
+    (match cur.remaining with
+    | (op, seq) :: rest ->
+        Storage.apply storage op ~seq ~stamp:cur.record.lr_stamp;
+        cur.remaining <- rest
+    | [] -> ());
+    apply_next ()
+  in
+  next ()
 
 let drained logs = List.for_all (fun (_, l) -> Xenic_store.Hostlog.drained l) logs
 
@@ -722,7 +756,8 @@ let call t tr ?epoch0 ~src ~dst ~req_bytes ~resp_bytes handler =
    time, so the frame holding the packet-I/O path waits in the node's
    one [current] slot and the hold's end is [io_done], built once with
    the loop. [pump] takes queued frames until one waits on the path or
-   the mailbox is empty, then parks [on_frame]. Each message is
+   the mailbox is empty, then parks [waiter], the receiver of
+   [on_frame] built once with the loop. Each message is
    delivered under the context it carries: a request handler in a fresh
    process, a reply in place. *)
 let dispatch_loop t ~node ~pkt_io =
@@ -731,7 +766,7 @@ let dispatch_loop t ~node ~pkt_io =
   let current = ref [] in
   let rec pump () =
     match Mailbox.recv_opt rx with
-    | None -> Mailbox.recv_then rx on_frame
+    | None -> Mailbox.park rx (Lazy.force waiter)
     | Some pkt -> frame pkt
   and frame (pkt : msg Xenic_net.Packet.t) =
     (* A crashed node's NIC is gone: every frame addressed to it is
@@ -771,8 +806,8 @@ let dispatch_loop t ~node ~pkt_io =
     Attrib.set ctx;
     frame pkt;
     Attrib.set ambient
-  in
-  Mailbox.recv_then rx on_frame
+  and waiter = lazy (Mailbox.waiter on_frame) in
+  Mailbox.park rx (Lazy.force waiter)
 
 (* ------------------------------------------------------------------ *)
 (* Reconfiguration (§4.2.1) *)
@@ -798,8 +833,9 @@ let sweep_dead_owner_locks t ~sweep_locks =
    [recovery_waiting > 0] — then break dead coordinators' locks, drain
    each successor's backup log (every record is already decided, so
    this terminates), and promote. The brief write stall is the
-   throughput dip the fault experiment measures. *)
-let recover t ~sweep_locks ~successor_drained ~promote =
+   throughput dip the fault experiment measures. The backup log is the
+   successor's first host log. *)
+let recover t ~sweep_locks ~promote =
   wait_fence t;
   trace_instant t ~cat:"recovery" ~name:"recovery-start" ~pid:0 ~tid:0
     [ ("epoch", string_of_int t.epoch) ];
@@ -814,8 +850,9 @@ let recover t ~sweep_locks ~successor_drained ~promote =
         with
         | None -> invalid_arg "recover: no live replica"
         | Some successor ->
+            let backup_log = snd (List.hd t.logs.(successor)) in
             let rec drain () =
-              if not (successor_drained ~node:successor) then begin
+              if not (Xenic_store.Hostlog.drained backup_log) then begin
                 Process.sleep t.engine 1_000.0;
                 drain ()
               end
@@ -834,7 +871,7 @@ let recover t ~sweep_locks ~successor_drained ~promote =
 
 (* An armed stack's last construction step: every process of [create]
    is spawned before the membership's renewal and expiry loops. *)
-let attach_membership t ~sweep_locks ~successor_drained ~promote =
+let attach_membership t ~sweep_locks ~promote =
   let m = Membership.create t.engine t.cfg ~lease_ns in
   t.membership <- Some m;
   Membership.on_reconfigure m (fun ~epoch:_ ~dead ->
@@ -852,7 +889,7 @@ let attach_membership t ~sweep_locks ~successor_drained ~promote =
         dead;
       t.recovery_waiting <- t.recovery_waiting + 1;
       Process.spawn t.engine (fun () ->
-          recover t ~sweep_locks ~successor_drained ~promote));
+          recover t ~sweep_locks ~promote));
   Membership.start m
 
 (* Immediate, manual removal (for tests that promote between load

@@ -353,15 +353,17 @@ val append_log :
   decision ref ->
   unit
 
-(** Spawn one log-apply worker for [node]'s [log]. It polls a record
-    and waits for its decision: a [Dabort] record is acknowledged
-    unapplied (counted [log_discards]). A [Dcommit] record is applied
-    to [node]'s store holding one server of [pool]: per write [(op,
-    seq)], sleep the host cost of applying [op] (300 ns for an ordered
-    key; per-op plus per-byte host cost otherwise), then
+(** Start one log-apply worker for [node]'s [log], a callback chain
+    with no process. It polls a record and waits for its decision,
+    re-checking an undecided one every 500 ns: a [Dabort] record is
+    acknowledged unapplied (counted [log_discards]). A [Dcommit] record
+    is applied to [node]'s store holding one server of [pool]: per
+    write [(op, seq)], wait the host cost of applying [op] (300 ns for
+    an ordered key; per-op plus per-byte host cost otherwise), then
     {!Storage.apply} with the record's stamp — the same rule on every
-    stack. The worker then acknowledges
-    the record and calls [applied record]. *)
+    stack. The worker then acknowledges the record and calls [applied
+    record]. Its waits and holds are accounted to the [log-apply]
+    phase of [node]. *)
 val log_worker :
   t ->
   node:int ->
@@ -477,15 +479,14 @@ val sweep_dead_owner_locks :
 
 (** Build a membership of {!lease_ns} over the cluster, subscribe
     recovery to its declarations and start it. Recovery calls back
-    [sweep_locks], [successor_drained ~node] and
-    [promote ~shard ~successor] (returns the node now serving
-    [shard]). Each armed stack calls it as the last step of its
-    [create], after spawning its dispatch loops and log-apply
-    workers. *)
+    [sweep_locks], waits until the successor's backup log (its first
+    {!host_log}) is drained, and calls [promote ~shard ~successor]
+    (returns the node now serving [shard]). Each armed stack calls it
+    as the last step of its [create], after spawning its dispatch loops
+    and log-apply workers. *)
 val attach_membership :
   t ->
   sweep_locks:(node:int -> dead:(int -> bool) -> int) ->
-  successor_drained:(node:int -> bool) ->
   promote:(shard:int -> successor:int -> int) ->
   unit
 

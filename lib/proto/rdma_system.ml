@@ -1,6 +1,7 @@
 open Xenic_sim
 open Xenic_cluster
 open Xenic_nicdev
+module Locks = Xenic_store.Kv.Key_tbl
 
 type flavor = Drtmh | Drtmh_nc | Fasst | Drtmr | Farm
 
@@ -41,7 +42,7 @@ type msg = Control.msg
 
 type node = {
   id : int;
-  locks : (Keyspace.t, int) Hashtbl.t;  (* key -> owner token *)
+  locks : int Locks.t;  (* key -> owner token *)
   host : Resource.t;  (* app threads + RPC handlers *)
   workers : Resource.t;
   log : Control.log_record Xenic_store.Hostlog.t;
@@ -74,26 +75,26 @@ let obj_read t ~node k = Storage.read t.ctl.storage.(node) k
 
 let try_lock t ~node k ~owner =
   let locks = t.nodes.(node).locks in
-  match Hashtbl.find_opt locks k with
+  match Locks.find_opt locks k with
   | Some o when o <> owner -> false
   | _ ->
-      Hashtbl.replace locks k owner;
+      Locks.replace locks k owner;
       true
 
 let unlock t ~node k ~owner =
   let locks = t.nodes.(node).locks in
-  match Hashtbl.find_opt locks k with
-  | Some o when o = owner -> Hashtbl.remove locks k
+  match Locks.find_opt locks k with
+  | Some o when o = owner -> Locks.remove locks k
   | _ -> ()
 
 let locked_by_other t ~node k ~owner =
-  match Hashtbl.find_opt t.nodes.(node).locks k with
+  match Locks.find_opt t.nodes.(node).locks k with
   | Some o -> o <> owner
   | None -> false
 
 (* [node]'s host lock table, sorted. *)
 let held_locks t ~node =
-  Hashtbl.fold (fun k owner acc -> (k, owner) :: acc) t.nodes.(node).locks []
+  Locks.fold (fun k owner acc -> (k, owner) :: acc) t.nodes.(node).locks []
   |> List.sort compare
 
 (* Dead-owner lock sweep over [node]'s host lock table. *)
@@ -101,7 +102,7 @@ let sweep_locks t ~node ~dead =
   List.fold_left
     (fun broken (k, owner) ->
       if dead owner then begin
-        Hashtbl.remove t.nodes.(node).locks k;
+        Locks.remove t.nodes.(node).locks k;
         broken + 1
       end
       else broken)
@@ -220,7 +221,7 @@ let create engine hw cfg flavor p =
     Array.init cfg.Config.nodes (fun id ->
         {
           id;
-          locks = Hashtbl.create 1024;
+          locks = Locks.create 1024;
           host =
             Resource.create engine
               ~name:(Printf.sprintf "host%d" id)
@@ -251,8 +252,6 @@ let create engine hw cfg flavor p =
      only. *)
   if p.armed then
     Control.attach_membership ctl ~sweep_locks:(sweep_locks t)
-      ~successor_drained:(fun ~node ->
-        Xenic_store.Hostlog.drained t.nodes.(node).log)
       ~promote:(fun ~shard:_ ~successor -> successor);
   t
 

@@ -315,17 +315,18 @@ let abort_handler node ~owner ~locked () =
 (* ------------------------------------------------------------------ *)
 (* Host-side Robinhood workers (§4.2 step 7) *)
 
+let rec unpin idx = function
+  | [] -> ()
+  | (op, _) :: rest ->
+      let k = Op.key op in
+      if not (Keyspace.ordered k) then Xenic_store.Nic_index.host_applied idx k;
+      unpin idx rest
+
 (* After applying a COMMIT record the host piggybacks a log ack to the
    NIC so it can unpin the committed cache entries (§4.2 step 7). *)
 let unpin_applied node (record : Control.log_record) =
   match node.indexes.(record.lr_shard) with
-  | Some idx ->
-      List.iter
-        (fun (op, _) ->
-          let k = Op.key op in
-          if not (Keyspace.ordered k) then
-            Xenic_store.Nic_index.host_applied idx k)
-        record.lr_ops
+  | Some idx -> unpin idx record.lr_ops
   | None -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -443,8 +444,6 @@ let create engine hw cfg p =
      the promotion's index rebuild snapshots its host table. *)
   if p.armed then
     Control.attach_membership ctl ~sweep_locks:(sweep_locks t)
-      ~successor_drained:(fun ~node ->
-        Xenic_store.Hostlog.drained t.nodes.(node).log)
       ~promote:(fun ~shard ~successor:_ -> promote t ~shard);
   t
 

@@ -1,16 +1,17 @@
 (* Delivery to a parked receiver goes through the engine (so the
    sender keeps running to completion first) via [deliver], a closure
-   built once when the waiter parks; the value crosses over in
-   [pending]. [send] therefore schedules a pre-existing closure instead
-   of allocating a fresh [fun () -> w.k v] per message — this is on the
-   simulator's per-event hot path. *)
+   built once with the waiter, which a loop that parks again and again
+   reuses; the value crosses over in [pending]. [send] therefore
+   schedules a pre-existing closure instead of allocating a fresh
+   [fun () -> w.k v] per message — this is on the simulator's per-event
+   hot path. *)
 type 'a waiter = {
   k : 'a -> unit;
   mutable pending : 'a option;
   mutable deliver : unit -> unit;
 }
 
-let make_waiter k =
+let waiter k =
   let w = { k; pending = None; deliver = ignore } in
   w.deliver <-
     (fun () ->
@@ -54,11 +55,12 @@ let recv t =
   match Queue.take_opt t.items with
   | Some v -> v
   | None ->
-      Process.suspend (fun resume -> Queue.add (make_waiter resume) t.waiters)
+      Process.suspend (fun resume -> Queue.add (waiter resume) t.waiters)
 
-let recv_then t k =
-  if Queue.is_empty t.items then Queue.add (make_waiter k) t.waiters
-  else k (Queue.take t.items)
+let park t w =
+  if Queue.is_empty t.items then Queue.add w t.waiters else w.k (Queue.take t.items)
+
+let recv_then t k = park t (waiter k)
 
 let recv_opt t = Queue.take_opt t.items
 

@@ -28,6 +28,18 @@ val recv : 'a t -> 'a
     same zero-delay event that wakes a blocked {!recv}. *)
 val recv_then : 'a t -> ('a -> unit) -> unit
 
+(** A receiver built once for a loop that parks again and again. *)
+type 'a waiter
+
+(** [waiter k] builds the receiver that {!park} hands messages to [k]. *)
+val waiter : ('a -> unit) -> 'a waiter
+
+(** [park t w] is [recv_then t k] for [w = waiter k], with no waiter
+    or closure built per park. A waiter may be parked once at a time:
+    park it again only after a message has reached its callback (from
+    inside the callback at the earliest). *)
+val park : 'a t -> 'a waiter -> unit
+
 (** Dequeue without blocking. *)
 val recv_opt : 'a t -> 'a option
 

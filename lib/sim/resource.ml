@@ -186,6 +186,13 @@ let acquire t =
        eta-wrapper closure on the blocked-acquire path. *)
     Process.suspend (fun resume -> enqueue t ctx resume)
 
+(* [acquire] without a process: [k] runs at once on a free unit, or
+   from the handoff's zero-delay event, exactly where a blocked acquirer
+   resumes. [k] runs under whatever context is ambient then. *)
+let acquire_then t k =
+  let ctx = Attrib.get () in
+  if try_grant t ctx then k () else enqueue t ctx k
+
 (* Return a unit held under [ctx], waking the oldest waiter if any. The
    grant is matched by [ctx] (see [close_grant]); nothing else reads the
    ambient context, so a callback can release under its own context

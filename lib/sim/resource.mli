@@ -31,6 +31,13 @@ val in_use : t -> int
 (** Block until a server unit is available, then take it. *)
 val acquire : t -> unit
 
+(** [acquire_then t k] is {!acquire} in callback form, callable from
+    any event: it takes a unit for the ambient context and runs [k] at
+    once, or queues (FIFO with blocking acquirers) and runs [k] from the
+    zero-delay event of the release that hands it the unit. [k] runs
+    under whatever context is ambient then. *)
+val acquire_then : t -> (unit -> unit) -> unit
+
 (** Return a unit, waking the oldest waiter if any. Raises
     [Invalid_argument] if released more times than acquired. *)
 val release : t -> unit

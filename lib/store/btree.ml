@@ -32,23 +32,33 @@ let create () =
 
 let size t = t.size
 
-(* Index of the child covering [k]. *)
-let child_index i k =
-  let ns = i.nc - 1 in
-  let rec go j = if j < ns && k >= i.seps.(j) then go (j + 1) else j in
-  go 0
+(* The searches take their bounds as arguments: a local loop closing
+   over the node and key would allocate a closure per call. *)
 
-(* Position of k among a leaf's keys, or the insertion point. *)
-let search l k =
-  let rec go lo hi =
-    if lo >= hi then (lo, false)
-    else
-      let mid = (lo + hi) / 2 in
-      if l.lkeys.(mid) = k then (mid, true)
-      else if l.lkeys.(mid) < k then go (mid + 1) hi
-      else go lo mid
-  in
-  go 0 l.n
+(* The first index in [lo, hi) whose separator is above [k], or [hi].
+   Separators are strictly sorted, so from 0 this is the number of
+   separators at most [k]. *)
+let rec count_le (seps : int array) (k : int) lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if k >= seps.(mid) then count_le seps k (mid + 1) hi else count_le seps k lo mid
+
+(* Index of the child covering [k]. *)
+let child_index i k = count_le i.seps k 0 (i.nc - 1)
+
+let rec search_keys (keys : int array) (k : int) lo hi =
+  if lo >= hi then -(lo + 1)
+  else
+    let mid = (lo + hi) / 2 in
+    let km = keys.(mid) in
+    if km = k then mid
+    else if km < k then search_keys keys k (mid + 1) hi
+    else search_keys keys k lo mid
+
+(* Position of k among a leaf's keys, or [-(p + 1)] for insertion point
+   [p]. *)
+let search l k = search_keys l.lkeys k 0 l.n
 
 let rec find_leaf node k =
   match node with
@@ -57,8 +67,8 @@ let rec find_leaf node k =
 
 let find t k =
   let l = find_leaf t.root k in
-  let i, exact = search l k in
-  if exact then Some l.lvals.(i) else None
+  let i = search l k in
+  if i >= 0 then Some l.lvals.(i) else None
 
 let mem t k = Option.is_some (find t k)
 
@@ -72,12 +82,13 @@ let shift_left a i n = Array.blit a (i + 1) a i (n - 1 - i)
 let rec insert_node node k v =
   match node with
   | Leaf l ->
-      let i, exact = search l k in
-      if exact then begin
+      let i = search l k in
+      if i >= 0 then begin
         l.lvals.(i) <- v;
         `Replaced
       end
       else begin
+        let i = -(i + 1) in
         if Array.length l.lvals = 0 then l.lvals <- Array.make (order + 1) v;
         shift_right l.lkeys i l.n;
         shift_right l.lvals i l.n;
@@ -146,8 +157,8 @@ let insert t k v =
 
 let delete t k =
   let l = find_leaf t.root k in
-  let i, exact = search l k in
-  if exact then begin
+  let i = search l k in
+  if i >= 0 then begin
     shift_left l.lkeys i l.n;
     shift_left l.lvals i l.n;
     l.n <- l.n - 1;
@@ -156,20 +167,18 @@ let delete t k =
   end
   else false
 
-let iter_range t ~lo ~hi f =
-  if lo <= hi then begin
-    let l = find_leaf t.root lo in
-    let rec walk (l : 'v leaf) =
-      let stop = ref false in
-      for i = 0 to l.n - 1 do
-        let k = l.lkeys.(i) in
-        if k > hi then stop := true
-        else if k >= lo then f k l.lvals.(i)
-      done;
-      if not !stop then match l.next with Some nl -> walk nl | None -> ()
-    in
-    walk l
-  end
+(* Visit the keys in [lo, hi] of leaf [l] and of the leaves chained
+   after it. *)
+let rec walk (l : 'v leaf) ~lo ~hi f =
+  let stop = ref false in
+  for i = 0 to l.n - 1 do
+    let k = l.lkeys.(i) in
+    if k > hi then stop := true
+    else if k >= lo then f k l.lvals.(i)
+  done;
+  if not !stop then match l.next with Some nl -> walk nl ~lo ~hi f | None -> ()
+
+let iter_range t ~lo ~hi f = if lo <= hi then walk (find_leaf t.root lo) ~lo ~hi f
 
 let fold_range t ~lo ~hi ~init f =
   let acc = ref init in

@@ -65,22 +65,24 @@ let cell_block t c = block t (c / t.b)
 
 let cell_index t c = (local t (c / t.b) * t.b) + (c mod t.b)
 
+(* The probe loops take their state as arguments: a local loop closing
+   over the table and key would allocate a closure per call. *)
+
+(* Cell holding [k] from cell [i] of bucket [id] (at [base] in [blk])
+   on, or -1. *)
+let rec scan_chain t k id blk base i =
+  if i = t.b then
+    let nx = next_bucket t id in
+    if nx < 0 then -1 else scan_chain t k nx (block t nx) (local t nx * t.b) 0
+  else if Bytes.get blk.live (base + i) <> '\000' && blk.keys.(base + i) = k then
+    (id * t.b) + i
+  else scan_chain t k id blk base (i + 1)
+
 (* Cell holding [k], or -1: the chain from [k]'s home bucket, each
    bucket's cells in order. *)
 let find_cell t k =
-  let rec in_bucket id =
-    let blk = block t id and base = local t id * t.b in
-    let rec scan i =
-      if i = t.b then
-        let nx = next_bucket t id in
-        if nx < 0 then -1 else in_bucket nx
-      else if Bytes.get blk.live (base + i) <> '\000' && blk.keys.(base + i) = k then
-        (id * t.b) + i
-      else scan (i + 1)
-    in
-    scan 0
-  in
-  in_bucket (home t k)
+  let id = home t k in
+  scan_chain t k id (block t id) (local t id * t.b) 0
 
 let write t c k v ~seq =
   let blk = cell_block t c and i = cell_index t c in
@@ -117,28 +119,29 @@ let new_bucket t =
   t.allocated <- id + 1;
   id
 
-(* Place an absent key in the first free cell along its chain, chaining
-   a new bucket when every cell is taken. *)
+(* First free cell of bucket [id] from cell [i] on, or -1. *)
+let rec free_cell t blk base i =
+  if i = t.b then -1
+  else if Bytes.get blk.live (base + i) = '\000' then i
+  else free_cell t blk base (i + 1)
+
+(* Place an absent key in the first free cell along the chain from
+   bucket [id], chaining a new bucket when every cell is taken. *)
+let rec place t k v ~seq id =
+  let blk = block t id in
+  let i = free_cell t blk (local t id * t.b) 0 in
+  if i >= 0 then write t ((id * t.b) + i) k v ~seq
+  else
+    let nx = next_bucket t id in
+    if nx >= 0 then place t k v ~seq nx
+    else begin
+      let nid = new_bucket t in
+      blk.next.(local t id) <- nid;
+      place t k v ~seq nid
+    end
+
 let insert_absent t k v ~seq =
-  let rec place id =
-    let blk = block t id and base = local t id * t.b in
-    let rec free i =
-      if i = t.b then -1
-      else if Bytes.get blk.live (base + i) = '\000' then i
-      else free (i + 1)
-    in
-    let i = free 0 in
-    if i >= 0 then write t ((id * t.b) + i) k v ~seq
-    else
-      let nx = next_bucket t id in
-      if nx >= 0 then place nx
-      else begin
-        let nid = new_bucket t in
-        blk.next.(local t id) <- nid;
-        place nid
-      end
-  in
-  place (home t k);
+  place t k v ~seq (home t k);
   t.size <- t.size + 1
 
 let insert t k v =
@@ -164,13 +167,15 @@ let delete_older t k ~seq =
   let c = find_cell t k in
   if c >= 0 && seq > (cell_block t c).seqs.(cell_index t c) then clear t c
 
+(* Buckets visited from [id] to reach bucket [target], counting from [d]. *)
+let rec chain_depth t ~target id d =
+  if id = target then d else chain_depth t ~target (next_bucket t id) (d + 1)
+
 let lookup_cost t k =
   let c = find_cell t k in
   if c < 0 then None
   else
-    let target = c / t.b in
-    let rec depth id d = if id = target then d else depth (next_bucket t id) (d + 1) in
-    let d = depth (home t k) 1 in
+    let d = chain_depth t ~target:(c / t.b) (home t k) 1 in
     Some (d * t.b, d)
 
 let buckets_allocated t = t.allocated

@@ -33,117 +33,120 @@ let h t = t.h
 
 let home t k = Kv.Key.hash k mod t.capacity
 
-let in_neighborhood t k =
-  let hm = home t k in
-  let rec go i =
-    if i >= t.h then None
-    else
-      let pos = (hm + i) mod t.capacity in
-      let s = t.slots.(pos) in
-      if s.occupied && s.key = k then Some pos else go (i + 1)
-  in
-  go 0
+(* The probe loops take their state as arguments: a local loop closing
+   over the table and key would allocate a closure per call. *)
+let rec probe t k hm i =
+  if i >= t.h then -1
+  else
+    let pos = (hm + i) mod t.capacity in
+    let s = t.slots.(pos) in
+    if s.occupied && s.key = k then pos else probe t k hm (i + 1)
+
+(* [k]'s slot in its home neighborhood, or -1. *)
+let in_neighborhood t k = probe t k (home t k) 0
 
 let ovf_chain t hm = Option.value ~default:[] (Hashtbl.find_opt t.overflow hm)
 
 let find t k =
-  match in_neighborhood t k with
-  | Some pos -> t.slots.(pos).value
-  | None -> List.assoc_opt k (ovf_chain t (home t k))
+  let pos = in_neighborhood t k in
+  if pos >= 0 then t.slots.(pos).value
+  else List.assoc_opt k (ovf_chain t (home t k))
 
 let mem t k = Option.is_some (find t k)
 
 (* Distance from [hm] to [pos] going forward (circular). *)
 let dist t hm pos = (pos - hm + t.capacity) mod t.capacity
 
-(* Try to move the free slot at [free] closer to [hm] by relocating an
-   element from the window of [h-1] slots before [free] whose own
-   neighborhood still covers [free]. *)
-let rec hop t hm free =
-  if dist t hm free < t.h then Some free
-  else begin
-    let rec try_candidate i =
-      if i >= t.h then None
-      else
-        let cand = (free - t.h + 1 + i + t.capacity) mod t.capacity in
-        let s = t.slots.(cand) in
-        if s.occupied && dist t (home t s.key) free < t.h then begin
-          let f = t.slots.(free) in
-          f.occupied <- true;
-          f.key <- s.key;
-          f.value <- s.value;
-          s.occupied <- false;
-          s.value <- None;
-          Some cand
-        end
-        else try_candidate (i + 1)
-    in
-    match try_candidate 0 with
-    | None -> None
-    | Some free' -> hop t hm free'
-  end
-
-let insert t k v =
-  match in_neighborhood t k with
-  | Some pos -> t.slots.(pos).value <- Some v
-  | None -> (
-      let hm = home t k in
-      let chain = ovf_chain t hm in
-      if List.mem_assoc k chain then
-        Hashtbl.replace t.overflow hm
-          ((k, v) :: List.remove_assoc k chain)
-      else begin
-        if t.size >= t.capacity then failwith "Hopscotch.insert: table full";
-        (* Linear-probe for a free slot, then hop it home. *)
-        let rec find_free i =
-          if i >= t.capacity then failwith "Hopscotch.insert: table full"
-          else
-            let pos = (hm + i) mod t.capacity in
-            if not t.slots.(pos).occupied then pos else find_free (i + 1)
-        in
-        let free = find_free 0 in
-        match hop t hm free with
-        | Some pos ->
-            let s = t.slots.(pos) in
-            s.occupied <- true;
-            s.key <- k;
-            s.value <- Some v;
-            t.size <- t.size + 1
-        | None ->
-            Hashtbl.replace t.overflow hm ((k, v) :: chain);
-            t.ovf_size <- t.ovf_size + 1
-      end)
-
-let delete t k =
-  match in_neighborhood t k with
-  | Some pos ->
-      let s = t.slots.(pos) in
+(* Relocate into the free slot [free] the first element, from offset
+   [i] of the window of [h-1] slots before it, whose own neighborhood
+   still covers [free]; its old slot, now free, or -1. *)
+let rec relocate t free i =
+  if i >= t.h then -1
+  else
+    let cand = (free - t.h + 1 + i + t.capacity) mod t.capacity in
+    let s = t.slots.(cand) in
+    if s.occupied && dist t (home t s.key) free < t.h then begin
+      let f = t.slots.(free) in
+      f.occupied <- true;
+      f.key <- s.key;
+      f.value <- s.value;
       s.occupied <- false;
       s.value <- None;
-      t.size <- t.size - 1;
-      true
-  | None ->
-      let hm = home t k in
-      let chain = ovf_chain t hm in
-      if List.mem_assoc k chain then begin
-        Hashtbl.replace t.overflow hm (List.remove_assoc k chain);
-        t.ovf_size <- t.ovf_size - 1;
-        true
+      cand
+    end
+    else relocate t free (i + 1)
+
+(* Move the free slot at [free] into [hm]'s neighborhood by relocations;
+   the slot it ends at, or -1. *)
+let rec hop t hm free =
+  if dist t hm free < t.h then free
+  else
+    let free' = relocate t free 0 in
+    if free' < 0 then -1 else hop t hm free'
+
+(* The first free slot at or after offset [i] from [hm]. *)
+let rec find_free t hm i =
+  if i >= t.capacity then failwith "Hopscotch.insert: table full"
+  else
+    let pos = (hm + i) mod t.capacity in
+    if not t.slots.(pos).occupied then pos else find_free t hm (i + 1)
+
+let insert t k v =
+  let pos = in_neighborhood t k in
+  if pos >= 0 then t.slots.(pos).value <- Some v
+  else begin
+    let hm = home t k in
+    let chain = ovf_chain t hm in
+    if List.mem_assoc k chain then
+      Hashtbl.replace t.overflow hm ((k, v) :: List.remove_assoc k chain)
+    else begin
+      if t.size >= t.capacity then failwith "Hopscotch.insert: table full";
+      (* Linear-probe for a free slot, then hop it home. *)
+      let pos = hop t hm (find_free t hm 0) in
+      if pos >= 0 then begin
+        let s = t.slots.(pos) in
+        s.occupied <- true;
+        s.key <- k;
+        s.value <- Some v;
+        t.size <- t.size + 1
       end
-      else false
+      else begin
+        Hashtbl.replace t.overflow hm ((k, v) :: chain);
+        t.ovf_size <- t.ovf_size + 1
+      end
+    end
+  end
+
+let delete t k =
+  let pos = in_neighborhood t k in
+  if pos >= 0 then begin
+    let s = t.slots.(pos) in
+    s.occupied <- false;
+    s.value <- None;
+    t.size <- t.size - 1;
+    true
+  end
+  else
+    let hm = home t k in
+    let chain = ovf_chain t hm in
+    if List.mem_assoc k chain then begin
+      Hashtbl.replace t.overflow hm (List.remove_assoc k chain);
+      t.ovf_size <- t.ovf_size - 1;
+      true
+    end
+    else false
+
+(* 1-based position of [k] in an overflow chain from position [i]. *)
+let rec chain_pos (k : int) i = function
+  | [] -> None
+  | (k', _) :: rest -> if k' = k then Some i else chain_pos k (i + 1) rest
 
 let lookup_cost t k =
-  match in_neighborhood t k with
-  | Some _ -> Some (t.h, 1)
-  | None ->
-      let chain = ovf_chain t (home t k) in
-      let rec scan i = function
-        | [] -> None
-        | (k', _) :: rest -> if k' = k then Some i else scan (i + 1) rest
-      in
-      (match scan 1 chain with
-      | Some n -> Some (t.h + n, 2)
-      | None -> None)
+  if in_neighborhood t k >= 0 then Some (t.h, 1)
+  else
+    match chain_pos k 1 (ovf_chain t (home t k)) with
+    | Some n -> Some (t.h + n, 2)
+    | None -> None
 
 let overflow_fraction t =
   if size t = 0 then 0.0 else float_of_int t.ovf_size /. float_of_int (size t)

@@ -7,7 +7,7 @@ type 'r t = {
   mutable used_b : int;
   mutable appended : int;
   mutable applied : int;
-  readers : (('r * int) -> unit) Queue.t;
+  readers : ('r -> int -> unit) Queue.t;
   space_waiters : (unit -> unit) Queue.t;
 }
 
@@ -36,15 +36,17 @@ let rec append t ~bytes r =
     (* xenic-lint: atomic hostlog-space-recheck *)
     t.used_b <- t.used_b + bytes;
     t.appended <- t.appended + 1;
-    (match Queue.take_opt t.readers with
-    | Some resume -> Engine.after t.engine 0.0 (fun () -> resume (r, bytes))
-    | None -> Queue.add (r, bytes) t.records)
+    if Queue.is_empty t.readers then Queue.add (r, bytes) t.records
+    else
+      let k = Queue.take t.readers in
+      Engine.after t.engine 0.0 (fun () -> k r bytes)
   end
 
-let poll t =
-  match Queue.take_opt t.records with
-  | Some rb -> rb
-  | None -> Process.suspend (fun resume -> Queue.add resume t.readers)
+let poll_then t k =
+  if Queue.is_empty t.records then Queue.add k t.readers
+  else
+    let r, bytes = Queue.take t.records in
+    k r bytes
 
 let ack t ~bytes =
   t.used_b <- max 0 (t.used_b - bytes);

@@ -16,8 +16,11 @@ val create : Xenic_sim.Engine.t -> capacity_b:int -> 'r t
     the DMA-write cost itself). *)
 val append : 'r t -> bytes:int -> 'r -> unit
 
-(** Blocking: worker side — dequeue the oldest record. *)
-val poll : 'r t -> 'r * int
+(** Worker side: [poll_then t k] dequeues the oldest record and runs
+    [k record bytes] at once, or parks [k] until the next append, which
+    runs it in a zero-delay event of its own. Callable from any event;
+    parked readers are served in FIFO order. *)
+val poll_then : 'r t -> ('r -> int -> unit) -> unit
 
 (** Worker acknowledges [bytes] of applied records, reclaiming space. *)
 val ack : 'r t -> bytes:int -> unit

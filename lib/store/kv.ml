@@ -13,6 +13,8 @@ module Key = struct
   let pp fmt k = Format.fprintf fmt "%#x" k
 end
 
+module Key_tbl = Hashtbl.Make (Key)
+
 let inline_max = 256
 
 let slot_header_b = 24

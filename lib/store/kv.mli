@@ -14,6 +14,10 @@ module Key : sig
   val pp : Format.formatter -> t -> unit
 end
 
+(** Hash tables keyed by {!Key.t}: {!Key.hash} and [Int.equal], with
+    neither the polymorphic hash nor the polymorphic compare. *)
+module Key_tbl : Hashtbl.S with type key = Key.t
+
 (** Objects above this size are stored out-of-line: the hash table slot
     holds a pointer and the payload is fetched with a dedicated DMA
     read (§4.1.2). *)

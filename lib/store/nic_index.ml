@@ -76,21 +76,20 @@ let host t = t.host
 
 let home_slot t k = Kv.Key.hash k land (Array.length t.slots - 1)
 
-(* [k]'s entry, or [t.vacant]. *)
-let find t k =
-  let mask = Array.length t.slots - 1 in
-  let rec go i =
-    let e = t.slots.(i) in
-    if e == t.vacant || e.key = k then e else go ((i + 1) land mask)
-  in
-  go (home_slot t k)
+(* The probe loops below take the table, key and mask as arguments: a
+   local loop closing over them would allocate a closure per call. *)
+let rec find_from t k mask i =
+  let e = t.slots.(i) in
+  if e == t.vacant || e.key = k then e else find_from t k mask ((i + 1) land mask)
 
-let place t e =
-  let mask = Array.length t.slots - 1 in
-  let rec go i =
-    if t.slots.(i) == t.vacant then t.slots.(i) <- e else go ((i + 1) land mask)
-  in
-  go (home_slot t e.key)
+(* [k]'s entry, or [t.vacant]. *)
+let find t k = find_from t k (Array.length t.slots - 1) (home_slot t k)
+
+let rec place_from t e mask i =
+  if t.slots.(i) == t.vacant then t.slots.(i) <- e
+  else place_from t e mask ((i + 1) land mask)
+
+let place t e = place_from t e (Array.length t.slots - 1) (home_slot t e.key)
 
 (* Add an entry for an absent key, doubling the table past 3/4 load. *)
 let add t k ~seq ~present =
@@ -104,26 +103,28 @@ let add t k ~seq ~present =
   t.n_entries <- t.n_entries + 1;
   e
 
+let rec locate t k mask i =
+  let e = t.slots.(i) in
+  if e == t.vacant then -1
+  else if e.key = k then i
+  else locate t k mask ((i + 1) land mask)
+
+let rec shift t mask hole j =
+  let e = t.slots.(j) in
+  if e == t.vacant then t.slots.(hole) <- t.vacant
+  else if (j - home_slot t e.key) land mask >= (j - hole) land mask then begin
+    t.slots.(hole) <- e;
+    shift t mask j ((j + 1) land mask)
+  end
+  else shift t mask hole ((j + 1) land mask)
+
 (* Remove [k]'s entry, shifting later entries of its probe run back so
    no lookup stops early at the hole. *)
 let remove t k =
   let mask = Array.length t.slots - 1 in
-  let rec locate i =
-    let e = t.slots.(i) in
-    if e == t.vacant then -1 else if e.key = k then i else locate ((i + 1) land mask)
-  in
-  let rec shift hole j =
-    let e = t.slots.(j) in
-    if e == t.vacant then t.slots.(hole) <- t.vacant
-    else if (j - home_slot t e.key) land mask >= (j - hole) land mask then begin
-      t.slots.(hole) <- e;
-      shift j ((j + 1) land mask)
-    end
-    else shift hole ((j + 1) land mask)
-  in
-  let i = locate (home_slot t k) in
+  let i = locate t k mask (home_slot t k) in
   if i >= 0 then begin
-    shift i ((i + 1) land mask);
+    shift t mask i ((i + 1) land mask);
     t.n_entries <- t.n_entries - 1
   end
 

@@ -88,20 +88,23 @@ type insert_outcome = Inserted | Replaced | Overflowed
    early at empties or lower displacements: deletion's overflow-swap can
    break the classic Robinhood ordering invariants, so only the monotone
    bound is sound. *)
+let rec find_slot_from t k h i bound =
+  if i > bound then -1
+  else
+    let pos = (h + i) mod t.capacity in
+    if occupied t pos && t.keys.(pos) = k then pos
+    else find_slot_from t k h (i + 1) bound
+
 let find_slot t k =
   let h = home t k in
   let bound = min (seg_disp_bound t (segment_of_pos t h)) (disp_cap t - 1) in
-  let rec go i =
-    if i > bound then -1
-    else
-      let pos = (h + i) mod t.capacity in
-      if occupied t pos && t.keys.(pos) = k then pos else go (i + 1)
-  in
-  go 0
+  find_slot_from t k h 0 bound
 
-let find_ovf t k =
-  let seg = segment_of_pos t (home t k) in
-  List.find_opt (fun o -> o.o_key = k) t.overflow.(seg)
+let rec find_in_bucket k = function
+  | [] -> None
+  | o :: rest -> if o.o_key = k then Some o else find_in_bucket k rest
+
+let find_ovf t k = find_in_bucket k t.overflow.(segment_of_pos t (home t k))
 
 let find t k =
   let pos = find_slot t k in
@@ -205,18 +208,28 @@ let insert ?on_step t k v =
 (* Is every slot in [from, to) occupied (circularly)? Required before an
    overflow element may be swapped over a deleted slot: its probe path
    must stay contiguous. *)
-let path_occupied t ~from ~upto =
-  let rec go pos =
-    if pos = upto then true
-    else if not (occupied t pos) then false
-    else go ((pos + 1) mod t.capacity)
-  in
-  from = upto || go from
+let rec path_occupied_from t pos ~upto =
+  if pos = upto then true
+  else if not (occupied t pos) then false
+  else path_occupied_from t ((pos + 1) mod t.capacity) ~upto
+
+let path_occupied t ~from ~upto = from = upto || path_occupied_from t from ~upto
 
 let remove_ovf t k =
   let seg = segment_of_pos t (home t k) in
   t.overflow.(seg) <- List.filter (fun o -> o.o_key <> k) t.overflow.(seg);
   t.ovf_size <- t.ovf_size - 1
+
+(* Backward shift: pull successors one slot closer until an empty slot
+   or a perfectly-placed element ends the run. *)
+let rec shift_back t hole =
+  let next = (hole + 1) mod t.capacity in
+  if t.disps.(next) > 0 then begin
+    set_slot t hole ~key:t.keys.(next) ~seq:t.seqs.(next) ~value:t.values.(next)
+      ~disp:(t.disps.(next) - 1);
+    shift_back t next
+  end
+  else t.disps.(hole) <- -1
 
 (* Delete the element at table position [pos]. *)
 let remove_at t pos =
@@ -241,18 +254,7 @@ let remove_at t pos =
       remove_ovf t o.o_key;
       t.size <- t.size + 1 (* net: table +1, overflow -1; deleted -1 below *)
   | None ->
-      (* Backward shift: pull successors one slot closer until an empty
-         slot or a perfectly-placed element ends the run. *)
-      let rec shift hole =
-        let next = (hole + 1) mod t.capacity in
-        if t.disps.(next) > 0 then begin
-          set_slot t hole ~key:t.keys.(next) ~seq:t.seqs.(next) ~value:t.values.(next)
-            ~disp:(t.disps.(next) - 1);
-          shift next
-        end
-        else t.disps.(hole) <- -1
-      in
-      shift pos);
+      shift_back t pos);
   t.size <- t.size - 1
 
 let delete t k =
@@ -297,23 +299,21 @@ type scan_result =
   | Miss_empty of int
   | Miss_exhausted
 
-let scan t k ~from_disp ~slots =
-  let h = home t k in
-  let rec go i read =
-    if read >= slots then Miss_exhausted
-    else
-      let pos = (h + i) mod t.capacity in
-      if not (occupied t pos) then Miss_empty (read + 1)
-      else if t.keys.(pos) = k then
-        Hit
-          {
-            disp = i;
-            seq = t.seqs.(pos);
-            out_of_line = t.vsize t.values.(pos) > Kv.inline_max;
-          }
-      else go (i + 1) (read + 1)
-  in
-  go from_disp 0
+let rec scan_from t k h i read slots =
+  if read >= slots then Miss_exhausted
+  else
+    let pos = (h + i) mod t.capacity in
+    if not (occupied t pos) then Miss_empty (read + 1)
+    else if t.keys.(pos) = k then
+      Hit
+        {
+          disp = i;
+          seq = t.seqs.(pos);
+          out_of_line = t.vsize t.values.(pos) > Kv.inline_max;
+        }
+    else scan_from t k h (i + 1) (read + 1) slots
+
+let scan t k ~from_disp ~slots = scan_from t k (home t k) from_disp 0 slots
 
 let value_at t k ~disp =
   let pos = (home t k + disp) mod t.capacity in
@@ -340,7 +340,7 @@ let find_overflow t k =
   let seg = segment_of_pos t (home t k) in
   let bucket = t.overflow.(seg) in
   let n = List.length bucket in
-  match List.find_opt (fun o -> o.o_key = k) bucket with
+  match find_in_bucket k bucket with
   | Some o -> (Some (o.o_value, o.o_seq), n)
   | None -> (None, n)
 

@@ -470,6 +470,34 @@ let test_options () =
     [ "lib/x/s.mli val g ?w" ]
     (Ratchet.diff ~baseline:(inv "") ~current:(inv "?w:int -> ")).Ratchet.added
 
+(* ---- closures inventory --------------------------------------------- *)
+
+let test_closures () =
+  let src extra =
+    "let find t k =\n\
+    \  let rec go i = if i = k then i else go (i + 1) in\n\
+    \  go t\n\
+     let rec top n = if n = 0 then 0 else top (n - 1)\n\
+     module M = struct\n\
+    \  let f x = let rec a y = b y and b y = y in a x\n\
+     end\n" ^ extra
+  in
+  let inv extra =
+    match Lint.parse_impl ~filename:"lib/x/s.ml" (src extra) with
+    | Some ast -> Closures.inventory [ ("lib/x/s.ml", ast) ]
+    | None -> Alcotest.fail "sample does not parse"
+  in
+  Alcotest.(check (list string))
+    "nested let rec bindings by enclosing definition, sorted; a top-level \
+     let rec is not one"
+    [ "lib/x/s.ml M.f.a"; "lib/x/s.ml M.f.b"; "lib/x/s.ml find.go" ]
+    (inv "");
+  Alcotest.(check (list string)) "a new probe loop is an added ratchet line"
+    [ "lib/x/s.ml g.h" ]
+    (Ratchet.diff ~baseline:(inv "")
+       ~current:(inv "let g x = let rec h y = y in h x\n"))
+      .Ratchet.added
+
 (* ---- JSON rendering ------------------------------------------------- *)
 
 let test_json () =
@@ -543,5 +571,6 @@ let () =
           Alcotest.test_case "domain shared report" `Quick test_domain_shared;
           Alcotest.test_case "ratchet" `Quick test_ratchet;
           Alcotest.test_case "options inventory" `Quick test_options;
+          Alcotest.test_case "closures inventory" `Quick test_closures;
         ] );
     ]

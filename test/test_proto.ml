@@ -1132,10 +1132,10 @@ let check_read_txn_words stack ~bound =
     true (words <= bound)
 
 let test_alloc_one_sided_reads () =
-  check_read_txn_words System.Drtmh ~bound:4478.0
+  check_read_txn_words System.Drtmh ~bound:4142.0
 
 let test_alloc_locked_reads () =
-  check_read_txn_words System.Drtmr ~bound:6693.0
+  check_read_txn_words System.Drtmr ~bound:6469.0
 
 let () =
   Alcotest.run "xenic_proto"

@@ -1058,10 +1058,12 @@ let test_alloc_aggregated_message () =
          fun () -> Xenic_net.Aggregator.push agg ~dst:1 ~bytes:16 ()))
 
 (* A one-reply frame into node 1's dispatch loop: the frame, the NIC's
-   packet-I/O hold and the reply's delivery in the dispatch event. *)
+   packet-I/O hold and the reply's delivery in the dispatch event. The
+   loop parks with a mailbox waiter it built once; a waiter and its
+   closure per park made it 65. *)
 let test_alloc_reply_dispatch () =
   let hw = Xenic_params.Hw.testbed in
-  check_words "reply frame through a dispatch loop" ~bound:65.0
+  check_words "reply frame through a dispatch loop" ~bound:57.0
     (ticked_words (fun eng ->
          let cfg = Xenic_cluster.Config.make ~nodes:2 ~replication:1 in
          let ctl =

@@ -960,12 +960,14 @@ let test_hostlog_roundtrip () =
   let log = Hostlog.create eng ~capacity_b:1024 in
   let applied = ref [] in
   Alcotest.(check bool) "fresh log drained" true (Hostlog.drained log);
-  Xenic_sim.Process.spawn eng (fun () ->
-      for _ = 1 to 3 do
-        let r, bytes = Hostlog.poll log in
-        applied := r :: !applied;
-        Hostlog.ack log ~bytes
-      done);
+  let rec worker n =
+    if n > 0 then
+      Hostlog.poll_then log (fun r bytes ->
+          applied := r :: !applied;
+          Hostlog.ack log ~bytes;
+          worker (n - 1))
+  in
+  worker 3;
   Xenic_sim.Process.spawn eng (fun () ->
       List.iter (fun r -> ignore (Hostlog.append log ~bytes:100 r)) [ "a"; "b"; "c" ]);
   Alcotest.(check bool) "not drained after append" false (Hostlog.drained log);
@@ -986,17 +988,141 @@ let test_hostlog_backpressure () =
         appended_at := Xenic_sim.Engine.now eng :: !appended_at
       done);
   (* A slow worker that acks every 1000ns. *)
-  Xenic_sim.Process.spawn eng (fun () ->
-      for _ = 1 to 4 do
-        let (), bytes = Hostlog.poll log in
-        Xenic_sim.Process.sleep eng 1000.0;
-        Hostlog.ack log ~bytes
-      done);
+  let rec worker n =
+    if n > 0 then
+      Hostlog.poll_then log (fun () bytes ->
+          Xenic_sim.Engine.after eng 1000.0 (fun () ->
+              Hostlog.ack log ~bytes;
+              worker (n - 1)))
+  in
+  worker 4;
   ignore (Xenic_sim.Engine.run eng);
   (* The 4th append must have been delayed by backpressure. *)
   match List.rev !appended_at with
   | [ _; _; _; t4 ] -> Alcotest.(check bool) "backpressured" true (t4 >= 1000.0)
   | _ -> Alcotest.fail "wrong append count"
+
+(* ------------------------------------------------------------------ *)
+(* Allocation ratchets: minor-heap words per store probe (OCaml 5.1, no
+   flambda, the dev profile's -opaque; DESIGN.md §18 has the table). A
+   probe allocates only the value it returns: a local [let rec] loop
+   that captured its caller's variables cost a closure per call. Lower
+   a bound when an optimisation lands. *)
+
+let ratchet_calls = 10_000
+
+let words_per_call f =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to ratchet_calls do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int ratchet_calls
+
+let check_words name ~bound words =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.1f words/call within %.0f" name words bound)
+    true (words <= bound)
+
+let filled_rh () =
+  let t = mk_rh () in
+  for i = 0 to 99 do
+    ignore (Robinhood.insert t i (value i))
+  done;
+  t
+
+let test_alloc_robinhood () =
+  let t = filled_rh () in
+  let k = 42 in
+  Alcotest.(check bool) "probe key in the table" true
+    (match Robinhood.locate t k with Some (`Table _) -> true | _ -> false);
+  check_words "Robinhood.find_value hit" ~bound:2.0
+    (words_per_call (fun () ->
+         ignore (Sys.opaque_identity (Robinhood.find_value t k))));
+  let v = value 0 and seq = ref 1 in
+  check_words "Robinhood.put_newer" ~bound:0.0
+    (words_per_call (fun () ->
+         incr seq;
+         Robinhood.put_newer t k v ~seq:!seq))
+
+let test_alloc_chained () =
+  let t = Chained.create ~buckets:16 ~b:4 in
+  for i = 0 to 99 do
+    Chained.insert t i (value i)
+  done;
+  check_words "Chained.find_value hit" ~bound:2.0
+    (words_per_call (fun () ->
+         ignore (Sys.opaque_identity (Chained.find_value t 42))))
+
+(* Key 7 is locked; key 9 has a committed write per call to come. *)
+let test_alloc_nic_index () =
+  let idx = Nic_index.create ~host:(filled_rh ()) ~cache_capacity:100 () in
+  let io = Nic_index.free_io in
+  (match Nic_index.try_lock idx io 7 ~owner:1 with
+  | `Acquired _ -> ()
+  | `Locked -> Alcotest.fail "lock");
+  for _ = 1 to ratchet_calls do
+    ignore (Nic_index.apply_commit idx 9 (value 9))
+  done;
+  check_words "Nic_index.lock_owner of a locked key" ~bound:2.0
+    (words_per_call (fun () ->
+         ignore (Sys.opaque_identity (Nic_index.lock_owner idx 7))));
+  check_words "Nic_index.host_applied" ~bound:0.0
+    (words_per_call (fun () -> Nic_index.host_applied idx 9));
+  check_words "Nic_index.version hit" ~bound:2.0
+    (words_per_call (fun () ->
+         ignore (Sys.opaque_identity (Nic_index.version idx io 7))))
+
+(* Deep enough for internal nodes above the leaves. *)
+let test_alloc_btree () =
+  let t = Btree.create () in
+  for i = 0 to 9_999 do
+    Btree.insert t i i
+  done;
+  check_words "Btree.find hit" ~bound:2.0
+    (words_per_call (fun () -> ignore (Sys.opaque_identity (Btree.find t 4_321))));
+  check_words "Btree.insert of an existing key" ~bound:0.0
+    (words_per_call (fun () -> Btree.insert t 4_321 7))
+
+(* Words per record applied by a log-apply worker: [records] records
+   of [writes] hash writes each, appended by one process with no wait
+   between them. *)
+let log_apply_words ~writes =
+  let open Xenic_cluster in
+  let eng = Xenic_sim.Engine.create () in
+  let ctl =
+    Xenic_proto.Control.create eng Xenic_params.Hw.testbed
+      (Config.make ~nodes:1 ~replication:1)
+      ~stack:"T" ~partitions:0 ~armed:false
+      ~table:(fun () -> Storage.Chained (Chained.create ~buckets:64 ~b:8))
+  in
+  let log = Xenic_proto.Control.host_log ctl ~node:0 ~name:"log" in
+  let pool = Xenic_sim.Resource.create eng ~name:"wrk" ~servers:1 in
+  Xenic_proto.Control.log_worker ctl ~node:0 ~log ~pool ~applied:ignore;
+  let v = Bytes.make 8 'v' in
+  let ops =
+    List.init writes (fun id ->
+        (Op.Put (Keyspace.make ~shard:0 ~table:0 ~ordered:false ~id, v), 1))
+  in
+  let decision = ref Xenic_proto.Control.Dcommit in
+  let records = 1_000 in
+  let w0 = Gc.minor_words () in
+  Xenic_sim.Process.spawn eng (fun () ->
+      for _ = 1 to records do
+        Xenic_proto.Control.append_log ctl ~node:0 log ~bytes:64 ~shard:0 ~ops
+          decision
+      done);
+  ignore (Xenic_sim.Engine.run eng);
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every record applied" records (Hostlog.applied log);
+  words /. float_of_int records
+
+(* The difference between nine writes and one per record is eight
+   writes: per write, the apply event (its boxed delay and queue entry)
+   and the store write. A process sleep per write and a closure per
+   chained-table probe made it 27. *)
+let test_alloc_log_apply () =
+  check_words "write applied by a log worker" ~bound:6.0
+    ((log_apply_words ~writes:9 -. log_apply_words ~writes:1) /. 8.0)
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -1061,5 +1187,13 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_hostlog_roundtrip;
           Alcotest.test_case "backpressure" `Quick test_hostlog_backpressure;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "robinhood" `Quick test_alloc_robinhood;
+          Alcotest.test_case "chained" `Quick test_alloc_chained;
+          Alcotest.test_case "nic index" `Quick test_alloc_nic_index;
+          Alcotest.test_case "btree" `Quick test_alloc_btree;
+          Alcotest.test_case "log apply" `Quick test_alloc_log_apply;
         ] );
     ]
