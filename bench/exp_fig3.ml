@@ -22,7 +22,8 @@ let lio_write_tput hw ~to_host ~batched ~size =
   Xenic_pcie.Dma.set_vectored (Smartnic.dma nic) batched;
   let aggs =
     Array.init clients (fun src ->
-        Xenic_net.Aggregator.create fabric ~src ~enabled:batched)
+        Xenic_net.Aggregator.create fabric ~src ~enabled:batched
+          ~dummy:{ bytes = 0; deliver = ignore })
   in
   let completed = ref 0 in
   Process.spawn engine (fun () ->

@@ -11,7 +11,9 @@
      xenic_lint options ROOT...        optional-argument and [params]-field
                                        inventory of every .mli (stdout)
      xenic_lint closures ROOT...       [let rec] nested in a top-level
-                                       definition, per .ml (stdout)
+                                       definition, and its count of other
+                                       function expressions, per .ml
+                                       (stdout)
 
    [--format json] switches any subcommand to machine-readable output.
    A first argument that is an existing path keeps the legacy

@@ -1,7 +1,8 @@
 open Xenic_sim
 
 (* Each destination gathers its batch in a reusable array, slots
-   [0, count), cleared after every flush so no message is retained. A
+   [0, count), cleared to the [dummy] message after every flush so no
+   message is retained and no slot needs an option. A
    partial batch waits behind a window timer. Every timer has the same
    delay ([agg_window_ns]), so timers fire in the order they were
    armed: [timers_fired] numbers each firing, and a timer is live only
@@ -10,7 +11,7 @@ open Xenic_sim
    stale timer must not cut the next batch's aggregation window
    short. *)
 type 'm pending = {
-  msgs : 'm option array;  (* [agg_max_msgs] slots: a full batch flushes *)
+  msgs : 'm array;  (* [agg_max_msgs] slots: a full batch flushes *)
   mutable bytes : int;
   mutable count : int;
   mutable arm_ctx : Attrib.ctx;  (* context of the message that armed the window *)
@@ -24,6 +25,7 @@ type 'm t = {
   fabric : 'm Fabric.t;
   src : int;
   enabled : bool;
+  dummy : 'm;  (* fills every slot not holding a gathered message *)
   dests : 'm pending array;
   mutable frames : int;
   mutable messages : int;
@@ -32,11 +34,7 @@ type 'm t = {
 (* The frame's message list, oldest first, built from the gather
    array. *)
 let rec gathered msgs i acc =
-  if i < 0 then acc
-  else
-    match msgs.(i) with
-    | Some m -> gathered msgs (i - 1) (m :: acc)
-    | None -> assert false
+  if i < 0 then acc else gathered msgs (i - 1) (msgs.(i) :: acc)
 
 let flush t dst =
   let p = t.dests.(dst) in
@@ -48,7 +46,7 @@ let flush t dst =
     (* Reset the batch before the send, so the next push starts a fresh
        batch. [Fabric.send] does not suspend: it schedules the wire
        transfer and returns. *)
-    Array.fill p.msgs 0 n None;
+    Array.fill p.msgs 0 n t.dummy;
     p.bytes <- 0;
     p.count <- 0;
     p.live_timer <- 0;
@@ -67,17 +65,18 @@ let on_window t dst =
     Attrib.set ambient
   end
 
-let create fabric ~src ~enabled =
+let create fabric ~src ~enabled ~dummy =
   let hw = Fabric.hw fabric in
   let t =
     {
       fabric;
       src;
       enabled;
+      dummy;
       dests =
         Array.init (Fabric.nodes fabric) (fun _ ->
             {
-              msgs = Array.make (max 1 hw.agg_max_msgs) None;
+              msgs = Array.make (max 1 hw.agg_max_msgs) dummy;
               bytes = 0;
               count = 0;
               arm_ctx = Attrib.default;
@@ -105,7 +104,7 @@ let push t ~dst ~bytes msg =
     end
     else begin
       let p = t.dests.(dst) in
-      p.msgs.(p.count) <- Some msg;
+      p.msgs.(p.count) <- msg;
       p.bytes <- p.bytes + framed;
       p.count <- p.count + 1;
       if p.bytes >= hw.mtu_b || p.count >= hw.agg_max_msgs then flush t dst

@@ -8,8 +8,11 @@
 
 type 'm t
 
+(** [create fabric ~src ~enabled ~dummy]: [dummy] is never sent; it
+    fills the gather slots no pending message holds, so a flushed
+    batch is not retained. *)
 val create :
-  'm Fabric.t -> src:int -> enabled:bool -> 'm t
+  'm Fabric.t -> src:int -> enabled:bool -> dummy:'m -> 'm t
 
 (** [push t ~dst ~bytes msg] queues [msg] ([bytes] of payload) for
     [dst], transmitting according to the batching policy. Messages to

@@ -1,18 +1,22 @@
 open Xenic_sim
 open Xenic_cluster
 
+type via = In_process | In_place | Charged of ((unit -> unit) -> unit)
+
 type msg = {
   bytes : int;
   ctx : Attrib.ctx;
   deliver : unit -> unit;
-  in_process : bool;
+  via : via;
 }
 
 let request ~bytes deliver =
-  { bytes; ctx = Attrib.get (); deliver; in_process = true }
+  { bytes; ctx = Attrib.get (); deliver; via = In_process }
 
 let reply ~bytes deliver =
-  { bytes; ctx = Attrib.get (); deliver; in_process = false }
+  { bytes; ctx = Attrib.get (); deliver; via = In_place }
+
+let reply_via ~bytes via deliver = { bytes; ctx = Attrib.get (); deliver; via }
 
 (* Commit decision for a LOG record, shared (one ref per transaction)
    between the coordinator and every backup that holds a copy. Backups
@@ -168,13 +172,6 @@ let windowed t = Option.is_some (Engine.current_lookahead t.engine)
 (* Routing *)
 
 let current_primary t ~shard = t.primaries.(shard)
-
-(* Live backups of [shard]: its replicas minus the current primary and
-   any dead nodes. *)
-let backups_of t ~shard =
-  List.filter
-    (fun n -> n <> t.primaries.(shard) && t.alive.(n))
-    (Config.replicas t.cfg ~shard)
 
 let node_alive t ~node = t.alive.(node) && not t.crashed.(node)
 
@@ -359,8 +356,8 @@ let rec wait_fence t =
    until the backup is seen crashed: its copy died with it and it can
    never be promoted past the declaration, so the transaction's
    durability is unaffected. *)
-let rec settle_log t ~src ~backup send n =
-  if not (send ()) then
+let rec settle_log t ~src ~send ((_, backup, _) as target) n =
+  if not (send target) then
     if t.crashed.(src) then
       (* The coordinator itself died mid-LOG: responses into it are
          dropped, so the timeout says nothing about the backup. Stop
@@ -374,28 +371,38 @@ let rec settle_log t ~src ~backup send n =
          unreachable; failing loud beats silently diverging a live
          replica. *)
       failwith (t.stack ^ ": LOG to a live backup timed out repeatedly")
-    else settle_log t ~src ~backup send (n + 1)
+    else settle_log t ~src ~send target (n + 1)
 
 (* ------------------------------------------------------------------ *)
 (* The commit protocol over any transport *)
 
 (* The LOG fan-out: one [(shard, backup, writes)] per live backup of
    each written shard, shards in the order given. *)
-let log_targets t seq_ops_by_shard =
-  List.concat_map
-    (fun (shard, seq_ops) ->
-      List.map (fun backup -> (shard, backup, seq_ops)) (backups_of t ~shard))
-    seq_ops_by_shard
+let rec log_targets t = function
+  | [] -> []
+  | (shard, seq_ops) :: rest ->
+      shard_targets t shard seq_ops t.primaries.(shard)
+        (Config.replicas t.cfg ~shard) rest
+
+(* [shard]'s live backups (its replicas but the current primary and
+   dead nodes), then the shards after it. *)
+and shard_targets t shard seq_ops primary replicas rest =
+  match replicas with
+  | [] -> log_targets t rest
+  | n :: more ->
+      if n <> primary && t.alive.(n) then
+        (shard, n, seq_ops) :: shard_targets t shard seq_ops primary more rest
+      else shard_targets t shard seq_ops primary more rest
+
+let rec log_sends t ~src ~send = function
+  | [] -> []
+  | target :: rest ->
+      (fun () -> settle_log t ~src ~send target 1) :: log_sends t ~src ~send rest
 
 (* Send every LOG in parallel and wait for all of them; a LOG whose
    [send] times out follows the armed retry rule. *)
 let replicate t ~src ~send targets =
-  ignore
-    (Process.parallel t.engine
-       (List.map
-          (fun ((_, backup, _) as target) () ->
-            settle_log t ~src ~backup (fun () -> send target) 1)
-          targets))
+  ignore (Process.parallel t.engine (log_sends t ~src ~send targets))
 
 (* The commit point. Un-armed, LOG records are born decided and COMMIT
    follows the LOG phase. Armed, the attempt first enters the commit
@@ -611,77 +618,77 @@ let audit t ~locked =
 (* ------------------------------------------------------------------ *)
 (* Transaction outcome accounting *)
 
+(* One taxonomy reason is counted per [Types.Aborted] returned to the
+   caller (never per internal attempt), so reason counts always sum to
+   this metrics object's aborted-transaction count. *)
+let abort_with t a ~t_start reason =
+  let latency_ns = Engine.now t.engine -. t_start in
+  record_abort t ~latency_ns reason;
+  (match t.telemetry with
+  | None -> ()
+  | Some tel ->
+      Xenic_telemetry.Telemetry.record_abort tel
+        ~label:(Attrib.get ()).Attrib.cls ~stack:t.stack ~node:a.coord
+        ~reason:(Metrics.abort_reason_name reason) ~latency_ns);
+  trace_instant t ~cat:"txn" ~name:"abort" ~pid:a.coord ~tid:a.seq
+    [ ("reason", Metrics.abort_reason_name reason) ];
+  Types.Aborted
+
+let commit t a ~t_start =
+  let now = Engine.now t.engine in
+  (* Outer transaction span ("txnlat"): the profiler slices it into the
+     committed attempt's phase spans (same pid/tid) plus "other" gaps,
+     so per-txn critical-path sums equal the recorded latency. *)
+  (match t.trace with
+  | None -> ()
+  | Some tr ->
+      Trace.span tr ~cat:"txnlat" ~name:"txn" ~pid:a.coord ~tid:a.seq
+        ~ts:t_start ~dur:(now -. t_start)
+        ~args:[ ("cls", (Attrib.get ()).Attrib.cls) ]
+        ());
+  Metrics.record (mx t) ~latency_ns:(now -. t_start) Types.Committed;
+  (match t.telemetry with
+  | None -> ()
+  | Some tel ->
+      Xenic_telemetry.Telemetry.record_commit tel
+        ~label:(Attrib.get ()).Attrib.cls ~stack:t.stack ~node:a.coord
+        ~latency_ns:(now -. t_start));
+  Types.Committed
+
+(* Armed: retry attempts that ran into a dead peer, with exponential
+   backoff so reconfiguration can complete. *)
+let rec retry t body a ~t_start n backoff =
+  if not (node_alive t ~node:a.coord) then
+    abort_with t a ~t_start Metrics.Crashed_owner
+  else begin
+    draw t a;
+    match body a with
+    | `Committed -> commit t a ~t_start
+    | `Aborted reason -> abort_with t a ~t_start reason
+    | `Retry reason ->
+        Xenic_stats.Counter.incr (counters t) "txn_retries";
+        trace_instant t ~cat:"txn" ~name:"retry" ~pid:a.coord ~tid:a.seq
+          [ ("reason", Metrics.abort_reason_name reason) ];
+        if n >= max_retries then abort_with t a ~t_start reason
+        else begin
+          Process.sleep t.engine backoff;
+          retry t body a ~t_start (n + 1) (backoff *. 2.0)
+        end
+  end
+
 let run_txn t ~node body =
   check_sealed t;
   let t_start = Engine.now t.engine in
   let a = { coord = node; seq = 0; owner = 0; start = t_start } in
-  (* One taxonomy reason is counted per [Types.Aborted] returned to the
-     caller (never per internal attempt), so reason counts always sum
-     to this metrics object's aborted-transaction count. *)
-  let abort_with reason =
-    let latency_ns = Engine.now t.engine -. t_start in
-    record_abort t ~latency_ns reason;
-    (match t.telemetry with
-    | None -> ()
-    | Some tel ->
-        Xenic_telemetry.Telemetry.record_abort tel
-          ~label:(Attrib.get ()).Attrib.cls ~stack:t.stack ~node
-          ~reason:(Metrics.abort_reason_name reason) ~latency_ns);
-    trace_instant t ~cat:"txn" ~name:"abort" ~pid:node ~tid:a.seq
-      [ ("reason", Metrics.abort_reason_name reason) ];
-    Types.Aborted
-  in
-  let commit () =
-    let now = Engine.now t.engine in
-    (* Outer transaction span ("txnlat"): the profiler slices it into
-       the committed attempt's phase spans (same pid/tid) plus "other"
-       gaps, so per-txn critical-path sums equal the recorded latency. *)
-    (match t.trace with
-    | None -> ()
-    | Some tr ->
-        Trace.span tr ~cat:"txnlat" ~name:"txn" ~pid:node ~tid:a.seq
-          ~ts:t_start ~dur:(now -. t_start)
-          ~args:[ ("cls", (Attrib.get ()).Attrib.cls) ]
-          ());
-    Metrics.record (mx t) ~latency_ns:(now -. t_start) Types.Committed;
-    (match t.telemetry with
-    | None -> ()
-    | Some tel ->
-        Xenic_telemetry.Telemetry.record_commit tel
-          ~label:(Attrib.get ()).Attrib.cls ~stack:t.stack ~node
-          ~latency_ns:(now -. t_start));
-    Types.Committed
-  in
   if not t.armed then begin
     if not t.alive.(node) then invalid_arg "run_txn: coordinator is dead";
     draw t a;
     match body a with
-    | `Committed -> commit ()
-    | `Aborted reason -> abort_with reason
+    | `Committed -> commit t a ~t_start
+    | `Aborted reason -> abort_with t a ~t_start reason
     | `Retry _ -> assert false
   end
-  else
-    (* Armed: retry attempts that ran into a dead peer, with
-       exponential backoff so reconfiguration can complete. *)
-    let rec go n backoff =
-      if not (node_alive t ~node) then abort_with Metrics.Crashed_owner
-      else begin
-        draw t a;
-        match body a with
-        | `Committed -> commit ()
-        | `Aborted reason -> abort_with reason
-        | `Retry reason ->
-            Xenic_stats.Counter.incr (counters t) "txn_retries";
-            trace_instant t ~cat:"txn" ~name:"retry" ~pid:node ~tid:a.seq
-              [ ("reason", Metrics.abort_reason_name reason) ];
-            if n >= max_retries then abort_with reason
-            else begin
-              Process.sleep t.engine backoff;
-              go (n + 1) (backoff *. 2.0)
-            end
-      end
-    in
-    go 1 retry_backoff_ns
+  else retry t body a ~t_start 1 retry_backoff_ns
 
 (* ------------------------------------------------------------------ *)
 (* Requests *)
@@ -701,6 +708,28 @@ let give_up t =
   Process.sleep t.engine req_timeout_ns;
   `Down
 
+(* An un-armed round trip in flight: what its delivery and response
+   need, in one record, so each closure the transport needs captures
+   it alone. *)
+type 'r rpc = {
+  tr : transport;
+  src : int;
+  dst : int;
+  req_bytes : int;
+  resp_bytes : 'r -> int;
+  handler : unit -> 'r;
+  mutable resume : 'r -> unit;
+}
+
+let serve rpc =
+  let r = rpc.handler () in
+  rpc.tr.back ~src:rpc.src ~dst:rpc.dst ~bytes:(rpc.resp_bytes r) (fun () ->
+      rpc.resume r)
+
+let issue rpc resume =
+  rpc.resume <- resume;
+  rpc.tr.send ~src:rpc.src ~dst:rpc.dst ~bytes:rpc.req_bytes (fun () -> serve rpc)
+
 (* One request/response round trip over [tr]. Un-armed, the caller
    blocks until the response is back. Armed, it waits on an ivar with a
    cancellable deadline, and the timer resumes it exactly once with
@@ -712,11 +741,8 @@ let give_up t =
 let call t tr ?epoch0 ~src ~dst ~req_bytes ~resp_bytes handler =
   if not t.armed then begin
     tr.depart ~src ~dst ~bytes:req_bytes;
-    `Ok
-      (Process.suspend (fun resume ->
-           tr.send ~src ~dst ~bytes:req_bytes (fun () ->
-               let r = handler () in
-               tr.back ~src ~dst ~bytes:(resp_bytes r) (fun () -> resume r))))
+    let rpc = { tr; src; dst; req_bytes; resp_bytes; handler; resume = ignore } in
+    `Ok (Process.suspend (fun resume -> issue rpc resume))
   end
   else if t.crashed.(dst) then give_up t
   else begin
@@ -755,19 +781,20 @@ let call t tr ?epoch0 ~src ~dst ~req_bytes ~resp_bytes handler =
    would run, at the same (time, seq). Frames are handled one at a
    time, so the frame holding the packet-I/O path waits in the node's
    one [current] slot and the hold's end is [io_done], built once with
-   the loop. [pump] takes queued frames until one waits on the path or
-   the mailbox is empty, then parks [waiter], the receiver of
-   [on_frame] built once with the loop. Each message is
-   delivered under the context it carries: a request handler in a fresh
-   process, a reply in place. *)
+   the loop. [pump] parks [waiter], the receiver of [on_frame] built
+   once with the loop: a queued frame reaches it at once, and so on
+   until one waits on the path or the mailbox is empty. Each message
+   is delivered as its [via] says, under the context it carries: a
+   request handler in a fresh process, a reply in place or after its
+   charge. [no_frame] fills the waiter's hand-over slot between
+   frames. *)
+let no_frame = { Xenic_net.Packet.src = -1; dst = -1; wire_bytes = 0; msgs = [] }
+
 let dispatch_loop t ~node ~pkt_io =
   let ctx = { Attrib.stack = t.stack; node; phase = "dispatch"; cls = "-" } in
   let rx = Xenic_net.Fabric.rx t.fabric node in
   let current = ref [] in
-  let rec pump () =
-    match Mailbox.recv_opt rx with
-    | None -> Mailbox.park rx (Lazy.force waiter)
-    | Some pkt -> frame pkt
+  let rec pump () = Mailbox.park rx (Lazy.force waiter)
   and frame (pkt : msg Xenic_net.Packet.t) =
     (* A crashed node's NIC is gone: every frame addressed to it is
        lost, including responses to its own in-flight requests. The
@@ -798,16 +825,18 @@ let dispatch_loop t ~node ~pkt_io =
         pump ()
     | m :: rest ->
         Attrib.set m.ctx;
-        if m.in_process then Process.spawn t.engine m.deliver
-        else m.deliver ();
+        (match m.via with
+        | In_process -> Process.spawn t.engine m.deliver
+        | In_place -> m.deliver ()
+        | Charged charge -> charge m.deliver);
         deliver rest
   and on_frame pkt =
     let ambient = Attrib.get () in
     Attrib.set ctx;
     frame pkt;
     Attrib.set ambient
-  and waiter = lazy (Mailbox.waiter on_frame) in
-  Mailbox.park rx (Lazy.force waiter)
+  and waiter = lazy (Mailbox.waiter ~dummy:no_frame on_frame) in
+  pump ()
 
 (* ------------------------------------------------------------------ *)
 (* Reconfiguration (§4.2.1) *)

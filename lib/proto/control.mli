@@ -36,18 +36,25 @@
 
 open Xenic_cluster
 
+(** How the destination's dispatch loop runs a message's [deliver]:
+    in a fresh process ([In_process]: a request handler, which may
+    block on NIC cores, NIC memory, DMA or host threads), in the
+    dispatch event itself ([In_place]: a reply, which never blocks), or
+    passed to a charge the receiver pays first ([Charged charge]: a
+    reply whose arrival costs the receiving device time, [charge k]
+    running [k] when it is paid). Build a [Charged] value once per
+    receiver, not per message. *)
+type via = In_process | In_place | Charged of ((unit -> unit) -> unit)
+
 (** A message between nodes: its wire size, the sender's attribution
-    context, and what runs at the destination. The dispatch loop
-    installs [ctx] around the delivery. A request's [deliver] is a
-    handler that blocks on NIC cores, NIC memory, DMA or host threads,
-    so it runs in a fresh process ([in_process]); a reply's never
-    blocks and runs in the dispatch event itself. Build one with
-    {!request} or {!reply}. *)
+    context, and what runs at the destination, and how. The dispatch
+    loop installs [ctx] around the delivery. Build one with {!request},
+    {!reply} or {!reply_via}. *)
 type msg = {
   bytes : int;
   ctx : Xenic_sim.Attrib.ctx;
   deliver : unit -> unit;
-  in_process : bool;
+  via : via;
 }
 
 (** [request ~bytes handler]: a message whose handler runs in a fresh
@@ -58,6 +65,10 @@ val request : bytes:int -> (unit -> unit) -> msg
     dispatch event, outside any process, under the caller's current
     context. [k] must not block. *)
 val reply : bytes:int -> (unit -> unit) -> msg
+
+(** [reply_via ~bytes via k]: a message whose [k] is delivered as [via]
+    says, under the caller's current context. *)
+val reply_via : bytes:int -> via -> (unit -> unit) -> msg
 
 (** Commit decision shared by every LOG record of one transaction.
     Backups apply only [Dcommit] records; the coordinator resolves

@@ -113,10 +113,15 @@ let sweep_locks t ~node ~dead =
 
 (* Two-sided RPCs: the request is counted as it leaves, the receive
    buffer is charged at the target's NIC in the handler's process, and
-   the caller polls for the completion, a callback after the reply's
-   delivery. Each message carries its sender's attribution context. A
-   stale request is refused in place, with no wire hop. *)
+   the caller polls for the completion: a [Charged] reply whose charge,
+   built once, is the poll delay. Each message carries its sender's
+   attribution context. A stale request is refused in place, with no
+   wire hop. *)
 let transport ctl (hw : Xenic_params.Hw.t) rdma =
+  let poll =
+    Control.Charged
+      (fun k -> Engine.after ctl.Control.engine hw.rdma_completion_poll_ns k)
+  in
   {
     Control.depart =
       (fun ~src:_ ~dst:_ ~bytes:_ ->
@@ -129,9 +134,7 @@ let transport ctl (hw : Xenic_params.Hw.t) rdma =
                handler ())));
     back =
       (fun ~src ~dst ~bytes k ->
-        Rdma.rpc_send rdma ~src:dst ~dst:src ~bytes
-          (Control.reply ~bytes (fun () ->
-               Engine.after ctl.Control.engine hw.rdma_completion_poll_ns k)));
+        Rdma.rpc_send rdma ~src:dst ~dst:src ~bytes (Control.reply_via ~bytes poll k));
     reject = (fun ~src:_ ~dst:_ ~bytes:_ k -> k ());
   }
 
@@ -589,7 +592,7 @@ let validate_phase t a ~epoch0 checks =
    uses RPCs. No epoch stamp: a fenced transaction must finish its
    replication across a bump. *)
 let log_phase t ~src seq_ops_by_shard decision =
-  let record_b (_, _, seq_ops) = Wire.log_record_b ~ops:(List.map fst seq_ops) in
+  let record_b (_, _, seq_ops) = Wire.log_record_b ~ops:seq_ops in
   let append (shard, backup, seq_ops) ~bytes () =
     Control.append_log t.ctl ~node:backup t.nodes.(backup).log ~bytes ~shard
       ~ops:seq_ops decision
@@ -671,7 +674,7 @@ let commit_phase t a seq_ops_by_shard locked_by_shard =
                 let locked =
                   Option.value ~default:[] (List.assoc_opt shard locked_by_shard)
                 in
-                let bytes = Wire.write_ops_b ~ops:(List.map fst seq_ops) in
+                let bytes = Wire.write_ops_b ~ops:seq_ops in
                 ignore
                   (rpc t ~src ~dst:primary ~req_bytes:bytes
                      ~resp_bytes:(fun _ -> Wire.small_resp_b)
@@ -708,13 +711,7 @@ let fasst_execute t a ~epoch0 ~reads ~locks =
         ~resp_bytes:(fun r ->
           match r with
           | `Fail -> Wire.small_resp_b
-          | `Ok (_, values) ->
-              Wire.execute_resp_b
-                ~value_bytes:
-                  (List.map
-                     (fun (_, v, _) ->
-                       match v with Some b -> Bytes.length b | None -> 0)
-                     values))
+          | `Ok (_, values) -> Wire.execute_resp_b ~values)
         ~handler_ns:
           (t.hw.host_rpc_ns
           +. float_of_int (List.length s_reads + List.length s_locks)

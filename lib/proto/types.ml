@@ -27,14 +27,39 @@ let make ?host_exec_ns ?state_bytes ?ship_exec ~read_set ~write_set exec =
   make_multishot ?host_exec_ns ?state_bytes ?ship_exec ~read_set ~write_set
     (fun view -> Done (exec view))
 
-let validate_set t =
-  List.filter (fun k -> not (List.mem k t.write_set)) t.read_set
+let rec without ks = function
+  | [] -> []
+  | k :: rest -> if List.mem k ks then without ks rest else k :: without ks rest
 
-let shards t =
-  List.sort_uniq compare
-    (List.map Keyspace.shard (t.read_set @ t.write_set))
+let validate_set t = without t.write_set t.read_set
 
-let single_shard t = match shards t with [ s ] -> Some s | _ -> None
+(* Shard walks over key lists: nothing is built unless the answer
+   needs it. [insert_shard s l] adds a new [s] to the ascending list
+   [l]. *)
+let rec insert_shard s = function
+  | x :: rest when x < s -> x :: insert_shard s rest
+  | l -> s :: l
+
+let rec add_shards key acc = function
+  | [] -> acc
+  | x :: rest ->
+      let s = Keyspace.shard (key x) in
+      add_shards key (if List.mem s acc then acc else insert_shard s acc) rest
+
+let shards t = add_shards Fun.id (add_shards Fun.id [] t.read_set) t.write_set
+
+let rec all_on_shard key s = function
+  | [] -> true
+  | x :: rest -> Keyspace.shard (key x) = s && all_on_shard key s rest
+
+let single_shard t =
+  match (t.read_set, t.write_set) with
+  | k :: _, _ | [], k :: _ ->
+      let s = Keyspace.shard k in
+      if all_on_shard Fun.id s t.read_set && all_on_shard Fun.id s t.write_set
+      then Some s
+      else None
+  | [], [] -> None
 
 type outcome = Committed | Aborted
 
@@ -42,23 +67,41 @@ let pp_outcome fmt = function
   | Committed -> Format.pp_print_string fmt "committed"
   | Aborted -> Format.pp_print_string fmt "aborted"
 
-let view_of values k =
-  match List.find_opt (fun (k', _, _) -> k' = k) values with
-  | Some (_, v, _) -> v
-  | None -> None
+let rec view_of values k =
+  match values with
+  | [] -> None
+  | (k', v, _) :: rest -> if k' = k then v else view_of rest k
 
-let seq_ops_of ~lock_versions ops =
-  List.map
-    (fun op ->
-      let k = Op.key op in
-      match List.assoc_opt k lock_versions with
-      | Some seq -> (op, seq + 1)
-      | None -> (op, 1))
-    ops
+let rec lock_version k = function
+  | [] -> 1
+  | (k', seq) :: rest -> if k' = k then seq + 1 else lock_version k rest
 
+let rec seq_ops_of ~lock_versions = function
+  | [] -> []
+  | op :: rest ->
+      let v = (op, lock_version (Op.key op) lock_versions) in
+      v :: seq_ops_of ~lock_versions rest
+
+let rec on_shard key s = function
+  | [] -> []
+  | x :: rest ->
+      if Keyspace.shard (key x) = s then x :: on_shard key s rest
+      else on_shard key s rest
+
+let rec groups key xs = function
+  | [] -> []
+  | s :: rest -> (s, on_shard key s xs) :: groups key xs rest
+
+(* The common case, every element on one shard, returns the input list
+   itself. *)
 let group_by_shard key xs =
-  List.sort_uniq Int.compare (List.map (fun x -> Keyspace.shard (key x)) xs)
-  |> List.map (fun s ->
-         (s, List.filter (fun x -> Keyspace.shard (key x) = s) xs))
+  match xs with
+  | [] -> []
+  | x :: rest ->
+      let s = Keyspace.shard (key x) in
+      if all_on_shard key s rest then [ (s, xs) ]
+      else groups key xs (add_shards key [] xs)
 
-let group_ops_by_shard seq_ops = group_by_shard (fun (op, _) -> Op.key op) seq_ops
+let op_key (op, _) = Op.key op
+
+let group_ops_by_shard seq_ops = group_by_shard op_key seq_ops

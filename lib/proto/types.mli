@@ -66,7 +66,10 @@ val make_multishot :
 (** Keys read but not written: the set needing validation. *)
 val validate_set : t -> Keyspace.t list
 
-(** Distinct shards touched by reads and/or writes. *)
+(** [without ks keys]: the keys of [keys] not in [ks], in order. *)
+val without : Keyspace.t list -> Keyspace.t list -> Keyspace.t list
+
+(** Distinct shards touched by reads and/or writes, ascending. *)
 val shards : t -> int list
 
 (** Is every accessed key in [shard]? *)
@@ -86,7 +89,8 @@ val seq_ops_of :
   lock_versions:(Keyspace.t * int) list -> Op.t list -> (Op.t * int) list
 
 (** [group_by_shard key xs] groups [xs] by the shard of [key x]:
-    shards ascending, input order kept within a shard. *)
+    shards ascending, input order kept within a shard. When every
+    element is on one shard, its group is [xs] itself. *)
 val group_by_shard : ('a -> Keyspace.t) -> 'a list -> (int * 'a list) list
 
 (** Versioned writes by shard ({!group_by_shard} on the written key). *)

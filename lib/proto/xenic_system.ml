@@ -59,6 +59,9 @@ type node = {
   app : Resource.t;
   workers : Resource.t;
   io : Xenic_store.Nic_index.io;  (* caching-index I/O on [nic] *)
+  charge : Control.via;
+      (* a response's arrival here: one core operation on [nic], then
+         its continuation; built once *)
 }
 
 type t = {
@@ -105,18 +108,24 @@ let reply ctl nodes ~src ~dst ~bytes k =
   if src = dst then k ()
   else post ctl nodes ~src ~dst ~bytes (Control.reply ~bytes k)
 
+(* A response to a NIC request: [dst]'s NIC pays one core operation as
+   it arrives, then [k] runs. *)
+let reply_charged ctl nodes ~src ~dst ~bytes k =
+  if src = dst then Smartnic.core_work_then nodes.(dst).nic ~ops:1 ~bytes:0 k
+  else
+    post ctl nodes ~src ~dst ~bytes (Control.reply_via ~bytes nodes.(dst).charge k)
+
 (* Requests between NICs: a core charge at the requester's NIC as the
    request leaves and again as the response arrives. A stale request is
    answered with a small reject frame. *)
 let transport ctl nodes =
-  let core_work ~src = Smartnic.core_work nodes.(src).nic ~ops:1 ~bytes:0 in
   {
-    Control.depart = (fun ~src ~dst:_ ~bytes:_ -> core_work ~src);
+    Control.depart =
+      (fun ~src ~dst:_ ~bytes:_ ->
+        Smartnic.core_work nodes.(src).nic ~ops:1 ~bytes:0);
     send = send ctl nodes;
     back =
-      (fun ~src ~dst ~bytes k ->
-        reply ctl nodes ~src:dst ~dst:src ~bytes (fun () ->
-            Smartnic.core_work_then nodes.(src).nic ~ops:1 ~bytes:0 k));
+      (fun ~src ~dst ~bytes k -> reply_charged ctl nodes ~src:dst ~dst:src ~bytes k);
     reject =
       (fun ~src ~dst ~bytes k -> reply ctl nodes ~src:dst ~dst:src ~bytes k);
   }
@@ -127,7 +136,9 @@ let request t ?epoch0 ~src ~dst ~req_bytes ~resp_bytes handler =
   Control.call t.ctl t.tr ?epoch0 ~src ~dst ~req_bytes ~resp_bytes handler
 
 (* One-way message to a live destination NIC, through [send] (a
-   handler) or [reply] (an acknowledgement that never blocks). *)
+   handler), [reply] (an acknowledgement that never blocks) or
+   [reply_charged] (one that costs the destination NIC a core
+   operation first). *)
 let one_way via t ~src ~dst ~bytes (f : unit -> unit) =
   if t.ctl.crashed.(dst) && dst <> src then
     Xenic_stats.Counter.incr (counters t) "msgs_dropped"
@@ -137,19 +148,10 @@ let notify t ~src ~dst ~bytes f = one_way send t ~src ~dst ~bytes f
 
 let notify_reply t ~src ~dst ~bytes k = one_way reply t ~src ~dst ~bytes k
 
+let notify_charged t ~src ~dst ~bytes k = one_way reply_charged t ~src ~dst ~bytes k
+
 (* ------------------------------------------------------------------ *)
 (* NIC-side helpers *)
-
-let with_core node f =
-  Resource.acquire (Smartnic.cores node.nic);
-  let finally () = Resource.release (Smartnic.cores node.nic) in
-  match f () with
-  | r ->
-      finally ();
-      r
-  | exception e ->
-      finally ();
-      raise e
 
 (* DMA access from a handler holding a NIC core. With async DMA the
    core is released while the transfer is in flight (§4.3.1); without
@@ -183,134 +185,192 @@ let index_io ctl features nic =
 (* ------------------------------------------------------------------ *)
 (* Server-side handlers (run at the primary's NIC) *)
 
-(* Lock [keys] in order, returning their lock versions; on a conflict,
-   release the locks already taken and return [None]. *)
-let lock_all idx io ~owner keys =
-  let rec acquire acc = function
-    | [] -> Some (List.rev acc)
-    | k :: rest -> (
-        match Xenic_store.Nic_index.try_lock idx io k ~owner with
-        | `Acquired seq -> acquire ((k, seq) :: acc) rest
-        | `Locked ->
-            List.iter
-              (fun (k', _) -> Xenic_store.Nic_index.unlock idx k' ~owner)
-              acc;
-            None)
+(* Each handler acquires a NIC core, runs a top-level body and releases
+   the core. There is no [finally]: an exception escaping a handler
+   ends the simulation ({!Process.spawn}), so nothing would observe the
+   core it leaves held. Key walks are top-level functions taking their
+   state as arguments, so a handler builds no closure. *)
+
+(* A lock or read another owner holds: the walk that meets it unwinds
+   (releasing what it took) to the handler, allocating nothing. *)
+exception Conflict
+
+(* Lock [keys] in order, returning their lock versions. On a conflict,
+   release the locks already taken, the latest first, and raise
+   [Conflict]. *)
+let rec lock_all idx io ~owner = function
+  | [] -> []
+  | k :: rest -> (
+      match Xenic_store.Nic_index.try_lock idx io k ~owner with
+      | `Locked -> raise_notrace Conflict
+      | `Acquired seq -> (
+          match lock_all idx io ~owner rest with
+          | lock_versions -> (k, seq) :: lock_versions
+          | exception Conflict ->
+              Xenic_store.Nic_index.unlock idx k ~owner;
+              raise_notrace Conflict))
+
+let rec unlock_versions idx ~owner = function
+  | [] -> ()
+  | (k, _) :: rest ->
+      Xenic_store.Nic_index.unlock idx k ~owner;
+      unlock_versions idx ~owner rest
+
+let rec unlock_keys idx ~owner = function
+  | [] -> ()
+  | k :: rest ->
+      Xenic_store.Nic_index.unlock idx k ~owner;
+      unlock_keys idx ~owner rest
+
+(* Unlock each key at the index [node] serves for it. *)
+let rec unlock_routed node ~owner = function
+  | [] -> ()
+  | k :: rest ->
+      Xenic_store.Nic_index.unlock (idx_for node k) k ~owner;
+      unlock_routed node ~owner rest
+
+(* EXECUTE's reads, in order: each key's (value, version), or
+   [Conflict] at the first key another owner has locked. *)
+let rec read_all t idx io ~owner = function
+  | [] -> []
+  | k :: rest -> (
+      match Xenic_store.Nic_index.lock_owner idx k with
+      | Some o when o <> owner ->
+          Xenic_stats.Counter.incr (counters t) "exec_read_locked";
+          raise_notrace Conflict
+      | _ ->
+          let value =
+            match Xenic_store.Nic_index.read idx io k with
+            | Some (v, seq) -> (k, Some v, seq)
+            | None -> (k, None, 0)
+          in
+          value :: read_all t idx io ~owner rest)
+
+let execute_body t node ~owner ~locks ~reads =
+  Smartnic.core_work_held node.nic
+    ~ops:(List.length locks + List.length reads)
+    ~bytes:0;
+  let idx =
+    match (locks, reads) with
+    | k :: _, _ | [], k :: _ -> idx_for node k
+    | [], [] -> invalid_arg "execute_handler: empty request"
   in
-  acquire [] keys
+  match lock_all idx node.io ~owner locks with
+  | exception Conflict ->
+      Xenic_stats.Counter.incr (counters t) "exec_lock_conflicts";
+      `Fail
+  | lock_versions -> (
+      match read_all t idx node.io ~owner reads with
+      | values -> `Ok (lock_versions, values)
+      | exception Conflict ->
+          unlock_versions idx ~owner lock_versions;
+          `Fail)
 
 (* EXECUTE: lock the shard's write-set keys, read its read-set keys.
    Returns lock versions and read results, or `Fail on any conflict. *)
 let execute_handler t node ~owner ~locks ~reads () =
-  with_core node (fun () ->
-      Smartnic.core_work_held node.nic
-        ~ops:(List.length locks + List.length reads)
-        ~bytes:0;
-      let idx =
-        match locks @ reads with
-        | [] -> invalid_arg "execute_handler: empty request"
-        | k :: _ -> idx_for node k
+  let cores = Smartnic.cores node.nic in
+  Resource.acquire cores;
+  let r = execute_body t node ~owner ~locks ~reads in
+  Resource.release cores;
+  r
+
+(* Every check's key is not locked by another owner and is at its
+   expected version. Each check reads the version whatever its lock
+   says; the walk stops at the first failing check. *)
+let rec checks_hold idx io ~owner = function
+  | [] -> true
+  | (k, expected) :: rest ->
+      let lock_ok =
+        match Xenic_store.Nic_index.lock_owner idx k with
+        | Some o when o <> owner -> false
+        | _ -> true
       in
-      match lock_all idx node.io ~owner locks with
-      | None ->
-          Xenic_stats.Counter.incr (counters t) "exec_lock_conflicts";
-          `Fail
-      | Some lock_versions -> (
-          let rec read_all acc = function
-            | [] -> `Ok (List.rev acc)
-            | k :: rest -> (
-                match Xenic_store.Nic_index.lock_owner idx k with
-                | Some o when o <> owner ->
-                    Xenic_stats.Counter.incr (counters t) "exec_read_locked";
-                    `Fail
-                | _ ->
-                    let r = Xenic_store.Nic_index.read idx node.io k in
-                    let v, seq =
-                      match r with Some (v, s) -> (Some v, s) | None -> (None, 0)
-                    in
-                    read_all ((k, v, seq) :: acc) rest)
-          in
-          match read_all [] reads with
-          | `Ok values -> `Ok (lock_versions, values)
-          | `Fail ->
-              List.iter
-                (fun (k, _) -> Xenic_store.Nic_index.unlock idx k ~owner)
-                lock_versions;
-              `Fail))
+      let current =
+        Option.value ~default:0 (Xenic_store.Nic_index.version idx io k)
+      in
+      lock_ok && current = expected && checks_hold idx io ~owner rest
+
+let validate_body t node ~owner ~checks =
+  Smartnic.core_work_held node.nic ~ops:(List.length checks) ~bytes:0;
+  let idx =
+    match checks with
+    | [] -> invalid_arg "validate_handler: empty request"
+    | (k, _) :: _ -> idx_for node k
+  in
+  let ok = checks_hold idx node.io ~owner checks in
+  if not ok then Xenic_stats.Counter.incr (counters t) "validate_conflicts";
+  ok
 
 (* VALIDATE: version check for read-only keys. *)
 let validate_handler t node ~owner ~checks () =
-  with_core node (fun () ->
-      Smartnic.core_work_held node.nic ~ops:(List.length checks) ~bytes:0;
-      let idx =
-        match checks with
-        | [] -> invalid_arg "validate_handler: empty request"
-        | (k, _) :: _ -> idx_for node k
-      in
-      let ok =
-        List.for_all
-          (fun (k, expected) ->
-            let lock_ok =
-              match Xenic_store.Nic_index.lock_owner idx k with
-              | Some o when o <> owner -> false
-              | _ -> true
-            in
-            let current =
-              Option.value ~default:0
-                (Xenic_store.Nic_index.version idx node.io k)
-            in
-            lock_ok && current = expected)
-          checks
-      in
-      if not ok then Xenic_stats.Counter.incr (counters t) "validate_conflicts";
-      ok)
+  let cores = Smartnic.cores node.nic in
+  Resource.acquire cores;
+  let ok = validate_body t node ~owner ~checks in
+  Resource.release cores;
+  ok
+
+let log_body t node ~decision ~shard ~seq_ops =
+  Smartnic.core_work_held node.nic ~ops:1 ~bytes:0;
+  let bytes = Wire.log_record_b ~ops:seq_ops in
+  dma_io t.ctl t.p.features node.nic `Write ~bytes;
+  Control.append_log t.ctl ~node:node.id node.log ~bytes ~shard ~ops:seq_ops
+    decision
 
 (* LOG: append the write set to a backup's host-memory log via DMA.
    [decision] is the transaction's shared commit decision; a resent
    (duplicate) record shares it, and the seq guard in [Storage.apply]
    makes the duplicate apply idempotent. *)
 let log_handler t node ~decision ~shard ~seq_ops () =
-  with_core node (fun () ->
-      Smartnic.core_work_held node.nic ~ops:1 ~bytes:0;
-      let bytes = Wire.log_record_b ~ops:(List.map fst seq_ops) in
-      dma_io t.ctl t.p.features node.nic `Write ~bytes;
-      Control.append_log t.ctl ~node:node.id node.log ~bytes ~shard ~ops:seq_ops
-        decision)
+  let cores = Smartnic.cores node.nic in
+  Resource.acquire cores;
+  log_body t node ~decision ~shard ~seq_ops;
+  Resource.release cores
+
+(* Install each hash-table write in the caching index, one NIC-memory
+   access apiece. *)
+let rec install_writes node idx = function
+  | [] -> ()
+  | (op, _) :: rest ->
+      let k = Op.key op in
+      if not (Keyspace.ordered k) then begin
+        Smartnic.mem_access node.nic;
+        match op with
+        | Op.Put (_, v) -> ignore (Xenic_store.Nic_index.apply_commit idx k v)
+        | Op.Delete _ -> Xenic_store.Nic_index.apply_delete idx k
+      end;
+      install_writes node idx rest
+
+let commit_body t node ~owner ~shard ~seq_ops ~locked =
+  Smartnic.core_work_held node.nic ~ops:(List.length seq_ops) ~bytes:0;
+  let bytes = Wire.log_record_b ~ops:seq_ops in
+  dma_io t.ctl t.p.features node.nic `Write ~bytes;
+  (* A COMMIT record is the decision. *)
+  Control.append_log t.ctl ~node:node.id node.commit_log ~bytes ~shard
+    ~ops:seq_ops (ref Control.Dcommit);
+  let idx =
+    match seq_ops with
+    | [] -> invalid_arg "commit_handler: empty request"
+    | (op, _) :: _ -> idx_for node (Op.key op)
+  in
+  install_writes node idx seq_ops;
+  unlock_keys idx ~owner locked
 
 (* COMMIT: append the commit record, install new values and versions in
    the caching index (pinned until the host applies), release locks. *)
 let commit_handler t node ~owner ~shard ~seq_ops ~locked () =
-  with_core node (fun () ->
-      Smartnic.core_work_held node.nic ~ops:(List.length seq_ops) ~bytes:0;
-      let bytes = Wire.log_record_b ~ops:(List.map fst seq_ops) in
-      dma_io t.ctl t.p.features node.nic `Write ~bytes;
-      (* A COMMIT record is the decision. *)
-      Control.append_log t.ctl ~node:node.id node.commit_log ~bytes ~shard
-        ~ops:seq_ops (ref Control.Dcommit);
-      let idx =
-        match seq_ops with
-        | [] -> invalid_arg "commit_handler: empty request"
-        | (op, _) :: _ -> idx_for node (Op.key op)
-      in
-      List.iter
-        (fun (op, _seq) ->
-          let k = Op.key op in
-          if not (Keyspace.ordered k) then begin
-            Smartnic.mem_access node.nic;
-            match op with
-            | Op.Put (_, v) -> ignore (Xenic_store.Nic_index.apply_commit idx k v)
-            | Op.Delete _ -> Xenic_store.Nic_index.apply_delete idx k
-          end)
-        seq_ops;
-      List.iter (fun k -> Xenic_store.Nic_index.unlock idx k ~owner) locked)
+  let cores = Smartnic.cores node.nic in
+  Resource.acquire cores;
+  commit_body t node ~owner ~shard ~seq_ops ~locked;
+  Resource.release cores
 
 (* ABORT: release locks acquired during EXECUTE. *)
 let abort_handler node ~owner ~locked () =
-  with_core node (fun () ->
-      Smartnic.core_work_held node.nic ~ops:(List.length locked) ~bytes:0;
-      List.iter
-        (fun k -> Xenic_store.Nic_index.unlock (idx_for node k) k ~owner)
-        locked)
+  let cores = Smartnic.cores node.nic in
+  Resource.acquire cores;
+  Smartnic.core_work_held node.nic ~ops:(List.length locked) ~bytes:0;
+  unlock_routed node ~owner locked;
+  Resource.release cores
 
 (* ------------------------------------------------------------------ *)
 (* Host-side Robinhood workers (§4.2 step 7) *)
@@ -392,6 +452,7 @@ let create engine hw cfg p =
           (Xenic_store.Robinhood.create ~segments:p.segments
              ~seg_size:p.seg_size ~d_max:p.d_max ~vsize:Bytes.length))
   in
+  let dummy = Control.reply ~bytes:0 ignore in
   let nodes =
     Array.init cfg.Config.nodes (fun id ->
         let storage = ctl.storage.(id) in
@@ -413,7 +474,7 @@ let create engine hw cfg p =
           nic;
           agg =
             Xenic_net.Aggregator.create ctl.fabric ~src:id
-              ~enabled:p.features.eth_aggregation;
+              ~enabled:p.features.eth_aggregation ~dummy;
           storage;
           indexes;
           log;
@@ -424,6 +485,9 @@ let create engine hw cfg p =
             Resource.create engine ~name:(Printf.sprintf "wrk%d" id)
               ~servers:p.worker_threads;
           io = index_io ctl p.features nic;
+          charge =
+            Control.Charged
+              (fun k -> Smartnic.core_work_then nic ~ops:1 ~bytes:0 k);
         })
   in
   Array.iter
@@ -465,6 +529,11 @@ let seal t =
 (* ------------------------------------------------------------------ *)
 (* Coordinator logic *)
 
+(* Like the handlers, the coordinator walks its key lists and results
+   with top-level functions, so an attempt allocates the protocol's own
+   data (messages, results, written values) and the closures its
+   requests and processes need, not one per walk. *)
+
 (* Send LOG to every backup of every written shard as a NIC request;
    await all responses. [decision] is stamped into every appended
    record. *)
@@ -473,12 +542,18 @@ let log_phase t ~src seq_ops_by_shard decision =
     ~send:(fun (shard, backup, seq_ops) ->
       match
         request t ~src ~dst:backup
-          ~req_bytes:(Wire.write_ops_b ~ops:(List.map fst seq_ops))
+          ~req_bytes:(Wire.write_ops_b ~ops:seq_ops)
           ~resp_bytes:(fun () -> Wire.small_resp_b)
           (log_handler t t.nodes.(backup) ~decision ~shard ~seq_ops)
       with
       | `Ok () -> true
       | `Down -> false)
+
+(* Where [shard]'s locks were taken, as [(shard, node, keys)]: its
+   entry in [acquired], or its current primary with no keys. *)
+let rec lock_site t ~shard = function
+  | [] -> (shard, primary_of t ~shard, [])
+  | ((s, _, _) as site) :: rest -> if s = shard then site else lock_site t ~shard rest
 
 (* Asynchronous COMMIT to each written shard's primary (fire and
    forget with a small ack frame for wire accounting). [locks_by_shard]
@@ -493,192 +568,220 @@ let log_phase t ~src seq_ops_by_shard decision =
    phase, with a distinct trace category ("txn-async") so
    critical-path extraction never counts it inside the synchronous
    transaction span. *)
-let commit_phase t a ~locks_by_shard ~seq_ops_by_shard =
-  let src = a.Control.coord and owner = a.owner in
-  let t_send = Engine.now t.ctl.engine in
-  List.iter
-    (fun (shard, seq_ops) ->
-      let primary, locked =
-        match List.find_opt (fun (s, _, _) -> s = shard) locks_by_shard with
-        | Some (_, node, ks) -> (node, ks)
-        | None -> (primary_of t ~shard, [])
-      in
-      let bytes = Wire.write_ops_b ~ops:(List.map fst seq_ops) in
-      notify t ~src ~dst:primary ~bytes (fun () ->
+let rec commit_shards t a ~t_send ~locks_by_shard = function
+  | [] -> ()
+  | (shard, seq_ops) :: rest ->
+      let src = a.Control.coord and owner = a.owner in
+      let _, primary, locked = lock_site t ~shard locks_by_shard in
+      notify t ~src ~dst:primary ~bytes:(Wire.write_ops_b ~ops:seq_ops) (fun () ->
           Attrib.set_phase "commit-async";
           commit_handler t t.nodes.(primary) ~owner ~shard ~seq_ops ~locked ();
           Control.mark_async t.ctl a "commit-async" ~since:t_send;
-          notify_reply t ~src:primary ~dst:src ~bytes:Wire.small_resp_b
-            (fun () ->
-              Smartnic.core_work_then t.nodes.(src).nic ~ops:1 ~bytes:0
-                ignore)))
+          notify_charged t ~src:primary ~dst:src ~bytes:Wire.small_resp_b ignore);
+      commit_shards t a ~t_send ~locks_by_shard rest
+
+let commit_phase t a ~locks_by_shard ~seq_ops_by_shard =
+  commit_shards t a ~t_send:(Engine.now t.ctl.engine) ~locks_by_shard
     seq_ops_by_shard
 
 (* Release locks at the node they were acquired at (which may no longer
    be the shard's primary after a promotion; a fresh primary's index
    never saw these locks). Releases to crashed nodes are skipped — the
    lock state died with the NIC. *)
-let abort_everywhere t a ~locks_by_shard =
-  List.iter
-    (fun (_shard, primary, locked) ->
+let rec abort_everywhere t a ~locks_by_shard =
+  match locks_by_shard with
+  | [] -> ()
+  | (_shard, primary, locked) :: rest ->
       if locked <> [] && not t.ctl.crashed.(primary) then
         notify t ~src:a.Control.coord ~dst:primary
           ~bytes:(Wire.abort_b ~n_locks:(List.length locked))
-          (abort_handler t.nodes.(primary) ~owner:a.owner ~locked))
-    locks_by_shard
+          (abort_handler t.nodes.(primary) ~owner:a.owner ~locked);
+      abort_everywhere t a ~locks_by_shard:rest
+
+let rec written k = function
+  | [] -> false
+  | (op, _) :: rest -> Op.key op = k || written k rest
+
+(* The keys of [ks] no write of [seq_ops] touches. *)
+let rec unwritten seq_ops = function
+  | [] -> []
+  | k :: rest ->
+      if written k seq_ops then unwritten seq_ops rest
+      else k :: unwritten seq_ops rest
+
+(* The locks of [acquired] on keys [seq_ops] does not write. *)
+let rec residual seq_ops = function
+  | [] -> []
+  | (shard, primary, ks) :: rest -> (
+      match unwritten seq_ops ks with
+      | [] -> residual seq_ops rest
+      | ks -> (shard, primary, ks) :: residual seq_ops rest)
 
 (* COMMIT every written shard, then release the locked keys that were
    not written. *)
 let commit_and_release t a ~acquired seq_ops seq_ops_by_shard =
   commit_phase t a ~locks_by_shard:acquired ~seq_ops_by_shard;
-  let written = List.map (fun (op, _) -> Op.key op) seq_ops in
-  let residual =
-    List.filter_map
-      (fun (shard, primary, ks) ->
-        match List.filter (fun k -> not (List.mem k written)) ks with
-        | [] -> None
-        | ks -> Some (shard, primary, ks))
-      acquired
-  in
-  if residual <> [] then abort_everywhere t a ~locks_by_shard:residual
+  match residual seq_ops acquired with
+  | [] -> ()
+  | locks_by_shard -> abort_everywhere t a ~locks_by_shard
 
 (* -- Standard distributed commit (§4.2), coordinator-side NIC ------- *)
 
 (* Wire size of an EXECUTE response: the values read, or a bare nack. *)
 let execute_resp_b = function
   | `Fail -> Wire.small_resp_b
-  | `Ok (_, values) ->
-      Wire.execute_resp_b
-        ~value_bytes:
-          (List.map
-             (fun (_, v, _) -> match v with Some b -> Bytes.length b | None -> 0)
-             values)
+  | `Ok (_, values) -> Wire.execute_resp_b ~values
 
-(* Per-shard EXECUTE. Results carry the primary the request targeted,
-   so a later abort can release locks where they were acquired even if
-   routing has moved on. [`Down]: the primary timed out or the request
-   crossed a reconfiguration — the transaction should retry against
-   fresh routing rather than count a conflict. *)
-let execute_phase t a ~epoch0 ~reads_by_shard ~locks_by_shard =
+(* A shard's EXECUTE on the DrTM+H-restricted operation set: one
+   request per lock, then one per read (§5.7 baseline). A round with
+   any `Down or `Fail calls [release] with the results it did get and
+   ends the shard; otherwise [k] gets every key's (lock versions,
+   values). *)
+let execute_per_key t a ~epoch0 ~shard ~primary ~reads ~locks =
   let src = a.Control.coord and owner = a.owner in
-  let shards =
-    List.sort_uniq compare (List.map fst reads_by_shard @ List.map fst locks_by_shard)
+  let execute ~req_bytes ~resp_bytes ~locks ~reads =
+    request t ~epoch0 ~src ~dst:primary ~req_bytes ~resp_bytes
+      (execute_handler t t.nodes.(primary) ~owner ~locks ~reads)
   in
-  let one shard () =
-    let reads = Option.value ~default:[] (List.assoc_opt shard reads_by_shard) in
-    let locks = Option.value ~default:[] (List.assoc_opt shard locks_by_shard) in
-    let primary = primary_of t ~shard in
-    let execute ~req_bytes ~resp_bytes ~locks ~reads =
-      request t ~epoch0 ~src ~dst:primary ~req_bytes ~resp_bytes
-        (execute_handler t t.nodes.(primary) ~owner ~locks ~reads)
+  let round keys request_of ~release k =
+    let results =
+      Process.parallel t.ctl.engine
+        (List.map (fun key () -> request_of key) keys)
     in
-    if t.p.features.smart_ops then
-      let r =
-        execute
-          ~req_bytes:
-            (Wire.execute_req_b ~n_reads:(List.length reads)
-               ~n_locks:(List.length locks) ~state_bytes:0)
-          ~resp_bytes:execute_resp_b ~locks ~reads
-      in
-      match r with
-      | `Ok `Fail -> (shard, primary, `Fail)
-      | `Ok (`Ok x) -> (shard, primary, `Ok x)
-      | `Down -> (shard, primary, `Down)
-    else begin
-      (* DrTM+H-restricted operation set: one request per lock, then
-         one per read (§5.7 baseline). A round with any `Down or `Fail
-         calls [release] with the results it did get and ends the
-         shard; otherwise [k] gets every key's (lock versions, values). *)
-      let round keys request_of ~release k =
-        let results =
-          Process.parallel t.ctl.engine
-            (List.map (fun key () -> request_of key) keys)
-        in
-        let ok =
-          List.filter_map (function `Ok (`Ok x) -> Some x | _ -> None) results
-        in
-        if List.exists (function `Down -> true | `Ok _ -> false) results
-        then begin
-          release ok;
-          (shard, primary, `Down)
-        end
-        else if List.length ok < List.length results then begin
-          release ok;
-          (shard, primary, `Fail)
-        end
-        else k ok
-      in
-      (* Releases the locks a lock round acquired. *)
-      let release lock_results =
-        let acquired =
-          List.concat_map (fun (lv, _) -> List.map fst lv) lock_results
-        in
-        if acquired <> [] && not t.ctl.crashed.(primary) then
-          notify t ~src ~dst:primary
-            ~bytes:(Wire.abort_b ~n_locks:(List.length acquired))
-            (abort_handler t.nodes.(primary) ~owner ~locked:acquired)
-      in
-      round locks
-        (fun key ->
-          execute ~req_bytes:Wire.lock_req_b
-            ~resp_bytes:(fun _ -> Wire.small_resp_b)
-            ~locks:[ key ] ~reads:[])
-        ~release
-        (fun lock_results ->
-          round reads
-            (fun key ->
-              execute ~req_bytes:Wire.read_req_b ~resp_bytes:execute_resp_b
-                ~locks:[] ~reads:[ key ])
-            ~release:(fun _ -> release lock_results)
-            (fun read_results ->
-              ( shard,
-                primary,
-                `Ok
-                  ( List.concat_map fst lock_results,
-                    List.concat_map snd read_results ) )))
+    let ok =
+      List.filter_map (function `Ok (`Ok x) -> Some x | _ -> None) results
+    in
+    if List.exists (function `Down -> true | `Ok _ -> false) results
+    then begin
+      release ok;
+      (shard, primary, `Down)
     end
+    else if List.length ok < List.length results then begin
+      release ok;
+      (shard, primary, `Fail)
+    end
+    else k ok
   in
-  Process.parallel t.ctl.engine (List.map one shards)
+  (* Releases the locks a lock round acquired. *)
+  let release lock_results =
+    let acquired =
+      List.concat_map (fun (lv, _) -> List.map fst lv) lock_results
+    in
+    if acquired <> [] && not t.ctl.crashed.(primary) then
+      notify t ~src ~dst:primary
+        ~bytes:(Wire.abort_b ~n_locks:(List.length acquired))
+        (abort_handler t.nodes.(primary) ~owner ~locked:acquired)
+  in
+  round locks
+    (fun key ->
+      execute ~req_bytes:Wire.lock_req_b
+        ~resp_bytes:(fun _ -> Wire.small_resp_b)
+        ~locks:[ key ] ~reads:[])
+    ~release
+    (fun lock_results ->
+      round reads
+        (fun key ->
+          execute ~req_bytes:Wire.read_req_b ~resp_bytes:execute_resp_b
+            ~locks:[] ~reads:[ key ])
+        ~release:(fun _ -> release lock_results)
+        (fun read_results ->
+          ( shard,
+            primary,
+            `Ok
+              ( List.concat_map fst lock_results,
+                List.concat_map snd read_results ) )))
+
+(* One shard's EXECUTE. The result carries the primary the request
+   targeted, so a later abort can release locks where they were
+   acquired even if routing has moved on. [`Down]: the primary timed out
+   or the request crossed a reconfiguration — the transaction should
+   retry against fresh routing rather than count a conflict. *)
+let execute_shard t a ~epoch0 ~shard ~reads ~locks =
+  let primary = primary_of t ~shard in
+  if t.p.features.smart_ops then
+    match
+      request t ~epoch0 ~src:a.Control.coord ~dst:primary
+        ~req_bytes:
+          (Wire.execute_req_b ~n_reads:(List.length reads)
+             ~n_locks:(List.length locks) ~state_bytes:0)
+        ~resp_bytes:execute_resp_b
+        (execute_handler t t.nodes.(primary) ~owner:a.owner ~locks ~reads)
+    with
+    | `Ok `Fail -> (shard, primary, `Fail)
+    | `Ok (`Ok x) -> (shard, primary, `Ok x)
+    | `Down -> (shard, primary, `Down)
+  else execute_per_key t a ~epoch0 ~shard ~primary ~reads ~locks
+
+let head_shard = function (s, _) :: _ -> s | [] -> max_int
+
+let on_shard s = function (s', xs) :: _ when s' = s -> xs | _ -> []
+
+let past_shard s = function (s', _) :: more when s' = s -> more | l -> l
+
+(* One EXECUTE thunk per shard, shards ascending: [reads_by_shard] and
+   [locks_by_shard] are each ascending ({!Types.group_by_shard}), so a
+   merge pairs a shard's reads with its locks. *)
+let rec execute_thunks t a ~epoch0 reads_by_shard locks_by_shard =
+  let r = head_shard reads_by_shard and l = head_shard locks_by_shard in
+  let shard = if r < l then r else l in
+  if shard = max_int then []
+  else
+    let reads = on_shard shard reads_by_shard
+    and locks = on_shard shard locks_by_shard in
+    (fun () -> execute_shard t a ~epoch0 ~shard ~reads ~locks)
+    :: execute_thunks t a ~epoch0
+         (past_shard shard reads_by_shard)
+         (past_shard shard locks_by_shard)
+
+(* Per-shard EXECUTE, in parallel. *)
+let execute_phase t a ~epoch0 ~reads_by_shard ~locks_by_shard =
+  Process.parallel t.ctl.engine
+    (execute_thunks t a ~epoch0 reads_by_shard locks_by_shard)
+
+let as_verdict = function
+  | `Ok true -> `Valid
+  | `Ok false -> `Invalid
+  | `Down -> `Down
+
+(* Any [`Down] wins, then any [`Invalid]. *)
+let rec verdict_of acc = function
+  | [] -> acc
+  | `Down :: _ -> `Down
+  | `Invalid :: rest -> verdict_of `Invalid rest
+  | `Valid :: rest -> verdict_of acc rest
+
+let validate_shard t a ~epoch0 ~shard checks =
+  let src = a.Control.coord and owner = a.owner in
+  let primary = primary_of t ~shard in
+  if t.p.features.smart_ops then
+    as_verdict
+      (request t ~epoch0 ~src ~dst:primary
+         ~req_bytes:(Wire.validate_req_b ~n_checks:(List.length checks))
+         ~resp_bytes:(fun _ -> Wire.small_resp_b)
+         (validate_handler t t.nodes.(primary) ~owner ~checks))
+  else
+    verdict_of `Valid
+      (Process.parallel t.ctl.engine
+         (List.map
+            (fun check () ->
+              as_verdict
+                (request t ~epoch0 ~src ~dst:primary
+                   ~req_bytes:(Wire.validate_req_b ~n_checks:1)
+                   ~resp_bytes:(fun _ -> Wire.small_resp_b)
+                   (validate_handler t t.nodes.(primary) ~owner
+                      ~checks:[ check ])))
+            checks))
+
+let rec validate_thunks t a ~epoch0 = function
+  | [] -> []
+  | (shard, checks) :: rest ->
+      (fun () -> validate_shard t a ~epoch0 ~shard checks)
+      :: validate_thunks t a ~epoch0 rest
 
 let validate_phase t a ~epoch0 checks =
-  let src = a.Control.coord and owner = a.owner in
-  let one (shard, checks) () =
-    let primary = primary_of t ~shard in
-    let as_verdict = function
-      | `Ok true -> `Valid
-      | `Ok false -> `Invalid
-      | `Down -> `Down
-    in
-    if t.p.features.smart_ops then
-      as_verdict
-        (request t ~epoch0 ~src ~dst:primary
-           ~req_bytes:(Wire.validate_req_b ~n_checks:(List.length checks))
-           ~resp_bytes:(fun _ -> Wire.small_resp_b)
-           (validate_handler t t.nodes.(primary) ~owner ~checks))
-    else
-      let verdicts =
-        Process.parallel t.ctl.engine
-          (List.map
-             (fun check () ->
-               as_verdict
-                 (request t ~epoch0 ~src ~dst:primary
-                    ~req_bytes:(Wire.validate_req_b ~n_checks:1)
-                    ~resp_bytes:(fun _ -> Wire.small_resp_b)
-                    (validate_handler t t.nodes.(primary) ~owner
-                       ~checks:[ check ])))
-             checks)
-      in
-      if List.exists (fun v -> v = `Down) verdicts then `Down
-      else if List.exists (fun v -> v = `Invalid) verdicts then `Invalid
-      else `Valid
-  in
-  let verdicts =
-    Process.parallel t.ctl.engine
-      (List.map one (Types.group_by_shard fst checks))
-  in
-  if List.exists (fun v -> v = `Down) verdicts then `Down
-  else if List.exists (fun v -> v = `Invalid) verdicts then `Invalid
-  else `Valid
+  verdict_of `Valid
+    (Process.parallel t.ctl.engine
+       (validate_thunks t a ~epoch0 (Types.group_by_shard fst checks)))
 
 (* Run the transaction's execution function at the right place. The
    caller is on the coordinator NIC. *)
@@ -701,6 +804,128 @@ let run_exec t node (txn : Types.t) view =
     ops
   end
 
+let rec keys_of = function [] -> [] | (k, _) :: rest -> k :: keys_of rest
+
+(* The shards an EXECUTE round locked keys at, as [(shard, primary,
+   keys)]. *)
+let rec acquired_of = function
+  | [] -> []
+  | (shard, primary, `Ok ((_ :: _ as lv), _)) :: rest ->
+      (shard, primary, keys_of lv) :: acquired_of rest
+  | _ :: rest -> acquired_of rest
+
+(* The lock versions, then the values, of a round's results in shard
+   order; the last shard's list is shared, not copied. *)
+let rec lock_versions_of = function
+  | [] -> []
+  | (_, _, `Ok (lv, _)) :: rest -> (
+      match lock_versions_of rest with [] -> lv | more -> lv @ more)
+  | _ :: rest -> lock_versions_of rest
+
+let rec values_of = function
+  | [] -> []
+  | (_, _, `Ok (_, vs)) :: rest -> (
+      match values_of rest with [] -> vs | more -> vs @ more)
+  | _ :: rest -> values_of rest
+
+let rec any_result r = function
+  | [] -> false
+  | (_, _, r') :: rest -> r' = r || any_result r rest
+
+(* A `Down shard's EXECUTE may still have locked its keys at a live
+   primary after the coordinator stopped listening (the response was
+   dropped at an epoch bump). Broaden the abort to the whole requested
+   footprint at current routing — unlock is owner-guarded, so releasing
+   a lock never taken is a no-op. *)
+let broaden t acquired requested =
+  List.fold_left
+    (fun acc (shard, keys) ->
+      match List.partition (fun (s, _, _) -> s = shard) acc with
+      | [ (_, p, ks) ], rest ->
+          let missing = List.filter (fun k -> not (List.mem k ks)) keys in
+          (shard, p, missing @ ks) :: rest
+      | _, rest ->
+          if keys = [] then acc else (shard, primary_of t ~shard, keys) :: rest)
+    acquired requested
+
+(* How an EXECUTE round ends the attempt, if it does: any [`Down]
+   aborts the broadened footprint and retries, any [`Fail] aborts what
+   was acquired. *)
+let settle t a results ~acquired ~requested =
+  if any_result `Down results then begin
+    abort_everywhere t a ~locks_by_shard:(broaden t acquired requested);
+    Some (`Retry Metrics.Timeout)
+  end
+  else if any_result `Fail results then begin
+    abort_everywhere t a ~locks_by_shard:acquired;
+    Some (`Aborted Metrics.Lock_conflict)
+  end
+  else None
+
+let merge_acquired acquired extra =
+  List.fold_left
+    (fun acc (shard, primary, ks) ->
+      match List.partition (fun (s, _, _) -> s = shard) acc with
+      | [ (_, p, prev) ], rest -> (shard, p, ks @ prev) :: rest
+      | _, rest -> (shard, primary, ks) :: rest)
+    acquired extra
+
+(* VALIDATE's checks: the keys read but never locked, against their
+   execute-time versions. *)
+let rec checks_of locked = function
+  | [] -> []
+  | (k, _, seq) :: rest ->
+      if List.mem k locked then checks_of locked rest
+      else (k, seq) :: checks_of locked rest
+
+(* Multi-shot execution (§4.2 step 3): each round may request more
+   keys; the coordinator issues further EXECUTE requests and re-invokes
+   the function over the extended view, up to [max_exec_rounds]. *)
+let max_exec_rounds = 8
+
+let rec exec_rounds t node (txn : Types.t) a ~epoch0 ~values ~lock_versions
+    ~acquired ~locked_keys ~requested ~round : Control.outcome =
+  Attrib.set_phase "exec-fn";
+  match run_exec t node txn (Types.view_of values) with
+  | Types.More _ when round >= max_exec_rounds ->
+      Xenic_stats.Counter.incr (counters t) "multishot_overflow";
+      abort_everywhere t a ~locks_by_shard:acquired;
+      (* A round-budget overflow is footprint growth the lock
+         acquisition could not keep up with; taxonomy-wise it is a
+         lock-conflict abort (see DESIGN.md §8). *)
+      `Aborted Metrics.Lock_conflict
+  | Types.More { read; lock } -> (
+      Xenic_stats.Counter.incr (counters t) "multishot_rounds";
+      let read = Types.without locked_keys read in
+      let lock = Types.without locked_keys lock in
+      Attrib.set_phase "execute";
+      let extra =
+        execute_phase t a ~epoch0
+          ~reads_by_shard:(Types.group_by_shard Fun.id read)
+          ~locks_by_shard:(Types.group_by_shard Fun.id lock)
+      in
+      let acquired = merge_acquired acquired (acquired_of extra) in
+      let requested = Types.group_by_shard Fun.id lock @ requested in
+      match settle t a extra ~acquired ~requested with
+      | Some outcome -> outcome
+      | None ->
+          exec_rounds t node txn a ~epoch0
+            ~values:(values @ values_of extra)
+            ~lock_versions:(lock_versions @ lock_versions_of extra)
+            ~acquired
+            ~locked_keys:(locked_keys @ lock)
+            ~requested
+            ~round:(round + 1))
+  | Types.Done ops ->
+      Control.mark t.ctl a "exec-fn";
+      Control.finish t.ctl a ~epoch0 ~values ~lock_versions
+        ~checks:(checks_of locked_keys values)
+        ~validate:(validate_phase t a ~epoch0)
+        ~release:(fun () -> abort_everywhere t a ~locks_by_shard:acquired)
+        ~log:(log_phase t ~src:a.coord)
+        ~commit:(commit_and_release t a ~acquired)
+        ops
+
 (* One attempt of the standard distributed commit. [`Retry]: the
    attempt ran into a dead or reconfigured peer — locks on surviving
    primaries have been released; the caller should back off and retry
@@ -711,150 +936,190 @@ let distributed_txn t node (txn : Types.t) a : Control.outcome =
   (* The execute phase opens here, after any host-NIC crossing. *)
   a.Control.start <- Engine.now t.ctl.engine;
   let reads_by_shard = Types.group_by_shard Fun.id txn.read_set in
-  let locks_by_shard_keys = Types.group_by_shard Fun.id txn.write_set in
+  let locks_by_shard = Types.group_by_shard Fun.id txn.write_set in
   Attrib.set_phase "execute";
-  let results =
-    execute_phase t a ~epoch0 ~reads_by_shard
-      ~locks_by_shard:locks_by_shard_keys
-  in
+  let results = execute_phase t a ~epoch0 ~reads_by_shard ~locks_by_shard in
   Control.mark t.ctl a "execute";
-  let acquired_of results =
-    List.filter_map
-      (fun (shard, primary, r) ->
-        match r with
-        | `Ok (lv, _) when lv <> [] -> Some (shard, primary, List.map fst lv)
-        | _ -> None)
-      results
-  in
   let acquired = acquired_of results in
-  (* A `Down shard's EXECUTE may still have locked its keys at a live
-     primary after the coordinator stopped listening (the response was
-     dropped at an epoch bump). Broaden the abort to the whole
-     requested footprint at current routing — unlock is owner-guarded,
-     so releasing a lock never taken is a no-op. *)
-  let broaden acquired requested =
-    List.fold_left
-      (fun acc (shard, keys) ->
-        match List.partition (fun (s, _, _) -> s = shard) acc with
-        | [ (_, p, ks) ], rest ->
-            let missing = List.filter (fun k -> not (List.mem k ks)) keys in
-            (shard, p, missing @ ks) :: rest
-        | _, rest ->
-            if keys = [] then acc else (shard, primary_of t ~shard, keys) :: rest)
-      acquired requested
-  in
-  (* How an EXECUTE round ends the attempt, if it does: any [`Down]
-     aborts the broadened footprint and retries, any [`Fail] aborts
-     what was acquired. *)
-  let settle results ~acquired ~requested =
-    if List.exists (fun (_, _, r) -> r = `Down) results then begin
-      abort_everywhere t a ~locks_by_shard:(broaden acquired requested);
-      Some (`Retry Metrics.Timeout)
-    end
-    else if List.exists (fun (_, _, r) -> r = `Fail) results then begin
-      abort_everywhere t a ~locks_by_shard:acquired;
-      Some (`Aborted Metrics.Lock_conflict)
-    end
-    else None
-  in
-  match settle results ~acquired ~requested:locks_by_shard_keys with
+  match settle t a results ~acquired ~requested:locks_by_shard with
   | Some outcome -> outcome
   | None ->
-    let lock_versions_of =
-      List.concat_map (fun (_, _, r) -> match r with `Ok (lv, _) -> lv | _ -> [])
-    in
-    let values_of =
-      List.concat_map (fun (_, _, r) -> match r with `Ok (_, vs) -> vs | _ -> [])
-    in
-    let merge_acquired acquired extra =
-      List.fold_left
-        (fun acc (shard, primary, ks) ->
-          match List.partition (fun (s, _, _) -> s = shard) acc with
-          | [ (_, p, prev) ], rest -> (shard, p, ks @ prev) :: rest
-          | _, rest -> (shard, primary, ks) :: rest)
-        acquired extra
-    in
-    (* Multi-shot execution (§4.2 step 3): each round may request more
-       keys; the coordinator issues further EXECUTE requests and
-       re-invokes the function over the extended view. *)
-    let max_rounds = 8 in
-    let rec rounds ~values ~lock_versions ~acquired ~locked_keys ~requested
-        ~round =
-      Attrib.set_phase "exec-fn";
-      match run_exec t node txn (Types.view_of values) with
-      | Types.More _ when round >= max_rounds ->
-          Xenic_stats.Counter.incr (counters t) "multishot_overflow";
-          abort_everywhere t a ~locks_by_shard:acquired;
-          (* A round-budget overflow is footprint growth the lock
-             acquisition could not keep up with; taxonomy-wise it is a
-             lock-conflict abort (see DESIGN.md §8). *)
-          `Aborted Metrics.Lock_conflict
-      | Types.More { read; lock } -> (
-          Xenic_stats.Counter.incr (counters t) "multishot_rounds";
-          let read = List.filter (fun k -> not (List.mem k locked_keys)) read in
-          let lock = List.filter (fun k -> not (List.mem k locked_keys)) lock in
-          Attrib.set_phase "execute";
-          let extra =
-            execute_phase t a ~epoch0
-              ~reads_by_shard:(Types.group_by_shard Fun.id read)
-              ~locks_by_shard:(Types.group_by_shard Fun.id lock)
-          in
-          let acquired = merge_acquired acquired (acquired_of extra) in
-          let requested = Types.group_by_shard Fun.id lock @ requested in
-          match settle extra ~acquired ~requested with
-          | Some outcome -> outcome
-          | None ->
-              rounds
-                ~values:(values @ values_of extra)
-                ~lock_versions:(lock_versions @ lock_versions_of extra)
-                ~acquired
-                ~locked_keys:(locked_keys @ lock)
-                ~requested
-                ~round:(round + 1))
-      | Types.Done ops ->
-          Control.mark t.ctl a "exec-fn";
-          (* Validate keys read but never locked, against their
-             execute-time versions. *)
-          let checks =
-            List.filter_map
-              (fun (k, _, seq) ->
-                if List.mem k locked_keys then None else Some (k, seq))
-              values
-          in
-          Control.finish t.ctl a ~epoch0 ~values ~lock_versions ~checks
-            ~validate:(validate_phase t a ~epoch0)
-            ~release:(fun () -> abort_everywhere t a ~locks_by_shard:acquired)
-            ~log:(log_phase t ~src:a.coord)
-            ~commit:(commit_and_release t a ~acquired)
-            ops
-    in
-    rounds ~values:(values_of results)
-      ~lock_versions:(lock_versions_of results) ~acquired
-      ~locked_keys:txn.write_set ~requested:locks_by_shard_keys ~round:1
+      exec_rounds t node txn a ~epoch0 ~values:(values_of results)
+        ~lock_versions:(lock_versions_of results) ~acquired
+        ~locked_keys:txn.write_set ~requested:locks_by_shard ~round:1
 
 (* -- Multi-hop OCC (§4.2.3) ----------------------------------------- *)
+
+let rec all_written write_set = function
+  | [] -> true
+  | k :: rest -> List.mem k write_set && all_written write_set rest
+
+(* At most one shard served by [node] ([local]) and exactly one served
+   elsewhere ([remote]); -1: none seen yet. *)
+let rec two_party t ~node ~local ~remote = function
+  | [] -> remote >= 0
+  | k :: rest ->
+      let s = Keyspace.shard k in
+      if primary_of t ~shard:s = node then
+        (local < 0 || local = s) && two_party t ~node ~local:s ~remote rest
+      else (remote < 0 || remote = s) && two_party t ~node ~local ~remote:s rest
 
 (* Eligibility: a single execution round (always true in this model), a
    read set covered by the write set (all accesses locked during
    EXECUTE, so no VALIDATE phase is needed), and at most two shards
-   with one of them local — or a single remote shard. *)
+   with one of them local — or a single remote shard. The read set
+   being covered, the write set's shards are all the shards. *)
 let multihop_eligible t node (txn : Types.t) =
   t.p.features.multihop
   (* The multi-hop ack fan-in (LOG responses routed to P1) is not
      crash-safe; when timeouts are armed, everything takes the standard
      distributed path, whose phases are individually retryable. *)
-  && not t.p.armed
-  && List.for_all (fun k -> List.mem k txn.write_set) txn.read_set
+  && (not t.p.armed)
+  && all_written txn.write_set txn.read_set
   && txn.write_set <> []
-  &&
-  let locals, remotes =
-    List.partition
-      (fun s -> primary_of t ~shard:s = node.id)
-      (Types.shards txn)
-  in
   (* One remote shard, and at most one shard served by the coordinator
      itself (so P1 commits a single-shard record). *)
-  List.length remotes = 1 && List.length locals <= 1
+  && two_party t ~node:node.id ~local:(-1) ~remote:(-1) txn.write_set
+
+(* The keys of [keys] whose shard [node] serves ([served = true]) or
+   does not. *)
+let rec keys_at t ~node ~served = function
+  | [] -> []
+  | k :: rest ->
+      if (primary_of t ~shard:(Keyspace.shard k) = node) = served then
+        k :: keys_at t ~node ~served rest
+      else keys_at t ~node ~served rest
+
+(* [keys] split by whether [node] serves their shard, in order. *)
+let split_at t ~node keys =
+  match keys_at t ~node ~served:true keys with
+  | [] -> ([], keys)
+  | local -> (local, keys_at t ~node ~served:false keys)
+
+(* The writes of [seq_ops] whose shard [node] serves. *)
+let rec writes_at t ~node = function
+  | [] -> []
+  | ((op, _) as w) :: rest ->
+      if primary_of t ~shard:(Keyspace.shard (Op.key op)) = node then
+        w :: writes_at t ~node rest
+      else writes_at t ~node rest
+
+let rec writes_on ~shard = function
+  | [] -> []
+  | ((op, _) as w) :: rest ->
+      if Keyspace.shard (Op.key op) = shard then w :: writes_on ~shard rest
+      else writes_on ~shard rest
+
+(* The bytes of the values P1 read, shipped to P2 with the execution
+   state. *)
+let rec shipped_b acc = function
+  | [] -> acc
+  | (_, v, _) :: rest ->
+      shipped_b (acc + match v with Some b -> Bytes.length b | None -> 0) rest
+
+(* A multi-hop transaction in flight: what P2's handler, its LOG
+   fan-out and the acknowledgements at P1 share, so each of their
+   closures captures this record and at most one target. *)
+type hop = {
+  sys : t;
+  p1 : node;
+  h_txn : Types.t;
+  h_owner : int;
+  p2 : int;
+  remote_shard : int;
+  remote_keys : Keyspace.t list;
+  remote_reads : Keyspace.t list;
+  local_lockv : (Keyspace.t * int) list;
+  local_values : (Keyspace.t * bytes option * int) list;
+  mutable resume : [ `Fail | `Multishot | `Ok ] -> unit;
+  mutable expected : int;  (* LOG responses still due at P1 *)
+  mutable exec_done : bool;  (* P2's ExecDone has reached P1 *)
+  mutable logged : unit -> unit;  (* one LOG response at P1, built once *)
+  mutable p1_seq_ops : (Op.t * int) list;
+  mutable p2_seq_ops : (Op.t * int) list;
+  mutable remote_lockv : (Keyspace.t * int) list;
+  mutable remote_values : (Keyspace.t * bytes option * int) list;
+}
+
+(* P1 resumes once every LOG response and the ExecDone are in. *)
+let hop_ready h = if h.expected = 0 && h.exec_done then h.resume `Ok
+
+let hop_logged h =
+  h.expected <- h.expected - 1;
+  hop_ready h
+
+let hop_exec_done h =
+  h.exec_done <- true;
+  hop_ready h
+
+(* LOG from P2 to each backup; the responses go to P1. *)
+let rec hop_log h = function
+  | [] -> ()
+  | ((_, backup, seq_ops) as target) :: rest ->
+      notify h.sys ~src:h.p2 ~dst:backup ~bytes:(Wire.write_ops_b ~ops:seq_ops)
+        (fun () -> hop_log_at h target);
+      hop_log h rest
+
+and hop_log_at h (shard, backup, seq_ops) =
+  let t = h.sys in
+  log_handler t t.nodes.(backup) ~decision:(ref Control.Dcommit) ~shard ~seq_ops ();
+  notify_charged t ~src:backup ~dst:h.p1.id ~bytes:Wire.small_resp_b h.logged
+
+(* P2, in a handler process at its NIC: lock and read the remote keys,
+   run the function, LOG every write set with the responses routed to
+   P1, and send P1 the local shard's writes (ExecDone). *)
+let hop_remote h =
+  let t = h.sys and src = h.p1.id and owner = h.h_owner in
+  let p2_node = t.nodes.(h.p2) in
+  match
+    execute_handler t p2_node ~owner ~locks:h.remote_keys ~reads:h.remote_reads ()
+  with
+  | `Fail ->
+      notify_reply t ~src:h.p2 ~dst:src ~bytes:Wire.small_resp_b (fun () ->
+          h.resume `Fail)
+  | `Ok (remote_lockv, remote_values) -> (
+      (* Execute at the remote primary NIC; multi-hop is limited to
+         single-round execution (§4.2.3), so a More escalates back to
+         the coordinator. *)
+      Resource.acquire (Smartnic.cores p2_node.nic);
+      Process.sleep t.ctl.engine
+        (Smartnic.scaled_exec_ns p2_node.nic h.h_txn.host_exec_ns);
+      let exec_result =
+        h.h_txn.exec (Types.view_of (h.local_values @ remote_values))
+      in
+      Resource.release (Smartnic.cores p2_node.nic);
+      match exec_result with
+      | Types.More _ ->
+          unlock_routed p2_node ~owner (keys_of remote_lockv);
+          notify_reply t ~src:h.p2 ~dst:src ~bytes:Wire.small_resp_b (fun () ->
+              h.resume `Multishot)
+      | Types.Done ops ->
+          let lock_versions = h.local_lockv @ remote_lockv in
+          let seq_ops = Types.seq_ops_of ~lock_versions ops in
+          let backups =
+            Control.log_targets t.ctl (Types.group_ops_by_shard seq_ops)
+          in
+          h.expected <- List.length backups;
+          h.p1_seq_ops <- writes_at t ~node:src seq_ops;
+          h.p2_seq_ops <- writes_on ~shard:h.remote_shard seq_ops;
+          h.remote_lockv <- remote_lockv;
+          h.remote_values <- remote_values;
+          hop_log h backups;
+          (* ExecDone to P1 with the local shard's writes. *)
+          notify_charged t ~src:h.p2 ~dst:src
+            ~bytes:(Wire.write_ops_b ~ops:h.p1_seq_ops) (fun () ->
+              hop_exec_done h))
+
+(* Ship execution to P2; [resume] is P1's. *)
+let hop_ship h resume =
+  h.resume <- resume;
+  let t = h.sys in
+  let ship_bytes =
+    Wire.execute_req_b ~n_reads:(List.length h.remote_keys)
+      ~n_locks:(List.length h.remote_keys)
+      ~state_bytes:(h.h_txn.state_bytes + shipped_b 0 h.local_values)
+  in
+  notify t ~src:h.p1.id ~dst:h.p2 ~bytes:ship_bytes (fun () -> hop_remote h)
 
 (* The coordinator P1 locks+reads its local keys at its own NIC, ships
    execution to the remote primary P2; P2 locks+reads its keys, runs
@@ -862,22 +1127,18 @@ let multihop_eligible t node (txn : Types.t) =
    sends P1 the local shard's new values. P1 commits locally and sends
    P2 its COMMIT. One network message delay shorter than the
    request/response pattern (Fig 7). *)
-let multihop_txn t node (txn : Types.t) a : Control.outcome =
+let rec multihop_txn t node (txn : Types.t) a : Control.outcome =
   let owner = a.Control.owner in
   let src = node.id in
-  let is_local k = primary_of t ~shard:(Keyspace.shard k) = src in
-  let local_keys, remote_keys = List.partition is_local txn.write_set in
-  let local_reads, remote_reads = List.partition is_local txn.read_set in
+  let local_keys, remote_keys = split_at t ~node:src txn.write_set in
+  let local_reads, remote_reads = split_at t ~node:src txn.read_set in
   let remote_shard =
-    match List.sort_uniq compare (List.map Keyspace.shard remote_keys) with
-    | [ s ] -> s
-    | _ -> invalid_arg "multihop_txn: not eligible"
+    match remote_keys with
+    | k :: _ -> Keyspace.shard k
+    | [] -> invalid_arg "multihop_txn: not eligible"
   in
   let local_shard =
-    match List.sort_uniq compare (List.map Keyspace.shard local_keys) with
-    | [ s ] -> Some s
-    | [] -> None
-    | _ -> invalid_arg "multihop_txn: not eligible"
+    match local_keys with k :: _ -> Some (Keyspace.shard k) | [] -> None
   in
   let p2 = primary_of t ~shard:remote_shard in
   Attrib.set_phase "execute";
@@ -891,102 +1152,35 @@ let multihop_txn t node (txn : Types.t) a : Control.outcome =
   | `Ok (local_lockv, local_values) -> (
       Control.mark t.ctl a "execute";
       Attrib.set_phase "log";
+      let h =
+        {
+          sys = t;
+          p1 = node;
+          h_txn = txn;
+          h_owner = owner;
+          p2;
+          remote_shard;
+          remote_keys;
+          remote_reads;
+          local_lockv;
+          local_values;
+          resume = ignore;
+          expected = 0;
+          exec_done = false;
+          logged = ignore;
+          p1_seq_ops = [];
+          p2_seq_ops = [];
+          remote_lockv = [];
+          remote_values = [];
+        }
+      in
+      h.logged <- (fun () -> hop_logged h);
       (* Expected completions at P1: one LOG response per backup of
          each written shard, plus P2's ExecDone. *)
-      let result =
-        Process.suspend (fun resume ->
-            let ship_bytes =
-              Wire.execute_req_b ~n_reads:(List.length remote_keys)
-                ~n_locks:(List.length remote_keys)
-                ~state_bytes:
-                  (txn.state_bytes
-                  + List.fold_left
-                      (fun acc (_, v, _) ->
-                        acc + match v with Some b -> Bytes.length b | None -> 0)
-                      0 local_values)
-            in
-            notify t ~src ~dst:p2 ~bytes:ship_bytes (fun () ->
-                let p2_node = t.nodes.(p2) in
-                match
-                  execute_handler t p2_node ~owner ~locks:remote_keys
-                    ~reads:remote_reads ()
-                with
-                | `Fail ->
-                    notify_reply t ~src:p2 ~dst:src ~bytes:Wire.small_resp_b
-                      (fun () -> resume `Fail)
-                | `Ok (remote_lockv, remote_values) ->
-                    (* Execute at the remote primary NIC; multi-hop is
-                       limited to single-round execution (§4.2.3), so a
-                       More escalates back to the coordinator. *)
-                    Resource.acquire (Smartnic.cores p2_node.nic);
-                    Process.sleep t.ctl.engine
-                      (Smartnic.scaled_exec_ns p2_node.nic txn.host_exec_ns);
-                    let exec_result =
-                      txn.exec (Types.view_of (local_values @ remote_values))
-                    in
-                    Resource.release (Smartnic.cores p2_node.nic);
-                    match exec_result with
-                    | Types.More _ ->
-                        List.iter
-                          (fun (k, _) ->
-                            Xenic_store.Nic_index.unlock (idx_for p2_node k) k ~owner)
-                          remote_lockv;
-                        notify_reply t ~src:p2 ~dst:src
-                          ~bytes:Wire.small_resp_b (fun () -> resume `Multishot)
-                    | Types.Done ops ->
-                    let lock_versions = local_lockv @ remote_lockv in
-                    let seq_ops = Types.seq_ops_of ~lock_versions ops in
-                    let by_shard = Types.group_ops_by_shard seq_ops in
-                    let backups = Control.log_targets t.ctl by_shard in
-                    let expected = ref (List.length backups) in
-                    let p1_seq_ops =
-                      List.filter
-                        (fun (op, _) ->
-                          primary_of t ~shard:(Keyspace.shard (Op.key op)) = src)
-                        seq_ops
-                    in
-                    let p2_seq_ops =
-                      List.filter
-                        (fun (op, _) -> Keyspace.shard (Op.key op) = remote_shard)
-                        seq_ops
-                    in
-                    let done_msg = ref false in
-                    let maybe_finish () =
-                      if !expected = 0 && !done_msg then
-                        resume
-                          (`Ok (p1_seq_ops, p2_seq_ops, remote_lockv, remote_values))
-                    in
-                    (* LOG from P2 to every backup; responses go to P1. *)
-                    List.iter
-                      (fun (shard, backup, seq_ops) ->
-                        let bytes =
-                          Wire.write_ops_b ~ops:(List.map fst seq_ops)
-                        in
-                        notify t ~src:p2 ~dst:backup ~bytes (fun () ->
-                            log_handler t t.nodes.(backup)
-                              ~decision:(ref Control.Dcommit) ~shard ~seq_ops ();
-                            notify_reply t ~src:backup ~dst:src
-                              ~bytes:Wire.small_resp_b (fun () ->
-                                Smartnic.core_work_then node.nic ~ops:1
-                                  ~bytes:0 (fun () ->
-                                    decr expected;
-                                    maybe_finish ()))))
-                      backups;
-                    (* ExecDone to P1 with the local shard's writes. *)
-                    let done_bytes =
-                      Wire.write_ops_b ~ops:(List.map fst p1_seq_ops)
-                    in
-                    notify_reply t ~src:p2 ~dst:src ~bytes:done_bytes
-                      (fun () ->
-                        Smartnic.core_work_then node.nic ~ops:1 ~bytes:0
-                          (fun () ->
-                            done_msg := true;
-                            maybe_finish ()))))
-      in
-      match result with
-      | `Fail | `Multishot -> (
+      match Process.suspend (fun resume -> hop_ship h resume) with
+      | (`Fail | `Multishot) as result ->
           if local_lockv <> [] then
-            abort_handler node ~owner ~locked:(List.map fst local_lockv) ();
+            abort_handler node ~owner ~locked:(keys_of local_lockv) ();
           if result = `Multishot then begin
             (* Single-round restriction: replay through the standard
                distributed path, which supports multi-shot execution.
@@ -995,36 +1189,38 @@ let multihop_txn t node (txn : Types.t) a : Control.outcome =
             Xenic_stats.Counter.incr (counters t) "multihop_escalations";
             distributed_txn t node txn a
           end
-          else `Aborted Metrics.Lock_conflict)
-      | `Ok (p1_seq_ops, p2_seq_ops, remote_lockv, remote_values) ->
-          Control.mark t.ctl a "log";
-          Attrib.set_phase "commit";
-          (* Committed. Apply the local commit at our own NIC and send
-             COMMIT to P2 asynchronously. *)
-          (match (p1_seq_ops, local_shard) with
-          | (_ :: _ as seq_ops), Some shard ->
-              commit_handler t node ~owner ~shard ~seq_ops ~locked:local_keys ()
-          | [], _ when local_keys <> [] ->
-              abort_handler node ~owner ~locked:local_keys ()
-          | _ -> ());
-          (if p2_seq_ops <> [] then
-             let t_send = Engine.now t.ctl.engine in
-             notify t ~src ~dst:p2
-               ~bytes:(Wire.write_ops_b ~ops:(List.map fst p2_seq_ops))
-               (fun () ->
-                 commit_handler t t.nodes.(p2) ~owner ~shard:remote_shard
-                   ~seq_ops:p2_seq_ops ~locked:remote_keys ();
-                 Control.mark_async t.ctl a "commit-async" ~since:t_send)
-           else if remote_keys <> [] then
-             notify t ~src ~dst:p2
-               ~bytes:(Wire.abort_b ~n_locks:(List.length remote_keys))
-               (abort_handler t.nodes.(p2) ~owner ~locked:remote_keys));
-          Control.record_commit t.ctl ~id:owner
-            ~values:(local_values @ remote_values)
-            ~lock_versions:(local_lockv @ remote_lockv)
-            ~seq_ops:(p1_seq_ops @ p2_seq_ops);
-          Control.mark t.ctl a "commit";
-          `Committed)
+          else `Aborted Metrics.Lock_conflict
+      | `Ok -> multihop_commit t node a h ~local_shard ~local_keys)
+
+(* Committed. Apply the local commit at our own NIC and send COMMIT to
+   P2 asynchronously. *)
+and multihop_commit t node a h ~local_shard ~local_keys =
+  let owner = h.h_owner and src = node.id and p2 = h.p2 in
+  Control.mark t.ctl a "log";
+  Attrib.set_phase "commit";
+  (match (h.p1_seq_ops, local_shard) with
+  | (_ :: _ as seq_ops), Some shard ->
+      commit_handler t node ~owner ~shard ~seq_ops ~locked:local_keys ()
+  | [], _ when local_keys <> [] -> abort_handler node ~owner ~locked:local_keys ()
+  | _ -> ());
+  (if h.p2_seq_ops <> [] then
+     let t_send = Engine.now t.ctl.engine in
+     notify t ~src ~dst:p2 ~bytes:(Wire.write_ops_b ~ops:h.p2_seq_ops) (fun () ->
+         commit_handler t t.nodes.(p2) ~owner ~shard:h.remote_shard
+           ~seq_ops:h.p2_seq_ops ~locked:h.remote_keys ();
+         Control.mark_async t.ctl a "commit-async" ~since:t_send)
+   else if h.remote_keys <> [] then
+     notify t ~src ~dst:p2
+       ~bytes:(Wire.abort_b ~n_locks:(List.length h.remote_keys))
+       (abort_handler t.nodes.(p2) ~owner ~locked:h.remote_keys));
+  (* The oracle's report, built only when one is attached. *)
+  if Option.is_some t.ctl.oracle then
+    Control.record_commit t.ctl ~id:owner
+      ~values:(h.local_values @ h.remote_values)
+      ~lock_versions:(h.local_lockv @ h.remote_lockv)
+      ~seq_ops:(h.p1_seq_ops @ h.p2_seq_ops);
+  Control.mark t.ctl a "commit";
+  `Committed
 
 (* -- Local fast path (§4.2.4) --------------------------------------- *)
 
@@ -1037,24 +1233,105 @@ let commit_local t node a ~shard ~seq_ops ~locked =
       commit_handler t node ~owner ~shard ~seq_ops ~locked ();
       Control.mark_async t.ctl a "commit-async" ~since:t_send)
 
+(* The host's optimistic reads: a host operation apiece, in order. *)
+let rec host_reads t node = function
+  | [] -> []
+  | k :: rest ->
+      Process.sleep t.ctl.engine t.hw.host_op_ns;
+      let value =
+        match Storage.read node.storage k with
+        | Some (v, seq) -> (k, Some v, seq)
+        | None -> (k, None, 0)
+      in
+      value :: host_reads t node rest
+
+(* A read-only local transaction's re-check at the host. *)
+let rec host_versions_hold storage = function
+  | [] -> true
+  | (k, _, seq) :: rest ->
+      (match Storage.read storage k with
+      | Some (_, seq') -> seq' = seq
+      | None -> seq = 0)
+      && host_versions_hold storage rest
+
+(* The host-read versions against the NIC's authoritative metadata:
+   ordered keys pass, a key another owner locked fails. *)
+let rec nic_versions_hold idx io ~owner = function
+  | [] -> true
+  | (k, _, host_seq) :: rest ->
+      (Keyspace.ordered k
+      ||
+      match Xenic_store.Nic_index.lock_owner idx k with
+      | Some o when o <> owner -> false
+      | _ ->
+          Option.value ~default:0 (Xenic_store.Nic_index.version idx io k)
+          = host_seq)
+      && nic_versions_hold idx io ~owner rest
+
+(* At the coordinator's NIC, with a core held: lock the write set, then
+   validate the host reads. *)
+let lock_local t node ~owner (txn : Types.t) values =
+  Smartnic.core_work_held node.nic ~ops:(List.length txn.write_set) ~bytes:0;
+  let idx =
+    match txn.write_set with
+    | [] -> invalid_arg "local_txn: no writes"
+    | k :: _ -> idx_for node k
+  in
+  match lock_all idx node.io ~owner txn.write_set with
+  | exception Conflict -> `Lock_fail
+  | lockv ->
+      if nic_versions_hold idx node.io ~owner values then `Ok lockv
+      else begin
+        unlock_versions idx ~owner lockv;
+        Xenic_stats.Counter.incr (counters t) "validate_conflicts_local_w";
+        `Validate_fail
+      end
+
+(* A local transaction that writes: lock and validate at the local NIC,
+   then replicate and commit. *)
+let local_write t node ~shard (txn : Types.t) a ~epoch0 values ops =
+  let owner = a.Control.owner and src = node.id in
+  (* Ship the transaction state to the local NIC (one PCIe crossing). *)
+  Attrib.set_phase "validate";
+  Smartnic.host_msg node.nic;
+  let cores = Smartnic.cores node.nic in
+  Resource.acquire cores;
+  let lock_result = lock_local t node ~owner txn values in
+  Resource.release cores;
+  match lock_result with
+  | `Lock_fail ->
+      Smartnic.host_msg node.nic;
+      `Aborted Metrics.Lock_conflict
+  | `Validate_fail ->
+      Smartnic.host_msg node.nic;
+      `Aborted Metrics.Validation_failure
+  | `Ok lock_versions ->
+      Control.mark t.ctl a "validate";
+      let seq_ops = Types.seq_ops_of ~lock_versions ops in
+      let result =
+        Control.commit_point t.ctl a ~epoch0
+          ~log:(log_phase t ~src [ (shard, seq_ops) ])
+          ~commit:(fun () ->
+            Control.record_commit t.ctl ~id:owner ~values ~lock_versions
+              ~seq_ops;
+            commit_local t node a ~shard ~seq_ops ~locked:txn.write_set)
+          ~abort:(abort_handler node ~owner ~locked:txn.write_set)
+      in
+      (* The outcome crosses back to the host — unless the coordinator
+         crashed mid-LOG, taking its NIC with it. *)
+      (match result with
+      | `Aborted Metrics.Crashed_owner -> ()
+      | _ -> Smartnic.host_msg node.nic);
+      result
+
 (* Local transactions execute optimistically on the host against the
    host-side structures; write transactions then lock/validate at the
    local NIC index before replicating. *)
 let local_txn t node ~shard (txn : Types.t) a : Control.outcome =
-  let owner = a.Control.owner in
-  let src = node.id in
   let epoch0 = t.ctl.epoch in
   Attrib.set_phase "execute";
   Resource.acquire node.app;
-  let values =
-    List.map
-      (fun k ->
-        Process.sleep t.ctl.engine t.hw.host_op_ns;
-        match Storage.read node.storage k with
-        | Some (v, seq) -> (k, Some v, seq)
-        | None -> (k, None, 0))
-      txn.read_set
-  in
+  let values = host_reads t node txn.read_set in
   Process.sleep t.ctl.engine txn.host_exec_ns;
   let exec_result = txn.exec (Types.view_of values) in
   Resource.release node.app;
@@ -1068,121 +1345,48 @@ let local_txn t node ~shard (txn : Types.t) a : Control.outcome =
       let result = distributed_txn t node txn a in
       Smartnic.host_msg node.nic;
       result
-  | Types.Done ops ->
-  if ops = [] && txn.write_set = [] then begin
-    (* Read-only local transaction: re-check versions at the host. *)
-    Attrib.set_phase "validate";
-    let ok =
-      List.for_all
-        (fun (k, _, seq) ->
-          match Storage.read node.storage k with
-          | Some (_, seq') -> seq' = seq
-          | None -> seq = 0)
-        values
-    in
-    Control.mark t.ctl a "validate";
-    if ok then begin
-      Control.record_commit t.ctl ~id:owner ~values ~lock_versions:[]
-        ~seq_ops:[];
-      `Committed
-    end
-    else begin
-      Xenic_stats.Counter.incr (counters t) "validate_conflicts_local_ro";
-      `Aborted Metrics.Validation_failure
-    end
-  end
-  else begin
-    (* Ship the transaction state to the local NIC (one PCIe crossing). *)
-    Attrib.set_phase "validate";
-    Smartnic.host_msg node.nic;
-    let lock_result =
-      with_core node (fun () ->
-          Smartnic.core_work_held node.nic ~ops:(List.length txn.write_set) ~bytes:0;
-          let idx =
-            match txn.write_set with
-            | [] -> invalid_arg "local_txn: no writes"
-            | k :: _ -> idx_for node k
-          in
-          match lock_all idx node.io ~owner txn.write_set with
-          | None -> `Lock_fail
-          | Some lockv ->
-              (* Validate the host-read versions against the NIC's
-                 authoritative metadata. *)
-              let ok =
-                List.for_all
-                  (fun (k, _, host_seq) ->
-                    if Keyspace.ordered k then true
-                    else
-                      match Xenic_store.Nic_index.lock_owner idx k with
-                      | Some o when o <> owner -> false
-                      | _ ->
-                          let current =
-                            Option.value ~default:0
-                              (Xenic_store.Nic_index.version idx node.io k)
-                          in
-                          current = host_seq)
-                  values
-              in
-              if ok then `Ok lockv
-              else begin
-                List.iter
-                  (fun (k, _) -> Xenic_store.Nic_index.unlock idx k ~owner)
-                  lockv;
-                Xenic_stats.Counter.incr (counters t) "validate_conflicts_local_w";
-                `Validate_fail
-              end)
-    in
-    match lock_result with
-    | `Lock_fail ->
-        Smartnic.host_msg node.nic;
-        `Aborted Metrics.Lock_conflict
-    | `Validate_fail ->
-        Smartnic.host_msg node.nic;
+  | Types.Done [] when txn.write_set = [] ->
+      (* Read-only local transaction: re-check versions at the host. *)
+      Attrib.set_phase "validate";
+      let ok = host_versions_hold node.storage values in
+      Control.mark t.ctl a "validate";
+      if ok then begin
+        Control.record_commit t.ctl ~id:a.owner ~values ~lock_versions:[]
+          ~seq_ops:[];
+        `Committed
+      end
+      else begin
+        Xenic_stats.Counter.incr (counters t) "validate_conflicts_local_ro";
         `Aborted Metrics.Validation_failure
-    | `Ok lock_versions ->
-        Control.mark t.ctl a "validate";
-        let seq_ops = Types.seq_ops_of ~lock_versions ops in
-        let result =
-          Control.commit_point t.ctl a ~epoch0
-            ~log:(log_phase t ~src [ (shard, seq_ops) ])
-            ~commit:(fun () ->
-              Control.record_commit t.ctl ~id:owner ~values ~lock_versions
-                ~seq_ops;
-              commit_local t node a ~shard ~seq_ops ~locked:txn.write_set)
-            ~abort:(abort_handler node ~owner ~locked:txn.write_set)
-        in
-        (* The outcome crosses back to the host — unless the coordinator
-           crashed mid-LOG, taking its NIC with it. *)
-        (match result with
-        | `Aborted Metrics.Crashed_owner -> ()
-        | _ -> Smartnic.host_msg node.nic);
-        result
-  end
+      end
+  | Types.Done ops -> local_write t node ~shard txn a ~epoch0 values ops
 
 (* ------------------------------------------------------------------ *)
 (* Entry point *)
 
+let route t n (txn : Types.t) a =
+  match Types.single_shard txn with
+  | Some s when primary_of t ~shard:s = n.id ->
+      Xenic_stats.Counter.incr (counters t) "txns_local";
+      local_txn t n ~shard:s txn a
+  | _ ->
+      if multihop_eligible t n txn then begin
+        Xenic_stats.Counter.incr (counters t) "txns_multihop";
+        multihop_txn t n txn a
+      end
+      else begin
+        Xenic_stats.Counter.incr (counters t) "txns_distributed";
+        (* Host -> coordinator NIC crossing, protocol on the NIC, and
+           the Committed/Aborted report back to the host. *)
+        Smartnic.host_msg n.nic;
+        let result = distributed_txn t n txn a in
+        Smartnic.host_msg n.nic;
+        result
+      end
+
 let run_txn t ~node (txn : Types.t) =
   let n = t.nodes.(node) in
-  Control.run_txn t.ctl ~node (fun a ->
-      match Types.single_shard txn with
-      | Some s when primary_of t ~shard:s = node ->
-          Xenic_stats.Counter.incr (counters t) "txns_local";
-          local_txn t n ~shard:s txn a
-      | _ ->
-          if multihop_eligible t n txn then begin
-            Xenic_stats.Counter.incr (counters t) "txns_multihop";
-            multihop_txn t n txn a
-          end
-          else begin
-            Xenic_stats.Counter.incr (counters t) "txns_distributed";
-            (* Host -> coordinator NIC crossing, protocol on the NIC, and
-               the Committed/Aborted report back to the host. *)
-            Smartnic.host_msg n.nic;
-            let result = distributed_txn t n txn a in
-            Smartnic.host_msg n.nic;
-            result
-          end)
+  Control.run_txn t.ctl ~node (fun a -> route t n txn a)
 
 (* After [Control.quiesce] every NIC index must be lock-free and every
    host log drained. *)

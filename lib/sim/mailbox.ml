@@ -1,32 +1,36 @@
 (* Delivery to a parked receiver goes through the engine (so the
-   sender keeps running to completion first) via [deliver], a closure
-   built once with the waiter, which a loop that parks again and again
-   reuses; the value crosses over in [pending]. [send] therefore
-   schedules a pre-existing closure instead of allocating a fresh
-   [fun () -> w.k v] per message — this is on the simulator's per-event
-   hot path. *)
+   sender keeps running to completion first). A loop's waiter is built
+   once with its [deliver] closure, which the engine runs and which
+   reads the value from [pending]: [send] schedules a pre-existing
+   closure and boxes nothing — this is on the simulator's per-event hot
+   path. Between hand-overs [pending] holds [dummy], so a delivered
+   value is not retained. One-shot receivers ({!recv}, {!recv_then})
+   get a closure per delivery instead. *)
 type 'a waiter = {
   k : 'a -> unit;
-  mutable pending : 'a option;
+  dummy : 'a;
+  mutable pending : 'a;
   mutable deliver : unit -> unit;
+  mutable parked : 'a receiver;  (* [Loop] of this waiter, built once *)
 }
 
-let waiter k =
-  let w = { k; pending = None; deliver = ignore } in
+and 'a receiver = Once of ('a -> unit) | Loop of 'a waiter
+
+let waiter ~dummy k =
+  let w = { k; dummy; pending = dummy; deliver = ignore; parked = Once k } in
   w.deliver <-
     (fun () ->
-      match w.pending with
-      | Some v ->
-          w.pending <- None;
-          w.k v
-      | None -> ());
+      let v = w.pending in
+      w.pending <- w.dummy;
+      w.k v);
+  w.parked <- Loop w;
   w
 
 type 'a t = {
   engine : Engine.t;
   name : string;
   items : 'a Queue.t;
-  waiters : 'a waiter Queue.t;
+  waiters : 'a receiver Queue.t;
 }
 
 let create ?(name = "<mailbox>") engine =
@@ -45,22 +49,26 @@ let create ?(name = "<mailbox>") engine =
 let length t = Queue.length t.items
 
 let send t v =
-  match Queue.take_opt t.waiters with
-  | Some w ->
-      w.pending <- Some v;
-      Engine.after t.engine 0.0 w.deliver
-  | None -> Queue.add v t.items
+  if Queue.is_empty t.waiters then Queue.add v t.items
+  else
+    match Queue.take t.waiters with
+    | Loop w ->
+        w.pending <- v;
+        Engine.after t.engine 0.0 w.deliver
+    | Once k -> Engine.after t.engine 0.0 (fun () -> k v)
 
 let recv t =
   match Queue.take_opt t.items with
   | Some v -> v
-  | None ->
-      Process.suspend (fun resume -> Queue.add (waiter resume) t.waiters)
+  | None -> Process.suspend (fun resume -> Queue.add (Once resume) t.waiters)
 
 let park t w =
-  if Queue.is_empty t.items then Queue.add w t.waiters else w.k (Queue.take t.items)
+  if Queue.is_empty t.items then Queue.add w.parked t.waiters
+  else w.k (Queue.take t.items)
 
-let recv_then t k = park t (waiter k)
+let recv_then t k =
+  if Queue.is_empty t.items then Queue.add (Once k) t.waiters
+  else k (Queue.take t.items)
 
 let recv_opt t = Queue.take_opt t.items
 

@@ -31,8 +31,10 @@ val recv_then : 'a t -> ('a -> unit) -> unit
 (** A receiver built once for a loop that parks again and again. *)
 type 'a waiter
 
-(** [waiter k] builds the receiver that {!park} hands messages to [k]. *)
-val waiter : ('a -> unit) -> 'a waiter
+(** [waiter ~dummy k] builds the receiver that {!park} hands messages
+    to [k]. [dummy] is never delivered: it stands in the waiter's
+    hand-over slot between messages, so none is retained. *)
+val waiter : dummy:'a -> ('a -> unit) -> 'a waiter
 
 (** [park t w] is [recv_then t k] for [w = waiter k], with no waiter
     or closure built per park. A waiter may be parked once at a time:

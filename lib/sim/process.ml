@@ -105,24 +105,35 @@ let sleep ?node engine delay =
   s.s_delay <- delay;
   try perform Sleep with Effect.Unhandled _ -> raise Not_in_process
 
+(* One fork/join: the results array is made from the first branch to
+   finish (so it needs no [option] per slot), and [wake] resumes the
+   joining process once [remaining] reaches zero. *)
+type 'a join = {
+  mutable results : 'a array;
+  mutable remaining : int;
+  mutable wake : unit -> unit;
+}
+
+let branch j n i f () =
+  let r = f () in
+  if Array.length j.results = 0 then j.results <- Array.make n r
+  else j.results.(i) <- r;
+  j.remaining <- j.remaining - 1;
+  if j.remaining = 0 then j.wake ()
+
+let rec spawn_branches engine j n i = function
+  | [] -> ()
+  | f :: rest ->
+      spawn engine (branch j n i f);
+      spawn_branches engine j n (i + 1) rest
+
 let parallel engine thunks =
   match thunks with
   | [] -> []
   | [ f ] -> [ f () ]
   | _ ->
       let n = List.length thunks in
-      let results = Array.make n None in
-      let remaining = ref n in
-      let waiter = ref None in
-      List.iteri
-        (fun i f ->
-          spawn engine (fun () ->
-              let r = f () in
-              results.(i) <- Some r;
-              decr remaining;
-              if !remaining = 0 then
-                match !waiter with Some resume -> resume () | None -> ()))
-        thunks;
-      if !remaining > 0 then suspend (fun resume -> waiter := Some resume);
-      Array.to_list results
-      |> List.map (function Some r -> r | None -> assert false)
+      let j = { results = [||]; remaining = n; wake = ignore } in
+      spawn_branches engine j n 0 thunks;
+      if j.remaining > 0 then suspend (fun resume -> j.wake <- resume);
+      Array.to_list j.results

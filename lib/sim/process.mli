@@ -27,5 +27,6 @@ val suspend : (('a -> unit) -> unit) -> 'a
 
 (** [parallel engine thunks] runs each thunk as its own process and
     blocks the caller until all have finished, returning their results
-    in order — the fork/join used for fan-out requests. *)
+    in order — the fork/join used for fan-out requests. A single thunk
+    runs inline in the caller, with no process of its own. *)
 val parallel : Engine.t -> (unit -> 'a) list -> 'a list

@@ -130,17 +130,22 @@ let increment_spec p ~nodes =
 let celebrity_ranks = 16
 
 let openloop_spec p =
+  (* The spec's zeta sums at its own theta, computed once for every
+     coordinator of every system it makes. Only [make] touches [memo],
+     and [make] runs at setup, on one domain. *)
+  let memo = Zipf.cache () in
   {
     Openloop.name = "retwis-open";
     make =
       (fun ~nodes ~node ->
         ignore node;
         let n = p.keys_per_node * nodes in
-        (* Per-coordinator zeta cache: phases revisit the same few
-           thetas, so after each theta's first arrival the Zipf rebuild
-           is a table hit. One cache per coordinator — never shared
-           across engine partitions. *)
-        let cache = Zipf.cache () in
+        ignore (Zipf.create_cached memo ~n ~theta:p.zipf_theta);
+        (* Per-coordinator zeta cache, seeded from [memo]: phases
+           revisit the same few thetas, so after each theta's first
+           arrival the Zipf rebuild is a table hit. One cache per
+           coordinator — never shared across engine partitions. *)
+        let cache = Zipf.copy_cache memo in
         fun rng ~theta ~hot ->
           let z = Zipf.create_cached cache ~n ~theta in
           if hot then begin

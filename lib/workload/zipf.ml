@@ -25,6 +25,13 @@ type cache = (int64, (int * float) list ref) Hashtbl.t
 
 let cache () : cache = Hashtbl.create 8
 
+(* The frontier lists are immutable, so a copy shares them and owns
+   only its table and refs. *)
+let copy_cache (c : cache) : cache =
+  let c' = Hashtbl.copy c in
+  Hashtbl.filter_map_inplace (fun _ pts -> Some (ref !pts)) c';
+  c'
+
 let zeta_from ~n0 ~sum0 n theta =
   let sum = ref sum0 in
   for i = n0 + 1 to n do

@@ -16,6 +16,10 @@ type cache
 
 val cache : unit -> cache
 
+(** [copy_cache c] is a cache of its own holding [c]'s memoized sums:
+    a caller that owns [c] may seed others from it. *)
+val copy_cache : cache -> cache
+
 (** [create_cached c ~n ~theta] is observationally {e bit-identical} to
     [create ~n ~theta] (same fields, same sampling), but reuses and
     incrementally extends the zeta partial sums memoized in [c]: the

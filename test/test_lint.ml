@@ -498,6 +498,37 @@ let test_closures () =
        ~current:(inv "let g x = let rec h y = y in h x\n"))
       .Ratchet.added
 
+let test_closures_lambdas () =
+  let inv src =
+    match Lint.parse_impl ~filename:"lib/x/s.ml" src with
+    | Some ast -> Closures.inventory [ ("lib/x/s.ml", ast) ]
+    | None -> Alcotest.fail "sample does not parse"
+  in
+  let base =
+    "let walk f xs = List.iter (fun x -> f x) xs\n\
+     let own a b = function 0 -> a | _ -> b\n\
+     let chain xs = List.map (fun a b -> a + b) xs\n\
+     let local x = let g y = x + y in let rec r n = if n = 0 then g 0 else r (n - 1) in r x\n\
+     let plain x = x + 1\n"
+  in
+  Alcotest.(check (list string))
+    "anonymous and let-bound functions by definition, a fun chain once; \
+     the definition's own parameters and a nested let rec's right-hand \
+     side are not counted"
+    [
+      "lib/x/s.ml chain lambdas=1";
+      "lib/x/s.ml local lambdas=1";
+      "lib/x/s.ml local.r";
+      "lib/x/s.ml walk lambdas=1";
+    ]
+    (inv base);
+  let diff =
+    Ratchet.diff ~baseline:(inv base)
+      ~current:(inv (base ^ "let hot k xs = List.exists (fun x -> x = k) xs\n"))
+  in
+  Alcotest.(check (list string)) "a new capturing lambda is an added ratchet line"
+    [ "lib/x/s.ml hot lambdas=1" ] diff.Ratchet.added
+
 (* ---- JSON rendering ------------------------------------------------- *)
 
 let test_json () =
@@ -572,5 +603,7 @@ let () =
           Alcotest.test_case "ratchet" `Quick test_ratchet;
           Alcotest.test_case "options inventory" `Quick test_options;
           Alcotest.test_case "closures inventory" `Quick test_closures;
+          Alcotest.test_case "closures inventory lambdas" `Quick
+            test_closures_lambdas;
         ] );
     ]

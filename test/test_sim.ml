@@ -288,6 +288,49 @@ let test_process_parallel () =
     [ (30.0, [ 1; 2; 3 ]) ]
     !result
 
+(* Branches finishing in the reverse of their order still join into a
+   list in branch order, with float results too; a single thunk runs
+   inline, in the caller's process: the context it sets stays set (a
+   spawned process's would be undone when it suspends), and the call
+   allocates nothing but the one-element result list. *)
+let test_process_parallel_order () =
+  let eng = Engine.create () in
+  let got = ref [] and floats = ref [] and ctx_kept = ref false in
+  let words = ref 0.0 in
+  let mine = { Attrib.default with Attrib.phase = "inline" } in
+  Process.spawn eng (fun () ->
+      got :=
+        Process.parallel eng
+          (List.init 5 (fun i () ->
+               Process.sleep eng (float_of_int (50 - (10 * i)));
+               i));
+      floats :=
+        Process.parallel eng
+          [
+            (fun () ->
+              Process.sleep eng 2.0;
+              0.5);
+            (fun () ->
+              Process.sleep eng 1.0;
+              1.5);
+          ];
+      let inline () =
+        Attrib.set mine;
+        7
+      in
+      let thunks = [ inline ] in
+      let w0 = Gc.minor_words () in
+      let r = Process.parallel eng thunks in
+      words := Gc.minor_words () -. w0;
+      ctx_kept := Attrib.get () == mine && r = [ 7 ]);
+  ignore (Engine.run eng);
+  Alcotest.(check (list int)) "branch order" [ 0; 1; 2; 3; 4 ] !got;
+  Alcotest.(check (list (float 0.0))) "float results" [ 0.5; 1.5 ] !floats;
+  Alcotest.(check bool) "single thunk ran inline" true !ctx_kept;
+  Alcotest.(check bool)
+    (Printf.sprintf "single thunk: %.0f words, the result list" !words)
+    true (!words <= 3.0)
+
 let test_suspend_outside_process () =
   Alcotest.check_raises "not in process" Process.Not_in_process (fun () ->
       ignore (Process.suspend (fun _ -> ())))
@@ -596,7 +639,7 @@ let test_aggregator_batches () =
   let eng = Engine.create () in
   let hw = Xenic_params.Hw.testbed in
   let fabric = Xenic_net.Fabric.create eng hw ~nodes:2 in
-  let agg = Xenic_net.Aggregator.create fabric ~src:0 ~enabled:true in
+  let agg = Xenic_net.Aggregator.create fabric ~src:0 ~enabled:true ~dummy:"" in
   let got = ref [] in
   Process.spawn eng (fun () ->
       let pkt = Mailbox.recv (Xenic_net.Fabric.rx fabric 1) in
@@ -613,7 +656,7 @@ let test_aggregator_disabled () =
   let eng = Engine.create () in
   let hw = Xenic_params.Hw.testbed in
   let fabric = Xenic_net.Fabric.create eng hw ~nodes:2 in
-  let agg = Xenic_net.Aggregator.create fabric ~src:0 ~enabled:false in
+  let agg = Xenic_net.Aggregator.create fabric ~src:0 ~enabled:false ~dummy:"" in
   let frames = ref 0 in
   Process.spawn eng (fun () ->
       for _ = 1 to 3 do
@@ -630,7 +673,7 @@ let test_aggregator_flush_all () =
   let eng = Engine.create () in
   let hw = Xenic_params.Hw.testbed in
   let fabric = Xenic_net.Fabric.create eng hw ~nodes:3 in
-  let agg = Xenic_net.Aggregator.create fabric ~src:0 ~enabled:true in
+  let agg = Xenic_net.Aggregator.create fabric ~src:0 ~enabled:true ~dummy:"" in
   Xenic_net.Aggregator.push agg ~dst:1 ~bytes:10 "a";
   Xenic_net.Aggregator.push agg ~dst:2 ~bytes:10 "b";
   (* Force out both gather lists before their windows expire. *)
@@ -639,6 +682,29 @@ let test_aggregator_flush_all () =
   Alcotest.(check int) "two messages" 2 (Xenic_net.Aggregator.messages agg);
   ignore (Engine.run eng)
 
+(* A flushed batch leaves no message behind: its gather slot holds the
+   dummy, so once the frame is taken from the mailbox the message is
+   garbage. *)
+let test_aggregator_retains_nothing () =
+  let eng = Engine.create () in
+  let hw = Xenic_params.Hw.testbed in
+  let fabric = Xenic_net.Fabric.create eng hw ~nodes:2 in
+  let agg =
+    Xenic_net.Aggregator.create fabric ~src:0 ~enabled:true ~dummy:Bytes.empty
+  in
+  let seen = Weak.create 1 in
+  (let msg = Bytes.make 16 'm' in
+   Weak.set seen 0 (Some msg);
+   Xenic_net.Aggregator.push agg ~dst:1 ~bytes:16 msg);
+  ignore (Engine.run eng);
+  let rx = Xenic_net.Fabric.rx fabric 1 in
+  Alcotest.(check int) "one frame delivered" 1 (Mailbox.length rx);
+  ignore (Mailbox.recv_opt rx);
+  Gc.full_major ();
+  Alcotest.(check bool) "message collected" false (Weak.check seen 0);
+  (* The aggregator is still live here, so its slots were scanned. *)
+  Alcotest.(check int) "one frame sent" 1 (Xenic_net.Aggregator.frames agg)
+
 let test_aggregator_stale_timer () =
   (* Regression: a window timer armed for a batch that was then flushed
      by the size trigger must not fire into the next batch — the stale
@@ -646,7 +712,7 @@ let test_aggregator_stale_timer () =
   let eng = Engine.create () in
   let hw = Xenic_params.Hw.testbed in
   let fabric = Xenic_net.Fabric.create eng hw ~nodes:2 in
-  let agg = Xenic_net.Aggregator.create fabric ~src:0 ~enabled:true in
+  let agg = Xenic_net.Aggregator.create fabric ~src:0 ~enabled:true ~dummy:"" in
   let w = hw.agg_window_ns in
   Process.spawn eng (fun () ->
       ignore (Mailbox.recv (Xenic_net.Fabric.rx fabric 1));
@@ -688,7 +754,7 @@ let test_aggregator_mtu_flush () =
   let eng = Engine.create () in
   let hw = Xenic_params.Hw.testbed in
   let fabric = Xenic_net.Fabric.create eng hw ~nodes:2 in
-  let agg = Xenic_net.Aggregator.create fabric ~src:0 ~enabled:true in
+  let agg = Xenic_net.Aggregator.create fabric ~src:0 ~enabled:true ~dummy:"" in
   let count = ref 0 in
   Process.spawn eng (fun () ->
       let pkt = Mailbox.recv (Xenic_net.Fabric.rx fabric 1) in
@@ -1048,22 +1114,23 @@ let test_alloc_dma_write () =
              ignore))
 
 (* One message through the aggregator, flushed by its window timer into
-   a frame of its own. *)
+   a frame of its own. The gather slots hold messages, not options of
+   them; a [Some] per message made it 46. *)
 let test_alloc_aggregated_message () =
   let hw = Xenic_params.Hw.testbed in
-  check_words "Aggregator.push flushed by its window" ~bound:46.0
+  check_words "Aggregator.push flushed by its window" ~bound:44.0
     (ticked_words (fun eng ->
          let fabric = Xenic_net.Fabric.create eng hw ~nodes:2 in
-         let agg = Xenic_net.Aggregator.create fabric ~src:0 ~enabled:true in
+         let agg = Xenic_net.Aggregator.create fabric ~src:0 ~enabled:true ~dummy:() in
          fun () -> Xenic_net.Aggregator.push agg ~dst:1 ~bytes:16 ()))
 
 (* A one-reply frame into node 1's dispatch loop: the frame, the NIC's
    packet-I/O hold and the reply's delivery in the dispatch event. The
    loop parks with a mailbox waiter it built once; a waiter and its
-   closure per park made it 65. *)
+   closure per park made it 65, and a [Some] per hand-over 57. *)
 let test_alloc_reply_dispatch () =
   let hw = Xenic_params.Hw.testbed in
-  check_words "reply frame through a dispatch loop" ~bound:57.0
+  check_words "reply frame through a dispatch loop" ~bound:53.0
     (ticked_words (fun eng ->
          let cfg = Xenic_cluster.Config.make ~nodes:2 ~replication:1 in
          let ctl =
@@ -1134,6 +1201,8 @@ let () =
         [
           Alcotest.test_case "sleep timeline" `Quick test_process_sleep;
           Alcotest.test_case "parallel join" `Quick test_process_parallel;
+          Alcotest.test_case "parallel order and inline" `Quick
+            test_process_parallel_order;
           Alcotest.test_case "suspend outside" `Quick test_suspend_outside_process;
         ] );
       ( "mailbox",
@@ -1183,6 +1252,8 @@ let () =
           Alcotest.test_case "aggregation off" `Quick test_aggregator_disabled;
           Alcotest.test_case "mtu flush" `Quick test_aggregator_mtu_flush;
           Alcotest.test_case "flush all" `Quick test_aggregator_flush_all;
+          Alcotest.test_case "retains nothing" `Quick
+            test_aggregator_retains_nothing;
           Alcotest.test_case "stale timer" `Quick test_aggregator_stale_timer;
           Alcotest.test_case "accounting" `Quick test_fabric_accounting;
         ] );

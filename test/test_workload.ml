@@ -72,7 +72,24 @@ let test_zipf_cached_identity () =
   let r1 = Rng.create ~seed:9L and r2 = Rng.create ~seed:9L in
   for _ = 1 to 500 do
     Alcotest.(check int) "repeat hit" (Zipf.sample a r1) (Zipf.sample b r2)
-  done
+  done;
+  (* A copied cache answers identically, and extending the copy leaves
+     the original's frontier where it was. *)
+  let copy = Zipf.copy_cache cache in
+  List.iter
+    (fun n ->
+      let naive = Zipf.create ~n ~theta:0.9 in
+      let copied = Zipf.create_cached copy ~n ~theta:0.9 in
+      let original = Zipf.create_cached cache ~n ~theta:0.9 in
+      let r1 = Rng.create ~seed:5L
+      and r2 = Rng.create ~seed:5L
+      and r3 = Rng.create ~seed:5L in
+      for _ = 1 to 500 do
+        let a = Zipf.sample naive r1 in
+        Alcotest.(check int) "copy hit" a (Zipf.sample copied r2);
+        Alcotest.(check int) "original hit" a (Zipf.sample original r3)
+      done)
+    [ 500; 3_000; 700 ]
 
 (* ------------------------------------------------------------------ *)
 (* TPC-C keys *)
