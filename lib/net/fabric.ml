@@ -146,35 +146,26 @@ let hop_delay t ~src ~dst =
 let is_cut t ~src ~dst =
   match t.faults with None -> false | Some f -> f.rows.(src).f_cut.(dst)
 
-let rec when_reachable t ~src ~dst k =
-  if is_cut t ~src ~dst then
-    Engine.after t.engine t.hw.wire_latency_ns (fun () ->
-        when_reachable t ~src ~dst k)
-  else k ()
-
-let wait_reachable t ~src ~dst =
-  if is_cut t ~src ~dst then
-    Process.suspend (fun resume -> when_reachable t ~src ~dst resume)
-
 (* A frame is one record and one step closure, not a process: the step
    is scheduled for the tx hold's end, each cut poll, the wire hop's
-   arrival and the rx hold's end — the same engine events, in the same
-   order, as {!transfer} followed by a mailbox send. Both link holds
-   are attributed to the sender's context, captured at [send]. *)
-type 'm frame = {
+   arrival and the rx hold's end. Both link holds are attributed to the
+   sender's context, captured at [send] (or given to [carry]). Once the
+   rx hold ends, [finish] takes the frame's payload: [deliver] puts a
+   packet in the receive mailbox, [landed] runs a verb's continuation. *)
+type ('m, 'p) frame = {
   fabric : 'm t;
   f_src : int;
   f_dst : int;
   f_ctx : Attrib.ctx;
   f_serialization : float;
-  packet : 'm Packet.t;
+  payload : 'p;
   mutable f_stage : int;
       (* 0: holding tx; 1: polling a cut link; 2: crossing the wire;
          3: holding rx *)
   mutable f_step : unit -> unit;
 }
 
-let step fr =
+let step finish fr =
   let t = fr.fabric and src = fr.f_src and dst = fr.f_dst in
   match fr.f_stage with
   | 0 | 1 ->
@@ -183,10 +174,10 @@ let step fr =
         fr.f_stage <- 1
       end;
       (* A cut link polls here once per base wire latency (see
-         {!when_reachable}). Otherwise the wire hop is the partition
-         handoff: the rx/delivery work after it runs on the destination
-         node's partition. Wire latency is exactly the partitioned
-         engine's lookahead, so the hop is legal in windowed mode by
+         {!is_cut}). Otherwise the wire hop is the partition handoff:
+         the rx/delivery work after it runs on the destination node's
+         partition. Wire latency is exactly the partitioned engine's
+         lookahead, so the hop is legal in windowed mode by
          construction (fault delays only ever add to it). *)
       if is_cut t ~src ~dst then
         Engine.after t.engine t.hw.wire_latency_ns fr.f_step
@@ -200,38 +191,43 @@ let step fr =
       Resource.hold_then t.node_arr.(dst).rx_link fr.f_ctx fr.f_serialization
         fr.f_step
   | _ ->
-      let rx = t.node_arr.(dst) in
-      Resource.release_as rx.rx_link fr.f_ctx;
-      Mailbox.send rx.inbox fr.packet
+      Resource.release_as t.node_arr.(dst).rx_link fr.f_ctx;
+      finish fr
+
+let deliver fr = Mailbox.send fr.fabric.node_arr.(fr.f_dst).inbox fr.payload
+
+let landed fr = fr.payload ()
+
+(* A frame of [wire_bytes] from [src], counted on the source's wire
+   counters. *)
+let frame t ~src ~dst ~wire_bytes ctx payload =
+  t.frames_arr.(src) <- t.frames_arr.(src) + 1;
+  t.bytes_arr.(src) <- t.bytes_arr.(src) + wire_bytes;
+  {
+    fabric = t;
+    f_src = src;
+    f_dst = dst;
+    f_ctx = ctx;
+    f_serialization = float_of_int wire_bytes /. rate t;
+    payload;
+    f_stage = 0;
+    f_step = ignore;
+  }
 
 let send t ~src ~dst ~payload_bytes msgs =
   let wire_bytes = payload_bytes + t.hw.eth_frame_overhead_b in
-  t.frames_arr.(src) <- t.frames_arr.(src) + 1;
-  t.bytes_arr.(src) <- t.bytes_arr.(src) + wire_bytes;
   let fr =
-    {
-      fabric = t;
-      f_src = src;
-      f_dst = dst;
-      f_ctx = Attrib.get ();
-      f_serialization = float_of_int wire_bytes /. rate t;
-      packet = { Packet.src; dst; wire_bytes; msgs };
-      f_stage = 0;
-      f_step = ignore;
-    }
+    frame t ~src ~dst ~wire_bytes (Attrib.get ())
+      { Packet.src; dst; wire_bytes; msgs }
   in
-  fr.f_step <- (fun () -> step fr);
+  fr.f_step <- (fun () -> step deliver fr);
   Resource.hold_then t.node_arr.(src).tx fr.f_ctx fr.f_serialization fr.f_step
 
-let transfer t ~src ~dst ~payload_bytes =
+let carry t ~src ~dst ~payload_bytes ctx k =
   let wire_bytes = payload_bytes + t.hw.eth_frame_overhead_b in
-  t.frames_arr.(src) <- t.frames_arr.(src) + 1;
-  t.bytes_arr.(src) <- t.bytes_arr.(src) + wire_bytes;
-  let serialization = float_of_int wire_bytes /. rate t in
-  Resource.use t.node_arr.(src).tx serialization;
-  wait_reachable t ~src ~dst;
-  Process.sleep ~node:dst t.engine (hop_delay t ~src ~dst);
-  Resource.use t.node_arr.(dst).rx_link serialization
+  let fr = frame t ~src ~dst ~wire_bytes ctx k in
+  fr.f_step <- (fun () -> step landed fr);
+  Resource.hold_then t.node_arr.(src).tx ctx fr.f_serialization fr.f_step
 
 let loopback t ~node msgs =
   let packet = { Packet.src = node; dst = node; wire_bytes = 0; msgs } in

@@ -28,13 +28,23 @@ val rx : 'm t -> int -> 'm Packet.t Xenic_sim.Mailbox.t
     touching the wire (used for same-node protocol messages). *)
 val loopback : 'm t -> node:int -> 'm list -> unit
 
-(** [transfer t ~src ~dst ~payload_bytes] blocks the calling process
-    while occupying the links and traversing the wire, without
-    delivering to the receive mailbox — the transport of
-    hardware-terminated traffic such as one-sided RDMA verbs. Framing
-    overhead is added here, symmetric with {!send}; [payload_bytes]
-    covers the verb's headers and data only. *)
-val transfer : 'm t -> src:int -> dst:int -> payload_bytes:int -> unit
+(** [carry t ~src ~dst ~payload_bytes ctx k] is the transport of
+    hardware-terminated traffic such as a one-sided RDMA verb's request
+    or response: a frame that occupies the links and crosses the wire
+    like one from {!send}, with both link holds attributed to [ctx],
+    and then runs [k] as the destination's rx hold ends instead of
+    delivering to the receive mailbox. It never blocks: [k] runs under
+    whatever context is ambient then. Framing overhead is added here,
+    symmetric with {!send}; [payload_bytes] covers the verb's headers
+    and data only. *)
+val carry :
+  'm t ->
+  src:int ->
+  dst:int ->
+  payload_bytes:int ->
+  Xenic_sim.Attrib.ctx ->
+  (unit -> unit) ->
+  unit
 
 (** Link units (TX + RX) of [node] held right now, in [0, 2]; for
     utilization-timeline sampling. *)

@@ -78,39 +78,138 @@ let target_pcie_ns t = function
       (* CAS is a PCIe read-modify-write on host memory. *)
       t.hw.rdma_target_read_pcie_ns +. (0.5 *. t.hw.rdma_target_write_pcie_ns)
 
-(* [pay_submit] charges the initiator doorbell; a batch pays it once. *)
-let post ~pay_submit t ~src ~dst verb ~bytes ~at_target =
-  t.verbs_arr.(src) <- t.verbs_arr.(src) + 1;
-  if pay_submit then Process.sleep (engine t) t.hw.rdma_submit_ns;
-  Resource.use t.units.(src) (unit_ns t ~node:src);
-  Fabric.transfer t.fabric ~src ~dst
-    ~payload_bytes:(request_bytes t verb ~bytes);
-  Resource.use t.units.(dst) (unit_ns t ~node:dst);
-  Process.sleep (engine t) (target_pcie_ns t verb);
-  let result = at_target () in
-  Fabric.transfer t.fabric ~src:dst ~dst:src
-    ~payload_bytes:(response_bytes t verb ~bytes);
-  Resource.use t.units.(src) (unit_ns t ~node:src);
-  Process.sleep (engine t) t.hw.rdma_completion_poll_ns;
-  result
+(* A verb is one record and one step closure, not a process: the step
+   is scheduled for each stage's end — the doorbell (first verb of a
+   batch only), the source NIC-unit hold, the request's wire leg, the
+   target-unit hold, the target's PCIe access, the response's wire leg,
+   the source-unit hold and the completion poll — the events a process
+   sleeping, using the units and crossing the links would run. Every
+   hold is attributed to the issuer's context, captured when the verb
+   is issued, and [at_target] and the completion run under it. *)
+type ('m, 'a) op = {
+  rdma : 'm t;
+  o_src : int;
+  o_dst : int;
+  o_verb : verb;
+  o_bytes : int;
+  o_ctx : Attrib.ctx;
+  o_at_target : unit -> 'a;
+  mutable o_k : 'a -> unit;
+  mutable o_result : 'a option;
+  mutable o_stage : int;
+      (* what the next step does: 0 hold the source unit; 1 send the
+         request; 2 hold the target unit; 3 access host memory; 4 run
+         [at_target] and send the response; 5 hold the source unit; 6
+         poll the completion; 7 complete *)
+  mutable o_step : unit -> unit;
+}
+
+let hold o ~node =
+  let t = o.rdma in
+  o.o_stage <- o.o_stage + 1;
+  Resource.hold_then t.units.(node) o.o_ctx (unit_ns t ~node) o.o_step
+
+let respond o r =
+  let t = o.rdma in
+  o.o_result <- Some r;
+  o.o_stage <- 5;
+  Fabric.carry t.fabric ~src:o.o_dst ~dst:o.o_src
+    ~payload_bytes:(response_bytes t o.o_verb ~bytes:o.o_bytes)
+    o.o_ctx o.o_step
+
+let step o =
+  let t = o.rdma and src = o.o_src and dst = o.o_dst in
+  match o.o_stage with
+  | 0 | 5 -> hold o ~node:src
+  | 2 -> hold o ~node:dst
+  | 1 ->
+      Resource.release_as t.units.(src) o.o_ctx;
+      o.o_stage <- 2;
+      Fabric.carry t.fabric ~src ~dst
+        ~payload_bytes:(request_bytes t o.o_verb ~bytes:o.o_bytes)
+        o.o_ctx o.o_step
+  | 3 ->
+      Resource.release_as t.units.(dst) o.o_ctx;
+      o.o_stage <- 4;
+      Engine.after (engine t) (target_pcie_ns t o.o_verb) o.o_step
+  | 4 -> (
+      let ambient = Attrib.get () in
+      Attrib.set o.o_ctx;
+      match o.o_at_target () with
+      | r ->
+          Attrib.set ambient;
+          respond o r
+      | exception Process.Not_in_process ->
+          (* [at_target] blocked (a log append waiting for space): it
+             runs again from the start in a process of its own, which
+             answers once it returns — where the verb's own process
+             resumed. *)
+          Process.spawn (engine t) (fun () -> respond o (o.o_at_target ()));
+          Attrib.set ambient)
+  | 6 ->
+      Resource.release_as t.units.(src) o.o_ctx;
+      o.o_stage <- 7;
+      Engine.after (engine t) t.hw.rdma_completion_poll_ns o.o_step
+  | _ -> (
+      match o.o_result with
+      | Some r ->
+          let ambient = Attrib.get () in
+          Attrib.set o.o_ctx;
+          o.o_k r;
+          Attrib.set ambient
+      | None -> assert false)
+
+let op t ~src ~dst verb ~bytes ~at_target k =
+  let o =
+    {
+      rdma = t;
+      o_src = src;
+      o_dst = dst;
+      o_verb = verb;
+      o_bytes = bytes;
+      o_ctx = Attrib.get ();
+      o_at_target = at_target;
+      o_k = k;
+      o_result = None;
+      o_stage = 0;
+      o_step = ignore;
+    }
+  in
+  o.o_step <- (fun () -> step o);
+  o
+
+(* [doorbell] charges the initiator doorbell; a batch pays it once. *)
+let start o ~doorbell =
+  let t = o.rdma in
+  t.verbs_arr.(o.o_src) <- t.verbs_arr.(o.o_src) + 1;
+  if doorbell then Engine.after (engine t) t.hw.rdma_submit_ns o.o_step
+  else step o
+
+let post t ~src ~dst verb ~bytes ~doorbell ~at_target k =
+  start (op t ~src ~dst verb ~bytes ~at_target k) ~doorbell
 
 let one_sided t ~src ~dst verb ~bytes ~at_target =
-  post ~pay_submit:true t ~src ~dst verb ~bytes ~at_target
+  let o = op t ~src ~dst verb ~bytes ~at_target ignore in
+  Process.suspend (fun resume ->
+      o.o_k <- resume;
+      start o ~doorbell:true)
+
+let rec post_batch t ~src j i = function
+  | [] -> ()
+  | (dst, verb, bytes, at_target) :: rest ->
+      post t ~src ~dst verb ~bytes ~doorbell:(i = 0) ~at_target
+        (Process.arrive j i);
+      post_batch t ~src j (i + 1) rest
 
 let one_sided_many t ~src verbs =
   match verbs with
   | [] -> []
-  | (dst, verb, bytes, at_target) :: rest ->
-      let first () =
-        post ~pay_submit:true t ~src ~dst verb ~bytes ~at_target
-      in
-      let others =
-        List.map
-          (fun (dst, verb, bytes, at_target) () ->
-            post ~pay_submit:false t ~src ~dst verb ~bytes ~at_target)
-          rest
-      in
-      Process.parallel (engine t) (first :: others)
+  | [ (dst, verb, bytes, at_target) ] ->
+      [ one_sided t ~src ~dst verb ~bytes ~at_target ]
+  | _ ->
+      let j = Process.join (List.length verbs) in
+      post_batch t ~src j 0 verbs;
+      Process.await j
 
 (* A SEND is one record and one step closure, not a process: the step
    is scheduled for the doorbell's end and the NIC unit hold's end —

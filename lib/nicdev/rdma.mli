@@ -8,7 +8,13 @@
     closure at the instant the target NIC performs the memory access —
     the verb's linearization point — so reads, writes and
     compare-and-swap take effect against the real data structures with
-    correct timing. *)
+    correct timing.
+
+    [at_target] runs inside the verb's engine event, not in a process.
+    It may still block (a host-log append waiting for space): it is
+    then run again from the start in a process of its own, and the
+    verb answers when it returns. So an [at_target] that can block must
+    change nothing before its first blocking point. *)
 
 type 'm t
 
@@ -21,7 +27,8 @@ val hw : 'm t -> Xenic_params.Hw.t
 (** [one_sided t ~src ~dst verb ~bytes ~at_target] issues one verb and
     blocks until completion, returning [at_target]'s result. It pays
     the initiator doorbell cost; {!one_sided_many} amortizes it across
-    a batch. *)
+    a batch. The verb runs as a callback chain ({!post}); the caller
+    suspends once. *)
 val one_sided :
   'm t ->
   src:int ->
@@ -32,12 +39,31 @@ val one_sided :
   'a
 
 (** [one_sided_many t ~src verbs] issues a batch behind one doorbell,
-    in parallel, and blocks until all complete. *)
+    in parallel, and blocks until all complete, returning the results
+    in order. The verbs complete into one {!Xenic_sim.Process.join}:
+    the caller suspends once, and no verb has a process of its own. *)
 val one_sided_many :
   'm t ->
   src:int ->
   (int * verb * int * (unit -> 'a)) list ->
   'a list
+
+(** [post t ~src ~dst verb ~bytes ~doorbell ~at_target k] is one verb
+    as a callback chain, callable from any context; it returns at once.
+    The verb pays the initiator doorbell if [doorbell] (a batch's first
+    verb), is attributed to the caller's context, runs [at_target] at
+    the target under that context, and runs [k] with its result under
+    that context when the completion poll ends. *)
+val post :
+  'm t ->
+  src:int ->
+  dst:int ->
+  verb ->
+  bytes:int ->
+  doorbell:bool ->
+  at_target:(unit -> 'a) ->
+  ('a -> unit) ->
+  unit
 
 (** [rpc_send t ~src ~dst ~bytes msg] transmits a two-sided SEND
     carrying [msg]: the doorbell, a hold of [src]'s NIC unit, then the

@@ -703,9 +703,12 @@ type transport = {
 (* The crashed-target shortcut: the requester cannot know the peer is
    gone, so it pays the full deadline, exactly as if the request had
    been dropped. *)
-let give_up t =
+let give_up_then t k =
   Xenic_stats.Counter.incr (counters t) "req_timeouts";
-  Process.sleep t.engine req_timeout_ns;
+  Engine.after t.engine req_timeout_ns k
+
+let give_up t =
+  Process.suspend (give_up_then t);
   `Down
 
 (* An un-armed round trip in flight: what its delivery and response

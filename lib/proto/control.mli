@@ -435,6 +435,10 @@ type transport = {
     un-armed. *)
 val give_up : t -> [> `Down ]
 
+(** {!give_up} for a caller that is not a process: count one
+    [req_timeouts] and run [k] once the full timeout has passed. *)
+val give_up_then : t -> (unit -> unit) -> unit
+
 (** [call t tr ?epoch0 ~src ~dst ~req_bytes ~resp_bytes handler] sends
     a request of [req_bytes] from [src] to [dst], runs [handler] at
     [dst] and returns its result in a response of [resp_bytes r] bytes.

@@ -167,22 +167,31 @@ let one_sided t ~src ~dst verb ~bytes ~at_target =
     Rdma.one_sided t.rdma ~src ~dst verb ~bytes ~at_target
   end
 
+(* A batch's local accesses, in order, each a plain host-memory
+   operation before the remote verbs go out. *)
+let rec local_accesses t ~src = function
+  | [] -> []
+  | (dst, _, _, at_target) :: rest when dst = src ->
+      Process.sleep t.ctl.engine t.hw.host_op_ns;
+      let r = at_target () in
+      r :: local_accesses t ~src rest
+  | _ :: rest -> local_accesses t ~src rest
+
+let rec remote_verbs ~src = function
+  | [] -> []
+  | ((dst, _, _, _) as v) :: rest ->
+      if dst <> src then v :: remote_verbs ~src rest else remote_verbs ~src rest
+
 let one_sided_many t ~src verbs =
-  let remote, local =
-    List.partition (fun (dst, _, _, _) -> dst <> src) verbs
-  in
-  let local_results =
-    List.map
-      (fun (_, _, _, at_target) ->
-        Process.sleep t.ctl.engine t.hw.host_op_ns;
-        at_target ())
-      local
+  let remote, local_results =
+    match local_accesses t ~src verbs with
+    | [] -> (verbs, [])
+    | results -> (remote_verbs ~src verbs, results)
   in
   Xenic_stats.Counter.add (counters t) "verbs" (List.length remote);
-  let remote_results =
-    if remote = [] then [] else Rdma.one_sided_many t.rdma ~src remote
-  in
-  local_results @ remote_results
+  match remote with
+  | [] -> local_results
+  | _ -> local_results @ Rdma.one_sided_many t.rdma ~src remote
 
 (* Armed entry guards for one-sided verbs: a verb against a crashed
    target never completes, and nothing executes there. *)
@@ -196,9 +205,12 @@ let one_sided_t t ~src ~dst verb ~bytes ~at_target =
    crashed, the batch fails without executing anywhere — the
    coordinator sees the missing completion and gives up on the whole
    attempt, so no partial remote state is installed. *)
+let rec any_down t ~src = function
+  | [] -> false
+  | (dst, _, _, _) :: rest -> down t ~src ~dst || any_down t ~src rest
+
 let one_sided_many_t t ~src verbs =
-  if List.exists (fun (dst, _, _, _) -> down t ~src ~dst) verbs then
-    Control.give_up t.ctl
+  if any_down t ~src verbs then Control.give_up t.ctl
   else `Ok (one_sided_many t ~src verbs)
 
 (* ------------------------------------------------------------------ *)
@@ -308,64 +320,170 @@ let value_slot_b t ~node k =
   let v = Storage.read_value t.ctl.storage.(node) k in
   Xenic_store.Kv.slot_bytes ~value_b:(Option.fold ~none:0 ~some:Bytes.length v)
 
-(* One-sided execution read: with the address cache the coordinator
+(* One key's execution read, a branch of the attempt's read join: [hops]
+   round trips to the key's primary, each a one-sided READ with its own
+   doorbell (a host-memory access when the coordinator is the primary),
+   the value read on the last. With the address cache the coordinator
    reads the object's exact location; without it (NC) it walks the
-   chained buckets, one READ of B slots per bucket. *)
-let one_sided_read t ~src k =
-  let shard = Keyspace.shard k in
-  let primary = primary_of t ~shard in
-  match t.flavor with
-  | Farm | Drtmh_nc ->
-      (* FaRM: one READ of the H-slot neighborhood; overflow keys need a
-         second roundtrip for the chain (§2.2.2, Table 2). NC: one READ
-         of B slots per chained bucket walked. *)
-      let cost, slots =
-        match (Storage.shard_store t.ctl.storage.(primary) ~shard).hash with
-        | Storage.Hopscotch h -> (Xenic_store.Hopscotch.lookup_cost h k, 8)
-        | Storage.Chained c -> (Xenic_store.Chained.lookup_cost c k, bucket_b)
-        | Storage.Robinhood _ -> invalid_arg "Rdma_system: Robinhood store"
-      in
-      let reads = match cost with Some (_, rts) -> rts | None -> 1 in
-      let result = ref None in
-      for hop = 1 to reads do
-        let at_target () =
-          if hop = reads then result := obj_read t ~node:primary k
-        in
-        one_sided t ~src ~dst:primary Rdma.Read
-          ~bytes:(slots * Xenic_store.Kv.slot_bytes ~value_b:64)
-          ~at_target
-      done;
-      Xenic_stats.Counter.add (counters t) "read_roundtrips" reads;
-      !result
-  | _ ->
-      let r =
-        one_sided t ~src ~dst:primary Rdma.Read
-          ~bytes:(value_slot_b t ~node:primary k)
-          ~at_target:(fun () -> obj_read t ~node:primary k)
-      in
-      Xenic_stats.Counter.incr (counters t) "read_roundtrips";
-      r
+   chained buckets, one READ of B slots per bucket; FaRM reads the
+   H-slot neighborhood, and an overflow key needs a second round trip
+   for the chain (§2.2.2, Table 2). A record, not a fiber: each hop's
+   completion starts the next, the last arrives at the join. *)
+type xread = {
+  sys : t;
+  x_src : int;
+  x_primary : int;
+  x_key : Keyspace.t;
+  x_bytes : int;
+  x_hops : int;
+  mutable x_hop : int;  (* round trips done *)
+  x_ctx : Attrib.ctx;
+  x_join : (bytes * int) option Process.join;
+  x_slot : int;
+}
 
-let one_sided_read_t t ~src k =
-  if down t ~src ~dst:(primary_of t ~shard:(Keyspace.shard k)) then
-    Control.give_up t.ctl
-  else `Ok (one_sided_read t ~src k)
+let xread t ~src ~primary j slot k =
+  let hops, bytes =
+    match t.flavor with
+    | Farm | Drtmh_nc ->
+        let shard = Keyspace.shard k in
+        let cost, slots =
+          match (Storage.shard_store t.ctl.storage.(primary) ~shard).hash with
+          | Storage.Hopscotch h -> (Xenic_store.Hopscotch.lookup_cost h k, 8)
+          | Storage.Chained c -> (Xenic_store.Chained.lookup_cost c k, bucket_b)
+          | Storage.Robinhood _ -> invalid_arg "Rdma_system: Robinhood store"
+        in
+        ( (match cost with Some (_, rts) -> rts | None -> 1),
+          slots * Xenic_store.Kv.slot_bytes ~value_b:64 )
+    | Drtmh | Fasst | Drtmr -> (1, value_slot_b t ~node:primary k)
+  in
+  {
+    sys = t;
+    x_src = src;
+    x_primary = primary;
+    x_key = k;
+    x_bytes = bytes;
+    x_hops = hops;
+    x_hop = 0;
+    x_ctx = Attrib.get ();
+    x_join = j;
+    x_slot = slot;
+  }
+
+(* What the current hop reads at the primary: the object, on the last. *)
+let xread_value x =
+  if x.x_hop = x.x_hops - 1 then obj_read x.sys ~node:x.x_primary x.x_key
+  else None
+
+let rec xread_hop x =
+  let t = x.sys in
+  if x.x_primary = x.x_src then
+    Engine.after t.ctl.engine t.hw.host_op_ns (fun () -> xread_local x)
+  else begin
+    Xenic_stats.Counter.incr (counters t) "verbs";
+    Rdma.post t.rdma ~src:x.x_src ~dst:x.x_primary Rdma.Read ~bytes:x.x_bytes
+      ~doorbell:true
+      ~at_target:(fun () -> xread_value x)
+      (fun r -> xread_done x r)
+  end
+
+and xread_local x =
+  let ambient = Attrib.get () in
+  Attrib.set x.x_ctx;
+  xread_done x (xread_value x);
+  Attrib.set ambient
+
+and xread_done x r =
+  x.x_hop <- x.x_hop + 1;
+  if x.x_hop < x.x_hops then xread_hop x
+  else begin
+    Xenic_stats.Counter.add (counters x.sys) "read_roundtrips" x.x_hops;
+    Process.arrive x.x_join x.x_slot r
+  end
+
+(* Start the reads of [keys] from slot [i] on; [true] if a key's primary
+   is down: nothing is read for it, and its slot arrives empty after the
+   full request timeout. *)
+let rec start_reads t ~src j i any_down = function
+  | [] -> any_down
+  | k :: rest ->
+      let primary = primary_of t ~shard:(Keyspace.shard k) in
+      if down t ~src ~dst:primary then begin
+        Control.give_up_then t.ctl (fun () -> Process.arrive j i None);
+        start_reads t ~src j (i + 1) true rest
+      end
+      else begin
+        xread_hop (xread t ~src ~primary j i k);
+        start_reads t ~src j (i + 1) any_down rest
+      end
+
+let rec read_entries keys results =
+  match (keys, results) with
+  | k :: keys, Some (v, seq) :: results ->
+      (k, Some v, seq) :: read_entries keys results
+  | k :: keys, None :: results -> (k, None, 0) :: read_entries keys results
+  | _ -> []
+
+(* The execution phase of DrTM+H, DrTM+H (NC) and FaRM: every read-set
+   object, all keys at once, the caller suspended once. `Down if a
+   key's primary is down. *)
+let exec_reads t ~src keys =
+  let j = Process.join (List.length keys) in
+  let any_down = start_reads t ~src j 0 false keys in
+  let results = Process.await j in
+  if any_down then `Down else `Ok (read_entries keys results)
 
 (* ------------------------------------------------------------------ *)
-(* Phase implementations *)
+(* Phase implementations
+
+   The walks below are top-level functions, not closures built per
+   call. Each keeps its list's order, which fixes the order of requests
+   and with it the order of events. *)
+
+let small_resp_b _ = Wire.small_resp_b
+
+(* [node]'s version of [k] now; 0 for an absent key. *)
+let version t ~node k =
+  match obj_read t ~node k with Some (_, s) -> s | None -> 0
+
+let rec unlock_keys t ~node ~owner = function
+  | [] -> ()
+  | k :: keys ->
+      unlock t ~node k ~owner;
+      unlock_keys t ~node ~owner keys
+
+let rec unlock_versions t ~node ~owner = function
+  | [] -> ()
+  | (k, _) :: rest ->
+      unlock t ~node k ~owner;
+      unlock_versions t ~node ~owner rest
+
+(* The keys of [shard] among [keys], and the others, each in list
+   order. *)
+let rec shard_keys shard = function
+  | [] -> []
+  | k :: keys ->
+      if Keyspace.shard k = shard then k :: shard_keys shard keys
+      else shard_keys shard keys
+
+let rec other_keys shard = function
+  | [] -> []
+  | k :: keys ->
+      if Keyspace.shard k = shard then other_keys shard keys
+      else k :: other_keys shard keys
 
 (* DrTM+R's one-sided unlock: one WRITE per key. *)
-let unlock_verbs t ~primary ~owner keys =
-  List.map
-    (fun k ->
-      (primary, Rdma.Write, 16, fun () -> unlock t ~node:primary k ~owner))
-    keys
+let rec unlock_verbs t ~primary ~owner = function
+  | [] -> []
+  | k :: keys ->
+      (primary, Rdma.Write, 16, fun () -> unlock t ~node:primary k ~owner)
+      :: unlock_verbs t ~primary ~owner keys
 
 (* Release [keys], all of [shard], at its current primary. Locks at a
    crashed primary died with its memory. No epoch stamp: an abort must
    land across a bump (unlock is owner-guarded, so it is safe in any
    configuration). *)
-let release_shard t a (shard, keys) =
+let release_shard t a shard keys =
   let src = a.Control.coord and owner = a.owner in
   let primary = primary_of t ~shard in
   if not t.ctl.crashed.(primary) then
@@ -376,366 +494,453 @@ let release_shard t a (shard, keys) =
         ignore
           (rpc t ~src ~dst:primary
              ~req_bytes:(Wire.abort_b ~n_locks:(List.length keys))
-             ~resp_bytes:(fun _ -> Wire.small_resp_b)
-             ~handler_ns:t.hw.host_rpc_ns
-             (fun () ->
-               List.iter (fun k -> unlock t ~node:primary k ~owner) keys))
+             ~resp_bytes:small_resp_b ~handler_ns:t.hw.host_rpc_ns
+             (fun () -> unlock_keys t ~node:primary ~owner keys))
+
+let rec release_groups t a = function
+  | [] -> ()
+  | (shard, keys) :: rest ->
+      release_shard t a shard keys;
+      release_groups t a rest
+
+(* Release [keys], shard by shard; within a shard, unlocks go out in
+   reverse order. *)
+let release_keys t a keys =
+  release_groups t a (Types.group_by_shard Fun.id (List.rev keys))
 
 (* Lock-acquire RPC handler at [primary]: lock [keys] in order, with
-   each key's version at lock time; on a conflict release the locks
-   already taken and return [None]. *)
-let lock_at t ~primary ~owner keys =
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | k :: rest ->
-        if try_lock t ~node:primary k ~owner then
-          let seq =
-            match obj_read t ~node:primary k with Some (_, s) -> s | None -> 0
-          in
-          go ((k, seq) :: acc) rest
-        else begin
-          List.iter (fun (k', _) -> unlock t ~node:primary k' ~owner) acc;
-          None
-        end
-  in
-  go [] keys
+   each key's version at lock time ([taken] holds those already locked,
+   latest first); on a conflict release the locks already taken and
+   return [None]. *)
+let rec lock_at t ~primary ~owner taken = function
+  | [] -> Some (List.rev taken)
+  | k :: rest ->
+      if try_lock t ~node:primary k ~owner then
+        lock_at t ~primary ~owner ((k, version t ~node:primary k) :: taken) rest
+      else begin
+        unlock_versions t ~node:primary ~owner taken;
+        None
+      end
 
-(* Gather per-shard lock results [(shard, `Down | `Fail | `Ok (lock
-   versions, values))]. Any `Down or `Fail releases the locks taken at
-   the other shards; otherwise the lock versions and values of every
-   shard, in result order. *)
+(* Per-shard lock results [(shard, `Down | `Fail | `Ok (lock versions,
+   values))]. *)
+let rec has_down = function
+  | [] -> false
+  | (_, `Down) :: _ -> true
+  | _ :: rest -> has_down rest
+
+let rec has_fail = function
+  | [] -> false
+  | (_, `Fail) :: _ -> true
+  | _ :: rest -> has_fail rest
+
+let rec release_taken t a = function
+  | [] -> ()
+  | (shard, `Ok ((_ :: _ as lockv), _)) :: rest ->
+      release_shard t a shard (List.map fst lockv);
+      release_taken t a rest
+  | _ :: rest -> release_taken t a rest
+
+(* Every shard's lock versions, then every shard's values, each in
+   result order; one shard's list is returned as it is. *)
+let rec lock_versions_of = function
+  | [] -> []
+  | (_, `Ok (lv, _)) :: rest -> (
+      match lock_versions_of rest with [] -> lv | tail -> lv @ tail)
+  | _ :: rest -> lock_versions_of rest
+
+let rec values_of = function
+  | [] -> []
+  | (_, `Ok (_, vs)) :: rest -> (
+      match values_of rest with [] -> vs | tail -> vs @ tail)
+  | _ :: rest -> values_of rest
+
+(* Gather per-shard lock results. Any `Down or `Fail releases the locks
+   taken at the other shards; otherwise the lock versions and values of
+   every shard, in result order. *)
 let gather_locks t a results =
-  let down = List.exists (fun (_, r) -> r = `Down) results in
-  if down || List.exists (fun (_, r) -> r = `Fail) results then begin
+  let down = has_down results in
+  if down || has_fail results then begin
     if not down then
       Xenic_stats.Counter.incr (counters t) "exec_lock_conflicts";
-    List.iter
-      (fun (shard, r) ->
-        match r with
-        | `Ok (lockv, _) when lockv <> [] ->
-            release_shard t a (shard, List.map fst lockv)
-        | _ -> ())
-      results;
+    release_taken t a results;
     if down then `Down else `Fail
   end
-  else
-    `Ok
-      ( List.concat_map
-          (fun (_, r) -> match r with `Ok (lv, _) -> lv | _ -> [])
-          results,
-        List.concat_map
-          (fun (_, r) -> match r with `Ok (_, vs) -> vs | _ -> [])
-          results )
+  else `Ok (lock_versions_of results, values_of results)
+
+(* The write set grouped by shard in the order the lock requests go
+   out: the shard seen last first, each shard's keys latest first (the
+   order an association list built key by key gives). *)
+let rec lock_groups = function
+  | [] -> []
+  | k :: _ as keys ->
+      let shard = Keyspace.shard k in
+      (shard, shard_keys shard keys) :: lock_groups (other_keys shard keys)
+
+(* DrTM+R's CAS of each key's lock word. *)
+let rec cas_verbs t ~primary ~owner = function
+  | [] -> []
+  | k :: keys ->
+      ( primary,
+        Rdma.Cas,
+        16,
+        fun () -> if try_lock t ~node:primary k ~owner then `Got k else `Held )
+      :: cas_verbs t ~primary ~owner keys
+
+let rec acquired = function
+  | [] -> []
+  | `Got k :: rest -> k :: acquired rest
+  | `Held :: rest -> acquired rest
+
+(* DrTM+R's READ of each locked key's value. *)
+let rec read_verbs t ~primary = function
+  | [] -> []
+  | k :: keys ->
+      ( primary,
+        Rdma.Read,
+        value_slot_b t ~node:primary k,
+        fun () -> (k, obj_read t ~node:primary k) )
+      :: read_verbs t ~primary keys
+
+let rec read_versions = function
+  | [] -> []
+  | (k, Some (_, seq)) :: rest -> (k, seq) :: read_versions rest
+  | (k, None) :: rest -> (k, 0) :: read_versions rest
+
+let rec read_values = function
+  | [] -> []
+  | (k, Some (v, seq)) :: rest -> (k, Some v, seq) :: read_values rest
+  | (k, None) :: rest -> (k, None, 0) :: read_values rest
+
+let lock_resp_b = function
+  | None -> Wire.small_resp_b
+  | Some lockv -> Wire.small_resp_b + (8 * List.length lockv)
+
+(* Lock [keys], all of [shard]: DrTM+R CAS-locks each key one-sided and
+   then READs the locked values; the others send one lock RPC. *)
+let lock_shard t a ~epoch0 (shard, keys) () =
+  let src = a.Control.coord and owner = a.owner in
+  let primary = primary_of t ~shard in
+  match t.flavor with
+  | Drtmr -> (
+      match one_sided_many_t t ~src (cas_verbs t ~primary ~owner keys) with
+      | `Down -> (shard, `Down)
+      | `Ok cas_results -> (
+          let got = acquired cas_results in
+          if List.length got <> List.length keys then begin
+            if got <> [] then
+              ignore
+                (one_sided_many_t t ~src (unlock_verbs t ~primary ~owner got));
+            (shard, `Fail)
+          end
+          else
+            match one_sided_many_t t ~src (read_verbs t ~primary keys) with
+            | `Down -> (shard, `Down)
+            | `Ok reads ->
+                (shard, `Ok (read_versions reads, read_values reads))))
+  | _ -> (
+      (* Lock RPC: acquires the shard's locks and returns versions
+         only — in DrTM+H the object values were already retrieved by
+         one-sided execution reads ("retrieve the value, then lock"). *)
+      let r =
+        rpc t ~epoch0 ~src ~dst:primary
+          ~req_bytes:
+            (Wire.execute_req_b ~n_reads:0 ~n_locks:(List.length keys)
+               ~state_bytes:0)
+          ~resp_bytes:lock_resp_b
+          ~handler_ns:
+            (t.hw.host_rpc_ns
+            +. (float_of_int (List.length keys) *. t.hw.host_op_ns))
+          (fun () -> lock_at t ~primary ~owner [] keys)
+      in
+      match r with
+      | `Down -> (shard, `Down)
+      | `Ok None -> (shard, `Fail)
+      | `Ok (Some lockv) -> (shard, `Ok (lockv, [])))
 
 (* Lock the write set. DrTM+H, DrTM+H (NC) and FaRM lock via one RPC
    per shard; DrTM+R CAS-locks each key one-sided and then READs the
    locked values. Returns the lock versions and DrTM+R's values read,
    or `Fail / `Down with every acquired lock already released. *)
 let lock_phase t a ~epoch0 (write_keys : Keyspace.t list) =
-  let src = a.Control.coord and owner = a.owner in
-  let by_shard = ref [] in
-  List.iter
-    (fun k ->
-      let s = Keyspace.shard k in
-      by_shard :=
-        (s, k :: (try List.assoc s !by_shard with Not_found -> []))
-        :: List.remove_assoc s !by_shard)
-    write_keys;
-  let lock_shard (shard, keys) () =
-    let primary = primary_of t ~shard in
-    match t.flavor with
-    | Drtmr -> (
-        (* One-sided CAS per key, then READ the locked values. *)
-        match
-          one_sided_many_t t ~src
-            (List.map
-               (fun k ->
-                 ( primary,
-                   Rdma.Cas,
-                   16,
-                   fun () ->
-                     if try_lock t ~node:primary k ~owner then `Got k else `Held ))
-               keys)
-        with
-        | `Down -> (shard, `Down)
-        | `Ok cas_results -> (
-            let acquired =
-              List.filter_map
-                (function `Got k -> Some k | `Held -> None)
-                cas_results
-            in
-            if List.length acquired <> List.length keys then begin
-              if acquired <> [] then
-                ignore
-                  (one_sided_many_t t ~src
-                     (unlock_verbs t ~primary ~owner acquired));
-              (shard, `Fail)
-            end
-            else
-              match
-                one_sided_many_t t ~src
-                  (List.map
-                     (fun k ->
-                       ( primary,
-                         Rdma.Read,
-                         value_slot_b t ~node:primary k,
-                         fun () -> (k, obj_read t ~node:primary k) ))
-                     keys)
-              with
-              | `Down -> (shard, `Down)
-              | `Ok reads ->
-                  let entries =
-                    List.map
-                      (fun (k, r) ->
-                        match r with
-                        | Some (v, seq) -> (k, Some v, seq)
-                        | None -> (k, None, 0))
-                      reads
-                  in
-                  let lockv = List.map (fun (k, _, seq) -> (k, seq)) entries in
-                  (shard, `Ok (lockv, entries))))
-    | _ -> (
-        (* Lock RPC: acquires the shard's locks and returns versions
-           only — in DrTM+H the object values were already retrieved by
-           one-sided execution reads ("retrieve the value, then lock"). *)
-        let r =
-          rpc t ~epoch0 ~src ~dst:primary
-            ~req_bytes:
-              (Wire.execute_req_b ~n_reads:0 ~n_locks:(List.length keys)
-                 ~state_bytes:0)
-            ~resp_bytes:(fun r ->
-              match r with
-              | None -> Wire.small_resp_b
-              | Some lockv -> Wire.small_resp_b + (8 * List.length lockv))
-            ~handler_ns:
-              (t.hw.host_rpc_ns
-              +. (float_of_int (List.length keys) *. t.hw.host_op_ns))
-            (fun () -> lock_at t ~primary ~owner keys)
-        in
-        match r with
-        | `Down -> (shard, `Down)
-        | `Ok None -> (shard, `Fail)
-        | `Ok (Some lockv) -> (shard, `Ok (lockv, [])))
-  in
   gather_locks t a
-    (Process.parallel t.ctl.engine (List.map lock_shard !by_shard))
+    (Process.parallel t.ctl.engine
+       (List.map (lock_shard t a ~epoch0) (lock_groups (List.rev write_keys))))
+
+(* A validation check at [node]: [k] is not locked by another
+   transaction and still has the version read. *)
+let check t ~node ~owner (k, expected) =
+  (not (locked_by_other t ~node k ~owner)) && version t ~node k = expected
+
+let rec checks_hold t ~node ~owner = function
+  | [] -> true
+  | c :: rest -> check t ~node ~owner c && checks_hold t ~node ~owner rest
+
+let rec check_verbs t ~owner = function
+  | [] -> []
+  | ((k, _) as c) :: rest ->
+      let primary = primary_of t ~shard:(Keyspace.shard k) in
+      (primary, Rdma.Read, Xenic_store.Kv.slot_header_b, fun () ->
+          check t ~node:primary ~owner c)
+      :: check_verbs t ~owner rest
+
+let validate_shard t a ~epoch0 (shard, cs) () =
+  let primary = primary_of t ~shard and owner = a.Control.owner in
+  rpc t ~epoch0 ~src:a.coord ~dst:primary
+    ~req_bytes:(Wire.validate_req_b ~n_checks:(List.length cs))
+    ~resp_bytes:small_resp_b
+    ~handler_ns:
+      (t.hw.host_rpc_ns +. (float_of_int (List.length cs) *. t.hw.host_op_ns))
+    (fun () -> checks_hold t ~node:primary ~owner cs)
+
+let rec all_valid = function
+  | [] -> true
+  | `Ok true :: rest -> all_valid rest
+  | (`Ok false | `Down) :: _ -> false
+
+(* An [`Invalid] verdict counts [validate_conflicts]. *)
+let verdict t ok =
+  if ok then `Valid
+  else begin
+    Xenic_stats.Counter.incr (counters t) "validate_conflicts";
+    `Invalid
+  end
 
 (* Validation: DrTM+H/NC and FaRM re-read version words one-sided;
    FaSST uses a per-shard RPC. DrTM+R locks every key it reads, so it
-   never has checks to validate. An [`Invalid] verdict counts
-   [validate_conflicts]. *)
+   never has checks to validate. *)
 let validate_phase t a ~epoch0 checks =
-  let src = a.Control.coord and owner = a.owner in
-  let verdict ok =
-    if ok then `Valid
-    else begin
-      Xenic_stats.Counter.incr (counters t) "validate_conflicts";
-      `Invalid
-    end
-  in
   match t.flavor with
   | Fasst ->
-      let shards = Types.group_by_shard fst checks in
       let results =
         Process.parallel t.ctl.engine
-          (List.map
-             (fun (shard, cs) () ->
-               let primary = primary_of t ~shard in
-               rpc t ~epoch0 ~src ~dst:primary
-                 ~req_bytes:(Wire.validate_req_b ~n_checks:(List.length cs))
-                 ~resp_bytes:(fun _ -> Wire.small_resp_b)
-                 ~handler_ns:
-                   (t.hw.host_rpc_ns
-                   +. (float_of_int (List.length cs) *. t.hw.host_op_ns))
-                 (fun () ->
-                   List.for_all
-                     (fun (k, expected) ->
-                       (not (locked_by_other t ~node:primary k ~owner))
-                       &&
-                       let current =
-                         match obj_read t ~node:primary k with
-                         | Some (_, s) -> s
-                         | None -> 0
-                       in
-                       current = expected)
-                     cs))
-             shards)
+          (List.map (validate_shard t a ~epoch0)
+             (Types.group_by_shard fst checks))
       in
-      if List.exists (fun r -> r = `Down) results then `Down
-      else verdict (List.for_all (fun r -> r = `Ok true) results)
+      if List.mem `Down results then `Down else verdict t (all_valid results)
   | Drtmh | Drtmh_nc | Drtmr | Farm -> (
       match
-        one_sided_many_t t ~src
-          (List.map
-             (fun (k, expected) ->
-               let primary = primary_of t ~shard:(Keyspace.shard k) in
-               ( primary,
-                 Rdma.Read,
-                 Xenic_store.Kv.slot_header_b,
-                 fun () ->
-                   (not (locked_by_other t ~node:primary k ~owner))
-                   &&
-                   let current =
-                     match obj_read t ~node:primary k with
-                     | Some (_, s) -> s
-                     | None -> 0
-                   in
-                   current = expected ))
-             checks)
+        one_sided_many_t t ~src:a.Control.coord
+          (check_verbs t ~owner:a.owner checks)
       with
       | `Down -> `Down
-      | `Ok results -> verdict (List.for_all Fun.id results))
+      | `Ok results -> verdict t (List.for_all Fun.id results))
 
 (* LOG: replicate the write set to every backup, each record carrying
    [decision]. DrTM+H/NC, DrTM+R and FaRM use one-sided WRITEs into the
    backups' log regions — un-armed, as one doorbell batch — and FaSST
    uses RPCs. No epoch stamp: a fenced transaction must finish its
    replication across a bump. *)
+let append t decision (shard, backup, seq_ops) ~bytes () =
+  Control.append_log t.ctl ~node:backup t.nodes.(backup).log ~bytes ~shard
+    ~ops:seq_ops decision
+
+let record_b (_, _, seq_ops) = Wire.log_record_b ~ops:seq_ops
+
+let fasst_log t ~src decision ((_, backup, _) as target) =
+  let bytes = record_b target in
+  match
+    rpc t ~src ~dst:backup ~req_bytes:bytes ~resp_bytes:small_resp_b
+      ~handler_ns:t.hw.host_rpc_ns
+      (append t decision target ~bytes)
+  with
+  | `Ok () -> true
+  | `Down -> false
+
+let armed_log t ~src decision ((_, backup, _) as target) =
+  let bytes = record_b target in
+  match
+    one_sided_t t ~src ~dst:backup Rdma.Write ~bytes
+      ~at_target:(append t decision target ~bytes)
+  with
+  | `Ok () -> true
+  | `Down -> false
+
+let rec log_verbs t decision = function
+  | [] -> []
+  | ((_, backup, _) as target) :: rest ->
+      let bytes = record_b target in
+      (backup, Rdma.Write, bytes, append t decision target ~bytes)
+      :: log_verbs t decision rest
+
 let log_phase t ~src seq_ops_by_shard decision =
-  let record_b (_, _, seq_ops) = Wire.log_record_b ~ops:seq_ops in
-  let append (shard, backup, seq_ops) ~bytes () =
-    Control.append_log t.ctl ~node:backup t.nodes.(backup).log ~bytes ~shard
-      ~ops:seq_ops decision
-  in
   let targets = Control.log_targets t.ctl seq_ops_by_shard in
   match t.flavor with
   | Fasst ->
-      Control.replicate t.ctl ~src targets
-        ~send:(fun ((_, backup, _) as target) ->
-          let bytes = record_b target in
-          match
-            rpc t ~src ~dst:backup ~req_bytes:bytes
-              ~resp_bytes:(fun _ -> Wire.small_resp_b)
-              ~handler_ns:t.hw.host_rpc_ns (append target ~bytes)
-          with
-          | `Ok () -> true
-          | `Down -> false)
+      Control.replicate t.ctl ~src targets ~send:(fasst_log t ~src decision)
   | _ when t.p.armed ->
-      Control.replicate t.ctl ~src targets
-        ~send:(fun ((_, backup, _) as target) ->
-          let bytes = record_b target in
-          match
-            one_sided_t t ~src ~dst:backup Rdma.Write ~bytes
-              ~at_target:(append target ~bytes)
-          with
-          | `Ok () -> true
-          | `Down -> false)
-  | _ ->
-      ignore
-        (one_sided_many t ~src
-           (List.map
-              (fun ((_, backup, _) as target) ->
-                let bytes = record_b target in
-                (backup, Rdma.Write, bytes, append target ~bytes))
-              targets))
+      Control.replicate t.ctl ~src targets ~send:(armed_log t ~src decision)
+  | _ -> ignore (one_sided_many t ~src (log_verbs t decision targets))
+
+(* A primary that crashed after the (decided) LOG is skipped: its locks
+   and memory died with it, and the committed values reach the shard's
+   survivors through their backup logs before promotion. *)
+let rec live_shards t = function
+  | [] -> []
+  | ((shard, _) as s) :: rest ->
+      if t.ctl.crashed.(primary_of t ~shard) then begin
+        Xenic_stats.Counter.incr (counters t) "commit_to_dead_primary";
+        live_shards t rest
+      end
+      else s :: live_shards t rest
+
+let rec install t ~node = function
+  | [] -> ()
+  | (op, seq) :: rest ->
+      Storage.write t.ctl.storage.(node) op ~seq;
+      install t ~node rest
+
+(* Unlock the keys of [lock_versions] on [shard], in lock order. *)
+let rec unlock_shard t ~node ~owner shard = function
+  | [] -> ()
+  | (k, _) :: rest ->
+      if Keyspace.shard k = shard then unlock t ~node k ~owner;
+      unlock_shard t ~node ~owner shard rest
+
+(* DrTM+R's COMMIT: one WRITE of value, version and lock word per
+   key. *)
+let rec commit_writes t ~owner ~primary seq_ops tail =
+  match seq_ops with
+  | [] -> tail
+  | (op, seq) :: rest ->
+      ( primary,
+        Rdma.Write,
+        Op.bytes op + 16,
+        fun () ->
+          Storage.write t.ctl.storage.(primary) op ~seq;
+          unlock t ~node:primary (Op.key op) ~owner )
+      :: commit_writes t ~owner ~primary rest tail
+
+let rec commit_verbs t ~owner = function
+  | [] -> []
+  | (shard, seq_ops) :: rest ->
+      let primary = primary_of t ~shard in
+      commit_writes t ~owner ~primary seq_ops (commit_verbs t ~owner rest)
+
+(* The others' COMMIT RPC: install the shard's writes, then release its
+   locks. *)
+let commit_shard t a lock_versions (shard, seq_ops) () =
+  let primary = primary_of t ~shard and owner = a.Control.owner in
+  ignore
+    (rpc t ~src:a.coord ~dst:primary ~req_bytes:(Wire.write_ops_b ~ops:seq_ops)
+       ~resp_bytes:small_resp_b
+       ~handler_ns:
+         (t.hw.host_rpc_ns
+         +. (float_of_int (List.length seq_ops) *. t.hw.host_op_ns))
+       (fun () ->
+         install t ~node:primary seq_ops;
+         unlock_shard t ~node:primary ~owner shard lock_versions))
 
 (* COMMIT: apply new values at primaries, bump versions, release locks.
    DrTM+R writes value+version+lock in a single WRITE per key; the
    others use a per-shard RPC. *)
-let commit_phase t a seq_ops_by_shard locked_by_shard =
-  let src = a.Control.coord and owner = a.owner in
-  (* A primary that crashed after the (decided) LOG is skipped: its
-     locks and memory died with it, and the committed values reach the
-     shard's survivors through their backup logs before promotion. *)
-  let live (shard, _) =
-    let primary = primary_of t ~shard in
-    if t.ctl.crashed.(primary) then begin
-      Xenic_stats.Counter.incr (counters t) "commit_to_dead_primary";
-      false
-    end
-    else true
-  in
+let commit_phase t a seq_ops_by_shard lock_versions =
   let seq_ops_by_shard =
-    if t.p.armed then List.filter live seq_ops_by_shard else seq_ops_by_shard
+    if t.p.armed then live_shards t seq_ops_by_shard else seq_ops_by_shard
   in
   match t.flavor with
   | Drtmr ->
       ignore
-        (one_sided_many t ~src
-           (List.concat_map
-              (fun (shard, seq_ops) ->
-                let primary = primary_of t ~shard in
-                List.map
-                  (fun (op, seq) ->
-                    ( primary,
-                      Rdma.Write,
-                      Op.bytes op + 16,
-                      fun () ->
-                        Storage.write t.ctl.storage.(primary) op ~seq;
-                        unlock t ~node:primary (Op.key op) ~owner ))
-                  seq_ops)
-              seq_ops_by_shard))
+        (one_sided_many t ~src:a.Control.coord
+           (commit_verbs t ~owner:a.owner seq_ops_by_shard))
   | _ ->
       ignore
         (Process.parallel t.ctl.engine
-           (List.map
-              (fun (shard, seq_ops) () ->
-                let primary = primary_of t ~shard in
-                let locked =
-                  Option.value ~default:[] (List.assoc_opt shard locked_by_shard)
-                in
-                let bytes = Wire.write_ops_b ~ops:seq_ops in
-                ignore
-                  (rpc t ~src ~dst:primary ~req_bytes:bytes
-                     ~resp_bytes:(fun _ -> Wire.small_resp_b)
-                     ~handler_ns:
-                       (t.hw.host_rpc_ns
-                       +. float_of_int (List.length seq_ops) *. t.hw.host_op_ns)
-                     (fun () ->
-                       List.iter
-                         (fun (op, seq) ->
-                           Storage.write t.ctl.storage.(primary) op ~seq)
-                         seq_ops;
-                       List.iter (fun k -> unlock t ~node:primary k ~owner) locked)))
-              seq_ops_by_shard))
+           (List.map (commit_shard t a lock_versions) seq_ops_by_shard))
 
 (* ------------------------------------------------------------------ *)
 (* Transaction driver *)
 
+let rec read_values_at t ~node = function
+  | [] -> []
+  | k :: keys -> (
+      match obj_read t ~node k with
+      | Some (v, seq) -> (k, Some v, seq) :: read_values_at t ~node keys
+      | None -> (k, None, 0) :: read_values_at t ~node keys)
+
+let execute_resp_b = function
+  | `Fail -> Wire.small_resp_b
+  | `Ok (_, values) -> Wire.execute_resp_b ~values
+
+(* FaSST's execute RPC for [shard]: lock its write-set keys and read its
+   read-set keys. *)
+let fasst_shard t a ~epoch0 ~reads ~locks shard () =
+  let primary = primary_of t ~shard and owner = a.Control.owner in
+  let s_reads = shard_keys shard reads and s_locks = shard_keys shard locks in
+  let r =
+    rpc t ~epoch0 ~src:a.coord ~dst:primary
+      ~req_bytes:
+        (Wire.execute_req_b ~n_reads:(List.length s_reads)
+           ~n_locks:(List.length s_locks) ~state_bytes:0)
+      ~resp_bytes:execute_resp_b
+      ~handler_ns:
+        (t.hw.host_rpc_ns
+        +. float_of_int (List.length s_reads + List.length s_locks)
+           *. t.hw.host_op_ns)
+      (fun () ->
+        match lock_at t ~primary ~owner [] s_locks with
+        | None -> `Fail
+        | Some lockv -> `Ok (lockv, read_values_at t ~node:primary s_reads))
+  in
+  match r with
+  | `Down -> (shard, `Down)
+  | `Ok `Fail -> (shard, `Fail)
+  | `Ok (`Ok entries) -> (shard, `Ok entries)
+
 (* FaSST's consolidated execute: one RPC per shard locks that shard's
    write-set keys AND reads its read-set keys (§2.2.2). *)
 let fasst_execute t a ~epoch0 ~reads ~locks =
-  let src = a.Control.coord and owner = a.owner in
   let shards =
     List.sort_uniq compare (List.map Keyspace.shard (reads @ locks))
   in
-  let one shard () =
-    let primary = primary_of t ~shard in
-    let s_reads = List.filter (fun k -> Keyspace.shard k = shard) reads in
-    let s_locks = List.filter (fun k -> Keyspace.shard k = shard) locks in
-    let r =
-      rpc t ~epoch0 ~src ~dst:primary
-        ~req_bytes:
-          (Wire.execute_req_b ~n_reads:(List.length s_reads)
-             ~n_locks:(List.length s_locks) ~state_bytes:0)
-        ~resp_bytes:(fun r ->
-          match r with
-          | `Fail -> Wire.small_resp_b
-          | `Ok (_, values) -> Wire.execute_resp_b ~values)
-        ~handler_ns:
-          (t.hw.host_rpc_ns
-          +. float_of_int (List.length s_reads + List.length s_locks)
-             *. t.hw.host_op_ns)
-        (fun () ->
-          match lock_at t ~primary ~owner s_locks with
-          | None -> `Fail
-          | Some lockv ->
-              let values =
-                List.map
-                  (fun k ->
-                    match obj_read t ~node:primary k with
-                    | Some (v, seq) -> (k, Some v, seq)
-                    | None -> (k, None, 0))
-                  s_reads
-              in
-              `Ok (lockv, values))
-    in
-    match r with
-    | `Down -> (shard, `Down)
-    | `Ok `Fail -> (shard, `Fail)
-    | `Ok (`Ok entries) -> (shard, `Ok entries)
-  in
-  gather_locks t a (Process.parallel t.ctl.engine (List.map one shards))
+  gather_locks t a
+    (Process.parallel t.ctl.engine
+       (List.map (fasst_shard t a ~epoch0 ~reads ~locks) shards))
+
+(* The execution-read version of [k]; [Not_found] if it was not read. *)
+let rec read_version k = function
+  | [] -> raise Not_found
+  | (k', _, seq) :: rest -> if k' = k then seq else read_version k rest
+
+(* Lock-time versions must match the execution-read versions for keys
+   both read and written, or the value in hand is stale. *)
+let rec locks_match reads = function
+  | [] -> true
+  | (k, lock_seq) :: rest ->
+      (match read_version k reads with
+      | seq -> seq = lock_seq
+      | exception Not_found -> true)
+      && locks_match reads rest
+
+(* The validation checks: each key of [keys] read at execution, with its
+   read version. *)
+let rec checks_of reads = function
+  | [] -> []
+  | k :: keys -> (
+      match read_version k reads with
+      | seq -> (k, seq) :: checks_of reads keys
+      | exception Not_found -> checks_of reads keys)
+
+(* Is [k] written by an op of [seq_ops]? *)
+let rec written k = function
+  | [] -> false
+  | (op, _) :: rest -> Op.key op = k || written k rest
+
+(* The locked keys no op writes (DrTM+R's read-set locks), in lock
+   order. *)
+let rec unwritten seq_ops = function
+  | [] -> []
+  | (k, _) :: rest ->
+      if written k seq_ops then unwritten seq_ops rest
+      else k :: unwritten seq_ops rest
+
+let commit_and_release t a lock_versions seq_ops seq_ops_by_shard =
+  commit_phase t a seq_ops_by_shard lock_versions;
+  (* Release locks on keys that were locked but not written (DrTM+R
+     read-set locks). *)
+  match unwritten seq_ops lock_versions with
+  | [] -> ()
+  | residual -> release_keys t a residual
 
 let rec attempt t a ~epoch0 (txn : Types.t) : Control.outcome =
   let src = a.Control.coord in
@@ -751,133 +956,85 @@ let rec attempt t a ~epoch0 (txn : Types.t) : Control.outcome =
      cross-checked against the read versions. *)
   let exec_reads_r =
     match t.flavor with
-    | Drtmh | Drtmh_nc | Farm ->
-        Process.parallel t.ctl.engine
-          (List.map
-             (fun k () ->
-               match one_sided_read_t t ~src k with
-               | `Down -> `Down
-               | `Ok (Some (v, seq)) -> `Ok (k, Some v, seq)
-               | `Ok None -> `Ok (k, None, 0))
-             txn.read_set)
-    | Fasst | Drtmr -> []
+    | Drtmh | Drtmh_nc | Farm -> exec_reads t ~src txn.read_set
+    | Fasst | Drtmr -> `Ok []
   in
-  if List.exists (fun r -> r = `Down) exec_reads_r then
-    (* No locks are held yet: a dead primary just fails the attempt. *)
-    `Retry Metrics.Timeout
-  else
-  let exec_reads =
-    List.filter_map (function `Ok e -> Some e | `Down -> None) exec_reads_r
-  in
-  (* Lock versions, the execution reads, and the values DrTM+R READs
-     after locking. *)
-  let lock_result =
-    match t.flavor with
-    | Fasst -> (
-        match
-          fasst_execute t a ~epoch0 ~reads:txn.read_set ~locks:txn.write_set
-        with
-        | `Ok (lockv, reads) -> `Ok (lockv, reads, [])
-        | (`Fail | `Down) as r -> r)
-    | _ -> (
-        match lock_phase t a ~epoch0 lock_keys with
-        | `Ok (lockv, fetched) -> `Ok (lockv, exec_reads, fetched)
-        | (`Fail | `Down) as r -> r)
-  in
-  (* Within a shard, unlocks go out in reverse order. *)
-  let release_keys keys =
-    List.iter (release_shard t a) (Types.group_by_shard Fun.id (List.rev keys))
-  in
-  match lock_result with
-  | `Fail -> `Aborted Metrics.Lock_conflict
+  match exec_reads_r with
   | `Down ->
-      (* A `Down shard's lock request may still have taken its locks at
-         a live primary after the coordinator stopped listening (the
-         response was dropped at an epoch bump). Release the whole
-         requested footprint — unlock is owner-guarded, so releasing a
-         lock never taken is a no-op. *)
-      release_keys lock_keys;
+      (* No locks are held yet: a dead primary just fails the attempt. *)
       `Retry Metrics.Timeout
-  | `Ok (lock_versions, read_results, fetched) -> (
-      Control.mark t.ctl a "execute";
-      let abort_all () = release_keys (List.map fst lock_versions) in
-      (* Lock-time versions must match the execution-read versions for
-         keys both read and written, or the value in hand is stale. *)
-      let lock_matches_read =
-        List.for_all
-          (fun (k, lock_seq) ->
-            match List.find_opt (fun (k', _, _) -> k' = k) read_results with
-            | Some (_, _, read_seq) -> read_seq = lock_seq
-            | None -> true)
-          lock_versions
+  | `Ok exec_reads -> (
+      (* Lock versions, the execution reads, and the values DrTM+R READs
+         after locking. *)
+      let lock_result =
+        match t.flavor with
+        | Fasst -> (
+            match
+              fasst_execute t a ~epoch0 ~reads:txn.read_set
+                ~locks:txn.write_set
+            with
+            | `Ok (lockv, reads) -> `Ok (lockv, reads, [])
+            | (`Fail | `Down) as r -> r)
+        | _ -> (
+            match lock_phase t a ~epoch0 lock_keys with
+            | `Ok (lockv, fetched) -> `Ok (lockv, exec_reads, fetched)
+            | (`Fail | `Down) as r -> r)
       in
-      if not lock_matches_read then begin
-        Xenic_stats.Counter.incr (counters t) "lock_version_conflicts";
-        abort_all ();
-        `Aborted Metrics.Validation_failure
-      end
-      else
-      (* DrTM+R's post-lock READs are its reads. *)
-      let values = read_results @ fetched in
-      (* Execution at the coordinator host. A multi-shot More releases
-         the locks and replays the transaction with the extended
-         read/write sets (an extra protocol round, as an RPC system
-         would issue). *)
-      Attrib.set_phase "exec-fn";
-      Resource.use t.nodes.(src).host txn.host_exec_ns;
-      match txn.exec (Types.view_of values) with
-      | Types.More { read; lock } ->
-          abort_all ();
-          if List.length txn.read_set > 256 then
-            (* Footprint growth the lock acquisition could not keep up
-               with (same taxonomy as Xenic's round-budget overflow). *)
-            `Aborted Metrics.Lock_conflict
-          else begin
-            (* The replay is a fresh attempt of the same transaction. *)
-            Control.draw t.ctl a;
-            attempt t a ~epoch0
-              {
-                txn with
-                Types.read_set = List.sort_uniq compare (txn.read_set @ read);
-                write_set = List.sort_uniq compare (txn.write_set @ lock);
-              }
+      match lock_result with
+      | `Fail -> `Aborted Metrics.Lock_conflict
+      | `Down ->
+          (* A `Down shard's lock request may still have taken its locks
+             at a live primary after the coordinator stopped listening
+             (the response was dropped at an epoch bump). Release the
+             whole requested footprint — unlock is owner-guarded, so
+             releasing a lock never taken is a no-op. *)
+          release_keys t a lock_keys;
+          `Retry Metrics.Timeout
+      | `Ok (lock_versions, read_results, fetched) -> (
+          Control.mark t.ctl a "execute";
+          let abort_all () = release_keys t a (List.map fst lock_versions) in
+          if not (locks_match read_results lock_versions) then begin
+            Xenic_stats.Counter.incr (counters t) "lock_version_conflicts";
+            abort_all ();
+            `Aborted Metrics.Validation_failure
           end
-      | Types.Done ops ->
-      Control.mark t.ctl a "exec-fn";
-      (* Validate read-only keys. *)
-      let checks =
-        List.filter_map
-          (fun k ->
-            match List.find_opt (fun (k', _, _) -> k' = k) read_results with
-            | Some (_, _, seq) -> Some (k, seq)
-            | None -> None)
-          (Types.validate_set txn)
-      in
-      Control.finish t.ctl a ~epoch0 ~values ~lock_versions ~checks
-        ~validate:(validate_phase t a ~epoch0)
-        ~release:abort_all ~log:(log_phase t ~src)
-        ~commit:(fun seq_ops seq_ops_by_shard ->
-          let locked_by_shard =
-            List.map
-              (fun (shard, _) ->
-                ( shard,
-                  List.filter_map
-                    (fun (k, _) ->
-                      if Keyspace.shard k = shard then Some k else None)
-                    lock_versions ))
-              seq_ops_by_shard
-          in
-          commit_phase t a seq_ops_by_shard locked_by_shard;
-          (* Release locks on keys that were locked but not written
-             (DrTM+R read-set locks). *)
-          let written = List.map (fun (op, _) -> Op.key op) seq_ops in
-          let residual =
-            List.filter_map
-              (fun (k, _) -> if List.mem k written then None else Some k)
-              lock_versions
-          in
-          if residual <> [] then release_keys residual)
-        ops)
+          else
+            (* DrTM+R's post-lock READs are its reads. *)
+            let values = read_results @ fetched in
+            (* Execution at the coordinator host. A multi-shot More
+               releases the locks and replays the transaction with the
+               extended read/write sets (an extra protocol round, as an
+               RPC system would issue). *)
+            Attrib.set_phase "exec-fn";
+            Resource.use t.nodes.(src).host txn.host_exec_ns;
+            match txn.exec (Types.view_of values) with
+            | Types.More { read; lock } ->
+                abort_all ();
+                if List.length txn.read_set > 256 then
+                  (* Footprint growth the lock acquisition could not
+                     keep up with (same taxonomy as Xenic's round-budget
+                     overflow). *)
+                  `Aborted Metrics.Lock_conflict
+                else begin
+                  (* The replay is a fresh attempt of the same
+                     transaction. *)
+                  Control.draw t.ctl a;
+                  attempt t a ~epoch0
+                    {
+                      txn with
+                      Types.read_set =
+                        List.sort_uniq compare (txn.read_set @ read);
+                      write_set = List.sort_uniq compare (txn.write_set @ lock);
+                    }
+                end
+            | Types.Done ops ->
+                Control.mark t.ctl a "exec-fn";
+                Control.finish t.ctl a ~epoch0 ~values ~lock_versions
+                  ~checks:(checks_of read_results (Types.validate_set txn))
+                  ~validate:(validate_phase t a ~epoch0)
+                  ~release:abort_all ~log:(log_phase t ~src)
+                  ~commit:(commit_and_release t a lock_versions)
+                  ops))
 
 let run_txn t ~node (txn : Types.t) =
   Control.run_txn t.ctl ~node (fun a -> attempt t a ~epoch0:t.ctl.epoch txn)

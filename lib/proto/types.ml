@@ -46,8 +46,6 @@ let rec add_shards key acc = function
       let s = Keyspace.shard (key x) in
       add_shards key (if List.mem s acc then acc else insert_shard s acc) rest
 
-let shards t = add_shards Fun.id (add_shards Fun.id [] t.read_set) t.write_set
-
 let rec all_on_shard key s = function
   | [] -> true
   | x :: rest -> Keyspace.shard (key x) = s && all_on_shard key s rest

@@ -69,9 +69,6 @@ val validate_set : t -> Keyspace.t list
 (** [without ks keys]: the keys of [keys] not in [ks], in order. *)
 val without : Keyspace.t list -> Keyspace.t list -> Keyspace.t list
 
-(** Distinct shards touched by reads and/or writes, ascending. *)
-val shards : t -> int list
-
 (** Is every accessed key in [shard]? *)
 val single_shard : t -> int option
 

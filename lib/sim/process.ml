@@ -105,35 +105,41 @@ let sleep ?node engine delay =
   s.s_delay <- delay;
   try perform Sleep with Effect.Unhandled _ -> raise Not_in_process
 
-(* One fork/join: the results array is made from the first branch to
-   finish (so it needs no [option] per slot), and [wake] resumes the
-   joining process once [remaining] reaches zero. *)
+(* One join: the results array is made by the first branch to arrive
+   (so it needs no [option] per slot), and [wake] resumes the awaiting
+   process once [remaining] reaches zero. *)
 type 'a join = {
   mutable results : 'a array;
   mutable remaining : int;
   mutable wake : unit -> unit;
 }
 
-let branch j n i f () =
-  let r = f () in
-  if Array.length j.results = 0 then j.results <- Array.make n r
+let join n = { results = [||]; remaining = n; wake = ignore }
+
+(* The first arrival sees [remaining] still at the branch count. *)
+let arrive j i r =
+  if Array.length j.results = 0 then j.results <- Array.make j.remaining r
   else j.results.(i) <- r;
   j.remaining <- j.remaining - 1;
   if j.remaining = 0 then j.wake ()
 
-let rec spawn_branches engine j n i = function
+let await j =
+  if j.remaining > 0 then suspend (fun resume -> j.wake <- resume);
+  Array.to_list j.results
+
+let branch j i f () = arrive j i (f ())
+
+let rec spawn_branches engine j i = function
   | [] -> ()
   | f :: rest ->
-      spawn engine (branch j n i f);
-      spawn_branches engine j n (i + 1) rest
+      spawn engine (branch j i f);
+      spawn_branches engine j (i + 1) rest
 
 let parallel engine thunks =
   match thunks with
   | [] -> []
   | [ f ] -> [ f () ]
   | _ ->
-      let n = List.length thunks in
-      let j = { results = [||]; remaining = n; wake = ignore } in
-      spawn_branches engine j n 0 thunks;
-      if j.remaining > 0 then suspend (fun resume -> j.wake <- resume);
-      Array.to_list j.results
+      let j = join (List.length thunks) in
+      spawn_branches engine j 0 thunks;
+      await j

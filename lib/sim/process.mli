@@ -25,8 +25,26 @@ val sleep : ?node:int -> Engine.t -> float -> unit
     event or another process) makes [suspend] return [v]. *)
 val suspend : (('a -> unit) -> unit) -> 'a
 
+(** {2 Joins}
+
+    A join gathers [n] results delivered by callbacks: [arrive j i v]
+    fills branch [i]'s slot, from any event, and {!await} suspends the
+    calling process once, until all [n] have arrived. The last arrival
+    resumes the awaiting process at once, inside its own event. *)
+
+type 'a join
+
+val join : int -> 'a join
+
+val arrive : 'a join -> int -> 'a -> unit
+
+(** [await j] returns the results in branch order; it does not suspend
+    if every branch has already arrived. *)
+val await : 'a join -> 'a list
+
 (** [parallel engine thunks] runs each thunk as its own process and
     blocks the caller until all have finished, returning their results
-    in order — the fork/join used for fan-out requests. A single thunk
-    runs inline in the caller, with no process of its own. *)
+    in order — the fork/join used for fan-out requests, a {!join} whose
+    branches are processes. A single thunk runs inline in the caller,
+    with no process of its own. *)
 val parallel : Engine.t -> (unit -> 'a) list -> 'a list

@@ -86,6 +86,113 @@ let test_rdma_doorbell_batching () =
     (Printf.sprintf "batched %.0f < sequential %.0f" batched sequential)
     true (batched < sequential /. 2.0)
 
+(* A three-verb batch and three single verbs from two contexts, against
+   a contended source unit (both contexts' first verbs), a target unit
+   stalled by [degrade_unit] as the verbs arrive, a cut 0->2 link that
+   heals while the batch's second verb polls it, a cut 2->0 link that
+   heals while the last verb's response polls it, and an [at_target]
+   that blocks for 300 ns. Pinned: every [at_target] and completion
+   instant, the engine's event count, and each context's wait and
+   service on every NIC unit and link. The values are those of the
+   model in which each verb was a process sleeping through its stages
+   and the batch forked a process per verb; a callback chain must
+   schedule the same events at the same times. *)
+let test_rdma_pipeline_pinned () =
+  let engine = Engine.create () in
+  let fabric = mk_fabric engine 3 in
+  Xenic_net.Fabric.enable_faults fabric ~seed:1L ~rto_ns:1_000.0;
+  let rdma = Rdma.create fabric in
+  let log = ref [] in
+  let note fmt = Printf.ksprintf (fun s -> log := s :: !log) fmt in
+  let ctx phase = { Attrib.default with Attrib.stack = "T"; node = 0; phase } in
+  Engine.set_attrib_enabled engine true;
+  Xenic_net.Fabric.set_cut fabric ~src:0 ~dst:2 true;
+  Engine.at engine 1_500.0 (fun () ->
+      Xenic_net.Fabric.set_cut fabric ~src:0 ~dst:2 false);
+  Engine.at engine 5_000.0 (fun () ->
+      Xenic_net.Fabric.set_cut fabric ~src:2 ~dst:0 true);
+  Engine.at engine 7_000.0 (fun () ->
+      Xenic_net.Fabric.set_cut fabric ~src:2 ~dst:0 false);
+  Engine.at engine 1_000.0 (fun () ->
+      Rdma.degrade_unit rdma ~node:1 ~dur_ns:700.0);
+  Engine.with_attrib engine (fun () ->
+      Process.spawn engine (fun () ->
+          Attrib.set (ctx "batch");
+          let at i () =
+            note "target %d at %.3f" i (Engine.now engine);
+            i * 10
+          in
+          let rs =
+            Rdma.one_sided_many rdma ~src:0
+              [
+                (1, Rdma.Read, 64, at 1);
+                (2, Rdma.Write, 128, at 2);
+                (1, Rdma.Cas, 16, at 3);
+              ]
+          in
+          note "batch done at %.3f: %s" (Engine.now engine)
+            (String.concat "," (List.map string_of_int rs));
+          let r =
+            Rdma.one_sided rdma ~src:0 ~dst:2 Rdma.Read ~bytes:32
+              ~at_target:(at 4)
+          in
+          note "single done at %.3f: %d" (Engine.now engine) r);
+      Process.spawn engine (fun () ->
+          Attrib.set (ctx "rival");
+          Rdma.one_sided rdma ~src:0 ~dst:1 Rdma.Write ~bytes:256
+            ~at_target:(fun () ->
+              note "rival target at %.3f" (Engine.now engine));
+          note "rival done at %.3f" (Engine.now engine);
+          let r =
+            Rdma.one_sided rdma ~src:0 ~dst:1 Rdma.Write ~bytes:64
+              ~at_target:(fun () ->
+                Process.sleep engine 300.0;
+                note "blocking target until %.3f" (Engine.now engine);
+                5)
+          in
+          note "blocked done at %.3f: %d" (Engine.now engine) r));
+  note "events %d" (Engine.run engine);
+  List.iter
+    (fun r ->
+      List.iter
+        (fun ((c : Attrib.ctx), (v : Resource.stat_view)) ->
+          note "%s %s: service %.3f/%d wait %.3f/%d" (Resource.name r) c.phase
+            v.v_service_ns v.v_services v.v_wait_ns v.v_waits)
+        (Resource.stats r))
+    (Rdma.resources rdma @ Xenic_net.Fabric.resources fabric);
+  Alcotest.(check (list string))
+    "instants, events and attribution"
+    [
+      "rival target at 2510.000";
+      "target 1 at 2740.000";
+      "target 3 at 2970.000";
+      "target 2 at 3325.200";
+      "rival done at 3642.800";
+      "batch done at 4458.000: 10,20,30";
+      "blocking target until 5819.040";
+      "target 4 at 6612.720";
+      "blocked done at 6951.840: 5";
+      "single done at 8600.640: 40";
+      "events 85";
+      "rdma0 batch: service 560.000/8 wait 70.000/8";
+      "rdma0 rival: service 280.000/4 wait 81.280/4";
+      "rdma1 -: service 700.000/1 wait 0.000/1";
+      "rdma1 batch: service 140.000/2 wait 1278.000/2";
+      "rdma1 rival: service 140.000/2 wait 544.320/2";
+      "rdma2 batch: service 140.000/2 wait 0.000/2";
+      "tx0 batch: service 40.960/4 wait 0.000/4";
+      "tx0 rival: service 40.320/2 wait 0.000/2";
+      "rx0 batch: service 33.920/4 wait 0.000/4";
+      "rx0 rival: service 12.800/2 wait 0.000/2";
+      "tx1 batch: service 18.560/2 wait 0.000/2";
+      "tx1 rival: service 12.800/2 wait 0.000/2";
+      "rx1 batch: service 16.000/2 wait 0.000/2";
+      "rx1 rival: service 40.320/2 wait 0.000/2";
+      "tx2 batch: service 15.360/2 wait 0.000/2";
+      "rx2 batch: service 24.960/2 wait 0.000/2";
+    ]
+    (List.rev !log)
+
 let test_smartnic_costs () =
   let engine = Engine.create () in
   let nic = Smartnic.create engine hw in
@@ -150,6 +257,7 @@ let () =
           Alcotest.test_case "linearization" `Quick test_rdma_linearization;
           Alcotest.test_case "cas effect" `Quick test_rdma_cas_effect;
           Alcotest.test_case "doorbell batching" `Quick test_rdma_doorbell_batching;
+          Alcotest.test_case "pipeline pinned" `Quick test_rdma_pipeline_pinned;
         ] );
       ( "smartnic",
         [

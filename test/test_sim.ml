@@ -1149,6 +1149,31 @@ let test_alloc_reply_dispatch () =
            Xenic_net.Fabric.send ctl.fabric ~src:0 ~dst:1 ~payload_bytes:64
              [ Xenic_proto.Control.reply ~bytes:16 ignore ]))
 
+(* One-sided RDMA verbs from a process: the verb's record and step
+   closure, its twelve engine events, its two wire-leg frames and the
+   caller's one suspension. A verb that was a process of its own,
+   sleeping through each stage, made it 154; a batch that forked a
+   process per verb made three 609. *)
+let rdma_words op =
+  process_words (fun eng ->
+      let fabric : (unit -> unit) Xenic_net.Fabric.t =
+        Xenic_net.Fabric.create eng Xenic_params.Hw.testbed ~nodes:2
+      in
+      op (Xenic_nicdev.Rdma.create fabric))
+
+let test_alloc_verb () =
+  check_words "one-sided verb" ~bound:127.0
+    (rdma_words (fun rdma () ->
+         Xenic_nicdev.Rdma.one_sided rdma ~src:0 ~dst:1 Xenic_nicdev.Rdma.Write
+           ~bytes:64 ~at_target:ignore))
+
+let test_alloc_doorbell_batch () =
+  check_words "doorbell batch of 3" ~bound:425.0
+    (rdma_words (fun rdma () ->
+         ignore
+           (Xenic_nicdev.Rdma.one_sided_many rdma ~src:0
+              (List.init 3 (fun _ -> (1, Xenic_nicdev.Rdma.Write, 64, ignore))))))
+
 (* The event heap moves int slot indices, never the stored closures:
    a push and a pop allocate nothing. *)
 let test_alloc_heap () =
@@ -1283,6 +1308,8 @@ let () =
           Alcotest.test_case "counter incr" `Quick test_alloc_counter_incr;
           Alcotest.test_case "resource use_then" `Quick test_alloc_use_then;
           Alcotest.test_case "fabric frame" `Quick test_alloc_fabric_frame;
+          Alcotest.test_case "one-sided verb" `Quick test_alloc_verb;
+          Alcotest.test_case "doorbell batch" `Quick test_alloc_doorbell_batch;
           Alcotest.test_case "dma write" `Quick test_alloc_dma_write;
           Alcotest.test_case "aggregated message" `Quick
             test_alloc_aggregated_message;
