@@ -9,23 +9,41 @@
      event schedules onto its own partition draw sequence numbers from
      a per-partition block carved out of the global counter at window
      start, and cross-partition events — legal only at or beyond the
-     window horizon, the lookahead discipline — travel through bounded
-     channels and are merged at the barrier in the order (parent time,
-     parent seq, schedule index), which equals the order a sequential
-     execution would have scheduled them in. Partition count, blocks,
+     window horizon, the lookahead discipline — are appended to the
+     source partition's bounded outbox and merged at the barrier in
+     the order (parent time, parent seq, schedule index), which equals
+     the order a sequential execution would have scheduled them in.
+     Each outbox is already in that order, so the merge takes the
+     least of the outbox heads, in place. Partition count, blocks,
      and the merge are all independent of the domain count, so a
      1-domain and an n-domain run of the same partitioned model are
      bit-identical. Requires the model to keep partitions independent
      below the lookahead (no shared mutable state, cross-partition
      delays >= lookahead) — violations of the time bound fail
-     deterministically. *)
+     deterministically.
 
-type xev = {
-  x_time : float;
-  x_ptime : float;  (* scheduling parent's execution time *)
-  x_pseq : int;  (* scheduling parent's sequence number *)
-  x_k : int;  (* index among the parent's schedules *)
-  x_fn : unit -> unit;
+   Neither mode allocates per event. Both drain each instant in an
+   inner batch, so the loops allocate only the boxed clock value of
+   each instant and, windowed, of each window, and the merge boxes a
+   handoff's time for its heap push. The windowed bookkeeping (picking
+   the global minimum, carving blocks, the drain's partition slot and
+   exception handling, the barrier merge) is loops over preallocated
+   state. *)
+
+(* A partition's cross-partition handoffs for the running window, as
+   parallel arrays in push order. A partition executes its events in
+   (time, seq) order and a parent issues its schedules in order, so the
+   entries are already sorted by (parent time, parent seq, schedule
+   index); the index itself need not be stored. [o_head] is the merge
+   cursor. *)
+type outbox = {
+  o_time : float array;  (* the event's own time *)
+  o_ptime : float array;  (* scheduling parent's execution time *)
+  o_pseq : int array;  (* scheduling parent's sequence number *)
+  o_dst : int array;
+  o_fn : (unit -> unit) array;
+  mutable o_len : int;
+  mutable o_head : int;
 }
 
 type t = {
@@ -56,10 +74,10 @@ and part = {
   mutable p_events : int;
   mutable p_seq_next : int;  (* next seq in this window's block *)
   mutable p_seq_limit : int;
-  mutable p_cur_time : float;  (* identity of the executing event ... *)
+  mutable p_cur_time : float;  (* identity of the executing event *)
   mutable p_cur_seq : int;
-  mutable p_cur_k : int;  (* ... and how many schedules it has issued *)
-  p_out : xev Xchan.t array;  (* handoffs, one channel per destination *)
+  p_out : outbox;
+  mutable p_slot : part option;  (* [Some] of itself, built once *)
 }
 
 (* The partition whose window drain is running on this domain, if any:
@@ -150,8 +168,9 @@ let sanitize t =
    must stay disjoint without cross-domain coordination. *)
 let seq_block = 1 lsl 20
 
-(* Entries per cross-partition channel. *)
-let channel_capacity = 8192
+(* Handoffs a partition may send to each other partition in one
+   window; its outbox holds this many per destination. *)
+let outbox_per_dst = 8192
 
 let set_topology t ~lookahead ~partitions ~node_partition =
   if partitions <= 0 then
@@ -161,15 +180,13 @@ let set_topology t ~lookahead ~partitions ~node_partition =
   if windowed t then invalid_arg "Engine.set_topology: topology already set";
   if (not (Heap.is_empty t.heap)) || t.events_run > 0 then
     invalid_arg "Engine.set_topology: engine already has events";
-  let dummy_x =
-    { x_time = 0.0; x_ptime = 0.0; x_pseq = 0; x_k = 0; x_fn = ignore }
-  in
+  let cap = outbox_per_dst * (partitions - 1) in
   t.parts <-
     Array.init partitions (fun i ->
         {
           p_id = i;
           p_eng = t;
-          p_heap = Heap.create ~dummy:(fun () -> ());
+          p_heap = Heap.create ~dummy:ignore;
           p_attrib =
             (let st = Attrib.fresh () in
              Attrib.set_state_enabled st (Attrib.state_enabled t.attrib);
@@ -180,11 +197,19 @@ let set_topology t ~lookahead ~partitions ~node_partition =
           p_seq_limit = 0;
           p_cur_time = 0.0;
           p_cur_seq = 0;
-          p_cur_k = 0;
           p_out =
-            Array.init partitions (fun _ ->
-                Xchan.create ~capacity:channel_capacity ~dummy:dummy_x);
+            {
+              o_time = Array.make cap 0.0;
+              o_ptime = Array.make cap 0.0;
+              o_pseq = Array.make cap 0;
+              o_dst = Array.make cap 0;
+              o_fn = Array.make cap ignore;
+              o_len = 0;
+              o_head = 0;
+            };
+          p_slot = None;
         });
+  Array.iter (fun p -> p.p_slot <- Some p) t.parts;
   t.node_part <-
     (fun n ->
       let p = node_partition n in
@@ -221,24 +246,20 @@ let schedule_part t node time f =
                "Engine: cross-partition event at %.1f violates the \
                 lookahead bound (window horizon %.1f)"
                time t.horizon);
-        let k = p.p_cur_k in
-        p.p_cur_k <- k + 1;
-        let x =
-          {
-            x_time = time;
-            x_ptime = p.p_cur_time;
-            x_pseq = p.p_cur_seq;
-            x_k = k;
-            x_fn = f;
-          }
-        in
-        if not (Xchan.push p.p_out.(dst) x) then
+        let o = p.p_out in
+        let n = o.o_len in
+        if n = Array.length o.o_fn then
           invalid_arg
             (Printf.sprintf
-               "Engine: cross-partition channel %d->%d full: more than %d \
-                events crossed it in one window"
-               p.p_id dst
-               (Xchan.capacity p.p_out.(dst)))
+               "Engine: cross-partition outbox of partition %d full: more \
+                than %d events left it in one window"
+               p.p_id n);
+        o.o_time.(n) <- time;
+        o.o_ptime.(n) <- p.p_cur_time;
+        o.o_pseq.(n) <- p.p_cur_seq;
+        o.o_dst.(n) <- dst;
+        o.o_fn.(n) <- f;
+        o.o_len <- n + 1
       end
   | _ ->
       (* Outside any window (setup code, between runs): the global
@@ -309,68 +330,123 @@ let run_legacy ~until t =
    event; -1 when every heap is empty. *)
 let global_min parts =
   let best = ref (-1) in
-  let bt = ref 0.0 and bs = ref 0 in
-  Array.iteri
-    (fun i p ->
-      if not (Heap.is_empty p.p_heap) then begin
-        let ti = Heap.min_time p.p_heap in
-        let si = Heap.min_seq p.p_heap in
-        if !best < 0 || ti < !bt || (Float.equal ti !bt && si < !bs) then begin
-          best := i;
-          bt := ti;
-          bs := si
-        end
-      end)
-    parts;
+  for i = 0 to Array.length parts - 1 do
+    let h = parts.(i).p_heap in
+    if (not (Heap.is_empty h))
+       && (!best < 0 || Heap.precedes h parts.(!best).p_heap)
+    then best := i
+  done;
   !best
 
-(* Drain one partition for the window: every event strictly below the
-   horizon (and within [until]), in the partition heap's (time, seq)
-   order. Runs with the partition's ambient Attrib state installed and
-   the partition registered in [cur_slot] so its schedules resolve
-   their origin. *)
-let drain_window ~until t p =
-  let prev = Attrib.install p.p_attrib in
-  Domain.DLS.set cur_slot (Some p);
-  let finish () =
-    Domain.DLS.set cur_slot None;
-    ignore (Attrib.install prev)
-  in
-  Fun.protect ~finally:finish @@ fun () ->
-  let continue = ref true in
-  while !continue do
-    if Heap.is_empty p.p_heap then continue := false
-    else begin
-      let time = Heap.min_time p.p_heap in
-      if time >= t.horizon || time > until then continue := false
-      else begin
-        if t.strict && time < p.p_now then
-          report_violation t
-            (Printf.sprintf
-               "engine: non-monotonic partition %d time (event at %.1f after \
-                clock reached %.1f)"
-               p.p_id time p.p_now);
-        let seq = Heap.min_seq p.p_heap in
-        p.p_now <- time;
-        p.p_cur_time <- time;
-        p.p_cur_seq <- seq;
-        p.p_cur_k <- 0;
-        p.p_events <- p.p_events + 1;
-        (Heap.pop p.p_heap) ()
-      end
-    end
+let dispatch p =
+  p.p_cur_seq <- Heap.min_seq p.p_heap;
+  p.p_events <- p.p_events + 1;
+  (Heap.pop p.p_heap) ()
+
+(* Every event of the partition strictly below the horizon (and within
+   [until]), in the partition heap's (time, seq) order. As in
+   [run_legacy], each instant's events — including ones they schedule
+   for that instant — drain in an inner batch that advances the clock
+   once and skips the bound tests, which [now] already passed. *)
+let drain_events ~until t p =
+  let h = p.p_heap in
+  (* One bound test per instant: the tighter bound implies the other. *)
+  let capped = until < t.horizon in
+  while
+    if capped then Heap.next_at_or_before h until
+    else Heap.next_before h t.horizon
+  do
+    let time = Heap.min_time h in
+    if t.strict && time < p.p_now then
+      report_violation t
+        (Printf.sprintf
+           "engine: non-monotonic partition %d time (event at %.1f after \
+            clock reached %.1f)"
+           p.p_id time p.p_now);
+    p.p_now <- time;
+    p.p_cur_time <- time;
+    dispatch p;
+    while Heap.next_at_or_before h p.p_now do
+      dispatch p
+    done
   done
 
-(* Persistent window workers: worker [s] (1-based) drains partitions
-   [j] with [j mod nslots = s] each window; the coordinator drains
-   slot 0 inline. An atomic generation counter releases the workers
-   into a window; an atomic completion count closes the barrier — the
-   SC atomics order all partition mutations and channel pushes of
-   window [g] before the coordinator's merge for window [g]. Windows
-   are short (tens of microseconds of simulated work), so both sides
-   spin briefly on the atomics before falling back to the condition
-   variable: a futex sleep/wake per window would otherwise dominate
-   the window's own cost. *)
+(* Drain one partition for the window, with the partition's ambient
+   Attrib state installed and the partition registered in [cur_slot]
+   so its schedules resolve their origin. Both are restored however
+   the drain ends; an exception escaping an event is kept, with its
+   backtrace, in [exns] for the barrier to re-raise. *)
+let drain_window ~until t exns p =
+  let prev = Attrib.install p.p_attrib in
+  Domain.DLS.set cur_slot p.p_slot;
+  (match drain_events ~until t p with
+  | () -> ()
+  | exception e -> exns.(p.p_id) <- Some (e, Printexc.get_raw_backtrace ()));
+  Domain.DLS.set cur_slot None;
+  ignore (Attrib.install prev)
+
+(* The partitions of slot [s]: those [j] with [j mod nslots = s]. *)
+let drain_slot ~until t exns ~nslots s =
+  let j = ref s in
+  while !j < Array.length t.parts do
+    drain_window ~until t exns t.parts.(!j);
+    j := !j + nslots
+  done
+
+(* Whether [a]'s next handoff precedes [b]'s in (parent time, parent
+   seq) order. Parents in different partitions never share a seq, so
+   the schedule index only orders entries of one outbox, where push
+   order already does. *)
+let head_precedes a b =
+  let i = a.o_head and j = b.o_head in
+  let ta = a.o_ptime.(i) and tb = b.o_ptime.(j) in
+  ta < tb || (ta <= tb && a.o_pseq.(i) < b.o_pseq.(j))
+
+(* Barrier merge: hand every deferred cross-partition event a fresh
+   global seq in (parent time, parent seq, schedule index) order — the
+   order a sequential run would have scheduled them in, so equal-time
+   events drain from the target heap in global schedule order, not
+   arrival order. Each outbox is in that order already, so the merge
+   repeatedly takes the least of the outbox heads: O(partitions) per
+   handoff, in place. *)
+let merge_outboxes t =
+  let parts = t.parts in
+  let n = Array.length parts in
+  let more = ref true in
+  while !more do
+    let best = ref (-1) in
+    for i = 0 to n - 1 do
+      let o = parts.(i).p_out in
+      if o.o_head < o.o_len
+         && (!best < 0 || head_precedes o parts.(!best).p_out)
+      then best := i
+    done;
+    if !best < 0 then more := false
+    else begin
+      let o = parts.(!best).p_out in
+      let h = o.o_head in
+      t.seq <- t.seq + 1;
+      Heap.push parts.(o.o_dst.(h)).p_heap ~time:o.o_time.(h) ~seq:t.seq
+        o.o_fn.(h);
+      o.o_fn.(h) <- ignore;
+      o.o_head <- h + 1
+    end
+  done;
+  for i = 0 to n - 1 do
+    let o = parts.(i).p_out in
+    o.o_len <- 0;
+    o.o_head <- 0
+  done
+
+(* Persistent window workers: worker [s] (1-based) drains slot [s] each
+   window; the coordinator drains slot 0 inline. An atomic generation
+   counter releases the workers into a window; an atomic completion
+   count closes the barrier — the SC atomics order all partition
+   mutations and outbox pushes of window [g] before the coordinator's
+   merge for window [g]. Windows are short (tens of microseconds of
+   simulated work), so both sides spin briefly on the atomics before
+   falling back to the condition variable: a futex sleep/wake per
+   window would otherwise dominate the window's own cost. *)
 type wctl = {
   w_mu : Mutex.t;
   w_cv : Condition.t;
@@ -391,21 +467,86 @@ type wctl = {
 let spin_budget =
   if Domain.recommended_domain_count () > 1 then 5_000 else 0
 
+(* Wait (spin, then sleep) until the generation moves past [seen];
+   the new generation, or -1 to quit. *)
+let await_window ctl seen =
+  let spins = ref spin_budget in
+  let g = ref seen in
+  while !g = seen do
+    if Atomic.get ctl.w_quit then g := -1
+    else if Atomic.get ctl.w_gen <> seen then g := Atomic.get ctl.w_gen
+    else if !spins > 0 then begin
+      Domain.cpu_relax ();
+      decr spins
+    end
+    else begin
+      Mutex.lock ctl.w_mu;
+      ctl.w_sleepers <- ctl.w_sleepers + 1;
+      while Atomic.get ctl.w_gen = seen && not (Atomic.get ctl.w_quit) do
+        Condition.wait ctl.w_cv ctl.w_mu
+      done;
+      ctl.w_sleepers <- ctl.w_sleepers - 1;
+      Mutex.unlock ctl.w_mu;
+      g := if Atomic.get ctl.w_quit then -1 else Atomic.get ctl.w_gen
+    end
+  done;
+  !g
+
+let window_worker ctl t exns ~nslots s =
+  let seen = ref 0 in
+  while !seen >= 0 do
+    seen := await_window ctl !seen;
+    if !seen >= 0 then begin
+      drain_slot ~until:ctl.w_until t exns ~nslots s;
+      Atomic.incr ctl.w_done;
+      (* Only pay the futex wake when the coordinator stopped
+         spinning: either it sees [w_waiting] false and our [incr]
+         in its pre-sleep recheck, or it set [w_waiting] first and
+         this broadcast reaches it. *)
+      if Atomic.get ctl.w_waiting then begin
+        Mutex.lock ctl.w_mu;
+        Condition.broadcast ctl.w_cv;
+        Mutex.unlock ctl.w_mu
+      end
+    end
+  done
+
+(* Release the workers into the next window. Wake only workers that
+   gave up spinning and parked: a worker that is between its sleeper
+   increment and its [Condition.wait] rechecks the generation under
+   the mutex and skips the wait. *)
+let release_workers ctl ~until =
+  ctl.w_until <- until;
+  Atomic.set ctl.w_done 0;
+  Atomic.incr ctl.w_gen;
+  Mutex.lock ctl.w_mu;
+  if ctl.w_sleepers > 0 then Condition.broadcast ctl.w_cv;
+  Mutex.unlock ctl.w_mu
+
+(* Close the barrier: wait (spin, then sleep) until all [workers] have
+   finished the window. *)
+let await_workers ctl ~workers =
+  let spins = ref spin_budget in
+  while Atomic.get ctl.w_done < workers && !spins > 0 do
+    Domain.cpu_relax ();
+    decr spins
+  done;
+  if Atomic.get ctl.w_done < workers then begin
+    Atomic.set ctl.w_waiting true;
+    Mutex.lock ctl.w_mu;
+    while Atomic.get ctl.w_done < workers do
+      Condition.wait ctl.w_cv ctl.w_mu
+    done;
+    Mutex.unlock ctl.w_mu;
+    Atomic.set ctl.w_waiting false
+  end
+
 let run_windowed ~until t =
   let start = t.events_run in
   let parts = t.parts in
   let nparts = Array.length parts in
   let nslots = min t.domains nparts in
   let exns = Array.make nparts None in
-  let drain_slot ~until s =
-    let j = ref s in
-    while !j < nparts do
-      let p = parts.(!j) in
-      (try drain_window ~until t p
-       with e -> exns.(!j) <- Some (e, Printexc.get_raw_backtrace ()));
-      j := !j + nslots
-    done
-  in
   let ctl =
     {
       w_mu = Mutex.create ();
@@ -418,57 +559,14 @@ let run_windowed ~until t =
       w_until = until;
     }
   in
-  (* Wait (spin, then sleep) until the generation moves past [seen];
-     [None] means quit. *)
-  let await_window seen =
-    let rec spin n =
-      if Atomic.get ctl.w_quit then None
-      else
-        let g = Atomic.get ctl.w_gen in
-        if g <> seen then Some g
-        else if n > 0 then begin
-          Domain.cpu_relax ();
-          spin (n - 1)
-        end
-        else begin
-          Mutex.lock ctl.w_mu;
-          ctl.w_sleepers <- ctl.w_sleepers + 1;
-          while
-            Atomic.get ctl.w_gen = seen && not (Atomic.get ctl.w_quit)
-          do
-            Condition.wait ctl.w_cv ctl.w_mu
-          done;
-          ctl.w_sleepers <- ctl.w_sleepers - 1;
-          Mutex.unlock ctl.w_mu;
-          if Atomic.get ctl.w_quit then None else Some (Atomic.get ctl.w_gen)
-        end
-    in
-    spin spin_budget
-  in
-  let window_worker s =
-    let seen = ref 0 in
-    let continue = ref true in
-    while !continue do
-      match await_window !seen with
-      | None -> continue := false
-      | Some g ->
-          seen := g;
-          drain_slot ~until:ctl.w_until s;
-          Atomic.incr ctl.w_done;
-          (* Only pay the futex wake when the coordinator stopped
-             spinning: either it sees [w_waiting] false and our [incr]
-             in its pre-sleep recheck, or it set [w_waiting] first and
-             this broadcast reaches it. *)
-          if Atomic.get ctl.w_waiting then begin
-            Mutex.lock ctl.w_mu;
-            Condition.broadcast ctl.w_cv;
-            Mutex.unlock ctl.w_mu
-          end
-    done
-  in
+  (* A new domain does not record backtraces; the workers follow the
+     caller, so an event's exception keeps its backtrace on any slot. *)
+  let record = Printexc.backtrace_status () in
   let workers =
     Array.init (nslots - 1) (fun s ->
-        Domain.spawn (fun () -> window_worker (s + 1)))
+        Domain.spawn (fun () ->
+            Printexc.record_backtrace record;
+            window_worker ctl t exns ~nslots (s + 1)))
   in
   let stop () =
     Atomic.set ctl.w_quit true;
@@ -481,103 +579,35 @@ let run_windowed ~until t =
   let continue = ref true in
   while !continue do
     let i = global_min parts in
-    if i < 0 then continue := false
+    if i < 0 || not (Heap.next_at_or_before parts.(i).p_heap until) then
+      continue := false
     else begin
       let tmin = Heap.min_time parts.(i).p_heap in
-      if tmin > until then continue := false
-      else begin
-        t.now <- tmin;
-        t.horizon <- tmin +. t.lookahead;
-        (* Disjoint per-partition seq blocks, low partitions first:
-           the assignment depends only on the window sequence, never on
-           the domain count or any interleaving. *)
-        Array.iter
-          (fun p ->
-            p.p_seq_next <- t.seq + 1;
-            p.p_seq_limit <- t.seq + 1 + seq_block;
-            t.seq <- t.seq + seq_block)
-          parts;
-        let before =
-          Array.fold_left (fun acc p -> acc + p.p_events) 0 parts
-        in
-        (* Release the workers into this window, drain slot 0 inline,
-           then close the barrier. *)
-        if nslots > 1 then begin
-          ctl.w_until <- until;
-          Atomic.set ctl.w_done 0;
-          Atomic.incr ctl.w_gen;
-          (* Wake only workers that gave up spinning and parked: a
-             worker that is between its sleeper increment and its
-             [Condition.wait] rechecks the generation under the mutex
-             and skips the wait. *)
-          Mutex.lock ctl.w_mu;
-          if ctl.w_sleepers > 0 then Condition.broadcast ctl.w_cv;
-          Mutex.unlock ctl.w_mu
-        end;
-        drain_slot ~until 0;
-        if nslots > 1 then begin
-          let rec wait_done n =
-            if Atomic.get ctl.w_done < nslots - 1 then
-              if n > 0 then begin
-                Domain.cpu_relax ();
-                wait_done (n - 1)
-              end
-              else begin
-                Atomic.set ctl.w_waiting true;
-                Mutex.lock ctl.w_mu;
-                while Atomic.get ctl.w_done < nslots - 1 do
-                  Condition.wait ctl.w_cv ctl.w_mu
-                done;
-                Mutex.unlock ctl.w_mu;
-                Atomic.set ctl.w_waiting false
-              end
-          in
-          wait_done spin_budget
-        end;
-        Array.iter
-          (function
-            | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-            | None -> ())
-          exns;
-        t.events_run <-
-          t.events_run
-          + (Array.fold_left (fun acc p -> acc + p.p_events) 0 parts - before);
-        (* Barrier merge: hand every deferred cross-partition event a
-           fresh global seq in (parent time, parent seq, schedule
-           index) order — the order a sequential run would have
-           scheduled them in, so equal-time events drain from the
-           target heap in global schedule order, not arrival order. *)
-        let xs = ref [] in
-        Array.iter
-          (fun src ->
-            Array.iteri
-              (fun dst ch ->
-                let rec drain () =
-                  match Xchan.pop ch with
-                  | None -> ()
-                  | Some x ->
-                      xs := (dst, x) :: !xs;
-                      drain ()
-                in
-                drain ())
-              src.p_out)
-          parts;
-        let xs =
-          List.sort
-            (fun (_, a) (_, b) ->
-              let c = Float.compare a.x_ptime b.x_ptime in
-              if c <> 0 then c
-              else
-                let c = Int.compare a.x_pseq b.x_pseq in
-                if c <> 0 then c else Int.compare a.x_k b.x_k)
-            !xs
-        in
-        List.iter
-          (fun (dst, x) ->
-            t.seq <- t.seq + 1;
-            Heap.push parts.(dst).p_heap ~time:x.x_time ~seq:t.seq x.x_fn)
-          xs
-      end
+      t.now <- tmin;
+      t.horizon <- tmin +. t.lookahead;
+      (* Disjoint per-partition seq blocks, low partitions first: the
+         assignment depends only on the window sequence, never on the
+         domain count or any interleaving. *)
+      for j = 0 to nparts - 1 do
+        let p = parts.(j) in
+        p.p_seq_next <- t.seq + 1;
+        p.p_seq_limit <- t.seq + 1 + seq_block;
+        t.seq <- t.seq + seq_block
+      done;
+      if nslots > 1 then release_workers ctl ~until;
+      drain_slot ~until t exns ~nslots 0;
+      if nslots > 1 then await_workers ctl ~workers:(nslots - 1);
+      (* [set_topology] requires a fresh engine, so every event it ran
+         ran in a partition. *)
+      let events = ref 0 in
+      for j = 0 to nparts - 1 do
+        (match exns.(j) with
+        | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+        | None -> ());
+        events := !events + parts.(j).p_events
+      done;
+      t.events_run <- !events;
+      merge_outboxes t
     end
   done;
   Array.iter (fun p -> if p.p_now > t.now then t.now <- p.p_now) parts;

@@ -53,9 +53,9 @@ val partitions : t -> int
 
     An event may schedule onto another partition only at
     [>= lookahead] (> 0, ns) past the current window's start;
-    violations raise deterministically. Cross-partition handoffs travel
-    through bounded channels of 8192 entries; overflow raises
-    deterministically. *)
+    violations raise deterministically. A partition's cross-partition
+    handoffs wait in its bounded outbox until the window's barrier,
+    8192 per destination partition; overflow raises deterministically. *)
 val set_topology :
   t ->
   lookahead:float ->
@@ -91,7 +91,9 @@ val after : ?node:int -> t -> float -> (unit -> unit) -> unit
 (** [run ?until t] executes events in order until the queue is empty or
     the next event is past [until]. Returns the number of events run.
     On a partitioned engine this spawns (and joins) the worker domains
-    for the span of the call. *)
+    for the span of the call; an exception escaping an event ends the
+    run at the window's barrier and is re-raised with its backtrace,
+    with the calling domain's ambient state restored. *)
 val run : ?until:float -> t -> int
 
 (** Total events executed so far. *)

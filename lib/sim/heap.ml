@@ -123,6 +123,18 @@ let min_time h =
 let next_at_or_before h limit =
   h.size > 0 && Array.unsafe_get h.times 0 <= limit
 
+(* [next_at_or_before] with a strict bound: the windowed drain's
+   horizon test. *)
+let next_before h limit = h.size > 0 && Array.unsafe_get h.times 0 < limit
+
+(* Whether [a]'s minimum precedes [b]'s in (time, seq) order: the
+   windowed engine picks the partition holding the global minimum with
+   it, reading both keys in place instead of returning them boxed. *)
+let precedes a b =
+  if a.size = 0 || b.size = 0 then fail_empty "precedes";
+  let ta = Array.unsafe_get a.times 0 and tb = Array.unsafe_get b.times 0 in
+  ta < tb || (ta <= tb && Array.unsafe_get a.seqs 0 < Array.unsafe_get b.seqs 0)
+
 let min_seq h =
   if h.size = 0 then fail_empty "min_seq";
   Array.unsafe_get h.seqs 0

@@ -1,4 +1,4 @@
-(** Binary min-heap specialized for simulation events.
+(** Min-heap specialized for simulation events.
 
     Events are ordered by [(time, seq)]: earliest time first, and for
     equal times, insertion order. The sequence number makes the event
@@ -33,6 +33,15 @@ val min_time : 'a t -> float
     dispatch test, free of the float boxing a [min_time] call would
     cost across the module boundary. *)
 val next_at_or_before : 'a t -> float -> bool
+
+(** [next_before h limit] is [not (is_empty h) && min_time h < limit],
+    unboxed like {!next_at_or_before}. *)
+val next_before : 'a t -> float -> bool
+
+(** [precedes a b] is whether the minimum of [a] comes before the
+    minimum of [b] in [(time, seq)] order, with both keys read in
+    place. Raises [Invalid_argument] if either heap is empty. *)
+val precedes : 'a t -> 'a t -> bool
 
 (** Sequence number of the minimum element, in place. Raises
     [Invalid_argument] on an empty heap. *)

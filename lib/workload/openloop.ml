@@ -50,6 +50,18 @@ type req = {
   attempt : int;
 }
 
+(* The service slots' shutdown poison, told apart by physical
+   equality: the mailbox carries bare requests, with no [Some] per
+   admitted one. *)
+let stop =
+  {
+    txn = Types.make ~read_set:[] ~write_set:[] (fun _ -> []);
+    cls = "stop";
+    t_arr = 0.0;
+    phase = 0;
+    attempt = 0;
+  }
+
 let n_causes = List.length Admission.all_causes
 
 let cause_index c =
@@ -159,6 +171,7 @@ let run ?(seed = 1L) ?(admission = Admission.unlimited)
        arrival consumed. *)
     let arr = Rng.derive root ~index:(0xA000 + coord) in
     let base = Rng.derive root ~index:(0xB000 + coord) in
+    let node = Some coord in
     let mb = Mailbox.create ~name:(Printf.sprintf "openloop-q%d" coord) engine in
     let record_shed idx cause ~now ~latency_ns =
       Control.record_shed sys.System.control ~latency_ns;
@@ -174,56 +187,56 @@ let run ?(seed = 1L) ?(admission = Admission.unlimited)
       end
     in
     let rec serve () =
-      match Mailbox.recv mb with
-      | None -> ()
-      | Some r ->
-          let waited = Engine.now engine -. r.t_arr in
-          (if Admission.drop_expired adm ~waited_ns:waited then
-             record_shed r.phase Admission.Deadline
-               ~now:(Engine.now engine) ~latency_ns:waited
+      let r = Mailbox.recv mb in
+      if r != stop then begin
+        let waited = Engine.now engine -. r.t_arr in
+        (if Admission.drop_expired adm ~waited_ns:waited then
+           record_shed r.phase Admission.Deadline
+             ~now:(Engine.now engine) ~latency_ns:waited
+         else begin
+           let outcome = sys.System.run_txn ~node:coord r.txn in
+           (match telemetry with
+           | None -> ()
+           | Some tel ->
+               Xenic_telemetry.Telemetry.sample_queue tel ~stack ~node:coord
+                 ~depth:(Admission.depth adm));
+           Admission.finish adm;
+           let done_t = Engine.now engine in
+           let latency = done_t -. r.t_arr in
+           let counted = Float.compare done_t t_end <= 0 in
+           let retry =
+             match outcome with
+             | Types.Aborted -> r.attempt < retries
+             | Types.Committed -> false
+           in
+           if retry then begin
+             (* Client-side retry: back through admission, so a
+                deadline/depth-bounded queue sheds the storm instead
+                of feeding it. *)
+             if counted then cs.n_retried <- cs.n_retried + 1;
+             match
+               Admission.offer adm
+                 ~occupancy:(sys.System.ingress_occupancy ~node:coord)
+             with
+             | Ok () ->
+                 Mailbox.send mb { r with attempt = r.attempt + 1 }
+             | Error cause ->
+                 record_shed r.phase cause ~now:done_t ~latency_ns:latency
+           end
            else begin
-             let outcome = sys.System.run_txn ~node:coord r.txn in
-             (match telemetry with
-             | None -> ()
-             | Some tel ->
-                 Xenic_telemetry.Telemetry.sample_queue tel ~stack ~node:coord
-                   ~depth:(Admission.depth adm));
-             Admission.finish adm;
-             let done_t = Engine.now engine in
-             let latency = done_t -. r.t_arr in
-             let counted = Float.compare done_t t_end <= 0 in
-             let retry =
+             let ph =
                match outcome with
-               | Types.Aborted -> r.attempt < retries
-               | Types.Committed -> false
+               | Types.Committed -> cs.ph_committed
+               | Types.Aborted -> cs.ph_aborted
              in
-             if retry then begin
-               (* Client-side retry: back through admission, so a
-                  deadline/depth-bounded queue sheds the storm instead
-                  of feeding it. *)
-               if counted then cs.n_retried <- cs.n_retried + 1;
-               match
-                 Admission.offer adm
-                   ~occupancy:(sys.System.ingress_occupancy ~node:coord)
-               with
-               | Ok () ->
-                   Mailbox.send mb (Some { r with attempt = r.attempt + 1 })
-               | Error cause ->
-                   record_shed r.phase cause ~now:done_t ~latency_ns:latency
+             if counted then begin
+               ph.(r.phase) <- ph.(r.phase) + 1;
+               Load.record load coord ~cls:r.cls ~latency_ns:latency outcome
              end
-             else begin
-               let ph =
-                 match outcome with
-                 | Types.Committed -> cs.ph_committed
-                 | Types.Aborted -> cs.ph_aborted
-               in
-               if counted then begin
-                 ph.(r.phase) <- ph.(r.phase) + 1;
-                 Load.record load coord ~cls:r.cls ~latency_ns:latency outcome
-               end
-             end
-           end);
-          serve ()
+           end
+         end);
+        serve ()
+      end
     in
     (* Coordinator-ingress occupancy, integrated at arrivals
        (coordinator-local state, so partition-safe). *)
@@ -238,7 +251,7 @@ let run ?(seed = 1L) ?(admission = Admission.unlimited)
         (* Schedule stops: poison each service slot so the queue drains
            and the engine can finish. *)
         for _ = 1 to service_slots do
-          Mailbox.send mb None
+          Mailbox.send mb stop
         done
       else begin
         let idx = phase_at rel in
@@ -266,13 +279,13 @@ let run ?(seed = 1L) ?(admission = Admission.unlimited)
                   ~node:coord;
                 Xenic_telemetry.Telemetry.sample_queue tel ~stack ~node:coord
                   ~depth:(Admission.depth adm));
-            Mailbox.send mb (Some { txn; cls; t_arr = now; phase = idx; attempt = 0 })
+            Mailbox.send mb { txn; cls; t_arr = now; phase = idx; attempt = 0 }
         | Error cause -> record_shed idx cause ~now ~latency_ns:0.0);
         let gap =
           Rng.exponential arr
             ~mean:(1e9 *. float_of_int nodes /. ph.rate_tps)
         in
-        Process.sleep ~node:coord engine gap;
+        Process.sleep ?node engine gap;
         arrive (seq + 1)
       end
     in

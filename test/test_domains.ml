@@ -195,6 +195,98 @@ let test_windowed_horizon_enforced () =
   Alcotest.(check bool) "sub-lookahead cross-partition schedule raises" true
     !raised
 
+(* [Engine.run ~until] stops a window's drain at [until] when it falls
+   short of the horizon, inclusively, and resumes from there. *)
+let test_windowed_until () =
+  let eng = Engine.create ~domains:1 () in
+  Engine.set_topology ~lookahead:100.0 eng ~partitions:2
+    ~node_partition:(fun n -> n);
+  let logs = [| ref []; ref [] |] in
+  List.iter
+    (fun (node, time) ->
+      Engine.at ~node eng time (fun () ->
+          logs.(node) := (time, Engine.now eng) :: !(logs.(node))))
+    [ (0, 10.0); (1, 50.0); (1, 60.0); (0, 120.0); (1, 130.0) ];
+  Alcotest.(check int) "events up to t=50" 2 (Engine.run ~until:50.0 eng);
+  Alcotest.(check (float 0.0)) "clock at until" 50.0 (Engine.now eng);
+  Alcotest.(check int) "events up to t=125" 2 (Engine.run ~until:125.0 eng);
+  Alcotest.(check int) "the rest" 1 (Engine.run eng);
+  let ran node = List.rev !(logs.(node)) in
+  Alcotest.(check (list (pair (float 0.0) (float 0.0))))
+    "partition 0 on time" [ (10.0, 10.0); (120.0, 120.0) ] (ran 0);
+  Alcotest.(check (list (pair (float 0.0) (float 0.0))))
+    "partition 1 on time"
+    [ (50.0, 50.0); (60.0, 60.0); (130.0, 130.0) ]
+    (ran 1)
+
+(* An exception escaping a windowed event leaves through [Engine.run]
+   with the backtrace of its raise, and the drain that ran it restores
+   the domain's state on the way out: the ambient Attrib state and the
+   "no partition" slot. A schedule made after the failed run is then
+   setup code. On a stale slot naming partition 1 it would be a
+   sub-lookahead cross-partition schedule, and raise. *)
+exception Boom
+
+let boom () = raise Boom
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let test_windowed_exception_restores domains () =
+  Printexc.record_backtrace true;
+  let eng = Engine.create ~domains () in
+  Engine.set_topology ~lookahead:100.0 eng ~partitions:2
+    ~node_partition:(fun n -> n);
+  Engine.set_attrib_enabled eng true;
+  Engine.at ~node:1 eng 10.0 (fun () ->
+      Attrib.set (ctx "partition-1");
+      boom ());
+  (match Engine.run eng with
+  | _ -> Alcotest.fail "the event's exception was swallowed"
+  | exception Boom ->
+      let bt = Printexc.raw_backtrace_to_string (Printexc.get_raw_backtrace ()) in
+      let first = List.hd (String.split_on_char '\n' bt) in
+      Alcotest.(check bool)
+        "backtrace starts at the raise in the event" true
+        (contains first "test/test_domains.ml"));
+  Alcotest.(check int) "no partition after the run" 0
+    (Engine.current_partition eng);
+  Alcotest.(check string) "ambient context restored"
+    Attrib.default.Attrib.stack
+    (Attrib.get ()).Attrib.stack;
+  Alcotest.(check bool) "ambient enable flag restored" false
+    (Attrib.enabled ());
+  let ran = ref false in
+  Engine.at ~node:0 eng (Engine.now eng) (fun () -> ran := true);
+  ignore (Engine.run eng);
+  Alcotest.(check bool) "a schedule after the failed run is setup code" true
+    !ran
+
+(* A partition's outbox holds 8192 handoffs per destination in one
+   window; one more raises the deterministic overflow error. *)
+let test_windowed_outbox_overflow () =
+  let sends ~partitions per_dst =
+    let eng = Engine.create ~domains:1 () in
+    Engine.set_topology ~lookahead:100.0 eng ~partitions
+      ~node_partition:(fun n -> n);
+    Engine.at ~node:0 eng 10.0 (fun () ->
+        for dst = 1 to partitions - 1 do
+          for _ = 1 to per_dst do
+            Engine.at ~node:dst eng 200.0 ignore
+          done
+        done);
+    Engine.run eng
+  in
+  Alcotest.(check int) "8192 to each of two destinations fit" (1 + (2 * 8192))
+    (sends ~partitions:3 8192);
+  Alcotest.check_raises "the 8193rd handoff overflows"
+    (Invalid_argument
+       "Engine: cross-partition outbox of partition 0 full: more than 8192 \
+        events left it in one window") (fun () ->
+      ignore (sends ~partitions:2 8193))
+
 (* ------------------------------------------------------------------ *)
 (* Closed-loop systems stay single-heap *)
 
@@ -263,6 +355,13 @@ let () =
             test_windowed_domain_parity;
           Alcotest.test_case "horizon enforced" `Quick
             test_windowed_horizon_enforced;
+          Alcotest.test_case "run until" `Quick test_windowed_until;
+          Alcotest.test_case "exception restores state (1 domain)" `Quick
+            (test_windowed_exception_restores 1);
+          Alcotest.test_case "exception restores state (2 domains)" `Quick
+            (test_windowed_exception_restores 2);
+          Alcotest.test_case "outbox overflow raises" `Quick
+            test_windowed_outbox_overflow;
         ] );
       ( "closed loop",
         List.map

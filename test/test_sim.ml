@@ -41,9 +41,30 @@ let test_heap_empty_raises () =
   Alcotest.check_raises "min_seq on empty"
     (Invalid_argument "Heap.min_seq: empty heap") (fun () ->
       ignore (Heap.min_seq h));
+  Alcotest.check_raises "precedes on empty"
+    (Invalid_argument "Heap.precedes: empty heap") (fun () ->
+      ignore (Heap.precedes h h));
   Heap.push h ~time:1.0 ~seq:1 ();
   Heap.pop h;
   Alcotest.(check bool) "empty again" true (Heap.is_empty h)
+
+(* The bool-returning tests the windowed engine reads keys through. *)
+let test_heap_in_place_tests () =
+  let a = Heap.create ~dummy:() and b = Heap.create ~dummy:() in
+  Alcotest.(check bool) "next_before on empty" false (Heap.next_before a 9.0);
+  Heap.push a ~time:5.0 ~seq:7 ();
+  Alcotest.(check bool) "next_before is strict" false (Heap.next_before a 5.0);
+  Alcotest.(check bool) "next_before above" true (Heap.next_before a 5.5);
+  Alcotest.(check bool) "next_at_or_before is not" true
+    (Heap.next_at_or_before a 5.0);
+  Heap.push b ~time:5.0 ~seq:3 ();
+  Alcotest.(check bool) "equal times: lower seq first" true (Heap.precedes b a);
+  Alcotest.(check bool) "equal times: higher seq second" false
+    (Heap.precedes a b);
+  Alcotest.(check bool) "irreflexive" false (Heap.precedes a a);
+  Heap.push a ~time:4.0 ~seq:9 ();
+  Alcotest.(check bool) "earlier time first, whatever the seq" true
+    (Heap.precedes a b)
 
 let test_heap_random_qcheck =
   QCheck.Test.make ~name:"heap pops in nondecreasing time order" ~count:200
@@ -157,61 +178,93 @@ let test_engine_no_past_qcheck =
       ignore (Engine.run eng);
       !raised)
 
-(* Property: windowed-mode partition handoff ordering. Two partitions,
-   each with a root event in the first window that schedules a mix of
-   same-partition and cross-partition events, ALL at one equal
-   timestamp beyond the window horizon — the batch a single
-   [Heap.next_at_or_before] window drains in one go. The drain order at
-   each destination must be the global scheduling-seq order (partition-
-   local events in emission order, then handed-off events in their
-   source's emission order), never the channel arrival order — and must
-   be bit-identical between a 1-domain and a 2-domain run of the same
-   topology. *)
-let run_handoff ~domains items =
+(* Property: windowed-mode partition handoff ordering. Two to four
+   partitions (node [n] on partition [n]); root events scheduled at
+   setup — so a root's seq is its setup position — at parent times in
+   three clusters further apart than the lookahead, one window each,
+   with equal parent times on different partitions. Each root schedules
+   a few leaf events, onto its own partition or another, at three
+   target times beyond every root's horizon, so the leaves of many
+   parents and windows meet in equal-time batches. A destination must
+   drain them in (target time, seq) order, where seqs are: a window's
+   local schedules from the partition's block, carved at window open,
+   before the window's handoffs, which the barrier numbers in (parent
+   time, parent seq, schedule index) order. The drain order must also
+   be bit-identical between a 1-domain and a 2-domain run. *)
+let handoff_ptimes = [| 10.0; 20.0; 150.0; 160.0; 300.0 |]
+
+let handoff_targets = [| 500.0; 550.0; 600.0 |]
+
+(* The window of a parent time: its cluster. *)
+let handoff_window ptime =
+  if ptime < 100.0 then 0 else if ptime < 250.0 then 1 else 2
+
+(* [roots] are (source, parent time index, [(destination, target index)]);
+   a leaf's id is [8 * root index + schedule index]. *)
+let run_handoff ~domains ~nparts roots =
   let eng = Engine.create ~domains () in
-  Engine.set_topology ~lookahead:100.0 eng ~partitions:2
+  Engine.set_topology ~lookahead:100.0 eng ~partitions:nparts
     ~node_partition:(fun n -> n);
   (* logs.(d) is only ever touched by partition d's events, so in the
      2-domain run each cell stays domain-local; the run/join barrier
      orders the final reads. *)
-  let logs = [| ref []; ref [] |] in
-  let t_batch = 150.0 in
-  for p = 0 to 1 do
-    Engine.at ~node:p eng 10.0 (fun () ->
-        List.iter
-          (fun (i, src, cross) ->
-            if src = p then begin
-              let dst = if cross then 1 - p else p in
-              Engine.at ~node:dst eng t_batch (fun () ->
-                  logs.(dst) := i :: !(logs.(dst)))
-            end)
-          items)
-  done;
+  let logs = Array.init nparts (fun _ -> ref []) in
+  List.iteri
+    (fun i (src, ti, kids) ->
+      Engine.at ~node:src eng handoff_ptimes.(ti) (fun () ->
+          List.iteri
+            (fun k (dst, e) ->
+              Engine.at ~node:dst eng handoff_targets.(e) (fun () ->
+                  logs.(dst) := ((8 * i) + k) :: !(logs.(dst))))
+            kids))
+    roots;
   ignore (Engine.run eng);
-  (List.rev !(logs.(0)), List.rev !(logs.(1)))
+  Array.map (fun l -> List.rev !l) logs
+
+let handoff_expect ~nparts roots =
+  let leaves =
+    List.concat
+      (List.mapi
+         (fun i (src, ti, kids) ->
+           let ptime = handoff_ptimes.(ti) in
+           List.mapi
+             (fun k (dst, e) ->
+               ( dst,
+                 ( handoff_targets.(e),
+                   handoff_window ptime,
+                   (if dst = src then 0 else 1),
+                   ptime,
+                   i,
+                   k ),
+                 (8 * i) + k ))
+             kids)
+         roots)
+  in
+  Array.init nparts (fun d ->
+      List.filter (fun (dst, _, _) -> dst = d) leaves
+      |> List.sort (fun (_, a, _) (_, b, _) -> compare a b)
+      |> List.map (fun (_, _, id) -> id))
 
 let test_engine_handoff_order_qcheck =
   QCheck.Test.make
     ~name:"windowed handoff drains equal-time batch in global seq order"
     ~count:150
-    QCheck.(list (pair bool bool))
-    (fun raw ->
-      let items =
-        List.mapi (fun i (s, c) -> (i, (if s then 1 else 0), c)) raw
+    QCheck.(
+      pair (int_range 2 4)
+        (list_of_size
+           Gen.(0 -- 24)
+           (triple (int_bound 3) (int_bound 4)
+              (list_of_size Gen.(1 -- 4) (pair (int_bound 3) (int_bound 2))))))
+    (fun (nparts, raw) ->
+      let roots =
+        List.map
+          (fun (s, ti, kids) ->
+            (s mod nparts, ti, List.map (fun (d, e) -> (d mod nparts, e)) kids))
+          raw
       in
-      let expect dst =
-        List.filter_map
-          (fun (i, src, cross) ->
-            if src = dst && not cross then Some i else None)
-          items
-        @ List.filter_map
-            (fun (i, src, cross) ->
-              if src = 1 - dst && cross then Some i else None)
-            items
-      in
-      let one = run_handoff ~domains:1 items in
-      let two = run_handoff ~domains:2 items in
-      one = two && one = (expect 0, expect 1))
+      let one = run_handoff ~domains:1 ~nparts roots in
+      let two = run_handoff ~domains:2 ~nparts roots in
+      one = two && one = handoff_expect ~nparts roots)
 
 (* ------------------------------------------------------------------ *)
 (* Engine *)
@@ -1026,7 +1079,7 @@ let minor_words_of f =
 let check_words name ~bound words =
   let per_op = words /. float_of_int ratchet_ops in
   Alcotest.(check bool)
-    (Printf.sprintf "%s: %.1f words/op within %.0f" name per_op bound)
+    (Printf.sprintf "%s: %.2f words/op within %g" name per_op bound)
     true (per_op <= bound)
 
 (* Words of one process doing [op] [ratchet_ops] times. *)
@@ -1191,6 +1244,50 @@ let test_alloc_heap () =
            ignore (Heap.pop h : int)
          done))
 
+(* The windowed engine: two partitions on one domain, each draining a
+   burst of 50 same-instant events per window. Every event is scheduled
+   before the count starts, so it is the engine's own: one boxed clock
+   value per window and per drained instant. Boxing each event's time
+   and a [Some] per drain made it 3.3. *)
+let test_alloc_windowed_event () =
+  let burst = 50 in
+  let eng = Engine.create ~domains:1 () in
+  Engine.set_topology ~lookahead:100.0 eng ~partitions:2
+    ~node_partition:(fun n -> n);
+  for w = 0 to (ratchet_ops / (2 * burst)) - 1 do
+    let time = float_of_int (1 + (1000 * w)) in
+    for n = 0 to 1 do
+      for _ = 1 to burst do
+        Engine.at ~node:n eng time ignore
+      done
+    done
+  done;
+  check_words "windowed event in a same-instant burst" ~bound:0.1
+    (minor_words_of (fun () -> ignore (Engine.run eng)))
+
+(* A cross-partition handoff: a parent event on partition 0 schedules a
+   child onto partition 1, 50 parents per instant and one instant per
+   window. Counted per handoff: the parent, the handoff and the child.
+   The merge boxes the child's time for [Heap.push]. A record per
+   handoff in per-pair rings, gathered as [Some]/tuple/cons and sorted
+   with [List.sort], made it 40.7. *)
+let test_alloc_windowed_handoff () =
+  let burst = 50 in
+  let eng = Engine.create ~domains:1 () in
+  Engine.set_topology ~lookahead:100.0 eng ~partitions:2
+    ~node_partition:(fun n -> n);
+  let dst = Some 1 in
+  for w = 0 to (ratchet_ops / burst) - 1 do
+    let time = float_of_int (1 + (1000 * w)) in
+    let target = time +. 500.0 in
+    let parent () = Engine.at ?node:dst eng target ignore in
+    for _ = 1 to burst do
+      Engine.at ~node:0 eng time parent
+    done
+  done;
+  check_words "cross-partition handoff" ~bound:3.0
+    (minor_words_of (fun () -> ignore (Engine.run eng)))
+
 (* The generator's state stays unboxed: a draw allocates nothing. *)
 let test_alloc_rng () =
   let rng = Rng.create ~seed:42L in
@@ -1210,6 +1307,7 @@ let () =
         [
           Alcotest.test_case "ordering" `Quick test_heap_ordering;
           Alcotest.test_case "empty raises" `Quick test_heap_empty_raises;
+          Alcotest.test_case "in-place tests" `Quick test_heap_in_place_tests;
           qt test_heap_random_qcheck;
           qt test_heap_model_qcheck;
         ] );
@@ -1316,5 +1414,8 @@ let () =
           Alcotest.test_case "reply dispatch" `Quick test_alloc_reply_dispatch;
           Alcotest.test_case "heap push pop" `Quick test_alloc_heap;
           Alcotest.test_case "rng draw" `Quick test_alloc_rng;
+          Alcotest.test_case "windowed event" `Quick test_alloc_windowed_event;
+          Alcotest.test_case "windowed handoff" `Quick
+            test_alloc_windowed_handoff;
         ] );
     ]
