@@ -59,8 +59,7 @@ let on_window t dst =
   let p = t.dests.(dst) in
   p.timers_fired <- p.timers_fired + 1;
   if p.timers_fired = p.live_timer then begin
-    let ambient = Attrib.get () in
-    Attrib.set p.arm_ctx;
+    let ambient = Attrib.swap p.arm_ctx in
     flush t dst;
     Attrib.set ambient
   end

@@ -133,8 +133,7 @@ let step o =
       o.o_stage <- 4;
       Engine.after (engine t) (target_pcie_ns t o.o_verb) o.o_step
   | 4 -> (
-      let ambient = Attrib.get () in
-      Attrib.set o.o_ctx;
+      let ambient = Attrib.swap o.o_ctx in
       match o.o_at_target () with
       | r ->
           Attrib.set ambient;
@@ -153,8 +152,7 @@ let step o =
   | _ -> (
       match o.o_result with
       | Some r ->
-          let ambient = Attrib.get () in
-          Attrib.set o.o_ctx;
+          let ambient = Attrib.swap o.o_ctx in
           o.o_k r;
           Attrib.set ambient
       | None -> assert false)
@@ -235,8 +233,7 @@ let send_step s =
   end
   else begin
     Resource.release_as t.units.(src) s.s_ctx;
-    let ambient = Attrib.get () in
-    Attrib.set s.s_ctx;
+    let ambient = Attrib.swap s.s_ctx in
     Fabric.send t.fabric ~src ~dst:s.s_dst
       ~payload_bytes:(req_header_b + s.s_bytes) [ s.s_msg ];
     Attrib.set ambient

@@ -542,8 +542,7 @@ let log_worker t ~node ~log ~pool ~applied =
     }
   in
   let in_ctx step =
-    let ambient = Attrib.get () in
-    Attrib.set ctx;
+    let ambient = Attrib.swap ctx in
     step ();
     Attrib.set ambient
   in
@@ -834,8 +833,7 @@ let dispatch_loop t ~node ~pkt_io =
         | Charged charge -> charge m.deliver);
         deliver rest
   and on_frame pkt =
-    let ambient = Attrib.get () in
-    Attrib.set ctx;
+    let ambient = Attrib.swap ctx in
     frame pkt;
     Attrib.set ambient
   and waiter = lazy (Mailbox.waiter ~dummy:no_frame on_frame) in

@@ -388,8 +388,7 @@ let rec xread_hop x =
   end
 
 and xread_local x =
-  let ambient = Attrib.get () in
-  Attrib.set x.x_ctx;
+  let ambient = Attrib.swap x.x_ctx in
   xread_done x (xread_value x);
   Attrib.set ambient
 

@@ -24,11 +24,16 @@
 
    Neither mode allocates per event. Both drain each instant in an
    inner batch, so the loops allocate only the boxed clock value of
-   each instant and, windowed, of each window, and the merge boxes a
-   handoff's time for its heap push. The windowed bookkeeping (picking
-   the global minimum, carving blocks, the drain's partition slot and
-   exception handling, the barrier merge) is loops over preallocated
-   state. *)
+   each instant and, windowed, of each window. The windowed
+   bookkeeping (picking the global minimum, carving blocks, the
+   drain's frame install and exception handling, the barrier merge) is
+   loops over preallocated state.
+
+   The draining partition is the engine's [main_part] field while no
+   worker domain runs. With workers running it is found from the
+   installed {!Attrib} frame, which each domain reads from its own DLS
+   cell (see {!Ambient}): each partition owns a frame that names it,
+   and a drain installs it. *)
 
 (* A partition's cross-partition handoffs for the running window, as
    parallel arrays in push order. A partition executes its events in
@@ -63,13 +68,16 @@ type t = {
   mutable node_part : int -> int;
   mutable lookahead : float;
   mutable horizon : float;  (* the running window's bound *)
+  mutable main_part : int;
+      (* the partition whose drain runs, or -1: written and read only
+         while [Ambient.switch.shared] is off, so by the main domain *)
 }
 
 and part = {
   p_id : int;
   p_eng : t;
   p_heap : (unit -> unit) Heap.t;
-  p_attrib : Attrib.state;
+  p_attrib : Attrib.state;  (* [Attrib.partition eng.attrib p_id] *)
   mutable p_now : float;
   mutable p_events : int;
   mutable p_seq_next : int;  (* next seq in this window's block *)
@@ -77,14 +85,7 @@ and part = {
   mutable p_cur_time : float;  (* identity of the executing event *)
   mutable p_cur_seq : int;
   p_out : outbox;
-  mutable p_slot : part option;  (* [Some] of itself, built once *)
 }
-
-(* The partition whose window drain is running on this domain, if any:
-   set for the span of a drain, so schedules from its events resolve
-   their origin without threading the partition through every model
-   layer. The key itself is immutable; the default is "no partition". *)
-let cur_slot : part option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 (* Default domain count, read once per process: `XENIC_DOMAINS=n` makes
    every engine (whose creator does not pass ~domains) an n-domain one.
@@ -119,6 +120,7 @@ let create ?(strict = false) ?domains () =
     node_part = (fun _ -> 0);
     lookahead = 0.0;
     horizon = infinity;
+    main_part = -1;
   }
 
 let domains t = t.domains
@@ -127,19 +129,20 @@ let partitions t = Array.length t.parts
 
 let windowed t = Array.length t.parts > 0
 
-let now t =
-  if windowed t then
-    match Domain.DLS.get cur_slot with
-    | Some p when p.p_eng == t -> p.p_now
-    | _ -> t.now
-  else t.now
+(* The partition of [t] whose window drain runs on this domain, or -1
+   (a single-heap engine, or setup code between windows): schedules
+   from its events resolve their origin without threading the
+   partition through every model layer. One ambient read: a field on
+   the main domain alone, the installed frame with workers running. *)
+let draining t =
+  if Ambient.switch.shared then Attrib.partition_in t.attrib else t.main_part
 
-let current_partition t =
-  if windowed t then
-    match Domain.DLS.get cur_slot with
-    | Some p when p.p_eng == t -> p.p_id
-    | _ -> 0
-  else 0
+(* The clock of [t]'s draining partition [i], or the engine's own. *)
+let clock t i = if i >= 0 then t.parts.(i).p_now else t.now
+
+let now t = if windowed t then clock t (draining t) else t.now
+
+let current_partition t = if windowed t then max 0 (draining t) else 0
 
 let current_lookahead t = if windowed t then Some t.lookahead else None
 
@@ -187,10 +190,7 @@ let set_topology t ~lookahead ~partitions ~node_partition =
           p_id = i;
           p_eng = t;
           p_heap = Heap.create ~dummy:ignore;
-          p_attrib =
-            (let st = Attrib.fresh () in
-             Attrib.set_state_enabled st (Attrib.state_enabled t.attrib);
-             st);
+          p_attrib = Attrib.partition t.attrib i;
           p_now = t.now;
           p_events = 0;
           p_seq_next = 0;
@@ -207,9 +207,7 @@ let set_topology t ~lookahead ~partitions ~node_partition =
               o_len = 0;
               o_head = 0;
             };
-          p_slot = None;
         });
-  Array.iter (fun p -> p.p_slot <- Some p) t.parts;
   t.node_part <-
     (fun n ->
       let p = node_partition n in
@@ -221,65 +219,79 @@ let set_topology t ~lookahead ~partitions ~node_partition =
       p);
   t.lookahead <- lookahead
 
-(* Partitioned scheduling. Local schedules draw from the partition's
-   window block; cross-partition schedules must respect the lookahead
-   bound and are deferred to the barrier with their parent's identity
-   as the merge key. *)
-let schedule_part t node time f =
-  match Domain.DLS.get cur_slot with
-  | Some p when p.p_eng == t ->
-      let dst = match node with Some n -> t.node_part n | None -> p.p_id in
-      if dst = p.p_id then begin
-        if p.p_seq_next >= p.p_seq_limit then
-          invalid_arg
-            (Printf.sprintf
-               "Engine: partition %d exhausted its %d-event window block"
-               p.p_id seq_block);
-        let s = p.p_seq_next in
-        p.p_seq_next <- s + 1;
-        Heap.push p.p_heap ~time ~seq:s f
-      end
-      else begin
-        if time < t.horizon then
-          invalid_arg
-            (Printf.sprintf
-               "Engine: cross-partition event at %.1f violates the \
-                lookahead bound (window horizon %.1f)"
-               time t.horizon);
-        let o = p.p_out in
-        let n = o.o_len in
-        if n = Array.length o.o_fn then
-          invalid_arg
-            (Printf.sprintf
-               "Engine: cross-partition outbox of partition %d full: more \
-                than %d events left it in one window"
-               p.p_id n);
-        o.o_time.(n) <- time;
-        o.o_ptime.(n) <- p.p_cur_time;
-        o.o_pseq.(n) <- p.p_cur_seq;
-        o.o_dst.(n) <- dst;
-        o.o_fn.(n) <- f;
-        o.o_len <- n + 1
-      end
-  | _ ->
-      (* Outside any window (setup code, between runs): the global
-         counter is free and the heaps are quiescent. *)
-      let dst = match node with Some n -> t.node_part n | None -> 0 in
-      t.seq <- t.seq + 1;
-      Heap.push t.parts.(dst).p_heap ~time ~seq:t.seq f
+(* Partitioned scheduling from partition [i] ([draining t]). Local
+   schedules draw from the partition's window block; cross-partition
+   schedules must respect the lookahead bound and are deferred to the
+   barrier with their parent's identity as the merge key. *)
+let schedule_part t i node time f =
+  if i < 0 then begin
+    (* Outside any window (setup code, between runs): the global
+       counter is free and the heaps are quiescent. *)
+    let dst = match node with Some n -> t.node_part n | None -> 0 in
+    t.seq <- t.seq + 1;
+    Heap.push t.parts.(dst).p_heap ~time ~seq:t.seq f
+  end
+  else
+    let p = t.parts.(i) in
+    let dst = match node with Some n -> t.node_part n | None -> p.p_id in
+    if dst = p.p_id then begin
+      if p.p_seq_next >= p.p_seq_limit then
+        invalid_arg
+          (Printf.sprintf
+             "Engine: partition %d exhausted its %d-event window block"
+             p.p_id seq_block);
+      let s = p.p_seq_next in
+      p.p_seq_next <- s + 1;
+      Heap.push p.p_heap ~time ~seq:s f
+    end
+    else begin
+      if time < t.horizon then
+        invalid_arg
+          (Printf.sprintf
+             "Engine: cross-partition event at %.1f violates the \
+              lookahead bound (window horizon %.1f)"
+             time t.horizon);
+      let o = p.p_out in
+      let n = o.o_len in
+      if n = Array.length o.o_fn then
+        invalid_arg
+          (Printf.sprintf
+             "Engine: cross-partition outbox of partition %d full: more \
+              than %d events left it in one window"
+             p.p_id n);
+      o.o_time.(n) <- time;
+      o.o_ptime.(n) <- p.p_cur_time;
+      o.o_pseq.(n) <- p.p_cur_seq;
+      o.o_dst.(n) <- dst;
+      o.o_fn.(n) <- f;
+      o.o_len <- n + 1
+    end
 
-let at ?node t time f =
-  let cur = now t in
-  if time < cur then
-    invalid_arg
-      (Printf.sprintf "Engine.at: time %.1f is before now %.1f" time cur);
-  if windowed t then schedule_part t node time f
+let before_now time cur =
+  invalid_arg
+    (Printf.sprintf "Engine.at: time %.1f is before now %.1f" time cur)
+
+let schedule t i node time f =
+  if windowed t then schedule_part t i node time f
   else begin
     t.seq <- t.seq + 1;
     Heap.push t.heap ~time ~seq:t.seq f
   end
 
-let after ?node t delay f = at ?node t (now t +. delay) f
+(* [at] and [after] resolve the draining partition once, for both the
+   clock and the schedule. *)
+let at ?node t time f =
+  let i = draining t in
+  let cur = clock t i in
+  if time < cur then before_now time cur;
+  schedule t i node time f
+
+let after ?node t delay f =
+  let i = draining t in
+  let cur = clock t i in
+  let time = cur +. delay in
+  if time < cur then before_now time cur;
+  schedule t i node time f
 
 (* ------------------------------------------------------------------ *)
 (* Single-heap loop — the simulator's single hot path; see the
@@ -371,18 +383,19 @@ let drain_events ~until t p =
     done
   done
 
-(* Drain one partition for the window, with the partition's ambient
-   Attrib state installed and the partition registered in [cur_slot]
-   so its schedules resolve their origin. Both are restored however
-   the drain ends; an exception escaping an event is kept, with its
-   backtrace, in [exns] for the barrier to re-raise. *)
+(* Drain one partition for the window, with the partition's Attrib
+   frame installed and, with no workers, [main_part] set: either tells
+   its schedules their origin. Both are restored however the drain
+   ends; an exception escaping an event is kept, with its backtrace, in
+   [exns] for the barrier to re-raise. *)
 let drain_window ~until t exns p =
   let prev = Attrib.install p.p_attrib in
-  Domain.DLS.set cur_slot p.p_slot;
+  let main = not Ambient.switch.shared in
+  if main then t.main_part <- p.p_id;
   (match drain_events ~until t p with
   | () -> ()
   | exception e -> exns.(p.p_id) <- Some (e, Printexc.get_raw_backtrace ()));
-  Domain.DLS.set cur_slot None;
+  if main then t.main_part <- -1;
   ignore (Attrib.install prev)
 
 (* The partitions of slot [s]: those [j] with [j mod nslots = s]. *)
@@ -426,7 +439,7 @@ let merge_outboxes t =
       let o = parts.(!best).p_out in
       let h = o.o_head in
       t.seq <- t.seq + 1;
-      Heap.push parts.(o.o_dst.(h)).p_heap ~time:o.o_time.(h) ~seq:t.seq
+      Heap.push_at parts.(o.o_dst.(h)).p_heap o.o_time h ~seq:t.seq
         o.o_fn.(h);
       o.o_fn.(h) <- ignore;
       o.o_head <- h + 1
@@ -559,23 +572,31 @@ let run_windowed ~until t =
       w_until = until;
     }
   in
-  (* A new domain does not record backtraces; the workers follow the
-     caller, so an event's exception keeps its backtrace on any slot. *)
-  let record = Printexc.backtrace_status () in
-  let workers =
-    Array.init (nslots - 1) (fun s ->
-        Domain.spawn (fun () ->
-            Printexc.record_backtrace record;
-            window_worker ctl t exns ~nslots (s + 1)))
-  in
+  (* The ambient slots switch to their DLS cells before the first
+     worker is spawned and back after the last is joined, in [stop],
+     however the run ends. A 1-slot run spawns nothing and stays on
+     the main domain's plain values. *)
+  let workers = ref [] in
   let stop () =
     Atomic.set ctl.w_quit true;
     Mutex.lock ctl.w_mu;
     Condition.broadcast ctl.w_cv;
     Mutex.unlock ctl.w_mu;
-    Array.iter Domain.join workers
+    List.iter Domain.join !workers;
+    if nslots > 1 then Ambient.end_shared ()
   in
+  if nslots > 1 then Ambient.begin_shared ();
   Fun.protect ~finally:stop @@ fun () ->
+  (* A new domain does not record backtraces; the workers follow the
+     caller, so an event's exception keeps its backtrace on any slot. *)
+  let record = Printexc.backtrace_status () in
+  for s = 1 to nslots - 1 do
+    workers :=
+      Domain.spawn (fun () ->
+          Printexc.record_backtrace record;
+          window_worker ctl t exns ~nslots s)
+      :: !workers
+  done;
   let continue = ref true in
   while !continue do
     let i = global_min parts in

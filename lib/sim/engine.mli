@@ -91,9 +91,12 @@ val after : ?node:int -> t -> float -> (unit -> unit) -> unit
 (** [run ?until t] executes events in order until the queue is empty or
     the next event is past [until]. Returns the number of events run.
     On a partitioned engine this spawns (and joins) the worker domains
-    for the span of the call; an exception escaping an event ends the
-    run at the window's barrier and is re-raised with its backtrace,
-    with the calling domain's ambient state restored. *)
+    for the span of the call, with the {!Ambient} slots switched to
+    their DLS cells while they run; it must then be called on the main
+    domain, and not from inside another multi-domain run
+    ([Invalid_argument]). An exception escaping an event ends the run
+    at the window's barrier and is re-raised with its backtrace, with
+    the calling domain's ambient state restored. *)
 val run : ?until:float -> t -> int
 
 (** Total events executed so far. *)
@@ -104,9 +107,10 @@ val idle : t -> bool
 
 (** {2 Ambient attribution state}
 
-    The engine owns the {!Attrib.state} (one per partition when
-    partitioned) that is installed as the domain-local ambient context
-    while the engine runs. *)
+    The engine owns the {!Attrib.state} frames (its own, and one per
+    partition when partitioned) that are installed as the calling
+    domain's ambient context while the engine runs. A partition's frame
+    also tells {!now} and {!at} which partition is draining. *)
 
 (** [with_attrib t f] runs [f] with the engine's ambient state
     installed — for setup code (e.g. the driver spawning workload

@@ -86,7 +86,9 @@ let grow h =
   h.free <- Array.init cap' (fun i -> cap' - 1 - i);
   h.nfree <- cap' - cap
 
-let push h ~time ~seq value =
+(* Inlined into both entry points, so [push_at]'s time goes from the
+   caller's float array to [times] without a box. *)
+let[@inline] push_key h time seq value =
   if h.size = Array.length h.times then grow h;
   let times = h.times and seqs = h.seqs and slots = h.slots in
   (* The value is written once, into a free slot; the sift moves only
@@ -112,6 +114,10 @@ let push h ~time ~seq value =
   Array.unsafe_set times !i time;
   Array.unsafe_set seqs !i seq;
   Array.unsafe_set slots !i slot
+
+let push h ~time ~seq value = push_key h time seq value
+
+let push_at h src i ~seq value = push_key h src.(i) seq value
 
 let min_time h =
   if h.size = 0 then fail_empty "min_time";

@@ -24,6 +24,11 @@ val length : 'a t -> int
 (** [push h ~time ~seq v] inserts [v] with priority [(time, seq)]. *)
 val push : 'a t -> time:float -> seq:int -> 'a -> unit
 
+(** [push_at h src i ~seq v] is [push h ~time:src.(i) ~seq v], with the
+    time read from [src] in place: a float passed across the module
+    boundary is boxed, a float array slot is not. *)
+val push_at : 'a t -> float array -> int -> seq:int -> 'a -> unit
+
 (** Time of the minimum element, in place. Raises [Invalid_argument]
     on an empty heap — check {!is_empty} first. *)
 val min_time : 'a t -> float

@@ -6,11 +6,13 @@ exception Not_in_process
 type _ Effect.t += Suspend : (('a -> unit) -> unit) -> 'a Effect.t
 
 (* [sleep] is the hottest blocking point, so it performs a constant
-   effect and passes its arguments through a domain-local slot instead
+   effect and passes its arguments through an {!Ambient} slot instead
    of an effect payload: the slot is written just before [perform] and
    read at once by the handler, with nothing else running on the domain
-   in between. Per domain, so partitions draining on separate domains
-   never share it. *)
+   in between. On the main domain it is a plain field; worker domains
+   each have their own, so partitions draining on separate domains
+   never share it. Its record names [Engine.t], so it cannot join
+   {!Attrib}'s frame slot, which [Engine] itself reads. *)
 type _ Effect.t += Sleep : unit Effect.t
 
 type sleep_args = {
@@ -19,26 +21,32 @@ type sleep_args = {
   mutable s_delay : float;
 }
 
-let sleep_slot : sleep_args Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
+(* xenic-lint: partitioned main-domain-value-dls-while-workers-run *)
+let sleep_slot : sleep_args Ambient.slot =
+  Ambient.slot (fun () ->
       { s_engine = Engine.create (); s_node = None; s_delay = 0.0 })
+
+let sleep_args () =
+  if Ambient.switch.shared then Ambient.get sleep_slot
+  else sleep_slot.Ambient.main
 
 (* Dynamic scoping of the attribution context: the suspending process's
    context travels with the continuation — reinstalled for the resumed
    body, with the resumer's own context restored once the body suspends
-   again or finishes. *)
+   again or finishes. The body leaves the installed frame as it found
+   it, so one read serves both moves. *)
 let resume_in ctx k v =
-  let resumer_ctx = Attrib.get () in
-  Attrib.set ctx;
+  let st = Attrib.installed () in
+  let resumer_ctx = Attrib.exchange st ctx in
   continue k v;
-  Attrib.set resumer_ctx
+  Attrib.set_state_ctx st resumer_ctx
 
 (* Preallocated handler case: a sleep allocates only its continuation,
    the wake-up closure and the boxed wake-up time. *)
 let sleep_case : ((unit, unit) continuation -> unit) option =
   Some
     (fun k ->
-      let s = Domain.DLS.get sleep_slot in
+      let s = sleep_args () in
       let ctx = Attrib.get () in
       Engine.after ?node:s.s_node s.s_engine s.s_delay (fun () ->
           resume_in ctx k ()))
@@ -89,17 +97,18 @@ let spawn engine f =
   in
   (* The child inherits the spawner's context and may overwrite it
      before its first suspension; restore the spawner's view either
-     way. *)
-  let caller_ctx = Attrib.get () in
+     way, in the frame read once, as [resume_in] does. *)
+  let st = Attrib.installed () in
+  let caller_ctx = Attrib.state_ctx st in
   match_with f () handler;
-  Attrib.set caller_ctx
+  Attrib.set_state_ctx st caller_ctx
 
 let suspend register =
   try perform (Suspend register)
   with Effect.Unhandled _ -> raise Not_in_process
 
 let sleep ?node engine delay =
-  let s = Domain.DLS.get sleep_slot in
+  let s = sleep_args () in
   s.s_engine <- engine;
   s.s_node <- node;
   s.s_delay <- delay;

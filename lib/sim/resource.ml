@@ -104,19 +104,23 @@ let queue_length t = Queue.length t.waiters
 
 let in_use t = t.busy
 
-let account t =
-  let now = Engine.now t.engine in
+(* The accounting steps take the clock, and the grant and release paths
+   read it, and [Attrib.enabled], once each. *)
+let account_at t now =
   let a = t.acct in
   a.busy_time <- a.busy_time +. (float_of_int t.busy *. (now -. a.last_change));
   a.last_change <- now
 
-let account_queue t =
-  let now = Engine.now t.engine in
+let account t = account_at t (Engine.now t.engine)
+
+let account_queue_at t now =
   let a = t.acct in
   a.queue_area <-
     a.queue_area
     +. (float_of_int (Queue.length t.waiters) *. (now -. a.last_qchange));
   a.last_qchange <- now
+
+let account_queue t = account_queue_at t (Engine.now t.engine)
 
 let stat_for t ctx =
   match Attrib.Ctx_map.find_opt ctx t.stats with
@@ -128,16 +132,12 @@ let stat_for t ctx =
       t.stats <- Attrib.Ctx_map.add ctx s t.stats;
       s
 
-let record_wait t ctx dt =
-  if Attrib.enabled () then begin
-    let s = stat_for t ctx in
-    s.wait_ns <- s.wait_ns +. dt;
-    s.waits <- s.waits +. 1.0
-  end
-
-let open_grant t ctx =
-  if Attrib.enabled () then
-    t.grants <- t.grants @ [ { g_ctx = ctx; t_grant = Engine.now t.engine } ]
+(* Record a completed wait and open its grant: profiled runs only. *)
+let start_grant t ctx ~wait now =
+  let s = stat_for t ctx in
+  s.wait_ns <- s.wait_ns +. wait;
+  s.waits <- s.waits +. 1.0;
+  t.grants <- t.grants @ [ { g_ctx = ctx; t_grant = now } ]
 
 (* Detach the first grant matching [ctx]; [None] if none does. *)
 let rec detach ctx = function
@@ -148,36 +148,37 @@ let rec detach ctx = function
       | Some (g', rest') -> Some (g', g :: rest')
       | None -> None)
 
-let close_grant t ctx =
-  if Attrib.enabled () then
-    match t.grants with
-    | [] -> ()  (* profiling was enabled mid-hold: nothing to attribute *)
-    | g0 :: rest0 ->
-        let g, rest =
-          match detach ctx t.grants with
-          | Some (g, rest) -> (g, rest)
-          | None -> (g0, rest0)
-        in
-        t.grants <- rest;
-        let s = stat_for t g.g_ctx in
-        s.service_ns <- s.service_ns +. (Engine.now t.engine -. g.t_grant);
-        s.services <- s.services +. 1.0
+(* Profiled runs only. *)
+let close_grant t ctx now =
+  match t.grants with
+  | [] -> ()  (* profiling was enabled mid-hold: nothing to attribute *)
+  | g0 :: rest0 ->
+      let g, rest =
+        match detach ctx t.grants with
+        | Some (g, rest) -> (g, rest)
+        | None -> (g0, rest0)
+      in
+      t.grants <- rest;
+      let s = stat_for t g.g_ctx in
+      s.service_ns <- s.service_ns +. (now -. g.t_grant);
+      s.services <- s.services +. 1.0
 
 (* Grant a free unit to [ctx], if there is one. *)
 let try_grant t ctx =
   if t.busy < t.servers then begin
-    account t;
+    let now = Engine.now t.engine in
+    account_at t now;
     t.busy <- t.busy + 1;
-    record_wait t ctx 0.0;
-    open_grant t ctx;
+    if Attrib.enabled () then start_grant t ctx ~wait:0.0 now;
     true
   end
   else false
 
 (* Park [resume] in the FIFO; {!release} hands it the next free unit. *)
 let enqueue t ctx resume =
-  account_queue t;
-  Queue.add { resume; w_ctx = ctx; t_enq = Engine.now t.engine } t.waiters
+  let now = Engine.now t.engine in
+  account_queue_at t now;
+  Queue.add { resume; w_ctx = ctx; t_enq = now } t.waiters
 
 let acquire t =
   let ctx = Attrib.get () in
@@ -198,26 +199,25 @@ let acquire_then t k =
    ambient context, so a callback can release under its own context
    without installing it. *)
 let release_as t ctx =
-  close_grant t ctx;
+  let now = Engine.now t.engine in
+  let on = Attrib.enabled () in
+  if on then close_grant t ctx now;
   (* Integrate the queue BEFORE dequeuing: the departing waiter must
      contribute its full interval to the area, or Little's law breaks. *)
-  account_queue t;
+  account_queue_at t now;
   match Queue.take_opt t.waiters with
   | Some w ->
       (* Hand the unit directly to the next waiter: busy count
          unchanged; the waiter's grant starts now, under the context it
          carried into the queue. *)
-      let now = Engine.now t.engine in
-      record_wait t w.w_ctx (now -. w.t_enq);
-      if Attrib.enabled () then
-        t.grants <- t.grants @ [ { g_ctx = w.w_ctx; t_grant = now } ];
+      if on then start_grant t w.w_ctx ~wait:(now -. w.t_enq) now;
       Engine.after t.engine 0.0 w.resume
   | None ->
       if t.busy <= 0 then
         invalid_arg
           (Printf.sprintf
              "Resource.release: %s released more times than acquired" t.name);
-      account t;
+      account_at t now;
       t.busy <- t.busy - 1
 
 let release t = release_as t (Attrib.get ())
@@ -236,15 +236,16 @@ let hold_then t ctx duration k =
   else enqueue t ctx (fun () -> Engine.after t.engine duration k)
 
 (* The hold's end reinstalls the caller's context around [release]
-   and [k], then restores the ambient one. *)
+   and [k], then restores the ambient one, in the frame it fetched
+   once. *)
 let use_then t duration k =
   let ctx = Attrib.get () in
   hold_then t ctx duration (fun () ->
-      let ambient = Attrib.get () in
-      Attrib.set ctx;
+      let st = Attrib.installed () in
+      let ambient = Attrib.exchange st ctx in
       release_as t ctx;
       k ();
-      Attrib.set ambient)
+      Attrib.set_state_ctx st ambient)
 
 let busy_time t =
   account t;

@@ -396,6 +396,30 @@ let test_atomicity_fresh_local () =
   | [ f ] -> Alcotest.(check string) "shared table flagged" "t[]" f.Atomicity.a_lvalue
   | fs -> Alcotest.failf "expected exactly one finding, got %d" (List.length fs)
 
+(* ---- Domain.DLS stays in the ambient module ------------------------ *)
+
+(* Per-domain simulator state goes through [Ambient] (lib/sim/ambient.ml),
+   which reads plain main-domain values unless an engine's worker
+   domains run. A [DLS.] path anywhere else in lib/ would put a
+   per-call DLS read back on the hot path. The test runs in
+   _build/default/test, where the stanza's deps put lib/ at ../lib. *)
+let test_dls_confined () =
+  let has_dls src =
+    let n = String.length src in
+    let rec go i = i + 4 <= n && (String.sub src i 4 = "DLS." || go (i + 1)) in
+    go 0
+  in
+  let files =
+    Lint.collect_ml_files [ "../lib" ]
+    @ Lint.collect_files ~suffix:".mli" [ "../lib" ]
+  in
+  Alcotest.(check bool) "lib/ sources found" true (List.length files > 50);
+  Alcotest.(check (list string))
+    "only the ambient module names Domain.DLS"
+    [ "../lib/sim/ambient.ml"; "../lib/sim/ambient.mli" ]
+    (List.sort String.compare
+       (List.filter (fun f -> has_dls (Lint.read_file f)) files))
+
 (* ---- DOMAIN-SHARED report ------------------------------------------ *)
 
 let test_domain_shared () =
@@ -600,6 +624,7 @@ let () =
           Alcotest.test_case "atomicity fresh locals" `Quick
             test_atomicity_fresh_local;
           Alcotest.test_case "domain shared report" `Quick test_domain_shared;
+          Alcotest.test_case "DLS confined to Ambient" `Quick test_dls_confined;
           Alcotest.test_case "ratchet" `Quick test_ratchet;
           Alcotest.test_case "options inventory" `Quick test_options;
           Alcotest.test_case "closures inventory" `Quick test_closures;

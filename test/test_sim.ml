@@ -1221,7 +1221,7 @@ let test_alloc_verb () =
            ~bytes:64 ~at_target:ignore))
 
 let test_alloc_doorbell_batch () =
-  check_words "doorbell batch of 3" ~bound:425.0
+  check_words "doorbell batch of 3" ~bound:423.0
     (rdma_words (fun rdma () ->
          ignore
            (Xenic_nicdev.Rdma.one_sided_many rdma ~src:0
@@ -1268,9 +1268,10 @@ let test_alloc_windowed_event () =
 (* A cross-partition handoff: a parent event on partition 0 schedules a
    child onto partition 1, 50 parents per instant and one instant per
    window. Counted per handoff: the parent, the handoff and the child.
-   The merge boxes the child's time for [Heap.push]. A record per
-   handoff in per-pair rings, gathered as [Some]/tuple/cons and sorted
-   with [List.sort], made it 40.7. *)
+   The merge reads the child's time from the outbox in place
+   ([Heap.push_at]); boxing it for [Heap.push] made it 2.37, and a
+   record per handoff in per-pair rings, gathered as [Some]/tuple/cons
+   and sorted with [List.sort], made it 40.7. *)
 let test_alloc_windowed_handoff () =
   let burst = 50 in
   let eng = Engine.create ~domains:1 () in
@@ -1285,7 +1286,7 @@ let test_alloc_windowed_handoff () =
       Engine.at ~node:0 eng time parent
     done
   done;
-  check_words "cross-partition handoff" ~bound:3.0
+  check_words "cross-partition handoff" ~bound:0.4
     (minor_words_of (fun () -> ignore (Engine.run eng)))
 
 (* The generator's state stays unboxed: a draw allocates nothing. *)
