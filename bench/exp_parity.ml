@@ -9,7 +9,7 @@
    digests (%h floats, every metrics counter) are compared. Any byte of
    divergence fails the experiment with a nonzero exit — run_bench.sh
    runs this before spending cycles on any other experiment.
-   Closed-loop systems run the single-heap loop whatever the domain
+   Closed-loop systems run on one partition whatever the domain
    budget, so there is nothing to compare there. *)
 
 open Xenic_proto

@@ -1,6 +1,7 @@
 (* Extra: wall-clock events/sec microbench of the discrete-event engine
-   hot path — a deterministic timer storm on the single-heap loop, and
-   a partitioned storm on the windowed loop at 1 and 2 domains. The
+   hot path — a deterministic timer storm on the default engine (one
+   partition, one window per run), and a storm on 2 partitions at 1 and
+   2 domains. The
    numbers are reported, not gated: the machine-independent guards are
    test_sim's allocation ratchet and bench/cost's alloc_words_per_txn.
 
@@ -192,7 +193,7 @@ let measure () =
 let run () =
   let m = measure () in
   Printf.printf "  timer storm: %d events, best of 3\n" m.events;
-  Printf.printf "  %-16s %12.3e events/sec\n" "single-heap" m.current_eps;
+  Printf.printf "  %-16s %12.3e events/sec\n" "default engine" m.current_eps;
   (* Wall-clock numbers are machine-dependent: the "wallclock" key
      prefix tells `bench diff --ignore-prefix wallclock` to skip them. *)
   Common.json_int "sim storm events" m.events;

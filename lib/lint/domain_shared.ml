@@ -3,8 +3,8 @@
    Partitioning the event engine across OCaml 5 domains (ROADMAP Open
    item 2) is only safe once every piece of mutable state reachable
    from more than one partition's processes is either made
-   per-partition or put behind synchronization. In today's single-heap
-   simulator, *module-level* mutable bindings are exactly that set:
+   per-partition or put behind synchronization. In this simulator,
+   *module-level* mutable bindings are exactly that set:
    per-node state lives inside the per-node records built by
    [create]/[spawn] and partitions with the node, while a toplevel
    [ref]/[Hashtbl]/array is one cell shared by every node's processes.

@@ -117,19 +117,20 @@ let lease_ns = 25_000.0
 
 let create engine hw cfg ~stack ~partitions ~armed ~table =
   (* The windowed contract: fence, epoch and membership state is
-     cross-partition, so a windowed system must stay un-armed. *)
-  if partitions > 0 && armed then
+     cross-partition, so a system on several partitions must stay
+     un-armed. *)
+  if partitions > 1 && armed then
     invalid_arg "Control.create: a windowed system cannot be armed";
-  (* [partitions > 0] requests windowed conservative-PDES mode,
-     partitioned by node before any event exists: the open-loop driver
-     has no cross-node shared state, so partitions can drain whole
-     lookahead windows independently (lookahead = the wire latency
-     every cross-node message already pays). Results are bit-identical
-     for a fixed partition count regardless of domains. Otherwise the
-     engine stays single-heap whatever its domain budget. *)
+  (* [partitions > 1] partitions the engine by node before any event
+     exists: the open-loop driver has no cross-node shared state, so
+     partitions can drain whole lookahead windows independently
+     (lookahead = the wire latency every cross-node message already
+     pays). Results are bit-identical for a fixed partition count
+     regardless of domains. Otherwise the engine keeps its one
+     partition whatever its domain budget. *)
   let nodes = cfg.Config.nodes in
-  if partitions > 0 then begin
-    if Engine.partitions engine <> 0 then
+  if partitions > 1 then begin
+    if Engine.partitions engine > 1 then
       invalid_arg "Control.create: engine already has a topology";
     let partitions = min partitions nodes in
     Engine.set_topology engine ~lookahead:hw.Xenic_params.Hw.wire_latency_ns
@@ -138,7 +139,7 @@ let create engine hw cfg ~stack ~partitions ~armed ~table =
         Config.partition_of_node cfg ~partitions ~node)
   end;
   let per_partition f =
-    Array.init (max 1 (Engine.partitions engine)) (fun _ -> f ())
+    Array.init (Engine.partitions engine) (fun _ -> f ())
   in
   {
     engine;
@@ -165,8 +166,6 @@ let create engine hw cfg ~stack ~partitions ~armed ~table =
     trace = None;
     telemetry = None;
   }
-
-let windowed t = Option.is_some (Engine.current_lookahead t.engine)
 
 (* ------------------------------------------------------------------ *)
 (* Routing *)
@@ -238,7 +237,7 @@ let metrics t =
 let counters t = Metrics.counters (mx t)
 
 let set_trace t tr =
-  if windowed t && Option.is_some tr then
+  if Engine.partitions t.engine > 1 && Option.is_some tr then
     invalid_arg "Control.set_trace: a windowed system cannot be traced";
   t.trace <- tr
 
@@ -273,9 +272,10 @@ let set_oracle t o = t.oracle <- Some o
 
 (* Flush the partition-local oracle buffers into the attached oracle,
    in partition-index order (deterministic for a fixed partition
-   count). On a windowed engine, call between runs only — never while
-   partitions may still be recording. An unpartitioned system runs on
-   one heap, so there it may also be called from an event mid-run. *)
+   count). On several partitions, call between runs only — never while
+   partitions may still be recording. A one-partition system has one
+   shard, which its own events write, so there it may also be called
+   from an event mid-run. *)
 let sync t =
   match t.oracle with
   | None -> ()

@@ -21,7 +21,7 @@
     {!dispatch_loop}, and the per-attempt body of {!run_txn}.
 
     {b Shards.} Metrics and the oracle feed are sharded per engine
-    partition — one shard on an unpartitioned (single-heap) engine.
+    partition — one shard on a one-partition engine.
 
     {b Armed.} An armed system has request deadlines
     ({!req_timeout_ns}), the epoch-fenced commit point and a lease-based
@@ -29,7 +29,7 @@
     of them: requests block until answered and a crash removes the node
     from routing at once.
 
-    {b Windowed contract.} With [partitions > 0] the epoch, fence and
+    {b Windowed contract.} With [partitions > 1] the epoch, fence and
     liveness state is cross-partition: such a system must stay
     un-armed, so it has no membership, and attach no trace. {!create}
     and {!set_trace} raise [Invalid_argument] otherwise. *)
@@ -154,14 +154,14 @@ val req_timeout_ns : float
     off. *)
 val lease_ns : float
 
-(** With [partitions > 0], install a windowed partition topology on the
-    engine (lookahead = wire latency); otherwise the engine stays
-    single-heap whatever its domain budget. Then create the fabric, one
+(** With [partitions > 1], install a partition topology on the engine
+    (lookahead = wire latency); otherwise the engine keeps its one
+    partition whatever its domain budget. Then create the fabric, one
     replica store per node (each shard copy's hash table a fresh
     [table ()]) and the control state, with no membership yet: an armed
     stack ends its own [create] with {!attach_membership}. Must run
     before any event is scheduled. Raises [Invalid_argument] when
-    [armed] and [partitions > 0]. *)
+    [armed] and [partitions > 1]. *)
 val create :
   Xenic_sim.Engine.t ->
   Xenic_params.Hw.t ->
@@ -246,9 +246,9 @@ val set_oracle : t -> Oracle.t -> unit
 
 (** Flush partition oracle buffers into the attached oracle, in
     partition-index order; commits reach the attached oracle only
-    through it. On a windowed engine, call between runs only. An
-    unpartitioned system runs on one heap, so there it may also be
-    called from an event mid-run. *)
+    through it. On several partitions, call between runs only. A
+    one-partition system has one shard, so there it may also be called
+    from an event mid-run. *)
 val sync : t -> unit
 
 (** Record a commit in the attached oracle, if any: [values] are the

@@ -23,10 +23,11 @@ type params = {
          lease-based membership (see [Control]); false (default): the
          fault-free fast path *)
   partitions : int;
-      (* > 0: windowed conservative-PDES topology over this many node
+      (* > 1: windowed conservative-PDES topology over this many node
          partitions, with metrics and the oracle feed sharded per
          partition (same contract as [Xenic_system.params.partitions]:
-         un-armed runs only, no membership/trace). 0: single-heap. *)
+         un-armed runs only, no membership/trace). 0 or 1: one
+         partition. *)
 }
 
 let default_params =

@@ -45,11 +45,11 @@ type params = {
           point; and a started membership driving recovery (below).
           [false] (default): the fault-free fast path. *)
   partitions : int;
-      (** [> 0]: windowed conservative-PDES topology over this many
+      (** [> 1]: windowed conservative-PDES topology over this many
           node partitions with per-partition metrics/oracle shards (the
           open-loop configuration; un-armed runs only, no
-          membership/trace). [0] (default): single-heap. Same contract as
-          {!Xenic_system.params}[.partitions]. *)
+          membership/trace). [0] (default) or [1]: one partition. Same
+          contract as {!Xenic_system.params}[.partitions]. *)
 }
 
 val default_params : params

@@ -19,10 +19,10 @@ type t = {
       (** Instantaneous coordinator-NIC ingress occupancy (> 1.0 =
           backlog) — the admission backpressure signal. *)
   sync : unit -> unit;
-      (** Flush partition-local oracle buffers (one when unpartitioned)
-          into the attached oracle: between runs on a windowed engine,
-          at any time on an unpartitioned one. Both drivers call it
-          after their final run. *)
+      (** Flush partition-local oracle buffers (one on a one-partition
+          engine) into the attached oracle: between runs on several
+          partitions, at any time on one. Both drivers call it after
+          their final run. *)
   load : Keyspace.t -> bytes -> unit;
       (** Bulk-load one object, bypassing the protocol: hash keys into
           the shard's primary copy, ordered keys into every replica. *)

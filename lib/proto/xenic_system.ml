@@ -19,15 +19,15 @@ type params = {
          started lease-based membership. false (default): the
          no-failure fast path. *)
   partitions : int;
-      (* > 0: install a windowed conservative-PDES topology over this
+      (* > 1: install a windowed conservative-PDES topology over this
          many node partitions (lookahead = the fabric wire latency) and
          shard metrics and the oracle feed per partition, so open-loop
          generators on different partitions never touch shared mutable
-         state. 0 (default): the single-heap engine, whatever its domain
-         budget, with one metrics shard and one oracle buffer.
-         Windowed runs must stay un-armed (the fence, epoch and
-         membership machinery is cross-partition by construction);
-         [Control] rejects an armed windowed system. *)
+         state. 0 (default) or 1: the engine's one partition, whatever
+         its domain budget, with one metrics shard and one oracle
+         buffer. Runs on several partitions must stay un-armed (the
+         fence, epoch and membership machinery is cross-partition by
+         construction); [Control] rejects an armed windowed system. *)
 }
 
 let default_params =

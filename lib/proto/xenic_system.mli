@@ -37,16 +37,16 @@ type params = {
           requests block until answered, and a crash removes the node
           from routing at once. *)
   partitions : int;
-      (** [> 0]: install a windowed conservative-PDES topology over
+      (** [> 1]: install a windowed conservative-PDES topology over
           this many node partitions (lookahead = the wire latency) and
           shard metrics and the oracle feed per partition — the
           open-loop configuration; results are bit-identical for a
           fixed partition count regardless of the engine's domain
-          count. Windowed systems must stay un-armed and must not
-          attach traces or profiles (that state is cross-partition;
-          {!Control} rejects the first two). [0]
-          (default): the single-heap engine, whatever its domain
-          budget, with one metrics shard and one oracle buffer. *)
+          count. Such systems must stay un-armed and must not attach
+          traces or profiles (that state is cross-partition;
+          {!Control} rejects the first two). [0] (default) or [1]: the
+          engine's one partition, whatever its domain budget, with one
+          metrics shard and one oracle buffer. *)
 }
 
 val default_params : params

@@ -29,7 +29,7 @@ val counter : outcome -> string -> float
     open-loop engine's domain budget (default: [XENIC_DOMAINS], or 1):
     those runs are windowed on 2 partitions, and their digests are
     domain-count-invariant. Closed-loop runs ignore it and use the
-    single-heap engine.
+    one-partition engine.
     [concurrency]/[target] shape the closed-loop run only. Requires
     [max_concurrent_crashes < replication] (= 3, or [nodes] if
     smaller). *)

@@ -541,7 +541,7 @@ let expand_endpoint t n = if n = -1 then all_nodes t else [ n ]
    event per source, tagged [~node:src] — each runs on the partition
    that owns the row it mutates. NIC directives run at their node.
    Crash/recover are untagged: they only run in closed-loop scenarios,
-   on the single-heap engine, where tags are ignored. *)
+   on the one-partition engine, where tags are ignored. *)
 let schedule_action t (sys : System.t) ~at action =
   let engine = sys.System.engine in
   let ctl = sys.System.control in

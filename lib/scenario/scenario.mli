@@ -119,8 +119,8 @@ val save_file : string -> t -> unit
 (** [inject t sys ~seed] schedules every event of the scenario as an
     ordinary engine event, relative to the current simulated instant:
     link events run on the source node's partition, NIC events on
-    their node's partition — legal on single-heap and windowed
-    parallel engines alike. If the scenario touches link state, the
+    their node's partition — legal on one partition and on several
+    alike. If the scenario touches link state, the
     fabric's fault lane is enabled first with [seed]/[rto_ns]. Call
     after building the system and before [Driver.run]/[Openloop.run].
     Raises [Invalid_argument] if the scenario fails {!validate} or its

@@ -3,7 +3,7 @@
 
    A few pieces of simulator state are dynamically scoped per domain:
    the installed attribution frame ({!Attrib}) and the sleep arguments
-   ({!Process}). They must be per domain because [Engine.run_windowed]
+   ({!Process}). They must be per domain because [Engine.run]
    drains partitions on worker domains, but a [Domain.DLS.get] is
    several times dearer than a field read, and the hot path reads them
    hundreds of times per transaction. So each slot keeps a main-domain

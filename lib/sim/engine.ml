@@ -1,33 +1,34 @@
-(* Discrete-event engine, in two execution modes sharing one API:
+(* Discrete-event engine: conservative windowed PDES over one or more
+   partitions, one loop for every engine.
 
-   - {e single-heap} (no topology): one heap in strict (time, seq)
-     order — the hot path;
+   Each window executes every event with time < T + lookahead (T =
+   global minimum) concurrently across partitions; events an event
+   schedules onto its own partition draw sequence numbers from a
+   per-partition block carved out of the global counter at window
+   start, and cross-partition events — legal only at or beyond the
+   window horizon, the lookahead discipline — are appended to the
+   source partition's bounded outbox and merged at the barrier in the
+   order (parent time, parent seq, schedule index), which equals the
+   order a sequential execution would have scheduled them in. Each
+   outbox is already in that order, so the merge takes the least of
+   the outbox heads, in place. Partition count, blocks, and the merge
+   are all independent of the domain count, so a 1-domain and an
+   n-domain run of the same partitioned model are bit-identical.
+   Requires the model to keep partitions independent below the
+   lookahead (no shared mutable state, cross-partition delays >=
+   lookahead) — violations of the time bound fail deterministically.
 
-   - {e windowed conservative} ({!set_topology}): classic conservative
-     PDES. Each window executes every event with time < T + lookahead
-     (T = global minimum) concurrently across partitions; events an
-     event schedules onto its own partition draw sequence numbers from
-     a per-partition block carved out of the global counter at window
-     start, and cross-partition events — legal only at or beyond the
-     window horizon, the lookahead discipline — are appended to the
-     source partition's bounded outbox and merged at the barrier in
-     the order (parent time, parent seq, schedule index), which equals
-     the order a sequential execution would have scheduled them in.
-     Each outbox is already in that order, so the merge takes the
-     least of the outbox heads, in place. Partition count, blocks,
-     and the merge are all independent of the domain count, so a
-     1-domain and an n-domain run of the same partitioned model are
-     bit-identical. Requires the model to keep partitions independent
-     below the lookahead (no shared mutable state, cross-partition
-     delays >= lookahead) — violations of the time bound fail
-     deterministically.
+   A fresh engine has one partition. No cross-partition event can
+   exist there, so its horizon is infinite (a run is one window), its
+   seq block is unbounded and the global counter resumes where the
+   block ends: the events run in strict (time, seq) order, with the
+   sequence numbers a single global counter would hand out.
 
-   Neither mode allocates per event. Both drain each instant in an
-   inner batch, so the loops allocate only the boxed clock value of
-   each instant and, windowed, of each window. The windowed
-   bookkeeping (picking the global minimum, carving blocks, the
-   drain's frame install and exception handling, the barrier merge) is
-   loops over preallocated state.
+   The loop allocates nothing per event. Each instant drains in an
+   inner batch, so it allocates only the boxed clock value of each
+   instant and of each window. The bookkeeping (picking the global
+   minimum, carving blocks, the drain's frame install and exception
+   handling, the barrier merge) is loops over preallocated state.
 
    The draining partition is the engine's [main_part] field while no
    worker domain runs. With workers running it is found from the
@@ -54,7 +55,6 @@ type outbox = {
 type t = {
   mutable now : float;
   mutable seq : int;
-  heap : (unit -> unit) Heap.t;
   mutable events_run : int;
   strict : bool;
   mutable checks : (unit -> string list) list;  (* newest first *)
@@ -62,11 +62,11 @@ type t = {
   mu : Mutex.t;  (* orders checks/violations when partitions share them *)
   domains : int;
   attrib : Attrib.state;
-      (* ambient attribution state installed for single-heap runs and
-         for engine-scoped setup code ({!with_attrib}) *)
-  mutable parts : part array;  (* [||] until {!set_topology} *)
-  mutable node_part : int -> int;
-  mutable lookahead : float;
+      (* ambient attribution state installed for engine-scoped setup
+         code ({!with_attrib}), and the one partition's frame *)
+  mutable parts : part array;
+  mutable node_part : int -> int;  (* consulted from two partitions up *)
+  mutable lookahead : float;  (* infinite on one partition *)
   mutable horizon : float;  (* the running window's bound *)
   mutable main_part : int;
       (* the partition whose drain runs, or -1: written and read only
@@ -75,22 +75,24 @@ type t = {
 
 and part = {
   p_id : int;
-  p_eng : t;
   p_heap : (unit -> unit) Heap.t;
-  p_attrib : Attrib.state;  (* [Attrib.partition eng.attrib p_id] *)
+  p_attrib : Attrib.state;
+      (* [Attrib.partition eng.attrib p_id], or [eng.attrib] itself on
+         a one-partition engine *)
   mutable p_now : float;
   mutable p_events : int;
   mutable p_seq_next : int;  (* next seq in this window's block *)
   mutable p_seq_limit : int;
-  mutable p_cur_time : float;  (* identity of the executing event *)
   mutable p_cur_seq : int;
+      (* the executing event's seq, kept from two partitions up; its
+         time is [p_now] *)
   p_out : outbox;
 }
 
 (* Default domain count, read once per process: `XENIC_DOMAINS=n` makes
    every engine (whose creator does not pass ~domains) an n-domain one.
-   Only windowed runs use it; the test suite uses it to run identical
-   binaries on one domain or several. *)
+   Only runs on several partitions use it; the test suite uses it to
+   run identical binaries on one domain or several. *)
 let env_domains =
   match Sys.getenv_opt "XENIC_DOMAINS" with
   | None -> 1
@@ -102,23 +104,50 @@ let env_domains =
             (Printf.sprintf
                "XENIC_DOMAINS: expected an integer in [1, 64], got %S" s))
 
+(* Handoffs a partition may send to each other partition in one
+   window; its outbox holds this many per destination. *)
+let outbox_per_dst = 8192
+
+let make_part ~partitions ~now p_id p_attrib =
+  let cap = outbox_per_dst * (partitions - 1) in
+  {
+    p_id;
+    p_heap = Heap.create ~dummy:ignore;
+    p_attrib;
+    p_now = now;
+    p_events = 0;
+    p_seq_next = 0;
+    p_seq_limit = 0;
+    p_cur_seq = 0;
+    p_out =
+      {
+        o_time = Array.make cap 0.0;
+        o_ptime = Array.make cap 0.0;
+        o_pseq = Array.make cap 0;
+        o_dst = Array.make cap 0;
+        o_fn = Array.make cap ignore;
+        o_len = 0;
+        o_head = 0;
+      };
+  }
+
 let create ?(strict = false) ?domains () =
   let domains = match domains with Some d -> d | None -> env_domains in
   if domains < 1 then invalid_arg "Engine.create: domains must be >= 1";
+  let attrib = Attrib.fresh () in
   {
     now = 0.0;
     seq = 0;
-    heap = Heap.create ~dummy:(fun () -> ());
     events_run = 0;
     strict;
     checks = [];
     violations = [];
     mu = Mutex.create ();
     domains;
-    attrib = Attrib.fresh ();
-    parts = [||];
+    attrib;
+    parts = [| make_part ~partitions:1 ~now:0.0 0 attrib |];
     node_part = (fun _ -> 0);
-    lookahead = 0.0;
+    lookahead = infinity;
     horizon = infinity;
     main_part = -1;
   }
@@ -127,24 +156,20 @@ let domains t = t.domains
 
 let partitions t = Array.length t.parts
 
-let windowed t = Array.length t.parts > 0
-
 (* The partition of [t] whose window drain runs on this domain, or -1
-   (a single-heap engine, or setup code between windows): schedules
-   from its events resolve their origin without threading the
-   partition through every model layer. One ambient read: a field on
-   the main domain alone, the installed frame with workers running. *)
+   (setup code between windows): schedules from its events resolve
+   their origin without threading the partition through every model
+   layer. One ambient read: a field on the main domain alone, the
+   installed frame with workers running. *)
 let draining t =
   if Ambient.switch.shared then Attrib.partition_in t.attrib else t.main_part
 
 (* The clock of [t]'s draining partition [i], or the engine's own. *)
 let clock t i = if i >= 0 then t.parts.(i).p_now else t.now
 
-let now t = if windowed t then clock t (draining t) else t.now
+let now t = clock t (draining t)
 
-let current_partition t = if windowed t then max 0 (draining t) else 0
-
-let current_lookahead t = if windowed t then Some t.lookahead else None
+let current_partition t = max 0 (draining t)
 
 let strict t = t.strict
 
@@ -171,69 +196,57 @@ let sanitize t =
    must stay disjoint without cross-domain coordination. *)
 let seq_block = 1 lsl 20
 
-(* Handoffs a partition may send to each other partition in one
-   window; its outbox holds this many per destination. *)
-let outbox_per_dst = 8192
+let idle t = Array.for_all (fun p -> Heap.is_empty p.p_heap) t.parts
 
 let set_topology t ~lookahead ~partitions ~node_partition =
   if partitions <= 0 then
     invalid_arg "Engine.set_topology: partitions must be positive";
   if Float.compare lookahead 0.0 <= 0 then
     invalid_arg "Engine.set_topology: lookahead must be positive";
-  if windowed t then invalid_arg "Engine.set_topology: topology already set";
-  if (not (Heap.is_empty t.heap)) || t.events_run > 0 then
+  if Array.length t.parts > 1 then
+    invalid_arg "Engine.set_topology: topology already set";
+  if (not (idle t)) || t.events_run > 0 then
     invalid_arg "Engine.set_topology: engine already has events";
-  let cap = outbox_per_dst * (partitions - 1) in
-  t.parts <-
-    Array.init partitions (fun i ->
-        {
-          p_id = i;
-          p_eng = t;
-          p_heap = Heap.create ~dummy:ignore;
-          p_attrib = Attrib.partition t.attrib i;
-          p_now = t.now;
-          p_events = 0;
-          p_seq_next = 0;
-          p_seq_limit = 0;
-          p_cur_time = 0.0;
-          p_cur_seq = 0;
-          p_out =
-            {
-              o_time = Array.make cap 0.0;
-              o_ptime = Array.make cap 0.0;
-              o_pseq = Array.make cap 0;
-              o_dst = Array.make cap 0;
-              o_fn = Array.make cap ignore;
-              o_len = 0;
-              o_head = 0;
-            };
-        });
-  t.node_part <-
-    (fun n ->
-      let p = node_partition n in
-      if p < 0 || p >= partitions then
-        invalid_arg
-          (Printf.sprintf
-             "Engine: node %d mapped to partition %d outside [0, %d)" n p
-             partitions);
-      p);
-  t.lookahead <- lookahead
+  if partitions > 1 then begin
+    t.parts <-
+      Array.init partitions (fun i ->
+          make_part ~partitions ~now:t.now i (Attrib.partition t.attrib i));
+    t.node_part <-
+      (fun n ->
+        let p = node_partition n in
+        if p < 0 || p >= partitions then
+          invalid_arg
+            (Printf.sprintf
+               "Engine: node %d mapped to partition %d outside [0, %d)" n p
+               partitions);
+        p);
+    t.lookahead <- lookahead
+  end
 
-(* Partitioned scheduling from partition [i] ([draining t]). Local
-   schedules draw from the partition's window block; cross-partition
-   schedules must respect the lookahead bound and are deferred to the
-   barrier with their parent's identity as the merge key. *)
-let schedule_part t i node time f =
+(* Scheduling from partition [i] ([draining t]). Local schedules draw
+   from the partition's window block; cross-partition schedules must
+   respect the lookahead bound and are deferred to the barrier with
+   their parent's identity as the merge key. A [~node] tag is resolved
+   only from two partitions up: on one, every event is local. *)
+let schedule t i node time f =
   if i < 0 then begin
     (* Outside any window (setup code, between runs): the global
        counter is free and the heaps are quiescent. *)
-    let dst = match node with Some n -> t.node_part n | None -> 0 in
+    let dst =
+      match node with
+      | Some n when Array.length t.parts > 1 -> t.node_part n
+      | _ -> 0
+    in
     t.seq <- t.seq + 1;
     Heap.push t.parts.(dst).p_heap ~time ~seq:t.seq f
   end
   else
     let p = t.parts.(i) in
-    let dst = match node with Some n -> t.node_part n | None -> p.p_id in
+    let dst =
+      match node with
+      | Some n when Array.length t.parts > 1 -> t.node_part n
+      | _ -> p.p_id
+    in
     if dst = p.p_id then begin
       if p.p_seq_next >= p.p_seq_limit then
         invalid_arg
@@ -260,7 +273,7 @@ let schedule_part t i node time f =
               than %d events left it in one window"
              p.p_id n);
       o.o_time.(n) <- time;
-      o.o_ptime.(n) <- p.p_cur_time;
+      o.o_ptime.(n) <- p.p_now;
       o.o_pseq.(n) <- p.p_cur_seq;
       o.o_dst.(n) <- dst;
       o.o_fn.(n) <- f;
@@ -270,13 +283,6 @@ let schedule_part t i node time f =
 let before_now time cur =
   invalid_arg
     (Printf.sprintf "Engine.at: time %.1f is before now %.1f" time cur)
-
-let schedule t i node time f =
-  if windowed t then schedule_part t i node time f
-  else begin
-    t.seq <- t.seq + 1;
-    Heap.push t.heap ~time ~seq:t.seq f
-  end
 
 (* [at] and [after] resolve the draining partition once, for both the
    clock and the schedule. *)
@@ -294,49 +300,7 @@ let after ?node t delay f =
   schedule t i node time f
 
 (* ------------------------------------------------------------------ *)
-(* Single-heap loop — the simulator's single hot path; see the
-   heap comments. Allocates nothing per event: [Heap.min_time] reads
-   the key in place and [Heap.pop] returns the stored closure. Events
-   dispatch in strict (time, seq) order; same-timestamp events —
-   including ones the dispatched handlers schedule for the current
-   instant — drain in an inner batch that advances the clock once and
-   skips the redundant [until] comparison ([time <= now <= until]).
-   The batch condition is [min_time <= now]: [Engine.at] rejects
-   scheduling in the past, so [<=] means "at the current instant"
-   without a float equality. *)
-
-let run_legacy ~until t =
-  let start = t.events_run in
-  let h = t.heap in
-  let continue = ref true in
-  while !continue do
-    if Heap.is_empty h then continue := false
-    else begin
-      let time = Heap.min_time h in
-      if time > until then continue := false
-      else begin
-        if t.strict && time < t.now then
-          report_violation t
-            (Printf.sprintf
-               "engine: non-monotonic time (event at %.1f dispatched after \
-                clock reached %.1f)"
-               time t.now);
-        t.now <- time;
-        t.events_run <- t.events_run + 1;
-        (Heap.pop h) ();
-        while Heap.next_at_or_before h t.now do
-          t.events_run <- t.events_run + 1;
-          (Heap.pop h) ()
-        done
-      end
-    end
-  done;
-  (* xenic-lint: allow FLOAT-CMP *)
-  if until <> infinity && until > t.now then t.now <- until;
-  t.events_run - start
-
-(* ------------------------------------------------------------------ *)
-(* Windowed conservative mode. *)
+(* The window loop. *)
 
 (* Index of the partition holding the globally minimal (time, seq)
    event; -1 when every heap is empty. *)
@@ -350,18 +314,23 @@ let global_min parts =
   done;
   !best
 
-let dispatch p =
-  p.p_cur_seq <- Heap.min_seq p.p_heap;
+(* Run the partition's next event. [keyed]: several partitions, so a
+   handoff the event schedules needs its seq for the merge key. *)
+let dispatch ~keyed p =
+  if keyed then p.p_cur_seq <- Heap.min_seq p.p_heap;
   p.p_events <- p.p_events + 1;
   (Heap.pop p.p_heap) ()
 
 (* Every event of the partition strictly below the horizon (and within
-   [until]), in the partition heap's (time, seq) order. As in
-   [run_legacy], each instant's events — including ones they schedule
-   for that instant — drain in an inner batch that advances the clock
-   once and skips the bound tests, which [now] already passed. *)
+   [until]), in the partition heap's (time, seq) order. Each instant's
+   events — including ones they schedule for that instant — drain in
+   an inner batch that advances the clock once and skips the bound
+   tests, which [now] already passed. The batch condition is
+   [min_time <= now]: {!at} rejects scheduling in the past, so [<=]
+   means "at the current instant" without a float equality. *)
 let drain_events ~until t p =
   let h = p.p_heap in
+  let keyed = Array.length t.parts > 1 in
   (* One bound test per instant: the tighter bound implies the other. *)
   let capped = until < t.horizon in
   while
@@ -376,10 +345,9 @@ let drain_events ~until t p =
             clock reached %.1f)"
            p.p_id time p.p_now);
     p.p_now <- time;
-    p.p_cur_time <- time;
-    dispatch p;
+    dispatch ~keyed p;
     while Heap.next_at_or_before h p.p_now do
-      dispatch p
+      dispatch ~keyed p
     done
   done
 
@@ -554,7 +522,7 @@ let await_workers ctl ~workers =
     Atomic.set ctl.w_waiting false
   end
 
-let run_windowed ~until t =
+let run ?(until = infinity) t =
   let start = t.events_run in
   let parts = t.parts in
   let nparts = Array.length parts in
@@ -608,18 +576,23 @@ let run_windowed ~until t =
       t.horizon <- tmin +. t.lookahead;
       (* Disjoint per-partition seq blocks, low partitions first: the
          assignment depends only on the window sequence, never on the
-         domain count or any interleaving. *)
-      for j = 0 to nparts - 1 do
-        let p = parts.(j) in
-        p.p_seq_next <- t.seq + 1;
-        p.p_seq_limit <- t.seq + 1 + seq_block;
-        t.seq <- t.seq + seq_block
-      done;
+         domain count or any interleaving. One partition's block is
+         unbounded, and the global counter resumes where it ends. *)
+      if nparts = 1 then begin
+        parts.(0).p_seq_next <- t.seq + 1;
+        parts.(0).p_seq_limit <- max_int
+      end
+      else
+        for j = 0 to nparts - 1 do
+          let p = parts.(j) in
+          p.p_seq_next <- t.seq + 1;
+          p.p_seq_limit <- t.seq + 1 + seq_block;
+          t.seq <- t.seq + seq_block
+        done;
       if nslots > 1 then release_workers ctl ~until;
       drain_slot ~until t exns ~nslots 0;
       if nslots > 1 then await_workers ctl ~workers:(nslots - 1);
-      (* [set_topology] requires a fresh engine, so every event it ran
-         ran in a partition. *)
+      if nparts = 1 then t.seq <- parts.(0).p_seq_next - 1;
       let events = ref 0 in
       for j = 0 to nparts - 1 do
         (match exns.(j) with
@@ -641,22 +614,7 @@ let run_windowed ~until t =
   end;
   t.events_run - start
 
-let run ?(until = infinity) t =
-  if windowed t then run_windowed ~until t
-  else begin
-    (* The engine's ambient Attrib state is live for the span of the
-       run: two engines interleaved in one process each see their own
-       attribution context (and enabled flag), never each other's. *)
-    let prev = Attrib.install t.attrib in
-    Fun.protect ~finally:(fun () -> ignore (Attrib.install prev)) @@ fun () ->
-    run_legacy ~until t
-  end
-
 let events_run t = t.events_run
-
-let idle t =
-  if windowed t then Array.for_all (fun p -> Heap.is_empty p.p_heap) t.parts
-  else Heap.is_empty t.heap
 
 (* ------------------------------------------------------------------ *)
 (* Ambient attribution state, owned by the engine. *)

@@ -4,8 +4,8 @@
    reads the value from [pending]: [send] schedules a pre-existing
    closure and boxes nothing — this is on the simulator's per-event hot
    path. Between hand-overs [pending] holds [dummy], so a delivered
-   value is not retained. One-shot receivers ({!recv}, {!recv_then})
-   get a closure per delivery instead. *)
+   value is not retained. A blocked {!recv} gets a closure per delivery
+   instead. *)
 type 'a waiter = {
   k : 'a -> unit;
   dummy : 'a;
@@ -65,12 +65,6 @@ let recv t =
 let park t w =
   if Queue.is_empty t.items then Queue.add w.parked t.waiters
   else w.k (Queue.take t.items)
-
-let recv_then t k =
-  if Queue.is_empty t.items then Queue.add (Once k) t.waiters
-  else k (Queue.take t.items)
-
-let recv_opt t = Queue.take_opt t.items
 
 let recv_burst t ~max =
   let rec take n acc =

@@ -21,13 +21,6 @@ val send : 'a t -> 'a -> unit
 (** Dequeue the oldest message, blocking until one is available. *)
 val recv : 'a t -> 'a
 
-(** [recv_then t k] is {!recv} in callback form, callable from any
-    context. If a message is queued, [k] runs on the oldest one at once.
-    Otherwise [k] is parked as a waiter, FIFO with blocked receivers,
-    and the {!send} that reaches it hands the message over through the
-    same zero-delay event that wakes a blocked {!recv}. *)
-val recv_then : 'a t -> ('a -> unit) -> unit
-
 (** A receiver built once for a loop that parks again and again. *)
 type 'a waiter
 
@@ -36,15 +29,19 @@ type 'a waiter
     hand-over slot between messages, so none is retained. *)
 val waiter : dummy:'a -> ('a -> unit) -> 'a waiter
 
-(** [park t w] is [recv_then t k] for [w = waiter k], with no waiter
-    or closure built per park. A waiter may be parked once at a time:
-    park it again only after a message has reached its callback (from
-    inside the callback at the earliest). *)
+(** [park t w] is {!recv} in callback form for [w = waiter k],
+    callable from any context, with no closure built per park. If a
+    message is queued, [k] runs on the oldest one at once. Otherwise
+    [w] is parked, FIFO with blocked receivers, and the {!send} that
+    reaches it hands the message over through the same zero-delay event
+    that wakes a blocked {!recv}. A waiter may be parked once at a
+    time: park it again only after a message has reached its callback
+    (from inside the callback at the earliest). *)
 val park : 'a t -> 'a waiter -> unit
 
-(** Dequeue without blocking. *)
-val recv_opt : 'a t -> 'a option
-
 (** [recv_burst t ~max] dequeues up to [max] immediately-available
-    messages (possibly zero), never blocking. *)
+    messages (possibly zero), never blocking. The library receives only
+    through {!recv} and {!park}; this is kept for reading what a run
+    left queued from outside any process, as the tests of the fabric's
+    delivery order do. *)
 val recv_burst : 'a t -> max:int -> 'a list

@@ -17,7 +17,7 @@ val spawn : Engine.t -> (unit -> unit) -> unit
     process does after it, until its next tagged hop — belong to that
     node's partition; the fabric tags its wire-latency hop with the
     destination so delivery-side work runs on the destination's
-    partition. Ignored on an unpartitioned engine. *)
+    partition. Ignored on a one-partition engine. *)
 val sleep : ?node:int -> Engine.t -> float -> unit
 
 (** [suspend register] parks the calling process. [register] receives a

@@ -41,18 +41,14 @@ type t = {
 
 let default_window_ns = 100_000.0
 
-(* One shard per engine partition (one when unpartitioned): windowed
-   partitions execute concurrently, so recording must stay
-   partition-local, and the partition ids are fixed by the topology,
-   independent of the domain count. *)
+(* One shard per engine partition: partitions execute concurrently, so
+   recording must stay partition-local, and the partition ids are fixed
+   by the topology, independent of the domain count. *)
 let create ?(window_ns = default_window_ns) engine =
   {
     engine;
     clock = Wclock.make ~t0:(Engine.now engine) ~width_ns:window_ns;
-    shards =
-      Array.init
-        (max 1 (Engine.partitions engine))
-        (fun _ -> Hashtbl.create 64);
+    shards = Array.init (Engine.partitions engine) (fun _ -> Hashtbl.create 64);
     cutoff = None;
     sealed_end = None;
   }

@@ -23,7 +23,7 @@
     partitions execute concurrently: the writer's
     {!Xenic_sim.Engine.current_partition} selects the shard, and is
     also the [part] dimension of every series the shard produces.
-    Shards are merged in partition-index order. A single-heap engine
+    Shards are merged in partition-index order. A one-partition engine
     records into one shard with [part = 0]. The shard choice depends
     only on the installed topology, never on the domain count, so
     exported series are byte-identical across [XENIC_DOMAINS=1] and

@@ -42,10 +42,10 @@ let run ?(seed = 1L) ?(warmup_frac = 0.15) ?coordinators ?trace ?sample_period_n
   in
   (* Occupancy integrals for the flight recorder, taken at transaction
      completions. The gauges are shared across slots, so this stays off
-     in windowed conservative mode, where slots run concurrently on
-     different domains. *)
+     on several partitions, where slots run concurrently on different
+     domains. *)
   let occ =
-    if Option.is_some (Engine.current_lookahead engine) then None
+    if Engine.partitions engine > 1 then None
     else Load.gauge load ~node:(-1) sys.System.util_sources
   in
   let warmup = int_of_float (float_of_int target *. warmup_frac) in

@@ -290,7 +290,7 @@ let run ?(seed = 1L) ?(admission = Admission.unlimited)
       end
     in
     (* Pin each coordinator's generator and service slots to its node's
-       partition; on an unpartitioned engine ~node is ignored. *)
+       partition; on a one-partition engine ~node is ignored. *)
     Engine.at ~node:coord engine t0 (fun () ->
         for _ = 1 to service_slots do
           Process.spawn engine serve

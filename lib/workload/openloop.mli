@@ -34,7 +34,7 @@
 
     All mutable driver state is per-coordinator and the per-coordinator
     processes are pinned to their node's partition, so the driver runs
-    unchanged on windowed multi-domain engines ([partitions > 0] system
+    unchanged on windowed multi-domain engines ([partitions > 1] system
     configs under [XENIC_DOMAINS]). Membership, tracing and profiling
     are not supported here — those are armed, cross-partition features;
     use the closed-loop {!Driver} for them. *)

@@ -26,8 +26,8 @@ rm -f BENCH_*.json PROFILE_*.txt PROFILE_*.folded \
 # (partitions = 2) engine must produce bit-identical digests on 1 and 2
 # domains before any experiment spends cycles — a divergence means the
 # windowed engine is broken and every open-loop number below it would be
-# suspect. Closed-loop runs use the single-heap engine on any domain
-# budget, so they have no parity to check.
+# suspect. Closed-loop runs keep the engine's one partition on any
+# domain budget, so they have no parity to check.
 if ! timeout 2400 dune exec bench/main.exe -- parity \
     >> bench_output.txt 2>&1; then
   echo "run_bench.sh: domain-parity gate failed (bench/main.exe parity)" >&2
@@ -99,7 +99,7 @@ ref_gate load bench/ref/BENCH_load.ref.json BENCH_load.json \
 # JSON holds simulated-time series only — no wall-clock keys to drop.
 ref_gate telemetry bench/ref/TELEMETRY_load.ref.json TELEMETRY_load.json
 # Fault gate: the mid-run crash experiment is deterministic (fixed
-# seed, single-heap engine), and nothing else catches it reporting
+# seed, one-partition engine), and nothing else catches it reporting
 # zeros or a shifted recovery, so its BENCH_fault.json must byte-match
 # the reference too. It holds simulated-time metrics only.
 ref_gate fault bench/ref/BENCH_fault.ref.json BENCH_fault.json

@@ -13,8 +13,9 @@
    - windowed conservative mode is bit-identical across domain counts
      on a partition-clean model.
 
-   It also pins the two-mode contract: a closed-loop system on a
-   multi-domain engine runs the single-heap loop. *)
+   It also pins the one-partition contract: a default engine runs one
+   unbounded window on the calling domain, and a closed-loop system on
+   a multi-domain engine keeps that one partition. *)
 
 open Xenic_sim
 
@@ -268,11 +269,11 @@ let test_windowed_exception_restores domains () =
    DLS cells while its worker runs, and hands the main domain's values
    back when it joins it: the frame installed around the run is still
    installed, with its context, and the switch is off again.
-   Afterwards a single-heap engine on the main domain must see only
+   Afterwards a default engine on the main domain must see only
    its own state: the default context, accounting off (the windowed
    engine had it on) and its own clock, whether the windowed run
    returned or raised. *)
-let windowed_then_legacy ~fail =
+let windowed_then_default ~fail =
   let eng = Engine.create ~domains:2 () in
   Engine.set_topology ~lookahead:100.0 eng ~partitions:2
     ~node_partition:(fun n -> n);
@@ -293,12 +294,12 @@ let windowed_then_legacy ~fail =
       Alcotest.(check bool) (run ^ ": switch off") false Ambient.switch.shared;
       Alcotest.(check string) (run ^ ": main domain's frame handed back")
         "main-outside" (Attrib.get ()).Attrib.stack);
-  let legacy = Engine.create () in
+  let default = Engine.create () in
   let seen = ref ("", true, nan) in
-  Engine.at legacy 7.0 (fun () ->
+  Engine.at default 7.0 (fun () ->
       seen :=
-        ((Attrib.get ()).Attrib.stack, Attrib.enabled (), Engine.now legacy));
-  ignore (Engine.run legacy);
+        ((Attrib.get ()).Attrib.stack, Attrib.enabled (), Engine.now default));
+  ignore (Engine.run default);
   let stack, enabled, now = !seen in
   Alcotest.(check string) (run ^ ": default context")
     Attrib.default.Attrib.stack stack;
@@ -308,8 +309,8 @@ let windowed_then_legacy ~fail =
     Attrib.default.Attrib.stack (Attrib.get ()).Attrib.stack
 
 let test_switch_restores_main () =
-  windowed_then_legacy ~fail:false;
-  windowed_then_legacy ~fail:true
+  windowed_then_default ~fail:false;
+  windowed_then_default ~fail:true
 
 (* In a 2-domain run the coordinator's slot drains partition 0 on the
    main domain and a worker's slot drains partition 1 on its own. Each
@@ -382,17 +383,46 @@ let test_windowed_outbox_overflow () =
         events left it in one window") (fun () ->
       ignore (sends ~partitions:2 8193))
 
+(* A default engine has one partition: a run is one window whose seq
+   block is unbounded, so a timer chain longer than a partition's
+   2^20-event window block runs in one [Engine.run] on the calling
+   domain, even with a 2-domain budget. The global counter resumes
+   where the block ended: an event setup code schedules after the run
+   sorts after one the run scheduled for the same instant. *)
+let test_one_partition_one_window () =
+  let eng = Engine.create ~domains:2 () in
+  Alcotest.(check int) "one partition" 1 (Engine.partitions eng);
+  let chain = (1 lsl 20) + 16 in
+  let left = ref chain in
+  let rec tick () =
+    decr left;
+    if !left > 0 then Engine.after eng 1.0 tick
+  in
+  Engine.at eng 0.0 tick;
+  let order = ref [] and shared = ref true in
+  Engine.at eng 0.5 (fun () ->
+      shared := Ambient.switch.shared || not (Domain.is_main_domain ());
+      Engine.at eng 1e9 (fun () -> order := "run" :: !order));
+  Alcotest.(check int) "the chain and its scheduler" (chain + 1)
+    (Engine.run ~until:1e8 eng);
+  Alcotest.(check bool) "no worker domain" false !shared;
+  Engine.at eng 1e9 (fun () -> order := "setup" :: !order);
+  Alcotest.(check int) "the two instants" 2 (Engine.run eng);
+  Alcotest.(check (list string)) "run's schedule first" [ "run"; "setup" ]
+    (List.rev !order)
+
 (* ------------------------------------------------------------------ *)
-(* Closed-loop systems stay single-heap *)
+(* Closed-loop systems stay on one partition *)
 
 (* The closed-loop driver's shared [committed] counter couples every
-   node at zero lookahead, so a closed-loop system never partitions the
-   engine, whatever its domain budget. Its metrics come from one shard,
-   and [metrics ()] is a snapshot: two calls agree. *)
+   node at zero lookahead, so a closed-loop system keeps the engine's
+   one partition, whatever its domain budget, and its runs start no
+   worker domain. Its metrics come from one shard, and [metrics ()] is
+   a snapshot: two calls agree. *)
 let closed_loop_sb =
   { Xenic_workload.Smallbank.default_params with accounts_per_node = 200 }
 
-let test_closed_loop_single_heap stack () =
+let test_closed_loop_one_partition stack () =
   let open Xenic_proto in
   let open Xenic_workload in
   let sys =
@@ -404,11 +434,10 @@ let test_closed_loop_single_heap stack () =
   let eng = sys.System.engine in
   let name = sys.System.name in
   Alcotest.(check int) (name ^ ": 2-domain budget") 2 (Engine.domains eng);
-  Alcotest.(check int) (name ^ ": no partitions") 0 (Engine.partitions eng);
-  Alcotest.(check bool)
-    (name ^ ": not windowed")
-    true
-    (Option.is_none (Engine.current_lookahead eng));
+  Alcotest.(check int) (name ^ ": one partition") 1 (Engine.partitions eng);
+  let worker = ref false in
+  Engine.at eng 1_000.0 (fun () ->
+      worker := Ambient.switch.shared || not (Domain.is_main_domain ()));
   Smallbank.load closed_loop_sb sys;
   let r =
     Driver.run sys
@@ -416,6 +445,7 @@ let test_closed_loop_single_heap stack () =
       ~seed:3L ~concurrency:4 ~target:200
   in
   Alcotest.(check bool) (name ^ ": progress") true (r.Driver.committed > 0);
+  Alcotest.(check bool) (name ^ ": no worker domain") false !worker;
   let snapshot () =
     let m = sys.System.metrics () in
     ( Metrics.committed m,
@@ -461,6 +491,8 @@ let () =
             (test_windowed_exception_restores 2);
           Alcotest.test_case "outbox overflow raises" `Quick
             test_windowed_outbox_overflow;
+          Alcotest.test_case "one partition, one window" `Quick
+            test_one_partition_one_window;
         ] );
       ( "closed loop",
         List.map
@@ -469,6 +501,6 @@ let () =
               (Xenic_proto.System.stack_name stack
               ^ " single-heap on a 2-domain engine")
               `Quick
-              (test_closed_loop_single_heap stack))
+              (test_closed_loop_one_partition stack))
           Xenic_proto.System.[ Xenic; Drtmh ] );
     ]

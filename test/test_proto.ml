@@ -212,9 +212,10 @@ let test_admission_invalid () =
         (Admission.create
            { Admission.capacity = 1; backpressure = infinity; deadline_ns = 0.0 }))
 
-(* The windowed contract (partitions > 0): epoch, fence, liveness and
+(* The windowed contract (partitions > 1): epoch, fence, liveness and
    trace state is shared by every partition, so arming (and with it a
-   membership) and tracing are refused up front — on both stacks. *)
+   membership) and tracing are refused up front — on both stacks. One
+   partition has no cross-partition state, so there both are legal. *)
 let windowed_cfg = Config.make ~nodes:4 ~replication:3
 
 (* Any stack through the builder, on [windowed_cfg], at the default
@@ -255,7 +256,7 @@ let test_create_stacks () =
       Alcotest.(check int) (name ^ ": nodes") 4 sys.System.cfg.Config.nodes;
       Alcotest.(check bool) (name ^ ": un-armed by default") true
         (Option.is_none sys.System.control.Control.membership);
-      Alcotest.(check int) (name ^ ": single-heap by default") 0
+      Alcotest.(check int) (name ^ ": one partition by default") 1
         (Xenic_sim.Engine.partitions sys.System.engine);
       let small =
         System.create ~nodes:5 ~replication:2 ~armed:true ~store_cfg:(8, 64, None)
@@ -309,6 +310,30 @@ let test_windowed_rejects_trace () =
        (fun stack ->
          (System.stack_name stack, (build ~partitions:2 stack).System.control))
        System.stacks)
+
+(* A default system, and one asking for a single partition, may be
+   armed and traced on every stack. *)
+let test_one_partition_armed_traced () =
+  List.iter
+    (fun stack ->
+      List.iter
+        (fun partitions ->
+          let name =
+            Printf.sprintf "%s, partitions %d" (System.stack_name stack)
+              partitions
+          in
+          let sys = build ~armed:true ~partitions stack in
+          let ctl = sys.System.control in
+          Alcotest.(check int) (name ^ ": one partition") 1
+            (Xenic_sim.Engine.partitions sys.System.engine);
+          Alcotest.(check bool) (name ^ ": armed") true
+            (Option.is_some ctl.Control.membership);
+          Control.set_trace ctl (Some (Xenic_sim.Trace.create sys.System.engine));
+          Alcotest.(check bool) (name ^ ": traced") true
+            (Option.is_some ctl.Control.trace);
+          Control.stop_background ctl)
+        [ 0; 1 ])
+    System.stacks
 
 (* {2 The shared commit point and audit, with fake transports} *)
 
@@ -1262,6 +1287,8 @@ let () =
           Alcotest.test_case "armed create rejected" `Quick
             test_windowed_rejects_armed;
           Alcotest.test_case "trace rejected" `Quick test_windowed_rejects_trace;
+          Alcotest.test_case "one partition armed and traced" `Quick
+            test_one_partition_armed_traced;
         ] );
       ( "armed",
         [

@@ -415,14 +415,15 @@ let test_mailbox_burst () =
   Alcotest.(check (list int)) "rest" [ 4; 5 ] (Mailbox.recv_burst mb ~max:10);
   Alcotest.(check (list int)) "empty" [] (Mailbox.recv_burst mb ~max:10)
 
-(* [recv_then] parks a callback where [recv] parks a process: a later
-   [send] hands the value over through one zero-delay event, at the
-   send's instant, and not inside the sender. *)
-let test_mailbox_recv_then_parked () =
+(* [park] parks a waiter where [recv] parks a process: a later [send]
+   hands the value over through one zero-delay event, at the send's
+   instant, and not inside the sender. *)
+let test_mailbox_park_waits () =
   let eng = Engine.create () in
   let mb = Mailbox.create eng in
   let got = ref [] in
-  Mailbox.recv_then mb (fun v -> got := (v, Engine.now eng) :: !got);
+  Mailbox.park mb
+    (Mailbox.waiter ~dummy:0 (fun v -> got := (v, Engine.now eng) :: !got));
   let during_send = ref [] in
   Engine.at eng 5.0 (fun () ->
       Mailbox.send mb 42;
@@ -434,13 +435,16 @@ let test_mailbox_recv_then_parked () =
   Alcotest.(check int) "send event + one hand-off event" 2 events;
   Alcotest.(check int) "nothing queued" 0 (Mailbox.length mb)
 
-let test_mailbox_recv_then_queued () =
+(* With messages queued, [park] hands the oldest to the waiter at once,
+   so one waiter may park again right away. *)
+let test_mailbox_park_queued () =
   let eng = Engine.create () in
   let mb = Mailbox.create eng in
   List.iter (Mailbox.send mb) [ 1; 2; 3 ];
   let got = ref [] in
+  let w = Mailbox.waiter ~dummy:0 (fun v -> got := v :: !got) in
   for _ = 1 to 3 do
-    Mailbox.recv_then mb (fun v -> got := v :: !got)
+    Mailbox.park mb w
   done;
   Alcotest.(check (list int)) "taken at once, fifo" [ 1; 2; 3 ] (List.rev !got);
   Alcotest.(check int) "no event scheduled" 0 (Engine.run eng);
@@ -575,12 +579,12 @@ let test_sanitizer_undelivered_mailbox () =
   check_violation "undelivered message" "mailbox rx0: 1 undelivered"
     (Engine.sanitize eng)
 
-let test_sanitizer_recv_then_undelivered () =
+let test_sanitizer_park_undelivered () =
   let eng = Engine.create ~strict:true () in
   let mb = Mailbox.create ~name:"rx1" eng in
   let got = ref [] in
-  (* One parked callback takes one item and does not park again. *)
-  Mailbox.recv_then mb (fun v -> got := v :: !got);
+  (* One parked waiter takes one item and does not park again. *)
+  Mailbox.park mb (Mailbox.waiter ~dummy:"" (fun v -> got := v :: !got));
   Engine.at eng 1.0 (fun () ->
       Mailbox.send mb "first";
       Mailbox.send mb "second");
@@ -752,7 +756,8 @@ let test_aggregator_retains_nothing () =
   ignore (Engine.run eng);
   let rx = Xenic_net.Fabric.rx fabric 1 in
   Alcotest.(check int) "one frame delivered" 1 (Mailbox.length rx);
-  ignore (Mailbox.recv_opt rx);
+  Process.spawn eng (fun () -> ignore (Mailbox.recv rx));
+  ignore (Engine.run eng);
   Gc.full_major ();
   Alcotest.(check bool) "message collected" false (Weak.check seen 0);
   (* The aggregator is still live here, so its slots were scanned. *)
@@ -1333,10 +1338,10 @@ let () =
         [
           Alcotest.test_case "fifo" `Quick test_mailbox_fifo;
           Alcotest.test_case "burst" `Quick test_mailbox_burst;
-          Alcotest.test_case "recv_then parked" `Quick
-            test_mailbox_recv_then_parked;
-          Alcotest.test_case "recv_then queued" `Quick
-            test_mailbox_recv_then_queued;
+          Alcotest.test_case "park waits for send" `Quick
+            test_mailbox_park_waits;
+          Alcotest.test_case "park takes queued" `Quick
+            test_mailbox_park_queued;
         ] );
       ("ivar", [ Alcotest.test_case "broadcast" `Quick test_ivar ]);
       ( "resource",
@@ -1355,8 +1360,8 @@ let () =
             test_sanitizer_unreleased_resource;
           Alcotest.test_case "undelivered mailbox" `Quick
             test_sanitizer_undelivered_mailbox;
-          Alcotest.test_case "recv_then undelivered" `Quick
-            test_sanitizer_recv_then_undelivered;
+          Alcotest.test_case "park undelivered" `Quick
+            test_sanitizer_park_undelivered;
           Alcotest.test_case "double resume" `Quick test_sanitizer_double_resume;
           Alcotest.test_case "off by default" `Quick
             test_sanitizer_off_by_default;
