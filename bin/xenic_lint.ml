@@ -14,6 +14,11 @@
                                        definition, and its count of other
                                        function expressions, per .ml
                                        (stdout)
+     xenic_lint exports ROOT...        interface values that only the
+                                       sibling test/ uses (stdout); fails
+                                       if a value has no user at all, or
+                                       if a test-only value's doc does not
+                                       name the test that needs it
 
    [--format json] switches any subcommand to machine-readable output.
    A first argument that is an existing path keeps the legacy
@@ -24,7 +29,7 @@ let usage () =
   prerr_endline "usage: xenic_lint [SUBCOMMAND] [--format json] DIR-OR-FILE...";
   prerr_endline
     "  subcommands: lint (default) | suspend | atomicity | report | options \
-     | closures";
+     | closures | exports";
   prerr_endline "  atomicity also takes --inventory";
   exit 2
 
@@ -237,13 +242,39 @@ let run_closures fmt roots =
   | Text -> print_lines inv);
   0
 
+(* ---- exports ------------------------------------------------------ *)
+
+let run_exports fmt roots =
+  let entries = Exports.of_roots roots in
+  let inv = Exports.inventory entries in
+  (match fmt with
+  | Json ->
+      let l = Ljson.L (List.map (fun s -> Ljson.S s) inv) in
+      print_endline (Ljson.to_string (Ljson.O [ ("test_only", l) ]))
+  | Text -> print_lines inv);
+  let report msg bad =
+    List.iter (fun e -> Printf.eprintf "%s: [EXPORTS] %s\n" (Exports.line e) msg) bad
+  in
+  let unused = Exports.unused entries
+  and unexplained = Exports.unexplained entries in
+  report "no user" unused;
+  report "only tests use it, and its doc does not say which test needs it"
+    unexplained;
+  let bad = List.length unused + List.length unexplained in
+  if bad = 0 then 0
+  else begin
+    Printf.eprintf "xenic_lint: %d interface value(s) without a user\n" bad;
+    1
+  end
+
 (* -------------------------------------------------------------------- *)
 
 let () =
   let args = match Array.to_list Sys.argv with [] -> [] | _ :: r -> r in
   let sub, rest =
     match args with
-    | ("lint" | "suspend" | "atomicity" | "report" | "options" | "closures")
+    | ( "lint" | "suspend" | "atomicity" | "report" | "options" | "closures"
+      | "exports" )
       :: r ->
         (List.hd args, r)
     | _ -> ("lint", args)  (* legacy: xenic_lint DIR-OR-FILE... *)
@@ -261,4 +292,5 @@ let () =
     | "report" -> run_report fmt roots
     | "options" -> run_options fmt roots
     | "closures" -> run_closures fmt roots
+    | "exports" -> run_exports fmt roots
     | _ -> run_lint fmt roots)

@@ -44,8 +44,3 @@ let partition_of_node t ~partitions ~node =
     if node < boundary then node / (base + 1)
     else extra + ((node - boundary) / base)
   end
-
-let backup_shards t ~node =
-  List.filter
-    (fun shard -> List.mem node (backups t ~shard))
-    (List.init t.nodes (fun s -> s))

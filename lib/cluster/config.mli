@@ -25,9 +25,6 @@ val replicas : t -> shard:int -> int list
 (** Does [node] hold a copy of [shard]? *)
 val holds : t -> shard:int -> node:int -> bool
 
-(** Shards for which [node] is a backup. *)
-val backup_shards : t -> node:int -> int list
-
 (** [partition_of_node t ~partitions ~node] assigns nodes to engine
     partitions in contiguous blocks (sizes differing by at most one;
     identity when [partitions >= nodes]). Deterministic in (t,

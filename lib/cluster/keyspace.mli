@@ -23,6 +23,8 @@ val make : shard:int -> table:int -> ordered:bool -> id:int -> t
 
 val shard : t -> int
 
+(** Only tests decode it: test_cluster's codec round-trip and test_tpcc's
+    per-table row audit. *)
 val table : t -> int
 
 val ordered : t -> bool

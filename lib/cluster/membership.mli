@@ -19,9 +19,13 @@ val start : t -> unit
     alive forever. Idempotent. *)
 val stop : t -> unit
 
-(** Current configuration epoch (bumped on every membership change). *)
+(** Current configuration epoch (bumped on every membership change).
+    Only tests read it: test_scenario checks that a crash and a recovery each
+    bump it. *)
 val epoch : t -> int
 
+(** Only tests read it: test_cluster and test_scenario check which nodes a
+    crash left alive. *)
 val is_alive : t -> int -> bool
 
 (** Stop a node's renewals; its lease will expire and trigger

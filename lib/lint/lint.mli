@@ -45,6 +45,8 @@ type rule =
 
 val rule_id : rule -> string
 
+(** The allowlist parser's lookup; test_lint's round-trip case checks that
+    every rule's id parses back. *)
 val rule_of_id : string -> rule option
 
 (* ---- Allowlist directives (shared with the analyzer passes) ------- *)
@@ -59,13 +61,7 @@ val split_tokens : string -> string list
     directives plus [atomic <tag>] critical-section names. *)
 type allowlist
 
-val allowlist_of_lines : string list -> allowlist
-
 val allowlist_of_source : string -> allowlist
-
-(** Is a finding of [rule] on [line] suppressed (per-line allow on the
-    line or the one above, or a file-wide allow)? *)
-val suppressed : allowlist -> rule -> int -> bool
 
 (** The [atomic <tag>] critical-section name covering [line] (the line
     itself or the one above), if any. A bare [atomic] with no tag names
@@ -83,13 +79,10 @@ type finding = {
 (** [finding |> to_string] renders ["file:line: [RULE-ID] message"]. *)
 val to_string : finding -> string
 
-(** Lint one source file (path is read from disk). Findings are sorted
-    by line. [`Lexical_fallback] signals the file failed to parse and
-    only the line-based scan ran. *)
-val lint_file : string -> finding list * [ `Parsed | `Lexical_fallback ]
-
-(** Lint a source given inline (for tests). [filename] participates in
-    path-based exemptions exactly as for {!lint_file}. *)
+(** Lint a source given inline, findings sorted by line. [filename]
+    participates in path-based exemptions as an on-disk path does. The
+    library lints files through {!lint_roots}; the rule tests need
+    sources without files. *)
 val lint_string : filename:string -> string -> finding list
 
 (** Recursively collect [.ml] files under each root (sorted), lint each,

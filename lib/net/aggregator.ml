@@ -28,7 +28,6 @@ type 'm t = {
   dummy : 'm;  (* fills every slot not holding a gathered message *)
   dests : 'm pending array;
   mutable frames : int;
-  mutable messages : int;
 }
 
 (* The frame's message list, oldest first, built from the gather
@@ -41,7 +40,6 @@ let flush t dst =
   let n = p.count in
   if n > 0 then begin
     t.frames <- t.frames + 1;
-    t.messages <- t.messages + n;
     let payload_bytes = p.bytes and msgs = gathered p.msgs (n - 1) [] in
     (* Reset the batch before the send, so the next push starts a fresh
        batch. [Fabric.send] does not suspend: it schedules the wire
@@ -85,7 +83,6 @@ let create fabric ~src ~enabled ~dummy =
               window = ignore;
             });
       frames = 0;
-      messages = 0;
     }
   in
   Array.iteri (fun dst p -> p.window <- (fun () -> on_window t dst)) t.dests;
@@ -98,7 +95,6 @@ let push t ~dst ~bytes msg =
     let framed = bytes + hw.agg_msg_header_b in
     if not t.enabled then begin
       t.frames <- t.frames + 1;
-      t.messages <- t.messages + 1;
       Fabric.send t.fabric ~src:t.src ~dst ~payload_bytes:framed [ msg ]
     end
     else begin
@@ -116,11 +112,4 @@ let push t ~dst ~bytes msg =
     end
   end
 
-let flush_all t =
-  for dst = 0 to Array.length t.dests - 1 do
-    flush t dst
-  done
-
 let frames t = t.frames
-
-let messages t = t.messages

@@ -19,11 +19,7 @@ val create :
     the local node short-circuit through {!Fabric.loopback}. *)
 val push : 'm t -> dst:int -> bytes:int -> 'm -> unit
 
-(** Force out all pending gather lists (e.g. end of a polling burst). *)
-val flush_all : 'm t -> unit
-
-(** Frames emitted and messages carried, for batching-efficiency
-    reports. *)
+(** Frames emitted so far. The size-trigger and window-timer tests read
+    it at the instant a frame leaves, before the frame reaches its
+    receiver. *)
 val frames : 'm t -> int
-
-val messages : 'm t -> int

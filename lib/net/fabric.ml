@@ -25,12 +25,6 @@ type 'm t = {
   engine : Engine.t;
   hw : Xenic_params.Hw.t;
   node_arr : 'm node array;
-  (* Wire accounting is sharded by source node: a send mutates only its
-     source's slot, which belongs to the executing partition, so the
-     counters are race-free under the windowed parallel engine; the
-     totals are sums, which integer addition makes order-independent. *)
-  frames_arr : int array;
-  bytes_arr : int array;
   mutable rate_override : float option;
   mutable faults : faults option;
 }
@@ -53,8 +47,6 @@ let create engine hw ~nodes =
     engine;
     hw;
     node_arr = Array.init nodes make;
-    frames_arr = Array.make nodes 0;
-    bytes_arr = Array.make nodes 0;
     rate_override = None;
     faults = None;
   }
@@ -198,11 +190,8 @@ let deliver fr = Mailbox.send fr.fabric.node_arr.(fr.f_dst).inbox fr.payload
 
 let landed fr = fr.payload ()
 
-(* A frame of [wire_bytes] from [src], counted on the source's wire
-   counters. *)
+(* A frame of [wire_bytes] from [src]. *)
 let frame t ~src ~dst ~wire_bytes ctx payload =
-  t.frames_arr.(src) <- t.frames_arr.(src) + 1;
-  t.bytes_arr.(src) <- t.bytes_arr.(src) + wire_bytes;
   {
     fabric = t;
     f_src = src;
@@ -239,9 +228,5 @@ let link_busy t ~node =
 
 let resources t =
   Array.to_list t.node_arr |> List.concat_map (fun n -> [ n.tx; n.rx_link ])
-
-let frames_sent t = Array.fold_left ( + ) 0 t.frames_arr
-
-let bytes_sent t = Array.fold_left ( + ) 0 t.bytes_arr
 
 let set_rate_override t r = t.rate_override <- r

@@ -55,11 +55,6 @@ val link_busy : 'm t -> node:int -> int
     ([tx<n>]/[rx<n>]). *)
 val resources : 'm t -> Xenic_sim.Resource.t list
 
-(** Wire accounting: total frames and bytes transmitted. *)
-val frames_sent : 'm t -> int
-
-val bytes_sent : 'm t -> int
-
 (** [set_rate_override t rate] replaces the per-link byte rate (bytes per
     nanosecond); used by experiments that change link counts. *)
 val set_rate_override : 'm t -> float option -> unit

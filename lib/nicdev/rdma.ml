@@ -53,8 +53,6 @@ let degrade_unit t ~node ~dur_ns =
     invalid_arg "Rdma.degrade_unit: dur_ns must be > 0";
   Resource.use_then t.units.(node) dur_ns ignore
 
-let hw t = t.hw
-
 let engine t = Fabric.engine t.fabric
 
 let request_bytes t verb ~bytes =

@@ -22,8 +22,6 @@ type verb = Read | Write | Cas
 
 val create : 'm Xenic_net.Fabric.t -> 'm t
 
-val hw : 'm t -> Xenic_params.Hw.t
-
 (** [one_sided t ~src ~dst verb ~bytes ~at_target] issues one verb and
     blocks until completion, returning [at_target]'s result. It pays
     the initiator doorbell cost; {!one_sided_many} amortizes it across

@@ -41,10 +41,6 @@ let degrade_cores t ~n ~dur_ns =
     Resource.use_then t.cores dur_ns ignore
   done
 
-let engine t = t.engine
-
-let hw t = t.hw
-
 let cores t = t.cores
 
 let dma t = t.dma

@@ -11,10 +11,6 @@ type t
 val create :
   ?cores:int -> Xenic_sim.Engine.t -> Xenic_params.Hw.t -> t
 
-val engine : t -> Xenic_sim.Engine.t
-
-val hw : t -> Xenic_params.Hw.t
-
 (** The SoC core pool. Handlers acquire a core for their compute. *)
 val cores : t -> Xenic_sim.Resource.t
 

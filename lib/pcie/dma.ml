@@ -31,7 +31,6 @@ type t = {
   bus : Resource.t;
   mutable vectored : bool;
   mutable rr : int;
-  mutable ops : int;
   mutable vectors : int;
 }
 
@@ -102,7 +101,6 @@ let flush t q ctx =
     q.pending_bytes <- 0;
     q.live_timer <- 0;
     t.vectors <- t.vectors + 1;
-    t.ops <- t.ops + n;
     let bus_time =
       float_of_int total_bytes /. Xenic_params.Hw.pcie_rate t.hw
     in
@@ -140,7 +138,6 @@ let create engine hw =
       bus = Resource.create engine ~name:"pcie-bus" ~servers:1;
       vectored = true;
       rr = 0;
-      ops = 0;
       vectors = 0;
     }
   in
@@ -174,8 +171,6 @@ let blocking t kind ?queue ~bytes () =
 let read ?queue t ~bytes = blocking t Read ?queue ~bytes ()
 
 let write ?queue t ~bytes = blocking t Write ?queue ~bytes ()
-
-let ops_completed t = t.ops
 
 let vectors_issued t = t.vectors
 

@@ -33,9 +33,9 @@ val read : ?queue:int -> t -> bytes:int -> unit
 
 val write : ?queue:int -> t -> bytes:int -> unit
 
-(** Operations completed and vectors issued (for amortization reports). *)
-val ops_completed : t -> int
-
+(** Vectors issued so far. The amortization and gather-window tests
+    count them: completions alone do not show how requests were
+    batched. *)
 val vectors_issued : t -> int
 
 (** Queue engines busy right now, in [0, hw.dma_queues]; for

@@ -94,7 +94,8 @@ val busy_agreement : t -> (string * float * float) list
 
 (** [(label, queue_area, attributed_wait_ns)] per busy resource — the
     Little's-law cross-check: with the queue drained and all waits
-    recorded inside the window, the two are equal. *)
+    recorded inside the window, the two are equal.
+    Only test_profile reads it, to assert the law on a drained run. *)
 val little_check : t -> (string * float * float) list
 
 (** [(frac, blind)]: the share of committed critical-path time that no

@@ -12,8 +12,6 @@ let cause_name = function
 
 let all_causes = [ Queue_full; Backpressure; Deadline ]
 
-let cause_index = function Queue_full -> 0 | Backpressure -> 1 | Deadline -> 2
-
 type config = {
   capacity : int;
   backpressure : float;
@@ -23,13 +21,7 @@ type config = {
 let unlimited =
   { capacity = max_int; backpressure = infinity; deadline_ns = infinity }
 
-type t = {
-  cfg : config;
-  mutable depth : int;
-  mutable offered : int;
-  mutable admitted : int;
-  shed : int array;
-}
+type t = { cfg : config; mutable depth : int }
 
 let create cfg =
   if cfg.capacity < 1 then invalid_arg "Admission.create: capacity";
@@ -37,39 +29,19 @@ let create cfg =
     invalid_arg "Admission.create: backpressure";
   if Float.compare cfg.deadline_ns 0.0 <= 0 then
     invalid_arg "Admission.create: deadline_ns";
-  {
-    cfg;
-    depth = 0;
-    offered = 0;
-    admitted = 0;
-    shed = Array.make (List.length all_causes) 0;
-  }
-
-let config t = t.cfg
+  { cfg; depth = 0 }
 
 let depth t = t.depth
-
-let count_shed t cause =
-  let i = cause_index cause in
-  t.shed.(i) <- t.shed.(i) + 1
 
 (* Arrival-time decision. A [Queue_full] or [Backpressure] result means
    the request was never admitted; [Ok] holds one unit of depth until
    {!finish} or {!drop_expired} releases it. Queue-full is checked
    first: a full queue sheds regardless of what the NIC looks like. *)
 let offer t ~occupancy =
-  t.offered <- t.offered + 1;
-  if t.depth >= t.cfg.capacity then begin
-    count_shed t Queue_full;
-    Error Queue_full
-  end
-  else if Float.compare occupancy t.cfg.backpressure >= 0 then begin
-    count_shed t Backpressure;
-    Error Backpressure
-  end
+  if t.depth >= t.cfg.capacity then Error Queue_full
+  else if Float.compare occupancy t.cfg.backpressure >= 0 then Error Backpressure
   else begin
     t.depth <- t.depth + 1;
-    t.admitted <- t.admitted + 1;
     Ok ()
   end
 
@@ -80,17 +52,8 @@ let offer t ~occupancy =
 let drop_expired t ~waited_ns =
   if Float.compare waited_ns t.cfg.deadline_ns >= 0 then begin
     t.depth <- t.depth - 1;
-    count_shed t Deadline;
     true
   end
   else false
 
 let finish t = t.depth <- t.depth - 1
-
-let offered t = t.offered
-
-let admitted t = t.admitted
-
-let shed_count t cause = t.shed.(cause_index cause)
-
-let shed_total t = Array.fold_left ( + ) 0 t.shed

@@ -41,8 +41,6 @@ type t
 
 val create : config -> t
 
-val config : t -> config
-
 (** Requests admitted and not yet finished (queued + in service). *)
 val depth : t -> int
 
@@ -51,16 +49,8 @@ val depth : t -> int
 val offer : t -> occupancy:float -> (unit, cause) result
 
 (** Dequeue-time deadline check: true = the request waited past the
-    deadline and was dropped (depth released, shed counted). *)
+    deadline and was dropped (depth released). *)
 val drop_expired : t -> waited_ns:float -> bool
 
 (** Release one unit of depth at normal service completion. *)
 val finish : t -> unit
-
-val offered : t -> int
-
-val admitted : t -> int
-
-val shed_count : t -> cause -> int
-
-val shed_total : t -> int

@@ -146,7 +146,8 @@ type t = {
 }
 
 (** Every armed request's deadline: 40 µs, above the worst-case round
-    trip, so a firing timeout implies a dead peer. *)
+    trip, so a firing timeout implies a dead peer.
+    test_proto times its armed-request cases from it. *)
 val req_timeout_ns : float
 
 (** The membership lease of an armed system: 25 µs, shorter than
@@ -206,10 +207,6 @@ val seal : t -> unit
 val check_sealed : t -> unit
 
 (** {2 Metrics, trace, telemetry, oracle} *)
-
-(** The metrics shard the current event records into: its
-    partition's. *)
-val mx : t -> Metrics.t
 
 (** Reported metrics: a snapshot, the shards merged into a fresh object
     in partition-index order on every call. Later recording does not

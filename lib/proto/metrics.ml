@@ -39,11 +39,9 @@ let reason_index = function
 
 type t = {
   latencies : Histogram.t;
-  abort_latencies : Histogram.t;
   mutable committed : int;
   mutable aborted : int;
   by_class : (string, int) Hashtbl.t;
-  by_class_aborts : (string, int) Hashtbl.t;
   abort_reasons : int array;
   phases : (string, Histogram.t) Hashtbl.t;
   counters : Counter.t;
@@ -52,11 +50,9 @@ type t = {
 let create () =
   {
     latencies = Histogram.create ();
-    abort_latencies = Histogram.create ();
     committed = 0;
     aborted = 0;
     by_class = Hashtbl.create 8;
-    by_class_aborts = Hashtbl.create 8;
     abort_reasons = Array.make (List.length all_abort_reasons) 0;
     phases = Hashtbl.create 8;
     counters = Counter.create ();
@@ -67,19 +63,15 @@ let record t ~latency_ns outcome =
   | Types.Committed ->
       t.committed <- t.committed + 1;
       Histogram.record t.latencies latency_ns
-  | Types.Aborted ->
-      t.aborted <- t.aborted + 1;
-      Histogram.record t.abort_latencies latency_ns
-
-let bump tbl cls =
-  Hashtbl.replace tbl cls
-    (1 + Option.value ~default:0 (Hashtbl.find_opt tbl cls))
+  | Types.Aborted -> t.aborted <- t.aborted + 1
 
 let record_class t ~cls ~latency_ns outcome =
   record t ~latency_ns outcome;
   match outcome with
-  | Types.Committed -> bump t.by_class cls
-  | Types.Aborted -> bump t.by_class_aborts cls
+  | Types.Committed ->
+      Hashtbl.replace t.by_class cls
+        (1 + Option.value ~default:0 (Hashtbl.find_opt t.by_class cls))
+  | Types.Aborted -> ()
 
 let record_abort_reason t reason =
   let i = reason_index reason in
@@ -114,16 +106,9 @@ let aborted t = t.aborted
 let committed_class t ~cls =
   Option.value ~default:0 (Hashtbl.find_opt t.by_class cls)
 
-let aborted_class t ~cls =
-  Option.value ~default:0 (Hashtbl.find_opt t.by_class_aborts cls)
-
 let median_latency t = Histogram.median t.latencies
 
 let p99_latency t = Histogram.p99 t.latencies
-
-let abort_latency_quantile t q = Histogram.quantile t.abort_latencies q
-
-let median_abort_latency t = Histogram.median t.abort_latencies
 
 let abort_rate t =
   let total = t.committed + t.aborted in
@@ -140,11 +125,9 @@ let merge_tbl ~into src =
 
 let merge ~into src =
   Histogram.merge ~into:into.latencies src.latencies;
-  Histogram.merge ~into:into.abort_latencies src.abort_latencies;
   into.committed <- into.committed + src.committed;
   into.aborted <- into.aborted + src.aborted;
   merge_tbl ~into:into.by_class src.by_class;
-  merge_tbl ~into:into.by_class_aborts src.by_class_aborts;
   Array.iteri
     (fun i n -> into.abort_reasons.(i) <- into.abort_reasons.(i) + n)
     src.abort_reasons;
@@ -160,14 +143,3 @@ let merge ~into src =
   List.iter
     (fun (name, v) -> Counter.addf into.counters name v)
     (Counter.to_list src.counters)
-
-let clear t =
-  Histogram.clear t.latencies;
-  Histogram.clear t.abort_latencies;
-  t.committed <- 0;
-  t.aborted <- 0;
-  Hashtbl.reset t.by_class;
-  Hashtbl.reset t.by_class_aborts;
-  Array.fill t.abort_reasons 0 (Array.length t.abort_reasons) 0;
-  Hashtbl.reset t.phases;
-  Counter.reset t.counters

@@ -1,6 +1,5 @@
 (** Per-run measurement collection: commit latencies, outcome counts,
-    abort accounting (latency histogram, per-class counts, reason
-    taxonomy), per-phase latency histograms, and device/communication
+    abort accounting (counts and the reason taxonomy), per-phase latency histograms, and device/communication
     accounting, reported by the workload driver and experiment
     harness. *)
 
@@ -26,13 +25,13 @@ type t
 val create : unit -> t
 
 (** Record one transaction attempt's latency (ns) and outcome.
-    Committed latencies feed the commit histogram; aborted latencies
-    feed their own histogram (they are real work the harness must not
-    drop). *)
+    Committed latencies feed the commit histogram; an aborted attempt
+    counts towards {!aborted} and {!abort_rate}, and its latency is
+    not kept. *)
 val record : t -> latency_ns:float -> Types.outcome -> unit
 
-(** Record with a transaction-class label (e.g. "new_order") so
-    benchmarks can report per-class commit and abort rates. *)
+(** {!record} with a transaction-class label (e.g. "new_order"), so
+    benchmarks can report per-class commits ({!committed_class}). *)
 val record_class : t -> cls:string -> latency_ns:float -> Types.outcome -> unit
 
 (** Count one abort against its taxonomy reason. *)
@@ -55,16 +54,9 @@ val aborted : t -> int
 
 val committed_class : t -> cls:string -> int
 
-val aborted_class : t -> cls:string -> int
-
 val median_latency : t -> float
 
 val p99_latency : t -> float
-
-(** Latency quantile over aborted attempts, ns. *)
-val abort_latency_quantile : t -> float -> float
-
-val median_abort_latency : t -> float
 
 val abort_rate : t -> float
 
@@ -72,5 +64,3 @@ val counters : t -> Xenic_stats.Counter.t
 
 (** Merge [src] into [into] (per-node metrics -> cluster metrics). *)
 val merge : into:t -> t -> unit
-
-val clear : t -> unit

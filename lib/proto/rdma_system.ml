@@ -44,8 +44,7 @@ type msg = Control.msg
 type node = {
   id : int;
   locks : int Locks.t;  (* key -> owner token *)
-  host : Resource.t;  (* app threads + RPC handlers *)
-  workers : Resource.t;
+  host : Resource.t;  (* app threads, RPC handlers and log applies *)
   log : Control.log_record Xenic_store.Hostlog.t;
 }
 
@@ -58,8 +57,6 @@ type t = {
   nodes : node array;
   tr : Control.transport;  (* RPC transport, built once *)
 }
-
-let flavor t = t.flavor
 
 let control t = t.ctl
 
@@ -242,10 +239,6 @@ let create engine hw cfg flavor p =
             Resource.create engine
               ~name:(Printf.sprintf "host%d" id)
               ~servers:p.host_threads;
-          workers =
-            Resource.create engine
-              ~name:(Printf.sprintf "rwrk%d" id)
-              ~servers:p.worker_threads;
           log = Control.host_log ctl ~node:id ~name:"log";
         })
   in
@@ -292,17 +285,13 @@ let util_sources t =
                float_of_int (Xenic_net.Fabric.link_busy t.ctl.fabric ~node:n.id) );
            ( Printf.sprintf "node%d host pool" n.id,
              fun () -> float_of_int (Resource.in_use n.host) );
-           ( Printf.sprintf "node%d worker pool" n.id,
-             fun () -> float_of_int (Resource.in_use n.workers) );
          ])
 
 (* Every contended resource, labeled for the profiler. Host-pool, NIC
    and fabric names are already node-unique. *)
 let resources t =
   let pools =
-    Array.to_list t.nodes
-    |> List.concat_map (fun n ->
-           [ (Resource.name n.host, n.host); (Resource.name n.workers, n.workers) ])
+    Array.to_list t.nodes |> List.map (fun n -> (Resource.name n.host, n.host))
   in
   let named rs = List.map (fun r -> (Resource.name r, r)) rs in
   pools @ named (Rdma.resources t.rdma)

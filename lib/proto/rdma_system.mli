@@ -27,14 +27,17 @@ open Xenic_cluster
 
 type flavor = Drtmh | Drtmh_nc | Fasst | Drtmr | Farm
 
-val flavor_name : flavor -> string
-
-(** Slots per chained-table bucket (B in Table 2): 8. *)
+(** Slots per chained-table bucket (B in Table 2): 8.
+    test_proto builds its reference tables with it, to compare replicas slot
+    for slot. *)
 val bucket_b : int
 
 type params = {
   host_threads : int;  (** Host threads per node (app + RPC handling). *)
-  worker_threads : int;  (** Background log-apply threads. *)
+  worker_threads : int;
+      (** Log-apply processes per node. They run on the host pool
+          ([host_threads]), so log application competes with RPC
+          handling and coordinator work (§5.2). *)
   buckets : int;  (** Chained-table main buckets per shard copy. *)
   armed : bool;
       (** [true]: {!create} arms the fault-tolerant path —
@@ -66,8 +69,6 @@ val create :
   flavor ->
   params ->
   t
-
-val flavor : t -> flavor
 
 (** The shared control plane: routing, fence, crash injection, metrics,
     oracle, trace and telemetry attachment. *)

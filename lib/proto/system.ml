@@ -78,9 +78,6 @@ let stack_name = function
   | Drtmr -> "drtmr"
   | Farm -> "farm"
 
-let stack_of_string s =
-  List.find_opt (fun st -> String.equal (stack_name st) s) stacks
-
 let create ?strict ?domains ?(hw = Xenic_params.Hw.testbed)
     ?(xenic = Xenic_system.default_params) ?(rdma = Rdma_system.default_params)
     ?armed ?partitions ~nodes ~replication ~store_cfg ~buckets stack =

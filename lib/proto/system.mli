@@ -70,8 +70,6 @@ val stacks : stack list
     ["fasst"], ["drtmr"], ["farm"]. *)
 val stack_name : stack -> string
 
-val stack_of_string : string -> stack option
-
 (** [create ~nodes ~replication ~store_cfg ~buckets stack] builds
     [stack] on a fresh engine ([strict], [domains]: {!Xenic_sim.Engine.create})
     over [nodes] nodes with [replication] copies of each shard, sized
@@ -109,7 +107,9 @@ val drain : t -> who:string -> unit
     Direct reads of [node]'s replica store ({!Control.t}[.storage]),
     the same on every stack. Not protocol operations. *)
 
-(** [node]'s replica store. *)
+(** [node]'s replica store.
+    For the replica checks of the tests (test/replicas.ml and the store
+    tests). *)
 val storage : t -> node:int -> Storage.t
 
 (** [node]'s copy of [k]'s value ({!Storage.read_value}). Raises
@@ -117,7 +117,8 @@ val storage : t -> node:int -> Storage.t
     ({!Control.check_sealed}). *)
 val peek : t -> node:int -> Keyspace.t -> bytes option
 
-(** [node]'s replica of [shard]'s ordered tables (see {!peek_min}). *)
+(** [node]'s replica of [shard]'s ordered tables (see {!peek_min}).
+    For the replica checks of the tests (test/replicas.ml and test_tpcc). *)
 val ordered : t -> node:int -> shard:int -> bytes Xenic_store.Btree.t
 
 (** {2 Ordered-table reads}

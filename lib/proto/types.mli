@@ -53,7 +53,9 @@ val make :
   (view -> Op.t list) ->
   t
 
-(** [make_multishot] exposes the full [exec_result] interface. *)
+(** [make_multishot] exposes the full [exec_result] interface.
+    No library workload is multi-shot: test_e2e's pointer chase drives this
+    path. *)
 val make_multishot :
   ?host_exec_ns:float ->
   ?state_bytes:int ->

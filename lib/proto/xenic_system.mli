@@ -111,7 +111,8 @@ val run_txn : t -> node:int -> Types.t -> Types.outcome
 val recover_node : t -> node:int -> unit
 
 (** Promote the first live replica of [shard] to primary, rebuilding its
-    caching index; returns the new primary's node id. *)
+    caching index; returns the new primary's node id.
+    test_workload's failover case calls it by hand between load phases. *)
 val promote : t -> shard:int -> int
 
 (** {2 Gray-failure hooks}

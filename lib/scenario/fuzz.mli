@@ -17,6 +17,7 @@ type bounds = {
   allow_phases : bool;  (** permit open-loop phase schedules *)
 }
 
+(** The fuzzer is test tooling: test_scenario's fuzz cases use it. *)
 val default_bounds : bounds
 
 (** [generate ~seed bounds] builds a random scenario that always
@@ -24,7 +25,7 @@ val default_bounds : bounds
     (never sinking below quorum), cuts come with a trailing heal,
     factors and probabilities stay inside the validator's ranges, and
     event times are quantized to 1000 ns so shrunk schedules stay
-    readable. *)
+    readable. Only test_scenario's fuzz cases call it. *)
 val generate : seed:int64 -> bounds -> Scenario.t
 
 (** [minimize ~fails scn] greedily shrinks [scn] while [fails] keeps
@@ -34,9 +35,10 @@ val generate : seed:int64 -> bounds -> Scenario.t
     candidate. Each accepted step strictly decreases a finite measure
     (event count, then summed times and factor excess), so shrinking
     terminates. Returns the smallest failing scenario found; [fails]
-    must be deterministic. *)
+    must be deterministic. Only test_scenario's shrink cases call it. *)
 val minimize : fails:(Scenario.t -> bool) -> Scenario.t -> Scenario.t
 
 (** [write_reproducer ~dir scn] saves [scn] as
-    [dir/<name>.repro.scn] and returns the path. *)
+    [dir/<name>.repro.scn] and returns the path.
+    Only test_scenario's reproducer case calls it. *)
 val write_reproducer : dir:string -> Scenario.t -> string

@@ -106,8 +106,12 @@ val validate_exn : t -> unit
 
 (** {2 Text form} *)
 
+(** Files go through {!save_file}; test_scenario's text round-trip cases need
+    the string itself. *)
 val to_string : t -> string
 
+(** Files go through {!load_file}; test_scenario's parser cases need the
+    string itself. *)
 val of_string : string -> (t, string) result
 
 val load_file : string -> (t, string) result

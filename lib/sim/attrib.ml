@@ -38,7 +38,6 @@ let compare_ctx a b =
       let c = String.compare a.phase b.phase in
       if c <> 0 then c else String.compare a.cls b.cls
 
-let to_string c = Printf.sprintf "%s;n%d;%s;%s" c.stack c.node c.cls c.phase
 
 let default = { stack = "-"; node = -1; phase = "-"; cls = "-" }
 
@@ -73,8 +72,6 @@ let partition_in base =
   match st.owner with Some b when b == base -> st.part | _ -> -1
 
 let enabled () = (installed ()).on
-
-let state_enabled st = st.on
 
 let set_state_enabled st v = st.on <- v
 

@@ -22,9 +22,6 @@ type ctx = { stack : string; node : int; phase : string; cls : string }
     key order for all deterministic per-context aggregation. *)
 val compare_ctx : ctx -> ctx -> int
 
-(** [stack;n<node>;<class>;<phase>] — the flamegraph frame prefix. *)
-val to_string : ctx -> string
-
 (** The neutral context ([stack = "-"], [node = -1], ...): whatever
     runs outside any attributed scope (engine callbacks, background
     services) accounts here. *)
@@ -66,8 +63,6 @@ val partition_in : state -> int
     (or not necessarily) installed — e.g. the driver enabling
     accounting on every partition of an engine before a profiled run —
     and for callers that fetched the installed frame once. *)
-val state_enabled : state -> bool
-
 val set_state_enabled : state -> bool -> unit
 
 val reset_state : state -> unit

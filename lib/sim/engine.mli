@@ -39,7 +39,8 @@ val create : ?strict:bool -> ?domains:int -> unit -> t
 (** Whether the engine was created with [~strict:true]. *)
 val strict : t -> bool
 
-(** The engine's domain budget (1 = single-domain). *)
+(** The engine's domain budget (1 = single-domain).
+    Only test_domains reads it, to check the budget a system passes down. *)
 val domains : t -> int
 
 (** Number of partitions: 1 unless {!set_topology} installed more. *)

@@ -57,8 +57,6 @@ let create ~dummy =
 
 let is_empty h = h.size = 0
 
-let length h = h.size
-
 (* Cold paths live out of line to keep the hot accessors short. Nothing
    here is inlined into other modules: dune's dev profile, which the
    tests and bench/cost build with, compiles with [-opaque], so every

@@ -19,8 +19,6 @@ val create : dummy:'a -> 'a t
 
 val is_empty : 'a t -> bool
 
-val length : 'a t -> int
-
 (** [push h ~time ~seq v] inserts [v] with priority [(time, seq)]. *)
 val push : 'a t -> time:float -> seq:int -> 'a -> unit
 

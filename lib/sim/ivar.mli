@@ -18,7 +18,9 @@ val fill : 'a t -> 'a -> unit
 val is_filled : 'a t -> bool
 
 (** Block until filled, then return the value. Returns immediately if
-    already filled. *)
+    already filled.
+    The library always waits with a deadline ({!read_timeout}); test_sim's
+    ivar cases block without one. *)
 val read : 'a t -> 'a
 
 (** [read_timeout t ~timeout_ns] blocks like {!read} but gives up after

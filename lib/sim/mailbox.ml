@@ -46,7 +46,6 @@ let create ?(name = "<mailbox>") engine =
         ]);
   t
 
-let length t = Queue.length t.items
 
 let send t v =
   if Queue.is_empty t.waiters then Queue.add v t.items

@@ -12,9 +12,6 @@ type 'a t
     {!Engine.sanitize} runs are reported (under [name]) as undelivered. *)
 val create : ?name:string -> Engine.t -> 'a t
 
-(** Number of queued messages. *)
-val length : 'a t -> int
-
 (** Enqueue a message, waking one waiting receiver if any. *)
 val send : 'a t -> 'a -> unit
 

@@ -22,8 +22,6 @@ let[@inline] step t =
   Bytes.set_int64_le t 0 s;
   mix s
 
-let next t = step t
-
 let split t = create ~seed:(step t)
 
 (* Child stream keyed by [index], without advancing the parent: the

@@ -20,9 +20,6 @@ val split : t -> t
     calls from concurrent partitions would race on the parent. *)
 val derive : t -> index:int -> t
 
-(** Next raw 64-bit value. *)
-val next : t -> int64
-
 (** [int t bound] is uniform in [0, bound). Requires [bound > 0]. *)
 val int : t -> int -> int
 

@@ -71,7 +71,9 @@ val instant :
   unit ->
   unit
 
-(** Record a counter sample at the current simulated time. *)
+(** Record a counter sample at the current simulated time.
+    The library records counters through {!sampler}; test_trace writes one
+    sample by hand. *)
 val counter : t -> name:string -> pid:int -> values:(string * float) list -> unit
 
 (** Events in chronological order (insertion order for equal

@@ -36,7 +36,8 @@ val n_windows : t -> t_end:float -> int
 
 (** [clamped_index t ~t_end time]: window of [time] folded into the
     final window of the [[t0, t_end]] range — the accounting index for
-    an event at or before the cutoff. *)
+    an event at or before the cutoff.
+    test_telemetry pins the cutoff-edge fold with it. *)
 val clamped_index : t -> t_end:float -> float -> int
 
 (** Width of window [i] clipped to [t_end] (the final window may be

@@ -27,8 +27,6 @@ let incr t name = addf t name 1.0
 let get t name =
   match Hashtbl.find t name with c -> c.v | exception Not_found -> 0.0
 
-let reset t = Hashtbl.reset t
-
 let to_list t =
   Hashtbl.fold (fun k c acc -> (k, c.v) :: acc) t []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)

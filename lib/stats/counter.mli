@@ -13,7 +13,5 @@ val addf : t -> string -> float -> unit
 
 val get : t -> string -> float
 
-val reset : t -> unit
-
 (** All counters, sorted by name. *)
 val to_list : t -> (string * float) list

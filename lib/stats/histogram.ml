@@ -160,16 +160,9 @@ let count_at_or_below t v =
   done;
   !n
 
-let clear t =
-  Array.fill t.counts 0 (Array.length t.counts) 0;
-  t.count <- 0;
-  t.m.total <- 0.0;
-  t.m.min_v <- infinity;
-  t.m.max_v <- neg_infinity
-
 let merge ~into src =
-  (* Cover only [src]'s nonzero extent: a cleared source keeps its
-     all-zero range, which must not widen [into]. *)
+  (* Cover only [src]'s nonzero extent: the zero slack around its
+     recorded buckets must not widen [into]. *)
   let n = Array.length src.counts in
   let first = ref 0 and last = ref (n - 1) in
   while !first < n && src.counts.(!first) = 0 do

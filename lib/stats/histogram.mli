@@ -17,7 +17,8 @@ val create : unit -> t
 
 val record : t -> float -> unit
 
-(** [record_n t v n] records [n] occurrences of [v]. *)
+(** [record_n t v n] records [n] occurrences of [v].
+    test_stats and test_telemetry record weighted samples with it. *)
 val record_n : t -> float -> int -> unit
 
 val count : t -> int
@@ -26,19 +27,20 @@ val total : t -> float
 
 val mean : t -> float
 
+(** test_stats checks the extrema that clamp {!quantile}. *)
 val min_value : t -> float
 
+(** test_stats checks the extrema that clamp {!quantile}. *)
 val max_value : t -> float
 
 (** [quantile t q] for [q] in [0, 1]; e.g. [quantile t 0.5] is the
-    median. Returns [nan] when empty. *)
+    median. Returns [nan] when empty.
+    The library reads {!median} and {!p99}; test_stats sweeps the quantile. *)
 val quantile : t -> float -> float
 
 val median : t -> float
 
 val p99 : t -> float
-
-val clear : t -> unit
 
 (** [merge ~into src] adds all of [src]'s samples into [into]. *)
 val merge : into:t -> t -> unit
@@ -47,5 +49,6 @@ val merge : into:t -> t -> unit
     [v]'s bucket and below counts) — the SLO-attainment query. *)
 val count_at_or_below : t -> float -> int
 
-(** Nonzero [(bucket, count)] pairs sorted by bucket index. *)
+(** Nonzero [(bucket, count)] pairs sorted by bucket index.
+    test_stats pins the bucket layout with it. *)
 val buckets : t -> (int * int) list

@@ -12,6 +12,7 @@ type 'v t
 
 val create : unit -> 'v t
 
+(** Tests compare it with their models' key counts. *)
 val size : 'v t -> int
 
 (** Insert or replace. *)

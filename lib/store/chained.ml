@@ -44,11 +44,7 @@ let create ~buckets ~b =
     allocated = buckets;
   }
 
-let capacity t = t.n_main * t.b
-
 let size t = t.size
-
-let b t = t.b
 
 let home t k = Kv.Key.hash k mod t.n_main
 
@@ -104,13 +100,6 @@ let find_value t k =
   let c = find_cell t k in
   if c < 0 then None else Some (cell_block t c).values.(cell_index t c)
 
-let mem t k = find_cell t k >= 0
-
-let update t k v ~seq =
-  let c = find_cell t k in
-  if c >= 0 then write t c k v ~seq;
-  c >= 0
-
 (* Append a chained bucket, opening a new chunk when the last is full. *)
 let new_bucket t =
   let id = t.allocated in
@@ -157,11 +146,6 @@ let put_newer t k v ~seq =
 let clear t c =
   Bytes.set (cell_block t c).live (cell_index t c) '\000';
   t.size <- t.size - 1
-
-let delete t k =
-  let c = find_cell t k in
-  if c >= 0 then clear t c;
-  c >= 0
 
 let delete_older t k ~seq =
   let c = find_cell t k in

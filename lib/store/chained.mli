@@ -10,13 +10,8 @@ type 'v t
 
 val create : buckets:int -> b:int -> 'v t
 
-(** Main-table capacity ([buckets * b]); occupancy in Table 2 is
-    measured against this. *)
-val capacity : 'v t -> int
-
+(** Tests compare it with their models' key counts. *)
 val size : 'v t -> int
-
-val b : 'v t -> int
 
 val insert : 'v t -> Kv.Key.t -> 'v -> unit
 
@@ -26,17 +21,10 @@ val find : 'v t -> Kv.Key.t -> ('v * int) option
 (** {!find} without the sequence number. *)
 val find_value : 'v t -> Kv.Key.t -> 'v option
 
-val mem : 'v t -> Kv.Key.t -> bool
-
-(** [update t k v ~seq] overwrites value and sequence; [false] if absent. *)
-val update : 'v t -> Kv.Key.t -> 'v -> seq:int -> bool
-
 (** [put_newer t k v ~seq] stores [v] at version [seq] unless [k] is
     already present at a version [>= seq]; an absent key is inserted.
     One probe for the key (commit application). *)
 val put_newer : 'v t -> Kv.Key.t -> 'v -> seq:int -> unit
-
-val delete : 'v t -> Kv.Key.t -> bool
 
 (** [delete_older t k ~seq] deletes [k] only if it is stored at a
     version older than [seq] (commit application). *)
@@ -46,7 +34,8 @@ val delete_older : 'v t -> Kv.Key.t -> seq:int -> unit
     each chained bucket adds [b] objects and one roundtrip. *)
 val lookup_cost : 'v t -> Kv.Key.t -> (int * int) option
 
-(** Total buckets allocated including chains (memory accounting). *)
+(** Total buckets allocated including chains (memory accounting).
+    test_store's model case checks chain allocation with it. *)
 val buckets_allocated : 'v t -> int
 
 (** [clone_into ~src ~dst] makes [dst] an exact copy of [src]: every

@@ -25,11 +25,7 @@ let create ~capacity ~h =
     ovf_size = 0;
   }
 
-let capacity t = t.capacity
-
 let size t = t.size + t.ovf_size
-
-let h t = t.h
 
 let home t k = Kv.Key.hash k mod t.capacity
 
@@ -51,8 +47,6 @@ let find t k =
   let pos = in_neighborhood t k in
   if pos >= 0 then t.slots.(pos).value
   else List.assoc_opt k (ovf_chain t (home t k))
-
-let mem t k = Option.is_some (find t k)
 
 (* Distance from [hm] to [pos] going forward (circular). *)
 let dist t hm pos = (pos - hm + t.capacity) mod t.capacity
@@ -147,9 +141,6 @@ let lookup_cost t k =
     match chain_pos k 1 (ovf_chain t (home t k)) with
     | Some n -> Some (t.h + n, 2)
     | None -> None
-
-let overflow_fraction t =
-  if size t = 0 then 0.0 else float_of_int t.ovf_size /. float_of_int (size t)
 
 (* Slot records are [dst]'s own, overwritten field by field; the
    overflow chains are immutable lists, so copying the table suffices. *)

@@ -9,18 +9,13 @@ type 'v t
 
 val create : capacity:int -> h:int -> 'v t
 
-val capacity : 'v t -> int
-
+(** Tests compare it with their models' key counts. *)
 val size : 'v t -> int
-
-val h : 'v t -> int
 
 (** Insert or update. Raises [Failure] when no free slot exists. *)
 val insert : 'v t -> Kv.Key.t -> 'v -> unit
 
 val find : 'v t -> Kv.Key.t -> 'v option
-
-val mem : 'v t -> Kv.Key.t -> bool
 
 val delete : 'v t -> Kv.Key.t -> bool
 
@@ -28,9 +23,6 @@ val delete : 'v t -> Kv.Key.t -> bool
     [objects_read] is [h] for a neighborhood hit plus the overflow
     elements scanned otherwise; [roundtrips] is 1 or 2. *)
 val lookup_cost : 'v t -> Kv.Key.t -> (int * int) option
-
-(** Fraction of elements living in overflow chains. *)
-val overflow_fraction : 'v t -> float
 
 (** [clone_into ~src ~dst] makes [dst] an exact copy of [src]: every
     slot and overflow chain, so lookup costs and later insertions match.

@@ -55,10 +55,4 @@ let ack t ~bytes =
   | Some resume -> Engine.after t.engine 0.0 resume
   | None -> ()
 
-let used_b t = t.used_b
-
-let appended t = t.appended
-
-let applied t = t.applied
-
 let drained t = t.used_b <= 0 && t.appended <= t.applied

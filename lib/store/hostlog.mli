@@ -25,13 +25,6 @@ val poll_then : 'r t -> ('r -> int -> unit) -> unit
 (** Worker acknowledges [bytes] of applied records, reclaiming space. *)
 val ack : 'r t -> bytes:int -> unit
 
-(** Bytes currently occupied. *)
-val used_b : 'r t -> int
-
-val appended : 'r t -> int
-
-val applied : 'r t -> int
-
 (** Nothing in flight: no bytes occupied and every appended record
     acknowledged by a worker. *)
 val drained : 'r t -> bool

@@ -9,8 +9,6 @@ module Key = struct
     Int64.to_int z land max_int
 
   let equal = Int.equal
-
-  let pp fmt k = Format.fprintf fmt "%#x" k
 end
 
 module Key_tbl = Hashtbl.Make (Key)

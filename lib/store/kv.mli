@@ -8,10 +8,6 @@ module Key : sig
   (** Strong avalanche hash (SplitMix64 finalizer) used by every hash
       structure, so occupancy behaviour matches a uniform keyspace. *)
   val hash : t -> int
-
-  val equal : t -> t -> bool
-
-  val pp : Format.formatter -> t -> unit
 end
 
 (** Hash tables keyed by {!Key.t}: {!Key.hash} and [Int.equal], with

@@ -69,8 +69,6 @@ let create ~host ~cache_capacity () =
     misses = 0;
   }
 
-let host t = t.host
-
 (* ------------------------------------------------------------------ *)
 (* Entry table *)
 
@@ -155,8 +153,6 @@ let sync_hints t =
   Robinhood.iter_home_disp t.host (fun ~home ~disp ->
       let g = home / hint_slots in
       if disp > t.hints.(g) then t.hints.(g) <- disp)
-
-let hint t ~seg = t.hints.(seg)
 
 let prewarm t =
   (try
@@ -378,8 +374,6 @@ let locked_keys t =
 let lock_owner t k =
   let e = find t k in
   if e != t.vacant && e.lock <> unlocked then Some e.lock else None
-
-let is_locked t k = Option.is_some (lock_owner t k)
 
 let apply_commit t k v =
   let e = get_or_make_entry t k ~seq:0 ~present:true in

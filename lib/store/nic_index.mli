@@ -28,15 +28,14 @@ type io = {
       (** One host-memory DMA read of a slot region or overflow page. *)
 }
 
-(** Zero-cost [io] for pure accounting contexts. *)
+(** Zero-cost [io] for pure accounting contexts.
+    test_store calls index operations outside a device model with it. *)
 val free_io : io
 
 (** [create ~host ~cache_capacity ()] builds the index (call
     {!sync_hints} after bulk loading). [cache_capacity] bounds cached
     {e values} (metadata is small and unbounded). *)
 val create : host:'v Robinhood.t -> cache_capacity:int -> unit -> 'v t
-
-val host : 'v t -> 'v Robinhood.t
 
 (** {2 Remote read path} *)
 
@@ -57,8 +56,6 @@ val try_lock :
   'v t -> io -> Kv.Key.t -> owner:int -> [ `Acquired of int | `Locked ]
 
 val unlock : 'v t -> Kv.Key.t -> owner:int -> unit
-
-val is_locked : 'v t -> Kv.Key.t -> bool
 
 (** All currently locked keys with their owners, sorted — for
     end-of-run protocol audits (a quiesced node must report []). *)
@@ -84,10 +81,10 @@ val host_applied : 'v t -> Kv.Key.t -> unit
 
 (** {2 Introspection} *)
 
+(** test_store checks what prewarming caches with it. *)
 val cached_values : 'v t -> int
 
-val hint : 'v t -> seg:int -> int
-
+(** test_store checks that a cached read counts a hit. *)
 val cache_hits : 'v t -> int
 
 (** Re-synchronize all hints with the host's bounds (bulk load). *)

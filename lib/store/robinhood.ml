@@ -51,8 +51,6 @@ let occupancy t = float_of_int (size t) /. float_of_int t.capacity
 
 let d_max t = t.d_max
 
-let seg_size t = t.seg_size
-
 let segments t = t.n_segments
 
 let home t k = Kv.Key.hash k mod t.capacity
@@ -115,8 +113,6 @@ let find_value t k =
   let pos = find_slot t k in
   if pos >= 0 then Some t.values.(pos)
   else match find_ovf t k with Some o -> Some o.o_value | None -> None
-
-let mem t k = Option.is_some (find t k)
 
 let locate t k =
   let pos = find_slot t k in

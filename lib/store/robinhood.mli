@@ -37,14 +37,14 @@ val create :
 
 val capacity : 'v t -> int
 
+(** Tests compare it with their models' key counts. *)
 val size : 'v t -> int
 
 val occupancy : 'v t -> float
 
 val d_max : 'v t -> int option
 
-val seg_size : 'v t -> int
-
+(** Tests walk every segment with it when they compare two tables. *)
 val segments : 'v t -> int
 
 (** Initial hash slot of a key. *)
@@ -78,8 +78,6 @@ val find : 'v t -> Kv.Key.t -> ('v * int) option
 (** {!find} without the sequence number: one [Some], no pair. *)
 val find_value : 'v t -> Kv.Key.t -> 'v option
 
-val mem : 'v t -> Kv.Key.t -> bool
-
 (** [update t k v ~seq] overwrites an existing object's value and sets
     its sequence number (commit application). Returns [false] if the
     key is absent. *)
@@ -102,7 +100,8 @@ val put_newer : 'v t -> Kv.Key.t -> 'v -> seq:int -> unit
     [< seq]. *)
 val delete_older : 'v t -> Kv.Key.t -> seq:int -> unit
 
-(** Displacement of a present key: [`Table of int] or [`Overflow]. *)
+(** Displacement of a present key: [`Table of int] or [`Overflow].
+    Tests check displacement and overflow placement with it. *)
 val locate : 'v t -> Kv.Key.t -> [ `Table of int | `Overflow ] option
 
 (** {2 Remote-lookup scanning}

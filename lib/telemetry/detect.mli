@@ -16,13 +16,17 @@ type verdict = { flagged : bool; detail : string }
     backlogged (mean queue depth above 4x the pre-burst depth, and
     above 64). The backlog arm matters because an unbounded queue
     serves stale storm leftovers at full rate — healthy-looking goodput
-    while fresh arrivals queue behind work nobody is waiting for. *)
+    while fresh arrivals queue behind work nobody is waiting for.
+    The library runs every detector through {!all}; test_telemetry drives each
+    alone. *)
 val retry_storm : Telemetry.agg array -> verdict
 
 (** Unbounded queue-growth trend: a run of 4+ windows with
     non-decreasing mean queue depth that ends at least 64 deep and at
     least 4x its starting depth. The depth floor keeps a bounded queue
-    riding at its (small) capacity from flagging. *)
+    riding at its (small) capacity from flagging.
+    The library runs every detector through {!all}; test_telemetry drives each
+    alone. *)
 val queue_growth : Telemetry.agg array -> verdict
 
 (** Little's-law residual divergence: per window, the backlog residual
@@ -30,7 +34,9 @@ val queue_growth : Telemetry.agg array -> verdict
     latency, both over the window). A system keeping up holds the
     residual near zero; a diverging one accumulates un-served backlog.
     Flags 3+ consecutive windows with residual above 32 and
-    non-decreasing. *)
+    non-decreasing.
+    The library runs every detector through {!all}; test_telemetry drives each
+    alone. *)
 val littles_law : Telemetry.agg array -> verdict
 
 (** A latency service-level objective: [target] fraction of offered
@@ -40,7 +46,9 @@ type slo = { latency_ns : float; target : float }
 (** SLO burn rate: per window, [bad = offered - commits within
     latency_ns]; burn = bad-fraction / error-budget (1 - target). Burn
     1.0 consumes budget exactly as fast as allowed; flags when the
-    burn rate averaged over the whole run exceeds 1.0. *)
+    burn rate averaged over the whole run exceeds 1.0.
+    The library runs every detector through {!all}; test_telemetry drives each
+    alone. *)
 val slo_burn : slo -> Telemetry.agg array -> verdict
 
 (** [all slo aggs]: the four window detectors above, named and in this

@@ -43,8 +43,6 @@ type t
     current simulated time. Default window: 100 us. *)
 val create : ?window_ns:float -> Xenic_sim.Engine.t -> t
 
-val window_ns : t -> float
-
 val t0 : t -> float
 
 (** Accounting cutoff: recordings with [now > cutoff] are dropped, and
@@ -58,10 +56,11 @@ val set_cutoff : t -> float -> unit
 val seal : t -> unit
 
 (** Cutoff-clipped end of the accounting interval. Raises if not yet
-    sealed. *)
+    sealed. test_telemetry checks the cutoff with it. *)
 val t_end : t -> float
 
-(** Number of windows in [[t0, t_end]]. Raises if not yet sealed. *)
+(** Number of windows in [[t0, t_end]]. Raises if not yet sealed.
+    test_telemetry checks the window count with it. *)
 val n_windows : t -> int
 
 (** {2 Recording}
@@ -131,7 +130,8 @@ type series = {
 }
 
 (** All cells, sorted by (win, stack, node, part, label) — the
-    deterministic export order. Requires [seal]. *)
+    deterministic export order. Requires [seal].
+    test_telemetry and test_golden read the cells with it. *)
 val series : t -> series list
 
 (** Cluster-wide per-window rollup (all dimensions folded), the

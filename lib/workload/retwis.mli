@@ -33,5 +33,5 @@ val openloop_spec : params -> Openloop.workload
 val increment_spec : params -> nodes:int -> Driver.spec
 
 (** Sum of embedded counters over all primaries (for the increment
-    spec's invariant). *)
+    spec's invariant). Only test_e2e's increment audit sums the counters. *)
 val total_count : params -> Xenic_proto.System.t -> int64

@@ -113,5 +113,3 @@ let sample t rng =
       let k = int_of_float v in
       if k >= t.n then t.n - 1 else if k < 0 then 0 else k
   end
-
-let n t = t.n

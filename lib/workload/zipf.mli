@@ -28,5 +28,3 @@ val copy_cache : cache -> cache
 val create_cached : cache -> n:int -> theta:float -> t
 
 val sample : t -> Xenic_sim.Rng.t -> int
-
-val n : t -> int

@@ -13,8 +13,9 @@
 set -x
 cd "$(dirname "$0")" || exit 1
 # Lint gate: refuse to spend bench cycles on a tree with new findings —
-# classic determinism rules plus the suspend/atomicity/domain-shared
-# ratchets (any drift from the checked-in lint/ inventories fails).
+# classic determinism rules plus every lint/ ratchet: suspend.inventory,
+# atomicity.inventory, domain_shared.report, options.inventory,
+# closures.inventory and exports.inventory (any drift fails).
 if ! dune build @lint; then
   echo "run_bench.sh: lint gate failed (dune build @lint)" >&2
   exit 1

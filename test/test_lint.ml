@@ -572,6 +572,107 @@ let test_json () =
     "newline escaped" "\"a\\nb\""
     (Ljson.to_string (Ljson.S "a\nb"))
 
+(* ---- exports inventory ---------------------------------------------- *)
+
+(* A fixture tree: one library interface, users under lib/ and bench/,
+   and a test under test/. Returns the classified entries. *)
+let exports_fixture ?(extra_user = "") () =
+  let root = Filename.temp_file "exports" "" in
+  Sys.remove root;
+  let files =
+    [
+      ( "lib/a/foo.mli",
+        "val used : int\n\
+         (** Only test_x needs it. *)\n\
+         val tested : int\n\
+         (** The latest value. *)\n\
+         val undocumented : int\n\
+         val unused : int\n\
+         val opened : int\n\
+         val local_open : int\n\
+         val let_open : int\n\
+         val aliased : int\n\
+         val wrapped : int\n\
+         val benched : int\n\
+         module Key : sig\n\
+        \  (** For test_x. *)\n\
+        \  val hash : int -> int\n\
+         end\n" );
+      ("lib/a/foo.ml", "let unused = 0\nlet used = unused\n");
+      ( "lib/b/bar.ml",
+        "let a = Foo.used\n\
+         let b = Foo.(local_open)\n\
+         let c = let open Foo in let_open\n\
+         module F = Foo\n\
+         let d = F.aliased\n\
+         let e = Xenic_a.Foo.wrapped\n\
+         open Foo\n\
+         let f = opened\n" ^ extra_user );
+      ("bench/run.ml", "let x = Foo.benched\n");
+      ( "test/t.ml",
+        "let x = Foo.tested + Foo.undocumented + Foo.Key.hash 1 + Foo.used\n" );
+    ]
+  in
+  let rec mkdir_p d =
+    if not (Sys.file_exists d) then begin
+      mkdir_p (Filename.dirname d);
+      Sys.mkdir d 0o755
+    end
+  in
+  List.iter
+    (fun (rel, src) ->
+      let path = Filename.concat root rel in
+      mkdir_p (Filename.dirname path);
+      Out_channel.with_open_bin path (fun oc -> output_string oc src))
+    files;
+  let entries = Exports.of_roots [ Filename.concat root "lib" ] in
+  let rec rm_rf p =
+    if Sys.is_directory p then begin
+      Array.iter (fun f -> rm_rf (Filename.concat p f)) (Sys.readdir p);
+      Sys.rmdir p
+    end
+    else Sys.remove p
+  in
+  rm_rf root;
+  entries
+
+let names es = List.sort String.compare (List.map (fun e -> e.Exports.name) es)
+
+let test_exports_users () =
+  let entries = exports_fixture () in
+  let with_status s =
+    names (List.filter (fun e -> e.Exports.status = s) entries)
+  in
+  Alcotest.(check (list string))
+    "open, local open, let open, an alias, a wrapper prefix and bench/ \
+     all count as users"
+    [
+      "Foo.aliased"; "Foo.benched"; "Foo.let_open"; "Foo.local_open";
+      "Foo.opened"; "Foo.used"; "Foo.wrapped";
+    ]
+    (with_status Exports.Used);
+  Alcotest.(check (list string))
+    "test-only values, a nested one named by its path"
+    [ "Foo.Key.hash"; "Foo.tested"; "Foo.undocumented" ]
+    (with_status Exports.Test_only);
+  Alcotest.(check int) "the inventory lists each test-only value" 3
+    (List.length (Exports.inventory entries));
+  Alcotest.(check bool) "an inventory line names the value" true
+    (List.exists
+       (fun l -> Filename.check_suffix l "foo.mli Foo.Key.hash")
+       (Exports.inventory entries));
+  Alcotest.(check (list string))
+    "a test-only value must name its test" [ "Foo.undocumented" ]
+    (names (Exports.unexplained entries))
+
+let test_exports_unused () =
+  Alcotest.(check (list string))
+    "a value that only its own module uses has no user" [ "Foo.unused" ]
+    (names (Exports.unused (exports_fixture ())));
+  Alcotest.(check (list string))
+    "a user elsewhere clears it" []
+    (names (Exports.unused (exports_fixture ~extra_user:"let g = unused\n" ())))
+
 let () =
   Alcotest.run "xenic_lint"
     [
@@ -630,5 +731,7 @@ let () =
           Alcotest.test_case "closures inventory" `Quick test_closures;
           Alcotest.test_case "closures inventory lambdas" `Quick
             test_closures_lambdas;
+          Alcotest.test_case "exports users" `Quick test_exports_users;
+          Alcotest.test_case "exports no user" `Quick test_exports_unused;
         ] );
     ]

@@ -355,6 +355,37 @@ let test_diff_parse_bad_type () =
         true
         (contains e "xenic tput")
 
+(* Every resource a stack reports does work: on a short Smallbank run,
+   each resource kind (its label without the node digits) is busy for
+   some time. A pool that nothing acquires would report an idle row in
+   every profile. *)
+let test_every_resource_busy stack () =
+  let sys =
+    System.create ~nodes:4 ~replication:3
+      ~store_cfg:(Smallbank.store_cfg sb_params)
+      ~buckets:(Smallbank.chained_buckets sb_params) stack
+  in
+  Smallbank.load sb_params sys;
+  ignore
+    (Driver.run ~seed:11L sys (Smallbank.spec sb_params ~nodes:4)
+       ~concurrency:8 ~target:800);
+  let kind label =
+    String.to_seq label
+    |> Seq.filter (fun c -> not (c >= '0' && c <= '9'))
+    |> String.of_seq
+  in
+  let busy = Hashtbl.create 16 in
+  List.iter
+    (fun (label, r) ->
+      let k = kind label in
+      Hashtbl.replace busy k
+        (Resource.busy_time r +. Option.value ~default:0.0 (Hashtbl.find_opt busy k)))
+    (sys.System.resources ());
+  Hashtbl.fold (fun k t acc -> (k, t) :: acc) busy []
+  |> List.sort compare
+  |> List.iter (fun (k, t) ->
+         Alcotest.(check bool) (Printf.sprintf "%s is busy" k) true (t > 0.0))
+
 let () =
   Alcotest.run "xenic_profile"
     [
@@ -389,6 +420,12 @@ let () =
           (fun stack ->
             Alcotest.test_case (System.stack_name stack) `Quick
               (test_path_keys stack))
+          System.stacks );
+      ( "busy",
+        List.map
+          (fun stack ->
+            Alcotest.test_case (System.stack_name stack) `Quick
+              (test_every_resource_busy stack))
           System.stacks );
       ( "folded",
         [ Alcotest.test_case "format" `Quick test_folded_format ] );

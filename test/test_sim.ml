@@ -121,7 +121,7 @@ let test_heap_model_qcheck =
                 (* xenic-lint: allow FLOAT-CMP *)
                 if not (t = mt && s = ms && v = mv) then ok := false;
                 model := rest);
-            if List.length !model <> Heap.length h then ok := false
+            if (!model = []) <> Heap.is_empty h then ok := false
           end)
         ops;
       (* Drain what's left: full agreement to the end. *)
@@ -433,7 +433,7 @@ let test_mailbox_park_waits () =
   Alcotest.(check (list (pair int (float 0.0))))
     "delivered at the send's instant" [ (42, 5.0) ] !got;
   Alcotest.(check int) "send event + one hand-off event" 2 events;
-  Alcotest.(check int) "nothing queued" 0 (Mailbox.length mb)
+  Alcotest.(check (list int)) "nothing queued" [] (Mailbox.recv_burst mb ~max:8)
 
 (* With messages queued, [park] hands the oldest to the waiter at once,
    so one waiter may park again right away. *)
@@ -448,7 +448,7 @@ let test_mailbox_park_queued () =
   done;
   Alcotest.(check (list int)) "taken at once, fifo" [ 1; 2; 3 ] (List.rev !got);
   Alcotest.(check int) "no event scheduled" 0 (Engine.run eng);
-  Alcotest.(check int) "drained" 0 (Mailbox.length mb)
+  Alcotest.(check (list int)) "drained" [] (Mailbox.recv_burst mb ~max:8)
 
 (* ------------------------------------------------------------------ *)
 (* Ivar *)
@@ -619,16 +619,16 @@ let test_sanitizer_off_by_default () =
 let test_rng_determinism () =
   let a = Rng.create ~seed:42L and b = Rng.create ~seed:42L in
   for _ = 1 to 100 do
-    Alcotest.(check int64) "same stream" (Rng.next a) (Rng.next b)
+    Alcotest.(check (float 0.0)) "same stream" (Rng.float a) (Rng.float b)
   done
 
 let test_rng_split_independence () =
   let a = Rng.create ~seed:7L in
   let c = Rng.split a in
-  let x = Rng.next c in
+  let x = Rng.float c in
   let a2 = Rng.create ~seed:7L in
   let c2 = Rng.split a2 in
-  Alcotest.(check int64) "split deterministic" x (Rng.next c2)
+  Alcotest.(check (float 0.0)) "split deterministic" x (Rng.float c2)
 
 let test_rng_uniform_qcheck =
   QCheck.Test.make ~name:"rng int stays in bounds" ~count:500
@@ -726,19 +726,6 @@ let test_aggregator_disabled () =
   ignore (Engine.run eng);
   Alcotest.(check int) "frame per message" 3 !frames
 
-let test_aggregator_flush_all () =
-  let eng = Engine.create () in
-  let hw = Xenic_params.Hw.testbed in
-  let fabric = Xenic_net.Fabric.create eng hw ~nodes:3 in
-  let agg = Xenic_net.Aggregator.create fabric ~src:0 ~enabled:true ~dummy:"" in
-  Xenic_net.Aggregator.push agg ~dst:1 ~bytes:10 "a";
-  Xenic_net.Aggregator.push agg ~dst:2 ~bytes:10 "b";
-  (* Force out both gather lists before their windows expire. *)
-  Xenic_net.Aggregator.flush_all agg;
-  Alcotest.(check int) "two frames" 2 (Xenic_net.Aggregator.frames agg);
-  Alcotest.(check int) "two messages" 2 (Xenic_net.Aggregator.messages agg);
-  ignore (Engine.run eng)
-
 (* A flushed batch leaves no message behind: its gather slot holds the
    dummy, so once the frame is taken from the mailbox the message is
    garbage. *)
@@ -755,9 +742,8 @@ let test_aggregator_retains_nothing () =
    Xenic_net.Aggregator.push agg ~dst:1 ~bytes:16 msg);
   ignore (Engine.run eng);
   let rx = Xenic_net.Fabric.rx fabric 1 in
-  Alcotest.(check int) "one frame delivered" 1 (Mailbox.length rx);
-  Process.spawn eng (fun () -> ignore (Mailbox.recv rx));
-  ignore (Engine.run eng);
+  Alcotest.(check int) "one frame delivered" 1
+    (List.length (Mailbox.recv_burst rx ~max:8));
   Gc.full_major ();
   Alcotest.(check bool) "message collected" false (Weak.check seen 0);
   (* The aggregator is still live here, so its slots were scanned. *)
@@ -799,14 +785,15 @@ let test_fabric_accounting () =
   let eng = Engine.create () in
   let hw = Xenic_params.Hw.testbed in
   let fabric = Xenic_net.Fabric.create eng hw ~nodes:2 in
-  Process.spawn eng (fun () ->
-      ignore (Mailbox.recv (Xenic_net.Fabric.rx fabric 1)));
+  let rx = Xenic_net.Fabric.rx fabric 1 in
   Xenic_net.Fabric.send fabric ~src:0 ~dst:1 ~payload_bytes:100 [ "x" ];
   ignore (Engine.run eng);
-  Alcotest.(check int) "frames" 1 (Xenic_net.Fabric.frames_sent fabric);
-  Alcotest.(check int) "bytes include framing"
-    (100 + hw.eth_frame_overhead_b)
-    (Xenic_net.Fabric.bytes_sent fabric)
+  match Mailbox.recv_burst rx ~max:8 with
+  | [ pkt ] ->
+      Alcotest.(check int) "bytes include framing"
+        (100 + hw.eth_frame_overhead_b)
+        pkt.Xenic_net.Packet.wire_bytes
+  | frames -> Alcotest.failf "%d frames delivered, expected 1" (List.length frames)
 
 let test_aggregator_mtu_flush () =
   let eng = Engine.create () in
@@ -861,8 +848,7 @@ let test_dma_vector_amortization () =
   (* Vectored submission should need far fewer vectors than ops. *)
   Alcotest.(check bool)
     "vectors amortized" true
-    (Xenic_pcie.Dma.vectors_issued dma <= (n / 8) + 8);
-  Alcotest.(check int) "ops counted" n (Xenic_pcie.Dma.ops_completed dma)
+    (Xenic_pcie.Dma.vectors_issued dma <= (n / 8) + 8)
 
 let test_dma_throughput_cap () =
   let eng = Engine.create () in
@@ -984,9 +970,8 @@ let test_fabric_attribution () =
     [ ("A", (0.0, s)); ("B", (s, s)); ("C", (s, s)) ]
     res.(5);
   Alcotest.(check int) "callbacks left the ambient context alone" 0 !leaks;
-  Alcotest.(check string) "ambient context after the run"
-    (Attrib.to_string ambient)
-    (Attrib.to_string (Engine.with_attrib eng Attrib.get))
+  Alcotest.(check int) "ambient context after the run" 0
+    (Attrib.compare_ctx ambient (Engine.with_attrib eng Attrib.get))
 
 let test_dma_attribution () =
   let eng = Engine.create () in
@@ -1380,7 +1365,6 @@ let () =
           Alcotest.test_case "aggregation" `Quick test_aggregator_batches;
           Alcotest.test_case "aggregation off" `Quick test_aggregator_disabled;
           Alcotest.test_case "mtu flush" `Quick test_aggregator_mtu_flush;
-          Alcotest.test_case "flush all" `Quick test_aggregator_flush_all;
           Alcotest.test_case "retains nothing" `Quick
             test_aggregator_retains_nothing;
           Alcotest.test_case "stale timer" `Quick test_aggregator_stale_timer;
