@@ -11,8 +11,9 @@
      sum to its outer span duration.
 
    It also reports the share of committed path time no phase names
-   ("other"), and fails when a committed path is "other" alone: its
-   attempt's phase spans went to another transaction's track. *)
+   ("other"), and fails when it is above zero: an attempt's phases tile
+   it, so "other" means a phase span went to another transaction's
+   track or a phase was left unclosed. *)
 
 open Xenic_proto
 open Xenic_workload
@@ -98,10 +99,12 @@ let run_system ~label mk_sys =
   Common.json_num (label ^ " path other frac") other_frac;
   Common.note "%s: %.3f of committed path time is other; %d paths all other"
     label other_frac blind;
-  if blind > 0 then
+  if Float.compare other_frac 0.0 > 0 then
     failwith
-      (Printf.sprintf "profile: %s: %d committed paths are all other" label
-         blind)
+      (Printf.sprintf
+         "profile: %s: %.3f of committed path time is other (%d paths all \
+          other)"
+         label other_frac blind)
 
 let run () =
   Common.section

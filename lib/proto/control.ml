@@ -36,13 +36,14 @@ type outcome =
 (* One transaction as its coordinator runs it: [run_txn] draws each
    try's id into it, and every emission keyed on the attempt — phase
    samples and spans, the outer span, abort and retry instants — reads
-   it, so one transaction's marks share one key whatever else the
+   it, so one transaction's emissions share one key whatever else the
    coordinator runs meanwhile. *)
 type attempt = {
   coord : int;
   mutable seq : int;  (* 0 until the first draw *)
   mutable owner : int;
-  mutable start : float;  (* start of the open phase *)
+  mutable open_phase : Metrics.phase;  (* open since [start] *)
+  mutable start : float;
 }
 
 type log_record = {
@@ -174,16 +175,6 @@ let current_primary t ~shard = t.primaries.(shard)
 
 let node_alive t ~node = t.alive.(node) && not t.crashed.(node)
 
-(* A fresh id for [a] at its coordinator, opening its first phase:
-   each try gets its own, so lock owner tokens never collide across
-   retries. *)
-let draw t a =
-  let seq = t.txn_seq.(a.coord) + 1 in
-  t.txn_seq.(a.coord) <- seq;
-  a.seq <- seq;
-  a.owner <- Types.owner_token ~coord:a.coord ~seq;
-  a.start <- Engine.now t.engine
-
 (* ------------------------------------------------------------------ *)
 (* Bulk load *)
 
@@ -249,24 +240,48 @@ let trace_instant t ~cat ~name ~pid ~tid args =
   | None -> ()
   | Some tr -> Trace.instant tr ~cat ~name ~pid ~tid ~args ()
 
-(* A phase of [a] that began at [since] ends now: its latency histogram
+(* Phase [p] of [a], begun at [since], ends now: its latency histogram
    sample and, when tracing, a span in category [cat] on the
    coordinator's track keyed by the attempt's seq. Returns now. *)
-let phase t a ~cat name since =
+let phase t a ~cat p since =
   let now = Engine.now t.engine in
-  Metrics.record_phase (mx t) ~phase:name (now -. since);
+  Metrics.record_phase (mx t) p (now -. since);
   (match t.trace with
   | None -> ()
   | Some tr ->
-      Trace.span tr ~cat ~name ~pid:a.coord ~tid:a.seq ~ts:since
-        ~dur:(now -. since) ());
+      Trace.span tr ~cat ~name:(Metrics.phase_name p) ~pid:a.coord ~tid:a.seq
+        ~ts:since ~dur:(now -. since) ());
   now
 
-let mark t a name = a.start <- phase t a ~cat:"txn" name a.start
+(* Only [enter] moves a try's open phase, so the try's phases tile it. *)
+let open_at a p now =
+  a.open_phase <- p;
+  a.start <- now;
+  Attrib.set_phase (Metrics.phase_name p)
+
+let close t a = phase t a ~cat:"txn" a.open_phase a.start
+
+let enter t a p = open_at a p (close t a)
+
+(* A fresh id for [a] at its coordinator, opening execute: each try
+   gets its own, so lock owner tokens never collide across retries. *)
+let fresh_try t a =
+  let seq = t.txn_seq.(a.coord) + 1 in
+  t.txn_seq.(a.coord) <- seq;
+  a.seq <- seq;
+  a.owner <- Types.owner_token ~coord:a.coord ~seq;
+  open_at a Metrics.Execute (Engine.now t.engine)
+
+let draw t a =
+  ignore (close t a);
+  fresh_try t a
 
 (* Off the critical path: category "txn-async", so critical-path
    extraction never counts it inside the transaction span. *)
-let mark_async t a name ~since = ignore (phase t a ~cat:"txn-async" name since)
+let async t a p ~since body =
+  Attrib.set_phase (Metrics.phase_name p);
+  body ();
+  ignore (phase t a ~cat:"txn-async" p since)
 
 let set_oracle t o = t.oracle <- Some o
 
@@ -414,9 +429,9 @@ let replicate t ~src ~send targets =
    are swept at the declaration. *)
 let commit_point t a ~epoch0 ~log ~commit ~abort : outcome =
   if not t.armed then begin
-    Attrib.set_phase "log";
+    enter t a Metrics.Log;
     log (ref Dcommit);
-    mark t a "log";
+    enter t a Metrics.Commit;
     commit ();
     `Committed
   end
@@ -426,9 +441,8 @@ let commit_point t a ~epoch0 ~log ~commit ~abort : outcome =
   end
   else begin
     let decision = ref Dpending in
-    Attrib.set_phase "log";
+    enter t a Metrics.Log;
     log decision;
-    mark t a "log";
     if t.crashed.(a.coord) then begin
       decision := Dabort;
       fence_release t;
@@ -436,25 +450,26 @@ let commit_point t a ~epoch0 ~log ~commit ~abort : outcome =
     end
     else begin
       decision := Dcommit;
+      enter t a Metrics.Commit;
       commit ();
       fence_release t;
       `Committed
     end
   end
 
-(* The attempt tail after execution (§4.2). A check-free attempt
-   records no validate sample: zero-length marks would drag the
-   reported mean to ~0 (the Fig 8/9 "validate: 0" bug). *)
+(* The attempt tail after execution (§4.2). A check-free attempt never
+   enters validate, so it records no validate sample: zero-length
+   samples would drag the reported mean to ~0 (the Fig 8/9 "validate:
+   0" bug). A read-only attempt's release is its commit. *)
 let finish t a ~epoch0 ~values ~lock_versions ~checks ~validate ~release
     ~log ~commit ops : outcome =
   let valid =
     if checks = [] then `Valid
     else begin
-      Attrib.set_phase "validate";
+      enter t a Metrics.Validate;
       validate checks
     end
   in
-  if checks <> [] then mark t a "validate";
   match valid with
   | `Down ->
       release ();
@@ -463,6 +478,7 @@ let finish t a ~epoch0 ~values ~lock_versions ~checks ~validate ~release
       release ();
       `Aborted Metrics.Validation_failure
   | `Valid when ops = [] ->
+      enter t a Metrics.Commit;
       release ();
       record_commit t ~id:a.owner ~values ~lock_versions ~seq_ops:[];
       `Committed
@@ -472,9 +488,7 @@ let finish t a ~epoch0 ~values ~lock_versions ~checks ~validate ~release
       commit_point t a ~epoch0 ~log:(log by_shard)
         ~commit:(fun () ->
           record_commit t ~id:a.owner ~values ~lock_versions ~seq_ops;
-          Attrib.set_phase "commit";
-          commit seq_ops by_shard;
-          mark t a "commit")
+          commit seq_ops by_shard)
         ~abort:release
 
 (* ------------------------------------------------------------------ *)
@@ -654,17 +668,22 @@ let commit t a ~t_start =
         ~latency_ns:(now -. t_start));
   Types.Committed
 
-(* Armed: retry attempts that ran into a dead peer, with exponential
-   backoff so reconfiguration can complete. *)
+(* Each try in turn. Armed: retry attempts that ran into a dead peer,
+   with exponential backoff so reconfiguration can complete; un-armed,
+   there is one try and no dead coordinator. *)
 let rec retry t body a ~t_start n backoff =
   if not (node_alive t ~node:a.coord) then
-    abort_with t a ~t_start Metrics.Crashed_owner
+    if t.armed then abort_with t a ~t_start Metrics.Crashed_owner
+    else invalid_arg "run_txn: coordinator is dead"
   else begin
-    draw t a;
-    match body a with
+    fresh_try t a;
+    let outcome = body a in
+    ignore (close t a);
+    match outcome with
     | `Committed -> commit t a ~t_start
     | `Aborted reason -> abort_with t a ~t_start reason
     | `Retry reason ->
+        assert t.armed;
         Xenic_stats.Counter.incr (counters t) "txn_retries";
         trace_instant t ~cat:"txn" ~name:"retry" ~pid:a.coord ~tid:a.seq
           [ ("reason", Metrics.abort_reason_name reason) ];
@@ -678,16 +697,10 @@ let rec retry t body a ~t_start n backoff =
 let run_txn t ~node body =
   check_sealed t;
   let t_start = Engine.now t.engine in
-  let a = { coord = node; seq = 0; owner = 0; start = t_start } in
-  if not t.armed then begin
-    if not t.alive.(node) then invalid_arg "run_txn: coordinator is dead";
-    draw t a;
-    match body a with
-    | `Committed -> commit t a ~t_start
-    | `Aborted reason -> abort_with t a ~t_start reason
-    | `Retry _ -> assert false
-  end
-  else retry t body a ~t_start 1 retry_backoff_ns
+  let a =
+    { coord = node; seq = 0; owner = 0; open_phase = Execute; start = t_start }
+  in
+  retry t body a ~t_start 1 retry_backoff_ns
 
 (* ------------------------------------------------------------------ *)
 (* Requests *)

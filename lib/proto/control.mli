@@ -84,17 +84,18 @@ type outcome =
   | `Retry of Metrics.abort_reason ]
 
 (** One transaction at its coordinator, built by {!run_txn}, which
-    {!draw}s each try's id into it. Every emission keyed on the attempt
-    reads it: the phase samples and spans of {!mark} and {!mark_async},
+    draws each try's id into it. Every emission keyed on the attempt
+    reads it: the phase samples and spans of {!enter} and {!async},
     the outer ["txnlat"] span and the abort and retry instants, all on
     track ([coord], [seq]). *)
-type attempt = {
+type attempt = private {
   coord : int;  (** The coordinator node. *)
   mutable seq : int;  (** This try's id at [coord]; 0 before the first draw. *)
   mutable owner : int;
       (** Lock owner token and oracle id: {!Types.owner_token} of
           ([coord], [seq]). *)
-  mutable start : float;  (** When the open phase began, simulated ns. *)
+  mutable open_phase : Metrics.phase;  (** Open since [start]. *)
+  mutable start : float;  (** Simulated ns. *)
 }
 
 (** A LOG or COMMIT record in a host-memory log. Which log it sits in
@@ -180,10 +181,6 @@ val current_primary : t -> shard:int -> int
 (** Neither declared dead nor crashed. *)
 val node_alive : t -> node:int -> bool
 
-(** [draw t a] bumps [a.coord]'s attempt counter and makes the new
-    value [a]'s [seq] and [owner], and opens its first phase now. *)
-val draw : t -> attempt -> unit
-
 (** {2 Bulk load}
 
     Loading bypasses the protocol and writes one copy per shard: a
@@ -228,15 +225,20 @@ val trace_instant :
   t -> cat:string -> name:string -> pid:int -> tid:int ->
   (string * string) list -> unit
 
-(** [mark t a name] closes [a]'s open phase as [name] (a latency sample
-    and, when tracing, a ["txn"] span from [a.start] to now on [a]'s
-    track) and opens the next one now. *)
-val mark : t -> attempt -> string -> unit
+(** [enter t a p] closes [a]'s open phase (a latency sample and, when
+    tracing, a ["txn"] span on [a]'s track) and opens [p] now, for
+    attribution too. A try opens ["execute"], so its phases tile it. *)
+val enter : t -> attempt -> Metrics.phase -> unit
 
-(** [mark_async t a name ~since]: the same sample and span for a phase
-    of [a] that ran from [since] to now off its critical path, in trace
-    category ["txn-async"]; [a]'s open phase is left as it is. *)
-val mark_async : t -> attempt -> string -> since:float -> unit
+(** [draw t a] ends [a]'s try as {!run_txn} does and draws a fresh one:
+    a new [seq] and [owner] from [a.coord]'s counter. For a replay. *)
+val draw : t -> attempt -> unit
+
+(** [async t a p ~since body] runs [body] under attribution phase [p],
+    then records [p] from [since] to now off [a]'s critical path, as a
+    ["txn-async"] span; [a]'s open phase stays as it is. *)
+val async :
+  t -> attempt -> Metrics.phase -> since:float -> (unit -> unit) -> unit
 
 (** Attach a serializability oracle fed by every commit. *)
 val set_oracle : t -> Oracle.t -> unit
@@ -273,8 +275,8 @@ val wait_fence : t -> unit
 (** [commit_point t a ~epoch0 ~log ~commit ~abort] runs attempt [a]
     from the end of validation to its outcome: [log d] sends the LOG
     records carrying decision [d], [commit ()] sends COMMIT and
-    releases locks, [abort ()] releases locks. The phase attribution is
-    set to ["log"] before [log], and {!mark} closes ["log"] after it.
+    releases locks, [abort ()] releases locks. [a] {!enter}s ["log"]
+    before [log] and ["commit"] before [commit].
 
     Un-armed, the records are born [Dcommit] and the result is
     [`Committed]. Armed, the attempt first enters the commit fence:
@@ -301,15 +303,14 @@ val commit_point :
     the keys read but not locked, with the versions read. The oracle
     records the commit under [a.owner].
 
-    With [checks <> []] it sets the phase to ["validate"], runs
-    [validate checks] and marks ["validate"]. [`Down] and [`Invalid]
-    call [release ()] and return [`Retry Timeout] and
-    [`Aborted Validation_failure]. With [ops = []], [release ()] runs
-    and the commit is recorded read-only. Otherwise the versioned
-    writes and their by-shard grouping go through {!commit_point} with
-    [log by_shard]; its commit step records the commit, sets the phase
-    to ["commit"], runs [commit seq_ops by_shard] and marks
-    ["commit"]. *)
+    With [checks <> []] [a] {!enter}s ["validate"] and runs
+    [validate checks]. [`Down] and [`Invalid] call [release ()] and
+    return [`Retry Timeout] and [`Aborted Validation_failure]. With
+    [ops = []], [a] enters ["commit"], [release ()] runs and the commit
+    is recorded read-only. Otherwise the versioned writes and their
+    by-shard grouping go through {!commit_point} with [log by_shard];
+    its commit step records the commit and runs
+    [commit seq_ops by_shard]. *)
 val finish :
   t ->
   attempt ->
@@ -392,16 +393,15 @@ val audit : t -> locked:(node:int -> (Keyspace.t * int) list) -> string list
 (** {2 Transactions} *)
 
 (** [run_txn t ~node body] runs one transaction coordinated at [node]:
-    it builds the transaction's {!attempt}, and per try {!draw}s its id
-    and runs [body a]. It accounts the outcome (metrics, abort reason,
-    telemetry, outer trace span, abort and retry instants), keyed on
-    [a.seq]: the last try's id, or 0 when a dead coordinator aborts
-    before its first try. Armed:
-    retries back off exponentially from 30 µs, up to 10 attempts, and
-    a dead coordinator aborts with {!Metrics.Crashed_owner}. Un-armed:
-    a dead coordinator raises [Invalid_argument]. Raises
-    [Invalid_argument] before any attempt while a load awaits its
-    {!seal} ({!check_sealed}). *)
+    it builds the transaction's {!attempt}, and per try draws its id,
+    runs [body a] and closes [a]'s open phase. It accounts the outcome
+    (metrics, abort reason, telemetry, outer trace span, abort and retry
+    instants), keyed on [a.seq]: the last try's id, or 0 when a dead
+    coordinator aborts before its first try. Armed: retries back off
+    exponentially from 30 µs, up to 10 attempts, and a dead coordinator
+    aborts with {!Metrics.Crashed_owner}. Un-armed: a dead coordinator
+    raises [Invalid_argument]. Raises [Invalid_argument] before any
+    attempt while a load awaits its {!seal} ({!check_sealed}). *)
 val run_txn : t -> node:int -> (attempt -> outcome) -> Types.outcome
 
 (** {2 Requests}

@@ -37,13 +37,34 @@ let reason_index = function
   | Crashed_owner -> 4
   | Shed -> 5
 
+(* The phases of a transaction attempt, in protocol order. *)
+type phase = Execute | Exec_fn | Validate | Log | Commit | Commit_async
+
+let phase_name = function
+  | Execute -> "execute"
+  | Exec_fn -> "exec-fn"
+  | Validate -> "validate"
+  | Log -> "log"
+  | Commit -> "commit"
+  | Commit_async -> "commit-async"
+
+let all_phases = [ Execute; Exec_fn; Validate; Log; Commit; Commit_async ]
+
+let phase_index = function
+  | Execute -> 0
+  | Exec_fn -> 1
+  | Validate -> 2
+  | Log -> 3
+  | Commit -> 4
+  | Commit_async -> 5
+
 type t = {
   latencies : Histogram.t;
   mutable committed : int;
   mutable aborted : int;
   by_class : (string, int) Hashtbl.t;
   abort_reasons : int array;
-  phases : (string, Histogram.t) Hashtbl.t;
+  phases : Histogram.t array;  (* by [phase_index] *)
   counters : Counter.t;
 }
 
@@ -54,7 +75,7 @@ let create () =
     aborted = 0;
     by_class = Hashtbl.create 8;
     abort_reasons = Array.make (List.length all_abort_reasons) 0;
-    phases = Hashtbl.create 8;
+    phases = Array.init (List.length all_phases) (fun _ -> Histogram.create ());
     counters = Counter.create ();
   }
 
@@ -84,19 +105,14 @@ let abort_reason_counts t =
     (fun r -> (abort_reason_name r, abort_reason_count t r))
     all_abort_reasons
 
-let record_phase t ~phase latency_ns =
-  let h =
-    match Hashtbl.find_opt t.phases phase with
-    | Some h -> h
-    | None ->
-        let h = Histogram.create () in
-        Hashtbl.add t.phases phase h;
-        h
-  in
-  Histogram.record h latency_ns
+let record_phase t phase latency_ns =
+  Histogram.record t.phases.(phase_index phase) latency_ns
 
 let phase_stats t =
-  Hashtbl.fold (fun phase h acc -> (phase, h) :: acc) t.phases []
+  all_phases
+  |> List.filter_map (fun p ->
+         let h = t.phases.(phase_index p) in
+         if Histogram.count h = 0 then None else Some (phase_name p, h))
   |> List.sort compare
 
 let committed t = t.committed
@@ -131,15 +147,7 @@ let merge ~into src =
   Array.iteri
     (fun i n -> into.abort_reasons.(i) <- into.abort_reasons.(i) + n)
     src.abort_reasons;
-  Hashtbl.fold (fun phase h acc -> (phase, h) :: acc) src.phases []
-  |> List.sort compare
-  |> List.iter (fun (phase, h) ->
-         match Hashtbl.find_opt into.phases phase with
-         | Some dst -> Histogram.merge ~into:dst h
-         | None ->
-             let dst = Histogram.create () in
-             Histogram.merge ~into:dst h;
-             Hashtbl.add into.phases phase dst);
+  Array.iteri (fun i h -> Histogram.merge ~into:into.phases.(i) h) src.phases;
   List.iter
     (fun (name, v) -> Counter.addf into.counters name v)
     (Counter.to_list src.counters)

@@ -20,6 +20,13 @@ val abort_reason_name : abort_reason -> string
 (** All reasons, in a fixed reporting order. *)
 val all_abort_reasons : abort_reason list
 
+(** A transaction attempt's phases ({!Control.enter}); [Commit_async]
+    is the commit apply off the critical path. *)
+type phase = Execute | Exec_fn | Validate | Log | Commit | Commit_async
+
+(** The phase's attribution, trace and report name, e.g. ["exec-fn"]. *)
+val phase_name : phase -> string
+
 type t
 
 val create : unit -> t
@@ -42,10 +49,10 @@ val abort_reason_count : t -> abort_reason -> int
 (** [(name, count)] for every reason in {!all_abort_reasons} order. *)
 val abort_reason_counts : t -> (string * int) list
 
-(** Record one phase latency sample (ns), e.g. [~phase:"validate"]. *)
-val record_phase : t -> phase:string -> float -> unit
+(** Record one phase latency sample (ns). *)
+val record_phase : t -> phase -> float -> unit
 
-(** Phase histograms, sorted by phase name. *)
+(** The histograms of the phases ever recorded, sorted by name. *)
 val phase_stats : t -> (string * Xenic_stats.Histogram.t) list
 
 val committed : t -> int

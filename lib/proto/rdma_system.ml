@@ -847,10 +847,6 @@ let rec read_values_at t ~node = function
       | Some (v, seq) -> (k, Some v, seq) :: read_values_at t ~node keys
       | None -> (k, None, 0) :: read_values_at t ~node keys)
 
-let execute_resp_b = function
-  | `Fail -> Wire.small_resp_b
-  | `Ok (_, values) -> Wire.execute_resp_b ~values
-
 (* FaSST's execute RPC for [shard]: lock its write-set keys and read its
    read-set keys. *)
 let fasst_shard t a ~epoch0 ~reads ~locks shard () =
@@ -861,7 +857,7 @@ let fasst_shard t a ~epoch0 ~reads ~locks shard () =
       ~req_bytes:
         (Wire.execute_req_b ~n_reads:(List.length s_reads)
            ~n_locks:(List.length s_locks) ~state_bytes:0)
-      ~resp_bytes:execute_resp_b
+      ~resp_bytes:Types.execute_resp_b
       ~handler_ns:
         (t.hw.host_rpc_ns
         +. float_of_int (List.length s_reads + List.length s_locks)
@@ -910,30 +906,16 @@ let rec checks_of reads = function
       | seq -> (k, seq) :: checks_of reads keys
       | exception Not_found -> checks_of reads keys)
 
-(* Is [k] written by an op of [seq_ops]? *)
-let rec written k = function
-  | [] -> false
-  | (op, _) :: rest -> Op.key op = k || written k rest
-
-(* The locked keys no op writes (DrTM+R's read-set locks), in lock
-   order. *)
-let rec unwritten seq_ops = function
-  | [] -> []
-  | (k, _) :: rest ->
-      if written k seq_ops then unwritten seq_ops rest
-      else k :: unwritten seq_ops rest
-
 let commit_and_release t a lock_versions seq_ops seq_ops_by_shard =
   commit_phase t a seq_ops_by_shard lock_versions;
   (* Release locks on keys that were locked but not written (DrTM+R
      read-set locks). *)
-  match unwritten seq_ops lock_versions with
+  match Types.unwritten fst seq_ops lock_versions with
   | [] -> ()
   | residual -> release_keys t a residual
 
 let rec attempt t a ~epoch0 (txn : Types.t) : Control.outcome =
   let src = a.Control.coord in
-  Attrib.set_phase "execute";
   (* DrTM+R locks every accessed key; the others lock only writes. *)
   let lock_keys =
     match t.flavor with
@@ -980,7 +962,6 @@ let rec attempt t a ~epoch0 (txn : Types.t) : Control.outcome =
           release_keys t a lock_keys;
           `Retry Metrics.Timeout
       | `Ok (lock_versions, read_results, fetched) -> (
-          Control.mark t.ctl a "execute";
           let abort_all () = release_keys t a (List.map fst lock_versions) in
           if not (locks_match read_results lock_versions) then begin
             Xenic_stats.Counter.incr (counters t) "lock_version_conflicts";
@@ -994,7 +975,7 @@ let rec attempt t a ~epoch0 (txn : Types.t) : Control.outcome =
                releases the locks and replays the transaction with the
                extended read/write sets (an extra protocol round, as an
                RPC system would issue). *)
-            Attrib.set_phase "exec-fn";
+            Control.enter t.ctl a Metrics.Exec_fn;
             Resource.use t.nodes.(src).host txn.host_exec_ns;
             match txn.exec (Types.view_of values) with
             | Types.More { read; lock } ->
@@ -1017,7 +998,6 @@ let rec attempt t a ~epoch0 (txn : Types.t) : Control.outcome =
                     }
                 end
             | Types.Done ops ->
-                Control.mark t.ctl a "exec-fn";
                 Control.finish t.ctl a ~epoch0 ~values ~lock_versions
                   ~checks:(checks_of read_results (Types.validate_set txn))
                   ~validate:(validate_phase t a ~epoch0)

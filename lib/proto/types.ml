@@ -33,6 +33,21 @@ let rec without ks = function
 
 let validate_set t = without t.write_set t.read_set
 
+let rec written k = function
+  | [] -> false
+  | (op, _) :: rest -> Op.key op = k || written k rest
+
+let rec unwritten key seq_ops = function
+  | [] -> []
+  | x :: rest ->
+      let k = key x in
+      if written k seq_ops then unwritten key seq_ops rest
+      else k :: unwritten key seq_ops rest
+
+let execute_resp_b = function
+  | `Fail -> Wire.small_resp_b
+  | `Ok (_, values) -> Wire.execute_resp_b ~values
+
 (* Shard walks over key lists: nothing is built unless the answer
    needs it. [insert_shard s l] adds a new [s] to the ascending list
    [l]. *)

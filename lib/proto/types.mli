@@ -71,6 +71,15 @@ val validate_set : t -> Keyspace.t list
 (** [without ks keys]: the keys of [keys] not in [ks], in order. *)
 val without : Keyspace.t list -> Keyspace.t list -> Keyspace.t list
 
+(** [unwritten key seq_ops xs]: the keys [key x] of [xs] that no write
+    of [seq_ops] touches, in order. *)
+val unwritten :
+  ('a -> Keyspace.t) -> (Op.t * 'v) list -> 'a list -> Keyspace.t list
+
+(** Wire size of an EXECUTE response: the values read, or a nack. *)
+val execute_resp_b :
+  [< `Fail | `Ok of 'l * (Keyspace.t * bytes option * int) list ] -> int
+
 (** Is every accessed key in [shard]? *)
 val single_shard : t -> int option
 

@@ -562,27 +562,20 @@ let rec lock_site t ~shard = function
    still the primary (or has crashed, in which case the notify is
    dropped and the new values survive via the decided backup records).
 
-   The coordinator's "commit" phase closes at the send, so Fig 8/9
-   reported a zero commit mean. The apply-side latency — notify send to
-   commit-handler completion at the primary — is its own "commit-async"
-   phase, with a distinct trace category ("txn-async") so
-   critical-path extraction never counts it inside the synchronous
-   transaction span. *)
+   The apply — notify send to commit-handler completion at the primary
+   — is the asynchronous "commit-async" phase ([Control.async]), in
+   trace category "txn-async", so critical-path extraction never counts
+   it inside the synchronous transaction span. *)
 let rec commit_shards t a ~t_send ~locks_by_shard = function
   | [] -> ()
   | (shard, seq_ops) :: rest ->
       let src = a.Control.coord and owner = a.owner in
       let _, primary, locked = lock_site t ~shard locks_by_shard in
       notify t ~src ~dst:primary ~bytes:(Wire.write_ops_b ~ops:seq_ops) (fun () ->
-          Attrib.set_phase "commit-async";
-          commit_handler t t.nodes.(primary) ~owner ~shard ~seq_ops ~locked ();
-          Control.mark_async t.ctl a "commit-async" ~since:t_send;
+          Control.async t.ctl a Metrics.Commit_async ~since:t_send
+            (commit_handler t t.nodes.(primary) ~owner ~shard ~seq_ops ~locked);
           notify_charged t ~src:primary ~dst:src ~bytes:Wire.small_resp_b ignore);
       commit_shards t a ~t_send ~locks_by_shard rest
-
-let commit_phase t a ~locks_by_shard ~seq_ops_by_shard =
-  commit_shards t a ~t_send:(Engine.now t.ctl.engine) ~locks_by_shard
-    seq_ops_by_shard
 
 (* Release locks at the node they were acquired at (which may no longer
    be the shard's primary after a promotion; a fresh primary's index
@@ -598,39 +591,24 @@ let rec abort_everywhere t a ~locks_by_shard =
           (abort_handler t.nodes.(primary) ~owner:a.owner ~locked);
       abort_everywhere t a ~locks_by_shard:rest
 
-let rec written k = function
-  | [] -> false
-  | (op, _) :: rest -> Op.key op = k || written k rest
-
-(* The keys of [ks] no write of [seq_ops] touches. *)
-let rec unwritten seq_ops = function
-  | [] -> []
-  | k :: rest ->
-      if written k seq_ops then unwritten seq_ops rest
-      else k :: unwritten seq_ops rest
-
 (* The locks of [acquired] on keys [seq_ops] does not write. *)
 let rec residual seq_ops = function
   | [] -> []
   | (shard, primary, ks) :: rest -> (
-      match unwritten seq_ops ks with
+      match Types.unwritten Fun.id seq_ops ks with
       | [] -> residual seq_ops rest
       | ks -> (shard, primary, ks) :: residual seq_ops rest)
 
 (* COMMIT every written shard, then release the locked keys that were
    not written. *)
 let commit_and_release t a ~acquired seq_ops seq_ops_by_shard =
-  commit_phase t a ~locks_by_shard:acquired ~seq_ops_by_shard;
+  commit_shards t a ~t_send:(Engine.now t.ctl.engine) ~locks_by_shard:acquired
+    seq_ops_by_shard;
   match residual seq_ops acquired with
   | [] -> ()
   | locks_by_shard -> abort_everywhere t a ~locks_by_shard
 
 (* -- Standard distributed commit (§4.2), coordinator-side NIC ------- *)
-
-(* Wire size of an EXECUTE response: the values read, or a bare nack. *)
-let execute_resp_b = function
-  | `Fail -> Wire.small_resp_b
-  | `Ok (_, values) -> Wire.execute_resp_b ~values
 
 (* A shard's EXECUTE on the DrTM+H-restricted operation set: one
    request per lock, then one per read (§5.7 baseline). A round with
@@ -681,7 +659,7 @@ let execute_per_key t a ~epoch0 ~shard ~primary ~reads ~locks =
     (fun lock_results ->
       round reads
         (fun key ->
-          execute ~req_bytes:Wire.read_req_b ~resp_bytes:execute_resp_b
+          execute ~req_bytes:Wire.read_req_b ~resp_bytes:Types.execute_resp_b
             ~locks:[] ~reads:[ key ])
         ~release:(fun _ -> release lock_results)
         (fun read_results ->
@@ -704,7 +682,7 @@ let execute_shard t a ~epoch0 ~shard ~reads ~locks =
         ~req_bytes:
           (Wire.execute_req_b ~n_reads:(List.length reads)
              ~n_locks:(List.length locks) ~state_bytes:0)
-        ~resp_bytes:execute_resp_b
+        ~resp_bytes:Types.execute_resp_b
         (execute_handler t t.nodes.(primary) ~owner:a.owner ~locks ~reads)
     with
     | `Ok `Fail -> (shard, primary, `Fail)
@@ -885,7 +863,7 @@ let max_exec_rounds = 8
 
 let rec exec_rounds t node (txn : Types.t) a ~epoch0 ~values ~lock_versions
     ~acquired ~locked_keys ~requested ~round : Control.outcome =
-  Attrib.set_phase "exec-fn";
+  Control.enter t.ctl a Metrics.Exec_fn;
   match run_exec t node txn (Types.view_of values) with
   | Types.More _ when round >= max_exec_rounds ->
       Xenic_stats.Counter.incr (counters t) "multishot_overflow";
@@ -898,7 +876,7 @@ let rec exec_rounds t node (txn : Types.t) a ~epoch0 ~values ~lock_versions
       Xenic_stats.Counter.incr (counters t) "multishot_rounds";
       let read = Types.without locked_keys read in
       let lock = Types.without locked_keys lock in
-      Attrib.set_phase "execute";
+      Control.enter t.ctl a Metrics.Execute;
       let extra =
         execute_phase t a ~epoch0
           ~reads_by_shard:(Types.group_by_shard Fun.id read)
@@ -917,7 +895,6 @@ let rec exec_rounds t node (txn : Types.t) a ~epoch0 ~values ~lock_versions
             ~requested
             ~round:(round + 1))
   | Types.Done ops ->
-      Control.mark t.ctl a "exec-fn";
       Control.finish t.ctl a ~epoch0 ~values ~lock_versions
         ~checks:(checks_of locked_keys values)
         ~validate:(validate_phase t a ~epoch0)
@@ -933,13 +910,9 @@ let rec exec_rounds t node (txn : Types.t) a ~epoch0 ~values ~lock_versions
    their taxonomy reason. *)
 let distributed_txn t node (txn : Types.t) a : Control.outcome =
   let epoch0 = t.ctl.epoch in
-  (* The execute phase opens here, after any host-NIC crossing. *)
-  a.Control.start <- Engine.now t.ctl.engine;
   let reads_by_shard = Types.group_by_shard Fun.id txn.read_set in
   let locks_by_shard = Types.group_by_shard Fun.id txn.write_set in
-  Attrib.set_phase "execute";
   let results = execute_phase t a ~epoch0 ~reads_by_shard ~locks_by_shard in
-  Control.mark t.ctl a "execute";
   let acquired = acquired_of results in
   match settle t a results ~acquired ~requested:locks_by_shard with
   | Some outcome -> outcome
@@ -1024,7 +997,7 @@ type hop = {
   sys : t;
   p1 : node;
   h_txn : Types.t;
-  h_owner : int;
+  h_attempt : Control.attempt;
   p2 : int;
   remote_shard : int;
   remote_keys : Keyspace.t list;
@@ -1067,9 +1040,10 @@ and hop_log_at h (shard, backup, seq_ops) =
 
 (* P2, in a handler process at its NIC: lock and read the remote keys,
    run the function, LOG every write set with the responses routed to
-   P1, and send P1 the local shard's writes (ExecDone). *)
+   P1, and send P1 the local shard's writes (ExecDone). The attempt's
+   execute phase runs until the LOG fan-out starts here. *)
 let hop_remote h =
-  let t = h.sys and src = h.p1.id and owner = h.h_owner in
+  let t = h.sys and src = h.p1.id and owner = h.h_attempt.owner in
   let p2_node = t.nodes.(h.p2) in
   match
     execute_handler t p2_node ~owner ~locks:h.remote_keys ~reads:h.remote_reads ()
@@ -1104,6 +1078,7 @@ let hop_remote h =
           h.p2_seq_ops <- writes_on ~shard:h.remote_shard seq_ops;
           h.remote_lockv <- remote_lockv;
           h.remote_values <- remote_values;
+          Control.enter t.ctl h.h_attempt Metrics.Log;
           hop_log h backups;
           (* ExecDone to P1 with the local shard's writes. *)
           notify_charged t ~src:h.p2 ~dst:src
@@ -1141,7 +1116,6 @@ let rec multihop_txn t node (txn : Types.t) a : Control.outcome =
     match local_keys with k :: _ -> Some (Keyspace.shard k) | [] -> None
   in
   let p2 = primary_of t ~shard:remote_shard in
-  Attrib.set_phase "execute";
   (* Lock and read the local keys at our own NIC index. *)
   let local_result =
     if local_keys = [] then `Ok ([], [])
@@ -1150,14 +1124,12 @@ let rec multihop_txn t node (txn : Types.t) a : Control.outcome =
   match local_result with
   | `Fail -> `Aborted Metrics.Lock_conflict
   | `Ok (local_lockv, local_values) -> (
-      Control.mark t.ctl a "execute";
-      Attrib.set_phase "log";
       let h =
         {
           sys = t;
           p1 = node;
           h_txn = txn;
-          h_owner = owner;
+          h_attempt = a;
           p2;
           remote_shard;
           remote_keys;
@@ -1195,9 +1167,8 @@ let rec multihop_txn t node (txn : Types.t) a : Control.outcome =
 (* Committed. Apply the local commit at our own NIC and send COMMIT to
    P2 asynchronously. *)
 and multihop_commit t node a h ~local_shard ~local_keys =
-  let owner = h.h_owner and src = node.id and p2 = h.p2 in
-  Control.mark t.ctl a "log";
-  Attrib.set_phase "commit";
+  let owner = a.Control.owner and src = node.id and p2 = h.p2 in
+  Control.enter t.ctl a Metrics.Commit;
   (match (h.p1_seq_ops, local_shard) with
   | (_ :: _ as seq_ops), Some shard ->
       commit_handler t node ~owner ~shard ~seq_ops ~locked:local_keys ()
@@ -1206,9 +1177,9 @@ and multihop_commit t node a h ~local_shard ~local_keys =
   (if h.p2_seq_ops <> [] then
      let t_send = Engine.now t.ctl.engine in
      notify t ~src ~dst:p2 ~bytes:(Wire.write_ops_b ~ops:h.p2_seq_ops) (fun () ->
-         commit_handler t t.nodes.(p2) ~owner ~shard:h.remote_shard
-           ~seq_ops:h.p2_seq_ops ~locked:h.remote_keys ();
-         Control.mark_async t.ctl a "commit-async" ~since:t_send)
+         Control.async t.ctl a Metrics.Commit_async ~since:t_send
+           (commit_handler t t.nodes.(p2) ~owner ~shard:h.remote_shard
+              ~seq_ops:h.p2_seq_ops ~locked:h.remote_keys))
    else if h.remote_keys <> [] then
      notify t ~src ~dst:p2
        ~bytes:(Wire.abort_b ~n_locks:(List.length h.remote_keys))
@@ -1219,7 +1190,6 @@ and multihop_commit t node a h ~local_shard ~local_keys =
       ~values:(h.local_values @ h.remote_values)
       ~lock_versions:(h.local_lockv @ h.remote_lockv)
       ~seq_ops:(h.p1_seq_ops @ h.p2_seq_ops);
-  Control.mark t.ctl a "commit";
   `Committed
 
 (* -- Local fast path (§4.2.4) --------------------------------------- *)
@@ -1229,9 +1199,8 @@ and multihop_commit t node a h ~local_shard ~local_keys =
 let commit_local t node a ~shard ~seq_ops ~locked =
   let t_send = Engine.now t.ctl.engine and owner = a.Control.owner in
   Process.spawn t.ctl.engine (fun () ->
-      Attrib.set_phase "commit-async";
-      commit_handler t node ~owner ~shard ~seq_ops ~locked ();
-      Control.mark_async t.ctl a "commit-async" ~since:t_send)
+      Control.async t.ctl a Metrics.Commit_async ~since:t_send
+        (commit_handler t node ~owner ~shard ~seq_ops ~locked))
 
 (* The host's optimistic reads: a host operation apiece, in order. *)
 let rec host_reads t node = function
@@ -1292,7 +1261,7 @@ let lock_local t node ~owner (txn : Types.t) values =
 let local_write t node ~shard (txn : Types.t) a ~epoch0 values ops =
   let owner = a.Control.owner and src = node.id in
   (* Ship the transaction state to the local NIC (one PCIe crossing). *)
-  Attrib.set_phase "validate";
+  Control.enter t.ctl a Metrics.Validate;
   Smartnic.host_msg node.nic;
   let cores = Smartnic.cores node.nic in
   Resource.acquire cores;
@@ -1306,7 +1275,6 @@ let local_write t node ~shard (txn : Types.t) a ~epoch0 values ops =
       Smartnic.host_msg node.nic;
       `Aborted Metrics.Validation_failure
   | `Ok lock_versions ->
-      Control.mark t.ctl a "validate";
       let seq_ops = Types.seq_ops_of ~lock_versions ops in
       let result =
         Control.commit_point t.ctl a ~epoch0
@@ -1329,13 +1297,11 @@ let local_write t node ~shard (txn : Types.t) a ~epoch0 values ops =
    local NIC index before replicating. *)
 let local_txn t node ~shard (txn : Types.t) a : Control.outcome =
   let epoch0 = t.ctl.epoch in
-  Attrib.set_phase "execute";
   Resource.acquire node.app;
   let values = host_reads t node txn.read_set in
   Process.sleep t.ctl.engine txn.host_exec_ns;
   let exec_result = txn.exec (Types.view_of values) in
   Resource.release node.app;
-  Control.mark t.ctl a "execute";
   match exec_result with
   | Types.More _ ->
       (* Multi-shot transactions leave the fast path; no locks are held
@@ -1347,10 +1313,8 @@ let local_txn t node ~shard (txn : Types.t) a : Control.outcome =
       result
   | Types.Done [] when txn.write_set = [] ->
       (* Read-only local transaction: re-check versions at the host. *)
-      Attrib.set_phase "validate";
-      let ok = host_versions_hold node.storage values in
-      Control.mark t.ctl a "validate";
-      if ok then begin
+      Control.enter t.ctl a Metrics.Validate;
+      if host_versions_hold node.storage values then begin
         Control.record_commit t.ctl ~id:a.owner ~values ~lock_versions:[]
           ~seq_ops:[];
         `Committed

@@ -94,7 +94,7 @@ let swap c = exchange (installed ()) c
 
 let set_phase phase =
   let st = installed () in
-  st.cur <- { st.cur with phase }
+  if st.on then st.cur <- { st.cur with phase }
 
 module Ctx_map = Map.Make (struct
   type t = ctx

@@ -94,7 +94,7 @@ val set : ctx -> unit
     context and restoring the ambient one with {!set}. *)
 val swap : ctx -> ctx
 
-(** Replace only the phase of the current context. *)
+(** Replace the current context's phase; a no-op while disabled. *)
 val set_phase : string -> unit
 
 (** Deterministically ordered maps keyed by context. *)

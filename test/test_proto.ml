@@ -103,8 +103,8 @@ let test_metrics_abort_reasons () =
   (* Reasons, class counts and phase histograms survive a merge. *)
   let m2 = Metrics.create () in
   Metrics.record_abort_reason m2 Metrics.Timeout;
-  Metrics.record_phase m2 ~phase:"execute" 1_000.0;
-  Metrics.record_phase m2 ~phase:"execute" 3_000.0;
+  Metrics.record_phase m2 Metrics.Execute 1_000.0;
+  Metrics.record_phase m2 Metrics.Execute 3_000.0;
   Metrics.merge ~into:m m2;
   Alcotest.(check int) "merged timeout" 1
     (Metrics.abort_reason_count m Metrics.Timeout);
@@ -357,8 +357,18 @@ let attempt_t =
         | `Retry r -> "retry " ^ Metrics.abort_reason_name r))
     ( = )
 
-(* Attempt 7 of coordinator 0. *)
-let fake_attempt () = { Control.coord = 0; seq = 7; owner = 7; start = 0.0 }
+(* Run [body] as the one try of a transaction at coordinator 0 (its
+   first, so seq 1) and return the try's outcome. [run_txn] is told a
+   [`Retry] as an abort, so neither shell retries it. *)
+let one_try ctl body =
+  let got : Control.outcome ref = ref `Committed in
+  ignore
+    (Control.run_txn ctl ~node:0 (fun a ->
+         got := body a;
+         match !got with
+         | `Retry reason -> `Aborted reason
+         | (`Committed | `Aborted _) as o -> o));
+  !got
 
 (* Fake transport: records which closures ran and the decision [log]
    was handed; [on_log] runs inside [log]. *)
@@ -366,12 +376,13 @@ let fake_commit_point ?(on_log = ignore) engine ctl =
   let decision = ref None and committed = ref false and aborted = ref false in
   let result =
     in_process engine (fun () ->
-        Control.commit_point ctl (fake_attempt ()) ~epoch0:0
-          ~log:(fun d ->
-            decision := Some d;
-            on_log ())
-          ~commit:(fun () -> committed := true)
-          ~abort:(fun () -> aborted := true))
+        one_try ctl (fun a ->
+            Control.commit_point ctl a ~epoch0:0
+              ~log:(fun d ->
+                decision := Some d;
+                on_log ())
+              ~commit:(fun () -> committed := true)
+              ~abort:(fun () -> aborted := true)))
   in
   (result, Option.map ( ! ) !decision, !committed, !aborted)
 
@@ -513,8 +524,9 @@ let test_drain () =
 (* Run [Control.finish] un-armed with fakes that log every closure call
    as an instant in a trace attached to the control; [validate]
    answers [verdict]. The calls are read back in order, each ["txn"]
-   span on the attempt's own track (coordinator 0, seq 7) as
-   ["mark <phase>"]. Returns the result, the calls, what [log] and
+   span on the attempt's own track (coordinator 0, seq 1) as
+   ["mark <phase>"]: the try's phases, closed as it moves on and the
+   last when it ends. Returns the result, the calls, what [log] and
    [commit] were handed, and the control. *)
 let fake_finish ?(verdict = `Valid) ?oracle ~checks ~lock_versions ops =
   let engine, ctl = mk_control () in
@@ -525,25 +537,25 @@ let fake_finish ?(verdict = `Valid) ?oracle ~checks ~lock_versions ops =
   let call c = Control.trace_instant ctl ~cat:"call" ~name:c ~pid:0 ~tid:0 [] in
   let result =
     in_process engine (fun () ->
-        Control.finish ctl (fake_attempt ()) ~epoch0:0 ~values:[]
-          ~lock_versions ~checks
-          ~validate:(fun _ ->
-            call "validate";
-            verdict)
-          ~release:(fun () -> call "release")
-          ~log:(fun by_shard _ ->
-            call "log";
-            logged := Some by_shard)
-          ~commit:(fun seq_ops by_shard ->
-            call "commit";
-            committed := Some (seq_ops, by_shard))
-          ops)
+        one_try ctl (fun a ->
+            Control.finish ctl a ~epoch0:0 ~values:[] ~lock_versions ~checks
+              ~validate:(fun _ ->
+                call "validate";
+                verdict)
+              ~release:(fun () -> call "release")
+              ~log:(fun by_shard _ ->
+                call "log";
+                logged := Some by_shard)
+              ~commit:(fun seq_ops by_shard ->
+                call "commit";
+                committed := Some (seq_ops, by_shard))
+              ops))
   in
   let calls =
     List.filter_map
       (function
         | Xenic_sim.Trace.Instant { cat = "call"; name; _ } -> Some name
-        | Xenic_sim.Trace.Span { cat = "txn"; name; pid = 0; tid = 7; _ } ->
+        | Xenic_sim.Trace.Span { cat = "txn"; name; pid = 0; tid = 1; _ } ->
             Some ("mark " ^ name)
         | _ -> None)
       (Xenic_sim.Trace.events trace)
@@ -561,7 +573,7 @@ let test_finish_no_checks () =
   in
   Alcotest.check attempt_t "committed" `Committed result;
   Alcotest.check calls_t "no validate call, no validate mark"
-    [ "log"; "mark log"; "commit"; "mark commit" ]
+    [ "mark execute"; "log"; "mark log"; "commit"; "mark commit" ]
     calls
 
 let test_finish_down () =
@@ -572,7 +584,7 @@ let test_finish_down () =
   in
   Alcotest.check attempt_t "retry on a timeout" (`Retry Metrics.Timeout) result;
   Alcotest.check calls_t "validated, then one release"
-    [ "validate"; "mark validate"; "release" ]
+    [ "mark execute"; "validate"; "release"; "mark validate" ]
     calls;
   Alcotest.(check bool) "log did not run" true (logged = None)
 
@@ -585,7 +597,7 @@ let test_finish_invalid () =
   Alcotest.check attempt_t "validation failure"
     (`Aborted Metrics.Validation_failure) result;
   Alcotest.check calls_t "validated, then one release"
-    [ "validate"; "mark validate"; "release" ]
+    [ "mark execute"; "validate"; "release"; "mark validate" ]
     calls
 
 let test_finish_read_only () =
@@ -595,8 +607,8 @@ let test_finish_read_only () =
     fake_finish ~oracle ~checks:[ (b, 3) ] ~lock_versions:[ (a, 2) ] []
   in
   Alcotest.check attempt_t "committed" `Committed result;
-  Alcotest.check calls_t "validated, then one release and no log"
-    [ "validate"; "mark validate"; "release" ]
+  Alcotest.check calls_t "validated, then the release as the commit, no log"
+    [ "mark execute"; "validate"; "mark validate"; "release"; "mark commit" ]
     calls;
   Alcotest.(check bool) "log did not run" true (logged = None);
   Control.sync ctl;
@@ -610,8 +622,11 @@ let test_finish_writes () =
       [ put b; put a ]
   in
   Alcotest.check attempt_t "committed" `Committed result;
-  Alcotest.check calls_t "marks in order: validate, log, commit"
-    [ "validate"; "mark validate"; "log"; "mark log"; "commit"; "mark commit" ]
+  Alcotest.check calls_t "marks in order: execute, validate, log, commit"
+    [
+      "mark execute"; "validate"; "mark validate"; "log"; "mark log"; "commit";
+      "mark commit";
+    ]
     calls;
   let by_shard = [ (0, [ (put a, 5) ]); (1, [ (put b, 1) ]) ] in
   Alcotest.(check bool) "log got the writes by shard" true
