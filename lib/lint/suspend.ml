@@ -14,8 +14,8 @@
      the caller keeps running atomically.
    - [Process.spawn]: the child runs inline until its first suspension,
      but the spawning process itself never suspends.
-   - [Ivar.fill], [Mailbox.send], [Resource.release]: wake others,
-     never park the caller. *)
+   - [Mailbox.send], [Resource.release]: wake others, never park the
+     caller. *)
 
 module StrSet = Callgraph.StrSet
 
@@ -24,8 +24,6 @@ let seeds =
     ("Process", "suspend");
     ("Process", "sleep");
     ("Process", "parallel");
-    ("Ivar", "read");
-    ("Ivar", "read_timeout");
     ("Mailbox", "recv");
     ("Resource", "acquire");
     ("Resource", "use");

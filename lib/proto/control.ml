@@ -10,13 +10,7 @@ type msg = {
   via : via;
 }
 
-let request ~bytes deliver =
-  { bytes; ctx = Attrib.get (); deliver; via = In_process }
-
-let reply ~bytes deliver =
-  { bytes; ctx = Attrib.get (); deliver; via = In_place }
-
-let reply_via ~bytes via deliver = { bytes; ctx = Attrib.get (); deliver; via }
+let message ~bytes via deliver = { bytes; ctx = Attrib.get (); deliver; via }
 
 (* Commit decision for a LOG record, shared (one ref per transaction)
    between the coordinator and every backup that holds a copy. Backups
@@ -263,18 +257,24 @@ let close t a = phase t a ~cat:"txn" a.open_phase a.start
 
 let enter t a p = open_at a p (close t a)
 
-(* A fresh id for [a] at its coordinator, opening execute: each try
-   gets its own, so lock owner tokens never collide across retries. *)
-let fresh_try t a =
+(* A fresh id from [a]'s coordinator's counter, for its owner token:
+   owner tokens never collide across tries or replays. *)
+let fresh_owner t a =
   let seq = t.txn_seq.(a.coord) + 1 in
   t.txn_seq.(a.coord) <- seq;
-  a.seq <- seq;
   a.owner <- Types.owner_token ~coord:a.coord ~seq;
+  seq
+
+(* A try takes the fresh id as its [seq], its trace track, and opens
+   execute. *)
+let fresh_try t a =
+  a.seq <- fresh_owner t a;
   open_at a Metrics.Execute (Engine.now t.engine)
 
-let draw t a =
-  ignore (close t a);
-  fresh_try t a
+(* A replay stays on its try's track. *)
+let replay t a =
+  ignore (fresh_owner t a);
+  enter t a Metrics.Execute
 
 (* Off the critical path: category "txn-async", so critical-path
    extraction never counts it inside the transaction span. *)
@@ -723,73 +723,137 @@ let give_up t =
   Process.suspend (give_up_then t);
   `Down
 
-(* An un-armed round trip in flight: what its delivery and response
-   need, in one record, so each closure the transport needs captures
-   it alone. *)
-type 'r rpc = {
+(* Where a request's caller is: inside [issue]'s [send], suspended
+   (with its deadline set, armed), waiting for the settle hop (armed),
+   resumed. *)
+type caller = Sending | Waiting | Landed | Resumed
+
+(* One request in flight, from [call] to the caller's resumption:
+   what its delivery, answer and deadline need, in one record. [step]
+   is its one continuation, built once in [issue]: the transport runs it
+   at [dst], where it serves, then at [src], where the answer lands,
+   and armed once more, in the settle hop. [answer] is [`Asked] until
+   [dst] answers. *)
+type 'r request = {
+  ctl : t;
   tr : transport;
   src : int;
   dst : int;
   req_bytes : int;
+  epoch0 : int option;
   resp_bytes : 'r -> int;
   handler : unit -> 'r;
-  mutable resume : 'r -> unit;
+  mutable answer : [ `Asked | `Ok of 'r | `Down ];
+  mutable caller : caller;
+  mutable resume : [ `Ok of 'r | `Down ] -> unit;
+  mutable step : unit -> unit;
 }
 
-let serve rpc =
-  let r = rpc.handler () in
-  rpc.tr.back ~src:rpc.src ~dst:rpc.dst ~bytes:(rpc.resp_bytes r) (fun () ->
-      rpc.resume r)
+let stale rq =
+  match rq.epoch0 with Some e -> rq.ctl.epoch <> e | None -> false
 
-let issue rpc resume =
-  rpc.resume <- resume;
-  rpc.tr.send ~src:rpc.src ~dst:rpc.dst ~bytes:rpc.req_bytes (fun () -> serve rpc)
+(* The answer resumes the caller once, and never after its deadline.
+   Armed, a suspended caller resumes in an event of its own right after
+   the answer's, the settle hop; an answer that lands while [send] is
+   still running (a node's request to itself, refused at once) resumes
+   it in place. *)
+let settle rq v =
+  match rq.caller with
+  | Waiting when rq.ctl.armed ->
+      rq.caller <- Landed;
+      Engine.after rq.ctl.engine 0.0 rq.step
+  | Sending | Waiting ->
+      rq.caller <- Resumed;
+      rq.resume v
+  | Landed | Resumed -> ()
 
-(* One request/response round trip over [tr]. Un-armed, the caller
-   blocks until the response is back. Armed, it waits on an ivar with a
-   cancellable deadline, and the timer resumes it exactly once with
-   [`Down] if the response never arrives (dead destination, or a
-   crashed [src] dropping it). With [epoch0] the request is
+let expire rq () =
+  if rq.caller = Waiting then begin
+    rq.caller <- Resumed;
+    Xenic_stats.Counter.incr (counters rq.ctl) "req_timeouts";
+    rq.resume `Down
+  end
+
+(* At [dst]: a stale request is refused, any other one handled and
+   answered. *)
+let serve rq =
+  if stale rq then begin
+    Xenic_stats.Counter.incr (counters rq.ctl) "stale_epoch_rejects";
+    rq.answer <- `Down;
+    rq.tr.reject ~src:rq.src ~dst:rq.dst ~bytes:Wire.small_resp_b rq.step
+  end
+  else begin
+    let r = rq.handler () in
+    rq.answer <- `Ok r;
+    rq.tr.back ~src:rq.src ~dst:rq.dst ~bytes:(rq.resp_bytes r) rq.step
+  end
+
+(* At [src], a response landing after a reconfiguration is dropped. *)
+let step rq () =
+  match (rq.answer, rq.caller) with
+  | `Asked, _ -> serve rq
+  | ((`Ok _ | `Down) as v), Landed ->
+      rq.caller <- Resumed;
+      rq.resume v
+  | `Ok _, _ when stale rq ->
+      Xenic_stats.Counter.incr (counters rq.ctl) "stale_epoch_drops";
+      rq.answer <- `Down;
+      settle rq `Down
+  | ((`Ok _ | `Down) as v), _ -> settle rq v
+
+(* Runs inside the caller's suspension, so [resume] is in place before
+   anything is sent. The deadline starts once [send] returns, unless
+   the answer is already in. *)
+let issue rq resume =
+  rq.resume <- resume;
+  rq.step <- (fun () -> step rq ());
+  rq.tr.send ~src:rq.src ~dst:rq.dst ~bytes:rq.req_bytes rq.step;
+  if rq.caller = Sending then begin
+    rq.caller <- Waiting;
+    if rq.ctl.armed then
+      Engine.after rq.ctl.engine req_timeout_ns (expire rq)
+  end
+
+(* One request/response round trip over [tr]: the caller blocks until
+   the answer is back. Arming adds the crashed-destination [give_up],
+   the deadline, and the settle hop. With [epoch0] the request is
    epoch-fenced: a destination that sees a newer configuration rejects
    it, and a response landing after a reconfiguration is dropped; both
-   are [`Down]. *)
+   are [`Down]. Un-armed, the epoch never moves. *)
 let call t tr ?epoch0 ~src ~dst ~req_bytes ~resp_bytes handler =
-  if not t.armed then begin
-    tr.depart ~src ~dst ~bytes:req_bytes;
-    let rpc = { tr; src; dst; req_bytes; resp_bytes; handler; resume = ignore } in
-    `Ok (Process.suspend (fun resume -> issue rpc resume))
-  end
-  else if t.crashed.(dst) then give_up t
+  if t.armed && t.crashed.(dst) then give_up t
   else begin
     tr.depart ~src ~dst ~bytes:req_bytes;
-    let iv = Ivar.create ~name:"request" t.engine in
-    let settle v = if not (Ivar.is_filled iv) then Ivar.fill iv v in
-    let stale () =
-      match epoch0 with Some e -> t.epoch <> e | None -> false
+    let rq =
+      {
+        ctl = t;
+        tr;
+        src;
+        dst;
+        req_bytes;
+        epoch0;
+        resp_bytes;
+        handler;
+        answer = `Asked;
+        caller = Sending;
+        resume = ignore;
+        step = ignore;
+      }
     in
-    tr.send ~src ~dst ~bytes:req_bytes (fun () ->
-        if stale () then begin
-          Xenic_stats.Counter.incr (counters t) "stale_epoch_rejects";
-          tr.reject ~src ~dst ~bytes:Wire.small_resp_b (fun () ->
-              settle `Down)
-        end
-        else
-          let r = handler () in
-          tr.back ~src ~dst ~bytes:(resp_bytes r) (fun () ->
-              if stale () then begin
-                Xenic_stats.Counter.incr (counters t) "stale_epoch_drops";
-                settle `Down
-              end
-              else settle (`Ok r)));
-    match Ivar.read_timeout iv ~timeout_ns:req_timeout_ns with
-    | Some r -> r
-    | None ->
-        Xenic_stats.Counter.incr (counters t) "req_timeouts";
-        `Down
+    Process.suspend (fun resume -> issue rq resume)
   end
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch *)
+
+(* The one delivery rule, for the dispatch loop and for a sender's
+   [src = dst] shortcut alike: a request handler in a fresh process, a
+   reply in place or after its charge. *)
+let run_via t via k =
+  match via with
+  | In_process -> Process.spawn t.engine k
+  | In_place -> k ()
+  | Charged charge -> charge k
 
 (* A callback chain, not a process: a frame's arrival, its packet-I/O
    hold and its deliveries are the same engine events a blocking loop
@@ -799,10 +863,8 @@ let call t tr ?epoch0 ~src ~dst ~req_bytes ~resp_bytes handler =
    the loop. [pump] parks [waiter], the receiver of [on_frame] built
    once with the loop: a queued frame reaches it at once, and so on
    until one waits on the path or the mailbox is empty. Each message
-   is delivered as its [via] says, under the context it carries: a
-   request handler in a fresh process, a reply in place or after its
-   charge. [no_frame] fills the waiter's hand-over slot between
-   frames. *)
+   is delivered by [run_via], under the context it carries. [no_frame]
+   fills the waiter's hand-over slot between frames. *)
 let no_frame = { Xenic_net.Packet.src = -1; dst = -1; wire_bytes = 0; msgs = [] }
 
 let dispatch_loop t ~node ~pkt_io =
@@ -840,10 +902,7 @@ let dispatch_loop t ~node ~pkt_io =
         pump ()
     | m :: rest ->
         Attrib.set m.ctx;
-        (match m.via with
-        | In_process -> Process.spawn t.engine m.deliver
-        | In_place -> m.deliver ()
-        | Charged charge -> charge m.deliver);
+        run_via t m.via m.deliver;
         deliver rest
   and on_frame pkt =
     let ambient = Attrib.swap ctx in

@@ -36,20 +36,20 @@
 
 open Xenic_cluster
 
-(** How the destination's dispatch loop runs a message's [deliver]:
+(** How a message's [deliver] runs at its destination ({!run_via}):
     in a fresh process ([In_process]: a request handler, which may
-    block on NIC cores, NIC memory, DMA or host threads), in the
-    dispatch event itself ([In_place]: a reply, which never blocks), or
-    passed to a charge the receiver pays first ([Charged charge]: a
-    reply whose arrival costs the receiving device time, [charge k]
-    running [k] when it is paid). Build a [Charged] value once per
-    receiver, not per message. *)
+    block on NIC cores, NIC memory, DMA or host threads), in place
+    ([In_place]: a reply, which never blocks), or passed to a charge
+    the receiver pays first ([Charged charge]: a reply whose arrival
+    costs the receiving device time, [charge k] running [k] when it is
+    paid). Build a [Charged] value once per receiver, not per
+    message. *)
 type via = In_process | In_place | Charged of ((unit -> unit) -> unit)
 
 (** A message between nodes: its wire size, the sender's attribution
     context, and what runs at the destination, and how. The dispatch
-    loop installs [ctx] around the delivery. Build one with {!request},
-    {!reply} or {!reply_via}. *)
+    loop installs [ctx] around the delivery. Build one with
+    {!message}. *)
 type msg = {
   bytes : int;
   ctx : Xenic_sim.Attrib.ctx;
@@ -57,18 +57,9 @@ type msg = {
   via : via;
 }
 
-(** [request ~bytes handler]: a message whose handler runs in a fresh
-    process at the destination, under the caller's current context. *)
-val request : bytes:int -> (unit -> unit) -> msg
-
-(** [reply ~bytes k]: a message whose [k] runs in the destination's
-    dispatch event, outside any process, under the caller's current
-    context. [k] must not block. *)
-val reply : bytes:int -> (unit -> unit) -> msg
-
-(** [reply_via ~bytes via k]: a message whose [k] is delivered as [via]
+(** [message ~bytes via k]: a message whose [k] is delivered as [via]
     says, under the caller's current context. *)
-val reply_via : bytes:int -> via -> (unit -> unit) -> msg
+val message : bytes:int -> via -> (unit -> unit) -> msg
 
 (** Commit decision shared by every LOG record of one transaction.
     Backups apply only [Dcommit] records; the coordinator resolves
@@ -93,7 +84,7 @@ type attempt = private {
   mutable seq : int;  (** This try's id at [coord]; 0 before the first draw. *)
   mutable owner : int;
       (** Lock owner token and oracle id: {!Types.owner_token} of
-          ([coord], [seq]). *)
+          ([coord], [seq]), or of a fresh id after a {!replay}. *)
   mutable open_phase : Metrics.phase;  (** Open since [start]. *)
   mutable start : float;  (** Simulated ns. *)
 }
@@ -129,7 +120,8 @@ type t = {
   alive : bool array;  (** Routing view: false once removed. *)
   crashed : bool array;  (** Ground truth: true from the crash instant. *)
   txn_seq : int array;
-      (** Per-coordinator attempt counter; only {!draw} reads it. *)
+      (** Per-coordinator id counter; only the draws of {!run_txn} and
+          {!replay} read it. *)
   log_appends : int array;
       (** Per-node host-log appends across all the node's logs, the
           count half of a record's stamp ({!append_log}). *)
@@ -230,9 +222,11 @@ val trace_instant :
     attribution too. A try opens ["execute"], so its phases tile it. *)
 val enter : t -> attempt -> Metrics.phase -> unit
 
-(** [draw t a] ends [a]'s try as {!run_txn} does and draws a fresh one:
-    a new [seq] and [owner] from [a.coord]'s counter. For a replay. *)
-val draw : t -> attempt -> unit
+(** [replay t a] starts a replay of [a]'s try: a fresh [owner] from
+    [a.coord]'s counter, so lock tokens never collide, and [a]
+    {!enter}s ["execute"]. [seq], the trace track, stays the try's, so
+    every round's phases tile the one try. *)
+val replay : t -> attempt -> unit
 
 (** [async t a p ~since body] runs [body] under attribution phase [p],
     then records [p] from [since] to now off [a]'s critical path, as a
@@ -438,18 +432,22 @@ val give_up_then : t -> (unit -> unit) -> unit
 
 (** [call t tr ?epoch0 ~src ~dst ~req_bytes ~resp_bytes handler] sends
     a request of [req_bytes] from [src] to [dst], runs [handler] at
-    [dst] and returns its result in a response of [resp_bytes r] bytes.
-
-    Un-armed: [depart], [send], [handler], [back], and the caller
-    blocks until the response is back; always [`Ok].
-
-    Armed: a crashed [dst] is {!give_up}. Otherwise the caller waits
-    at most {!req_timeout_ns} and then returns [`Down], counted
-    [req_timeouts]; a response arriving later is ignored. With
+    [dst] and returns its result in a response of [resp_bytes r] bytes:
+    [depart], then the caller suspends while [send], [handler] and
+    [back] run, and the response resumes it with [`Ok r]. With
     [epoch0], a request delivered after the epoch moved on is answered
     by [reject] instead of [handler] ([stale_epoch_rejects]), and a
     response arriving after it moved on is dropped
-    ([stale_epoch_drops]); both return [`Down]. *)
+    ([stale_epoch_drops]); both return [`Down]. Un-armed, the epoch
+    never moves, so the result is always [`Ok].
+
+    Armed adds three things: a crashed [dst] is {!give_up}; a deadline
+    of {!req_timeout_ns}, after which the caller returns [`Down],
+    counted [req_timeouts], and a later answer is ignored; and the
+    caller resumes in an event of its own, right after the answer's.
+    The caller suspends before [send]; an answer that is in before
+    [send] returns (a node's request to itself, refused at once)
+    resumes it in place, with no deadline and no extra event. *)
 val call :
   t ->
   transport ->
@@ -461,12 +459,19 @@ val call :
   (unit -> 'r) ->
   [ `Ok of 'r | `Down ]
 
+(** [run_via t via k] runs [k] as [via] says: {!Xenic_sim.Process.spawn}
+    for [In_process], at once for [In_place], [charge k] for
+    [Charged charge]. The dispatch loop delivers every message so, and
+    a sender that is its own destination calls it in place of a
+    send. *)
+val run_via : t -> via -> (unit -> unit) -> unit
+
 (** Start [node]'s dispatch loop, a callback chain on the node's
     receive mailbox (no process): frames to a crashed node are dropped;
     otherwise, with [pkt_io = Some (path, cost_ns)], each frame holds
     [path] for [cost_ns ()] (the NIC's packet-I/O charge), then its
-    messages are delivered in order, each under its own [ctx]: a
-    request's handler in a fresh process, a reply in place. Frames are
+    messages are delivered in order, each under its own [ctx], by
+    {!run_via}. Frames are
     handled one at a time, in arrival order, under the node's
     ["dispatch"] attribution context. *)
 val dispatch_loop :

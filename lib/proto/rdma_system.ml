@@ -127,12 +127,12 @@ let transport ctl (hw : Xenic_params.Hw.t) rdma =
     send =
       (fun ~src ~dst ~bytes handler ->
         Rdma.rpc_send rdma ~src ~dst ~bytes
-          (Control.request ~bytes (fun () ->
+          (Control.message ~bytes Control.In_process (fun () ->
                Rdma.rpc_recv_cost rdma ~node:dst;
                handler ())));
     back =
       (fun ~src ~dst ~bytes k ->
-        Rdma.rpc_send rdma ~src:dst ~dst:src ~bytes (Control.reply_via ~bytes poll k));
+        Rdma.rpc_send rdma ~src:dst ~dst:src ~bytes (Control.message ~bytes poll k));
     reject = (fun ~src:_ ~dst:_ ~bytes:_ k -> k ());
   }
 
@@ -986,9 +986,9 @@ let rec attempt t a ~epoch0 (txn : Types.t) : Control.outcome =
                      overflow). *)
                   `Aborted Metrics.Lock_conflict
                 else begin
-                  (* The replay is a fresh attempt of the same
-                     transaction. *)
-                  Control.draw t.ctl a;
+                  (* The replay runs the same try again with a fresh
+                     owner token. *)
+                  Control.replay t.ctl a;
                   attempt t a ~epoch0
                     {
                       txn with

@@ -96,24 +96,14 @@ let post ctl nodes ~src ~dst ~bytes msg =
   Xenic_stats.Counter.add (Control.counters ctl) "msg_bytes" bytes;
   Xenic_net.Aggregator.push nodes.(src).agg ~dst ~bytes msg
 
-(* A request: its handler runs in a fresh process at [dst] (in place
-   when [src = dst]), under the sender's attribution context. *)
-let send ctl nodes ~src ~dst ~bytes handler =
-  if src = dst then Process.spawn ctl.Control.engine handler
-  else post ctl nodes ~src ~dst ~bytes (Control.request ~bytes handler)
-
-(* A reply: [k] never blocks, so it runs in the dispatch event at [dst]
-   (in place when [src = dst]), outside any process. *)
-let reply ctl nodes ~src ~dst ~bytes k =
-  if src = dst then k ()
-  else post ctl nodes ~src ~dst ~bytes (Control.reply ~bytes k)
-
-(* A response to a NIC request: [dst]'s NIC pays one core operation as
-   it arrives, then [k] runs. *)
-let reply_charged ctl nodes ~src ~dst ~bytes k =
-  if src = dst then Smartnic.core_work_then nodes.(dst).nic ~ops:1 ~bytes:0 k
-  else
-    post ctl nodes ~src ~dst ~bytes (Control.reply_via ~bytes nodes.(dst).charge k)
+(* A message from [src] to [dst], delivered as [via] says
+   ({!Control.run_via}); a node's message to itself is delivered in
+   place, with no frame. A request runs [In_process], an acknowledgement
+   that never blocks [In_place], and a response to a NIC request is
+   charged one core operation of [dst]'s NIC first ([node.charge]). *)
+let message ctl nodes via ~src ~dst ~bytes k =
+  if src = dst then Control.run_via ctl via k
+  else post ctl nodes ~src ~dst ~bytes (Control.message ~bytes via k)
 
 (* Requests between NICs: a core charge at the requester's NIC as the
    request leaves and again as the response arrives. A stale request is
@@ -123,11 +113,13 @@ let transport ctl nodes =
     Control.depart =
       (fun ~src ~dst:_ ~bytes:_ ->
         Smartnic.core_work nodes.(src).nic ~ops:1 ~bytes:0);
-    send = send ctl nodes;
+    send = message ctl nodes Control.In_process;
     back =
-      (fun ~src ~dst ~bytes k -> reply_charged ctl nodes ~src:dst ~dst:src ~bytes k);
+      (fun ~src ~dst ~bytes k ->
+        message ctl nodes nodes.(src).charge ~src:dst ~dst:src ~bytes k);
     reject =
-      (fun ~src ~dst ~bytes k -> reply ctl nodes ~src:dst ~dst:src ~bytes k);
+      (fun ~src ~dst ~bytes k ->
+        message ctl nodes Control.In_place ~src:dst ~dst:src ~bytes k);
   }
 
 (* Request/response between NICs from a coordinator process
@@ -135,20 +127,12 @@ let transport ctl nodes =
 let request t ?epoch0 ~src ~dst ~req_bytes ~resp_bytes handler =
   Control.call t.ctl t.tr ?epoch0 ~src ~dst ~req_bytes ~resp_bytes handler
 
-(* One-way message to a live destination NIC, through [send] (a
-   handler), [reply] (an acknowledgement that never blocks) or
-   [reply_charged] (one that costs the destination NIC a core
-   operation first). *)
-let one_way via t ~src ~dst ~bytes (f : unit -> unit) =
+(* One-way message to a live destination NIC; one to a crashed one is
+   dropped. *)
+let notify t via ~src ~dst ~bytes f =
   if t.ctl.crashed.(dst) && dst <> src then
     Xenic_stats.Counter.incr (counters t) "msgs_dropped"
-  else via t.ctl t.nodes ~src ~dst ~bytes f
-
-let notify t ~src ~dst ~bytes f = one_way send t ~src ~dst ~bytes f
-
-let notify_reply t ~src ~dst ~bytes k = one_way reply t ~src ~dst ~bytes k
-
-let notify_charged t ~src ~dst ~bytes k = one_way reply_charged t ~src ~dst ~bytes k
+  else message t.ctl t.nodes via ~src ~dst ~bytes f
 
 (* ------------------------------------------------------------------ *)
 (* NIC-side helpers *)
@@ -392,18 +376,24 @@ let unpin_applied node (record : Control.log_record) =
 (* ------------------------------------------------------------------ *)
 (* Recovery hooks (§4.2.1) *)
 
-(* A caching index over [node]'s replica of [shard]: lock-free, hints
-   synced from the host table, prewarmed when caching is on. Lock state
+(* A lock-free caching index over [storage]'s replica of [shard], cold. *)
+let nic_index p storage ~shard =
+  Xenic_store.Nic_index.create ~host:(Storage.robinhood storage ~shard)
+    ~cache_capacity:(if p.features.caching then p.cache_capacity else 0)
+    ()
+
+(* Hints synced from the host table, then prewarmed when caching is
+   on. *)
+let warm p idx =
+  Xenic_store.Nic_index.sync_hints idx;
+  if p.features.caching then Xenic_store.Nic_index.prewarm idx
+
+(* A warm caching index over [node]'s replica of [shard]. Lock state
    lives only in a NIC, so every rebuild (promotion, rejoin) starts
    from here. *)
 let fresh_index t node ~shard =
-  let idx =
-    Xenic_store.Nic_index.create ~host:(Storage.robinhood node.storage ~shard)
-      ~cache_capacity:(if t.p.features.caching then t.p.cache_capacity else 0)
-      ()
-  in
-  Xenic_store.Nic_index.sync_hints idx;
-  if t.p.features.caching then Xenic_store.Nic_index.prewarm idx;
+  let idx = nic_index t.p node.storage ~shard in
+  warm t.p idx;
   idx
 
 let promote t ~shard =
@@ -452,7 +442,7 @@ let create engine hw cfg p =
           (Xenic_store.Robinhood.create ~segments:p.segments
              ~seg_size:p.seg_size ~d_max:p.d_max ~vsize:Bytes.length))
   in
-  let dummy = Control.reply ~bytes:0 ignore in
+  let dummy = Control.message ~bytes:0 Control.In_place ignore in
   let nodes =
     Array.init cfg.Config.nodes (fun id ->
         let storage = ctl.storage.(id) in
@@ -462,13 +452,7 @@ let create engine hw cfg p =
         (* Bound in this order, the audit names the backup log first. *)
         let log = Control.host_log ctl ~node:id ~name:"backup log" in
         let commit_log = Control.host_log ctl ~node:id ~name:"commit log" in
-        indexes.(id) <-
-          Some
-            (Xenic_store.Nic_index.create
-               ~host:(Storage.robinhood storage ~shard:id)
-               ~cache_capacity:
-                 (if p.features.caching then p.cache_capacity else 0)
-               ());
+        indexes.(id) <- Some (nic_index p storage ~shard:id);
         {
           id;
           nic;
@@ -511,19 +495,12 @@ let create engine hw cfg p =
       ~promote:(fun ~shard ~successor:_ -> promote t ~shard);
   t
 
-(* After the clone, every caching index syncs its hints from its host
-   table and, with caching on, prewarms. *)
+(* After the clone, every caching index warms. *)
 let seal t =
   Control.seal t.ctl;
   Array.iter
     (fun node ->
-      Array.iter
-        (function
-          | Some idx ->
-              Xenic_store.Nic_index.sync_hints idx;
-              if t.p.features.caching then Xenic_store.Nic_index.prewarm idx
-          | None -> ())
-        node.indexes)
+      Array.iter (function Some idx -> warm t.p idx | None -> ()) node.indexes)
     t.nodes
 
 (* ------------------------------------------------------------------ *)
@@ -571,10 +548,12 @@ let rec commit_shards t a ~t_send ~locks_by_shard = function
   | (shard, seq_ops) :: rest ->
       let src = a.Control.coord and owner = a.owner in
       let _, primary, locked = lock_site t ~shard locks_by_shard in
-      notify t ~src ~dst:primary ~bytes:(Wire.write_ops_b ~ops:seq_ops) (fun () ->
+      notify t Control.In_process ~src ~dst:primary
+        ~bytes:(Wire.write_ops_b ~ops:seq_ops) (fun () ->
           Control.async t.ctl a Metrics.Commit_async ~since:t_send
             (commit_handler t t.nodes.(primary) ~owner ~shard ~seq_ops ~locked);
-          notify_charged t ~src:primary ~dst:src ~bytes:Wire.small_resp_b ignore);
+          notify t t.nodes.(src).charge ~src:primary ~dst:src
+            ~bytes:Wire.small_resp_b ignore);
       commit_shards t a ~t_send ~locks_by_shard rest
 
 (* Release locks at the node they were acquired at (which may no longer
@@ -586,7 +565,7 @@ let rec abort_everywhere t a ~locks_by_shard =
   | [] -> ()
   | (_shard, primary, locked) :: rest ->
       if locked <> [] && not t.ctl.crashed.(primary) then
-        notify t ~src:a.Control.coord ~dst:primary
+        notify t Control.In_process ~src:a.Control.coord ~dst:primary
           ~bytes:(Wire.abort_b ~n_locks:(List.length locked))
           (abort_handler t.nodes.(primary) ~owner:a.owner ~locked);
       abort_everywhere t a ~locks_by_shard:rest
@@ -646,7 +625,7 @@ let execute_per_key t a ~epoch0 ~shard ~primary ~reads ~locks =
       List.concat_map (fun (lv, _) -> List.map fst lv) lock_results
     in
     if acquired <> [] && not t.ctl.crashed.(primary) then
-      notify t ~src ~dst:primary
+      notify t Control.In_process ~src ~dst:primary
         ~bytes:(Wire.abort_b ~n_locks:(List.length acquired))
         (abort_handler t.nodes.(primary) ~owner ~locked:acquired)
   in
@@ -1029,14 +1008,14 @@ let hop_exec_done h =
 let rec hop_log h = function
   | [] -> ()
   | ((_, backup, seq_ops) as target) :: rest ->
-      notify h.sys ~src:h.p2 ~dst:backup ~bytes:(Wire.write_ops_b ~ops:seq_ops)
-        (fun () -> hop_log_at h target);
+      notify h.sys Control.In_process ~src:h.p2 ~dst:backup
+        ~bytes:(Wire.write_ops_b ~ops:seq_ops) (fun () -> hop_log_at h target);
       hop_log h rest
 
 and hop_log_at h (shard, backup, seq_ops) =
   let t = h.sys in
   log_handler t t.nodes.(backup) ~decision:(ref Control.Dcommit) ~shard ~seq_ops ();
-  notify_charged t ~src:backup ~dst:h.p1.id ~bytes:Wire.small_resp_b h.logged
+  notify t h.p1.charge ~src:backup ~dst:h.p1.id ~bytes:Wire.small_resp_b h.logged
 
 (* P2, in a handler process at its NIC: lock and read the remote keys,
    run the function, LOG every write set with the responses routed to
@@ -1049,8 +1028,8 @@ let hop_remote h =
     execute_handler t p2_node ~owner ~locks:h.remote_keys ~reads:h.remote_reads ()
   with
   | `Fail ->
-      notify_reply t ~src:h.p2 ~dst:src ~bytes:Wire.small_resp_b (fun () ->
-          h.resume `Fail)
+      notify t Control.In_place ~src:h.p2 ~dst:src ~bytes:Wire.small_resp_b
+        (fun () -> h.resume `Fail)
   | `Ok (remote_lockv, remote_values) -> (
       (* Execute at the remote primary NIC; multi-hop is limited to
          single-round execution (§4.2.3), so a More escalates back to
@@ -1065,8 +1044,8 @@ let hop_remote h =
       match exec_result with
       | Types.More _ ->
           unlock_routed p2_node ~owner (keys_of remote_lockv);
-          notify_reply t ~src:h.p2 ~dst:src ~bytes:Wire.small_resp_b (fun () ->
-              h.resume `Multishot)
+          notify t Control.In_place ~src:h.p2 ~dst:src ~bytes:Wire.small_resp_b
+            (fun () -> h.resume `Multishot)
       | Types.Done ops ->
           let lock_versions = h.local_lockv @ remote_lockv in
           let seq_ops = Types.seq_ops_of ~lock_versions ops in
@@ -1081,7 +1060,7 @@ let hop_remote h =
           Control.enter t.ctl h.h_attempt Metrics.Log;
           hop_log h backups;
           (* ExecDone to P1 with the local shard's writes. *)
-          notify_charged t ~src:h.p2 ~dst:src
+          notify t h.p1.charge ~src:h.p2 ~dst:src
             ~bytes:(Wire.write_ops_b ~ops:h.p1_seq_ops) (fun () ->
               hop_exec_done h))
 
@@ -1094,7 +1073,8 @@ let hop_ship h resume =
       ~n_locks:(List.length h.remote_keys)
       ~state_bytes:(h.h_txn.state_bytes + shipped_b 0 h.local_values)
   in
-  notify t ~src:h.p1.id ~dst:h.p2 ~bytes:ship_bytes (fun () -> hop_remote h)
+  notify t Control.In_process ~src:h.p1.id ~dst:h.p2 ~bytes:ship_bytes (fun () ->
+      hop_remote h)
 
 (* The coordinator P1 locks+reads its local keys at its own NIC, ships
    execution to the remote primary P2; P2 locks+reads its keys, runs
@@ -1176,12 +1156,13 @@ and multihop_commit t node a h ~local_shard ~local_keys =
   | _ -> ());
   (if h.p2_seq_ops <> [] then
      let t_send = Engine.now t.ctl.engine in
-     notify t ~src ~dst:p2 ~bytes:(Wire.write_ops_b ~ops:h.p2_seq_ops) (fun () ->
+     notify t Control.In_process ~src ~dst:p2
+       ~bytes:(Wire.write_ops_b ~ops:h.p2_seq_ops) (fun () ->
          Control.async t.ctl a Metrics.Commit_async ~since:t_send
            (commit_handler t t.nodes.(p2) ~owner ~shard:h.remote_shard
               ~seq_ops:h.p2_seq_ops ~locked:h.remote_keys))
    else if h.remote_keys <> [] then
-     notify t ~src ~dst:p2
+     notify t Control.In_process ~src ~dst:p2
        ~bytes:(Wire.abort_b ~n_locks:(List.length h.remote_keys))
        (abort_handler t.nodes.(p2) ~owner ~locked:h.remote_keys));
   (* The oracle's report, built only when one is attached. *)

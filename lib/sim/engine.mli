@@ -23,8 +23,8 @@
 type t
 
 (** [create ?strict ?domains ()] builds an engine. With [~strict:true]
-    the engine runs in {e sanitizer} mode: sim primitives (ivars,
-    resources, mailboxes, processes) register end-of-run invariant
+    the engine runs in {e sanitizer} mode: sim primitives (resources,
+    mailboxes, processes) register end-of-run invariant
     checks on creation and the event loop tracks clock monotonicity;
     {!sanitize} reports every violation. Strict mode keeps a closure
     per created primitive alive for the lifetime of the engine, so it

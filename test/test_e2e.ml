@@ -2,7 +2,6 @@
    Xenic and every RDMA baseline, checking conservation invariants,
    exactly-once application, replication consistency, and progress. *)
 
-open Xenic_sim
 open Xenic_cluster
 open Xenic_proto
 open Xenic_workload
@@ -121,57 +120,13 @@ let test_all_paths_taken () =
    round. Exactly-once semantics must hold on every system. *)
 let test_multishot sys () =
   Retwis.load rw_params sys;
-  let nodes = sys.System.cfg.Config.nodes in
-  let key ~shard ~id = Keyspace.make ~shard ~table:0 ~ordered:false ~id in
-  let decode v = Bytes.get_int64_le v 0 in
-  let encode c =
-    let b = Bytes.make 64 '\000' in
-    Bytes.set_int64_le b 0 c;
-    b
-  in
-  let spec =
-    {
-      Driver.name = "multishot";
-      generate =
-        (fun rng ~node ->
-          ignore node;
-          (* The pointer names the target: target id = pointer value
-             mod 100, on a shard derived from the pointer key. *)
-          let ptr_shard = Rng.int rng nodes in
-          let ptr = key ~shard:ptr_shard ~id:(Rng.int rng 50) in
-          ( "chase",
-            Types.make_multishot ~ship_exec:true ~read_set:[ ptr ]
-              ~write_set:[] (fun view ->
-                match view ptr with
-                | None -> Types.Done []
-                | Some pv ->
-                    let target =
-                      key
-                        ~shard:((ptr_shard + 1) mod nodes)
-                        ~id:(100 + (Int64.to_int (decode pv) mod 50))
-                    in
-                    (match view target with
-                    | None ->
-                        Types.More { read = [ target ]; lock = [ target ] }
-                    | Some tv ->
-                        Types.Done
-                          [ Op.Put (target, encode (Int64.add (decode tv) 1L)) ])) ));
-    }
-  in
+  let spec = Multishot.spec ~nodes:sys.System.cfg.Config.nodes in
   let result = Driver.run sys spec ~warmup_frac:0.0 ~concurrency:6 ~target:400 in
   Alcotest.(check bool) "progress" true (result.Driver.committed >= 400);
   (* Sum of counters over the target range = committed chases. *)
-  let total = ref 0L in
-  for shard = 0 to nodes - 1 do
-    for id = 100 to 149 do
-      match System.peek sys ~node:shard (key ~shard ~id) with
-      | Some v -> total := Int64.add !total (decode v)
-      | None -> ()
-    done
-  done;
   Alcotest.(check int64) "exactly-once across rounds"
     (Int64.of_int result.Driver.committed)
-    !total
+    (Multishot.total sys)
 
 (* Feature ablations must all be safe: every flag combination of the
    Fig 9 ladders preserves conservation. *)

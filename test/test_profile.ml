@@ -96,6 +96,26 @@ let traced_profiled_run stack =
 
 let profiled_run stack = fst (traced_profiled_run stack)
 
+let rw_params = { Retwis.default_params with keys_per_node = 500 }
+
+(* The same on the pointer-chasing multi-shot workload, whose chases
+   take a second execution round: on the RDMA stacks a replay of the
+   try, on Xenic a second round of the same try. *)
+let traced_profiled_multishot stack =
+  let sys =
+    System.create ~nodes:4 ~replication:3 ~store_cfg:(Retwis.store_cfg rw_params)
+      ~buckets:(Retwis.chained_buckets rw_params) stack
+  in
+  Retwis.load rw_params sys;
+  let trace = Trace.create sys.System.engine in
+  let result =
+    Driver.run ~seed:11L ~trace ~profile:true sys (Multishot.spec ~nodes:4)
+      ~concurrency:4 ~target:300
+  in
+  match result.Driver.profile with
+  | Some prof -> (prof, trace)
+  | None -> Alcotest.fail "profiled run returned no profile"
+
 let profiled_tpcc_run () =
   let tp =
     {
@@ -176,8 +196,8 @@ let test_path_closure_tpcc () = check_path_closure (profiled_tpcc_run ())
    anything but the attempt's own seq lands on another transaction's
    track, and the path reads as "other"; a phase left unnamed does
    too. *)
-let test_path_keys stack () =
-  let prof, trace = traced_profiled_run stack in
+let test_path_keys run stack () =
+  let prof, trace = run stack in
   Alcotest.(check bool) "paths extracted" true (prof.Profile.paths <> []);
   let frac, blind = Profile.other_share prof in
   Alcotest.(check int) "no committed path is all other" 0 blind;
@@ -220,8 +240,8 @@ let phase_spans trace =
    spans run back to back from the start of its "txnlat" span to the
    end, with no gap and no overlap beyond float rounding. An un-armed
    transaction is one attempt, drawn when the outer span starts. *)
-let test_tiling stack () =
-  let _, trace = traced_profiled_run stack in
+let test_tiling run stack () =
+  let _, trace = run stack in
   let phases = phase_spans trace in
   let near a b = Float.compare (Float.abs (a -. b)) 1e-6 <= 0 in
   let outers =
@@ -504,6 +524,20 @@ let test_every_resource_busy stack () =
   |> List.iter (fun (k, t) ->
          Alcotest.(check bool) (Printf.sprintf "%s is busy" k) true (t > 0.0))
 
+(* [check run stack] on every stack, on Smallbank and then on the
+   multi-shot workload. *)
+let on_both_workloads check =
+  List.map
+    (fun stack ->
+      Alcotest.test_case (System.stack_name stack) `Quick
+        (check traced_profiled_run stack))
+    System.stacks
+  @ List.map
+      (fun stack ->
+        Alcotest.test_case (System.stack_name stack ^ " multi-shot") `Quick
+          (check traced_profiled_multishot stack))
+      System.stacks
+
 let () =
   Alcotest.run "xenic_profile"
     [
@@ -533,18 +567,8 @@ let () =
             (test_path_closure System.Drtmh);
           Alcotest.test_case "tpcc xenic" `Quick test_path_closure_tpcc;
         ] );
-      ( "path keys",
-        List.map
-          (fun stack ->
-            Alcotest.test_case (System.stack_name stack) `Quick
-              (test_path_keys stack))
-          System.stacks );
-      ( "tiling",
-        List.map
-          (fun stack ->
-            Alcotest.test_case (System.stack_name stack) `Quick
-              (test_tiling stack))
-          System.stacks );
+      ("path keys", on_both_workloads test_path_keys);
+      ("tiling", on_both_workloads test_tiling);
       ( "fig7",
         [
           Alcotest.test_case "multi-hop saves a message delay" `Quick

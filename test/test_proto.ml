@@ -702,6 +702,25 @@ let test_call_unarmed () =
     [ "depart"; "send"; "back" ] (log ());
   Alcotest.(check (float 0.0)) "one round trip" 2_000.0 at
 
+(* Armed, an answer in time settles the call: the caller resumes once,
+   in the settle hop at the answer's instant, and the deadline firing
+   later finds nothing to do. *)
+let test_call_armed () =
+  let engine, ctl = mk_control ~strict:true ~armed:true () in
+  let tr, log = fake_transport engine ~hop_ns:1_000.0 in
+  let result, at, resumed = run_call engine ctl tr in
+  Alcotest.check call_result "ok" (`Ok 42) result;
+  Alcotest.(check (float 0.0)) "one round trip" 2_000.0 at;
+  Alcotest.(check int) "caller resumed once" 1 resumed;
+  Alcotest.(check (list string)) "answered"
+    [ "depart"; "send"; "back" ] (log ());
+  Alcotest.(check bool) "the deadline has passed" true
+    (Xenic_sim.Engine.now engine >= timeout_ns);
+  Alcotest.(check (float 0.0)) "no req_timeouts" 0.0
+    (counter ctl "req_timeouts");
+  Alcotest.(check (list string)) "sanitizer clean" []
+    (Xenic_sim.Engine.sanitize engine)
+
 let test_call_crashed_dst () =
   let engine, ctl = mk_control ~armed:true () in
   let tr, log = fake_transport engine ~hop_ns:1_000.0 in
@@ -733,6 +752,37 @@ let test_call_stale_reject () =
     (counter ctl "stale_epoch_rejects");
   Alcotest.(check (float 0.0)) "no timeout" 0.0 (counter ctl "req_timeouts");
   Alcotest.(check (float 0.0)) "answered, not timed out" 2_000.0 at
+
+(* A request refused before [send] returns (a node's request to
+   itself, stale at once): the caller resumes in place, with no settle
+   hop and no deadline left behind, as if it had never waited. *)
+let test_call_refused_in_place () =
+  let engine, ctl = mk_control ~strict:true ~armed:true () in
+  let log = ref [] in
+  let at_once name ~src:_ ~dst:_ ~bytes:_ k =
+    log := name :: !log;
+    k ()
+  in
+  let tr =
+    {
+      Control.depart = (fun ~src:_ ~dst:_ ~bytes:_ -> ctl.Control.epoch <- 1);
+      send = at_once "send";
+      back = at_once "back";
+      reject = at_once "reject";
+    }
+  in
+  let result, at, resumed = run_call ~epoch0:0 engine ctl tr in
+  Alcotest.check call_result "down" `Down result;
+  Alcotest.(check (list string)) "rejected" [ "send"; "reject" ] (List.rev !log);
+  Alcotest.(check int) "caller resumed once" 1 resumed;
+  Alcotest.(check (float 0.0)) "at once" 0.0 at;
+  Alcotest.(check (float 0.0)) "no deadline ran" 0.0
+    (Xenic_sim.Engine.now engine);
+  Alcotest.(check (float 0.0)) "one stale_epoch_rejects" 1.0
+    (counter ctl "stale_epoch_rejects");
+  Alcotest.(check (float 0.0)) "no timeout" 0.0 (counter ctl "req_timeouts");
+  Alcotest.(check (list string)) "sanitizer clean" []
+    (Xenic_sim.Engine.sanitize engine)
 
 let test_call_stale_drop () =
   let engine, ctl = mk_control ~armed:true () in
@@ -1080,14 +1130,14 @@ let test_dispatch_reply_outside_process () =
     Xenic_sim.Engine.with_attrib engine (fun () ->
         Xenic_sim.Attrib.set sender;
         [
-          Control.reply ~bytes:8 (fun () ->
+          Control.message ~bytes:8 Control.In_place (fun () ->
               reply_phase := (Xenic_sim.Attrib.get ()).phase;
               reply_blocked :=
                 Some
                   (match Xenic_sim.Process.suspend (fun _ -> ()) with
                   | () -> false
                   | exception Xenic_sim.Process.Not_in_process -> true));
-          Control.request ~bytes:8 (fun () ->
+          Control.message ~bytes:8 Control.In_process (fun () ->
               Xenic_sim.Process.sleep engine 10.0;
               request_woke := true);
         ])
@@ -1324,12 +1374,15 @@ let () =
             test_finish_writes;
           Alcotest.test_case "call: un-armed round trip" `Quick
             test_call_unarmed;
+          Alcotest.test_case "call: armed round trip" `Quick test_call_armed;
           Alcotest.test_case "call: crashed destination" `Quick
             test_call_crashed_dst;
           Alcotest.test_case "dispatch: reply outside any process" `Quick
             test_dispatch_reply_outside_process;
           Alcotest.test_case "call: stale request rejected" `Quick
             test_call_stale_reject;
+          Alcotest.test_case "call: refused in place" `Quick
+            test_call_refused_in_place;
           Alcotest.test_case "call: stale response dropped" `Quick
             test_call_stale_drop;
           Alcotest.test_case "call: late response ignored" `Quick

@@ -451,32 +451,6 @@ let test_mailbox_park_queued () =
   Alcotest.(check (list int)) "drained" [] (Mailbox.recv_burst mb ~max:8)
 
 (* ------------------------------------------------------------------ *)
-(* Ivar *)
-
-let test_ivar () =
-  let eng = Engine.create () in
-  let iv = Ivar.create eng in
-  let seen = ref [] in
-  for i = 1 to 3 do
-    Process.spawn eng (fun () ->
-        let v = Ivar.read iv in
-        seen := (i, v, Engine.now eng) :: !seen)
-  done;
-  Process.spawn eng (fun () ->
-      Process.sleep eng 42.0;
-      Ivar.fill iv "done");
-  ignore (Engine.run eng);
-  Alcotest.(check int) "all woke" 3 (List.length !seen);
-  List.iter
-    (fun (_, v, t) ->
-      Alcotest.(check string) "value" "done" v;
-      check_float "time" 42.0 t)
-    !seen;
-  Alcotest.check_raises "double fill"
-    (Invalid_argument "Ivar.fill: already filled") (fun () ->
-      Ivar.fill iv "again")
-
-(* ------------------------------------------------------------------ *)
 (* Resource *)
 
 let test_resource_serialization () =
@@ -544,24 +518,16 @@ let test_sanitizer_clean_run () =
   Alcotest.(check bool) "strict flag" true (Engine.strict eng);
   let r = Resource.create eng ~name:"cpu" ~servers:1 in
   let mb = Mailbox.create ~name:"mb" eng in
-  let iv = Ivar.create ~name:"iv" eng in
   Process.spawn eng (fun () ->
       Resource.use r 5.0;
-      Mailbox.send mb 1;
-      Ivar.fill iv ());
+      Mailbox.send mb 1);
+  (* Blocked on the empty mailbox, then on the unit, until both are
+     handed over. *)
   Process.spawn eng (fun () ->
-      Ivar.read iv;
-      ignore (Mailbox.recv mb));
+      ignore (Mailbox.recv mb);
+      Resource.use r 5.0);
   ignore (Engine.run eng);
   Alcotest.(check (list string)) "no violations" [] (Engine.sanitize eng)
-
-let test_sanitizer_never_filled_ivar () =
-  let eng = Engine.create ~strict:true () in
-  let iv = Ivar.create ~name:"stuck" eng in
-  Process.spawn eng (fun () -> Ivar.read iv);
-  ignore (Engine.run eng);
-  check_violation "never-filled ivar" "ivar stuck: never filled"
-    (Engine.sanitize eng)
 
 let test_sanitizer_unreleased_resource () =
   let eng = Engine.create ~strict:true () in
@@ -607,8 +573,13 @@ let test_sanitizer_double_resume () =
 
 let test_sanitizer_off_by_default () =
   let eng = Engine.create () in
-  let iv : unit Ivar.t = Ivar.create ~name:"stuck" eng in
-  Process.spawn eng (fun () -> Ivar.read iv);
+  let r = Resource.create eng ~name:"stuck" ~servers:1 in
+  let mb = Mailbox.create ~name:"lost" eng in
+  (* A leaked unit, an acquirer blocked on it for good and an
+     undelivered message: each a violation on a strict engine. *)
+  Process.spawn eng (fun () -> Resource.acquire r);
+  Process.spawn eng (fun () -> Resource.acquire r);
+  Mailbox.send mb ();
   ignore (Engine.run eng);
   Alcotest.(check (list string))
     "non-strict engines record nothing" [] (Engine.sanitize eng)
@@ -1190,7 +1161,10 @@ let test_alloc_reply_dispatch () =
                   fun () -> Xenic_nicdev.Smartnic.pkt_io_ns nic ));
          fun () ->
            Xenic_net.Fabric.send ctl.fabric ~src:0 ~dst:1 ~payload_bytes:64
-             [ Xenic_proto.Control.reply ~bytes:16 ignore ]))
+             [
+               Xenic_proto.Control.message ~bytes:16
+                 Xenic_proto.Control.In_place ignore;
+             ]))
 
 (* One-sided RDMA verbs from a process: the verb's record and step
    closure, its twelve engine events, its two wire-leg frames and the
@@ -1328,7 +1302,6 @@ let () =
           Alcotest.test_case "park takes queued" `Quick
             test_mailbox_park_queued;
         ] );
-      ("ivar", [ Alcotest.test_case "broadcast" `Quick test_ivar ]);
       ( "resource",
         [
           Alcotest.test_case "serialization" `Quick test_resource_serialization;
@@ -1339,8 +1312,6 @@ let () =
       ( "sanitizer",
         [
           Alcotest.test_case "clean run" `Quick test_sanitizer_clean_run;
-          Alcotest.test_case "never-filled ivar" `Quick
-            test_sanitizer_never_filled_ivar;
           Alcotest.test_case "unreleased resource" `Quick
             test_sanitizer_unreleased_resource;
           Alcotest.test_case "undelivered mailbox" `Quick
