@@ -38,7 +38,9 @@ val read : t -> Keyspace.t -> (bytes * int) option
 val read_value : t -> Keyspace.t -> bytes option
 
 (** [load t k v] applies initial data during workload loading (sets
-    version 1, bypassing the log). *)
+    version 1, bypassing the log). [v] is never mutated afterwards:
+    keys, replicas, the NIC cache and the logs may all share it, so a
+    loader may pass one value for many keys. *)
 val load : t -> Keyspace.t -> bytes -> unit
 
 (** [clone_hash ~from t ~shard] makes [t]'s hash table of [shard] an

@@ -5,6 +5,7 @@ type rule =
   | Float_compare
   | Obj_magic
   | Catch_all
+  | Bytes_mutation
 
 let rule_id = function
   | Random_global -> "RANDOM"
@@ -13,9 +14,18 @@ let rule_id = function
   | Float_compare -> "FLOAT-CMP"
   | Obj_magic -> "OBJ-MAGIC"
   | Catch_all -> "CATCH-ALL"
+  | Bytes_mutation -> "BYTES-MUTATION"
 
 let all_rules =
-  [ Random_global; Wall_clock; Hashtbl_order; Float_compare; Obj_magic; Catch_all ]
+  [
+    Random_global;
+    Wall_clock;
+    Hashtbl_order;
+    Float_compare;
+    Obj_magic;
+    Catch_all;
+    Bytes_mutation;
+  ]
 
 let rule_of_id id = List.find_opt (fun r -> rule_id r = id) all_rules
 
@@ -185,7 +195,14 @@ let is_floatish e =
 let poly_cmp_fns =
   [ "compare"; "min"; "max"; "="; "<>"; "<"; "<="; ">"; ">=" ]
 
-let findings_of_ast ~filename ~rng_exempt ast =
+(* [Bytes] functions that write into their argument. *)
+let is_bytes_mutator fn =
+  List.exists
+    (fun prefix -> String.starts_with ~prefix fn)
+    [ "set"; "unsafe_set"; "blit"; "unsafe_blit" ]
+  || fn = "fill" || fn = "unsafe_fill"
+
+let findings_of_ast ~filename ~rng_exempt ~lib ast =
   let findings = ref [] in
   let sorted_spans = ref [] in
   let add rule loc message =
@@ -229,6 +246,13 @@ let findings_of_ast ~filename ~rng_exempt ast =
                  fn)
         | Some "Obj" when fn = "magic" ->
             add Obj_magic loc "Obj.magic defeats the type system"
+        | Some "Bytes" when lib && is_bytes_mutator fn ->
+            add Bytes_mutation loc
+              (Printf.sprintf
+                 "in-place Bytes.%s — a stored value is shared by keys, \
+                  replicas, the NIC cache and the logs; write only into a \
+                  buffer this code owns"
+                 fn)
         | _ -> ())
   in
   let expr it e =
@@ -379,9 +403,11 @@ let lint_source ~filename src =
   let lines = String.split_on_char '\n' src in
   let allow = allowlist_of_lines lines in
   let rng_exempt = Filename.basename filename = "rng.ml" in
+  (* BYTES-MUTATION applies to the library's sources only. *)
+  let lib = List.mem "lib" (String.split_on_char '/' filename) in
   let raw, status =
     match parse_impl ~filename src with
-    | Some ast -> (findings_of_ast ~filename ~rng_exempt ast, `Parsed)
+    | Some ast -> (findings_of_ast ~filename ~rng_exempt ~lib ast, `Parsed)
     | None -> (lexical_scan ~filename ~rng_exempt lines, `Lexical_fallback)
   in
   let kept = List.filter (fun f -> not (suppressed allow f.rule f.line)) raw in

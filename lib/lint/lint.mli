@@ -42,6 +42,13 @@ type rule =
       (** [CATCH-ALL]: [try ... with _ ->] (or a lone wildcard handler)
           — swallows [Stack_overflow], [Assert_failure] and sanitizer
           exceptions alike. *)
+  | Bytes_mutation
+      (** [BYTES-MUTATION]: an in-place [Bytes] write
+          ([set*], [unsafe_set*], [blit*], [unsafe_blit*], [fill],
+          [unsafe_fill]) in a file under [lib/]. A value handed to the
+          store is shared by keys, replicas, the NIC cache and the logs
+          and is never mutated; each write into a buffer the code owns
+          carries an [allow] naming that buffer. *)
 
 val rule_id : rule -> string
 

@@ -182,7 +182,8 @@ val node_alive : t -> node:int -> bool
 (** [load t k v] marks [k]'s shard unsealed and loads [v] into each
     store that holds [k] now ({!Storage.load}): the shard's primary's
     ({!Config.primary}) for a hash key, every replica's for an ordered
-    key. *)
+    key. [v] is shared, never copied, and never mutated afterwards
+    (see {!Storage.load}). *)
 val load : t -> Keyspace.t -> bytes -> unit
 
 (** [seal t] clones the primary's hash table of every shard loaded

@@ -25,7 +25,10 @@ type t = {
           their final run. *)
   load : Keyspace.t -> bytes -> unit;
       (** Bulk-load one object, bypassing the protocol: hash keys into
-          the shard's primary copy, ordered keys into every replica. *)
+          the shard's primary copy, ordered keys into every replica.
+          The store never mutates a value handed to it: keys,
+          replicas, the NIC cache and the logs may share one, so a
+          loader may pass the same value for many keys. *)
   seal : unit -> unit;
       (** End a load phase: clone the loaded shards to their backups
           and, on Xenic, sync NIC index hints. Required on every stack:

@@ -84,6 +84,7 @@ let write t c k v ~seq =
   let blk = cell_block t c and i = cell_index t c in
   if Array.length blk.values = 0 then
     blk.values <- Array.make (Array.length blk.keys) v;
+  (* xenic-lint: allow BYTES-MUTATION — the block's own [live] bitmap *)
   Bytes.set blk.live i '\001';
   blk.keys.(i) <- k;
   blk.seqs.(i) <- seq;
@@ -144,6 +145,7 @@ let put_newer t k v ~seq =
   else if seq > (cell_block t c).seqs.(cell_index t c) then write t c k v ~seq
 
 let clear t c =
+  (* xenic-lint: allow BYTES-MUTATION — the block's own [live] bitmap *)
   Bytes.set (cell_block t c).live (cell_index t c) '\000';
   t.size <- t.size - 1
 
@@ -169,6 +171,7 @@ let buckets_allocated t = t.allocated
 let blit_block ~src ~dst =
   Array.blit src.keys 0 dst.keys 0 (Array.length src.keys);
   Array.blit src.seqs 0 dst.seqs 0 (Array.length src.seqs);
+  (* xenic-lint: allow BYTES-MUTATION — [dst]'s own [live] bitmap *)
   Bytes.blit src.live 0 dst.live 0 (Bytes.length src.live);
   Array.blit src.next 0 dst.next 0 (Array.length src.next);
   dst.values <- Array.copy src.values

@@ -154,11 +154,14 @@ let sync_hints t =
       let g = home / hint_slots in
       if disp > t.hints.(g) then t.hints.(g) <- disp)
 
+(* The host table's keys are distinct, so an index that starts empty
+   (at seal, at promotion) has no entry to probe for. *)
 let prewarm t =
+  let empty = t.n_entries = 0 in
   (try
      Robinhood.iter t.host (fun k v seq ->
          if t.n_cached >= t.cache_capacity then raise Exit;
-         if find t k == t.vacant then begin
+         if empty || find t k == t.vacant then begin
            let e = add t k ~seq ~present:true in
            e.value <- Some v;
            t.n_cached <- t.n_cached + 1;

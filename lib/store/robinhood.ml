@@ -161,11 +161,13 @@ let insert_absent ?on_step t k v ~seq =
   let rec probe pos disp ~ck ~cseq ~cv moves =
     if disp >= cap then begin
       (* Displacement limit: the carried element overflows to the bucket
-         of the segment holding its home position. *)
-      apply_moves ?on_step t moves;
+         of the segment holding its home position. It goes there before
+         the first move overwrites its slot, so a concurrent read finds
+         it in one place or the other throughout. *)
       let seg = segment_of_pos t (home t ck) in
       t.overflow.(seg) <- { o_key = ck; o_seq = cseq; o_value = cv } :: t.overflow.(seg);
       t.ovf_size <- t.ovf_size + 1;
+      apply_moves ?on_step t moves;
       Overflowed
     end
     else if not (occupied t pos) then begin

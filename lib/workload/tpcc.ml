@@ -498,6 +498,7 @@ let txn_stock_level p (sys : System.t) rng ~node =
       ~lo:(k_order_line ~node ~wl ~d ~o:lo_o ~line:0)
       ~hi:(k_order_line ~node ~wl ~d ~o:(next_o - 1) ~line:15)
       ~init:()
+      (* xenic-lint: allow BYTES-MUTATION — the local [seen] bitmap *)
       (fun () _ b -> Bytes.set seen (get Order_line.i_id b) '\001');
     let low = ref 0 in
     for i = 0 to p.items - 1 do

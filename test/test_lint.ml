@@ -101,6 +101,26 @@ let test_catch_all () =
   check_ids "wildcard among named cases flagged" [ "CATCH-ALL" ]
     "let h f = try f () with Not_found -> 0 | _ -> 1\n"
 
+let test_bytes_mutation () =
+  check_ids "Bytes.set flagged in lib/" [ "BYTES-MUTATION" ]
+    "let f b = Bytes.set b 0 'x'\n";
+  check_ids "blit, fill and set_int64_le flagged"
+    [ "BYTES-MUTATION"; "BYTES-MUTATION"; "BYTES-MUTATION" ]
+    "let f a b = Bytes.blit a 0 b 0 1\n\
+     let g b = Bytes.fill b 0 1 'x'\n\
+     let h b = Bytes.set_int64_le b 0 1L\n";
+  check_ids "reads and fresh buffers untouched" []
+    "let f b = (Bytes.get b 0, Bytes.make 4 'x', Bytes.copy b)\n";
+  check_ids "an allow naming the owned buffer suppresses" []
+    "let f () =\n\
+    \  let b = Bytes.create 8 in\n\
+    \  (* xenic-lint: allow BYTES-MUTATION — a fresh buffer *)\n\
+    \  Bytes.set_int64_le b 0 1L;\n\
+    \  b\n";
+  Alcotest.(check (list string))
+    "outside lib/ not flagged" []
+    (ids (lint ~filename:"bench/cost/sample.ml" "let f b = Bytes.set b 0 'x'\n"))
+
 let test_line_numbers () =
   let src = "let a = 1\n\nlet t = Unix.gettimeofday ()\n" in
   Alcotest.(check (list int)) "finding carries the source line" [ 3 ]
@@ -144,7 +164,15 @@ let test_rule_ids_roundtrip () =
       match Lint.rule_of_id id with
       | Some r -> Alcotest.(check string) id id (Lint.rule_id r)
       | None -> Alcotest.failf "rule id %s did not round-trip" id)
-    [ "RANDOM"; "WALL-CLOCK"; "HASHTBL-ORDER"; "FLOAT-CMP"; "OBJ-MAGIC"; "CATCH-ALL" ];
+    [
+      "RANDOM";
+      "WALL-CLOCK";
+      "HASHTBL-ORDER";
+      "FLOAT-CMP";
+      "OBJ-MAGIC";
+      "CATCH-ALL";
+      "BYTES-MUTATION";
+    ];
   Alcotest.(check bool) "unknown id rejected" true (Lint.rule_of_id "BOGUS" = None)
 
 (* ---- FLOAT-CMP ordering operators ---------------------------------- *)
@@ -689,6 +717,7 @@ let () =
             test_float_cmp_ordering;
           Alcotest.test_case "obj magic" `Quick test_obj_magic;
           Alcotest.test_case "catch all" `Quick test_catch_all;
+          Alcotest.test_case "bytes mutation" `Quick test_bytes_mutation;
           Alcotest.test_case "catch all via match-exception" `Quick
             test_catch_all_match_exception;
         ] );

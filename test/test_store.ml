@@ -94,14 +94,16 @@ let test_rh_full () =
 (* The DMA-consistency property (§4.1.2): during an insertion's
    copy-list application, a concurrent region read must never miss an
    element. We check that every previously-inserted key is findable by a
-   raw region scan at every intermediate step. *)
-let test_rh_dma_consistent_swapping () =
-  let t = mk_rh ~segments:8 ~seg_size:32 ~d_max:(Some 8) () in
+   raw region scan or in its overflow bucket at every intermediate step.
+   With [d_max] 2 the keys overflow, and an overflowing insertion must
+   keep its displaced element visible too. *)
+let test_rh_dma_consistent_swapping d_max () =
+  let t = mk_rh ~segments:8 ~seg_size:32 ~d_max:(Some d_max) () in
   let inserted = ref [] in
   let visible_by_scan k =
     (* A raw scan over the whole displacement range, as a DMA read
        would observe — independent of size/bound bookkeeping. *)
-    match Robinhood.scan t k ~from_disp:0 ~slots:8 with
+    match Robinhood.scan t k ~from_disp:0 ~slots:d_max with
     | Robinhood.Hit _ -> true
     | _ -> fst (Robinhood.find_overflow t k) <> None
   in
@@ -115,7 +117,10 @@ let test_rh_dma_consistent_swapping () =
     in
     ignore (Robinhood.insert ~on_step:check_all t i (value i));
     inserted := i :: !inserted
-  done
+  done;
+  if d_max = 2 then
+    Alcotest.(check bool) "some keys overflowed" true
+      (List.exists (fun k -> Robinhood.locate t k = Some `Overflow) !inserted)
 
 (* Clone checks shared by the model tests. [mk ()] makes an empty
    table of [t]'s geometry, [dump] observes a table completely, and
@@ -1147,7 +1152,9 @@ let () =
           Alcotest.test_case "delete" `Quick test_rh_delete_backward_shift;
           Alcotest.test_case "table full" `Quick test_rh_full;
           Alcotest.test_case "DMA-consistent swaps" `Quick
-            test_rh_dma_consistent_swapping;
+            (test_rh_dma_consistent_swapping 8);
+          Alcotest.test_case "DMA-consistent overflow" `Quick
+            (test_rh_dma_consistent_swapping 2);
           Alcotest.test_case "region bytes" `Quick test_rh_region_bytes;
           Alcotest.test_case "out-of-line objects" `Quick test_rh_out_of_line;
           Alcotest.test_case "clone with overflow" `Quick test_rh_clone_dense;

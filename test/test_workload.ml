@@ -532,6 +532,74 @@ let test_replicas_converge stack () =
     converge_workloads
 
 (* ------------------------------------------------------------------ *)
+(* Shared initial values: Smallbank and Retwis hand every key one
+   initial value, which the store must never mutate in place. Both
+   encode their balance or counter as an i64 at offset 0. *)
+
+let shared_workloads =
+  let sb = { Smallbank.default_params with accounts_per_node = 100 } in
+  let rw = { Retwis.default_params with keys_per_node = 200 } in
+  [
+    ( "smallbank",
+      Smallbank.store_cfg sb,
+      Smallbank.chained_buckets sb,
+      Smallbank.load sb,
+      Smallbank.spec sb ~nodes:4,
+      1_000L );
+    ( "retwis",
+      Retwis.store_cfg rw,
+      Retwis.chained_buckets rw,
+      Retwis.load rw,
+      Retwis.spec rw ~nodes:4,
+      0L );
+  ]
+
+let test_shared_initial_value stack () =
+  List.iter
+    (fun (name, store_cfg, buckets, load, spec, initial) ->
+      let sys, keys =
+        Replicas.noting_keys
+          (System.create ~nodes:4 ~replication:3 ~store_cfg ~buckets stack)
+      in
+      load sys;
+      let cfg = sys.System.cfg in
+      let loaded = Replicas.sorted keys in
+      let first = List.hd loaded and last = List.hd (List.rev loaded) in
+      let backup = List.hd (Config.backups cfg ~shard:(Keyspace.shard last)) in
+      (match
+         ( System.peek sys ~node:(Config.primary cfg ~shard:(Keyspace.shard first))
+             first,
+           System.peek sys ~node:backup last )
+       with
+      | Some a, Some b ->
+          Alcotest.(check bool) (name ^ ": keys and replicas share one value")
+            true (a == b)
+      | _ -> Alcotest.failf "%s: a loaded key is missing" name);
+      ignore (Driver.run ~seed:3L sys spec ~concurrency:4 ~target:100);
+      (* A key no commit wrote keeps version 1 and its initial value on
+         every replica, whatever was written to the keys around it. *)
+      let written = ref 0 and kept = ref 0 in
+      List.iter
+        (fun k ->
+          List.iter
+            (fun node ->
+              match Storage.read (System.storage sys ~node) k with
+              | Some (v, 1) ->
+                  incr kept;
+                  if Bytes.get_int64_le v 0 <> initial then
+                    Alcotest.failf "%s: unwritten key %d on node %d reads %Ld"
+                      name k node (Bytes.get_int64_le v 0)
+              | Some _ -> incr written
+              | None -> Alcotest.failf "%s: key %d lost on node %d" name k node)
+            (Config.replicas cfg ~shard:(Keyspace.shard k)))
+        loaded;
+      Alcotest.(check bool) (name ^ ": commits wrote some keys") true
+        (!written > 0);
+      Alcotest.(check bool) (name ^ ": some keys kept their load") true
+        (!kept > 0))
+    shared_workloads
+
+(* ------------------------------------------------------------------ *)
 (* §4.2.1-style recovery: after the primary dies, a backup's replica
    plus a freshly built caching index serve the shard with identical
    contents. *)
@@ -704,6 +772,12 @@ let () =
             Alcotest.test_case (System.stack_name stack) `Quick
               (test_replicas_converge stack))
           System.stacks );
+      ( "sharing",
+        List.map
+          (fun stack ->
+            Alcotest.test_case (System.stack_name stack) `Quick
+              (test_shared_initial_value stack))
+          [ System.Xenic; System.Drtmh ] );
       ( "recovery",
         [
           Alcotest.test_case "backup promotion" `Quick test_backup_promotion;
